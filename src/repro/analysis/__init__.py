@@ -33,7 +33,6 @@ from repro.analysis.diagnostics import (
     render_diagnostics,
     summarize,
 )
-from repro.analysis.intervals import Interval, eval_interval
 from repro.analysis.affine import TOP, Bounds, Form
 from repro.analysis.effects import (
     ELEM_RANGE,
@@ -69,8 +68,6 @@ __all__ = [
     "render_diagnostic",
     "render_diagnostics",
     "summarize",
-    "Interval",
-    "eval_interval",
     "TOP",
     "Bounds",
     "Form",

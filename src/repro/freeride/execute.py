@@ -1,0 +1,607 @@
+"""The engine's one split-execution path: context, attempt, settle, drive.
+
+FREERIDE's processing structure (the paper's Figure 4, left) is a single
+loop — take a split, run the local reduction, update the reduction object —
+and this module is that loop, written once for every executor, technique
+and fault configuration:
+
+:class:`RunContext`
+    everything one node's pass over its splits needs, built once by
+    ``FreerideEngine._run_node``.  An uncolored run is a schedule of one
+    wave.
+:func:`attempt_split`
+    one processing attempt: injector → kernel into a scratch reduction
+    object → soft-timeout check.  In-process lanes call it directly; the
+    worker task in :mod:`repro.freeride.procexec` imports and calls the
+    same function.
+:func:`settle`
+    owns every outcome of an attempt — exactly-once commit, speculative-
+    duplicate drop, requeue, abandon, fail-fast or skip-and-report — plus
+    the fault counters and the ``split.requeue``/``split.abandon`` events.
+:func:`drive`
+    the loop over waves × lanes.  The executors differ only in how a
+    lane's work is shipped: inline on the calling thread (``"serial"``),
+    pool threads draining the wave's :class:`SplitQueue` (``"threads"``),
+    or tasks on the worker-process pool (``"process"``).
+
+*Direct* runs — no fault policy, no footprint observation — skip the
+scratch object: the attempt accumulates straight into the lane's accessor,
+there is nothing to settle, and with tracing disabled no per-split
+instrumentation is installed at all.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from concurrent.futures import wait as futures_wait
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
+
+import numpy as np
+
+from repro.freeride.faults import (
+    FAIL_FAST,
+    FaultInjector,
+    FaultPolicy,
+    InjectedFault,
+    SplitFailureRecord,
+    SplitTimeout,
+)
+from repro.freeride.reduction_object import ReductionObject
+from repro.freeride.sharedmem import (
+    ROAccessor,
+    ScratchAccessor,
+    close_shm_segment,
+    create_shm_segment,
+)
+from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.freeride.splitter import Split, SplitQueue, split_descriptors
+from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
+from repro.util.errors import FaultToleranceError
+
+if TYPE_CHECKING:
+    from repro.freeride.runtime import FreerideEngine, RunStats
+    from repro.obs.tracer import NullTracer, Tracer
+
+__all__ = [
+    "Observation",
+    "RunContext",
+    "attempt_split",
+    "traced_attempt",
+    "settle",
+    "drive",
+]
+
+#: what an attempt hands back: ``(scratch, None)`` or ``(None, error)``
+Attempt = tuple[ReductionObject | None, BaseException | None]
+
+
+@dataclass
+class Observation:
+    """Commit-time recording of per-split group footprints (profile store).
+
+    Every split runs into a scratch reduction object so its touched group
+    set can be read off before the commit.  ``predicted`` is set on
+    profile-colored runs: the profiled footprint is a *prediction*, so the
+    wave schedule's disjointness is a performance hint, never a correctness
+    requirement — commits are serialized on ``commit_lock``, and a
+    mis-predicted split is counted in ``conflicts`` and re-recorded.
+    """
+
+    footprints: "dict[tuple[int, int], frozenset[int]]"
+    predicted: "dict[int, frozenset[int]] | None" = None
+    conflicts: int = 0
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    commit_lock: "threading.Lock | None" = None
+
+
+@dataclass
+class RunContext:
+    """One node's pass: what to run, where results go, what may go wrong.
+
+    Built in two steps because technique resolution reads it:
+    ``_run_node`` constructs it from the split list, resolves the
+    technique, then calls :meth:`schedule` with the accessors and waves.
+    """
+
+    spec: ReductionSpec
+    splits: "list[Split]"
+    base_ro: ReductionObject
+    #: the run's ledger; its fault counters are guarded by :attr:`lock`
+    stats: "RunStats"
+    tracer: "Tracer | NullTracer"
+    metrics: "MetricsRegistry | None"
+    node: int
+    executor: str
+    num_threads: int
+    num_nodes: int
+    #: ``None`` means no fault machinery; an injector alone implies defaults
+    policy: "FaultPolicy | None"
+    injector: "FaultInjector | None"
+    profile_ctx: "dict[str, Any] | None" = None
+    accessors: "list[ROAccessor]" = field(default_factory=list)
+    #: split positions per wave, each wave run to completion before the next
+    waves: "list[Any]" = field(default_factory=list)
+    #: colored fault-tolerant runs commit each scratch restricted to the
+    #: split's proven group set, so concurrent commits within a wave never
+    #: read-modify-write a cell both left untouched
+    commit_groups: "dict[int, frozenset[int]] | None" = None
+    observation: "Observation | None" = None
+    #: no policy, no observation: attempts accumulate straight into the
+    #: lane's accessor, with no scratch object and nothing to settle
+    direct: bool = False
+    elems: "list[int]" = field(default_factory=list)
+    nsplits: "list[int]" = field(default_factory=list)
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+    def __post_init__(self) -> None:
+        if self.policy is None:
+            return
+        if self.spec.combination is not None:
+            raise FaultToleranceError(
+                "fault tolerance requires the middleware default combination: "
+                "a custom combination_t implies reduction-object state the "
+                "engine cannot merge from a per-split scratch copy"
+            )
+        if len({s.split_id for s in self.splits}) != len(self.splits):
+            raise FaultToleranceError(
+                "fault tolerance requires unique split ids (retry and "
+                "commit tracking is keyed by split id)"
+            )
+
+    @property
+    def plain(self) -> bool:
+        """In-process, single node, no fault machinery — the only runs that
+        read profiled footprints or observe new ones."""
+        return (
+            self.executor != "process"
+            and self.num_nodes == 1
+            and self.policy is None
+        )
+
+    def schedule(
+        self,
+        accessors: "list[ROAccessor]",
+        coloring: Any = None,
+        observation: "Observation | None" = None,
+    ) -> None:
+        """Attach the resolved technique's accessors and wave schedule."""
+        self.accessors = accessors
+        self.observation = observation
+        self.direct = self.policy is None and observation is None
+        self.elems = [0] * self.num_threads
+        self.nsplits = [0] * self.num_threads
+        if coloring is None:
+            self.waves = [range(len(self.splits))]
+            return
+        self.waves = coloring.waves
+        if self.policy is not None:
+            self.commit_groups = {
+                s.split_id: coloring.group_sets[i]
+                for i, s in enumerate(self.splits)
+            }
+
+
+# -- the attempt ---------------------------------------------------------------
+
+
+def attempt_split(
+    run: "Callable[[ROAccessor], None]",
+    split_id: int,
+    attempt: int,
+    scratch: ReductionObject,
+    injector: "FaultInjector | None",
+    split_timeout: "float | None",
+) -> Attempt:
+    """One processing attempt into a fresh scratch reduction object.
+
+    Returns ``(scratch, None)`` on success or ``(None, error)`` on failure
+    — injected fault, application exception, or soft-timeout overrun.  The
+    scratch object is only handed back on success, so the caller commits
+    all of the attempt's accumulations or none of them.
+    """
+    start = time.monotonic()
+    try:
+        if injector is not None:
+            injector.inject(split_id, attempt)
+        run(ScratchAccessor(scratch))
+    except Exception as exc:
+        return None, exc
+    if split_timeout is not None and time.monotonic() - start > split_timeout:
+        return None, SplitTimeout(
+            f"split {split_id} attempt {attempt} exceeded the "
+            f"{split_timeout}s per-split timeout"
+        )
+    return scratch, None
+
+
+def traced_attempt(
+    tracer: "Tracer",
+    node: int,
+    lane: int,
+    split_id: int,
+    elements: int,
+    attempt: "int | None",
+    run: "Callable[[], Attempt]",
+) -> "tuple[ReductionObject | None, BaseException | None, float]":
+    """Run one attempt inside a ``split`` span; returns it plus its seconds.
+
+    ``attempt`` is ``None`` outside a fault policy (the span then carries
+    no attempt number).  An exception escaping ``run`` — a direct attempt
+    has no error channel — is recorded on the span and propagates.
+    """
+    numbered = {} if attempt is None else {"attempt": attempt}
+    with tracer.span(
+        "split", cat="split", split_id=split_id, thread_id=lane, node=node,
+        elements=elements, **numbered,
+    ) as span:
+        scratch, error = run()
+        if error is None:
+            span.set(outcome="ok")
+        else:
+            span.set(outcome="failed", error=repr(error))
+    for kind, name in ((InjectedFault, "fault.injected"), (SplitTimeout, "fault.timeout")):
+        if isinstance(error, kind):
+            tracer.event(
+                name, cat="fault", split_id=split_id, attempt=attempt,
+                thread_id=lane, node=node,
+            )
+    return scratch, error, span.duration or 0.0
+
+
+def _reduce(
+    ctx: RunContext, lane: int, split: Split, attempt: int, accessor: ROAccessor
+) -> None:
+    ctx.spec.reduction(
+        ReductionArgs(
+            data=split.data, split=split, thread_id=lane, ro=accessor,
+            extras=ctx.spec.extras, attempt=attempt,
+        )
+    )
+
+
+def _attempt_in_process(ctx: RunContext, lane: int, split: Split, attempt: int) -> Attempt:
+    if ctx.direct:
+        _reduce(ctx, lane, split, attempt, ctx.accessors[lane])
+        return None, None
+    return attempt_split(
+        partial(_reduce, ctx, lane, split, attempt),
+        split.split_id, attempt, ctx.base_ro.clone_empty(), ctx.injector,
+        ctx.policy.split_timeout if ctx.policy is not None else None,
+    )
+
+
+def _attempt_traced(ctx: RunContext, lane: int, split: Split, attempt: int) -> Attempt:
+    """The in-process attempt wrapped for an enabled tracer."""
+    assert ctx.metrics is not None
+    acc_stats = ctx.accessors[lane].stats
+    locks_before = acc_stats.lock_acquisitions
+    scratch, error, seconds = traced_attempt(
+        ctx.tracer, ctx.node, lane, split.split_id, len(split),
+        attempt if ctx.policy is not None else None,
+        lambda: _attempt_in_process(ctx, lane, split, attempt),
+    )
+    ctx.metrics.histogram("engine.split_seconds").observe(seconds)
+    if ctx.policy is None:
+        # lock contention feeds technique="auto"; under a fault policy the
+        # locks are taken by the commit, not the attempt, so nothing is
+        # recorded and the feedback goes stale rather than reading zero
+        ctx.metrics.histogram(
+            "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
+        ).observe(acc_stats.lock_acquisitions - locks_before)
+    return scratch, error
+
+
+# -- settling an attempt -------------------------------------------------------
+
+
+def _commit(ctx: RunContext, lane: int, split: Split, scratch: ReductionObject) -> None:
+    accessor = ctx.accessors[lane]
+    obs = ctx.observation
+    if obs is None:
+        groups = (
+            ctx.commit_groups.get(split.split_id)
+            if ctx.commit_groups is not None
+            else None
+        )
+        accessor.merge_from_scratch(scratch, groups=groups)
+        return
+    touched = scratch.touched_groups()
+    if obs.commit_lock is None:
+        accessor.merge_from_scratch(scratch)
+    else:
+        with obs.commit_lock:
+            accessor.merge_from_scratch(scratch)
+    with obs.lock:
+        obs.footprints[(split.start, split.end)] = touched
+        if obs.predicted is not None and not touched <= obs.predicted.get(
+            split.split_id, frozenset()
+        ):
+            obs.conflicts += 1
+
+
+def settle(
+    ctx: RunContext,
+    queue: SplitQueue,
+    lane: int,
+    split: Split,
+    attempt: int,
+    speculative: bool,
+    scratch: "ReductionObject | None",
+    error: "BaseException | None",
+) -> None:
+    """Decide what one finished attempt means for its split.
+
+    Success commits through the queue's exactly-once completion gate, so a
+    speculative straggler duplicate (or the original it raced) is dropped
+    without touching the reduction object.  Failure is retried while the
+    policy's budget lasts, then abandoned: fail-fast poisons the queue and
+    re-raises what the split hit, skip-and-report records the loss and lets
+    the run finish.
+    """
+    if error is None:
+        assert scratch is not None
+        if queue.complete(split):
+            _commit(ctx, lane, split, scratch)
+            ctx.elems[lane] += len(split)
+            ctx.nsplits[lane] += 1
+        return
+    stats, policy, tracer = ctx.stats, ctx.policy, ctx.tracer
+    if policy is None:
+        raise error  # an observed run has no retry budget; `_lane` poisons
+    if isinstance(error, (InjectedFault, SplitTimeout)):
+        with ctx.lock:
+            if isinstance(error, InjectedFault):
+                stats.injected_faults += 1
+            else:
+                stats.timeouts += 1
+    if speculative:
+        return  # the original attempt is still in flight
+    if attempt < policy.max_attempts:
+        queue.requeue(split)
+        if tracer.enabled:
+            tracer.event(
+                "split.requeue", cat="fault", split_id=split.split_id,
+                attempt=attempt, thread_id=lane, node=ctx.node,
+            )
+        return
+    queue.abandon(split)
+    if tracer.enabled:
+        tracer.event(
+            "split.abandon", cat="fault", split_id=split.split_id,
+            attempts=attempt, thread_id=lane, node=ctx.node, error=repr(error),
+        )
+    if policy.mode == FAIL_FAST:
+        queue.poison()
+        raise error
+    with ctx.lock:
+        stats.failed_splits += 1
+        stats.failures.append(
+            SplitFailureRecord(
+                split_id=split.split_id,
+                attempts=attempt,
+                error=repr(error),
+                elements_lost=len(split),
+            )
+        )
+
+
+# -- one lane ------------------------------------------------------------------
+
+
+def _lane(
+    ctx: RunContext,
+    queue: SplitQueue,
+    lane_of: "Callable[[Split], int]",
+    attempt_fn: "Callable[[RunContext, int, Split, int], Attempt]",
+) -> None:
+    """Drain one wave's queue on the calling thread: claim, attempt, settle.
+
+    Any error poisons the queue on the way out, so peer lanes stop after
+    the split they are on instead of running the rest of the wave.
+    """
+    policy, tracer = ctx.policy, ctx.tracer
+    try:
+        if ctx.direct:
+            while (split := queue.take()) is not None:
+                lane = lane_of(split)
+                attempt_fn(ctx, lane, split, 1)
+                ctx.elems[lane] += len(split)
+                ctx.nsplits[lane] += 1
+            return
+        while True:
+            speculative = False
+            item = queue.claim()
+            if item is None and policy is not None and policy.straggler_timeout:
+                # nothing left to claim: duplicate the oldest straggler
+                item = queue.steal_straggler(policy.straggler_timeout)
+                speculative = item is not None
+            if item is None:
+                if queue.poisoned or not queue.outstanding():
+                    return
+                time.sleep(0.0005)  # a peer's in-flight attempt may requeue
+                continue
+            split, attempt = item
+            lane = lane_of(split)
+            if speculative and tracer.enabled:
+                tracer.event(
+                    "split.steal", cat="fault", split_id=split.split_id,
+                    thread_id=lane, node=ctx.node,
+                )
+            if attempt > 1:
+                assert policy is not None
+                with ctx.lock:
+                    ctx.stats.retries += 1
+                backoff = policy.backoff_seconds(attempt - 1)
+                if backoff:
+                    time.sleep(backoff)
+            scratch, error = attempt_fn(ctx, lane, split, attempt)
+            settle(ctx, queue, lane, split, attempt, speculative, scratch, error)
+    except BaseException:
+        queue.poison()
+        raise
+
+
+# -- process shipping ----------------------------------------------------------
+
+
+def _absorb(ctx: RunContext, res: "dict[str, Any]") -> None:
+    """Fold a worker result's side channels into the run: the kernel's
+    operation counters, split durations for the profile record, and the
+    worker's trace records."""
+    kspec = ctx.spec.kernel_spec
+    with ctx.lock:  # attempt lanes absorb concurrently
+        if kspec is not None and kspec.counters is not None:
+            kspec.counters.add(res["counters"])
+        if ctx.profile_ctx is not None:
+            # one RunProfile per engine run: every worker's durations fold in
+            ctx.profile_ctx.setdefault("worker_durations", []).extend(
+                res["durations"]
+            )
+    if ctx.tracer.enabled:
+        assert ctx.metrics is not None
+        ctx.tracer.ingest(res["records"])
+        split_seconds = ctx.metrics.histogram("engine.split_seconds")
+        for seconds in res["durations"]:
+            split_seconds.observe(seconds)
+        if ctx.policy is None:
+            contention = ctx.metrics.histogram(
+                "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
+            )
+            for _ in res["durations"]:
+                contention.observe(0)  # replication: lock-free
+
+
+def _ship_blocks(
+    ctx: RunContext, engine: "FreerideEngine", wave: Any, payload: "dict[str, Any]"
+) -> None:
+    """Direct runs across processes: one block task per worker.
+
+    Worker ``w`` gets the wave's ``splits[w::W]`` — the exact round-robin
+    the inline lane walks — so the per-replica accumulation order (and
+    therefore every float result, bit for bit) matches serial execution.
+    Block granularity keeps pickling off the per-split path.  Workers
+    accumulate into their replica slot of one shared reduction-object
+    segment; the parent copies each slot into the matching accessor's
+    private copy and ``mgr.finish`` combines as usual.
+    """
+    from repro.freeride import procexec
+
+    descriptors = split_descriptors([ctx.splits[i] for i in wave])
+    ro_floats = sum(n for n, _ in payload["ro_layout"])
+    width = ctx.num_threads
+    pool = engine._get_process_pool()
+    seg = create_shm_segment(width * ro_floats * 8)
+    view: "np.ndarray | None" = None
+    try:
+        futures = [
+            pool.submit(
+                procexec.run_block_task,
+                {
+                    **payload,
+                    "slot": w,
+                    "ro_floats": ro_floats,
+                    "ro_shm": seg.name,
+                    "splits": descriptors[w::width],
+                },
+            )
+            for w in range(width)
+        ]
+        futures_wait(futures)  # no worker may outlive the segment
+        results = [f.result() for f in futures]
+        view = np.ndarray((width * ro_floats,), dtype=np.float64, buffer=seg.buf)
+        for res in results:
+            w = res["slot"]
+            replica = ctx.accessors[w].ro  # type: ignore[attr-defined]
+            replica._buffer[:] = view[w * ro_floats : (w + 1) * ro_floats]
+            replica.update_count = res["update_count"]
+            ctx.elems[w] += res["elements"]
+            ctx.nsplits[w] += res["nsplits"]
+            _absorb(ctx, res)
+    finally:
+        # the view must die before the mapping can be released
+        del view
+        close_shm_segment(seg, unlink=True)
+
+
+def _attempt_remote(
+    pool: Any, payload: "dict[str, Any]",
+    ctx: RunContext, lane: int, split: Split, attempt: int,
+) -> Attempt:
+    """One scratch attempt shipped to a worker process.
+
+    The lane blocks on the task's future, so the claim/settle loop around
+    it is the very one thread lanes run; the worker traces its own attempt.
+    """
+    from repro.freeride import procexec
+
+    assert ctx.policy is not None
+    res = pool.submit(
+        procexec.run_split_task,
+        {
+            **payload,
+            "lane": lane,
+            "split": split_descriptors([split])[0],
+            "attempt": attempt,
+            "injector": ctx.injector,
+            "split_timeout": ctx.policy.split_timeout,
+        },
+    ).result()  # a worker-process crash propagates here
+    _absorb(ctx, res)
+    return procexec.split_task_outcome(res, payload["ro_layout"])
+
+
+# -- the drive loop ------------------------------------------------------------
+
+
+def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
+    """Run every wave of the context's schedule to completion.
+
+    ``engine`` supplies the persistent pools (and, for the process
+    executor, the shared-memory segment cache).  Serial execution — and
+    any wave with a single live split — runs inline, lane = split position
+    mod ``num_threads`` with retried splits served first, so the commit
+    order is the split order.  One error policy for every run: a raising
+    lane poisons the wave's queue, every lane is joined, then the error
+    propagates.
+    """
+    attempt_fn = _attempt_traced if ctx.tracer.enabled else _attempt_in_process
+    payload = None
+    if ctx.executor == "process":
+        from repro.freeride import procexec
+
+        payload = procexec.task_payload(
+            ctx.spec.kernel_spec, engine._res.segments,
+            ctx.tracer.epoch if ctx.tracer.enabled else None, ctx.node,
+        )
+        attempt_fn = partial(_attempt_remote, engine._get_process_pool(), payload)
+    width = ctx.num_threads
+    for wave in ctx.waves:
+        if payload is not None and ctx.direct:
+            _ship_blocks(ctx, engine, wave, payload)
+            continue
+        live = [ctx.splits[i] for i in wave if len(ctx.splits[i]) > 0]
+        if not live:
+            continue
+        queue = SplitQueue(live)
+        if ctx.executor == "serial" or len(live) == 1:
+            position = {id(ctx.splits[i]): i for i in wave}
+            _lane(ctx, queue, lambda split: position[id(split)] % width, attempt_fn)
+        else:
+            pool = engine._get_pool()
+            futures = [
+                pool.submit(_lane, ctx, queue, lambda _split, t=t: t, attempt_fn)
+                for t in range(min(width, len(live)))
+            ]
+            futures_wait(futures)  # the barrier between waves
+            for future in futures:
+                future.result()
+        if ctx.policy is not None:
+            ctx.stats.requeues += queue.requeues
+            for sid, attempts in queue.attempt_table().items():
+                # max across nodes: split ids repeat from node to node
+                ctx.stats.split_attempts[sid] = max(
+                    ctx.stats.split_attempts.get(sid, 0), attempts
+                )

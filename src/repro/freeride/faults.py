@@ -18,7 +18,7 @@ This module provides the two halves of that story:
     and benchmarks.  The same ``(seed, fail_rate)`` pair always selects the
     same set of split ids.
 
-Retry correctness is the engine's job (see ``runtime.py``): under a fault
+Retry correctness is the engine's job (see ``execute.py``): under a fault
 policy every attempt processes into a *fresh scratch reduction object* that
 is committed to the thread's accessor only on success, so a failed attempt
 leaves no partial accumulations behind and a retried split is never counted

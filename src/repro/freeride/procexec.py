@@ -19,26 +19,29 @@ Workers keep two process-local caches:
   ``extras_epoch`` moved — one small re-linearization per outer-loop
   iteration, exactly like the in-process executors.
 
-Two task shapes exist, mirroring the engine's two execution paths:
+Two task shapes exist, one per way :func:`repro.freeride.execute.drive`
+ships a lane's work to this pool:
 
 :func:`run_block_task`
-    the direct (no-fault) path.  One task per worker per run; the worker
-    processes its statically assigned splits (``splits[w::W]``, the same
-    deterministic round-robin the serial executor uses) and accumulates
-    straight into its replica slot of a parent-created shared-memory
-    reduction-object segment — the zero-copy transport of results.
+    direct runs.  One task per worker per run; the worker processes its
+    statically assigned splits (``splits[w::W]``, the same deterministic
+    round-robin the serial executor uses) and accumulates straight into
+    its replica slot of a parent-created shared-memory reduction-object
+    segment — the zero-copy transport of results.
 
 :func:`run_split_task`
-    the fault-tolerant path.  One task per split *attempt*; the worker
-    processes into a private scratch reduction object and returns its buffer
-    without committing — the parent owns the
-    :class:`~repro.freeride.splitter.SplitQueue` and its exactly-once
+    runs under a fault policy.  One task per split *attempt*: the worker
+    calls the engine's own :func:`~repro.freeride.execute.attempt_split`
+    and returns the scratch buffer without committing — the parent owns
+    the :class:`~repro.freeride.splitter.SplitQueue` and its exactly-once
     ``complete()`` gate, so speculative straggler duplicates are discarded
     there just as in thread mode.
 
 Both return per-task :class:`~repro.machine.counters.OpCounters` deltas and
 (when tracing) :class:`~repro.obs.tracer.Span`/``Event`` records stamped with
 the worker pid, which the parent folds into the run's ledger and trace.
+:func:`task_payload` and :func:`split_task_outcome` are the parent-side
+halves of the same protocol.
 """
 
 from __future__ import annotations
@@ -52,21 +55,25 @@ from typing import Any
 
 import numpy as np
 
-from repro.freeride.faults import InjectedFault, SplitTimeout
+from repro.freeride.execute import attempt_split, traced_attempt
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
     ReplicatedAccessor,
-    ScratchAccessor,
+    SharedBufferCache,
     SharedMemTechnique,
     attach_shm_segment,
     close_shm_segment,
 )
+from repro.freeride.spec import KernelSpec
 from repro.machine.counters import OpCounters
-from repro.obs.tracer import Event, Span
+from repro.obs.tracer import Event, Span, Tracer
+from repro.util.errors import FaultToleranceError, FreerideError
 
 __all__ = [
     "create_process_pool",
     "pick_start_method",
+    "task_payload",
+    "split_task_outcome",
     "run_block_task",
     "run_split_task",
 ]
@@ -93,7 +100,100 @@ def pick_start_method() -> str:
 def create_process_pool(max_workers: int) -> ProcessPoolExecutor:
     """A persistent worker-process pool for one engine."""
     ctx = multiprocessing.get_context(pick_start_method())
-    return ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
+    pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
+    # Workers are launched by the first submit.  Under a fault policy that
+    # would come from a lane thread while its peers run; do it here, on the
+    # thread creating the pool, so a fork never copies a mid-flight lane.
+    pool.submit(os.getpid).result()
+    return pool
+
+
+# -- parent side of the task protocol -------------------------------------------
+
+
+def task_payload(
+    kspec: KernelSpec | None,
+    segments: SharedBufferCache,
+    trace_epoch: float | None,
+    node: int,
+) -> dict[str, Any]:
+    """The picklable task base shared by every worker task of one run.
+
+    Publishes the spec's linearized dataset into the engine's
+    shared-memory segment cache (a no-op after the first run over the
+    same buffer) and flattens the :class:`~repro.freeride.spec.KernelSpec`
+    into plain dict fields — workers receive segment *names*, never
+    element data.
+    """
+    if kspec is None:
+        raise FreerideError(
+            "the process executor requires a compiled reduction: build "
+            "the spec with BoundReduction.make_spec (a hand-written "
+            "ReductionSpec closure cannot be shipped to worker processes)"
+        )
+    if kspec.shm_session is not None:
+        # delta sessions publish into one growable session segment —
+        # a delta pass ships only the appended tail's bytes.  The
+        # trusted prefix ends where the delta range starts, so bytes a
+        # rolled-back batch left behind are rewritten, not reused.
+        valid_prefix = None
+        if kspec.delta_range is not None and kspec.n_elements:
+            elem_size = len(kspec.data_raw) // kspec.n_elements
+            valid_prefix = kspec.delta_range[0] * elem_size
+        name, nbytes = segments.publish_session(
+            kspec.shm_session, kspec.data_raw, valid_prefix=valid_prefix
+        )
+    else:
+        name, nbytes = segments.publish(kspec.data_raw)
+    return {
+        "digest": kspec.digest,
+        "source": kspec.source,
+        "constants": kspec.constants,
+        "opt_level": kspec.opt_level,
+        "backend": kspec.backend,
+        "class_name": kspec.class_name,
+        "data_shm": name,
+        "data_nbytes": nbytes,
+        "dataset_type": kspec.dataset_type,
+        "n_elements": kspec.n_elements,
+        "extras": kspec.extras,
+        "extras_epoch": kspec.extras_epoch,
+        "technique": kspec.technique,
+        "ro_layout": list(kspec.ro_layout),
+        "trace_epoch": trace_epoch,
+        "node": node,
+    }
+
+
+def split_task_outcome(
+    res: dict[str, Any], ro_layout: list[tuple[int, str]]
+) -> tuple[ReductionObject | None, BaseException | None]:
+    """The ``(scratch, error)`` a :func:`run_split_task` result stands for.
+
+    A failed attempt yields the worker's original exception (e.g.
+    ``InjectedFault``, ``SplitTimeout``), so fail-fast re-raises what the
+    split actually hit, exactly like the in-process executors; an
+    unpicklable exception degrades to a :class:`FaultToleranceError`
+    carrying its repr.
+    """
+    if res["buffer"] is not None:
+        scratch = ReductionObject.from_layout(
+            ro_layout,
+            buffer=np.frombuffer(res["buffer"], dtype=np.float64).copy(),
+            initialize=False,
+        )
+        scratch.update_count = res["update_count"]
+        return scratch, None
+    if res["exception"] is not None:
+        try:
+            exc = pickle.loads(res["exception"])
+            if isinstance(exc, BaseException):
+                return None, exc
+        except Exception:
+            pass
+    return None, FaultToleranceError(
+        f"split failed in worker process {res['pid']}: {res['error']}"
+    )
 
 
 # -- worker-side caches ---------------------------------------------------------
@@ -169,41 +269,35 @@ def _bound_for(task: dict[str, Any]):
     return entry[0]
 
 
-def _worker_name() -> str:
-    return f"freeride-worker-{os.getpid()}"
+def _worker_tracer(task: dict[str, Any]) -> Tracer | None:
+    """A recorder in the parent tracer's timebase (``None``: tracing is off).
+
+    ``perf_counter`` shares its clock across processes on the platforms
+    the process executor supports, so adopting the parent's epoch is all it
+    takes for worker timestamps to line up with the parent's.
+    """
+    if task["trace_epoch"] is None:
+        return None
+    tracer = Tracer()
+    tracer.epoch = task["trace_epoch"]
+    return tracer
 
 
-def _split_span(
-    task: dict[str, Any],
-    sid: int,
-    thread_id: int,
-    elements: int,
-    start_pc: float,
-    dur: float,
-    **extra: Any,
-) -> Span:
-    """A ``split`` span in the parent tracer's timebase, pid-attributed."""
+def _worker_records(tracer: Tracer | None) -> list[Span | Event]:
+    """What the worker recorded, attributed to its pid instead of a thread."""
+    if tracer is None:
+        return []
     pid = os.getpid()
-    return Span(
-        name="split",
-        ts=start_pc - task["trace_epoch"],
-        dur=dur,
-        cat="split",
-        tid=pid,
-        thread=_worker_name(),
-        args={
-            "split_id": sid,
-            "thread_id": thread_id,
-            "node": task["node"],
-            "elements": elements,
-            "worker_pid": pid,
-            **extra,
-        },
-    )
+    records = tracer.records()
+    for rec in records:
+        rec.tid = pid
+        rec.thread = f"freeride-worker-{pid}"
+        rec.args["worker_pid"] = pid
+    return records
 
 
 def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
-    """Direct path: process this worker's splits into its replica slot.
+    """Direct runs: process this worker's splits into its replica slot.
 
     The parent created one shared segment holding ``num_threads``
     contiguous reduction-object replicas; this worker's accumulations land
@@ -222,31 +316,33 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
     ro = ReductionObject.from_layout(task["ro_layout"], buffer=view)
     accessor = ReplicatedAccessor(ro, SharedMemTechnique.FULL_REPLICATION)
     counters = OpCounters()
-    epoch = task["trace_epoch"]
-    records: list[Span] = []
+    tracer = _worker_tracer(task)
     elements = 0
-    nsplits = 0
     durations: list[float] = []
     for sid, start, stop in task["splits"]:
         if stop <= start:
             continue
+
+        def direct() -> tuple[None, None]:
+            kernel(start, stop, accessor, env, counters)
+            return None, None
+
         t0 = time.perf_counter()
-        kernel(start, stop, accessor, env, counters)
-        dur = time.perf_counter() - t0
-        elements += stop - start
-        nsplits += 1
-        durations.append(dur)
-        if epoch is not None:
-            records.append(
-                _split_span(task, sid, slot, stop - start, t0, dur, outcome="ok")
+        if tracer is None:
+            direct()
+        else:
+            traced_attempt(
+                tracer, task["node"], slot, sid, stop - start, None, direct
             )
+        durations.append(time.perf_counter() - t0)
+        elements += stop - start
     result = {
         "slot": slot,
         "elements": elements,
-        "nsplits": nsplits,
+        "nsplits": len(durations),
         "update_count": ro.update_count,
         "counters": counters,
-        "records": records,
+        "records": _worker_records(tracer),
         "durations": durations,
         "pid": os.getpid(),
     }
@@ -258,95 +354,51 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
 
 
 def run_split_task(task: dict[str, Any]) -> dict[str, Any]:
-    """Fault-tolerant path: one attempt of one split into a scratch object.
+    """Runs under a fault policy: one attempt of one split, nothing committed.
 
-    Mirrors the thread executor's ``_attempt_split_core``: the injector
-    fires first, the kernel accumulates into a private scratch reduction
-    object, and a soft per-attempt timeout discards completed-but-late
-    work.  Nothing is committed here — the scratch buffer is returned and
-    the parent merges it only if the split's exactly-once completion gate
-    accepts it.  Counter deltas are returned for *every* outcome, matching
-    thread mode where a failed attempt's kernel work still hits the ledger.
+    The scratch buffer is returned and the parent merges it only if the
+    split's exactly-once completion gate accepts it.  Counter deltas are
+    returned for *every* outcome, matching thread mode where a failed
+    attempt's kernel work still hits the ledger.
     """
     bound = _bound_for(task)
     kernel = bound.compiled.effective_kernel
     env = bound.env
     sid, start, stop = task["split"]
     attempt = task["attempt"]
-    injector = task["injector"]
-    scratch = ReductionObject.from_layout(task["ro_layout"])
     counters = OpCounters()
-    epoch = task["trace_epoch"]
+    tracer = _worker_tracer(task)
 
-    outcome = "ok"
-    exc_obj: BaseException | None = None
+    def scratch_attempt():
+        return attempt_split(
+            lambda accessor: kernel(start, stop, accessor, env, counters),
+            sid, attempt, ReductionObject.from_layout(task["ro_layout"]),
+            task["injector"], task["split_timeout"],
+        )
+
     t0 = time.perf_counter()
-    mono0 = time.monotonic()
-    try:
-        if injector is not None:
-            injector.inject(sid, attempt)
-        kernel(start, stop, ScratchAccessor(scratch), env, counters)
-    except InjectedFault as exc:
-        outcome, exc_obj = "injected", exc
-    except Exception as exc:
-        outcome, exc_obj = "error", exc
-    elapsed = time.monotonic() - mono0
-    timeout = task["split_timeout"]
-    if outcome == "ok" and timeout is not None and elapsed > timeout:
-        exc_obj = SplitTimeout(
-            f"split {sid} attempt {attempt} exceeded the "
-            f"{timeout}s per-split timeout"
+    if tracer is None:
+        scratch, error = scratch_attempt()
+    else:
+        scratch, error, _ = traced_attempt(
+            tracer, task["node"], task["lane"], sid, stop - start, attempt,
+            scratch_attempt,
         )
-        outcome = "timeout"
-    dur = time.perf_counter() - t0
-
-    records: list[Span | Event] = []
-    if epoch is not None:
-        span_extra: dict[str, Any] = {"attempt": attempt}
-        if outcome == "ok":
-            span_extra["outcome"] = "ok"
-        else:
-            span_extra["outcome"] = "failed"
-            span_extra["error"] = repr(exc_obj)
-        records.append(
-            _split_span(task, sid, task["lane"], stop - start, t0, dur, **span_extra)
-        )
-        event_name = {"injected": "fault.injected", "timeout": "fault.timeout"}.get(
-            outcome
-        )
-        if event_name is not None:
-            records.append(
-                Event(
-                    name=event_name,
-                    ts=time.perf_counter() - epoch,
-                    cat="fault",
-                    tid=os.getpid(),
-                    thread=_worker_name(),
-                    args={
-                        "split_id": sid,
-                        "attempt": attempt,
-                        "thread_id": task["lane"],
-                        "node": task["node"],
-                        "worker_pid": os.getpid(),
-                    },
-                )
-            )
+    duration = time.perf_counter() - t0
 
     exc_bytes: bytes | None = None
-    if exc_obj is not None:
+    if error is not None:
         try:
-            exc_bytes = pickle.dumps(exc_obj)
+            exc_bytes = pickle.dumps(error)
         except Exception:
             exc_bytes = None  # parent falls back to the repr
-
     return {
-        "outcome": outcome,
-        "error": repr(exc_obj) if exc_obj is not None else None,
+        "error": repr(error) if error is not None else None,
         "exception": exc_bytes,
-        "buffer": scratch._buffer.tobytes() if outcome == "ok" else None,
-        "update_count": scratch.update_count,
+        "buffer": scratch._buffer.tobytes() if scratch is not None else None,
+        "update_count": scratch.update_count if scratch is not None else 0,
         "counters": counters,
-        "records": records,
-        "duration": dur,
+        "records": _worker_records(tracer),
+        "durations": [duration],
         "pid": os.getpid(),
     }

@@ -37,21 +37,20 @@ the thread's accessor only on success — atomically merged into the private
 copy (full replication) or applied group-by-group under the lock table
 (locking techniques) — so a failed or retried attempt never leaves partial
 accumulations behind and no element is ever double counted.
+
+The split loop itself — attempt, settle, and the drive over waves × lanes
+that all three executors share — lives in :mod:`repro.freeride.execute`;
+this module plans a run (splits, technique, wave schedule) and combines
+its results.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 import threading
 import time
 import weakref
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import wait as futures_wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -73,14 +72,8 @@ from repro.freeride.combination import (
     CombinationStats,
     combine,
 )
-from repro.freeride.faults import (
-    FAIL_FAST,
-    FaultInjector,
-    FaultPolicy,
-    InjectedFault,
-    SplitFailureRecord,
-    SplitTimeout,
-)
+from repro.freeride.execute import Observation, RunContext, drive
+from repro.freeride.faults import FaultInjector, FaultPolicy, SplitFailureRecord
 from repro.freeride.delta import (
     DeltaSession,
     ROCheckpoint,
@@ -92,24 +85,19 @@ from repro.freeride.reduction_object import (
     ReductionObject,
 )
 from repro.freeride.sharedmem import (
-    ROAccessor,
     ScratchAccessor,
     SharedBufferCache,
     SharedMemManager,
     SharedMemStats,
     SharedMemTechnique,
-    close_shm_segment,
-    create_shm_segment,
 )
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.freeride.splitter import (
     Split,
-    SplitQueue,
     _check_partition,
     aligned_splits,
     chunked_splitter,
     default_splitter,
-    split_descriptors,
 )
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.obs.profilestore import (
@@ -258,7 +246,7 @@ class RunStats:
     failed_splits: int = 0
     #: failures raised by a configured :class:`FaultInjector`
     injected_faults: int = 0
-    #: splits pushed back to the work queue for another worker (threads)
+    #: failed attempts pushed back to the work queue for a retry
     requeues: int = 0
     #: attempts discarded for exceeding the policy's ``split_timeout``
     timeouts: int = 0
@@ -356,8 +344,10 @@ class FreerideEngine:
     fault_policy:
         enables fault-tolerant split execution (retries with backoff, soft
         per-split timeouts, straggler re-dispatch, fail-fast or
-        skip-and-report degradation).  ``None`` (the default) keeps the
-        zero-overhead direct path.
+        skip-and-report degradation).  ``None`` (the default) keeps attempts
+        *direct* (:attr:`repro.freeride.execute.RunContext.direct`): each
+        split accumulates straight into its lane's accessor, with no scratch
+        object and nothing to settle.
     fault_injector:
         deterministic seeded failure/delay injection for testing recovery;
         implies a default :class:`FaultPolicy` if none is given.
@@ -1142,57 +1132,34 @@ class FreerideEngine:
         if profile_ctx is not None and node == 0:
             profile_ctx["split_ranges"] = [(s.start, s.end) for s in splits]
 
-        technique, coloring = self._resolve_technique(
-            spec, splits, ro, stats, tracer, node, profile_ctx
+        ctx = RunContext(
+            spec=spec, splits=splits, base_ro=ro, stats=stats, tracer=tracer,
+            metrics=metrics, node=node, executor=self.executor,
+            num_threads=self.num_threads, num_nodes=self.num_nodes,
+            policy=self.fault_policy
+            or (FaultPolicy() if self.fault_injector is not None else None),
+            injector=self.fault_injector, profile_ctx=profile_ctx,
         )
+        technique, coloring = self._resolve_technique(ctx)
         mgr = SharedMemManager(technique)
-        accessors = mgr.setup(ro, self.num_threads)
-
-        elems = [0] * self.num_threads
-        nsplits = [0] * self.num_threads
-
-        fault_tolerant = (
-            self.fault_policy is not None or self.fault_injector is not None
+        ctx.schedule(
+            mgr.setup(ro, self.num_threads),
+            coloring,
+            self._observation(ctx, technique, coloring),
         )
-        obs_ctx = (
-            self._observation_ctx(
-                spec, splits, ro, technique, coloring, fault_tolerant,
-                profile_ctx, node,
-            )
-            if profile_ctx is not None
-            else None
-        )
-        if not fault_tolerant:
-            if self.executor == "process":
-                self._execute_process_direct(
-                    spec, splits, accessors, elems, nsplits, tracer, metrics,
-                    node, profile_ctx,
-                )
-            else:
-                self._execute_direct(
-                    spec, splits, accessors, elems, nsplits, tracer, metrics,
-                    node, coloring, obs_ctx,
-                )
-        elif self.executor == "process":
-            self._execute_process_ft(
-                spec, splits, accessors, stats, elems, nsplits,
-                tracer, metrics, node, profile_ctx,
-            )
-        else:
-            self._execute_fault_tolerant(
-                spec, splits, accessors, ro, stats, elems, nsplits,
-                tracer, metrics, node, coloring,
-            )
-        if obs_ctx is not None:
+        drive(ctx, self)
+        obs = ctx.observation
+        if obs is not None:
             assert profile_ctx is not None
-            profile_ctx["footprints"] = obs_ctx["footprints"]
-            profile_ctx["footprint_conflicts"] = obs_ctx["conflicts"]
-            if obs_ctx["conflicts"] and tracer.enabled:
+            profile_ctx["footprints"] = obs.footprints
+            profile_ctx["footprint_conflicts"] = obs.conflicts
+            if obs.conflicts and tracer.enabled:
                 tracer.event(
                     "profile.footprint_conflict", cat="engine", node=node,
-                    conflicts=obs_ctx["conflicts"],
+                    conflicts=obs.conflicts,
                 )
 
+        elems, nsplits = ctx.elems, ctx.nsplits
         stats.total_elements += sum(elems)
         if not stats.elements_per_thread:
             stats.elements_per_thread = elems
@@ -1213,7 +1180,7 @@ class FreerideEngine:
         ) as span:
             ro, sm_stats, lc_stats = mgr.finish(
                 ro,
-                accessors,
+                ctx.accessors,
                 combination=spec.combination,
                 parallel_merge_threshold=self.parallel_merge_threshold,
             )
@@ -1252,14 +1219,7 @@ class FreerideEngine:
     # -- technique resolution (auto selection + colored wave layout) -----------
 
     def _resolve_technique(
-        self,
-        spec: ReductionSpec,
-        splits: "list[Split]",
-        ro: ReductionObject,
-        stats: RunStats,
-        tracer: "Tracer | NullTracer",
-        node: int,
-        profile_ctx: "dict[str, Any] | None" = None,
+        self, ctx: RunContext
     ) -> "tuple[SharedMemTechnique, Any]":
         """The technique this node's pipeline actually runs, plus its wave
         schedule (a :class:`~repro.freeride.coloring.SplitColoring`, or
@@ -1277,6 +1237,8 @@ class FreerideEngine:
         observed footprints become the coloring's ``source="profile"`` tier
         and past lock-contention outcomes feed the ``auto`` heuristic.
         """
+        spec, splits, ro, stats = ctx.spec, ctx.splits, ctx.base_ro, ctx.stats
+        tracer, node, profile_ctx = ctx.tracer, ctx.node, ctx.profile_ctx
         decision: dict[str, Any] | None = None
         coloring = None
         profiled = history = profile_key = None
@@ -1288,9 +1250,7 @@ class FreerideEngine:
                 or self.technique is SharedMemTechnique.COLORED
             )
         ):
-            profiled, history, profile_key = self._profile_plan(
-                splits, profile_ctx
-            )
+            profiled, history, profile_key = self._profile_plan(ctx)
         if self.technique is None:  # "auto"
             chosen, coloring, decision = self._auto_select(
                 spec, splits, ro,
@@ -1518,19 +1478,19 @@ class FreerideEngine:
     # -- profile store integration (plan-time only, never the hot path) --------
 
     def _profile_plan(
-        self, splits: "list[Split]", profile_ctx: "dict[str, Any]"
+        self, ctx: RunContext
     ) -> "tuple[dict | None, list[dict[str, Any]] | None, dict[str, str]]":
         """Store history for this run's ``(digest, layout, shape)`` key.
 
         Returns ``(profiled footprint map, history records, profile key)``.
         The footprint map is only fetched when this run could actually
-        execute a profile-colored schedule (in-process, single node, no
-        fault machinery); history is only read for ``"auto"`` requests,
-        which are the sole consumer.  Both are plan-time reads — nothing
-        here runs per split.
+        execute a profile-colored schedule (:attr:`RunContext.plain`);
+        history is only read for ``"auto"`` requests, which are the sole
+        consumer.  Both are plan-time reads — nothing here runs per split.
         """
         store = self.profile_store
-        assert store is not None
+        splits, profile_ctx = ctx.splits, ctx.profile_ctx
+        assert store is not None and profile_ctx is not None
         digest: str = profile_ctx["digest"]
         ranges = [(s.start, s.end) for s in splits]
         fingerprint = split_layout_fingerprint(ranges)
@@ -1542,12 +1502,7 @@ class FreerideEngine:
         }
         profile_ctx.setdefault("profile_key", profile_key)
         profiled = None
-        if (
-            self.executor != "process"
-            and self.num_nodes == 1
-            and self.fault_policy is None
-            and self.fault_injector is None
-        ):
+        if ctx.plain:
             profiled = self._footprint_cache.get((digest, fingerprint))
             if profiled is None:
                 profiled = store.latest_footprints(digest, fingerprint)
@@ -1558,17 +1513,9 @@ class FreerideEngine:
             history = store.history(digest, shape)
         return profiled, history, profile_key
 
-    def _observation_ctx(
-        self,
-        spec: ReductionSpec,
-        splits: "list[Split]",
-        ro: ReductionObject,
-        technique: SharedMemTechnique,
-        coloring: Any,
-        fault_tolerant: bool,
-        profile_ctx: "dict[str, Any]",
-        node: int,
-    ) -> "dict[str, Any] | None":
+    def _observation(
+        self, ctx: RunContext, technique: SharedMemTechnique, coloring: Any
+    ) -> "Observation | None":
         """Decide whether this run observes per-split group footprints.
 
         Footprints are observed in exactly two situations: (a) the run is
@@ -1577,15 +1524,14 @@ class FreerideEngine:
         observation can ever widen the schedule — or (b) the run is
         already profile-colored, so re-recording keeps the stored
         footprints fresh (self-healing after a data change).  Observation
-        is gated to the plain in-process direct path on a single node: the
-        process executor, fault machinery and multi-node runs keep their
-        existing execution byte-for-byte.
+        is gated to :attr:`RunContext.plain` runs with a store attached:
+        the process executor, fault machinery and multi-node runs keep
+        their existing execution byte-for-byte.
         """
+        profile_ctx, splits = ctx.profile_ctx, ctx.splits
         if (
-            node != 0
-            or self.num_nodes != 1
-            or self.executor == "process"
-            or fault_tolerant
+            profile_ctx is None
+            or not ctx.plain
             or profile_ctx.get("digest") is None
         ):
             return None
@@ -1602,30 +1548,24 @@ class FreerideEngine:
             else:
                 # only observe kernels whose static schedule is serial (or
                 # absent) — a statically wide coloring never needs profiling
-                static = self._try_coloring(spec, splits, ro)
+                static = self._try_coloring(ctx.spec, splits, ctx.base_ro)
                 if static is not None and static.max_wave_width >= 2:
                     return None
-        return {
+        return Observation(
             # zero-length splits never execute; their footprint is empty
-            "footprints": {
+            footprints={
                 (s.start, s.end): frozenset() for s in splits if len(s) == 0
             },
-            "base_ro": ro,
-            "lock": threading.Lock(),
-            # profiled footprints are predictions, not proofs: commits of
-            # profile-colored splits are serialized on this single lock so
-            # a stale footprint can cost time but never correctness
-            "commit_lock": threading.Lock() if profile_colored else None,
-            "predicted": (
-                {
-                    splits[i].split_id: coloring.group_sets[i]
-                    for i in range(len(splits))
-                }
+            predicted=(
+                {s.split_id: coloring.group_sets[i] for i, s in enumerate(splits)}
                 if profile_colored
                 else None
             ),
-            "conflicts": 0,
-        }
+            # profiled footprints are predictions, not proofs: commits of
+            # profile-colored splits are serialized on this single lock so
+            # a stale footprint can cost time but never correctness
+            commit_lock=threading.Lock() if profile_colored else None,
+        )
 
     def _append_profile(
         self, spec: ReductionSpec, stats: RunStats,
@@ -1740,856 +1680,3 @@ class FreerideEngine:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    # -- direct (zero-overhead) execution --------------------------------------
-
-    def _execute_direct(
-        self,
-        spec: ReductionSpec,
-        splits: list[Split],
-        accessors: list[ROAccessor],
-        elems: list[int],
-        nsplits: list[int],
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-        coloring: Any = None,
-        obs_ctx: "dict[str, Any] | None" = None,
-    ) -> None:
-        if obs_ctx is None:
-            def process(thread_id: int, split: Split) -> None:
-                args = ReductionArgs(
-                    data=split.data,
-                    split=split,
-                    thread_id=thread_id,
-                    ro=accessors[thread_id],
-                    extras=spec.extras,
-                )
-                spec.reduction(args)
-                elems[thread_id] += len(split)
-                nsplits[thread_id] += 1
-        else:
-            # Footprint observation (profile store attached): every split
-            # runs into a fresh scratch reduction object so its touched
-            # group set can be read off before the commit.  Profile-colored
-            # runs additionally serialize their full-scratch commits on one
-            # lock — the profiled footprint is a *prediction*, so the wave
-            # schedule's disjointness is treated as a performance hint,
-            # never a correctness requirement; a mis-predicted split is
-            # counted and its fresh footprint re-recorded.
-            base_ro = obs_ctx["base_ro"]
-            footprints = obs_ctx["footprints"]
-            fp_lock = obs_ctx["lock"]
-            commit_lock = obs_ctx["commit_lock"]
-            predicted = obs_ctx["predicted"]
-
-            def process(thread_id: int, split: Split) -> None:
-                scratch = base_ro.clone_empty()
-                spec.reduction(
-                    ReductionArgs(
-                        data=split.data,
-                        split=split,
-                        thread_id=thread_id,
-                        ro=ScratchAccessor(scratch),
-                        extras=spec.extras,
-                    )
-                )
-                groups = scratch.touched_groups()
-                if predicted is None:
-                    accessors[thread_id].merge_from_scratch(scratch)
-                else:
-                    stale = not groups <= predicted.get(
-                        split.split_id, frozenset()
-                    )
-                    with commit_lock:
-                        accessors[thread_id].merge_from_scratch(scratch)
-                with fp_lock:
-                    footprints[(split.start, split.end)] = groups
-                    if predicted is not None and stale:
-                        obs_ctx["conflicts"] += 1
-                elems[thread_id] += len(split)
-                nsplits[thread_id] += 1
-
-        # Tracing wraps the plain closure only when enabled: the disabled
-        # path installs zero per-split instrumentation (not even a branch
-        # inside `process`), keeping the hot loop identical to before.
-        if tracer.enabled:
-            assert metrics is not None
-            plain_process = process
-            split_seconds = metrics.histogram("engine.split_seconds")
-            contention = metrics.histogram(
-                "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
-            )
-
-            def process(thread_id: int, split: Split) -> None:
-                acc_stats = accessors[thread_id].stats
-                locks_before = acc_stats.lock_acquisitions
-                with tracer.span(
-                    "split",
-                    cat="split",
-                    split_id=split.split_id,
-                    thread_id=thread_id,
-                    node=node,
-                    elements=len(split),
-                ) as span:
-                    plain_process(thread_id, split)
-                    span.set(outcome="ok")
-                split_seconds.observe(span.duration or 0.0)
-                contention.observe(acc_stats.lock_acquisitions - locks_before)
-
-        if self.executor == "serial":
-            if coloring is not None:
-                # Wave order, not split order: within a wave no two splits
-                # share a group, so a cell's update sequence is the same
-                # here as under the threaded colored schedule — serial and
-                # threaded colored runs produce bit-identical floats.
-                for wave in coloring.waves:
-                    for i in wave:
-                        if len(splits[i]) == 0:
-                            continue
-                        process(i % self.num_threads, splits[i])
-            else:
-                for i, split in enumerate(splits):
-                    if len(split) == 0:
-                        continue
-                    process(i % self.num_threads, split)
-        elif coloring is not None:
-            # Colored waves: every split of one wave updates the single
-            # shared reduction object lock-free (disjoint proven group
-            # sets); the f.result() join is the inter-wave barrier.
-            pool = self._get_pool()
-            for wave in coloring.waves:
-                live = [i for i in wave if len(splits[i]) > 0]
-                if not live:
-                    continue
-                if len(live) == 1:
-                    process(live[0] % self.num_threads, splits[live[0]])
-                    continue
-                queue = SplitQueue([splits[i] for i in live])
-
-                def worker(thread_id: int, q: SplitQueue = queue) -> None:
-                    while (s := q.take()) is not None:
-                        process(thread_id, s)
-
-                futures = [
-                    pool.submit(worker, t)
-                    for t in range(min(self.num_threads, len(live)))
-                ]
-                for f in futures:
-                    f.result()  # barrier between waves + propagate errors
-        else:
-            queue = SplitQueue(splits)
-
-            def worker(thread_id: int) -> None:
-                while (s := queue.take()) is not None:
-                    if len(s) == 0:
-                        continue
-                    process(thread_id, s)
-
-            pool = self._get_pool()
-            futures = [pool.submit(worker, t) for t in range(self.num_threads)]
-            for f in futures:
-                f.result()  # propagate worker exceptions
-
-    # -- fault-tolerant execution ------------------------------------------------
-
-    def _execute_fault_tolerant(
-        self,
-        spec: ReductionSpec,
-        splits: list[Split],
-        accessors: list[ROAccessor],
-        base_ro: ReductionObject,
-        stats: RunStats,
-        elems: list[int],
-        nsplits: list[int],
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-        coloring: Any = None,
-    ) -> None:
-        self._validate_ft_spec(spec, splits)
-        policy = self.fault_policy or FaultPolicy()
-        injector = self.fault_injector
-        lock = threading.Lock()
-        # Colored runs commit each split's scratch restricted to its proven
-        # group set: untouched groups stay out of the merge, so concurrent
-        # commits within a wave never read-modify-write the same shared cell.
-        commit_groups = (
-            {splits[i].split_id: coloring.group_sets[i] for i in range(len(splits))}
-            if coloring is not None
-            else None
-        )
-
-        if self.executor == "serial":
-            order = (
-                [i for wave in coloring.waves for i in wave]
-                if coloring is not None
-                else range(len(splits))
-            )
-            for i in order:
-                split = splits[i]
-                if len(split) == 0:
-                    continue
-                tid = i % self.num_threads
-                if self._run_split_with_retries(
-                    spec, split, tid, accessors[tid], base_ro,
-                    policy, injector, stats, lock, tracer, metrics, node,
-                    commit_groups,
-                ):
-                    elems[tid] += len(split)
-                    nsplits[tid] += 1
-            return
-
-        if coloring is not None:
-            # One queue per wave, drained to completion before the next
-            # starts: a retried or stolen split can only be re-dispatched
-            # within its own wave, so the requeue path respects wave order.
-            pool = self._get_pool()
-            for wave in coloring.waves:
-                live = [i for i in wave if len(splits[i]) > 0]
-                if not live:
-                    continue
-                wave_queue = SplitQueue([splits[i] for i in live])
-                wave_abort = threading.Event()
-
-                def worker(
-                    thread_id: int,
-                    q: SplitQueue = wave_queue,
-                    a: threading.Event = wave_abort,
-                ) -> None:
-                    try:
-                        self._ft_worker(
-                            spec, q, thread_id, accessors[thread_id], base_ro,
-                            policy, injector, stats, lock, elems, nsplits, a,
-                            tracer, metrics, node, commit_groups,
-                        )
-                    except BaseException:
-                        q.poison()
-                        a.set()
-                        raise
-
-                futures = [
-                    pool.submit(worker, t)
-                    for t in range(min(self.num_threads, len(live)))
-                ]
-                for f in futures:
-                    f.result()  # barrier between waves + propagate errors
-                stats.requeues += wave_queue.requeues
-            return
-
-        queue = SplitQueue(splits)
-        abort = threading.Event()
-
-        def worker(thread_id: int) -> None:
-            try:
-                self._ft_worker(
-                    spec, queue, thread_id, accessors[thread_id], base_ro,
-                    policy, injector, stats, lock, elems, nsplits, abort,
-                    tracer, metrics, node,
-                )
-            except BaseException:
-                # Unblock peers waiting on our in-flight work, then propagate.
-                queue.poison()
-                abort.set()
-                raise
-
-        pool = self._get_pool()
-        futures = [pool.submit(worker, t) for t in range(self.num_threads)]
-        for f in futures:
-            f.result()  # propagate worker exceptions
-        stats.requeues += queue.requeues
-
-    def _ft_worker(
-        self,
-        spec: ReductionSpec,
-        queue: SplitQueue,
-        thread_id: int,
-        accessor: ROAccessor,
-        base_ro: ReductionObject,
-        policy: FaultPolicy,
-        injector: FaultInjector | None,
-        stats: RunStats,
-        lock: threading.Lock,
-        elems: list[int],
-        nsplits: list[int],
-        abort: threading.Event,
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-        commit_groups: "dict[int, frozenset[int]] | None" = None,
-    ) -> None:
-        while not abort.is_set():
-            speculative = False
-            item = queue.claim()
-            if item is None:
-                if policy.straggler_timeout is not None:
-                    item = queue.steal_straggler(policy.straggler_timeout)
-                    speculative = item is not None
-                    if speculative and tracer.enabled:
-                        tracer.event(
-                            "split.steal", cat="fault",
-                            split_id=item[0].split_id, thread_id=thread_id,
-                            node=node,
-                        )
-                if item is None:
-                    if queue.poisoned or not queue.outstanding():
-                        return
-                    time.sleep(0.0005)  # wait for in-flight peers
-                    continue
-            split, attempt = item
-            if len(split) == 0:
-                queue.complete(split)
-                continue
-            if attempt > 1:
-                with lock:
-                    stats.retries += 1
-                backoff = policy.backoff_seconds(attempt - 1)
-                if backoff:
-                    time.sleep(backoff)
-            self._note_attempt(stats, lock, split.split_id, attempt)
-            scratch, exc = self._attempt_split(
-                spec, split, thread_id, attempt, base_ro, policy, injector,
-                stats, lock, tracer, metrics, node,
-            )
-            if scratch is not None:
-                if queue.complete(split):
-                    groups = (
-                        commit_groups.get(split.split_id)
-                        if commit_groups is not None
-                        else None
-                    )
-                    accessor.merge_from_scratch(scratch, groups=groups)
-                    elems[thread_id] += len(split)
-                    nsplits[thread_id] += 1
-                continue
-            if speculative:
-                continue  # the original attempt is still in flight
-            if attempt < policy.max_attempts:
-                queue.requeue(split)
-                if tracer.enabled:
-                    tracer.event(
-                        "split.requeue", cat="fault",
-                        split_id=split.split_id, attempt=attempt,
-                        thread_id=thread_id, node=node,
-                    )
-                continue
-            queue.abandon(split)
-            if tracer.enabled:
-                tracer.event(
-                    "split.abandon", cat="fault",
-                    split_id=split.split_id, attempts=attempt,
-                    thread_id=thread_id, node=node, error=repr(exc),
-                )
-            if policy.mode == FAIL_FAST:
-                queue.poison()
-                abort.set()
-                assert exc is not None
-                raise exc
-            with lock:
-                stats.failed_splits += 1
-                stats.failures.append(
-                    SplitFailureRecord(
-                        split_id=split.split_id,
-                        attempts=attempt,
-                        error=repr(exc),
-                        elements_lost=len(split),
-                    )
-                )
-
-    def _run_split_with_retries(
-        self,
-        spec: ReductionSpec,
-        split: Split,
-        thread_id: int,
-        accessor: ROAccessor,
-        base_ro: ReductionObject,
-        policy: FaultPolicy,
-        injector: FaultInjector | None,
-        stats: RunStats,
-        lock: threading.Lock,
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-        commit_groups: "dict[int, frozenset[int]] | None" = None,
-    ) -> bool:
-        """Serial executor: attempt a split until it commits or exhausts.
-
-        Returns True if the split's scratch object was committed.
-        """
-        last_exc: BaseException | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                stats.retries += 1
-                backoff = policy.backoff_seconds(attempt - 1)
-                if backoff:
-                    time.sleep(backoff)
-            self._note_attempt(stats, lock, split.split_id, attempt)
-            scratch, exc = self._attempt_split(
-                spec, split, thread_id, attempt, base_ro, policy, injector,
-                stats, lock, tracer, metrics, node,
-            )
-            if scratch is not None:
-                groups = (
-                    commit_groups.get(split.split_id)
-                    if commit_groups is not None
-                    else None
-                )
-                accessor.merge_from_scratch(scratch, groups=groups)
-                return True
-            last_exc = exc
-        if policy.mode == FAIL_FAST:
-            assert last_exc is not None
-            raise last_exc
-        stats.failed_splits += 1
-        stats.failures.append(
-            SplitFailureRecord(
-                split_id=split.split_id,
-                attempts=policy.max_attempts,
-                error=repr(last_exc),
-                elements_lost=len(split),
-            )
-        )
-        return False
-
-    def _attempt_split(
-        self,
-        spec: ReductionSpec,
-        split: Split,
-        thread_id: int,
-        attempt: int,
-        base_ro: ReductionObject,
-        policy: FaultPolicy,
-        injector: FaultInjector | None,
-        stats: RunStats,
-        lock: threading.Lock,
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-    ) -> tuple[ReductionObject | None, BaseException | None]:
-        """One processing attempt; traced as one span per attempt."""
-        if not tracer.enabled:
-            return self._attempt_split_core(
-                spec, split, thread_id, attempt, base_ro, policy, injector,
-                stats, lock,
-            )
-        assert metrics is not None
-        with tracer.span(
-            "split",
-            cat="split",
-            split_id=split.split_id,
-            thread_id=thread_id,
-            node=node,
-            attempt=attempt,
-            elements=len(split),
-        ) as span:
-            scratch, exc = self._attempt_split_core(
-                spec, split, thread_id, attempt, base_ro, policy, injector,
-                stats, lock,
-            )
-            if scratch is not None:
-                span.set(outcome="ok")
-            else:
-                span.set(outcome="failed", error=repr(exc))
-        metrics.histogram("engine.split_seconds").observe(span.duration or 0.0)
-        if scratch is None:
-            if isinstance(exc, InjectedFault):
-                tracer.event(
-                    "fault.injected", cat="fault", split_id=split.split_id,
-                    attempt=attempt, thread_id=thread_id, node=node,
-                )
-            elif isinstance(exc, SplitTimeout):
-                tracer.event(
-                    "fault.timeout", cat="fault", split_id=split.split_id,
-                    attempt=attempt, thread_id=thread_id, node=node,
-                )
-        return scratch, exc
-
-    def _attempt_split_core(
-        self,
-        spec: ReductionSpec,
-        split: Split,
-        thread_id: int,
-        attempt: int,
-        base_ro: ReductionObject,
-        policy: FaultPolicy,
-        injector: FaultInjector | None,
-        stats: RunStats,
-        lock: threading.Lock,
-    ) -> tuple[ReductionObject | None, BaseException | None]:
-        """One processing attempt into a fresh scratch reduction object.
-
-        Returns ``(scratch, None)`` on success or ``(None, error)`` on
-        failure — injected fault, application exception, or soft-timeout
-        overrun.  The scratch object is only handed back on success, so the
-        caller commits all of the attempt's accumulations or none of them.
-        """
-        scratch = base_ro.clone_empty()
-        start = time.monotonic()
-        try:
-            if injector is not None:
-                injector.inject(split.split_id, attempt)
-            spec.reduction(
-                ReductionArgs(
-                    data=split.data,
-                    split=split,
-                    thread_id=thread_id,
-                    ro=ScratchAccessor(scratch),
-                    extras=spec.extras,
-                    attempt=attempt,
-                )
-            )
-        except InjectedFault as exc:
-            with lock:
-                stats.injected_faults += 1
-            return None, exc
-        except Exception as exc:
-            return None, exc
-        if (
-            policy.split_timeout is not None
-            and time.monotonic() - start > policy.split_timeout
-        ):
-            with lock:
-                stats.timeouts += 1
-            return None, SplitTimeout(
-                f"split {split.split_id} attempt {attempt} exceeded the "
-                f"{policy.split_timeout}s per-split timeout"
-            )
-        return scratch, None
-
-    @staticmethod
-    def _note_attempt(
-        stats: RunStats, lock: threading.Lock, split_id: int, attempt: int
-    ) -> None:
-        with lock:
-            stats.split_attempts[split_id] = max(
-                stats.split_attempts.get(split_id, 0), attempt
-            )
-
-    @staticmethod
-    def _validate_ft_spec(spec: ReductionSpec, splits: "list[Split]") -> None:
-        if spec.combination is not None:
-            raise FaultToleranceError(
-                "fault tolerance requires the middleware default combination: "
-                "a custom combination_t implies reduction-object state the "
-                "engine cannot merge from a per-split scratch copy"
-            )
-        if len({s.split_id for s in splits}) != len(splits):
-            raise FaultToleranceError(
-                "fault tolerance requires unique split ids (retry and "
-                "commit tracking is keyed by split id)"
-            )
-
-    # -- process-pool execution ----------------------------------------------------
-
-    def _process_payload(
-        self, spec: ReductionSpec, tracer: "Tracer | NullTracer", node: int
-    ) -> dict[str, Any]:
-        """The picklable task base shared by every worker task of one run.
-
-        Publishes the spec's linearized dataset into the engine's
-        shared-memory segment cache (a no-op after the first run over the
-        same buffer) and flattens the :class:`~repro.freeride.spec.KernelSpec`
-        into plain dict fields — workers receive segment *names*, never
-        element data.
-        """
-        kspec = spec.kernel_spec
-        if kspec is None:
-            raise FreerideError(
-                "the process executor requires a compiled reduction: build "
-                "the spec with BoundReduction.make_spec (a hand-written "
-                "ReductionSpec closure cannot be shipped to worker processes)"
-            )
-        if kspec.shm_session is not None:
-            # delta sessions publish into one growable session segment —
-            # a delta pass ships only the appended tail's bytes.  The
-            # trusted prefix ends where the delta range starts, so bytes a
-            # rolled-back batch left behind are rewritten, not reused.
-            valid_prefix = None
-            if kspec.delta_range is not None and kspec.n_elements:
-                elem_size = len(kspec.data_raw) // kspec.n_elements
-                valid_prefix = kspec.delta_range[0] * elem_size
-            name, nbytes = self._res.segments.publish_session(
-                kspec.shm_session, kspec.data_raw, valid_prefix=valid_prefix
-            )
-        else:
-            name, nbytes = self._res.segments.publish(kspec.data_raw)
-        return {
-            "digest": kspec.digest,
-            "source": kspec.source,
-            "constants": kspec.constants,
-            "opt_level": kspec.opt_level,
-            "backend": kspec.backend,
-            "class_name": kspec.class_name,
-            "data_shm": name,
-            "data_nbytes": nbytes,
-            "dataset_type": kspec.dataset_type,
-            "n_elements": kspec.n_elements,
-            "extras": kspec.extras,
-            "extras_epoch": kspec.extras_epoch,
-            "technique": kspec.technique,
-            "ro_layout": list(kspec.ro_layout),
-            "trace_epoch": tracer.epoch if tracer.enabled else None,
-            "node": node,
-        }
-
-    def _execute_process_direct(
-        self,
-        spec: ReductionSpec,
-        splits: list[Split],
-        accessors: list[ROAccessor],
-        elems: list[int],
-        nsplits: list[int],
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-        profile_ctx: "dict[str, Any] | None" = None,
-    ) -> None:
-        """Direct path across processes: one block task per worker.
-
-        Splits are assigned statically — worker ``w`` gets ``splits[w::W]``,
-        the exact round-robin the serial executor walks — so the per-replica
-        accumulation order (and therefore every float result, bit for bit)
-        matches serial execution.  Workers accumulate into their replica slot
-        of one shared reduction-object segment; the parent copies each slot
-        into the matching accessor's private copy and lets the ordinary
-        ``mgr.finish`` combination tree take over.
-        """
-        from repro.freeride import procexec
-
-        payload = self._process_payload(spec, tracer, node)
-        descriptors = split_descriptors(splits)
-        ro_layout = payload["ro_layout"]
-        ro_floats = sum(n for n, _ in ro_layout)
-        width = self.num_threads
-        pool = self._get_process_pool()
-        seg = create_shm_segment(width * ro_floats * 8)
-        view: np.ndarray | None = None
-        try:
-            futures = [
-                pool.submit(
-                    procexec.run_block_task,
-                    {
-                        **payload,
-                        "slot": w,
-                        "ro_floats": ro_floats,
-                        "ro_shm": seg.name,
-                        "splits": descriptors[w::width],
-                    },
-                )
-                for w in range(width)
-            ]
-            results = [f.result() for f in futures]
-            view = np.ndarray(
-                (width * ro_floats,), dtype=np.float64, buffer=seg.buf
-            )
-            counters = spec.kernel_spec.counters if spec.kernel_spec else None
-            split_seconds = contention = None
-            if tracer.enabled:
-                assert metrics is not None
-                split_seconds = metrics.histogram("engine.split_seconds")
-                contention = metrics.histogram(
-                    "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
-                )
-            for res in results:
-                w = res["slot"]
-                replica = accessors[w].ro  # type: ignore[attr-defined]
-                replica._buffer[:] = view[w * ro_floats : (w + 1) * ro_floats]
-                replica.update_count = res["update_count"]
-                elems[w] += res["elements"]
-                nsplits[w] += res["nsplits"]
-                if counters is not None:
-                    counters.add(res["counters"])
-                if profile_ctx is not None:
-                    # fold every worker's split durations into this run's
-                    # single profile record (one RunProfile per engine run)
-                    profile_ctx.setdefault("worker_durations", []).extend(
-                        res["durations"]
-                    )
-                if tracer.enabled:
-                    tracer.ingest(res["records"])
-                    for dur in res["durations"]:
-                        split_seconds.observe(dur)
-                        contention.observe(0)  # replication: lock-free
-        finally:
-            # the view must die before the mapping can be released
-            del view
-            close_shm_segment(seg, unlink=True)
-
-    def _execute_process_ft(
-        self,
-        spec: ReductionSpec,
-        splits: list[Split],
-        accessors: list[ROAccessor],
-        stats: RunStats,
-        elems: list[int],
-        nsplits: list[int],
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-        profile_ctx: "dict[str, Any] | None" = None,
-    ) -> None:
-        """Fault-tolerant path across processes: one task per split attempt.
-
-        The parent drives the same :class:`SplitQueue` lifecycle the thread
-        executor runs inside its workers — claim, straggler steal, retry
-        with backoff, requeue, abandon — but dispatches each attempt as a
-        worker task over ``num_threads`` lanes.  Results are committed
-        through the exactly-once completion gate into the lane's accessor,
-        so speculative duplicates and failed attempts never touch the
-        reduction object; counter deltas from *failed* attempts still reach
-        the ledger, matching thread-mode accounting.
-        """
-        from repro.freeride import procexec
-
-        self._validate_ft_spec(spec, splits)
-        payload = self._process_payload(spec, tracer, node)
-        policy = self.fault_policy or FaultPolicy()
-        lock = threading.Lock()
-        queue = SplitQueue(splits)
-        desc_by_id = {d[0]: d for d in split_descriptors(splits)}
-        ro_layout = payload["ro_layout"]
-        counters = spec.kernel_spec.counters if spec.kernel_spec else None
-        pool = self._get_process_pool()
-        free = list(range(self.num_threads))
-        inflight: dict[Any, tuple[Split, int, bool, int]] = {}
-        split_seconds = (
-            metrics.histogram("engine.split_seconds")
-            if tracer.enabled and metrics is not None
-            else None
-        )
-
-        while True:
-            while free:
-                lane = free[0]
-                speculative = False
-                item = queue.claim()
-                if item is None and policy.straggler_timeout is not None:
-                    item = queue.steal_straggler(policy.straggler_timeout)
-                    speculative = item is not None
-                    if speculative and tracer.enabled:
-                        tracer.event(
-                            "split.steal", cat="fault",
-                            split_id=item[0].split_id, thread_id=lane,
-                            node=node,
-                        )
-                if item is None:
-                    break
-                split, attempt = item
-                if len(split) == 0:
-                    queue.complete(split)
-                    continue
-                free.pop(0)
-                if attempt > 1:
-                    with lock:
-                        stats.retries += 1
-                    backoff = policy.backoff_seconds(attempt - 1)
-                    if backoff:
-                        time.sleep(backoff)
-                self._note_attempt(stats, lock, split.split_id, attempt)
-                fut = pool.submit(
-                    procexec.run_split_task,
-                    {
-                        **payload,
-                        "lane": lane,
-                        "split": desc_by_id[split.split_id],
-                        "attempt": attempt,
-                        "injector": self.fault_injector,
-                        "split_timeout": policy.split_timeout,
-                    },
-                )
-                inflight[fut] = (split, attempt, speculative, lane)
-            if not inflight:
-                if queue.poisoned or not queue.outstanding():
-                    break
-                time.sleep(0.0005)  # a requeue may still be racing in
-                continue
-            done, _ = futures_wait(
-                inflight, timeout=0.05, return_when=FIRST_COMPLETED
-            )
-            for fut in done:
-                split, attempt, speculative, lane = inflight.pop(fut)
-                free.append(lane)
-                res = fut.result()  # worker-process crashes propagate here
-                if counters is not None:
-                    counters.add(res["counters"])
-                if profile_ctx is not None:
-                    profile_ctx.setdefault("worker_durations", []).append(
-                        res["duration"]
-                    )
-                if tracer.enabled:
-                    tracer.ingest(res["records"])
-                    if split_seconds is not None:
-                        split_seconds.observe(res["duration"])
-                outcome = res["outcome"]
-                if outcome == "ok":
-                    if queue.complete(split):
-                        scratch = ReductionObject.from_layout(
-                            ro_layout,
-                            buffer=np.frombuffer(
-                                res["buffer"], dtype=np.float64
-                            ).copy(),
-                            initialize=False,
-                        )
-                        scratch.update_count = res["update_count"]
-                        accessors[lane].merge_from_scratch(scratch)
-                        elems[lane] += len(split)
-                        nsplits[lane] += 1
-                    continue
-                if outcome == "injected":
-                    with lock:
-                        stats.injected_faults += 1
-                elif outcome == "timeout":
-                    with lock:
-                        stats.timeouts += 1
-                if speculative:
-                    continue  # the original attempt is still in flight
-                if attempt < policy.max_attempts:
-                    queue.requeue(split)
-                    if tracer.enabled:
-                        tracer.event(
-                            "split.requeue", cat="fault",
-                            split_id=split.split_id, attempt=attempt,
-                            thread_id=lane, node=node,
-                        )
-                    continue
-                queue.abandon(split)
-                if tracer.enabled:
-                    tracer.event(
-                        "split.abandon", cat="fault",
-                        split_id=split.split_id, attempts=attempt,
-                        thread_id=lane, node=node, error=res["error"],
-                    )
-                if policy.mode == FAIL_FAST:
-                    queue.poison()
-                    raise self._rebuild_worker_error(res)
-                with lock:
-                    stats.failed_splits += 1
-                    stats.failures.append(
-                        SplitFailureRecord(
-                            split_id=split.split_id,
-                            attempts=attempt,
-                            error=res["error"],
-                            elements_lost=len(split),
-                        )
-                    )
-        stats.requeues += queue.requeues
-
-    @staticmethod
-    def _rebuild_worker_error(res: dict[str, Any]) -> BaseException:
-        """The worker's original exception, rebuilt in the parent.
-
-        Fail-fast mode re-raises what the split actually hit (e.g.
-        :class:`InjectedFault`, :class:`SplitTimeout`), exactly like the
-        in-process executors; an unpicklable exception degrades to a
-        :class:`FaultToleranceError` carrying its repr.
-        """
-        if res.get("exception") is not None:
-            try:
-                exc = pickle.loads(res["exception"])
-                if isinstance(exc, BaseException):
-                    return exc
-            except Exception:
-                pass
-        return FaultToleranceError(
-            f"split failed in worker process {res.get('pid')}: {res.get('error')}"
-        )

@@ -307,6 +307,11 @@ class SplitQueue:
         with self._lock:
             return self._attempts.get(split_id, 0)
 
+    def attempt_table(self) -> dict[int, int]:
+        """Attempts per claimed split id — the run's ``split_attempts`` ledger."""
+        with self._lock:
+            return dict(self._attempts)
+
     @property
     def abandoned(self) -> list[int]:
         """Split ids given up on, in abandonment order."""

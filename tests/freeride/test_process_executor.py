@@ -139,7 +139,10 @@ class TestSegmentLifecycle:
 
 
 class TestProcessFaultTolerance:
-    def run_ft(self, executor, mode=SKIP_AND_REPORT, fail_attempts=1, retries=2):
+    def run_ft(
+        self, executor, mode=SKIP_AND_REPORT, fail_attempts=1, retries=2,
+        tracer=None,
+    ):
         bound = make_bound()
         spec, idx = bound.make_spec(LAYOUT)
         engine = FreerideEngine(
@@ -152,6 +155,7 @@ class TestProcessFaultTolerance:
             fault_injector=FaultInjector(
                 seed=11, fail_rate=0.4, fail_attempts=fail_attempts
             ),
+            tracer=tracer,
         )
         try:
             result = engine.run(spec, idx)
@@ -169,15 +173,43 @@ class TestProcessFaultTolerance:
         assert proc.stats.split_attempts == serial.stats.split_attempts
 
     def test_queue_accounting_matches_threads(self):
-        threaded, threaded_bound = self.run_ft("threads")
-        proc, proc_bound = self.run_ft("process")
-        assert np.array_equal(threaded.ro.snapshot(), proc.ro.snapshot())
-        assert proc.stats.requeues == threaded.stats.requeues
-        assert proc.stats.injected_faults == threaded.stats.injected_faults
-        # failed-attempt kernel work still reaches the ledger in both modes
-        assert (
-            proc_bound.counters.as_dict() == threaded_bound.counters.as_dict()
-        )
+        """One seeded fault schedule, one fault ledger on every executor."""
+        for mode, fail_attempts, retries in [
+            (FAIL_FAST, 1, 2),  # every selected split recovers
+            (SKIP_AND_REPORT, 1, 2),
+            (SKIP_AND_REPORT, 99, 1),  # every selected split is abandoned
+        ]:
+            runs = {}
+            for executor in ("serial", "threads", "process"):
+                tracer = Tracer()
+                result, bound = self.run_ft(
+                    executor, mode, fail_attempts, retries, tracer=tracer
+                )
+                st = result.stats
+                runs[executor] = {
+                    "ro": result.ro.snapshot().tolist(),
+                    "retries": st.retries,
+                    "requeues": st.requeues,
+                    "injected_faults": st.injected_faults,
+                    "timeouts": st.timeouts,
+                    "failed_splits": st.failed_splits,
+                    "split_attempts": st.split_attempts,
+                    "failures": sorted(
+                        (f.split_id, f.attempts, f.elements_lost)
+                        for f in st.failures
+                    ),
+                    "fault_events": sorted(
+                        e.name for e in tracer.events() if e.cat == "fault"
+                    ),
+                    # failed-attempt kernel work still reaches the ledger
+                    "counters": bound.counters.as_dict(),
+                }
+            assert runs["threads"]["requeues"] > 0
+            assert "split.requeue" in runs["threads"]["fault_events"]
+            if fail_attempts > retries:
+                assert runs["threads"]["failures"]
+                assert "split.abandon" in runs["threads"]["fault_events"]
+            assert runs["serial"] == runs["threads"] == runs["process"]
 
     def test_fail_fast_raises_original_exception(self):
         with pytest.raises(InjectedFault):

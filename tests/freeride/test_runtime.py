@@ -315,6 +315,31 @@ class TestErrorPropagation:
             engine.run(spec, list(range(20)))
         assert 3 in hits
 
+    def test_raising_split_stops_its_peers(self):
+        """``run()`` may not return while a peer lane still runs user code."""
+        import time
+
+        done = []
+
+        def reduction(args):
+            if args.split.split_id == 0:
+                raise ValueError("split 0 bad")
+            time.sleep(0.002)
+            done.append(args.split.split_id)
+
+        spec = ReductionSpec(
+            name="peers",
+            setup_reduction_object=lambda ro: ro.alloc(1, "add"),
+            reduction=reduction,
+        )
+        with FreerideEngine(num_threads=2, executor="threads", chunk_size=1) as engine:
+            with pytest.raises(ValueError):
+                engine.run(spec, list(range(200)))
+            stopped_at = len(done)
+            time.sleep(0.2)
+            assert len(done) == stopped_at  # nothing left running behind us
+            assert stopped_at < 20  # the peer stopped early, not at the end
+
 
 class TestRunIterative:
     """The outer sequential loop helper (Figure 4's While())."""
