@@ -12,16 +12,24 @@ kernel version, mirroring the instrumented Python kernel *exactly*:
   bumps land in a ``double`` counter array folded back into the
   :class:`~repro.machine.counters.OpCounters` ledger after each call, so
   OpCounters parity with the scalar kernel is structural, not accidental;
-* reduction-object updates accumulate into a preallocated per-split
-  *scratch* buffer (identity-initialized, with the same group/element/op
-  validation the scalar path performs) that the Python wrapper commits
-  through the accessor's ``merge_from_scratch``/``merge_from`` — the
-  existing combine tree — after the C call returns.
+* reduction-object updates are *reduced in one step* (paper §III-A):
+  the kernel accumulates straight into the element buffer the calling
+  lane's accessor hands out (``direct_store()`` — a private replica, a
+  per-attempt scratch object, or wave-exclusive cells of the colored
+  technique's shared copy), with the same group/element/op validation
+  the scalar path performs, and sets the group's touched flag itself;
+  the wrapper only reports the update count back (``note_updates``).
+  Only the locking family, whose stores need the accessor's locks, gets
+  a per-thread scratch object that the wrapper commits
+  through ``merge_from_scratch(groups=touched)`` and resets.
 
-Because the C call runs through cffi's ABI mode, the GIL is released for
-the whole split, so ``executor="thread"`` finally scales, and
-element-dependent branches and bounded gathers that force the batch
-backend whole-kernel scalar compile to ordinary C control flow.
+The exported C function takes a *list* of ``[start, end)`` ranges and
+loops the per-split body over it, so one cffi call — GIL released for
+all of it, in cffi's ABI mode — covers a whole batch of splits: threads
+scale, and the interpreter's share of a pass no longer grows with the
+split count.  A single split is a list of one.  Element-dependent
+branches and bounded gathers that force the batch backend whole-kernel
+scalar compile to ordinary C control flow.
 
 Compiled artifacts are **cached on disk** per
 ``(format version, toolchain fingerprint, C source)`` under
@@ -54,6 +62,7 @@ import os
 import subprocess
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Any, Callable
@@ -64,8 +73,7 @@ from repro.chapel import ast as A
 from repro.compiler.codegen import _Cost, site_key
 from repro.compiler.lower import AccessSite, LoweredReduction
 from repro.compiler.passes import CompilationPlan, SitePlan
-from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.sharedmem import ROAccessor
+from repro.freeride.reduction_object import OP_CODES as _OP_CODES, aligned_empty
 from repro.machine.counters import OpCounters
 from repro.obs.tracer import get_tracer
 from repro.util.errors import CodegenError, MappingError, ReductionObjectError
@@ -87,7 +95,7 @@ _log = get_logger("compiler.native")
 
 #: Bump on any change to the generated C's calling convention or layout —
 #: part of every on-disk cache key, so stale artifacts are never dlopen'd.
-NATIVE_FORMAT_VERSION = 1
+NATIVE_FORMAT_VERSION = 2
 
 #: Environment overrides.
 CC_ENV = "REPRO_CC"
@@ -97,9 +105,6 @@ CACHE_ENV = "REPRO_KERNEL_CACHE"
 _COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in dc_fields(OpCounters))
 _CIDX = {name: i for i, name in enumerate(_COUNTER_FIELDS)}
 _IDX_RO_UPDATES = _CIDX["ro_updates"]
-
-#: Accumulate-op codes shared between the C kernel and the wrapper tables.
-_OP_CODES = {"add": 0, "min": 1, "max": 2}
 
 #: Kernel return codes (0 = success).
 _RC_MAP_OOB = 10  # computeIndex level position out of range
@@ -714,7 +719,7 @@ class NativeCodegen:
             raise CodegenError(f"cannot emit statement {stmt!r}")
 
     def _emit_ro_update(self, expr: A.Call) -> None:
-        """``roAdd/roMin/roMax(group, elem, value)`` into the scratch buffer,
+        """``roAdd/roMin/roMax(group, elem, value)`` into the element buffer,
         with the same validation ``ReductionObject.accumulate`` performs."""
         cost = _Cost()
         (g, gt), (e, et), (v, _) = (self.emit_expr(a, cost) for a in expr.args)
@@ -732,7 +737,7 @@ class NativeCodegen:
         self._w(f"if (_g{tmp} < 0 || _g{tmp} >= _ro_groups) return {_RC_RO_GROUP};")
         self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[_g{tmp}]) return {_RC_RO_ELEM};")
         self._w(f"if (_ro_op[_g{tmp}] != {opcode}) return {_RC_RO_OP};")
-        self._w(f"{{ double *_cell = _scr + _ro_off[_g{tmp}] + _el{tmp};")
+        self._w(f"{{ double *_cell = _acc + _ro_off[_g{tmp}] + _el{tmp};")
         if opcode == _OP_CODES["add"]:
             self._w(f"  *_cell += _v{tmp}; }}")
         elif opcode == _OP_CODES["min"]:
@@ -766,12 +771,15 @@ class NativeCodegen:
         self._w(f"/* counter slots: "
                 + ", ".join(f"{i}={n}" for i, n in enumerate(_COUNTER_FIELDS))
                 + " */")
-        self._w(f"long long {_SYMBOL_SENTINEL}(")
+        target = (
+            "    const unsigned char **_bufs, double *_acc,\n"
+            "    const long long *_ro_off, const long long *_ro_n,\n"
+            "    const long long *_ro_op, long long _ro_groups,\n"
+            "    unsigned char *_touched, double *_C)"
+        )
+        self._w(f"static long long {_SYMBOL_SENTINEL}_split(")
         self._w("    long long _start, long long _end,")
-        self._w("    const unsigned char **_bufs, double *_scr,")
-        self._w("    const long long *_ro_off, const long long *_ro_n,")
-        self._w("    const long long *_ro_op, long long _ro_groups,")
-        self._w("    unsigned char *_touched, double *_C)")
+        self._w(target)
         self._w("{")
         self.indent += 1
         for kid in self.buf_order:
@@ -790,7 +798,7 @@ class NativeCodegen:
             self._w(f"const unsigned char *_row_{hoist.hoist_id} = 0;")
             if hoist.incremental is not None:
                 self._w(f"long long _b_{hoist.hoist_id} = 0;")
-        self._w("(void)_bufs; (void)_scr; (void)_ro_off; (void)_ro_n;")
+        self._w("(void)_bufs; (void)_acc; (void)_ro_off; (void)_ro_n;")
         self._w("(void)_ro_op; (void)_ro_groups; (void)_touched;")
         self._w("for (long long _e = _start; _e < _end; _e++) {")
         self.indent += 1
@@ -800,6 +808,20 @@ class NativeCodegen:
         self._w("}")
         self._w("return 0;")
         self.indent -= 1
+        self._w("}")
+        # The exported entry point: the split body over a list of ranges,
+        # stopping at the first split that fails.
+        self._w(f"long long {_SYMBOL_SENTINEL}(")
+        self._w("    long long _n, const long long *_starts, const long long *_ends,")
+        self._w(target)
+        self._w("{")
+        self._w("    for (long long _i = 0; _i < _n; _i++) {")
+        self._w(f"        long long _rc = {_SYMBOL_SENTINEL}_split(")
+        self._w("            _starts[_i], _ends[_i], _bufs, _acc, _ro_off, _ro_n,")
+        self._w("            _ro_op, _ro_groups, _touched, _C);")
+        self._w("        if (_rc != 0) return _rc;")
+        self._w("    }")
+        self._w("    return 0;")
         self._w("}")
         return _C_PRELUDE + "\n" + "\n".join(self.lines) + "\n"
 
@@ -913,9 +935,10 @@ def _dlopen(so_path: Path, symbol: str) -> tuple[Any, Any]:
             return entry
     ffi = cffi.FFI()
     ffi.cdef(
-        f"long long {symbol}(long long, long long, const unsigned char **, "
-        "double *, const long long *, const long long *, const long long *, "
-        "long long, unsigned char *, double *);"
+        f"long long {symbol}(long long, const long long *, const long long *, "
+        "const unsigned char **, double *, const long long *, "
+        "const long long *, const long long *, long long, unsigned char *, "
+        "double *);"
     )
     lib = ffi.dlopen(str(so_path))
     fn = getattr(lib, symbol)
@@ -1029,38 +1052,6 @@ def compile_native(
 
 # ------------------------------------------------------------ Python wrapper
 
-_layout_lock = threading.Lock()
-_layout_tables: dict[tuple, tuple] = {}
-
-
-def _tables_for(layout: list[tuple[int, str]]) -> tuple:
-    """Dense int64 ``(offsets, nelems, opcodes)`` + identity vector."""
-    key = tuple(layout)
-    with _layout_lock:
-        entry = _layout_tables.get(key)
-        if entry is not None:
-            return entry
-    offs, nelems, ops, ident = [], [], [], []
-    offset = 0
-    identities = {"add": 0.0, "min": np.inf, "max": -np.inf}
-    for num_elems, op in layout:
-        if op not in _OP_CODES:
-            raise ReductionObjectError(f"unknown accumulate op {op!r}")
-        offs.append(offset)
-        nelems.append(num_elems)
-        ops.append(_OP_CODES[op])
-        ident.extend([identities[op]] * num_elems)
-        offset += num_elems
-    entry = (
-        np.ascontiguousarray(offs, dtype=np.int64),
-        np.ascontiguousarray(nelems, dtype=np.int64),
-        np.ascontiguousarray(ops, dtype=np.int64),
-        np.ascontiguousarray(ident, dtype=np.float64),
-    )
-    with _layout_lock:
-        return _layout_tables.setdefault(key, entry)
-
-
 _RC_MESSAGES = {
     _RC_MAP_OOB: (MappingError, "computeIndex position out of range"),
     _RC_ROW_OOB: (MappingError, "hoisted row index out of range"),
@@ -1073,84 +1064,106 @@ _RC_MESSAGES = {
 def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     """The ``_kernel(_start, _end, _ro, _env, _C)`` twin of the C function.
 
-    Per call: reset the thread-local scratch/touched/counter buffers, run
-    the C kernel (GIL released by cffi for the whole split), fold the
-    counter array into the ledger, and commit the scratch through the
-    accessor's atomic ``merge_from_scratch`` (restricted to the touched
-    groups, as the colored technique requires) or a plain ``merge_from``
-    for bare reduction objects and per-attempt scratch accessors.
+    The returned kernel's ``ranges`` attribute is the one path every call
+    takes: ``ranges(pairs, _ro, _env, _C)`` reduces a list of
+    ``(start, end)`` element ranges in a single C call (GIL released by
+    cffi for all of it) and folds the counter array into the ledger once.
+    ``_ro`` — a reduction object or an accessor — decides where the
+    kernel stores: into the buffers its ``direct_store()`` names, the
+    wrapper reporting the update count through ``note_updates``; or, when
+    it has none (the locking family), into this thread's scratch object,
+    committed through ``merge_from_scratch`` restricted to the touched
+    groups and reset for the next call.  What depends only on the target
+    — the layout tables' and buffers' C pointers — is prepared once per
+    (thread, target); nothing per call walks the groups.
     """
     ffi = native.ffi
     fn = native.fn
-    buf_order = native.buf_order
-    buf_names = [f"buf_{kid}" for kid in buf_order]
+    buf_names = [f"buf_{kid}" for kid in native.buf_order]
     tls = threading.local()
+    ledger_lock = threading.Lock()  # lanes of one run share the ledger
 
-    def _native_kernel(_start, _end, _ro, _env, _C):
-        ro_obj = _ro if isinstance(_ro, ReductionObject) else _ro.ro
-        layout = ro_obj.layout()
-        offs, nelems, ops, ident = _tables_for(layout)
-
-        store = getattr(tls, "store", None)
-        if store is None:
-            store = tls.store = {}
-        key = tuple(layout)
-        bufs3 = store.get(key)
-        if bufs3 is None:
-            bufs3 = store[key] = (
-                np.empty(ident.size, dtype=np.float64),
-                np.empty(len(layout), dtype=np.uint8),
-                np.empty(len(_COUNTER_FIELDS), dtype=np.float64),
+    def _thread_state() -> tuple:
+        try:
+            return tls.state
+        except AttributeError:
+            counters = aligned_empty(len(_COUNTER_FIELDS), np.float64)
+            tls.state = state = (
+                counters,
+                ffi.cast("double *", counters.ctypes.data),
+                weakref.WeakKeyDictionary(),  # target -> prepared call arguments
+                ffi.new("const unsigned char *[]", max(1, len(buf_names))),
             )
-        scratch, touched, counters = bufs3
-        scratch[:] = ident
-        touched[:] = 0
+            return state
+
+    def _prepare(_ro: Any, store: Any) -> tuple:
+        # The entry must not reference its (weak) key; the buffers behind
+        # the pointers live as long as the key — or the scratch — does.
+        scratch = touched = None
+        if store is None:
+            scratch = _ro.ro.clone_empty()
+            store = scratch.direct_store()
+            touched = store.touched
+        return (
+            scratch,
+            touched,
+            ffi.cast("double *", store.elements.ctypes.data),
+            ffi.cast("const long long *", store.offsets.ctypes.data),
+            ffi.cast("const long long *", store.nelems.ctypes.data),
+            ffi.cast("const long long *", store.opcodes.ctypes.data),
+            len(store.offsets),
+            ffi.cast("unsigned char *", store.touched.ctypes.data),
+        )
+
+    def _native_ranges(_ranges, _ro, _env, _C):
+        counters, c_counters, targets, c_bufs = _thread_state()
+        store = _ro.direct_store()
+        key = _ro if store is None else store
+        prepared = targets.get(key)
+        if prepared is None:
+            prepared = targets[key] = _prepare(_ro, store)
+        scratch, flags, c_elems, c_off, c_n, c_op, groups, c_touched = prepared
+        # the env owns the data buffers (and may swap them between calls)
+        for i, buf_name in enumerate(buf_names):
+            c_bufs[i] = ffi.cast("const unsigned char *", _env[buf_name].ctypes.data)
         counters[:] = 0.0
 
-        data_bufs = [_env[n] for n in buf_names]  # kept alive across the call
-        c_bufs = ffi.new("const unsigned char *[]", max(1, len(data_bufs)))
-        for i, b in enumerate(data_bufs):
-            c_bufs[i] = ffi.cast("const unsigned char *", b.ctypes.data)
-
         rc = fn(
-            int(_start),
-            int(_end),
-            c_bufs,
-            ffi.cast("double *", scratch.ctypes.data),
-            ffi.cast("const long long *", offs.ctypes.data),
-            ffi.cast("const long long *", nelems.ctypes.data),
-            ffi.cast("const long long *", ops.ctypes.data),
-            len(layout),
-            ffi.cast("unsigned char *", touched.ctypes.data),
-            ffi.cast("double *", counters.ctypes.data),
+            len(_ranges),
+            ffi.new("long long[]", [r[0] for r in _ranges]),
+            ffi.new("long long[]", [r[1] for r in _ranges]),
+            c_bufs, c_elems, c_off, c_n, c_op, groups, c_touched, c_counters,
         )
+
+        # A failing call counts like the scalar kernel: everything up to the
+        # element that failed is in the ledger (and in a direct target).
+        counts = counters.tolist()
+        with ledger_lock:
+            for field, value in zip(_COUNTER_FIELDS, counts):
+                if value:
+                    setattr(_C, field, getattr(_C, field) + value)
+        updates = int(counts[_IDX_RO_UPDATES])
+        if scratch is None:
+            _ro.note_updates(updates)
+        else:
+            touched = np.flatnonzero(flags).tolist()
+            try:
+                if rc == 0 and updates:
+                    scratch.update_count = updates
+                    _ro.merge_from_scratch(scratch, groups=touched)
+            finally:
+                for g in touched:
+                    scratch.reset_group(g)
+                scratch.update_count = 0
         if rc != 0:
             exc_type, msg = _RC_MESSAGES.get(
                 rc, (RuntimeError, f"native kernel error {rc}")
             )
             raise exc_type(f"native kernel {name}: {msg}")
 
-        for i, field in enumerate(_COUNTER_FIELDS):
-            setattr(_C, field, getattr(_C, field) + float(counters[i]))
+    def _native_kernel(_start, _end, _ro, _env, _C):
+        _native_ranges(((_start, _end),), _ro, _env, _C)
 
-        updates = int(counters[_IDX_RO_UPDATES])
-        if updates == 0:
-            return
-        scratch_ro = ReductionObject.from_layout(
-            layout, buffer=scratch, initialize=False
-        )
-        scratch_ro.update_count = updates
-        if isinstance(_ro, ReductionObject):
-            _ro.merge_from(scratch_ro)
-            return
-        if type(_ro).merge_from_scratch is not ROAccessor.merge_from_scratch:
-            groups = [int(g) for g in np.nonzero(touched)[0]]
-            _ro.merge_from_scratch(scratch_ro, groups=groups)
-        else:
-            # e.g. ScratchAccessor under the fault-tolerant engine: fold
-            # into the per-attempt scratch; the engine commits on success.
-            ro_obj.merge_from(scratch_ro)
-
-    _native_kernel.__name__ = "_native_kernel"
     _native_kernel.native = native  # type: ignore[attr-defined]
+    _native_kernel.ranges = _native_ranges  # type: ignore[attr-defined]
     return _native_kernel

@@ -551,7 +551,8 @@ class BoundReduction:
         The spec closes over :attr:`CompiledReduction.effective_kernel`, so
         the engine dispatches the batch kernel per split (under both the
         serial and threaded executors) whenever the batch backend compiled,
-        and the scalar kernel otherwise.
+        and the scalar kernel otherwise.  A native kernel also takes whole
+        lists of splits in one call (``ReductionSpec.reduce_splits``).
 
         ``delta_range`` marks the spec as a delta pass over the appended
         element range ``[start, end)``: the returned engine data covers
@@ -576,6 +577,16 @@ class BoundReduction:
             if len(indices) == 0:
                 return
             kernel(indices[0], indices[-1] + 1, args.ro, env, counters)
+
+        reduce_splits = None
+        ranges = getattr(kernel, "ranges", None)
+        if ranges is not None:
+            # native kernels loop a list of ranges inside one C call
+
+            def reduce_splits(splits: Sequence[Any], ro: Any) -> None:
+                ranges(
+                    [(s.data[0], s.data[-1] + 1) for s in splits], ro, env, counters
+                )
 
         comp = self.compiled
         kernel_spec = None
@@ -615,6 +626,7 @@ class BoundReduction:
             finalize=finalize,
             kernel_spec=kernel_spec,
             group_bounds=comp.group_bounds,
+            reduce_splits=reduce_splits,
         )
         if delta_range is not None:
             start, end = delta_range

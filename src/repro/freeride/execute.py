@@ -27,7 +27,10 @@ and fault configuration:
 *Direct* runs — no fault policy, no footprint observation — skip the
 scratch object: the attempt accumulates straight into the lane's accessor,
 there is nothing to settle, and with tracing disabled no per-split
-instrumentation is installed at all.
+instrumentation is installed at all.  When, on top of that, the kernel can
+walk a list of splits by itself (``ReductionSpec.reduce_splits``) and the
+lanes commute (their accessors hand out a direct store), a lane does not
+loop over splits either: it passes whole batches to one kernel call.
 """
 
 from __future__ import annotations
@@ -444,6 +447,29 @@ def _lane(
         raise
 
 
+def _reduce_batch(ctx: RunContext, lane: int, splits: "list[Split]") -> None:
+    """One kernel call over ``splits``, in order, into ``lane``'s accessor."""
+    assert ctx.spec.reduce_splits is not None
+    ctx.spec.reduce_splits(splits, ctx.accessors[lane])
+    ctx.elems[lane] += sum([s.end - s.start for s in splits])
+    ctx.nsplits[lane] += len(splits)
+
+
+def _lane_batched(ctx: RunContext, queue: SplitQueue, lane: int) -> None:
+    """Drain one wave's queue in guided batches, one kernel call per batch.
+
+    Batches shrink as the queue empties (:meth:`SplitQueue.take_batch`), so
+    the interpreter's share of the wave is a handful of calls per lane
+    while the last batches still balance the lanes.
+    """
+    try:
+        while batch := queue.take_batch(ctx.num_threads):
+            _reduce_batch(ctx, lane, batch)
+    except BaseException:
+        queue.poison()
+        raise
+
+
 # -- process shipping ----------------------------------------------------------
 
 
@@ -566,6 +592,12 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     order is the split order.  One error policy for every run: a raising
     lane poisons the wave's queue, every lane is joined, then the error
     propagates.
+
+    Batched lanes (see the module docstring) keep that order where it
+    matters: inline, lane ``l`` makes one call over its own splits of the
+    wave — ``splits[l::num_threads]`` of an uncolored run, exactly the
+    sequence its replica sees split by split; lanes that share cells never
+    batch, so a shared reduction object still commits in split order.
     """
     attempt_fn = _attempt_traced if ctx.tracer.enabled else _attempt_in_process
     payload = None
@@ -578,23 +610,40 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         )
         attempt_fn = partial(_attempt_remote, engine._get_process_pool(), payload)
     width = ctx.num_threads
+    batched = (
+        ctx.direct
+        and not ctx.tracer.enabled
+        and ctx.spec.reduce_splits is not None
+        and ctx.accessors[0].direct_store() is not None
+    )
     for wave in ctx.waves:
         if payload is not None and ctx.direct:
             _ship_blocks(ctx, engine, wave, payload)
             continue
-        live = [ctx.splits[i] for i in wave if len(ctx.splits[i]) > 0]
+        live = [i for i in wave if ctx.splits[i].end > ctx.splits[i].start]
         if not live:
             continue
-        queue = SplitQueue(live)
-        if ctx.executor == "serial" or len(live) == 1:
-            position = {id(ctx.splits[i]): i for i in wave}
+        inline = ctx.executor == "serial" or len(live) == 1
+        if batched and inline:
+            for lane in range(width):
+                mine = [ctx.splits[i] for i in live if i % width == lane]
+                if mine:
+                    _reduce_batch(ctx, lane, mine)
+            continue
+        queue = SplitQueue([ctx.splits[i] for i in live])
+        if inline:
+            position = {id(ctx.splits[i]): i for i in live}
             _lane(ctx, queue, lambda split: position[id(split)] % width, attempt_fn)
         else:
             pool = engine._get_pool()
-            futures = [
-                pool.submit(_lane, ctx, queue, lambda _split, t=t: t, attempt_fn)
-                for t in range(min(width, len(live)))
-            ]
+            lanes = range(min(width, len(live)))
+            if batched:
+                futures = [pool.submit(_lane_batched, ctx, queue, t) for t in lanes]
+            else:
+                futures = [
+                    pool.submit(_lane, ctx, queue, lambda _split, t=t: t, attempt_fn)
+                    for t in lanes
+                ]
             futures_wait(futures)  # the barrier between waves
             for future in futures:
                 future.result()

@@ -18,7 +18,7 @@ copies mergeable in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -30,6 +30,10 @@ __all__ = [
     "AccumulateOp",
     "ACCUMULATE_OPS",
     "INVERTIBLE_ACCUMULATE_OPS",
+    "OP_CODES",
+    "CACHE_LINE_BYTES",
+    "aligned_empty",
+    "DirectStore",
     "ReductionObject",
 ]
 
@@ -70,6 +74,30 @@ INVERTIBLE_ACCUMULATE_OPS: frozenset[str] = frozenset({"add"})
 
 _RETRACT_UFUNC = {"add": np.subtract}
 
+#: Integer op codes of the dense ``opcodes`` layout table — what a native
+#: kernel compares a group's declared op against.
+OP_CODES: dict[str, int] = {"add": 0, "min": 1, "max": 2}
+
+CACHE_LINE_BYTES = 64
+
+
+def aligned_empty(count: int, dtype: "np.dtype | type") -> np.ndarray:
+    """An uninitialized 1-D array owning every cache line it overlaps.
+
+    The array starts on a :data:`CACHE_LINE_BYTES` boundary and its backing
+    allocation extends to the end of its last line, so no other buffer can
+    share a line with it.  Buffers one lane stores into per element
+    (replica elements, touched flags, kernel counters) come from here:
+    NumPy's small-block cache otherwise hands two threads neighbouring
+    blocks, and a line shared between one lane's counters and another's
+    touched flags doubles a threaded pass.
+    """
+    nbytes = int(count) * np.dtype(dtype).itemsize
+    lines = -(-nbytes // CACHE_LINE_BYTES)
+    raw = np.empty((lines + 1) * CACHE_LINE_BYTES, dtype=np.uint8)
+    skip = -raw.ctypes.data % CACHE_LINE_BYTES
+    return raw[skip : skip + nbytes].view(dtype)
+
 
 @dataclass
 class _GroupMeta:
@@ -79,6 +107,83 @@ class _GroupMeta:
     num_elems: int
     op: AccumulateOp
     offset: int  # start of this group's elements in the dense buffer
+
+
+class _Layout:
+    """Everything that depends on a layout alone, computed once per layout.
+
+    Interned by :func:`_layout_for`, so two reduction objects have the same
+    layout exactly when they hold the same instance, and per-call work
+    (merging, cloning, a native kernel's tables) never walks the groups.
+    """
+
+    def __init__(self, key: "tuple[tuple[int, AccumulateOp], ...]") -> None:
+        self.key = key
+        self.metas: list[_GroupMeta] = []
+        offset = 0
+        for num_elems, op in key:
+            check_positive_int(num_elems, "num_elems")
+            if op not in ACCUMULATE_OPS:
+                raise ReductionObjectError(f"unknown accumulate op {op!r}")
+            self.metas.append(_GroupMeta(len(self.metas), num_elems, op, offset))
+            offset += num_elems
+        self.size = offset
+        self.ops = [m.op for m in self.metas]
+        self.nelems = np.array([m.num_elems for m in self.metas], dtype=np.int64)
+        self.offsets = np.array([m.offset for m in self.metas], dtype=np.int64)
+        self.opcodes = np.array([OP_CODES[op] for op in self.ops], dtype=np.int64)
+        self.identity = np.repeat(
+            np.array([_IDENTITY[op] for op in self.ops], dtype=np.float64),
+            self.nelems,
+        )
+        #: maximal runs of consecutive same-op groups as ``(op, element
+        #: slice)`` — one ufunc call merges a whole run
+        self.runs: list[tuple[AccumulateOp, slice]] = []
+        first = 0
+        for g in range(1, len(self.metas) + 1):
+            if g == len(self.metas) or self.ops[g] != self.ops[first]:
+                end = self.metas[g - 1]
+                self.runs.append(
+                    (
+                        self.ops[first],
+                        slice(self.metas[first].offset, end.offset + end.num_elems),
+                    )
+                )
+                first = g
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled objects re-intern, keeping identity meaningful
+        return _layout_for, (self.key,)
+
+
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
+def _layout_for(layout: "Sequence[tuple[int, AccumulateOp]]") -> _Layout:
+    """The interned tables of ``layout`` (validated the first time it is seen)."""
+    key = tuple(map(tuple, layout))
+    tables = _LAYOUTS.get(key)
+    if tables is None:
+        tables = _LAYOUTS.setdefault(key, _Layout(key))
+    return tables
+
+
+@dataclass(frozen=True, eq=False)
+class DirectStore:
+    """The buffers one lane's native kernel may store into directly.
+
+    ``elements`` is a reduction object's dense float64 buffer and
+    ``touched`` one byte per group (set to 1 by every update); the int64
+    tables describe the layout the kernel validates each update against.
+    One instance lives as long as the buffers it names, so per-target
+    call state can be keyed on it.
+    """
+
+    elements: np.ndarray
+    touched: np.ndarray
+    offsets: np.ndarray
+    nelems: np.ndarray
+    opcodes: np.ndarray
 
 
 class ReductionObject:
@@ -99,8 +204,10 @@ class ReductionObject:
         self._finalized_layout = False
         #: number of accumulate() calls, for runtime statistics
         self.update_count: int = 0
-        # lazy per-group lookup arrays for the batch update path
-        self._batch_tables: tuple[np.ndarray, np.ndarray, list[str]] | None = None
+        # the interned layout tables and the direct-store record over the
+        # current buffers; built on first use, dropped by alloc
+        self._layout: _Layout | None = None
+        self._store: DirectStore | None = None
         #: explicit per-group touched bitmap: set by every update API, so a
         #: group stays visible in touched_groups() even when its accumulated
         #: value happens to equal the op identity
@@ -127,7 +234,7 @@ class ReductionObject:
         self._buffer = np.concatenate(
             [self._buffer, np.full(num_elems, _IDENTITY[op])]
         )
-        self._batch_tables = None
+        self._layout = self._store = None
         self._touched = np.concatenate([self._touched, [False]])
         return gid
 
@@ -144,6 +251,15 @@ class ReductionObject:
             raise ReductionObjectError(
                 "cannot allocate groups after the layout is frozen"
             )
+        if not self._groups:
+            # the whole layout at once: its interned tables already hold
+            # the metas and the identity vector
+            tables = _layout_for(layout)
+            self._groups = list(tables.metas)
+            self._buffer = tables.identity.copy()
+            self._touched = np.zeros(len(self._groups), dtype=bool)
+            self._layout, self._store = tables, None
+            return list(range(len(self._groups)))
         gids: list[int] = []
         segments = [self._buffer]
         offset = int(self._buffer.size)
@@ -157,7 +273,7 @@ class ReductionObject:
             offset += num_elems
             gids.append(gid)
         self._buffer = np.concatenate(segments)
-        self._batch_tables = None
+        self._layout = self._store = None
         self._touched = np.concatenate(
             [self._touched, np.zeros(len(gids), dtype=bool)]
         )
@@ -169,8 +285,19 @@ class ReductionObject:
         return self.alloc_many([(num_elems, op)] * num_groups)
 
     def freeze_layout(self) -> None:
-        """Freeze the layout: replicas must share it, so no more allocs."""
+        """Freeze the layout: replicas must share it, so no more allocs.
+
+        Everything that depends on the layout alone — the layout tuple, the
+        identity vector, the dense group tables, the same-op merge runs — is
+        fixed from here on (see :class:`_Layout`).
+        """
         self._finalized_layout = True
+        self._tables()
+
+    def _tables(self) -> _Layout:
+        if self._layout is None:
+            self._layout = _layout_for([(m.num_elems, m.op) for m in self._groups])
+        return self._layout
 
     @property
     def num_groups(self) -> int:
@@ -234,15 +361,6 @@ class ReductionObject:
         self._touched[meta.group_id] = True
         self.update_count += meta.num_elems
 
-    def _group_tables(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Dense per-group ``(offsets, num_elems, ops)`` lookup arrays."""
-        if self._batch_tables is None:
-            offsets = np.array([m.offset for m in self._groups], dtype=np.int64)
-            nelems = np.array([m.num_elems for m in self._groups], dtype=np.int64)
-            ops = [m.op for m in self._groups]
-            self._batch_tables = (offsets, nelems, ops)
-        return self._batch_tables
-
     def batch_cells(
         self,
         groups: "np.ndarray | int",
@@ -280,7 +398,8 @@ class ReductionObject:
             g, e, v = g[m], e[m], v[m]
         if g.size == 0:
             return g, v
-        offsets, nelems, ops = self._group_tables()
+        tables = self._tables()
+        offsets, nelems, ops = tables.offsets, tables.nelems, tables.ops
         if g.min() < 0 or g.max() >= len(offsets):
             raise ReductionObjectError(
                 f"batch update addresses group outside [0, {len(offsets)})"
@@ -305,8 +424,7 @@ class ReductionObject:
         if indices.size == 0:
             return
         _MERGE_UFUNC[op].at(self._buffer, indices, values)
-        offsets, _, _ = self._group_tables()
-        hit = np.searchsorted(offsets, indices, side="right") - 1
+        hit = np.searchsorted(self._tables().offsets, indices, side="right") - 1
         self._touched[np.unique(hit)] = True
         self.update_count += int(indices.size)
 
@@ -359,9 +477,9 @@ class ReductionObject:
         for meta in self._groups:
             yield meta.group_id, self.get_group(meta.group_id)
 
-    def layout(self) -> list[tuple[int, AccumulateOp]]:
+    def layout(self) -> "tuple[tuple[int, AccumulateOp], ...]":
         """The ``(num_elems, op)`` sequence that rebuilds this layout."""
-        return [(m.num_elems, m.op) for m in self._groups]
+        return self._tables().key
 
     @classmethod
     def from_layout(
@@ -380,34 +498,35 @@ class ReductionObject:
         worker-filled shared segment without clobbering it); a freshly
         allocated object is always initialized to the ops' identities.
         """
-        ro = cls()
-        offset = 0
-        for num_elems, op in layout:
-            check_positive_int(num_elems, "num_elems")
-            if op not in ACCUMULATE_OPS:
-                raise ReductionObjectError(f"unknown accumulate op {op!r}")
-            ro._groups.append(_GroupMeta(len(ro._groups), num_elems, op, offset))
-            offset += num_elems
-        if not ro._groups:
+        tables = _layout_for(layout)
+        if not tables.metas:
             raise ReductionObjectError("layout must allocate at least one group")
+        return cls._of(tables, buffer, initialize)
+
+    @classmethod
+    def _of(
+        cls, tables: _Layout, buffer: np.ndarray | None, initialize: bool
+    ) -> "ReductionObject":
+        ro = cls()
         if buffer is None:
-            ro._buffer = np.empty(offset, dtype=np.float64)
+            ro._buffer = aligned_empty(tables.size, np.float64)
             initialize = True
         else:
             buf = np.asarray(buffer)
-            if buf.dtype != np.float64 or buf.ndim != 1 or buf.size != offset:
+            if buf.dtype != np.float64 or buf.ndim != 1 or buf.size != tables.size:
                 raise ReductionObjectError(
                     f"external buffer must be a flat float64 array of "
-                    f"{offset} elements, got dtype={buf.dtype} shape={buf.shape}"
+                    f"{tables.size} elements, got dtype={buf.dtype} shape={buf.shape}"
                 )
             ro._buffer = buf
         if initialize:
-            for meta in ro._groups:
-                ro._buffer[meta.offset : meta.offset + meta.num_elems] = _IDENTITY[
-                    meta.op
-                ]
-        ro._touched = np.zeros(len(ro._groups), dtype=bool)
-        ro.freeze_layout()
+            ro._buffer[:] = tables.identity
+        # metas are never mutated and a frozen object never appends to the list
+        ro._groups = tables.metas
+        ro._touched = aligned_empty(len(tables.metas), bool)
+        ro._touched[:] = False
+        ro._layout = tables
+        ro._finalized_layout = True
         return ro
 
     # -- replication and merging ----------------------------------------------
@@ -428,28 +547,39 @@ class ReductionObject:
         """A fresh copy with identical layout and identity-valued elements.
 
         This is what the *full replication* shared-memory technique hands to
-        each thread.  Built directly (metas copied, one buffer allocation)
-        rather than through per-group :meth:`alloc` calls, whose repeated
-        buffer reallocation is quadratic in the group count.
+        each thread: the shared layout tables, one copy of the identity
+        vector, and element and touched buffers no other lane's share a
+        cache line with (:func:`aligned_empty`).
         """
-        clone = ReductionObject()
-        clone._groups = [
-            _GroupMeta(m.group_id, m.num_elems, m.op, m.offset)
-            for m in self._groups
-        ]
-        clone._buffer = np.empty(self._buffer.size, dtype=np.float64)
-        for meta in clone._groups:
-            clone._buffer[meta.offset : meta.offset + meta.num_elems] = _IDENTITY[
-                meta.op
-            ]
-        clone._touched = np.zeros(len(clone._groups), dtype=bool)
-        clone.freeze_layout()
-        return clone
+        return ReductionObject._of(self._tables(), None, True)
 
     def same_layout(self, other: "ReductionObject") -> bool:
-        return [(m.num_elems, m.op) for m in self._groups] == [
-            (m.num_elems, m.op) for m in other._groups
-        ]
+        return self._tables() is other._tables()
+
+    # -- direct stores (native kernels) ---------------------------------------
+
+    def direct_store(self) -> DirectStore:
+        """The buffers this object's single owner may store into directly.
+
+        A native kernel accumulates straight into the element buffer and
+        sets the touched flags itself; the caller then reports the number
+        of updates made through :meth:`note_updates`.
+        """
+        if self._store is None:
+            if not self._buffer.flags.c_contiguous:
+                raise ReductionObjectError(
+                    "direct stores need a contiguous element buffer"
+                )
+            tables = self._tables()
+            self._store = DirectStore(
+                self._buffer, self._touched,
+                tables.offsets, tables.nelems, tables.opcodes,
+            )
+        return self._store
+
+    def note_updates(self, count: int) -> None:
+        """Account for ``count`` updates made through :meth:`direct_store`."""
+        self.update_count += count
 
     def merge_from(self, other: "ReductionObject") -> None:
         """Combine another copy into this one (the *combine* of Figure 1).
@@ -459,10 +589,9 @@ class ReductionObject:
         """
         if not self.same_layout(other):
             raise ReductionObjectError("cannot merge reduction objects with different layouts")
-        for meta in self._groups:
-            sl = slice(meta.offset, meta.offset + meta.num_elems)
-            ufunc = _MERGE_UFUNC[meta.op]
-            self._buffer[sl] = ufunc(self._buffer[sl], other._buffer[sl])
+        for op, elems in self._tables().runs:
+            mine = self._buffer[elems]
+            _MERGE_UFUNC[op](mine, other._buffer[elems], out=mine)
         self._touched |= other._touched
         self.update_count += other.update_count
 
@@ -502,16 +631,13 @@ class ReductionObject:
         :meth:`group_view` slices and ``from_layout(initialize=False)``
         wraps of worker-filled shared segments bypass the bitmap.
         """
-        touched: set[int] = {
-            int(g) for g in np.nonzero(self._touched)[0]
-        }
-        for meta in self._groups:
-            if meta.group_id in touched:
-                continue
-            sl = self._buffer[meta.offset : meta.offset + meta.num_elems]
-            if np.any(sl != _IDENTITY[meta.op]):
-                touched.add(meta.group_id)
-        return frozenset(touched)
+        if not self._groups:
+            return frozenset()
+        tables = self._tables()
+        filled = np.logical_or.reduceat(
+            self._buffer != tables.identity, tables.offsets
+        )
+        return frozenset(np.flatnonzero(self._touched | filled).tolist())
 
     # -- delta execution ------------------------------------------------------
 
@@ -556,19 +682,20 @@ class ReductionObject:
             raise ReductionObjectError(
                 "cannot retract reduction objects with different layouts"
             )
-        for meta in self._groups:
-            sl = slice(meta.offset, meta.offset + meta.num_elems)
-            if meta.op in INVERTIBLE_ACCUMULATE_OPS:
-                self._buffer[sl] = _RETRACT_UFUNC[meta.op](
-                    self._buffer[sl], other._buffer[sl]
-                )
-            elif other._touched[meta.group_id] or bool(
-                np.any(other._buffer[sl] != _IDENTITY[meta.op])
-            ):
-                raise ReductionObjectError(
-                    f"group {meta.group_id} uses non-invertible op "
-                    f"{meta.op!r}: cannot retract, re-reduce the group instead"
-                )
+        tables = self._tables()
+        stuck = [
+            g for g in sorted(other.touched_groups())
+            if tables.ops[g] not in INVERTIBLE_ACCUMULATE_OPS
+        ]
+        if stuck:
+            raise ReductionObjectError(
+                f"group {stuck[0]} uses non-invertible op "
+                f"{tables.ops[stuck[0]]!r}: cannot retract, re-reduce the group instead"
+            )
+        for op, elems in tables.runs:
+            if op in INVERTIBLE_ACCUMULATE_OPS:
+                mine = self._buffer[elems]
+                _RETRACT_UFUNC[op](mine, other._buffer[elems], out=mine)
         self.update_count -= other.update_count
 
     def retract_group(self, group: int, other: "ReductionObject") -> None:

@@ -50,7 +50,9 @@ from repro.freeride.combination import (
 from repro.freeride.reduction_object import (
     ACCUMULATE_OPS,
     _MERGE_UFUNC,
+    DirectStore,
     ReductionObject,
+    aligned_empty,
 )
 from repro.util.errors import FreerideError
 
@@ -167,6 +169,23 @@ class ROAccessor:
         """
         raise NotImplementedError
 
+    def direct_store(self) -> "DirectStore | None":
+        """The buffers the calling lane may store into with no help from
+        this accessor, or ``None`` when every store needs its synchronization.
+
+        Lanes whose accessors hand out a direct store commute: each owns a
+        private copy, or the wave schedule gives it exclusive cells.  A
+        native kernel then reduces in one step — straight into the lane's
+        reduction object — and reports the updates it made through
+        :meth:`note_updates`; otherwise it runs into a private scratch
+        object that is committed through :meth:`merge_from_scratch`.
+        """
+        return None
+
+    def note_updates(self, count: int) -> None:
+        """Account for ``count`` updates made through :meth:`direct_store`."""
+        raise NotImplementedError
+
 
 class ReplicatedAccessor(ROAccessor):
     """Full replication: updates go to a private copy, no locks."""
@@ -197,6 +216,12 @@ class ReplicatedAccessor(ROAccessor):
         # the scratch's untouched groups hold merge identities.
         self.ro.merge_from(scratch)
 
+    def direct_store(self) -> DirectStore:
+        return self.ro.direct_store()
+
+    def note_updates(self, count: int) -> None:
+        self.ro.note_updates(count)
+
 
 class ScratchAccessor(ROAccessor):
     """Accessor over a private per-split scratch object — no locks, no stats.
@@ -221,15 +246,22 @@ class ScratchAccessor(ROAccessor):
     ) -> None:
         self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
 
+    def direct_store(self) -> DirectStore:
+        return self.ro.direct_store()
+
+    def note_updates(self, count: int) -> None:
+        self.ro.note_updates(count)
+
 
 class ColoredAccessor(ROAccessor):
     """Conflict-free coloring: direct updates to the shared copy, no locks.
 
     Safe only under the engine's wave schedule — splits updating through
     these accessors concurrently have disjoint group sets, so no two
-    threads ever touch the same cell.  The one piece of state the waves
-    *would* share is the reduction object's ``update_count``; each accessor
-    therefore counts its own updates locally and
+    threads ever touch the same cell.  The state the waves *would* share is
+    the reduction object's ``update_count`` and — for native kernels, which
+    flag every update — the line-packed touched bitmap; each accessor
+    therefore keeps its own tally and its own flags, and
     :meth:`SharedMemManager.finish` folds them into the shared object after
     the last wave.
     """
@@ -239,6 +271,14 @@ class ColoredAccessor(ROAccessor):
         self.stats = SharedMemStats(technique=technique)
         #: accessor-local update tally, folded into the shared RO at finish()
         self.updates = 0
+        shared = shared_ro.direct_store()
+        #: accessor-local touched flags, folded in at finish() like the tally
+        self.touched = aligned_empty(shared.touched.size, bool)
+        self.touched[:] = False
+        self._store = DirectStore(
+            shared.elements, self.touched,
+            shared.offsets, shared.nelems, shared.opcodes,
+        )
 
     def accumulate(self, group: int, elem: int, value: float) -> None:
         meta, idx = self.ro._cell(group, elem)
@@ -274,6 +314,12 @@ class ColoredAccessor(ROAccessor):
         for g in gids:
             self.ro.merge_group_from(g, scratch)
         self.updates += scratch.update_count
+
+    def direct_store(self) -> DirectStore:
+        return self._store
+
+    def note_updates(self, count: int) -> None:
+        self.updates += count
 
 
 class _LockTable:
@@ -460,7 +506,8 @@ class SharedMemManager:
             # Fold the accessor-local update tallies the wave schedule kept
             # off the shared object (see ColoredAccessor).
             for acc in accessors:
-                base_ro.update_count += getattr(acc, "updates", 0)
+                base_ro.update_count += acc.updates  # type: ignore[attr-defined]
+                base_ro._touched |= acc.touched  # type: ignore[attr-defined]
         if self.technique is not SharedMemTechnique.FULL_REPLICATION:
             total.ro_memory_bytes = base_ro.nbytes  # one shared copy
             # Locking and colored techniques already updated base_ro in place.

@@ -14,7 +14,7 @@ application extras such as the k-means centroids).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import ROAccessor
@@ -141,6 +141,12 @@ class ReductionSpec:
         :class:`~repro.compiler.groupbounds.GroupBounds` result attached by
         the compiler (``BoundReduction.make_spec`` does this automatically).
         ``None`` means unknown — the engine then falls back from colored.
+    ``reduce_splits``
+        present only when the kernel can walk a list of splits without the
+        interpreter (``BoundReduction.make_spec`` over a native kernel):
+        ``reduce_splits(splits, ro)`` is ``reduction`` over each split in
+        order, in one call.  Direct, untraced lanes whose accessor hands
+        out a direct store pass whole batches of splits through it.
     """
 
     name: str
@@ -151,6 +157,7 @@ class ReductionSpec:
     extras: dict[str, Any] = field(default_factory=dict)
     kernel_spec: KernelSpec | None = None
     group_bounds: Any = None
+    reduce_splits: Callable[[Sequence[Split], ROAccessor], None] | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.setup_reduction_object):

@@ -207,6 +207,24 @@ class SplitQueue:
             return self._pending.popleft()
         return None
 
+    def take_batch(self, lanes: int) -> list[Split]:
+        """Pop the next *guided* batch of splits, in queue order.
+
+        Every queued retry goes first, in one batch; otherwise the batch is
+        ``ceil(pending / (2 * lanes))`` fresh splits — large while the queue
+        is long, single splits at its tail, so ``lanes`` consumers finish
+        together.  Empty only when the queue is drained or poisoned.
+        """
+        with self._lock:
+            if self._poisoned:
+                return []
+            if self._retry:
+                batch = list(self._retry)
+                self._retry.clear()
+                return batch
+            count = -(-len(self._pending) // (2 * lanes))
+            return [self._pending.popleft() for _ in range(count)]
+
     def __len__(self) -> int:
         return len(self._splits)
 

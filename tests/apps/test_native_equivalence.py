@@ -8,7 +8,9 @@ into per-attempt scratch the engine only commits on success).  Inputs are
 integer-valued (and PCA's column count a power of two) so accumulations
 are exact and most comparisons can be strict equality; EM's
 responsibilities involve ``exp``/``log``, so it compares to tight
-tolerance instead.
+tolerance instead.  ``TestRealValuedBitIdentity`` is the exception: the
+native tier reduces in one step, in element order, so on one lane it
+matches the scalar oracle bit for bit on any data and at any split size.
 
 The whole module skips when the host has no usable C toolchain (the
 backend then downgrades to batch/scalar, which other suites cover).
@@ -245,9 +247,9 @@ class TestNativeUnderFaults:
 
 
 class TestNativeUnderTechniques:
-    """The scratch-commit path must honor every accessor's merge contract
-    (colored waves merge only touched groups; locking merges under the
-    covering locks)."""
+    """Every accessor's contract holds under native kernels: replicas and
+    colored waves are stored into directly, the locking family commits a
+    scratch object's touched groups under the covering locks."""
 
     @pytest.mark.parametrize(
         "technique", ["full_replication", "full_locking", "colored", "auto"]
@@ -268,3 +270,117 @@ class TestNativeUnderTechniques:
         assert np.array_equal(base.counts, res.counts)
         assert np.array_equal(base.sums, res.sums)
         assert base.counters.as_dict() == res.counters.as_dict()
+
+
+class TestRealValuedBitIdentity:
+    """One lane, any split size: bit-identical to scalar serial in one split.
+
+    Real-valued (non-dyadic) data makes every float sum order-sensitive, so
+    this fails as soon as a split boundary re-associates an accumulation —
+    which reducing each split into a scratch buffer and merging it did.
+    """
+
+    UNIFORM = np.random.default_rng(7).uniform(0.0, 64.0, size=1000)
+    POINTS = np.random.default_rng(8).uniform(-40.0, 40.0, size=(600, 3))
+    CONFIGS = [
+        ("serial", None), ("serial", 97), ("serial", 1),
+        ("threads", 97), ("process", 97),
+    ]
+
+    @pytest.mark.parametrize("executor,chunk_size", CONFIGS)
+    def test_histogram(self, executor, chunk_size):
+        base = HistogramRunner(
+            bins=16, lo=0.0, hi=64.0, version="opt-2", backend="scalar"
+        ).run(self.UNIFORM)
+        runner = HistogramRunner(
+            bins=16, lo=0.0, hi=64.0, version="opt-2", backend="native",
+            num_threads=1, executor=executor, chunk_size=chunk_size,
+        )
+        try:
+            assert runner.compiled.native_kernel is not None
+            res = runner.run(self.UNIFORM)
+        finally:
+            runner.close()
+        assert np.array_equal(base.counts, res.counts)
+        assert np.array_equal(base.sums, res.sums)
+
+    @pytest.mark.parametrize("executor,chunk_size", CONFIGS)
+    def test_kmeans(self, executor, chunk_size):
+        init = self.POINTS[:4].copy()
+        base = KmeansRunner(k=4, dim=3, version="opt-2", backend="scalar").run(
+            self.POINTS, init, iterations=2
+        )
+        runner = KmeansRunner(
+            k=4, dim=3, version="opt-2", backend="native",
+            num_threads=1, executor=executor, chunk_size=chunk_size,
+        )
+        try:
+            assert runner.compiled.native_kernel is not None
+            res = runner.run(self.POINTS, init, iterations=2)
+        finally:
+            runner.close()
+        assert np.array_equal(base.centroids, res.centroids)
+        assert np.array_equal(base.counts, res.counts)
+
+
+class TestBatchedLanes:
+    """Hundreds of splits per lane, one kernel call per batch of them.
+
+    Integer-valued data, so every lane assignment gives the same sums and
+    the comparison with the scalar oracle can be exact — results, the
+    per-thread ledgers' totals and the OpCounters.
+    """
+
+    KM = np.random.default_rng(9).integers(-40, 40, size=(8200, 3)).astype(np.float64)
+    WIN = ((np.arange(4928, dtype=np.float64) * 13) % 64) / 64.0
+    LANES = [
+        ("threads", 2, "full_replication"),
+        ("serial", 1, "full_replication"),
+        ("serial", 3, "full_replication"),
+        ("threads", 2, "colored"),
+        ("serial", 3, "colored"),
+    ]
+
+    @pytest.mark.parametrize("executor,threads,technique", LANES)
+    def test_kmeans_1025_splits(self, executor, threads, technique):
+        init = self.KM[:4].copy()
+        base = KmeansRunner(k=4, dim=3, version="opt-2", backend="scalar").run(
+            self.KM, init, iterations=1
+        )
+        runner = KmeansRunner(
+            k=4, dim=3, version="opt-2", backend="native", chunk_size=8,
+            num_threads=threads, executor=executor, technique=technique,
+        )
+        try:
+            res = runner.run(self.KM, init, iterations=1)
+            stats = res.per_iteration_stats[-1]
+        finally:
+            runner.close()
+        assert np.array_equal(base.centroids, res.centroids)
+        assert np.array_equal(base.counts, res.counts)
+        assert base.counters.as_dict() == res.counters.as_dict()
+        assert sum(stats.splits_per_thread) == 1025
+        assert sum(stats.elements_per_thread) == len(self.KM)
+
+    @pytest.mark.parametrize("executor,threads,technique", LANES)
+    def test_windowed_308_splits(self, executor, threads, technique):
+        base = WindowedRunner(
+            64, 77, WIN_SCALE, 0.0, 1.0, version="opt-2", backend="scalar"
+        ).run(self.WIN)
+        runner = WindowedRunner(
+            64, 77, WIN_SCALE, 0.0, 1.0, version="opt-2", backend="native",
+            chunk_size=16, num_threads=threads, executor=executor,
+            technique=technique,
+        )
+        try:
+            res = runner.run(self.WIN)
+            stats = runner.last_run_stats
+        finally:
+            runner.close()
+        if technique == "colored":
+            assert stats.technique_effective.value == "colored"
+        assert np.array_equal(base.counts, res.counts)
+        assert np.array_equal(base.sums, res.sums)
+        assert base.counters.as_dict() == res.counters.as_dict()
+        assert sum(stats.splits_per_thread) == 308
+        assert sum(stats.elements_per_thread) == len(self.WIN)

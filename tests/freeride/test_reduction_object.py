@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.freeride.reduction_object import ReductionObject
+from repro.freeride.reduction_object import (
+    CACHE_LINE_BYTES,
+    ReductionObject,
+    aligned_empty,
+)
 from repro.util.errors import ReductionObjectError
 
 
@@ -185,3 +189,115 @@ class TestMerge:
         got = dict(ro.groups())
         assert set(got) == {0, 1}
         assert len(got[0]) == 2
+
+
+class TestLayoutTables:
+    """What depends on the layout alone is computed once and shared."""
+
+    LAYOUT = [(2, "add"), (3, "add"), (1, "min"), (2, "max"), (4, "add")]
+
+    def make(self):
+        ro = ReductionObject()
+        ro.alloc_many(self.LAYOUT)
+        ro.freeze_layout()
+        return ro
+
+    def test_layout_is_one_shared_tuple(self):
+        a, b = self.make(), self.make()
+        assert a.layout() == tuple(self.LAYOUT)
+        assert a.layout() is b.layout() is a.clone_empty().layout()
+        assert ReductionObject.from_layout(self.LAYOUT).same_layout(a)
+
+    def test_copies_and_pickles_keep_the_layout(self):
+        import copy
+        import pickle
+
+        ro = self.make()
+        ro.accumulate(2, 0, -4.0)
+        for twin in (copy.deepcopy(ro), pickle.loads(pickle.dumps(ro))):
+            assert twin.same_layout(ro)
+            twin.merge_from(ro)
+            assert twin.get(2, 0) == -4.0
+
+    def test_alloc_after_use_rebuilds_the_tables(self):
+        ro = ReductionObject()
+        ro.alloc(2, "add")
+        assert ro.layout() == ((2, "add"),)
+        ro.alloc(1, "max")
+        assert ro.layout() == ((2, "add"), (1, "max"))
+        assert ro.clone_empty().get(1, 0) == -np.inf
+
+    def test_clone_and_from_layout_start_at_the_identities(self):
+        expected = [0.0] * 5 + [np.inf] + [-np.inf] * 2 + [0.0] * 4
+        for ro in (self.make().clone_empty(), ReductionObject.from_layout(self.LAYOUT)):
+            assert ro.snapshot().tolist() == expected
+            assert ro.touched_groups() == frozenset()
+
+    def test_merge_and_retract_by_same_op_runs(self):
+        rng = np.random.default_rng(0)
+        a, b = self.make(), self.make()
+        for ro in (a, b):
+            for g, (n, _) in enumerate(self.LAYOUT):
+                ro.accumulate_group(g, rng.uniform(-5, 5, n))
+        before, other = a.snapshot(), b.snapshot()
+        a.merge_from(b)
+        expected = before + other
+        expected[5] = min(before[5], other[5])
+        expected[6:8] = np.maximum(before[6:8], other[6:8])
+        assert np.array_equal(a.snapshot(), expected)
+        assert a.update_count == 24
+
+        adds = ReductionObject.from_layout(self.LAYOUT)
+        adds.accumulate_group(4, np.ones(4))
+        a.retract_from(adds)
+        expected[8:] -= 1.0
+        assert np.array_equal(a.snapshot(), expected)
+        with pytest.raises(ReductionObjectError, match="group 2 uses non-invertible"):
+            a.retract_from(b)
+        assert np.array_equal(a.snapshot(), expected)  # refused before mutating
+
+    def test_touched_groups_unions_flags_and_values(self):
+        ro = self.make()
+        ro.accumulate(0, 1, 0.0)  # flagged although the value is the identity
+        ro.group_view(3)[1] = 2.0  # filled out of band, never flagged
+        assert ro.touched_groups() == frozenset({0, 3})
+
+    def test_direct_store_names_the_live_buffers(self):
+        ro = self.make()
+        store = ro.direct_store()
+        assert store is ro.direct_store()
+        store.elements[5] = 1.5
+        store.touched[2] = 1
+        ro.note_updates(1)
+        assert ro.get(2, 0) == 1.5 and ro.is_touched(2) and ro.update_count == 1
+        assert store.offsets.tolist() == [0, 2, 5, 6, 8]
+        assert store.nelems.tolist() == [2, 3, 1, 2, 4]
+        assert store.opcodes.tolist() == [0, 0, 1, 2, 0]
+
+
+class TestAlignedAllocator:
+    def test_aligned_and_line_padded(self):
+        for count, dtype in ((1, np.uint8), (8, bool), (13, np.float64), (1024, np.float64)):
+            arr = aligned_empty(count, dtype)
+            assert arr.shape == (count,) and arr.dtype == np.dtype(dtype)
+            assert arr.ctypes.data % CACHE_LINE_BYTES == 0
+            owner = arr.base if arr.base is not None else arr
+            while owner.base is not None:
+                owner = owner.base
+            lines = -(-arr.nbytes // CACHE_LINE_BYTES)
+            end_of_last_line = arr.ctypes.data + lines * CACHE_LINE_BYTES
+            assert owner.ctypes.data + owner.nbytes >= end_of_last_line
+
+    def test_no_two_lanes_buffers_share_a_line(self):
+        base = ReductionObject()
+        base.alloc_matrix(8, 1)
+        base.freeze_layout()
+        lines: list[int] = []
+        replicas = [base.clone_empty() for _ in range(16)]  # all alive at once
+        for replica in replicas:
+            store = replica.direct_store()
+            for buf in (store.elements, store.touched):
+                first = buf.ctypes.data // CACHE_LINE_BYTES
+                last = (buf.ctypes.data + buf.nbytes - 1) // CACHE_LINE_BYTES
+                lines.extend(range(first, last + 1))
+        assert len(lines) == len(set(lines))

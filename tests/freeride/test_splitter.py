@@ -1,5 +1,6 @@
 """Unit tests for the FREERIDE splitters."""
 
+import sys
 import threading
 
 import numpy as np
@@ -87,6 +88,73 @@ class TestSplitQueue:
             t.start()
         for t in threads:
             t.join()
+        assert sorted(taken) == list(range(1000))
+
+
+class TestSplitQueueGuidedBatches:
+    """``take_batch``: retries first, then ceil(pending / (2 * lanes))."""
+
+    def make_queue(self, n):
+        return SplitQueue(chunked_splitter(list(range(n)), 1))
+
+    def test_batches_partition_the_queue_in_order(self):
+        for n in (1, 2, 7, 100, 1025):
+            for lanes in (1, 2, 3, 8):
+                q = self.make_queue(n)
+                seen = []
+                while batch := q.take_batch(lanes):
+                    seen.extend(s.split_id for s in batch)
+                assert seen == list(range(n)), (n, lanes)
+
+    def test_batch_sizes_follow_the_guided_rule(self):
+        q = self.make_queue(100)
+        sizes = []
+        while batch := q.take_batch(2):
+            sizes.append(len(batch))
+        pending, expected = 100, []
+        while pending:
+            expected.append(-(-pending // 4))
+            pending -= expected[-1]
+        assert sizes == expected
+        assert sizes[0] == 25 and sizes[-1] == 1
+        assert all(sizes)  # never an empty batch before the queue is drained
+
+    def test_retries_go_first_in_one_batch(self):
+        q = self.make_queue(10)
+        a, _ = q.claim()
+        b, _ = q.claim()
+        q.requeue(b)
+        q.requeue(a)
+        assert [s.split_id for s in q.take_batch(2)] == [1, 0]
+        assert [s.split_id for s in q.take_batch(2)] == [2, 3]
+
+    def test_empty_after_poison(self):
+        q = self.make_queue(10)
+        assert len(q.take_batch(2)) == 3
+        q.poison()
+        assert q.take_batch(2) == []
+
+    def test_concurrent_batches_no_duplicates(self):
+        q = self.make_queue(1000)
+        taken: list[int] = []
+        lock = threading.Lock()
+
+        def worker():
+            while batch := q.take_batch(8):
+                with lock:
+                    taken.extend(s.split_id for s in batch)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert sorted(taken) == list(range(1000))
 
 
