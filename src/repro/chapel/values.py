@@ -151,6 +151,13 @@ class ChapelRecord:
         for name, value in values.items():
             setattr(self, name, value)
 
+    @classmethod
+    def from_fields(cls, typ: RecordType, fields: dict[str, Any]) -> "ChapelRecord":
+        """A record over already-converted member values: no defaults, no coercion."""
+        rec = cls.__new__(cls)
+        rec.__setstate__((typ, fields))
+        return rec
+
     def __getattr__(self, name: str) -> Any:
         fields = object.__getattribute__(self, "_fields")
         if name in fields:
@@ -261,22 +268,25 @@ def from_python(typ: ChapelType, obj: Any) -> Any:
     if isinstance(typ, (PrimitiveType, StringType, EnumType)):
         return typ.coerce(obj)
     if isinstance(typ, ArrayType):
-        arr = ChapelArray(typ)
         flat = _flatten_for_array(typ, obj)
-        if typ.elt.is_primitive:
-            arr.fill_from([typ.elt.coerce(v) for v in flat])  # type: ignore[union-attr]
-        else:
-            arr.fill_from([from_python(typ.elt, v) for v in flat])
-        return arr
+        elt = typ.elt
+        if not elt.is_primitive:
+            return ChapelArray(typ, [from_python(elt, v) for v in flat])
+        if not isinstance(elt, PrimitiveType):  # enum, string: validated per value
+            flat = [elt.coerce(v) for v in flat]  # type: ignore[union-attr]
+        storage = np.asarray(flat, dtype=elt.dtype)  # type: ignore[union-attr]
+        if storage.shape != (len(flat),):
+            raise ChapelTypeError(f"array {typ}: elements must be {elt} scalars")
+        return ChapelArray(typ, storage)
     if isinstance(typ, RecordType):
         if not isinstance(obj, dict):
             raise ChapelTypeError(f"record {typ.name} needs a dict, got {type(obj)}")
-        rec = ChapelRecord(typ)
-        for name, _ in typ.fields:
+        fields = {}
+        for name, ftype in typ.fields:
             if name not in obj:
                 raise ChapelTypeError(f"missing field {name!r} for record {typ.name}")
-            rec._fields[name] = from_python(typ.field_type(name), obj[name])
-        return rec
+            fields[name] = from_python(ftype, obj[name])
+        return ChapelRecord.from_fields(typ, fields)
     if isinstance(typ, TupleType):
         seq = list(obj)
         return ChapelTuple(typ, [from_python(t, v) for t, v in zip(typ.elts, seq)])

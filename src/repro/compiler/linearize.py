@@ -7,12 +7,19 @@ nested structures.  Linearization bridges them:
   packed byte size of a nested value — dispatching on primitive / iterative
   (array) / structure (record, tuple) types exactly as the paper's
   pseudo-code does;
-* :func:`linearize_it` (Algorithm 2) allocates a buffer of that size and
-  recursively copies every scalar into it, depth-first, producing a
+* :func:`linearize_it` (Algorithm 2) allocates ``typ.sizeof`` bytes and
+  copies every scalar to its depth-first offset in them, producing a
   :class:`LinearizedBuffer`;
 * :func:`delinearize` is the inverse (rebuild the nested value), used by
   round-trip tests and by applications that need results back in Chapel
   form.
+
+Algorithm 2 is visited level by level, not value by value (:func:`_pack`):
+the type is known before the data, and in the packed layout all instances of
+one type node lie a fixed stride apart, so they are the rows of one byte
+view.  A member is a column slice of it, an array's elements split its last
+axis, and a leaf column is one typed numpy assignment.  Every scalar lands at
+the offset the depth-first walk gives it; only the order of the writes differs.
 
 Copy work is charged to an :class:`~repro.machine.counters.OpCounters`
 ledger (``bytes_linearized``), because sequential linearization is the
@@ -21,11 +28,13 @@ scalability limit the paper observes for the opt-2 version.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from repro.chapel.domains import Domain
 from repro.chapel.types import (
     ArrayType,
     ChapelType,
@@ -47,38 +56,30 @@ __all__ = [
     "LinearizedBuffer",
 ]
 
+#: per composite type class: the value class and the attribute holding its parts
+_HOLDS = {
+    ArrayType: (ChapelArray, "_storage"),
+    RecordType: (ChapelRecord, "_fields"),
+    TupleType: (ChapelTuple, "_elts"),
+}
+#: where a node sits in the type: a str is a member suffix, an int an array level's extent
+_Path = tuple[str | int, ...]
+
 
 def compute_linearize_size(value: Any, typ: ChapelType) -> int:
     """Algorithm 1: the packed byte size of ``value`` under type ``typ``.
 
     Recursive over the value so that (in a Chapel with runtime domains) the
     size reflects the data actually present; for the fixed-shape types of
-    this substrate it equals ``typ.sizeof``, which tests assert.
+    this substrate it equals ``typ.sizeof`` (tests assert it), which is what
+    :func:`linearize_it` allocates.
     """
     if typ.is_primitive:
         return typ.sizeof
+    (parts,) = _contents([value], typ, ())
     if isinstance(typ, ArrayType):
-        if not isinstance(value, ChapelArray):
-            raise LinearizationError(f"expected ChapelArray for {typ}, got {type(value)}")
-        size = 0
-        for x in value.elements():
-            size += compute_linearize_size(x, typ.elt)
-        return size
-    if isinstance(typ, RecordType):
-        if not isinstance(value, ChapelRecord):
-            raise LinearizationError(f"expected ChapelRecord for {typ}, got {type(value)}")
-        size = 0
-        for name, ftype in typ.fields:
-            size += compute_linearize_size(getattr(value, name), ftype)
-        return size
-    if isinstance(typ, TupleType):
-        if not isinstance(value, ChapelTuple):
-            raise LinearizationError(f"expected ChapelTuple for {typ}, got {type(value)}")
-        size = 0
-        for comp, ctype in zip(value, typ.elts):
-            size += compute_linearize_size(comp, ctype)
-        return size
-    raise LinearizationError(f"cannot compute linearized size of {typ!r}")
+        return sum(compute_linearize_size(x, typ.elt) for x in parts)
+    return sum(compute_linearize_size(parts[key], t) for key, _, t, _ in _members(typ))
 
 
 @dataclass
@@ -141,41 +142,27 @@ class LinearizedBuffer:
             )
         self.raw = self.raw[:new_nbytes]
 
-    def _check(self, offset: int, size: int) -> None:
-        if offset < 0 or offset + size > self.raw.size:
-            raise LinearizationError(
-                f"access [{offset}, {offset + size}) outside buffer of {self.raw.size} bytes"
-            )
-
     def read_scalar(self, offset: int, prim: PrimitiveType | StringType | EnumType) -> Any:
         """Read one typed scalar at a byte offset."""
-        self._check(offset, prim.sizeof)
-        if isinstance(prim, StringType):
-            return self.raw[offset : offset + prim.width].tobytes()
-        view = self.raw[offset : offset + prim.sizeof].view(prim.dtype)
-        return view[0].item()
+        return _unpack(prim, self.slice_bytes(offset, prim.sizeof).reshape(1, -1))[0]
 
     def write_scalar(
         self, offset: int, prim: PrimitiveType | StringType | EnumType, value: Any
     ) -> None:
         """Write one typed scalar at a byte offset."""
-        self._check(offset, prim.sizeof)
-        if isinstance(prim, StringType):
-            data = prim.coerce(value)
-            self.raw[offset : offset + prim.width] = np.frombuffer(data, dtype=np.uint8)
-            return
-        view = self.raw[offset : offset + prim.sizeof].view(prim.dtype)
-        view[0] = prim.coerce(value) if hasattr(prim, "coerce") else value
+        _pack([value], prim, self.slice_bytes(offset, prim.sizeof).reshape(1, -1), ())
 
     def typed_view(self, offset: int, dtype: np.dtype, count: int) -> np.ndarray:
         """A zero-copy typed view of ``count`` contiguous scalars."""
         dtype = np.dtype(dtype)
-        self._check(offset, dtype.itemsize * count)
-        return self.raw[offset : offset + dtype.itemsize * count].view(dtype)
+        return self.slice_bytes(offset, dtype.itemsize * count).view(dtype)
 
     def slice_bytes(self, offset: int, size: int) -> np.ndarray:
         """A zero-copy byte view (e.g. one chunk of elements)."""
-        self._check(offset, size)
+        if offset < 0 or offset + size > self.raw.size:
+            raise LinearizationError(
+                f"access [{offset}, {offset + size}) outside buffer of {self.raw.size} bytes"
+            )
         return self.raw[offset : offset + size]
 
 
@@ -186,48 +173,104 @@ def linearize_it(
 ) -> LinearizedBuffer:
     """Algorithm 2: copy a nested value into a fresh dense buffer.
 
-    Charges ``bytes_linearized`` to ``counters`` when given.  Arrays of
-    primitives use a vectorized copy from their numpy backing — layout
-    identical to the scalar walk, just faster.
+    Charges ``bytes_linearized`` to ``counters`` when given.  Raises
+    :class:`LinearizationError`, naming the path, for the first nested
+    value that is not an instance of its declared type.
     """
-    size = compute_linearize_size(value, typ)
-    buf = LinearizedBuffer(typ=typ, raw=np.zeros(size, dtype=np.uint8))
-    _copy_in(buf, 0, value, typ)
+    buf = LinearizedBuffer(typ=typ, raw=np.zeros(typ.sizeof, dtype=np.uint8))
+    _pack([value], typ, buf.raw.reshape(1, typ.sizeof), ())
     if counters is not None:
-        counters.bytes_linearized += size
+        counters.bytes_linearized += typ.sizeof
     return buf
 
 
-def _copy_in(buf: LinearizedBuffer, offset: int, value: Any, typ: ChapelType) -> int:
-    """Recursive copy; returns the offset after the copied value."""
-    if typ.is_primitive:
-        buf.write_scalar(offset, typ, value)  # type: ignore[arg-type]
-        return offset + typ.sizeof
-    if isinstance(typ, ArrayType):
-        if not isinstance(value, ChapelArray):
-            raise LinearizationError(f"expected ChapelArray for {typ}")
-        if typ.elt.is_primitive and not isinstance(typ.elt, StringType):
-            # Fast path: the numpy backing is already in row-major order.
-            arr = value.as_numpy().reshape(-1)
-            view = buf.typed_view(offset, typ.elt.dtype, arr.size)  # type: ignore[union-attr]
-            view[:] = arr
-            return offset + typ.sizeof
-        for x in value.elements():
-            offset = _copy_in(buf, offset, x, typ.elt)
-        return offset
+def _where(path: _Path, k: int | None) -> str:
+    """Name instance ``k`` (None: all) of the node at ``path``: ``data[2].coord``, 0-based."""
+    parts = []
+    for step in reversed(path):
+        if isinstance(step, int):
+            k, pos = (None, "*") if k is None else divmod(k, step)
+            step = f"[{pos}]"
+        parts.append(step)
+    return "data" + "".join(reversed(parts))
+
+
+def _contents(values: list[Any], typ: ChapelType, path: _Path) -> list[Any]:
+    """Each instance's element storage or member container, once all are values of ``typ``."""
+    if type(typ) not in _HOLDS:
+        raise LinearizationError(f"cannot linearize type {typ!r}")
+    cls, attr = _HOLDS[type(typ)]
+    for k, v in enumerate(values):
+        if not isinstance(v, cls) or (v.type is not typ and v.type != typ):
+            got = v.type if isinstance(v, cls) else type(v).__name__
+            raise LinearizationError(f"{_where(path, k)}: expected {typ}, got {got}")
+    return [getattr(v, attr) for v in values]
+
+
+def _members(typ: RecordType | TupleType) -> list[tuple[Any, str, ChapelType, int]]:
+    """``(key, path suffix, type, byte offset)`` of each member of a structure type."""
     if isinstance(typ, RecordType):
-        if not isinstance(value, ChapelRecord):
-            raise LinearizationError(f"expected ChapelRecord for {typ}")
-        for name, ftype in typ.fields:
-            offset = _copy_in(buf, offset, getattr(value, name), ftype)
-        return offset
+        return [(n, f".{n}", t, typ.field_offset(n)) for n, t in typ.fields]
+    return [(i, f"({i})", t, typ.component_offset(i)) for i, t in enumerate(typ.elts)]
+
+
+def _column(values: Any, dtype: np.dtype, shape: tuple[int, ...], path: _Path) -> np.ndarray:
+    """``values`` as one ``dtype`` array of ``shape``; numpy's refusal, named by path."""
+    try:
+        return np.asarray(values, dtype=dtype).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise LinearizationError(f"{_where(path, None)}: not {shape} {dtype}: {exc}") from exc
+
+
+def _pack(values: list[Any], typ: ChapelType, out: np.ndarray, path: _Path) -> None:
+    """Copy every instance of one type node into the buffer, in one step.
+
+    ``values`` lists all instances of ``typ``; ``out`` is the
+    ``(..., typ.sizeof)`` byte view they land in, one row each, in row-major
+    order of its leading axes.
+    """
+    lead = out.shape[:-1]
+    if typ.is_primitive:
+        if not isinstance(typ, PrimitiveType):  # enum, string: validated per value
+            values = [typ.coerce(v) for v in values]
+        out.view(typ.dtype)[...] = _column(values, typ.dtype, lead + (1,), path)
+        return
+    parts = _contents(values, typ, path)
+    if not isinstance(typ, ArrayType):  # a structure: one column per member
+        for key, suffix, mtype, off in _members(typ):
+            column = out[..., off : off + mtype.sizeof]
+            _pack([p[key] for p in parts], mtype, column, path + (suffix,))
+    elif typ.elt.is_primitive:  # the numpy backings are already row-major
+        n, dtype = typ.domain.size, typ.elt.dtype
+        out.view(dtype)[...] = _column(parts, dtype, lead + (n,), path)
+    else:  # every element of every instance is an instance of the element node
+        n, elt = typ.domain.size, typ.elt
+        for k, store in enumerate(parts):
+            if len(store) != n:
+                raise LinearizationError(f"{_where(path, k)}: {typ} stores {len(store)} elements")
+        kids = [x for store in parts for x in store]
+        _pack(kids, elt, out.reshape(lead + (n, elt.sizeof)), path + (n,))
+
+
+def _unpack(typ: ChapelType, out: np.ndarray) -> list[Any]:
+    """The inverse of :func:`_pack`: the instances of ``typ`` held in ``out``, rebuilt."""
+    lead = out.shape[:-1]
+    if isinstance(typ, StringType):
+        return [bytes(row) for row in np.array(out).reshape(-1, typ.width)]
+    if typ.is_primitive:
+        return out.view(typ.dtype).reshape(-1).tolist()
+    if isinstance(typ, ArrayType):
+        count, n, elt = math.prod(lead), typ.domain.size, typ.elt
+        if elt.is_primitive:  # each array owns one row of a fresh copy
+            rows = np.array(out.view(elt.dtype)).reshape(count, n)
+            return [ChapelArray(typ, row) for row in rows]
+        kids = _unpack(elt, out.reshape(lead + (n, elt.sizeof)))
+        return [ChapelArray(typ, kids[i * n : (i + 1) * n]) for i in range(count)]
+    columns = [_unpack(t, out[..., off : off + t.sizeof]) for _, _, t, off in _members(typ)]
     if isinstance(typ, TupleType):
-        if not isinstance(value, ChapelTuple):
-            raise LinearizationError(f"expected ChapelTuple for {typ}")
-        for comp, ctype in zip(value, typ.elts):
-            offset = _copy_in(buf, offset, comp, ctype)
-        return offset
-    raise LinearizationError(f"cannot linearize type {typ!r}")
+        return [ChapelTuple(typ, comps) for comps in zip(*columns)]
+    names = typ.field_names
+    return [ChapelRecord.from_fields(typ, dict(zip(names, row))) for row in zip(*columns)]
 
 
 def linearize_append(
@@ -242,74 +285,30 @@ def linearize_append(
     prefix is left untouched (see :meth:`LinearizedBuffer.grow`).
     ``value`` must be a :class:`~repro.chapel.values.ChapelArray` with the
     same element type as the buffer.  Updates ``buf.typ`` to the extended
-    domain and returns the new element count.
+    domain and returns the new element count; a refused value leaves the
+    buffer as it was.
     """
-    from repro.chapel.domains import Domain  # deferred: avoids a cycle
-
     typ = buf.typ
     if not isinstance(typ, ArrayType):
         raise LinearizationError(
             f"linearize_append requires an array-typed buffer, got {typ!r}"
         )
-    if not isinstance(value, ChapelArray) or not isinstance(value.type, ArrayType):
+    if not isinstance(value, ChapelArray) or value.type.elt != typ.elt:
         raise LinearizationError(
-            f"expected a ChapelArray of new elements, got {type(value)}"
+            f"expected a ChapelArray of {typ.elt} elements to append, "
+            f"got {getattr(value, 'type', type(value))}"
         )
-    if value.type.elt != typ.elt:
-        raise LinearizationError(
-            f"appended element type {value.type.elt!r} does not match "
-            f"buffer element type {typ.elt!r}"
-        )
-    extra = compute_linearize_size(value, value.type)
+    packed = linearize_it(value, value.type, counters).raw  # refused before buf is touched
     offset = buf.raw.size
-    buf.grow(offset + extra)
-    end = _copy_in(buf, offset, value, value.type)
-    if end != offset + extra:
-        raise LinearizationError(
-            f"append copied {end - offset} bytes, expected {extra}"
-        )
+    buf.grow(offset + packed.size)
+    buf.raw[offset:] = packed
     new_count = typ.domain.size + value.type.domain.size
     buf.typ = ArrayType(Domain(new_count), typ.elt)
-    if counters is not None:
-        counters.bytes_linearized += extra
     return new_count
 
 
 def delinearize(buf: LinearizedBuffer) -> Any:
     """Rebuild the nested Chapel value from a linearized buffer."""
-    value, end = _copy_out(buf, 0, buf.typ)
-    if end != buf.nbytes:
-        raise LinearizationError(
-            f"delinearize consumed {end} of {buf.nbytes} bytes"
-        )
-    return value
-
-
-def _copy_out(buf: LinearizedBuffer, offset: int, typ: ChapelType) -> tuple[Any, int]:
-    if typ.is_primitive:
-        return buf.read_scalar(offset, typ), offset + typ.sizeof  # type: ignore[arg-type]
-    if isinstance(typ, ArrayType):
-        arr = ChapelArray(typ)
-        if typ.elt.is_primitive and not isinstance(typ.elt, StringType):
-            view = buf.typed_view(offset, typ.elt.dtype, typ.domain.size)  # type: ignore[union-attr]
-            arr.fill_from(view.copy())
-            return arr, offset + typ.sizeof
-        values = []
-        for _ in range(typ.domain.size):
-            v, offset = _copy_out(buf, offset, typ.elt)
-            values.append(v)
-        arr.fill_from(values)
-        return arr, offset
-    if isinstance(typ, RecordType):
-        rec = ChapelRecord(typ)
-        for name, ftype in typ.fields:
-            v, offset = _copy_out(buf, offset, ftype)
-            rec._fields[name] = v
-        return rec, offset
-    if isinstance(typ, TupleType):
-        comps = []
-        for ctype in typ.elts:
-            v, offset = _copy_out(buf, offset, ctype)
-            comps.append(v)
-        return ChapelTuple(typ, comps), offset
-    raise LinearizationError(f"cannot delinearize type {typ!r}")
+    if buf.nbytes != buf.typ.sizeof:
+        raise LinearizationError(f"{buf.typ} takes {buf.typ.sizeof} bytes, not {buf.nbytes}")
+    return _unpack(buf.typ, buf.raw.reshape(1, buf.nbytes))[0]

@@ -195,6 +195,46 @@ class TestConversion:
         assert v.name == b"abc\x00"
         assert v.c == 1
 
+    def test_from_python_equals_assigning_into_defaults(self):
+        """Values are built once from converted children; the result is the
+        one element-by-element assignment into ``default_value`` gives."""
+        color = EnumType("color", ("red", "green"))
+        R = record(
+            "R",
+            name=StringType(4),
+            flags=array_of(BOOL, 3),
+            m=array_of(INT, 2, 2),
+            cs=array_of(color, 2),
+            tags=array_of(StringType(2), 2),
+            pair=TupleType((INT, REAL)),
+        )
+        t = array_of(R, 2)
+        rows = [
+            {"name": "ab", "flags": [True, False, 1], "m": [[1, 2], [3, 4]],
+             "cs": ["green", 0], "tags": ["x", "yz"], "pair": (7, 0.5)},
+            {"name": "abcdef", "flags": [0, 0, 1], "m": [[5, 6], [7, 8]],
+             "cs": [1, "red"], "tags": ["", "q"], "pair": (-1, 2)},
+        ]
+        expected = default_value(t)
+        for i, row in enumerate(rows, start=1):
+            expected[i].name = row["name"]
+            expected[i].pair = ChapelTuple(R.field_type("pair"), row["pair"])
+            for j in range(3):
+                expected[i].flags[j + 1] = row["flags"][j]
+            for j in range(2):
+                expected[i].cs[j + 1] = row["cs"][j]
+                expected[i].tags[j + 1] = row["tags"][j]
+                for k in range(2):
+                    expected[i].m[j + 1, k + 1] = row["m"][j][k]
+        built = from_python(t, rows)
+        assert built == expected
+        assert built[2].m.as_numpy().dtype == np.int64
+        assert built[1].flags.as_numpy().dtype == np.uint8
+
+    def test_from_python_rejects_sequences_as_scalars(self):
+        with pytest.raises(ChapelTypeError):
+            from_python(array_of(REAL, 2), [[1.0], [2.0]])
+
     def test_default_value_types(self):
         assert default_value(INT) == 0
         assert default_value(BOOL) == 0

@@ -4,6 +4,8 @@ Includes the paper's Figure 6/7 structure as a golden case and
 hypothesis-driven round-trip properties over random nested types.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,17 +19,28 @@ from repro.chapel.types import (
     REAL,
     REAL32,
     ArrayType,
+    EnumType,
     RecordType,
     StringType,
+    TupleType,
     array_of,
     record,
     scalar_layout,
 )
-from repro.chapel.values import default_value, from_python, get_path, set_path, to_python
+from repro.chapel.values import (
+    ChapelArray,
+    ChapelTuple,
+    default_value,
+    from_python,
+    get_path,
+    set_path,
+    to_python,
+)
 from repro.compiler.linearize import (
     LinearizedBuffer,
     compute_linearize_size,
     delinearize,
+    linearize_append,
     linearize_it,
 )
 from repro.machine.counters import OpCounters
@@ -137,26 +150,156 @@ class TestLinearizeIt:
         with pytest.raises(LinearizationError):
             LinearizedBuffer(typ=REAL, raw=np.zeros(8, dtype=np.float64))
 
+    def test_figure7_golden_bytes(self):
+        """Bytes the value-by-value walk of the parent commit produced."""
+        data_t, v = figure6_value(t=2, n=2, m=2)
+        assert linearize_it(v, data_t).raw.tobytes().hex() == (
+            "0000000000000000000000000000f03f0200000000000000"
+            "000000000000004000000000000008400400000000000000"
+            "6500000000000000"
+            "000000000000104000000000000014400600000000000000"
+            "00000000000018400000000000001c400800000000000000"
+            "6600000000000000"
+        )
+        data_t, v = figure6_value()
+        digest = hashlib.sha256(linearize_it(v, data_t).raw.tobytes()).hexdigest()
+        assert digest == "ca737052f99f6cdd2e78a364d9b826b61eb3fb7bc3e787c76a804665f579e494"
+
+    def test_short_strings_in_arrays_are_padded(self):
+        t = array_of(record("R", tags=array_of(StringType(3), 2), tag=StringType(2)), 2)
+        rows = [{"tags": ["a", "bcd"], "tag": ""}, {"tags": ["", "ef"], "tag": "g"}]
+        buf = linearize_it(from_python(t, rows), t)
+        assert buf.raw.tobytes() == b"a\0\0bcd\0\0" + b"\0\0\0ef\0g\0"
+        assert to_python(delinearize(buf)) == to_python(from_python(t, rows))
+
+    def test_empty_record_array_packs_to_nothing(self):
+        t = ArrayType(Domain((1, 0)), record("R", x=REAL, ys=array_of(INT, 2)))
+        counters = OpCounters()
+        buf = linearize_it(default_value(t), t, counters)
+        assert buf.nbytes == 0 and counters.bytes_linearized == 0
+        assert delinearize(buf) == default_value(t)
+
+    def test_append_equals_linearizing_the_concatenation(self):
+        P = record("P", coord=array_of(REAL, 2), tag=StringType(2), w=REAL)
+        rows = [{"coord": [i, i + 0.5], "tag": "ab"[: i % 3], "w": -i} for i in range(7)]
+        counters = OpCounters()
+        buf = linearize_it(from_python(array_of(P, 3), rows[:3]), array_of(P, 3), counters)
+        assert counters.bytes_linearized == 3 * P.sizeof
+        assert linearize_append(buf, from_python(array_of(P, 4), rows[3:]), counters) == 7
+        assert counters.bytes_linearized == 7 * P.sizeof
+        whole = linearize_it(from_python(array_of(P, 7), rows), array_of(P, 7))
+        assert buf.typ == whole.typ
+        assert buf.raw.tobytes() == whole.raw.tobytes()
+
+
+def _points(n=3):
+    """``[1..n] Point``; tests below swap one nested value for a mis-shaped one."""
+    point_t = record("Point", w=REAL, coord=array_of(REAL, 4))
+    rows = [{"w": float(i), "coord": [i, i + 1, i + 2, i + 3]} for i in range(n)]
+    return point_t, from_python(array_of(point_t, n), rows)
+
+
+def _via_linearize_it(bad):
+    linearize_it(bad, bad.type)
+
+
+def _via_linearize_append(bad):
+    """The refused append must leave the buffer exactly as it was."""
+    _, good = _points(2)
+    buf = linearize_it(good, good.type)
+    before = (buf.nbytes, buf.typ, buf.raw.tobytes())
+    try:
+        linearize_append(buf, bad)
+    finally:
+        assert (buf.nbytes, buf.typ, buf.raw.tobytes()) == before
+
+
+@pytest.mark.parametrize("entry", [_via_linearize_it, _via_linearize_append])
+class TestRefusesMisshapedValues:
+    """``ChapelRecord.__setattr__`` and composite ``ChapelArray.__setitem__`` do
+    not check composites, so a value can disagree with its declared type; the
+    native kernels index the buffer by the declared layout."""
+
+    def test_short_extent(self, entry):
+        _, data = _points()
+        data[3].coord = default_value(array_of(REAL, 3))
+        with pytest.raises(
+            LinearizationError,
+            match=r"data\[2\]\.coord: expected \[\{1\.\.4\}\] real, got \[\{1\.\.3\}\] real",
+        ):
+            entry(data)
+
+    def test_long_extent_mid_array(self, entry):
+        _, data = _points()
+        data[2].coord = default_value(array_of(REAL, 5))
+        with pytest.raises(LinearizationError, match=r"data\[1\]\.coord: expected .* got "):
+            entry(data)
+
+    def test_wrong_element_type(self, entry):
+        _, data = _points()
+        data[1].coord = default_value(array_of(INT, 4))
+        with pytest.raises(LinearizationError, match=r"data\[0\]\.coord: expected .* real, got .* int"):
+            entry(data)
+
+    def test_wrong_record_type(self, entry):
+        _, data = _points()
+        other = record("Pixel", w=REAL, coord=array_of(REAL, 4), alpha=REAL)
+        data[2] = default_value(other)
+        with pytest.raises(
+            LinearizationError, match=r"data\[1\]: expected record Point, got record Pixel"
+        ):
+            entry(data)
+
+    def test_wrong_value_class(self, entry):
+        point_t, data = _points()
+        data[3] = ChapelTuple(TupleType((REAL, REAL)), (1.0, 2.0))
+        with pytest.raises(LinearizationError, match=r"data\[2\]: expected record Point, got ChapelTuple"):
+            entry(data)
+        _, data = _points()
+        data[1].coord = [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(LinearizationError, match=r"data\[0\]\.coord: expected .* got list"):
+            entry(data)
+
+    def test_storage_shorter_than_its_type(self, entry):
+        _, data = _points()
+        data[2].coord = ChapelArray(array_of(REAL, 4), np.zeros(3))
+        with pytest.raises(
+            LinearizationError, match=r"data\[\*\]\.coord: not \(1, 3, 4\) float64"
+        ):
+            entry(data)
+
+
+def test_refuses_element_list_shorter_than_its_type():
+    point_t, _ = _points()
+    bad = default_value(array_of(array_of(point_t, 2), 2))
+    bad[2] = ChapelArray(array_of(point_t, 2), [default_value(point_t)])
+    with pytest.raises(LinearizationError, match=r"data\[1\]: .* stores 1 elements"):
+        linearize_it(bad, bad.type)
+
 
 # ---- property-based round trips ---------------------------------------------
 
-_PRIMS = st.sampled_from([INT, INT32, REAL, REAL32, BOOL])
+_COLOR = EnumType("color", ("red", "green", "blue"))
+_PRIMS = st.sampled_from([INT, INT32, REAL, REAL32, BOOL, StringType(3), _COLOR])
+
+
+def _record_of(fields):
+    return RecordType("R", tuple((f"f{i}", t) for i, t in enumerate(fields)))
 
 
 def _types(max_depth=3):
+    extent = st.integers(min_value=1, max_value=4)
     return st.recursive(
         _PRIMS,
         lambda children: st.one_of(
-            st.builds(
-                lambda elt, n: ArrayType(Domain(n), elt),
-                children,
-                st.integers(min_value=1, max_value=4),
-            ),
-            st.builds(
-                lambda fields: RecordType(
-                    "R", tuple((f"f{i}", t) for i, t in enumerate(fields))
-                ),
+            st.builds(lambda elt, n: ArrayType(Domain(n), elt), children, extent),
+            st.builds(lambda elt, n, m: ArrayType(Domain(n, m), elt), children, extent, extent),
+            st.builds(_record_of, st.lists(children, min_size=1, max_size=3)),
+            st.builds(TupleType, st.lists(children, min_size=1, max_size=3)),
+            st.builds(  # many instances of one record node: the packer's columns
+                lambda fields, n: ArrayType(Domain(n), _record_of(fields)),
                 st.lists(children, min_size=1, max_size=3),
+                st.integers(min_value=0, max_value=50),
             ),
         ),
         max_leaves=8,
@@ -173,9 +316,22 @@ def _fill_value(typ, rng):
             set_path(v, slot.path, float(i) + 0.5)
         elif slot.prim is BOOL:
             set_path(v, slot.path, i % 2)
+        elif isinstance(slot.prim, StringType):  # full width: numpy strips trailing NULs
+            set_path(v, slot.path, bytes(97 + (i + k) % 26 for k in range(slot.prim.width)))
+        elif isinstance(slot.prim, EnumType):
+            set_path(v, slot.path, slot.prim.members[i % len(slot.prim.members)])
         else:
             set_path(v, slot.path, i)
     return v
+
+
+def _oracle_bytes(v, typ):
+    """The buffer by definition: every scalar, encoded alone, at its ``scalar_layout`` offset."""
+    expected = bytearray(typ.sizeof)
+    for slot in scalar_layout(typ):
+        scalar = np.array(get_path(v, slot.path), dtype=slot.prim.dtype)
+        expected[slot.offset : slot.offset + slot.prim.sizeof] = scalar.tobytes()
+    return bytes(expected)
 
 
 class TestLinearizeProperties:
@@ -194,6 +350,18 @@ class TestLinearizeProperties:
         buf = linearize_it(v, typ)
         for slot in scalar_layout(typ):
             assert buf.read_scalar(slot.offset, slot.prim) == get_path(v, slot.path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(typ=_types())
+    def test_buffer_equals_the_layout_oracle(self, typ):
+        v = _fill_value(typ, None)
+        if typ.is_primitive:
+            return
+        counters = OpCounters()
+        buf = linearize_it(v, typ, counters)
+        assert buf.raw.tobytes() == _oracle_bytes(v, typ)
+        assert counters.bytes_linearized == typ.sizeof
+        assert delinearize(buf) == v
 
     @settings(max_examples=60, deadline=None)
     @given(typ=_types())
