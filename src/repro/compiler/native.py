@@ -9,9 +9,13 @@ kernel version, mirroring the instrumented Python kernel *exactly*:
   (``computeIndex`` inlined as a constant-folded affine byte offset,
   hoisted rows as base pointers, incremental bases bumped per iteration);
 * the same static per-statement :class:`~repro.compiler.codegen._Cost`
-  bumps land in a ``double`` counter array folded back into the
-  :class:`~repro.machine.counters.OpCounters` ledger after each call, so
-  OpCounters parity with the scalar kernel is structural, not accidental;
+  bumps land in ``long long`` locals (``_c0 … _c12``, one per
+  :class:`~repro.machine.counters.OpCounters` slot the kernel uses) that
+  the back-end compiler keeps in registers and merges; they are stored
+  into the ``double`` counter array once per range, at the split body's
+  single exit, which a failing check reaches by ``goto _out`` — so the
+  ledger folded back after each call is the scalar kernel's, statement
+  for statement, on success and on failure alike;
 * reduction-object updates are *reduced in one step* (paper §III-A):
   the kernel accumulates straight into the element buffer the calling
   lane's accessor hands out (``direct_store()`` — a private replica, a
@@ -32,7 +36,7 @@ branches and bounded gathers that force the batch backend whole-kernel
 scalar compile to ordinary C control flow.
 
 Compiled artifacts are **cached on disk** per
-``(format version, toolchain fingerprint, C source)`` under
+``(format version, toolchain fingerprint, build flags, C source)`` under
 ``~/.cache/repro-kernels/`` (override with ``REPRO_KERNEL_CACHE``), so a
 warm start dlopens the existing shared library and never invokes the
 toolchain.  The C compiler is probed once per process (override with
@@ -50,9 +54,14 @@ Semantics notes (all chosen to match the *scalar* Python kernel):
   the iteration (Python ``range`` semantics);
 * out-of-range mapping indices and invalid reduction-object updates
   return an error code that the wrapper raises as the same exception
-  type the scalar path would (:class:`~repro.util.errors.MappingError` /
-  :class:`~repro.util.errors.ReductionObjectError`); checks proven
-  redundant by the PR 7 effect summaries are elided.
+  type the scalar path would (:class:`~repro.util.errors.MappingError`
+  from ``computeIndex``, ``IndexError`` from a hoisted row — a NumPy view
+  there — and :class:`~repro.util.errors.ReductionObjectError`), leaving
+  the ledger, the target and its ``update_count`` where the scalar kernel
+  leaves them; checks proven redundant by the PR 7 effect summaries are
+  elided.  One check has no scalar twin: an update whose op is not its
+  group's declared op is refused (as the batch tier refuses it), where
+  the scalar kernel folds with the group's own op.
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ from repro.util.errors import CodegenError, MappingError, ReductionObjectError
 from repro.util.logging import get_logger
 
 __all__ = [
+    "CC_FLAGS",
     "NATIVE_FORMAT_VERSION",
     "NativeCodegen",
     "NativeKernel",
@@ -95,7 +105,14 @@ _log = get_logger("compiler.native")
 
 #: Bump on any change to the generated C's calling convention or layout —
 #: part of every on-disk cache key, so stale artifacts are never dlopen'd.
-NATIVE_FORMAT_VERSION = 2
+NATIVE_FORMAT_VERSION = 3
+
+#: Everything ``cc`` is told besides the input and output paths.  The same
+#: tuple is part of the on-disk cache key, so a change here can never attach
+#: a shared library built with other flags.  ``-O2``: the kernels time the
+#: same or better than at ``-O3`` and compile faster (docs/PERFORMANCE.md,
+#: "Counters"); ``-lm`` follows the source file on the command line.
+CC_FLAGS: tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-lm")
 
 #: Environment overrides.
 CC_ENV = "REPRO_CC"
@@ -112,6 +129,10 @@ _RC_ROW_OOB = 11  # hoisted row index out of range
 _RC_RO_GROUP = 20  # RO group id out of range
 _RC_RO_ELEM = 21  # RO element id out of range for its group
 _RC_RO_OP = 22  # RO update op does not match the group's declared op
+#: Added to the code when the failing statement is an RO update: its
+#: ``ro_updates`` bump is in the ledger (counts precede their statement, as in
+#: the scalar kernel) but no store happened, so ``update_count`` is one less.
+_RC_UNSTORED = 100
 
 _SYMBOL_SENTINEL = "__NATIVE_SYMBOL__"
 
@@ -128,31 +149,49 @@ class NativeUnsupported(Exception):
         self.toolchain = toolchain
 
 
-# --------------------------------------------------------------- C prelude
+# --------------------------------------------------------------- C helpers
 
-_C_PRELUDE = r"""#include <math.h>
-#include <string.h>
-
-static double _ld_f64(const unsigned char *p) { double v; memcpy(&v, p, 8); return v; }
-static double _ld_f32(const unsigned char *p) { float v; memcpy(&v, p, 4); return (double)v; }
-static long long _ld_i64(const unsigned char *p) { long long v; memcpy(&v, p, 8); return v; }
-static long long _ld_i32(const unsigned char *p) { int v; memcpy(&v, p, 4); return (long long)v; }
-static long long _ld_u64(const unsigned char *p) { unsigned long long v; memcpy(&v, p, 8); return (long long)v; }
-static long long _ld_u8(const unsigned char *p) { return (long long)*p; }
-static long long _imod(long long a, long long b) {
+#: Everything the emitted statements can call, by the name they call it.  A
+#: translation unit opens with the entries its kernel names
+#: (:meth:`NativeCodegen._use`), in this order, and with nothing else: no
+#: ``#include`` (the libm functions are declared here, the loaders copy with
+#: the builtin), so ``cc`` parses a few lines per kernel, not two system
+#: headers, and an unused helper is neither compiled nor warned about.
+_C_HELPERS: dict[str, str] = {
+    "sqrt": "double sqrt(double);",
+    "exp": "double exp(double);",
+    "log": "double log(double);",
+    "floor": "double floor(double);",
+    "fabs": "double fabs(double);",
+    "_ld_f64": "static double _ld_f64(const unsigned char *p) "
+               "{ double v; __builtin_memcpy(&v, p, 8); return v; }",
+    "_ld_f32": "static double _ld_f32(const unsigned char *p) "
+               "{ float v; __builtin_memcpy(&v, p, 4); return (double)v; }",
+    "_ld_i64": "static long long _ld_i64(const unsigned char *p) "
+               "{ long long v; __builtin_memcpy(&v, p, 8); return v; }",
+    "_ld_i32": "static long long _ld_i32(const unsigned char *p) "
+               "{ int v; __builtin_memcpy(&v, p, 4); return (long long)v; }",
+    "_ld_u64": "static long long _ld_u64(const unsigned char *p) "
+               "{ unsigned long long v; __builtin_memcpy(&v, p, 8); return (long long)v; }",
+    "_ld_u8": "static long long _ld_u8(const unsigned char *p) { return (long long)*p; }",
+    "_imod": """static long long _imod(long long a, long long b) {
     long long r; if (b == 0) return 0; r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b; return r;
-}
+}""",
+    "_fmodpy": """double fmod(double, double);
 static double _fmodpy(double a, double b) {
     double r = fmod(a, b);
     if (r != 0.0 && ((r < 0.0) != (b < 0.0))) r += b; return r;
+}""",
+    "_minll": "static long long _minll(long long a, long long b) { return a < b ? a : b; }",
+    "_maxll": "static long long _maxll(long long a, long long b) { return a > b ? a : b; }",
+    "_mind": "static double _mind(double a, double b) { return a < b ? a : b; }",
+    "_maxd": "static double _maxd(double a, double b) { return a > b ? a : b; }",
+    "_absll": "static long long _absll(long long a) { return a < 0 ? -a : a; }",
 }
-static long long _minll(long long a, long long b) { return a < b ? a : b; }
-static long long _maxll(long long a, long long b) { return a > b ? a : b; }
-static double _mind(double a, double b) { return a < b ? a : b; }
-static double _maxd(double a, double b) { return a > b ? a : b; }
-static long long _absll(long long a) { return a < 0 ? -a : a; }
-"""
+
+#: How a failing check leaves the split body (defined only when one can).
+_C_FAIL_MACRO = "#define _FAIL(rc) { _rc = rc; goto _out; }"
 
 #: ``(dtype kind, itemsize) -> (loader fn, value type)``.
 _LOADERS = {
@@ -216,6 +255,13 @@ class NativeCodegen:
         self.local_types: dict[str, str] = {}
         self._tmp = 0  # unique suffix for statement-expression locals
         self.buf_order: list[int] = []
+        #: what the rest of the translation unit depends on, collected while
+        #: the body is emitted: the helpers it calls, the counter slots it
+        #: bumps, and whether any check in it can fail
+        self._helpers: set[str] = set()
+        self._slots: set[int] = set()
+        self._can_fail = False
+        self._fail_base = 0  # _RC_UNSTORED while an RO update is emitted
 
     # -- small helpers ------------------------------------------------------
 
@@ -232,16 +278,25 @@ class NativeCodegen:
         self._tmp += 1
         return self._tmp
 
-    def _cost_lines(self, cost: _Cost, indent: str) -> list[str]:
-        if not cost.counts:
-            return []
-        parts = [
-            f"_C[{_CIDX[k]}] += {v};" for k, v in sorted(cost.counts.items())
-        ]
-        return [indent + " ".join(parts)]
-
     def _flush_cost(self, cost: _Cost) -> None:
-        self.lines.extend(self._cost_lines(cost, "    " * self.indent))
+        """The statement's static counts, bumped *before* it runs (as the
+        scalar kernel does) — into integer locals the C compiler can keep in
+        registers and merge; ``_C`` itself is only stored at ``_out``."""
+        if not cost.counts:
+            return
+        slots = {_CIDX[k]: v for k, v in cost.counts.items()}
+        self._slots.update(slots)
+        self._w(" ".join(f"_c{i} += {v};" for i, v in sorted(slots.items())))
+
+    def _use(self, helper: str) -> str:
+        """Name a :data:`_C_HELPERS` entry in emitted code."""
+        self._helpers.add(helper)
+        return helper
+
+    def _fail(self, rc: int) -> str:
+        """Leave the split body with ``rc`` through its single exit."""
+        self._can_fail = True
+        return f"_FAIL({self._fail_base + rc})"
 
     # -- local type inference -----------------------------------------------
 
@@ -370,8 +425,11 @@ class NativeCodegen:
                 return f"((double)({left}) / (double)({right}))", "d"
             if op == "%":
                 if _join(lt, rt) == "i":
-                    return f"_imod({left}, {right})", "i"
-                return f"_fmodpy((double)({left}), (double)({right}))", "d"
+                    return f"{self._use('_imod')}({left}, {right})", "i"
+                return (
+                    f"{self._use('_fmodpy')}((double)({left}), (double)({right}))",
+                    "d",
+                )
             if op in _CMP_OPS or op in ("&&", "||"):
                 return f"({left} {op} {right})", "i"
             return f"({left} {op} {right})", _join(lt, rt)
@@ -397,12 +455,12 @@ class NativeCodegen:
         name = expr.name
         if name in ("sqrt", "exp", "log"):
             code, _ = args[0]
-            return f"{name}((double)({code}))", "d"
+            return f"{self._use(name)}((double)({code}))", "d"
         if name == "floor":
             code, t = args[0]
             if t == "i":  # math.floor of an int is the int itself
                 return f"({code})", "i"
-            return f"((long long)floor({code}))", "i"
+            return f"((long long){self._use('floor')}({code}))", "i"
         if name == "toInt":
             code, t = args[0]
             if t == "i":
@@ -411,14 +469,14 @@ class NativeCodegen:
         if name == "abs":
             code, t = args[0]
             if t == "d":
-                return f"fabs({code})", "d"
-            return f"_absll({code})", "i"
+                return f"{self._use('fabs')}({code})", "d"
+            return f"{self._use('_absll')}({code})", "i"
         if name in ("min", "max"):
             t = "i"
             for _, at in args:
                 t = _join(t, at)
-            fn = {"min": {"i": "_minll", "d": "_mind"},
-                  "max": {"i": "_maxll", "d": "_maxd"}}[name][t]
+            fn = self._use({"min": {"i": "_minll", "d": "_mind"},
+                            "max": {"i": "_maxll", "d": "_maxd"}}[name][t])
             cast = "(double)" if t == "d" else ""
             out = f"{cast}({args[0][0]})"
             for code, _ in args[1:]:
@@ -445,7 +503,7 @@ class NativeCodegen:
             raise NativeUnsupported(
                 f"no native loader for dtype {dt} at site {site.expr}"
             )
-        return entry[0], entry[1], dt.itemsize
+        return self._use(entry[0]), entry[1], dt.itemsize
 
     def _group_proven(self, site: AccessSite, gi: int) -> bool:
         """True when every dim of index group ``gi`` has proven bounds."""
@@ -524,7 +582,7 @@ class NativeCodegen:
             if check:
                 size = info.domains[i].size
                 stmts.append(
-                    f"if ({var} < 0 || {var} >= {size}) return {_RC_MAP_OOB};"
+                    f"if ({var} < 0 || {var} >= {size}) {self._fail(_RC_MAP_OOB)}"
                 )
             if info.unit_size[i] == 1:
                 terms.append(var)
@@ -586,7 +644,7 @@ class NativeCodegen:
             access = (
                 f"({{ long long _h{tmp} = {idx}; "
                 f"if (_h{tmp} < 0) _h{tmp} += {extent}; "
-                f"if (_h{tmp} < 0 || _h{tmp} >= {extent}) return {_RC_ROW_OOB}; "
+                f"if (_h{tmp} < 0 || _h{tmp} >= {extent}) {self._fail(_RC_ROW_OOB)} "
                 f"{loader}(_row_{plan.hoist_id} + _h{tmp} * {itemsize}); }})"
             )
         return access, vtype
@@ -722,6 +780,7 @@ class NativeCodegen:
         """``roAdd/roMin/roMax(group, elem, value)`` into the element buffer,
         with the same validation ``ReductionObject.accumulate`` performs."""
         cost = _Cost()
+        self._fail_base = _RC_UNSTORED  # also for checks inside the arguments
         (g, gt), (e, et), (v, _) = (self.emit_expr(a, cost) for a in expr.args)
         if gt == "d":
             g = f"((long long)({g}))"
@@ -734,9 +793,11 @@ class NativeCodegen:
         self._w(f"{{ long long _g{tmp} = {g}; long long _el{tmp} = {e}; "
                 f"double _v{tmp} = (double)({v});")
         self.indent += 1
-        self._w(f"if (_g{tmp} < 0 || _g{tmp} >= _ro_groups) return {_RC_RO_GROUP};")
-        self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[_g{tmp}]) return {_RC_RO_ELEM};")
-        self._w(f"if (_ro_op[_g{tmp}] != {opcode}) return {_RC_RO_OP};")
+        self._w(f"if (_g{tmp} < 0 || _g{tmp} >= _ro_groups) "
+                + self._fail(_RC_RO_GROUP))
+        self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[_g{tmp}]) "
+                + self._fail(_RC_RO_ELEM))
+        self._w(f"if (_ro_op[_g{tmp}] != {opcode}) " + self._fail(_RC_RO_OP))
         self._w(f"{{ double *_cell = _acc + _ro_off[_g{tmp}] + _el{tmp};")
         if opcode == _OP_CODES["add"]:
             self._w(f"  *_cell += _v{tmp}; }}")
@@ -747,6 +808,7 @@ class NativeCodegen:
         self._w(f"_touched[_g{tmp}] = 1;")
         self.indent -= 1
         self._w("}")
+        self._fail_base = 0
 
     # -- whole kernel -------------------------------------------------------
 
@@ -766,11 +828,9 @@ class NativeCodegen:
 
         self.lines = []
         self.indent = 0
+        self._helpers, self._slots, self._can_fail = set(), set(), False
         self._w(f"/* {self.low.name}: native FREERIDE kernel, "
                 f"opt level {self.plan.opt_level} */")
-        self._w(f"/* counter slots: "
-                + ", ".join(f"{i}={n}" for i, n in enumerate(_COUNTER_FIELDS))
-                + " */")
         target = (
             "    const unsigned char **_bufs, double *_acc,\n"
             "    const long long *_ro_off, const long long *_ro_n,\n"
@@ -798,15 +858,28 @@ class NativeCodegen:
             self._w(f"const unsigned char *_row_{hoist.hoist_id} = 0;")
             if hoist.incremental is not None:
                 self._w(f"long long _b_{hoist.hoist_id} = 0;")
+        prologue = len(self.lines)  # where the counter locals get declared
         self._w("(void)_bufs; (void)_acc; (void)_ro_off; (void)_ro_n;")
         self._w("(void)_ro_op; (void)_ro_groups; (void)_touched;")
         self._w("for (long long _e = _start; _e < _end; _e++) {")
         self.indent += 1
-        self._w(f"_C[{_CIDX['elements_processed']}] += 1;")
+        self._flush_cost(_Cost({"elements_processed": 1}))
         self.emit_block(self.low.body)
         self.indent -= 1
         self._w("}")
-        self._w("return 0;")
+        # The single exit: the one place the counts are stored, whether the
+        # range ran out or a check failed part-way (_out exists only then).
+        slots = sorted(self._slots)
+        declared = [
+            "/* " + ", ".join(f"_c{i}: {_COUNTER_FIELDS[i]}" for i in slots) + " */",
+            "long long " + ", ".join(f"_c{i} = 0" for i in slots) + ";",
+        ]
+        if self._can_fail:
+            declared.append("long long _rc = 0;")
+            self.lines.append("_out:")
+        self.lines[prologue:prologue] = ["    " + line for line in declared]
+        self._w(" ".join(f"_C[{i}] += _c{i};" for i in slots))
+        self._w("return _rc;" if self._can_fail else "return 0;")
         self.indent -= 1
         self._w("}")
         # The exported entry point: the split body over a list of ranges,
@@ -823,7 +896,10 @@ class NativeCodegen:
         self._w("    }")
         self._w("    return 0;")
         self._w("}")
-        return _C_PRELUDE + "\n" + "\n".join(self.lines) + "\n"
+        prelude = [text for name, text in _C_HELPERS.items() if name in self._helpers]
+        if self._can_fail:
+            prelude.append(_C_FAIL_MACRO)
+        return "\n".join(prelude + [""] + self.lines) + "\n"
 
 
 # ----------------------------------------------------------- toolchain probe
@@ -865,7 +941,7 @@ def probe_toolchain() -> dict[str, Any]:
                     out = Path(td) / "probe.so"
                     src.write_text("int repro_probe(void) { return 42; }\n")
                     run = subprocess.run(
-                        [cc, "-O2", "-shared", "-fPIC", "-o", str(out), str(src)],
+                        [cc, str(src), *CC_FLAGS, "-o", str(out)],
                         capture_output=True, text=True, timeout=60,
                     )
                     if run.returncode != 0 or not out.exists():
@@ -969,9 +1045,9 @@ def compile_native(
     """Emit, (maybe) compile and dlopen the native kernel.
 
     The disk key is ``sha256(format version | toolchain fingerprint |
-    C source)``; a warm start finds ``<key>.so`` already present and only
-    dlopens it — zero toolchain invocations, asserted by the warm-start
-    tests via the absence of ``native_compile`` trace spans.
+    build flags | C source)``; a warm start finds ``<key>.so`` already
+    present and only dlopens it — zero toolchain invocations, asserted by
+    the warm-start tests via the absence of ``native_compile`` trace spans.
 
     Raises :class:`NativeUnsupported` (caller records the fallback).
     """
@@ -983,7 +1059,8 @@ def compile_native(
     template = gen.generate()
 
     digest = hashlib.sha256(
-        f"v{NATIVE_FORMAT_VERSION}|{probe['fingerprint']}|{template}".encode()
+        f"v{NATIVE_FORMAT_VERSION}|{probe['fingerprint']}|{' '.join(CC_FLAGS)}|"
+        f"{template}".encode()
     ).hexdigest()
     symbol = f"repro_native_{digest[:16]}"
     source = template.replace(_SYMBOL_SENTINEL, symbol)
@@ -1017,8 +1094,7 @@ def compile_native(
                 try:
                     tmp_c.write_text(source)
                     run = subprocess.run(
-                        [probe["cc"], "-O3", "-fPIC", "-shared",
-                         "-o", str(tmp_so), str(tmp_c), "-lm"],
+                        [probe["cc"], str(tmp_c), *CC_FLAGS, "-o", str(tmp_so)],
                         capture_output=True, text=True, timeout=120,
                     )
                     if run.returncode != 0 or not tmp_so.exists():
@@ -1054,7 +1130,7 @@ def compile_native(
 
 _RC_MESSAGES = {
     _RC_MAP_OOB: (MappingError, "computeIndex position out of range"),
-    _RC_ROW_OOB: (MappingError, "hoisted row index out of range"),
+    _RC_ROW_OOB: (IndexError, "hoisted row index out of bounds"),  # a NumPy row view's
     _RC_RO_GROUP: (ReductionObjectError, "group not allocated"),
     _RC_RO_ELEM: (ReductionObjectError, "element out of range for its group"),
     _RC_RO_OP: (ReductionObjectError, "update op does not match the group's op"),
@@ -1136,13 +1212,14 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         )
 
         # A failing call counts like the scalar kernel: everything up to the
-        # element that failed is in the ledger (and in a direct target).
+        # statement that failed is in the ledger (and in a direct target).
         counts = counters.tolist()
         with ledger_lock:
             for field, value in zip(_COUNTER_FIELDS, counts):
                 if value:
                     setattr(_C, field, getattr(_C, field) + value)
-        updates = int(counts[_IDX_RO_UPDATES])
+        unstored, rc = divmod(rc, _RC_UNSTORED)
+        updates = int(counts[_IDX_RO_UPDATES]) - unstored
         if scratch is None:
             _ro.note_updates(updates)
         else:

@@ -2,8 +2,8 @@
 
 The JIT C kernels must be bit-identical to the interpreted scalar kernel
 for every application, compiled version and executor — including
-OpCounters parity (the C counter array mirrors the Python kernel's static
-cost bumps exactly) and under injected faults (native splits accumulate
+OpCounters parity (the C kernel's integer counters mirror the Python
+kernel's static cost bumps exactly) and under injected faults (native splits accumulate
 into per-attempt scratch the engine only commits on success).  Inputs are
 integer-valued (and PCA's column count a power of two) so accumulations
 are exact and most comparisons can be strict equality; EM's
@@ -321,6 +321,67 @@ class TestRealValuedBitIdentity:
             runner.close()
         assert np.array_equal(base.centroids, res.centroids)
         assert np.array_equal(base.counts, res.counts)
+
+
+class TestCountsKeptInRegisters:
+    """The C kernel counts in integer locals and stores them once per range.
+
+    Exact ``OpCounters`` parity with the scalar tier where the count per
+    element is data-dependent (the histogram's clamps: three different
+    paths) and where it is a constant the C compiler folds (k-means' nested
+    constant-trip loops), one range per call and many.
+    """
+
+    #: below ``lo``, inside, and above ``hi``: every clamp branch is taken
+    CLAMPED = (np.arange(700, dtype=np.float64) * 11) % 96 - 16.0
+    CONFIGS = [
+        ("serial", 1, None), ("serial", 1, 37),
+        ("threads", 2, None), ("threads", 2, 37),
+    ]
+
+    @pytest.mark.parametrize("executor,threads,chunk_size", CONFIGS)
+    def test_histogram_clamps(self, executor, threads, chunk_size):
+        assert (self.CLAMPED < 0.0).any() and (self.CLAMPED >= 64.0).any()
+        base = HistogramRunner(
+            bins=16, lo=0.0, hi=64.0, version="opt-2", backend="scalar"
+        ).run(self.CLAMPED)
+        runner = HistogramRunner(
+            bins=16, lo=0.0, hi=64.0, version="opt-2", backend="native",
+            num_threads=threads, executor=executor, chunk_size=chunk_size,
+        )
+        try:
+            assert runner.compiled.native_kernel is not None
+            res = runner.run(self.CLAMPED)
+        finally:
+            runner.close()
+        assert np.array_equal(base.counts, res.counts)
+        assert np.array_equal(base.sums, res.sums)
+        assert base.counters.as_dict() == res.counters.as_dict()
+        # the clamp that assigns costs a flop more than the one that does not
+        inside = HistogramRunner(
+            bins=16, lo=0.0, hi=64.0, version="opt-2", backend="scalar"
+        ).run(np.clip(self.CLAMPED, 0.0, 63.0))
+        assert base.counters.flops - inside.counters.flops == np.count_nonzero(
+            self.CLAMPED >= 64.0
+        )
+
+    @pytest.mark.parametrize("executor,threads,chunk_size", CONFIGS)
+    def test_kmeans_nested_loops(self, executor, threads, chunk_size):
+        base = KmeansRunner(k=4, dim=3, version="opt-2", backend="scalar").run(
+            KM_POINTS, KM_INIT, iterations=1
+        )
+        runner = KmeansRunner(
+            k=4, dim=3, version="opt-2", backend="native",
+            num_threads=threads, executor=executor, chunk_size=chunk_size,
+        )
+        try:
+            assert runner.compiled.native_kernel is not None
+            res = runner.run(KM_POINTS, KM_INIT, iterations=1)
+        finally:
+            runner.close()
+        assert np.array_equal(base.centroids, res.centroids)
+        assert np.array_equal(base.counts, res.counts)
+        assert base.counters.as_dict() == res.counters.as_dict()
 
 
 class TestBatchedLanes:

@@ -1,19 +1,31 @@
 """Native backend unit tests: codegen output, fallbacks, the disk cache.
 
 Covers the pieces the app-level equivalence matrix can't see directly:
-the generated C source, the recorded downgrade when a kernel (or the
-whole toolchain) can't go native, warm-start attach from the on-disk
-cache with zero compiler invocations, stale-cache invalidation on a
-format-version bump, and the in-memory kernel cache's LRU eviction
+the generated C source, what a call that fails part-way leaves behind
+(ledger, target, touched flags, update count — the scalar kernel's, code
+by code), the recorded downgrade when a kernel (or the whole toolchain)
+can't go native, warm-start attach from the on-disk cache with zero
+compiler invocations, stale-cache invalidation on a format-version or
+build-flags change, and the in-memory kernel cache's LRU eviction
 accounting.
 """
+
+import re
+import subprocess
 
 import numpy as np
 import pytest
 
 import repro.compiler.native as native_mod
+from repro.apps.apriori import APRIORI_CHAPEL_SOURCE
+from repro.apps.em import EM_CHAPEL_SOURCE
 from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.apps.kmeans import KMEANS_CHAPEL_SOURCE
+from repro.apps.pca import PCA_COV_SOURCE, PCA_MEAN_SOURCE
+from repro.apps.windowed import WINDOWED_CHAPEL_SOURCE
+from repro.chapel.domains import Domain
+from repro.chapel.types import REAL, ArrayType
+from repro.chapel.values import from_python
 from repro.compiler.cache import (
     clear_kernel_cache,
     compile_cached,
@@ -27,7 +39,10 @@ from repro.compiler.native import (
     probe_toolchain,
     reset_toolchain_probe,
 )
+from repro.freeride.reduction_object import ReductionObject
+from repro.machine.counters import OpCounters
 from repro.obs.tracer import Tracer, tracing
+from repro.util.errors import MappingError, ReductionObjectError
 
 needs_cc = pytest.mark.skipif(
     not probe_toolchain()["ok"],
@@ -35,6 +50,27 @@ needs_cc = pytest.mark.skipif(
 )
 
 HIST_CONSTS = {"bins": 8, "lo": 0.0, "width": 2.0}
+
+#: The six applications' kernels (PCA has two) with small constants.
+APP_KERNELS = {
+    "kmeans": (KMEANS_CHAPEL_SOURCE, {"k": 4, "dim": 3}),
+    "histogram": (HISTOGRAM_CHAPEL_SOURCE, HIST_CONSTS),
+    "pca_mean": (PCA_MEAN_SOURCE, {"m": 5}),
+    "pca_cov": (PCA_COV_SOURCE, {"m": 5}),
+    "em": (EM_CHAPEL_SOURCE, {"k": 2, "dim": 2}),
+    "apriori": (APRIORI_CHAPEL_SOURCE, {"numItems": 10, "numCand": 6, "setSize": 2}),
+    "windowed": (WINDOWED_CHAPEL_SOURCE,
+                 {"win": 64, "nw": 8, "nb": 8, "lo": 0.0, "width": 0.125}),
+}
+
+#: Nothing in it can fail: no reduction-object update, no unproven index.
+NO_UPDATE_SOURCE = """
+class noUpdate : ReduceScanOp {
+  def accumulate(x: real) {
+    var y: real = x + 1.0;
+  }
+}
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -62,11 +98,76 @@ class TestNativeCodegen:
         # self-contained C translation unit with the hashed entry point
         assert f"long long {nk.symbol}(" in src
         assert nk.symbol.startswith("repro_native_")
-        assert "#include <math.h>" in src
-        # counter bumps mirror the scalar kernel's static cost model
-        assert "_C[" in src
+        # no headers: the unit opens with the helpers this kernel calls —
+        # for the histogram one loader — and the failing-check macro
+        assert "#include" not in src
+        head = src[: src.index("/*")]
+        assert head.count("static ") == 1 and "_ld_f64" in head
+        assert "__builtin_memcpy" in head
+        assert "#define _FAIL(rc) { _rc = rc; goto _out; }" in head
+        # counter bumps mirror the scalar kernel's static cost model, into
+        # integer locals declared for exactly the slots the kernel uses ...
+        slots = [native_mod._CIDX[n] for n in (
+            "flops", "linear_reads", "index_calls", "index_levels",
+            "ro_updates", "elements_processed",
+        )]
+        declared = "long long " + ", ".join(f"_c{i} = 0" for i in slots) + ";"
+        assert declared in src
+        # ... and stored once, at the split body's single exit
+        body, exit_ = src.split("\n_out:\n")
+        assert "_C[" not in body
+        flush = " ".join(f"_C[{i}] += _c{i};" for i in slots)
+        assert exit_.startswith(f"    {flush}\n    return _rc;\n}}")
         # the element loop and its processed-elements accounting
-        assert "for (long long _e = _start; _e < _end; _e++)" in src
+        loop = "for (long long _e = _start; _e < _end; _e++) {"
+        bump = f"_c{native_mod._CIDX['elements_processed']} += 1;"
+        assert re.search(re.escape(loop) + r"\s+" + re.escape(bump), src)
+
+    @pytest.mark.parametrize("opt_level", [0, 1, 2])
+    @pytest.mark.parametrize("app", sorted(APP_KERNELS))
+    def test_counts_are_stored_only_at_the_exit(self, app, opt_level):
+        source, constants = APP_KERNELS[app]
+        compiled = compile_cached(
+            source, dict(constants), opt_level=opt_level, backend="native"
+        )
+        if compiled.native_kernel is None:
+            # nothing was emitted: nested extras below opt-2 go to another tier
+            assert opt_level < 2 and "nested" in compiled.native_fallback_reason
+            return
+        body, exit_ = compiled.native_source.split("\n_out:\n")
+        assert "_C[" not in body
+        assert re.match(r"    (_C\[\d+\] \+= _c\d+; ?)+\n    return _rc;\n}", exit_)
+        # every failing check leaves through that exit, none returns early
+        split_body = body[body.index("_split("):]
+        assert "return" not in split_body and split_body.count("_FAIL(") > 1
+
+    def test_kernel_that_cannot_fail_has_no_exit_label(self):
+        # no reduction-object update, every index proven: nothing can fail,
+        # so no _out label, no _rc and no macro for cc to call unused
+        compiled = compile_cached(
+            NO_UPDATE_SOURCE, {}, opt_level=2, backend="native"
+        )
+        assert compiled.native_kernel is not None, compiled.native_fallback_reason
+        src = compiled.native_source
+        for absent in ("_out:", "goto", "long long _rc = 0;", "_FAIL"):
+            assert absent not in src, absent
+        assert "    return 0;\n}" in src
+
+    @pytest.mark.parametrize("which", ["histogram", "no_update"])
+    def test_no_unused_noise_for_cc(self, which, tmp_path):
+        # only what a kernel uses is declared, defined, labelled or flushed
+        compiled = _compile_hist() if which == "histogram" else compile_cached(
+            NO_UPDATE_SOURCE, {}, opt_level=2, backend="native"
+        )
+        c_file = tmp_path / "kernel.c"
+        c_file.write_text(compiled.native_source)
+        run = subprocess.run(
+            [probe_toolchain()["cc"], str(c_file), *native_mod.CC_FLAGS,
+             "-Wunused-label", "-Wunused-variable", "-Wunused-function",
+             "-Werror", "-o", str(tmp_path / "kernel.so")],
+            capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
 
     def test_effective_backend_and_event(self):
         tracer = Tracer()
@@ -94,6 +195,135 @@ class TestNativeCodegen:
         assert decision.args["requested"] == "native"
         assert decision.args["effective"] != "native"
         assert decision.args["reason"]
+
+
+# -- a call that fails part-way ------------------------------------------------
+
+def _real_vector(values):
+    return from_python(ArrayType(Domain(len(values)), REAL), [float(v) for v in values])
+
+
+#: Every update statement follows one that succeeds on the same element, so a
+#: failing element has already stored and counted something when it fails.
+_UPDATE_TEMPLATE = """
+class failing : ReduceScanOp {
+  var nb: int;
+  var scale: [1..nb] real;
+
+  def accumulate(x: real) {
+    roAdd(0, 0, x);
+    %s
+  }
+}
+"""
+
+#: return code -> (second statement, the planted value, exception, message).
+#: Values 0 and 1 are harmless under every statement.
+FAILING_CALLS = {
+    10: ("roAdd(1, 0, scale[toInt(x) + 1]);", 9.0, MappingError, r"out of range"),
+    11: ("var n: int = toInt(x) + 1; for d in 1..n { roAdd(1, 0, scale[d]); }",
+         5.0, IndexError, r"out of bounds"),
+    20: ("roAdd(toInt(x), 1, 1.0);", 7.0, ReductionObjectError,
+         r"group.* not allocated"),
+    21: ("roAdd(1, toInt(x), 1.0);", 7.0, ReductionObjectError,
+         r"element.* out of range for .*group"),
+    22: ("roAdd(toInt(x), 0, 1.0);", 2.0, ReductionObjectError,
+         r"op does not match the group's op"),
+}
+FAILING_LAYOUT = [(2, "add"), (2, "add"), (1, "min")]
+#: three ranges in one call; the planted value is the third element of the second
+FAILING_RANGES = [(0, 6), (6, 12), (12, 16)]
+FAILING_AT = 8
+
+
+class _RefusesOtherOps:
+    """What the scalar kernel accumulates into for code 22.
+
+    The scalar tier does not know an update's op — ``accumulate(group, elem,
+    value)`` folds with the group's own — so it has no raise to compare the
+    native refusal with.  Every update in these kernels is a ``roAdd``; this
+    accessor raises where the native kernel does, and the rest of the
+    comparison (what the call left behind) is the scalar kernel's.
+    """
+
+    def __init__(self, ro):
+        self.ro = ro
+
+    def accumulate(self, group, elem, value):
+        if 0 <= group < self.ro.num_groups and self.ro.group_op(group) != "add":
+            raise ReductionObjectError("update op does not match the group's op")
+        self.ro.accumulate(group, elem, value)
+
+
+@needs_cc
+class TestFailingCallLeavesWhatTheScalarKernelLeaves:
+    """The single exit (``goto _out``) flushes the counts of a failing call."""
+
+    def _run(self, statement, bad, backend, refuse_other_ops=False):
+        data = np.tile([0.0, 1.0], 8)
+        data[FAILING_AT] = bad
+        compiled = compile_cached(
+            _UPDATE_TEMPLATE % statement, {"nb": 4}, opt_level=2, backend=backend
+        )
+        assert compiled.effective_backend == backend, compiled.native_fallback_reason
+        bound = compiled.bind(data, {"scale": _real_vector([1, 2, 3, 4])})
+        ro = ReductionObject()
+        ro.alloc_many(FAILING_LAYOUT)
+        ledger = OpCounters()
+        with pytest.raises(Exception) as raised:
+            if backend == "native":
+                compiled.native_kernel.ranges(FAILING_RANGES, ro, bound.env, ledger)
+            else:
+                target = _RefusesOtherOps(ro) if refuse_other_ops else ro
+                for start, end in FAILING_RANGES:
+                    compiled.kernel(start, end, target, bound.env, ledger)
+        return compiled, raised.value, ro, ledger
+
+    @staticmethod
+    def _left_behind(ro, ledger):
+        return (
+            ledger.as_dict(), ro.snapshot().tolist(), ro.touched_groups(),
+            ro.update_count,
+        )
+
+    @pytest.mark.parametrize("rc", sorted(FAILING_CALLS))
+    def test_parity_with_the_scalar_kernel(self, rc):
+        statement, bad, exc_type, message = FAILING_CALLS[rc]
+        compiled, native_exc, native_ro, native_ledger = self._run(
+            statement, bad, "native"
+        )
+        # the kernel really has this check, inside an update statement
+        assert f"_FAIL({native_mod._RC_UNSTORED + rc})" in compiled.native_source
+        _, scalar_exc, scalar_ro, scalar_ledger = self._run(
+            statement, bad, "scalar", refuse_other_ops=(rc == 22)
+        )
+
+        assert type(native_exc) is type(scalar_exc) is exc_type
+        assert re.search(message, str(native_exc)), native_exc
+        assert re.search(message, str(scalar_exc)), scalar_exc
+        assert self._left_behind(native_ro, native_ledger) == self._left_behind(
+            scalar_ro, scalar_ledger
+        )
+        # which is: the first range whole, two elements of the second, the
+        # failing element up to the statement that failed (counted, as every
+        # statement is, before it ran), and nothing of the third range
+        assert scalar_ledger.elements_processed == FAILING_AT + 1
+        assert scalar_ledger.ro_updates > scalar_ro.update_count > FAILING_AT
+
+    def test_a_check_outside_an_update_statement(self):
+        # the same computeIndex check in a declaration: no update is pending
+        # when it fails, so every counted update was stored
+        statement = "var s: real = scale[toInt(x) + 1]; roAdd(1, 0, s);"
+        compiled, native_exc, native_ro, native_ledger = self._run(
+            statement, 9.0, "native"
+        )
+        assert "_FAIL(10)" in compiled.native_source
+        _, scalar_exc, scalar_ro, scalar_ledger = self._run(statement, 9.0, "scalar")
+        assert type(native_exc) is type(scalar_exc) is MappingError
+        assert self._left_behind(native_ro, native_ledger) == self._left_behind(
+            scalar_ro, scalar_ledger
+        )
+        assert scalar_ro.update_count == scalar_ledger.ro_updates == 2 * FAILING_AT + 1
 
 
 class TestToolchainFallback:
@@ -179,6 +409,27 @@ class TestDiskCache:
         assert second.native_kernel.native.compiled is True
         assert [e for e in stale.events() if e.name == "native_cache.miss"]
         assert [s for s in stale.spans() if s.name == "native_compile"]
+
+    def test_build_flags_are_part_of_the_key(self, tmp_path, monkeypatch):
+        # the flags cc is given and the flags in the digest are one tuple: a
+        # library built with other flags is another file, never attached
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        first = _compile_hist().native_kernel.native
+        clear_kernel_cache()
+        flags = tuple(
+            "-O1" if f.startswith("-O") else f for f in native_mod.CC_FLAGS
+        )
+        assert flags != native_mod.CC_FLAGS
+        monkeypatch.setattr(native_mod, "CC_FLAGS", flags)
+        rebuilt = Tracer()
+        with tracing(rebuilt):
+            second = _compile_hist().native_kernel.native
+        assert second.symbol != first.symbol
+        assert second.so_path != first.so_path and first.so_path.exists()
+        assert second.compiled is True
+        assert [e for e in rebuilt.events() if e.name == "native_cache.miss"]
+        # same emitted C apart from the hashed symbol
+        assert second.source.replace(second.symbol, first.symbol) == first.source
 
     def test_artifacts_live_in_override_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
