@@ -36,68 +36,23 @@ idiom — only the combine contract is checked.
 from __future__ import annotations
 
 from repro.chapel import ast as A
+from repro.chapel.ast import walk_exprs, walk_stmts
 from repro.analysis.diagnostics import Diagnostic, diag
 
 __all__ = ["check_program_races", "check_class_races", "uses_ro_intrinsics"]
 
 
-def _walk_stmts(block: A.Block):
-    """Yield every statement in a block, recursively."""
-    for stmt in block.stmts:
-        yield stmt
-        if isinstance(stmt, A.ForStmt):
-            yield from _walk_stmts(stmt.body)
-        elif isinstance(stmt, A.IfStmt):
-            yield from _walk_stmts(stmt.then)
-            if stmt.orelse is not None:
-                yield from _walk_stmts(stmt.orelse)
-        elif isinstance(stmt, A.Block):
-            yield from _walk_stmts(stmt)
-
-
-def _walk_exprs(expr: A.Expr):
-    yield expr
-    if isinstance(expr, A.BinOp):
-        yield from _walk_exprs(expr.left)
-        yield from _walk_exprs(expr.right)
-    elif isinstance(expr, A.UnaryOp):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, A.Index):
-        yield from _walk_exprs(expr.base)
-        for i in expr.indices:
-            yield from _walk_exprs(i)
-    elif isinstance(expr, A.Member):
-        yield from _walk_exprs(expr.base)
-    elif isinstance(expr, A.Call):
-        for a in expr.args:
-            yield from _walk_exprs(a)
-
-
 def _stmt_exprs(stmt: A.Stmt, include_assign_target: bool = False):
     """Expressions read by one statement (not recursing into sub-blocks)."""
-    if isinstance(stmt, A.VarDeclStmt):
-        if stmt.decl.init is not None:
-            yield stmt.decl.init
-    elif isinstance(stmt, A.Assign):
+    if isinstance(stmt, A.Assign) and not include_assign_target:
         yield stmt.value
-        if include_assign_target:
-            yield stmt.target
-        else:
-            # target *index* expressions are reads even when the root is not
-            root, chain = _chain_root(stmt.target)
-            for node in chain:
-                if isinstance(node, A.Index):
-                    yield from node.indices
-    elif isinstance(stmt, A.ForStmt):
-        yield stmt.range.lo
-        yield stmt.range.hi
-    elif isinstance(stmt, A.IfStmt):
-        yield stmt.cond
-    elif isinstance(stmt, A.ExprStmt):
-        yield stmt.expr
-    elif isinstance(stmt, A.ReturnStmt):
-        if stmt.value is not None:
-            yield stmt.value
+        # target *index* expressions are reads even when the root is not
+        root, chain = _chain_root(stmt.target)
+        for node in chain:
+            if isinstance(node, A.Index):
+                yield from node.indices
+    else:
+        yield from A.stmt_exprs(stmt)
 
 
 def _chain_root(expr: A.Expr) -> tuple[A.Expr, list[A.Expr]]:
@@ -119,9 +74,9 @@ def uses_ro_intrinsics(cls: A.ClassDecl) -> bool:
     accumulator state; never fed to the compiler).
     """
     for method in cls.methods:
-        for stmt in _walk_stmts(method.body):
+        for stmt in walk_stmts(method.body):
             for top in _stmt_exprs(stmt, include_assign_target=True):
-                for e in _walk_exprs(top):
+                for e in walk_exprs(top):
                     if isinstance(e, A.Call) and e.name in A.RO_INTRINSICS:
                         return True
     return False
@@ -130,9 +85,9 @@ def uses_ro_intrinsics(cls: A.ClassDecl) -> bool:
 def _names_read(body: A.Block, skip_assign_targets: bool = True) -> set[str]:
     """Root identifier names read anywhere in a body."""
     out: set[str] = set()
-    for stmt in _walk_stmts(body):
+    for stmt in walk_stmts(body):
         for top in _stmt_exprs(stmt, include_assign_target=False):
-            for e in _walk_exprs(top):
+            for e in walk_exprs(top):
                 if isinstance(e, A.Ident):
                     out.add(e.name)
         if not skip_assign_targets and isinstance(stmt, A.Assign):
@@ -172,7 +127,7 @@ def check_class_races(
     reads = _names_read(acc.body)
     fields_written: set[str] = set()
 
-    for stmt in _walk_stmts(acc.body):
+    for stmt in walk_stmts(acc.body):
         if isinstance(stmt, (A.VarDeclStmt, A.ForStmt)):
             local = stmt.decl.name if isinstance(stmt, A.VarDeclStmt) else stmt.var
             if local in fields or local == param:
@@ -260,9 +215,9 @@ def check_class_races(
             other = comb.params[0].name
             mentions_other = other in _names_read(comb.body)
             if not mentions_other:
-                for stmt in _walk_stmts(comb.body):
+                for stmt in walk_stmts(comb.body):
                     for top in _stmt_exprs(stmt, include_assign_target=True):
-                        for e in _walk_exprs(top):
+                        for e in walk_exprs(top):
                             if isinstance(e, A.Ident) and e.name == other:
                                 mentions_other = True
             if not mentions_other:

@@ -47,6 +47,9 @@ __all__ = [
     "ClassDecl",
     "Program",
     "RO_INTRINSICS",
+    "walk_stmts",
+    "walk_exprs",
+    "stmt_exprs",
 ]
 
 #: Intrinsic reduction-object update functions and their accumulate ops.
@@ -307,3 +310,59 @@ class Program(Node):
             if name is None or c.name == name:
                 return c
         return None
+
+
+# ------------------------------------------------------------------ traversal
+
+
+def walk_stmts(block: Block):
+    """Yield every statement in a block, recursively."""
+    for stmt in block.stmts:
+        yield stmt
+        if isinstance(stmt, ForStmt):
+            yield from walk_stmts(stmt.body)
+        elif isinstance(stmt, IfStmt):
+            yield from walk_stmts(stmt.then)
+            if stmt.orelse is not None:
+                yield from walk_stmts(stmt.orelse)
+        elif isinstance(stmt, Block):
+            yield from walk_stmts(stmt)
+
+
+def walk_exprs(expr: Expr):
+    """Yield an expression and every sub-expression under it."""
+    yield expr
+    if isinstance(expr, BinOp):
+        yield from walk_exprs(expr.left)
+        yield from walk_exprs(expr.right)
+    elif isinstance(expr, UnaryOp):
+        yield from walk_exprs(expr.operand)
+    elif isinstance(expr, Index):
+        yield from walk_exprs(expr.base)
+        for i in expr.indices:
+            yield from walk_exprs(i)
+    elif isinstance(expr, Member):
+        yield from walk_exprs(expr.base)
+    elif isinstance(expr, Call):
+        for a in expr.args:
+            yield from walk_exprs(a)
+
+
+def stmt_exprs(stmt: Stmt):
+    """The expressions one statement holds directly (not its sub-blocks')."""
+    if isinstance(stmt, VarDeclStmt):
+        if stmt.decl.init is not None:
+            yield stmt.decl.init
+    elif isinstance(stmt, Assign):
+        yield stmt.value
+        yield stmt.target
+    elif isinstance(stmt, ForStmt):
+        yield stmt.range.lo
+        yield stmt.range.hi
+    elif isinstance(stmt, IfStmt):
+        yield stmt.cond
+    elif isinstance(stmt, ExprStmt):
+        yield stmt.expr
+    elif isinstance(stmt, ReturnStmt):
+        if stmt.value is not None:
+            yield stmt.value

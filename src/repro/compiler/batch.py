@@ -51,15 +51,14 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.chapel import ast as A
-from repro.compiler.codegen import PythonCodegen, _Cost, site_key
+from repro.compiler.codegen import PythonCodegen, _Cost
 from repro.compiler.lower import LoweredReduction, AccessSite
-from repro.compiler.passes import CompilationPlan, SitePlan
-from repro.util.errors import CodegenError
+from repro.compiler.passes import CompilationPlan
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.analysis.effects import EffectSummary
 
-__all__ = ["BatchCodegen", "BatchUnsupported", "BATCH_NAMESPACE"]
+__all__ = ["BatchCodegen", "BatchUnsupported", "BATCH_NAMESPACE", "uses_elem_idx"]
 
 
 class BatchUnsupported(Exception):
@@ -161,20 +160,6 @@ BATCH_NAMESPACE = {
     "_errstate": _errstate,
 }
 
-_BATCH_BINOPS = {
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "/": "/",
-    "%": "%",
-    "==": "==",
-    "!=": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-}
-
 _BATCH_BUILTINS = {
     "abs": "abs",
     "sqrt": "_vsqrt",
@@ -204,7 +189,7 @@ class _Taint:
     symbolic summary proves containment in the site's declared innermost
     extent is instead recorded as a **bounded-gather proof** — the emitter
     vectorizes that access with a grouped ``np.take`` (see
-    :meth:`BatchCodegen._emit_gather_linear`); only refuted gathers still
+    :meth:`BatchCodegen.linear`); only refuted gathers still
     fall back, with the refutation recorded.
     """
 
@@ -373,61 +358,37 @@ class _Taint:
             self._walk_block(stmt, ctx)
 
 
-def _uses_elem_idx(node: object) -> bool:
-    """Whether any expression under ``node`` calls the elemIdx() intrinsic."""
-    if isinstance(node, A.Call):
-        if node.name == "elemIdx":
-            return True
-        return any(_uses_elem_idx(a) for a in node.args)
-    if isinstance(node, A.Block):
-        return any(_uses_elem_idx(s) for s in node.stmts)
-    if isinstance(node, A.VarDeclStmt):
-        return node.decl.init is not None and _uses_elem_idx(node.decl.init)
-    if isinstance(node, A.Assign):
-        return _uses_elem_idx(node.value)
-    if isinstance(node, A.ForStmt):
-        return (
-            _uses_elem_idx(node.range.lo)
-            or _uses_elem_idx(node.range.hi)
-            or _uses_elem_idx(node.body)
-        )
-    if isinstance(node, A.IfStmt):
-        return (
-            _uses_elem_idx(node.cond)
-            or _uses_elem_idx(node.then)
-            or (node.orelse is not None and _uses_elem_idx(node.orelse))
-        )
-    if isinstance(node, A.ExprStmt):
-        return _uses_elem_idx(node.expr)
-    if isinstance(node, A.BinOp):
-        return _uses_elem_idx(node.left) or _uses_elem_idx(node.right)
-    if isinstance(node, A.UnaryOp):
-        return _uses_elem_idx(node.operand)
-    if isinstance(node, A.Index):
-        return _uses_elem_idx(node.base) or any(
-            _uses_elem_idx(i) for i in node.indices
-        )
-    if isinstance(node, A.Member):
-        return _uses_elem_idx(node.base)
-    return False
+def uses_elem_idx(body: A.Block) -> bool:
+    """Whether any expression under ``body`` calls the elemIdx() intrinsic.
 
-
-#: public alias — the translator gates position-dependent optimizations
-#: (e.g. gathered delta retraction) on this
-uses_elem_idx = _uses_elem_idx
+    The translator gates position-dependent optimizations (e.g. gathered
+    delta retraction) on this.
+    """
+    return any(
+        isinstance(e, A.Call) and e.name == "elemIdx"
+        for stmt in A.walk_stmts(body)
+        for top in A.stmt_exprs(stmt)
+        for e in A.walk_exprs(top)
+    )
 
 
 # ------------------------------------------------------------------ generator
 
 
 class BatchCodegen(PythonCodegen):
-    """Emit the split-level NumPy kernel for one compilation plan.
+    """Print the split-level NumPy kernel for one compilation plan.
 
-    Shares site-key assignment, dense-position computation and the static
-    cost model with :class:`PythonCodegen`; every emitted cost line is
-    multiplied by the active lane count at that position so batch and
-    scalar runs produce identical :class:`OpCounters` ledgers.
+    A :class:`PythonCodegen` whose values are lane arrays: the walk, the
+    dense positions, the hoist placement and the static cost model are the
+    shared walker's; every flushed count is multiplied by the active lane
+    count at that position, so batch and scalar runs produce identical
+    :class:`OpCounters` ledgers.  What is the batch tier's own: the taint
+    refusals, the bounded gather, and the masked ``if``.
     """
+
+    #: lanes/rows views take the element-local offset; the split's first
+    #: element is theirs to add
+    data_base = ""
 
     def __init__(
         self,
@@ -448,270 +409,130 @@ class BatchCodegen(PythonCodegen):
         #: kernel stays correct under every accessor.
         self.exclusive = exclusive
 
-    # -- cost ----------------------------------------------------------------
-
-    def _emit_cost(self, cost: _Cost) -> None:
-        if not cost.counts:
-            return
-        parts = [
-            f"_C.{k} += {v} * {self.lane}" for k, v in sorted(cost.counts.items())
-        ]
-        self._w("; ".join(parts))
+    def _check_site(self, site: AccessSite) -> None:
+        """Refuse the kernel when a site's index varies across lanes."""
+        self.taint.check_site_indices(site.expr, site)
+        if self.taint.reason is not None:
+            raise BatchUnsupported(self.taint.reason)
 
     # -- expressions ----------------------------------------------------------
 
-    def emit_expr(self, expr: A.Expr, cost: _Cost) -> str:
-        site = self.low.sites.get(id(expr))
-        if site is not None:
-            self.taint.check_site_indices(expr, site)
-            if self.taint.reason is not None:
-                raise BatchUnsupported(self.taint.reason)
-            return self.emit_site(expr, site, cost)
-        if isinstance(expr, A.BinOp):
-            left = self.emit_expr(expr.left, cost)
-            right = self.emit_expr(expr.right, cost)
-            cost.bump("flops")
-            if expr.op == "&&":
-                return f"_land({left}, {right})"
-            if expr.op == "||":
-                return f"_lor({left}, {right})"
-            return f"({left} {_BATCH_BINOPS[expr.op]} {right})"
-        if isinstance(expr, A.UnaryOp):
-            inner = self.emit_expr(expr.operand, cost)
-            cost.bump("flops")
-            return f"(-{inner})" if expr.op == "-" else f"_lnot({inner})"
-        if isinstance(expr, A.Call):
-            if expr.name in A.RO_INTRINSICS:
-                raise CodegenError(
-                    f"{expr.name} is a statement-level intrinsic, not an expression"
-                )
-            if expr.name == "elemIdx":
-                return "_ev"
-            fn = _BATCH_BUILTINS[expr.name]
-            args = ", ".join(self.emit_expr(a, cost) for a in expr.args)
-            cost.bump("flops")
-            return f"{fn}({args})"
-        return super().emit_expr(expr, cost)
+    def binop(self, op: str, left: str, right: str) -> str:
+        if op == "&&":
+            return f"_land({left}, {right})"
+        if op == "||":
+            return f"_lor({left}, {right})"
+        return super().binop(op, left, right)
+
+    def unop(self, op: str, inner: str) -> str:
+        return f"(-{inner})" if op == "-" else f"_lnot({inner})"
+
+    def call(self, name: str, args: list[str]) -> str:
+        return f"{_BATCH_BUILTINS[name]}({', '.join(args)})"
+
+    def elem_idx(self) -> str:
+        return "_ev"
 
     # -- access sites ---------------------------------------------------------
 
-    def _emit_nested(self, site: AccessSite, cost: _Cost) -> str:
+    def emit_site(self, expr: A.Expr, site: AccessSite, cost: _Cost) -> str:
+        self._check_site(site)
+        return super().emit_site(expr, site, cost)
+
+    def nested_root(self, site: AccessSite) -> str:
         if site.kind == "data":  # pragma: no cover - plans always linearize data
             raise BatchUnsupported(
                 f"data access {site.expr} planned as nested (not linearized)"
             )
-        return super()._emit_nested(site, cost)
+        return super().nested_root(site)
 
-    def _inner_offset_code(self, site: AccessSite, cost: _Cost) -> str:
-        """Element-local byte offset (the scalar backend adds ``_e*_esz``)."""
-        kid = self._key_id(site)
-        dense = self._dense_level_exprs(site, cost)
-        cost.bump("index_calls")
-        cost.bump("index_levels", site.info.levels)  # type: ignore[union-attr]
-        return f"_ci(_info_{kid}, ({', '.join(dense)},))"
-
-    def _emit_linear(self, site: AccessSite, cost: _Cost) -> str:
-        kid = self._key_id(site)
-        proof = self.taint.proven_gather(site)
-        if proof is not None:
-            return self._emit_gather_linear(site, cost)
-        cost.bump("linear_reads")
-        inner = self._inner_offset_code(site, cost)
+    def load(self, site: AccessSite, offset: str) -> str:
         if site.kind == "data":
             # one strided lane view: lane i reads element (_start+i)'s scalar
-            return f"_lanes_{kid}({inner})"
-        return f"_rd_{kid}({inner})"
+            return f"_lanes_{self._key_id(site)}({offset})"
+        return super().load(site, offset)
 
-    def _emit_gather_linear(self, site: AccessSite, cost: _Cost) -> str:
-        """Vectorize a proven bounded gather over an extra input.
-
-        The innermost index is lane-varying but its effect summary is
-        contained in the declared extent, so the access becomes one
-        ``np.take`` over the innermost run starting at the (scalar,
-        lane-invariant) base offset of the outer levels.  The ``np.clip``
-        never changes a live lane's index — containment is proven — it
-        only keeps the garbage indices of masked-off lanes in range before
-        their values are discarded by the ``np.where`` merges.
-
-        Cost parity with the scalar backend holds because the base offset
-        skips exactly the innermost index expression that ``emit_expr``
-        then accounts for separately.
-        """
-        kid = self._key_id(site)
+    def linear(self, site: AccessSite, cost: _Cost) -> str:
+        if self.taint.proven_gather(site) is None:
+            return super().linear(site, cost)
+        # Vectorize a proven bounded gather over an extra input.  The
+        # innermost index is lane-varying but its effect summary is contained
+        # in the declared extent, so the access becomes one ``np.take`` over
+        # the innermost run starting at the (scalar, lane-invariant) base
+        # offset of the outer levels.  The ``np.clip`` never changes a live
+        # lane's index — containment is proven — it only keeps the garbage
+        # indices of masked-off lanes in range before their values are
+        # discarded by the ``np.where`` merges.  Cost parity with the scalar
+        # backend holds because the base offset skips exactly the innermost
+        # index expression that ``emit_expr`` then accounts for separately.
         cost.bump("linear_reads")
-        base = self._hoist_base_inner(site, cost, {})
-        inner = site.index_exprs[-1][0]
+        base = self.hoist_base(site, cost, {})
         rng = site.info.domains[-1].ranges[0]  # type: ignore[union-attr]
-        idx = self.emit_expr(inner, cost)
+        idx = self.emit_expr(site.index_exprs[-1][0], cost)
         if rng.low != 0:
             idx = f"({idx} - {rng.low})"
         return (
-            f"_np.take(_tv_{kid}({base}), "
+            f"_np.take({self._row_view(site)}({base}), "
             f"_np.clip({idx}, 0, {rng.high - rng.low}))"
         )
 
-    def _emit_hoisted(self, site: AccessSite, plan: SitePlan, cost: _Cost) -> str:
-        inner = site.index_exprs[-1][0]
-        rng = site.info.domains[-1].ranges[0]  # type: ignore[union-attr]
-        idx = self.emit_expr(inner, cost)
-        if rng.low != 0:
-            idx = f"{idx} - {rng.low}"
-        cost.bump("linear_reads")
-        if site.kind == "data":
-            return f"_row_{plan.hoist_id}[:, {idx}]"
-        return f"_row_{plan.hoist_id}[{idx}]"
-
-    def _hoist_base_inner(
+    def hoist_base(
         self, site: AccessSite, cost: _Cost, override_groups: dict[int, str]
     ) -> str:
-        kid = self._key_id(site)
-        overrides = dict(override_groups)
-        overrides[len(site.index_exprs) - 1] = "0"
-        dense = self._dense_level_exprs(site, cost, overrides)
-        cost.bump("index_calls")
-        cost.bump("index_levels", site.info.levels)  # type: ignore[union-attr]
-        return f"_ci(_info_{kid}, ({', '.join(dense)},))"
+        self._check_site(site)
+        return super().hoist_base(site, cost, override_groups)
 
-    def emit_hoist_preamble(self, loop: A.ForStmt) -> None:
-        for hoist in self.plan.loop_hoists.get(id(loop), []):
-            site = hoist.site
-            self.taint.check_site_indices(site.expr, site)
-            if self.taint.reason is not None:
-                raise BatchUnsupported(self.taint.reason)
-            cost = _Cost()
-            base = self._hoist_base_inner(site, cost, {})
-            kid = self._key_id(site)
-            self._emit_cost(cost)
-            if site.kind == "data":
-                self._w(f"_row_{hoist.hoist_id} = _rows_{kid}({base})")
-            else:
-                self._w(f"_row_{hoist.hoist_id} = _tv_{kid}({base})")
+    def _row_view(self, site: AccessSite) -> str:
+        if site.kind == "data":
+            return f"_rows_{self._key_id(site)}"  # (lanes, run): a row per lane
+        return super()._row_view(site)
 
-    def emit_incremental_inits(self, loop: A.ForStmt) -> None:
-        for hoist in self.plan.incremental_hoists.get(id(loop), []):
-            site = hoist.site
-            self.taint.check_site_indices(site.expr, site)
-            if self.taint.reason is not None:
-                raise BatchUnsupported(self.taint.reason)
-            cost = _Cost()
-            rng = site.info.domains[  # type: ignore[union-attr]
-                hoist.var_group + (1 if self._site_wrapped(site) else 0)
-            ].ranges[0]
-            lo_code = self.emit_expr(loop.range.lo, cost)
-            start = f"({lo_code} - {rng.low})" if rng.low != 0 else lo_code
-            base = self._hoist_base_inner(site, cost, {hoist.var_group: start})
-            self._emit_cost(cost)
-            self._w(f"_b_{hoist.hoist_id} = {base}")
-
-    def emit_incremental_tops(self, loop: A.ForStmt) -> None:
-        for hoist in self.plan.incremental_hoists.get(id(loop), []):
-            kid = self._key_id(hoist.site)
-            cost = _Cost()
-            cost.bump("flops")  # the base bump
-            self._emit_cost(cost)
-            if hoist.site.kind == "data":
-                self._w(f"_row_{hoist.hoist_id} = _rows_{kid}(_b_{hoist.hoist_id})")
-            else:
-                self._w(f"_row_{hoist.hoist_id} = _tv_{kid}(_b_{hoist.hoist_id})")
-            self._w(f"_b_{hoist.hoist_id} += {hoist.step_bytes}")
+    def row_load(self, site: AccessSite, hoist_id: int, idx: str, low: int) -> str:
+        if low != 0:
+            idx = f"{idx} - {low}"
+        if site.kind == "data":
+            return f"_row_{hoist_id}[:, {idx}]"
+        return f"_row_{hoist_id}[{idx}]"
 
     # -- statements ----------------------------------------------------------
 
-    def _assign(self, target: str, value: str) -> None:
+    def _count(self, per_execution: int) -> str:
+        return f"{per_execution} * {self.lane}"  # every active lane executes it
+
+    def assign(self, name: str, op: str | None, value: str) -> None:
         """Assign under the current mask (np.where merge when masked).
 
         Never emits an in-place array update: lane arrays may alias the
         linearized data buffer (strided views), so every assignment rebinds
-        to a fresh value.
+        to a fresh value.  (A declaration, by contrast, is unconditional
+        even under a mask: the DSL scopes the local to this branch, so
+        inactive lanes' garbage can never escape the mask region.)
         """
-        if self.mask == "None":
-            self._w(f"{target} = {value}")
-        else:
-            self._w(f"{target} = _msel({self.mask}, {value}, {target})")
+        target = self._mangle(name)
+        if op is not None:
+            value = f"({target} {op} {value})"
+        if self.mask != "None":
+            value = f"_msel({self.mask}, {value}, {target})"
+        self._w(f"{target} = {value}")
 
-    def emit_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.VarDeclStmt):
-            d = stmt.decl
-            cost = _Cost()
-            init = self.emit_expr(d.init, cost) if d.init is not None else "0"
-            self._emit_cost(cost)
-            # A declaration is unconditional even under a mask: the DSL
-            # scopes the local to this branch, so inactive lanes' garbage
-            # can never escape the mask region.
-            self._w(f"{self._mangle(d.name)} = {init}")
-        elif isinstance(stmt, A.Assign):
-            cost = _Cost()
-            value = self.emit_expr(stmt.value, cost)
-            target = self._mangle(stmt.target.name)  # lower guarantees Ident
-            if stmt.op is not None:
-                cost.bump("flops")
-                value = f"({target} {stmt.op} {value})"
-            self._emit_cost(cost)
-            self._assign(target, value)
-        elif isinstance(stmt, A.ForStmt):
-            if self.taint.expr_tainted(stmt.range.lo) or self.taint.expr_tainted(
-                stmt.range.hi
-            ):
-                raise BatchUnsupported(
-                    f"range of loop {stmt.var!r} is element-dependent; "
-                    "lanes would iterate different trip counts"
-                )
-            cost = _Cost()
-            lo = self.emit_expr(stmt.range.lo, cost)
-            hi = self.emit_expr(stmt.range.hi, cost)
-            self._emit_cost(cost)
-            self.emit_hoist_preamble(stmt)
-            self.emit_incremental_inits(stmt)
-            self._w(f"for {self._mangle(stmt.var)} in range({lo}, {hi} + 1):")
-            self.indent += 1
-            self.emit_incremental_tops(stmt)
-            self.emit_block(stmt.body)
-            self.indent -= 1
-        elif isinstance(stmt, A.IfStmt):
-            if not self.taint.expr_tainted(stmt.cond):
-                # element-invariant condition: a plain Python branch
-                cost = _Cost()
-                cond = self.emit_expr(stmt.cond, cost)
-                self._emit_cost(cost)
-                self._w(f"if {cond}:")
-                self.indent += 1
-                self.emit_block(stmt.then)
-                self.indent -= 1
-                if stmt.orelse is not None:
-                    self._w("else:")
-                    self.indent += 1
-                    self.emit_block(stmt.orelse)
-                    self.indent -= 1
-                return
-            self._emit_masked_if(stmt)
-        elif isinstance(stmt, A.ExprStmt):
-            expr = stmt.expr
-            if isinstance(expr, A.Call) and expr.name in A.RO_INTRINSICS:
-                cost = _Cost()
-                args = [self.emit_expr(a, cost) for a in expr.args]
-                cost.bump("ro_updates")
-                self._emit_cost(cost)
-                op = A.RO_INTRINSICS[expr.name]
-                hint = ", exclusive=True" if self.exclusive else ""
-                self._w(
-                    f"_ro.accumulate_batch({args[0]}, {args[1]}, {args[2]}, "
-                    f"{op!r}, {self.mask}, _n0{hint})"
-                )
-            else:
-                cost = _Cost()
-                code = self.emit_expr(expr, cost)
-                self._emit_cost(cost)
-                self._w(code)
-        else:  # pragma: no cover
-            raise CodegenError(f"cannot emit statement {stmt!r}")
+    def ro_update(self, op: str, args: list[str]) -> None:
+        hint = ", exclusive=True" if self.exclusive else ""
+        self._w(
+            f"_ro.accumulate_batch({args[0]}, {args[1]}, {args[2]}, "
+            f"{op!r}, {self.mask}, _n0{hint})"
+        )
 
-    def _emit_masked_if(self, stmt: A.IfStmt) -> None:
-        """Element-dependent condition: evaluate both branches under masks."""
+    def emit_if(self, stmt: A.IfStmt) -> None:
+        """An element-invariant condition is a plain Python branch; an
+        element-dependent one evaluates both branches under masks."""
+        if not self.taint.expr_tainted(stmt.cond):
+            super().emit_if(stmt)
+            return
         n = self._next_mask
         self._next_mask += 1
         cost = _Cost()
         cond = self.emit_expr(stmt.cond, cost)
-        self._emit_cost(cost)
+        self.flush_cost(cost)
         self._w(f"_c{n} = {cond}")
         outer_mask, outer_lane = self.mask, self.lane
         for suffix, mask_expr, body in (
@@ -745,21 +566,11 @@ class BatchCodegen(PythonCodegen):
         self._w("if _end <= _start:")
         self._w("    return")
         self._w('_ci = _env["compute_index"]')
-        emitted: set[str] = set()
-        for site in self.low.sites.values():
-            key = site_key(site)
-            kid = self.keys[key]
-            if key in emitted:
-                continue
-            emitted.add(key)
-            plan_modes = {
-                p.mode
-                for p in self.plan.site_plans.values()
-                if site_key(p.site) == key
-            }
-            if plan_modes & {"linear", "hoisted"}:
+        for res in self.plan.resources.values():
+            kid = res.kid
+            if res.linearized:
                 self._w(f'_info_{kid} = _env["info_{kid}"]')
-                if site.kind == "data":
+                if res.kind == "data":
                     self._w(f'_mklanes_{kid} = _env["lanes_{kid}"]')
                     self._w(f'_mkrows_{kid} = _env["rows_{kid}"]')
                     self._w(f"_lanes_{kid} = lambda _o: _mklanes_{kid}(_start, _n0, _o)")
@@ -767,10 +578,10 @@ class BatchCodegen(PythonCodegen):
                 else:
                     self._w(f'_rd_{kid} = _env["read_{kid}"]')
                     self._w(f'_tv_{kid} = _env["view_{kid}"]')
-            if "nested" in plan_modes:
-                self._w(f'_v_{site.root} = _env["val_{site.root}"]')
+            if "nested" in res.modes:
+                self._w(f'_v_{res.root} = _env["val_{res.root}"]')
         self._w("_n0 = _end - _start")
-        if _uses_elem_idx(self.low.body):
+        if uses_elem_idx(self.low.body):
             # global 0-based element index per lane (the elemIdx() intrinsic);
             # gathered execution re-runs scattered elements out of a compacted
             # buffer and supplies their true global indices via the env

@@ -1,54 +1,53 @@
-"""Code generation: lowered reduction + plan -> executable kernel source.
+"""Code generation: lowered reduction + plan -> kernel source text.
 
-Two backends share one traversal strategy:
+One traversal, four printers.  :class:`KernelEmitter` walks the lowered body
+once and owns every rule that does not depend on the target language: which
+site is realized how (nested chain, ``computeIndex`` offset, hoisted row),
+the row-major dense position of an index group, where a strength-reduced
+row's base is computed, initialized and bumped around its loop, and the cost
+contract — every statement's static operation counts
+(:class:`~repro.machine.counters.OpCounters` fields) are collected in a
+:class:`_Cost` and flushed *before* the statement's own text, so a kernel
+that fails part-way has counted exactly the statements it reached.  A new
+statement kind or a new cost rule is added there, once.
 
-* :class:`PythonCodegen` emits an instrumented Python kernel.  Every data
-  access, index computation, nested-structure access, arithmetic operation
-  and reduction-object update increments an
-  :class:`~repro.machine.counters.OpCounters` ledger, so running the kernel
-  *measures* the operation mix of its optimization level; the simulated
-  machine then prices those measurements.
-* :class:`CLikeCodegen` emits C-flavored source text mirroring what the
-  modified Chapel compiler would hand to its C backend (the paper's
-  Figure 8 right-hand side) — used for inspection and golden tests.
+A printer subclasses the walker and supplies the leaf hooks it calls (see
+the class docstring); it never walks the IR itself:
 
-Kernel calling convention::
+* :class:`PythonCodegen` — the instrumented scalar kernel; running it
+  *measures* the operation mix of its optimization level and the simulated
+  machine prices those measurements.  Calling convention::
 
-    def _kernel(_start, _end, _ro, _env, _C):
-        # processes global elements [_start, _end) of the linearized dataset
+      def _kernel(_start, _end, _ro, _env, _C):
+          # processes global elements [_start, _end) of the linearized dataset
 
-``_env`` carries the linearized buffers, per-site readers and mapping infos
-(built by :mod:`repro.compiler.translate` at bind time); ``_ro`` is the
-thread's reduction-object accessor; ``_C`` the counter ledger.
+  ``_env`` carries the linearized buffers, per-site readers and mapping
+  infos (installed by :mod:`repro.compiler.translate` at bind time from the
+  plan's :class:`~repro.compiler.passes.SiteResource` table); ``_ro`` is the
+  thread's reduction-object accessor; ``_C`` the counter ledger.
+* :class:`~repro.compiler.batch.BatchCodegen` — the split-level NumPy kernel
+  (a ``PythonCodegen`` whose values are lane arrays).
+* :class:`~repro.compiler.native.NativeCodegen` — the C kernel the JIT tier
+  compiles; its values are ``(code, "i"|"d")`` pairs.
+* :class:`CLikeCodegen` — C-flavored text mirroring what the modified Chapel
+  compiler would hand to its C backend (the paper's Figure 8 right-hand
+  side), for inspection and golden tests; it prints no counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.chapel import ast as A
 from repro.compiler.access import FieldStep, IndexStep
 from repro.compiler.lower import AccessSite, LoweredReduction
-from repro.compiler.passes import CompilationPlan, SitePlan
+from repro.compiler.passes import CompilationPlan, LoopHoist, SitePlan, site_key
 from repro.util.errors import CodegenError
 
-__all__ = ["PythonCodegen", "CLikeCodegen", "site_key"]
+__all__ = ["KernelEmitter", "PythonCodegen", "CLikeCodegen", "site_key"]
 
-_PY_BINOPS = {
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "/": "/",
-    "%": "%",
-    "==": "==",
-    "!=": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-    "&&": "and",
-    "||": "or",
-}
+_PY_LOGICAL = {"&&": "and", "||": "or"}
 
 _MATH_BUILTINS = {
     "abs": "abs",
@@ -62,11 +61,6 @@ _MATH_BUILTINS = {
 }
 
 
-def site_key(site: AccessSite) -> str:
-    """Sites with the same root and steps share buffers/infos/readers."""
-    return f"{site.kind}:{site.root}:{''.join(str(s) for s in site.steps)}"
-
-
 @dataclass
 class _Cost:
     """Static per-execution operation counts for one statement."""
@@ -76,29 +70,47 @@ class _Cost:
     def bump(self, name: str, by: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + by
 
-    def merge(self, other: "_Cost") -> None:
-        for k, v in other.counts.items():
-            self.bump(k, v)
 
-    def lines(self, indent: str) -> list[str]:
-        if not self.counts:
-            return []
-        parts = [f"_C.{k} += {v}" for k, v in sorted(self.counts.items())]
-        return [indent + "; ".join(parts)]
+class KernelEmitter:
+    """The one walk over a lowered reduction body; printers fill in the text.
 
+    An expression hook returns the printer's *value* for that expression —
+    a source string, unless the printer says otherwise (the C printer pairs
+    it with a type) — and the walker hands values back untouched, asking
+    :meth:`as_index` for plain text where it composes an index itself.
+    A statement hook writes its lines with :meth:`_w`.  Hooks a printer
+    provides:
 
-class PythonCodegen:
-    """Emit the instrumented Python kernel for one compilation plan."""
+    ========================================  =================================
+    ``literal(value)`` ``local(name)``        constants and user locals
+    ``binop(op, l, r)`` ``unop(op, x)``       operators
+    ``call(name, args)`` ``elem_idx()``       math builtins, ``elemIdx()``
+    ``as_index(value)``                       a value as integer index text
+    ``nested_root(site)``                     head of a nested Chapel chain
+    ``compute_index(site, dense)``            byte offset from dense positions
+    ``load(site, offset)``                    scalar read at a byte offset
+    ``row_load(site, hoist_id, idx, low)``    scalar read from a hoisted row
+    ``flush_cost(cost)``                      bump the ledger by ``cost``
+    ``bind_row(hoist, base)``                 row at a base, before its loop
+    ``init_base(hoist, base)``                incremental base, before the loop
+    ``advance_row(hoist)``                    row + base bump, per iteration
+    ``declare(decl, init)``                   ``init`` is None without one
+    ``assign(name, op, value)``               ``op`` is None for plain ``=``
+    ``open_loop(var, lo, hi)`` ``close_loop``
+    ``open_if(cond)`` ``open_else`` ``close_if``
+    ``empty_block()``                         body of a block with no statement
+    ``ro_update(op, args)``                   ``roAdd``/``roMin``/``roMax``
+    ``expr_stmt(value)``                      a bare expression statement
+    ========================================  =================================
+    """
 
     def __init__(self, lowered: LoweredReduction, plan: CompilationPlan) -> None:
         self.low = lowered
         self.plan = plan
         self.lines: list[str] = []
         self.indent = 0
-        # stable ids for shared site resources
-        self.keys: dict[str, int] = {}
-        for site in lowered.sites.values():
-            self.keys.setdefault(site_key(site), len(self.keys))
+        #: True while a reduction-object update (arguments included) is emitted
+        self.updating = False
 
     # -- small helpers ------------------------------------------------------
 
@@ -109,90 +121,51 @@ class PythonCodegen:
         return f"u_{name}"
 
     def _key_id(self, site: AccessSite) -> int:
-        return self.keys[site_key(site)]
+        return self.plan.resources[site_key(site)].kid
+
+    def local(self, name: str) -> Any:
+        return self._mangle(name)
+
+    def as_index(self, value: Any) -> str:
+        return value
+
+    def empty_block(self) -> None:
+        pass
 
     # -- expressions -------------------------------------------------------------
 
-    def emit_expr(self, expr: A.Expr, cost: _Cost) -> str:
+    def emit_expr(self, expr: A.Expr, cost: _Cost) -> Any:
         site = self.low.sites.get(id(expr))
         if site is not None:
             return self.emit_site(expr, site, cost)
-        if isinstance(expr, A.IntLit):
-            return repr(expr.value)
-        if isinstance(expr, A.RealLit):
-            return repr(expr.value)
-        if isinstance(expr, A.BoolLit):
-            return "True" if expr.value else "False"
+        if isinstance(expr, (A.IntLit, A.RealLit, A.BoolLit)):
+            return self.literal(expr.value)
         if isinstance(expr, A.Ident):
-            name = expr.name
-            if name in self.low.constants:
-                return repr(self.low.constants[name])
-            return self._mangle(name)
+            if expr.name in self.low.constants:
+                return self.literal(self.low.constants[expr.name])
+            return self.local(expr.name)
         if isinstance(expr, A.BinOp):
             left = self.emit_expr(expr.left, cost)
             right = self.emit_expr(expr.right, cost)
             cost.bump("flops")
-            return f"({left} {_PY_BINOPS[expr.op]} {right})"
+            return self.binop(expr.op, left, right)
         if isinstance(expr, A.UnaryOp):
             inner = self.emit_expr(expr.operand, cost)
             cost.bump("flops")
-            return f"(-{inner})" if expr.op == "-" else f"(not {inner})"
+            return self.unop(expr.op, inner)
         if isinstance(expr, A.Call):
             if expr.name in A.RO_INTRINSICS:
                 raise CodegenError(
                     f"{expr.name} is a statement-level intrinsic, not an expression"
                 )
             if expr.name == "elemIdx":
-                return "_e"
-            fn = _MATH_BUILTINS[expr.name]
-            args = ", ".join(self.emit_expr(a, cost) for a in expr.args)
+                return self.elem_idx()
+            args = [self.emit_expr(a, cost) for a in expr.args]
             cost.bump("flops")
-            return f"{fn}({args})"
+            return self.call(expr.name, args)
         raise CodegenError(f"cannot emit expression {expr!r}")  # pragma: no cover
 
     # -- access sites ---------------------------------------------------------------
-
-    def _dense_level_exprs(
-        self,
-        site: AccessSite,
-        cost: _Cost,
-        override_groups: dict[int, str] | None = None,
-    ) -> list[str]:
-        """Dense 0-based position code per mapping level (incl. wrapper).
-
-        ``override_groups`` replaces whole groups (keyed by 0-based group
-        index, wrapper excluded) with precomputed dense code — used by
-        hoist preambles (innermost -> "0") and incremental base inits
-        (varying level -> its start position).
-        """
-        info = site.info
-        assert info is not None
-        dense: list[str] = []
-        level_domains = list(info.domains)
-        wrapped = self._site_wrapped(site)
-        groups = list(site.index_exprs)
-        if wrapped:
-            # The wrapper level's index is always 0: for data, the dataset
-            # level's contribution is the separate `_e * elem_sizeof` term;
-            # for member-rooted extras, the synthetic wrapper has one slot.
-            dense.append("0")
-            level_domains = level_domains[1:]
-        for gi, (dom, group) in enumerate(zip(level_domains, groups)):
-            if override_groups is not None and gi in override_groups:
-                dense.append(override_groups[gi])
-                continue
-            terms = []
-            for dim, (rng, ie) in enumerate(zip(dom.ranges, group)):
-                code = self.emit_expr(ie, cost)
-                if rng.low != 0:
-                    code = f"({code} - {rng.low})"
-                # row-major scaling by the sizes of later dimensions
-                scale = 1
-                for later in dom.ranges[dim + 1 :]:
-                    scale *= len(later)
-                terms.append(code if scale == 1 else f"{code} * {scale}")
-            dense.append(" + ".join(terms) if terms else "0")
-        return dense
 
     @staticmethod
     def _site_wrapped(site: AccessSite) -> bool:
@@ -200,91 +173,113 @@ class PythonCodegen:
             return True
         return not (site.steps and isinstance(site.steps[0], IndexStep))
 
-    def emit_site(self, expr: A.Expr, site: AccessSite, cost: _Cost) -> str:
+    def dense_positions(
+        self,
+        site: AccessSite,
+        cost: _Cost,
+        override_groups: dict[int, str] | None = None,
+    ) -> list[tuple[str, int | None]]:
+        """Dense 0-based position code per mapping level (incl. wrapper).
+
+        Each entry pairs the code with the index group it was computed from
+        (0-based, wrapper excluded), or None when it was not: the wrapper
+        level, and whole groups that ``override_groups`` replaces with
+        precomputed dense code — used by hoist bases (innermost -> "0") and
+        incremental base inits (varying level -> its start position).
+        """
+        info = site.info
+        assert info is not None
+        dense: list[tuple[str, int | None]] = []
+        level_domains = list(info.domains)
+        if self._site_wrapped(site):
+            # The wrapper level's index is always 0: for data, the dataset
+            # level's contribution is the separate element-offset term; for
+            # member-rooted extras, the synthetic wrapper has one slot.
+            dense.append(("0", None))
+            level_domains = level_domains[1:]
+        for gi, (dom, group) in enumerate(zip(level_domains, site.index_exprs)):
+            if override_groups is not None and gi in override_groups:
+                dense.append((override_groups[gi], None))
+                continue
+            terms = []
+            for dim, (rng, ie) in enumerate(zip(dom.ranges, group)):
+                code = self.as_index(self.emit_expr(ie, cost))
+                if rng.low != 0:
+                    code = f"({code} - {rng.low})"
+                # row-major scaling by the sizes of later dimensions
+                scale = 1
+                for later in dom.ranges[dim + 1 :]:
+                    scale *= len(later)
+                terms.append(code if scale == 1 else f"{code} * {scale}")
+            dense.append((" + ".join(terms) if terms else "0", gi))
+        return dense
+
+    def emit_site(self, expr: A.Expr, site: AccessSite, cost: _Cost) -> Any:
         plan = self.plan.plan_for(id(expr))
         if plan.mode == "nested":
-            return self._emit_nested(site, cost)
+            return self._nested(site, cost)
         if plan.mode == "linear":
-            return self._emit_linear(site, cost)
+            return self.linear(site, cost)
         if plan.mode == "hoisted":
-            return self._emit_hoisted(site, plan, cost)
+            return self._hoisted(site, plan, cost)
         raise CodegenError(f"unknown site mode {plan.mode!r}")  # pragma: no cover
 
-    def _emit_nested(self, site: AccessSite, cost: _Cost) -> str:
+    def _nested(self, site: AccessSite, cost: _Cost) -> str:
         """Access through the real nested Chapel value (pointer chasing)."""
-        code = f"_v_{site.root}"
-        for step, group in self._steps_with_groups(site):
+        code = self.nested_root(site)
+        groups = iter(site.index_exprs)
+        for step in site.steps:
             if isinstance(step, FieldStep):
                 code = f"{code}.{step.name}"
             else:
-                idx = ", ".join(self.emit_expr(ie, cost) for ie in group)
+                idx = ", ".join(
+                    self.as_index(self.emit_expr(ie, cost)) for ie in next(groups)
+                )
                 code = f"{code}[{idx}]"
         cost.bump("nested_reads")
         cost.bump("nested_steps", site.num_steps)
         return code
 
-    def _steps_with_groups(self, site: AccessSite):
-        groups = iter(site.index_exprs)
-        for step in site.steps:
-            if isinstance(step, IndexStep):
-                yield step, next(groups)
-            else:
-                yield step, ()
-
-    def _offset_code(self, site: AccessSite, cost: _Cost) -> str:
-        kid = self._key_id(site)
-        dense = self._dense_level_exprs(site, cost)
-        base = f"_ci(_info_{kid}, ({', '.join(dense)},))"
-        if site.kind == "data":
-            base = f"_e * _esz + {base}"
-        cost.bump("index_calls")
-        cost.bump("index_levels", site.info.levels)  # type: ignore[union-attr]
-        return base
-
-    def _emit_linear(self, site: AccessSite, cost: _Cost) -> str:
-        kid = self._key_id(site)
-        cost.bump("linear_reads")
-        return f"_rd_{kid}({self._offset_code(site, cost)})"
-
-    def _emit_hoisted(self, site: AccessSite, plan: SitePlan, cost: _Cost) -> str:
-        inner = site.index_exprs[-1][0]
-        rng = site.info.domains[-1].ranges[0]  # type: ignore[union-attr]
-        idx = self.emit_expr(inner, cost)
-        if rng.low != 0:
-            idx = f"{idx} - {rng.low}"
-        cost.bump("linear_reads")
-        return f"_row_{plan.hoist_id}[{idx}]"
-
-    def _hoist_base_code(
+    def offset(
         self,
         site: AccessSite,
         cost: _Cost,
-        override_groups: dict[int, str],
+        override_groups: dict[int, str] | None = None,
     ) -> str:
-        kid = self._key_id(site)
-        num_groups = len(site.index_exprs)
-        overrides = dict(override_groups)
-        overrides[num_groups - 1] = "0"  # base of the innermost run
-        dense = self._dense_level_exprs(site, cost, overrides)
-        base = f"_ci(_info_{kid}, ({', '.join(dense)},))"
-        if site.kind == "data":
-            base = f"_e * _esz + {base}"
+        """One ``computeIndex``: the byte offset of the addressed scalar."""
+        dense = self.dense_positions(site, cost, override_groups)
         cost.bump("index_calls")
         cost.bump("index_levels", site.info.levels)  # type: ignore[union-attr]
-        return base
+        return self.compute_index(site, dense)
 
-    def emit_hoist_preamble(self, loop: A.ForStmt) -> None:
-        """Emit the strength-reduced row views placed just before a loop."""
+    def linear(self, site: AccessSite, cost: _Cost) -> Any:
+        cost.bump("linear_reads")
+        return self.load(site, self.offset(site, cost))
+
+    def _hoisted(self, site: AccessSite, plan: SitePlan, cost: _Cost) -> Any:
+        rng = site.info.domains[-1].ranges[0]  # type: ignore[union-attr]
+        idx = self.as_index(self.emit_expr(site.index_exprs[-1][0], cost))
+        cost.bump("linear_reads")
+        return self.row_load(site, plan.hoist_id, idx, rng.low)
+
+    def hoist_base(
+        self, site: AccessSite, cost: _Cost, override_groups: dict[int, str]
+    ) -> str:
+        """Offset of the contiguous innermost run a hoisted row views."""
+        overrides = dict(override_groups)
+        overrides[len(site.index_exprs) - 1] = "0"
+        return self.offset(site, cost, overrides)
+
+    def _hoist_preamble(self, loop: A.ForStmt) -> None:
+        """The strength-reduced rows placed just before a loop."""
         for hoist in self.plan.loop_hoists.get(id(loop), []):
             cost = _Cost()
-            base = self._hoist_base_code(hoist.site, cost, {})
-            kid = self._key_id(hoist.site)
-            for line in cost.lines("    " * self.indent):
-                self.lines.append(line)
-            self._w(f"_row_{hoist.hoist_id} = _tv_{kid}({base})")
+            base = self.hoist_base(hoist.site, cost, {})
+            self.flush_cost(cost)
+            self.bind_row(hoist, base)
 
-    def emit_incremental_inits(self, loop: A.ForStmt) -> None:
-        """Base pointers for incremental hoists driven by this loop.
+    def _incremental_inits(self, loop: A.ForStmt) -> None:
+        """Base offsets for incremental hoists driven by this loop.
 
         "The start point for the continuous data split is computed before
         the first iteration, and an appropriate pre-computed offset is
@@ -297,92 +292,182 @@ class PythonCodegen:
             rng = site.info.domains[  # type: ignore[union-attr]
                 hoist.var_group + (1 if self._site_wrapped(site) else 0)
             ].ranges[0]
-            lo_code = self.emit_expr(loop.range.lo, cost)
-            start = f"({lo_code} - {rng.low})" if rng.low != 0 else lo_code
-            base = self._hoist_base_code(site, cost, {hoist.var_group: start})
-            for line in cost.lines("    " * self.indent):
-                self.lines.append(line)
-            self._w(f"_b_{hoist.hoist_id} = {base}")
+            lo = self.as_index(self.emit_expr(loop.range.lo, cost))
+            start = f"({lo} - {rng.low})" if rng.low != 0 else lo
+            base = self.hoist_base(site, cost, {hoist.var_group: start})
+            self.flush_cost(cost)
+            self.init_base(hoist, base)
 
-    def emit_incremental_tops(self, loop: A.ForStmt) -> None:
-        """Row view + base bump at the top of each driving-loop iteration."""
+    def _incremental_tops(self, loop: A.ForStmt) -> None:
+        """Row + base bump at the top of each driving-loop iteration."""
         for hoist in self.plan.incremental_hoists.get(id(loop), []):
-            kid = self._key_id(hoist.site)
             cost = _Cost()
             cost.bump("flops")  # the base bump
-            for line in cost.lines("    " * self.indent):
-                self.lines.append(line)
-            self._w(f"_row_{hoist.hoist_id} = _tv_{kid}(_b_{hoist.hoist_id})")
-            self._w(f"_b_{hoist.hoist_id} += {hoist.step_bytes}")
+            self.flush_cost(cost)
+            self.advance_row(hoist)
 
     # -- statements ----------------------------------------------------------------
 
     def emit_block(self, block: A.Block) -> None:
         if not block.stmts:
-            self._w("pass")
-            return
+            self.empty_block()
         for stmt in block.stmts:
             self.emit_stmt(stmt)
 
     def emit_stmt(self, stmt: A.Stmt) -> None:
-        ind = "    " * self.indent
+        cost = _Cost()
         if isinstance(stmt, A.VarDeclStmt):
             d = stmt.decl
-            cost = _Cost()
-            init = self.emit_expr(d.init, cost) if d.init is not None else "0"
-            self.lines.extend(cost.lines(ind))
-            self._w(f"{self._mangle(d.name)} = {init}")
+            init = self.emit_expr(d.init, cost) if d.init is not None else None
+            self.flush_cost(cost)
+            self.declare(d, init)
         elif isinstance(stmt, A.Assign):
-            cost = _Cost()
             value = self.emit_expr(stmt.value, cost)
-            target = self._mangle(stmt.target.name)  # lower guarantees Ident
             if stmt.op is not None:
                 cost.bump("flops")
-                self.lines.extend(cost.lines(ind))
-                self._w(f"{target} {stmt.op}= {value}")
-            else:
-                self.lines.extend(cost.lines(ind))
-                self._w(f"{target} = {value}")
+            self.flush_cost(cost)
+            self.assign(stmt.target.name, stmt.op, value)  # lower guarantees Ident
         elif isinstance(stmt, A.ForStmt):
-            cost = _Cost()
-            lo = self.emit_expr(stmt.range.lo, cost)
-            hi = self.emit_expr(stmt.range.hi, cost)
-            self.lines.extend(cost.lines(ind))
-            self.emit_hoist_preamble(stmt)
-            self.emit_incremental_inits(stmt)
-            self._w(f"for {self._mangle(stmt.var)} in range({lo}, {hi} + 1):")
-            self.indent += 1
-            self.emit_incremental_tops(stmt)
+            lo = self.as_index(self.emit_expr(stmt.range.lo, cost))
+            hi = self.as_index(self.emit_expr(stmt.range.hi, cost))
+            self.flush_cost(cost)
+            self._hoist_preamble(stmt)
+            self._incremental_inits(stmt)
+            self.open_loop(stmt.var, lo, hi)
+            self._incremental_tops(stmt)
             self.emit_block(stmt.body)
-            self.indent -= 1
+            self.close_loop()
         elif isinstance(stmt, A.IfStmt):
-            cost = _Cost()
-            cond = self.emit_expr(stmt.cond, cost)
-            self.lines.extend(cost.lines(ind))
-            self._w(f"if {cond}:")
-            self.indent += 1
-            self.emit_block(stmt.then)
-            self.indent -= 1
-            if stmt.orelse is not None:
-                self._w("else:")
-                self.indent += 1
-                self.emit_block(stmt.orelse)
-                self.indent -= 1
+            self.emit_if(stmt)
         elif isinstance(stmt, A.ExprStmt):
             expr = stmt.expr
             if isinstance(expr, A.Call) and expr.name in A.RO_INTRINSICS:
-                cost = _Cost()
+                self.updating = True
                 args = [self.emit_expr(a, cost) for a in expr.args]
                 cost.bump("ro_updates")
-                self.lines.extend(cost.lines(ind))
-                self._w(f"_ro.accumulate({args[0]}, {args[1]}, {args[2]})")
+                self.flush_cost(cost)
+                self.ro_update(A.RO_INTRINSICS[expr.name], args)
+                self.updating = False
             else:
-                cost = _Cost()
-                code = self.emit_expr(expr, cost)
-                self.lines.extend(cost.lines(ind))
-                self._w(code)
+                value = self.emit_expr(expr, cost)
+                self.flush_cost(cost)
+                self.expr_stmt(value)
         else:  # pragma: no cover
             raise CodegenError(f"cannot emit statement {stmt!r}")
+
+    def emit_if(self, stmt: A.IfStmt) -> None:
+        cost = _Cost()
+        cond = self.emit_expr(stmt.cond, cost)
+        self.flush_cost(cost)
+        self.open_if(cond)
+        self.emit_block(stmt.then)
+        if stmt.orelse is not None:
+            self.open_else()
+            self.emit_block(stmt.orelse)
+        self.close_if()
+
+
+class PythonCodegen(KernelEmitter):
+    """Print the instrumented Python kernel for one compilation plan."""
+
+    #: added to a data site's element-local offset: the element's own base
+    data_base = "_e * _esz + "
+
+    # -- expressions -------------------------------------------------------------
+
+    def literal(self, value: Any) -> str:
+        return repr(value)
+
+    def binop(self, op: str, left: str, right: str) -> str:
+        return f"({left} {_PY_LOGICAL.get(op, op)} {right})"
+
+    def unop(self, op: str, inner: str) -> str:
+        return f"(-{inner})" if op == "-" else f"(not {inner})"
+
+    def call(self, name: str, args: list[str]) -> str:
+        return f"{_MATH_BUILTINS[name]}({', '.join(args)})"
+
+    def elem_idx(self) -> str:
+        return "_e"
+
+    # -- access sites ---------------------------------------------------------------
+
+    def nested_root(self, site: AccessSite) -> str:
+        return f"_v_{site.root}"
+
+    def compute_index(self, site: AccessSite, dense: list) -> str:
+        base = f"_ci(_info_{self._key_id(site)}, ({', '.join(c for c, _ in dense)},))"
+        return self.data_base + base if site.kind == "data" else base
+
+    def load(self, site: AccessSite, offset: str) -> str:
+        return f"_rd_{self._key_id(site)}({offset})"
+
+    def row_load(self, site: AccessSite, hoist_id: int, idx: str, low: int) -> str:
+        if low != 0:
+            idx = f"{idx} - {low}"
+        return f"_row_{hoist_id}[{idx}]"
+
+    def _row_view(self, site: AccessSite) -> str:
+        """The env function that views a contiguous run at a byte offset."""
+        return f"_tv_{self._key_id(site)}"
+
+    def bind_row(self, hoist: LoopHoist, base: str) -> None:
+        self._w(f"_row_{hoist.hoist_id} = {self._row_view(hoist.site)}({base})")
+
+    def init_base(self, hoist: LoopHoist, base: str) -> None:
+        self._w(f"_b_{hoist.hoist_id} = {base}")
+
+    def advance_row(self, hoist: LoopHoist) -> None:
+        self.bind_row(hoist, f"_b_{hoist.hoist_id}")
+        self._w(f"_b_{hoist.hoist_id} += {hoist.step_bytes}")
+
+    # -- statements ----------------------------------------------------------------
+
+    def _count(self, per_execution: int) -> str:
+        """How much one execution of the statement adds to a counter."""
+        return str(per_execution)
+
+    def flush_cost(self, cost: _Cost) -> None:
+        if cost.counts:
+            self._w("; ".join(
+                f"_C.{k} += {self._count(v)}" for k, v in sorted(cost.counts.items())
+            ))
+
+    def declare(self, decl: A.VarDecl, init: str | None) -> None:
+        self._w(f"{self._mangle(decl.name)} = {'0' if init is None else init}")
+
+    def assign(self, name: str, op: str | None, value: str) -> None:
+        self._w(f"{self._mangle(name)} {op or ''}= {value}")
+
+    def open_loop(self, var: str, lo: str, hi: str) -> None:
+        self._w(f"for {self._mangle(var)} in range({lo}, {hi} + 1):")
+        self.indent += 1
+
+    def close_loop(self) -> None:
+        self.indent -= 1
+
+    def open_if(self, cond: str) -> None:
+        self._w(f"if {cond}:")
+        self.indent += 1
+
+    def open_else(self) -> None:
+        self.indent -= 1
+        self._w("else:")
+        self.indent += 1
+
+    def close_if(self) -> None:
+        self.indent -= 1
+
+    def empty_block(self) -> None:
+        self._w("pass")
+
+    def ro_update(self, op: str, args: list[str]) -> None:
+        # the intrinsic's op rides along so the accessor can refuse an update
+        # into a group declared with another op, as the compiled tiers do
+        self._w(f"_ro.accumulate({args[0]}, {args[1]}, {args[2]}, {op!r})")
+
+    def expr_stmt(self, value: str) -> None:
+        self._w(value)
 
     # -- whole kernel ------------------------------------------------------------------
 
@@ -395,24 +480,14 @@ class PythonCodegen:
         self._w('_esz = _env["elem_sizeof"]')
         self._w('_sqrt = _env["sqrt"]; _floor = _env["floor"]')
         self._w('_exp = _env["exp"]; _log = _env["log"]')
-        emitted: set[str] = set()
-        for site in self.low.sites.values():
-            key = site_key(site)
-            kid = self.keys[key]
-            if key in emitted:
-                continue
-            emitted.add(key)
-            plan_modes = {
-                p.mode
-                for p in self.plan.site_plans.values()
-                if site_key(p.site) == key
-            }
-            if plan_modes & {"linear", "hoisted"}:
+        for res in self.plan.resources.values():
+            kid = res.kid
+            if res.linearized:
                 self._w(f'_info_{kid} = _env["info_{kid}"]')
                 self._w(f'_rd_{kid} = _env["read_{kid}"]')
                 self._w(f'_tv_{kid} = _env["view_{kid}"]')
-            if "nested" in plan_modes:
-                self._w(f'_v_{site.root} = _env["val_{site.root}"]')
+            if "nested" in res.modes:
+                self._w(f'_v_{res.root} = _env["val_{res.root}"]')
         self._w("for _e in range(_start, _end):")
         self.indent += 1
         self._w("_C.elements_processed += 1")
@@ -420,129 +495,117 @@ class PythonCodegen:
         return "\n".join(self.lines) + "\n"
 
 
-class CLikeCodegen:
-    """Emit C-flavored source mirroring the plan (documentation/golden tests)."""
+class _CBraces:
+    """Braced blocks and ``if``/``else`` in C syntax, for the two printers
+    that emit C."""
 
-    def __init__(self, lowered: LoweredReduction, plan: CompilationPlan) -> None:
-        self.low = lowered
-        self.plan = plan
-        self.lines: list[str] = []
-        self.indent = 0
-        self.keys: dict[str, int] = {}
-        for site in lowered.sites.values():
-            self.keys.setdefault(site_key(site), len(self.keys))
+    def open_if(self, cond: str) -> None:
+        self._w(f"if ({cond}) {{")
+        self.indent += 1
 
-    def _w(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
+    def open_else(self) -> None:
+        self.indent -= 1
+        self._w("} else {")
+        self.indent += 1
 
-    def emit_expr(self, expr: A.Expr) -> str:
-        site = self.low.sites.get(id(expr))
-        if site is not None:
-            plan = self.plan.plan_for(id(expr))
-            kid = self.keys[site_key(site)]
-            if plan.mode == "nested":
-                code = site.root
-                groups = iter(site.index_exprs)
-                for step in site.steps:
-                    if isinstance(step, IndexStep):
-                        idx = ", ".join(self.emit_expr(ie) for ie in next(groups))
-                        code += f"[{idx}]"
-                    else:
-                        code += f".{step.name}"
-                return code
-            if plan.mode == "linear":
-                idx = ", ".join(
-                    self.emit_expr(ie) for g in site.index_exprs for ie in g
-                )
-                head = "e" + (", " if idx else "") if site.kind == "data" else ""
-                return (
-                    f"linear_{site.root}[computeIndex(unitSize_{kid}, "
-                    f"unitOffset_{kid}, myIndex({head}{idx}), position_{kid}, 0, "
-                    f"{site.info.levels})]"  # type: ignore[union-attr]
-                )
-            inner = self.emit_expr(site.index_exprs[-1][0])
-            low = site.info.domains[-1].ranges[0].low  # type: ignore[union-attr]
-            if low != 0:
-                inner = f"{inner} - {low}"
-            return f"row_{plan.hoist_id}[{inner}]"
-        if isinstance(expr, A.IntLit):
-            return str(expr.value)
-        if isinstance(expr, A.RealLit):
-            return repr(expr.value)
-        if isinstance(expr, A.BoolLit):
-            return "1" if expr.value else "0"
-        if isinstance(expr, A.Ident):
-            if expr.name in self.low.constants:
-                return repr(self.low.constants[expr.name])
-            return expr.name
-        if isinstance(expr, A.BinOp):
-            return f"({self.emit_expr(expr.left)} {expr.op} {self.emit_expr(expr.right)})"
-        if isinstance(expr, A.UnaryOp):
-            return f"({expr.op}{self.emit_expr(expr.operand)})"
-        if isinstance(expr, A.Call):
-            if expr.name == "elemIdx":
-                return "e"
-            args = ", ".join(self.emit_expr(a) for a in expr.args)
-            return f"{expr.name}({args})"
-        raise CodegenError(f"cannot emit {expr!r}")  # pragma: no cover
+    def close_brace(self) -> None:
+        self.indent -= 1
+        self._w("}")
 
-    def emit_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.VarDeclStmt):
-            d = stmt.decl
-            ctype = "double" if isinstance(d.type, A.NamedTypeExpr) and d.type.name == "real" else "long"
-            init = f" = {self.emit_expr(d.init)}" if d.init is not None else ""
-            self._w(f"{ctype} {d.name}{init};")
-        elif isinstance(stmt, A.Assign):
-            op = (stmt.op or "") + "="
-            self._w(f"{self.emit_expr(stmt.target)} {op} {self.emit_expr(stmt.value)};")
-        elif isinstance(stmt, A.ForStmt):
-            for hoist in self.plan.loop_hoists.get(id(stmt), []):
-                kid = self.keys[site_key(hoist.site)]
-                self._w(
-                    f"double* row_{hoist.hoist_id} = &linear_{hoist.site.root}"
-                    f"[computeIndex_base_{kid}(...)];  /* hoisted (opt-1) */"
-                )
-            for hoist in self.plan.incremental_hoists.get(id(stmt), []):
-                kid = self.keys[site_key(hoist.site)]
-                self._w(
-                    f"long base_{hoist.hoist_id} = computeIndex_base_{kid}(...);"
-                    "  /* start point, computed before the first iteration */"
-                )
-            lo, hi = self.emit_expr(stmt.range.lo), self.emit_expr(stmt.range.hi)
-            self._w(f"for (long {stmt.var} = {lo}; {stmt.var} <= {hi}; {stmt.var}++) {{")
-            self.indent += 1
-            for hoist in self.plan.incremental_hoists.get(id(stmt), []):
-                self._w(
-                    f"double* row_{hoist.hoist_id} = &linear_{hoist.site.root}"
-                    f"[base_{hoist.hoist_id}]; base_{hoist.hoist_id} += "
-                    f"{hoist.step_bytes};  /* pre-computed offset per iteration */"
-                )
-            for s in stmt.body.stmts:
-                self.emit_stmt(s)
-            self.indent -= 1
-            self._w("}")
-        elif isinstance(stmt, A.IfStmt):
-            self._w(f"if ({self.emit_expr(stmt.cond)}) {{")
-            self.indent += 1
-            for s in stmt.then.stmts:
-                self.emit_stmt(s)
-            self.indent -= 1
-            if stmt.orelse is not None:
-                self._w("} else {")
-                self.indent += 1
-                for s in stmt.orelse.stmts:
-                    self.emit_stmt(s)
-                self.indent -= 1
-            self._w("}")
-        elif isinstance(stmt, A.ExprStmt):
-            expr = stmt.expr
-            if isinstance(expr, A.Call) and expr.name in A.RO_INTRINSICS:
-                args = ", ".join(self.emit_expr(a) for a in expr.args)
-                self._w(f"accumulate({args});  /* reduction object update */")
-            else:
-                self._w(f"{self.emit_expr(expr)};")
-        else:  # pragma: no cover
-            raise CodegenError(f"cannot emit {stmt!r}")
+    close_if = close_loop = close_brace
+
+
+class CLikeCodegen(_CBraces, KernelEmitter):
+    """Print C-flavored source mirroring the plan (documentation/golden tests)."""
+
+    def _mangle(self, name: str) -> str:
+        return name
+
+    # -- expressions -------------------------------------------------------------
+
+    def literal(self, value: Any) -> str:
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return repr(value)
+
+    def binop(self, op: str, left: str, right: str) -> str:
+        return f"({left} {op} {right})"
+
+    def unop(self, op: str, inner: str) -> str:
+        return f"({op}{inner})"
+
+    def call(self, name: str, args: list[str]) -> str:
+        return f"{name}({', '.join(args)})"
+
+    def elem_idx(self) -> str:
+        return "e"
+
+    # -- access sites ---------------------------------------------------------------
+
+    def nested_root(self, site: AccessSite) -> str:
+        return site.root
+
+    def linear(self, site: AccessSite, cost: _Cost) -> str:
+        # Figure 8 shows the raw Chapel indices handed to computeIndex
+        kid = self._key_id(site)
+        idx = ", ".join(self.emit_expr(ie, cost) for g in site.index_exprs for ie in g)
+        head = "e" + (", " if idx else "") if site.kind == "data" else ""
+        return (
+            f"linear_{site.root}[computeIndex(unitSize_{kid}, "
+            f"unitOffset_{kid}, myIndex({head}{idx}), position_{kid}, 0, "
+            f"{site.info.levels})]"  # type: ignore[union-attr]
+        )
+
+    def compute_index(self, site: AccessSite, dense: list) -> str:
+        return f"computeIndex_base_{self._key_id(site)}(...)"
+
+    def row_load(self, site: AccessSite, hoist_id: int, idx: str, low: int) -> str:
+        if low != 0:
+            idx = f"{idx} - {low}"
+        return f"row_{hoist_id}[{idx}]"
+
+    def bind_row(self, hoist: LoopHoist, base: str) -> None:
+        self._w(
+            f"double* row_{hoist.hoist_id} = &linear_{hoist.site.root}"
+            f"[{base}];  /* hoisted (opt-1) */"
+        )
+
+    def init_base(self, hoist: LoopHoist, base: str) -> None:
+        self._w(
+            f"long base_{hoist.hoist_id} = {base};"
+            "  /* start point, computed before the first iteration */"
+        )
+
+    def advance_row(self, hoist: LoopHoist) -> None:
+        self._w(
+            f"double* row_{hoist.hoist_id} = &linear_{hoist.site.root}"
+            f"[base_{hoist.hoist_id}]; base_{hoist.hoist_id} += "
+            f"{hoist.step_bytes};  /* pre-computed offset per iteration */"
+        )
+
+    # -- statements ----------------------------------------------------------------
+
+    def flush_cost(self, cost: _Cost) -> None:
+        pass
+
+    def declare(self, decl: A.VarDecl, init: str | None) -> None:
+        ctype = "double" if isinstance(decl.type, A.NamedTypeExpr) and decl.type.name == "real" else "long"
+        self._w(f"{ctype} {decl.name}{'' if init is None else f' = {init}'};")
+
+    def assign(self, name: str, op: str | None, value: str) -> None:
+        self._w(f"{name} {op or ''}= {value};")
+
+    def open_loop(self, var: str, lo: str, hi: str) -> None:
+        self._w(f"for (long {var} = {lo}; {var} <= {hi}; {var}++) {{")
+        self.indent += 1
+
+    def ro_update(self, op: str, args: list[str]) -> None:
+        self._w(f"accumulate({', '.join(args)});  /* reduction object update */")
+
+    def expr_stmt(self, value: str) -> None:
+        self._w(f"{value};")
+
+    # -- whole kernel ------------------------------------------------------------------
 
     def generate(self) -> str:
         self.lines = []
@@ -552,12 +615,9 @@ class CLikeCodegen:
         self.indent += 1
         self._w("for (long e = args->start; e < args->end; e++) {")
         self.indent += 1
-        for s in self.low.body.stmts:
-            self.emit_stmt(s)
-        self.indent -= 1
-        self._w("}")
-        self.indent -= 1
-        self._w("}")
+        self.emit_block(self.low.body)
+        self.close_brace()
+        self.close_brace()
         return "\n".join(self.lines) + "\n"
 
     def generate_program(self) -> str:
@@ -580,9 +640,9 @@ class CLikeCodegen:
         w("    linear_data = linearizeIt(chapel_data, computeLinearizeSize(chapel_data));")
         hot = sorted(
             {
-                p.site.root
-                for p in self.plan.site_plans.values()
-                if p.site.kind == "extra" and p.mode != "nested"
+                res.root
+                for res in self.plan.resources.values()
+                if res.kind == "extra" and res.linearized
             }
         )
         for root in hot:
@@ -612,5 +672,3 @@ class CLikeCodegen:
         w("    return 0;")
         w("}")
         return "\n".join(lines) + "\n"
-
-

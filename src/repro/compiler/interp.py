@@ -121,7 +121,7 @@ class _Interp:
             expr = stmt.expr
             if isinstance(expr, A.Call) and expr.name in _RO_METHODS:
                 g, e, v = (self.eval(a) for a in expr.args)
-                self.ro.accumulate(int(g), int(e), float(v))
+                self.ro.accumulate(int(g), int(e), float(v), _RO_METHODS[expr.name])
             else:
                 self.eval(expr)
         else:  # pragma: no cover

@@ -1,14 +1,16 @@
 """Native-code backend: lowered kernel IR -> C -> shared library (JIT).
 
 The third compiled backend (``backend="native"``).  :class:`NativeCodegen`
-walks the same lowered reduction + compilation plan the Python and batch
-emitters consume and emits one self-contained C translation unit per
-kernel version, mirroring the instrumented Python kernel *exactly*:
+is the C printer of the shared :class:`~repro.compiler.codegen.KernelEmitter`
+walk the Python and batch printers also serve; it emits one self-contained C
+translation unit per kernel version, mirroring the instrumented Python
+kernel *exactly*:
 
-* the same SitePlan/LoopHoist decisions realize every access site
-  (``computeIndex`` inlined as a constant-folded affine byte offset,
-  hoisted rows as base pointers, incremental bases bumped per iteration);
-* the same static per-statement :class:`~repro.compiler.codegen._Cost`
+* the walker applies the same SitePlan/LoopHoist decisions to every access
+  site; the printer realizes them in C (``computeIndex`` inlined as a
+  constant-folded affine byte offset, hoisted rows as base pointers,
+  incremental bases bumped per iteration);
+* the walker's static per-statement :class:`~repro.compiler.codegen._Cost`
   bumps land in ``long long`` locals (``_c0 … _c12``, one per
   :class:`~repro.machine.counters.OpCounters` slot the kernel uses) that
   the back-end compiler keeps in registers and merges; they are stored
@@ -59,9 +61,7 @@ Semantics notes (all chosen to match the *scalar* Python kernel):
   there — and :class:`~repro.util.errors.ReductionObjectError`), leaving
   the ledger, the target and its ``update_count`` where the scalar kernel
   leaves them; checks proven redundant by the PR 7 effect summaries are
-  elided.  One check has no scalar twin: an update whose op is not its
-  group's declared op is refused (as the batch tier refuses it), where
-  the scalar kernel folds with the group's own op.
+  elided.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.chapel import ast as A
-from repro.compiler.codegen import _Cost, site_key
+from repro.compiler.codegen import KernelEmitter, _CBraces, _Cost
 from repro.compiler.lower import AccessSite, LoweredReduction
-from repro.compiler.passes import CompilationPlan, SitePlan
+from repro.compiler.passes import CompilationPlan, LoopHoist
 from repro.freeride.reduction_object import OP_CODES as _OP_CODES, aligned_empty
 from repro.machine.counters import OpCounters
 from repro.obs.tracer import get_tracer
@@ -228,14 +228,17 @@ def _c_literal(value: Any) -> tuple[str, str]:
     raise NativeUnsupported(f"cannot emit constant {value!r} as C")
 
 
-class NativeCodegen:
-    """Emit the C kernel for one compilation plan.
+class NativeCodegen(_CBraces, KernelEmitter):
+    """Print the C kernel for one compilation plan.
 
-    Mirrors :class:`~repro.compiler.codegen.PythonCodegen` statement by
-    statement — same traversal, same cost-bump placement, same site-plan
-    realization — so the counter ledgers of the two kernels agree exactly.
-    ``summary`` (the PR 7 effect summary) proves index bounds; proven
-    levels skip their runtime range check.
+    The walk, the cost-bump placement and the site-plan realization are the
+    shared walker's, so the counter ledgers of the C and the scalar kernel
+    agree by construction.  This printer's values are ``(C code, "i"|"d")``
+    pairs — C needs the type the Python tiers leave to the interpreter — and
+    what it adds is C's own: the runtime range checks ``computeIndex``, a
+    NumPy row view and ``ReductionObject.accumulate`` perform implicitly,
+    spelled out and leaving through ``_FAIL``.  ``summary`` (the PR 7 effect
+    summary) proves index bounds; proven levels skip their check.
     """
 
     def __init__(
@@ -244,14 +247,8 @@ class NativeCodegen:
         plan: CompilationPlan,
         summary: Any = None,
     ) -> None:
-        self.low = lowered
-        self.plan = plan
+        super().__init__(lowered, plan)
         self.summary = summary
-        self.lines: list[str] = []
-        self.indent = 0
-        self.keys: dict[str, int] = {}
-        for site in lowered.sites.values():
-            self.keys.setdefault(site_key(site), len(self.keys))
         self.local_types: dict[str, str] = {}
         self._tmp = 0  # unique suffix for statement-expression locals
         self.buf_order: list[int] = []
@@ -261,24 +258,14 @@ class NativeCodegen:
         self._helpers: set[str] = set()
         self._slots: set[int] = set()
         self._can_fail = False
-        self._fail_base = 0  # _RC_UNSTORED while an RO update is emitted
 
     # -- small helpers ------------------------------------------------------
-
-    def _w(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    def _mangle(self, name: str) -> str:
-        return f"u_{name}"
-
-    def _key_id(self, site: AccessSite) -> int:
-        return self.keys[site_key(site)]
 
     def _next_tmp(self) -> int:
         self._tmp += 1
         return self._tmp
 
-    def _flush_cost(self, cost: _Cost) -> None:
+    def flush_cost(self, cost: _Cost) -> None:
         """The statement's static counts, bumped *before* it runs (as the
         scalar kernel does) — into integer locals the C compiler can keep in
         registers and merge; ``_C`` itself is only stored at ``_out``."""
@@ -294,65 +281,41 @@ class NativeCodegen:
         return helper
 
     def _fail(self, rc: int) -> str:
-        """Leave the split body with ``rc`` through its single exit."""
+        """Leave the split body with ``rc`` through its single exit.
+
+        A check that fails inside an RO update (its arguments included)
+        reports ``_RC_UNSTORED`` on top: the update was counted, not stored.
+        """
         self._can_fail = True
-        return f"_FAIL({self._fail_base + rc})"
+        return f"_FAIL({rc + (_RC_UNSTORED if self.updating else 0)})"
 
     # -- local type inference -----------------------------------------------
 
     def _infer_local_types(self) -> None:
         """Fixpoint: a local is ``long long`` unless any binding is real."""
         types: dict[str, str] = {name: "i" for name in self.low.locals}
-
-        def seed(stmt: A.Stmt) -> None:
+        bindings: list[tuple[str, A.Expr | None, bool]] = []
+        for stmt in A.walk_stmts(self.low.body):
             if isinstance(stmt, A.VarDeclStmt):
                 d = stmt.decl
                 if isinstance(d.type, A.NamedTypeExpr) and d.type.name == "real":
                     types[d.name] = "d"
-            elif isinstance(stmt, A.ForStmt):
-                for s in stmt.body.stmts:
-                    seed(s)
-            elif isinstance(stmt, A.IfStmt):
-                for s in stmt.then.stmts:
-                    seed(s)
-                if stmt.orelse is not None:
-                    for s in stmt.orelse.stmts:
-                        seed(s)
-
-        for s in self.low.body.stmts:
-            seed(s)
-
-        def walk(stmt: A.Stmt) -> bool:
-            changed = False
-            if isinstance(stmt, A.VarDeclStmt):
-                d = stmt.decl
-                t = self._type_of(d.init, types) if d.init is not None else "i"
-                joined = _join(types.get(d.name, "i"), t)
-                if joined != types.get(d.name):
-                    types[d.name] = joined
-                    changed = True
+                bindings.append((d.name, d.init, False))
             elif isinstance(stmt, A.Assign):
-                name = stmt.target.name  # lower guarantees Ident
-                t = self._type_of(stmt.value, types)
-                if stmt.op == "/":
+                # lower guarantees an Ident target; ``/=`` is true division
+                bindings.append((stmt.target.name, stmt.value, stmt.op == "/"))
+        changed = True
+        while changed:
+            changed = False
+            for name, value, real in bindings:
+                if real:
                     t = "d"
+                else:
+                    t = "i" if value is None else self._type_of(value, types)
                 joined = _join(types.get(name, "i"), t)
                 if joined != types.get(name):
                     types[name] = joined
                     changed = True
-            elif isinstance(stmt, A.ForStmt):
-                for s in stmt.body.stmts:
-                    changed |= walk(s)
-            elif isinstance(stmt, A.IfStmt):
-                for s in stmt.then.stmts:
-                    changed |= walk(s)
-                if stmt.orelse is not None:
-                    for s in stmt.orelse.stmts:
-                        changed |= walk(s)
-            return changed
-
-        while any(walk(s) for s in self.low.body.stmts):
-            pass
         self.local_types = types
 
     def _type_of(self, expr: A.Expr, types: dict[str, str]) -> str:
@@ -400,59 +363,41 @@ class NativeCodegen:
 
     # -- expressions --------------------------------------------------------
 
-    def emit_expr(self, expr: A.Expr, cost: _Cost) -> tuple[str, str]:
-        """Returns ``(C code, value type)`` with ``"i"``/``"d"`` types."""
-        site = self.low.sites.get(id(expr))
-        if site is not None:
-            return self.emit_site(expr, site, cost)
-        if isinstance(expr, A.IntLit):
-            return _c_literal(expr.value)
-        if isinstance(expr, A.RealLit):
-            return _c_literal(expr.value)
-        if isinstance(expr, A.BoolLit):
-            return _c_literal(expr.value)
-        if isinstance(expr, A.Ident):
-            name = expr.name
-            if name in self.low.constants:
-                return _c_literal(self.low.constants[name])
-            return self._mangle(name), self.local_types.get(name, "i")
-        if isinstance(expr, A.BinOp):
-            left, lt = self.emit_expr(expr.left, cost)
-            right, rt = self.emit_expr(expr.right, cost)
-            cost.bump("flops")
-            op = expr.op
-            if op == "/":
-                return f"((double)({left}) / (double)({right}))", "d"
-            if op == "%":
-                if _join(lt, rt) == "i":
-                    return f"{self._use('_imod')}({left}, {right})", "i"
-                return (
-                    f"{self._use('_fmodpy')}((double)({left}), (double)({right}))",
-                    "d",
-                )
-            if op in _CMP_OPS or op in ("&&", "||"):
-                return f"({left} {op} {right})", "i"
-            return f"({left} {op} {right})", _join(lt, rt)
-        if isinstance(expr, A.UnaryOp):
-            inner, it = self.emit_expr(expr.operand, cost)
-            cost.bump("flops")
-            if expr.op == "-":
-                return f"(-({inner}))", it
-            return f"(!({inner}))", "i"
-        if isinstance(expr, A.Call):
-            return self._emit_call(expr, cost)
-        raise CodegenError(f"cannot emit expression {expr!r}")  # pragma: no cover
+    def literal(self, value: Any) -> tuple[str, str]:
+        return _c_literal(value)
 
-    def _emit_call(self, expr: A.Call, cost: _Cost) -> tuple[str, str]:
-        if expr.name in A.RO_INTRINSICS:
-            raise CodegenError(
-                f"{expr.name} is a statement-level intrinsic, not an expression"
+    def local(self, name: str) -> tuple[str, str]:
+        return self._mangle(name), self.local_types.get(name, "i")
+
+    def elem_idx(self) -> tuple[str, str]:
+        return "_e", "i"
+
+    def as_index(self, value: tuple[str, str]) -> str:
+        code, t = value
+        return f"((long long)({code}))" if t == "d" else code
+
+    def binop(self, op: str, lhs: tuple[str, str], rhs: tuple[str, str]) -> tuple[str, str]:
+        (left, lt), (right, rt) = lhs, rhs
+        if op == "/":
+            return f"((double)({left}) / (double)({right}))", "d"
+        if op == "%":
+            if _join(lt, rt) == "i":
+                return f"{self._use('_imod')}({left}, {right})", "i"
+            return (
+                f"{self._use('_fmodpy')}((double)({left}), (double)({right}))",
+                "d",
             )
-        if expr.name == "elemIdx":
-            return "_e", "i"
-        args = [self.emit_expr(a, cost) for a in expr.args]
-        cost.bump("flops")
-        name = expr.name
+        if op in _CMP_OPS or op in ("&&", "||"):
+            return f"({left} {op} {right})", "i"
+        return f"({left} {op} {right})", _join(lt, rt)
+
+    def unop(self, op: str, operand: tuple[str, str]) -> tuple[str, str]:
+        inner, it = operand
+        if op == "-":
+            return f"(-({inner}))", it
+        return f"(!({inner}))", "i"
+
+    def call(self, name: str, args: list[tuple[str, str]]) -> tuple[str, str]:
         if name in ("sqrt", "exp", "log"):
             code, _ = args[0]
             return f"{self._use(name)}((double)({code}))", "d"
@@ -486,14 +431,6 @@ class NativeCodegen:
 
     # -- access sites -------------------------------------------------------
 
-    @staticmethod
-    def _site_wrapped(site: AccessSite) -> bool:
-        from repro.compiler.access import IndexStep
-
-        if site.kind == "data":
-            return True
-        return not (site.steps and isinstance(site.steps[0], IndexStep))
-
     def _loader(self, site: AccessSite) -> tuple[str, str, int]:
         info = site.info
         assert info is not None
@@ -523,63 +460,30 @@ class NativeCodegen:
             return False
         return True
 
-    def _dense_level_exprs(
-        self,
-        site: AccessSite,
-        cost: _Cost,
-        override_groups: dict[int, str] | None = None,
-    ) -> list[tuple[str, bool]]:
-        """Per-level ``(dense position code, needs_runtime_check)`` pairs."""
-        info = site.info
-        assert info is not None
-        dense: list[tuple[str, bool]] = []
-        level_domains = list(info.domains)
-        wrapped = self._site_wrapped(site)
-        groups = list(site.index_exprs)
-        if wrapped:
-            dense.append(("0", False))
-            level_domains = level_domains[1:]
-        for gi, (dom, group) in enumerate(zip(level_domains, groups)):
-            if override_groups is not None and gi in override_groups:
-                code = override_groups[gi]
-                dense.append((code, code != "0"))
-                continue
-            terms = []
-            for dim, (rng, ie) in enumerate(zip(dom.ranges, group)):
-                code, t = self.emit_expr(ie, cost)
-                if t == "d":
-                    code = f"((long long)({code}))"
-                if rng.low != 0:
-                    code = f"({code} - {rng.low})"
-                scale = 1
-                for later in dom.ranges[dim + 1:]:
-                    scale *= len(later)
-                terms.append(code if scale == 1 else f"{code} * {scale}")
-            dense.append(
-                (" + ".join(terms) if terms else "0", not self._group_proven(site, gi))
-            )
-        return dense
+    def nested_root(self, site: AccessSite) -> str:
+        # native needs every site realized over a linearized buffer
+        raise NativeUnsupported(
+            f"nested access {site.expr} (un-linearized extra at opt level "
+            f"{self.plan.opt_level}); native backend needs linear/hoisted "
+            "sites — use opt-2 or the batch/scalar path"
+        )
 
-    def _offset_code(
-        self,
-        site: AccessSite,
-        cost: _Cost,
-        override_groups: dict[int, str] | None = None,
-    ) -> str:
+    def compute_index(self, site: AccessSite, dense: list) -> str:
         """Inline ``computeIndex``: a statement expression yielding the
         byte offset, with the same per-level range checks Algorithm 3
         performs (elided when the effect summary proves them)."""
         info = site.info
         assert info is not None
-        dense = self._dense_level_exprs(site, cost, override_groups)
         tmp = self._next_tmp()
         stmts: list[str] = []
         terms: list[str] = []
         const = info.trailing_offset + sum(info.level_offsets)
-        for i, (code, check) in enumerate(dense):
+        for i, (code, gi) in enumerate(dense):
             var = f"_x{tmp}_{i}"
             stmts.append(f"long long {var} = {code};")
-            if check:
+            # a literal 0 is in range; a position not computed from its own
+            # index group (an incremental base's start) has no proof
+            if code != "0" and (gi is None or not self._group_proven(site, gi)):
                 size = info.domains[i].size
                 stmts.append(
                     f"if ({var} < 0 || {var} >= {size}) {self._fail(_RC_MAP_OOB)}"
@@ -594,201 +498,81 @@ class NativeCodegen:
         out = f"({{ {' '.join(stmts)} {value}; }})"
         if site.kind == "data":
             out = f"(_e * {self.low.element_type.sizeof} + {out})"
-        cost.bump("index_calls")
-        cost.bump("index_levels", info.levels)
         return out
 
-    def emit_site(
-        self, expr: A.Expr, site: AccessSite, cost: _Cost
-    ) -> tuple[str, str]:
-        plan = self.plan.plan_for(id(expr))
-        if plan.mode == "nested":
-            raise NativeUnsupported(
-                f"nested access {site.expr} (un-linearized extra at opt level "
-                f"{self.plan.opt_level}); native backend needs linear/hoisted "
-                "sites — use opt-2 or the batch/scalar path"
-            )
-        if plan.mode == "linear":
-            return self._emit_linear(site, cost)
-        if plan.mode == "hoisted":
-            return self._emit_hoisted(site, plan, cost)
-        raise CodegenError(f"unknown site mode {plan.mode!r}")  # pragma: no cover
-
-    def _emit_linear(self, site: AccessSite, cost: _Cost) -> tuple[str, str]:
-        kid = self._key_id(site)
+    def load(self, site: AccessSite, offset: str) -> tuple[str, str]:
         loader, vtype, _ = self._loader(site)
-        off = self._offset_code(site, cost)
-        cost.bump("linear_reads")
-        return f"{loader}(_buf_{kid} + {off})", vtype
+        return f"{loader}(_buf_{self._key_id(site)} + {offset})", vtype
 
-    def _emit_hoisted(
-        self, site: AccessSite, plan: SitePlan, cost: _Cost
+    def row_load(
+        self, site: AccessSite, hoist_id: int, idx: str, low: int
     ) -> tuple[str, str]:
-        inner = site.index_exprs[-1][0]
-        info = site.info
-        assert info is not None
-        rng = info.domains[-1].ranges[0]
         loader, vtype, itemsize = self._loader(site)
-        idx, t = self.emit_expr(inner, cost)
-        if t == "d":
-            idx = f"((long long)({idx}))"
-        if rng.low != 0:
-            idx = f"({idx} - {rng.low})"
-        cost.bump("linear_reads")
-        extent = info.inner_extent
+        if low != 0:
+            idx = f"({idx} - {low})"
         if self._group_proven(site, len(site.index_exprs) - 1):
-            access = f"{loader}(_row_{plan.hoist_id} + ({idx}) * {itemsize})"
-        else:
-            tmp = self._next_tmp()
-            # numpy row-view semantics: one negative wrap, then bounds check
-            access = (
-                f"({{ long long _h{tmp} = {idx}; "
-                f"if (_h{tmp} < 0) _h{tmp} += {extent}; "
-                f"if (_h{tmp} < 0 || _h{tmp} >= {extent}) {self._fail(_RC_ROW_OOB)} "
-                f"{loader}(_row_{plan.hoist_id} + _h{tmp} * {itemsize}); }})"
-            )
-        return access, vtype
+            return f"{loader}(_row_{hoist_id} + ({idx}) * {itemsize})", vtype
+        extent = site.info.inner_extent  # type: ignore[union-attr]
+        tmp = self._next_tmp()
+        # numpy row-view semantics: one negative wrap, then bounds check
+        return (
+            f"({{ long long _h{tmp} = {idx}; "
+            f"if (_h{tmp} < 0) _h{tmp} += {extent}; "
+            f"if (_h{tmp} < 0 || _h{tmp} >= {extent}) {self._fail(_RC_ROW_OOB)} "
+            f"{loader}(_row_{hoist_id} + _h{tmp} * {itemsize}); }})"
+        ), vtype
 
-    def _hoist_base_code(
-        self, site: AccessSite, cost: _Cost, override_groups: dict[int, str]
-    ) -> str:
-        overrides = dict(override_groups)
-        overrides[len(site.index_exprs) - 1] = "0"  # base of the innermost run
-        return self._offset_code(site, cost, overrides)
+    def bind_row(self, hoist: LoopHoist, base: str) -> None:
+        self._w(f"_row_{hoist.hoist_id} = _buf_{self._key_id(hoist.site)} + {base};")
 
-    def emit_hoist_preamble(self, loop: A.ForStmt) -> None:
-        for hoist in self.plan.loop_hoists.get(id(loop), []):
-            cost = _Cost()
-            base = self._hoist_base_code(hoist.site, cost, {})
-            kid = self._key_id(hoist.site)
-            self._flush_cost(cost)
-            self._w(f"_row_{hoist.hoist_id} = _buf_{kid} + {base};")
+    def init_base(self, hoist: LoopHoist, base: str) -> None:
+        self._w(f"_b_{hoist.hoist_id} = {base};")
 
-    def emit_incremental_inits(self, loop: A.ForStmt) -> None:
-        for hoist in self.plan.incremental_hoists.get(id(loop), []):
-            site = hoist.site
-            cost = _Cost()
-            info = site.info
-            assert info is not None
-            rng = info.domains[
-                hoist.var_group + (1 if self._site_wrapped(site) else 0)
-            ].ranges[0]
-            lo_code, t = self.emit_expr(loop.range.lo, cost)
-            if t == "d":
-                lo_code = f"((long long)({lo_code}))"
-            start = f"({lo_code} - {rng.low})" if rng.low != 0 else lo_code
-            base = self._hoist_base_code(site, cost, {hoist.var_group: start})
-            self._flush_cost(cost)
-            self._w(f"_b_{hoist.hoist_id} = {base};")
-
-    def emit_incremental_tops(self, loop: A.ForStmt) -> None:
-        for hoist in self.plan.incremental_hoists.get(id(loop), []):
-            kid = self._key_id(hoist.site)
-            cost = _Cost()
-            cost.bump("flops")  # the base bump
-            self._flush_cost(cost)
-            self._w(f"_row_{hoist.hoist_id} = _buf_{kid} + _b_{hoist.hoist_id};")
-            self._w(f"_b_{hoist.hoist_id} += {hoist.step_bytes};")
+    def advance_row(self, hoist: LoopHoist) -> None:
+        self.bind_row(hoist, f"_b_{hoist.hoist_id}")
+        self._w(f"_b_{hoist.hoist_id} += {hoist.step_bytes};")
 
     # -- statements ---------------------------------------------------------
 
-    def emit_block(self, block: A.Block) -> None:
-        for stmt in block.stmts:
-            self.emit_stmt(stmt)
+    def declare(self, decl: A.VarDecl, init: tuple[str, str] | None) -> None:
+        self._w(f"{self._mangle(decl.name)} = {'0' if init is None else init[0]};")
 
-    def emit_stmt(self, stmt: A.Stmt) -> None:
-        if isinstance(stmt, A.VarDeclStmt):
-            d = stmt.decl
-            cost = _Cost()
-            if d.init is not None:
-                init, _ = self.emit_expr(d.init, cost)
-            else:
-                init = "0"
-            self._flush_cost(cost)
-            self._w(f"{self._mangle(d.name)} = {init};")
-        elif isinstance(stmt, A.Assign):
-            cost = _Cost()
-            value, _ = self.emit_expr(stmt.value, cost)
-            target = self._mangle(stmt.target.name)
-            if stmt.op is not None:
-                cost.bump("flops")
-                self._flush_cost(cost)
-                if stmt.op == "/":  # true division even for int targets
-                    self._w(f"{target} = (double)({target}) / (double)({value});")
-                else:
-                    self._w(f"{target} {stmt.op}= {value};")
-            else:
-                self._flush_cost(cost)
-                self._w(f"{target} = {value};")
-        elif isinstance(stmt, A.ForStmt):
-            cost = _Cost()
-            lo, lt = self.emit_expr(stmt.range.lo, cost)
-            hi, ht = self.emit_expr(stmt.range.hi, cost)
-            if lt == "d":
-                lo = f"((long long)({lo}))"
-            if ht == "d":
-                hi = f"((long long)({hi}))"
-            self._flush_cost(cost)
-            self.emit_hoist_preamble(stmt)
-            self.emit_incremental_inits(stmt)
-            tmp = self._next_tmp()
-            var = self._mangle(stmt.var)
-            # Bounds evaluated once and a hidden iterator drives the loop,
-            # so body assignments to the loop variable cannot change the
-            # iteration — exactly Python's ``for v in range(lo, hi + 1)``.
-            self._w(f"{{ long long _lo{tmp} = {lo}; long long _hi{tmp} = {hi};")
-            self.indent += 1
-            self._w(
-                f"for (long long _it{tmp} = _lo{tmp}; _it{tmp} <= _hi{tmp}; "
-                f"_it{tmp}++) {{"
-            )
-            self.indent += 1
-            self._w(f"{var} = _it{tmp};")
-            self.emit_incremental_tops(stmt)
-            self.emit_block(stmt.body)
-            self.indent -= 1
-            self._w("}")
-            self.indent -= 1
-            self._w("}")
-        elif isinstance(stmt, A.IfStmt):
-            cost = _Cost()
-            cond, _ = self.emit_expr(stmt.cond, cost)
-            self._flush_cost(cost)
-            self._w(f"if ({cond}) {{")
-            self.indent += 1
-            self.emit_block(stmt.then)
-            self.indent -= 1
-            if stmt.orelse is not None:
-                self._w("} else {")
-                self.indent += 1
-                self.emit_block(stmt.orelse)
-                self.indent -= 1
-            self._w("}")
-        elif isinstance(stmt, A.ExprStmt):
-            expr = stmt.expr
-            if isinstance(expr, A.Call) and expr.name in A.RO_INTRINSICS:
-                self._emit_ro_update(expr)
-            else:
-                cost = _Cost()
-                code, _ = self.emit_expr(expr, cost)
-                self._flush_cost(cost)
-                self._w(f"(void)({code});")
-        else:  # pragma: no cover
-            raise CodegenError(f"cannot emit statement {stmt!r}")
+    def assign(self, name: str, op: str | None, value: tuple[str, str]) -> None:
+        target = self._mangle(name)
+        if op == "/":  # true division even for int targets
+            self._w(f"{target} = (double)({target}) / (double)({value[0]});")
+        else:
+            self._w(f"{target} {op or ''}= {value[0]};")
 
-    def _emit_ro_update(self, expr: A.Call) -> None:
+    def open_if(self, cond: tuple[str, str]) -> None:
+        super().open_if(cond[0])
+
+    def open_loop(self, var: str, lo: str, hi: str) -> None:
+        # Bounds evaluated once and a hidden iterator drives the loop,
+        # so body assignments to the loop variable cannot change the
+        # iteration — exactly Python's ``for v in range(lo, hi + 1)``.
+        tmp = self._next_tmp()
+        self._w(f"{{ long long _lo{tmp} = {lo}; long long _hi{tmp} = {hi};")
+        self.indent += 1
+        self._w(
+            f"for (long long _it{tmp} = _lo{tmp}; _it{tmp} <= _hi{tmp}; "
+            f"_it{tmp}++) {{"
+        )
+        self.indent += 1
+        self._w(f"{self._mangle(var)} = _it{tmp};")
+
+    def close_loop(self) -> None:
+        self.close_brace()  # the for
+        self.close_brace()  # the block holding its bounds
+
+    def expr_stmt(self, value: tuple[str, str]) -> None:
+        self._w(f"(void)({value[0]});")
+
+    def ro_update(self, op: str, args: list[tuple[str, str]]) -> None:
         """``roAdd/roMin/roMax(group, elem, value)`` into the element buffer,
         with the same validation ``ReductionObject.accumulate`` performs."""
-        cost = _Cost()
-        self._fail_base = _RC_UNSTORED  # also for checks inside the arguments
-        (g, gt), (e, et), (v, _) = (self.emit_expr(a, cost) for a in expr.args)
-        if gt == "d":
-            g = f"((long long)({g}))"
-        if et == "d":
-            e = f"((long long)({e}))"
-        opcode = _OP_CODES[A.RO_INTRINSICS[expr.name]]
-        cost.bump("ro_updates")
-        self._flush_cost(cost)
+        g, e, v = self.as_index(args[0]), self.as_index(args[1]), args[2][0]
+        opcode = _OP_CODES[op]
         tmp = self._next_tmp()
         self._w(f"{{ long long _g{tmp} = {g}; long long _el{tmp} = {e}; "
                 f"double _v{tmp} = (double)({v});")
@@ -799,35 +583,26 @@ class NativeCodegen:
                 + self._fail(_RC_RO_ELEM))
         self._w(f"if (_ro_op[_g{tmp}] != {opcode}) " + self._fail(_RC_RO_OP))
         self._w(f"{{ double *_cell = _acc + _ro_off[_g{tmp}] + _el{tmp};")
-        if opcode == _OP_CODES["add"]:
+        if op == "add":
             self._w(f"  *_cell += _v{tmp}; }}")
-        elif opcode == _OP_CODES["min"]:
+        elif op == "min":
             self._w(f"  if (_v{tmp} < *_cell) *_cell = _v{tmp}; }}")
         else:
             self._w(f"  if (_v{tmp} > *_cell) *_cell = _v{tmp}; }}")
         self._w(f"_touched[_g{tmp}] = 1;")
-        self.indent -= 1
-        self._w("}")
-        self._fail_base = 0
+        self.close_brace()
 
     # -- whole kernel -------------------------------------------------------
 
     def generate(self) -> str:
         """The full translation unit (symbol still the sentinel token)."""
         self._infer_local_types()
-
-        # Native needs every site realized over a linearized buffer.
-        used_kids: set[int] = set()
-        for plan in self.plan.site_plans.values():
-            if plan.mode == "nested":
-                # raise with the same message emit_site would
-                self.emit_site(plan.site.expr, plan.site, _Cost())
-            used_kids.add(self._key_id(plan.site))
-        self.buf_order = sorted(used_kids)
+        self.buf_order = sorted(res.kid for res in self.plan.resources.values())
         buf_pos = {kid: i for i, kid in enumerate(self.buf_order)}
 
         self.lines = []
         self.indent = 0
+        self._tmp = 0
         self._helpers, self._slots, self._can_fail = set(), set(), False
         self._w(f"/* {self.low.name}: native FREERIDE kernel, "
                 f"opt level {self.plan.opt_level} */")
@@ -863,7 +638,7 @@ class NativeCodegen:
         self._w("(void)_ro_op; (void)_ro_groups; (void)_touched;")
         self._w("for (long long _e = _start; _e < _end; _e++) {")
         self.indent += 1
-        self._flush_cost(_Cost({"elements_processed": 1}))
+        self.flush_cost(_Cost({"elements_processed": 1}))
         self.emit_block(self.low.body)
         self.indent -= 1
         self._w("}")

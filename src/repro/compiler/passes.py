@@ -28,9 +28,18 @@ from dataclasses import dataclass, field
 from repro.chapel import ast as A
 from repro.compiler.access import IndexStep
 from repro.compiler.lower import AccessSite, LoweredReduction, free_vars
+from repro.compiler.mapping import MappingInfo
 from repro.util.errors import CompilerError
 
-__all__ = ["SitePlan", "LoopHoist", "CompilationPlan", "plan_compilation", "VERSION_NAMES"]
+__all__ = [
+    "SitePlan",
+    "LoopHoist",
+    "SiteResource",
+    "CompilationPlan",
+    "plan_compilation",
+    "site_key",
+    "VERSION_NAMES",
+]
 
 VERSION_NAMES = {0: "generated", 1: "opt-1", 2: "opt-2", "manual": "manual FR"}
 
@@ -65,6 +74,31 @@ class LoopHoist:
     var_group: int = -1  # which index group (0-based, excl. wrapper) varies
 
 
+def site_key(site: AccessSite) -> str:
+    """Sites with the same root and steps share buffers/infos/readers."""
+    return f"{site.kind}:{site.root}:{''.join(str(s) for s in site.steps)}"
+
+
+@dataclass(frozen=True)
+class SiteResource:
+    """What the sites sharing one :func:`site_key` need from the kernel env.
+
+    ``kid`` names the env entries (``info_k``/``buf_k``/``read_k``/``view_k``,
+    for data also ``lanes_k``/``rows_k``) a linearized key is served by; a key
+    with a nested site reads the live Chapel value ``val_<root>`` instead.
+    """
+
+    kid: int
+    kind: str  # "data" or "extra"
+    root: str
+    modes: frozenset[str]  # the plan modes of every site with this key
+    info: MappingInfo | None
+
+    @property
+    def linearized(self) -> bool:
+        return bool(self.modes & {"linear", "hoisted"})
+
+
 @dataclass
 class CompilationPlan:
     """The full plan for one optimization level."""
@@ -74,6 +108,9 @@ class CompilationPlan:
     loop_hoists: dict[int, list[LoopHoist]] = field(default_factory=dict)  # id(for) ->
     #: id(enclosing for) -> incremental hoists driven by that loop
     incremental_hoists: dict[int, list[LoopHoist]] = field(default_factory=dict)
+    #: site key -> shared resource, ids in order of first appearance; the
+    #: one table emitters (what to load) and binding (what to install) read
+    resources: dict[str, SiteResource] = field(default_factory=dict)
 
     def plan_for(self, expr_id: int) -> SitePlan:
         return self.site_plans[expr_id]
@@ -278,4 +315,14 @@ def plan_compilation(lowered: LoweredReduction, opt_level: int) -> CompilationPl
     missing = set(lowered.sites) - set(plan.site_plans)
     if missing:  # pragma: no cover - traversal invariant
         raise CompilerError(f"{len(missing)} access sites left unplanned")
+    modes: dict[str, set[str]] = {}
+    for site_plan in plan.site_plans.values():
+        modes.setdefault(site_key(site_plan.site), set()).add(site_plan.mode)
+    for site in lowered.sites.values():
+        key = site_key(site)
+        if key not in plan.resources:
+            plan.resources[key] = SiteResource(
+                len(plan.resources), site.kind, site.root,
+                frozenset(modes[key]), site.info,
+            )
     return plan

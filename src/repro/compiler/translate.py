@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -37,12 +38,17 @@ from repro.compiler.batch import (
     BatchUnsupported,
     uses_elem_idx,
 )
-from repro.compiler.codegen import CLikeCodegen, PythonCodegen, site_key
+from repro.compiler.codegen import CLikeCodegen, PythonCodegen
 from repro.compiler.groupbounds import analyze_group_bounds
 from repro.compiler.linearize import LinearizedBuffer, linearize_append, linearize_it
 from repro.compiler.lower import LoweredReduction, lower_reduction
-from repro.compiler.mapping import MappingInfo, compute_index
-from repro.compiler.passes import VERSION_NAMES, CompilationPlan, plan_compilation
+from repro.compiler.mapping import compute_index
+from repro.compiler.passes import (
+    VERSION_NAMES,
+    CompilationPlan,
+    SiteResource,
+    plan_compilation,
+)
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.spec import KernelSpec, ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
@@ -144,9 +150,7 @@ class CompiledReduction:
     lowered: LoweredReduction
     plan: CompilationPlan
     python_source: str
-    c_source: str
     kernel: Callable
-    keys: dict[str, int]
     backend: str = "scalar"
     #: kernel variant: ``"generic"`` runs under every accessor;
     #: ``"colored"`` additionally emits the ``exclusive`` hint on batch
@@ -226,27 +230,19 @@ class CompiledReduction:
         return self.lowered.name
 
     @property
+    def keys(self) -> dict[str, int]:
+        """Site key -> the id its env entries (``info_k``, ``buf_k``, ...) carry."""
+        return {key: res.kid for key, res in self.plan.resources.items()}
+
+    @cached_property
+    def c_source(self) -> str:
+        """The C-like reduction function (paper Figure 8, right-hand side)."""
+        return CLikeCodegen(self.lowered, self.plan).generate()
+
+    @cached_property
     def c_program(self) -> str:
         """A complete C-like FREERIDE application (paper Figure 5 shape)."""
-        from repro.compiler.codegen import CLikeCodegen
-
         return CLikeCodegen(self.lowered, self.plan).generate_program()
-
-    # -- resource classification ------------------------------------------------
-
-    def _linear_extra_roots(self) -> set[str]:
-        return {
-            p.site.root
-            for p in self.plan.site_plans.values()
-            if p.site.kind == "extra" and p.mode in ("linear", "hoisted")
-        }
-
-    def _nested_extra_roots(self) -> set[str]:
-        return {
-            p.site.root
-            for p in self.plan.site_plans.values()
-            if p.site.kind == "extra" and p.mode == "nested"
-        }
 
     # -- binding --------------------------------------------------------------------
 
@@ -330,32 +326,31 @@ class CompiledReduction:
             f"numpy fast path supports flat primitive elements, not {elem_t}"
         )
 
+    def _install(self, env: dict[str, Any], res: SiteResource, raw: np.ndarray) -> None:
+        """Point one linearized site resource's env entries at ``raw``.
+
+        The one author of the env contract the emitted kernels read:
+        ``info_k``/``read_k``/``view_k`` (scalar, batch), ``buf_k`` (native)
+        and, for the dataset under a batch kernel, ``lanes_k``/``rows_k``.
+        """
+        kid, info = res.kid, res.info
+        assert info is not None
+        env[f"info_{kid}"] = info
+        env[f"buf_{kid}"] = raw
+        env[f"read_{kid}"] = _make_reader(raw, info.inner_dtype)
+        env[f"view_{kid}"] = _make_viewer(raw, info.inner_dtype, info.inner_extent)
+        if res.kind == "data" and self.batch_kernel is not None:
+            esz = self.lowered.element_type.sizeof
+            env[f"lanes_{kid}"] = _make_lane_reader(raw, info.inner_dtype, esz)
+            env[f"rows_{kid}"] = _make_lane_viewer(
+                raw, info.inner_dtype, esz, info.inner_extent
+            )
+
     def _install_site_resources(self, env: dict[str, Any], data_buf: LinearizedBuffer) -> None:
-        installed: set[int] = set()
-        for plan in self.plan.site_plans.values():
-            site = plan.site
-            kid = self.keys[site_key(site)]
-            if plan.mode == "nested" or kid in installed:
-                continue
-            if site.kind == "data":
-                installed.add(kid)
-                info = site.info
-                assert info is not None
-                env[f"info_{kid}"] = info
-                env[f"buf_{kid}"] = data_buf.raw  # native backend reads it raw
-                env[f"read_{kid}"] = _make_reader(data_buf.raw, info.inner_dtype)
-                env[f"view_{kid}"] = _make_viewer(
-                    data_buf.raw, info.inner_dtype, info.inner_extent
-                )
-                if self.batch_kernel is not None:
-                    esz = self.lowered.element_type.sizeof
-                    env[f"lanes_{kid}"] = _make_lane_reader(
-                        data_buf.raw, info.inner_dtype, esz
-                    )
-                    env[f"rows_{kid}"] = _make_lane_viewer(
-                        data_buf.raw, info.inner_dtype, esz, info.inner_extent
-                    )
-            # linear extras are installed by update_extras
+        """(Re)install the dataset's resources; extras' are ``update_extras``'s."""
+        for res in self.plan.resources.values():
+            if res.kind == "data" and res.linearized:
+                self._install(env, res, data_buf.raw)
 
     # -- compiled artifacts ---------------------------------------------------------
 
@@ -399,36 +394,26 @@ class BoundReduction:
         if missing:
             raise CompilerError(f"missing extras: {sorted(missing)}")
 
-        linear_roots = comp._linear_extra_roots()
-        nested_roots = comp._nested_extra_roots()
         buffers: dict[str, LinearizedBuffer] = {}
         tracer = get_tracer()
-        for root in linear_roots:
-            value = extras[root]
-            etype = comp.lowered.extra_types[root]
-            with tracer.span(
-                "linearize_extras", cat="linearize",
-                reduction=comp.name, extra=root,
-            ) as span:
-                buffers[root] = linearize_it(value, etype, self.counters)
-                span.set(bytes=buffers[root].nbytes)
-        for root in nested_roots:
-            self.env[f"val_{root}"] = extras[root]
-
-        for plan in comp.plan.site_plans.values():
-            site = plan.site
-            if site.kind != "extra" or plan.mode == "nested":
+        for res in comp.plan.resources.values():
+            if res.kind != "extra":
                 continue
-            kid = comp.keys[site_key(site)]
-            info = site.info
-            assert info is not None
-            buf = buffers[site.root]
-            self.env[f"info_{kid}"] = info
-            self.env[f"buf_{kid}"] = buf.raw  # native backend reads it raw
-            self.env[f"read_{kid}"] = _make_reader(buf.raw, info.inner_dtype)
-            self.env[f"view_{kid}"] = _make_viewer(
-                buf.raw, info.inner_dtype, info.inner_extent
-            )
+            root = res.root
+            if "nested" in res.modes:
+                self.env[f"val_{root}"] = extras[root]
+            if not res.linearized:
+                continue
+            if root not in buffers:
+                with tracer.span(
+                    "linearize_extras", cat="linearize",
+                    reduction=comp.name, extra=root,
+                ) as span:
+                    buffers[root] = linearize_it(
+                        extras[root], comp.lowered.extra_types[root], self.counters
+                    )
+                    span.set(bytes=buffers[root].nbytes)
+            comp._install(self.env, res, buffers[root].raw)
         self.extras_epoch += 1
 
     # -- direct execution (tests) -----------------------------------------------------
@@ -688,9 +673,7 @@ def compile_reduction(
         with tracer.span("plan", cat="compiler", reduction=lowered.name):
             plan = plan_compilation(lowered, opt_level)
         with tracer.span("codegen", cat="compiler", reduction=lowered.name):
-            pygen = PythonCodegen(lowered, plan)
-            python_source = pygen.generate()
-            c_source = CLikeCodegen(lowered, plan).generate()
+            python_source = PythonCodegen(lowered, plan).generate()
             namespace: dict[str, Any] = {}
             exec(
                 compile(
@@ -833,9 +816,7 @@ def compile_reduction(
         lowered=lowered,
         plan=plan,
         python_source=python_source,
-        c_source=c_source,
         kernel=namespace["_kernel"],
-        keys=dict(pygen.keys),
         backend=backend,
         technique=technique,
         group_bounds=group_bounds,

@@ -321,7 +321,10 @@ class ReductionObject:
                 f"group {group} not allocated (have {len(self._groups)})"
             )
 
-    def _cell(self, group: int, elem: int) -> tuple[_GroupMeta, int]:
+    def _cell(
+        self, group: int, elem: int, op: "AccumulateOp | None" = None
+    ) -> tuple[_GroupMeta, int]:
+        """Validate one cell; ``op``, when given, must be the group's own."""
         meta = self._meta(group)
         check_nonnegative_int(elem, "elem")
         if elem >= meta.num_elems:
@@ -329,16 +332,26 @@ class ReductionObject:
                 f"element {elem} out of range for group {group} "
                 f"({meta.num_elems} elements)"
             )
+        if op is not None and op != meta.op:
+            raise ReductionObjectError(
+                f"update op does not match the group's op: {op!r} into "
+                f"group {group}, declared {meta.op!r}"
+            )
         return meta, meta.offset + elem
 
     # -- updates and reads ----------------------------------------------------
 
-    def accumulate(self, group: int, elem: int, value: float) -> None:
+    def accumulate(
+        self, group: int, elem: int, value: float, op: "AccumulateOp | None" = None
+    ) -> None:
         """Fold ``value`` into element ``(group, elem)`` with the group's op.
 
-        This is Table I's ``void accumulate(int, int, void* value)``.
+        This is Table I's ``void accumulate(int, int, void* value)``.  A
+        caller that knows which op it means (a compiled ``roAdd``/``roMin``/
+        ``roMax``) passes it, and an update into a group declared with
+        another op is refused before anything is stored or counted.
         """
-        meta, idx = self._cell(group, elem)
+        meta, idx = self._cell(group, elem, op)
         ACCUMULATE_OPS[meta.op](self._buffer, idx, value)
         self._touched[meta.group_id] = True
         self.update_count += 1
@@ -411,7 +424,8 @@ class ReductionObject:
         bad = {ops[int(gi)] for gi in np.unique(g)} - {op}
         if bad:
             raise ReductionObjectError(
-                f"batch {op!r} update hits groups declared with op {sorted(bad)}"
+                f"update op does not match the group's op: batch {op!r} update "
+                f"hits groups declared with op {sorted(bad)}"
             )
         return offsets[g] + e, v
 

@@ -124,7 +124,7 @@ class ROAccessor:
 
     stats: SharedMemStats
 
-    def accumulate(self, group: int, elem: int, value: float) -> None:
+    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
         raise NotImplementedError
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
@@ -198,8 +198,8 @@ class ReplicatedAccessor(ROAccessor):
             ro_memory_bytes=private_ro.nbytes,
         )
 
-    def accumulate(self, group: int, elem: int, value: float) -> None:
-        self.ro.accumulate(group, elem, value)
+    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
+        self.ro.accumulate(group, elem, value, op)
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
         self.ro.accumulate_group(group, values)
@@ -235,8 +235,8 @@ class ScratchAccessor(ROAccessor):
         self.ro = scratch_ro
         self.stats = SharedMemStats()
 
-    def accumulate(self, group: int, elem: int, value: float) -> None:
-        self.ro.accumulate(group, elem, value)
+    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
+        self.ro.accumulate(group, elem, value, op)
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
         self.ro.accumulate_group(group, values)
@@ -280,8 +280,8 @@ class ColoredAccessor(ROAccessor):
             shared.offsets, shared.nelems, shared.opcodes,
         )
 
-    def accumulate(self, group: int, elem: int, value: float) -> None:
-        meta, idx = self.ro._cell(group, elem)
+    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
+        meta, idx = self.ro._cell(group, elem, op)
         ACCUMULATE_OPS[meta.op](self.ro._buffer, idx, value)
         self.updates += 1
 
@@ -366,11 +366,11 @@ class LockingAccessor(ROAccessor):
         self._table = table
         self.stats = SharedMemStats(technique=technique, num_locks=table.num_locks)
 
-    def accumulate(self, group: int, elem: int, value: float) -> None:
+    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
         off = self._table._group_offsets[group]
         idx = self._table.lock_index(group, elem, off)
         with self._table.locks[idx]:
-            self.ro.accumulate(group, elem, value)
+            self.ro.accumulate(group, elem, value, op)
         self.stats.lock_acquisitions += 1
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:

@@ -1,0 +1,210 @@
+"""The emitted kernel texts, pinned.
+
+Every tier's text for the seven app kernels at the three optimization
+levels, as a sha256 digest.  The four printers share one walk of the lowered
+IR, so a change to a shared rule shows up here in every tier at once, and a
+printer whose output stops being a pure function of ``(lowered, plan)``
+shows up as a digest that will not stay put — which would also cold-start
+every user's on-disk native kernel cache, keyed on the C text.
+
+The batch, native-C and C-like digests were recorded at the commit before
+the printers were split from the walk (PR 15's tree); the scalar digests at
+the commit that added the op argument to ``_ro.accumulate`` — the one line
+per RO update by which the scalar text differs from that tree's.
+
+To re-record after an intended change, run this file as a script with
+``PYTHONPATH=src:.`` and paste its output over ``GOLDEN``.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.compiler import compile_reduction
+from repro.compiler.batch import BatchCodegen, BatchUnsupported
+from repro.compiler.native import NativeCodegen, NativeUnsupported
+
+from tests.compiler.test_native import APP_KERNELS
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def emitted(app, opt_level):
+    """tier -> digest of its text, or the reason the tier refuses the kernel."""
+    source, constants = APP_KERNELS[app]
+    compiled = compile_reduction(source, dict(constants), opt_level=opt_level)
+    lowered, plan = compiled.lowered, compiled.plan
+    summary = compiled.group_bounds.summary
+    out = {
+        "scalar": _digest(compiled.python_source),
+        "c_like": _digest(compiled.c_source),
+    }
+    try:
+        out["batch"] = _digest(BatchCodegen(lowered, plan, summary=summary).generate())
+    except BatchUnsupported as exc:
+        out["batch"] = f"refused: {exc}"
+    try:  # the C text before the hashed symbol is substituted; needs no cc
+        out["native"] = _digest(NativeCodegen(lowered, plan, summary=summary).generate())
+    except NativeUnsupported as exc:
+        out["native"] = f"refused: {exc}"
+    return out
+
+
+GOLDEN = {
+    ('apriori', 0): {
+        'scalar': '3c785d828e890f1d',
+        'c_like': '0c4bd0549a3d2ff8',
+        'batch': 'eb135e9b75762ff9',
+        'native': 'refused: nested access candidates[c][j] (un-linearized extra at opt level 0); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('apriori', 1): {
+        'scalar': '3c785d828e890f1d',
+        'c_like': '51b6248963ca1e2a',
+        'batch': 'eb135e9b75762ff9',
+        'native': 'refused: nested access candidates[c][j] (un-linearized extra at opt level 1); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('apriori', 2): {
+        'scalar': '7a687dc7972b441b',
+        'c_like': '38e7870de92cc674',
+        'batch': '1f272c81502479d2',
+        'native': 'a898978f6b12e340',
+    },
+    ('em', 0): {
+        'scalar': '40a35e62b74a907c',
+        'c_like': '3d8b82221b359dae',
+        'batch': 'a3b7f24cba7674ba',
+        'native': 'refused: nested access means[c][d] (un-linearized extra at opt level 0); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('em', 1): {
+        'scalar': '20323185d4fb9956',
+        'c_like': '31513224e1d0dcd3',
+        'batch': '7020bf4a4ad3d2e4',
+        'native': 'refused: nested access means[c][d] (un-linearized extra at opt level 1); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('em', 2): {
+        'scalar': '444a0a593ecaf17f',
+        'c_like': 'fca8c66641a40136',
+        'batch': '6c852499d79c22ed',
+        'native': '3369ebb893e5af60',
+    },
+    ('histogram', 0): {
+        'scalar': '0e09601f9c5680b3',
+        'c_like': '92bd8ddc0329c0d5',
+        'batch': '60b264c6a5cbfaf6',
+        'native': '60e1926b1df7ff10',
+    },
+    ('histogram', 1): {
+        'scalar': '0e09601f9c5680b3',
+        'c_like': '77a04571ce4fe216',
+        'batch': '60b264c6a5cbfaf6',
+        'native': 'd6af7369baa7aa26',
+    },
+    ('histogram', 2): {
+        'scalar': '0e09601f9c5680b3',
+        'c_like': 'b2aea37411dd9ba4',
+        'batch': '60b264c6a5cbfaf6',
+        'native': 'f7cb62210247b0d6',
+    },
+    ('kmeans', 0): {
+        'scalar': '01b67249503b2beb',
+        'c_like': '8b634d642e9dafd1',
+        'batch': '4c1928872733e400',
+        'native': 'refused: nested access centroids[c].coord[d] (un-linearized extra at opt level 0); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('kmeans', 1): {
+        'scalar': '3f81e31a0a59c07e',
+        'c_like': '19ab580d3ccb79e2',
+        'batch': '313b920ed97b74b4',
+        'native': 'refused: nested access centroids[c].coord[d] (un-linearized extra at opt level 1); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('kmeans', 2): {
+        'scalar': '86aa7e9c85db481a',
+        'c_like': 'cb308bc4be971dd9',
+        'batch': '897b919735c7bee1',
+        'native': 'e7a94a77362e576b',
+    },
+    ('pca_cov', 0): {
+        'scalar': '2acef880d96b2679',
+        'c_like': 'c9e01a9a31a0f93b',
+        'batch': '53ed23020297a385',
+        'native': 'refused: nested access mean[a] (un-linearized extra at opt level 0); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('pca_cov', 1): {
+        'scalar': '390a8cba204636c6',
+        'c_like': 'd60b2f2cb9c3f7dc',
+        'batch': '9536b87c523c8853',
+        'native': 'refused: nested access mean[a] (un-linearized extra at opt level 1); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('pca_cov', 2): {
+        'scalar': '0cb9a4bb05e6ee0e',
+        'c_like': '15447a5ff327ef43',
+        'batch': '51b7e853fac9b4c3',
+        'native': '18c7f3efbff23b5a',
+    },
+    ('pca_mean', 0): {
+        'scalar': 'b22fa849b10e1ace',
+        'c_like': '308965df939bdaaa',
+        'batch': '50f3666c2724b7fe',
+        'native': 'b533bbcac0067cb9',
+    },
+    ('pca_mean', 1): {
+        'scalar': '953c8eaa69981582',
+        'c_like': 'c8e0185aec4c916d',
+        'batch': '31b595ced95e17ca',
+        'native': '1c7dd2fdf527c3e8',
+    },
+    ('pca_mean', 2): {
+        'scalar': '953c8eaa69981582',
+        'c_like': '96c15041353e6ba1',
+        'batch': '31b595ced95e17ca',
+        'native': '3e3506ed45699593',
+    },
+    ('windowed', 0): {
+        'scalar': '359462e9dd32ac22',
+        'c_like': '73ed1ed77f39e4a7',
+        'batch': "refused: index (b + 1) of extra access scale[(b + 1)] is element-dependent (gather not vectorized): site planned as 'nested'; a gather needs a linearized (non-hoisted) extra access",
+        'native': 'refused: nested access scale[(b + 1)] (un-linearized extra at opt level 0); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('windowed', 1): {
+        'scalar': '359462e9dd32ac22',
+        'c_like': '66ac915b3d41d2b7',
+        'batch': "refused: index (b + 1) of extra access scale[(b + 1)] is element-dependent (gather not vectorized): site planned as 'nested'; a gather needs a linearized (non-hoisted) extra access",
+        'native': 'refused: nested access scale[(b + 1)] (un-linearized extra at opt level 1); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
+    },
+    ('windowed', 2): {
+        'scalar': '4468ce78e37e63cd',
+        'c_like': '19444ab15b5843b6',
+        'batch': 'f013941bf11e9e02',
+        'native': 'f00402ffcfc57355',
+    },
+}
+
+
+@pytest.mark.parametrize("opt_level", [0, 1, 2])
+@pytest.mark.parametrize("app", sorted(APP_KERNELS))
+def test_texts_are_the_recorded_ones(app, opt_level):
+    assert emitted(app, opt_level) == GOLDEN[app, opt_level]
+
+
+@pytest.mark.parametrize("app", sorted(APP_KERNELS))
+def test_a_printer_can_be_run_twice(app):
+    # generate() starts from nothing each time: same text from one instance
+    source, constants = APP_KERNELS[app]
+    compiled = compile_reduction(source, dict(constants), opt_level=2)
+    gen = NativeCodegen(
+        compiled.lowered, compiled.plan, summary=compiled.group_bounds.summary
+    )
+    assert gen.generate() == gen.generate()
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for app in sorted(APP_KERNELS):
+        for opt_level in (0, 1, 2):
+            print(f"    ({app!r}, {opt_level}): {{")
+            for tier, value in emitted(app, opt_level).items():
+                print(f"        {tier!r}: {value!r},")
+            print("    },")
+    print("}")

@@ -33,6 +33,7 @@ from repro.compiler.cache import (
     kernel_cache_stats,
     set_kernel_cache_capacity,
 )
+from repro.compiler.interp import interpret_over
 from repro.compiler.native import (
     CACHE_ENV,
     CC_ENV,
@@ -236,30 +237,11 @@ FAILING_RANGES = [(0, 6), (6, 12), (12, 16)]
 FAILING_AT = 8
 
 
-class _RefusesOtherOps:
-    """What the scalar kernel accumulates into for code 22.
-
-    The scalar tier does not know an update's op — ``accumulate(group, elem,
-    value)`` folds with the group's own — so it has no raise to compare the
-    native refusal with.  Every update in these kernels is a ``roAdd``; this
-    accessor raises where the native kernel does, and the rest of the
-    comparison (what the call left behind) is the scalar kernel's.
-    """
-
-    def __init__(self, ro):
-        self.ro = ro
-
-    def accumulate(self, group, elem, value):
-        if 0 <= group < self.ro.num_groups and self.ro.group_op(group) != "add":
-            raise ReductionObjectError("update op does not match the group's op")
-        self.ro.accumulate(group, elem, value)
-
-
 @needs_cc
 class TestFailingCallLeavesWhatTheScalarKernelLeaves:
     """The single exit (``goto _out``) flushes the counts of a failing call."""
 
-    def _run(self, statement, bad, backend, refuse_other_ops=False):
+    def _run(self, statement, bad, backend):
         data = np.tile([0.0, 1.0], 8)
         data[FAILING_AT] = bad
         compiled = compile_cached(
@@ -274,9 +256,8 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
             if backend == "native":
                 compiled.native_kernel.ranges(FAILING_RANGES, ro, bound.env, ledger)
             else:
-                target = _RefusesOtherOps(ro) if refuse_other_ops else ro
                 for start, end in FAILING_RANGES:
-                    compiled.kernel(start, end, target, bound.env, ledger)
+                    compiled.effective_kernel(start, end, ro, bound.env, ledger)
         return compiled, raised.value, ro, ledger
 
     @staticmethod
@@ -294,9 +275,7 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
         )
         # the kernel really has this check, inside an update statement
         assert f"_FAIL({native_mod._RC_UNSTORED + rc})" in compiled.native_source
-        _, scalar_exc, scalar_ro, scalar_ledger = self._run(
-            statement, bad, "scalar", refuse_other_ops=(rc == 22)
-        )
+        _, scalar_exc, scalar_ro, scalar_ledger = self._run(statement, bad, "scalar")
 
         assert type(native_exc) is type(scalar_exc) is exc_type
         assert re.search(message, str(native_exc)), native_exc
@@ -309,6 +288,21 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
         # statement is, before it ran), and nothing of the third range
         assert scalar_ledger.elements_processed == FAILING_AT + 1
         assert scalar_ledger.ro_updates > scalar_ro.update_count > FAILING_AT
+
+    def test_every_tier_and_the_oracle_refuse_another_groups_op(self):
+        # roAdd into the min group: what the three compiled tiers refuse, the
+        # AST interpreter refuses too, in the same words
+        statement, bad, exc_type, message = FAILING_CALLS[22]
+        for backend in ("scalar", "batch", "native"):
+            compiled, exc, _, _ = self._run(statement, bad, backend)
+            assert type(exc) is exc_type and re.search(message, str(exc)), backend
+        data = np.tile([0.0, 1.0], 8)
+        data[FAILING_AT] = bad
+        with pytest.raises(exc_type, match=message):
+            interpret_over(
+                compiled.lowered, data, {"scale": _real_vector([1, 2, 3, 4])},
+                FAILING_LAYOUT,
+            )
 
     def test_a_check_outside_an_update_statement(self):
         # the same computeIndex check in a declaration: no update is pending

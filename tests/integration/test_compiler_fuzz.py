@@ -2,10 +2,12 @@
 
 Generates random-but-valid mini-Chapel reduction classes (random element
 shapes, extras, loop nests, arithmetic, conditionals, RO updates), compiles
-each at all three optimization levels, runs them on the FREERIDE engine
-with random thread counts, and checks every version against the AST
-interpreter oracle.  Any transformation bug — wrong hoist, bad offset, bad
-incremental base — shows up as a numeric mismatch.
+each at all three optimization levels on every backend tier that accepts
+it, runs them on the FREERIDE engine with random thread counts, and checks
+every version against the AST interpreter oracle and every tier's counter
+ledger against the scalar tier's.  Any transformation bug — wrong hoist, bad
+offset, bad incremental base, a printer that counts differently — shows up
+as a mismatch.
 """
 
 import numpy as np
@@ -15,7 +17,11 @@ from hypothesis import strategies as st
 
 from repro.chapel.parser import parse_program
 from repro.compiler import compile_reduction, interpret_over, lower_reduction
+from repro.compiler.native import probe_toolchain
 from repro.freeride.runtime import FreerideEngine
+
+#: the backend axis: native only where a C toolchain can build it
+TIERS = ("scalar", "batch") + (("native",) if probe_toolchain()["ok"] else ())
 
 # ---------------------------------------------------------------- generators
 
@@ -75,8 +81,10 @@ def random_programs(draw):
             f"var g: int = toInt(abs(acc)) % {n_groups};"
         )
         body.append("roAdd(g, 0, 1.0);")
+    # an extremum update, into a group of its own: every tier (and the
+    # oracle) refuses an update whose op is not its group's
     if group_elems > 1:
-        body.append(f"roMax(0, {group_elems - 1}, acc);")
+        body.append(f"roMax({n_groups}, {group_elems - 1}, acc);")
 
     extra_decl = f"var w: [1..{k}] W;" if use_extra else ""
     record_decl = f"record W {{ var v: [1..{dim}] real; }}" if use_extra else ""
@@ -99,9 +107,8 @@ def random_programs(draw):
         "dim": dim,
         "k": k,
         "use_extra": use_extra,
-        "layout": [(max(group_elems, 1), "add")] * n_groups
-        if group_elems == 1
-        else [(group_elems, "add")] + [(group_elems, "add")] * (n_groups - 1),
+        "layout": [(group_elems, "add")] * n_groups
+        + ([(group_elems, "max")] if group_elems > 1 else []),
         "n": n_elements,
         "threads": threads,
         "seed": seed,
@@ -126,14 +133,6 @@ def build_extras(cfg):
 
 
 def fixed_layout(cfg):
-    # max/add mixing: roMax targets group 0 elem group_elems-1; keep all
-    # groups additive EXCEPT we must allocate "max"-compatible cells.
-    # Simplest sound layout: group 0 cells are "add" for elem 0 and "max"
-    # cannot share a group op -> regenerate sources only use roMax on
-    # group 0's last elem when group_elems > 1; to keep ops consistent we
-    # allocate group 0 as "max" ONLY when the source uses roMax at all and
-    # elem 0 additions would break. Instead: avoid the conflict by using
-    # separate groups.
     return cfg["layout"]
 
 
@@ -144,9 +143,6 @@ class TestCompilerFuzz:
     @settings(max_examples=30, deadline=None)
     @given(cfg=random_programs())
     def test_all_levels_match_interpreter(self, cfg):
-        # roMax on an "add" group would change semantics between versions
-        # identically, so the differential comparison stays valid: every
-        # version (and the oracle) uses the same reduction-object ops.
         program = parse_program(cfg["source"])
         constants = {"k": cfg["k"], "dim": cfg["dim"]}
         extras = build_extras(cfg)
@@ -159,14 +155,29 @@ class TestCompilerFuzz:
         want = oracle.snapshot()
 
         for level in (0, 1, 2):
-            comp = compile_reduction(program, constants, opt_level=level)
-            bound = comp.bind(data, extras)
-            spec, idx = bound.make_spec(layout)
-            engine = FreerideEngine(num_threads=cfg["threads"])
-            got = engine.run(spec, idx).ro.snapshot()
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-9), (
-                f"level {level} diverged\nsource: {cfg['source']}"
-            )
+            ledgers = {}
+            for tier in TIERS:
+                comp = compile_reduction(
+                    program, constants, opt_level=level, backend=tier
+                )
+                if comp.effective_backend != tier:
+                    continue  # the tier refused this program (reason recorded)
+                bound = comp.bind(data, extras)
+                spec, idx = bound.make_spec(layout)
+                engine = FreerideEngine(num_threads=cfg["threads"])
+                try:
+                    got = engine.run(spec, idx).ro.snapshot()
+                finally:
+                    engine.close()
+                assert np.allclose(got, want, rtol=1e-9, atol=1e-9), (
+                    f"level {level} on {tier} diverged\nsource: {cfg['source']}"
+                )
+                ledgers[tier] = bound.counters.as_dict()
+            for tier, ledger in ledgers.items():
+                assert ledger == ledgers["scalar"], (
+                    f"level {level}: {tier} counted differently\n"
+                    f"source: {cfg['source']}"
+                )
 
     @settings(max_examples=15, deadline=None)
     @given(cfg=random_programs())
