@@ -19,6 +19,9 @@ forward so that
   (which groups can elements ``[start, end)`` touch), which is what lets
   compiler-bounded apps color into genuinely wide waves instead of every
   split conflicting with every other;
+* :meth:`GroupBounds.blocks_reaching` answers the inverse question (which
+  elements can touch these groups) — what a delta retraction from a
+  min/max group has to re-reduce;
 * :attr:`GroupBounds.alignment` exposes the element-period of
   ``elemIdx()``-derived group forms (``e // k`` windows change group only
   at multiples of ``k``) as a split-boundary hint for
@@ -42,7 +45,31 @@ from repro.compiler.lower import LoweredReduction
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.analysis.effects import EffectSummary
 
-__all__ = ["GroupBounds", "analyze_group_bounds"]
+__all__ = [
+    "FOOTPRINT_MEMO_SIZE",
+    "REPLAY_PROBE_LEAF",
+    "GroupBounds",
+    "analyze_group_bounds",
+]
+
+#: per-range footprints one :class:`GroupBounds` keeps before starting over
+#: (a footprint is a frozenset as wide as the groups the range reaches)
+FOOTPRINT_MEMO_SIZE = 1024
+
+#: smallest block :meth:`GroupBounds.blocks_reaching` asks about when the
+#: summary carries no alignment hint — below this, asking costs more than
+#: just re-reducing the elements
+REPLAY_PROBE_LEAF = 16
+
+
+class _FootprintMemo:
+    """``(start, end, num_groups) -> footprint`` and how many were computed."""
+
+    __slots__ = ("table", "evaluations")
+
+    def __init__(self) -> None:
+        self.table: dict[tuple[int, int, int], frozenset[int]] = {}
+        self.evaluations = 0
 
 
 @dataclass(frozen=True)
@@ -58,6 +85,11 @@ class GroupBounds:
     ``summary`` is the underlying effect summary; ``alignment`` is the
     combined element-period of the group forms (``None`` when no
     element-dependent form exposes one).
+
+    Per-range footprints are memoized here, beside the immutable summary
+    they are a pure function of — nothing can invalidate an answer, so the
+    memo is only bounded (:data:`FOOTPRINT_MEMO_SIZE`, cleared when full).
+    ``evaluations`` counts the answers actually computed.
     """
 
     bounded: bool
@@ -68,6 +100,9 @@ class GroupBounds:
     alignment: int | None = None
     summary: "EffectSummary | None" = field(
         default=None, compare=False, repr=False
+    )
+    _memo: "_FootprintMemo" = field(
+        default_factory=_FootprintMemo, compare=False, repr=False
     )
 
     def groups(self, num_groups: int) -> frozenset[int] | None:
@@ -97,10 +132,63 @@ class GroupBounds:
             return None
         if self.summary is None:
             return self.groups(num_groups)
-        out = self.summary.groups_for_range(start, end, num_groups)
-        if out is None:  # pragma: no cover - bounded implies per-range too
-            return self.groups(num_groups)
+        memo = self._memo
+        key = (start, end, num_groups)
+        out = memo.table.get(key)
+        if out is None:
+            out = self.summary.groups_for_range(start, end, num_groups)
+            if out is None:  # pragma: no cover - bounded implies per-range too
+                out = self.groups(num_groups)
+            if len(memo.table) >= FOOTPRINT_MEMO_SIZE:
+                memo.table.clear()
+            memo.table[key] = out
+            memo.evaluations += 1
         return out
+
+    def blocks_reaching(
+        self, targets: frozenset[int], n: int, num_groups: int
+    ) -> list[tuple[int, int]]:
+        """The blocks of ``[0, n)`` whose elements can touch ``targets``.
+
+        The delta replay planner: walks one binary tree over the element
+        positions asking each node's footprint — a node disjoint from
+        ``targets`` is skipped whole, one inside them (or a leaf) is taken
+        whole, a mixed one descends.  Node boundaries are multiples of the
+        leaf size (:attr:`alignment`, else :data:`REPLAY_PROBE_LEAF`), the
+        root spans a power of two of leaves, and a node is asked about
+        unclipped (a superset of its elements below ``n``, so still sound):
+        the questions depend on neither ``n`` nor which elements are live,
+        so every epoch repeats them and the memo answers.  Blocks come back
+        in position order, adjacent ones merged.
+        """
+        leaf = self.alignment or REPLAY_PROBE_LEAF
+        span = leaf
+        while span < n:
+            span *= 2
+        blocks: list[tuple[int, int]] = []
+        stack = [(0, span)]
+        while stack:
+            start, size = stack.pop()
+            if start >= n:
+                continue
+            footprint = self.groups_for_range(start, start + size, num_groups)
+            if footprint is not None and footprint.isdisjoint(targets):
+                continue
+            if footprint is None or size == leaf or footprint <= targets:
+                end = min(start + size, n)
+                if blocks and blocks[-1][1] == start:
+                    blocks[-1] = (blocks[-1][0], end)
+                else:
+                    blocks.append((start, end))
+            else:
+                half = size // 2
+                stack += [(start + half, half), (start, half)]
+        return blocks
+
+    @property
+    def evaluations(self) -> int:
+        """Footprints computed from the summary so far (memo misses)."""
+        return self._memo.evaluations
 
     def fingerprint(self) -> str:
         """Stable digest of the bounds (folded into kernel-cache entries).

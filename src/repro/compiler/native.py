@@ -916,9 +916,10 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     """The ``_kernel(_start, _end, _ro, _env, _C)`` twin of the C function.
 
     The returned kernel's ``ranges`` attribute is the one path every call
-    takes: ``ranges(pairs, _ro, _env, _C)`` reduces a list of
-    ``(start, end)`` element ranges in a single C call (GIL released by
-    cffi for all of it) and folds the counter array into the ledger once.
+    takes: ``ranges(starts, ends, _ro, _env, _C)`` reduces the element
+    ranges ``[starts[i], ends[i])`` — two int64 arrays whose pointers go to
+    C as they are — in a single C call (GIL released by cffi for all of
+    it) and folds the counter array into the ledger once.
     ``_ro`` — a reduction object or an accessor — decides where the
     kernel stores: into the buffers its ``direct_store()`` names, the
     wrapper reporting the update count through ``note_updates``; or, when
@@ -966,7 +967,15 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             ffi.cast("unsigned char *", store.touched.ctypes.data),
         )
 
-    def _native_ranges(_ranges, _ro, _env, _C):
+    def _native_ranges(_starts, _ends, _ro, _env, _C):
+        # what C dereferences: two C-contiguous int64 arrays of one length
+        _starts = np.ascontiguousarray(_starts, dtype=np.int64)
+        _ends = np.ascontiguousarray(_ends, dtype=np.int64)
+        if _starts.ndim != 1 or _starts.shape != _ends.shape:
+            raise ValueError(
+                f"native kernel {name}: ranges need two 1-D arrays of one "
+                f"length, got shapes {_starts.shape} and {_ends.shape}"
+            )
         counters, c_counters, targets, c_bufs = _thread_state()
         store = _ro.direct_store()
         key = _ro if store is None else store
@@ -980,9 +989,9 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         counters[:] = 0.0
 
         rc = fn(
-            len(_ranges),
-            ffi.new("long long[]", [r[0] for r in _ranges]),
-            ffi.new("long long[]", [r[1] for r in _ranges]),
+            len(_starts),
+            ffi.from_buffer("long long[]", _starts),
+            ffi.from_buffer("long long[]", _ends),
             c_bufs, c_elems, c_off, c_n, c_op, groups, c_touched, c_counters,
         )
 
@@ -1014,7 +1023,10 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             raise exc_type(f"native kernel {name}: {msg}")
 
     def _native_kernel(_start, _end, _ro, _env, _C):
-        _native_ranges(((_start, _end),), _ro, _env, _C)
+        _native_ranges(
+            np.array([_start], dtype=np.int64), np.array([_end], dtype=np.int64),
+            _ro, _env, _C,
+        )
 
     _native_kernel.native = native  # type: ignore[attr-defined]
     _native_kernel.ranges = _native_ranges  # type: ignore[attr-defined]

@@ -36,7 +36,6 @@ from repro.compiler.batch import (
     BATCH_NAMESPACE,
     BatchCodegen,
     BatchUnsupported,
-    uses_elem_idx,
 )
 from repro.compiler.codegen import CLikeCodegen, PythonCodegen
 from repro.compiler.groupbounds import analyze_group_bounds
@@ -72,6 +71,13 @@ BACKENDS = ("scalar", "batch", "native")
 
 #: Supported kernel variants (see ``compile_reduction``'s ``technique``).
 KERNEL_TECHNIQUES = ("generic", "colored")
+
+#: average run length below which the batch tier gathers a list of ranges
+#: into one contiguous buffer and reduces it in a single dispatch — the
+#: batch kernel's fixed per-dispatch cost is roughly the vectorized cost of
+#: this many elements, so shorter runs lose more to dispatch than the
+#: gather copy costs
+GATHER_RUN_THRESHOLD = 1024
 
 
 def kernel_technique(technique: Any) -> str:
@@ -176,22 +182,10 @@ class CompiledReduction:
     origin_constants: dict[str, Any] | None = field(default=None, repr=False)
     origin_class_name: str | None = field(default=None, repr=False)
     _origin_digest: str | None = field(default=None, repr=False)
-    _position_dependent: bool | None = field(default=None, repr=False)
 
     @property
     def opt_level(self) -> int:
         return self.plan.opt_level
-
-    @property
-    def position_dependent(self) -> bool:
-        """Whether the kernel's behaviour depends on the global element
-        index (the ``elemIdx()`` intrinsic).  Position-independent kernels
-        may be re-run over a *gathered* copy of scattered elements — the
-        O(Δ) retraction fast path — because rebasing the elements to
-        positions ``0..k`` cannot change any group index or value."""
-        if self._position_dependent is None:
-            self._position_dependent = uses_elem_idx(self.lowered.body)
-        return self._position_dependent
 
     @property
     def origin_digest(self) -> str | None:
@@ -422,28 +416,55 @@ class BoundReduction:
         """Run the kernel over all elements with a bare accessor (tests)."""
         self.compiled.effective_kernel(0, self.n_elements, ro, self.env, self.counters)
 
-    def run_gathered(self, indices: np.ndarray, ro: Any) -> int:
-        """Run the kernel once over a gathered copy of scattered elements.
+    def reduce_ranges(self, starts: np.ndarray, ends: np.ndarray, ro: Any) -> None:
+        """The kernel over ``[starts[i], ends[i])`` in order, into ``ro``.
 
-        The delta-retraction fast path: dispatching the kernel per
-        contiguous run costs a fixed overhead that dwarfs the work for
-        single-element runs, so the retracted elements are gathered into
-        a temporary contiguous buffer and the kernel runs once over it.
-        Position-independent kernels run gathered under every backend:
-        the kernel reads its data buffers out of the env at call time,
-        and the gathered shim buffer is installed into a per-call copy
-        of the env.  Position-dependent kernels (``elemIdx()``) are only
-        supported on the batch backend, which accepts the elements' true
-        global indices through the env (``_elem_indices``) instead of
-        deriving them from ``range(start, end)``; other backends raise.
-        Callers should consult :attr:`gather_supported` first.  Returns
-        the element count.
+        ``ReductionSpec.reduce_ranges`` for every tier: a native kernel
+        takes the two arrays into one C call; the scalar kernel is called
+        once per range; the batch kernel too, unless the runs are short —
+        each dispatch costs about what :data:`GATHER_RUN_THRESHOLD`
+        vectorized elements do — and then it runs once over a gathered
+        copy (:meth:`run_gathered`).
+        """
+        kernel = self.compiled.effective_kernel
+        ranges = getattr(kernel, "ranges", None)
+        if ranges is not None:
+            ranges(starts, ends, ro, self.env, self.counters)
+            return
+        lengths = ends - starts
+        total = int(lengths.sum())
+        if (
+            self.compiled.effective_backend == "batch"
+            and len(starts) > 1
+            and total < len(starts) * GATHER_RUN_THRESHOLD
+        ):
+            # positions of run i follow starts[i]; `before` is what earlier
+            # runs already placed
+            before = np.cumsum(lengths) - lengths
+            self.run_gathered(
+                np.repeat(starts - before, lengths) + np.arange(total), ro
+            )
+            return
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            if start < end:
+                kernel(start, end, ro, self.env, self.counters)
+
+    def run_gathered(self, indices: np.ndarray, ro: Any) -> int:
+        """Run the batch kernel once over a gathered copy of scattered elements.
+
+        The elements are copied into a temporary contiguous buffer that is
+        installed into a per-call copy of the env (the kernel reads its
+        data buffers out of the env at call time), and their true global
+        indices ride along as ``_elem_indices`` so ``elemIdx()`` sees
+        original positions, not positions in the copy.  Only the batch
+        kernel reads that entry: other tiers are refused.  Returns the
+        element count.
         """
         comp = self.compiled
-        if comp.position_dependent and comp.effective_backend != "batch":
+        if comp.effective_backend != "batch":
             raise CompilerError(
-                f"kernel {comp.name} uses elemIdx(); gathered execution "
-                f"needs the batch backend, not {comp.effective_backend}"
+                f"gathered execution of {comp.name} needs the batch "
+                f"backend, not {comp.effective_backend}"
             )
         idx = np.asarray(indices, dtype=np.intp)
         k = int(idx.size)
@@ -458,16 +479,9 @@ class BoundReduction:
         shim = LinearizedBuffer(typ=ArrayType(Domain(k), elem_t), raw=gathered)
         env = dict(self.env)
         comp._install_site_resources(env, shim)
-        if comp.position_dependent:
-            env["_elem_indices"] = idx.astype(np.int64)
+        env["_elem_indices"] = idx.astype(np.int64, copy=False)
         comp.effective_kernel(0, k, ro, env, self.counters)
         return k
-
-    @property
-    def gather_supported(self) -> bool:
-        """Whether :meth:`run_gathered` can run this kernel."""
-        comp = self.compiled
-        return not comp.position_dependent or comp.effective_backend == "batch"
 
     # -- delta execution ---------------------------------------------------------------
 
@@ -536,8 +550,8 @@ class BoundReduction:
         The spec closes over :attr:`CompiledReduction.effective_kernel`, so
         the engine dispatches the batch kernel per split (under both the
         serial and threaded executors) whenever the batch backend compiled,
-        and the scalar kernel otherwise.  A native kernel also takes whole
-        lists of splits in one call (``ReductionSpec.reduce_splits``).
+        and the scalar kernel otherwise.  Lists of ranges — a lane's batch of
+        splits, a delta epoch's runs — enter through :meth:`reduce_ranges`.
 
         ``delta_range`` marks the spec as a delta pass over the appended
         element range ``[start, end)``: the returned engine data covers
@@ -562,16 +576,6 @@ class BoundReduction:
             if len(indices) == 0:
                 return
             kernel(indices[0], indices[-1] + 1, args.ro, env, counters)
-
-        reduce_splits = None
-        ranges = getattr(kernel, "ranges", None)
-        if ranges is not None:
-            # native kernels loop a list of ranges inside one C call
-
-            def reduce_splits(splits: Sequence[Any], ro: Any) -> None:
-                ranges(
-                    [(s.data[0], s.data[-1] + 1) for s in splits], ro, env, counters
-                )
 
         comp = self.compiled
         kernel_spec = None
@@ -611,7 +615,8 @@ class BoundReduction:
             finalize=finalize,
             kernel_spec=kernel_spec,
             group_bounds=comp.group_bounds,
-            reduce_splits=reduce_splits,
+            reduce_ranges=self.reduce_ranges,
+            ranges_in_one_call=hasattr(kernel, "ranges"),
         )
         if delta_range is not None:
             start, end = delta_range

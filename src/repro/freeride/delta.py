@@ -39,7 +39,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.freeride.reduction_object import ReductionObject
+from repro.freeride.reduction_object import (
+    INVERTIBLE_ACCUMULATE_OPS,
+    OP_CODES,
+    ReductionObject,
+)
 from repro.util.errors import FreerideError
 from repro.util.validation import check_positive_int
 
@@ -51,28 +55,27 @@ __all__ = [
 ]
 
 
-def contiguous_runs(indices: np.ndarray) -> list[tuple[int, int]]:
-    """Collapse a sorted, unique index array into ``[start, end)`` runs."""
+def contiguous_runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse a sorted, unique index array into ``[starts[i], ends[i])`` runs.
+
+    Both results are C-contiguous int64 arrays — the form every
+    ``reduce_ranges`` hook takes, so a run list is never a Python list.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(indices) != 1)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [indices.size - 1]])
-    return [(int(indices[s]), int(indices[e]) + 1) for s, e in zip(starts, ends)]
+        return indices, indices.copy()
+    breaks = np.flatnonzero(np.diff(indices) != 1) + 1
+    starts = indices[np.concatenate(([0], breaks))]
+    ends = indices[np.concatenate((breaks - 1, [indices.size - 1]))] + 1
+    return starts, ends
 
 
-def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal ``[start, end)`` runs of True in a boolean mask."""
-    if mask.size == 0:
-        return []
-    edges = np.diff(mask.astype(np.int8))
-    starts = list(np.nonzero(edges == 1)[0] + 1)
-    ends = list(np.nonzero(edges == -1)[0] + 1)
-    if mask[0]:
-        starts.insert(0, 0)
-    if mask[-1]:
-        ends.append(mask.size)
-    return [(int(s), int(e)) for s, e in zip(starts, ends)]
+def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal ``[starts[i], ends[i])`` runs of True in a boolean mask."""
+    padded = np.zeros(mask.size + 2, dtype=np.int8)
+    padded[1:-1] = mask
+    edges = np.diff(padded)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 @dataclass
@@ -226,7 +229,9 @@ class DeltaSession:
     ro: ReductionObject
     #: total logical positions, including tombstoned (retracted) ones
     n_elements: int
-    #: liveness bitmap over ``[0, n_elements)``
+    #: liveness bitmap over ``[0, n_elements)`` — a view of a
+    #: capacity-doubled backing that epochs flip in place
+    #: (:meth:`advance_liveness` / :meth:`rewind_liveness`)
     live: np.ndarray
     #: delta epochs applied so far (0 = baseline only)
     epoch: int
@@ -257,30 +262,90 @@ class DeltaSession:
     commit_attempts: dict[int, int] = field(default_factory=dict)
     #: delta epochs that failed mid-commit and were rolled back
     rollbacks: int = 0
-    #: gathered-execution hook ``(session, indices, accessor) -> int`` for
-    #: position-independent compiled kernels: one kernel dispatch over a
-    #: gathered copy of scattered element indices, instead of one dispatch
-    #: per contiguous run (see ``BoundReduction.run_gathered``); ``None``
-    #: when the kernel reads ``elemIdx()`` or the session is manual
-    gather: Any = None
+    #: surviving elements, maintained by the liveness updates
+    live_count: int = field(init=False)
+    #: groups whose op has no inverse (min/max): a retraction that touches
+    #: one replays it.  Fixed by the layout, so read once per session from
+    #: the interned opcode table.
+    noninvertible: frozenset[int] = field(init=False)
 
-    @property
-    def live_count(self) -> int:
-        return int(np.count_nonzero(self.live))
+    def __post_init__(self) -> None:
+        self._live = self.live
+        self.live_count = int(np.count_nonzero(self.live))
+        invertible = [OP_CODES[op] for op in INVERTIBLE_ACCUMULATE_OPS]
+        opcodes = self.ro.direct_store().opcodes
+        self.noninvertible = frozenset(
+            np.flatnonzero(~np.isin(opcodes, invertible)).tolist()
+        )
 
-    def live_runs(self) -> list[tuple[int, int]]:
-        """Maximal runs of surviving elements, in position order."""
-        return mask_runs(self.live)
+    def live_runs(
+        self, blocks: "Sequence[tuple[int, int]] | None" = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Maximal runs of surviving elements, in position order.
+
+        With ``blocks`` — ordered, disjoint ``(start, end)`` position pairs
+        — only the runs inside them, cut at block boundaries, in work
+        proportional to the blocks' sizes.
+        """
+        starts = [np.empty(0, dtype=np.int64)]
+        ends = [np.empty(0, dtype=np.int64)]
+        for start, end in [(0, self.live.size)] if blocks is None else blocks:
+            first, last = mask_runs(self.live[start:end])
+            starts.append(first + start)
+            ends.append(last + start)
+        return np.concatenate(starts), np.concatenate(ends)
+
+    def advance_liveness(self, new_n: int, retract_idx: np.ndarray) -> None:
+        """Extend :attr:`live` to ``new_n`` positions and tombstone
+        ``retract_idx`` (validated by :meth:`normalize_retract`), in place."""
+        old_n = self.live.size
+        if new_n > self._live.size:
+            grown = np.empty(max(new_n, 2 * self._live.size), dtype=bool)
+            grown[:old_n] = self.live
+            self._live = grown
+        self.live = self._live[:new_n]
+        self.live[old_n:] = True
+        self.live[retract_idx] = False
+        self.live_count += new_n - old_n - int(retract_idx.size)
+
+    def rewind_liveness(
+        self, old_n: int, old_count: int, retract_idx: np.ndarray
+    ) -> None:
+        """Undo :meth:`advance_liveness` from the same indices (failed epoch).
+
+        Safe to call when the epoch failed before advancing: the indices
+        were live when it began, so re-marking them changes nothing.
+        """
+        self.live[retract_idx] = True
+        self.live = self._live[:old_n]
+        self.live_count = old_count
 
     def normalize_retract(
         self, retract: "Sequence[int] | np.ndarray | None"
     ) -> np.ndarray:
-        """Validate retract indices: unique, in range, currently live."""
+        """Validate retract positions: sorted, unique, in range, currently live.
+
+        Takes a 1-D sequence of integers in any order, duplicates allowed.
+        A boolean mask, fractional positions or a nested index array would
+        convert to *some* int64 array — and retract the wrong elements — so
+        they are refused by dtype and shape.
+        """
         if retract is None:
             return np.empty(0, dtype=np.int64)
-        idx = np.unique(np.asarray(retract, dtype=np.int64))
+        idx = np.asarray(retract)
+        if idx.ndim != 1 or (
+            idx.size and not np.issubdtype(idx.dtype, np.integer)
+        ):
+            raise FreerideError(
+                "retract= takes a 1-D sequence of integer element positions "
+                f"(np.flatnonzero(mask) for a boolean mask), got dtype "
+                f"{idx.dtype} with shape {idx.shape}"
+            )
+        idx = idx.astype(np.int64, copy=False)
         if idx.size == 0:
             return idx
+        if np.any(idx[1:] <= idx[:-1]):
+            idx = np.unique(idx)
         if idx[0] < 0 or idx[-1] >= self.n_elements:
             raise FreerideError(
                 f"retract index out of range [0, {self.n_elements})"

@@ -28,9 +28,10 @@ and fault configuration:
 scratch object: the attempt accumulates straight into the lane's accessor,
 there is nothing to settle, and with tracing disabled no per-split
 instrumentation is installed at all.  When, on top of that, the kernel can
-walk a list of splits by itself (``ReductionSpec.reduce_splits``) and the
-lanes commute (their accessors hand out a direct store), a lane does not
-loop over splits either: it passes whole batches to one kernel call.
+walk a list of ranges by itself (``ReductionSpec.ranges_in_one_call``) and
+the lanes commute (their accessors hand out a direct store), a lane does
+not loop over splits either: it passes whole batches to one
+``reduce_ranges`` call.
 """
 
 from __future__ import annotations
@@ -448,9 +449,18 @@ def _lane(
 
 
 def _reduce_batch(ctx: RunContext, lane: int, splits: "list[Split]") -> None:
-    """One kernel call over ``splits``, in order, into ``lane``'s accessor."""
-    assert ctx.spec.reduce_splits is not None
-    ctx.spec.reduce_splits(splits, ctx.accessors[lane])
+    """One kernel call over ``splits``, in order, into ``lane``'s accessor.
+
+    The ranges are the VALUES of each split's slice of the global element
+    index range, as in the per-split ``reduction``: a split's own start/end
+    are relative to its node's share under multi-node runs.
+    """
+    assert ctx.spec.reduce_ranges is not None
+    ctx.spec.reduce_ranges(
+        np.array([s.data[0] for s in splits], dtype=np.int64),
+        np.array([s.data[-1] + 1 for s in splits], dtype=np.int64),
+        ctx.accessors[lane],
+    )
     ctx.elems[lane] += sum([s.end - s.start for s in splits])
     ctx.nsplits[lane] += len(splits)
 
@@ -613,7 +623,7 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     batched = (
         ctx.direct
         and not ctx.tracer.enabled
-        and ctx.spec.reduce_splits is not None
+        and ctx.spec.ranges_in_one_call
         and ctx.accessors[0].direct_store() is not None
     )
     for wave in ctx.waves:

@@ -51,7 +51,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -74,16 +74,8 @@ from repro.freeride.combination import (
 )
 from repro.freeride.execute import Observation, RunContext, drive
 from repro.freeride.faults import FaultInjector, FaultPolicy, SplitFailureRecord
-from repro.freeride.delta import (
-    DeltaSession,
-    ROCheckpoint,
-    contiguous_runs,
-    mask_runs,
-)
-from repro.freeride.reduction_object import (
-    INVERTIBLE_ACCUMULATE_OPS,
-    ReductionObject,
-)
+from repro.freeride.delta import DeltaSession, ROCheckpoint, contiguous_runs
+from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
     ScratchAccessor,
     SharedBufferCache,
@@ -91,7 +83,7 @@ from repro.freeride.sharedmem import (
     SharedMemStats,
     SharedMemTechnique,
 )
-from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.freeride.spec import ReductionSpec
 from repro.freeride.splitter import (
     Split,
     _check_partition,
@@ -135,51 +127,21 @@ DELTA_COMMIT_SPLIT_ID = -1
 _DELTA_SESSION_IDS = itertools.count()
 
 
-#: smallest sub-range the replay planner probes the effect summary at when
-#: the summary carries no alignment hint — below this, probing costs more
-#: than just re-reducing the elements
-_REPLAY_PROBE_LEAF = 16
+def _reduce_ranges(
+    spec: ReductionSpec, like: ReductionObject, starts: np.ndarray, ends: np.ndarray
+) -> ReductionObject:
+    """Reduce element ranges into a fresh scratch object laid out as ``like``.
 
-#: average run length below which scattered/fragmented delta computes are
-#: gathered into one contiguous buffer and reduced in a single kernel
-#: dispatch — the kernel's fixed per-dispatch cost is roughly the
-#: vectorized cost of this many elements, so shorter runs lose more to
-#: dispatch overhead than the gather copy costs
-_GATHER_RUN_THRESHOLD = 1024
-
-
-def _replay_subranges(
-    start: int,
-    end: int,
-    targets: "set[int]",
-    per_range: "Callable[[int, int, int], frozenset[int] | None] | None",
-    num_groups: int,
-    leaf: int,
-    out: "list[tuple[int, int]]",
-) -> None:
-    """Collect the sub-ranges of ``[start, end)`` that can touch ``targets``.
-
-    Recursive footprint bisection over the effect summary: a range whose
-    footprint is disjoint from the replayed groups is skipped whole, one
-    fully inside them is replayed whole, and mixed ranges split in half —
-    so a retraction in one window replays O(window) elements even when the
-    surviving elements form one giant contiguous run.  Adjacent survivors
-    are merged so the reduction sees maximal runs.
+    The parent-side compute behind a manual session's append, every
+    retraction and every replay: the ``[starts[i], ends[i])`` runs go to the
+    spec's ``reduce_ranges`` hook as two arrays, *global* positions intact,
+    so position-dependent reductions see the coordinates a full run would
+    and a native kernel walks them all in one call.
     """
-    if start >= end:
-        return
-    footprint = per_range(start, end, num_groups) if per_range is not None else None
-    if footprint is not None and not (footprint & targets):
-        return
-    if footprint is None or footprint <= targets or end - start <= leaf:
-        if out and out[-1][1] == start:
-            out[-1] = (out[-1][0], end)
-        else:
-            out.append((start, end))
-        return
-    mid = (start + end) // 2
-    _replay_subranges(start, mid, targets, per_range, num_groups, leaf, out)
-    _replay_subranges(mid, end, targets, per_range, num_groups, leaf, out)
+    scratch = like.clone_empty()
+    spec.reduce_ranges(starts, ends, ScratchAccessor(scratch))
+    return scratch
+
 
 #: ``technique="auto"``: replicating the reduction object across threads
 #: beyond this many total bytes (``ro.nbytes * num_threads``) is considered
@@ -753,12 +715,6 @@ class FreerideEngine:
             def shrink(session: DeltaSession, n_elements: int) -> None:
                 bound.truncate_elements(n_elements)
 
-            gather = None
-            if getattr(bound, "gather_supported", False):
-
-                def gather(session: DeltaSession, indices: Any, accessor: Any) -> int:
-                    return bound.run_gathered(indices, accessor)
-
             base_spec, base_idx = bound.make_spec(layout, finalize=finalize)
             if base_spec.kernel_spec is not None:
                 # session-keyed from the start, so the very first delta's
@@ -778,7 +734,6 @@ class FreerideEngine:
                 finalize=finalize,
                 shm_key=key,
                 compiled=True,
-                gather=gather,
             )
             return result, session
 
@@ -791,7 +746,8 @@ class FreerideEngine:
         def respec_manual(
             session: DeltaSession, delta_range: "tuple[int, int] | None"
         ) -> tuple[ReductionSpec, Any]:
-            return spec, session.data
+            ranges = spec.slice_ranges(session.data)
+            return replace(spec, reduce_ranges=ranges), session.data
 
         def extend_manual(session: DeltaSession, batch: Any) -> int:
             if isinstance(session.data, np.ndarray):
@@ -821,78 +777,6 @@ class FreerideEngine:
             compiled=False,
         )
         return result, session
-
-    def _apply_ranges(
-        self,
-        spec: ReductionSpec,
-        session: DeltaSession,
-        runs: "list[tuple[int, int]]",
-    ) -> ReductionObject:
-        """Serially reduce element ranges into a fresh scratch object.
-
-        The parent-side compute behind retraction and per-group replay:
-        each ``[start, end)`` run is handed to the spec's local reduction
-        with its *global* positions intact (compiled kernels receive the
-        index range, manual kernels a data slice plus a position-true
-        :class:`~repro.freeride.splitter.Split`), so position-dependent
-        reductions see the same coordinates a full run would.
-        """
-        scratch = session.ro.clone_empty()
-        accessor = ScratchAccessor(scratch)
-        for start, end in runs:
-            if start >= end:
-                continue
-            if session.compiled:
-                chunk: Any = range(start, end)
-            else:
-                chunk = session.data[start:end]
-            spec.reduction(
-                ReductionArgs(
-                    data=chunk,
-                    split=Split(split_id=0, start=start, end=end, data=chunk),
-                    thread_id=0,
-                    ro=accessor,
-                    extras=spec.extras,
-                )
-            )
-        return scratch
-
-    def _apply_scattered(
-        self,
-        spec: ReductionSpec,
-        session: DeltaSession,
-        idx: "np.ndarray | None" = None,
-        runs: "list[tuple[int, int]] | None" = None,
-    ) -> ReductionObject:
-        """Reduce scattered elements into a fresh scratch object.
-
-        The compute step behind retraction (``idx``: isolated positions)
-        and fragmented replay (``runs``: many short live ranges).  The
-        per-run dispatch of :meth:`_apply_ranges` pays the kernel's fixed
-        call overhead once per run, which dwarfs the work for short runs,
-        so when the session supports gathered execution
-        (``session.gather`` — see ``BoundReduction.run_gathered``) the
-        elements are copied into one contiguous buffer and reduced in a
-        single dispatch.  Long runs and manual sessions fall back to the
-        per-run walk, which reads the dataset in place.
-        """
-        if runs is None:
-            assert idx is not None
-            runs = contiguous_runs(idx)
-        total = sum(e - s for s, e in runs)
-        if (
-            session.gather is not None
-            and len(runs) > 1
-            and total < len(runs) * _GATHER_RUN_THRESHOLD
-        ):
-            if idx is None:
-                idx = np.concatenate(
-                    [np.arange(s, e, dtype=np.intp) for s, e in runs]
-                )
-            scratch = session.ro.clone_empty()
-            session.gather(session, idx, ScratchAccessor(scratch))
-            return scratch
-        return self._apply_ranges(spec, session, runs)
 
     def run_delta(
         self,
@@ -966,53 +850,51 @@ class FreerideEngine:
                         stats = append_result.stats
                 spec_full, _ = session.respec(session, None)
                 if delta_ro is None and appended:
-                    delta_ro = self._apply_ranges(
-                        spec_full, session, [(n_old, new_n)]
+                    delta_ro = _reduce_ranges(
+                        spec_full, session.ro,
+                        np.array([n_old], dtype=np.int64),
+                        np.array([new_n], dtype=np.int64),
                     )
+                kernel_calls = int(appended > 0)
 
                 # -- retract compute (never mutates the committed object) ------
-                num_groups = session.ro.num_groups
-                noninv = {
-                    g
-                    for g, (_, op) in enumerate(session.ro.layout())
-                    if op not in INVERTIBLE_ACCUMULATE_OPS
-                }
+                noninv = session.noninvertible
                 scratch_r: ReductionObject | None = None
                 ret_touched: frozenset[int] = frozenset()
+                retract_runs = 0
                 if retract_idx.size:
-                    scratch_r = self._apply_scattered(
-                        spec_full, session, retract_idx
-                    )
+                    starts, ends = contiguous_runs(retract_idx)
+                    retract_runs = int(starts.size)
+                    scratch_r = _reduce_ranges(spec_full, session.ro, starts, ends)
+                    kernel_calls += 1
                     ret_touched = scratch_r.touched_groups()
-                replay_groups = sorted(g for g in ret_touched if g in noninv)
+                replay_groups = sorted(ret_touched & noninv)
 
-                # -- replay compute: re-reduce only the live runs whose
-                # effect-summary footprint can reach a replayed group --------
-                live_after = session.live.copy()
-                if appended:
-                    live_after = np.concatenate(
-                        [live_after, np.ones(appended, dtype=bool)]
-                    )
-                live_after[retract_idx] = False
+                # -- replay compute: re-reduce only the survivors inside the
+                # blocks whose effect-summary footprint can reach a replayed
+                # group ---------------------------------------------------------
+                session.advance_liveness(new_n, retract_idx)
                 scratch_p: ReductionObject | None = None
-                replay_elements = 0
+                replay_elements = replay_runs = planner_probes = 0
                 if replay_groups:
-                    bounds = getattr(spec_full, "group_bounds", None)
-                    per_range = getattr(bounds, "groups_for_range", None)
-                    leaf = (
-                        getattr(bounds, "alignment", None) or _REPLAY_PROBE_LEAF
-                    )
-                    replay_runs: list[tuple[int, int]] = []
-                    targets = set(replay_groups)
-                    for start, end in mask_runs(live_after):
-                        _replay_subranges(
-                            start, end, targets, per_range,
-                            num_groups, leaf, replay_runs,
+                    # a hand-written spec's hook answers no range question:
+                    # every survivor is replayed
+                    bounds = spec_full.group_bounds
+                    reaching = getattr(bounds, "blocks_reaching", None)
+                    probes0 = getattr(bounds, "evaluations", 0)
+                    blocks = (
+                        reaching(
+                            frozenset(replay_groups), new_n, session.ro.num_groups
                         )
-                    replay_elements = sum(e - s for s, e in replay_runs)
-                    scratch_p = self._apply_scattered(
-                        spec_full, session, runs=replay_runs
+                        if reaching is not None
+                        else [(0, new_n)]
                     )
+                    planner_probes = getattr(bounds, "evaluations", 0) - probes0
+                    starts, ends = session.live_runs(blocks)
+                    replay_runs = int(starts.size)
+                    replay_elements = int((ends - starts).sum())
+                    scratch_p = _reduce_ranges(spec_full, session.ro, starts, ends)
+                    kernel_calls += 1
 
                 # -- checkpointed per-group commit -----------------------------
                 cp.begin(epoch, session.ro, n_elements=n_old, live_count=old_live)
@@ -1050,11 +932,11 @@ class FreerideEngine:
                     span.set(rolled_back=True)
                     raise
             except BaseException:
+                session.rewind_liveness(n_old, old_live, retract_idx)
                 if new_n != n_old:
                     session.shrink(session, n_old)
                 raise
 
-            session.live = live_after
             session.n_elements = new_n
             session.epoch = epoch
             session.commit_attempts.pop(epoch, None)
@@ -1090,6 +972,10 @@ class FreerideEngine:
                 checkpoint_saves=stats.delta_checkpoint_saves,
                 checkpoint_hits=stats.delta_checkpoint_hits,
                 epochs_retained=len(cp.epochs()),
+                retract_runs=retract_runs,
+                replay_runs=replay_runs,
+                kernel_calls=kernel_calls,
+                planner_probes=planner_probes,
             )
 
         value: Any = (

@@ -14,7 +14,9 @@ application extras such as the k-means centroids).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
+
+import numpy as np
 
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import ROAccessor
@@ -141,12 +143,18 @@ class ReductionSpec:
         :class:`~repro.compiler.groupbounds.GroupBounds` result attached by
         the compiler (``BoundReduction.make_spec`` does this automatically).
         ``None`` means unknown — the engine then falls back from colored.
-    ``reduce_splits``
-        present only when the kernel can walk a list of splits without the
-        interpreter (``BoundReduction.make_spec`` over a native kernel):
-        ``reduce_splits(splits, ro)`` is ``reduction`` over each split in
-        order, in one call.  Direct, untraced lanes whose accessor hands
-        out a direct store pass whole batches of splits through it.
+    ``reduce_ranges``
+        ``reduce_ranges(starts, ends, ro)`` is the local reduction over the
+        element ranges ``[starts[i], ends[i])`` (two int64 arrays of global
+        positions), in order, into ``ro`` — the one way a list of ranges
+        enters a kernel.  ``BoundReduction.make_spec`` sets it for every
+        tier, over engine data that is the index range itself; a
+        hand-written spec gets one over its data from :meth:`slice_ranges`.
+    ``ranges_in_one_call``
+        True when ``reduce_ranges`` walks its ranges without the
+        interpreter (a native kernel: one GIL-released C call).  Direct,
+        untraced lanes whose accessor hands out a direct store then pass
+        whole batches of splits through it instead of looping over them.
     """
 
     name: str
@@ -157,7 +165,8 @@ class ReductionSpec:
     extras: dict[str, Any] = field(default_factory=dict)
     kernel_spec: KernelSpec | None = None
     group_bounds: Any = None
-    reduce_splits: Callable[[Sequence[Split], ROAccessor], None] | None = None
+    reduce_ranges: Callable[[np.ndarray, np.ndarray, ROAccessor], None] | None = None
+    ranges_in_one_call: bool = False
 
     def __post_init__(self) -> None:
         if not callable(self.setup_reduction_object):
@@ -170,6 +179,27 @@ class ReductionSpec:
             raise FreerideError("finalize must be callable or None")
         if self.kernel_spec is not None and not isinstance(self.kernel_spec, KernelSpec):
             raise FreerideError("kernel_spec must be a KernelSpec or None")
+
+    def slice_ranges(
+        self, data: Any
+    ) -> Callable[[np.ndarray, np.ndarray, ROAccessor], None]:
+        """A ``reduce_ranges`` hook for this spec over sliceable ``data``:
+        ``reduction`` on each range's slice and position-true split."""
+
+        def reduce_ranges(starts: np.ndarray, ends: np.ndarray, ro: ROAccessor) -> None:
+            for start, end in zip(starts.tolist(), ends.tolist()):
+                chunk = data[start:end]
+                self.reduction(
+                    ReductionArgs(
+                        data=chunk,
+                        split=Split(split_id=0, start=start, end=end, data=chunk),
+                        thread_id=0,
+                        ro=ro,
+                        extras=self.extras,
+                    )
+                )
+
+        return reduce_ranges
 
     def build_reduction_object(self) -> ReductionObject:
         """Allocate and initialize a fresh reduction object for a run."""

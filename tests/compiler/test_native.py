@@ -254,7 +254,8 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
         ledger = OpCounters()
         with pytest.raises(Exception) as raised:
             if backend == "native":
-                compiled.native_kernel.ranges(FAILING_RANGES, ro, bound.env, ledger)
+                starts, ends = np.array(FAILING_RANGES, dtype=np.int64).T
+                compiled.native_kernel.ranges(starts, ends, ro, bound.env, ledger)
             else:
                 for start, end in FAILING_RANGES:
                     compiled.effective_kernel(start, end, ro, bound.env, ledger)

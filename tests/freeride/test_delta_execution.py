@@ -10,9 +10,12 @@ RS036 diagnostic for the general-float caveat.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from repro.compiler.native import probe_toolchain
 from repro.compiler.translate import compile_reduction
 from repro.freeride.faults import FaultInjector, InjectedFault
 from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine
@@ -219,6 +222,204 @@ def test_mid_commit_fault_rolls_back_and_retry_succeeds():
         assert sess.epoch == 1
 
 
+# -- every tier, both in-process executors ---------------------------------------
+
+needs_cc = pytest.mark.skipif(
+    not probe_toolchain()["ok"],
+    reason=f"no usable C toolchain: {probe_toolchain()['reason']}",
+)
+BACKENDS = ["scalar", "batch", pytest.param("native", marks=needs_cc)]
+EXECUTORS = [("serial", 1), ("threads", 2)]
+
+WINDOW_CONSTS = {"win": 10, "numWin": 20}
+WINDOW_LAYOUT = [(1, "min")] * 20
+
+
+def _histogram_oracle(values, live):
+    x = values[live]
+    b = np.clip(((x - 0.0) / 0.25).astype(int), 0, 7)
+    out = np.zeros((8, 2))
+    np.add.at(out[:, 0], b, 1.0)
+    np.add.at(out[:, 1], b, x)
+    return out.reshape(-1), 2 * x.size
+
+
+def _mixed_oracle(values, live):
+    x = values[live]
+    return np.array([x.sum(), x.min(), x.max()]), 3 * x.size
+
+
+def _window_oracle(values, live):
+    w = np.minimum(np.arange(values.size) // 10, 19)
+    out = np.full(20, np.inf)
+    np.minimum.at(out, w[live], values[live])
+    return out, int(live.sum())
+
+
+def _clustered(rng):
+    # five of each of three windows, each window's current minimum among them
+    base = _dyadic(rng, 200)
+    picks = []
+    for w in (2, 3, 11):
+        window = np.arange(w * 10, w * 10 + 10)
+        rest = np.setdiff1d(window, [w * 10 + int(np.argmin(base[window]))])
+        picks += [w * 10 + int(np.argmin(base[window])), *rng.choice(rest, 4, False)]
+    return base, [(0, picks)]
+
+
+def _positive(rng, n):
+    return np.abs(_dyadic(rng, n))
+
+
+#: name -> (source, constants, layout, oracle, rng -> (base, [(appended, retract)]))
+DELTA_CASES = {
+    "histogram": (
+        HISTOGRAM_SOURCE, HISTOGRAM_CONSTS, HISTOGRAM_LAYOUT, _histogram_oracle,
+        lambda rng: (_positive(rng, 400), [(60, [3, 4, 5, 120, 250]), (10, [0, 399, 401])]),
+    ),
+    "mixed_add_min": (
+        MIXED_SOURCE, {}, MIXED_LAYOUT, _mixed_oracle,
+        lambda rng: (
+            (base := _dyadic(rng, 200)),
+            [(0, [int(np.argmin(base)), int(np.argmax(base))]), (20, [7])],
+        ),
+    ),
+    "window_min_clustered": (
+        WINDOW_MIN_SOURCE, WINDOW_CONSTS, WINDOW_LAYOUT, _window_oracle, _clustered,
+    ),
+    "append_and_retract": (
+        WINDOW_MIN_SOURCE, WINDOW_CONSTS, WINDOW_LAYOUT, _window_oracle,
+        # the tail clamps into the last window, which also loses elements
+        lambda rng: (_dyadic(rng, 200), [(15, [190, 195, 199, 42]), (5, [200, 214])]),
+    ),
+    "retract_only": (
+        HISTOGRAM_SOURCE, HISTOGRAM_CONSTS, HISTOGRAM_LAYOUT, _histogram_oracle,
+        lambda rng: (_positive(rng, 300), [(0, list(range(0, 300, 7)))]),
+    ),
+    "append_only": (
+        MIXED_SOURCE, {}, MIXED_LAYOUT, _mixed_oracle,
+        lambda rng: (_dyadic(rng, 100), [(40, []), (1, [])]),
+    ),
+}
+
+_DELTA_FIELDS = (
+    "delta_epoch", "delta_mode", "delta_appended", "delta_retracted",
+    "delta_groups_replayed", "delta_replay_elements",
+    "delta_checkpoint_saves", "delta_checkpoint_hits",
+)
+
+
+def _drive_case(name, backend, executor, threads):
+    """Baseline + the case's epochs; everything an observer can compare."""
+    source, consts, layout, oracle, draw = DELTA_CASES[name]
+    rng = np.random.default_rng(41)
+    base, epochs = draw(rng)
+    comp = compile_reduction(source, consts, 2, backend=backend)
+    assert comp.effective_backend == backend
+    bound = comp.bind(base.copy(), {})
+    values, live = base, np.ones(base.size, dtype=bool)
+    ledger = []
+    with FreerideEngine(num_threads=threads, executor=executor) as eng:
+        _, sess = eng.run_baseline(bound=bound, ro_layout=layout)
+        for appended, retract in epochs:
+            tail = _dyadic(rng, appended) if appended else None
+            if name == "histogram" and tail is not None:
+                tail = np.abs(tail)
+            res = eng.run_delta(
+                sess, append=tail, retract=retract if retract else None
+            )
+            if tail is not None:
+                values = np.concatenate([values, tail])
+                live = np.concatenate([live, np.ones(appended, dtype=bool)])
+            live[retract] = False
+            expected, updates = oracle(values, live)
+            assert np.array_equal(sess.ro.snapshot(), expected)
+            assert sess.ro.update_count == updates
+            assert sess.live.tobytes() == live.tobytes()
+            assert (sess.live_count, sess.n_elements) == (int(live.sum()), live.size)
+            assert res.stats.delta_appended == appended
+            assert res.stats.delta_retracted == len(retract)
+            ledger.append(tuple(getattr(res.stats, f) for f in _DELTA_FIELDS))
+    return ledger, asdict(bound.counters), values[live]
+
+
+_REFERENCE: dict = {}
+
+
+@pytest.mark.parametrize("executor,threads", EXECUTORS)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", list(DELTA_CASES))
+def test_delta_on_every_tier(name, backend, executor, threads):
+    """Result, update count, ``delta_*`` stats and the operation ledger are
+    the same on every backend tier and in-process executor — and the result
+    is the NumPy oracle's over the survivors at their original positions."""
+    if name not in _REFERENCE:
+        _REFERENCE[name] = _drive_case(name, "scalar", "serial", 1)
+    ref_ledger, ref_counters, _ = _REFERENCE[name]
+    ledger, counters, _ = _drive_case(name, backend, executor, threads)
+    assert ledger == ref_ledger
+    assert counters == ref_counters
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["histogram", "mixed_add_min", "retract_only"])
+def test_delta_equals_cold_run_on_every_tier(name, backend):
+    """Position-independent programs: a cold engine run over the survivors."""
+    source, consts, layout, oracle, _ = DELTA_CASES[name]
+    _, _, survivors = _drive_case(name, backend, "serial", 1)
+    with FreerideEngine(executor="serial") as eng:
+        cold = _cold(eng, source, consts, survivors, layout, backend=backend)
+    expected, updates = oracle(survivors, np.ones(survivors.size, dtype=bool))
+    assert np.array_equal(cold.ro.snapshot(), expected)
+    assert cold.ro.update_count == updates
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failed_commit_leaves_the_in_place_state_untouched(backend):
+    """The liveness mask is flipped in place before the commit: a commit
+    that fails must flip it back, byte for byte, along with everything else."""
+    rng = np.random.default_rng(13)
+    base = _dyadic(rng, 200)
+    comp = compile_reduction(WINDOW_MIN_SOURCE, WINDOW_CONSTS, 2, backend=backend)
+    bound = comp.bind(base.copy(), {})
+    injector = FaultInjector(
+        fail_split_ids={DELTA_COMMIT_SPLIT_ID}, fail_attempts=1
+    )
+    with FreerideEngine(executor="serial", fault_injector=injector) as eng:
+        _, sess = eng.run_baseline(bound=bound, ro_layout=WINDOW_LAYOUT)
+        eng.fault_injector = None
+        eng.run_delta(sess, retract=[50, 51])  # an earlier epoch's tombstones
+        eng.fault_injector = injector
+        before = (
+            sess.live.tobytes(), sess.live_count, sess.n_elements, sess.epoch,
+            bound.n_elements, bound.data_buf.raw.size,
+            sess.ro.snapshot().tobytes(), sess.ro.update_count,
+            sorted(sess.ro.touched_groups()),
+        )
+        tail = _dyadic(rng, 230)  # past the mask's capacity: the backing grows
+        retract = [int(np.argmin(base[:10])), 52, 199]
+        with pytest.raises(InjectedFault):
+            eng.run_delta(sess, append=tail, retract=retract)
+        after = (
+            sess.live.tobytes(), sess.live_count, sess.n_elements, sess.epoch,
+            bound.n_elements, bound.data_buf.raw.size,
+            sess.ro.snapshot().tobytes(), sess.ro.update_count,
+            sorted(sess.ro.touched_groups()),
+        )
+        assert after == before
+        assert sess.rollbacks == 1
+
+        eng.run_delta(sess, append=tail, retract=retract)  # attempt 2 commits
+        values = np.concatenate([base, tail])
+        live = np.ones(values.size, dtype=bool)
+        live[[50, 51, *retract]] = False
+        expected, updates = _window_oracle(values, live)
+        assert np.array_equal(sess.ro.snapshot(), expected)
+        assert sess.ro.update_count == updates
+        assert sess.live.tobytes() == live.tobytes()
+        assert (sess.live_count, sess.epoch) == (int(live.sum()), 2)
+
+
 # -- manual (uncompiled) sessions -----------------------------------------------
 
 
@@ -240,7 +441,7 @@ def test_manual_session_append_retract():
     base = _dyadic(rng, 100)
     with FreerideEngine(executor="serial") as eng:
         _, sess = eng.run_baseline(_manual_sum_spec(), base.copy())
-        assert sess.compiled is False and sess.gather is None
+        assert sess.compiled is False
         tail = _dyadic(rng, 10)
         eng.run_delta(sess, append=tail, retract=[0, 50])
         survivors = np.concatenate([np.delete(base, [0, 50]), tail])

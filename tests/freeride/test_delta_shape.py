@@ -1,0 +1,241 @@
+"""The shape of a delta epoch's work, not only its result.
+
+FREERIDE's bargain is that per-element work lives inside the generated
+reduction loop and the runtime around it is O(splits).  For ``run_delta``
+on the native tier that means:
+
+* **O(1) interpreter work in |Δ|** — the retract positions stay arrays from
+  ``normalize_retract`` to the C call, so an epoch retracting 1,000
+  scattered elements executes the Python calls (and bytecodes) of one
+  retracting 10;
+* **at most three kernel entries per epoch** — appended tail, retracted
+  elements, replayed elements;
+* **the planner asks each question once** — a footprint the effect summary
+  has computed is never computed again, in this epoch or a later one.
+
+The module skips when the host has no usable C toolchain.
+"""
+
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.analysis.effects import EffectSummary
+from repro.compiler.native import probe_toolchain
+from repro.compiler.translate import compile_reduction
+from repro.freeride.runtime import FreerideEngine
+
+pytestmark = pytest.mark.skipif(
+    not probe_toolchain()["ok"],
+    reason=f"no usable C toolchain: {probe_toolchain()['reason']}",
+)
+
+HISTOGRAM = """
+class histogramReduction : ReduceScanOp {
+  var bins: int;
+  var lo: real;
+  var width: real;
+
+  def accumulate(x: real) {
+    var b: int = toInt((x - lo) / width);
+    if (b < 0) { b = 0; }
+    if (b > bins - 1) { b = bins - 1; }
+    roAdd(b, 0, 1.0);
+    roAdd(b, 1, x);
+  }
+}
+"""
+BINS = 4
+
+WINDOW_MIN = """
+class windowMin : ReduceScanOp {
+  def accumulate(x: real) {
+    var w: int = toInt(elemIdx() / win);
+    if (w > numWin - 1) { w = numWin - 1; }
+    roMin(w, 0, x);
+  }
+}
+"""
+WIN, WINDOWS = 64, 64
+
+
+def _profiled_epoch(retracted):
+    """(Python calls by name, bytecodes executed) of one warm native epoch
+    retracting ``retracted`` scattered single elements (every third one, so
+    no two are adjacent and all four bins lose elements)."""
+    n = 6000
+    data = (np.arange(n, dtype=np.float64) % BINS) / BINS
+    comp = compile_reduction(
+        HISTOGRAM, {"bins": BINS, "lo": 0.0, "width": 1.0 / BINS}, 2,
+        backend="native",
+    )
+    assert comp.effective_backend == "native"
+    bound = comp.bind(data, {})
+    calls: Counter = Counter()
+    opcodes = 0
+
+    def tracer(frame, event, arg):
+        nonlocal opcodes
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            opcodes += 1
+        return tracer
+
+    with FreerideEngine(executor="serial") as engine:
+        _, session = engine.run_baseline(bound=bound, ro_layout=[(2, "add")] * BINS)
+        engine.run_delta(session, retract=np.arange(3000, 3030, 3))  # warm
+        retract = np.arange(0, 3 * retracted, 3)
+        sys.settrace(tracer)
+        try:
+            stats = engine.run_delta(session, retract=retract).stats
+        finally:
+            sys.settrace(None)
+    assert stats.delta_retracted == retracted
+    return calls, opcodes
+
+
+class TestInterpreterWorkIsConstantInDelta:
+    def test_a_hundred_times_the_retractions_cost_the_same_python(self):
+        calls_few, ops_few = _profiled_epoch(10)
+        calls_many, ops_many = _profiled_epoch(1000)
+        # no call, and no bytecode, per retracted element: a per-element
+        # tuple, list entry or loop trip would show as >= 990 of either
+        assert sum(calls_many.values()) - sum(calls_few.values()) <= 2
+        assert abs(ops_many - ops_few) <= 40
+
+    def test_the_kernel_is_entered_once_for_all_retractions(self):
+        calls, _ = _profiled_epoch(1000)
+        assert calls["_native_ranges"] == 1
+        assert calls["contiguous_runs"] == 1
+
+
+class _Session:
+    """A native window-min session with every kernel and planner entry counted."""
+
+    def __init__(self, monkeypatch, executor="serial", threads=1):
+        rng = np.random.default_rng(5)
+        self.n = WIN * WINDOWS
+        self.data = np.round(rng.normal(0, 1, self.n) * 8) / 8
+        comp = compile_reduction(
+            WINDOW_MIN, {"win": WIN, "numWin": WINDOWS}, 2, backend="native"
+        )
+        assert comp.effective_backend == "native"
+        self.bound = comp.bind(self.data.copy(), {})
+        self.entries = []
+        ranges = comp.native_kernel.ranges
+
+        def counted(starts, ends, *rest):
+            self.entries.append(len(starts))
+            return ranges(starts, ends, *rest)
+
+        monkeypatch.setattr(comp.native_kernel, "ranges", counted)
+        self.evaluated = []
+        evaluate = EffectSummary.groups_for_range
+
+        def counting(summary, start, end, num_groups):
+            self.evaluated.append((start, end))
+            return evaluate(summary, start, end, num_groups)
+
+        monkeypatch.setattr(EffectSummary, "groups_for_range", counting)
+        self.engine = FreerideEngine(executor=executor, num_threads=threads)
+        _, self.session = self.engine.run_baseline(
+            bound=self.bound, ro_layout=[(1, "min")] * WINDOWS
+        )
+        self.entries.clear()
+        self.evaluated.clear()
+
+    def epoch(self, **delta):
+        self.entries.clear()
+        self.evaluated.clear()
+        return self.engine.run_delta(self.session, **delta).stats
+
+    def window(self, w, count, skip=0):
+        return list(range(w * WIN + skip, w * WIN + skip + 2 * count, 2))
+
+
+@pytest.fixture
+def winmin(monkeypatch):
+    session = _Session(monkeypatch)
+    yield session
+    session.engine.close()
+
+
+class TestAtMostThreeKernelEntries:
+    def test_append_retract_and_replay_are_one_entry_each(self, winmin):
+        # 24 isolated retractions in three windows: 24 runs to retract, the
+        # windows' survivors in 24 runs to replay, a tail to fold
+        retract = winmin.window(3, 8) + winmin.window(17, 8) + winmin.window(40, 8)
+        stats = winmin.epoch(append=np.zeros(50), retract=retract)
+        assert stats.delta_groups_replayed == 3
+        assert len(winmin.entries) == 3
+        # [tail], every retraction run, every replay run: one call each
+        assert winmin.entries == [1, 24, 24]
+        assert stats.delta_replay_elements == 3 * WIN - 24
+
+    def test_retract_only_and_append_only(self, winmin):
+        winmin.epoch(retract=winmin.window(5, 4))
+        assert len(winmin.entries) == 2  # retract + replay
+        winmin.epoch(append=np.zeros(7))
+        assert len(winmin.entries) == 1
+
+
+class TestThePlannerAsksEachQuestionOnce:
+    def test_same_windows_again_cost_no_evaluation(self, winmin):
+        depth = (WINDOWS - 1).bit_length()  # log2(n / leaf)
+        winmin.epoch(retract=winmin.window(9, 3))
+        first = list(winmin.evaluated)
+        # root to leaf, two children per level
+        assert 0 < len(first) <= 2 * depth + 1
+        assert len(set(first)) == len(first)
+        # the same window again, and after an append moved n: nothing new
+        winmin.epoch(retract=winmin.window(9, 3, skip=1))
+        assert winmin.evaluated == []
+        winmin.epoch(append=np.zeros(30), retract=winmin.window(9, 3, skip=20))
+        # n crossed the tree's span: a new root and its right child, once
+        assert len(winmin.evaluated) <= 2
+        winmin.epoch(append=np.zeros(30), retract=winmin.window(9, 3, skip=40))
+        assert winmin.evaluated == []
+
+    def test_a_fresh_window_costs_a_logarithmic_number(self, winmin):
+        depth = (WINDOWS - 1).bit_length()
+        winmin.epoch(retract=winmin.window(9, 3))
+        winmin.epoch(retract=winmin.window(50, 3))
+        fresh = len(winmin.evaluated)
+        assert 0 < fresh <= 2 * depth
+        # a neighbour shares all but the last levels of the path
+        winmin.epoch(retract=winmin.window(51, 3))
+        assert len(winmin.evaluated) <= 2
+        assert len(winmin.evaluated) < fresh
+
+
+class TestTheSpanSaysWhatTheEpochDid:
+    def test_delta_apply_span_attributes(self, monkeypatch):
+        from repro.obs.tracer import Tracer
+
+        session = _Session(monkeypatch)
+        tracer = Tracer()
+        session.engine.tracer = tracer
+        try:
+            retract = session.window(3, 8) + session.window(17, 8)
+            stats = session.epoch(append=np.zeros(50), retract=retract)
+            evaluated = len(session.evaluated)
+            session.epoch(retract=session.window(3, 2, skip=1))
+        finally:
+            session.engine.close()
+        spans = [s for s in tracer.spans() if s.name == "delta.apply"]
+        first, second = (s.args for s in spans)
+        assert first["retract_runs"] == 16
+        # per window 8 holes, the first at the window's start: 8 runs survive
+        assert first["replay_runs"] == 2 * 8
+        assert first["kernel_calls"] == 3
+        assert first["planner_probes"] == evaluated > 0
+        assert first["replay_elements"] == stats.delta_replay_elements
+        assert (first["appended"], first["retracted"]) == (50, 16)
+        # the second epoch re-asks only what the memo already holds
+        assert second["planner_probes"] == 0
+        assert second["kernel_calls"] == 2
+        assert second["retract_runs"] == 2
