@@ -115,7 +115,7 @@ class AprioriRunner:
         tracer: "Tracer | None" = None,
         profile_store: "ProfileStore | str | bool | None" = None,
     ) -> None:
-        from repro.compiler.translate import BACKENDS, kernel_technique
+        from repro.compiler.translate import BACKENDS
 
         check_positive_int(num_items, "num_items")
         check_in_range(min_support_frac, 0.0, 1.0, "min_support_frac")
@@ -130,8 +130,6 @@ class AprioriRunner:
             technique=technique, tracer=tracer,
             profile_store=profile_store,
         )
-        #: kernel variant every counting pass compiles with
-        self.kernel_technique = kernel_technique(technique)
         #: RunStats of the most recent counting pass (None before the first)
         self.last_run_stats = None
 
@@ -221,7 +219,6 @@ class AprioriRunner:
             },
             opt_level=level,
             backend=self.backend,
-            technique=self.kernel_technique,
         )
         cand_t = ArrayType(Domain(num_cand), array_of(INT, set_size))
         # candidates hold 1-based item indices in the Chapel view

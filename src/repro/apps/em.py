@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS, kernel_technique
+from repro.compiler.translate import BACKENDS
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.spec import ReductionArgs, ReductionSpec
@@ -143,7 +143,6 @@ class EmRunner:
                 {"k": k, "dim": dim},
                 opt_level=level,
                 backend=backend,
-                technique=kernel_technique(technique),
             )
 
     def ro_layout(self) -> list[tuple[int, str]]:

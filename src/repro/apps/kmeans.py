@@ -34,7 +34,6 @@ from repro.compiler.translate import (
     BACKENDS,
     BoundReduction,
     CompiledReduction,
-    kernel_technique,
 )
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine, RunStats
@@ -262,7 +261,6 @@ class KmeansRunner:
                 {"k": k, "dim": dim},
                 opt_level=opt_level,
                 backend=backend,
-                technique=kernel_technique(technique),
             )
 
     def close(self) -> None:

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS, CompiledReduction, kernel_technique
+from repro.compiler.translate import BACKENDS, CompiledReduction
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine, RunStats
 from repro.freeride.spec import ReductionArgs, ReductionSpec
@@ -222,14 +222,11 @@ class PcaRunner:
         self.cov_compiled: CompiledReduction | None = None
         if version != "manual":
             level = {"generated": 0, "opt-1": 1, "opt-2": 2}[version]
-            kt = kernel_technique(technique)
             self.mean_compiled = compile_cached(
-                PCA_MEAN_SOURCE, {"m": m}, opt_level=level, backend=backend,
-                technique=kt,
+                PCA_MEAN_SOURCE, {"m": m}, opt_level=level, backend=backend
             )
             self.cov_compiled = compile_cached(
-                PCA_COV_SOURCE, {"m": m}, opt_level=level, backend=backend,
-                technique=kt,
+                PCA_COV_SOURCE, {"m": m}, opt_level=level, backend=backend
             )
 
     def close(self) -> None:

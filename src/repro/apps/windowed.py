@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.chapel.values import from_python
 from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS, kernel_technique
+from repro.compiler.translate import BACKENDS
 from repro.freeride.runtime import FreerideEngine
 from repro.machine.counters import OpCounters
 from repro.obs.profilestore import ProfileStore
@@ -148,7 +148,6 @@ class WindowedRunner:
             },
             opt_level=level,
             backend=backend,
-            technique=kernel_technique(technique),
         )
 
     def ro_layout(self) -> list[tuple[int, str]]:

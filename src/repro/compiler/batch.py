@@ -394,7 +394,6 @@ class BatchCodegen(PythonCodegen):
         self,
         lowered: LoweredReduction,
         plan: CompilationPlan,
-        exclusive: bool = False,
         summary: "EffectSummary | None" = None,
     ) -> None:
         super().__init__(lowered, plan)
@@ -402,12 +401,6 @@ class BatchCodegen(PythonCodegen):
         self.mask = "None"  # current mask expression ("None" = all lanes)
         self.lane = "_n0"  # current active-lane-count variable
         self._next_mask = 0
-        #: COLORED-technique variant: emit the ``exclusive=True`` hint on
-        #: every accumulate_batch call.  The caller (the engine's wave
-        #: schedule) guarantees no concurrent access to the touched cells;
-        #: accessors that synchronize anyway ignore the hint, so a colored
-        #: kernel stays correct under every accessor.
-        self.exclusive = exclusive
 
     def _check_site(self, site: AccessSite) -> None:
         """Refuse the kernel when a site's index varies across lanes."""
@@ -516,10 +509,9 @@ class BatchCodegen(PythonCodegen):
         self._w(f"{target} = {value}")
 
     def ro_update(self, op: str, args: list[str]) -> None:
-        hint = ", exclusive=True" if self.exclusive else ""
         self._w(
             f"_ro.accumulate_batch({args[0]}, {args[1]}, {args[2]}, "
-            f"{op!r}, {self.mask}, _n0{hint})"
+            f"{op!r}, {self.mask}, _n0)"
         )
 
     def emit_if(self, stmt: A.IfStmt) -> None:

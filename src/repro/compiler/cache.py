@@ -4,12 +4,9 @@
 every call; apps and benchmarks compile the same program again and again
 (apriori even recompiles per counting pass).  :func:`compile_cached`
 memoizes the finished :class:`~repro.compiler.translate.CompiledReduction`
-keyed by ``(program digest, version, backend, technique)`` and records the
-plan fingerprint alongside each entry, matching the paper's one-time
-translation cost model.  The kernel *technique* is part of the key because
-the COLORED variant emits a different accumulate path (the ``exclusive``
-hint) from the same program — without it, a kernel compiled for one
-technique could be served to another (cross-technique cache poisoning).
+keyed by ``(program digest, version, backend)``, matching the paper's
+one-time translation cost model.  A kernel is the same under every
+shared-memory technique, so the technique is no part of the key.
 Cached objects hold no bound data — binding happens per dataset on the
 shared compiled object — so reuse across callers is safe.
 
@@ -42,7 +39,6 @@ from repro.chapel import ast as A
 from repro.compiler.passes import CompilationPlan
 from repro.compiler.translate import (
     BACKENDS,
-    KERNEL_TECHNIQUES,
     CompiledReduction,
     compile_reduction,
 )
@@ -53,7 +49,6 @@ __all__ = [
     "compile_cached",
     "compile_for_digest",
     "clear_kernel_cache",
-    "entry_fingerprint",
     "kernel_cache_capacity",
     "kernel_cache_stats",
     "plan_fingerprint",
@@ -62,14 +57,12 @@ __all__ = [
 ]
 
 _lock = threading.Lock()
-_cache: OrderedDict[
-    tuple[str, int, str, str], tuple[str, CompiledReduction]
-] = OrderedDict()
+_cache: OrderedDict[tuple[str, int, str], CompiledReduction] = OrderedDict()
 _hits = 0
 _misses = 0
 _evictions = 0
 #: Default LRU bound — generous for every realistic app mix (apps compile a
-#: handful of (version, backend, technique) variants), small enough that a
+#: handful of (version, backend) variants), small enough that a
 #: sweep over thousands of distinct programs cannot hold every kernel alive.
 _DEFAULT_CAPACITY = 128
 _capacity = _DEFAULT_CAPACITY
@@ -136,31 +129,18 @@ def compile_cached(
     opt_level: int = 0,
     class_name: str | None = None,
     backend: str = "scalar",
-    technique: str = "generic",
 ) -> CompiledReduction:
     """Like :func:`compile_reduction`, but memoized process-wide.
 
-    The cache key is ``(program digest, opt_level, backend, technique)``;
-    each entry stores the resulting plan's fingerprint — extended for
-    colored entries with the group-bounds fingerprint, which determines the
-    wave layout — so distinct compilation outcomes can never alias (a
-    digest pins source + constants, which fully determine plan and bounds
-    at a given level; the fingerprint is verified on every hit).
+    The cache key is ``(program digest, opt_level, backend)``: a digest
+    pins source + constants, which fully determine plan and group bounds
+    at a given level, so distinct compilation outcomes can never alias.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if technique not in KERNEL_TECHNIQUES:
-        raise ValueError(
-            f"technique must be one of {KERNEL_TECHNIQUES}, got {technique!r}"
-        )
     global _hits, _misses
     tracer = get_tracer()
-    key = (
-        program_digest(source, constants, class_name),
-        opt_level,
-        backend,
-        technique,
-    )
+    key = (program_digest(source, constants, class_name), opt_level, backend)
     with _lock:
         entry = _cache.get(key)
         if entry is not None:
@@ -169,45 +149,28 @@ def compile_cached(
             if tracer.enabled:
                 tracer.event(
                     "kernel_cache.hit", cat="cache", digest=key[0][:12],
-                    opt_level=opt_level, backend=backend, technique=technique,
+                    opt_level=opt_level, backend=backend,
                 )
-            return entry[1]
-    compiled = compile_reduction(
-        source, constants, opt_level, class_name, backend, technique
-    )
-    fingerprint = entry_fingerprint(compiled)
+            return entry
+    compiled = compile_reduction(source, constants, opt_level, class_name, backend)
     global _evictions
     with _lock:
         entry = _cache.get(key)
         if entry is not None:  # lost a compile race; keep the first
             _hits += 1
             _cache.move_to_end(key)
-            return entry[1]
+            return entry
         _misses += 1
-        _cache[key] = (fingerprint, compiled)
+        _cache[key] = compiled
         while len(_cache) > _capacity:
             _cache.popitem(last=False)
             _evictions += 1
     if tracer.enabled:
         tracer.event(
             "kernel_cache.miss", cat="cache", digest=key[0][:12],
-            opt_level=opt_level, backend=backend, technique=technique,
-            reduction=compiled.name,
+            opt_level=opt_level, backend=backend, reduction=compiled.name,
         )
     return compiled
-
-
-def entry_fingerprint(compiled: CompiledReduction) -> str:
-    """Fingerprint stored with a cache entry.
-
-    Plan fingerprint for generic kernels; colored kernels append the
-    group-bounds fingerprint, since the bounds determine the wave layout
-    the kernel's ``exclusive`` hint relies on.
-    """
-    fp = plan_fingerprint(compiled.plan)
-    if compiled.technique == "colored" and compiled.group_bounds is not None:
-        fp = f"{fp}:{compiled.group_bounds.fingerprint()}"
-    return fp
 
 
 def compile_for_digest(
@@ -217,7 +180,6 @@ def compile_for_digest(
     opt_level: int = 0,
     class_name: str | None = None,
     backend: str = "scalar",
-    technique: str = "generic",
 ) -> CompiledReduction:
     """Worker-process entry: compile through the cache, verifying ``digest``.
 
@@ -234,9 +196,7 @@ def compile_for_digest(
             f"kernel payload digest mismatch: expected {digest[:12]}..., "
             f"source+constants hash to {actual[:12]}..."
         )
-    return compile_cached(
-        source, constants, opt_level, class_name, backend, technique
-    )
+    return compile_cached(source, constants, opt_level, class_name, backend)
 
 
 def kernel_cache_stats() -> dict[str, int]:

@@ -191,11 +191,10 @@ class GroupBounds:
         return self._memo.evaluations
 
     def fingerprint(self) -> str:
-        """Stable digest of the bounds (folded into kernel-cache entries).
+        """Stable digest of the bounds.
 
-        Includes the symbolic forms: two reductions with the same hull but
-        different per-split footprints must not share colored kernel-cache
-        entries.
+        Includes the symbolic forms, so two reductions with the same hull
+        but different per-split footprints digest differently.
         """
         text = f"{self.bounded}:{self.lo}:{self.hi}:{self.sites}"
         if self.summary is not None:

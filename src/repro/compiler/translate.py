@@ -59,18 +59,13 @@ __all__ = [
     "CompiledReduction",
     "BoundReduction",
     "compile_reduction",
-    "kernel_technique",
     "BACKENDS",
-    "KERNEL_TECHNIQUES",
 ]
 
 #: Supported execution backends: per-element interpretation, whole-split
 #: NumPy vectorization (see :mod:`repro.compiler.batch`), or JIT-compiled
 #: C over the linearized buffers (see :mod:`repro.compiler.native`).
 BACKENDS = ("scalar", "batch", "native")
-
-#: Supported kernel variants (see ``compile_reduction``'s ``technique``).
-KERNEL_TECHNIQUES = ("generic", "colored")
 
 #: average run length below which the batch tier gathers a list of ranges
 #: into one contiguous buffer and reduces it in a single dispatch — the
@@ -79,17 +74,6 @@ KERNEL_TECHNIQUES = ("generic", "colored")
 #: gather copy costs
 GATHER_RUN_THRESHOLD = 1024
 
-
-def kernel_technique(technique: Any) -> str:
-    """The kernel variant to compile for an engine technique request.
-
-    Only an explicit ``"colored"`` request compiles the colored variant
-    (batch accumulates carry the ``exclusive`` hint); every other value —
-    including ``"auto"``, which resolves per run and may still execute
-    colored via the generic kernel — maps to ``"generic"``.  Accepts a
-    string or a ``SharedMemTechnique``.
-    """
-    return "colored" if str(getattr(technique, "value", technique)) == "colored" else "generic"
 
 _log = get_logger("compiler.batch")
 
@@ -158,10 +142,6 @@ class CompiledReduction:
     python_source: str
     kernel: Callable
     backend: str = "scalar"
-    #: kernel variant: ``"generic"`` runs under every accessor;
-    #: ``"colored"`` additionally emits the ``exclusive`` hint on batch
-    #: RO updates for the COLORED technique's lock-free direct path
-    technique: str = "generic"
     #: flow-sensitive bounds on the group index of every RO update site
     #: (:func:`repro.compiler.groupbounds.analyze_group_bounds`); the
     #: engine's split coloring consumes this via the spec
@@ -596,7 +576,6 @@ class BoundReduction:
                 dataset_type=self.data_buf.typ,
                 extras=dict(self.extras_values),
                 extras_epoch=self.extras_epoch,
-                technique=comp.technique,
                 effective_backend=comp.effective_backend,
                 native_disk_hit=(
                     not comp.native_kernel.native.compiled
@@ -634,7 +613,6 @@ def compile_reduction(
     opt_level: int = 0,
     class_name: str | None = None,
     backend: str = "scalar",
-    technique: str = "generic",
 ) -> CompiledReduction:
     """Compile a mini-Chapel reduction class at one optimization level.
 
@@ -652,20 +630,11 @@ def compile_reduction(
     unusable toolchain — downgrades to the batch tier (then scalar) with
     the reason in :attr:`CompiledReduction.native_fallback_reason`; every
     compile records a ``kernel_backend`` trace event with the requested
-    vs. effective backend.
-
-    ``technique`` selects the kernel variant: ``"generic"`` (default) runs
-    under every shared-memory accessor; ``"colored"`` emits the
-    ``exclusive`` hint on batch RO updates for the COLORED technique.  Both
-    variants are semantically identical — the hint only documents that the
-    caller's wave schedule guarantees exclusive access.
+    vs. effective backend.  The one kernel runs under every shared-memory
+    technique: how updates are synchronized is the accessor's business.
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if technique not in KERNEL_TECHNIQUES:
-        raise ValueError(
-            f"technique must be one of {KERNEL_TECHNIQUES}, got {technique!r}"
-        )
     tracer = get_tracer()
     with tracer.span(
         "compile", cat="compiler", opt_level=opt_level, backend=backend
@@ -754,10 +723,7 @@ def compile_reduction(
                 "batch_codegen", cat="compiler", reduction=lowered.name
             ) as batch_span:
                 batchgen = BatchCodegen(
-                    lowered,
-                    plan,
-                    exclusive=(technique == "colored"),
-                    summary=group_bounds.summary,
+                    lowered, plan, summary=group_bounds.summary
                 )
                 try:
                     batch_source = batchgen.generate()
@@ -823,7 +789,6 @@ def compile_reduction(
         python_source=python_source,
         kernel=namespace["_kernel"],
         backend=backend,
-        technique=technique,
         group_bounds=group_bounds,
         batch_source=batch_source,
         batch_kernel=batch_kernel,

@@ -76,7 +76,7 @@ class SplitColoring:
         return max((len(w) for w in self.waves), default=0)
 
     def fingerprint(self) -> str:
-        """Stable digest of the wave layout (folded into kernel-cache keys)."""
+        """Stable digest of the wave layout (reported by :meth:`as_dict`)."""
         text = ";".join(",".join(map(str, wave)) for wave in self.waves)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 

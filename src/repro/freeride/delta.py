@@ -2,18 +2,28 @@
 
 The batch pipeline (linearize → split → accumulate → combine) recomputes
 the whole reduction whenever the dataset changes.  This module holds the
-state that lets :meth:`repro.freeride.runtime.FreerideEngine.run_delta`
-update the committed reduction object in work proportional to the change:
+state — and the epoch walk over it — that lets
+:meth:`repro.freeride.runtime.FreerideEngine.run_delta` update the
+committed reduction object in work proportional to the change:
 
 :class:`DeltaSession`
     the handle ``run_baseline`` returns — the committed
-    :class:`~repro.freeride.reduction_object.ReductionObject`, a liveness
-    bitmap over the (logical) element positions, and the checkpoint ring.
+    :class:`~repro.freeride.reduction_object.ReductionObject`, the dataset
+    it was reduced from, a liveness bitmap over the (logical) element
+    positions, and the checkpoint ring.  :meth:`DeltaSession.apply` walks
+    one epoch over that state: append → retract → replay → checkpointed
+    commit, with rollback and rewind when any of it fails.
     Retraction is *logical* (tombstones): positions never shift, so
     position-dependent kernels (e.g. windowed's ``elemIdx() / win`` group
     form) stay valid and a delta result is comparable element-for-element
     with a cold run over the surviving elements at their original
     positions.
+
+:class:`ManualDataset`
+    a hand-written ``(spec, data)`` pair behind the four dataset members
+    of a :class:`~repro.compiler.translate.BoundReduction`
+    (``make_spec``, ``append_elements``, ``truncate_elements``,
+    ``n_elements``), so a session holds either kind as its ``source``.
 
 :class:`ROCheckpoint`
     a bounded ring of per-epoch copy-on-write group snapshots.  Before a
@@ -34,8 +44,8 @@ a retracted range can touch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -44,15 +54,49 @@ from repro.freeride.reduction_object import (
     OP_CODES,
     ReductionObject,
 )
+from repro.freeride.sharedmem import ScratchAccessor
+from repro.freeride.spec import ReductionSpec
 from repro.util.errors import FreerideError
 from repro.util.validation import check_positive_int
 
+if TYPE_CHECKING:
+    from repro.freeride.faults import FaultInjector
+    from repro.freeride.runtime import ReductionResult, RunStats
+    from repro.obs.tracer import NullTracer, Tracer
+
 __all__ = [
+    "DELTA_COMMIT_SPLIT_ID",
     "DeltaSession",
+    "EpochReport",
+    "ManualDataset",
     "ROCheckpoint",
     "contiguous_runs",
     "mask_runs",
 ]
+
+#: pseudo split id the delta commit reports to a configured
+#: :class:`~repro.freeride.faults.FaultInjector` — real splits are numbered
+#: from 0, so ``FaultInjector(fail_split_ids={DELTA_COMMIT_SPLIT_ID},
+#: fail_attempts=n)`` makes the first ``n`` commit attempts of a delta
+#: epoch fail mid-commit (exercising checkpoint rollback) without touching
+#: ordinary split processing.
+DELTA_COMMIT_SPLIT_ID = -1
+
+
+def _reduce_ranges(
+    spec: ReductionSpec, like: ReductionObject, starts: np.ndarray, ends: np.ndarray
+) -> ReductionObject:
+    """Reduce element ranges into a fresh scratch object laid out as ``like``.
+
+    The parent-side compute behind a manual session's append, every
+    retraction and every replay: the ``[starts[i], ends[i])`` runs go to the
+    spec's ``reduce_ranges`` hook as two arrays, *global* positions intact,
+    so position-dependent reductions see the coordinates a full run would
+    and a native kernel walks them all in one call.
+    """
+    scratch = like.clone_empty()
+    spec.reduce_ranges(starts, ends, ScratchAccessor(scratch))
+    return scratch
 
 
 def contiguous_runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +259,61 @@ class ROCheckpoint:
 
 
 @dataclass
+class ManualDataset:
+    """A hand-written ``(spec, data)`` pair as a delta session's dataset.
+
+    Gives a sized, sliceable ``data`` the dataset members a
+    :class:`~repro.compiler.translate.BoundReduction` has, so the epoch
+    walk is written once.  What stays different is where an appended tail
+    is reduced: a bound kernel's rides the engine's executor pipeline,
+    this one's is a parent-side serial walk (:attr:`DeltaSession.compiled`).
+    """
+
+    spec: ReductionSpec
+    data: Any
+
+    @property
+    def n_elements(self) -> int:
+        return len(self.data)
+
+    def make_spec(
+        self, ro_layout: Any = None, finalize: Any = None, delta_range: Any = None
+    ) -> tuple[ReductionSpec, Any]:
+        """The spec re-bound to the current data (its own setup and finalize
+        stand; a range is addressed through ``reduce_ranges``, not sliced)."""
+        ranges = self.spec.slice_ranges(self.data)
+        return replace(self.spec, reduce_ranges=ranges), self.data
+
+    def append_elements(self, batch: Any) -> int:
+        if isinstance(self.data, np.ndarray):
+            self.data = np.concatenate(
+                [self.data, np.asarray(batch, dtype=self.data.dtype)]
+            )
+        else:
+            self.data = list(self.data) + list(batch)
+        return len(self.data)
+
+    def truncate_elements(self, n_elements: int) -> None:
+        self.data = self.data[:n_elements]
+
+
+@dataclass(frozen=True)
+class EpochReport:
+    """What one committed epoch did; the engine stamps it on ``RunStats``."""
+
+    epoch: int
+    appended: int
+    retracted: int
+    groups_replayed: int
+    replay_elements: int
+    checkpoint_saves: int
+    checkpoint_hits: int
+    #: the stats of the engine run that reduced a compiled session's
+    #: appended tail; ``None`` when the epoch ran no such pass
+    tail_stats: "RunStats | None"
+
+
+@dataclass
 class DeltaSession:
     """A baseline run plus the state needed to apply deltas to it.
 
@@ -227,41 +326,32 @@ class DeltaSession:
 
     #: the committed reduction object (mutated in place by deltas)
     ro: ReductionObject
-    #: total logical positions, including tombstoned (retracted) ones
-    n_elements: int
-    #: liveness bitmap over ``[0, n_elements)`` — a view of a
-    #: capacity-doubled backing that epochs flip in place
-    #: (:meth:`advance_liveness` / :meth:`rewind_liveness`)
-    live: np.ndarray
-    #: delta epochs applied so far (0 = baseline only)
-    epoch: int
+    #: the dataset the deltas grow and shrink: a
+    #: :class:`~repro.compiler.translate.BoundReduction` (the data lives in
+    #: its linearized buffer) or a :class:`ManualDataset` — anything with
+    #: ``make_spec(layout, finalize, delta_range)``, ``append_elements``,
+    #: ``truncate_elements`` and ``n_elements``
+    source: Any
     #: checkpoint ring for rollback and windowed queries
     checkpoints: ROCheckpoint
-    #: rebuilds ``(spec, data)`` over the current dataset — compiled
-    #: sessions re-run ``make_spec`` after the buffer grows, manual
-    #: sessions re-bind the stored array
-    respec: Callable[["DeltaSession", tuple[int, int] | None], tuple[Any, Any]]
-    #: appends rows to the dataset, returning the new ``n_elements``
-    extend: Callable[["DeltaSession", Any], int]
-    #: rolls the dataset back to ``n_elements`` positions (failed batch)
-    shrink: Callable[["DeltaSession", int], None]
-    #: manual-spec sessions keep the raw data array here (compiled sessions
-    #: keep theirs inside the bound kernel's linearized buffer)
-    data: Any = None
-    #: finalize hook forwarded to make_spec on every delta (compiled only)
+    #: produces the session's result value from the committed object
     finalize: Any = None
     #: stable key for shared-memory tail republish (process executor)
     shm_key: str | None = None
-    #: True for sessions over a compiled ``BoundReduction`` — the append
-    #: pass then rides the full executor pipeline; manual-spec sessions
-    #: compute deltas with a parent-side serial pass instead
-    compiled: bool = False
+    #: total logical positions, including tombstoned (retracted) ones
+    n_elements: int = field(init=False)
+    #: liveness bitmap over ``[0, n_elements)`` — a view of a
+    #: capacity-doubled backing that epochs flip in place
+    #: (:meth:`advance_liveness` / :meth:`rewind_liveness`)
+    live: np.ndarray = field(init=False)
+    #: delta epochs applied so far (0 = baseline only)
+    epoch: int = field(init=False, default=0)
     #: per-epoch commit attempt counters (the fault-injection seam mirrors
     #: split retry semantics: a rolled-back epoch re-tried by the caller
     #: counts as attempt 2, so ``fail_attempts`` bounds how long it fails)
-    commit_attempts: dict[int, int] = field(default_factory=dict)
+    commit_attempts: dict[int, int] = field(init=False, default_factory=dict)
     #: delta epochs that failed mid-commit and were rolled back
-    rollbacks: int = 0
+    rollbacks: int = field(init=False, default=0)
     #: surviving elements, maintained by the liveness updates
     live_count: int = field(init=False)
     #: groups whose op has no inverse (min/max): a retraction that touches
@@ -270,13 +360,196 @@ class DeltaSession:
     noninvertible: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self._live = self.live
-        self.live_count = int(np.count_nonzero(self.live))
+        self.n_elements = self.live_count = int(self.source.n_elements)
+        self.live = self._live = np.ones(self.n_elements, dtype=bool)
         invertible = [OP_CODES[op] for op in INVERTIBLE_ACCUMULATE_OPS]
         opcodes = self.ro.direct_store().opcodes
         self.noninvertible = frozenset(
             np.flatnonzero(~np.isin(opcodes, invertible)).tolist()
         )
+
+    @property
+    def compiled(self) -> bool:
+        """True over a bound compiled kernel — an appended tail then rides
+        the engine's full executor pipeline; a manual-spec session reduces
+        it with a parent-side serial walk instead."""
+        return not isinstance(self.source, ManualDataset)
+
+    def make_spec(
+        self, delta_range: "tuple[int, int] | None" = None
+    ) -> tuple[ReductionSpec, Any]:
+        """``(spec, data)`` over the dataset as it is now — all of it, or
+        the appended ``delta_range`` — with no finalize: the session's own
+        runs once, on the committed object."""
+        spec, data = self.source.make_spec(
+            self.ro.layout(), finalize=None, delta_range=delta_range
+        )
+        if self.shm_key is not None and spec.kernel_spec is not None:
+            spec.kernel_spec.shm_session = self.shm_key
+        return spec, data
+
+    def apply(
+        self,
+        append: Any,
+        retract_idx: np.ndarray,
+        *,
+        run: "Callable[[ReductionSpec, Any], ReductionResult]",
+        injector: "FaultInjector | None",
+        tracer: "Tracer | NullTracer",
+        executor: str,
+    ) -> EpochReport:
+        """Walk one epoch: append, retract, replay, checkpointed commit.
+
+        ``retract_idx`` comes from :meth:`normalize_retract`; the engine
+        lends its ``run`` (a compiled session's appended tail rides the full
+        executor pipeline — threads / process workers, technique selection,
+        fault tolerance — as a run over ``[n_old, new_n)``), its fault
+        ``injector`` (consulted mid-commit at :data:`DELTA_COMMIT_SPLIT_ID`)
+        and its ``tracer``.  Nothing is committed until every scratch
+        object is computed; a failure anywhere restores the reduction
+        object, dataset length and liveness of the previous epoch and
+        re-raises.
+        """
+        source, ro, cp = self.source, self.ro, self.checkpoints
+        epoch = self.epoch + 1
+        n_old, old_live, old_updates = self.n_elements, self.live_count, ro.update_count
+        saves0, hits0 = cp.saves, cp.hits
+        new_n = n_old
+        appended = 0
+        delta_ro: ReductionObject | None = None
+        tail_stats = None
+        with tracer.span(
+            "delta.apply",
+            cat="delta",
+            epoch=epoch,
+            retracted=int(retract_idx.size),
+            executor=executor,
+        ) as span:
+            try:
+                if append is not None:
+                    new_n = source.append_elements(append)
+                    appended = new_n - n_old
+                    if appended <= 0:
+                        raise FreerideError(
+                            "append batch added no elements (use retract= "
+                            "alone for pure retraction)"
+                        )
+                    if self.compiled:
+                        tail = run(*self.make_spec((n_old, new_n)))
+                        delta_ro, tail_stats = tail.ro, tail.stats
+                spec_full, _ = self.make_spec()
+                if delta_ro is None and appended:
+                    delta_ro = _reduce_ranges(
+                        spec_full, ro,
+                        np.array([n_old], dtype=np.int64),
+                        np.array([new_n], dtype=np.int64),
+                    )
+                kernel_calls = int(appended > 0)
+
+                # -- retract compute (never mutates the committed object) ------
+                noninv = self.noninvertible
+                scratch_r: ReductionObject | None = None
+                ret_touched: frozenset[int] = frozenset()
+                retract_runs = 0
+                if retract_idx.size:
+                    starts, ends = contiguous_runs(retract_idx)
+                    retract_runs = int(starts.size)
+                    scratch_r = _reduce_ranges(spec_full, ro, starts, ends)
+                    kernel_calls += 1
+                    ret_touched = scratch_r.touched_groups()
+                replay_groups = sorted(ret_touched & noninv)
+
+                # -- replay compute: re-reduce only the survivors inside the
+                # blocks whose effect-summary footprint can reach a replayed
+                # group ---------------------------------------------------------
+                self.advance_liveness(new_n, retract_idx)
+                scratch_p: ReductionObject | None = None
+                replay_elements = replay_runs = planner_probes = 0
+                if replay_groups:
+                    # a hand-written spec's hook answers no range question:
+                    # every survivor is replayed
+                    bounds = spec_full.group_bounds
+                    reaching = getattr(bounds, "blocks_reaching", None)
+                    probes0 = getattr(bounds, "evaluations", 0)
+                    blocks = (
+                        reaching(frozenset(replay_groups), new_n, ro.num_groups)
+                        if reaching is not None
+                        else [(0, new_n)]
+                    )
+                    planner_probes = getattr(bounds, "evaluations", 0) - probes0
+                    starts, ends = self.live_runs(blocks)
+                    replay_runs = int(starts.size)
+                    replay_elements = int((ends - starts).sum())
+                    scratch_p = _reduce_ranges(spec_full, ro, starts, ends)
+                    kernel_calls += 1
+
+                # -- checkpointed per-group commit -----------------------------
+                cp.begin(epoch, ro, n_elements=n_old, live_count=old_live)
+                attempt = self.commit_attempts.get(epoch, 0) + 1
+                self.commit_attempts[epoch] = attempt
+                try:
+                    if delta_ro is not None:
+                        for g in sorted(delta_ro.touched_groups()):
+                            cp.save_group(ro, g)
+                            ro.merge_group_from(g, delta_ro)
+                    if injector is not None:
+                        # mid-commit seam: appended groups are already merged,
+                        # retracts are not — a fault here must roll back
+                        injector.inject(DELTA_COMMIT_SPLIT_ID, attempt)
+                    if scratch_r is not None:
+                        for g in sorted(ret_touched):
+                            if g in noninv:
+                                continue
+                            cp.save_group(ro, g)
+                            ro.retract_group(g, scratch_r)
+                    if scratch_p is not None:
+                        for g in replay_groups:
+                            cp.save_group(ro, g)
+                            ro.reset_group(g)
+                            ro.merge_group_from(g, scratch_p)
+                    ro.update_count = (
+                        old_updates
+                        + (delta_ro.update_count if delta_ro is not None else 0)
+                        - (scratch_r.update_count if scratch_r is not None else 0)
+                    )
+                    cp.commit()
+                except BaseException:
+                    cp.rollback(ro)
+                    self.rollbacks += 1
+                    span.set(rolled_back=True)
+                    raise
+            except BaseException:
+                self.rewind_liveness(n_old, old_live, retract_idx)
+                if new_n != n_old:
+                    source.truncate_elements(n_old)
+                raise
+
+            self.n_elements = new_n
+            self.epoch = epoch
+            self.commit_attempts.pop(epoch, None)
+            report = EpochReport(
+                epoch=epoch,
+                appended=appended,
+                retracted=int(retract_idx.size),
+                groups_replayed=len(replay_groups),
+                replay_elements=replay_elements,
+                checkpoint_saves=cp.saves - saves0,
+                checkpoint_hits=cp.hits - hits0,
+                tail_stats=tail_stats,
+            )
+            span.set(
+                appended=appended,
+                groups_replayed=report.groups_replayed,
+                replay_elements=replay_elements,
+                checkpoint_saves=report.checkpoint_saves,
+                checkpoint_hits=report.checkpoint_hits,
+                epochs_retained=len(cp.epochs()),
+                retract_runs=retract_runs,
+                replay_runs=replay_runs,
+                kernel_calls=kernel_calls,
+                planner_probes=planner_probes,
+            )
+        return report
 
     def live_runs(
         self, blocks: "Sequence[tuple[int, int]] | None" = None

@@ -7,8 +7,9 @@ and fault configuration:
 
 :class:`RunContext`
     everything one node's pass over its splits needs, built once by
-    ``FreerideEngine._run_node``.  An uncolored run is a schedule of one
-    wave.
+    ``FreerideEngine._run_node`` from the node's
+    :class:`~repro.freeride.plan.ExecutionPlan` and the accessors its
+    technique set up.  An uncolored run is a schedule of one wave.
 :func:`attempt_split`
     one processing attempt: injector → kernel into a scratch reduction
     object → soft-timeout check.  In-process lanes call it directly; the
@@ -66,6 +67,7 @@ from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.util.errors import FaultToleranceError
 
 if TYPE_CHECKING:
+    from repro.freeride.plan import ExecutionPlan
     from repro.freeride.runtime import FreerideEngine, RunStats
     from repro.obs.tracer import NullTracer, Tracer
 
@@ -105,14 +107,15 @@ class Observation:
 class RunContext:
     """One node's pass: what to run, where results go, what may go wrong.
 
-    Built in two steps because technique resolution reads it:
-    ``_run_node`` constructs it from the split list, resolves the
-    technique, then calls :meth:`schedule` with the accessors and waves.
+    Constructed complete from the node's plan and the accessors of the
+    planned technique; everything below :attr:`worker_durations` is derived
+    from those in ``__post_init__``.
     """
 
     spec: ReductionSpec
-    splits: "list[Split]"
+    plan: "ExecutionPlan"
     base_ro: ReductionObject
+    accessors: "list[ROAccessor]"
     #: the run's ledger; its fault counters are guarded by :attr:`lock`
     stats: "RunStats"
     tracer: "Tracer | NullTracer"
@@ -120,72 +123,65 @@ class RunContext:
     node: int
     executor: str
     num_threads: int
-    num_nodes: int
     #: ``None`` means no fault machinery; an injector alone implies defaults
     policy: "FaultPolicy | None"
     injector: "FaultInjector | None"
-    profile_ctx: "dict[str, Any] | None" = None
-    accessors: "list[ROAccessor]" = field(default_factory=list)
+    #: split durations worker processes ship back, kept for the profile
+    #: record; ``None`` when no profile store is attached
+    worker_durations: "list[float] | None" = None
+    splits: "list[Split]" = field(init=False)
     #: split positions per wave, each wave run to completion before the next
-    waves: "list[Any]" = field(default_factory=list)
+    waves: Any = field(init=False)
     #: colored fault-tolerant runs commit each scratch restricted to the
     #: split's proven group set, so concurrent commits within a wave never
     #: read-modify-write a cell both left untouched
-    commit_groups: "dict[int, frozenset[int]] | None" = None
-    observation: "Observation | None" = None
+    commit_groups: "dict[int, frozenset[int]] | None" = field(init=False, default=None)
+    observation: "Observation | None" = field(init=False, default=None)
     #: no policy, no observation: attempts accumulate straight into the
     #: lane's accessor, with no scratch object and nothing to settle
-    direct: bool = False
-    elems: "list[int]" = field(default_factory=list)
-    nsplits: "list[int]" = field(default_factory=list)
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    direct: bool = field(init=False)
+    elems: "list[int]" = field(init=False)
+    nsplits: "list[int]" = field(init=False)
+    lock: threading.Lock = field(init=False, default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
-        if self.policy is None:
-            return
-        if self.spec.combination is not None:
-            raise FaultToleranceError(
-                "fault tolerance requires the middleware default combination: "
-                "a custom combination_t implies reduction-object state the "
-                "engine cannot merge from a per-split scratch copy"
+        plan = self.plan
+        splits = self.splits = plan.splits
+        if self.policy is not None:
+            if self.spec.combination is not None:
+                raise FaultToleranceError(
+                    "fault tolerance requires the middleware default combination: "
+                    "a custom combination_t implies reduction-object state the "
+                    "engine cannot merge from a per-split scratch copy"
+                )
+            if len({s.split_id for s in splits}) != len(splits):
+                raise FaultToleranceError(
+                    "fault tolerance requires unique split ids (retry and "
+                    "commit tracking is keyed by split id)"
+                )
+            if plan.coloring is not None:
+                self.commit_groups = {
+                    s.split_id: plan.coloring.group_sets[i]
+                    for i, s in enumerate(splits)
+                }
+        if plan.observe:
+            self.observation = Observation(
+                # zero-length splits never execute; their footprint is empty
+                footprints={
+                    (s.start, s.end): frozenset() for s in splits if len(s) == 0
+                },
+                predicted=plan.predicted,
+                # profiled footprints are predictions, not proofs: commits of
+                # profile-colored splits are serialized on this single lock so
+                # a stale footprint can cost time but never correctness
+                commit_lock=threading.Lock() if plan.predicted is not None else None,
             )
-        if len({s.split_id for s in self.splits}) != len(self.splits):
-            raise FaultToleranceError(
-                "fault tolerance requires unique split ids (retry and "
-                "commit tracking is keyed by split id)"
-            )
-
-    @property
-    def plain(self) -> bool:
-        """In-process, single node, no fault machinery — the only runs that
-        read profiled footprints or observe new ones."""
-        return (
-            self.executor != "process"
-            and self.num_nodes == 1
-            and self.policy is None
+        self.direct = self.policy is None and not plan.observe
+        self.waves = (
+            [range(len(splits))] if plan.coloring is None else plan.coloring.waves
         )
-
-    def schedule(
-        self,
-        accessors: "list[ROAccessor]",
-        coloring: Any = None,
-        observation: "Observation | None" = None,
-    ) -> None:
-        """Attach the resolved technique's accessors and wave schedule."""
-        self.accessors = accessors
-        self.observation = observation
-        self.direct = self.policy is None and observation is None
         self.elems = [0] * self.num_threads
         self.nsplits = [0] * self.num_threads
-        if coloring is None:
-            self.waves = [range(len(self.splits))]
-            return
-        self.waves = coloring.waves
-        if self.policy is not None:
-            self.commit_groups = {
-                s.split_id: coloring.group_sets[i]
-                for i, s in enumerate(self.splits)
-            }
 
 
 # -- the attempt ---------------------------------------------------------------
@@ -491,11 +487,9 @@ def _absorb(ctx: RunContext, res: "dict[str, Any]") -> None:
     with ctx.lock:  # attempt lanes absorb concurrently
         if kspec is not None and kspec.counters is not None:
             kspec.counters.add(res["counters"])
-        if ctx.profile_ctx is not None:
+        if ctx.worker_durations is not None:
             # one RunProfile per engine run: every worker's durations fold in
-            ctx.profile_ctx.setdefault("worker_durations", []).extend(
-                res["durations"]
-            )
+            ctx.worker_durations.extend(res["durations"])
     if ctx.tracer.enabled:
         assert ctx.metrics is not None
         ctx.tracer.ingest(res["records"])

@@ -158,7 +158,6 @@ def task_payload(
         "n_elements": kspec.n_elements,
         "extras": kspec.extras,
         "extras_epoch": kspec.extras_epoch,
-        "technique": kspec.technique,
         "ro_layout": list(kspec.ro_layout),
         "trace_epoch": trace_epoch,
         "node": node,
@@ -204,7 +203,7 @@ def split_task_outcome(
 # every platform with POSIX shared memory.
 
 _DATA_SEGMENTS: dict[str, tuple[Any, np.ndarray]] = {}
-_BOUND_CACHE: dict[tuple[str, int, str, str, str], list[Any]] = {}
+_BOUND_CACHE: dict[tuple[str, int, str, str], list[Any]] = {}
 
 
 def _attached_raw(name: str, nbytes: int) -> np.ndarray:
@@ -235,14 +234,7 @@ def _bound_for(task: dict[str, Any]):
     from repro.compiler.cache import compile_for_digest
     from repro.compiler.linearize import LinearizedBuffer
 
-    technique = task.get("technique", "generic")
-    key = (
-        task["digest"],
-        task["opt_level"],
-        task["backend"],
-        technique,
-        task["data_shm"],
-    )
+    key = (task["digest"], task["opt_level"], task["backend"], task["data_shm"])
     entry = _BOUND_CACHE.get(key)
     if entry is None or entry[2] != task["n_elements"]:
         # first task for this program+segment, or the dataset grew in
@@ -255,7 +247,6 @@ def _bound_for(task: dict[str, Any]):
             opt_level=task["opt_level"],
             class_name=task["class_name"],
             backend=task["backend"],
-            technique=technique,
         )
         raw = _attached_raw(task["data_shm"], task["data_nbytes"])
         buf = LinearizedBuffer(typ=task["dataset_type"], raw=raw)

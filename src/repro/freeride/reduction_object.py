@@ -438,9 +438,13 @@ class ReductionObject:
         if indices.size == 0:
             return
         _MERGE_UFUNC[op].at(self._buffer, indices, values)
-        hit = np.searchsorted(self._tables().offsets, indices, side="right") - 1
-        self._touched[np.unique(hit)] = True
+        self._touched[self.groups_of(indices)] = True
         self.update_count += int(indices.size)
+
+    def groups_of(self, indices: np.ndarray) -> np.ndarray:
+        """The distinct groups that flat cell ``indices`` fall into."""
+        hit = np.searchsorted(self._tables().offsets, indices, side="right") - 1
+        return np.unique(hit)
 
     def accumulate_batch(
         self,
@@ -450,17 +454,12 @@ class ReductionObject:
         op: AccumulateOp = "add",
         mask: np.ndarray | None = None,
         lanes: int | None = None,
-        exclusive: bool = False,
     ) -> None:
         """Vectorized accumulate over per-lane ``(group, elem, value)`` triples.
 
         Semantically ``accumulate(groups[i], elems[i], values[i])`` for every
         active lane ``i`` (in lane order); counts one update per active lane.
         This is the reduction-object half of the batch kernel backend.
-        ``exclusive`` (a COLORED-kernel hint, see
-        :meth:`repro.freeride.sharedmem.ROAccessor.accumulate_batch`) is
-        accepted for signature compatibility and ignored — a bare reduction
-        object always has a single owner.
         """
         idx, v = self.batch_cells(groups, elems, values, op, mask, lanes)
         self.apply_batch(idx, v, op)

@@ -138,17 +138,9 @@ class ROAccessor:
         op: str = "add",
         mask: np.ndarray | None = None,
         lanes: int | None = None,
-        exclusive: bool = False,
     ) -> None:
         """Vectorized per-lane updates (see
-        :meth:`ReductionObject.accumulate_batch`); used by batch kernels.
-
-        ``exclusive=True`` is a *hint* emitted by kernels compiled for the
-        COLORED technique: the caller guarantees wave-exclusive access to
-        every touched cell, so no synchronization is required.  Accessors
-        that synchronize anyway (the locking family) simply ignore it —
-        a mispaired kernel/accessor combination stays correct, just slower.
-        """
+        :meth:`ReductionObject.accumulate_batch`); used by batch kernels."""
         raise NotImplementedError
 
     def merge_from_scratch(
@@ -205,7 +197,7 @@ class ReplicatedAccessor(ROAccessor):
         self.ro.accumulate_group(group, values)
 
     def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None, exclusive=False
+        self, groups, elems, values, op="add", mask=None, lanes=None
     ) -> None:
         self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
 
@@ -242,7 +234,7 @@ class ScratchAccessor(ROAccessor):
         self.ro.accumulate_group(group, values)
 
     def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None, exclusive=False
+        self, groups, elems, values, op="add", mask=None, lanes=None
     ) -> None:
         self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
 
@@ -259,9 +251,9 @@ class ColoredAccessor(ROAccessor):
     Safe only under the engine's wave schedule — splits updating through
     these accessors concurrently have disjoint group sets, so no two
     threads ever touch the same cell.  The state the waves *would* share is
-    the reduction object's ``update_count`` and — for native kernels, which
-    flag every update — the line-packed touched bitmap; each accessor
-    therefore keeps its own tally and its own flags, and
+    the reduction object's ``update_count`` and the line-packed touched
+    bitmap, flagged on every update (an identity-valued one leaves no other
+    mark); each accessor therefore keeps its own tally and its own flags, and
     :meth:`SharedMemManager.finish` folds them into the shared object after
     the last wave.
     """
@@ -283,6 +275,7 @@ class ColoredAccessor(ROAccessor):
     def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
         meta, idx = self.ro._cell(group, elem, op)
         ACCUMULATE_OPS[meta.op](self.ro._buffer, idx, value)
+        self.touched[meta.group_id] = True
         self.updates += 1
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
@@ -295,15 +288,17 @@ class ColoredAccessor(ROAccessor):
         sl = slice(meta.offset, meta.offset + meta.num_elems)
         ufunc = _MERGE_UFUNC[meta.op]
         self.ro._buffer[sl] = ufunc(self.ro._buffer[sl], values)
+        self.touched[meta.group_id] = True
         self.updates += meta.num_elems
 
     def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None, exclusive=False
+        self, groups, elems, values, op="add", mask=None, lanes=None
     ) -> None:
         idx, v = self.ro.batch_cells(groups, elems, values, op, mask, lanes)
         if idx.size == 0:
             return
         _MERGE_UFUNC[op].at(self.ro._buffer, idx, v)
+        self.touched[self.ro.groups_of(idx)] = True
         self.updates += int(idx.size)
 
     def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
@@ -391,10 +386,8 @@ class LockingAccessor(ROAccessor):
         self.stats.lock_acquisitions += len(acquired)
 
     def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None, exclusive=False
+        self, groups, elems, values, op="add", mask=None, lanes=None
     ) -> None:
-        # ``exclusive`` is deliberately ignored: a kernel compiled for the
-        # colored technique stays correct under a locking accessor.
         idx, v = self.ro.batch_cells(groups, elems, values, op, mask, lanes)
         if idx.size == 0:
             return

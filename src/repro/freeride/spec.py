@@ -57,10 +57,6 @@ class KernelSpec:
     dataset_type: Any
     extras: dict[str, Any]
     extras_epoch: int
-    #: kernel variant the program was compiled for — ``"generic"`` or
-    #: ``"colored"`` (the colored variant's batch path passes the
-    #: ``exclusive`` hint); part of the worker-side kernel-cache key
-    technique: str = "generic"
     #: the backend tier the compiled kernel actually dispatches to in the
     #: parent after fallbacks (native/batch/scalar) — recorded into
     #: persisted run profiles so history lookups can tell tiers apart

@@ -54,8 +54,10 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "REPRO_PROFILE_STORE_ENV",
     "MAX_FOOTPRINT_CELLS",
+    "ProfileKey",
     "RunProfile",
     "ProfileStore",
+    "record_run",
     "default_store_root",
     "resolve_store",
     "shape_class",
@@ -126,6 +128,40 @@ def summarize_durations(durations: Iterable[float]) -> dict[str, float] | None:
     }
 
 
+@dataclass(frozen=True)
+class ProfileKey:
+    """What one planned run files its history under — computed once, by the
+    planner (:func:`repro.freeride.plan.plan_node`), only when a store is
+    attached: lookups, the decision record and the appended
+    :class:`RunProfile` all read this one value."""
+
+    digest: str | None
+    #: the split layout as ``(start, end)`` pairs, in split order
+    ranges: list[tuple[int, int]]
+    split_fingerprint: str
+    shape_class: str
+
+    @classmethod
+    def of(
+        cls, digest: str | None, splits: Sequence[Any], num_threads: int
+    ) -> "ProfileKey":
+        ranges = [(s.start, s.end) for s in splits]
+        return cls(
+            digest,
+            ranges,
+            split_layout_fingerprint(ranges),
+            shape_class(sum(end - start for start, end in ranges), num_threads),
+        )
+
+    def as_dict(self) -> dict[str, Any]:
+        """The ``profile_key`` entry of a technique decision record."""
+        return {
+            "digest": self.digest,
+            "split_fingerprint": self.split_fingerprint,
+            "shape_class": self.shape_class,
+        }
+
+
 @dataclass
 class RunProfile:
     """One engine run's persisted record (a single JSONL line).
@@ -190,6 +226,11 @@ class ProfileStore:
         self._segment_fd: int | None = None
         self._segment_path: Path | None = None
         self._pid = os.getpid()
+        #: newest footprints this store object has appended or looked up:
+        #: (digest, split fingerprint) -> (record ts, footprint map).  Lets
+        #: the second run of one store lifetime go profile-colored without
+        #: re-reading the segments.
+        self._footprints: dict[tuple[str, str], tuple[float, dict]] = {}
 
     # -- writing ----------------------------------------------------------
 
@@ -202,6 +243,16 @@ class ProfileStore:
         """Append one record atomically; returns the segment written to."""
         if profile.ts == 0.0:
             profile.ts = time.time()
+        key = (profile.digest, profile.split_fingerprint)
+        if (
+            profile.footprints is not None
+            and None not in key
+            and self._footprints.get(key, (0.0,))[0] <= profile.ts
+        ):
+            self._footprints[key] = (
+                profile.ts,
+                {(a, b): frozenset(groups) for a, b, groups in profile.footprints},
+            )
         line = profile.to_line().encode("utf-8")
         fd = self._fd()
         # a single write(2) on an O_APPEND descriptor: concurrent appends
@@ -309,6 +360,9 @@ class ProfileStore:
         """
         if digest is None:
             return None
+        cached = self._footprints.get((digest, split_fingerprint))
+        if cached is not None:
+            return cached[1]
         for rec in reversed(self.load(digest=digest)):
             if rec.get("split_fingerprint") != split_fingerprint:
                 continue
@@ -316,12 +370,15 @@ class ProfileStore:
             if not fps:
                 continue
             try:
-                return {
+                found = {
                     (int(start), int(end)): frozenset(int(g) for g in groups)
                     for start, end, groups in fps
                 }
             except (TypeError, ValueError):
                 continue
+            ts = rec.get("ts") or 0.0
+            self._footprints[(digest, split_fingerprint)] = (ts, found)
+            return found
         return None
 
     # -- retention ---------------------------------------------------------
@@ -347,6 +404,7 @@ class ProfileStore:
             records = records[len(records) - min(keep, len(records)):]
         old_segments = self.segments()
         self.close()
+        self._footprints.clear()
         if records:
             self.root.mkdir(parents=True, exist_ok=True)
             compacted = self.root / (
@@ -384,3 +442,109 @@ def resolve_store(
         "profile_store must be a ProfileStore, path, bool or None, "
         f"got {type(store).__name__}"
     )
+
+
+def record_run(
+    store: ProfileStore,
+    spec: Any,
+    stats: Any,
+    plan: Any,
+    observation: Any,
+    durations: "list[float] | None",
+    wall_seconds: float,
+) -> None:
+    """Append one :class:`RunProfile` for a finished engine run.
+
+    ``spec``/``stats`` are the run's :class:`~repro.freeride.spec.ReductionSpec`
+    and :class:`~repro.freeride.runtime.RunStats`, ``plan`` node 0's
+    :class:`~repro.freeride.plan.ExecutionPlan` (its ``profile_key`` names
+    the record), ``observation`` what the run observed of its splits' group
+    footprints (or ``None``) and ``durations`` the split durations worker
+    processes shipped back.  One record per run — process-executor runs
+    fold their workers' durations into it rather than appending per worker.
+    Store I/O failures degrade to a warning: profiling must never fail a
+    computation that already succeeded.
+    """
+    key: ProfileKey = plan.profile_key
+    kspec = spec.kernel_spec
+    ranges = key.ranges
+    split_seconds = summarize_durations(durations) if durations else None
+    hists = stats.metrics.get("histograms", {}) if stats.metrics else {}
+    if split_seconds is None:
+        snap = hists.get("engine.split_seconds")
+        if snap and snap.get("count"):
+            split_seconds = {
+                "count": snap["count"],
+                "mean": snap["mean"],
+                "p50": None,
+                "p95": None,
+                "max": snap["max"],
+            }
+    contention = hists.get("ro.lock_acquisitions_per_split")
+    footprints = None
+    observed = observation.footprints if observation is not None else None
+    if observed is not None and ranges:
+        complete = all(r in observed for r in ranges)
+        cells = sum(len(g) for g in observed.values())
+        if complete and cells <= MAX_FOOTPRINT_CELLS:
+            footprints = [[a, b, sorted(observed[(a, b)])] for a, b in ranges]
+    decision = stats.technique_decision
+    native_cache = None
+    if kspec is not None and kspec.native_disk_hit is not None:
+        native_cache = {
+            "hits": int(kspec.native_disk_hit),
+            "misses": int(not kspec.native_disk_hit),
+        }
+    profile = RunProfile(
+        digest=key.digest,
+        spec_name=spec.name,
+        # the elements the run processed, which abandoned splits and other
+        # nodes' shares make differ from the planned node's
+        shape_class=shape_class(stats.total_elements, stats.num_threads),
+        split_fingerprint=key.split_fingerprint if ranges else None,
+        opt_level=kspec.opt_level if kspec is not None else None,
+        backend=kspec.backend if kspec is not None else None,
+        effective_backend=kspec.effective_backend if kspec is not None else None,
+        executor=stats.executor,
+        workers=stats.num_threads,
+        num_nodes=stats.num_nodes,
+        n_elements=stats.total_elements,
+        num_splits=len(ranges),
+        split_alignment=stats.split_alignment,
+        technique_requested=stats.technique_requested,
+        technique_effective=stats.technique_effective.value,
+        decision=(
+            {
+                "chosen": decision["chosen"],
+                "reason": decision["reason"],
+                "source": decision.get("source", "static"),
+            }
+            if decision is not None
+            else None
+        ),
+        coloring=stats.coloring,
+        wall_seconds=wall_seconds,
+        phase_seconds=dict(stats.phase_seconds),
+        split_seconds=split_seconds,
+        lock_acquisitions=stats.sharedmem.lock_acquisitions,
+        lock_contention_mean=(
+            contention["mean"] if contention and contention.get("count") else None
+        ),
+        kernel_cache_hits=stats.kernel_cache_hits,
+        kernel_cache_evictions=stats.kernel_cache_evictions,
+        native_cache=native_cache,
+        faults={
+            name: value
+            for name in (
+                "retries", "failed_splits", "injected_faults", "requeues", "timeouts",
+            )
+            if (value := getattr(stats, name))
+        },
+        footprints=footprints,
+    )
+    try:
+        store.append(profile)
+    except OSError as exc:
+        warnings.warn(
+            f"profile store append failed: {exc!r}", RuntimeWarning, stacklevel=2
+        )

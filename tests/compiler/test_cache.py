@@ -6,7 +6,6 @@ from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.compiler.cache import (
     clear_kernel_cache,
     compile_cached,
-    entry_fingerprint,
     kernel_cache_stats,
     plan_fingerprint,
     program_digest,
@@ -57,48 +56,31 @@ class TestCompileCached:
         assert a.batch_kernel is None
         assert b.batch_kernel is not None
 
-    def test_distinct_techniques_are_distinct_entries(self):
-        """Cross-technique cache-poisoning regression: the same program
-        compiled generic and colored must never alias — the colored kernel's
-        batch accumulates carry the ``exclusive`` hint the generic one lacks,
-        and serving one where the other was requested would silently change
-        the emitted accumulate path."""
-        generic = compile_cached(
-            HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch"
-        )
-        colored = compile_cached(
-            HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch",
-            technique="colored",
-        )
-        assert generic is not colored
-        assert kernel_cache_stats()["entries"] == 2
-        assert generic.technique == "generic"
-        assert colored.technique == "colored"
-        assert "exclusive=True" in colored.batch_source
-        assert "exclusive=True" not in generic.batch_source
-        # asking again for each technique hits its own entry
-        assert compile_cached(
-            HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch"
-        ) is generic
-        assert compile_cached(
-            HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch",
-            technique="colored",
-        ) is colored
+    def test_one_kernel_serves_every_technique(self):
+        """A kernel is no technique's variant: compiled once, the same
+        object runs colored and replicated — synchronization is the
+        accessor's business, not the emitted code's."""
+        import numpy as np
 
-    def test_colored_entry_fingerprint_includes_group_bounds(self):
-        generic = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 1)
-        colored = compile_cached(
-            HISTOGRAM_CHAPEL_SOURCE, CONSTS, 1, technique="colored"
-        )
-        assert entry_fingerprint(generic) == plan_fingerprint(generic.plan)
-        assert entry_fingerprint(colored) == (
-            plan_fingerprint(colored.plan)
-            + ":" + colored.group_bounds.fingerprint()
-        )
+        from repro.freeride.runtime import FreerideEngine
 
-    def test_invalid_technique_rejected(self):
-        with pytest.raises(ValueError, match="technique"):
-            compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, technique="nope")
+        compiled = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch")
+        assert compiled.effective_backend == "batch"
+        data = (np.arange(400, dtype=np.float64) * 7 % 16) / 16.0
+        snapshots = {}
+        for technique in ("colored", "full_replication"):
+            again = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch")
+            assert again is compiled
+            spec, idx = again.bind(data).make_spec([(2, "add")] * CONSTS["bins"])
+            with FreerideEngine(
+                num_threads=2, executor="threads", technique=technique, chunk_size=50
+            ) as engine:
+                result = engine.run(spec, idx)
+            assert result.stats.technique_effective.value == technique
+            snapshots[technique] = result.ro.snapshot()
+        assert np.array_equal(snapshots["colored"], snapshots["full_replication"])
+        stats = kernel_cache_stats()
+        assert (stats["entries"], stats["misses"]) == (1, 1)
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):

@@ -1,0 +1,287 @@
+"""The plan as a value, and the shape of planning.
+
+``repro.freeride.plan.plan_node`` decides one node's pass — splits,
+technique, wave schedule, profile key — before anything runs.  Pinned
+here: (a) the planner is callable on its own and says what a run then
+does; (b) a run plans once — every coloring tier resolved at most once,
+the profile key hashed once, and no store work without a store; (c) the
+engine's fixed glue does not grow; (d) manual and compiled delta sessions
+are one shape, and a failed epoch leaves either as it found it.
+"""
+
+import sys
+from collections import Counter
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+import repro.freeride.plan as plan_module
+from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
+from repro.apps.windowed import WindowedRunner
+from repro.chapel.values import from_python
+from repro.compiler.cache import compile_cached
+from repro.compiler.native import probe_toolchain
+from repro.freeride.delta import DeltaSession
+from repro.freeride.faults import FaultInjector, InjectedFault
+from repro.freeride.plan import ExecutionPlan, plan_node
+from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine
+from repro.freeride.sharedmem import SharedMemTechnique
+from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.util.errors import FreerideError
+
+needs_cc = pytest.mark.skipif(
+    not probe_toolchain()["ok"],
+    reason=f"no usable C toolchain: {probe_toolchain()['reason']}",
+)
+
+BINS = 8
+HIST_CONSTS = {"bins": BINS, "lo": 0.0, "width": 64.0 / BINS}
+HIST_LAYOUT = [(2, "add")] * BINS
+HIST_DATA = (np.arange(3300, dtype=np.float64) * 7) % 64
+
+
+def _histogram(backend="batch", data=HIST_DATA):
+    """Statically serial: any split may touch any bin."""
+    compiled = compile_cached(HISTOGRAM_CHAPEL_SOURCE, HIST_CONSTS, 2, backend=backend)
+    return compiled.bind(data).make_spec(HIST_LAYOUT)
+
+
+def _windowed():
+    """Statically wide: the group is a function of the element position."""
+    with WindowedRunner(64, 8, np.linspace(0.5, 1.5, 6), 0.0, 1.0) as runner:
+        scale_t = runner.compiled.lowered.extra_types["scale"]
+        bound = runner.compiled.bind(
+            np.random.default_rng(0).uniform(0, 1, 512),
+            {"scale": from_python(scale_t, runner.scale.tolist())},
+        )
+        return bound.make_spec(runner.ro_layout())
+
+
+def _plan(engine, spec, data) -> ExecutionPlan:
+    """What the engine would plan for node 0 — nothing runs."""
+    return plan_node(
+        spec, data, spec.build_reduction_object(),
+        technique=engine.technique, executor=engine.executor,
+        num_threads=engine.num_threads, num_nodes=engine.num_nodes,
+        chunk_size=engine.chunk_size, splitter=engine.splitter,
+        fault_tolerant=(
+            engine.fault_policy is not None or engine.fault_injector is not None
+        ),
+        store=engine.profile_store,
+        lock_contention=engine._last_lock_contention,
+    )
+
+
+# -- (a) the planner says what a run does ----------------------------------------
+
+TECHNIQUES = ["auto"] + [t.value for t in SharedMemTechnique]
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "process"])
+@pytest.mark.parametrize("technique", TECHNIQUES)
+@pytest.mark.parametrize("case", ["windowed", "histogram", "over_budget"])
+def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch):
+    if case == "over_budget":
+        # the histogram's 128-byte object, two replicas, a 64-byte budget
+        monkeypatch.setattr(plan_module, "REPLICATION_BUDGET_BYTES", 64)
+    spec, data = _windowed() if case == "windowed" else _histogram()
+    if executor == "process" and technique not in ("auto", "full_replication"):
+        with pytest.raises(FreerideError, match="full_replication"):
+            FreerideEngine(num_threads=2, executor=executor, technique=technique)
+        return
+    with FreerideEngine(
+        num_threads=2, executor=executor, technique=technique
+    ) as engine:
+        plan = _plan(engine, spec, data)
+        stats = engine.run(spec, data).stats
+    assert plan.technique is stats.technique_effective is stats.technique
+    assert plan.decision == stats.technique_decision
+    assert plan.split_alignment == stats.split_alignment
+    assert (
+        plan.coloring.as_dict() if plan.coloring is not None else None
+    ) == stats.coloring
+    assert sum(len(s) for s in plan.splits) == stats.total_elements
+    assert plan.profile_key is None and not plan.observe  # no store attached
+
+    in_process = executor != "process"
+    if technique == "auto":
+        decision = plan.decision
+        assert decision["requested"] == "auto" and decision["source"] == "static"
+        assert decision["inputs"]["executor"] == executor
+        assert decision["inputs"]["num_splits"] == len(plan.splits)
+        if not in_process:
+            assert plan.technique is SharedMemTechnique.FULL_REPLICATION
+            assert "coercing" in decision["reason"]
+        elif case == "windowed":
+            assert plan.technique is SharedMemTechnique.COLORED
+            assert plan.coloring.max_wave_width == 2
+            assert decision["inputs"]["max_wave_width"] == 2
+        elif case == "over_budget":
+            assert plan.technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING
+            assert "exceeds the 64-byte budget" in decision["reason"]
+        else:
+            assert plan.technique is SharedMemTechnique.FULL_REPLICATION
+            assert "small enough" in decision["reason"]
+    elif technique == "colored":
+        # compiler bounds are exact for both kernels: no fallback, no record
+        assert plan.technique is SharedMemTechnique.COLORED and plan.decision is None
+        assert plan.coloring.source == "compiler"
+        assert plan.coloring.max_wave_width == (2 if case == "windowed" else 1)
+    else:
+        assert plan.technique.value == technique
+        assert plan.decision is None and plan.coloring is None
+    # only a request that can execute waves snaps split boundaries
+    wave_capable = in_process and technique in ("auto", "colored")
+    assert plan.split_alignment == (64 if case == "windowed" and wave_capable else None)
+
+
+def test_colored_without_group_sets_falls_back_with_one_record():
+    def reduction(args: ReductionArgs) -> None:
+        for x in args.data:
+            args.ro.accumulate(0, 0, float(x))
+
+    spec = ReductionSpec(
+        name="sum", setup_reduction_object=lambda ro: ro.alloc(1, "add"),
+        reduction=reduction,
+    )
+    data = np.arange(10, dtype=np.float64)
+    with FreerideEngine(num_threads=2, technique="colored") as engine:
+        plan = _plan(engine, spec, data)
+        stats = engine.run(spec, data).stats
+    assert plan.technique is SharedMemTechnique.FULL_REPLICATION
+    assert plan.decision == stats.technique_decision
+    assert list(plan.decision) == ["requested", "chosen", "reason", "inputs"]
+    assert plan.decision["inputs"]["colorable"] is False
+
+
+def test_profile_key_and_observation_are_planned_only_with_a_store(tmp_path):
+    # sorted: the two halves land in disjoint bins, which only a run can see
+    spec, data = _histogram(data=np.repeat(np.arange(64.0), 50))
+    with FreerideEngine(
+        num_threads=2, executor="threads", technique="auto", profile_store=tmp_path
+    ) as engine:
+        cold = _plan(engine, spec, data)
+        assert cold.observe and cold.predicted is None
+        assert cold.profile_key.digest == spec.kernel_spec.digest
+        assert cold.profile_key.ranges == [(s.start, s.end) for s in cold.splits]
+        assert cold.decision["profile_key"] == cold.profile_key.as_dict()
+        engine.run(spec, data)  # observes; the store now holds footprints
+        warm = _plan(engine, spec, data)
+    assert warm.profile_key == cold.profile_key
+    assert warm.coloring.source == "profile" and warm.observe
+    assert set(warm.predicted) == {s.split_id for s in warm.splits}
+
+
+# -- (b) planning happens once ------------------------------------------------------
+
+
+def _repro_calls(engine, spec, data, under="repro/"):
+    """Python-level calls of one warm run, by function name, in files
+    whose path contains ``under``."""
+    calls: Counter = Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call" and under in frame.f_code.co_filename:
+            calls[frame.f_code.co_name] += 1
+
+    engine.run(spec, data)
+    engine.run(spec, data)
+    sys.setprofile(profiler)
+    try:
+        engine.run(spec, data)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_each_coloring_tier_and_the_profile_key_are_computed_once(tmp_path):
+    spec, data = _histogram()
+    with FreerideEngine(
+        executor="serial", technique="auto", chunk_size=100, profile_store=tmp_path
+    ) as engine:
+        calls = _repro_calls(engine, spec, data)
+        assert sum(engine.run(spec, data).stats.splits_per_thread) == 33
+    # one static tier, one profiled tier (the parent resolved and colored 3)
+    assert 1 <= calls["resolve_group_sets"] <= 2
+    assert 1 <= calls["color_splits"] <= 2
+    assert calls["split_layout_fingerprint"] == 1
+
+
+def test_a_run_without_a_store_does_no_store_work():
+    spec, data = _histogram()
+    with FreerideEngine(executor="serial", technique="auto", chunk_size=100) as engine:
+        calls = _repro_calls(engine, spec, data, under="repro/obs/profilestore")
+    assert not calls
+
+
+# -- (c) fixed glue does not grow ----------------------------------------------------
+
+
+@needs_cc
+@pytest.mark.parametrize("technique,ceiling", [("full_replication", 58), ("auto", 72)])
+def test_fixed_glue_of_a_one_split_run(technique, ceiling):
+    """Calls into ``repro/freeride/`` of a warm one-split serial run over a
+    native kernel: 58 plain and 72 with ``auto`` as measured with this
+    module's planner (59 and 78 before it)."""
+    spec, data = _histogram(backend="native")
+    with FreerideEngine(executor="serial", technique=technique) as engine:
+        calls = _repro_calls(engine, spec, data, under="repro/freeride/")
+    assert calls["plan_node"] == 1
+    assert sum(calls.values()) <= ceiling
+
+
+# -- (d) one session shape -----------------------------------------------------------
+
+
+def _manual_session(engine):
+    def reduction(args: ReductionArgs) -> None:
+        for x in args.data:
+            args.ro.accumulate(int(x // 8), 0, 1.0)
+            args.ro.accumulate(int(x // 8), 1, float(x))
+
+    spec = ReductionSpec(
+        name="manual-histogram",
+        setup_reduction_object=lambda ro: ro.alloc_many(HIST_LAYOUT),
+        reduction=reduction,
+    )
+    return engine.run_baseline(spec, HIST_DATA[:200].copy())[1]
+
+
+def _compiled_session(engine):
+    compiled = compile_cached(HISTOGRAM_CHAPEL_SOURCE, HIST_CONSTS, 2, backend="batch")
+    bound = compiled.bind(HIST_DATA[:200].copy())
+    return engine.run_baseline(bound=bound, ro_layout=HIST_LAYOUT)[1]
+
+
+@pytest.mark.parametrize("open_session", [_manual_session, _compiled_session])
+def test_both_kinds_of_session_are_one_shape_and_roll_back(open_session):
+    names = {f.name for f in fields(DeltaSession)}
+    assert "source" in names
+    assert not names & {"respec", "extend", "shrink", "data", "compiled"}
+    injector = FaultInjector(fail_split_ids={DELTA_COMMIT_SPLIT_ID}, fail_attempts=1)
+    with FreerideEngine(executor="serial", fault_injector=injector) as engine:
+        session = open_session(engine)
+        for gone in ("respec", "extend", "shrink", "data"):
+            assert not hasattr(session, gone)
+        before, updates = session.ro.snapshot(), session.ro.update_count
+        tail = HIST_DATA[200:230]
+        with pytest.raises(InjectedFault):
+            engine.run_delta(session, append=tail, retract=[1, 2])
+        assert np.array_equal(session.ro.snapshot(), before)
+        assert session.ro.update_count == updates
+        assert (session.epoch, session.rollbacks) == (0, 1)
+        assert session.n_elements == session.source.n_elements == 200
+        assert session.live.all() and session.live.size == session.live_count == 200
+
+        # the retry is attempt 2 of the epoch, past fail_attempts
+        stats = engine.run_delta(session, append=tail, retract=[1, 2]).stats
+        assert (stats.delta_epoch, stats.delta_mode) == (1, "append+retract")
+        assert (stats.delta_appended, stats.delta_retracted) == (30, 2)
+        assert session.source.n_elements == session.n_elements == 230
+        survivors = np.concatenate([np.delete(HIST_DATA[:200], [1, 2]), tail])
+        expected = np.zeros((BINS, 2))
+        bins = (survivors // 8).astype(int)  # HIST_CONSTS: lo 0, width 8
+        expected[:, 0] = np.bincount(bins, minlength=BINS)
+        expected[:, 1] = np.bincount(bins, weights=survivors, minlength=BINS)
+        assert np.array_equal(session.ro.snapshot(), expected.reshape(-1))

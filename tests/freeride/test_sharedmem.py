@@ -67,6 +67,29 @@ class TestAllTechniquesAgree:
         combined, _, _ = mgr.finish(ro, accessors)
         assert list(combined.get_group(0)) == [11.0, 12.0, 13.0, 14.0]
 
+    @pytest.mark.parametrize("tier", ["scalar", "group", "batch"])
+    @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+    def test_identity_valued_updates_stay_touched(self, technique, tier):
+        """An update whose value is the op's identity leaves no mark in the
+        element buffer; the touched bitmap must carry it under every
+        technique — profile footprints and delta checkpoints read it."""
+        ro = make_ro(groups=4, elems=2)
+        mgr = SharedMemManager(technique)
+        accessors = mgr.setup(ro, 2)
+        for g in range(4):
+            acc = accessors[g % 2]
+            if tier == "scalar":
+                acc.accumulate(g, 0, 0.0)
+                acc.accumulate(g, 1, 0.0)
+            elif tier == "group":
+                acc.accumulate_group(g, np.zeros(2))
+            else:
+                acc.accumulate_batch(np.array([g, g]), np.array([0, 1]), 0.0)
+        combined, _, _ = mgr.finish(ro, accessors)
+        assert not combined.snapshot().any()
+        assert combined.touched_groups() == frozenset(range(4))
+        assert combined.update_count == 8
+
     @pytest.mark.parametrize(
         "technique",
         [
