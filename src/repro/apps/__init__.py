@@ -1,5 +1,6 @@
 """Applications: the paper's two (k-means, PCA) plus extension apps."""
 
+from repro.apps.base import ReductionApp
 from repro.apps.kmeans import (
     KMEANS_CHAPEL_SOURCE,
     KmeansResult,
@@ -36,6 +37,7 @@ from repro.apps.windowed import (
 )
 
 __all__ = [
+    "ReductionApp",
     "KMEANS_CHAPEL_SOURCE",
     "KmeansRunner",
     "KmeansResult",

@@ -16,22 +16,21 @@ presence flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-
 from typing import Any
 
 import numpy as np
 
-from repro.compiler.cache import compile_cached
+from repro.apps.base import VERSIONS, ReductionApp
+from repro.chapel.domains import Domain
+from repro.chapel.types import INT, ArrayType, array_of
+from repro.chapel.values import from_python
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.runtime import FreerideEngine
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
-from repro.obs.profilestore import ProfileStore
-from repro.obs.tracer import Tracer
 from repro.util.errors import ReproError
-from repro.util.validation import check_in_range, check_one_of, check_positive_int
+from repro.util.validation import check_in_range, check_positive_int
 
 __all__ = [
     "APRIORI_CHAPEL_SOURCE",
@@ -40,8 +39,6 @@ __all__ = [
     "generate_transactions",
     "VERSIONS",
 ]
-
-VERSIONS = ("generated", "opt-1", "opt-2", "manual")
 
 #: Candidate support counting as a Chapel reduction.  ``candidates`` is a
 #: [1..numCand] x [1..setSize] array of item indices (an *extra*); the
@@ -98,8 +95,12 @@ class AprioriResult:
         return [items for items, _ in self.frequent.get(s, [])]
 
 
-class AprioriRunner:
-    """Level-wise apriori with FREERIDE support counting."""
+class AprioriRunner(ReductionApp):
+    """Level-wise apriori with FREERIDE support counting.
+
+    ``options`` are :class:`~repro.apps.base.ReductionApp`'s keyword
+    arguments (engine configuration and compiler ``backend``).
+    """
 
     def __init__(
         self,
@@ -107,31 +108,15 @@ class AprioriRunner:
         min_support_frac: float = 0.3,
         max_size: int = 3,
         version: str = "manual",
-        num_threads: int = 1,
-        executor: str = "serial",
-        chunk_size: int | None = None,
-        technique: str = "full_replication",
-        backend: str = "scalar",
-        tracer: "Tracer | None" = None,
-        profile_store: "ProfileStore | str | bool | None" = None,
+        **options: Any,
     ) -> None:
-        from repro.compiler.translate import BACKENDS
-
         check_positive_int(num_items, "num_items")
         check_in_range(min_support_frac, 0.0, 1.0, "min_support_frac")
         check_positive_int(max_size, "max_size")
+        super().__init__(version, **options)
         self.num_items = num_items
         self.min_support_frac = min_support_frac
         self.max_size = max_size
-        self.version = check_one_of(version, VERSIONS, "version")
-        self.backend = check_one_of(backend, BACKENDS, "backend")
-        self.engine = FreerideEngine(
-            num_threads=num_threads, executor=executor, chunk_size=chunk_size,
-            technique=technique, tracer=tracer,
-            profile_store=profile_store,
-        )
-        #: RunStats of the most recent counting pass (None before the first)
-        self.last_run_stats = None
 
     # -- candidate generation (classic apriori join + prune) -------------------
 
@@ -161,16 +146,31 @@ class AprioriRunner:
         candidates: list[tuple[int, ...]],
         counters: OpCounters,
     ) -> np.ndarray:
-        if self.version == "manual":
-            return self._count_manual(transactions, candidates, counters)
-        return self._count_compiled(transactions, candidates, counters)
+        num_cand, set_size = len(candidates), len(candidates[0])
+        compiled = self.compile(
+            APRIORI_CHAPEL_SOURCE,
+            {"numItems": self.num_items, "numCand": num_cand, "setSize": set_size},
+        )
+        if compiled is None:
+            ledger = OpCounters()
+            spec, data = self._manual_spec(candidates, ledger), transactions
+        else:
+            cand_t = ArrayType(Domain(num_cand), array_of(INT, set_size))
+            # candidates hold 1-based item indices in the Chapel view
+            cand_value = from_python(
+                cand_t, [[i + 1 for i in items] for items in candidates]
+            )
+            bound = compiled.bind(transactions, {"candidates": cand_value})
+            ledger = bound.counters
+            spec, data = bound.make_spec([(num_cand, "add")])
+        supports = self.run_pass(spec, data).ro.get_group(0)
+        counters.add(ledger)
+        return supports
 
-    def _count_manual(
-        self,
-        transactions: np.ndarray,
-        candidates: list[tuple[int, ...]],
-        counters: OpCounters,
-    ) -> np.ndarray:
+    @staticmethod
+    def _manual_spec(
+        candidates: list[tuple[int, ...]], counters: OpCounters
+    ) -> ReductionSpec:
         cand = np.array(candidates, dtype=np.int64)  # (C, s), 0-based
         num_cand, set_size = cand.shape
 
@@ -190,62 +190,11 @@ class AprioriRunner:
             counters.flops += n * num_cand * set_size
             counters.ro_updates += n * num_cand
 
-        spec = ReductionSpec(
+        return ReductionSpec(
             name="apriori-manual", setup_reduction_object=setup, reduction=reduction
         )
-        result = self.engine.run(spec, transactions)
-        self.last_run_stats = result.stats
-        return result.ro.get_group(0)
-
-    def _count_compiled(
-        self,
-        transactions: np.ndarray,
-        candidates: list[tuple[int, ...]],
-        counters: OpCounters,
-    ) -> np.ndarray:
-        from repro.chapel.types import INT, ArrayType, array_of
-        from repro.chapel.domains import Domain
-        from repro.chapel.values import from_python
-
-        num_cand = len(candidates)
-        set_size = len(candidates[0])
-        level = {"generated": 0, "opt-1": 1, "opt-2": 2}[self.version]
-        compiled = compile_cached(
-            APRIORI_CHAPEL_SOURCE,
-            {
-                "numItems": self.num_items,
-                "numCand": num_cand,
-                "setSize": set_size,
-            },
-            opt_level=level,
-            backend=self.backend,
-        )
-        cand_t = ArrayType(Domain(num_cand), array_of(INT, set_size))
-        # candidates hold 1-based item indices in the Chapel view
-        cand_value = from_python(
-            cand_t, [[i + 1 for i in items] for items in candidates]
-        )
-        bound = compiled.bind(
-            np.ascontiguousarray(transactions, dtype=np.int64),
-            {"candidates": cand_value},
-        )
-        spec, idx = bound.make_spec([(num_cand, "add")])
-        result = self.engine.run(spec, idx)
-        self.last_run_stats = result.stats
-        counters.add(bound.counters)
-        return result.ro.get_group(0)
 
     # -- the level-wise driver ------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the engine's worker pools and shared-memory segments."""
-        self.engine.close()
-
-    def __enter__(self) -> "AprioriRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
     def run(self, transactions: np.ndarray) -> AprioriResult:
         transactions = np.ascontiguousarray(transactions, dtype=np.int64)

@@ -15,26 +15,26 @@ scalars in the DSL) — same arithmetic, expressible without array locals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS
+from repro.apps.base import VERSIONS, ReductionApp
+from repro.chapel.domains import Domain
+from repro.chapel.types import REAL, ArrayType, array_of
+from repro.chapel.values import from_python
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.runtime import FreerideEngine
+from repro.freeride.runtime import ReductionResult
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
-from repro.obs.profilestore import ProfileStore
-from repro.obs.tracer import Tracer
 from repro.util.errors import ReproError
-from repro.util.validation import check_one_of, check_positive_int
+from repro.util.validation import check_positive_int
 
 __all__ = ["EM_CHAPEL_SOURCE", "EmResult", "EmRunner", "VERSIONS"]
 
-VERSIONS = ("generated", "opt-1", "opt-2", "manual")
+#: the mixture between passes: (weights, means, variances)
+_Params = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _VAR_FLOOR = 1e-6
 
@@ -107,65 +107,45 @@ class EmResult:
         return dens / dens.sum(axis=1, keepdims=True)
 
 
-class EmRunner:
-    """Fits a k-component diagonal Gaussian mixture via FREERIDE passes."""
+class EmRunner(ReductionApp):
+    """Fits a k-component diagonal Gaussian mixture via FREERIDE passes.
+
+    ``options`` are :class:`~repro.apps.base.ReductionApp`'s keyword
+    arguments (engine configuration and compiler ``backend``).
+    """
 
     def __init__(
-        self,
-        k: int,
-        dim: int,
-        version: str = "manual",
-        num_threads: int = 1,
-        executor: str = "serial",
-        chunk_size: int | None = None,
-        technique: str = "full_replication",
-        backend: str = "scalar",
-        tracer: "Tracer | None" = None,
-        profile_store: "ProfileStore | str | bool | None" = None,
+        self, k: int, dim: int, version: str = "manual", **options: Any
     ) -> None:
         check_positive_int(k, "k")
         check_positive_int(dim, "dim")
+        super().__init__(version, **options)
         self.k, self.dim = k, dim
-        self.version = check_one_of(version, VERSIONS, "version")
-        self.backend = check_one_of(backend, BACKENDS, "backend")
-        self.engine = FreerideEngine(
-            num_threads=num_threads, executor=executor, chunk_size=chunk_size,
-            technique=technique, tracer=tracer,
-            profile_store=profile_store,
-        )
-        #: RunStats of the most recent engine pass (None before the first)
-        self.last_run_stats = None
-        self.compiled = None
-        if version != "manual":
-            level = {"generated": 0, "opt-1": 1, "opt-2": 2}[version]
-            self.compiled = compile_cached(
-                EM_CHAPEL_SOURCE,
-                {"k": k, "dim": dim},
-                opt_level=level,
-                backend=backend,
-            )
+        self.compiled = self.compile(EM_CHAPEL_SOURCE, {"k": k, "dim": dim})
 
     def ro_layout(self) -> list[tuple[int, str]]:
         return [(1 + 2 * self.dim, "add")] * self.k
 
-    # -- one E+M pass --------------------------------------------------------
+    # -- the E-step reduction, per version ----------------------------------------
 
-    def _pass_compiled(self, bound, weights, means, variances):
-        from repro.chapel.domains import Domain
-        from repro.chapel.types import REAL, ArrayType, array_of
-        from repro.chapel.values import from_python
-
-        w_val = from_python(array_of(REAL, self.k), list(map(float, weights)))
+    def _extras(
+        self, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+    ) -> dict[str, Any]:
+        """The mixture as the Chapel values of the class fields."""
         m_t = ArrayType(Domain(self.k), array_of(REAL, self.dim))
-        m_val = from_python(m_t, [list(map(float, row)) for row in means])
-        v_val = from_python(m_t, [list(map(float, row)) for row in variances])
-        bound.update_extras({"weights": w_val, "means": m_val, "variances": v_val})
-        spec, idx = bound.make_spec(self.ro_layout())
-        result = self.engine.run(spec, idx)
-        self.last_run_stats = result.stats
-        return result.ro
+        return {
+            "weights": from_python(array_of(REAL, self.k), list(map(float, weights))),
+            "means": from_python(m_t, [list(map(float, row)) for row in means]),
+            "variances": from_python(m_t, [list(map(float, row)) for row in variances]),
+        }
 
-    def _pass_manual(self, points, weights, means, variances, counters):
+    def _manual_spec(
+        self,
+        weights: np.ndarray,
+        means: np.ndarray,
+        variances: np.ndarray,
+        counters: OpCounters,
+    ) -> ReductionSpec:
         k, dim = self.k, self.dim
 
         def setup(ro: ReductionObject) -> None:
@@ -190,22 +170,25 @@ class EmRunner:
             counters.flops += n * k * (6 * dim + 4)
             counters.ro_updates += n * k * (1 + 2 * dim)
 
-        spec = ReductionSpec(
+        return ReductionSpec(
             name="em-manual", setup_reduction_object=setup, reduction=reduction
         )
-        result = self.engine.run(spec, points)
-        self.last_run_stats = result.stats
-        return result.ro
 
-    def close(self) -> None:
-        """Release the engine's worker pools and shared-memory segments."""
-        self.engine.close()
+    def _passes(
+        self, points: np.ndarray, params: _Params
+    ) -> tuple[Callable[[_Params], ReductionSpec], Any, OpCounters]:
+        """This version's ``(make_spec(params), engine data, counter ledger)``."""
+        if self.compiled is None:
+            counters = OpCounters()
+            return lambda p: self._manual_spec(*p, counters), points, counters
+        # dataset linearized once; parameters re-linearized per pass
+        bound = self.compiled.bind(points, self._extras(*params))
 
-    def __enter__(self) -> "EmRunner":
-        return self
+        def make_spec(p: _Params) -> ReductionSpec:
+            bound.update_extras(self._extras(*p))
+            return bound.make_spec(self.ro_layout())[0]
 
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        return make_spec, range(bound.n_elements), bound.counters
 
     # -- the outer sequential loop ------------------------------------------------
 
@@ -224,44 +207,30 @@ class EmRunner:
             raise ReproError("need at least k points")
 
         rng = np.random.default_rng(seed)
-        weights = np.full(self.k, 1.0 / self.k)
-        means = points[rng.choice(n, self.k, replace=False)].copy()
-        variances = np.full((self.k, self.dim), points.var(axis=0) + _VAR_FLOOR)
+        initial = (
+            np.full(self.k, 1.0 / self.k),
+            points[rng.choice(n, self.k, replace=False)].copy(),
+            np.full((self.k, self.dim), points.var(axis=0) + _VAR_FLOOR),
+        )
 
-        counters = OpCounters()
-        bound = None
-        if self.compiled is not None:
-            # dataset linearized once; parameters re-linearized per pass
-            from repro.chapel.domains import Domain
-            from repro.chapel.types import REAL, ArrayType, array_of
-            from repro.chapel.values import from_python
-
-            w_val = from_python(array_of(REAL, self.k), list(map(float, weights)))
-            m_t = ArrayType(Domain(self.k), array_of(REAL, self.dim))
-            m_val = from_python(m_t, [list(map(float, r)) for r in means])
-            v_val = from_python(m_t, [list(map(float, r)) for r in variances])
-            bound = self.compiled.bind(
-                points, {"weights": w_val, "means": m_val, "variances": v_val}
-            )
-
-        for _ in range(iterations):
-            if bound is not None:
-                ro = self._pass_compiled(bound, weights, means, variances)
-            else:
-                ro = self._pass_manual(points, weights, means, variances, counters)
-            # M-step from the combined sufficient statistics
+        def m_step(result: ReductionResult, params: _Params) -> _Params:
+            # closed form, from the combined sufficient statistics
+            weights, means, variances = (np.empty_like(a) for a in params)
             for c in range(self.k):
-                vals = ro.get_group(c)
+                vals = result.ro.get_group(c)
                 sr = max(vals[0], 1e-12)
                 mu = vals[1 : 1 + self.dim] / sr
                 var = vals[1 + self.dim :] / sr - mu**2
                 weights[c] = sr / n
                 means[c] = mu
                 variances[c] = np.maximum(var, _VAR_FLOOR)
-            weights = weights / weights.sum()
+            return weights / weights.sum(), means, variances
 
-        if bound is not None:
-            counters.add(bound.counters)
+        make_spec, data, counters = self._passes(points, initial)
+        (weights, means, variances), results = self.engine.run_iterative(
+            make_spec, data, iterations, m_step, initial
+        )
+        self.note_pass(results[-1])
         dens = _densities(points, weights, means, variances)
         ll = float(np.log(np.maximum(dens.sum(axis=1), 1e-300)).sum())
         return EmResult(

@@ -14,25 +14,18 @@ opt level) and a hand-written manual FR version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from typing import Any
 
 import numpy as np
 
-from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS
+from repro.apps.base import VERSIONS, ReductionApp
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.runtime import FreerideEngine
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
-from repro.obs.profilestore import ProfileStore
-from repro.obs.tracer import Tracer
 from repro.util.errors import ReproError
-from repro.util.validation import check_one_of, check_positive_int
+from repro.util.validation import check_positive_int
 
 __all__ = ["HISTOGRAM_CHAPEL_SOURCE", "HistogramResult", "HistogramRunner", "VERSIONS"]
-
-VERSIONS = ("generated", "opt-1", "opt-2", "manual")
 
 #: Binning as a Chapel reduction.  ``lo``/``width``/``bins`` are
 #: compile-time constants; the clamp keeps x == hi in the last bin.
@@ -70,72 +63,49 @@ class HistogramResult:
             return np.where(self.counts > 0, self.sums / self.counts, np.nan)
 
 
-class HistogramRunner:
-    """Histogram over ``bins`` equal-width bins of [lo, hi]."""
+class HistogramRunner(ReductionApp):
+    """Histogram over ``bins`` equal-width bins of [lo, hi].
+
+    ``options`` are :class:`~repro.apps.base.ReductionApp`'s keyword
+    arguments (engine configuration and compiler ``backend``).
+    """
 
     def __init__(
-        self,
-        bins: int,
-        lo: float,
-        hi: float,
-        version: str = "opt-2",
-        num_threads: int = 1,
-        executor: str = "serial",
-        chunk_size: int | None = None,
-        technique: str = "full_replication",
-        backend: str = "scalar",
-        tracer: "Tracer | None" = None,
-        profile_store: "ProfileStore | str | bool | None" = None,
+        self, bins: int, lo: float, hi: float, version: str = "opt-2", **options: Any
     ) -> None:
         check_positive_int(bins, "bins")
         if not hi > lo:
             raise ReproError(f"need hi > lo, got [{lo}, {hi}]")
+        super().__init__(version, **options)
         self.bins, self.lo, self.hi = bins, float(lo), float(hi)
         self.width = (self.hi - self.lo) / bins
-        self.version = check_one_of(version, VERSIONS, "version")
-        self.backend = check_one_of(backend, BACKENDS, "backend")
-        self.engine = FreerideEngine(
-            num_threads=num_threads, executor=executor, chunk_size=chunk_size,
-            technique=technique, tracer=tracer,
-            profile_store=profile_store,
+        self.compiled = self.compile(
+            HISTOGRAM_CHAPEL_SOURCE,
+            {"bins": bins, "lo": self.lo, "width": self.width},
         )
-        #: RunStats of the most recent engine run (None before the first)
-        self.last_run_stats = None
-        self.compiled = None
-        if version != "manual":
-            level = {"generated": 0, "opt-1": 1, "opt-2": 2}[version]
-            self.compiled = compile_cached(
-                HISTOGRAM_CHAPEL_SOURCE,
-                {"bins": bins, "lo": self.lo, "width": self.width},
-                opt_level=level,
-                backend=backend,
-            )
 
     def ro_layout(self) -> list[tuple[int, str]]:
         return [(2, "add")] * self.bins  # [count, sum] per bin
 
-    def close(self) -> None:
-        """Release the engine's worker pools and shared-memory segments."""
-        self.engine.close()
-
-    def __enter__(self) -> "HistogramRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
     def run(self, data: np.ndarray) -> HistogramResult:
         data = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
-        if self.version == "manual":
-            return self._run_manual(data)
-        bound = self.compiled.bind(data)
-        spec, idx = bound.make_spec(self.ro_layout())
-        result = self.engine.run(spec, idx)
-        self.last_run_stats = result.stats
-        return self._collect(result.ro, self.version, bound.counters)
+        if self.compiled is None:
+            counters = OpCounters()
+            spec, engine_data = self._manual_spec(counters), data
+        else:
+            bound = self.compiled.bind(data)
+            counters = bound.counters
+            spec, engine_data = bound.make_spec(self.ro_layout())
+        ro = self.run_pass(spec, engine_data).ro
+        return HistogramResult(
+            counts=np.array([ro.get(g, 0) for g in range(self.bins)]),
+            sums=np.array([ro.get(g, 1) for g in range(self.bins)]),
+            edges=np.linspace(self.lo, self.hi, self.bins + 1),
+            version=self.version,
+            counters=counters,
+        )
 
-    def _run_manual(self, data: np.ndarray) -> HistogramResult:
-        counters = OpCounters()
+    def _manual_spec(self, counters: OpCounters) -> ReductionSpec:
         bins, lo, width = self.bins, self.lo, self.width
 
         def setup(ro: ReductionObject) -> None:
@@ -157,19 +127,6 @@ class HistogramRunner:
             counters.flops += n * 4  # sub, div, clamp x2
             counters.ro_updates += n * 2
 
-        spec = ReductionSpec(
+        return ReductionSpec(
             name="histogram-manual", setup_reduction_object=setup, reduction=reduction
-        )
-        result = self.engine.run(spec, data)
-        self.last_run_stats = result.stats
-        return self._collect(result.ro, "manual", counters)
-
-    def _collect(
-        self, ro: ReductionObject, version: str, counters: OpCounters
-    ) -> HistogramResult:
-        counts = np.array([ro.get(g, 0) for g in range(self.bins)])
-        sums = np.array([ro.get(g, 1) for g in range(self.bins)])
-        edges = np.linspace(self.lo, self.hi, self.bins + 1)
-        return HistogramResult(
-            counts=counts, sums=sums, edges=edges, version=version, counters=counters
         )

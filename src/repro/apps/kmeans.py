@@ -22,27 +22,20 @@ by min_distance"; its per-iteration total is the clustering inertia.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.apps.base import VERSIONS, ReductionApp
 from repro.chapel.domains import Domain
 from repro.chapel.types import REAL, ArrayType, array_of, record
 from repro.chapel.values import ChapelArray, from_python
-from repro.compiler.cache import compile_cached
-from repro.compiler.translate import (
-    BACKENDS,
-    BoundReduction,
-    CompiledReduction,
-)
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.runtime import FreerideEngine, RunStats
+from repro.freeride.runtime import ReductionResult, RunStats
 from repro.freeride.spec import ReductionArgs, ReductionSpec
-from repro.obs.profilestore import ProfileStore
-from repro.obs.tracer import Tracer
 from repro.machine.counters import OpCounters
 from repro.util.errors import ReproError
-from repro.util.validation import check_one_of, check_positive_int
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "KMEANS_CHAPEL_SOURCE",
@@ -55,8 +48,6 @@ __all__ = [
     "manual_fr_spec",
     "VERSIONS",
 ]
-
-VERSIONS = ("generated", "opt-1", "opt-2", "manual")
 
 #: The paper's Figure 3 reduction, in the mini-Chapel subset.  During the
 #: accumulate phase each point is assigned to the closest centroid and the
@@ -224,54 +215,30 @@ class KmeansResult:
     converged: bool = False
 
 
-class KmeansRunner:
-    """Runs the full k-means outer loop for any of the four versions."""
+class _Loop(NamedTuple):
+    """What one k-means iteration hands the next (``run_iterative``'s state)."""
+
+    centroids: np.ndarray
+    counts: np.ndarray
+    inertia_trace: tuple[float, ...] = ()
+    stable: bool = False
+
+
+class KmeansRunner(ReductionApp):
+    """Runs the full k-means outer loop for any of the four versions.
+
+    ``options`` are :class:`~repro.apps.base.ReductionApp`'s keyword
+    arguments (engine configuration and compiler ``backend``).
+    """
 
     def __init__(
-        self,
-        k: int,
-        dim: int,
-        version: str = "opt-2",
-        num_threads: int = 1,
-        executor: str = "serial",
-        chunk_size: int | None = None,
-        technique: str = "full_replication",
-        backend: str = "scalar",
-        tracer: "Tracer | None" = None,
-        profile_store: "ProfileStore | str | bool | None" = None,
+        self, k: int, dim: int, version: str = "opt-2", **options: Any
     ) -> None:
         check_positive_int(k, "k")
         check_positive_int(dim, "dim")
-        self.version = check_one_of(version, VERSIONS, "version")
-        self.backend = check_one_of(backend, BACKENDS, "backend")
+        super().__init__(version, **options)
         self.k, self.dim = k, dim
-        self.engine = FreerideEngine(
-            num_threads=num_threads,
-            executor=executor,
-            chunk_size=chunk_size,
-            technique=technique,
-            tracer=tracer,
-            profile_store=profile_store,
-        )
-        self.compiled: CompiledReduction | None = None
-        if version != "manual":
-            opt_level = {"generated": 0, "opt-1": 1, "opt-2": 2}[version]
-            self.compiled = compile_cached(
-                KMEANS_CHAPEL_SOURCE,
-                {"k": k, "dim": dim},
-                opt_level=opt_level,
-                backend=backend,
-            )
-
-    def close(self) -> None:
-        """Release the engine's worker pools and shared-memory segments."""
-        self.engine.close()
-
-    def __enter__(self) -> "KmeansRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        self.compiled = self.compile(KMEANS_CHAPEL_SOURCE, {"k": k, "dim": dim})
 
     def run(
         self,
@@ -295,101 +262,64 @@ class KmeansRunner:
             raise ReproError(
                 f"initial centroids must be ({self.k}, {self.dim}), got {cents.shape}"
             )
-        if self.version == "manual":
-            return self._run_manual(points, cents, iterations, tol)
-        return self._run_compiled(points, cents, iterations, tol)
+        make_spec, data, counters = self._passes(points, cents)
 
-    @staticmethod
-    def _stable(old: np.ndarray, new: np.ndarray, tol: float | None) -> bool:
-        return tol is not None and float(np.abs(new - old).max()) <= tol
+        def update(result: ReductionResult, state: _Loop) -> _Loop:
+            old = state.centroids
+            new, counts, inertia = centroids_from_ro(result.ro, old)
+            stable = tol is not None and float(np.abs(new - old).max()) <= tol
+            return _Loop(new, counts, (*state.inertia_trace, inertia), stable)
 
-    # -- compiled versions ------------------------------------------------------
-
-    def _run_compiled(
-        self,
-        points: np.ndarray,
-        cents: np.ndarray,
-        iterations: int,
-        tol: float | None,
-    ) -> KmeansResult:
-        assert self.compiled is not None
-        layout = kmeans_ro_layout(self.k, self.dim)
-        # The dataset is linearized ONCE; centroids re-linearize per
-        # iteration inside update_extras (the opt-2 per-iteration cost).
-        bound: BoundReduction = self.compiled.bind(
-            points, {"centroids": centroids_to_chapel(cents)}
+        final, results = self.engine.run_iterative(
+            make_spec,
+            data,
+            iterations,
+            update,
+            _Loop(cents, np.zeros(self.k)),
+            converged=lambda _, new: new.stable,
         )
-        stats: list[RunStats] = []
-        trace: list[float] = []
-        counts = np.zeros(self.k)
-        converged = False
-        executed = 0
-        for _ in range(iterations):
-            spec, idx = bound.make_spec(layout)
-            result = self.engine.run(spec, idx)
-            new_cents, counts, inertia = centroids_from_ro(result.ro, cents)
-            stats.append(result.stats)
-            trace.append(inertia)
-            executed += 1
-            stable = self._stable(cents, new_cents, tol)
-            cents = new_cents
-            bound.update_extras({"centroids": centroids_to_chapel(cents)})
-            if stable:
-                converged = True
-                break
+        self.note_pass(results[-1])
         return KmeansResult(
-            centroids=cents,
-            counts=counts,
-            iterations=executed,
+            centroids=final.centroids,
+            counts=final.counts,
+            iterations=len(results),
             version=self.version,
-            counters=bound.counters,
-            per_iteration_stats=stats,
-            inertia=_inertia(points, cents),
-            inertia_trace=trace,
-            converged=converged,
-        )
-
-    # -- manual FR ------------------------------------------------------------------
-
-    def _run_manual(
-        self,
-        points: np.ndarray,
-        cents: np.ndarray,
-        iterations: int,
-        tol: float | None,
-    ) -> KmeansResult:
-        counters = OpCounters()
-        stats: list[RunStats] = []
-        trace: list[float] = []
-        counts = np.zeros(self.k)
-        converged = False
-        executed = 0
-        for _ in range(iterations):
-            spec = manual_fr_spec(cents, counters)
-            result = self.engine.run(spec, points)
-            new_cents, counts, inertia = centroids_from_ro(result.ro, cents)
-            stats.append(result.stats)
-            trace.append(inertia)
-            executed += 1
-            stable = self._stable(cents, new_cents, tol)
-            cents = new_cents
-            if stable:
-                converged = True
-                break
-        return KmeansResult(
-            centroids=cents,
-            counts=counts,
-            iterations=executed,
-            version="manual",
             counters=counters,
-            per_iteration_stats=stats,
-            inertia=_inertia(points, cents),
-            inertia_trace=trace,
-            converged=converged,
+            per_iteration_stats=[r.stats for r in results],
+            inertia=_inertia(points, final.centroids),
+            inertia_trace=list(final.inertia_trace),
+            converged=final.stable,
         )
+
+    def _passes(
+        self, points: np.ndarray, cents: np.ndarray
+    ) -> tuple[Callable[[_Loop], ReductionSpec], Any, OpCounters]:
+        """This version's ``(make_spec(state), engine data, counter ledger)``."""
+        if self.compiled is None:
+            counters = OpCounters()
+            return lambda s: manual_fr_spec(s.centroids, counters), points, counters
+        # The dataset is linearized ONCE, here; the centroids re-linearize
+        # per iteration inside update_extras (the opt-2 per-iteration cost).
+        bound = self.compiled.bind(points, {"centroids": centroids_to_chapel(cents)})
+        layout = kmeans_ro_layout(self.k, self.dim)
+
+        def make_spec(state: _Loop) -> ReductionSpec:
+            bound.update_extras({"centroids": centroids_to_chapel(state.centroids)})
+            return bound.make_spec(layout)[0]
+
+        return make_spec, range(bound.n_elements), bound.counters
+
+
+#: rows per block of :func:`_inertia`: the (rows, k, dim) temporaries stay a
+#: few MB where the whole-array form needs k x the dataset, twice
+_INERTIA_BLOCK = 8192
 
 
 def _inertia(points: np.ndarray, cents: np.ndarray) -> float:
     """Sum of squared distances to the nearest centroid (quality metric)."""
-    d2 = ((points[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return float(d2.min(axis=1).sum())
+    total = 0.0
+    for start in range(0, len(points), _INERTIA_BLOCK):
+        block = points[start : start + _INERTIA_BLOCK]
+        d2 = ((block[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+        total += float(d2.min(axis=1).sum())
+    return total

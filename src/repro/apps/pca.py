@@ -26,22 +26,20 @@ Reduction-object layouts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS, CompiledReduction
+from repro.apps.base import VERSIONS, ReductionApp
+from repro.chapel.types import REAL, array_of
+from repro.chapel.values import from_python
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.runtime import FreerideEngine, RunStats
+from repro.freeride.runtime import RunStats
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
-from repro.obs.profilestore import ProfileStore
-from repro.obs.tracer import Tracer
 from repro.util.errors import ReproError
-from repro.util.validation import check_one_of, check_positive_int
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "PCA_MEAN_SOURCE",
@@ -53,8 +51,6 @@ __all__ = [
     "manual_cov_spec",
     "VERSIONS",
 ]
-
-VERSIONS = ("generated", "opt-1", "opt-2", "manual")
 
 #: Phase 1: the mean vector, as a Chapel reduction over columns.
 PCA_MEAN_SOURCE = """
@@ -178,9 +174,13 @@ class PcaResult:
     mean: np.ndarray
     covariance: np.ndarray
     version: str
+    #: both phases' ledgers merged
     counters: OpCounters
     mean_stats: RunStats | None = None
     cov_stats: RunStats | None = None
+    #: each phase's own ledger; field for field they sum to ``counters``
+    mean_counters: OpCounters | None = None
+    cov_counters: OpCounters | None = None
 
     def principal_components(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k eigenpairs of the covariance (descending eigenvalues)."""
@@ -194,50 +194,19 @@ class PcaResult:
         return vecs.T @ (matrix - self.mean[:, None])
 
 
-class PcaRunner:
-    """Runs both PCA reduction phases for any version."""
+class PcaRunner(ReductionApp):
+    """Runs both PCA reduction phases for any version.
 
-    def __init__(
-        self,
-        m: int,
-        version: str = "opt-2",
-        num_threads: int = 1,
-        executor: str = "serial",
-        chunk_size: int | None = None,
-        technique: str = "full_replication",
-        backend: str = "scalar",
-        tracer: "Tracer | None" = None,
-        profile_store: "ProfileStore | str | bool | None" = None,
-    ) -> None:
+    ``options`` are :class:`~repro.apps.base.ReductionApp`'s keyword
+    arguments (engine configuration and compiler ``backend``).
+    """
+
+    def __init__(self, m: int, version: str = "opt-2", **options: Any) -> None:
         check_positive_int(m, "m")
+        super().__init__(version, **options)
         self.m = m
-        self.version = check_one_of(version, VERSIONS, "version")
-        self.backend = check_one_of(backend, BACKENDS, "backend")
-        self.engine = FreerideEngine(
-            num_threads=num_threads, executor=executor, chunk_size=chunk_size,
-            technique=technique, tracer=tracer,
-            profile_store=profile_store,
-        )
-        self.mean_compiled: CompiledReduction | None = None
-        self.cov_compiled: CompiledReduction | None = None
-        if version != "manual":
-            level = {"generated": 0, "opt-1": 1, "opt-2": 2}[version]
-            self.mean_compiled = compile_cached(
-                PCA_MEAN_SOURCE, {"m": m}, opt_level=level, backend=backend
-            )
-            self.cov_compiled = compile_cached(
-                PCA_COV_SOURCE, {"m": m}, opt_level=level, backend=backend
-            )
-
-    def close(self) -> None:
-        """Release the engine's worker pools and shared-memory segments."""
-        self.engine.close()
-
-    def __enter__(self) -> "PcaRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        self.mean_compiled = self.compile(PCA_MEAN_SOURCE, {"m": m})
+        self.cov_compiled = self.compile(PCA_COV_SOURCE, {"m": m})
 
     def run(self, matrix: np.ndarray) -> PcaResult:
         """``matrix`` is (rows=m, cols=n); elements are columns."""
@@ -246,70 +215,52 @@ class PcaRunner:
             raise ReproError(f"matrix must be ({self.m}, n), got {matrix.shape}")
         columns = np.ascontiguousarray(matrix.T)  # (n, m): one row per element
         n = columns.shape[0]
-        if self.version == "manual":
-            return self._run_manual(columns, n)
-        return self._run_compiled(columns, n)
 
-    def _normalize(self, ro_mean, ro_cov, n: int) -> tuple[np.ndarray, np.ndarray]:
-        sums = ro_mean.get_group(0)
-        count = ro_mean.get(1, 0)
-        mean = sums / max(count, 1.0)
-        denom = max(n - 1, 1)
+        spec, data, mean_counters, dataset = self._mean_pass(columns)
+        mean_res = self.run_pass(spec, data)
+        mean = mean_res.ro.get_group(0) / max(mean_res.ro.get(1, 0), 1.0)
+        spec, data, cov_counters = self._cov_pass(dataset, n, mean)
+        cov_res = self.run_pass(spec, data)
+
         cov = np.zeros((self.m, self.m))
         for a in range(self.m):
-            cov[a] = ro_cov.get_group(a)
-        cov = cov / denom
-        # mirror the upper triangle down
-        cov = cov + np.triu(cov, 1).T
-        return mean, cov
-
-    def _run_compiled(self, columns: np.ndarray, n: int) -> PcaResult:
-        assert self.mean_compiled is not None and self.cov_compiled is not None
-        mean_bound = self.mean_compiled.bind(columns)
-        spec, idx = mean_bound.make_spec(mean_ro_layout(self.m))
-        mean_res = self.engine.run(spec, idx)
-        sums = mean_res.ro.get_group(0)
-        count = mean_res.ro.get(1, 0)
-        mean = sums / max(count, 1.0)
-
-        from repro.chapel.types import REAL, array_of
-        from repro.chapel.values import from_python
-
-        mean_value = from_python(array_of(REAL, self.m), list(map(float, mean)))
-        cov_bound = self.cov_compiled.bind(
-            mean_bound.data_buf, {"mean": mean_value}, n_elements=n
-        )
-        spec2, idx2 = cov_bound.make_spec(cov_ro_layout(self.m))
-        cov_res = self.engine.run(spec2, idx2)
-
+            cov[a] = cov_res.ro.get_group(a)
+        cov = cov / max(n - 1, 1)
+        cov = cov + np.triu(cov, 1).T  # mirror the upper triangle down
         counters = OpCounters()
-        counters.add(mean_bound.counters)
-        counters.add(cov_bound.counters)
-        mean_vec, cov = self._normalize(mean_res.ro, cov_res.ro, n)
+        counters.add(mean_counters)
+        counters.add(cov_counters)
         return PcaResult(
-            mean=mean_vec,
+            mean=mean,
             covariance=cov,
             version=self.version,
             counters=counters,
             mean_stats=mean_res.stats,
             cov_stats=cov_res.stats,
+            mean_counters=mean_counters,
+            cov_counters=cov_counters,
         )
 
-    def _run_manual(self, columns: np.ndarray, n: int) -> PcaResult:
-        counters = OpCounters()
-        mean_res = self.engine.run(manual_mean_spec(self.m, counters), columns)
-        sums = mean_res.ro.get_group(0)
-        count = mean_res.ro.get(1, 0)
-        mean = sums / max(count, 1.0)
-        cov_res = self.engine.run(
-            manual_cov_spec(self.m, mean, counters), columns
-        )
-        mean_vec, cov = self._normalize(mean_res.ro, cov_res.ro, n)
-        return PcaResult(
-            mean=mean_vec,
-            covariance=cov,
-            version="manual",
-            counters=counters,
-            mean_stats=mean_res.stats,
-            cov_stats=cov_res.stats,
-        )
+    def _mean_pass(
+        self, columns: np.ndarray
+    ) -> tuple[ReductionSpec, Any, OpCounters, Any]:
+        """Phase 1's ``(spec, engine data, ledger)`` and the dataset phase 2
+        reads: the buffer linearized here, so no version linearizes twice."""
+        if self.mean_compiled is None:
+            counters = OpCounters()
+            return manual_mean_spec(self.m, counters), columns, counters, columns
+        bound = self.mean_compiled.bind(columns)
+        spec, idx = bound.make_spec(mean_ro_layout(self.m))
+        return spec, idx, bound.counters, bound.data_buf
+
+    def _cov_pass(
+        self, dataset: Any, n: int, mean: np.ndarray
+    ) -> tuple[ReductionSpec, Any, OpCounters]:
+        """Phase 2's ``(spec, engine data, ledger)`` around phase 1's mean."""
+        if self.cov_compiled is None:
+            counters = OpCounters()
+            return manual_cov_spec(self.m, mean, counters), dataset, counters
+        mean_value = from_python(array_of(REAL, self.m), list(map(float, mean)))
+        bound = self.cov_compiled.bind(dataset, {"mean": mean_value}, n_elements=n)
+        spec, idx = bound.make_spec(cov_ro_layout(self.m))
+        return spec, idx, bound.counters

@@ -33,24 +33,21 @@ floating-point rounding noise, numerically but not bitwise equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 from typing import Any
 
 import numpy as np
 
+from repro.apps.base import ReductionApp
 from repro.chapel.values import from_python
-from repro.compiler.cache import compile_cached
-from repro.compiler.translate import BACKENDS
-from repro.freeride.runtime import FreerideEngine
+from repro.compiler.pipeline import OPT_LEVELS
 from repro.machine.counters import OpCounters
-from repro.obs.profilestore import ProfileStore
-from repro.obs.tracer import Tracer
 from repro.util.errors import ReproError
-from repro.util.validation import check_one_of, check_positive_int
+from repro.util.validation import check_positive_int
 
 __all__ = ["WINDOWED_CHAPEL_SOURCE", "WindowedResult", "WindowedRunner", "VERSIONS"]
 
-VERSIONS = ("generated", "opt-1", "opt-2")
+#: compiled only: there is no hand-written windowed reduction
+VERSIONS = tuple(OPT_LEVELS)
 
 #: Per-window count and scaled sum.  ``w`` depends only on the element
 #: position (an affine form of ``elemIdx()``); ``b`` is the value's bin,
@@ -93,13 +90,17 @@ class WindowedResult:
             return np.where(self.counts > 0, self.sums / self.counts, np.nan)
 
 
-class WindowedRunner:
+class WindowedRunner(ReductionApp):
     """Windowed statistics over ``num_windows`` windows of ``window`` samples.
 
     ``scale`` maps each of ``bins`` equal-width value bins of ``[lo, hi]``
     to a weight; elements past ``num_windows * window`` fold into the last
-    window (the kernel's clamp).
+    window (the kernel's clamp).  ``options`` are
+    :class:`~repro.apps.base.ReductionApp`'s keyword arguments (engine
+    configuration and compiler ``backend``).
     """
+
+    VERSIONS = VERSIONS
 
     def __init__(
         self,
@@ -109,13 +110,7 @@ class WindowedRunner:
         lo: float,
         hi: float,
         version: str = "opt-2",
-        num_threads: int = 1,
-        executor: str = "serial",
-        chunk_size: int | None = None,
-        technique: str = "full_replication",
-        backend: str = "scalar",
-        tracer: "Tracer | None" = None,
-        profile_store: "ProfileStore | str | bool | None" = None,
+        **options: Any,
     ) -> None:
         check_positive_int(window, "window")
         check_positive_int(num_windows, "num_windows")
@@ -124,20 +119,11 @@ class WindowedRunner:
         self.scale = np.ascontiguousarray(scale, dtype=np.float64).reshape(-1)
         if self.scale.size == 0:
             raise ReproError("scale table must have at least one bin")
+        super().__init__(version, **options)
         self.window, self.num_windows = window, num_windows
         self.lo, self.hi = float(lo), float(hi)
         self.width = (self.hi - self.lo) / self.scale.size
-        self.version = check_one_of(version, VERSIONS, "version")
-        self.backend = check_one_of(backend, BACKENDS, "backend")
-        self.engine = FreerideEngine(
-            num_threads=num_threads, executor=executor, chunk_size=chunk_size,
-            technique=technique, tracer=tracer,
-            profile_store=profile_store,
-        )
-        #: RunStats of the most recent engine run (None before the first)
-        self.last_run_stats = None
-        level = {"generated": 0, "opt-1": 1, "opt-2": 2}[version]
-        self.compiled = compile_cached(
+        self.compiled = self.compile(
             WINDOWED_CHAPEL_SOURCE,
             {
                 "win": window,
@@ -146,22 +132,10 @@ class WindowedRunner:
                 "lo": self.lo,
                 "width": self.width,
             },
-            opt_level=level,
-            backend=backend,
         )
 
     def ro_layout(self) -> list[tuple[int, str]]:
         return [(2, "add")] * self.num_windows  # [count, sum] per window
-
-    def close(self) -> None:
-        """Release the engine's worker pools and shared-memory segments."""
-        self.engine.close()
-
-    def __enter__(self) -> "WindowedRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
     def run(self, data: np.ndarray) -> WindowedResult:
         data = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
@@ -170,8 +144,7 @@ class WindowedRunner:
             data, {"scale": from_python(scale_t, self.scale.tolist())}
         )
         spec, idx = bound.make_spec(self.ro_layout())
-        result = self.engine.run(spec, idx)
-        self.last_run_stats = result.stats
+        result = self.run_pass(spec, idx)
         counts = np.array(
             [result.ro.get(g, 0) for g in range(self.num_windows)]
         )

@@ -22,17 +22,8 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from repro.apps.kmeans import KmeansRunner, kmeans_ro_layout
-from repro.apps.pca import (
-    PCA_COV_SOURCE,
-    PCA_MEAN_SOURCE,
-    cov_ro_layout,
-    manual_cov_spec,
-    manual_mean_spec,
-    mean_ro_layout,
-)
-from repro.compiler.cache import compile_cached
+from repro.apps.pca import PcaRunner
 from repro.data.generators import initial_centroids, kmeans_points, pca_matrix
-from repro.freeride.runtime import FreerideEngine
 from repro.machine.counters import OpCounters
 from repro.util.errors import BenchmarkError
 
@@ -48,8 +39,6 @@ __all__ = [
 KMEANS_VERSIONS = ("generated", "opt-1", "opt-2", "manual")
 #: The paper's Figures 12/13 compare only these two for PCA.
 PCA_VERSIONS = ("opt-2", "manual")
-
-_OPT_LEVEL = {"generated": 0, "opt-1": 1, "opt-2": 2}
 
 
 @dataclass
@@ -120,37 +109,11 @@ def measure_kmeans_profiles(
 def _measure_pca_at(version: str, m: int, sample_n: int, seed: int) -> tuple[OpCounters, OpCounters]:
     """Measured per-element counters for (mean phase, cov phase) at one m."""
     matrix = pca_matrix(m, sample_n, rank=min(4, m), seed=seed)
-    columns = np.ascontiguousarray(matrix.T)
-    engine = FreerideEngine(num_threads=1)
-    if version == "manual":
-        counters_mean = OpCounters()
-        res = engine.run(manual_mean_spec(m, counters_mean), columns)
-        sums = res.ro.get_group(0)
-        mean = sums / max(res.ro.get(1, 0), 1.0)
-        counters_cov = OpCounters()
-        engine.run(manual_cov_spec(m, mean, counters_cov), columns)
-        return (
-            _compute_only(counters_mean, sample_n),
-            _compute_only(counters_cov, sample_n),
-        )
-    level = _OPT_LEVEL[version]
-    mean_comp = compile_cached(PCA_MEAN_SOURCE, {"m": m}, opt_level=level)
-    bound = mean_comp.bind(columns)
-    spec, idx = bound.make_spec(mean_ro_layout(m))
-    res = engine.run(spec, idx)
-    mean = res.ro.get_group(0) / max(res.ro.get(1, 0), 1.0)
-
-    from repro.chapel.types import REAL, array_of
-    from repro.chapel.values import from_python
-
-    cov_comp = compile_cached(PCA_COV_SOURCE, {"m": m}, opt_level=level)
-    mean_value = from_python(array_of(REAL, m), list(map(float, mean)))
-    cov_bound = cov_comp.bind(columns, {"mean": mean_value})
-    spec2, idx2 = cov_bound.make_spec(cov_ro_layout(m))
-    engine.run(spec2, idx2)
+    with PcaRunner(m, version=version) as runner:
+        result = runner.run(matrix)
     return (
-        _compute_only(bound.counters, sample_n),
-        _compute_only(cov_bound.counters, sample_n),
+        _compute_only(result.mean_counters, sample_n),
+        _compute_only(result.cov_counters, sample_n),
     )
 
 

@@ -314,12 +314,12 @@ class ReductionObject:
         return int(self._buffer.nbytes)
 
     def _meta(self, group: int) -> _GroupMeta:
-        try:
+        # checked, not left to the list: group -1 is not the last group
+        if 0 <= group < len(self._groups):
             return self._groups[group]
-        except IndexError:
-            raise ReductionObjectError(
-                f"group {group} not allocated (have {len(self._groups)})"
-            )
+        raise ReductionObjectError(
+            f"group {group} not allocated (have {len(self._groups)})"
+        )
 
     def _cell(
         self, group: int, elem: int, op: "AccumulateOp | None" = None

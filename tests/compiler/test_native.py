@@ -231,6 +231,12 @@ FAILING_CALLS = {
     22: ("roAdd(toInt(x), 0, 1.0);", 2.0, ReductionObjectError,
          r"op does not match the group's op"),
 }
+#: (rc, plant) pairs of the parity case: every call's own plant, and under
+#: rc 20 a negative group id, which must not wrap around to the last group
+PARITY_PLANTS = [
+    *(pytest.param(rc, call[1], id=str(rc)) for rc, call in sorted(FAILING_CALLS.items())),
+    pytest.param(20, -1.0, id="20-negative"),
+]
 FAILING_LAYOUT = [(2, "add"), (2, "add"), (1, "min")]
 #: three ranges in one call; the planted value is the third element of the second
 FAILING_RANGES = [(0, 6), (6, 12), (12, 16)]
@@ -268,9 +274,9 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
             ro.update_count,
         )
 
-    @pytest.mark.parametrize("rc", sorted(FAILING_CALLS))
-    def test_parity_with_the_scalar_kernel(self, rc):
-        statement, bad, exc_type, message = FAILING_CALLS[rc]
+    @pytest.mark.parametrize("rc, bad", PARITY_PLANTS)
+    def test_parity_with_the_scalar_kernel(self, rc, bad):
+        statement, _, exc_type, message = FAILING_CALLS[rc]
         compiled, native_exc, native_ro, native_ledger = self._run(
             statement, bad, "native"
         )
@@ -289,6 +295,17 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
         # statement is, before it ran), and nothing of the third range
         assert scalar_ledger.elements_processed == FAILING_AT + 1
         assert scalar_ledger.ro_updates > scalar_ro.update_count > FAILING_AT
+
+    def test_the_batch_tier_and_the_oracle_refuse_a_negative_group_too(self):
+        compiled, exc, _, _ = self._run(FAILING_CALLS[20][0], -1.0, "batch")
+        assert type(exc) is ReductionObjectError, exc
+        data = np.tile([0.0, 1.0], 8)
+        data[FAILING_AT] = -1.0
+        with pytest.raises(ReductionObjectError):
+            interpret_over(
+                compiled.lowered, data, {"scale": _real_vector([1, 2, 3, 4])},
+                FAILING_LAYOUT,
+            )
 
     def test_every_tier_and_the_oracle_refuse_another_groups_op(self):
         # roAdd into the min group: what the three compiled tiers refuse, the
