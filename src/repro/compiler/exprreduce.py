@@ -35,6 +35,7 @@ from repro.chapel.values import ChapelArray
 from repro.compiler.linearize import LinearizedBuffer, linearize_it
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine, ReductionResult
+from repro.freeride.sharedmem import ReplicatedAccessor, SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
 from repro.util.errors import CompilerError
@@ -301,14 +302,15 @@ class LocReduceExprJob:
             if len(idx) == 0:
                 return
             accessor = args.ro
-            private = getattr(accessor, "ro", None)
-            from repro.freeride.sharedmem import ReplicatedAccessor
-
-            if not isinstance(accessor, ReplicatedAccessor) or private is None:
+            if not (
+                isinstance(accessor, ReplicatedAccessor)
+                and accessor.stats.technique is SharedMemTechnique.FULL_REPLICATION
+            ):
                 raise CompilerError(
                     f"{self.op} reduce requires the full-replication technique "
                     "(the value/index pair must update atomically)"
                 )
+            private = accessor.ro
             values = np.asarray(vector_eval(idx[0], idx[-1] + 1))
             local = int(fold(values))
             value = float(values[local])

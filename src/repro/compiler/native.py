@@ -19,15 +19,13 @@ kernel *exactly*:
   ledger folded back after each call is the scalar kernel's, statement
   for statement, on success and on failure alike;
 * reduction-object updates are *reduced in one step* (paper §III-A):
-  the kernel accumulates straight into the element buffer the calling
-  lane's accessor hands out (``direct_store()`` — a private replica, a
-  per-attempt scratch object, or wave-exclusive cells of the colored
-  technique's shared copy), with the same group/element/op validation
-  the scalar path performs, and sets the group's touched flag itself;
-  the wrapper only reports the update count back (``note_updates``).
-  Only the locking family, whose stores need the accessor's locks, gets
-  a per-thread scratch object that the wrapper commits
-  through ``merge_from_scratch(groups=touched)`` and resets.
+  the kernel accumulates straight into the element buffer its target —
+  a reduction object or a lane's accessor — hands out (``direct_store()``),
+  with the same group/element/op validation the scalar path performs,
+  and sets the group's touched flag itself; the wrapper only reports the
+  update count back (``note_updates``).  Which buffer that is, and what
+  synchronization a store still owes afterwards, is the target's business
+  (:mod:`repro.freeride.sharedmem`), not this module's.
 
 The exported C function takes a *list* of ``[start, end)`` ranges and
 loops the per-split body over it, so one cffi call — GIL released for
@@ -922,12 +920,11 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     it) and folds the counter array into the ledger once.
     ``_ro`` — a reduction object or an accessor — decides where the
     kernel stores: into the buffers its ``direct_store()`` names, the
-    wrapper reporting the update count through ``note_updates``; or, when
-    it has none (the locking family), into this thread's scratch object,
-    committed through ``merge_from_scratch`` restricted to the touched
-    groups and reset for the next call.  What depends only on the target
+    wrapper reporting the update count through ``note_updates`` — on
+    failure too, so what a failing call stored before it failed is
+    accounted for like any other update.  What depends only on the store
     — the layout tables' and buffers' C pointers — is prepared once per
-    (thread, target); nothing per call walks the groups.
+    (thread, store); nothing per call walks the groups.
     """
     ffi = native.ffi
     fn = native.fn
@@ -943,22 +940,15 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             tls.state = state = (
                 counters,
                 ffi.cast("double *", counters.ctypes.data),
-                weakref.WeakKeyDictionary(),  # target -> prepared call arguments
+                weakref.WeakKeyDictionary(),  # store -> prepared call arguments
                 ffi.new("const unsigned char *[]", max(1, len(buf_names))),
             )
             return state
 
-    def _prepare(_ro: Any, store: Any) -> tuple:
+    def _prepare(store: Any) -> tuple:
         # The entry must not reference its (weak) key; the buffers behind
-        # the pointers live as long as the key — or the scratch — does.
-        scratch = touched = None
-        if store is None:
-            scratch = _ro.ro.clone_empty()
-            store = scratch.direct_store()
-            touched = store.touched
+        # the pointers live as long as the key does.
         return (
-            scratch,
-            touched,
             ffi.cast("double *", store.elements.ctypes.data),
             ffi.cast("const long long *", store.offsets.ctypes.data),
             ffi.cast("const long long *", store.nelems.ctypes.data),
@@ -978,11 +968,10 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             )
         counters, c_counters, targets, c_bufs = _thread_state()
         store = _ro.direct_store()
-        key = _ro if store is None else store
-        prepared = targets.get(key)
+        prepared = targets.get(store)
         if prepared is None:
-            prepared = targets[key] = _prepare(_ro, store)
-        scratch, flags, c_elems, c_off, c_n, c_op, groups, c_touched = prepared
+            prepared = targets[store] = _prepare(store)
+        c_elems, c_off, c_n, c_op, groups, c_touched = prepared
         # the env owns the data buffers (and may swap them between calls)
         for i, buf_name in enumerate(buf_names):
             c_bufs[i] = ffi.cast("const unsigned char *", _env[buf_name].ctypes.data)
@@ -996,26 +985,14 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         )
 
         # A failing call counts like the scalar kernel: everything up to the
-        # statement that failed is in the ledger (and in a direct target).
+        # statement that failed is in the ledger and in the target.
         counts = counters.tolist()
         with ledger_lock:
             for field, value in zip(_COUNTER_FIELDS, counts):
                 if value:
                     setattr(_C, field, getattr(_C, field) + value)
         unstored, rc = divmod(rc, _RC_UNSTORED)
-        updates = int(counts[_IDX_RO_UPDATES]) - unstored
-        if scratch is None:
-            _ro.note_updates(updates)
-        else:
-            touched = np.flatnonzero(flags).tolist()
-            try:
-                if rc == 0 and updates:
-                    scratch.update_count = updates
-                    _ro.merge_from_scratch(scratch, groups=touched)
-            finally:
-                for g in touched:
-                    scratch.reset_group(g)
-                scratch.update_count = 0
+        _ro.note_updates(int(counts[_IDX_RO_UPDATES]) - unstored)
         if rc != 0:
             exc_type, msg = _RC_MESSAGES.get(
                 rc, (RuntimeError, f"native kernel error {rc}")

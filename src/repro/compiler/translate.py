@@ -563,7 +563,8 @@ class BoundReduction:
             # The picklable twin of this spec: everything a worker process
             # needs to recompile the kernel (through its own cache) and bind
             # it against the shared-memory dataset, plus parent-side handles
-            # (raw buffer, live counter ledger) the engine uses directly.
+            # (this binding, its live counter ledger) the engine reads when a
+            # run starts.
             kernel_spec = KernelSpec(
                 digest=comp.origin_digest,
                 source=comp.origin_source,
@@ -572,10 +573,6 @@ class BoundReduction:
                 backend=comp.backend,
                 class_name=comp.origin_class_name,
                 ro_layout=tuple((int(n), str(op)) for n, op in layout),
-                n_elements=self.n_elements,
-                dataset_type=self.data_buf.typ,
-                extras=dict(self.extras_values),
-                extras_epoch=self.extras_epoch,
                 effective_backend=comp.effective_backend,
                 native_disk_hit=(
                     not comp.native_kernel.native.compiled
@@ -583,7 +580,7 @@ class BoundReduction:
                     else None
                 ),
                 delta_range=delta_range,
-                data_raw=self.data_buf.raw,
+                bound=self,
                 counters=counters,
             )
 

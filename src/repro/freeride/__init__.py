@@ -32,7 +32,6 @@ from repro.freeride.sharedmem import (
     LockingAccessor,
     ReplicatedAccessor,
     ROAccessor,
-    ScratchAccessor,
     SharedMemManager,
     SharedMemStats,
     SharedMemTechnique,
@@ -59,7 +58,6 @@ __all__ = [
     "ROAccessor",
     "ReplicatedAccessor",
     "LockingAccessor",
-    "ScratchAccessor",
     "ELEMS_PER_CACHE_LINE",
     "FaultPolicy",
     "FaultInjector",

@@ -54,7 +54,6 @@ from repro.freeride.reduction_object import (
     OP_CODES,
     ReductionObject,
 )
-from repro.freeride.sharedmem import ScratchAccessor
 from repro.freeride.spec import ReductionSpec
 from repro.util.errors import FreerideError
 from repro.util.validation import check_positive_int
@@ -65,6 +64,7 @@ if TYPE_CHECKING:
     from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = [
+    "CHECKPOINT_RING_DEPTH",
     "DELTA_COMMIT_SPLIT_ID",
     "DeltaSession",
     "EpochReport",
@@ -82,6 +82,9 @@ __all__ = [
 #: ordinary split processing.
 DELTA_COMMIT_SPLIT_ID = -1
 
+#: epochs a session's checkpoint ring retains (``ro_at`` reaches this far back)
+CHECKPOINT_RING_DEPTH = 8
+
 
 def _reduce_ranges(
     spec: ReductionSpec, like: ReductionObject, starts: np.ndarray, ends: np.ndarray
@@ -95,7 +98,7 @@ def _reduce_ranges(
     and a native kernel walks them all in one call.
     """
     scratch = like.clone_empty()
-    spec.reduce_ranges(starts, ends, ScratchAccessor(scratch))
+    spec.reduce_ranges(starts, ends, scratch)
     return scratch
 
 
@@ -146,7 +149,7 @@ class ROCheckpoint:
     epoch still covered by the ring.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
+    def __init__(self, capacity: int = CHECKPOINT_RING_DEPTH) -> None:
         check_positive_int(capacity, "capacity")
         self.capacity = capacity
         self._ring: deque[_EpochRecord] = deque()

@@ -30,9 +30,9 @@ scratch object: the attempt accumulates straight into the lane's accessor,
 there is nothing to settle, and with tracing disabled no per-split
 instrumentation is installed at all.  When, on top of that, the kernel can
 walk a list of ranges by itself (``ReductionSpec.ranges_in_one_call``) and
-the lanes commute (their accessors hand out a direct store), a lane does
-not loop over splits either: it passes whole batches to one
-``reduce_ranges`` call.
+the lanes commute (the plan's technique gives each lane a target of its
+own), a lane does not loop over splits either: it passes whole batches to
+one ``reduce_ranges`` call.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.freeride.faults import (
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
     ROAccessor,
-    ScratchAccessor,
+    SharedMemTechnique,
     close_shm_segment,
     create_shm_segment,
 )
@@ -79,6 +79,11 @@ __all__ = [
     "settle",
     "drive",
 ]
+
+#: techniques whose lanes commute — each owns a replica, or the wave schedule
+#: gives it exclusive cells — so a lane may reduce whole batches of splits in
+#: one call; a locking lane commits once per split, in split order
+_LANE_EXCLUSIVE = (SharedMemTechnique.FULL_REPLICATION, SharedMemTechnique.COLORED)
 
 #: what an attempt hands back: ``(scratch, None)`` or ``(None, error)``
 Attempt = tuple[ReductionObject | None, BaseException | None]
@@ -188,7 +193,7 @@ class RunContext:
 
 
 def attempt_split(
-    run: "Callable[[ROAccessor], None]",
+    run: "Callable[[ReductionObject], None]",
     split_id: int,
     attempt: int,
     scratch: ReductionObject,
@@ -206,7 +211,7 @@ def attempt_split(
     try:
         if injector is not None:
             injector.inject(split_id, attempt)
-        run(ScratchAccessor(scratch))
+        run(scratch)
     except Exception as exc:
         return None, exc
     if split_timeout is not None and time.monotonic() - start > split_timeout:
@@ -252,11 +257,12 @@ def traced_attempt(
 
 
 def _reduce(
-    ctx: RunContext, lane: int, split: Split, attempt: int, accessor: ROAccessor
+    ctx: RunContext, lane: int, split: Split, attempt: int,
+    target: "ROAccessor | ReductionObject",
 ) -> None:
     ctx.spec.reduction(
         ReductionArgs(
-            data=split.data, split=split, thread_id=lane, ro=accessor,
+            data=split.data, split=split, thread_id=lane, ro=target,
             extras=ctx.spec.extras, attempt=attempt,
         )
     )
@@ -544,7 +550,7 @@ def _ship_blocks(
         view = np.ndarray((width * ro_floats,), dtype=np.float64, buffer=seg.buf)
         for res in results:
             w = res["slot"]
-            replica = ctx.accessors[w].ro  # type: ignore[attr-defined]
+            replica = ctx.accessors[w].ro
             replica._buffer[:] = view[w * ro_floats : (w + 1) * ro_floats]
             replica.update_count = res["update_count"]
             ctx.elems[w] += res["elements"]
@@ -618,7 +624,7 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         ctx.direct
         and not ctx.tracer.enabled
         and ctx.spec.ranges_in_one_call
-        and ctx.accessors[0].direct_store() is not None
+        and ctx.plan.technique in _LANE_EXCLUSIVE
     )
     for wave in ctx.waves:
         if payload is not None and ctx.direct:

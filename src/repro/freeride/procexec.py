@@ -58,9 +58,7 @@ import numpy as np
 from repro.freeride.execute import attempt_split, traced_attempt
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
-    ReplicatedAccessor,
     SharedBufferCache,
-    SharedMemTechnique,
     attach_shm_segment,
     close_shm_segment,
 )
@@ -131,20 +129,23 @@ def task_payload(
             "the spec with BoundReduction.make_spec (a hand-written "
             "ReductionSpec closure cannot be shipped to worker processes)"
         )
+    # the binding as it is now, not as it was when the spec was made
+    bound = kspec.bound
+    data_raw, n_elements = bound.data_buf.raw, bound.n_elements
     if kspec.shm_session is not None:
         # delta sessions publish into one growable session segment —
         # a delta pass ships only the appended tail's bytes.  The
         # trusted prefix ends where the delta range starts, so bytes a
         # rolled-back batch left behind are rewritten, not reused.
         valid_prefix = None
-        if kspec.delta_range is not None and kspec.n_elements:
-            elem_size = len(kspec.data_raw) // kspec.n_elements
+        if kspec.delta_range is not None and n_elements:
+            elem_size = len(data_raw) // n_elements
             valid_prefix = kspec.delta_range[0] * elem_size
         name, nbytes = segments.publish_session(
-            kspec.shm_session, kspec.data_raw, valid_prefix=valid_prefix
+            kspec.shm_session, data_raw, valid_prefix=valid_prefix
         )
     else:
-        name, nbytes = segments.publish(kspec.data_raw)
+        name, nbytes = segments.publish(data_raw)
     return {
         "digest": kspec.digest,
         "source": kspec.source,
@@ -154,10 +155,10 @@ def task_payload(
         "class_name": kspec.class_name,
         "data_shm": name,
         "data_nbytes": nbytes,
-        "dataset_type": kspec.dataset_type,
-        "n_elements": kspec.n_elements,
-        "extras": kspec.extras,
-        "extras_epoch": kspec.extras_epoch,
+        "dataset_type": bound.data_buf.typ,
+        "n_elements": n_elements,
+        "extras": bound.extras_values,
+        "extras_epoch": bound.extras_epoch,
         "ro_layout": list(kspec.ro_layout),
         "trace_epoch": trace_epoch,
         "node": node,
@@ -305,7 +306,6 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
         (ro_floats,), dtype=np.float64, buffer=ro_shm.buf, offset=slot * ro_floats * 8
     )
     ro = ReductionObject.from_layout(task["ro_layout"], buffer=view)
-    accessor = ReplicatedAccessor(ro, SharedMemTechnique.FULL_REPLICATION)
     counters = OpCounters()
     tracer = _worker_tracer(task)
     elements = 0
@@ -315,7 +315,7 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
             continue
 
         def direct() -> tuple[None, None]:
-            kernel(start, stop, accessor, env, counters)
+            kernel(start, stop, ro, env, counters)
             return None, None
 
         t0 = time.perf_counter()
@@ -339,7 +339,7 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
     }
     # Drop every view over the segment before closing the worker's mapping
     # (the parent still owns the segment and will unlink it after merging).
-    del accessor, ro, view
+    del ro, view
     close_shm_segment(ro_shm)
     return result
 
@@ -362,7 +362,7 @@ def run_split_task(task: dict[str, Any]) -> dict[str, Any]:
 
     def scratch_attempt():
         return attempt_split(
-            lambda accessor: kernel(start, stop, accessor, env, counters),
+            lambda scratch: kernel(start, stop, scratch, env, counters),
             sid, attempt, ReductionObject.from_layout(task["ro_layout"]),
             task["injector"], task["split_timeout"],
         )

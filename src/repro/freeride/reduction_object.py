@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.util.errors import ReductionObjectError
-from repro.util.validation import check_nonnegative_int, check_positive_int
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "AccumulateOp",
@@ -64,7 +64,9 @@ ACCUMULATE_OPS["max"] = _op_max
 
 _IDENTITY: dict[str, float] = {"add": 0.0, "min": np.inf, "max": -np.inf}
 
-_MERGE_UFUNC = {"add": np.add, "min": np.minimum, "max": np.maximum}
+#: ``fmin``/``fmax``, not ``minimum``/``maximum``: a NaN value is ignored, as
+#: the scalar ops above (``value < buf[idx]`` is false) and the C kernel do
+_MERGE_UFUNC = {"add": np.add, "min": np.fmin, "max": np.fmax}
 
 #: Ops with an element inverse: contributions can be *retracted* directly
 #: (``a + x - x == a``), so delta retractions cost O(|delta|).  min/max
@@ -108,6 +110,23 @@ class _GroupMeta:
     op: AccumulateOp
     offset: int  # start of this group's elements in the dense buffer
 
+    def vector(self, values: "np.ndarray | Sequence[float]") -> np.ndarray:
+        """``values`` as float64, refused unless it is one value per element."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (self.num_elems,):
+            raise ReductionObjectError(
+                f"group {self.group_id} expects {self.num_elems} values, "
+                f"got {values.shape}"
+            )
+        return values
+
+
+def _check_entry(num_elems: int, op: AccumulateOp) -> None:
+    """Validate one ``(num_elems, op)`` layout entry."""
+    check_positive_int(num_elems, "num_elems")
+    if op not in ACCUMULATE_OPS:
+        raise ReductionObjectError(f"unknown accumulate op {op!r}")
+
 
 class _Layout:
     """Everything that depends on a layout alone, computed once per layout.
@@ -122,9 +141,7 @@ class _Layout:
         self.metas: list[_GroupMeta] = []
         offset = 0
         for num_elems, op in key:
-            check_positive_int(num_elems, "num_elems")
-            if op not in ACCUMULATE_OPS:
-                raise ReductionObjectError(f"unknown accumulate op {op!r}")
+            _check_entry(num_elems, op)
             self.metas.append(_GroupMeta(len(self.metas), num_elems, op, offset))
             offset += num_elems
         self.size = offset
@@ -221,9 +238,7 @@ class ReductionObject:
         All elements of a group share one accumulate op and start at that
         op's identity (0 for add, +inf for min, -inf for max).
         """
-        check_positive_int(num_elems, "num_elems")
-        if op not in ACCUMULATE_OPS:
-            raise ReductionObjectError(f"unknown accumulate op {op!r}")
+        _check_entry(num_elems, op)
         if self._finalized_layout:
             raise ReductionObjectError(
                 "cannot allocate groups after the layout is frozen"
@@ -264,9 +279,7 @@ class ReductionObject:
         segments = [self._buffer]
         offset = int(self._buffer.size)
         for num_elems, op in layout:
-            check_positive_int(num_elems, "num_elems")
-            if op not in ACCUMULATE_OPS:
-                raise ReductionObjectError(f"unknown accumulate op {op!r}")
+            _check_entry(num_elems, op)
             gid = len(self._groups)
             self._groups.append(_GroupMeta(gid, num_elems, op, offset))
             segments.append(np.full(num_elems, _IDENTITY[op]))
@@ -321,13 +334,20 @@ class ReductionObject:
             f"group {group} not allocated (have {len(self._groups)})"
         )
 
+    def _span(self, group: int) -> tuple[_GroupMeta, slice]:
+        """One allocated group and its slice of the element buffer."""
+        meta = self._meta(group)
+        return meta, slice(meta.offset, meta.offset + meta.num_elems)
+
     def _cell(
         self, group: int, elem: int, op: "AccumulateOp | None" = None
     ) -> tuple[_GroupMeta, int]:
         """Validate one cell; ``op``, when given, must be the group's own."""
         meta = self._meta(group)
-        check_nonnegative_int(elem, "elem")
-        if elem >= meta.num_elems:
+        if not isinstance(elem, int) or isinstance(elem, bool):
+            raise ValueError(f"elem must be an integer, got {elem!r}")
+        # checked on both sides, like the group: element -1 is not the last
+        if not 0 <= elem < meta.num_elems:
             raise ReductionObjectError(
                 f"element {elem} out of range for group {group} "
                 f"({meta.num_elems} elements)"
@@ -362,15 +382,8 @@ class ReductionObject:
         Semantically ``accumulate(group, i, values[i])`` for every i; used by
         vectorized kernels.  Counts as ``len(values)`` updates.
         """
-        meta = self._meta(group)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (meta.num_elems,):
-            raise ReductionObjectError(
-                f"group {group} expects {meta.num_elems} values, got {values.shape}"
-            )
-        sl = slice(meta.offset, meta.offset + meta.num_elems)
-        ufunc = _MERGE_UFUNC[meta.op]
-        self._buffer[sl] = ufunc(self._buffer[sl], values)
+        meta, sl = self._span(group)
+        self._buffer[sl] = _MERGE_UFUNC[meta.op](self._buffer[sl], meta.vector(values))
         self._touched[meta.group_id] = True
         self.update_count += meta.num_elems
 
@@ -471,13 +484,11 @@ class ReductionObject:
 
     def get_group(self, group: int) -> np.ndarray:
         """Read a whole group as a copy."""
-        meta = self._meta(group)
-        return self._buffer[meta.offset : meta.offset + meta.num_elems].copy()
+        return self._buffer[self._span(group)[1]].copy()
 
     def group_view(self, group: int) -> np.ndarray:
         """A writable view of a group (for vectorized manual-FR kernels)."""
-        meta = self._meta(group)
-        return self._buffer[meta.offset : meta.offset + meta.num_elems]
+        return self._buffer[self._span(group)[1]]
 
     def set(self, group: int, elem: int, value: float) -> None:
         """Overwrite one element (used by finalize steps, not reductions)."""
@@ -566,6 +577,14 @@ class ReductionObject:
         """
         return ReductionObject._of(self._tables(), None, True)
 
+    def view(self) -> "ReductionObject":
+        """A second handle on the *same* element buffer, with touched flags
+        and an update count of its own — what a lane updates through when a
+        schedule gives it exclusive cells (the colored technique): the flags
+        and the count are the only state such lanes would share.
+        """
+        return ReductionObject._of(self._tables(), self._buffer, False)
+
     def same_layout(self, other: "ReductionObject") -> bool:
         return self._tables() is other._tables()
 
@@ -621,10 +640,8 @@ class ReductionObject:
             raise ReductionObjectError(
                 "cannot merge reduction objects with different layouts"
             )
-        meta = self._meta(group)
-        sl = slice(meta.offset, meta.offset + meta.num_elems)
-        ufunc = _MERGE_UFUNC[meta.op]
-        self._buffer[sl] = ufunc(self._buffer[sl], other._buffer[sl])
+        meta, sl = self._span(group)
+        self._buffer[sl] = _MERGE_UFUNC[meta.op](self._buffer[sl], other._buffer[sl])
         if other._touched[meta.group_id] or bool(
             np.any(other._buffer[sl] != _IDENTITY[meta.op])
         ):
@@ -660,21 +677,14 @@ class ReductionObject:
 
     def reset_group(self, group: int) -> None:
         """Reset one group's elements to the op identity (replay prologue)."""
-        meta = self._meta(group)
-        self._buffer[meta.offset : meta.offset + meta.num_elems] = _IDENTITY[
-            meta.op
-        ]
+        meta, sl = self._span(group)
+        self._buffer[sl] = _IDENTITY[meta.op]
         self._touched[meta.group_id] = False
 
     def set_group(self, group: int, values: np.ndarray, touched: bool) -> None:
         """Overwrite a whole group (checkpoint restore / snapshot apply)."""
-        meta = self._meta(group)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (meta.num_elems,):
-            raise ReductionObjectError(
-                f"group {group} expects {meta.num_elems} values, got {values.shape}"
-            )
-        self._buffer[meta.offset : meta.offset + meta.num_elems] = values
+        meta, sl = self._span(group)
+        self._buffer[sl] = meta.vector(values)
         self._touched[meta.group_id] = bool(touched)
 
     def is_touched(self, group: int) -> bool:
@@ -723,8 +733,7 @@ class ReductionObject:
             raise ReductionObjectError(
                 "cannot retract reduction objects with different layouts"
             )
-        meta = self._meta(group)
-        sl = slice(meta.offset, meta.offset + meta.num_elems)
+        meta, sl = self._span(group)
         if meta.op not in INVERTIBLE_ACCUMULATE_OPS:
             raise ReductionObjectError(
                 f"group {meta.group_id} uses non-invertible op "

@@ -57,11 +57,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.freeride.combination import (
-    PARALLEL_MERGE_THRESHOLD_BYTES,
-    CombinationStats,
-    combine,
-)
+from repro.freeride.combination import CombinationStats, combine
 from repro.freeride.delta import (
     DELTA_COMMIT_SPLIT_ID,
     DeltaSession,
@@ -264,8 +260,6 @@ class FreerideEngine:
     num_nodes:
         cluster width for the global combination phase (each node runs the
         full local pipeline on its block of the data).
-    parallel_merge_threshold:
-        reduction objects at least this many bytes use the parallel merge.
     fault_policy:
         enables fault-tolerant split execution (retries with backoff, soft
         per-split timeouts, straggler re-dispatch, fail-fast or
@@ -307,7 +301,6 @@ class FreerideEngine:
         executor: str = "serial",
         chunk_size: int | None = None,
         num_nodes: int = 1,
-        parallel_merge_threshold: int = PARALLEL_MERGE_THRESHOLD_BYTES,
         splitter: "Callable[[Any, int], list[Split]] | None" = None,
         fault_policy: FaultPolicy | None = None,
         fault_injector: FaultInjector | None = None,
@@ -341,7 +334,6 @@ class FreerideEngine:
             check_positive_int(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
         self.num_nodes = check_positive_int(num_nodes, "num_nodes")
-        self.parallel_merge_threshold = parallel_merge_threshold
         if splitter is not None and not callable(splitter):
             raise FreerideError("splitter must be callable (splitter_t)")
         #: custom ``splitter_t``; None selects the middleware default
@@ -483,7 +475,7 @@ class FreerideEngine:
                         "global_combination", cat="combination",
                         num_nodes=self.num_nodes,
                     ) as g_span:
-                        ro, g_stats = combine(node_ros, self.parallel_merge_threshold)
+                        ro, g_stats = combine(node_ros)
                         g_span.set(
                             strategy=g_stats.strategy,
                             merges=g_stats.merges,
@@ -596,8 +588,6 @@ class FreerideEngine:
         bound: Any = None,
         ro_layout: Any = None,
         finalize: "Callable[[ReductionObject], Any] | None" = None,
-        checkpoint_capacity: int = 8,
-        shm_key: str | None = None,
     ) -> tuple[ReductionResult, DeltaSession]:
         """Run a full pass and open a :class:`DeltaSession` over its result.
 
@@ -627,7 +617,7 @@ class FreerideEngine:
                 raise FreerideError("run_baseline(bound=...) requires ro_layout=")
             source: Any = bound
             layout = [(int(n), str(op)) for n, op in ro_layout]
-            key = shm_key or f"delta-session-{next(_DELTA_SESSION_IDS)}"
+            key = f"delta-session-{next(_DELTA_SESSION_IDS)}"
             spec, data = bound.make_spec(layout, finalize=finalize)
             if spec.kernel_spec is not None:
                 # session-keyed from the start, so the very first delta's
@@ -644,7 +634,7 @@ class FreerideEngine:
         session = DeltaSession(
             ro=result.ro,
             source=source,
-            checkpoints=ROCheckpoint(checkpoint_capacity),
+            checkpoints=ROCheckpoint(),
             finalize=finalize,
             shm_key=key,
         )
@@ -782,10 +772,7 @@ class FreerideEngine:
             technique=plan.technique.value,
         ) as span:
             _, sm_stats, lc_stats = mgr.finish(
-                ro,
-                ctx.accessors,
-                combination=spec.combination,
-                parallel_merge_threshold=self.parallel_merge_threshold,
+                ro, ctx.accessors, combination=spec.combination
             )
             span.set(
                 strategy=lc_stats.strategy,

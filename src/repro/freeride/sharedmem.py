@@ -36,24 +36,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory as mp_shm
 from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.freeride.combination import (
-    PARALLEL_MERGE_THRESHOLD_BYTES,
-    CombinationStats,
-    combine,
-)
-from repro.freeride.reduction_object import (
-    ACCUMULATE_OPS,
-    _MERGE_UFUNC,
-    DirectStore,
-    ReductionObject,
-    aligned_empty,
-)
+from repro.freeride.combination import CombinationStats, combine
+from repro.freeride.reduction_object import DirectStore, ReductionObject
 from repro.util.errors import FreerideError
 
 __all__ = [
@@ -62,8 +52,6 @@ __all__ = [
     "ROAccessor",
     "ReplicatedAccessor",
     "LockingAccessor",
-    "ColoredAccessor",
-    "ScratchAccessor",
     "SharedMemManager",
     "SharedBufferCache",
     "create_shm_segment",
@@ -120,15 +108,25 @@ class SharedMemStats:
 
 
 class ROAccessor:
-    """A thread's handle for updating the reduction object."""
+    """A thread's handle for updating the reduction object — and, as it
+    stands, *the lane that owns its target*.
 
-    stats: SharedMemStats
+    ``ro`` is the lane's alone: a private replica (full replication,
+    :data:`ReplicatedAccessor`) or a :meth:`ReductionObject.view` of the
+    shared copy whose cells the wave schedule gives it exclusively
+    (colored).  Updates therefore go straight to the object, which
+    validates, stores, flags and counts them; nothing is synchronized.
+    """
+
+    def __init__(self, ro: ReductionObject, stats: SharedMemStats) -> None:
+        self.ro = ro
+        self.stats = stats
 
     def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        raise NotImplementedError
+        self.ro.accumulate(group, elem, value, op)
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
-        raise NotImplementedError
+        self.ro.accumulate_group(group, values)
 
     def accumulate_batch(
         self,
@@ -141,7 +139,7 @@ class ROAccessor:
     ) -> None:
         """Vectorized per-lane updates (see
         :meth:`ReductionObject.accumulate_batch`); used by batch kernels."""
-        raise NotImplementedError
+        self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
 
     def merge_from_scratch(
         self,
@@ -157,199 +155,63 @@ class ROAccessor:
         ``groups``, when given, restricts the commit to those group ids —
         the COLORED technique commits only the groups its coloring proved
         the split can touch, so concurrent same-wave commits never
-        read-modify-write a group both left untouched.
+        read-modify-write a group both left untouched.  An unrestricted
+        commit is one whole-object merge: right for a private replica, and
+        for a colored view only while commits are serialized.
         """
-        raise NotImplementedError
+        if groups is None:
+            self.ro.merge_from(scratch)
+            return
+        for g in groups:
+            self.ro.merge_group_from(g, scratch)
+        self.ro.update_count += scratch.update_count
 
-    def direct_store(self) -> "DirectStore | None":
-        """The buffers the calling lane may store into with no help from
-        this accessor, or ``None`` when every store needs its synchronization.
+    def direct_store(self) -> DirectStore:
+        """The buffers the calling lane's native kernel stores into.
 
-        Lanes whose accessors hand out a direct store commute: each owns a
-        private copy, or the wave schedule gives it exclusive cells.  A
-        native kernel then reduces in one step — straight into the lane's
-        reduction object — and reports the updates it made through
-        :meth:`note_updates`; otherwise it runs into a private scratch
-        object that is committed through :meth:`merge_from_scratch`.
+        The kernel reduces in one step — straight into these buffers, no
+        call per update — and reports the updates it made through
+        :meth:`note_updates`.  Here they are the lane's own reduction
+        object's; a :class:`LockingAccessor` hands out a scratch object's.
         """
-        return None
+        return self.ro.direct_store()
 
     def note_updates(self, count: int) -> None:
         """Account for ``count`` updates made through :meth:`direct_store`."""
-        raise NotImplementedError
-
-
-class ReplicatedAccessor(ROAccessor):
-    """Full replication: updates go to a private copy, no locks."""
-
-    def __init__(self, private_ro: ReductionObject, technique: SharedMemTechnique) -> None:
-        self.ro = private_ro
-        self.stats = SharedMemStats(
-            technique=technique,
-            private_copies=1,
-            ro_memory_bytes=private_ro.nbytes,
-        )
-
-    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        self.ro.accumulate(group, elem, value, op)
-
-    def accumulate_group(self, group: int, values: np.ndarray) -> None:
-        self.ro.accumulate_group(group, values)
-
-    def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None
-    ) -> None:
-        self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
-
-    def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
-        # The private copy belongs to one thread; a plain merge is atomic
-        # enough (the merge either happens wholly or not at all from the
-        # combination phase's point of view).  ``groups`` needs no handling:
-        # the scratch's untouched groups hold merge identities.
-        self.ro.merge_from(scratch)
-
-    def direct_store(self) -> DirectStore:
-        return self.ro.direct_store()
-
-    def note_updates(self, count: int) -> None:
         self.ro.note_updates(count)
 
 
-class ScratchAccessor(ROAccessor):
-    """Accessor over a private per-split scratch object — no locks, no stats.
-
-    Handed to the reduction function while a fault policy is active; the
-    engine commits the scratch through the real accessor's
-    :meth:`ROAccessor.merge_from_scratch` only if the attempt succeeds.
-    """
-
-    def __init__(self, scratch_ro: ReductionObject) -> None:
-        self.ro = scratch_ro
-        self.stats = SharedMemStats()
-
-    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        self.ro.accumulate(group, elem, value, op)
-
-    def accumulate_group(self, group: int, values: np.ndarray) -> None:
-        self.ro.accumulate_group(group, values)
-
-    def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None
-    ) -> None:
-        self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
-
-    def direct_store(self) -> DirectStore:
-        return self.ro.direct_store()
-
-    def note_updates(self, count: int) -> None:
-        self.ro.note_updates(count)
-
-
-class ColoredAccessor(ROAccessor):
-    """Conflict-free coloring: direct updates to the shared copy, no locks.
-
-    Safe only under the engine's wave schedule — splits updating through
-    these accessors concurrently have disjoint group sets, so no two
-    threads ever touch the same cell.  The state the waves *would* share is
-    the reduction object's ``update_count`` and the line-packed touched
-    bitmap, flagged on every update (an identity-valued one leaves no other
-    mark); each accessor therefore keeps its own tally and its own flags, and
-    :meth:`SharedMemManager.finish` folds them into the shared object after
-    the last wave.
-    """
-
-    def __init__(self, shared_ro: ReductionObject, technique: SharedMemTechnique) -> None:
-        self.ro = shared_ro
-        self.stats = SharedMemStats(technique=technique)
-        #: accessor-local update tally, folded into the shared RO at finish()
-        self.updates = 0
-        shared = shared_ro.direct_store()
-        #: accessor-local touched flags, folded in at finish() like the tally
-        self.touched = aligned_empty(shared.touched.size, bool)
-        self.touched[:] = False
-        self._store = DirectStore(
-            shared.elements, self.touched,
-            shared.offsets, shared.nelems, shared.opcodes,
-        )
-
-    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        meta, idx = self.ro._cell(group, elem, op)
-        ACCUMULATE_OPS[meta.op](self.ro._buffer, idx, value)
-        self.touched[meta.group_id] = True
-        self.updates += 1
-
-    def accumulate_group(self, group: int, values: np.ndarray) -> None:
-        meta = self.ro._meta(group)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (meta.num_elems,):
-            raise FreerideError(
-                f"group {group} expects {meta.num_elems} values, got {values.shape}"
-            )
-        sl = slice(meta.offset, meta.offset + meta.num_elems)
-        ufunc = _MERGE_UFUNC[meta.op]
-        self.ro._buffer[sl] = ufunc(self.ro._buffer[sl], values)
-        self.touched[meta.group_id] = True
-        self.updates += meta.num_elems
-
-    def accumulate_batch(
-        self, groups, elems, values, op="add", mask=None, lanes=None
-    ) -> None:
-        idx, v = self.ro.batch_cells(groups, elems, values, op, mask, lanes)
-        if idx.size == 0:
-            return
-        _MERGE_UFUNC[op].at(self.ro._buffer, idx, v)
-        self.touched[self.ro.groups_of(idx)] = True
-        self.updates += int(idx.size)
-
-    def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
-        # Commit only the groups the coloring proved this split touches:
-        # a full merge would read-modify-write groups concurrent same-wave
-        # commits also leave untouched, racing on their cells.
-        gids = range(self.ro.num_groups) if groups is None else groups
-        for g in gids:
-            self.ro.merge_group_from(g, scratch)
-        self.updates += scratch.update_count
-
-    def direct_store(self) -> DirectStore:
-        return self._store
-
-    def note_updates(self, count: int) -> None:
-        self.updates += count
+#: a full-replication lane: an :class:`ROAccessor` over its private copy
+ReplicatedAccessor = ROAccessor
 
 
 class _LockTable:
-    """Maps (group, elem) cells to lock indices for a locking technique."""
+    """Maps reduction-object cells to lock indices for a locking technique."""
 
     def __init__(self, ro: ReductionObject, technique: SharedMemTechnique) -> None:
-        self.technique = technique
-        if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
-            num_locks = (ro.size + ELEMS_PER_CACHE_LINE - 1) // ELEMS_PER_CACHE_LINE
-        else:  # one lock per element
-            num_locks = ro.size
-        self.num_locks = max(1, num_locks)
+        #: cells guarded by one lock: a cache line's worth, or one
+        self.cells_per_lock = (
+            ELEMS_PER_CACHE_LINE
+            if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING
+            else 1
+        )
+        self.num_locks = max(1, -(-ro.size // self.cells_per_lock))
         self.locks = [threading.Lock() for _ in range(self.num_locks)]
         #: guards non-element metadata (e.g. the shared update counter)
         self.meta_lock = threading.Lock()
-        # Precompute each group's element offset to index the flat lock array.
-        self._group_offsets = [ro._meta(g).offset for g in range(ro.num_groups)]
 
-    def lock_index(self, group: int, elem: int, group_offset: int) -> int:
-        flat = group_offset + elem
-        if self.technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
-            return flat // ELEMS_PER_CACHE_LINE
-        return flat
-
-    def group_lock_indices(self, group: int, num_elems: int) -> range:
-        off = self._group_offsets[group]
-        if self.technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
-            first = off // ELEMS_PER_CACHE_LINE
-            last = (off + num_elems - 1) // ELEMS_PER_CACHE_LINE
-            return range(first, last + 1)
-        return range(off, off + num_elems)
+    def covering(self, first: int, count: int) -> range:
+        """Lock indices covering the ``count`` flat cells from ``first``."""
+        per = self.cells_per_lock
+        return range(first // per, (first + count - 1) // per + 1)
 
 
 class LockingAccessor(ROAccessor):
-    """Locking techniques: updates hit the shared copy under locks."""
+    """*The lane that shares its target*: the locking techniques.
+
+    ``ro`` is the one shared copy; every update validates its cells through
+    the object, then stores under the locks covering them.
+    """
 
     def __init__(
         self,
@@ -357,33 +219,46 @@ class LockingAccessor(ROAccessor):
         table: _LockTable,
         technique: SharedMemTechnique,
     ) -> None:
-        self.ro = shared_ro
+        super().__init__(
+            shared_ro, SharedMemStats(technique=technique, num_locks=table.num_locks)
+        )
         self._table = table
-        self.stats = SharedMemStats(technique=technique, num_locks=table.num_locks)
+        #: what :meth:`direct_store` hands out; built on first use
+        self._scratch: ReductionObject | None = None
+
+    def _holding(self, indices: "Iterable[int]", update: Callable, *args) -> None:
+        """``update(*args)`` while holding the locks ``indices`` — acquired
+        ascending, so concurrent holders cannot deadlock, released in
+        reverse and counted on the way out.  (A call, not a ``with``: a
+        generator context manager costs three times the hold itself, once
+        per group of every commit.)"""
+        locks = self._table.locks
+        acquired = []
+        try:
+            for i in indices:
+                locks[i].acquire()
+                acquired.append(i)
+            update(*args)
+        finally:
+            for i in reversed(acquired):
+                locks[i].release()
+            self.stats.lock_acquisitions += len(acquired)
 
     def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        off = self._table._group_offsets[group]
-        idx = self._table.lock_index(group, elem, off)
-        with self._table.locks[idx]:
+        _, idx = self.ro._cell(group, elem, op)
+        with self._table.locks[idx // self._table.cells_per_lock]:
             self.ro.accumulate(group, elem, value, op)
         self.stats.lock_acquisitions += 1
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
+        # A vectorized group update under cache-sensitive locking takes
+        # ceil(n/8) locks; under full locking, n locks.
         meta = self.ro._meta(group)
-        indices = self._table.group_lock_indices(group, meta.num_elems)
-        # Acquire all covering locks in index order (deadlock-free), update,
-        # release.  A vectorized group update under cache-sensitive locking
-        # touches ceil(n/8) locks; under full locking, n locks.
-        acquired = []
-        try:
-            for i in indices:
-                self._table.locks[i].acquire()
-                acquired.append(i)
-            self.ro.accumulate_group(group, values)
-        finally:
-            for i in reversed(acquired):
-                self._table.locks[i].release()
-        self.stats.lock_acquisitions += len(acquired)
+        values = meta.vector(values)
+        self._holding(
+            self._table.covering(meta.offset, meta.num_elems),
+            self.ro.accumulate_group, group, values,
+        )
 
     def accumulate_batch(
         self, groups, elems, values, op="add", mask=None, lanes=None
@@ -391,45 +266,46 @@ class LockingAccessor(ROAccessor):
         idx, v = self.ro.batch_cells(groups, elems, values, op, mask, lanes)
         if idx.size == 0:
             return
-        # Cover every touched cell's lock, acquired in ascending index order
-        # (deadlock-free against concurrent batch updates and commits), then
-        # apply the whole batch and release in reverse.
-        if self._table.technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
-            lock_indices = np.unique(idx // ELEMS_PER_CACHE_LINE)
-        else:
-            lock_indices = np.unique(idx)
-        acquired = []
-        try:
-            for i in lock_indices.tolist():
-                self._table.locks[i].acquire()
-                acquired.append(i)
-            self.ro.apply_batch(idx, v, op)
-        finally:
-            for i in reversed(acquired):
-                self._table.locks[i].release()
-        self.stats.lock_acquisitions += len(acquired)
+        # every touched cell's lock, then the whole batch at once
+        self._holding(
+            np.unique(idx // self._table.cells_per_lock).tolist(),
+            self.ro.apply_batch, idx, v, op,
+        )
 
     def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
-        # Apply the scratch object group-by-group, each group under its
-        # covering locks (acquired in ascending index order, so concurrent
-        # commits cannot deadlock).  A group merge is one atomic unit: other
-        # threads observe it entirely or not at all.
+        # Group by group, each under its covering locks.  A group merge is
+        # one atomic unit: other threads observe it entirely or not at all.
         gids = range(self.ro.num_groups) if groups is None else sorted(groups)
         for g in gids:
             meta = self.ro._meta(g)
-            indices = self._table.group_lock_indices(g, meta.num_elems)
-            acquired = []
-            try:
-                for i in indices:
-                    self._table.locks[i].acquire()
-                    acquired.append(i)
-                self.ro.merge_group_from(g, scratch)
-            finally:
-                for i in reversed(acquired):
-                    self._table.locks[i].release()
-            self.stats.lock_acquisitions += len(acquired)
+            self._holding(
+                self._table.covering(meta.offset, meta.num_elems),
+                self.ro.merge_group_from, g, scratch,
+            )
         with self._table.meta_lock:
             self.ro.update_count += scratch.update_count
+
+    def direct_store(self) -> DirectStore:
+        """C takes no locks, so the kernel stores into a lane-private
+        scratch object; :meth:`note_updates` commits it."""
+        if self._scratch is None:
+            self._scratch = self.ro.clone_empty()
+        return self._scratch.direct_store()
+
+    def note_updates(self, count: int) -> None:
+        """Commit what the kernel left in the scratch object — the groups it
+        flagged, under their locks — and reset them for the next call."""
+        scratch = self._scratch
+        assert scratch is not None, "note_updates follows direct_store"
+        touched = np.flatnonzero(scratch.direct_store().touched).tolist()
+        scratch.update_count = count
+        try:
+            if touched:
+                self.merge_from_scratch(scratch, groups=touched)
+        finally:
+            for g in touched:
+                scratch.reset_group(g)
+            scratch.update_count = 0
 
 
 class SharedMemManager:
@@ -452,15 +328,21 @@ class SharedMemManager:
         base_ro.freeze_layout()
         if self.technique is SharedMemTechnique.FULL_REPLICATION:
             return [
-                ReplicatedAccessor(base_ro.clone_empty(), self.technique)
+                ReplicatedAccessor(
+                    base_ro.clone_empty(),
+                    SharedMemStats(
+                        self.technique, private_copies=1, ro_memory_bytes=base_ro.nbytes
+                    ),
+                )
                 for _ in range(num_threads)
             ]
         if self.technique is SharedMemTechnique.COLORED:
             # One shared copy, zero locks — safe only under a wave schedule
             # (the engine guarantees concurrently-running splits touch
-            # disjoint group sets).
+            # disjoint group sets).  The flags and the update count, which
+            # every update writes, stay per lane until finish().
             return [
-                ColoredAccessor(base_ro, self.technique)
+                ROAccessor(base_ro.view(), SharedMemStats(self.technique))
                 for _ in range(num_threads)
             ]
         table = _LockTable(base_ro, self.technique)
@@ -474,7 +356,6 @@ class SharedMemManager:
         base_ro: ReductionObject,
         accessors: list[ROAccessor],
         combination: "Callable[[list[ReductionObject]], ReductionObject] | None" = None,
-        parallel_merge_threshold: int = PARALLEL_MERGE_THRESHOLD_BYTES,
     ) -> tuple[ReductionObject, SharedMemStats, CombinationStats]:
         """Run the local combination phase.
 
@@ -496,17 +377,17 @@ class SharedMemManager:
         # table size, not the per-accessor sum.
         total.num_locks = max((acc.stats.num_locks for acc in accessors), default=0)
         if self.technique is SharedMemTechnique.COLORED:
-            # Fold the accessor-local update tallies the wave schedule kept
-            # off the shared object (see ColoredAccessor).
+            # Fold in the flags and update counts the lanes' views kept off
+            # the shared object.
             for acc in accessors:
-                base_ro.update_count += acc.updates  # type: ignore[attr-defined]
-                base_ro._touched |= acc.touched  # type: ignore[attr-defined]
+                base_ro.update_count += acc.ro.update_count
+                base_ro._touched |= acc.ro._touched
         if self.technique is not SharedMemTechnique.FULL_REPLICATION:
             total.ro_memory_bytes = base_ro.nbytes  # one shared copy
             # Locking and colored techniques already updated base_ro in place.
             return base_ro, total, CombinationStats(strategy="in_place")
 
-        copies = [acc.ro for acc in accessors]  # type: ignore[attr-defined]
+        copies = [acc.ro for acc in accessors]
         if combination is not None:
             combined = combination(copies)
             if not isinstance(combined, ReductionObject):
@@ -519,7 +400,7 @@ class SharedMemManager:
                 elements_merged=base_ro.size * len(copies),
             )
         else:
-            _, lc_stats = combine(copies, parallel_merge_threshold, target=base_ro)
+            _, lc_stats = combine(copies, target=base_ro)
         total.merge_elements += lc_stats.elements_merged
         return base_ro, total, lc_stats
 

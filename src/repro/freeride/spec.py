@@ -38,9 +38,12 @@ class KernelSpec:
     kernel cache (compiled once per worker on first miss), and rebind it
     against the shared-memory copy of the linearized dataset.
 
-    ``data_raw`` and ``counters`` are *parent-side only* — the raw dataset
-    buffer the engine publishes into shared memory, and the bound kernel's
-    live :class:`~repro.machine.counters.OpCounters` ledger into which the
+    ``bound`` and ``counters`` are *parent-side only* — the live
+    ``BoundReduction`` whose dataset buffer, element count and extras each
+    run's task payload is read from *when the run starts* (so a rebind
+    after ``make_spec`` reaches the workers, as it reaches the in-process
+    executors through the kernel's env), and its
+    :class:`~repro.machine.counters.OpCounters` ledger into which the
     engine folds the per-split counter deltas workers ship back.  Neither
     is ever pickled; the per-task payloads carry segment descriptors and
     fresh counter objects instead.
@@ -53,10 +56,6 @@ class KernelSpec:
     backend: str
     class_name: str | None
     ro_layout: tuple[tuple[int, str], ...]
-    n_elements: int
-    dataset_type: Any
-    extras: dict[str, Any]
-    extras_epoch: int
     #: the backend tier the compiled kernel actually dispatches to in the
     #: parent after fallbacks (native/batch/scalar) — recorded into
     #: persisted run profiles so history lookups can tell tiers apart
@@ -77,7 +76,7 @@ class KernelSpec:
     #: delta sessions set a key so the engine publishes into one growable
     #: segment and ships only the appended tail on each delta run.
     shm_session: str | None = None
-    data_raw: Any = field(repr=False, default=None)
+    bound: Any = field(repr=False, default=None)
     counters: Any = field(repr=False, default=None)
 
 
@@ -89,6 +88,11 @@ class ReductionArgs:
     the reduction-object accessor (whose ``accumulate`` is Table I's
     ``accumulate(int, int, void*)``), and application extras.
 
+    ``ro`` is the lane's :class:`~repro.freeride.sharedmem.ROAccessor` on a
+    direct run and a per-attempt scratch
+    :class:`~repro.freeride.reduction_object.ReductionObject` under a fault
+    policy or footprint observation: the same five update methods either way.
+
     ``attempt`` is 1 for normal execution; under a fault policy it counts
     the processing attempts of this split (2 on the first retry, ...), so
     reduction functions and tests can observe recovery.  Reduction functions
@@ -99,7 +103,7 @@ class ReductionArgs:
     data: Any
     split: Split
     thread_id: int
-    ro: ROAccessor
+    ro: ROAccessor | ReductionObject
     extras: dict[str, Any] = field(default_factory=dict)
     attempt: int = 1
 
@@ -149,8 +153,8 @@ class ReductionSpec:
     ``ranges_in_one_call``
         True when ``reduce_ranges`` walks its ranges without the
         interpreter (a native kernel: one GIL-released C call).  Direct,
-        untraced lanes whose accessor hands out a direct store then pass
-        whole batches of splits through it instead of looping over them.
+        untraced lanes that own their target (replicas, colored cells) then
+        pass whole batches of splits through it instead of looping over them.
     """
 
     name: str

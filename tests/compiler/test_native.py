@@ -232,10 +232,12 @@ FAILING_CALLS = {
          r"op does not match the group's op"),
 }
 #: (rc, plant) pairs of the parity case: every call's own plant, and under
-#: rc 20 a negative group id, which must not wrap around to the last group
+#: rc 20 / rc 21 a negative group / element id, which must not wrap around to
+#: the last one
 PARITY_PLANTS = [
     *(pytest.param(rc, call[1], id=str(rc)) for rc, call in sorted(FAILING_CALLS.items())),
     pytest.param(20, -1.0, id="20-negative"),
+    pytest.param(21, -1.0, id="21-negative"),
 ]
 FAILING_LAYOUT = [(2, "add"), (2, "add"), (1, "min")]
 #: three ranges in one call; the planted value is the third element of the second

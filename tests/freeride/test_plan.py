@@ -23,11 +23,13 @@ from repro.chapel.values import from_python
 from repro.compiler.cache import compile_cached
 from repro.compiler.native import probe_toolchain
 from repro.freeride.delta import DeltaSession
-from repro.freeride.faults import FaultInjector, InjectedFault
+from repro.freeride.execute import RunContext
+from repro.freeride.faults import FaultInjector, FaultPolicy, InjectedFault
 from repro.freeride.plan import ExecutionPlan, plan_node
-from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine
-from repro.freeride.sharedmem import SharedMemTechnique
+from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine, RunStats
+from repro.freeride.sharedmem import SharedMemManager, SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.obs.tracer import NULL_TRACER
 from repro.util.errors import FreerideError
 
 needs_cc = pytest.mark.skipif(
@@ -171,6 +173,59 @@ def test_profile_key_and_observation_are_planned_only_with_a_store(tmp_path):
     assert warm.profile_key == cold.profile_key
     assert warm.coloring.source == "profile" and warm.observe
     assert set(warm.predicted) == {s.split_id for s in warm.splits}
+
+
+def _context(engine, spec, data) -> RunContext:
+    """Node 0's run context as the engine builds it — nothing runs."""
+    plan = _plan(engine, spec, data)
+    ro = spec.build_reduction_object()
+    policy = engine.fault_policy or (
+        FaultPolicy() if engine.fault_injector is not None else None
+    )
+    return RunContext(
+        spec=spec, plan=plan, base_ro=ro,
+        accessors=SharedMemManager(plan.technique).setup(ro, engine.num_threads),
+        stats=RunStats(), tracer=NULL_TRACER, metrics=None, node=0,
+        executor=engine.executor, num_threads=engine.num_threads,
+        policy=policy, injector=engine.fault_injector,
+    )
+
+
+def test_whole_object_commits_into_a_colored_lane_are_serialized(tmp_path):
+    """A colored lane's target is a view of the shared copy, so a commit not
+    restricted to the split's proven groups read-modify-writes cells other
+    lanes own.  Only observed runs commit that way, and the plan serializes
+    them: one split at a time, or the profile tier's commit lock."""
+    sorted_hist = _histogram(data=np.repeat(np.arange(64.0), 50))
+    seen = Counter()
+    for name, (spec, data) in (
+        ("windowed", _windowed()), ("histogram", _histogram()), ("sorted", sorted_hist)
+    ):
+        for request in ("colored", "auto"):
+            for faults in ({}, {"fault_policy": FaultPolicy()}):
+                store = tmp_path / f"{name}-{request}-{len(faults)}"
+                for turn in ("cold", "warm"):
+                    with FreerideEngine(
+                        num_threads=2, executor="threads", technique=request,
+                        profile_store=store, **faults,
+                    ) as engine:
+                        ctx = _context(engine, spec, data)
+                        engine.run(spec, data)
+                    if ctx.plan.technique is not SharedMemTechnique.COLORED:
+                        continue
+                    width = ctx.plan.coloring.max_wave_width
+                    if ctx.direct:
+                        kind = "direct"  # no commits: lanes update their views
+                    elif ctx.observation is None:
+                        kind = "restricted"
+                        assert set(ctx.commit_groups) == {s.split_id for s in ctx.splits}
+                    else:
+                        kind = "observed"
+                        assert width < 2 or ctx.observation.commit_lock is not None
+                    seen[kind, width >= 2] += 1
+    # every way a colored run commits was planned, wide and serial
+    assert {kind for kind, _ in seen} == {"direct", "restricted", "observed"}
+    assert seen["observed", True] and seen["observed", False]
 
 
 # -- (b) planning happens once ------------------------------------------------------

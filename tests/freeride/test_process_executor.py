@@ -11,6 +11,11 @@ import numpy as np
 import pytest
 
 from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
+from repro.apps.kmeans import (
+    KMEANS_CHAPEL_SOURCE,
+    centroids_to_chapel,
+    kmeans_ro_layout,
+)
 from repro.compiler.cache import compile_cached
 from repro.freeride.faults import (
     FAIL_FAST,
@@ -83,6 +88,33 @@ class TestProcessDirect:
         serial, _ = run_once("serial", threads=2)
         proc, _ = run_once("process", threads=2, num_nodes=2)
         assert np.array_equal(serial.ro.snapshot(), proc.ro.snapshot())
+
+    def test_extras_rebound_after_make_spec_reach_every_executor(self):
+        """A spec is a handle on its binding, not a copy of it: the workers'
+        payload is read when the run starts, like the in-process env."""
+        k, dim = 3, 2
+        points = np.stack(
+            [(np.arange(600) * 5) % 17, (np.arange(600) * 3) % 11], axis=1
+        ).astype(np.float64)
+        first = centroids_to_chapel(np.array([[2.0, 2.0], [8.0, 5.0], [14.0, 9.0]]))
+        late = centroids_to_chapel(np.array([[1.0, 9.0], [9.0, 1.0], [16.0, 10.0]]))
+        compiled = compile_cached(
+            KMEANS_CHAPEL_SOURCE, {"k": k, "dim": dim}, opt_level=2, backend="scalar"
+        )
+        layout = kmeans_ro_layout(k, dim)
+
+        def run(executor, centroids, rebind=None):
+            bound = compiled.bind(points, {"centroids": centroids})
+            spec, idx = bound.make_spec(layout)
+            if rebind is not None:
+                bound.update_extras({"centroids": rebind})
+            with FreerideEngine(num_threads=2, executor=executor) as engine:
+                return engine.run(spec, idx).ro.snapshot()
+
+        want = run("serial", late)
+        assert not np.array_equal(want, run("serial", first))
+        for executor in ("serial", "threads", "process"):
+            assert np.array_equal(run(executor, first, rebind=late), want), executor
 
 
 class TestProcessValidation:

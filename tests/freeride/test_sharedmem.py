@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.freeride.reduction_object import ReductionObject
+from repro.freeride.reduction_object import DirectStore, ReductionObject
 from repro.freeride.sharedmem import (
     ELEMS_PER_CACHE_LINE,
     LockingAccessor,
@@ -13,7 +13,7 @@ from repro.freeride.sharedmem import (
     SharedMemManager,
     SharedMemTechnique,
 )
-from repro.util.errors import FreerideError
+from repro.util.errors import FreerideError, ReductionObjectError
 
 ALL_TECHNIQUES = list(SharedMemTechnique)
 
@@ -205,3 +205,151 @@ class TestMemoryAccounting:
         repl_8 = footprint(SharedMemTechnique.FULL_REPLICATION, 8)
         lock_8 = footprint(SharedMemTechnique.CACHE_SENSITIVE_LOCKING, 8)
         assert repl_8 == 8 * lock_8
+
+
+# Every way an update can name a cell that is not there, on a 3 x 2 object.
+# The element cases use the last group, whose flat index runs off the lock
+# table too.
+BAD_UPDATES = [
+    pytest.param(lambda t: t.accumulate(-1, 0, 1.0), id="accumulate-group-negative"),
+    pytest.param(lambda t: t.accumulate(3, 0, 1.0), id="accumulate-group-past-end"),
+    pytest.param(lambda t: t.accumulate(2, 2, 1.0), id="accumulate-elem-past-end"),
+    pytest.param(lambda t: t.accumulate(2, -1, 1.0), id="accumulate-elem-negative"),
+    pytest.param(lambda t: t.accumulate_group(-1, np.ones(2)), id="group-group-negative"),
+    pytest.param(lambda t: t.accumulate_group(3, np.ones(2)), id="group-group-past-end"),
+    pytest.param(lambda t: t.accumulate_group(2, np.ones(3)), id="group-wrong-length"),
+    pytest.param(
+        lambda t: t.accumulate_batch(np.array([0, -1]), np.array([0, 0]), 1.0),
+        id="batch-group-negative",
+    ),
+    pytest.param(
+        lambda t: t.accumulate_batch(np.array([0, 3]), np.array([0, 0]), 1.0),
+        id="batch-group-past-end",
+    ),
+    pytest.param(
+        lambda t: t.accumulate_batch(np.array([0, 2]), np.array([0, 2]), 1.0),
+        id="batch-elem-past-end",
+    ),
+    pytest.param(
+        lambda t: t.accumulate_batch(np.array([0, 2]), np.array([0, -1]), 1.0),
+        id="batch-elem-negative",
+    ),
+]
+
+
+class TestOneRefusal:
+    """A bad cell is the reduction object's to refuse: every technique says
+    what a bare object says and has stored, flagged, counted and locked
+    nothing when it does."""
+
+    @pytest.mark.parametrize("update", BAD_UPDATES)
+    @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+    def test_bad_cell_refused_alike(self, technique, update):
+        with pytest.raises(ReductionObjectError) as bare:
+            update(make_ro(groups=3, elems=2))
+        ro = make_ro(groups=3, elems=2)
+        acc = SharedMemManager(technique).setup(ro, 2)[1]
+        acc.accumulate(1, 1, 5.0)
+
+        def state():
+            return (
+                acc.ro.snapshot().tolist(), ro.snapshot().tolist(),
+                acc.ro.touched_groups(), acc.ro.update_count,
+                acc.stats.lock_acquisitions,
+            )
+
+        before = state()
+        with pytest.raises(ReductionObjectError) as refused:
+            update(acc)
+        assert str(refused.value) == str(bare.value)
+        assert state() == before
+
+
+LOCKING = [t for t in ALL_TECHNIQUES if "locking" in t.value]
+
+
+class TestLaneTargets:
+    """What a lane's native kernel stores into, and how it gets committed."""
+
+    @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+    def test_direct_store_is_total(self, technique):
+        for acc in SharedMemManager(technique).setup(make_ro(), 2):
+            # two classes: the lane that shares its target, the lane that owns it
+            assert type(acc) is (
+                LockingAccessor if technique in LOCKING else ReplicatedAccessor
+            )
+            store = acc.direct_store()
+            assert isinstance(store, DirectStore)
+            assert acc.direct_store() is store, "call state is keyed on it"
+
+    def test_colored_lane_views_the_shared_elements_only(self):
+        ro = make_ro()
+        base = ro.direct_store()
+        lanes = SharedMemManager(SharedMemTechnique.COLORED).setup(ro, 2)
+        for acc in lanes:
+            store = acc.direct_store()
+            assert np.shares_memory(store.elements, base.elements)
+            assert not np.shares_memory(store.touched, base.touched)
+        assert not np.shares_memory(
+            lanes[0].direct_store().touched, lanes[1].direct_store().touched
+        )
+        # an identity-valued update leaves only the flag and the count, and
+        # those are the lane's until finish()
+        lanes[0].accumulate(1, 2, 0.0)
+        assert lanes[0].ro.touched_groups() == {1} and lanes[0].ro.update_count == 1
+        assert lanes[1].ro.touched_groups() == frozenset()
+        assert ro.touched_groups() == frozenset() and ro.update_count == 0
+        lanes[0].accumulate(1, 2, 4.0)
+        assert ro.get(1, 2) == lanes[1].ro.get(1, 2) == 4.0
+
+    def test_colored_finish_folds_each_lane_once(self):
+        ro = make_ro(groups=4, elems=2)
+        mgr = SharedMemManager(SharedMemTechnique.COLORED)
+        lanes = mgr.setup(ro, 3)
+        lanes[0].accumulate(0, 0, 1.0)
+        lanes[0].accumulate_group(1, np.ones(2))
+        lanes[1].accumulate_batch(np.array([2, 2, 2]), np.array([0, 1, 1]), 1.0)
+        lanes[2].direct_store().elements[6] += 1.0  # what a C kernel does,
+        lanes[2].direct_store().touched[3] = 1  # reported afterwards
+        lanes[2].note_updates(1)
+        counts = [acc.ro.update_count for acc in lanes]
+        assert counts == [3, 3, 1]
+        combined, stats, lc = mgr.finish(ro, lanes)
+        assert combined is ro and lc.strategy == "in_place"
+        assert ro.update_count == sum(counts)
+        assert ro.touched_groups() == frozenset().union(
+            *(acc.ro.touched_groups() for acc in lanes)
+        ) == {0, 1, 2, 3}
+        assert ro.snapshot().tolist() == [1, 0, 1, 1, 1, 2, 1, 0]
+        assert stats.lock_acquisitions == 0 and stats.ro_memory_bytes == ro.nbytes
+
+    @pytest.mark.parametrize("technique", LOCKING)
+    def test_locking_lane_commits_its_store_under_locks(self, technique):
+        """The native commit: a kernel fills the lane's scratch store, and
+        ``note_updates`` merges the flagged groups under their covering
+        locks.  Lock counts pinned at PR 19, where ``native.py`` ran the
+        same statements itself: 3 + 3 element locks, or line 0 + lines 0-1.
+        """
+        ro = make_ro(groups=4, elems=3)
+        acc, other = SharedMemManager(technique).setup(ro, 2)
+        for _ in range(2):  # the scratch is reset, so a second call adds the same
+            store = acc.direct_store()
+            assert not np.shares_memory(store.elements, ro.direct_store().elements)
+            assert not store.touched.any() and not store.elements.any()
+            store.elements[3:9] += np.arange(1.0, 7.0)  # groups 1 and 2
+            store.touched[[1, 2]] = 1
+            acc.note_updates(6)
+        assert ro.snapshot().tolist() == [0, 0, 0, 2, 4, 6, 8, 10, 12, 0, 0, 0]
+        assert ro.touched_groups() == {1, 2} and ro.update_count == 12
+        per_call = 3 if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING else 6
+        assert acc.stats.lock_acquisitions == 2 * per_call
+        assert other.stats.lock_acquisitions == 0
+        assert other.direct_store() is not acc.direct_store(), "lane-private"
+
+    @pytest.mark.parametrize("technique", LOCKING)
+    def test_locking_lane_with_nothing_stored_takes_no_lock(self, technique):
+        ro = make_ro()
+        acc = SharedMemManager(technique).setup(ro, 1)[0]
+        acc.direct_store()
+        acc.note_updates(0)
+        assert acc.stats.lock_acquisitions == 0 and ro.update_count == 0
