@@ -5,12 +5,14 @@ the same four-version workloads for real — actual threads, actual kernels —
 at a configurable scale, and reports measured seconds.
 
 Interpretation caveat, documented here because it is where users will trip:
-the compiled kernels are interpreted Python, so the GIL serializes them and
-real thread-scaling is poor *by construction of the host language*, while
+:func:`run_figure_real` builds its runners with the default
+``backend="scalar"``, whose compiled kernels are interpreted Python, so the
+GIL serializes them and real thread-scaling is poor *on that tier*, while
 the ``manual`` version's numpy kernels release the GIL in C loops and scale
-somewhat.  This is precisely why EXPERIMENTS.md uses the counter+simulator
-method for the paper's figures; the real mode exists for sanity (the
-workloads run, results verify) and for benchmarking this library itself.
+somewhat.  This is why EXPERIMENTS.md uses the counter+simulator method for
+the paper's figures; the real mode exists for sanity (the workloads run,
+results verify).  The native tier, whose kernels release the GIL, is timed
+by ``benchmarks/suite`` (``freeride.threads_speedup``), not here.
 """
 
 from __future__ import annotations

@@ -691,36 +691,6 @@ class ReductionObject:
         """Read one bit of the explicit touched bitmap."""
         return bool(self._touched[self._meta(group).group_id])
 
-    def retract_from(self, other: "ReductionObject") -> None:
-        """Undo another copy's contributions (inverse of :meth:`merge_from`).
-
-        Only groups with an invertible op (see
-        :data:`INVERTIBLE_ACCUMULATE_OPS`) can be retracted; a min/max
-        group that ``other`` touched raises, because the information needed
-        to undo the update is gone — the delta executor re-reduces those
-        groups from the surviving elements instead.  ``other.update_count``
-        is subtracted, mirroring the merge.
-        """
-        if not self.same_layout(other):
-            raise ReductionObjectError(
-                "cannot retract reduction objects with different layouts"
-            )
-        tables = self._tables()
-        stuck = [
-            g for g in sorted(other.touched_groups())
-            if tables.ops[g] not in INVERTIBLE_ACCUMULATE_OPS
-        ]
-        if stuck:
-            raise ReductionObjectError(
-                f"group {stuck[0]} uses non-invertible op "
-                f"{tables.ops[stuck[0]]!r}: cannot retract, re-reduce the group instead"
-            )
-        for op, elems in tables.runs:
-            if op in INVERTIBLE_ACCUMULATE_OPS:
-                mine = self._buffer[elems]
-                _RETRACT_UFUNC[op](mine, other._buffer[elems], out=mine)
-        self.update_count -= other.update_count
-
     def retract_group(self, group: int, other: "ReductionObject") -> None:
         """Undo one group's contributions (inverse of :meth:`merge_group_from`).
 

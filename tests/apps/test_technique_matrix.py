@@ -1,6 +1,6 @@
 """Technique-equivalence matrix: every app x technique x executor.
 
-All five paper apps must produce identical results under full replication,
+All six apps must produce identical results under full replication,
 cache-sensitive locking, colored waves and auto selection, on both the
 serial and thread executors.  Inputs are integer-valued so compiled
 accumulations are exact and the comparison is strict equality (EM's
@@ -20,6 +20,7 @@ from repro.apps.em import EmRunner
 from repro.apps.histogram import HistogramRunner
 from repro.apps.kmeans import KmeansRunner
 from repro.apps.pca import PcaRunner
+from repro.apps.windowed import WindowedRunner
 from repro.freeride.sharedmem import SharedMemTechnique
 
 TECHNIQUES = ("full_replication", "cache_sensitive_locking", "colored", "auto")
@@ -38,9 +39,12 @@ EM_POINTS = np.vstack(
 )
 BASKETS = generate_transactions(120, 10, seed=3)
 HIST_DATA = (np.arange(500, dtype=np.float64) * 7) % 64
+WINDOW, NUM_WINDOWS = 32, 8
+WINDOWED_SCALE = [1.0, 2.0, 3.0, 4.0]
+WINDOWED_DATA = (np.arange(WINDOW * NUM_WINDOWS, dtype=np.float64) // 3) % 8
 
 
-def check_stats(stats, technique, num_threads=2):
+def check_stats(stats, technique, num_threads=2, min_wave_width=1):
     """Self-consistency of one run's RunStats for the requested technique."""
     assert stats is not None
     assert stats.technique is stats.technique_effective
@@ -55,6 +59,10 @@ def check_stats(stats, technique, num_threads=2):
         assert stats.sharedmem.lock_acquisitions == 0
         assert stats.coloring is not None
         assert stats.coloring["source"] == "compiler"
+        # a position-dependent group (windowed) must color into parallel
+        # waves: the guard against the split-parametric effect analysis
+        # regressing to whole-run intervals, which serialize every split
+        assert stats.coloring["max_wave_width"] >= min_wave_width
         # single shared RO beats replication's per-thread copies
         assert stats.sharedmem.ro_memory_bytes == ro_bytes
         assert stats.sharedmem.ro_memory_bytes < ro_bytes * num_threads
@@ -144,3 +152,16 @@ class TestTechniqueMatrix:
         assert np.array_equal(base.counts, out.counts)
         assert np.array_equal(base.sums, out.sums)
         check_stats(stats, technique)
+
+    def test_windowed(self, technique, executor):
+        args = (WINDOW, NUM_WINDOWS, WINDOWED_SCALE, 0.0, 8.0)
+        with WindowedRunner(
+            *args, num_threads=2, executor=executor, technique=technique
+        ) as runner:
+            out = runner.run(WINDOWED_DATA)
+            stats = runner.last_run_stats
+        with WindowedRunner(*args) as base_runner:
+            base = base_runner.run(WINDOWED_DATA)
+        assert np.array_equal(base.counts, out.counts)
+        assert np.array_equal(base.sums, out.sums)
+        check_stats(stats, technique, min_wave_width=2)

@@ -249,11 +249,12 @@ class TestLayoutTables:
 
         adds = ReductionObject.from_layout(self.LAYOUT)
         adds.accumulate_group(4, np.ones(4))
-        a.retract_from(adds)
+        a.retract_group(4, adds)
         expected[8:] -= 1.0
         assert np.array_equal(a.snapshot(), expected)
+        assert a.update_count == 24  # the delta commit accounts for updates
         with pytest.raises(ReductionObjectError, match="group 2 uses non-invertible"):
-            a.retract_from(b)
+            a.retract_group(2, b)
         assert np.array_equal(a.snapshot(), expected)  # refused before mutating
 
     def test_touched_groups_unions_flags_and_values(self):
