@@ -25,7 +25,6 @@ from repro.compiler.cache import (
     clear_kernel_cache,
     compile_cached,
     kernel_cache_stats,
-    plan_fingerprint,
 )
 from repro.compiler.exprreduce import ReduceExprJob, compile_reduce_expr
 from repro.compiler.interp import interpret_accumulate, interpret_over
@@ -98,7 +97,6 @@ __all__ = [
     "compile_cached",
     "clear_kernel_cache",
     "kernel_cache_stats",
-    "plan_fingerprint",
     "interpret_accumulate",
     "interpret_over",
     "compile_reduce_expr",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -49,16 +49,20 @@ from repro.compiler.passes import (
     plan_compilation,
 )
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.spec import KernelSpec, ReductionArgs, ReductionSpec
+from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
 from repro.obs.tracer import get_tracer
 from repro.util.errors import CompilerError
 from repro.util.logging import get_logger
 
+if TYPE_CHECKING:
+    from repro.compiler.cache import CompileRequest
+
 __all__ = [
     "CompiledReduction",
     "BoundReduction",
     "compile_reduction",
+    "compile_request",
     "BACKENDS",
 ]
 
@@ -141,7 +145,9 @@ class CompiledReduction:
     plan: CompilationPlan
     python_source: str
     kernel: Callable
-    backend: str = "scalar"
+    #: what this was compiled from: its identity in the kernel cache and the
+    #: profile store, and what a worker process compiles to get the same kernel
+    request: "CompileRequest"
     #: flow-sensitive bounds on the group index of every RO update site
     #: (:func:`repro.compiler.groupbounds.analyze_group_bounds`); the
     #: engine's split coloring consumes this via the spec
@@ -155,30 +161,15 @@ class CompiledReduction:
     native_source: str | None = None
     native_kernel: Callable | None = None
     native_fallback_reason: str | None = None
-    #: the compilation request this object came from (source program,
-    #: constants, class name) — what a worker process needs to rebuild the
-    #: identical kernel through its own process-wide cache
-    origin_source: Any = field(default=None, repr=False)
-    origin_constants: dict[str, Any] | None = field(default=None, repr=False)
-    origin_class_name: str | None = field(default=None, repr=False)
-    _origin_digest: str | None = field(default=None, repr=False)
 
     @property
     def opt_level(self) -> int:
         return self.plan.opt_level
 
     @property
-    def origin_digest(self) -> str | None:
-        """Stable digest of the origin request (None without origin info)."""
-        if self.origin_source is None:
-            return None
-        if self._origin_digest is None:
-            from repro.compiler.cache import program_digest
-
-            self._origin_digest = program_digest(
-                self.origin_source, self.origin_constants or {}, self.origin_class_name
-            )
-        return self._origin_digest
+    def backend(self) -> str:
+        """The *requested* tier; :attr:`effective_backend` is what runs."""
+        return self.request.backend
 
     @property
     def effective_kernel(self) -> Callable:
@@ -353,6 +344,10 @@ class BoundReduction:
     #: parent's epoch moved (one small pickle per k-means iteration, not per
     #: split)
     extras_epoch: int = 0
+    #: shared-memory publication key.  ``None``: the content-addressed cache
+    #: (one segment per distinct buffer); ``run_baseline`` sets a delta
+    #: session's, so each delta ships only its tail into one growable segment
+    shm_session: str | None = None
 
     def update_extras(self, extras: dict[str, Any]) -> None:
         """(Re)bind extra values — e.g. new centroids each k-means iteration.
@@ -535,8 +530,7 @@ class BoundReduction:
 
         ``delta_range`` marks the spec as a delta pass over the appended
         element range ``[start, end)``: the returned engine data covers
-        only that range and the range is recorded on the
-        :class:`~repro.freeride.spec.KernelSpec` so the process executor
+        only that range, and the spec records it so the process executor
         can republish only the tail of the shared dataset segment.
         """
         kernel = self.compiled.effective_kernel
@@ -557,40 +551,14 @@ class BoundReduction:
                 return
             kernel(indices[0], indices[-1] + 1, args.ro, env, counters)
 
-        comp = self.compiled
-        kernel_spec = None
-        if comp.origin_source is not None:
-            # The picklable twin of this spec: everything a worker process
-            # needs to recompile the kernel (through its own cache) and bind
-            # it against the shared-memory dataset, plus parent-side handles
-            # (this binding, its live counter ledger) the engine reads when a
-            # run starts.
-            kernel_spec = KernelSpec(
-                digest=comp.origin_digest,
-                source=comp.origin_source,
-                constants=dict(comp.origin_constants or {}),
-                opt_level=comp.opt_level,
-                backend=comp.backend,
-                class_name=comp.origin_class_name,
-                ro_layout=tuple((int(n), str(op)) for n, op in layout),
-                effective_backend=comp.effective_backend,
-                native_disk_hit=(
-                    not comp.native_kernel.native.compiled
-                    if comp.native_kernel is not None
-                    else None
-                ),
-                delta_range=delta_range,
-                bound=self,
-                counters=counters,
-            )
-
         spec = ReductionSpec(
             name=f"{self.compiled.name}-{self.compiled.version_name}",
             setup_reduction_object=setup,
             reduction=reduction,
             finalize=finalize,
-            kernel_spec=kernel_spec,
-            group_bounds=comp.group_bounds,
+            bound=self,
+            delta_range=delta_range,
+            group_bounds=self.compiled.group_bounds,
             reduce_ranges=self.reduce_ranges,
             ranges_in_one_call=hasattr(kernel, "ranges"),
         )
@@ -630,8 +598,18 @@ def compile_reduction(
     vs. effective backend.  The one kernel runs under every shared-memory
     technique: how updates are synchronized is the accessor's business.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    from repro.compiler.cache import CompileRequest  # cache.py imports this module
+
+    return compile_request(
+        CompileRequest(source, constants, class_name, opt_level, backend)
+    )
+
+
+def compile_request(request: "CompileRequest") -> CompiledReduction:
+    """The pipeline behind :func:`compile_reduction` (and, on a miss,
+    ``compile_cached``): parse → lower → plan → emit → ``cc``."""
+    source, constants = request.source, request.constants
+    opt_level, backend = request.opt_level, request.backend
     tracer = get_tracer()
     with tracer.span(
         "compile", cat="compiler", opt_level=opt_level, backend=backend
@@ -639,7 +617,7 @@ def compile_reduction(
         with tracer.span("parse", cat="compiler"):
             program = parse_program(source) if isinstance(source, str) else source
         with tracer.span("lower", cat="compiler"):
-            lowered = lower_reduction(program, constants, class_name)
+            lowered = lower_reduction(program, constants, request.class_name)
         compile_span.set(reduction=lowered.name)
         with tracer.span("plan", cat="compiler", reduction=lowered.name):
             plan = plan_compilation(lowered, opt_level)
@@ -765,27 +743,12 @@ def compile_reduction(
                         },
                     )
 
-    effective = (
-        "native"
-        if native_kernel is not None
-        else ("batch" if batch_kernel is not None else "scalar")
-    )
-    tracer.event(
-        "kernel_backend",
-        cat="compiler",
-        reduction=lowered.name,
-        opt_level=opt_level,
-        requested=backend,
-        effective=effective,
-        reason=native_fallback_reason or batch_fallback_reason,
-    )
-
-    return CompiledReduction(
+    compiled = CompiledReduction(
         lowered=lowered,
         plan=plan,
         python_source=python_source,
         kernel=namespace["_kernel"],
-        backend=backend,
+        request=request,
         group_bounds=group_bounds,
         batch_source=batch_source,
         batch_kernel=batch_kernel,
@@ -793,7 +756,14 @@ def compile_reduction(
         native_source=native_source,
         native_kernel=native_kernel,
         native_fallback_reason=native_fallback_reason,
-        origin_source=source,
-        origin_constants=dict(constants),
-        origin_class_name=class_name,
     )
+    tracer.event(
+        "kernel_backend",
+        cat="compiler",
+        reduction=lowered.name,
+        opt_level=opt_level,
+        requested=backend,
+        effective=compiled.effective_backend,
+        reason=native_fallback_reason or batch_fallback_reason,
+    )
+    return compiled

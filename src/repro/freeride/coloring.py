@@ -48,7 +48,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.compiler.groupbounds import GroupBounds
 from repro.freeride.splitter import Split
 
 __all__ = ["SplitColoring", "resolve_group_sets", "color_splits"]
@@ -123,7 +122,7 @@ def resolve_group_sets(
             sets.append(gs)
         else:
             return sets, "spec_hook"
-    elif isinstance(hook, GroupBounds):
+    elif hasattr(hook, "groups_for_range"):
         sets = []
         for split in splits:
             groups = hook.groups_for_range(split.start, split.end, num_groups)

@@ -339,8 +339,6 @@ class DeltaSession:
     checkpoints: ROCheckpoint
     #: produces the session's result value from the committed object
     finalize: Any = None
-    #: stable key for shared-memory tail republish (process executor)
-    shm_key: str | None = None
     #: total logical positions, including tombstoned (retracted) ones
     n_elements: int = field(init=False)
     #: liveness bitmap over ``[0, n_elements)`` — a view of a
@@ -384,12 +382,9 @@ class DeltaSession:
         """``(spec, data)`` over the dataset as it is now — all of it, or
         the appended ``delta_range`` — with no finalize: the session's own
         runs once, on the committed object."""
-        spec, data = self.source.make_spec(
+        return self.source.make_spec(
             self.ro.layout(), finalize=None, delta_range=delta_range
         )
-        if self.shm_key is not None and spec.kernel_spec is not None:
-            spec.kernel_spec.shm_session = self.shm_key
-        return spec, data
 
     def apply(
         self,

@@ -489,10 +489,8 @@ def _absorb(ctx: RunContext, res: "dict[str, Any]") -> None:
     """Fold a worker result's side channels into the run: the kernel's
     operation counters, split durations for the profile record, and the
     worker's trace records."""
-    kspec = ctx.spec.kernel_spec
     with ctx.lock:  # attempt lanes absorb concurrently
-        if kspec is not None and kspec.counters is not None:
-            kspec.counters.add(res["counters"])
+        ctx.spec.bound.counters.add(res["counters"])
         if ctx.worker_durations is not None:
             # one RunProfile per engine run: every worker's durations fold in
             ctx.worker_durations.extend(res["durations"])
@@ -615,7 +613,7 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         from repro.freeride import procexec
 
         payload = procexec.task_payload(
-            ctx.spec.kernel_spec, engine._res.segments,
+            ctx.spec, ctx.base_ro.layout(), engine._res.segments,
             ctx.tracer.epoch if ctx.tracer.enabled else None, ctx.node,
         )
         attempt_fn = partial(_attempt_remote, engine._get_process_pool(), payload)

@@ -18,8 +18,9 @@ plan, and ``execute`` builds its context from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
+from repro.freeride.coloring import SplitColoring, color_splits, resolve_group_sets
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.freeride.spec import ReductionSpec
@@ -32,9 +33,6 @@ from repro.freeride.splitter import (
 )
 from repro.obs.profilestore import ProfileKey, ProfileStore
 from repro.util.errors import SplitterError
-
-if TYPE_CHECKING:
-    from repro.freeride.coloring import SplitColoring
 
 __all__ = [
     "ExecutionPlan",
@@ -102,10 +100,6 @@ def _color(
 ) -> Any:
     """One tier's wave schedule, or ``None`` if its group sets are inexact:
     the static tiers of ``spec``, or (``spec=None``) the profiled map alone."""
-    # imported lazily: coloring pulls in the compiler's bounds analysis,
-    # and the freeride package must stay importable without the compiler
-    from repro.freeride.coloring import color_splits, resolve_group_sets
-
     group_sets, source = resolve_group_sets(spec, splits, num_groups, profiled)
     return color_splits(group_sets, source=source) if group_sets is not None else None
 
@@ -219,9 +213,10 @@ def plan_node(
     key = profiled = history = None
     consulted = False  # was the store read for this request
     if store is not None:
-        kspec = spec.kernel_spec
+        bound = spec.bound
         key = ProfileKey.of(
-            kspec.digest if kspec is not None else None, splits, num_threads
+            bound.compiled.request.digest if bound is not None else None,
+            splits, num_threads,
         )
         if key.digest is not None and (auto or technique is _COLORED):
             consulted = True

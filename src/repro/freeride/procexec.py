@@ -3,18 +3,17 @@
 The process executor extends FREERIDE's full-replication technique across
 address spaces: the parent publishes the linearized dataset into a POSIX
 shared-memory segment once per engine, and every task shipped to a worker is
-just a compact picklable payload — the kernel's
-:class:`~repro.freeride.spec.KernelSpec` fields plus ``(segment name,
+just a compact picklable payload — the kernel's compile request
+(:class:`~repro.compiler.cache.CompileRequest`) plus ``(segment name,
 nbytes)`` and ``(split_id, start, stop)`` descriptors.  Nothing element-sized
 ever crosses the process boundary.
 
 Workers keep two process-local caches:
 
-* the ordinary process-wide kernel cache
-  (:func:`repro.compiler.cache.compile_for_digest`): each worker recompiles a
-  program once, on its first task for that digest;
-* a bound-kernel cache keyed by ``(digest, opt level, backend, data
-  segment)``: the shared dataset is attached and bound once, and extras
+* the ordinary process-wide kernel cache (``request.compile()``): each
+  worker compiles a request once, on its first task carrying it;
+* a bound-kernel cache keyed by ``(request.key, data segment)``: the
+  shared dataset is attached and bound once, and extras
   (e.g. k-means centroids) are re-bound only when the parent's
   ``extras_epoch`` moved — one small re-linearization per outer-loop
   iteration, exactly like the in-process executors.
@@ -51,7 +50,7 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from repro.freeride.sharedmem import (
     attach_shm_segment,
     close_shm_segment,
 )
-from repro.freeride.spec import KernelSpec
+from repro.freeride.spec import ReductionSpec
 from repro.machine.counters import OpCounters
 from repro.obs.tracer import Event, Span, Tracer
 from repro.util.errors import FaultToleranceError, FreerideError
@@ -110,7 +109,8 @@ def create_process_pool(max_workers: int) -> ProcessPoolExecutor:
 
 
 def task_payload(
-    kspec: KernelSpec | None,
+    spec: ReductionSpec,
+    ro_layout: "Sequence[tuple[int, str]]",
     segments: SharedBufferCache,
     trace_epoch: float | None,
     node: int,
@@ -119,47 +119,42 @@ def task_payload(
 
     Publishes the spec's linearized dataset into the engine's
     shared-memory segment cache (a no-op after the first run over the
-    same buffer) and flattens the :class:`~repro.freeride.spec.KernelSpec`
-    into plain dict fields — workers receive segment *names*, never
-    element data.
+    same buffer) and describes the spec's binding in plain fields: the
+    compile request, segment *names* — never element data — and the
+    extras.
     """
-    if kspec is None:
+    bound = spec.bound
+    if bound is None:
         raise FreerideError(
             "the process executor requires a compiled reduction: build "
             "the spec with BoundReduction.make_spec (a hand-written "
             "ReductionSpec closure cannot be shipped to worker processes)"
         )
     # the binding as it is now, not as it was when the spec was made
-    bound = kspec.bound
     data_raw, n_elements = bound.data_buf.raw, bound.n_elements
-    if kspec.shm_session is not None:
+    if bound.shm_session is not None:
         # delta sessions publish into one growable session segment —
         # a delta pass ships only the appended tail's bytes.  The
         # trusted prefix ends where the delta range starts, so bytes a
         # rolled-back batch left behind are rewritten, not reused.
         valid_prefix = None
-        if kspec.delta_range is not None and n_elements:
+        if spec.delta_range is not None and n_elements:
             elem_size = len(data_raw) // n_elements
-            valid_prefix = kspec.delta_range[0] * elem_size
+            valid_prefix = spec.delta_range[0] * elem_size
         name, nbytes = segments.publish_session(
-            kspec.shm_session, data_raw, valid_prefix=valid_prefix
+            bound.shm_session, data_raw, valid_prefix=valid_prefix
         )
     else:
         name, nbytes = segments.publish(data_raw)
     return {
-        "digest": kspec.digest,
-        "source": kspec.source,
-        "constants": kspec.constants,
-        "opt_level": kspec.opt_level,
-        "backend": kspec.backend,
-        "class_name": kspec.class_name,
+        "request": bound.compiled.request,
         "data_shm": name,
         "data_nbytes": nbytes,
         "dataset_type": bound.data_buf.typ,
         "n_elements": n_elements,
         "extras": bound.extras_values,
         "extras_epoch": bound.extras_epoch,
-        "ro_layout": list(kspec.ro_layout),
+        "ro_layout": list(ro_layout),
         "trace_epoch": trace_epoch,
         "node": node,
     }
@@ -204,7 +199,7 @@ def split_task_outcome(
 # every platform with POSIX shared memory.
 
 _DATA_SEGMENTS: dict[str, tuple[Any, np.ndarray]] = {}
-_BOUND_CACHE: dict[tuple[str, int, str, str], list[Any]] = {}
+_BOUND_CACHE: dict[tuple[tuple[str, int, str], str], list[Any]] = {}
 
 
 def _attached_raw(name: str, nbytes: int) -> np.ndarray:
@@ -231,24 +226,17 @@ def _bound_for(task: dict[str, Any]):
     """The task's kernel, bound against the shared dataset (cached)."""
     # Imported here, not at module top: the freeride package must stay
     # importable without pulling in the compiler (layering), and only
-    # process-mode workers ever reach this path.
-    from repro.compiler.cache import compile_for_digest
+    # process-mode workers ever reach this path (the request in the task
+    # brought ``repro.compiler.cache`` with it when it was unpickled).
     from repro.compiler.linearize import LinearizedBuffer
 
-    key = (task["digest"], task["opt_level"], task["backend"], task["data_shm"])
+    key = (task["request"].key, task["data_shm"])
     entry = _BOUND_CACHE.get(key)
     if entry is None or entry[2] != task["n_elements"]:
         # first task for this program+segment, or the dataset grew in
         # place (delta session): re-take the view and re-bind.  The
         # compile itself still hits the process-wide kernel cache.
-        compiled = compile_for_digest(
-            task["digest"],
-            task["source"],
-            task["constants"],
-            opt_level=task["opt_level"],
-            class_name=task["class_name"],
-            backend=task["backend"],
-        )
+        compiled = task["request"].compile()
         raw = _attached_raw(task["data_shm"], task["data_nbytes"])
         buf = LinearizedBuffer(typ=task["dataset_type"], raw=raw)
         bound = compiled.bind(buf, task["extras"], n_elements=task["n_elements"])

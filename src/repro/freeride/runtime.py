@@ -145,13 +145,6 @@ class RunStats:
     splits_per_thread: list[int] = field(default_factory=list)
     ro_updates: int = 0
     ro_size: int = 0
-    #: compiled-kernel cache hits observed *during this run* (the delta of
-    #: :func:`repro.compiler.cache.kernel_cache_stats` across the run, so
-    #: back-to-back runs never inherit each other's hits)
-    kernel_cache_hits: int = 0
-    #: LRU evictions from the bounded in-memory kernel cache during this
-    #: run (same per-run delta convention as :attr:`kernel_cache_hits`)
-    kernel_cache_evictions: int = 0
     #: :meth:`repro.obs.MetricsRegistry.snapshot` of the run's metrics
     #: (split-duration histograms, RO contention, ...); empty when tracing
     #: is disabled — the metrics pipeline lives off the hot path
@@ -435,14 +428,9 @@ class FreerideEngine:
         tracer = self.tracer if self.tracer is not None else get_tracer()
         metrics = MetricsRegistry() if tracer.enabled else None
         timer = PhaseTimer()
-        kspec = spec.kernel_spec
+        bound = spec.bound
         wall_start = time.perf_counter()
         stats = self._new_stats()
-        # imported lazily: the compiler package imports freeride, not vice versa
-        from repro.compiler.cache import kernel_cache_stats
-
-        cache_stats_before = kernel_cache_stats()
-
         with tracer.span(
             "engine.run",
             cat="engine",
@@ -451,7 +439,7 @@ class FreerideEngine:
             num_threads=self.num_threads,
             num_nodes=self.num_nodes,
             technique=self.technique_requested,
-            digest=kspec.digest if kspec is not None else None,
+            digest=bound.compiled.request.digest if bound is not None else None,
         ) as run_span:
             # one node is the one-block case: its block is the data itself
             blocks = (
@@ -486,20 +474,12 @@ class FreerideEngine:
 
             stats.ro_updates = ro.update_count
             stats.ro_size = ro.size
-            cache_stats_after = kernel_cache_stats()
-            stats.kernel_cache_hits = (
-                cache_stats_after["hits"] - cache_stats_before["hits"]
-            )
-            stats.kernel_cache_evictions = (
-                cache_stats_after["evictions"] - cache_stats_before["evictions"]
-            )
 
             with timer.phase("finalize"), tracer.span("finalize", cat="phase"):
                 value: Any = spec.finalize(ro) if spec.finalize is not None else ro
             run_span.set(
                 total_elements=stats.total_elements,
                 ro_updates=stats.ro_updates,
-                kernel_cache_hits=stats.kernel_cache_hits,
                 technique_effective=stats.technique_effective.value,
             )
 
@@ -617,26 +597,23 @@ class FreerideEngine:
                 raise FreerideError("run_baseline(bound=...) requires ro_layout=")
             source: Any = bound
             layout = [(int(n), str(op)) for n, op in ro_layout]
-            key = f"delta-session-{next(_DELTA_SESSION_IDS)}"
+            # session-keyed from the start, so the very first delta's
+            # shared-memory publish is already tail-only
+            bound.shm_session = f"delta-session-{next(_DELTA_SESSION_IDS)}"
             spec, data = bound.make_spec(layout, finalize=finalize)
-            if spec.kernel_spec is not None:
-                # session-keyed from the start, so the very first delta's
-                # shared-memory publish is already tail-only
-                spec.kernel_spec.shm_session = key
         elif spec is None or data is None:
             raise FreerideError(
                 "run_baseline requires either bound= and ro_layout= "
                 "(compiled) or spec and data (manual)"
             )
         else:
-            source, key, finalize = ManualDataset(spec, data), None, spec.finalize
+            source, finalize = ManualDataset(spec, data), spec.finalize
         result = self.run(spec, data)
         session = DeltaSession(
             ro=result.ro,
             source=source,
             checkpoints=ROCheckpoint(),
             finalize=finalize,
-            shm_key=key,
         )
         return result, session
 

@@ -23,61 +23,7 @@ from repro.freeride.sharedmem import ROAccessor
 from repro.freeride.splitter import Split
 from repro.util.errors import FreerideError
 
-__all__ = ["ReductionArgs", "ReductionSpec", "KernelSpec"]
-
-
-@dataclass
-class KernelSpec:
-    """A compact, picklable description of a compiled reduction kernel.
-
-    The ``"process"`` executor cannot ship a :class:`ReductionSpec` to
-    worker processes — its callables close over live numpy views and the
-    parent's environment.  Instead, ``BoundReduction.make_spec`` attaches
-    one of these: workers receive only the program (digest + source +
-    constants + version + backend), re-key it into their own process-wide
-    kernel cache (compiled once per worker on first miss), and rebind it
-    against the shared-memory copy of the linearized dataset.
-
-    ``bound`` and ``counters`` are *parent-side only* — the live
-    ``BoundReduction`` whose dataset buffer, element count and extras each
-    run's task payload is read from *when the run starts* (so a rebind
-    after ``make_spec`` reaches the workers, as it reaches the in-process
-    executors through the kernel's env), and its
-    :class:`~repro.machine.counters.OpCounters` ledger into which the
-    engine folds the per-split counter deltas workers ship back.  Neither
-    is ever pickled; the per-task payloads carry segment descriptors and
-    fresh counter objects instead.
-    """
-
-    digest: str
-    source: Any
-    constants: dict[str, Any]
-    opt_level: int
-    backend: str
-    class_name: str | None
-    ro_layout: tuple[tuple[int, str], ...]
-    #: the backend tier the compiled kernel actually dispatches to in the
-    #: parent after fallbacks (native/batch/scalar) — recorded into
-    #: persisted run profiles so history lookups can tell tiers apart
-    effective_backend: str = "scalar"
-    #: for native-tier kernels: True when the ``.so`` came from the on-disk
-    #: kernel cache, False when this process ran the C compiler; ``None``
-    #: for non-native tiers (also surfaced in persisted run profiles)
-    native_disk_hit: bool | None = None
-    #: for delta runs: the ``[start, end)`` element range this run covers —
-    #: the appended tail of an incrementally grown dataset.  ``None`` for
-    #: ordinary full runs.  All kernel tiers already take ``(_start,
-    #: _end)``, so executors run delta ranges unmodified; the engine uses
-    #: this to split only the range and to republish only the tail of the
-    #: shared-memory dataset segment.
-    delta_range: tuple[int, int] | None = None
-    #: stable session key for shared-memory publication.  ``None`` selects
-    #: the content-addressed cache (one segment per distinct buffer);
-    #: delta sessions set a key so the engine publishes into one growable
-    #: segment and ships only the appended tail on each delta run.
-    shm_session: str | None = None
-    bound: Any = field(repr=False, default=None)
-    counters: Any = field(repr=False, default=None)
+__all__ = ["ReductionArgs", "ReductionSpec"]
 
 
 @dataclass
@@ -131,18 +77,23 @@ class ReductionSpec:
     ``extras``
         read-only application state visible to the reduction function
         (e.g. the current centroids).  Must not be mutated during a run.
-    ``kernel_spec``
-        present only on specs built by ``BoundReduction.make_spec``: the
-        picklable :class:`KernelSpec` the ``"process"`` executor ships to
-        worker processes instead of the closures above.
+    ``bound``
+        the live binding, on specs built by ``BoundReduction.make_spec``
+        (``None`` on a hand-written spec).  The engine reads the kernel's
+        identity (``bound.compiled.request``) and counter ledger from it;
+        the ``"process"`` executor, which cannot ship the closures above,
+        builds each run's task payload from it *when the run starts*, so a
+        rebind after ``make_spec`` reaches the workers.
     ``group_bounds``
         how the COLORED technique learns which reduction-object groups each
-        split's updates can touch.  Either a callable
+        split's updates can touch.  Either a callable hook
         ``(split, num_groups) -> iterable of group ids | None`` for
-        reductions whose footprint varies per split, or a
-        :class:`~repro.compiler.groupbounds.GroupBounds` result attached by
-        the compiler (``BoundReduction.make_spec`` does this automatically).
-        ``None`` means unknown — the engine then falls back from colored.
+        reductions whose footprint varies per split, or an object with
+        ``groups_for_range(start, end, num_groups) -> frozenset | None``
+        and optionally ``alignment`` (split-boundary hint) and
+        ``blocks_reaching``/``evaluations`` (delta replay planner) — the
+        compiler's ``GroupBounds``, which ``make_spec`` attaches.  ``None``
+        means unknown — the engine then falls back from colored.
     ``reduce_ranges``
         ``reduce_ranges(starts, ends, ro)`` is the local reduction over the
         element ranges ``[starts[i], ends[i])`` (two int64 arrays of global
@@ -155,6 +106,10 @@ class ReductionSpec:
         interpreter (a native kernel: one GIL-released C call).  Direct,
         untraced lanes that own their target (replicas, colored cells) then
         pass whole batches of splits through it instead of looping over them.
+    ``delta_range``
+        for delta runs (else ``None``): the ``[start, end)`` element range
+        this run covers — the appended tail of an incrementally grown
+        dataset, the only part of the shared dataset segment republished.
     """
 
     name: str
@@ -163,10 +118,11 @@ class ReductionSpec:
     combination: Callable[[list[ReductionObject]], ReductionObject] | None = None
     finalize: Callable[[ReductionObject], Any] | None = None
     extras: dict[str, Any] = field(default_factory=dict)
-    kernel_spec: KernelSpec | None = None
+    bound: Any = None
     group_bounds: Any = None
     reduce_ranges: Callable[[np.ndarray, np.ndarray, ROAccessor], None] | None = None
     ranges_in_one_call: bool = False
+    delta_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.setup_reduction_object):
@@ -177,8 +133,6 @@ class ReductionSpec:
             raise FreerideError("combination must be callable or None")
         if self.finalize is not None and not callable(self.finalize):
             raise FreerideError("finalize must be callable or None")
-        if self.kernel_spec is not None and not isinstance(self.kernel_spec, KernelSpec):
-            raise FreerideError("kernel_spec must be a KernelSpec or None")
 
     def slice_ranges(
         self, data: Any

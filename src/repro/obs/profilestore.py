@@ -200,8 +200,6 @@ class RunProfile:
     # -- synchronization / caches / faults --------------------------------
     lock_acquisitions: int = 0
     lock_contention_mean: float | None = None
-    kernel_cache_hits: int = 0
-    kernel_cache_evictions: int = 0
     native_cache: dict[str, int] | None = None
     faults: dict[str, int] = field(default_factory=dict)
     # -- observed group footprints ----------------------------------------
@@ -466,7 +464,7 @@ def record_run(
     computation that already succeeded.
     """
     key: ProfileKey = plan.profile_key
-    kspec = spec.kernel_spec
+    compiled = spec.bound.compiled if spec.bound is not None else None
     ranges = key.ranges
     split_seconds = summarize_durations(durations) if durations else None
     hists = stats.metrics.get("histograms", {}) if stats.metrics else {}
@@ -490,11 +488,10 @@ def record_run(
             footprints = [[a, b, sorted(observed[(a, b)])] for a, b in ranges]
     decision = stats.technique_decision
     native_cache = None
-    if kspec is not None and kspec.native_disk_hit is not None:
-        native_cache = {
-            "hits": int(kspec.native_disk_hit),
-            "misses": int(not kspec.native_disk_hit),
-        }
+    if compiled is not None and compiled.native_kernel is not None:
+        # did this process run the C compiler, or find the ``.so`` on disk
+        built = compiled.native_kernel.native.compiled
+        native_cache = {"hits": int(not built), "misses": int(built)}
     profile = RunProfile(
         digest=key.digest,
         spec_name=spec.name,
@@ -502,9 +499,11 @@ def record_run(
         # nodes' shares make differ from the planned node's
         shape_class=shape_class(stats.total_elements, stats.num_threads),
         split_fingerprint=key.split_fingerprint if ranges else None,
-        opt_level=kspec.opt_level if kspec is not None else None,
-        backend=kspec.backend if kspec is not None else None,
-        effective_backend=kspec.effective_backend if kspec is not None else None,
+        opt_level=compiled.opt_level if compiled is not None else None,
+        backend=compiled.backend if compiled is not None else None,
+        effective_backend=(
+            compiled.effective_backend if compiled is not None else None
+        ),
         executor=stats.executor,
         workers=stats.num_threads,
         num_nodes=stats.num_nodes,
@@ -530,8 +529,6 @@ def record_run(
         lock_contention_mean=(
             contention["mean"] if contention and contention.get("count") else None
         ),
-        kernel_cache_hits=stats.kernel_cache_hits,
-        kernel_cache_evictions=stats.kernel_cache_evictions,
         native_cache=native_cache,
         faults={
             name: value

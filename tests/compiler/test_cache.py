@@ -1,16 +1,20 @@
 """Tests for the process-wide compiled-kernel cache."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.compiler.cache import (
+    CompileRequest,
     clear_kernel_cache,
     compile_cached,
     kernel_cache_stats,
-    plan_fingerprint,
     program_digest,
 )
 from repro.compiler.pipeline import compile_all_versions
+from repro.util.errors import CompilerError
 
 CONSTS = {"bins": 4, "lo": 0.0, "width": 0.25}
 
@@ -60,8 +64,6 @@ class TestCompileCached:
         """A kernel is no technique's variant: compiled once, the same
         object runs colored and replicated — synchronization is the
         accessor's business, not the emitted code's."""
-        import numpy as np
-
         from repro.freeride.runtime import FreerideEngine
 
         compiled = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch")
@@ -108,14 +110,71 @@ class TestDigests:
         d2 = program_digest(HISTOGRAM_CHAPEL_SOURCE, {**CONSTS, "lo": 1.0})
         assert d1 != d2
 
-    def test_plan_fingerprint_differs_across_levels(self):
-        a = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 0)
-        b = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2)
-        assert plan_fingerprint(a.plan) != plan_fingerprint(b.plan)
-
-    def test_plan_fingerprint_stable_for_same_plan(self):
+    def test_numpy_and_python_scalars_share_one_entry(self):
+        """Equal values are one request whatever type spelled them: one
+        kernel-cache entry, one profile-store key for the program."""
         a = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2)
-        assert plan_fingerprint(a.plan) == plan_fingerprint(a.plan)
+        b = compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE,
+            {"bins": np.int64(4), "lo": np.float64(0.0), "width": np.float32(0.25)},
+            2,
+        )
+        assert b is a
+        assert b.request.constants == CONSTS
+        assert all(type(v) in (int, float) for v in b.request.constants.values())
+        stats = kernel_cache_stats()
+        assert (stats["entries"], stats["misses"], stats["hits"]) == (1, 1, 1)
+
+    def test_array_constant_is_refused_before_any_cache_is_consulted(self):
+        """A digest must pin the value it stands for.  An array's text does
+        not (NumPy elides the middle of a long one, so these two would digest
+        equally and share a kernel), nor does an object's default repr."""
+        a = np.zeros(5000)
+        b = a.copy()
+        b[2500] = 1.0
+        for consts in ({**CONSTS, "w": a}, {**CONSTS, "w": b}, {"w": [1, object()]}):
+            with pytest.raises(CompilerError, match="constant 'w'"):
+                compile_cached(HISTOGRAM_CHAPEL_SOURCE, consts, 2)
+            with pytest.raises(CompilerError, match="constant 'w'"):
+                program_digest(HISTOGRAM_CHAPEL_SOURCE, consts)
+        assert kernel_cache_stats()["misses"] == 0
+
+    def test_request_is_one_picklable_value_with_one_key(self):
+        compiled = compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 2, backend="batch")
+        request = compiled.request
+        assert request == CompileRequest(
+            HISTOGRAM_CHAPEL_SOURCE, CONSTS, None, 2, "batch"
+        )
+        assert request.digest == program_digest(HISTOGRAM_CHAPEL_SOURCE, CONSTS)
+        assert request.key == (request.digest, 2, "batch")
+        assert (compiled.opt_level, compiled.backend) == (2, "batch")
+        shipped = pickle.loads(pickle.dumps(request))
+        assert shipped == request and shipped.key == request.key
+        assert shipped.compile() is compiled  # a worker's lookup: same entry
+        # nested sequences of scalars are values too, tuples and lists alike
+        nested = CompileRequest("x", {"shape": [np.int64(2), (3, 4.5)]})
+        assert nested.constants == {"shape": (2, (3, 4.5))}
+        assert nested.digest == program_digest("x", {"shape": (2, [3, 4.5])})
+
+    def test_app_kernel_digests_are_pinned(self):
+        """Profile stores are keyed on these: normalising the constants must
+        not move the digest of any request the apps make (values from the
+        parent commit's ``program_digest``)."""
+        from tests.compiler.test_native import APP_KERNELS
+
+        got = {
+            app: CompileRequest(source, constants).digest[:16]
+            for app, (source, constants) in APP_KERNELS.items()
+        }
+        assert got == {
+            "apriori": "dc3b4c184f3c15db",
+            "em": "971c593138b48043",
+            "histogram": "c25c6c43b23ce8fe",
+            "kmeans": "eb5110dad51d5002",
+            "pca_cov": "02aa83af071722d1",
+            "pca_mean": "0f004a3762c02b05",
+            "windowed": "2b295a04bd74f3ef",
+        }
 
 
 class TestPipelineIntegration:
@@ -135,42 +194,6 @@ class TestPipelineIntegration:
         with pytest.raises(ValueError, match="backend"):
             compile_all_versions(HISTOGRAM_CHAPEL_SOURCE, CONSTS, backend="gpu")
 
-    def test_run_stats_report_per_run_cache_hit_delta(self):
-        # kernel_cache_hits is the *delta* over one run() call: hits from
-        # runner construction (compile time) or earlier runs must not leak
-        # into a run that performed no compilation itself.
-        import numpy as np
-
-        from repro.apps.histogram import HistogramRunner
-
-        data = np.linspace(0.0, 1.0, 64)
-        HistogramRunner(4, 0.0, 1.0, version="opt-2").run(data)
-        result2 = HistogramRunner(4, 0.0, 1.0, version="opt-2")  # cache hit here
-        assert kernel_cache_stats()["hits"] >= 1
-        stats = result2.engine.run(*_spec_for(result2, data))
-        assert stats.stats.kernel_cache_hits == 0  # no compiles during the run
-
-    def test_run_stats_count_hits_during_the_run(self):
-        import numpy as np
-
-        from repro.freeride.runtime import FreerideEngine
-        from repro.freeride.spec import ReductionSpec
-
-        compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 1)  # warm the cache
-
-        def reduction(args):
-            # a reduction that recompiles per split (apriori-style)
-            compile_cached(HISTOGRAM_CHAPEL_SOURCE, CONSTS, 1)
-            args.ro.accumulate(0, 0, float(len(args.split)))
-
-        spec = ReductionSpec(
-            name="recompiling",
-            setup_reduction_object=lambda ro: ro.alloc(1, "add"),
-            reduction=reduction,
-        )
-        stats = FreerideEngine(num_threads=1).run(spec, np.arange(8.0))
-        assert stats.stats.kernel_cache_hits >= 1
-
     def test_string_and_parsed_program_share_an_entry(self):
         from repro.chapel.parser import parse_program
 
@@ -183,7 +206,3 @@ class TestPipelineIntegration:
         compile_cached(parse_program(HISTOGRAM_CHAPEL_SOURCE), CONSTS, 1)
         assert kernel_cache_stats()["hits"] == hits_before + 1
 
-
-def _spec_for(runner, data):
-    bound = runner.compiled.bind(data)
-    return bound.make_spec(runner.ro_layout())

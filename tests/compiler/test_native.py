@@ -26,12 +26,11 @@ from repro.apps.windowed import WINDOWED_CHAPEL_SOURCE
 from repro.chapel.domains import Domain
 from repro.chapel.types import REAL, ArrayType
 from repro.chapel.values import from_python
+from repro.compiler import cache as kernel_cache
 from repro.compiler.cache import (
     clear_kernel_cache,
     compile_cached,
-    kernel_cache_capacity,
     kernel_cache_stats,
-    set_kernel_cache_capacity,
 )
 from repro.compiler.interp import interpret_over
 from repro.compiler.native import (
@@ -79,7 +78,7 @@ def _fresh_memory_cache():
     """Each test compiles from scratch and leaves global state clean."""
     clear_kernel_cache()
     yield
-    clear_kernel_cache()  # also restores the default capacity
+    clear_kernel_cache()
 
 
 def _compile_hist(backend="native", opt_level=2):
@@ -455,51 +454,45 @@ class TestDiskCache:
 
 
 class TestMemoryCacheLRU:
-    def test_eviction_counts_and_capacity(self):
-        previous = set_kernel_cache_capacity(2)
-        try:
-            for bins in (4, 5, 6):
-                compile_cached(
-                    HISTOGRAM_CHAPEL_SOURCE,
-                    {"bins": bins, "lo": 0.0, "width": 2.0},
-                    opt_level=2, backend="scalar",
-                )
-            stats = kernel_cache_stats()
-            assert stats["capacity"] == 2
-            assert stats["entries"] == 2
-            assert stats["evictions"] == 1
-            assert stats["misses"] == 3
-        finally:
-            set_kernel_cache_capacity(previous)
-
-    def test_hit_refreshes_recency(self):
-        previous = set_kernel_cache_capacity(2)
-        try:
-            consts = [
-                {"bins": b, "lo": 0.0, "width": 2.0} for b in (4, 5, 6)
-            ]
-            a = compile_cached(
-                HISTOGRAM_CHAPEL_SOURCE, consts[0], opt_level=2
+    def test_eviction_counts_and_capacity(self, monkeypatch):
+        monkeypatch.setattr(kernel_cache, "CAPACITY", 2)
+        for bins in (4, 5, 6):
+            compile_cached(
+                HISTOGRAM_CHAPEL_SOURCE,
+                {"bins": bins, "lo": 0.0, "width": 2.0},
+                opt_level=2, backend="scalar",
             )
-            compile_cached(HISTOGRAM_CHAPEL_SOURCE, consts[1], opt_level=2)
-            # touch A so B is the least recently used entry
-            assert compile_cached(
-                HISTOGRAM_CHAPEL_SOURCE, consts[0], opt_level=2
-            ) is a
-            compile_cached(HISTOGRAM_CHAPEL_SOURCE, consts[2], opt_level=2)
-            # A survived the eviction that removed B
-            assert compile_cached(
-                HISTOGRAM_CHAPEL_SOURCE, consts[0], opt_level=2
-            ) is a
-            assert kernel_cache_stats()["evictions"] >= 1
-        finally:
-            set_kernel_cache_capacity(previous)
+        stats = kernel_cache_stats()
+        assert stats["capacity"] == 2
+        assert stats["entries"] == 2
+        assert stats["evictions"] == 1
+        assert stats["misses"] == 3
 
-    def test_capacity_roundtrip(self):
-        assert kernel_cache_capacity() == 128  # default restored by fixture
-        old = set_kernel_cache_capacity(16)
-        assert old == 128
-        assert kernel_cache_capacity() == 16
-        with pytest.raises(ValueError):
-            set_kernel_cache_capacity(0)
-        set_kernel_cache_capacity(old)
+    def test_hit_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(kernel_cache, "CAPACITY", 2)
+        consts = [
+            {"bins": b, "lo": 0.0, "width": 2.0} for b in (4, 5, 6)
+        ]
+        a = compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE, consts[0], opt_level=2
+        )
+        compile_cached(HISTOGRAM_CHAPEL_SOURCE, consts[1], opt_level=2)
+        # touch A so B is the least recently used entry
+        assert compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE, consts[0], opt_level=2
+        ) is a
+        compile_cached(HISTOGRAM_CHAPEL_SOURCE, consts[2], opt_level=2)
+        # A survived the eviction that removed B
+        assert compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE, consts[0], opt_level=2
+        ) is a
+        assert kernel_cache_stats()["evictions"] >= 1
+
+    def test_capacity_roundtrip(self, monkeypatch):
+        """The bound is a module constant; the stats report the one in force."""
+        assert kernel_cache.CAPACITY == 128
+        assert kernel_cache_stats()["capacity"] == 128
+        monkeypatch.setattr(kernel_cache, "CAPACITY", 16)
+        assert kernel_cache_stats()["capacity"] == 16
+        monkeypatch.undo()
+        assert kernel_cache_stats()["capacity"] == 128

@@ -165,7 +165,7 @@ def test_profile_key_and_observation_are_planned_only_with_a_store(tmp_path):
     ) as engine:
         cold = _plan(engine, spec, data)
         assert cold.observe and cold.predicted is None
-        assert cold.profile_key.digest == spec.kernel_spec.digest
+        assert cold.profile_key.digest == spec.bound.compiled.request.digest
         assert cold.profile_key.ranges == [(s.start, s.end) for s in cold.splits]
         assert cold.decision["profile_key"] == cold.profile_key.as_dict()
         engine.run(spec, data)  # observes; the store now holds footprints

@@ -6,6 +6,7 @@ process execution regardless of how splits land on workers.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -24,8 +25,13 @@ from repro.freeride.faults import (
     FaultPolicy,
     InjectedFault,
 )
+from repro.freeride import procexec
 from repro.freeride.runtime import FreerideEngine
-from repro.freeride.sharedmem import attach_shm_segment
+from repro.freeride.sharedmem import (
+    SharedBufferCache,
+    attach_shm_segment,
+    close_shm_segment,
+)
 from repro.freeride.spec import ReductionSpec
 from repro.obs.tracer import Tracer, tracing
 from repro.util.errors import FreerideError
@@ -134,6 +140,60 @@ class TestProcessValidation:
                 engine.run(spec, np.arange(10.0))
         finally:
             engine.close()
+
+
+    def test_manual_spec_refusal_text(self):
+        """``spec.bound is None`` is what "not a compiled reduction" means."""
+        spec = ReductionSpec(
+            name="manual",
+            setup_reduction_object=lambda ro: ro.alloc(1, "add"),
+            reduction=lambda args: None,
+        )
+        assert spec.bound is None
+        with pytest.raises(FreerideError) as info:
+            procexec.task_payload(spec, [(1, "add")], SharedBufferCache(), None, 0)
+        assert str(info.value) == (
+            "the process executor requires a compiled reduction: build the "
+            "spec with BoundReduction.make_spec (a hand-written ReductionSpec "
+            "closure cannot be shipped to worker processes)"
+        )
+
+
+class TestTaskPayload:
+    def test_payload_ships_one_request_and_workers_key_on_it(self, monkeypatch):
+        """What identifies the kernel crosses the process boundary as one
+        value; two bindings of one program land on one worker-cache key."""
+        monkeypatch.setattr(procexec, "_BOUND_CACHE", {})
+        monkeypatch.setattr(procexec, "_DATA_SEGMENTS", {})
+        segments = SharedBufferCache()
+        try:
+            tasks = []
+            for _ in range(2):
+                bound = make_bound()
+                spec, _ = bound.make_spec(LAYOUT)
+                payload = procexec.task_payload(spec, LAYOUT, segments, None, 0)
+                assert payload["request"] is bound.compiled.request
+                assert not set(payload) & {
+                    "digest", "source", "constants",
+                    "opt_level", "backend", "class_name",
+                }
+                tasks.append(pickle.loads(pickle.dumps(payload)))
+            a, b = tasks
+            assert a["request"].key == b["request"].key == bound.compiled.request.key
+            # the worker side, run here: one compile-cache entry, one binding
+            worker_bound = procexec._bound_for(a)
+            assert procexec._bound_for(b) is worker_bound
+            assert worker_bound.compiled is bound.compiled
+            assert list(procexec._BOUND_CACHE) == [
+                (a["request"].key, a["data_shm"])
+            ]
+        finally:
+            attached = [shm for shm, _ in procexec._DATA_SEGMENTS.values()]
+            procexec._BOUND_CACHE.clear()
+            procexec._DATA_SEGMENTS.clear()
+            for shm in attached:
+                close_shm_segment(shm)
+            segments.close()
 
 
 class TestSegmentLifecycle:
