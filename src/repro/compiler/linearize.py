@@ -122,6 +122,14 @@ class LinearizedBuffer:
         appended byte); the one-time prefix copy also migrates buffers
         whose ``raw`` aliased caller-owned memory (the zero-copy fast
         path) into storage this buffer owns.
+
+        The grown bytes are *not* initialised: the backing is allocated
+        uninitialised, and after a :meth:`shrink` they hold whatever the
+        dropped suffix held.  The caller writes every byte it grows before
+        anything reads it (``linearize_append`` and
+        ``BoundReduction.append_elements`` do), and the bytes between
+        ``raw.size`` and :attr:`capacity` are never read — every accessor
+        is bounded by ``raw.size``.
         """
         if new_nbytes < self.raw.size:
             raise LinearizationError(
@@ -129,7 +137,7 @@ class LinearizedBuffer:
             )
         if self._backing is None or self._backing.size < new_nbytes:
             cap = max(new_nbytes, 2 * self.raw.size, 64)
-            backing = np.zeros(cap, dtype=np.uint8)
+            backing = np.empty(cap, dtype=np.uint8)
             backing[: self.raw.size] = self.raw
             self._backing = backing
         self.raw = self._backing[: new_nbytes]

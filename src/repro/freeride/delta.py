@@ -85,21 +85,7 @@ DELTA_COMMIT_SPLIT_ID = -1
 #: epochs a session's checkpoint ring retains (``ro_at`` reaches this far back)
 CHECKPOINT_RING_DEPTH = 8
 
-
-def _reduce_ranges(
-    spec: ReductionSpec, like: ReductionObject, starts: np.ndarray, ends: np.ndarray
-) -> ReductionObject:
-    """Reduce element ranges into a fresh scratch object laid out as ``like``.
-
-    The parent-side compute behind a manual session's append, every
-    retraction and every replay: the ``[starts[i], ends[i])`` runs go to the
-    spec's ``reduce_ranges`` hook as two arrays, *global* positions intact,
-    so position-dependent reductions see the coordinates a full run would
-    and a native kernel walks them all in one call.
-    """
-    scratch = like.clone_empty()
-    spec.reduce_ranges(starts, ends, scratch)
-    return scratch
+_NO_GROUPS = np.empty(0, dtype=np.int64)
 
 
 def contiguous_runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,18 +116,29 @@ class _EpochRecord:
     """Pre-images of everything one delta epoch mutated."""
 
     epoch: int
-    #: group id -> (values before this epoch's commit, touched bit before)
-    groups: dict[int, tuple[np.ndarray, bool]] = field(default_factory=dict)
+    #: one bit per group of the layout: does this record hold its pre-image?
+    saved: np.ndarray
+    #: ``(group ids, their values before this epoch's commit, their touched
+    #: bits before)``, one entry per save that found new groups; disjoint
+    images: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=list
+    )
     update_count: int = 0
     n_elements: int = 0
     live_count: int = 0
+
+    def write_back(self, ro: ReductionObject) -> None:
+        """Put every saved pre-image back into ``ro``."""
+        for groups, values, touched in self.images:
+            ro.set_groups(groups, values, touched)
+        ro.update_count = self.update_count
 
 
 class ROCheckpoint:
     """Bounded ring of copy-on-write reduction-object snapshots.
 
-    ``begin(epoch, ro, ...)`` opens a record; :meth:`save_group` copies a
-    group's pre-image the *first* time the epoch touches it (later saves of
+    ``begin(epoch, ro, ...)`` opens a record; :meth:`save_groups` copies a
+    group's pre-image the *first* time the epoch names it (later saves of
     the same group are counted as ``hits`` — the COW dedup the delta
     counters report).  :meth:`rollback` restores the open record and drops
     it; :meth:`commit` seals it into the ring, evicting the oldest record
@@ -156,7 +153,7 @@ class ROCheckpoint:
         self._open: _EpochRecord | None = None
         #: pre-image copies actually taken (one per (epoch, group))
         self.saves = 0
-        #: save_group calls answered by an existing pre-image (COW dedup)
+        #: groups a save named whose pre-image was already taken (COW dedup)
         self.hits = 0
 
     # -- epoch lifecycle ------------------------------------------------------
@@ -171,19 +168,42 @@ class ROCheckpoint:
             )
         self._open = _EpochRecord(
             epoch=epoch,
+            saved=np.zeros(ro.num_groups, dtype=bool),
             update_count=ro.update_count,
             n_elements=n_elements,
             live_count=live_count,
         )
 
-    def save_group(self, ro: ReductionObject, group: int) -> None:
-        """Save a group's pre-image once per open epoch (copy-on-write)."""
+    def save_groups(self, ro: ReductionObject, *groups: np.ndarray) -> None:
+        """Save the pre-images of the groups named, once per open epoch
+        (copy-on-write).
+
+        Each argument is an array of group ids.  One gather takes every
+        group not saved yet; a group named again — in another argument, or
+        earlier this epoch — counts as a hit.
+        """
         rec = self._require_open()
-        if group in rec.groups:
-            self.hits += 1
-            return
-        rec.groups[group] = (ro.get_group(group), ro.is_touched(group))
-        self.saves += 1
+        named = np.zeros(rec.saved.size, dtype=bool)
+        count = 0
+        for ids in groups:
+            ids = np.asarray(ids, dtype=np.int64)
+            if not ids.size:
+                continue
+            try:  # a negative id wraps to a huge unsigned one: refused too
+                named[ids.view(np.uint64)] = True
+            except IndexError:
+                raise FreerideError(f"groups {ids.tolist()} outside the layout") from None
+            count += ids.size
+        fresh = (named & ~rec.saved).nonzero()[0]
+        self.hits += count - fresh.size
+        self.saves += fresh.size
+        if fresh.size:
+            rec.saved[fresh] = True
+            rec.images.append((fresh, *ro.gather_groups(fresh)))
+
+    def save_group(self, ro: ReductionObject, group: int) -> None:
+        """:meth:`save_groups` of one group."""
+        self.save_groups(ro, [group])
 
     def rollback(self, ro: ReductionObject) -> tuple[int, int, int]:
         """Undo the open epoch; returns ``(groups_restored, n_elements, live)``.
@@ -192,11 +212,9 @@ class ROCheckpoint:
         record is discarded — the failed epoch never enters the ring.
         """
         rec = self._require_open()
-        for group, (values, touched) in rec.groups.items():
-            ro.set_group(group, values, touched)
-        ro.update_count = rec.update_count
+        rec.write_back(ro)
         self._open = None
-        return len(rec.groups), rec.n_elements, rec.live_count
+        return int(rec.saved.sum()), rec.n_elements, rec.live_count
 
     def commit(self) -> None:
         """Seal the open epoch into the ring (evicting past capacity)."""
@@ -250,15 +268,13 @@ class ROCheckpoint:
         for rec in reversed(self._ring):
             if rec.epoch <= epoch:
                 break
-            for group, (values, touched) in rec.groups.items():
-                past.set_group(group, values, touched)
-            past.update_count = rec.update_count
+            rec.write_back(past)
         return past
 
     @property
     def retained_groups(self) -> int:
         """Total group pre-images held by the sealed ring (memory gauge)."""
-        return sum(len(rec.groups) for rec in self._ring)
+        return sum(int(rec.saved.sum()) for rec in self._ring)
 
 
 @dataclass
@@ -355,19 +371,29 @@ class DeltaSession:
     rollbacks: int = field(init=False, default=0)
     #: surviving elements, maintained by the liveness updates
     live_count: int = field(init=False)
-    #: groups whose op has no inverse (min/max): a retraction that touches
-    #: one replays it.  Fixed by the layout, so read once per session from
-    #: the interned opcode table.
-    noninvertible: frozenset[int] = field(init=False)
+    #: one bit per group whose op has no inverse (min/max): a retraction
+    #: that touches one replays it.  Fixed by the layout, so read once per
+    #: session from the interned opcode table.
+    noninvertible_mask: np.ndarray = field(init=False)
+    #: the scratch objects an epoch reduces into, one per role — retracted
+    #: elements, replayed elements and, for a manual session, the appended
+    #: tail.  Cloned once here and emptied after every epoch, committed or
+    #: rolled back, so a kernel's prepared pointers outlive the epoch.
+    scratch: dict[str, ReductionObject] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.n_elements = self.live_count = int(self.source.n_elements)
         self.live = self._live = np.ones(self.n_elements, dtype=bool)
         invertible = [OP_CODES[op] for op in INVERTIBLE_ACCUMULATE_OPS]
         opcodes = self.ro.direct_store().opcodes
-        self.noninvertible = frozenset(
-            np.flatnonzero(~np.isin(opcodes, invertible)).tolist()
-        )
+        self.noninvertible_mask = ~np.isin(opcodes, invertible)
+        roles = ("retract", "replay") if self.compiled else ("retract", "replay", "tail")
+        self.scratch = {role: self.ro.clone_empty() for role in roles}
+
+    @property
+    def noninvertible(self) -> frozenset[int]:
+        """The groups :attr:`noninvertible_mask` sets."""
+        return frozenset(np.flatnonzero(self.noninvertible_mask).tolist())
 
     @property
     def compiled(self) -> bool:
@@ -408,7 +434,7 @@ class DeltaSession:
         object, dataset length and liveness of the previous epoch and
         re-raises.
         """
-        source, ro, cp = self.source, self.ro, self.checkpoints
+        source, ro, cp, scratch = self.source, self.ro, self.checkpoints, self.scratch
         epoch = self.epoch + 1
         n_old, old_live, old_updates = self.n_elements, self.live_count, ro.update_count
         saves0, hits0 = cp.saves, cp.hits
@@ -416,6 +442,7 @@ class DeltaSession:
         appended = 0
         delta_ro: ReductionObject | None = None
         tail_stats = None
+        used: list[ReductionObject] = []  # scratch objects to empty afterwards
         with tracer.span(
             "delta.apply",
             cat="delta",
@@ -435,27 +462,42 @@ class DeltaSession:
                     if self.compiled:
                         tail = run(*self.make_spec((n_old, new_n)))
                         delta_ro, tail_stats = tail.ro, tail.stats
-                spec_full, _ = self.make_spec()
+                # every range below goes to this spec's reduce_ranges hook as
+                # two arrays, *global* positions intact, so position-dependent
+                # reductions see the coordinates a full run would and a
+                # native kernel walks them all in one call
+                if retract_idx.size or delta_ro is None:
+                    spec_full, _ = self.make_spec()
                 if delta_ro is None and appended:
-                    delta_ro = _reduce_ranges(
-                        spec_full, ro,
+                    delta_ro = scratch["tail"]
+                    used.append(delta_ro)
+                    spec_full.reduce_ranges(
                         np.array([n_old], dtype=np.int64),
                         np.array([new_n], dtype=np.int64),
+                        delta_ro,
                     )
                 kernel_calls = int(appended > 0)
+                merged = (
+                    delta_ro.touched_mask().nonzero()[0]
+                    if delta_ro is not None
+                    else _NO_GROUPS
+                )
 
                 # -- retract compute (never mutates the committed object) ------
-                noninv = self.noninvertible
+                noninv = self.noninvertible_mask
                 scratch_r: ReductionObject | None = None
-                ret_touched: frozenset[int] = frozenset()
+                retracted = replayed = _NO_GROUPS
                 retract_runs = 0
                 if retract_idx.size:
                     starts, ends = contiguous_runs(retract_idx)
                     retract_runs = int(starts.size)
-                    scratch_r = _reduce_ranges(spec_full, ro, starts, ends)
+                    scratch_r = scratch["retract"]
+                    used.append(scratch_r)
+                    spec_full.reduce_ranges(starts, ends, scratch_r)
                     kernel_calls += 1
-                    ret_touched = scratch_r.touched_groups()
-                replay_groups = sorted(ret_touched & noninv)
+                    hit = scratch_r.touched_mask()
+                    retracted = (hit & ~noninv).nonzero()[0]
+                    replayed = (hit & noninv).nonzero()[0]
 
                 # -- replay compute: re-reduce only the survivors inside the
                 # blocks whose effect-summary footprint can reach a replayed
@@ -463,14 +505,14 @@ class DeltaSession:
                 self.advance_liveness(new_n, retract_idx)
                 scratch_p: ReductionObject | None = None
                 replay_elements = replay_runs = planner_probes = 0
-                if replay_groups:
+                if replayed.size:
                     # a hand-written spec's hook answers no range question:
                     # every survivor is replayed
                     bounds = spec_full.group_bounds
                     reaching = getattr(bounds, "blocks_reaching", None)
                     probes0 = getattr(bounds, "evaluations", 0)
                     blocks = (
-                        reaching(frozenset(replay_groups), new_n, ro.num_groups)
+                        reaching(frozenset(replayed.tolist()), new_n, ro.num_groups)
                         if reaching is not None
                         else [(0, new_n)]
                     )
@@ -478,33 +520,29 @@ class DeltaSession:
                     starts, ends = self.live_runs(blocks)
                     replay_runs = int(starts.size)
                     replay_elements = int((ends - starts).sum())
-                    scratch_p = _reduce_ranges(spec_full, ro, starts, ends)
+                    scratch_p = scratch["replay"]
+                    used.append(scratch_p)
+                    spec_full.reduce_ranges(starts, ends, scratch_p)
                     kernel_calls += 1
 
-                # -- checkpointed per-group commit -----------------------------
+                # -- checkpointed commit: one call per step, over its groups ---
                 cp.begin(epoch, ro, n_elements=n_old, live_count=old_live)
                 attempt = self.commit_attempts.get(epoch, 0) + 1
                 self.commit_attempts[epoch] = attempt
                 try:
+                    # every pre-image the commit needs, in one gather
+                    cp.save_groups(ro, merged, retracted, replayed)
                     if delta_ro is not None:
-                        for g in sorted(delta_ro.touched_groups()):
-                            cp.save_group(ro, g)
-                            ro.merge_group_from(g, delta_ro)
+                        ro.merge_groups_from(merged, delta_ro)
                     if injector is not None:
                         # mid-commit seam: appended groups are already merged,
                         # retracts are not — a fault here must roll back
                         injector.inject(DELTA_COMMIT_SPLIT_ID, attempt)
                     if scratch_r is not None:
-                        for g in sorted(ret_touched):
-                            if g in noninv:
-                                continue
-                            cp.save_group(ro, g)
-                            ro.retract_group(g, scratch_r)
+                        ro.retract_groups(retracted, scratch_r)
                     if scratch_p is not None:
-                        for g in replay_groups:
-                            cp.save_group(ro, g)
-                            ro.reset_group(g)
-                            ro.merge_group_from(g, scratch_p)
+                        ro.reset_groups(replayed)
+                        ro.merge_groups_from(replayed, scratch_p)
                     ro.update_count = (
                         old_updates
                         + (delta_ro.update_count if delta_ro is not None else 0)
@@ -521,6 +559,9 @@ class DeltaSession:
                 if new_n != n_old:
                     source.truncate_elements(n_old)
                 raise
+            finally:
+                for dirty in used:
+                    dirty.reset_touched()
 
             self.n_elements = new_n
             self.epoch = epoch
@@ -529,7 +570,7 @@ class DeltaSession:
                 epoch=epoch,
                 appended=appended,
                 retracted=int(retract_idx.size),
-                groups_replayed=len(replay_groups),
+                groups_replayed=int(replayed.size),
                 replay_elements=replay_elements,
                 checkpoint_saves=cp.saves - saves0,
                 checkpoint_hits=cp.hits - hits0,

@@ -72,6 +72,7 @@ if TYPE_CHECKING:
     from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = [
+    "INLINE_WAVE_ELEMENTS",
     "Observation",
     "RunContext",
     "attempt_split",
@@ -84,6 +85,15 @@ __all__ = [
 #: gives it exclusive cells — so a lane may reduce whole batches of splits in
 #: one call; a locking lane commits once per split, in split order
 _LANE_EXCLUSIVE = (SharedMemTechnique.FULL_REPLICATION, SharedMemTechnique.COLORED)
+
+#: a batched wave whose splits span fewer elements runs inline, whatever the
+#: executor: below it a pool hand-off costs more than a second thread can
+#: win back.  Measured on a 2-vCPU box, a two-split native wave cost 0.13 ms
+#: more on the pool than inline when the pool had just been busy, 0.17 ms
+#: after 0.5 ms idle and 0.25 ms after 2 ms idle (a delta epoch's tail finds
+#: it idle); k-means, the slowest suite kernel, runs 25-33 ns per element.
+#: Hand-off × W ÷ ns per element = 0.2 ms × 2 ÷ 25 ns ≈ 16,000 elements.
+INLINE_WAVE_ELEMENTS = 16_384
 
 #: what an attempt hands back: ``(scratch, None)`` or ``(None, error)``
 Attempt = tuple[ReductionObject | None, BaseException | None]
@@ -605,7 +615,10 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     matters: inline, lane ``l`` makes one call over its own splits of the
     wave — ``splits[l::num_threads]`` of an uncolored run, exactly the
     sequence its replica sees split by split; lanes that share cells never
-    batch, so a shared reduction object still commits in split order.
+    batch, so a shared reduction object still commits in split order.  A
+    batched wave whose splits span fewer than :data:`INLINE_WAVE_ELEMENTS`
+    elements runs inline under every executor: the same lanes into the same
+    replicas, without the pool hand-off it could not win back.
     """
     attempt_fn = _attempt_traced if ctx.tracer.enabled else _attempt_in_process
     payload = None
@@ -631,7 +644,15 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         live = [i for i in wave if ctx.splits[i].end > ctx.splits[i].start]
         if not live:
             continue
-        inline = ctx.executor == "serial" or len(live) == 1
+        # the splits partition the node in order: a wave's span is its live
+        # element count when its splits are consecutive (an uncolored run),
+        # and bounds it from above otherwise
+        span = ctx.splits[live[-1]].end - ctx.splits[live[0]].start
+        inline = (
+            ctx.executor == "serial"
+            or len(live) == 1
+            or batched and span < INLINE_WAVE_ELEMENTS
+        )
         if batched and inline:
             for lane in range(width):
                 mine = [ctx.splits[i] for i in live if i % width == lane]

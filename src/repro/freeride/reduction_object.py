@@ -153,6 +153,10 @@ class _Layout:
             np.array([_IDENTITY[op] for op in self.ops], dtype=np.float64),
             self.nelems,
         )
+        #: the distinct accumulate ops, in op-code order
+        self.kinds = sorted(set(self.ops), key=OP_CODES.__getitem__)
+        #: the group each element belongs to
+        self.cell_group = np.repeat(np.arange(len(self.metas)), self.nelems)
         #: maximal runs of consecutive same-op groups as ``(op, element
         #: slice)`` — one ufunc call merges a whole run
         self.runs: list[tuple[AccumulateOp, slice]] = []
@@ -619,8 +623,7 @@ class ReductionObject:
         Merging is group-wise with each group's op ufunc, so it is a handful
         of vectorized operations regardless of object size.
         """
-        if not self.same_layout(other):
-            raise ReductionObjectError("cannot merge reduction objects with different layouts")
+        self._check_same_layout(other, "merge")
         for op, elems in self._tables().runs:
             mine = self._buffer[elems]
             _MERGE_UFUNC[op](mine, other._buffer[elems], out=mine)
@@ -628,27 +631,12 @@ class ReductionObject:
         self.update_count += other.update_count
 
     def merge_group_from(self, group: int, other: "ReductionObject") -> None:
-        """Merge a single group's elements from another same-layout copy.
+        """:meth:`merge_groups_from` of one group — the locking commit's
+        unit, applied while holding exactly that group's covering locks."""
+        self._merge(self._one(group), other)
 
-        Unlike :meth:`merge_from` this touches one group only and does *not*
-        fold in ``other.update_count`` — the caller accounts for updates
-        once per whole-object commit.  The fault-tolerant locking commit
-        uses this to apply a scratch object group-by-group while holding
-        exactly that group's covering locks.
-        """
-        if not self.same_layout(other):
-            raise ReductionObjectError(
-                "cannot merge reduction objects with different layouts"
-            )
-        meta, sl = self._span(group)
-        self._buffer[sl] = _MERGE_UFUNC[meta.op](self._buffer[sl], other._buffer[sl])
-        if other._touched[meta.group_id] or bool(
-            np.any(other._buffer[sl] != _IDENTITY[meta.op])
-        ):
-            self._touched[meta.group_id] = True
-
-    def touched_groups(self) -> frozenset[int]:
-        """Groups that received at least one update.
+    def touched_mask(self) -> np.ndarray:
+        """One bool per group: did it receive at least one update?
 
         Every update API (accumulate, accumulate_group, batch updates, set,
         merges) marks the target group in an explicit bitmap, so a group is
@@ -662,56 +650,166 @@ class ReductionObject:
         wraps of worker-filled shared segments bypass the bitmap.
         """
         if not self._groups:
-            return frozenset()
+            return np.zeros(0, dtype=bool)
         tables = self._tables()
         filled = np.logical_or.reduceat(
             self._buffer != tables.identity, tables.offsets
         )
-        return frozenset(np.flatnonzero(self._touched | filled).tolist())
+        return self._touched | filled
 
-    # -- delta execution ------------------------------------------------------
+    def touched_groups(self) -> frozenset[int]:
+        """The groups :meth:`touched_mask` sets."""
+        return frozenset(self.touched_mask().nonzero()[0].tolist())
 
-    def group_op(self, group: int) -> AccumulateOp:
-        """The accumulate op a group was allocated with."""
-        return self._meta(group).op
+    # -- group arrays: delta commits, checkpoints, scratch resets -------------
+    #
+    # Each takes ascending, distinct group ids and costs a fixed number of
+    # NumPy calls per accumulate op, however many groups it names.  A
+    # selection is ``(op, groups, cells)`` per op: the op's groups and their
+    # elements, as two slices when the groups are consecutive, else as the
+    # ids and a bool mask over the buffer — or, for the one-group forms,
+    # ``(op, group id, its slice)``.
 
-    def reset_group(self, group: int) -> None:
-        """Reset one group's elements to the op identity (replay prologue)."""
-        meta, sl = self._span(group)
-        self._buffer[sl] = _IDENTITY[meta.op]
-        self._touched[meta.group_id] = False
+    def _group_ids(self, groups: "np.ndarray | Sequence[int]") -> np.ndarray:
+        ids = np.asarray(groups, dtype=np.int64).reshape(-1)
+        # ascending: the ends bound every id
+        if ids.size and not 0 <= ids[0] <= ids[-1] < len(self._groups):
+            raise ReductionObjectError(
+                f"groups {ids.tolist()} not all allocated (have {len(self._groups)})"
+            )
+        return ids
 
-    def set_group(self, group: int, values: np.ndarray, touched: bool) -> None:
-        """Overwrite a whole group (checkpoint restore / snapshot apply)."""
-        meta, sl = self._span(group)
-        self._buffer[sl] = meta.vector(values)
-        self._touched[meta.group_id] = bool(touched)
+    def _where(self, ids: np.ndarray) -> "tuple[slice | np.ndarray, slice | np.ndarray]":
+        """``(groups, cells)`` selecting groups ``ids`` and their elements."""
+        tables = self._tables()
+        if not ids.size:
+            return slice(0, 0), slice(0, 0)
+        first, last = int(ids[0]), int(ids[-1])
+        if last - first + 1 == ids.size:
+            end = int(tables.offsets[last] + tables.nelems[last])
+            return slice(first, last + 1), slice(int(tables.offsets[first]), end)
+        picked = np.zeros(len(tables.metas), dtype=bool)
+        picked[ids] = True
+        return ids, picked[tables.cell_group]
+
+    def _selection(self, groups: "np.ndarray | Sequence[int]") -> list:
+        tables = self._tables()
+        ids = self._group_ids(groups)
+        if not ids.size:
+            return []
+        if len(tables.kinds) == 1:
+            return [(tables.kinds[0], *self._where(ids))]
+        codes = tables.opcodes[ids]
+        parts = [(op, ids[codes == OP_CODES[op]]) for op in tables.kinds]
+        return [(op, *self._where(mine)) for op, mine in parts if mine.size]
+
+    def _one(self, group: int) -> list:
+        meta, cells = self._span(group)
+        return [(meta.op, meta.group_id, cells)]
+
+    def _check_same_layout(self, other: "ReductionObject", verb: str) -> None:
+        if not self.same_layout(other):
+            raise ReductionObjectError(
+                f"cannot {verb} reduction objects with different layouts"
+            )
+
+    def merge_groups_from(
+        self, groups: "np.ndarray | Sequence[int]", other: "ReductionObject"
+    ) -> None:
+        """Merge the elements of ``groups`` from another same-layout copy.
+
+        Unlike :meth:`merge_from` this touches those groups only and does
+        *not* fold in ``other.update_count`` — the caller accounts for
+        updates once per whole-object commit.  A group becomes touched when
+        ``other`` flagged it or holds a non-identity value in it.
+        """
+        self._merge(self._selection(groups), other)
+
+    def _merge(self, selection: list, other: "ReductionObject") -> None:
+        self._check_same_layout(other, "merge")
+        tables = self._tables()
+        for op, groups, cells in selection:
+            theirs = other._buffer[cells]
+            self._buffer[cells] = _MERGE_UFUNC[op](self._buffer[cells], theirs)
+            if isinstance(groups, int):  # one group: its flag, else the scan
+                if other._touched[groups] or (theirs != tables.identity[cells]).any():
+                    self._touched[groups] = True
+                continue
+            filled = theirs != tables.identity[cells]
+            self._touched[groups] |= other._touched[groups]
+            self._touched[tables.cell_group[cells][filled]] = True
+
+    def retract_groups(
+        self, groups: "np.ndarray | Sequence[int]", other: "ReductionObject"
+    ) -> None:
+        """Undo the contributions ``other`` holds in ``groups`` (the inverse
+        of :meth:`merge_groups_from`).
+
+        Like it, this does *not* fold ``other.update_count`` — the delta
+        commit accounts for updates once per epoch.  Refused, before
+        anything is written, when a group's op has no inverse; the delta
+        executor replays those groups instead.
+        """
+        self._retract(self._selection(groups), other)
+
+    def retract_group(self, group: int, other: "ReductionObject") -> None:
+        """:meth:`retract_groups` of one group."""
+        self._retract(self._one(group), other)
+
+    def _retract(self, selection: list, other: "ReductionObject") -> None:
+        self._check_same_layout(other, "retract")
+        for op, groups, _ in selection:
+            if op not in INVERTIBLE_ACCUMULATE_OPS:
+                # ``groups`` is an id, a slice of ids or the ids themselves
+                first = np.arange(len(self._groups))[groups].min()
+                raise ReductionObjectError(
+                    f"group {first} uses non-invertible op {op!r}: "
+                    "cannot retract, re-reduce the group instead"
+                )
+        for op, _, cells in selection:
+            self._buffer[cells] = _RETRACT_UFUNC[op](
+                self._buffer[cells], other._buffer[cells]
+            )
+
+    def reset_groups(self, groups: "np.ndarray | Sequence[int]") -> None:
+        """Return ``groups`` to the op identity, untouched (the replay
+        prologue)."""
+        where, cells = self._where(self._group_ids(groups))
+        self._buffer[cells] = self._tables().identity[cells]
+        self._touched[where] = False
+
+    def reset_touched(self) -> None:
+        """Empty the object, writing only what was written: every element
+        whose bits differ from its op's identity (a ``-0.0`` too) back to it,
+        the touched flags and the update count to zero — the state of a
+        fresh :meth:`clone_empty`."""
+        identity = self._tables().identity
+        written = self._buffer.view(np.uint64) != identity.view(np.uint64)
+        self._buffer[written] = identity[written]
+        self._touched.fill(False)
+        self.update_count = 0
+
+    def gather_groups(
+        self, groups: "np.ndarray | Sequence[int]"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of ``groups``' elements (group after group) and touched
+        bits — what :meth:`set_groups` writes back."""
+        where, cells = self._where(self._group_ids(groups))
+        return self._buffer[cells].copy(), self._touched[where].copy()
+
+    def set_groups(
+        self, groups: "np.ndarray | Sequence[int]", values: np.ndarray,
+        touched: np.ndarray,
+    ) -> None:
+        """Overwrite ``groups`` with what :meth:`gather_groups` read
+        (checkpoint rollback and restore)."""
+        where, cells = self._where(self._group_ids(groups))
+        self._buffer[cells] = values
+        self._touched[where] = touched
 
     def is_touched(self, group: int) -> bool:
         """Read one bit of the explicit touched bitmap."""
         return bool(self._touched[self._meta(group).group_id])
-
-    def retract_group(self, group: int, other: "ReductionObject") -> None:
-        """Undo one group's contributions (inverse of :meth:`merge_group_from`).
-
-        Like :meth:`merge_group_from` this does *not* fold
-        ``other.update_count`` — the delta commit accounts for updates once
-        per epoch.  Raises for non-invertible groups; the delta executor
-        routes those through per-group replay instead.
-        """
-        if not self.same_layout(other):
-            raise ReductionObjectError(
-                "cannot retract reduction objects with different layouts"
-            )
-        meta, sl = self._span(group)
-        if meta.op not in INVERTIBLE_ACCUMULATE_OPS:
-            raise ReductionObjectError(
-                f"group {meta.group_id} uses non-invertible op "
-                f"{meta.op!r}: cannot retract, re-reduce the group instead"
-            )
-        self._buffer[sl] = _RETRACT_UFUNC[meta.op](
-            self._buffer[sl], other._buffer[sl]
-        )
 
     def snapshot(self) -> np.ndarray:
         """Copy of the whole dense buffer (for tests and checkpoints)."""

@@ -183,7 +183,7 @@ class RunStats:
     delta_replay_elements: int = 0
     #: checkpoint pre-images copied this epoch (one per mutated group)
     delta_checkpoint_saves: int = 0
-    #: checkpoint ``save_group`` calls answered by an existing pre-image
+    #: groups a checkpoint save named whose pre-image was already taken
     delta_checkpoint_hits: int = 0
 
 

@@ -162,8 +162,7 @@ class ROAccessor:
         if groups is None:
             self.ro.merge_from(scratch)
             return
-        for g in groups:
-            self.ro.merge_group_from(g, scratch)
+        self.ro.merge_groups_from(sorted(groups), scratch)
         self.ro.update_count += scratch.update_count
 
     def direct_store(self) -> DirectStore:
@@ -303,8 +302,7 @@ class LockingAccessor(ROAccessor):
             if touched:
                 self.merge_from_scratch(scratch, groups=touched)
         finally:
-            for g in touched:
-                scratch.reset_group(g)
+            scratch.reset_groups(touched)
             scratch.update_count = 0
 
 

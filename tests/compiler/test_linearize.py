@@ -192,6 +192,83 @@ class TestLinearizeIt:
         assert buf.raw.tobytes() == whole.raw.tobytes()
 
 
+def _reals(*values):
+    return from_python(array_of(REAL, len(values)), list(values))
+
+
+class TestGrowContract:
+    """``grow`` writes nothing; every grower writes every byte it grows, and
+    nothing reads past ``raw.size`` into the spare capacity."""
+
+    def _grown(self):
+        """Four reals, then three appended: past the first growth."""
+        buf = linearize_it(_reals(1.0, 2.0, 3.0, 4.0), array_of(REAL, 4))
+        linearize_append(buf, _reals(5.0, 6.0, 7.0))
+        assert buf.capacity > buf.nbytes
+        return buf
+
+    def test_append_after_a_rollback_writes_what_it_shows(self):
+        buf = self._grown()
+        prefix, capacity = buf.raw[:32].tobytes(), buf.capacity
+        # roll the append back (BoundReduction.truncate_elements), append again
+        buf.shrink(32)
+        buf.typ = array_of(REAL, 4)
+        assert linearize_append(buf, _reals(8.0, 9.0)) == 6
+        assert buf.capacity == capacity  # within capacity: the same backing
+        assert buf.raw[:32].tobytes() == prefix
+        assert buf.typed_view(0, np.float64, 6).tolist() == [1, 2, 3, 4, 8, 9]
+
+    def test_grow_itself_writes_nothing(self):
+        buf = self._grown()
+        buf.shrink(32)
+        buf.grow(56)
+        # the bytes grow exposes are the dropped suffix's: a grower must write
+        assert buf.typed_view(32, np.float64, 3).tolist() == [5.0, 6.0, 7.0]
+
+    def test_a_refused_append_changes_nothing(self):
+        buf = self._grown()
+        before = (buf.raw.tobytes(), buf.nbytes, buf.capacity, buf.typ)
+        with pytest.raises(LinearizationError, match="expected a ChapelArray of real"):
+            linearize_append(buf, from_python(array_of(INT, 2), [1, 2]))
+        with pytest.raises(LinearizationError, match="expected a ChapelArray"):
+            linearize_append(buf, np.zeros(2))
+        assert (buf.raw.tobytes(), buf.nbytes, buf.capacity, buf.typ) == before
+
+    def test_a_refused_numpy_append_changes_nothing(self):
+        from repro.compiler.translate import compile_reduction
+        from repro.util.errors import CompilerError
+
+        source = """
+class pointSum : ReduceScanOp {
+  def accumulate(p: [1..2] real) {
+    roAdd(0, 0, p[1] + p[2]);
+  }
+}
+"""
+        bound = compile_reduction(source, {}, 2).bind(np.ones((4, 2)), {})
+        bound.append_elements(np.full((3, 2), 2.0))
+        buf = bound.data_buf
+        before = (buf.raw.tobytes(), buf.nbytes, buf.capacity, bound.n_elements)
+        for bad in (np.zeros((2, 3)), np.zeros(4)):
+            with pytest.raises(CompilerError, match="does not match element"):
+                bound.append_elements(bad)
+        assert (buf.raw.tobytes(), buf.nbytes, buf.capacity, bound.n_elements) == before
+
+    def test_views_stop_at_raw_size(self):
+        buf = self._grown()
+        end = buf.nbytes
+        for access in (
+            lambda: buf.slice_bytes(end - 8, 16),
+            lambda: buf.slice_bytes(end, 1),
+            lambda: buf.typed_view(end - 8, np.float64, 2),
+            lambda: buf.typed_view(end, np.float64, 1),
+            lambda: buf.read_scalar(end, REAL),
+        ):
+            with pytest.raises(LinearizationError, match="outside buffer"):
+                access()
+        assert buf.slice_bytes(0, end).size == end  # the whole of raw is fine
+
+
 def _points(n=3):
     """``[1..n] Point``; tests below swap one nested value for a mis-shaped one."""
     point_t = record("Point", w=REAL, coord=array_of(REAL, 4))

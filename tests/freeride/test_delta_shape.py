@@ -21,6 +21,7 @@ The module skips when the host has no usable C toolchain.
 """
 
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -116,6 +117,118 @@ class TestInterpreterWorkIsConstantInDelta:
         calls, _ = _profiled_epoch(1000)
         assert calls["_native_ranges"] == 1
         assert calls["contiguous_runs"] == 1
+
+
+class _Calls:
+    """Python calls by name while :attr:`armed`: on the thread that built
+    it (:attr:`here`) and on any thread started while it is installed —
+    an engine's pool threads (:attr:`elsewhere`)."""
+
+    def __init__(self):
+        self.armed = False
+        self.home = threading.get_ident()
+        self.here: Counter = Counter()
+        self.elsewhere: Counter = Counter()
+
+    def __call__(self, frame, event, arg):
+        if event == "call" and self.armed:
+            mine = threading.get_ident() == self.home
+            (self.here if mine else self.elsewhere)[frame.f_code.co_name] += 1
+
+    def __enter__(self):
+        threading.setprofile(self)
+        sys.setprofile(self)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+        threading.setprofile(None)
+
+
+def _calls_of(run):
+    """Python calls by name that ``run()`` makes on the calling thread."""
+    with _Calls() as calls:
+        calls.armed = True
+        run()
+    return calls.here
+
+
+def _histogram_epochs(n, bins, executor, delta):
+    """Python calls of one warm native histogram epoch (a :class:`_Calls`).
+
+    ``bins`` bins over ``n`` elements (element ``p`` falls in bin
+    ``p % bins``); ``delta(epoch, n)`` gives each epoch's ``run_delta``
+    arguments.  The first epoch warms the session, the second is counted.
+    """
+    comp = compile_reduction(
+        HISTOGRAM, {"bins": bins, "lo": 0.0, "width": 1.0 / bins}, 2,
+        backend="native",
+    )
+    assert comp.effective_backend == "native"
+    bound = comp.bind((np.arange(n, dtype=np.float64) % bins) / bins, {})
+    layout = [(2, "add")] * bins
+    with _Calls() as calls, FreerideEngine(num_threads=2, executor=executor) as engine:
+        _, session = engine.run_baseline(bound=bound, ro_layout=layout)
+        engine.run_delta(session, **delta(0, n))
+        calls.armed = True
+        engine.run_delta(session, **delta(1, n))
+        calls.armed = False
+    return calls
+
+
+def _churn(epoch, n):
+    """0.5 % churn: 3/4 appended, 1/4 retracted as scattered single elements."""
+    tail = (np.arange(n * 3 // 800, dtype=np.float64) % 4) / 4
+    retract = np.arange(epoch, 3 * (n // 800), 3)
+    return {"append": tail, "retract": retract}
+
+
+def _retract_every_bin(epoch, n):
+    """64 isolated retractions, one in each bin of 64 (3 and 64 are coprime)."""
+    return {"retract": np.arange(64) * 3 + 192 * epoch}
+
+
+class TestAWarmEpochCostsItsDelta:
+    """Around the kernel, a warm epoch's interpreter work depends on neither
+    the dataset's size nor the number of groups, and reuses its state."""
+
+    def test_the_same_python_calls_at_a_hundred_times_the_data(self):
+        # a threaded tail of 22 or 2,250 elements runs inline: no pool
+        # hand-off, so nothing runs on another thread and the calling
+        # thread does the same thing at both sizes
+        small = _histogram_epochs(6_000, BINS, "threads", _churn)
+        large = _histogram_epochs(600_000, BINS, "threads", _churn)
+        assert small.here == large.here
+        assert small.elsewhere == large.elsewhere == Counter()
+
+    def test_no_scratch_object_is_built(self, monkeypatch):
+        from repro.freeride.reduction_object import ReductionObject
+
+        clone_empty = ReductionObject.clone_empty
+
+        def cloned(ro):
+            return clone_empty(ro)
+
+        monkeypatch.setattr(ReductionObject, "clone_empty", cloned)
+        # a retraction from add groups, and one that replays min groups: the
+        # epochs reduce into the session's scratch objects, and the kernel
+        # reuses the pointers it prepared for them
+        calls = _histogram_epochs(6_000, BINS, "serial", _retract_every_bin).here
+        assert calls["cloned"] == 0 and calls["_prepare"] == 0
+        winmin = _Session(monkeypatch)
+        try:
+            winmin.epoch(retract=winmin.window(3, 4))
+            calls = _calls_of(lambda: winmin.epoch(retract=winmin.window(9, 4)))
+            assert winmin.entries == [4, 4]  # retract, then replay
+            assert calls["cloned"] == 0 and calls["_prepare"] == 0
+        finally:
+            winmin.engine.close()
+
+    def test_the_commit_does_not_loop_over_groups(self):
+        few = _histogram_epochs(6_000, 4, "serial", _retract_every_bin).here
+        many = _histogram_epochs(6_000, 64, "serial", _retract_every_bin).here
+        assert sum(few.values()) == sum(many.values())
+        assert few == many
 
 
 class _Session:

@@ -276,6 +276,89 @@ class TestLayoutTables:
         assert store.opcodes.tolist() == [0, 0, 1, 2, 0]
 
 
+class TestGroupArrays:
+    """The array forms against their one-group forms, group by group."""
+
+    LAYOUT = [(2, "add"), (1, "min"), (3, "add"), (2, "max"), (1, "add"), (2, "min")]
+
+    def pair(self, rng):
+        mine, theirs = (ReductionObject.from_layout(self.LAYOUT) for _ in range(2))
+        for g, (n, _) in enumerate(self.LAYOUT):
+            if g != 4:
+                mine.accumulate_group(g, np.round(rng.uniform(-4, 4, n) * 8) / 8)
+            if g % 3:
+                theirs.accumulate_group(g, np.round(rng.uniform(-4, 4, n) * 8) / 8)
+        theirs.group_view(0)[1] = 0.5  # filled out of band: no flag
+        return mine, theirs
+
+    @staticmethod
+    def state(ro):
+        return ro.snapshot().tobytes(), ro._touched.tobytes(), ro.update_count
+
+    SUBSETS = [[], [3], [0, 1, 2, 3, 4, 5], [1, 2, 3], [0, 2, 5], [0, 4]]
+
+    @pytest.mark.parametrize("groups", SUBSETS)
+    def test_merge_and_reset(self, groups):
+        rng = np.random.default_rng(len(groups))
+        by_array, theirs = self.pair(rng)
+        by_group, _ = self.pair(np.random.default_rng(len(groups)))
+        by_array.merge_groups_from(np.array(groups, dtype=np.int64), theirs)
+        for g in groups:
+            by_group.merge_group_from(g, theirs)
+        assert self.state(by_array) == self.state(by_group)
+        by_array.reset_groups(groups)
+        for g in groups:
+            assert by_array.get_group(g).tolist() == [
+                {"add": 0.0, "min": np.inf, "max": -np.inf}[self.LAYOUT[g][1]]
+            ] * self.LAYOUT[g][0]
+            assert not by_array.is_touched(g)
+
+    @pytest.mark.parametrize("groups", [[], [0], [0, 2], [0, 2, 4]])
+    def test_retract(self, groups):
+        by_array, theirs = self.pair(np.random.default_rng(7))
+        by_group, _ = self.pair(np.random.default_rng(7))
+        by_array.retract_groups(groups, theirs)
+        for g in groups:
+            by_group.retract_group(g, theirs)
+        assert self.state(by_array) == self.state(by_group)
+
+    def test_retract_refuses_before_writing(self):
+        mine, theirs = self.pair(np.random.default_rng(3))
+        before = self.state(mine)
+        with pytest.raises(ReductionObjectError, match="group 3 uses non-invertible"):
+            mine.retract_groups([0, 2, 3], theirs)
+        assert self.state(mine) == before
+
+    def test_gather_and_set_round_trip(self):
+        mine, _ = self.pair(np.random.default_rng(5))
+        before = self.state(mine)
+        values, touched = mine.gather_groups([1, 2, 5])
+        assert values.tolist() == (
+            mine.get_group(1).tolist() + mine.get_group(2).tolist()
+            + mine.get_group(5).tolist()
+        )
+        mine.reset_groups([1, 2, 5])
+        mine.set_groups([1, 2, 5], values, touched)
+        assert self.state(mine) == before
+
+    def test_reset_touched_empties_what_was_written(self):
+        mine, theirs = self.pair(np.random.default_rng(9))
+        theirs.group_view(4)[0] = -0.0  # equal to the identity, not its bits
+        theirs.reset_touched()
+        assert self.state(theirs) == self.state(ReductionObject.from_layout(self.LAYOUT))
+
+    @pytest.mark.parametrize("groups", [[6], [-1], [0, 7]])
+    def test_unallocated_groups_are_refused(self, groups):
+        mine, theirs = self.pair(np.random.default_rng(1))
+        for call in (
+            lambda: mine.merge_groups_from(groups, theirs),
+            lambda: mine.reset_groups(groups),
+            lambda: mine.gather_groups(groups),
+        ):
+            with pytest.raises(ReductionObjectError, match="not all allocated"):
+                call()
+
+
 class TestAlignedAllocator:
     def test_aligned_and_line_padded(self):
         for count, dtype in ((1, np.uint8), (8, bool), (13, np.float64), (1024, np.float64)):
