@@ -100,7 +100,10 @@ def _is_int_scalar(ctype: object) -> bool:
 
 @dataclass(frozen=True)
 class AccumulateEffect:
-    """One ``roAdd``/``roMin``/``roMax`` call's symbolic group index."""
+    """One ``roAdd``/``roMin``/``roMax`` call's symbolic group and element
+    indices.  Only ``op``, ``group`` and ``dead`` make up the summary's
+    identity; the element form and the call's ``id()`` ride along for the
+    native printer, which looks its update sites up by the latter."""
 
     op: str
     group: Form
@@ -108,6 +111,8 @@ class AccumulateEffect:
     col: int = 0
     #: statically unreachable (guarding condition provably false)
     dead: bool = False
+    elem: Form = field(default=unknown(), compare=False)
+    expr_id: int = field(default=0, compare=False)
 
     def group_bounds(self, elem: Bounds) -> Bounds:
         """Interval of group indices touched over the element range."""
@@ -498,9 +503,7 @@ class _Analyzer:
                 and expr.name in A.RO_INTRINSICS
                 and expr.args
             ):
-                group = self.eval(expr.args[0], env)
-                for a in expr.args[1:]:
-                    self.eval(a, env)
+                group, *rest = [self.eval(a, env) for a in expr.args]
                 if self.record:
                     self.accumulates.append(
                         AccumulateEffect(
@@ -509,6 +512,8 @@ class _Analyzer:
                             line=expr.line or 0,
                             col=expr.col or 0,
                             dead=not self.reachable,
+                            elem=rest[0] if rest else unknown(),
+                            expr_id=id(expr),
                         )
                     )
             else:

@@ -109,8 +109,9 @@ class KernelEmitter:
         self.plan = plan
         self.lines: list[str] = []
         self.indent = 0
-        #: True while a reduction-object update (arguments included) is emitted
-        self.updating = False
+        #: the reduction-object update being emitted (arguments included),
+        #: else None
+        self.updating: A.Call | None = None
 
     # -- small helpers ------------------------------------------------------
 
@@ -342,12 +343,12 @@ class KernelEmitter:
         elif isinstance(stmt, A.ExprStmt):
             expr = stmt.expr
             if isinstance(expr, A.Call) and expr.name in A.RO_INTRINSICS:
-                self.updating = True
+                self.updating = expr
                 args = [self.emit_expr(a, cost) for a in expr.args]
                 cost.bump("ro_updates")
                 self.flush_cost(cost)
                 self.ro_update(A.RO_INTRINSICS[expr.name], args)
-                self.updating = False
+                self.updating = None
             else:
                 value = self.emit_expr(expr, cost)
                 self.flush_cost(cost)

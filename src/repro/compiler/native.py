@@ -59,12 +59,19 @@ Semantics notes (all chosen to match the *scalar* Python kernel):
   there — and :class:`~repro.util.errors.ReductionObjectError`), leaving
   the ledger, the target and its ``update_count`` where the scalar kernel
   leaves them; checks proven redundant by the PR 7 effect summaries are
-  elided.
+  elided;
+* an RO update whose group and element indices the effect summary bounds
+  (``[glo, ghi]`` and ``[0, ehi]``) is a *proof site*: its three checks
+  run only when the per-layout verdict bit for the site is clear or the
+  index falls outside those bounds.  The wrapper decides the verdict bits
+  once per kernel × layout (:func:`proof_mask`) and passes them in as
+  ``_proven``; a clear bit runs the checks exactly as before.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -96,6 +103,7 @@ __all__ = [
     "kernel_cache_dir",
     "make_native_kernel",
     "probe_toolchain",
+    "proof_mask",
     "reset_toolchain_probe",
 ]
 
@@ -103,7 +111,7 @@ _log = get_logger("compiler.native")
 
 #: Bump on any change to the generated C's calling convention or layout —
 #: part of every on-disk cache key, so stale artifacts are never dlopen'd.
-NATIVE_FORMAT_VERSION = 3
+NATIVE_FORMAT_VERSION = 4
 
 #: Everything ``cc`` is told besides the input and output paths.  The same
 #: tuple is part of the on-disk cache key, so a change here can never attach
@@ -131,6 +139,13 @@ _RC_RO_OP = 22  # RO update op does not match the group's declared op
 #: ``ro_updates`` bump is in the ledger (counts precede their statement, as in
 #: the scalar kernel) but no store happened, so ``update_count`` is one less.
 _RC_UNSTORED = 100
+
+#: Proof sites per kernel: one bit each of the ``long long _proven`` mask,
+#: kept clear of the sign bit.  Sites past the last keep their checks.
+_PROOF_BITS = 63
+#: Bounds a proof site's indices must lie within (non-negative, and far
+#: inside ``long long``).
+_PROOF_MAX = 2**62
 
 _SYMBOL_SENTINEL = "__NATIVE_SYMBOL__"
 
@@ -256,6 +271,8 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._helpers: set[str] = set()
         self._slots: set[int] = set()
         self._can_fail = False
+        #: ``(glo, ghi, ehi, opcode)`` per proof site, in ``_proven`` bit order
+        self.proofs: list[tuple[int, int, int, int]] = []
 
     # -- small helpers ------------------------------------------------------
 
@@ -285,7 +302,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         reports ``_RC_UNSTORED`` on top: the update was counted, not stored.
         """
         self._can_fail = True
-        return f"_FAIL({rc + (_RC_UNSTORED if self.updating else 0)})"
+        return f"_FAIL({rc + (_RC_UNSTORED if self.updating is not None else 0)})"
 
     # -- local type inference -----------------------------------------------
 
@@ -566,20 +583,62 @@ class NativeCodegen(_CBraces, KernelEmitter):
     def expr_stmt(self, value: tuple[str, str]) -> None:
         self._w(f"(void)({value[0]});")
 
+    def _proof(self, opcode: int) -> tuple[int, int, int, int] | None:
+        """The update being emitted as a proof site ``(glo, ghi, ehi,
+        opcode)``: the effect summary bounds its group index within
+        ``[glo, ghi]`` and its element index within ``[0, ehi]``, both
+        integral and non-negative.  None when it does not, or when every
+        ``_proven`` bit is taken."""
+        if self.summary is None or len(self.proofs) == _PROOF_BITS:
+            return None
+        from repro.analysis.effects import ELEM_RANGE
+
+        # the analysis records each update site once
+        eff = next(
+            (a for a in self.summary.accumulates if a.expr_id == id(self.updating)),
+            None,
+        )
+        if eff is None or eff.dead or not (eff.group.is_int and eff.elem.is_int):
+            return None
+        group, elem = eff.group.eval(ELEM_RANGE), eff.elem.eval(ELEM_RANGE)
+        if not (group.contained_in(0, _PROOF_MAX)
+                and elem.contained_in(0, _PROOF_MAX)):
+            return None
+        glo, ghi = math.ceil(group.lo), math.floor(group.hi)
+        if glo > ghi:
+            return None
+        return glo, ghi, math.floor(elem.hi), opcode
+
     def ro_update(self, op: str, args: list[tuple[str, str]]) -> None:
         """``roAdd/roMin/roMax(group, elem, value)`` into the element buffer,
-        with the same validation ``ReductionObject.accumulate`` performs."""
+        with the same validation ``ReductionObject.accumulate`` performs.
+
+        At a proof site the checks run only when the site's ``_proven`` bit
+        is clear or an index lies outside the bounds the verdict was decided
+        for — two compares against constants, which the C compiler drops
+        where its own range analysis agrees with the effect summary's."""
         g, e, v = self.as_index(args[0]), self.as_index(args[1]), args[2][0]
         opcode = _OP_CODES[op]
         tmp = self._next_tmp()
         self._w(f"{{ long long _g{tmp} = {g}; long long _el{tmp} = {e}; "
                 f"double _v{tmp} = (double)({v});")
         self.indent += 1
+        proof = self._proof(opcode)
+        if proof is not None:
+            glo, ghi, ehi, _ = proof
+            bit = len(self.proofs)
+            self.proofs.append(proof)
+            g_off = f"(unsigned long long)_g{tmp}" + (f" - {glo}ULL" if glo else "")
+            self._w(f"if (!((_proven >> {bit}) & 1) || {g_off} > {ghi - glo}ULL"
+                    f" || (unsigned long long)_el{tmp} > {ehi}ULL) {{")
+            self.indent += 1
         self._w(f"if (_g{tmp} < 0 || _g{tmp} >= _ro_groups) "
                 + self._fail(_RC_RO_GROUP))
         self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[_g{tmp}]) "
                 + self._fail(_RC_RO_ELEM))
         self._w(f"if (_ro_op[_g{tmp}] != {opcode}) " + self._fail(_RC_RO_OP))
+        if proof is not None:
+            self.close_brace()
         self._w(f"{{ double *_cell = _acc + _ro_off[_g{tmp}] + _el{tmp};")
         if op == "add":
             self._w(f"  *_cell += _v{tmp}; }}")
@@ -602,13 +661,14 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self.indent = 0
         self._tmp = 0
         self._helpers, self._slots, self._can_fail = set(), set(), False
+        self.proofs = []
         self._w(f"/* {self.low.name}: native FREERIDE kernel, "
                 f"opt level {self.plan.opt_level} */")
         target = (
             "    const unsigned char **_bufs, double *_acc,\n"
             "    const long long *_ro_off, const long long *_ro_n,\n"
             "    const long long *_ro_op, long long _ro_groups,\n"
-            "    unsigned char *_touched, double *_C)"
+            "    long long _proven, _Bool *_touched, double *_C)"
         )
         self._w(f"static long long {_SYMBOL_SENTINEL}_split(")
         self._w("    long long _start, long long _end,")
@@ -633,7 +693,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
                 self._w(f"long long _b_{hoist.hoist_id} = 0;")
         prologue = len(self.lines)  # where the counter locals get declared
         self._w("(void)_bufs; (void)_acc; (void)_ro_off; (void)_ro_n;")
-        self._w("(void)_ro_op; (void)_ro_groups; (void)_touched;")
+        self._w("(void)_ro_op; (void)_ro_groups; (void)_proven; (void)_touched;")
         self._w("for (long long _e = _start; _e < _end; _e++) {")
         self.indent += 1
         self.flush_cost(_Cost({"elements_processed": 1}))
@@ -664,7 +724,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._w("    for (long long _i = 0; _i < _n; _i++) {")
         self._w(f"        long long _rc = {_SYMBOL_SENTINEL}_split(")
         self._w("            _starts[_i], _ends[_i], _bufs, _acc, _ro_off, _ro_n,")
-        self._w("            _ro_op, _ro_groups, _touched, _C);")
+        self._w("            _ro_op, _ro_groups, _proven, _touched, _C);")
         self._w("        if (_rc != 0) return _rc;")
         self._w("    }")
         self._w("    return 0;")
@@ -786,7 +846,7 @@ def _dlopen(so_path: Path, symbol: str) -> tuple[Any, Any]:
     ffi.cdef(
         f"long long {symbol}(long long, const long long *, const long long *, "
         "const unsigned char **, double *, const long long *, "
-        "const long long *, const long long *, long long, unsigned char *, "
+        "const long long *, const long long *, long long, long long, _Bool *, "
         "double *);"
     )
     lib = ffi.dlopen(str(so_path))
@@ -808,6 +868,8 @@ class NativeKernel:
     fn: Any
     #: True when this process ran the C compiler (False = disk-cache hit)
     compiled: bool
+    #: ``(glo, ghi, ehi, opcode)`` per proof site, in ``_proven`` bit order
+    proofs: tuple[tuple[int, int, int, int], ...]
 
 
 def compile_native(
@@ -896,6 +958,7 @@ def compile_native(
         ffi=ffi,
         fn=fn,
         compiled=compiled,
+        proofs=tuple(gen.proofs),
     )
 
 
@@ -908,6 +971,25 @@ _RC_MESSAGES = {
     _RC_RO_ELEM: (ReductionObjectError, "element out of range for its group"),
     _RC_RO_OP: (ReductionObjectError, "update op does not match the group's op"),
 }
+
+
+def proof_mask(proofs: tuple[tuple[int, int, int, int], ...], store: Any) -> int:
+    """The ``_proven`` mask of a kernel's proof sites on ``store``'s layout.
+
+    Bit ``s`` is set iff site ``s``'s groups ``[glo, ghi]`` all exist, are
+    declared with its op and hold more than ``ehi`` elements: then none of
+    its three checks can fail for indices inside its bounds.
+    """
+    mask = 0
+    for bit, (glo, ghi, ehi, opcode) in enumerate(proofs):
+        groups = slice(glo, ghi + 1)
+        if (
+            ghi < len(store.nelems)
+            and (store.opcodes[groups] == opcode).all()
+            and (store.nelems[groups] > ehi).all()
+        ):
+            mask |= 1 << bit
+    return mask
 
 
 def make_native_kernel(native: NativeKernel, name: str) -> Callable:
@@ -924,13 +1006,15 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     failure too, so what a failing call stored before it failed is
     accounted for like any other update.  What depends only on the store
     — the layout tables' and buffers' C pointers — is prepared once per
-    (thread, store); nothing per call walks the groups.
+    (thread, store), and the proof verdict once per layout; nothing per
+    call walks the groups.
     """
     ffi = native.ffi
     fn = native.fn
     buf_names = [f"buf_{kid}" for kid in native.buf_order]
     tls = threading.local()
     ledger_lock = threading.Lock()  # lanes of one run share the ledger
+    verdicts: dict[Any, int] = {}  # interned layout -> its proof_mask
 
     def _thread_state() -> tuple:
         try:
@@ -947,14 +1031,19 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
 
     def _prepare(store: Any) -> tuple:
         # The entry must not reference its (weak) key; the buffers behind
-        # the pointers live as long as the key does.
+        # the pointers live as long as the key does.  A racing thread may
+        # decide a new layout's verdict twice, to the same mask.
+        proven = verdicts.get(store.layout)
+        if proven is None:
+            proven = verdicts[store.layout] = proof_mask(native.proofs, store)
         return (
             ffi.cast("double *", store.elements.ctypes.data),
             ffi.cast("const long long *", store.offsets.ctypes.data),
             ffi.cast("const long long *", store.nelems.ctypes.data),
             ffi.cast("const long long *", store.opcodes.ctypes.data),
             len(store.offsets),
-            ffi.cast("unsigned char *", store.touched.ctypes.data),
+            proven,
+            ffi.cast("_Bool *", store.touched.ctypes.data),
         )
 
     def _native_ranges(_starts, _ends, _ro, _env, _C):
@@ -971,7 +1060,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         prepared = targets.get(store)
         if prepared is None:
             prepared = targets[store] = _prepare(store)
-        c_elems, c_off, c_n, c_op, groups, c_touched = prepared
+        c_elems, c_off, c_n, c_op, groups, proven, c_touched = prepared
         # the env owns the data buffers (and may swap them between calls)
         for i, buf_name in enumerate(buf_names):
             c_bufs[i] = ffi.cast("const unsigned char *", _env[buf_name].ctypes.data)
@@ -981,7 +1070,8 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             len(_starts),
             ffi.from_buffer("long long[]", _starts),
             ffi.from_buffer("long long[]", _ends),
-            c_bufs, c_elems, c_off, c_n, c_op, groups, c_touched, c_counters,
+            c_bufs, c_elems, c_off, c_n, c_op, groups, proven, c_touched,
+            c_counters,
         )
 
         # A failing call counts like the scalar kernel: everything up to the

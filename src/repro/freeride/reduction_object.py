@@ -194,10 +194,12 @@ class DirectStore:
     """The buffers one lane's native kernel may store into directly.
 
     ``elements`` is a reduction object's dense float64 buffer and
-    ``touched`` one byte per group (set to 1 by every update); the int64
-    tables describe the layout the kernel validates each update against.
-    One instance lives as long as the buffers it names, so per-target
-    call state can be keyed on it.
+    ``touched`` its NumPy ``bool`` flags, one per group (``_Bool`` in C, set
+    by every update); the int64 tables describe the layout the kernel
+    validates each update against, and ``layout`` is the interned layout
+    they belong to.  One instance lives as long as the buffers it names and
+    its layout never changes, so per-target call state can be keyed on the
+    instance and per-layout facts on ``layout``.
     """
 
     elements: np.ndarray
@@ -205,6 +207,7 @@ class DirectStore:
     offsets: np.ndarray
     nelems: np.ndarray
     opcodes: np.ndarray
+    layout: _Layout
 
 
 class ReductionObject:
@@ -609,7 +612,7 @@ class ReductionObject:
             tables = self._tables()
             self._store = DirectStore(
                 self._buffer, self._touched,
-                tables.offsets, tables.nelems, tables.opcodes,
+                tables.offsets, tables.nelems, tables.opcodes, tables,
             )
         return self._store
 

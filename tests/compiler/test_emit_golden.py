@@ -69,7 +69,7 @@ GOLDEN = {
         'scalar': '7a687dc7972b441b',
         'c_like': '38e7870de92cc674',
         'batch': '1f272c81502479d2',
-        'native': 'a898978f6b12e340',
+        'native': '3c83d8b00348a260',
     },
     ('em', 0): {
         'scalar': '40a35e62b74a907c',
@@ -87,25 +87,25 @@ GOLDEN = {
         'scalar': '444a0a593ecaf17f',
         'c_like': 'fca8c66641a40136',
         'batch': '6c852499d79c22ed',
-        'native': '3369ebb893e5af60',
+        'native': '2c7776491ddca098',
     },
     ('histogram', 0): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '92bd8ddc0329c0d5',
         'batch': '60b264c6a5cbfaf6',
-        'native': '60e1926b1df7ff10',
+        'native': '9769463e728ae1d1',
     },
     ('histogram', 1): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '77a04571ce4fe216',
         'batch': '60b264c6a5cbfaf6',
-        'native': 'd6af7369baa7aa26',
+        'native': 'd9b6281d87547057',
     },
     ('histogram', 2): {
         'scalar': '0e09601f9c5680b3',
         'c_like': 'b2aea37411dd9ba4',
         'batch': '60b264c6a5cbfaf6',
-        'native': 'f7cb62210247b0d6',
+        'native': '7d4941b58b64eb83',
     },
     ('kmeans', 0): {
         'scalar': '01b67249503b2beb',
@@ -123,7 +123,7 @@ GOLDEN = {
         'scalar': '86aa7e9c85db481a',
         'c_like': 'cb308bc4be971dd9',
         'batch': '897b919735c7bee1',
-        'native': 'e7a94a77362e576b',
+        'native': '700afc3fe0c05bb3',
     },
     ('pca_cov', 0): {
         'scalar': '2acef880d96b2679',
@@ -141,25 +141,25 @@ GOLDEN = {
         'scalar': '0cb9a4bb05e6ee0e',
         'c_like': '15447a5ff327ef43',
         'batch': '51b7e853fac9b4c3',
-        'native': '18c7f3efbff23b5a',
+        'native': '5167dcbb5d80cd1a',
     },
     ('pca_mean', 0): {
         'scalar': 'b22fa849b10e1ace',
         'c_like': '308965df939bdaaa',
         'batch': '50f3666c2724b7fe',
-        'native': 'b533bbcac0067cb9',
+        'native': '032cad156c1f14a8',
     },
     ('pca_mean', 1): {
         'scalar': '953c8eaa69981582',
         'c_like': 'c8e0185aec4c916d',
         'batch': '31b595ced95e17ca',
-        'native': '1c7dd2fdf527c3e8',
+        'native': '0e5f1f983de5d5e5',
     },
     ('pca_mean', 2): {
         'scalar': '953c8eaa69981582',
         'c_like': '96c15041353e6ba1',
         'batch': '31b595ced95e17ca',
-        'native': '3e3506ed45699593',
+        'native': 'd05ce9242d078eb6',
     },
     ('windowed', 0): {
         'scalar': '359462e9dd32ac22',
@@ -177,7 +177,7 @@ GOLDEN = {
         'scalar': '4468ce78e37e63cd',
         'c_like': '19444ab15b5843b6',
         'batch': 'f013941bf11e9e02',
-        'native': 'f00402ffcfc57355',
+        'native': '204676fe02dc1406',
     },
 }
 

@@ -18,11 +18,20 @@ import pytest
 
 import repro.compiler.native as native_mod
 from repro.apps.apriori import APRIORI_CHAPEL_SOURCE
-from repro.apps.em import EM_CHAPEL_SOURCE
-from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
-from repro.apps.kmeans import KMEANS_CHAPEL_SOURCE
-from repro.apps.pca import PCA_COV_SOURCE, PCA_MEAN_SOURCE
-from repro.apps.windowed import WINDOWED_CHAPEL_SOURCE
+from repro.apps.em import EM_CHAPEL_SOURCE, EmRunner
+from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE, HistogramRunner
+from repro.apps.kmeans import (
+    KMEANS_CHAPEL_SOURCE,
+    centroids_to_chapel,
+    kmeans_ro_layout,
+)
+from repro.apps.pca import (
+    PCA_COV_SOURCE,
+    PCA_MEAN_SOURCE,
+    cov_ro_layout,
+    mean_ro_layout,
+)
+from repro.apps.windowed import WINDOWED_CHAPEL_SOURCE, WindowedRunner
 from repro.chapel.domains import Domain
 from repro.chapel.types import REAL, ArrayType
 from repro.chapel.values import from_python
@@ -153,11 +162,12 @@ class TestNativeCodegen:
             assert absent not in src, absent
         assert "    return 0;\n}" in src
 
-    @pytest.mark.parametrize("which", ["histogram", "no_update"])
+    @pytest.mark.parametrize("which", [*sorted(APP_KERNELS), "no_update"])
     def test_no_unused_noise_for_cc(self, which, tmp_path):
         # only what a kernel uses is declared, defined, labelled or flushed
-        compiled = _compile_hist() if which == "histogram" else compile_cached(
-            NO_UPDATE_SOURCE, {}, opt_level=2, backend="native"
+        source, constants = APP_KERNELS.get(which, (NO_UPDATE_SOURCE, {}))
+        compiled = compile_cached(
+            source, dict(constants), opt_level=2, backend="native"
         )
         c_file = tmp_path / "kernel.c"
         c_file.write_text(compiled.native_source)
@@ -337,6 +347,204 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
             scalar_ro, scalar_ledger
         )
         assert scalar_ro.update_count == scalar_ledger.ro_updates == 2 * FAILING_AT + 1
+
+    @pytest.mark.parametrize("rc", [20, 21, 22])
+    def test_an_unbounded_site_carries_no_proof_bit(self, rc):
+        # only the bounded ``roAdd(0, 0, x)`` ahead of it is a proof site
+        compiled = compile_cached(
+            _UPDATE_TEMPLATE % FAILING_CALLS[rc][0], {"nb": 4}, opt_level=2,
+            backend="native",
+        )
+        assert compiled.native_kernel.native.proofs == ((0, 0, 0, 0),)
+        assert compiled.native_source.count("_proven >>") == 1
+
+
+# -- proof sites: one verdict per kernel x layout -------------------------------
+
+def _runner_layouts():
+    """app -> the layout its runner hands the engine, at APP_KERNELS' constants."""
+    km, pca = APP_KERNELS["kmeans"][1], APP_KERNELS["pca_cov"][1]
+    runners = [
+        HistogramRunner(8, 0.0, 16.0, version="manual"),
+        EmRunner(2, 2),
+        WindowedRunner(64, 8, np.ones(8), 0.0, 1.0),
+    ]
+    try:
+        hist, em, windowed = (r.ro_layout() for r in runners)
+    finally:
+        for runner in runners:
+            runner.close()
+    return {
+        "kmeans": kmeans_ro_layout(km["k"], km["dim"]),
+        "histogram": hist,
+        "pca_mean": mean_ro_layout(pca["m"]),
+        "pca_cov": cov_ro_layout(pca["m"]),
+        "em": em,
+        # AprioriRunner._count_supports: one group of numCand supports
+        "apriori": [(APP_KERNELS["apriori"][1]["numCand"], "add")],
+        "windowed": windowed,
+    }
+
+
+def _bounded_case(app):
+    """``(constants, data, extras, good layout)`` of a bounded-site kernel;
+    every group of the layout is hit, in element order, more than once."""
+    if app == "histogram":
+        return HIST_CONSTS, np.arange(16, dtype=np.float64), {}, [(2, "add")] * 8
+    if app == "kmeans":
+        centroids = np.array([[0.0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4]])
+        points = np.concatenate([centroids + 0.5, centroids - 0.25])
+        return ({"k": 4, "dim": 3}, points,
+                {"centroids": centroids_to_chapel(centroids)}, kmeans_ro_layout(4, 3))
+    assert app == "pca_cov"
+    cols = np.arange(40, dtype=np.float64).reshape(8, 5) % 7
+    return {"m": 5}, cols, {"mean": _real_vector([1, 2, 3, 2, 1])}, cov_ro_layout(5)
+
+
+def _defeat(layout, how):
+    """The layout one group short, or with its group 2 declared with another
+    op or one element short."""
+    if how == "short":
+        return layout[:-1]
+    bad = list(layout)
+    n, op = bad[2]
+    bad[2] = (n, "max" if op == "add" else "add") if how == "op" else (n - 1, op)
+    return bad
+
+
+#: how a layout defeats a proof -> (return code, message both tiers raise)
+DEFEATS = {
+    "short": (20, r"group.* not allocated"),
+    "op": (22, r"op does not match the group's op"),
+    "few_elems": (21, r"element.* out of range for .*group"),
+}
+
+
+@needs_cc
+class TestProofSites:
+    """A site the effect summary bounds skips its checks only on a layout
+    whose verdict bit is set; on any other layout the checks run, and a
+    failing call leaves what the scalar kernel leaves."""
+
+    @pytest.mark.parametrize("app", sorted(APP_KERNELS))
+    def test_every_app_kernel_is_proven_on_its_runners_layout(self, app):
+        source, constants = APP_KERNELS[app]
+        compiled = compile_cached(
+            source, dict(constants), opt_level=2, backend="native"
+        )
+        proofs = compiled.native_kernel.native.proofs
+        assert proofs, "every app kernel has a bounded update"
+        ro = ReductionObject()
+        ro.alloc_many(_runner_layouts()[app])
+        assert native_mod.proof_mask(proofs, ro.direct_store()) == (1 << len(proofs)) - 1
+
+    def _run(self, app, layout, backend):
+        constants, data, extras, _ = _bounded_case(app)
+        source = APP_KERNELS[app][0]
+        compiled = compile_cached(source, dict(constants), opt_level=2, backend=backend)
+        assert compiled.effective_backend == backend, compiled.native_fallback_reason
+        bound = compiled.bind(data, extras)
+        ro = ReductionObject()
+        ro.alloc_many(layout)
+        ledger = OpCounters()
+        n = len(data)
+        ranges = [(0, n // 3), (n // 3, n - 2), (n - 2, n)]
+        with pytest.raises(Exception) as raised:
+            if backend == "native":
+                starts, ends = np.array(ranges, dtype=np.int64).T
+                compiled.native_kernel.ranges(starts, ends, ro, bound.env, ledger)
+            else:
+                for start, end in ranges:
+                    compiled.effective_kernel(start, end, ro, bound.env, ledger)
+        return compiled, raised.value, ro, ledger
+
+    @pytest.mark.parametrize("how", sorted(DEFEATS))
+    @pytest.mark.parametrize("app", ["histogram", "kmeans", "pca_cov"])
+    def test_parity_where_the_layout_defeats_the_proof(self, app, how):
+        rc, message = DEFEATS[how]
+        layout = _defeat(_bounded_case(app)[3], how)
+        compiled, native_exc, native_ro, native_ledger = self._run(app, layout, "native")
+        proofs = compiled.native_kernel.native.proofs
+        mask = native_mod.proof_mask(proofs, native_ro.direct_store())
+        assert mask != (1 << len(proofs)) - 1, "the verdict must clear a bit"
+        _, scalar_exc, scalar_ro, scalar_ledger = self._run(app, layout, "scalar")
+
+        assert type(native_exc) is type(scalar_exc) is ReductionObjectError
+        assert re.search(message, str(native_exc)), native_exc
+        assert re.search(message, str(scalar_exc)), scalar_exc
+        left = TestFailingCallLeavesWhatTheScalarKernelLeaves._left_behind
+        assert left(native_ro, native_ledger) == left(scalar_ro, scalar_ledger)
+        # part of the data was reduced before the failing update
+        assert 0 < scalar_ro.update_count < scalar_ledger.ro_updates
+        assert f"_FAIL({native_mod._RC_UNSTORED + rc})" in compiled.native_source
+
+    def test_an_index_outside_the_proven_bounds_runs_the_checks(self):
+        # The effect analysis reasons in Python's semantics: y is clamped to
+        # [0, 3], so toInt(y) is too.  In C a NaN passes both clamps and
+        # converts to a huge negative group.  The site is proven and its bit
+        # set, so only the bounds guard stands between that index and a
+        # store outside the buffer: the checks run and refuse it, leaving
+        # what the scalar kernel leaves (which refuses the NaN in toInt).
+        source = """
+        class clampReal : ReduceScanOp {
+          def accumulate(x: real) {
+            var y: real = x;
+            if (y < 0.0) { y = 0.0; }
+            if (y > 3.0) { y = 3.0; }
+            roAdd(toInt(y), 0, 1.0);
+          }
+        }
+        """
+        data = np.array([1.0, 2.0, np.nan, 3.0])
+        left = {}
+        for backend in ("native", "scalar"):
+            compiled = compile_cached(source, {}, opt_level=2, backend=backend)
+            bound = compiled.bind(data)
+            ro = ReductionObject()
+            ro.alloc_many([(1, "add")] * 4)
+            ledger = OpCounters()
+            if backend == "native":
+                proofs = compiled.native_kernel.native.proofs
+                assert proofs == ((0, 3, 0, 0),)
+                assert native_mod.proof_mask(proofs, ro.direct_store()) == 1
+            with pytest.raises(Exception) as raised:
+                if backend == "native":
+                    compiled.native_kernel.ranges(
+                        np.array([0]), np.array([4]), ro, bound.env, ledger
+                    )
+                else:
+                    compiled.effective_kernel(0, 4, ro, bound.env, ledger)
+            left[backend] = (
+                type(raised.value),
+                TestFailingCallLeavesWhatTheScalarKernelLeaves._left_behind(ro, ledger),
+            )
+        assert left["native"][0] is ReductionObjectError
+        assert left["scalar"][0] is ValueError
+        assert left["native"][1] == left["scalar"][1]
+
+    def test_the_verdict_is_decided_once_per_layout(self, monkeypatch):
+        calls = []
+        real = native_mod.proof_mask
+        monkeypatch.setattr(
+            native_mod, "proof_mask", lambda *a: calls.append(a) or real(*a)
+        )
+        constants, data, extras, layout = _bounded_case("histogram")
+        compiled = compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE, dict(constants), opt_level=2, backend="native"
+        )
+        bound = compiled.bind(data, extras)
+        ranges = compiled.native_kernel.ranges
+        starts, ends = np.array([0]), np.array([len(data)])
+        for _ in range(3):  # a fresh replica per run: a lookup, not a pass
+            ro = ReductionObject()
+            ro.alloc_many(layout)
+            ranges(starts, ends, ro, bound.env, OpCounters())
+        assert len(calls) == 1
+        ro = ReductionObject()
+        ro.alloc_many(_defeat(layout, "op"))
+        with pytest.raises(ReductionObjectError):
+            ranges(starts, ends, ro, bound.env, OpCounters())
+        assert len(calls) == 2
 
 
 class TestToolchainFallback:

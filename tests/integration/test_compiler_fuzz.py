@@ -7,7 +7,10 @@ it, runs them on the FREERIDE engine with random thread counts, and checks
 every version against the AST interpreter oracle and every tier's counter
 ledger against the scalar tier's.  Any transformation bug — wrong hoist, bad
 offset, bad incremental base, a printer that counts differently — shows up
-as a mismatch.
+as a mismatch.  Where native C is built, each program also runs native
+against scalar on its layout and on two layouts its updates do not fit: the
+per-layout verdict that lets a native update skip its checks must never
+change what a call returns, raises or leaves behind.
 """
 
 import numpy as np
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 from repro.chapel.parser import parse_program
 from repro.compiler import compile_reduction, interpret_over, lower_reduction
 from repro.compiler.native import probe_toolchain
+from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine
+from repro.machine.counters import OpCounters
 
 #: the backend axis: native only where a C toolchain can build it
 TIERS = ("scalar", "batch") + (("native",) if probe_toolchain()["ok"] else ())
@@ -141,6 +146,43 @@ def fixed_layout(cfg):
     return cfg["layout"]
 
 
+#: the op a layout's first group is swapped to
+_OTHER_OP = {"add": "max", "min": "add", "max": "add"}
+
+
+def layout_axis(layout):
+    """The layout, its last group dropped, and its first group's op swapped:
+    one the kernel's proof sites hold on, two the per-layout verdict must
+    catch."""
+    (n, op), *rest = layout
+    return [layout, layout[:-1], [(n, _OTHER_OP[op]), *rest]]
+
+
+#: what an invalid update's message says, in every tier's words
+_REFUSALS = ("not allocated", "op does not match", "out of range")
+
+
+def run_direct(comp, bound, layout, n):
+    """The tier's kernel over ``[0, n)`` in three ranges, into a fresh object
+    of ``layout``: ``(exception type and refusal or None, snapshot, touched
+    groups, update count, ledger)``."""
+    ro, ledger = ReductionObject(), OpCounters()
+    ro.alloc_many(layout)
+    ranges = [(0, n // 3), (n // 3, n - n // 4), (n - n // 4, n)]
+    failed = None
+    try:
+        if comp.native_kernel is not None:
+            starts, ends = np.array(ranges, dtype=np.int64).T
+            comp.native_kernel.ranges(starts, ends, ro, bound.env, ledger)
+        else:
+            for start, end in ranges:
+                comp.effective_kernel(start, end, ro, bound.env, ledger)
+    except Exception as exc:  # compared across tiers
+        failed = type(exc), [r for r in _REFUSALS if r in str(exc)][:1]
+    return (failed, ro.snapshot(), ro.touched_groups(), ro.update_count,
+            ledger.as_dict())
+
+
 # ----------------------------------------------------------------------- test
 
 
@@ -164,7 +206,7 @@ class TestCompilerFuzz:
         want = oracle.snapshot()
 
         for level in (0, 1, 2):
-            ledgers = {}
+            ledgers, kernels = {}, {}
             for tier in TIERS:
                 comp = compile_reduction(
                     program, constants, opt_level=level, backend=tier
@@ -172,6 +214,7 @@ class TestCompilerFuzz:
                 if comp.effective_backend != tier:
                     continue  # the tier refused this program (reason recorded)
                 bound = comp.bind(data, extras)
+                kernels[tier] = comp, bound
                 spec, idx = bound.make_spec(layout)
                 engine = FreerideEngine(num_threads=cfg["threads"])
                 try:
@@ -187,6 +230,19 @@ class TestCompilerFuzz:
                     f"level {level}: {tier} counted differently\n"
                     f"source: {cfg['source']}"
                 )
+            if "native" not in kernels:
+                continue
+            # the layout axis: on a layout that defeats a proof the native
+            # kernel fails where, and leaves what, the scalar kernel does
+            for bad in layout_axis(layout):
+                native, scalar = (
+                    run_direct(*kernels[tier], bad, cfg["n"])
+                    for tier in ("native", "scalar")
+                )
+                where = f"level {level}, layout {bad}\nsource: {cfg['source']}"
+                assert native[0] == scalar[0], where
+                assert np.array_equal(native[1], scalar[1], equal_nan=True), where
+                assert native[2:] == scalar[2:], where
 
     @settings(max_examples=15, deadline=None)
     @given(cfg=random_programs())
