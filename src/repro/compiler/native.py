@@ -39,10 +39,11 @@ Compiled artifacts are **cached on disk** per
 ``(format version, toolchain fingerprint, build flags, C source)`` under
 ``~/.cache/repro-kernels/`` (override with ``REPRO_KERNEL_CACHE``), so a
 warm start dlopens the existing shared library and never invokes the
-toolchain.  The C compiler is probed once per process (override with
-``REPRO_CC``); a missing or broken toolchain downgrades every native
-request to the batch/scalar path with a single warning and a single
-``native_fallback`` trace event.
+toolchain, and a cold build runs ``cc`` on a build thread beside its caller
+(:func:`submit_native`).  The C compiler is probed once per process
+(override with ``REPRO_CC``); a missing or broken toolchain downgrades
+every native request to the batch/scalar path with a single warning and a
+single ``native_fallback`` trace event.
 
 Semantics notes (all chosen to match the *scalar* Python kernel):
 
@@ -77,9 +78,10 @@ import subprocess
 import tempfile
 import threading
 import weakref
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -96,6 +98,7 @@ from repro.util.logging import get_logger
 __all__ = [
     "CC_FLAGS",
     "NATIVE_FORMAT_VERSION",
+    "NativeBuild",
     "NativeCodegen",
     "NativeKernel",
     "NativeUnsupported",
@@ -105,6 +108,7 @@ __all__ = [
     "probe_toolchain",
     "proof_mask",
     "reset_toolchain_probe",
+    "submit_native",
 ]
 
 _log = get_logger("compiler.native")
@@ -872,19 +876,114 @@ class NativeKernel:
     proofs: tuple[tuple[int, int, int, int], ...]
 
 
-def compile_native(
+class NativeBuild(NamedTuple):
+    """A native compile as :func:`submit_native` returns it."""
+
+    source: str
+    symbol: str
+    #: resolves to the :class:`NativeKernel` (already resolved on a disk hit);
+    #: its result raises :class:`NativeUnsupported` when ``cc`` fails
+    kernel: Future
+
+
+# ------------------------------------------------------------ build threads
+#
+# A cold build runs beside its caller: ``cc`` is a subprocess, and waiting for
+# one releases the GIL, so one build thread per CPU keeps every CPU busy.  The
+# pool is created by the first cold build of a process (a forked child starts
+# without one) and joined by concurrent.futures at interpreter exit, so no
+# ``cc`` outlives the process.
+
+_build_lock = threading.Lock()
+_build_pool: ThreadPoolExecutor | None = None
+#: ``.so`` path -> the build publishing it; finished ones are pruned on submit
+_inflight: dict[Path, Future] = {}
+_on_build_thread = threading.local()
+
+
+def _build_width() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _mark_build_thread() -> None:
+    _on_build_thread.active = True
+
+
+def _submit(so_path: Path, build: Callable[[], NativeKernel]) -> Future:
+    """Run ``build`` on a build thread, unless one for ``so_path`` is in flight."""
+    global _build_pool
+    with _build_lock:
+        for path in [p for p, f in _inflight.items() if f.done()]:
+            del _inflight[path]
+        future = _inflight.get(so_path)
+        if future is None:
+            if _build_pool is None:
+                _build_pool = ThreadPoolExecutor(
+                    _build_width(), thread_name_prefix="repro-cc",
+                    initializer=_mark_build_thread,
+                )
+            future = _inflight[so_path] = _build_pool.submit(build)
+        return future
+
+
+def _before_fork() -> None:
+    # Held until the fork is done: no build starts meanwhile.  Waiting lets
+    # every build in flight release its per-symbol lock and ``_dlopen_lock``
+    # and publish, so the child inherits finished builds only.  Builds never
+    # take ``_build_lock``, and a build thread never waits for itself.
+    _build_lock.acquire()
+    if not getattr(_on_build_thread, "active", False):
+        wait(list(_inflight.values()))
+
+
+def _after_fork_in_parent() -> None:
+    _build_lock.release()
+
+
+def _after_fork_in_child() -> None:
+    global _build_pool
+    _build_pool = None  # its threads did not survive the fork
+    _inflight.clear()
+    _build_lock.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=_after_fork_in_parent,
+        after_in_child=_after_fork_in_child,
+    )
+
+
+def submit_native(
     lowered: LoweredReduction,
     plan: CompilationPlan,
     summary: Any = None,
-) -> NativeKernel:
-    """Emit, (maybe) compile and dlopen the native kernel.
+) -> NativeBuild:
+    """Emit the native kernel and start its build; returns without ``cc``.
 
-    The disk key is ``sha256(format version | toolchain fingerprint |
-    build flags | C source)``; a warm start finds ``<key>.so`` already
-    present and only dlopens it — zero toolchain invocations, asserted by
-    the warm-start tests via the absence of ``native_compile`` trace spans.
+    The caller's half runs here: the toolchain probe, the C emission, the
+    disk key ``sha256(format version | toolchain fingerprint | build flags |
+    C source)`` and the symbol.  Everything the build reads from process
+    state — :func:`kernel_cache_dir`, :data:`CC_FLAGS`, the probed ``cc`` and
+    the active tracer — is read here too, so a later environment change or
+    monkeypatch cannot split a build from its key.
 
-    Raises :class:`NativeUnsupported` (caller records the fallback).
+    A warm start finds ``<key>.so`` already present and dlopens it right
+    here — zero toolchain invocations, asserted by the warm-start tests via
+    the absence of ``native_compile`` trace spans.  On a miss the build —
+    per-symbol lock, exists re-check, ``cc``, atomic publish, dlopen — runs
+    on a build thread (one per CPU), joining one already in flight for the
+    same ``.so``.
+
+    Raises :class:`NativeUnsupported` for the two failures known at once: an
+    unusable toolchain and a kernel the emitter refuses.  A ``cc`` failure
+    is raised by :attr:`NativeBuild.kernel`'s result, as is an ``OSError``
+    from dlopen.
     """
     probe = probe_toolchain()
     if not probe["ok"]:
@@ -893,8 +992,9 @@ def compile_native(
     gen = NativeCodegen(lowered, plan, summary=summary)
     template = gen.generate()
 
+    cc, flags = probe["cc"], CC_FLAGS
     digest = hashlib.sha256(
-        f"v{NATIVE_FORMAT_VERSION}|{probe['fingerprint']}|{' '.join(CC_FLAGS)}|"
+        f"v{NATIVE_FORMAT_VERSION}|{probe['fingerprint']}|{' '.join(flags)}|"
         f"{template}".encode()
     ).hexdigest()
     symbol = f"repro_native_{digest[:16]}"
@@ -903,63 +1003,87 @@ def compile_native(
     cache_dir = kernel_cache_dir()
     so_path = cache_dir / f"{symbol}.so"
     tracer = get_tracer()
-    compiled = False
-    with _compile_lock_for(symbol):
-        if so_path.exists():
-            tracer.event(
-                "native_cache.hit", cat="cache",
-                reduction=lowered.name, opt_level=plan.opt_level,
-                digest=digest[:12], path=str(so_path),
-            )
-        else:
-            tracer.event(
-                "native_cache.miss", cat="cache",
-                reduction=lowered.name, opt_level=plan.opt_level,
-                digest=digest[:12],
-            )
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            c_path = cache_dir / f"{symbol}.c"
-            with tracer.span(
-                "native_compile", cat="compiler",
-                reduction=lowered.name, opt_level=plan.opt_level,
-                cc=probe["cc"],
-            ):
-                tmp_c = cache_dir / f".{symbol}.{os.getpid()}.c"
-                tmp_so = cache_dir / f".{symbol}.{os.getpid()}.so"
-                try:
-                    tmp_c.write_text(source)
-                    run = subprocess.run(
-                        [probe["cc"], str(tmp_c), *CC_FLAGS, "-o", str(tmp_so)],
-                        capture_output=True, text=True, timeout=120,
-                    )
-                    if run.returncode != 0 or not tmp_so.exists():
-                        raise NativeUnsupported(
-                            "C compilation failed: "
-                            + (run.stderr.strip()[:500] or "unknown error")
-                        )
-                    # Atomic publish: concurrent processes race benignly.
-                    os.replace(tmp_c, c_path)
-                    os.replace(tmp_so, so_path)
-                    compiled = True
-                except (OSError, subprocess.SubprocessError) as exc:
-                    raise NativeUnsupported(f"C compilation failed: {exc}")
-                finally:
-                    for leftover in (tmp_c, tmp_so):
-                        try:
-                            leftover.unlink()
-                        except OSError:
-                            pass
+
+    def attach(compiled: bool) -> NativeKernel:
         ffi, fn = _dlopen(so_path, symbol)
-    return NativeKernel(
-        source=source,
-        symbol=symbol,
-        so_path=so_path,
-        buf_order=tuple(gen.buf_order),
-        ffi=ffi,
-        fn=fn,
-        compiled=compiled,
-        proofs=tuple(gen.proofs),
-    )
+        return NativeKernel(
+            source=source,
+            symbol=symbol,
+            so_path=so_path,
+            buf_order=tuple(gen.buf_order),
+            ffi=ffi,
+            fn=fn,
+            compiled=compiled,
+            proofs=tuple(gen.proofs),
+        )
+
+    def verdict(name: str, **args: Any) -> None:
+        tracer.event(
+            f"native_cache.{name}", cat="cache",
+            reduction=lowered.name, opt_level=plan.opt_level,
+            digest=digest[:12], **args,
+        )
+
+    if so_path.exists():
+        verdict("hit", path=str(so_path))
+        hit: Future = Future()
+        hit.set_result(attach(False))
+        return NativeBuild(source, symbol, hit)
+
+    def build() -> NativeKernel:
+        compiled = False
+        with _compile_lock_for(symbol):
+            if so_path.exists():
+                verdict("hit", path=str(so_path))
+            else:
+                verdict("miss")
+                cache_dir.mkdir(parents=True, exist_ok=True)
+                c_path = cache_dir / f"{symbol}.c"
+                with tracer.span(
+                    "native_compile", cat="compiler",
+                    reduction=lowered.name, opt_level=plan.opt_level, cc=cc,
+                ):
+                    tmp_c = cache_dir / f".{symbol}.{os.getpid()}.c"
+                    tmp_so = cache_dir / f".{symbol}.{os.getpid()}.so"
+                    try:
+                        tmp_c.write_text(source)
+                        run = subprocess.run(
+                            [cc, str(tmp_c), *flags, "-o", str(tmp_so)],
+                            capture_output=True, text=True, timeout=120,
+                        )
+                        if run.returncode != 0 or not tmp_so.exists():
+                            raise NativeUnsupported(
+                                "C compilation failed: "
+                                + (run.stderr.strip()[:500] or "unknown error")
+                            )
+                        # Atomic publish: concurrent processes race benignly.
+                        os.replace(tmp_c, c_path)
+                        os.replace(tmp_so, so_path)
+                        compiled = True
+                    except (OSError, subprocess.SubprocessError) as exc:
+                        raise NativeUnsupported(f"C compilation failed: {exc}")
+                    finally:
+                        for leftover in (tmp_c, tmp_so):
+                            try:
+                                leftover.unlink()
+                            except OSError:
+                                pass
+            return attach(compiled)
+
+    return NativeBuild(source, symbol, _submit(so_path, build))
+
+
+def compile_native(
+    lowered: LoweredReduction,
+    plan: CompilationPlan,
+    summary: Any = None,
+) -> NativeKernel:
+    """Emit, (maybe) compile and dlopen the native kernel, waiting for the
+    build: :func:`submit_native`, then its result.
+
+    Raises :class:`NativeUnsupported` (caller records the fallback).
+    """
+    return submit_native(lowered, plan, summary).kernel.result()
 
 
 # ------------------------------------------------------------ Python wrapper

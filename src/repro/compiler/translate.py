@@ -21,9 +21,11 @@ iteration cost the paper describes for opt-2.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,9 +139,32 @@ def _make_lane_viewer(
     return rows
 
 
+class _Tiers(NamedTuple):
+    """How a compile ended: the tiers it built and the one runs dispatch."""
+
+    native_kernel: Callable | None
+    native_fallback_reason: str | None
+    batch_source: str | None
+    batch_kernel: Callable | None
+    batch_fallback_reason: str | None
+    effective_kernel: Callable
+    effective_backend: str
+
+
 @dataclass
 class CompiledReduction:
-    """One optimization level of one reduction class, ready to bind."""
+    """One optimization level of one reduction class, ready to bind.
+
+    A native compile returns once its C is emitted; ``cc`` runs on a build
+    thread meanwhile.  :attr:`native_kernel`, :attr:`native_fallback_reason`,
+    :attr:`batch_kernel`, :attr:`batch_source`,
+    :attr:`batch_fallback_reason`, :attr:`effective_kernel` and
+    :attr:`effective_backend` depend on how that build ends: the first read
+    of any of them waits for it and settles all seven, once.  ``bind`` and
+    ``update_extras`` read none of them, so binding overlaps ``cc``;
+    ``make_spec`` and ``run_serial`` are where a kernel is first needed.
+    An ``OSError`` from dlopen'ing the built library surfaces there too.
+    """
 
     lowered: LoweredReduction
     plan: CompilationPlan
@@ -152,15 +177,18 @@ class CompiledReduction:
     #: (:func:`repro.compiler.groupbounds.analyze_group_bounds`); the
     #: engine's split coloring consumes this via the spec
     group_bounds: Any = field(default=None, repr=False)
-    batch_source: str | None = None
-    batch_kernel: Callable | None = None
-    batch_fallback_reason: str | None = None
-    #: JIT native backend (``backend="native"``): the generated C source,
-    #: the dlopen'd kernel behind the standard 5-arg calling convention,
-    #: and the recorded reason when the request downgraded to batch/scalar
+    #: JIT native backend (``backend="native"``): the generated C source
     native_source: str | None = None
-    native_kernel: Callable | None = None
-    native_fallback_reason: str | None = None
+    #: the native build (a ``Future`` of a
+    #: :class:`~repro.compiler.native.NativeKernel`), the
+    #: ``NativeUnsupported`` that refused the kernel at compile, or None
+    _native: Any = field(default=None, repr=False)
+    #: the tracer active at compile: settling the tiers records into it
+    _tracer: Any = field(default=None, repr=False)
+    _tiers: _Tiers | None = field(default=None, init=False, repr=False)
+    _settle_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     @property
     def opt_level(self) -> int:
@@ -171,20 +199,174 @@ class CompiledReduction:
         """The *requested* tier; :attr:`effective_backend` is what runs."""
         return self.request.backend
 
+    # -- what waits for the native build ----------------------------------------------
+
+    @property
+    def native_kernel(self) -> Callable | None:
+        """The dlopen'd kernel behind the standard 5-arg calling convention."""
+        return self._settled().native_kernel
+
+    @property
+    def native_fallback_reason(self) -> str | None:
+        """Why a native request downgraded to batch/scalar."""
+        return self._settled().native_fallback_reason
+
+    @property
+    def batch_source(self) -> str | None:
+        return self._settled().batch_source
+
+    @property
+    def batch_kernel(self) -> Callable | None:
+        return self._settled().batch_kernel
+
+    @property
+    def batch_fallback_reason(self) -> str | None:
+        return self._settled().batch_fallback_reason
+
     @property
     def effective_kernel(self) -> Callable:
         """The kernel runs actually dispatch: native when JIT-compiled, then
         batch when vectorized, else the interpreted scalar kernel."""
-        if self.native_kernel is not None:
-            return self.native_kernel
-        return self.batch_kernel if self.batch_kernel is not None else self.kernel
+        return self._settled().effective_kernel
 
     @property
     def effective_backend(self) -> str:
         """Which tier :attr:`effective_kernel` actually dispatches to."""
-        if self.native_kernel is not None:
-            return "native"
-        return "batch" if self.batch_kernel is not None else "scalar"
+        return self._settled().effective_backend
+
+    def _settled(self) -> _Tiers:
+        tiers = self._tiers
+        if tiers is None:
+            with self._settle_lock:
+                if self._tiers is None:
+                    self._tiers = self._settle()
+                tiers = self._tiers
+        return tiers
+
+    def _settle(self) -> _Tiers:
+        """Wait for the native build, then fall back where it failed: the
+        batch kernel is the fallback tier of a downgraded native request, so
+        branch-heavy kernels still vectorize what they can.  Records the
+        ``native_fallback`` and ``kernel_backend`` events."""
+        tracer, name, opt_level = self._tracer, self.lowered.name, self.opt_level
+        native_kernel: Callable | None = None
+        native_fallback_reason: str | None = None
+        if self.backend == "native":
+            from repro.compiler import native as native_mod
+
+            refused = self._native
+            if isinstance(refused, Future):
+                try:
+                    native_kernel = native_mod.make_native_kernel(
+                        refused.result(), name
+                    )
+                    refused = None
+                except native_mod.NativeUnsupported as exc:
+                    refused = exc
+            if refused is not None:
+                native_fallback_reason = str(refused)
+                if refused.toolchain:
+                    # the probe already warned once; emit exactly one
+                    # process-wide native_fallback event for it too
+                    if native_mod.take_toolchain_event():
+                        tracer.event(
+                            "native_fallback",
+                            cat="compiler",
+                            reduction=name,
+                            opt_level=opt_level,
+                            reason=native_fallback_reason,
+                            toolchain=True,
+                        )
+                else:
+                    _log.warning(
+                        "native backend fell back for %s [opt%d]: %s",
+                        name,
+                        opt_level,
+                        native_fallback_reason,
+                    )
+                    tracer.event(
+                        "native_fallback",
+                        cat="compiler",
+                        reduction=name,
+                        opt_level=opt_level,
+                        reason=native_fallback_reason,
+                        toolchain=False,
+                    )
+
+        batch_source: str | None = None
+        batch_kernel: Callable | None = None
+        batch_fallback_reason: str | None = None
+        if self.backend == "batch" or (
+            self.backend == "native" and native_kernel is None
+        ):
+            with tracer.span(
+                "batch_codegen", cat="compiler", reduction=name
+            ) as batch_span:
+                batchgen = BatchCodegen(
+                    self.lowered, self.plan, summary=self.group_bounds.summary
+                )
+                try:
+                    batch_source = batchgen.generate()
+                except BatchUnsupported as exc:
+                    batch_fallback_reason = str(exc)
+                    batch_span.set(fallback=True)
+                    _log.warning(
+                        "batch backend fell back to scalar for %s [opt%d]: %s",
+                        name,
+                        opt_level,
+                        batch_fallback_reason,
+                    )
+                    tracer.event(
+                        "batch_fallback",
+                        cat="compiler",
+                        reduction=name,
+                        opt_level=opt_level,
+                        reason=batch_fallback_reason,
+                    )
+                else:
+                    batch_ns: dict[str, Any] = dict(BATCH_NAMESPACE)
+                    exec(
+                        compile(
+                            batch_source,
+                            f"<batch-kernel:{name}:opt{opt_level}>",
+                            "exec",
+                        ),
+                        batch_ns,
+                    )
+                    batch_kernel = batch_ns["_batch_kernel"]
+                for proof in batchgen.taint.gather_proofs.values():
+                    tracer.event(
+                        "batch_gather_proof" if proof["proven"]
+                        else "batch_gather_refuted",
+                        cat="compiler",
+                        reduction=name,
+                        opt_level=opt_level,
+                        **{
+                            k: v
+                            for k, v in proof.items()
+                            if k != "proven" and v is not None
+                        },
+                    )
+
+        if native_kernel is not None:
+            effective_kernel, effective_backend = native_kernel, "native"
+        elif batch_kernel is not None:
+            effective_kernel, effective_backend = batch_kernel, "batch"
+        else:
+            effective_kernel, effective_backend = self.kernel, "scalar"
+        tracer.event(
+            "kernel_backend",
+            cat="compiler",
+            reduction=name,
+            opt_level=opt_level,
+            requested=self.backend,
+            effective=effective_backend,
+            reason=native_fallback_reason or batch_fallback_reason,
+        )
+        return _Tiers(
+            native_kernel, native_fallback_reason, batch_source, batch_kernel,
+            batch_fallback_reason, effective_kernel, effective_backend,
+        )
 
     @property
     def version_name(self) -> str:
@@ -296,7 +478,9 @@ class CompiledReduction:
 
         The one author of the env contract the emitted kernels read:
         ``info_k``/``read_k``/``view_k`` (scalar, batch), ``buf_k`` (native)
-        and, for the dataset under a batch kernel, ``lanes_k``/``rows_k``.
+        and, for the dataset of a request that can end on the batch tier
+        (batch or native requested), ``lanes_k``/``rows_k`` — decided from
+        the request, so binding never waits for a native build.
         """
         kid, info = res.kid, res.info
         assert info is not None
@@ -304,7 +488,7 @@ class CompiledReduction:
         env[f"buf_{kid}"] = raw
         env[f"read_{kid}"] = _make_reader(raw, info.inner_dtype)
         env[f"view_{kid}"] = _make_viewer(raw, info.inner_dtype, info.inner_extent)
-        if res.kind == "data" and self.batch_kernel is not None:
+        if res.kind == "data" and self.backend != "scalar":
             esz = self.lowered.element_type.sizeof
             env[f"lanes_{kid}"] = _make_lane_reader(raw, info.inner_dtype, esz)
             env[f"rows_{kid}"] = _make_lane_viewer(
@@ -593,10 +777,13 @@ def compile_reduction(
     on-disk cache keyed by format version + toolchain fingerprint, so a
     warm start only dlopens).  A kernel the C emitter refuses — or an
     unusable toolchain — downgrades to the batch tier (then scalar) with
-    the reason in :attr:`CompiledReduction.native_fallback_reason`; every
-    compile records a ``kernel_backend`` trace event with the requested
-    vs. effective backend.  The one kernel runs under every shared-memory
-    technique: how updates are synchronized is the accessor's business.
+    the reason in :attr:`CompiledReduction.native_fallback_reason`; a
+    ``cc`` that fails is found where the kernel is first needed and
+    downgrades the same way.  Every compile records a ``kernel_backend``
+    trace event with the requested vs. effective backend when it settles,
+    into the tracer active at compile.  The one kernel runs under every
+    shared-memory technique: how updates are synchronized is the
+    accessor's business.
     """
     from repro.compiler.cache import CompileRequest  # cache.py imports this module
 
@@ -607,7 +794,9 @@ def compile_reduction(
 
 def compile_request(request: "CompileRequest") -> CompiledReduction:
     """The pipeline behind :func:`compile_reduction` (and, on a miss,
-    ``compile_cached``): parse → lower → plan → emit → ``cc``."""
+    ``compile_cached``): parse → lower → plan → emit, with ``cc`` started
+    on a build thread (a disk hit, a refusal and the other tiers settle
+    here; a cold native build settles where its kernel is first needed)."""
     source, constants = request.source, request.constants
     opt_level, backend = request.opt_level, request.backend
     tracer = get_tracer()
@@ -637,8 +826,7 @@ def compile_request(request: "CompileRequest") -> CompiledReduction:
         group_bounds = analyze_group_bounds(lowered)
 
         native_source: str | None = None
-        native_kernel: Callable | None = None
-        native_fallback_reason: str | None = None
+        native: Any = None
         if backend == "native":
             from repro.compiler import native as native_mod
 
@@ -646,124 +834,27 @@ def compile_request(request: "CompileRequest") -> CompiledReduction:
                 "native_codegen", cat="compiler", reduction=lowered.name
             ) as native_span:
                 try:
-                    nk = native_mod.compile_native(
+                    build = native_mod.submit_native(
                         lowered, plan, summary=group_bounds.summary
                     )
                 except native_mod.NativeUnsupported as exc:
-                    native_fallback_reason = str(exc)
+                    native = exc
                     native_span.set(fallback=True)
-                    if exc.toolchain:
-                        # the probe already warned once; emit exactly one
-                        # process-wide native_fallback event for it too
-                        if native_mod.take_toolchain_event():
-                            tracer.event(
-                                "native_fallback",
-                                cat="compiler",
-                                reduction=lowered.name,
-                                opt_level=opt_level,
-                                reason=native_fallback_reason,
-                                toolchain=True,
-                            )
-                    else:
-                        _log.warning(
-                            "native backend fell back for %s [opt%d]: %s",
-                            lowered.name,
-                            opt_level,
-                            native_fallback_reason,
-                        )
-                        tracer.event(
-                            "native_fallback",
-                            cat="compiler",
-                            reduction=lowered.name,
-                            opt_level=opt_level,
-                            reason=native_fallback_reason,
-                            toolchain=False,
-                        )
                 else:
-                    native_source = nk.source
-                    native_kernel = native_mod.make_native_kernel(
-                        nk, lowered.name
-                    )
-                    native_span.set(
-                        cache_hit=not nk.compiled, symbol=nk.symbol
-                    )
+                    native_source, native = build.source, build.kernel
+                    native_span.set(symbol=build.symbol)
 
-        batch_source: str | None = None
-        batch_kernel: Callable | None = None
-        batch_fallback_reason: str | None = None
-        # The batch kernel is the fallback tier for a downgraded native
-        # request, so branch-heavy kernels still vectorize what they can.
-        if backend == "batch" or (backend == "native" and native_kernel is None):
-            with tracer.span(
-                "batch_codegen", cat="compiler", reduction=lowered.name
-            ) as batch_span:
-                batchgen = BatchCodegen(
-                    lowered, plan, summary=group_bounds.summary
-                )
-                try:
-                    batch_source = batchgen.generate()
-                except BatchUnsupported as exc:
-                    batch_fallback_reason = str(exc)
-                    batch_span.set(fallback=True)
-                    _log.warning(
-                        "batch backend fell back to scalar for %s [opt%d]: %s",
-                        lowered.name,
-                        opt_level,
-                        batch_fallback_reason,
-                    )
-                    tracer.event(
-                        "batch_fallback",
-                        cat="compiler",
-                        reduction=lowered.name,
-                        opt_level=opt_level,
-                        reason=batch_fallback_reason,
-                    )
-                else:
-                    batch_ns: dict[str, Any] = dict(BATCH_NAMESPACE)
-                    exec(
-                        compile(
-                            batch_source,
-                            f"<batch-kernel:{lowered.name}:opt{opt_level}>",
-                            "exec",
-                        ),
-                        batch_ns,
-                    )
-                    batch_kernel = batch_ns["_batch_kernel"]
-                for proof in batchgen.taint.gather_proofs.values():
-                    tracer.event(
-                        "batch_gather_proof" if proof["proven"]
-                        else "batch_gather_refuted",
-                        cat="compiler",
-                        reduction=lowered.name,
-                        opt_level=opt_level,
-                        **{
-                            k: v
-                            for k, v in proof.items()
-                            if k != "proven" and v is not None
-                        },
-                    )
-
-    compiled = CompiledReduction(
-        lowered=lowered,
-        plan=plan,
-        python_source=python_source,
-        kernel=namespace["_kernel"],
-        request=request,
-        group_bounds=group_bounds,
-        batch_source=batch_source,
-        batch_kernel=batch_kernel,
-        batch_fallback_reason=batch_fallback_reason,
-        native_source=native_source,
-        native_kernel=native_kernel,
-        native_fallback_reason=native_fallback_reason,
-    )
-    tracer.event(
-        "kernel_backend",
-        cat="compiler",
-        reduction=lowered.name,
-        opt_level=opt_level,
-        requested=backend,
-        effective=compiled.effective_backend,
-        reason=native_fallback_reason or batch_fallback_reason,
-    )
+        compiled = CompiledReduction(
+            lowered=lowered,
+            plan=plan,
+            python_source=python_source,
+            kernel=namespace["_kernel"],
+            request=request,
+            group_bounds=group_bounds,
+            native_source=native_source,
+            _native=native,
+            _tracer=tracer,
+        )
+        if not (isinstance(native, Future) and not native.done()):
+            compiled._settled()  # nothing to wait for: settle it now
     return compiled

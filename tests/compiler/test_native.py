@@ -6,12 +6,16 @@ the generated C source, what a call that fails part-way leaves behind
 by code), the recorded downgrade when a kernel (or the whole toolchain)
 can't go native, warm-start attach from the on-disk cache with zero
 compiler invocations, stale-cache invalidation on a format-version or
-build-flags change, and the in-memory kernel cache's LRU eviction
-accounting.
+build-flags change, cold builds running beside their caller (through a
+``REPRO_CC`` wrapper that logs and delays each kernel build), and the
+in-memory kernel cache's LRU eviction accounting.
 """
 
+import logging
 import re
+import shlex
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -659,6 +663,164 @@ class TestDiskCache:
         assert nk.so_path.parent == tmp_path
         assert nk.so_path.exists()
         assert (tmp_path / f"{nk.symbol}.c").read_text() == nk.source
+
+
+# -- cold builds run beside the caller ------------------------------------------
+
+#: how long the wrapper holds each kernel build before handing it to cc
+BUILD_DELAY = 0.3
+#: the compiler the wrapper hands every build to
+REAL_CC = probe_toolchain()["cc"]
+
+
+def use_cc_wrapper(tmp_path, monkeypatch, on_kernel):
+    """Point ``REPRO_CC`` at a script that logs each invocation (``pid
+    args``) and, for kernel sources only, runs the shell command
+    ``on_kernel`` before ``exec``ing the real compiler; the kernel cache moves
+    to ``tmp_path / "kernels"``.  The probe runs at once, so it is in no
+    timing.  Returns the log's path."""
+    log = tmp_path / "cc.log"
+    script = tmp_path / "cc-wrapper"
+    script.write_text(
+        "#!/bin/sh\n"
+        f'echo "$$ $*" >> {shlex.quote(str(log))}\n'
+        f'case "$*" in *repro_native_*) {on_kernel} ;; esac\n'
+        f'exec {shlex.quote(REAL_CC)} "$@"\n'
+    )
+    script.chmod(0o755)
+    monkeypatch.setenv(CC_ENV, str(script))
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "kernels"))
+    reset_toolchain_probe()
+    assert probe_toolchain()["ok"], probe_toolchain()["reason"]
+    return log
+
+
+def kernel_cc_runs(log):
+    """The wrapper's log lines for kernel sources, as ``(pid, args)``."""
+    lines = log.read_text().splitlines() if log.exists() else []
+    return [line.split(" ", 1) for line in lines if "repro_native_" in line]
+
+
+@pytest.fixture
+def slow_cc(tmp_path, monkeypatch):
+    yield use_cc_wrapper(tmp_path, monkeypatch, f"sleep {BUILD_DELAY}")
+    reset_toolchain_probe()
+
+
+@pytest.fixture
+def failing_cc(tmp_path, monkeypatch):
+    yield use_cc_wrapper(
+        tmp_path, monkeypatch, "echo 'kernel sources refused' >&2; exit 1"
+    )
+    reset_toolchain_probe()
+
+
+def _settle_time(*compiles):
+    """Seconds from issuing ``compiles`` to every one of them settled."""
+    t0 = time.perf_counter()
+    compiled = [compile_() for compile_ in compiles]
+    assert all(c.effective_backend == "native" for c in compiled)
+    return time.perf_counter() - t0
+
+
+def _hist_with(bins):
+    return lambda: compile_cached(
+        HISTOGRAM_CHAPEL_SOURCE, {"bins": bins, "lo": 0.0, "width": 2.0},
+        opt_level=2, backend="native",
+    )
+
+
+@needs_cc
+class TestColdBuildsRunBesideTheCaller:
+    def test_compile_returns_before_cc_and_first_use_waits(self, slow_cc, tmp_path):
+        compiled = _compile_hist()
+        assert compiled.native_source  # the C is emitted ...
+        assert not list((tmp_path / "kernels").glob("*.so"))  # ... cc is not done
+        assert compiled.effective_backend == "native"
+        assert compiled.native_kernel.native.so_path.exists()
+        assert compiled.native_kernel.native.compiled is True
+        assert len(kernel_cc_runs(slow_cc)) == 1
+
+    def test_two_cold_kernels_build_at_once(self, slow_cc):
+        if native_mod._build_width() < 2:
+            pytest.skip("one CPU: one build thread, builds queue")
+        one = _settle_time(_hist_with(3))
+        both = _settle_time(_hist_with(4), _hist_with(5))
+        # one after another they would take about 2 x one
+        assert both < 1.6 * one, (one, both)
+        runs = kernel_cc_runs(slow_cc)
+        assert len(runs) == 3 and len({args for _, args in runs}) == 3
+
+    def test_one_cc_run_for_a_request_issued_while_its_build_is_in_flight(
+        self, slow_cc
+    ):
+        first = _compile_hist()
+        assert _compile_hist() is first  # the in-memory cache
+        clear_kernel_cache()
+        second = _compile_hist()  # a new compile joins the build in flight
+        assert second is not first
+        assert first.effective_backend == second.effective_backend == "native"
+        assert second.native_kernel.native is first.native_kernel.native
+        assert len(kernel_cc_runs(slow_cc)) == 1
+
+    def test_a_failing_cc_falls_back_where_the_kernel_is_first_needed(
+        self, failing_cc, caplog
+    ):
+        # the probe compiles through the wrapper; kernel sources fail
+        data = np.arange(16, dtype=np.float64)
+        tracer = Tracer()
+        with tracing(tracer):
+            compiled = _compile_hist()
+        # bound before the build failed: bind installs the lane readers the
+        # batch tier needs whenever the request can end on it
+        bound = compiled.bind(data)
+        ro = ReductionObject()
+        ro.alloc_many([(2, "add")] * 8)
+        with caplog.at_level(logging.WARNING, logger="repro.compiler.batch"):
+            bound.run_serial(ro)
+        assert compiled.effective_backend == "batch"
+        assert compiled.native_fallback_reason.startswith("C compilation failed")
+        assert "kernel sources refused" in compiled.native_fallback_reason
+        assert re.search(
+            r"native backend fell back for \w+ \[opt2\]: C compilation failed",
+            caplog.text,
+        )
+        (fallback,) = [e for e in tracer.events() if e.name == "native_fallback"]
+        assert fallback.args["toolchain"] is False
+        (decision,) = [e for e in tracer.events() if e.name == "kernel_backend"]
+        assert decision.args["requested"] == "native"
+        assert decision.args["effective"] == "batch"
+        assert decision.args["reason"] == compiled.native_fallback_reason
+        scalar = _compile_hist(backend="scalar").bind(data)
+        want = ReductionObject()
+        want.alloc_many([(2, "add")] * 8)
+        scalar.run_serial(want)
+        assert ro.snapshot().tolist() == want.snapshot().tolist()
+        assert len(kernel_cc_runs(failing_cc)) == 1
+
+
+@needs_cc
+class TestBindNeverWaits:
+    def test_bind_and_update_extras_return_while_cc_runs(self, slow_cc, tmp_path):
+        constants, points, extras, layout = _bounded_case("kmeans")
+
+        def reduce(backend):
+            compiled = compile_cached(
+                KMEANS_CHAPEL_SOURCE, dict(constants), opt_level=2, backend=backend
+            )
+            bound = compiled.bind(points, extras)
+            bound.update_extras(extras)
+            built = bool(list((tmp_path / "kernels").glob("*.so")))
+            ro = ReductionObject()
+            ro.alloc_many(layout)
+            bound.run_serial(ro)
+            assert compiled.effective_backend == backend
+            return built, ro.snapshot().tolist(), bound.counters.as_dict()
+
+        built, got, ledger = reduce("native")
+        assert not built  # bind and update_extras returned while cc ran
+        _, want, want_ledger = reduce("scalar")
+        assert got == want and ledger == want_ledger
 
 
 class TestMemoryCacheLRU:

@@ -7,10 +7,15 @@ process execution regardless of how splits land on workers.
 
 import os
 import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.apps.kmeans import (
     KMEANS_CHAPEL_SOURCE,
@@ -35,6 +40,7 @@ from repro.freeride.sharedmem import (
 from repro.freeride.spec import ReductionSpec
 from repro.obs.tracer import Tracer, tracing
 from repro.util.errors import FreerideError
+from tests.compiler.test_native import kernel_cc_runs, needs_cc, slow_cc  # noqa: F401
 
 BINS = 8
 DATA = np.arange(331, dtype=np.float64) % 97  # integer-valued, uneven splits
@@ -352,3 +358,70 @@ class TestSpawnStartMethod:
 
         with pytest.raises(ValueError, match="REPRO_MP_START_METHOD"):
             pick_start_method()
+
+
+@needs_cc
+class TestColdBuildForkAndExit:
+    """A native build runs on a build thread: neither a fork nor an exit
+    may catch it half-done."""
+
+    def test_a_fork_during_a_build_waits_for_it(self, slow_cc, tmp_path):
+        kernels = tmp_path / "kernels"
+        compiled = compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE,
+            {"bins": BINS, "lo": LO, "width": WIDTH},
+            opt_level=2, backend="native",
+        )
+        assert not list(kernels.glob("*.so"))  # cc is running
+        bound = compiled.bind(DATA)
+        scalar = make_bound()
+        seen = {}
+
+        def run():
+            with FreerideEngine(num_threads=2, executor="process") as engine:
+                # the first run forks the workers; a scalar spec, so nothing
+                # in this process has waited for the native build yet
+                engine.run(*scalar.make_spec(LAYOUT))
+                seen["published"] = bool(list(kernels.glob("*.so")))
+                # the workers settle the kernel the fork handed them
+                seen["ro"] = engine.run(*bound.make_spec(LAYOUT)).ro.snapshot()
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive(), "the process engine hung"
+        assert seen["published"], "the fork did not wait for the build"
+        assert compiled.effective_backend == "native"
+        with FreerideEngine(executor="serial") as engine:
+            serial = engine.run(*bound.make_spec(LAYOUT)).ro.snapshot()
+        assert np.array_equal(seen["ro"], serial)
+
+    def test_an_exit_during_a_build_leaves_no_cc_and_no_partial_file(
+        self, slow_cc, tmp_path
+    ):
+        import cffi
+
+        kernels = tmp_path / "kernels"
+        # compiles cold, then exits without touching the kernel
+        child = f"""
+import pathlib
+from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
+from repro.compiler import compile_cached
+compile_cached(HISTOGRAM_CHAPEL_SOURCE, {{"bins": {BINS}, "lo": 0.0, "width": 2.0}},
+               opt_level=2, backend="native")
+print(len(list(pathlib.Path({str(kernels)!r}).glob("*.so"))))
+"""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0"  # it exited with its build in flight
+        runs = kernel_cc_runs(slow_cc)
+        assert len(runs) == 1, "the exit did not wait for the build"
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(runs[0][0]), 0)  # cc is not running
+        assert not list(kernels.glob(".*"))  # no temporary left behind
+        for so in kernels.glob("*.so"):  # complete: it loads
+            cffi.FFI().dlopen(str(so))
