@@ -31,8 +31,9 @@ there is nothing to settle, and with tracing disabled no per-split
 instrumentation is installed at all.  When, on top of that, the kernel can
 walk a list of ranges by itself (``ReductionSpec.ranges_in_one_call``) and
 the lanes commute (the plan's technique gives each lane a target of its
-own), a lane does not loop over splits either: it passes whole batches to
-one ``reduce_ranges`` call.
+own), a lane does not loop over splits either: it passes whole batches of
+split positions — slices of the plan's ``starts``/``ends`` arrays, with no
+``Split`` object built — to one ``reduce_ranges`` call.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ class RunContext:
     #: split durations worker processes ship back, kept for the profile
     #: record; ``None`` when no profile store is attached
     worker_durations: "list[float] | None" = None
-    splits: "list[Split]" = field(init=False)
     #: split positions per wave, each wave run to completion before the next
     waves: Any = field(init=False)
     #: colored fault-tolerant runs commit each scratch restricted to the
@@ -161,8 +161,8 @@ class RunContext:
 
     def __post_init__(self) -> None:
         plan = self.plan
-        splits = self.splits = plan.splits
         if self.policy is not None:
+            splits = plan.splits
             if self.spec.combination is not None:
                 raise FaultToleranceError(
                     "fault tolerance requires the middleware default combination: "
@@ -183,7 +183,7 @@ class RunContext:
             self.observation = Observation(
                 # zero-length splits never execute; their footprint is empty
                 footprints={
-                    (s.start, s.end): frozenset() for s in splits if len(s) == 0
+                    (s.start, s.end): frozenset() for s in plan.splits if len(s) == 0
                 },
                 predicted=plan.predicted,
                 # profiled footprints are predictions, not proofs: commits of
@@ -193,10 +193,15 @@ class RunContext:
             )
         self.direct = self.policy is None and not plan.observe
         self.waves = (
-            [range(len(splits))] if plan.coloring is None else plan.coloring.waves
+            [range(plan.num_splits)] if plan.coloring is None else plan.coloring.waves
         )
         self.elems = [0] * self.num_threads
         self.nsplits = [0] * self.num_threads
+
+    @property
+    def splits(self) -> "list[Split]":
+        """The plan's splits, built on first read: per-split paths only."""
+        return self.plan.splits
 
 
 # -- the attempt ---------------------------------------------------------------
@@ -460,36 +465,110 @@ def _lane(
         raise
 
 
-def _reduce_batch(ctx: RunContext, lane: int, splits: "list[Split]") -> None:
-    """One kernel call over ``splits``, in order, into ``lane``'s accessor.
+class BatchCursor:
+    """A wave's live split positions, claimed by pool lanes in guided batches.
 
-    The ranges are the VALUES of each split's slice of the global element
-    index range, as in the per-split ``reduction``: a split's own start/end
-    are relative to its node's share under multi-node runs.
+    Each claim takes the next ``ceil(pending / (2 * lanes))`` positions, in
+    order: long batches while the wave is long, single splits at its tail,
+    so the interpreter's share of the wave is a handful of calls per lane
+    while the last batches still balance the lanes.  A raising lane poisons
+    the cursor, and its peers stop after the batch they hold.
+    """
+
+    def __init__(self, positions: np.ndarray, lanes: int) -> None:
+        self._positions = positions
+        self._lanes = lanes
+        self._next = 0
+        self._poisoned = False
+        self._lock = threading.Lock()
+
+    def claim(self) -> "np.ndarray | None":
+        """The next batch of positions; ``None`` once drained or poisoned."""
+        with self._lock:
+            first = self._next
+            pending = len(self._positions) - first
+            if self._poisoned or not pending:
+                return None
+            self._next += -(-pending // (2 * self._lanes))
+            return self._positions[first : self._next]
+
+    def poison(self) -> None:
+        """Stop handing out positions: every later claim returns ``None``."""
+        with self._lock:
+            self._poisoned = True
+
+
+def _reduce_positions(ctx: RunContext, lane: int, positions: np.ndarray) -> None:
+    """One kernel call over the splits at ``positions``, in order, into
+    ``lane``'s accessor.
+
+    The plan's ``starts``/``ends`` are global element values, as the
+    per-split ``reduction`` reads its split's slice of the element index
+    range: under multi-node runs a node's share does not start at 0.
     """
     assert ctx.spec.reduce_ranges is not None
-    ctx.spec.reduce_ranges(
-        np.array([s.data[0] for s in splits], dtype=np.int64),
-        np.array([s.data[-1] + 1 for s in splits], dtype=np.int64),
-        ctx.accessors[lane],
-    )
-    ctx.elems[lane] += sum([s.end - s.start for s in splits])
-    ctx.nsplits[lane] += len(splits)
+    starts, ends = ctx.plan.starts[positions], ctx.plan.ends[positions]
+    ctx.spec.reduce_ranges(starts, ends, ctx.accessors[lane])
+    ctx.elems[lane] += int((ends - starts).sum())
+    ctx.nsplits[lane] += len(positions)
 
 
-def _lane_batched(ctx: RunContext, queue: SplitQueue, lane: int) -> None:
-    """Drain one wave's queue in guided batches, one kernel call per batch.
-
-    Batches shrink as the queue empties (:meth:`SplitQueue.take_batch`), so
-    the interpreter's share of the wave is a handful of calls per lane
-    while the last batches still balance the lanes.
-    """
+def _lane_positions(ctx: RunContext, cursor: BatchCursor, lane: int) -> None:
+    """Claim batches from ``cursor`` until the wave is drained, one kernel
+    call per batch; an error poisons the cursor on the way out."""
     try:
-        while batch := queue.take_batch(ctx.num_threads):
-            _reduce_batch(ctx, lane, batch)
+        while (batch := cursor.claim()) is not None:
+            _reduce_positions(ctx, lane, batch)
     except BaseException:
-        queue.poison()
+        cursor.poison()
         raise
+
+
+def _batched_wave(ctx: RunContext, engine: "FreerideEngine", wave: Any) -> None:
+    """One wave of a batched run, on split positions alone.
+
+    Inline, lane ``l`` makes one call over ``live[live % W == l]`` — an
+    uncolored run's ``splits[l::W]``, the sequence its replica sees split
+    by split; on the pool, lanes claim guided batches from a
+    :class:`BatchCursor`.
+    """
+    starts, ends = ctx.plan.starts, ctx.plan.ends
+    if isinstance(wave, range):  # an uncolored run's one wave: every split
+        live = (ends > starts).nonzero()[0]
+    else:
+        w = np.array(wave, dtype=np.int64)
+        live = w[ends[w] > starts[w]]
+    if not live.size:
+        return
+    # the splits partition the node in order: a wave's span is its live
+    # element count when its splits are consecutive (an uncolored run), and
+    # bounds it from above otherwise
+    span = int(ends[live[-1]]) - int(starts[live[0]])
+    width = ctx.num_threads
+    if ctx.executor == "serial" or live.size == 1 or span < INLINE_WAVE_ELEMENTS:
+        if width == 1:  # one lane takes every live split
+            _reduce_positions(ctx, 0, live)
+            return
+        lanes = live % width
+        for lane in range(width):
+            mine = live[lanes == lane]
+            if mine.size:
+                _reduce_positions(ctx, lane, mine)
+        return
+    cursor = BatchCursor(live, width)
+    _on_pool(engine, [
+        partial(_lane_positions, ctx, cursor, t) for t in range(min(width, live.size))
+    ])
+
+
+def _on_pool(engine: "FreerideEngine", lanes: "list[Callable[[], None]]") -> None:
+    """Run one callable per lane on the engine's pool and join them all —
+    the barrier between waves — before any lane's error propagates."""
+    pool = engine._get_pool()
+    futures = [pool.submit(lane) for lane in lanes]
+    futures_wait(futures)
+    for future in futures:
+        future.result()
 
 
 # -- process shipping ----------------------------------------------------------
@@ -611,10 +690,9 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     lane poisons the wave's queue, every lane is joined, then the error
     propagates.
 
-    Batched lanes (see the module docstring) keep that order where it
-    matters: inline, lane ``l`` makes one call over its own splits of the
-    wave — ``splits[l::num_threads]`` of an uncolored run, exactly the
-    sequence its replica sees split by split; lanes that share cells never
+    Batched lanes (see the module docstring) work on the plan's ``starts``
+    and ``ends`` and never build a ``Split`` (:func:`_batched_wave`); they
+    keep that order where it matters, and lanes that share cells never
     batch, so a shared reduction object still commits in split order.  A
     batched wave whose splits span fewer than :data:`INLINE_WAVE_ELEMENTS`
     elements runs inline under every executor: the same lanes into the same
@@ -636,46 +714,28 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         and not ctx.tracer.enabled
         and ctx.spec.ranges_in_one_call
         and ctx.plan.technique in _LANE_EXCLUSIVE
+        and ctx.plan.starts is not None
     )
     for wave in ctx.waves:
         if payload is not None and ctx.direct:
             _ship_blocks(ctx, engine, wave, payload)
             continue
-        live = [i for i in wave if ctx.splits[i].end > ctx.splits[i].start]
+        if batched:
+            _batched_wave(ctx, engine, wave)
+            continue
+        splits = ctx.splits
+        live = [i for i in wave if splits[i].end > splits[i].start]
         if not live:
             continue
-        # the splits partition the node in order: a wave's span is its live
-        # element count when its splits are consecutive (an uncolored run),
-        # and bounds it from above otherwise
-        span = ctx.splits[live[-1]].end - ctx.splits[live[0]].start
-        inline = (
-            ctx.executor == "serial"
-            or len(live) == 1
-            or batched and span < INLINE_WAVE_ELEMENTS
-        )
-        if batched and inline:
-            for lane in range(width):
-                mine = [ctx.splits[i] for i in live if i % width == lane]
-                if mine:
-                    _reduce_batch(ctx, lane, mine)
-            continue
-        queue = SplitQueue([ctx.splits[i] for i in live])
-        if inline:
-            position = {id(ctx.splits[i]): i for i in live}
+        queue = SplitQueue([splits[i] for i in live])
+        if ctx.executor == "serial" or len(live) == 1:
+            position = {id(splits[i]): i for i in live}
             _lane(ctx, queue, lambda split: position[id(split)] % width, attempt_fn)
         else:
-            pool = engine._get_pool()
-            lanes = range(min(width, len(live)))
-            if batched:
-                futures = [pool.submit(_lane_batched, ctx, queue, t) for t in lanes]
-            else:
-                futures = [
-                    pool.submit(_lane, ctx, queue, lambda _split, t=t: t, attempt_fn)
-                    for t in lanes
-                ]
-            futures_wait(futures)  # the barrier between waves
-            for future in futures:
-                future.result()
+            _on_pool(engine, [
+                partial(_lane, ctx, queue, lambda _split, t=t: t, attempt_fn)
+                for t in range(min(width, len(live)))
+            ])
         if ctx.policy is not None:
             ctx.stats.requeues += queue.requeues
             for sid, attempts in queue.attempt_table().items():

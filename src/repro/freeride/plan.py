@@ -6,30 +6,41 @@ colored waves and a profile store, *choosing* became a computation of its
 own.  :func:`plan_node` is that computation, once per node per run: it
 takes what it reads — the engine's request, the spec, the node's data, the
 fresh reduction object, the store and the engine's one piece of cross-run
-feedback — and returns an immutable :class:`ExecutionPlan`: splits, then
-the profile key, then each coloring tier at most once, then the technique,
-then whether footprints are observed (the order and its reasons:
-``docs/PERFORMANCE.md``, "Choosing a technique").  Nothing here runs a
-split, touches a :class:`~repro.freeride.execute.RunContext` or emits a
-trace event; the engine stamps its stats and reports the decision from the
-plan, and ``execute`` builds its context from it.
+feedback — and returns an immutable :class:`ExecutionPlan`: the split
+layout, then the profile key, then each coloring tier at most once, then
+the technique, then whether footprints are observed (the order and its
+reasons: ``docs/PERFORMANCE.md``, "Choosing a technique").  Nothing here
+runs a split, touches a :class:`~repro.freeride.execute.RunContext` or
+emits a trace event; the engine stamps its stats and reports the decision
+from the plan, and ``execute`` builds its context from it.
+
+The layout is two int64 arrays; :class:`~repro.freeride.splitter.Split`
+objects are built from it once, and only when a consumer reads them
+(coloring, ``auto``, the profile key and observation here; fault
+policies, tracing, locking techniques and the process executor in
+``execute``).  A batched direct run never builds one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.freeride.coloring import SplitColoring, color_splits, resolve_group_sets
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.freeride.spec import ReductionSpec
 from repro.freeride.splitter import (
+    Layout,
     Split,
     _check_partition,
-    aligned_splits,
-    chunked_splitter,
-    default_splitter,
+    _data_len,
+    aligned_layout,
+    chunked_layout,
+    default_layout,
+    layout_splits,
 )
 from repro.obs.profilestore import ProfileKey, ProfileStore
 from repro.util.errors import SplitterError
@@ -56,11 +67,20 @@ _FR = SharedMemTechnique.FULL_REPLICATION
 _COLORED = SharedMemTechnique.COLORED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExecutionPlan:
     """Everything decided about one node's pass before its first split."""
 
-    splits: "list[Split]"
+    #: split ``i`` reduces the global element values ``[starts[i],
+    #: ends[i])``: two int64 arrays, the node data's ``range.start`` plus
+    #: the layout's positions, set when the node's data is a unit-step
+    #: ``range`` (what every compiled spec runs over), else ``None``
+    starts: "np.ndarray | None"
+    ends: "np.ndarray | None"
+    #: how many splits the layout has, zero-length ones included
+    num_splits: int
+    #: builds :attr:`splits`; returns the same list every call
+    build_splits: "Callable[[], list[Split]]" = field(repr=False)
     #: element alignment the default splitter snapped boundaries to
     #: (``GroupBounds.alignment``), ``None`` for unaligned splits
     split_alignment: "int | None"
@@ -80,16 +100,29 @@ class ExecutionPlan:
     #: what the run's history is filed under; ``None`` without a store
     profile_key: "ProfileKey | None" = None
 
+    @property
+    def splits(self) -> "list[Split]":
+        """The layout as :class:`Split` objects, built on the first read —
+        on the reading thread — and kept.  Only consumers that need the
+        objects read it; a batched direct run works on :attr:`starts` and
+        :attr:`ends` alone."""
+        return self.build_splits()
 
-def _validate_custom_splits(splits: "list[Split]", data: Any) -> None:
-    """A user splitter must produce an exact, ordered partition."""
+
+def _validate_custom_splits(splits: "list[Split]", data: Any) -> Layout:
+    """A user splitter must produce an exact, ordered partition; returns
+    its layout."""
     if not isinstance(splits, list) or not all(isinstance(s, Split) for s in splits):
         raise SplitterError("custom splitter must return a list of Split")
     try:
         n = len(data)
     except TypeError:
         raise SplitterError("custom splitter data must be sized")
-    _check_partition(splits, n)
+    return _check_partition(
+        np.array([s.start for s in splits], dtype=np.int64),
+        np.array([s.end for s in splits], dtype=np.int64),
+        n, [s.split_id for s in splits],
+    )
 
 
 def _color(
@@ -193,19 +226,36 @@ def plan_node(
     colorable = executor != "process" and (auto or technique is _COLORED)
 
     alignment = None
+    built: "list[Split] | None" = None
     if splitter is not None:
-        splits = splitter(data, num_threads)
-        _validate_custom_splits(splits, data)
-    elif chunk_size is not None:
-        splits = chunked_splitter(data, chunk_size)
+        built = splitter(data, num_threads)
+        layout = _validate_custom_splits(built, data)
     else:
-        bounds = spec.group_bounds
-        hint = getattr(bounds, "alignment", None) if colorable else None
-        if isinstance(hint, int) and hint > 1 and not callable(bounds):
-            alignment = hint
-            splits = aligned_splits(data, num_threads, alignment)
+        n = _data_len(data)
+        if chunk_size is not None:
+            layout = chunked_layout(n, chunk_size)
         else:
-            splits = default_splitter(data, num_threads)
+            bounds = spec.group_bounds
+            hint = getattr(bounds, "alignment", None) if colorable else None
+            if isinstance(hint, int) and hint > 1 and not callable(bounds):
+                alignment = hint
+                layout = aligned_layout(n, num_threads, alignment)
+            else:
+                layout = default_layout(n, num_threads)
+
+    def splits_of() -> "list[Split]":
+        """The plan's one split list, built by its first reader."""
+        nonlocal built
+        if built is None:
+            built = layout_splits(data, *layout)
+        return built
+
+    starts, ends = layout
+    if not (isinstance(data, range) and data.step == 1):
+        starts = ends = None
+    elif data.start:
+        starts, ends = starts + data.start, ends + data.start
+    num_splits = len(layout[0])
 
     # in-process, single node, no fault machinery: the only runs that read
     # profiled footprints or observe new ones
@@ -216,7 +266,7 @@ def plan_node(
         bound = spec.bound
         key = ProfileKey.of(
             bound.compiled.request.digest if bound is not None else None,
-            splits, num_threads,
+            splits_of(), num_threads,
         )
         if key.digest is not None and (auto or technique is _COLORED):
             consulted = True
@@ -228,11 +278,11 @@ def plan_node(
 
     static = candidate = None
     if colorable or (observable and technique is _FR):
-        static = _color(spec, splits, ro.num_groups)
+        static = _color(spec, splits_of(), ro.num_groups)
     if colorable:
         candidate = static
         if profiled is not None:
-            wider = _color(None, splits, ro.num_groups, profiled)
+            wider = _color(None, splits_of(), ro.num_groups, profiled)
             if wider is not None and (
                 static is None or wider.max_wave_width > static.max_wave_width
             ):
@@ -247,7 +297,7 @@ def plan_node(
             "ro_bytes": nbytes,
             "num_groups": ro.num_groups,
             "num_threads": num_threads,
-            "num_splits": len(splits),
+            "num_splits": num_splits,
             "executor": executor,
             "colorable": candidate is not None,
             "max_wave_width": candidate.max_wave_width if candidate is not None else 0,
@@ -297,7 +347,8 @@ def plan_node(
             # after a data change)
             observe = True
             predicted = {
-                s.split_id: coloring.group_sets[i] for i, s in enumerate(splits)
+                s.split_id: coloring.group_sets[i]
+                for i, s in enumerate(splits_of())
             }
         elif chosen is _COLORED:
             # a degenerate colored schedule executes one split at a time,
@@ -308,7 +359,8 @@ def plan_node(
             observe = static is None or static.max_wave_width < 2
 
     return ExecutionPlan(
-        splits=splits, split_alignment=alignment, technique=chosen,
+        starts=starts, ends=ends, num_splits=num_splits, build_splits=splits_of,
+        split_alignment=alignment, technique=chosen,
         decision=decision, coloring=coloring, observe=observe,
         predicted=predicted, profile_key=key,
     )

@@ -9,6 +9,13 @@ how the Phoenix-based FREERIDE implementation balances load).
 
 Splits are *views* where the input supports them (numpy arrays, lists via
 slices), so splitting never copies element data.
+
+Each built-in rule computes a *layout* first — two int64 arrays
+``(starts, ends)`` of positions into the data, one entry per split — with
+NumPy (:func:`default_layout`, :func:`aligned_layout`,
+:func:`chunked_layout`); :func:`layout_splits` is the one function that
+turns a layout into :class:`Split` objects.  A batched engine lane reduces
+straight from the arrays and never builds a ``Split``.
 """
 
 from __future__ import annotations
@@ -29,9 +36,17 @@ __all__ = [
     "default_splitter",
     "chunked_splitter",
     "aligned_splits",
+    "default_layout",
+    "aligned_layout",
+    "chunked_layout",
+    "layout_splits",
     "split_descriptors",
     "SplitQueue",
 ]
+
+#: a split layout: split ``i`` covers positions ``[starts[i], ends[i])`` —
+#: two int64 arrays that partition ``[0, n)`` in order
+Layout = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,33 +73,24 @@ def _data_len(data: Any) -> int:
         raise SplitterError(f"cannot split data of type {type(data)}")
 
 
-def _slice(data: Any, start: int, end: int) -> Any:
-    return data[start:end]
+def default_layout(n: int, req_units: int) -> Layout:
+    """FREERIDE's default splitter as a layout: ``n`` elements in
+    ``req_units`` balanced blocks, the first ``n % req_units`` one longer.
 
-
-def default_splitter(data: Any, req_units: int) -> list[Split]:
-    """Block-partition ``data`` into ``req_units`` balanced splits.
-
-    This is FREERIDE's default splitter: the first ``n % req_units`` splits
-    receive one extra element.  Splits with zero elements are produced when
-    ``req_units`` exceeds the data size, so every thread still receives an
-    answer (matching the C API, which returns a unit count per thread).
+    Blocks with zero elements are produced when ``req_units`` exceeds
+    ``n``, so every thread still receives an answer (matching the C API,
+    which returns a unit count per thread).
     """
     check_positive_int(req_units, "req_units")
-    n = _data_len(data)
     base, extra = divmod(n, req_units)
-    splits: list[Split] = []
-    start = 0
-    for t in range(req_units):
-        size = base + (1 if t < extra else 0)
-        splits.append(Split(t, start, start + size, _slice(data, start, start + size)))
-        start += size
-    _check_partition(splits, n)
-    return splits
+    # block t starts after t blocks of `base` and min(t, extra) extra elements
+    t = np.arange(req_units + 1, dtype=np.int64)
+    bounds = t * base + np.minimum(t, extra)
+    return bounds[:-1], bounds[1:]
 
 
-def aligned_splits(data: Any, req_units: int, alignment: int) -> list[Split]:
-    """Block-partition with split boundaries snapped to ``alignment``.
+def aligned_layout(n: int, req_units: int, alignment: int) -> Layout:
+    """Balanced blocks with their boundaries snapped to ``alignment``.
 
     The effect analysis exposes the element-period of ``elemIdx()``-derived
     group forms as :attr:`~repro.compiler.groupbounds.GroupBounds.alignment`
@@ -93,41 +99,57 @@ def aligned_splits(data: Any, req_units: int, alignment: int) -> list[Split]:
     single split, so per-split group footprints stay disjoint and the
     COLORED technique colors wide waves instead of chaining splits that
     straddle a window.  Degenerates to near-balanced blocks — boundaries
-    move by at most ``alignment/2`` elements from the even partition.
+    move by at most ``alignment/2`` elements from the even partition, and
+    are clamped to stay ordered and inside ``[0, n]``.
     """
     check_positive_int(req_units, "req_units")
     check_positive_int(alignment, "alignment")
-    n = _data_len(data)
-    bounds = [0]
-    for t in range(1, req_units):
-        ideal = n * t / req_units
-        snapped = int(round(ideal / alignment)) * alignment
-        bounds.append(min(max(snapped, bounds[-1]), n))
-    bounds.append(n)
-    splits = [
-        Split(i, a, b, _slice(data, a, b))
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ideal = np.arange(1, req_units, dtype=np.int64) * n / req_units
+    # np.round, like round(), takes a tie to the even neighbour
+    snapped = np.round(ideal / alignment).astype(np.int64) * alignment
+    inner = np.maximum.accumulate(np.minimum(snapped, n))
+    return np.concatenate(([0], inner)), np.concatenate((inner, [n]))
+
+
+def chunked_layout(n: int, chunk_size: int) -> Layout:
+    """Fixed-size chunks of ``n`` elements (the last one may be short).
+
+    Used with dynamic scheduling: many more chunks than threads.  No
+    elements still make one (empty) chunk.
+    """
+    check_positive_int(chunk_size, "chunk_size")
+    if n == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    starts = np.arange(0, n, chunk_size, dtype=np.int64)
+    return starts, np.minimum(starts + chunk_size, n)
+
+
+def layout_splits(data: Any, starts: np.ndarray, ends: np.ndarray) -> list[Split]:
+    """The :class:`Split` objects of a layout over ``data``: split ``i`` has
+    id ``i`` and views ``data[starts[i]:ends[i]]``."""
+    return [
+        Split(i, a, b, data[a:b])
+        for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))
     ]
-    _check_partition(splits, n)
-    return splits
+
+
+def default_splitter(data: Any, req_units: int) -> list[Split]:
+    """Block-partition ``data`` into ``req_units`` balanced splits
+    (:func:`default_layout`)."""
+    return layout_splits(data, *default_layout(_data_len(data), req_units))
+
+
+def aligned_splits(data: Any, req_units: int, alignment: int) -> list[Split]:
+    """Block-partition with split boundaries snapped to ``alignment``
+    (:func:`aligned_layout`)."""
+    return layout_splits(
+        data, *aligned_layout(_data_len(data), req_units, alignment)
+    )
 
 
 def chunked_splitter(data: Any, chunk_size: int) -> list[Split]:
-    """Partition ``data`` into fixed-size chunks (last one may be short).
-
-    Used with dynamic scheduling: many more chunks than threads, pulled from
-    a shared queue.
-    """
-    check_positive_int(chunk_size, "chunk_size")
-    n = _data_len(data)
-    splits = []
-    for sid, start in enumerate(range(0, n, chunk_size)):
-        end = min(start + chunk_size, n)
-        splits.append(Split(sid, start, end, _slice(data, start, end)))
-    if n == 0:
-        splits = [Split(0, 0, 0, _slice(data, 0, 0))]
-    _check_partition(splits, n)
-    return splits
+    """Partition ``data`` into fixed-size chunks (:func:`chunked_layout`)."""
+    return layout_splits(data, *chunked_layout(_data_len(data), chunk_size))
 
 
 def split_descriptors(splits: Sequence[Split]) -> list[tuple[int, int, int]]:
@@ -152,17 +174,28 @@ def split_descriptors(splits: Sequence[Split]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _check_partition(splits: Sequence[Split], n: int) -> None:
-    """Verify splits exactly partition [0, n) in order."""
-    pos = 0
-    for s in splits:
-        if s.start != pos or s.end < s.start:
-            raise SplitterError(
-                f"split {s.split_id} does not continue the partition at {pos}"
-            )
-        pos = s.end
+def _check_partition(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    n: int,
+    split_ids: "Sequence[int] | None" = None,
+) -> Layout:
+    """Verify ``[starts[i], ends[i])`` exactly partition [0, n) in order;
+    returns the layout.  ``split_ids`` names the splits in a refusal
+    (default: their positions)."""
+    # where each split has to start: where the one before it ended
+    due = np.concatenate(([0], ends))[: len(starts)]
+    bad = np.flatnonzero((starts != due) | (ends < starts))
+    if bad.size:
+        i = int(bad[0])
+        sid = i if split_ids is None else split_ids[i]
+        raise SplitterError(
+            f"split {sid} does not continue the partition at {int(due[i])}"
+        )
+    pos = int(ends[-1]) if len(ends) else 0
     if pos != n:
         raise SplitterError(f"splits cover [0, {pos}) but data has {n} elements")
+    return starts, ends
 
 
 class SplitQueue:
@@ -206,24 +239,6 @@ class SplitQueue:
         if self._pending:
             return self._pending.popleft()
         return None
-
-    def take_batch(self, lanes: int) -> list[Split]:
-        """Pop the next *guided* batch of splits, in queue order.
-
-        Every queued retry goes first, in one batch; otherwise the batch is
-        ``ceil(pending / (2 * lanes))`` fresh splits — large while the queue
-        is long, single splits at its tail, so ``lanes`` consumers finish
-        together.  Empty only when the queue is drained or poisoned.
-        """
-        with self._lock:
-            if self._poisoned:
-                return []
-            if self._retry:
-                batch = list(self._retry)
-                self._retry.clear()
-                return batch
-            count = -(-len(self._pending) // (2 * lanes))
-            return [self._pending.popleft() for _ in range(count)]
 
     def __len__(self) -> int:
         return len(self._splits)

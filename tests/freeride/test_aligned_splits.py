@@ -13,7 +13,39 @@ import pytest
 
 from repro.apps.windowed import WindowedRunner
 from repro.freeride.coloring import color_splits, resolve_group_sets
-from repro.freeride.splitter import aligned_splits, default_splitter
+from repro.freeride.splitter import aligned_layout, aligned_splits, default_splitter
+from tests.freeride.test_splitter import (
+    SIZES,
+    assert_layout_is,
+    assert_same_splits,
+    loop_aligned,
+)
+
+ALIGNMENTS = (1, 2, 3, 4, 7, 8, 16, 63, 64, 100, 128, 255, 256, 511, 512)
+
+
+class TestAlignedLayoutIsTheSplits:
+    """The arrays, and the ``Split`` objects built from them, equal the
+    per-split loop's — including its clamping (boundaries stay ordered and
+    inside ``[0, n]``) and the zero-length splits it leaves."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_every_alignment_and_width(self, n):
+        data = range(n)
+        for req in range(1, 9):
+            for align in ALIGNMENTS:
+                want = loop_aligned(data, req, align)
+                assert_layout_is(aligned_layout(n, req, align), want)
+                assert_same_splits(aligned_splits(data, req, align), want)
+
+    def test_clamped_boundaries_leave_empty_splits(self):
+        # the third boundary snaps to 128, past n: it is clamped to 100
+        starts, ends = aligned_layout(100, 4, 128)
+        assert starts.tolist() == [0, 0, 0, 100]
+        assert ends.tolist() == [0, 0, 100, 100]
+        starts, ends = aligned_layout(100, 8, 64)
+        assert starts.tolist() == [0, 0, 0, 64, 64, 64, 64, 64]
+        assert ends.tolist() == [0, 0, 64, 64, 64, 64, 64, 100]
 
 
 class TestAlignedSplits:

@@ -5,14 +5,25 @@ import threading
 import numpy as np
 import pytest
 
+import repro.freeride.plan as plan_module
+from repro.apps.windowed import WindowedRunner
+from repro.chapel.values import from_python
 from repro.compiler.native import probe_toolchain
 from repro.compiler.translate import compile_reduction
 from repro.freeride import execute
 from repro.freeride.execute import INLINE_WAVE_ELEMENTS
+from repro.freeride.faults import FaultPolicy
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.obs.tracer import Tracer
 from repro.util.errors import FreerideError
+from tests.freeride.test_plan import split_objects_built  # noqa: F401 (fixture)
+from tests.freeride.test_splitter import loop_chunked
+
+needs_cc = pytest.mark.skipif(
+    not probe_toolchain()["ok"], reason="no usable C toolchain"
+)
 
 
 def sum_spec():
@@ -177,17 +188,134 @@ class TestSmallWavesRunInline:
         # the two splits land one per lane, as they do inline
         ready = threading.Barrier(2, timeout=30)
         threads = set()
-        reduce_batch = execute._reduce_batch
+        reduce_positions = execute._reduce_positions
 
-        def rendezvous(ctx, lane, splits):
+        def rendezvous(ctx, lane, positions):
             threads.add(threading.current_thread().name)
             ready.wait()
-            reduce_batch(ctx, lane, splits)
+            reduce_positions(ctx, lane, positions)
 
-        monkeypatch.setattr(execute, "_reduce_batch", rendezvous)
+        monkeypatch.setattr(execute, "_reduce_positions", rendezvous)
         with FreerideEngine(num_threads=2, executor="threads") as engine:
             got = _what_a_run_reports(engine.run(spec, idx))
         assert len(threads) == 2
         assert all(name.startswith("freeride") for name in threads)
         monkeypatch.undo()
         assert got == _serial_twin(spec, idx)
+
+
+def _windowed_wave(n, window=512):
+    """The native windowed sums over ``n`` uniform values: its group is a
+    function of the position, so ``colored`` aligns and colors its splits."""
+    with WindowedRunner(
+        window, -(-n // window), np.linspace(0.5, 1.5, 6), 0.0, 1.0, backend="native"
+    ) as runner:
+        scale_t = runner.compiled.lowered.extra_types["scale"]
+        bound = runner.compiled.bind(
+            np.random.default_rng(n).uniform(0, 1, n),
+            {"scale": from_python(scale_t, runner.scale.tolist())},
+        )
+        return bound.make_spec(runner.ro_layout())
+
+
+@pytest.fixture
+def layouts_built(monkeypatch):
+    """Every split list a plan builds from its layout, in order."""
+    built = []
+    real = plan_module.layout_splits
+
+    def keep(data, starts, ends):
+        built.append(real(data, starts, ends))
+        return built[-1]
+
+    monkeypatch.setattr(plan_module, "layout_splits", keep)
+    return built
+
+
+#: name -> (the run's spec and data, engine options); the 20,000- and
+#: 40,960-element waves span more than INLINE_WAVE_ELEMENTS, so threaded
+#: runs of them reach the pool
+LAYOUTS = {
+    "chunked": (lambda: _histogram_wave(20_000), {"chunk_size": 97}),
+    "default": (lambda: _histogram_wave(20_000), {}),
+    "default, zero-length": (lambda: _histogram_wave(2), {}),
+    "aligned": (lambda: _windowed_wave(40_960), {"technique": "colored"}),
+    "aligned, zero-length": (lambda: _windowed_wave(100, 64), {"technique": "colored"}),
+    "colored": (
+        lambda: _windowed_wave(40_960), {"technique": "colored", "chunk_size": 1000}
+    ),
+}
+
+
+@needs_cc
+class TestPositionsAndSplitsReportTheSame:
+    """A batched lane reduces positions of the plan's arrays; a traced run
+    walks ``Split`` objects.  Same bits, same ledgers (per lane where lanes
+    are fixed: inline) — and the batched run builds a ``Split`` only where
+    planning needs one (coloring)."""
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_same_bits_and_ledgers(
+        self, layout, threads, executor, split_objects_built, layouts_built
+    ):
+        make, options = LAYOUTS[layout]
+        spec, idx = make()
+        reports, built = [], []
+        for tracer in (None, Tracer()):
+            split_objects_built.clear()
+            layouts_built.clear()
+            with FreerideEngine(
+                num_threads=threads, executor=executor, tracer=tracer, **options
+            ) as engine:
+                result = engine.run(spec, idx)
+            stats = result.stats
+            reports.append((
+                result.ro.snapshot().tobytes(), stats.splits_per_thread,
+                stats.elements_per_thread, stats.total_elements,
+                stats.technique_effective.value,
+            ))
+            built.append((len(layouts_built), split_objects_built["splits"]))
+        (bits, per_split, per_elem, total, tech), traced = reports
+        assert (bits, total, tech) == (traced[0], traced[3], traced[4])
+        assert total == len(idx)
+        if executor == "serial":
+            assert (per_split, per_elem) == (traced[1], traced[2])
+        else:
+            # pool lanes claim work as they come free, on both paths: only
+            # the totals are fixed
+            assert (sum(per_split), sum(per_elem)) == (sum(traced[1]), sum(traced[2]))
+        (plain_layouts, plain_splits), (traced_layouts, traced_splits) = built
+        assert traced_layouts == 1 and traced_splits > 0  # at most once per run
+        if options.get("technique") == "colored":
+            assert (plain_layouts, plain_splits) == (1, traced_splits)
+        else:
+            assert (plain_layouts, plain_splits) == (0, 0)
+        if "zero-length" in layout and threads == 3 and executor == "serial":
+            assert 0 in per_split  # a lane whose only split is empty
+
+    @pytest.mark.parametrize("mode", [
+        "fault_policy", "observed", "traced", "locking", "process",
+    ])
+    def test_per_split_runs_see_the_same_splits(self, mode, tmp_path, layouts_built):
+        spec, idx = _histogram_wave(3300)
+        options = {
+            "fault_policy": {"fault_policy": FaultPolicy()},
+            "observed": {"profile_store": tmp_path},
+            "traced": {"tracer": Tracer()},
+            "locking": {"technique": "cache_sensitive_locking"},
+            "process": {"executor": "process"},
+        }[mode]
+        with FreerideEngine(
+            num_threads=2, chunk_size=97, **{"executor": "threads", **options}
+        ) as engine:
+            result = engine.run(spec, idx)
+        assert len(layouts_built) == 1  # once per run
+        assert layouts_built[0] == loop_chunked(idx, 97)
+        with FreerideEngine(num_threads=2, chunk_size=97) as engine:
+            twin = engine.run(spec, idx)
+        assert result.ro.snapshot().tobytes() == twin.ro.snapshot().tobytes()
+        assert result.stats.total_elements == twin.stats.total_elements == 3300
+        if mode == "fault_policy":
+            assert set(result.stats.split_attempts) == set(range(len(layouts_built[0])))
