@@ -20,8 +20,12 @@ on the native tier that means:
 The module skips when the host has no usable C toolchain.
 """
 
+import concurrent.futures.thread as _futures_thread
+import gc
+import linecache
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -129,6 +133,7 @@ class _Calls:
         self.home = threading.get_ident()
         self.here: Counter = Counter()
         self.elsewhere: Counter = Counter()
+        self._gc_was_enabled = False
 
     def __call__(self, frame, event, arg):
         if event == "call" and self.armed:
@@ -141,14 +146,59 @@ class _Calls:
         return self
 
     def __exit__(self, *exc):
+        self.disarm()
         sys.setprofile(None)
         threading.setprofile(None)
+
+    def arm(self, engine=None):
+        """Count from here on, once nothing started earlier is still running.
+
+        Garbage that earlier code left is collected now, and no cyclic
+        collection runs while armed: its finalizers would run on this thread
+        in the middle of the counted work.  ``engine``'s pool threads are
+        waited for until each is parked for its next job — a worker's
+        bookkeeping after its last job (releasing the pool's idle semaphore)
+        outlives the future the caller joined.
+        """
+        gc.collect()
+        if engine is not None:
+            _wait_until_parked(engine)
+        self._gc_was_enabled = gc.isenabled()
+        gc.disable()
+        self.armed = True
+
+    def disarm(self):
+        self.armed = False
+        if self._gc_was_enabled:
+            self._gc_was_enabled = False
+            gc.enable()
+
+
+def _parked(thread, frames):
+    """Whether a pool ``thread`` waits in its worker loop's queue ``get``:
+    the only Python frame left is the loop's, at that line."""
+    frame = frames.get(thread.ident)
+    return (
+        frame is not None
+        and frame.f_code is _futures_thread._worker.__code__
+        and "work_queue.get(" in linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+    )
+
+
+def _wait_until_parked(engine, timeout=10.0):
+    pool = engine._pool
+    if pool is None:
+        return
+    deadline = time.monotonic() + timeout
+    while not all(_parked(t, sys._current_frames()) for t in list(pool._threads)):
+        assert time.monotonic() < deadline, "pool threads still busy"
+        time.sleep(0.001)
 
 
 def _calls_of(run):
     """Python calls by name that ``run()`` makes on the calling thread."""
     with _Calls() as calls:
-        calls.armed = True
+        calls.arm()
         run()
     return calls.here
 
@@ -170,9 +220,9 @@ def _histogram_epochs(n, bins, executor, delta):
     with _Calls() as calls, FreerideEngine(num_threads=2, executor=executor) as engine:
         _, session = engine.run_baseline(bound=bound, ro_layout=layout)
         engine.run_delta(session, **delta(0, n))
-        calls.armed = True
+        calls.arm(engine)
         engine.run_delta(session, **delta(1, n))
-        calls.armed = False
+        calls.disarm()
     return calls
 
 
