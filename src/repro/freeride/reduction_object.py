@@ -755,10 +755,6 @@ class ReductionObject:
         """
         self._retract(self._selection(groups), other)
 
-    def retract_group(self, group: int, other: "ReductionObject") -> None:
-        """:meth:`retract_groups` of one group."""
-        self._retract(self._one(group), other)
-
     def _retract(self, selection: list, other: "ReductionObject") -> None:
         self._check_same_layout(other, "retract")
         for op, groups, _ in selection:

@@ -106,10 +106,6 @@ class ReductionSpec:
         interpreter (a native kernel: one GIL-released C call).  Direct,
         untraced lanes that own their target (replicas, colored cells) then
         pass whole batches of splits through it instead of looping over them.
-    ``delta_range``
-        for delta runs (else ``None``): the ``[start, end)`` element range
-        this run covers — the appended tail of an incrementally grown
-        dataset, the only part of the shared dataset segment republished.
     """
 
     name: str
@@ -122,7 +118,6 @@ class ReductionSpec:
     group_bounds: Any = None
     reduce_ranges: Callable[[np.ndarray, np.ndarray, ROAccessor], None] | None = None
     ranges_in_one_call: bool = False
-    delta_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.setup_reduction_object):

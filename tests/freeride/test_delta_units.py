@@ -104,8 +104,8 @@ def test_checkpoint_cow_saves_and_hits():
     ro = _ro_sum_min()
     cp = ROCheckpoint(capacity=4)
     cp.begin(1, ro, n_elements=10, live_count=10)
-    cp.save_group(ro, 0)
-    cp.save_group(ro, 0)  # second save of same group is a COW hit
+    cp.save_groups(ro, np.array([0]))
+    cp.save_groups(ro, np.array([0]))  # second save of same group is a COW hit
     assert (cp.saves, cp.hits) == (1, 1)
     ro.accumulate(0, 0, 100.0)
     cp.commit()
@@ -116,7 +116,7 @@ def test_checkpoint_rollback_restores_pre_images():
     ro = _ro_sum_min()
     cp = ROCheckpoint(capacity=4)
     cp.begin(1, ro, n_elements=10, live_count=10)
-    cp.save_group(ro, 0)
+    cp.save_groups(ro, np.array([0]))
     ro.accumulate(0, 0, 100.0)
     ro.update_count += 1
     restored, n, live = cp.rollback(ro)
@@ -134,7 +134,7 @@ def test_checkpoint_double_begin_refused():
     with pytest.raises(FreerideError):
         cp.begin(2, ro, n_elements=1, live_count=1)
     with pytest.raises(FreerideError):
-        ROCheckpoint(capacity=2).save_group(ro, 0)
+        ROCheckpoint(capacity=2).save_groups(ro, np.array([0]))
 
 
 def test_checkpoint_ring_eviction_and_restore():
@@ -142,7 +142,7 @@ def test_checkpoint_ring_eviction_and_restore():
     cp = ROCheckpoint(capacity=2)
     for epoch in (1, 2, 3):
         cp.begin(epoch, ro, n_elements=10, live_count=10)
-        cp.save_group(ro, 0)
+        cp.save_groups(ro, np.array([0]))
         ro.accumulate(0, 0, float(epoch))
         cp.commit()
     # capacity 2: epoch-1's record was evicted

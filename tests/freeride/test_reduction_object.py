@@ -249,12 +249,12 @@ class TestLayoutTables:
 
         adds = ReductionObject.from_layout(self.LAYOUT)
         adds.accumulate_group(4, np.ones(4))
-        a.retract_group(4, adds)
+        a.retract_groups(np.array([4]), adds)
         expected[8:] -= 1.0
         assert np.array_equal(a.snapshot(), expected)
         assert a.update_count == 24  # the delta commit accounts for updates
         with pytest.raises(ReductionObjectError, match="group 2 uses non-invertible"):
-            a.retract_group(2, b)
+            a.retract_groups(np.array([2]), b)
         assert np.array_equal(a.snapshot(), expected)  # refused before mutating
 
     def test_touched_groups_unions_flags_and_values(self):
@@ -319,7 +319,7 @@ class TestGroupArrays:
         by_group, _ = self.pair(np.random.default_rng(7))
         by_array.retract_groups(groups, theirs)
         for g in groups:
-            by_group.retract_group(g, theirs)
+            by_group.retract_groups(np.array([g]), theirs)
         assert self.state(by_array) == self.state(by_group)
 
     def test_retract_refuses_before_writing(self):
