@@ -720,10 +720,10 @@ class BoundReduction:
             ro.alloc_many(layout)
 
         def reduction(args: ReductionArgs) -> None:
-            # args.data is a contiguous slice of the global element index
-            # range; use its VALUES (not split-local positions) so the
-            # kernel addresses the right elements under multi-node splits,
-            # where each node re-splits its own sub-range.
+            # args.data is a contiguous slice of the element index range;
+            # use its VALUES (not split-local positions) so the kernel
+            # addresses the right elements when the run's data is a
+            # sub-range that does not start at 0.
             indices = args.data
             if len(indices) == 0:
                 return

@@ -6,8 +6,8 @@ and this module is that loop, written once for every executor, technique
 and fault configuration:
 
 :class:`RunContext`
-    everything one node's pass over its splits needs, built once by
-    ``FreerideEngine._run_node`` from the node's
+    everything a run's pass over its splits needs, built once by
+    ``FreerideEngine.run`` from the run's
     :class:`~repro.freeride.plan.ExecutionPlan` and the accessors its
     technique set up.  An uncolored run is a schedule of one wave.
 :func:`attempt_split`
@@ -121,9 +121,9 @@ class Observation:
 
 @dataclass
 class RunContext:
-    """One node's pass: what to run, where results go, what may go wrong.
+    """One run's pass: what to run, where results go, what may go wrong.
 
-    Constructed complete from the node's plan and the accessors of the
+    Constructed complete from the run's plan and the accessors of the
     planned technique; everything below :attr:`worker_durations` is derived
     from those in ``__post_init__``.
     """
@@ -136,7 +136,6 @@ class RunContext:
     stats: "RunStats"
     tracer: "Tracer | NullTracer"
     metrics: "MetricsRegistry | None"
-    node: int
     executor: str
     num_threads: int
     #: ``None`` means no fault machinery; an injector alone implies defaults
@@ -239,7 +238,6 @@ def attempt_split(
 
 def traced_attempt(
     tracer: "Tracer",
-    node: int,
     lane: int,
     split_id: int,
     elements: int,
@@ -254,7 +252,7 @@ def traced_attempt(
     """
     numbered = {} if attempt is None else {"attempt": attempt}
     with tracer.span(
-        "split", cat="split", split_id=split_id, thread_id=lane, node=node,
+        "split", cat="split", split_id=split_id, thread_id=lane,
         elements=elements, **numbered,
     ) as span:
         scratch, error = run()
@@ -266,7 +264,7 @@ def traced_attempt(
         if isinstance(error, kind):
             tracer.event(
                 name, cat="fault", split_id=split_id, attempt=attempt,
-                thread_id=lane, node=node,
+                thread_id=lane,
             )
     return scratch, error, span.duration or 0.0
 
@@ -300,7 +298,7 @@ def _attempt_traced(ctx: RunContext, lane: int, split: Split, attempt: int) -> A
     acc_stats = ctx.accessors[lane].stats
     locks_before = acc_stats.lock_acquisitions
     scratch, error, seconds = traced_attempt(
-        ctx.tracer, ctx.node, lane, split.split_id, len(split),
+        ctx.tracer, lane, split.split_id, len(split),
         attempt if ctx.policy is not None else None,
         lambda: _attempt_in_process(ctx, lane, split, attempt),
     )
@@ -385,14 +383,14 @@ def settle(
         if tracer.enabled:
             tracer.event(
                 "split.requeue", cat="fault", split_id=split.split_id,
-                attempt=attempt, thread_id=lane, node=ctx.node,
+                attempt=attempt, thread_id=lane,
             )
         return
     queue.abandon(split)
     if tracer.enabled:
         tracer.event(
             "split.abandon", cat="fault", split_id=split.split_id,
-            attempts=attempt, thread_id=lane, node=ctx.node, error=repr(error),
+            attempts=attempt, thread_id=lane, error=repr(error),
         )
     if policy.mode == FAIL_FAST:
         queue.poison()
@@ -449,7 +447,7 @@ def _lane(
             if speculative and tracer.enabled:
                 tracer.event(
                     "split.steal", cat="fault", split_id=split.split_id,
-                    thread_id=lane, node=ctx.node,
+                    thread_id=lane,
                 )
             if attempt > 1:
                 assert policy is not None
@@ -502,9 +500,10 @@ def _reduce_positions(ctx: RunContext, lane: int, positions: np.ndarray) -> None
     """One kernel call over the splits at ``positions``, in order, into
     ``lane``'s accessor.
 
-    The plan's ``starts``/``ends`` are global element values, as the
-    per-split ``reduction`` reads its split's slice of the element index
-    range: under multi-node runs a node's share does not start at 0.
+    The plan's ``starts``/``ends`` are element values, not positions, as
+    the per-split ``reduction`` reads its split's slice of the element
+    index range: the two differ when the run's data is a ``range`` whose
+    start is not 0.
     """
     assert ctx.spec.reduce_ranges is not None
     starts, ends = ctx.plan.starts[positions], ctx.plan.ends[positions]
@@ -540,7 +539,7 @@ def _batched_wave(ctx: RunContext, engine: "FreerideEngine", wave: Any) -> None:
         live = w[ends[w] > starts[w]]
     if not live.size:
         return
-    # the splits partition the node in order: a wave's span is its live
+    # the splits partition the data in order: a wave's span is its live
     # element count when its splits are consecutive (an uncolored run), and
     # bounds it from above otherwise
     span = int(ends[live[-1]]) - int(starts[live[0]])
@@ -705,7 +704,7 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
 
         payload = procexec.task_payload(
             ctx.spec, ctx.base_ro.layout(), engine._res.segments,
-            ctx.tracer.epoch if ctx.tracer.enabled else None, ctx.node,
+            ctx.tracer.epoch if ctx.tracer.enabled else None,
         )
         attempt_fn = partial(_attempt_remote, engine._get_process_pool(), payload)
     width = ctx.num_threads
@@ -738,8 +737,4 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
             ])
         if ctx.policy is not None:
             ctx.stats.requeues += queue.requeues
-            for sid, attempts in queue.attempt_table().items():
-                # max across nodes: split ids repeat from node to node
-                ctx.stats.split_attempts[sid] = max(
-                    ctx.stats.split_attempts.get(sid, 0), attempts
-                )
+            ctx.stats.split_attempts.update(queue.attempt_table())

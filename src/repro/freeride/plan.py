@@ -1,10 +1,10 @@
-"""Plan one node's pass before anything runs — as a value.
+"""Plan a run's pass before anything runs — as a value.
 
 FREERIDE's loop combines locally "depending on the shared memory technique
 chosen by the application developer" (§III-A); with ``technique="auto"``,
 colored waves and a profile store, *choosing* became a computation of its
-own.  :func:`plan_node` is that computation, once per node per run: it
-takes what it reads — the engine's request, the spec, the node's data, the
+own.  :func:`plan_node` is that computation, once per run: it
+takes what it reads — the engine's request, the spec, the run's data, the
 fresh reduction object, the store and the engine's one piece of cross-run
 feedback — and returns an immutable :class:`ExecutionPlan`: the split
 layout, then the profile key, then each coloring tier at most once, then
@@ -69,11 +69,11 @@ _COLORED = SharedMemTechnique.COLORED
 
 @dataclass(frozen=True, eq=False)
 class ExecutionPlan:
-    """Everything decided about one node's pass before its first split."""
+    """Everything decided about a run's pass before its first split."""
 
-    #: split ``i`` reduces the global element values ``[starts[i],
-    #: ends[i])``: two int64 arrays, the node data's ``range.start`` plus
-    #: the layout's positions, set when the node's data is a unit-step
+    #: split ``i`` reduces the element values ``[starts[i], ends[i])``:
+    #: two int64 arrays, the data's ``range.start`` plus the layout's
+    #: positions, set when the data is a unit-step
     #: ``range`` (what every compiled spec runs over), else ``None``
     starts: "np.ndarray | None"
     ends: "np.ndarray | None"
@@ -84,7 +84,7 @@ class ExecutionPlan:
     #: element alignment the default splitter snapped boundaries to
     #: (``GroupBounds.alignment``), ``None`` for unaligned splits
     split_alignment: "int | None"
-    #: the technique the node executes (never the request)
+    #: the technique the run executes (never the request)
     technique: SharedMemTechnique
     #: why the technique differs from the request — ``{requested, chosen,
     #: reason, inputs[, source][, profile_key]}`` — or ``None`` when the
@@ -205,17 +205,16 @@ def plan_node(
     technique: "SharedMemTechnique | None",
     executor: str,
     num_threads: int,
-    num_nodes: int = 1,
     chunk_size: "int | None" = None,
     splitter: "Callable[[Any, int], list[Split]] | None" = None,
     fault_tolerant: bool = False,
     store: "ProfileStore | None" = None,
     lock_contention: "float | None" = None,
 ) -> ExecutionPlan:
-    """Plan one node's pass over ``data`` (see the module docstring).
+    """Plan one run's pass over ``data`` (see the module docstring).
 
     ``technique`` is the engine's parsed request (``None`` for ``"auto"``),
-    ``ro`` the node's fresh reduction object (read for its size only),
+    ``ro`` the run's fresh reduction object (read for its size only),
     ``fault_tolerant`` whether a fault policy is in force, and
     ``lock_contention`` the engine's last traced mean of lock acquisitions
     per split.  A request the engine refuses (a locking or colored
@@ -257,9 +256,9 @@ def plan_node(
         starts, ends = starts + data.start, ends + data.start
     num_splits = len(layout[0])
 
-    # in-process, single node, no fault machinery: the only runs that read
-    # profiled footprints or observe new ones
-    plain = executor != "process" and num_nodes == 1 and not fault_tolerant
+    # in-process, no fault machinery: the only runs that read profiled
+    # footprints or observe new ones
+    plain = executor != "process" and not fault_tolerant
     key = profiled = history = None
     consulted = False  # was the store read for this request
     if store is not None:

@@ -113,7 +113,6 @@ def task_payload(
     ro_layout: "Sequence[tuple[int, str]]",
     segments: SharedBufferCache,
     trace_epoch: float | None,
-    node: int,
 ) -> dict[str, Any]:
     """The picklable task base shared by every worker task of one run.
 
@@ -150,7 +149,6 @@ def task_payload(
         "extras_epoch": bound.extras_epoch,
         "ro_layout": list(ro_layout),
         "trace_epoch": trace_epoch,
-        "node": node,
     }
 
 
@@ -304,9 +302,7 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
         if tracer is None:
             direct()
         else:
-            traced_attempt(
-                tracer, task["node"], slot, sid, stop - start, None, direct
-            )
+            traced_attempt(tracer, slot, sid, stop - start, None, direct)
         durations.append(time.perf_counter() - t0)
         elements += stop - start
     result = {
@@ -354,7 +350,7 @@ def run_split_task(task: dict[str, Any]) -> dict[str, Any]:
         scratch, error = scratch_attempt()
     else:
         scratch, error, _ = traced_attempt(
-            tracer, task["node"], task["lane"], sid, stop - start, attempt,
+            tracer, task["lane"], sid, stop - start, attempt,
             scratch_attempt,
         )
     duration = time.perf_counter() - t0

@@ -17,9 +17,10 @@ Implements the processing structure of the paper's Figure 4 (left):
 One :meth:`FreerideEngine.run` call executes one pass of the reduction loop:
 split the input, run the local reduction on every split across threads
 (map and reduce fused — each element is processed *and* reduced before the
-next), perform the local combination (per shared-memory technique), the
-global combination (across nodes, all-to-one or parallel merge), and
-finalize.
+next), perform the local combination (per shared-memory technique), and
+finalize.  The engine runs one node, as the paper measures; the global
+combination across a cluster's nodes is priced by the cost model
+(:class:`repro.machine.ClusterCombinePhase`).
 
 Three executors are provided: ``"serial"`` (deterministic round-robin split
 assignment — the mode the simulated machine models), ``"threads"`` (a real
@@ -39,13 +40,13 @@ copy (full replication) or applied group-by-group under the lock table
 accumulations behind and no element is ever double counted.
 
 Three neighbours hold what is not the loop: :mod:`repro.freeride.plan`
-decides a node's pass before it runs (splits, technique, wave schedule,
+decides a run's pass before it starts (splits, technique, wave schedule,
 profile key) and hands back an ``ExecutionPlan``;
 :mod:`repro.freeride.execute` is the split loop itself — attempt, settle,
 and the drive over waves × lanes that all three executors share; and
 :mod:`repro.freeride.delta` walks a delta epoch over the session it
 mutates.  What is left here is the engine's lifecycle and
-``run`` = plan → drive → combine → finalize.
+``run`` = plan → drive → local combination → finalize.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.freeride.combination import CombinationStats, combine
+from repro.freeride.combination import CombinationStats
 from repro.freeride.delta import (
     DELTA_COMMIT_SPLIT_ID,
     DeltaSession,
@@ -79,7 +80,7 @@ from repro.freeride.sharedmem import (
     SharedMemTechnique,
 )
 from repro.freeride.spec import ReductionSpec
-from repro.freeride.splitter import Split, default_splitter
+from repro.freeride.splitter import Split
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.obs.profilestore import ProfileStore, record_run, resolve_store
 from repro.obs.tracer import NullTracer, Tracer, get_tracer
@@ -119,7 +120,6 @@ class RunStats:
     """Everything a run observed; the cost model consumes these counters."""
 
     num_threads: int = 1
-    num_nodes: int = 1
     executor: str = "serial"
     #: the technique the run actually executed (always effective, never the
     #: request — a coerced or fallen-back run reports what really happened)
@@ -151,7 +151,6 @@ class RunStats:
     metrics: dict[str, Any] = field(default_factory=dict)
     sharedmem: SharedMemStats = field(default_factory=SharedMemStats)
     local_combination: CombinationStats = field(default_factory=CombinationStats)
-    global_combination: CombinationStats | None = None
     phase_seconds: dict[str, float] = field(default_factory=dict)
     # -- fault-tolerance accounting (all zero without a fault policy) ----------
     #: retry attempts beyond each split's first (includes straggler re-runs)
@@ -164,7 +163,7 @@ class RunStats:
     requeues: int = 0
     #: attempts discarded for exceeding the policy's ``split_timeout``
     timeouts: int = 0
-    #: per-split attempt counts (max across nodes when split ids repeat)
+    #: per-split attempt counts
     split_attempts: dict[int, int] = field(default_factory=dict)
     #: one record per abandoned split
     failures: list[SplitFailureRecord] = field(default_factory=list)
@@ -232,7 +231,7 @@ class FreerideEngine:
     Parameters
     ----------
     num_threads:
-        threads per node ("One thread is allocated on one CPU" in §V).
+        threads ("One thread is allocated on one CPU" in §V).
     technique:
         shared-memory technique for reduction-object updates, or ``"auto"``
         to let the engine pick one per run from the reduction object's
@@ -250,9 +249,6 @@ class FreerideEngine:
     chunk_size:
         if given, the input is cut into fixed-size chunks pulled dynamically;
         otherwise the default splitter produces one block per thread.
-    num_nodes:
-        cluster width for the global combination phase (each node runs the
-        full local pipeline on its block of the data).
     fault_policy:
         enables fault-tolerant split execution (retries with backoff, soft
         per-split timeouts, straggler re-dispatch, fail-fast or
@@ -293,7 +289,6 @@ class FreerideEngine:
         technique: SharedMemTechnique | str = SharedMemTechnique.FULL_REPLICATION,
         executor: str = "serial",
         chunk_size: int | None = None,
-        num_nodes: int = 1,
         splitter: "Callable[[Any, int], list[Split]] | None" = None,
         fault_policy: FaultPolicy | None = None,
         fault_injector: FaultInjector | None = None,
@@ -326,7 +321,6 @@ class FreerideEngine:
         if chunk_size is not None:
             check_positive_int(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
-        self.num_nodes = check_positive_int(num_nodes, "num_nodes")
         if splitter is not None and not callable(splitter):
             raise FreerideError("splitter must be callable (splitter_t)")
         #: custom ``splitter_t``; None selects the middleware default
@@ -406,12 +400,11 @@ class FreerideEngine:
     # -- public entry ---------------------------------------------------------
 
     def _new_stats(self) -> RunStats:
-        """A run's ledger, stamped with the request; node 0's plan restamps
+        """A run's ledger, stamped with the request; the run's plan restamps
         the technique fields with what the run really executes."""
         initial = self.technique or SharedMemTechnique.FULL_REPLICATION
         stats = RunStats(
             num_threads=self.num_threads,
-            num_nodes=self.num_nodes,
             executor=self.executor,
             technique=initial,
             technique_requested=self.technique_requested,
@@ -421,7 +414,8 @@ class FreerideEngine:
         return stats
 
     def run(self, spec: ReductionSpec, data: Any) -> ReductionResult:
-        """Execute one reduction pass over ``data``."""
+        """Execute one reduction pass over ``data``: plan → drive → local
+        combination → finalize."""
         self._check_open()
         if self.executor == "process":
             _check_process_technique(self.technique)
@@ -431,46 +425,83 @@ class FreerideEngine:
         bound = spec.bound
         wall_start = time.perf_counter()
         stats = self._new_stats()
+        policy = self.fault_policy or (
+            FaultPolicy() if self.fault_injector is not None else None
+        )
         with tracer.span(
             "engine.run",
             cat="engine",
             spec=spec.name,
             executor=self.executor,
             num_threads=self.num_threads,
-            num_nodes=self.num_nodes,
             technique=self.technique_requested,
             digest=bound.compiled.request.digest if bound is not None else None,
         ) as run_span:
-            # one node is the one-block case: its block is the data itself
-            blocks = (
-                [data]
-                if self.num_nodes == 1
-                else [b.data for b in default_splitter(data, self.num_nodes)]
-            )
-            node_ros: list[ReductionObject] = []
             with timer.phase("local"), tracer.span("local", cat="phase"):
-                for node, block in enumerate(blocks):
-                    ctx = self._run_node(spec, block, stats, tracer, metrics, node)
-                    node_ros.append(ctx.base_ro)
-                    if node == 0:
-                        first = ctx  # its plan names the profile record
-            ro = node_ros[0]
-            if self.num_nodes > 1:
-                with timer.phase("global_combination"), tracer.span(
-                    "global_combination", cat="phase"
-                ):
-                    with tracer.span(
-                        "global_combination", cat="combination",
-                        num_nodes=self.num_nodes,
-                    ) as g_span:
-                        ro, g_stats = combine(node_ros)
-                        g_span.set(
-                            strategy=g_stats.strategy,
-                            merges=g_stats.merges,
-                            rounds=g_stats.rounds,
-                            elements_merged=g_stats.elements_merged,
-                        )
-                    stats.global_combination = g_stats
+                ro = spec.build_reduction_object()
+                plan = plan_node(
+                    spec, data, ro,
+                    technique=self.technique, executor=self.executor,
+                    num_threads=self.num_threads, chunk_size=self.chunk_size,
+                    splitter=self.splitter, fault_tolerant=policy is not None,
+                    store=self.profile_store,
+                    lock_contention=self._last_lock_contention,
+                )
+                mgr = SharedMemManager(plan.technique)
+                ctx = RunContext(
+                    spec=spec, plan=plan, base_ro=ro,
+                    accessors=mgr.setup(ro, self.num_threads),
+                    stats=stats, tracer=tracer, metrics=metrics,
+                    executor=self.executor, num_threads=self.num_threads,
+                    policy=policy, injector=self.fault_injector,
+                    worker_durations=[] if self.profile_store is not None else None,
+                )
+                decision = plan.decision
+                stats.technique = stats.technique_effective = plan.technique
+                stats.technique_decision = decision
+                stats.coloring = (
+                    plan.coloring.as_dict() if plan.coloring is not None else None
+                )
+                stats.split_alignment = plan.split_alignment
+                if decision is not None and tracer.enabled:
+                    extra = {
+                        name: decision[name]
+                        for name in ("source", "profile_key")
+                        if decision.get(name) is not None
+                    }
+                    tracer.event(
+                        "technique.decision", cat="engine",
+                        requested=decision["requested"], chosen=decision["chosen"],
+                        reason=decision["reason"], **extra, **decision["inputs"],
+                    )
+                drive(ctx, self)
+                obs = ctx.observation
+                if obs is not None and obs.conflicts and tracer.enabled:
+                    tracer.event(
+                        "profile.footprint_conflict", cat="engine",
+                        conflicts=obs.conflicts,
+                    )
+
+                # Local combination — mgr.finish is the single accounting
+                # path, so num_locks / ro_memory_bytes / merge_elements are
+                # always reported.
+                with tracer.span(
+                    "local_combination", cat="combination",
+                    technique=plan.technique.value,
+                ) as span:
+                    _, stats.sharedmem, lc_stats = mgr.finish(
+                        ro, ctx.accessors, combination=spec.combination
+                    )
+                    span.set(
+                        strategy=lc_stats.strategy,
+                        merges=lc_stats.merges,
+                        rounds=lc_stats.rounds,
+                        elements_merged=lc_stats.elements_merged,
+                    )
+                stats.local_combination = lc_stats
+                stats.total_elements = sum(ctx.elems)
+                stats.elements_per_thread = ctx.elems
+                stats.splits_per_thread = ctx.nsplits
 
             stats.ro_updates = ro.update_count
             stats.ro_size = ro.size
@@ -488,8 +519,8 @@ class FreerideEngine:
             self._finish_metrics(metrics, stats)
         if self.profile_store is not None:
             record_run(
-                self.profile_store, spec, stats, first.plan, first.observation,
-                first.worker_durations, time.perf_counter() - wall_start,
+                self.profile_store, spec, stats, plan, ctx.observation,
+                ctx.worker_durations, time.perf_counter() - wall_start,
             )
         return ReductionResult(value=value, ro=ro, stats=stats)
 
@@ -502,7 +533,6 @@ class FreerideEngine:
         feedback simply goes stale rather than being zeroed.
         """
         metrics.gauge("engine.num_threads").set(stats.num_threads)
-        metrics.gauge("engine.num_nodes").set(stats.num_nodes)
         metrics.counter("engine.elements").inc(stats.total_elements)
         metrics.counter("ro.updates").inc(stats.ro_updates)
         metrics.counter("ro.lock_acquisitions").inc(
@@ -689,103 +719,3 @@ class FreerideEngine:
             else session.ro
         )
         return ReductionResult(value=value, ro=session.ro, stats=stats)
-
-    # -- one node's local pipeline ---------------------------------------------
-
-    def _run_node(
-        self,
-        spec: ReductionSpec,
-        data: Any,
-        stats: RunStats,
-        tracer: "Tracer | NullTracer",
-        metrics: MetricsRegistry | None,
-        node: int,
-    ) -> RunContext:
-        """Plan, drive and locally combine one node's block; returns its
-        context, whose ``base_ro`` now holds the node's result.  Node 0
-        stamps the run stats from its plan (every node sees the same spec,
-        so the per-node choice only differs in degenerate splitter setups,
-        and the paper's model is one technique per run)."""
-        ro = spec.build_reduction_object()
-        policy = self.fault_policy or (
-            FaultPolicy() if self.fault_injector is not None else None
-        )
-        plan = plan_node(
-            spec, data, ro,
-            technique=self.technique, executor=self.executor,
-            num_threads=self.num_threads, num_nodes=self.num_nodes,
-            chunk_size=self.chunk_size, splitter=self.splitter,
-            fault_tolerant=policy is not None, store=self.profile_store,
-            lock_contention=self._last_lock_contention,
-        )
-        mgr = SharedMemManager(plan.technique)
-        ctx = RunContext(
-            spec=spec, plan=plan, base_ro=ro,
-            accessors=mgr.setup(ro, self.num_threads),
-            stats=stats, tracer=tracer, metrics=metrics, node=node,
-            executor=self.executor, num_threads=self.num_threads,
-            policy=policy, injector=self.fault_injector,
-            worker_durations=[] if self.profile_store is not None else None,
-        )
-        decision = plan.decision
-        if node == 0:
-            stats.technique = stats.technique_effective = plan.technique
-            stats.technique_decision = decision
-            stats.coloring = (
-                plan.coloring.as_dict() if plan.coloring is not None else None
-            )
-            stats.split_alignment = plan.split_alignment
-        if decision is not None and tracer.enabled:
-            extra = {
-                name: decision[name]
-                for name in ("source", "profile_key")
-                if decision.get(name) is not None
-            }
-            tracer.event(
-                "technique.decision", cat="engine", node=node,
-                requested=decision["requested"], chosen=decision["chosen"],
-                reason=decision["reason"], **extra, **decision["inputs"],
-            )
-        drive(ctx, self)
-        obs = ctx.observation
-        if obs is not None and obs.conflicts and tracer.enabled:
-            tracer.event(
-                "profile.footprint_conflict", cat="engine", node=node,
-                conflicts=obs.conflicts,
-            )
-
-        # Local combination — mgr.finish is the single accounting path, so
-        # num_locks / ro_memory_bytes / merge_elements are always reported.
-        with tracer.span(
-            "local_combination", cat="combination", node=node,
-            technique=plan.technique.value,
-        ) as span:
-            _, sm_stats, lc_stats = mgr.finish(
-                ro, ctx.accessors, combination=spec.combination
-            )
-            span.set(
-                strategy=lc_stats.strategy,
-                merges=lc_stats.merges,
-                rounds=lc_stats.rounds,
-                elements_merged=lc_stats.elements_merged,
-            )
-
-        stats.total_elements += sum(ctx.elems)
-        if node == 0:
-            stats.elements_per_thread = ctx.elems
-            stats.splits_per_thread = ctx.nsplits
-            stats.sharedmem, stats.local_combination = sm_stats, lc_stats
-        else:
-            stats.elements_per_thread = [
-                a + b for a, b in zip(stats.elements_per_thread, ctx.elems)
-            ]
-            stats.splits_per_thread = [
-                a + b for a, b in zip(stats.splits_per_thread, ctx.nsplits)
-            ]
-            stats.sharedmem.add(sm_stats)
-            local = stats.local_combination
-            local.strategy = lc_stats.strategy
-            local.merges += lc_stats.merges
-            local.elements_merged += lc_stats.elements_merged
-            local.rounds = max(local.rounds, lc_stats.rounds)
-        return ctx

@@ -491,9 +491,7 @@ class SharedBufferCache:
         self.session_full_bytes = 0
         self._lock = threading.Lock()
 
-    def publish_session(
-        self, key: str, arr: np.ndarray, valid_prefix: int | None = None
-    ) -> tuple[str, int]:
+    def publish_session(self, key: str, arr: np.ndarray) -> tuple[str, int]:
         """Publish a *growable* buffer under a caller-chosen session key.
 
         Unlike :meth:`publish` (content-addressed, one immutable segment
@@ -504,10 +502,6 @@ class SharedBufferCache:
         capacity a larger segment replaces it (workers re-attach by the
         new name; the old segment is unlinked but stays mapped wherever
         it is still open).
-
-        ``valid_prefix`` caps how many previously published bytes are
-        trusted — after a rolled-back delta shrank the dataset, bytes past
-        the rollback point are stale and are rewritten.
         """
         arr = np.asarray(arr)
         if not arr.flags["C_CONTIGUOUS"]:
@@ -518,8 +512,6 @@ class SharedBufferCache:
             entry = self._sessions.get(key)
             if entry is not None:
                 shm, written = entry
-                if valid_prefix is not None:
-                    written = min(written, int(valid_prefix))
                 written = min(written, nbytes)
                 if shm.size >= nbytes:
                     if nbytes > written:

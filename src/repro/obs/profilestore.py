@@ -184,7 +184,6 @@ class RunProfile:
     effective_backend: str | None = None
     executor: str = "serial"
     workers: int = 1
-    num_nodes: int = 1
     n_elements: int = 0
     num_splits: int = 0
     split_alignment: int | None = None
@@ -454,7 +453,7 @@ def record_run(
     """Append one :class:`RunProfile` for a finished engine run.
 
     ``spec``/``stats`` are the run's :class:`~repro.freeride.spec.ReductionSpec`
-    and :class:`~repro.freeride.runtime.RunStats`, ``plan`` node 0's
+    and :class:`~repro.freeride.runtime.RunStats`, ``plan`` its
     :class:`~repro.freeride.plan.ExecutionPlan` (its ``profile_key`` names
     the record), ``observation`` what the run observed of its splits' group
     footprints (or ``None``) and ``durations`` the split durations worker
@@ -495,8 +494,8 @@ def record_run(
     profile = RunProfile(
         digest=key.digest,
         spec_name=spec.name,
-        # the elements the run processed, which abandoned splits and other
-        # nodes' shares make differ from the planned node's
+        # the elements the run processed, which abandoned splits make
+        # differ from the planned data's
         shape_class=shape_class(stats.total_elements, stats.num_threads),
         split_fingerprint=key.split_fingerprint if ranges else None,
         opt_level=compiled.opt_level if compiled is not None else None,
@@ -506,7 +505,6 @@ def record_run(
         ),
         executor=stats.executor,
         workers=stats.num_threads,
-        num_nodes=stats.num_nodes,
         n_elements=stats.total_elements,
         num_splits=len(ranges),
         split_alignment=stats.split_alignment,

@@ -233,9 +233,8 @@ def format_report(report: TraceReport) -> str:
         lines.append("")
         lines.append("technique decisions (event=technique.decision)")
         for d in report.decisions:
-            node = d.get("node", 0)
             lines.append(
-                f"  node {node}: requested {d.get('requested', '?')!r}"
+                f"  requested {d.get('requested', '?')!r}"
                 f" -> ran {d.get('chosen', '?')!r}"
             )
             inputs = [

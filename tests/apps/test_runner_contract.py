@@ -115,8 +115,8 @@ class TestConstructor:
             assert runner.backend == backend
 
     def test_an_engine_option_no_runner_takes_is_refused(self, cls, backend):
-        with pytest.raises(TypeError, match="num_nodes"):
-            make(cls, backend, num_nodes=2)
+        with pytest.raises(TypeError, match="splitter"):
+            make(cls, backend, splitter=None)
 
     def test_bad_version_or_backend_names_the_choices(self, cls, backend):
         with pytest.raises(ValueError, match=r"version must be one of .*'opt-2'"):

@@ -434,16 +434,3 @@ def test_publish_session_tail_only_republish():
         assert cache.session_full_bytes > full0
     finally:
         cache.close()
-
-
-def test_publish_session_valid_prefix_clamps_trusted_bytes():
-    cache = SharedBufferCache()
-    try:
-        arr = np.arange(100, dtype=np.uint8)
-        cache.publish_session("s", arr)
-        # rollback scenario: only the first 40 bytes are still trusted, so
-        # a same-length republish must rewrite everything past the prefix
-        cache.publish_session("s", arr, valid_prefix=40)
-        assert cache.session_tail_bytes == 60
-    finally:
-        cache.close()

@@ -190,22 +190,6 @@ class TestRetryCorrectness:
         assert result.stats.requeues >= 3
         assert result.stats.failed_splits == 0
 
-    def test_multi_node_recovers(self):
-        base = FreerideEngine(num_threads=2, num_nodes=3, chunk_size=7).run(
-            sum_spec(), self.DATA
-        )
-        engine = FreerideEngine(
-            num_threads=2,
-            num_nodes=3,
-            chunk_size=7,
-            fault_policy=FaultPolicy(max_retries=2),
-            fault_injector=FaultInjector(fail_split_ids={0, 4}),
-        )
-        result = engine.run(sum_spec(), self.DATA)
-        assert np.array_equal(result.ro.snapshot(), base.ro.snapshot())
-        # split ids repeat per node: ids 0 and 4 fail on every node
-        assert result.stats.injected_faults >= 2
-
 
 class TestDegradationModes:
     DATA = np.arange(100, dtype=np.float64)

@@ -61,11 +61,11 @@ def _windowed():
 
 
 def _plan(engine, spec, data) -> ExecutionPlan:
-    """What the engine would plan for node 0 — nothing runs."""
+    """What the engine would plan for a run — nothing runs."""
     return plan_node(
         spec, data, spec.build_reduction_object(),
         technique=engine.technique, executor=engine.executor,
-        num_threads=engine.num_threads, num_nodes=engine.num_nodes,
+        num_threads=engine.num_threads,
         chunk_size=engine.chunk_size, splitter=engine.splitter,
         fault_tolerant=(
             engine.fault_policy is not None or engine.fault_injector is not None
@@ -176,7 +176,7 @@ def test_profile_key_and_observation_are_planned_only_with_a_store(tmp_path):
 
 
 def _context(engine, spec, data) -> RunContext:
-    """Node 0's run context as the engine builds it — nothing runs."""
+    """The run context as the engine builds it — nothing runs."""
     plan = _plan(engine, spec, data)
     ro = spec.build_reduction_object()
     policy = engine.fault_policy or (
@@ -185,7 +185,7 @@ def _context(engine, spec, data) -> RunContext:
     return RunContext(
         spec=spec, plan=plan, base_ro=ro,
         accessors=SharedMemManager(plan.technique).setup(ro, engine.num_threads),
-        stats=RunStats(), tracer=NULL_TRACER, metrics=None, node=0,
+        stats=RunStats(), tracer=NULL_TRACER, metrics=None,
         executor=engine.executor, num_threads=engine.num_threads,
         policy=policy, injector=engine.fault_injector,
     )
@@ -274,15 +274,15 @@ def test_a_run_without_a_store_does_no_store_work():
 
 
 #: calls into ``repro/freeride/`` of a warm one-split serial native run,
-#: as measured once the split layout became two arrays
-GLUE_CEILING = {"full_replication": 52, "auto": 68}
+#: as measured once ``run`` became one straight path (one plan, one context)
+GLUE_CEILING = {"full_replication": 50, "auto": 67}
 
 
 @needs_cc
 @pytest.mark.parametrize("technique,before", [("full_replication", 58), ("auto", 72)])
 def test_fixed_glue_of_a_one_split_run(technique, before):
     """Calls into ``repro/freeride/`` of a warm one-split serial run over a
-    native kernel stay within :data:`GLUE_CEILING`: 52 plain and 68 with
+    native kernel stay within :data:`GLUE_CEILING`: 50 plain and 67 with
     ``auto``.  ``before`` is the ceiling while the layout was a list of
     ``Split`` objects (59 and 78 before this module's planner)."""
     spec, data = _histogram(backend="native")

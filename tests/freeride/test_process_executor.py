@@ -31,6 +31,7 @@ from repro.freeride.faults import (
     InjectedFault,
 )
 from repro.freeride import procexec
+from repro.freeride.combination import combine
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import (
     SharedBufferCache,
@@ -38,6 +39,7 @@ from repro.freeride.sharedmem import (
     close_shm_segment,
 )
 from repro.freeride.spec import ReductionSpec
+from repro.freeride.splitter import default_splitter
 from repro.obs.tracer import Tracer, tracing
 from repro.util.errors import FreerideError
 from tests.compiler.test_native import kernel_cc_runs, needs_cc, slow_cc  # noqa: F401
@@ -97,9 +99,13 @@ class TestProcessDirect:
         assert serial_bound.counters.as_dict() == proc_bound.counters.as_dict()
 
     def test_multi_node_process(self):
+        """Process runs over each node's block — a ``range`` that need not
+        start at 0 — combined, give serial's bits."""
         serial, _ = run_once("serial", threads=2)
-        proc, _ = run_once("process", threads=2, num_nodes=2)
-        assert np.array_equal(serial.ro.snapshot(), proc.ro.snapshot())
+        spec, idx = make_bound().make_spec(LAYOUT)
+        with FreerideEngine(num_threads=2, executor="process") as engine:
+            ros = [engine.run(spec, b.data).ro for b in default_splitter(idx, 2)]
+        assert np.array_equal(serial.ro.snapshot(), combine(ros)[0].snapshot())
 
     def test_extras_rebound_after_make_spec_reach_every_executor(self):
         """A spec is a handle on its binding, not a copy of it: the workers'
@@ -157,7 +163,7 @@ class TestProcessValidation:
         )
         assert spec.bound is None
         with pytest.raises(FreerideError) as info:
-            procexec.task_payload(spec, [(1, "add")], SharedBufferCache(), None, 0)
+            procexec.task_payload(spec, [(1, "add")], SharedBufferCache(), None)
         assert str(info.value) == (
             "the process executor requires a compiled reduction: build the "
             "spec with BoundReduction.make_spec (a hand-written ReductionSpec "
@@ -177,7 +183,7 @@ class TestTaskPayload:
             for _ in range(2):
                 bound = make_bound()
                 spec, _ = bound.make_spec(LAYOUT)
-                payload = procexec.task_payload(spec, LAYOUT, segments, None, 0)
+                payload = procexec.task_payload(spec, LAYOUT, segments, None)
                 assert payload["request"] is bound.compiled.request
                 assert not set(payload) & {
                     "digest", "source", "constants",

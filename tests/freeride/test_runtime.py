@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.freeride.combination import combine
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.freeride.splitter import default_splitter
 from repro.util.errors import FreerideError
 
 
@@ -105,13 +107,24 @@ class TestStats:
 
 
 class TestMultiNode:
+    """The engine runs one node; a cluster's global combination is
+    :func:`combine` over the nodes' committed reduction objects."""
+
+    @staticmethod
+    def node_results(spec_of, data, nodes, **engine_kw):
+        with FreerideEngine(**engine_kw) as engine:
+            return [
+                engine.run(spec_of(), block.data).ro
+                for block in default_splitter(data, nodes)
+            ]
+
     @pytest.mark.parametrize("nodes", [2, 3, 4])
     def test_cluster_sum_matches(self, nodes):
         data = np.arange(200, dtype=np.float64)
-        result = FreerideEngine(num_threads=2, num_nodes=nodes).run(sum_spec(), data)
-        assert result.value == (float(np.sum(data)), 200.0)
-        assert result.stats.global_combination is not None
-        assert result.stats.global_combination.merges == nodes - 1
+        ros = self.node_results(sum_spec, data, nodes, num_threads=2)
+        ro, stats = combine(ros)
+        assert (ro.get(0, 0), ro.get(0, 1)) == (float(np.sum(data)), 200.0)
+        assert stats.merges == nodes - 1
 
     def test_large_ro_uses_parallel_merge_globally(self):
         def setup(ro):
@@ -120,14 +133,19 @@ class TestMultiNode:
         def reduction(args):
             args.ro.accumulate(0, 0, float(len(args.data)))
 
-        spec = ReductionSpec(
-            name="big", setup_reduction_object=setup, reduction=reduction
-        )
-        result = FreerideEngine(num_threads=1, num_nodes=4).run(
-            spec, list(range(40))
-        )
-        assert result.stats.global_combination.strategy == "parallel_merge"
-        assert result.value.get(0, 0) == 40.0
+        def spec():
+            return ReductionSpec(
+                name="big", setup_reduction_object=setup, reduction=reduction
+            )
+
+        ros = self.node_results(spec, list(range(40)), 4, num_threads=1)
+        ro, stats = combine(ros)
+        assert stats.strategy == "parallel_merge"
+        assert ro.get(0, 0) == 40.0
+
+    def test_num_nodes_is_not_an_engine_option(self):
+        with pytest.raises(TypeError, match="num_nodes"):
+            FreerideEngine(num_threads=2, num_nodes=2)
 
 
 class TestCustomCombination:
@@ -423,7 +441,7 @@ class TestStatsRegressions:
         ],
     )
     def test_locking_run_reports_locks_and_memory(self, technique):
-        # Regression: the inline finish in _run_node dropped num_locks and
+        # Regression: the engine's inline finish dropped num_locks and
         # ro_memory_bytes for the locking techniques (always reported 0).
         result = FreerideEngine(num_threads=2, technique=technique).run(
             sum_spec(), np.arange(50, dtype=np.float64)
@@ -441,34 +459,6 @@ class TestStatsRegressions:
         sm = result.stats.sharedmem
         assert sm.merge_elements == 4 * result.ro.size
         assert sm.ro_memory_bytes == 4 * result.ro.nbytes
-
-    def test_multi_node_technique_and_accumulation(self):
-        # Regression: the multi-node loop never set stats.sharedmem.technique
-        # and dropped local_combination.elements_merged.
-        data = np.arange(120, dtype=np.float64)
-        one = FreerideEngine(num_threads=2, num_nodes=1).run(sum_spec(), data)
-        two = FreerideEngine(num_threads=2, num_nodes=2).run(sum_spec(), data)
-        assert two.value == one.value
-        assert two.stats.sharedmem.technique == SharedMemTechnique.FULL_REPLICATION
-        assert two.stats.local_combination.strategy == one.stats.local_combination.strategy
-        # each node merges its 2 thread copies: twice the per-node element count
-        assert (
-            two.stats.local_combination.elements_merged
-            == 2 * one.stats.local_combination.elements_merged
-        )
-        assert two.stats.total_elements == one.stats.total_elements == 120
-
-    def test_multi_node_locking_num_locks_summed(self):
-        # Regression: SharedMemStats.add ignored num_locks, so multi-node
-        # locking runs reported 0 locks.
-        data = np.arange(60, dtype=np.float64)
-        result = FreerideEngine(
-            num_threads=2,
-            num_nodes=3,
-            technique=SharedMemTechnique.FULL_LOCKING,
-        ).run(sum_spec(), data)
-        # one lock per reduction-object element, per node
-        assert result.stats.sharedmem.num_locks == 3 * result.ro.size
 
     def test_thread_copies_not_mutated_by_combination(self):
         # Regression: all_to_one_combine folded copies[1:] into copies[0]

@@ -148,6 +148,13 @@ def _histogram_wave(n):
     return bound.make_spec([(2, "add")] * 16)
 
 
+def _histogram_tail(n, start):
+    """The histogram wave over ``range(start, n)``: data that, like one
+    cluster node's share, does not start at element 0."""
+    spec, idx = _histogram_wave(n)
+    return spec, idx[start:]
+
+
 def _what_a_run_reports(result):
     stats = result.stats
     return (
@@ -239,6 +246,7 @@ LAYOUTS = {
     "chunked": (lambda: _histogram_wave(20_000), {"chunk_size": 97}),
     "default": (lambda: _histogram_wave(20_000), {}),
     "default, zero-length": (lambda: _histogram_wave(2), {}),
+    "default, offset": (lambda: _histogram_tail(20_000, 3_001), {}),
     "aligned": (lambda: _windowed_wave(40_960), {"technique": "colored"}),
     "aligned, zero-length": (lambda: _windowed_wave(100, 64), {"technique": "colored"}),
     "colored": (

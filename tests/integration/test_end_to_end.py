@@ -2,7 +2,7 @@
 
 Every path through the system must agree on results: mini-Chapel source ->
 interpreter oracle == compiled versions (all opt levels) x engines (all
-shared-memory techniques x executors x chunkings x node counts) == pure
+shared-memory techniques x executors x chunkings) == pure
 Chapel reduce semantics == numpy.
 """
 
@@ -13,8 +13,10 @@ from repro.apps import KmeansRunner, kmeans_numpy_reference, PcaRunner, pca_nump
 from repro.chapel.forall import reduce_expr
 from repro.compiler import compile_all_versions, compile_reduction, interpret_over
 from repro.data import initial_centroids, kmeans_points, pca_matrix, open_dataset, write_dataset
+from repro.freeride.combination import combine
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import SharedMemTechnique
+from repro.freeride.splitter import default_splitter
 
 SUM_SOURCE = """
 class sumReduction : ReduceScanOp {
@@ -59,11 +61,14 @@ class TestSumAgreesEverywhere:
         assert engine.run(spec, idx).ro.get(0, 0) == pytest.approx(self.expected())
 
     def test_multi_node_cluster(self):
+        """A cluster is one engine run per node's block, then ``combine``;
+        every block but the first is a ``range`` that does not start at 0."""
         comp = compile_reduction(SUM_SOURCE, {}, opt_level=1)
         bound = comp.bind(self.DATA)
         spec, idx = bound.make_spec([(1, "add")])
-        engine = FreerideEngine(num_threads=2, num_nodes=3)
-        assert engine.run(spec, idx).ro.get(0, 0) == pytest.approx(self.expected())
+        with FreerideEngine(num_threads=2) as engine:
+            ros = [engine.run(spec, b.data).ro for b in default_splitter(idx, 3)]
+        assert combine(ros)[0].get(0, 0) == pytest.approx(self.expected())
 
     def test_chapel_reduce_semantics_agree(self):
         assert reduce_expr("+", self.DATA, num_tasks=5) == pytest.approx(

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 from repro.obs.profilestore import (
+    PROFILE_SCHEMA_VERSION,
     ProfileStore,
     RunProfile,
     default_store_root,
@@ -17,6 +18,7 @@ from repro.obs.profilestore import (
     split_layout_fingerprint,
     summarize_durations,
 )
+from repro.profile import main as profile_main
 
 
 def _profile(**kw) -> RunProfile:
@@ -232,3 +234,43 @@ class TestProfileLine:
         rec = json.loads(line)
         assert rec["footprints"] == [[0, 4, [1, 2]]]
         assert rec["schema"] == 1
+
+
+class TestOlderRecords:
+    """A record keeps loading after a field leaves :class:`RunProfile`:
+    readers are schema-blind, so the schema version does not move."""
+
+    #: a schema-1 record as written while the engine still stamped
+    #: ``num_nodes`` (one line of a segment file, keys in writer order)
+    OLD_RECORD = {
+        "schema": 1, "ts": 1700000000.0, "digest": "e" * 64,
+        "spec_name": "histogram-opt-2", "shape_class": "n4096/t2",
+        "split_fingerprint": "abcd", "opt_level": None, "backend": None,
+        "effective_backend": None, "executor": "serial", "workers": 2,
+        "num_nodes": 1, "n_elements": 4000, "num_splits": 2,
+        "split_alignment": None, "technique_requested": "auto",
+        "technique_effective": "colored",
+        "decision": {"chosen": "colored", "reason": "x", "source": "profile"},
+        "coloring": None, "wall_seconds": 0.25, "phase_seconds": {},
+        "split_seconds": None, "lock_acquisitions": 0,
+        "lock_contention_mean": None, "native_cache": None, "faults": {},
+        "footprints": [[0, 2000, [0, 1]], [2000, 4000, [2]]],
+    }
+
+    def test_a_num_nodes_record_still_loads_and_reports(self, tmp_path, capsys):
+        assert PROFILE_SCHEMA_VERSION == 1
+        assert "num_nodes" not in RunProfile.__dataclass_fields__
+        (tmp_path / "segment-old-1.jsonl").write_text(
+            json.dumps(self.OLD_RECORD, separators=(",", ":")) + "\n"
+        )
+        store = ProfileStore(tmp_path)
+        (rec,) = store.history("e" * 64, "n4096/t2")
+        assert rec["num_nodes"] == 1 and rec["technique_effective"] == "colored"
+        assert store.latest_footprints("e" * 64, "abcd") == {
+            (0, 2000): frozenset({0, 1}),
+            (2000, 4000): frozenset({2}),
+        }
+        assert store.skipped_lines == 0
+        assert profile_main(["report", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "records: 1" in out and "e" * 12 in out
