@@ -63,10 +63,13 @@ Semantics notes (all chosen to match the *scalar* Python kernel):
   elided;
 * an RO update whose group and element indices the effect summary bounds
   (``[glo, ghi]`` and ``[0, ehi]``) is a *proof site*: its three checks
-  run only when the per-layout verdict bit for the site is clear or the
-  index falls outside those bounds.  The wrapper decides the verdict bits
-  once per kernel × layout (:func:`proof_mask`) and passes them in as
-  ``_proven``; a clear bit runs the checks exactly as before.
+  run only when an index falls outside those bounds.  That is safe only on
+  a layout where every bounded index passes them, so the wrapper decides a
+  verdict once per kernel × layout (:func:`proof_mask`): a full verdict
+  runs the default build, any other runs the kernel's *checked twin* — the
+  same emission with a ``_proven`` bit test ahead of each site's bounds
+  test, built on demand through the same disk cache and build threads —
+  where a clear bit runs the checks exactly as before.
 """
 
 from __future__ import annotations
@@ -119,9 +122,10 @@ NATIVE_FORMAT_VERSION = 4
 
 #: Everything ``cc`` is told besides the input and output paths.  The same
 #: tuple is part of the on-disk cache key, so a change here can never attach
-#: a shared library built with other flags.  ``-O2``: the kernels time the
-#: same or better than at ``-O3`` and compile faster (docs/PERFORMANCE.md,
-#: "Counters"); ``-lm`` follows the source file on the command line.
+#: a shared library built with other flags.  ``-O2``: ``-O3``'s loop
+#: peeling slows k-means and gains nothing on the other dense kernels
+#: (docs/PERFORMANCE.md, "Counters"); ``-lm`` follows the source file on
+#: the command line.
 CC_FLAGS: tuple[str, ...] = ("-O2", "-fPIC", "-shared", "-lm")
 
 #: Environment overrides.
@@ -256,6 +260,8 @@ class NativeCodegen(_CBraces, KernelEmitter):
     NumPy row view and ``ReductionObject.accumulate`` perform implicitly,
     spelled out and leaving through ``_FAIL``.  ``summary`` (the PR 7 effect
     summary) proves index bounds; proven levels skip their check.
+    ``checked`` prints the checked twin: each proof site also tests its
+    ``_proven`` bit, for layouts whose verdict is not full.
     """
 
     def __init__(
@@ -263,9 +269,11 @@ class NativeCodegen(_CBraces, KernelEmitter):
         lowered: LoweredReduction,
         plan: CompilationPlan,
         summary: Any = None,
+        checked: bool = False,
     ) -> None:
         super().__init__(lowered, plan)
         self.summary = summary
+        self.checked = checked
         self.local_types: dict[str, str] = {}
         self._tmp = 0  # unique suffix for statement-expression locals
         self.buf_order: list[int] = []
@@ -617,10 +625,11 @@ class NativeCodegen(_CBraces, KernelEmitter):
         """``roAdd/roMin/roMax(group, elem, value)`` into the element buffer,
         with the same validation ``ReductionObject.accumulate`` performs.
 
-        At a proof site the checks run only when the site's ``_proven`` bit
-        is clear or an index lies outside the bounds the verdict was decided
-        for — two compares against constants, which the C compiler drops
-        where its own range analysis agrees with the effect summary's."""
+        At a proof site the checks run only when an index lies outside the
+        bounds the verdict was decided for — two compares against constants,
+        which the C compiler drops where its own range analysis agrees with
+        the effect summary's — or, in the checked twin, when the site's
+        ``_proven`` bit is clear."""
         g, e, v = self.as_index(args[0]), self.as_index(args[1]), args[2][0]
         opcode = _OP_CODES[op]
         tmp = self._next_tmp()
@@ -633,7 +642,8 @@ class NativeCodegen(_CBraces, KernelEmitter):
             bit = len(self.proofs)
             self.proofs.append(proof)
             g_off = f"(unsigned long long)_g{tmp}" + (f" - {glo}ULL" if glo else "")
-            self._w(f"if (!((_proven >> {bit}) & 1) || {g_off} > {ghi - glo}ULL"
+            unproven = f"!((_proven >> {bit}) & 1) || " if self.checked else ""
+            self._w(f"if ({unproven}{g_off} > {ghi - glo}ULL"
                     f" || (unsigned long long)_el{tmp} > {ehi}ULL) {{")
             self.indent += 1
         self._w(f"if (_g{tmp} < 0 || _g{tmp} >= _ro_groups) "
@@ -667,7 +677,8 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._helpers, self._slots, self._can_fail = set(), set(), False
         self.proofs = []
         self._w(f"/* {self.low.name}: native FREERIDE kernel, "
-                f"opt level {self.plan.opt_level} */")
+                f"opt level {self.plan.opt_level}"
+                f"{', checked twin' if self.checked else ''} */")
         target = (
             "    const unsigned char **_bufs, double *_acc,\n"
             "    const long long *_ro_off, const long long *_ro_n,\n"
@@ -874,6 +885,12 @@ class NativeKernel:
     compiled: bool
     #: ``(glo, ghi, ehi, opcode)`` per proof site, in ``_proven`` bit order
     proofs: tuple[tuple[int, int, int, int], ...]
+    #: the on-disk cache key (sha256 hex) the symbol is named after
+    digest: str
+    #: the checked twin, submitted on the first call and waited for (raises
+    #: :class:`NativeUnsupported` if its ``cc`` fails); None for a kernel
+    #: without proof sites and for the twin itself
+    twin: Callable[[], NativeKernel] | None = None
 
 
 class NativeBuild(NamedTuple):
@@ -980,6 +997,10 @@ def submit_native(
     on a build thread (one per CPU), joining one already in flight for the
     same ``.so``.
 
+    A kernel with proof sites carries its checked twin as
+    :attr:`NativeKernel.twin`: emitted, keyed and built the same way, by
+    the same compiler, but only when a layout first needs it.
+
     Raises :class:`NativeUnsupported` for the two failures known at once: an
     unusable toolchain and a kernel the emitter refuses.  A ``cc`` failure
     is raised by :attr:`NativeBuild.kernel`'s result, as is an ``OSError``
@@ -988,9 +1009,31 @@ def submit_native(
     probe = probe_toolchain()
     if not probe["ok"]:
         raise NativeUnsupported(probe["reason"], toolchain=True)
+    return _submit_emitted(NativeCodegen(lowered, plan, summary=summary), probe)
 
-    gen = NativeCodegen(lowered, plan, summary=summary)
+
+def _on_first_call(submit: Callable[[], NativeBuild]) -> Callable[[], NativeKernel]:
+    """``submit``'s kernel, submitted by the first call.  Racing first calls
+    may both submit; the build path joins them to one ``cc`` run."""
+    builds: list[Future] = []
+
+    def kernel() -> NativeKernel:
+        if not builds:
+            builds.append(submit().kernel)
+        return builds[0].result()
+
+    return kernel
+
+
+def _submit_emitted(gen: NativeCodegen, probe: dict[str, Any]) -> NativeBuild:
+    """:func:`submit_native` from the printer on: emit, key, attach or build."""
+    lowered, plan, summary = gen.low, gen.plan, gen.summary
     template = gen.generate()
+    twin = None
+    if gen.proofs and not gen.checked:
+        twin = _on_first_call(lambda: _submit_emitted(
+            NativeCodegen(lowered, plan, summary=summary, checked=True), probe
+        ))
 
     cc, flags = probe["cc"], CC_FLAGS
     digest = hashlib.sha256(
@@ -1015,6 +1058,8 @@ def submit_native(
             fn=fn,
             compiled=compiled,
             proofs=tuple(gen.proofs),
+            digest=digest,
+            twin=twin,
         )
 
     def verdict(name: str, **args: Any) -> None:
@@ -1131,14 +1176,18 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     accounted for like any other update.  What depends only on the store
     — the layout tables' and buffers' C pointers — is prepared once per
     (thread, store), and the proof verdict once per layout; nothing per
-    call walks the groups.
+    call walks the groups.  The verdict also picks the C function: the
+    default build on a full verdict, the checked twin on any other (built
+    the first time such a layout arrives, and reported by a
+    ``native_checked`` trace event per layout).
     """
     ffi = native.ffi
-    fn = native.fn
     buf_names = [f"buf_{kid}" for kid in native.buf_order]
     tls = threading.local()
     ledger_lock = threading.Lock()  # lanes of one run share the ledger
-    verdicts: dict[Any, int] = {}  # interned layout -> its proof_mask
+    full = (1 << len(native.proofs)) - 1
+    #: interned layout -> (its proof_mask, the C function that runs it)
+    verdicts: dict[Any, tuple[int, Any]] = {}
 
     def _thread_state() -> tuple:
         try:
@@ -1153,14 +1202,29 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             )
             return state
 
+    def _verdict(store: Any) -> tuple[int, Any]:
+        proven = proof_mask(native.proofs, store)
+        if proven == full:
+            return proven, native.fn
+        assert native.twin is not None  # a clear bit implies a proof site
+        twin = native.twin()
+        get_tracer().event(
+            "native_checked", cat="compiler", kernel=name,
+            digest=twin.digest[:12], mask=proven, sites=len(native.proofs),
+            twin="built" if twin.compiled else "attached",
+        )
+        return proven, twin.fn
+
     def _prepare(store: Any) -> tuple:
         # The entry must not reference its (weak) key; the buffers behind
         # the pointers live as long as the key does.  A racing thread may
         # decide a new layout's verdict twice, to the same mask.
-        proven = verdicts.get(store.layout)
-        if proven is None:
-            proven = verdicts[store.layout] = proof_mask(native.proofs, store)
+        verdict = verdicts.get(store.layout)
+        if verdict is None:
+            verdict = verdicts[store.layout] = _verdict(store)
+        proven, fn = verdict
         return (
+            fn,
             ffi.cast("double *", store.elements.ctypes.data),
             ffi.cast("const long long *", store.offsets.ctypes.data),
             ffi.cast("const long long *", store.nelems.ctypes.data),
@@ -1184,7 +1248,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         prepared = targets.get(store)
         if prepared is None:
             prepared = targets[store] = _prepare(store)
-        c_elems, c_off, c_n, c_op, groups, proven, c_touched = prepared
+        fn, c_elems, c_off, c_n, c_op, groups, proven, c_touched = prepared
         # the env owns the data buffers (and may swap them between calls)
         for i, buf_name in enumerate(buf_names):
             c_bufs[i] = ffi.cast("const unsigned char *", _env[buf_name].ctypes.data)

@@ -67,6 +67,9 @@ class TraceReport:
     #: native compile request, distinguishing a disk-cache dlopen from a
     #: fresh toolchain invocation
     native_cache: list[dict[str, Any]] = field(default_factory=list)
+    #: ``native_checked`` event args — one per layout whose proof verdict is
+    #: not full, so a native kernel ran its checked twin there
+    checked: list[dict[str, Any]] = field(default_factory=list)
     #: one record per ``delta.apply`` span (cat == "delta"): the epoch,
     #: Δ sizes, replay scope, checkpoint counters, rollback flag and
     #: seconds — incremental runs render as their own table so a reader
@@ -111,6 +114,8 @@ def summarize_trace(events: Iterable[dict[str, Any]]) -> TraceReport:
                 rec = dict(ev.get("args") or {})
                 rec["hit"] = name == "native_cache.hit"
                 report.native_cache.append(rec)
+            elif name == "native_checked":
+                report.checked.append(dict(ev.get("args") or {}))
             continue
         if ph != "X":
             continue
@@ -268,9 +273,9 @@ def format_report(report: TraceReport) -> str:
                 for wrapped in textwrap.wrap(str(g.get("reason", "")), width=66):
                     lines.append(f"    {wrapped}")
 
-    if report.backends:
+    if report.backends or report.checked:
         lines.append("")
-        lines.append("kernel backend decisions (event=kernel_backend)")
+        lines.append("kernel backend decisions (event=kernel_backend|native_checked)")
         # the last native_cache verdict per (reduction, opt_level) tells a
         # reader whether the native tier compiled or attached from disk
         cache_by_key: dict[tuple[Any, Any], str] = {}
@@ -295,6 +300,15 @@ def format_report(report: TraceReport) -> str:
             if b.get("reason"):
                 for wrapped in textwrap.wrap(str(b["reason"]), width=66):
                     lines.append(f"    {wrapped}")
+        for c in report.checked:
+            mask = c.get("mask")
+            lines.append(
+                f"  {c.get('kernel', '?')}: layout verdict "
+                f"{format(mask, '#b') if isinstance(mask, int) else '?'} "
+                f"over {c.get('sites', '?')} proof site(s) "
+                f"-> ran its checked twin {c.get('digest', '?')} "
+                f"({c.get('twin', '?')})"
+            )
 
     if report.events:
         lines.append("")

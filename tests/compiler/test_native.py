@@ -15,7 +15,10 @@ import logging
 import re
 import shlex
 import subprocess
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -49,6 +52,7 @@ from repro.compiler.interp import interpret_over
 from repro.compiler.native import (
     CACHE_ENV,
     CC_ENV,
+    NativeCodegen,
     probe_toolchain,
     reset_toolchain_probe,
 )
@@ -173,15 +177,23 @@ class TestNativeCodegen:
         compiled = compile_cached(
             source, dict(constants), opt_level=2, backend="native"
         )
-        c_file = tmp_path / "kernel.c"
-        c_file.write_text(compiled.native_source)
-        run = subprocess.run(
-            [probe_toolchain()["cc"], str(c_file), *native_mod.CC_FLAGS,
-             "-Wunused-label", "-Wunused-variable", "-Wunused-function",
-             "-Werror", "-o", str(tmp_path / "kernel.so")],
-            capture_output=True, text=True,
-        )
-        assert run.returncode == 0, run.stderr
+        native = compiled.native_kernel.native
+        texts = {"kernel": compiled.native_source}
+        if native.twin is not None:  # its checked twin too, emitted not built
+            texts["twin"] = NativeCodegen(
+                compiled.lowered, compiled.plan,
+                summary=compiled.group_bounds.summary, checked=True,
+            ).generate()
+        for stem, text in texts.items():
+            c_file = tmp_path / f"{stem}.c"
+            c_file.write_text(text)
+            run = subprocess.run(
+                [probe_toolchain()["cc"], str(c_file), *native_mod.CC_FLAGS,
+                 "-Wunused-label", "-Wunused-variable", "-Wunused-function",
+                 "-Werror", "-o", str(tmp_path / f"{stem}.so")],
+                capture_output=True, text=True,
+            )
+            assert run.returncode == 0, (stem, run.stderr)
 
     def test_effective_backend_and_event(self):
         tracer = Tracer()
@@ -359,8 +371,9 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
             _UPDATE_TEMPLATE % FAILING_CALLS[rc][0], {"nb": 4}, opt_level=2,
             backend="native",
         )
-        assert compiled.native_kernel.native.proofs == ((0, 0, 0, 0),)
-        assert compiled.native_source.count("_proven >>") == 1
+        native = compiled.native_kernel.native
+        assert native.proofs == ((0, 0, 0, 0),)
+        assert native.twin().source.count("_proven >>") == 1
 
 
 # -- proof sites: one verdict per kernel x layout -------------------------------
@@ -426,9 +439,10 @@ DEFEATS = {
 
 @needs_cc
 class TestProofSites:
-    """A site the effect summary bounds skips its checks only on a layout
-    whose verdict bit is set; on any other layout the checks run, and a
-    failing call leaves what the scalar kernel leaves."""
+    """A site the effect summary bounds skips its checks in the default
+    build, which runs only on a layout with a full verdict; any other layout
+    runs the checked twin, where a clear bit runs the checks, and a failing
+    call leaves what the scalar kernel leaves."""
 
     @pytest.mark.parametrize("app", sorted(APP_KERNELS))
     def test_every_app_kernel_is_proven_on_its_runners_layout(self, app):
@@ -441,6 +455,15 @@ class TestProofSites:
         ro = ReductionObject()
         ro.alloc_many(_runner_layouts()[app])
         assert native_mod.proof_mask(proofs, ro.direct_store()) == (1 << len(proofs)) - 1
+
+    @pytest.mark.parametrize("app", sorted(APP_KERNELS))
+    def test_the_default_build_tests_no_proof_bit(self, app):
+        source, constants = APP_KERNELS[app]
+        compiled = compile_cached(
+            source, dict(constants), opt_level=2, backend="native"
+        )
+        assert "_proven >>" not in compiled.native_source
+        assert compiled.native_kernel.native.twin is not None
 
     def _run(self, app, layout, backend):
         constants, data, extras, _ = _bounded_case(app)
@@ -549,6 +572,123 @@ class TestProofSites:
         with pytest.raises(ReductionObjectError):
             ranges(starts, ends, ro, bound.env, OpCounters())
         assert len(calls) == 2
+
+
+def _outcome(run, layout):
+    """``run(ro, ledger)`` on a fresh reduction object of ``layout``: what it
+    raised (or None) and what it left behind."""
+    ro = ReductionObject()
+    ro.alloc_many(layout)
+    ledger = OpCounters()
+    try:
+        run(ro, ledger)
+    except Exception as exc:  # compared against the scalar kernel's
+        raised = exc
+    else:
+        raised = None
+    return raised, TestFailingCallLeavesWhatTheScalarKernelLeaves._left_behind(ro, ledger)
+
+
+@pytest.fixture
+def fast_switching():
+    """A short interpreter switch interval, restored afterwards."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: the apps whose kernels run the full -> defeated -> full sequence
+TWIN_APPS = ["histogram", "kmeans", "pca_cov"]
+
+
+@needs_cc
+class TestCheckedTwin:
+    """The verdict picks the build: the default one on a full verdict, the
+    checked twin — built once per kernel, the first time a layout needs
+    it — on any other."""
+
+    @staticmethod
+    def _compile(app, backend):
+        constants, data, extras, layout = _bounded_case(app)
+        compiled = compile_cached(
+            APP_KERNELS[app][0], dict(constants), opt_level=2, backend=backend
+        )
+        assert compiled.effective_backend == backend, compiled.native_fallback_reason
+        return compiled, compiled.bind(data, extras), len(data), layout
+
+    def test_a_full_verdict_builds_no_twin(self, tmp_path, monkeypatch):
+        from repro.freeride.runtime import FreerideEngine
+
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        tracer = Tracer()
+        with tracing(tracer):
+            for app in TWIN_APPS:
+                _, bound, _, layout = self._compile(app, "native")
+                spec, idx = bound.make_spec(layout)
+                engine = FreerideEngine(num_threads=2, executor="threads")
+                try:
+                    engine.run(spec, idx)
+                finally:
+                    engine.close()
+        compiles = [s for s in tracer.spans() if s.name == "native_compile"]
+        assert len(compiles) == len({s.args["reduction"] for s in compiles}) == 3
+        assert not [e for e in tracer.events() if e.name == "native_checked"]
+
+    @pytest.mark.parametrize("lanes", [1, 4], ids=["serial", "threads"])
+    @pytest.mark.parametrize("app", TWIN_APPS)
+    def test_full_then_defeated_then_full(
+        self, app, lanes, tmp_path, monkeypatch, fast_switching
+    ):
+        # threads: more lanes than cores reach each new layout's verdict
+        # (and the twin's first build) together
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        scalar, scalar_bound, n, layout = self._compile(app, "scalar")
+        ranges = [(0, n // 3), (n // 3, n - 2), (n - 2, n)]
+        starts, ends = np.array(ranges, dtype=np.int64).T
+
+        def scalar_run(ro, ledger):
+            for start, end in ranges:
+                scalar.effective_kernel(start, end, ro, scalar_bound.env, ledger)
+
+        steps = [(layout, None)]
+        steps += [(_defeat(layout, how), how) for how in sorted(DEFEATS)]
+        steps += [(layout, None)]
+        tracer = Tracer()
+        with tracing(tracer):
+            compiled, bound, _, _ = self._compile(app, "native")
+            kernel = compiled.native_kernel
+
+            def native_run(ro, ledger):
+                gate.wait(timeout=60)
+                kernel.ranges(starts, ends, ro, bound.env, ledger)
+
+            for step_layout, how in steps:
+                want_exc, want_left = _outcome(scalar_run, step_layout)
+                gate = threading.Barrier(lanes)
+                with ThreadPoolExecutor(lanes) as pool:
+                    got = list(pool.map(
+                        lambda _: _outcome(native_run, step_layout), range(lanes)
+                    ))
+                for got_exc, got_left in got:
+                    assert type(got_exc) is type(want_exc), (how, got_exc, want_exc)
+                    if how is not None:
+                        assert re.search(DEFEATS[how][1], str(got_exc)), got_exc
+                    assert got_left == want_left, how
+        compiles = [s for s in tracer.spans() if s.name == "native_compile"]
+        assert len(compiles) == 2  # the default build, and its twin once
+        checked = [e.args for e in tracer.events() if e.name == "native_checked"]
+        assert len(checked) >= len(DEFEATS)  # one per defeating layout
+        proofs = kernel.native.proofs
+        twin = kernel.native.twin()
+        assert twin.compiled and "_proven >>" in twin.source
+        for args in checked:
+            assert args["kernel"] == compiled.lowered.name
+            assert args["digest"] == twin.digest[:12] and args["twin"] == "built"
+            assert args["sites"] == len(proofs)
+            assert args["mask"] != (1 << len(proofs)) - 1
 
 
 class TestToolchainFallback:

@@ -141,6 +141,35 @@ class TestDecisions:
         assert "batch gather proofs" not in text
 
 
+BACKEND = i(
+    "kernel_backend",
+    "compiler",
+    {"reduction": "histogram", "opt_level": 2, "requested": "native",
+     "effective": "native"},
+)
+
+CHECKED = i(
+    "native_checked",
+    "compiler",
+    {"kernel": "histogram", "digest": "0123456789ab", "mask": 0b110,
+     "sites": 3, "twin": "built"},
+)
+
+
+class TestNativeChecked:
+    def test_checked_twins_render_with_the_backend_decisions(self):
+        rep = summarize_trace([BACKEND, CHECKED])
+        assert rep.checked == [CHECKED["args"]]
+        text = format_report(rep)
+        assert "kernel backend decisions" in text
+        lines = text.splitlines()
+        backend = lines.index("  histogram [opt2]: requested 'native' -> ran 'native'")
+        assert lines[backend + 1] == (
+            "  histogram: layout verdict 0b110 over 3 proof site(s) "
+            "-> ran its checked twin 0123456789ab (built)"
+        )
+
+
 class TestFormat:
     def test_tables_render(self):
         text = format_report(summarize_trace(SYNTHETIC))
