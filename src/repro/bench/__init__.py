@@ -1,4 +1,4 @@
-"""Benchmark harness: measured profiles, simulation, figure regeneration."""
+"""Benchmark harness: measured profiles, simulation, the paper's tables."""
 
 from repro.bench.figures import (
     FIGURES,
@@ -21,8 +21,8 @@ from repro.bench.profiles import (
     measure_kmeans_profiles,
     measure_pca_profiles,
 )
-from repro.bench.realrun import RealSweep, format_real, run_figure_real
 from repro.bench.report import format_checks, format_figure, format_speedups, full_report
+from repro.bench.reports import REPORT_IDS, REPORTS, Report, run_report
 
 __all__ = [
     "FIGURES",
@@ -44,7 +44,8 @@ __all__ = [
     "format_speedups",
     "format_checks",
     "full_report",
-    "run_figure_real",
-    "format_real",
-    "RealSweep",
+    "REPORTS",
+    "REPORT_IDS",
+    "Report",
+    "run_report",
 ]

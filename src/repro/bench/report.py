@@ -19,8 +19,7 @@ def format_figure(result: FigureResult) -> str:
     versions = list(spec.versions)
     lines = [
         f"{spec.fig_id.upper()} — {spec.title} (simulated seconds, "
-        f"{spec.iterations} iteration(s), n={result.sweeps[versions[0]].reports[1].num_threads and ''}"
-        f"{_n_elements(result):,} elements)",
+        f"{spec.iterations} iteration(s), n={spec.n_elements:,} elements)",
         _row(["threads"] + versions),
         _row(["-" * 7] + ["-" * 12] * len(versions)),
     ]
@@ -28,11 +27,6 @@ def format_figure(result: FigureResult) -> str:
         cells = [str(p)] + [f"{result.seconds(v, p):.3f}" for v in versions]
         lines.append(_row(cells))
     return "\n".join(lines)
-
-
-def _n_elements(result: FigureResult) -> int:
-    spec = result.spec
-    return spec.n_elements
 
 
 def _row(cells: list[str]) -> str:

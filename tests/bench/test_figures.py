@@ -1,10 +1,17 @@
-"""Tests for figure specs, runners and shape checks."""
+"""Tests for figure specs, runners, shape checks and the report registry."""
+
+import dataclasses
+from pathlib import Path
 
 import pytest
 
+from repro.bench.__main__ import main
 from repro.bench.figures import FIGURES, run_figure, shape_checks
 from repro.bench.report import format_checks, format_figure, format_speedups, full_report
+from repro.bench.reports import REPORT_IDS, REPORTS, run_report
 from repro.util.errors import BenchmarkError
+
+RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 class TestSpecs:
@@ -91,8 +98,8 @@ class TestKmeansFigureShapes:
     """End-to-end shape validation for a k-means figure (Figure 9).
 
     Slower than the PCA cases (profiles are measured at k=100 through the
-    interpreted kernels), so it runs once per suite here; the benchmarks
-    directory regenerates all five figures.
+    interpreted kernels), so it runs once per class here; ``TestReports``
+    regenerates all five figures.
     """
 
     @pytest.fixture(scope="class")
@@ -130,16 +137,34 @@ class TestBreakdownReport:
         assert max(lin) == pytest.approx(min(lin))
 
 
+class TestReports:
+    """Every table EXPERIMENTS.md records regenerates and holds its claims."""
+
+    @pytest.mark.parametrize("report_id", REPORT_IDS)
+    def test_report_regenerates_and_passes_its_checks(self, report_id):
+        text, checks = run_report(report_id)
+        assert text.strip()
+        assert checks
+        failed = [name for name, ok in checks.items() if not ok]
+        assert not failed, f"{report_id}: {failed}"
+
+    def test_ids_are_the_results_files(self):
+        assert sorted(REPORT_IDS) == sorted(p.stem for p in RESULTS.glob("*.txt"))
+
+    def test_unknown_report(self):
+        with pytest.raises(BenchmarkError):
+            run_report("fig99")
+
+
 class TestCli:
     def test_module_cli_runs_and_writes(self, tmp_path):
         import subprocess
         import sys
 
-        out = tmp_path / "report.txt"
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro.bench", "fig12",
-                "--threads", "1,8", "--out", str(out),
+                "--threads", "1,8", "--out", str(tmp_path),
             ],
             capture_output=True,
             text=True,
@@ -147,16 +172,37 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "FIG12" in proc.stdout
-        assert out.exists() and "shape checks" in out.read_text()
+        assert "shape checks" in (tmp_path / "fig12.txt").read_text()
 
-    def test_cli_rejects_bad_figure(self):
-        import subprocess
-        import sys
+    def test_cli_rejects_bad_figure(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "fig99" in err and "Traceback" not in err
 
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.bench", "fig99"],
-            capture_output=True,
-            text=True,
-            timeout=120,
+    @pytest.mark.parametrize("threads", ["1,x", "0", "2,4"])
+    def test_cli_rejects_malformed_threads(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig12", "--threads", threads])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "Traceback" not in err
+
+    def test_cli_exits_1_when_a_check_fails(self, monkeypatch, capsys):
+        report = REPORTS["ablation_dynamic_vs_static"]
+        monkeypatch.setitem(
+            REPORTS,
+            "ablation_dynamic_vs_static",
+            dataclasses.replace(report, checks=lambda result: {"forced": False}),
         )
-        assert proc.returncode != 0
+        assert main(["ablation_dynamic_vs_static", "ablation_cluster"]) == 1
+        out, err = capsys.readouterr()
+        assert "ABLATION D " in out  # the reports after a failure still run
+        assert "ablation_dynamic_vs_static: forced" in err
+
+    def test_cli_exits_0_when_every_check_passes(self, tmp_path, capsys):
+        assert main(["ablation_global_combine", "--out", str(tmp_path)]) == 0
+        assert "2 of 2 checks pass" in capsys.readouterr().out
+        written = (tmp_path / "ablation_global_combine.txt").read_text()
+        assert written == (RESULTS / "ablation_global_combine.txt").read_text()

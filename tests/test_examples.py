@@ -1,8 +1,6 @@
 """Every example script must run cleanly end to end.
 
 Examples are the public face of the library; this keeps them from rotting.
-``reproduce_figures.py`` is exercised through the benchmarks instead (it
-regenerates all five figures and takes the longest).
 """
 
 import subprocess
@@ -40,19 +38,6 @@ def test_example_runs_cleanly(script):
         f"{script} failed\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     )
     assert proc.stdout.strip(), f"{script} produced no output"
-
-
-def test_reproduce_figures_accepts_subset():
-    """The figure regenerator runs for a single cheap figure."""
-    path = EXAMPLES_DIR / "reproduce_figures.py"
-    proc = subprocess.run(
-        [sys.executable, str(path), "fig12"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "FIG12" in proc.stdout
 
 
 def test_trace_kmeans_writes_valid_trace(tmp_path):
