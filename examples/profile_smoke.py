@@ -1,14 +1,13 @@
-"""Profile store smoke — record, re-run profile-guided, detect regressions.
+"""Profile store smoke — record, re-run unchanged, detect regressions.
 
 Runs k-means and histogram twice against a profile store:
 
-1. **Cold runs** populate the store (the histogram's data-dependent bin
-   index is statically colorable only into serial waves, so the engine
-   falls back to replication and *observes* per-split footprints).
+1. **Cold runs** populate the store: one record per engine run.
 2. A snapshot of the cold store is taken for later comparison.
-3. **Warm runs** repeat the same programs.  The histogram re-run must now
-   color from the persisted footprints (``coloring source="profile"``)
-   into genuinely parallel lock-free waves, bit-identical results.
+3. **Warm runs** repeat the same programs.  The store is a recorder, never
+   an input, so the warm histogram run must plan exactly what the cold run
+   planned (effective technique, coloring, technique decision) and return
+   the same bytes.
 4. ``python -m repro.profile diff`` compares the cold snapshot against
    the full store (expected: no regression), then against a doctored
    snapshot with a 100x injected slowdown (expected: exit 1).
@@ -38,11 +37,11 @@ N_POINTS, DIM, K = 4_000, 4, 8
 
 def _hist_data() -> np.ndarray:
     # sorted integer-valued doubles: contiguous splits touch disjoint bin
-    # ranges, so observed footprints color into wide waves on the re-run
+    # ranges, which only a run could see — and no run feeds the plan
     return np.sort(((np.arange(N_HIST) * 7919) % 256).astype(np.float64))
 
 
-def _run_suite(store: Path) -> HistogramRunner:
+def _run_suite(store: Path) -> "tuple[HistogramRunner, bytes]":
     points = kmeans_points(N_POINTS, DIM, num_blobs=K, seed=7)
     cents0 = initial_centroids(points, K, seed=8)
     km = KmeansRunner(
@@ -55,8 +54,18 @@ def _run_suite(store: Path) -> HistogramRunner:
         bins=BINS, lo=0.0, hi=256.0, version="opt-2", num_threads=4,
         executor="threads", technique="auto", profile_store=store,
     )
-    hist.run(_hist_data())
-    return hist
+    result = hist.run(_hist_data())
+    return hist, result.counts.tobytes() + result.sums.tobytes()
+
+
+def _plan_of(hist: HistogramRunner) -> dict:
+    """What a histogram run planned, as its stats report it."""
+    stats = hist.last_run_stats
+    return {
+        "technique_effective": stats.technique_effective.value,
+        "coloring": stats.coloring,
+        "technique_decision": stats.technique_decision,
+    }
 
 
 def _inject_slowdown(src: Path, dst: Path, factor: float = 100.0) -> None:
@@ -71,43 +80,31 @@ def _inject_slowdown(src: Path, dst: Path, factor: float = 100.0) -> None:
         (dst / seg.name).write_text("\n".join(out_lines) + "\n")
 
 
-def main(store_dir: str | None = None) -> int:
-    root = Path(store_dir) if store_dir else Path(tempfile.mkdtemp()) / "store"
+def main(store_dir: str) -> int:
+    root = Path(store_dir)
     if root.exists():
         shutil.rmtree(root)
 
     print(f"== cold runs (store: {root}) ==")
-    cold_hist = _run_suite(root)
-    cold_stats = cold_hist.last_run_stats
-    print(
-        f"histogram cold: technique={cold_stats.technique_effective.value} "
-        f"decision source={cold_stats.technique_decision['source']}"
-    )
+    cold_hist, cold_bytes = _run_suite(root)
+    cold_plan = _plan_of(cold_hist)
+    print(f"histogram cold: technique={cold_plan['technique_effective']}")
     snapshot = root.parent / (root.name + "-cold")
     if snapshot.exists():
         shutil.rmtree(snapshot)
     shutil.copytree(root, snapshot)
 
-    print("\n== warm runs (profile-guided) ==")
-    warm_hist = _run_suite(root)
-    stats = warm_hist.last_run_stats
-    coloring = stats.coloring or {}
-    decision = stats.technique_decision or {}
-    print(
-        f"histogram warm: technique={stats.technique_effective.value} "
-        f"coloring source={coloring.get('source')} "
-        f"max wave width={coloring.get('max_wave_width')}"
-    )
-    if coloring.get("source") != "profile":
-        print("FAIL: warm histogram did not color from the profile store",
-              file=sys.stderr)
-        return 1
-    if coloring.get("max_wave_width", 0) < 2:
-        print("FAIL: profiled coloring is not genuinely parallel",
-              file=sys.stderr)
-        return 1
-    if decision.get("source") != "profiled":
-        print("FAIL: technique decision does not credit the profile store",
+    print("\n== warm runs (same programs, store attached) ==")
+    warm_hist, warm_bytes = _run_suite(root)
+    warm_plan = _plan_of(warm_hist)
+    print(f"histogram warm: technique={warm_plan['technique_effective']}")
+    for name, cold in cold_plan.items():
+        if warm_plan[name] != cold:
+            print(f"FAIL: warm histogram {name} {warm_plan[name]!r} differs "
+                  f"from the cold run's {cold!r}", file=sys.stderr)
+            return 1
+    if warm_bytes != cold_bytes:
+        print("FAIL: warm histogram result differs from the cold run's",
               file=sys.stderr)
         return 1
 
@@ -135,4 +132,7 @@ def main(store_dir: str | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else None))
+    if len(sys.argv) > 1:
+        sys.exit(main(sys.argv[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.exit(main(str(Path(tmp) / "store")))

@@ -8,7 +8,7 @@ object concurrently with no locks and no replicas, because the coloring
 proves they touch disjoint cells.  The engine executes waves in order with a
 barrier between them.
 
-Group sets come from one of three sources, in priority order:
+Group sets come from one of two sources, in priority order:
 
 1. ``spec.group_bounds`` — an application-provided callable
    ``(split, num_groups) -> iterable of group ids | None`` (``None`` means
@@ -27,16 +27,8 @@ Group sets come from one of three sources, in priority order:
    footprints coincide and the coloring degenerates to one split per wave,
    which still delivers the technique's memory/lock-freedom guarantees (a
    single shared RO, zero lock acquisitions) at replication-free cost.
-3. *profiled* footprints — group sets a previous run with a profile store
-   attached **observed** at commit time (see
-   :mod:`repro.obs.profilestore`).  This is the tier for kernels whose
-   group index is data-dependent (histogram's ``toInt((x - lo) / width)``):
-   static analysis can never bound them, but the observed footprint of the
-   same program over the same split layout colors re-runs into waves.
-   Profiled sets are a *prediction*, not a proof — the engine therefore
-   commits profile-colored splits through per-split scratch objects under
-   a commit lock, so a stale footprint degrades performance, never
-   correctness.
+   A data-dependent group index (the histogram's bin) is bounded this way
+   too: every split may touch every group.
 
 If no source yields exact sets for every split, coloring is impossible and
 the caller falls back to a replica- or lock-based technique.
@@ -64,7 +56,7 @@ class SplitColoring:
 
     waves: tuple[tuple[int, ...], ...]
     group_sets: tuple[frozenset[int], ...]
-    source: str  # "spec_hook" | "compiler" | "profile"
+    source: str  # "spec_hook" | "compiler"
 
     @property
     def num_colors(self) -> int:
@@ -91,21 +83,12 @@ class SplitColoring:
 
 
 def resolve_group_sets(
-    spec,
-    splits: Sequence[Split],
-    num_groups: int,
-    profiled: "dict[tuple[int, int], frozenset[int]] | None" = None,
+    spec, splits: Sequence[Split], num_groups: int
 ) -> tuple[list[frozenset[int]] | None, str | None]:
     """Determine each split's group footprint, or ``None`` if inexact.
 
     Returns ``(group_sets, source)``; ``source`` names which mechanism
     supplied the sets (for stats/trace) and is ``None`` on failure.
-
-    ``profiled``, when given, maps each split's ``(start, end)`` element
-    range to a group set a previous run *observed* (the profile store's
-    footprint tier).  Static sources win when they are exact; the profiled
-    tier only fills in when neither the spec hook nor the compiler can
-    bound every split.
     """
     hook = getattr(spec, "group_bounds", None)
     if callable(hook):
@@ -132,16 +115,6 @@ def resolve_group_sets(
             sets.append(groups)
         else:
             return sets, "compiler"
-    if profiled is not None:
-        sets = []
-        for split in splits:
-            gs = profiled.get((split.start, split.end))
-            if gs is None:
-                return None, None
-            if gs and (min(gs) < 0 or max(gs) >= num_groups):
-                return None, None
-            sets.append(frozenset(gs))
-        return sets, "profile"
     return None, None
 
 

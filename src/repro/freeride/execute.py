@@ -25,13 +25,13 @@ and fault configuration:
     pool threads draining the wave's :class:`SplitQueue` (``"threads"``),
     or tasks on the worker-process pool (``"process"``).
 
-*Direct* runs — no fault policy, no footprint observation — skip the
-scratch object: the attempt accumulates straight into the lane's accessor,
-there is nothing to settle, and with tracing disabled no per-split
-instrumentation is installed at all.  When, on top of that, the kernel can
-walk a list of ranges by itself (``ReductionSpec.ranges_in_one_call``) and
-the lanes commute (the plan's technique gives each lane a target of its
-own), a lane does not loop over splits either: it passes whole batches of
+*Direct* runs — those without a fault policy — skip the scratch object:
+the attempt accumulates straight into the lane's accessor, there is
+nothing to settle, and with tracing disabled no per-split instrumentation
+is installed at all.  When, on top of that, the kernel can walk a list of
+ranges by itself (``ReductionSpec.ranges_in_one_call``) and the lanes
+commute (the plan's technique gives each lane a target of its own), a
+lane does not loop over splits either: it passes whole batches of
 split positions — slices of the plan's ``starts``/``ends`` arrays, with no
 ``Split`` object built — to one ``reduce_ranges`` call.
 """
@@ -74,7 +74,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "INLINE_WAVE_ELEMENTS",
-    "Observation",
     "RunContext",
     "attempt_split",
     "traced_attempt",
@@ -98,25 +97,6 @@ INLINE_WAVE_ELEMENTS = 16_384
 
 #: what an attempt hands back: ``(scratch, None)`` or ``(None, error)``
 Attempt = tuple[ReductionObject | None, BaseException | None]
-
-
-@dataclass
-class Observation:
-    """Commit-time recording of per-split group footprints (profile store).
-
-    Every split runs into a scratch reduction object so its touched group
-    set can be read off before the commit.  ``predicted`` is set on
-    profile-colored runs: the profiled footprint is a *prediction*, so the
-    wave schedule's disjointness is a performance hint, never a correctness
-    requirement — commits are serialized on ``commit_lock``, and a
-    mis-predicted split is counted in ``conflicts`` and re-recorded.
-    """
-
-    footprints: "dict[tuple[int, int], frozenset[int]]"
-    predicted: "dict[int, frozenset[int]] | None" = None
-    conflicts: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    commit_lock: "threading.Lock | None" = None
 
 
 @dataclass
@@ -150,9 +130,8 @@ class RunContext:
     #: split's proven group set, so concurrent commits within a wave never
     #: read-modify-write a cell both left untouched
     commit_groups: "dict[int, frozenset[int]] | None" = field(init=False, default=None)
-    observation: "Observation | None" = field(init=False, default=None)
-    #: no policy, no observation: attempts accumulate straight into the
-    #: lane's accessor, with no scratch object and nothing to settle
+    #: no policy: attempts accumulate straight into the lane's accessor,
+    #: with no scratch object and nothing to settle
     direct: bool = field(init=False)
     elems: "list[int]" = field(init=False)
     nsplits: "list[int]" = field(init=False)
@@ -178,19 +157,7 @@ class RunContext:
                     s.split_id: plan.coloring.group_sets[i]
                     for i, s in enumerate(splits)
                 }
-        if plan.observe:
-            self.observation = Observation(
-                # zero-length splits never execute; their footprint is empty
-                footprints={
-                    (s.start, s.end): frozenset() for s in plan.splits if len(s) == 0
-                },
-                predicted=plan.predicted,
-                # profiled footprints are predictions, not proofs: commits of
-                # profile-colored splits are serialized on this single lock so
-                # a stale footprint can cost time but never correctness
-                commit_lock=threading.Lock() if plan.predicted is not None else None,
-            )
-        self.direct = self.policy is None and not plan.observe
+        self.direct = self.policy is None
         self.waves = (
             [range(plan.num_splits)] if plan.coloring is None else plan.coloring.waves
         )
@@ -288,7 +255,7 @@ def _attempt_in_process(ctx: RunContext, lane: int, split: Split, attempt: int) 
     return attempt_split(
         partial(_reduce, ctx, lane, split, attempt),
         split.split_id, attempt, ctx.base_ro.clone_empty(), ctx.injector,
-        ctx.policy.split_timeout if ctx.policy is not None else None,
+        ctx.policy.split_timeout,
     )
 
 
@@ -304,9 +271,8 @@ def _attempt_traced(ctx: RunContext, lane: int, split: Split, attempt: int) -> A
     )
     ctx.metrics.histogram("engine.split_seconds").observe(seconds)
     if ctx.policy is None:
-        # lock contention feeds technique="auto"; under a fault policy the
-        # locks are taken by the commit, not the attempt, so nothing is
-        # recorded and the feedback goes stale rather than reading zero
+        # the locks the attempt itself took; under a fault policy they are
+        # taken by the commit, not the attempt, so nothing is recorded
         ctx.metrics.histogram(
             "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
         ).observe(acc_stats.lock_acquisitions - locks_before)
@@ -317,28 +283,10 @@ def _attempt_traced(ctx: RunContext, lane: int, split: Split, attempt: int) -> A
 
 
 def _commit(ctx: RunContext, lane: int, split: Split, scratch: ReductionObject) -> None:
-    accessor = ctx.accessors[lane]
-    obs = ctx.observation
-    if obs is None:
-        groups = (
-            ctx.commit_groups.get(split.split_id)
-            if ctx.commit_groups is not None
-            else None
-        )
-        accessor.merge_from_scratch(scratch, groups=groups)
-        return
-    touched = scratch.touched_groups()
-    if obs.commit_lock is None:
-        accessor.merge_from_scratch(scratch)
-    else:
-        with obs.commit_lock:
-            accessor.merge_from_scratch(scratch)
-    with obs.lock:
-        obs.footprints[(split.start, split.end)] = touched
-        if obs.predicted is not None and not touched <= obs.predicted.get(
-            split.split_id, frozenset()
-        ):
-            obs.conflicts += 1
+    groups = (
+        ctx.commit_groups.get(split.split_id) if ctx.commit_groups is not None else None
+    )
+    ctx.accessors[lane].merge_from_scratch(scratch, groups=groups)
 
 
 def settle(
@@ -368,8 +316,7 @@ def settle(
             ctx.nsplits[lane] += 1
         return
     stats, policy, tracer = ctx.stats, ctx.policy, ctx.tracer
-    if policy is None:
-        raise error  # an observed run has no retry budget; `_lane` poisons
+    assert policy is not None  # only a fault policy's attempts are settled
     if isinstance(error, (InjectedFault, SplitTimeout)):
         with ctx.lock:
             if isinstance(error, InjectedFault):
@@ -433,7 +380,7 @@ def _lane(
         while True:
             speculative = False
             item = queue.claim()
-            if item is None and policy is not None and policy.straggler_timeout:
+            if item is None and policy.straggler_timeout:
                 # nothing left to claim: duplicate the oldest straggler
                 item = queue.steal_straggler(policy.straggler_timeout)
                 speculative = item is not None
@@ -450,7 +397,6 @@ def _lane(
                     thread_id=lane,
                 )
             if attempt > 1:
-                assert policy is not None
                 with ctx.lock:
                     ctx.stats.retries += 1
                 backoff = policy.backoff_seconds(attempt - 1)

@@ -1,14 +1,13 @@
 """Plan a run's pass before anything runs — as a value.
 
 FREERIDE's loop combines locally "depending on the shared memory technique
-chosen by the application developer" (§III-A); with ``technique="auto"``,
-colored waves and a profile store, *choosing* became a computation of its
-own.  :func:`plan_node` is that computation, once per run: it
-takes what it reads — the engine's request, the spec, the run's data, the
-fresh reduction object, the store and the engine's one piece of cross-run
-feedback — and returns an immutable :class:`ExecutionPlan`: the split
-layout, then the profile key, then each coloring tier at most once, then
-the technique, then whether footprints are observed (the order and its
+chosen by the application developer" (§III-A); with ``technique="auto"``
+and colored waves, *choosing* became a computation of its own.
+:func:`plan_node` is that computation, once per run, and a pure function
+of the run's own inputs — the engine's request, the spec, the run's data
+and the fresh reduction object; nothing carried over from earlier runs.
+It returns an immutable :class:`ExecutionPlan`: the split layout, then the
+static coloring at most once, then the technique (the order and its
 reasons: ``docs/PERFORMANCE.md``, "Choosing a technique").  Nothing here
 runs a split, touches a :class:`~repro.freeride.execute.RunContext` or
 emits a trace event; the engine stamps its stats and reports the decision
@@ -16,9 +15,9 @@ from the plan, and ``execute`` builds its context from it.
 
 The layout is two int64 arrays; :class:`~repro.freeride.splitter.Split`
 objects are built from it once, and only when a consumer reads them
-(coloring, ``auto``, the profile key and observation here; fault
-policies, tracing, locking techniques and the process executor in
-``execute``).  A batched direct run never builds one.
+(coloring and ``auto`` here; fault policies, tracing, locking techniques
+and the process executor in ``execute``).  A batched direct run never
+builds one.
 """
 
 from __future__ import annotations
@@ -42,26 +41,18 @@ from repro.freeride.splitter import (
     default_layout,
     layout_splits,
 )
-from repro.obs.profilestore import ProfileKey, ProfileStore
 from repro.util.errors import SplitterError
 
 __all__ = [
     "ExecutionPlan",
     "plan_node",
     "REPLICATION_BUDGET_BYTES",
-    "CONTENTION_FEEDBACK_THRESHOLD",
 ]
 
 #: ``technique="auto"``: replicating the reduction object across threads
 #: beyond this many total bytes (``ro.nbytes * num_threads``) is considered
 #: too expensive and the selector prefers a single-copy technique.
 REPLICATION_BUDGET_BYTES = 64 * 1024 * 1024
-
-#: ``technique="auto"``: when replication is over budget and the previous
-#: traced run's ``ro.lock_acquisitions_per_split`` histogram averaged more
-#: than this many acquisitions per split, the selector prefers colored
-#: waves (when colorable) over cache-sensitive locking.
-CONTENTION_FEEDBACK_THRESHOLD = 8.0
 
 _FR = SharedMemTechnique.FULL_REPLICATION
 _COLORED = SharedMemTechnique.COLORED
@@ -77,6 +68,9 @@ class ExecutionPlan:
     #: ``range`` (what every compiled spec runs over), else ``None``
     starts: "np.ndarray | None"
     ends: "np.ndarray | None"
+    #: the layout's positions into the data, set for every run: split ``i``
+    #: is ``data[layout[0][i]:layout[1][i]]``
+    layout: Layout
     #: how many splits the layout has, zero-length ones included
     num_splits: int
     #: builds :attr:`splits`; returns the same list every call
@@ -87,18 +81,10 @@ class ExecutionPlan:
     #: the technique the run executes (never the request)
     technique: SharedMemTechnique
     #: why the technique differs from the request — ``{requested, chosen,
-    #: reason, inputs[, source][, profile_key]}`` — or ``None`` when the
-    #: request was honored verbatim
+    #: reason, inputs}`` — or ``None`` when the request was honored verbatim
     decision: "dict[str, Any] | None"
     #: the wave schedule of a colored run; ``None`` runs one wave
     coloring: "SplitColoring | None" = None
-    #: record every split's group footprint at commit time
-    observe: bool = False
-    #: split id -> predicted group set, on profile-colored runs only: the
-    #: schedule is then a prediction, and commits serialize on one lock
-    predicted: "dict[int, frozenset[int]] | None" = None
-    #: what the run's history is filed under; ``None`` without a store
-    profile_key: "ProfileKey | None" = None
 
     @property
     def splits(self) -> "list[Split]":
@@ -125,76 +111,27 @@ def _validate_custom_splits(splits: "list[Split]", data: Any) -> Layout:
     )
 
 
-def _color(
-    spec: "ReductionSpec | None",
-    splits: "list[Split]",
-    num_groups: int,
-    profiled: "dict[tuple[int, int], frozenset[int]] | None" = None,
-) -> Any:
-    """One tier's wave schedule, or ``None`` if its group sets are inexact:
-    the static tiers of ``spec``, or (``spec=None``) the profiled map alone."""
-    group_sets, source = resolve_group_sets(spec, splits, num_groups, profiled)
-    return color_splits(group_sets, source=source) if group_sets is not None else None
+def _choose_auto(inputs: "dict[str, Any]") -> "tuple[SharedMemTechnique, str]":
+    """The ``technique="auto"`` heuristic: ``(technique, reason)``.
 
-
-def _choose_auto(
-    inputs: "dict[str, Any]",
-    tier: "str | None",
-    history: "list[dict[str, Any]] | None",
-) -> "tuple[SharedMemTechnique, str, str]":
-    """The ``technique="auto"`` heuristic: ``(technique, reason, source)``.
-
-    ``inputs`` is the decision's input record (every signal read here),
-    ``tier`` the candidate coloring's source (``None``: not colorable).
-    ``source`` is ``"static"`` when only the cold-start heuristic spoke,
-    ``"profiled"`` when store history (observed footprints or persisted
-    contention) decided the outcome.  Contention read from ``history`` —
-    consulted only when this engine has no traced run of its own to go by
-    — is written back into ``inputs["lock_contention_mean"]``.
+    ``inputs`` is the decision's input record, every signal read here.
     """
     width = inputs["max_wave_width"]
     if inputs["executor"] == "process":
-        reason = "process executor supports only full_replication; coercing"
-        return _FR, reason, "static"
+        return _FR, "process executor supports only full_replication; coercing"
     if width >= 2:
-        if tier == "profile":
-            return _COLORED, (
-                "observed footprints from the profile store color this "
-                "split layout into parallel lock-free waves "
-                f"(max wave width {width})"
-            ), "profiled"
         return _COLORED, (
             "exact group bounds admit parallel lock-free waves "
             f"(max wave width {width})"
-        ), "static"
+        )
     if inputs["replication_bytes"] <= REPLICATION_BUDGET_BYTES:
-        return _FR, "reduction object is small enough to replicate per thread", "static"
-    contention = inputs["lock_contention_mean"]
-    witness = "the previous traced run"
-    if contention is None and history:
-        means = [
-            r["lock_contention_mean"]
-            for r in history
-            if isinstance(r.get("lock_contention_mean"), (int, float))
-        ]
-        if means:
-            contention = inputs["lock_contention_mean"] = sum(means) / len(means)
-            witness = "persisted run history"
-    if tier is not None and contention is not None and (
-        contention > CONTENTION_FEEDBACK_THRESHOLD
-    ):
-        profiled = witness == "persisted run history" or tier == "profile"
-        return _COLORED, (
-            f"replication is over the memory budget and {witness} "
-            f"averaged {contention:.1f} lock acquisitions per "
-            "split; serialized colored waves avoid both"
-        ), "profiled" if profiled else "static"
+        return _FR, "reduction object is small enough to replicate per thread"
     return SharedMemTechnique.CACHE_SENSITIVE_LOCKING, (
         "replicating the reduction object "
         f"({inputs['replication_bytes']} bytes across "
         f"{inputs['num_threads']} threads) exceeds the "
         f"{REPLICATION_BUDGET_BYTES}-byte budget"
-    ), "static"
+    )
 
 
 def plan_node(
@@ -208,17 +145,14 @@ def plan_node(
     chunk_size: "int | None" = None,
     splitter: "Callable[[Any, int], list[Split]] | None" = None,
     fault_tolerant: bool = False,
-    store: "ProfileStore | None" = None,
-    lock_contention: "float | None" = None,
 ) -> ExecutionPlan:
     """Plan one run's pass over ``data`` (see the module docstring).
 
     ``technique`` is the engine's parsed request (``None`` for ``"auto"``),
-    ``ro`` the run's fresh reduction object (read for its size only),
-    ``fault_tolerant`` whether a fault policy is in force, and
-    ``lock_contention`` the engine's last traced mean of lock acquisitions
-    per split.  A request the engine refuses (a locking or colored
-    technique on the process executor) is not re-checked here.
+    ``ro`` the run's fresh reduction object (read for its size only) and
+    ``fault_tolerant`` whether a fault policy is in force.  A request the
+    engine refuses (a locking or colored technique on the process executor)
+    is not re-checked here.
     """
     auto = technique is None
     # can this request execute waves at all
@@ -256,72 +190,38 @@ def plan_node(
         starts, ends = starts + data.start, ends + data.start
     num_splits = len(layout[0])
 
-    # in-process, no fault machinery: the only runs that read profiled
-    # footprints or observe new ones
-    plain = executor != "process" and not fault_tolerant
-    key = profiled = history = None
-    consulted = False  # was the store read for this request
-    if store is not None:
-        bound = spec.bound
-        key = ProfileKey.of(
-            bound.compiled.request.digest if bound is not None else None,
-            splits_of(), num_threads,
-        )
-        if key.digest is not None and (auto or technique is _COLORED):
-            consulted = True
-            if plain:
-                profiled = store.latest_footprints(key.digest, key.split_fingerprint)
-            if auto:  # the only reader of history
-                history = store.history(key.digest, key.shape_class)
-    observable = plain and key is not None and key.digest is not None
-
-    static = candidate = None
-    if colorable or (observable and technique is _FR):
-        static = _color(spec, splits_of(), ro.num_groups)
-    if colorable:
-        candidate = static
-        if profiled is not None:
-            wider = _color(None, splits_of(), ro.num_groups, profiled)
-            if wider is not None and (
-                static is None or wider.max_wave_width > static.max_wave_width
-            ):
-                candidate = wider
-
-    chosen, reason, source = technique, None, None
+    chosen, reason = technique, None
+    # the static wave schedule; None when a group set is inexact
+    coloring: "SplitColoring | None" = None
     if auto or technique is _COLORED:
+        num_groups = ro.num_groups
+        if colorable:
+            group_sets, source = resolve_group_sets(spec, splits_of(), num_groups)
+            if group_sets is not None:
+                coloring = color_splits(group_sets, source=source)
         # every signal the choice reads, recorded verbatim so a decision
         # can be replayed from its stats alone
         nbytes = ro.nbytes
         inputs = {
             "ro_bytes": nbytes,
-            "num_groups": ro.num_groups,
+            "num_groups": num_groups,
             "num_threads": num_threads,
             "num_splits": num_splits,
             "executor": executor,
-            "colorable": candidate is not None,
-            "max_wave_width": candidate.max_wave_width if candidate is not None else 0,
+            "colorable": coloring is not None,
+            "max_wave_width": coloring.max_wave_width if coloring is not None else 0,
             "replication_bytes": nbytes * num_threads,
             "replication_budget": REPLICATION_BUDGET_BYTES,
-            "lock_contention_mean": lock_contention,
         }
-        tier = candidate.source if candidate is not None else None
         if auto:
-            chosen, reason, source = _choose_auto(inputs, tier, history)
-        elif candidate is None:
+            chosen, reason = _choose_auto(inputs)
+        elif coloring is None:
             chosen = _FR
             reason = (
                 "colored requires an exact plan-time group set for "
                 "every split (spec.group_bounds hook or compiler "
                 "bounds); none were available — falling back to "
                 "full replication"
-            )
-        elif tier == "profile":
-            source = "profiled"
-            reason = (
-                "static bounds color at best serial waves, but "
-                "the profile store holds observed footprints "
-                "for this program and split layout — coloring "
-                "wider from profiled footprints"
             )
     # the record behind RunStats.technique_decision and the
     # technique.decision event; a request honored verbatim leaves none
@@ -333,33 +233,9 @@ def plan_node(
             "reason": reason,
             "inputs": inputs,
         }
-        if source is not None:
-            decision["source"] = source
-            if consulted:
-                decision["profile_key"] = key.as_dict()
-    coloring = candidate if chosen is _COLORED else None
-
-    observe, predicted = False, None
-    if observable:
-        if coloring is not None and coloring.source == "profile":
-            # re-recording keeps the stored footprints fresh (self-healing
-            # after a data change)
-            observe = True
-            predicted = {
-                s.split_id: coloring.group_sets[i]
-                for i, s in enumerate(splits_of())
-            }
-        elif chosen is _COLORED:
-            # a degenerate colored schedule executes one split at a time,
-            # so scratch observation is race-free
-            observe = coloring.max_wave_width < 2
-        elif chosen is _FR:
-            # a statically wide coloring never needs profiling
-            observe = static is None or static.max_wave_width < 2
 
     return ExecutionPlan(
-        starts=starts, ends=ends, num_splits=num_splits, build_splits=splits_of,
-        split_alignment=alignment, technique=chosen,
-        decision=decision, coloring=coloring, observe=observe,
-        predicted=predicted, profile_key=key,
+        starts=starts, ends=ends, layout=layout, num_splits=num_splits,
+        build_splits=splits_of, split_alignment=alignment, technique=chosen,
+        decision=decision, coloring=coloring if chosen is _COLORED else None,
     )

@@ -646,8 +646,7 @@ class ReductionObject:
         reported even when its accumulated value equals the op identity —
         the historic value-scan alone missed those (e.g. accumulating an
         exact 0.0 into an add group), which was safe for merge *values* but
-        silently dropped the group from profile footprints and would drop
-        it from delta checkpoints.  The value scan is kept as a union term
+        would silently drop the group from delta checkpoints.  The value scan is kept as a union term
         for objects whose buffer was filled out-of-band: writable
         :meth:`group_view` slices and ``from_layout(initialize=False)``
         wraps of worker-filled shared segments bypass the bitmap.

@@ -40,8 +40,8 @@ copy (full replication) or applied group-by-group under the lock table
 accumulations behind and no element is ever double counted.
 
 Three neighbours hold what is not the loop: :mod:`repro.freeride.plan`
-decides a run's pass before it starts (splits, technique, wave schedule,
-profile key) and hands back an ``ExecutionPlan``;
+decides a run's pass before it starts (splits, technique, wave schedule)
+and hands back an ``ExecutionPlan``;
 :mod:`repro.freeride.execute` is the split loop itself — attempt, settle,
 and the drive over waves × lanes that all three executors share; and
 :mod:`repro.freeride.delta` walks a delta epoch over the session it
@@ -67,11 +67,7 @@ from repro.freeride.delta import (
 )
 from repro.freeride.execute import RunContext, drive
 from repro.freeride.faults import FaultInjector, FaultPolicy, SplitFailureRecord
-from repro.freeride.plan import (
-    CONTENTION_FEEDBACK_THRESHOLD,
-    REPLICATION_BUDGET_BYTES,
-    plan_node,
-)
+from repro.freeride.plan import REPLICATION_BUDGET_BYTES, plan_node
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
     SharedBufferCache,
@@ -81,7 +77,7 @@ from repro.freeride.sharedmem import (
 )
 from repro.freeride.spec import ReductionSpec
 from repro.freeride.splitter import Split
-from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profilestore import ProfileStore, record_run, resolve_store
 from repro.obs.tracer import NullTracer, Tracer, get_tracer
 from repro.util.errors import FaultToleranceError, FreerideError
@@ -93,7 +89,6 @@ __all__ = [
     "ReductionResult",
     "FreerideEngine",
     "REPLICATION_BUDGET_BYTES",
-    "CONTENTION_FEEDBACK_THRESHOLD",
     "DELTA_COMMIT_SPLIT_ID",
 ]
 
@@ -234,13 +229,13 @@ class FreerideEngine:
         threads ("One thread is allocated on one CPU" in §V).
     technique:
         shared-memory technique for reduction-object updates, or ``"auto"``
-        to let the engine pick one per run from the reduction object's
-        size, the splits' provable group footprints and (when tracing)
-        lock-contention feedback; the choice is recorded in
-        ``RunStats.technique_decision`` and as a ``technique.decision``
-        trace event.  ``"colored"`` requests conflict-free wave execution
-        and falls back to full replication (recording why) when no exact
-        plan-time group bounds are available.
+        to let the engine pick one per run from the executor, the
+        reduction object's size and the splits' provable group footprints
+        (the run's own inputs, never an earlier run's); the choice is
+        recorded in ``RunStats.technique_decision`` and as a
+        ``technique.decision`` trace event.  ``"colored"`` requests
+        conflict-free wave execution and falls back to full replication
+        (recording why) when no exact plan-time group bounds are available.
     executor:
         ``"serial"``, ``"threads"`` or ``"process"``.  The process executor
         requires full replication and compiled reductions (specs built by
@@ -268,19 +263,16 @@ class FreerideEngine:
         instrumentation — the execution path is byte-for-byte the
         pre-observability one.
     profile_store:
-        persistent run-history recording and profile-guided execution
-        (:mod:`repro.obs.profilestore`).  ``None``/``False`` (the default)
-        disables the store entirely — zero store reads or writes anywhere,
-        and the per-split hot path is untouched.  ``True`` opens the
-        default store (``~/.cache/repro-profiles`` or
-        ``$REPRO_PROFILE_STORE``); a path opens that directory; an
-        existing :class:`~repro.obs.profilestore.ProfileStore` is used
-        as-is.  With a store attached, every run appends one
-        :class:`~repro.obs.profilestore.RunProfile`; ``technique="auto"``
-        consults the store's history for this program, and kernels whose
-        group footprints the effect analysis cannot bound (histogram)
-        have their footprints *observed* at commit time so warm re-runs
-        color into conflict-free waves (``coloring source="profile"``).
+        persistent run-history recording (:mod:`repro.obs.profilestore`).
+        ``None``/``False`` (the default) disables the store entirely — zero
+        store reads or writes anywhere.  ``True`` opens the default store
+        (``~/.cache/repro-profiles`` or ``$REPRO_PROFILE_STORE``); a path
+        opens that directory; an existing
+        :class:`~repro.obs.profilestore.ProfileStore` is used as-is.  With a
+        store attached, every run appends one
+        :class:`~repro.obs.profilestore.RunProfile` after it finishes; the
+        store is written, never read, so it changes neither the plan nor
+        the result.
     """
 
     def __init__(
@@ -314,10 +306,6 @@ class FreerideEngine:
         )
         if self.executor == "process":
             _check_process_technique(self.technique)
-        #: mean ``ro.lock_acquisitions_per_split`` of this engine's most
-        #: recent *traced* run — the ``auto`` selector's contention feedback.
-        #: ``None`` until a traced run populates the histogram.
-        self._last_lock_contention: float | None = None
         if chunk_size is not None:
             check_positive_int(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
@@ -444,8 +432,6 @@ class FreerideEngine:
                     technique=self.technique, executor=self.executor,
                     num_threads=self.num_threads, chunk_size=self.chunk_size,
                     splitter=self.splitter, fault_tolerant=policy is not None,
-                    store=self.profile_store,
-                    lock_contention=self._last_lock_contention,
                 )
                 mgr = SharedMemManager(plan.technique)
                 ctx = RunContext(
@@ -464,23 +450,12 @@ class FreerideEngine:
                 )
                 stats.split_alignment = plan.split_alignment
                 if decision is not None and tracer.enabled:
-                    extra = {
-                        name: decision[name]
-                        for name in ("source", "profile_key")
-                        if decision.get(name) is not None
-                    }
                     tracer.event(
                         "technique.decision", cat="engine",
                         requested=decision["requested"], chosen=decision["chosen"],
-                        reason=decision["reason"], **extra, **decision["inputs"],
+                        reason=decision["reason"], **decision["inputs"],
                     )
                 drive(ctx, self)
-                obs = ctx.observation
-                if obs is not None and obs.conflicts and tracer.enabled:
-                    tracer.event(
-                        "profile.footprint_conflict", cat="engine",
-                        conflicts=obs.conflicts,
-                    )
 
                 # Local combination — mgr.finish is the single accounting
                 # path, so num_locks / ro_memory_bytes / merge_elements are
@@ -519,19 +494,13 @@ class FreerideEngine:
             self._finish_metrics(metrics, stats)
         if self.profile_store is not None:
             record_run(
-                self.profile_store, spec, stats, plan, ctx.observation,
-                ctx.worker_durations, time.perf_counter() - wall_start,
+                self.profile_store, spec, stats, plan, ctx.worker_durations,
+                time.perf_counter() - wall_start,
             )
         return ReductionResult(value=value, ro=ro, stats=stats)
 
     def _finish_metrics(self, metrics: MetricsRegistry, stats: RunStats) -> None:
-        """Fold the run's aggregate counters into the registry and snapshot.
-
-        Also harvests the run's ``ro.lock_acquisitions_per_split``
-        distribution into :attr:`_last_lock_contention`, the ``auto``
-        selector's feedback signal — untraced runs record nothing, so the
-        feedback simply goes stale rather than being zeroed.
-        """
+        """Fold the run's aggregate counters into the registry and snapshot."""
         metrics.gauge("engine.num_threads").set(stats.num_threads)
         metrics.counter("engine.elements").inc(stats.total_elements)
         metrics.counter("ro.updates").inc(stats.ro_updates)
@@ -550,11 +519,6 @@ class FreerideEngine:
         for phase, seconds in stats.phase_seconds.items():
             metrics.histogram("engine.phase_seconds." + phase).observe(seconds)
         stats.metrics = metrics.snapshot()
-        contention = metrics.histogram(
-            "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
-        )
-        if contention.count:
-            self._last_lock_contention = contention.mean
 
     def run_iterative(
         self,

@@ -37,7 +37,7 @@ class ReductionArgs:
     ``ro`` is the lane's :class:`~repro.freeride.sharedmem.ROAccessor` on a
     direct run and a per-attempt scratch
     :class:`~repro.freeride.reduction_object.ReductionObject` under a fault
-    policy or footprint observation: the same five update methods either way.
+    policy: the same five update methods either way.
 
     ``attempt`` is 1 for normal execution; under a fault policy it counts
     the processing attempts of this split (2 on the first retry, ...), so

@@ -15,8 +15,7 @@ The observability layer the engine, compiler, apps and benchmarks share:
   per-thread decomposition the paper's figures use
   (``python -m repro.trace report <file>``);
 * :mod:`repro.obs.profilestore` — the persistent cross-process run
-  history behind profile-guided execution and regression diffs
-  (``python -m repro.profile``).
+  history behind reports and regression diffs (``python -m repro.profile``).
 
 Quickstart::
 
@@ -53,7 +52,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profilestore import (
-    MAX_FOOTPRINT_CELLS,
     PROFILE_SCHEMA_VERSION,
     REPRO_PROFILE_STORE_ENV,
     ProfileStore,
@@ -117,7 +115,6 @@ __all__ = [
     "summarize_durations",
     "PROFILE_SCHEMA_VERSION",
     "REPRO_PROFILE_STORE_ENV",
-    "MAX_FOOTPRINT_CELLS",
 ]
 
 

@@ -1,25 +1,18 @@
-"""Persistent run-history profiles — the store behind profile-guided runs.
+"""Persistent run-history profiles — a recorder, never an input.
 
-PR 4's tracer observes one engine lifetime and forgets everything at
-process exit.  This module is the cross-lifetime memory: every traced or
-untraced :meth:`~repro.freeride.runtime.FreerideEngine.run` with a store
-attached appends one compact :class:`RunProfile` record — program digest,
-technique decision, wall/phase times, split-duration summary, cache and
-fault counters, and (for kernels whose group footprints are
-data-dependent) the *observed* per-split group footprints sampled at
-commit time.  On a later run — possibly in a different process, days
-later — the engine consults this history:
+The tracer observes one engine lifetime and forgets everything at process
+exit.  This module is the cross-lifetime record: every traced or untraced
+:meth:`~repro.freeride.runtime.FreerideEngine.run` with a store attached
+appends one compact :class:`RunProfile` record — program digest, split
+layout fingerprint, technique decision, wall/phase times, split-duration
+summary, lock, cache and fault counters.  Nothing reads it back into a
+run: the planner decides from the run's own inputs, so a store changes
+neither the plan nor the result bits.  The readers are tools:
 
-* ``technique="auto"`` keys into ``(digest, shape_class)`` and lets
-  persisted lock-contention and wave-width outcomes override the
-  cold-start heuristic;
-* observed footprints feed :func:`repro.freeride.coloring.resolve_group_sets`
-  as the ``source="profile"`` tier, so a histogram whose bin index the
-  effect analysis cannot bound statically still colors into conflict-free
-  waves on re-runs (the PyOP2 shape: per-kernel plans cached on disk keyed
-  by digest);
 * ``python -m repro.profile`` renders reports, diffs two snapshots for
-  regressions, and garbage-collects old records.
+  regressions, and garbage-collects old records;
+* ``python -m repro.trace report --profile`` joins a trace against the
+  history of the same digest.
 
 Storage layout
 --------------
@@ -34,8 +27,8 @@ segments, sort by timestamp, and *skip* partial trailing lines (a writer
 killed mid-append) with a counted warning rather than crashing.
 
 The store is entirely opt-in: an engine constructed without one performs
-zero store reads or writes, and nothing in this module is imported on the
-engine's per-split hot path.
+zero store writes, and nothing in this module is imported on the engine's
+per-split hot path.
 """
 
 from __future__ import annotations
@@ -48,12 +41,14 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "REPRO_PROFILE_STORE_ENV",
-    "MAX_FOOTPRINT_CELLS",
     "ProfileKey",
     "RunProfile",
     "ProfileStore",
@@ -70,12 +65,6 @@ PROFILE_SCHEMA_VERSION = 1
 #: environment override for the store root directory
 REPRO_PROFILE_STORE_ENV = "REPRO_PROFILE_STORE"
 
-#: footprints are a *compact* sample: if the total number of recorded
-#: (split, group) memberships would exceed this, the profile stores no
-#: footprints at all — a footprint that dense would not color into useful
-#: waves anyway, and the store must stay cheap to append and scan
-MAX_FOOTPRINT_CELLS = 65536
-
 
 def default_store_root() -> Path:
     """The store directory: ``$REPRO_PROFILE_STORE`` or ``~/.cache/repro-profiles``."""
@@ -86,7 +75,7 @@ def default_store_root() -> Path:
 
 
 def shape_class(n_elements: int, num_threads: int) -> str:
-    """The dataset-shape bucket used to key history lookups.
+    """The dataset-shape bucket records are grouped under.
 
     Exact element counts rarely repeat across runs (k-means on 60 000 vs
     59 999 points is the same workload); the class buckets ``n_elements``
@@ -98,14 +87,9 @@ def shape_class(n_elements: int, num_threads: int) -> str:
     return f"n{ceil}/t{int(num_threads)}"
 
 
-def split_layout_fingerprint(ranges: Sequence[tuple[int, int]]) -> str:
-    """Stable digest of a split layout's ``(start, end)`` pairs.
-
-    Observed footprints are per-split; replaying them on a later run is
-    only meaningful when that run cuts the data into the *same* splits, so
-    footprint reuse is keyed by this fingerprint in addition to the
-    program digest.
-    """
+def split_layout_fingerprint(ranges: Iterable[tuple[int, int]]) -> str:
+    """Stable digest of a split layout's ``(start, end)`` pairs: two
+    records with one fingerprint cut their data into the same splits."""
     text = ";".join(f"{int(a)}:{int(b)}" for a, b in ranges)
     return sha256(text.encode()).hexdigest()[:16]
 
@@ -130,45 +114,28 @@ def summarize_durations(durations: Iterable[float]) -> dict[str, float] | None:
 
 @dataclass(frozen=True)
 class ProfileKey:
-    """What one planned run files its history under — computed once, by the
-    planner (:func:`repro.freeride.plan.plan_node`), only when a store is
-    attached: lookups, the decision record and the appended
-    :class:`RunProfile` all read this one value."""
+    """What one run's record is filed under: the program digest and the
+    fingerprint of its split layout, built by :func:`record_run` from the
+    plan's layout arrays (no ``Split`` object is needed)."""
 
     digest: str | None
-    #: the split layout as ``(start, end)`` pairs, in split order
-    ranges: list[tuple[int, int]]
     split_fingerprint: str
-    shape_class: str
 
     @classmethod
     def of(
-        cls, digest: str | None, splits: Sequence[Any], num_threads: int
+        cls, digest: str | None, starts: np.ndarray, ends: np.ndarray
     ) -> "ProfileKey":
-        ranges = [(s.start, s.end) for s in splits]
+        """The key of a layout given as split start and end positions."""
         return cls(
-            digest,
-            ranges,
-            split_layout_fingerprint(ranges),
-            shape_class(sum(end - start for start, end in ranges), num_threads),
+            digest, split_layout_fingerprint(zip(starts.tolist(), ends.tolist()))
         )
-
-    def as_dict(self) -> dict[str, Any]:
-        """The ``profile_key`` entry of a technique decision record."""
-        return {
-            "digest": self.digest,
-            "split_fingerprint": self.split_fingerprint,
-            "shape_class": self.shape_class,
-        }
 
 
 @dataclass
 class RunProfile:
     """One engine run's persisted record (a single JSONL line).
 
-    Everything is JSON-native so a record survives schema-blind readers;
-    ``footprints`` is a list of ``[start, end, [group ids...]]`` triples in
-    split order (``None`` when the run observed none).
+    Everything is JSON-native so a record survives schema-blind readers.
     """
 
     schema: int = PROFILE_SCHEMA_VERSION
@@ -201,8 +168,6 @@ class RunProfile:
     lock_contention_mean: float | None = None
     native_cache: dict[str, int] | None = None
     faults: dict[str, int] = field(default_factory=dict)
-    # -- observed group footprints ----------------------------------------
-    footprints: list[list[Any]] | None = None
 
     def to_line(self) -> str:
         """The record as one newline-terminated JSONL line."""
@@ -223,11 +188,6 @@ class ProfileStore:
         self._segment_fd: int | None = None
         self._segment_path: Path | None = None
         self._pid = os.getpid()
-        #: newest footprints this store object has appended or looked up:
-        #: (digest, split fingerprint) -> (record ts, footprint map).  Lets
-        #: the second run of one store lifetime go profile-colored without
-        #: re-reading the segments.
-        self._footprints: dict[tuple[str, str], tuple[float, dict]] = {}
 
     # -- writing ----------------------------------------------------------
 
@@ -240,16 +200,6 @@ class ProfileStore:
         """Append one record atomically; returns the segment written to."""
         if profile.ts == 0.0:
             profile.ts = time.time()
-        key = (profile.digest, profile.split_fingerprint)
-        if (
-            profile.footprints is not None
-            and None not in key
-            and self._footprints.get(key, (0.0,))[0] <= profile.ts
-        ):
-            self._footprints[key] = (
-                profile.ts,
-                {(a, b): frozenset(groups) for a, b, groups in profile.footprints},
-            )
         line = profile.to_line().encode("utf-8")
         fd = self._fd()
         # a single write(2) on an O_APPEND descriptor: concurrent appends
@@ -338,46 +288,6 @@ class ProfileStore:
             records = records[len(records) - min(last, len(records)):]
         return records
 
-    def history(
-        self, digest: str | None, shape: str, last: int = 10
-    ) -> list[dict[str, Any]]:
-        """The most recent ``last`` records for one ``(digest, shape_class)`` key."""
-        if digest is None:
-            return []
-        return self.load(digest=digest, shape=shape, last=last)
-
-    def latest_footprints(
-        self, digest: str | None, split_fingerprint: str
-    ) -> "dict[tuple[int, int], frozenset[int]] | None":
-        """Observed per-split group sets from the newest matching record.
-
-        Returns ``{(start, end): groups}`` keyed by each split's element
-        range, or ``None`` when no record of this digest carries footprints
-        for exactly this split layout.
-        """
-        if digest is None:
-            return None
-        cached = self._footprints.get((digest, split_fingerprint))
-        if cached is not None:
-            return cached[1]
-        for rec in reversed(self.load(digest=digest)):
-            if rec.get("split_fingerprint") != split_fingerprint:
-                continue
-            fps = rec.get("footprints")
-            if not fps:
-                continue
-            try:
-                found = {
-                    (int(start), int(end)): frozenset(int(g) for g in groups)
-                    for start, end, groups in fps
-                }
-            except (TypeError, ValueError):
-                continue
-            ts = rec.get("ts") or 0.0
-            self._footprints[(digest, split_fingerprint)] = (ts, found)
-            return found
-        return None
-
     # -- retention ---------------------------------------------------------
 
     def gc(
@@ -401,7 +311,6 @@ class ProfileStore:
             records = records[len(records) - min(keep, len(records)):]
         old_segments = self.segments()
         self.close()
-        self._footprints.clear()
         if records:
             self.root.mkdir(parents=True, exist_ok=True)
             compacted = self.root / (
@@ -446,7 +355,6 @@ def record_run(
     spec: Any,
     stats: Any,
     plan: Any,
-    observation: Any,
     durations: "list[float] | None",
     wall_seconds: float,
 ) -> None:
@@ -454,17 +362,17 @@ def record_run(
 
     ``spec``/``stats`` are the run's :class:`~repro.freeride.spec.ReductionSpec`
     and :class:`~repro.freeride.runtime.RunStats`, ``plan`` its
-    :class:`~repro.freeride.plan.ExecutionPlan` (its ``profile_key`` names
-    the record), ``observation`` what the run observed of its splits' group
-    footprints (or ``None``) and ``durations`` the split durations worker
-    processes shipped back.  One record per run — process-executor runs
-    fold their workers' durations into it rather than appending per worker.
-    Store I/O failures degrade to a warning: profiling must never fail a
+    :class:`~repro.freeride.plan.ExecutionPlan` (whose layout arrays name
+    the record) and ``durations`` the split durations worker processes
+    shipped back.  One record per run — process-executor runs fold their
+    workers' durations into it rather than appending per worker.  Store
+    I/O failures degrade to a warning: profiling must never fail a
     computation that already succeeded.
     """
-    key: ProfileKey = plan.profile_key
     compiled = spec.bound.compiled if spec.bound is not None else None
-    ranges = key.ranges
+    key = ProfileKey.of(
+        compiled.request.digest if compiled is not None else None, *plan.layout
+    )
     split_seconds = summarize_durations(durations) if durations else None
     hists = stats.metrics.get("histograms", {}) if stats.metrics else {}
     if split_seconds is None:
@@ -478,13 +386,6 @@ def record_run(
                 "max": snap["max"],
             }
     contention = hists.get("ro.lock_acquisitions_per_split")
-    footprints = None
-    observed = observation.footprints if observation is not None else None
-    if observed is not None and ranges:
-        complete = all(r in observed for r in ranges)
-        cells = sum(len(g) for g in observed.values())
-        if complete and cells <= MAX_FOOTPRINT_CELLS:
-            footprints = [[a, b, sorted(observed[(a, b)])] for a, b in ranges]
     decision = stats.technique_decision
     native_cache = None
     if compiled is not None and compiled.native_kernel is not None:
@@ -497,7 +398,7 @@ def record_run(
         # the elements the run processed, which abandoned splits make
         # differ from the planned data's
         shape_class=shape_class(stats.total_elements, stats.num_threads),
-        split_fingerprint=key.split_fingerprint if ranges else None,
+        split_fingerprint=key.split_fingerprint if plan.num_splits else None,
         opt_level=compiled.opt_level if compiled is not None else None,
         backend=compiled.backend if compiled is not None else None,
         effective_backend=(
@@ -506,16 +407,12 @@ def record_run(
         executor=stats.executor,
         workers=stats.num_threads,
         n_elements=stats.total_elements,
-        num_splits=len(ranges),
+        num_splits=plan.num_splits,
         split_alignment=stats.split_alignment,
         technique_requested=stats.technique_requested,
         technique_effective=stats.technique_effective.value,
         decision=(
-            {
-                "chosen": decision["chosen"],
-                "reason": decision["reason"],
-                "source": decision.get("source", "static"),
-            }
+            {"chosen": decision["chosen"], "reason": decision["reason"]}
             if decision is not None
             else None
         ),
@@ -535,7 +432,6 @@ def record_run(
             )
             if (value := getattr(stats, name))
         },
-        footprints=footprints,
     )
     try:
         store.append(profile)

@@ -365,13 +365,10 @@ def format_profile_join(report: TraceReport, store: Any, last: int = 10) -> str:
             f"{median:.6f}s of last {len(history)} -> {delta:+.1f}%"
         )
         latest = history[-1]
-        decision = latest.get("decision") or {}
         coloring = latest.get("coloring") or {}
         detail = (
             f"    latest record: technique {latest.get('technique_effective', '?')}"
         )
-        if decision.get("source"):
-            detail += f" (decision source {decision['source']})"
         if coloring.get("max_wave_width") is not None:
             detail += f", max wave width {coloring['max_wave_width']}"
         lines.append(detail)

@@ -85,7 +85,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
              if store.skipped_lines else ""))
     header = (
         f"{'key':<34} {'runs':>4} {'median wall':>12} {'technique':>24} "
-        f"{'src':>8} {'wave':>4}"
+        f"{'wave':>4}"
     )
     print()
     print(header)
@@ -94,14 +94,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         latest = recs[-1]
         walls = [r["wall_seconds"] for r in recs
                  if isinstance(r.get("wall_seconds"), (int, float))]
-        decision = latest.get("decision") or {}
         coloring = latest.get("coloring") or {}
         spec = latest.get("spec_name", "?")
         print(
             f"{_fmt_key(key):<34} {len(recs):>4} "
             f"{_median(walls) if walls else float('nan'):>11.4f}s "
             f"{latest.get('technique_effective', '?'):>24} "
-            f"{decision.get('source', '-'):>8} "
             f"{coloring.get('max_wave_width', '-')!s:>4}  {spec}"
         )
     return 0

@@ -277,24 +277,33 @@ class TestRealValuedBitIdentity:
 
     Real-valued (non-dyadic) data makes every float sum order-sensitive, so
     this fails as soon as a split boundary re-associates an accumulation —
-    which reducing each split into a scratch buffer and merging it did.
+    which reducing each split into a scratch buffer and merging it did, and
+    which a profile store that observed each split's footprint that way did.
     """
 
     UNIFORM = np.random.default_rng(7).uniform(0.0, 64.0, size=1000)
     POINTS = np.random.default_rng(8).uniform(-40.0, 40.0, size=(600, 3))
     CONFIGS = [
-        ("serial", None), ("serial", 97), ("serial", 1),
-        ("threads", 97), ("process", 97),
+        pytest.param(
+            executor, chunk_size, store,
+            id=f"{executor}-{chunk_size}" + ("-store" if store else ""),
+        )
+        for executor, chunk_size, store in (
+            ("serial", None, False), ("serial", 97, False), ("serial", 1, False),
+            ("threads", 97, False), ("process", 97, False),
+            ("serial", 97, True), ("threads", 97, True),
+        )
     ]
 
-    @pytest.mark.parametrize("executor,chunk_size", CONFIGS)
-    def test_histogram(self, executor, chunk_size):
+    @pytest.mark.parametrize("executor,chunk_size,store", CONFIGS)
+    def test_histogram(self, executor, chunk_size, store, tmp_path):
         base = HistogramRunner(
             bins=16, lo=0.0, hi=64.0, version="opt-2", backend="scalar"
         ).run(self.UNIFORM)
         runner = HistogramRunner(
             bins=16, lo=0.0, hi=64.0, version="opt-2", backend="native",
             num_threads=1, executor=executor, chunk_size=chunk_size,
+            profile_store=tmp_path if store else None,
         )
         try:
             assert runner.compiled.native_kernel is not None
@@ -304,8 +313,8 @@ class TestRealValuedBitIdentity:
         assert np.array_equal(base.counts, res.counts)
         assert np.array_equal(base.sums, res.sums)
 
-    @pytest.mark.parametrize("executor,chunk_size", CONFIGS)
-    def test_kmeans(self, executor, chunk_size):
+    @pytest.mark.parametrize("executor,chunk_size,store", CONFIGS)
+    def test_kmeans(self, executor, chunk_size, store, tmp_path):
         init = self.POINTS[:4].copy()
         base = KmeansRunner(k=4, dim=3, version="opt-2", backend="scalar").run(
             self.POINTS, init, iterations=2
@@ -313,6 +322,7 @@ class TestRealValuedBitIdentity:
         runner = KmeansRunner(
             k=4, dim=3, version="opt-2", backend="native",
             num_threads=1, executor=executor, chunk_size=chunk_size,
+            profile_store=tmp_path if store else None,
         )
         try:
             assert runner.compiled.native_kernel is not None

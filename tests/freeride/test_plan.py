@@ -1,12 +1,13 @@
 """The plan as a value, and the shape of planning.
 
 ``repro.freeride.plan.plan_node`` decides one node's pass — splits,
-technique, wave schedule, profile key — before anything runs.  Pinned
-here: (a) the planner is callable on its own and says what a run then
-does; (b) a run plans once — every coloring tier resolved at most once,
-the profile key hashed once, and no store work without a store; (c) the
-engine's fixed glue does not grow; (d) manual and compiled delta sessions
-are one shape, and a failed epoch leaves either as it found it.
+technique, wave schedule — before anything runs, from the run's own
+inputs alone.  Pinned here: (a) the planner is callable on its own, says
+what a run then does, and a profile store never changes it; (b) a run
+plans once — the static coloring resolved once, the profile key hashed
+once, and no store work without a store; (c) the engine's fixed glue does
+not grow; (d) manual and compiled delta sessions are one shape, and a
+failed epoch leaves either as it found it.
 """
 
 import sys
@@ -29,6 +30,7 @@ from repro.freeride.plan import ExecutionPlan, plan_node
 from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine, RunStats
 from repro.freeride.sharedmem import SharedMemManager, SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.obs.profilestore import ProfileKey, ProfileStore, split_layout_fingerprint
 from repro.obs.tracer import NULL_TRACER
 from repro.util.errors import FreerideError
 
@@ -41,6 +43,8 @@ BINS = 8
 HIST_CONSTS = {"bins": BINS, "lo": 0.0, "width": 64.0 / BINS}
 HIST_LAYOUT = [(2, "add")] * BINS
 HIST_DATA = (np.arange(3300, dtype=np.float64) * 7) % 64
+#: sorted: contiguous splits land in disjoint bins, which only a run can see
+SORTED_HIST_DATA = np.repeat(np.arange(64.0), 50)
 
 
 def _histogram(backend="batch", data=HIST_DATA):
@@ -70,8 +74,6 @@ def _plan(engine, spec, data) -> ExecutionPlan:
         fault_tolerant=(
             engine.fault_policy is not None or engine.fault_injector is not None
         ),
-        store=engine.profile_store,
-        lock_contention=engine._last_lock_contention,
     )
 
 
@@ -104,12 +106,12 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
         plan.coloring.as_dict() if plan.coloring is not None else None
     ) == stats.coloring
     assert sum(len(s) for s in plan.splits) == stats.total_elements
-    assert plan.profile_key is None and not plan.observe  # no store attached
 
     in_process = executor != "process"
     if technique == "auto":
         decision = plan.decision
-        assert decision["requested"] == "auto" and decision["source"] == "static"
+        assert list(decision) == ["requested", "chosen", "reason", "inputs"]
+        assert decision["requested"] == "auto"
         assert decision["inputs"]["executor"] == executor
         assert decision["inputs"]["num_splits"] == len(plan.splits)
         if not in_process:
@@ -157,22 +159,53 @@ def test_colored_without_group_sets_falls_back_with_one_record():
     assert plan.decision["inputs"]["colorable"] is False
 
 
-def test_profile_key_and_observation_are_planned_only_with_a_store(tmp_path):
-    # sorted: the two halves land in disjoint bins, which only a run can see
-    spec, data = _histogram(data=np.repeat(np.arange(64.0), 50))
-    with FreerideEngine(
-        num_threads=2, executor="threads", technique="auto", profile_store=tmp_path
-    ) as engine:
-        cold = _plan(engine, spec, data)
-        assert cold.observe and cold.predicted is None
-        assert cold.profile_key.digest == spec.bound.compiled.request.digest
-        assert cold.profile_key.ranges == [(s.start, s.end) for s in cold.splits]
-        assert cold.decision["profile_key"] == cold.profile_key.as_dict()
-        engine.run(spec, data)  # observes; the store now holds footprints
-        warm = _plan(engine, spec, data)
-    assert warm.profile_key == cold.profile_key
-    assert warm.coloring.source == "profile" and warm.observe
-    assert set(warm.predicted) == {s.split_id for s in warm.splits}
+@pytest.mark.parametrize("technique", ["auto", "colored", "full_replication"])
+@pytest.mark.parametrize("case", ["windowed", "sorted histogram"])
+def test_a_store_never_steers_the_plan(case, technique, tmp_path):
+    """The third run of a store-attached engine plans and computes what a
+    store-less engine does: the store is written, never read."""
+    spec, data = _windowed() if case == "windowed" else _histogram(data=SORTED_HIST_DATA)
+    results = {}
+    for store in (None, tmp_path):
+        with FreerideEngine(
+            num_threads=2, executor="threads", technique=technique,
+            profile_store=store,
+        ) as engine:
+            for _ in range(3 if store is not None else 1):
+                results[store] = engine.run(spec, data)
+    plain, stored = results[None].stats, results[tmp_path].stats
+    assert stored.technique_effective is plain.technique_effective
+    assert stored.technique_decision == plain.technique_decision
+    assert stored.coloring == plain.coloring
+    if plain.coloring is not None:
+        assert stored.coloring["fingerprint"] == plain.coloring["fingerprint"]
+    assert (
+        results[tmp_path].ro.snapshot().tobytes()
+        == results[None].ro.snapshot().tobytes()
+    )
+    assert len(ProfileStore(tmp_path).load()) == 3
+
+
+def test_profile_key_is_built_from_the_layout(tmp_path):
+    """A record is filed under the kernel's digest and its layout's
+    fingerprint — the same strings the key hashed from ``Split`` objects."""
+    spec, data = _histogram()
+    for chunk in (None, 97):
+        with FreerideEngine(
+            num_threads=2, executor="threads", chunk_size=chunk, profile_store=tmp_path
+        ) as engine:
+            plan = _plan(engine, spec, data)
+            engine.run(spec, data)
+        key = ProfileKey.of(spec.bound.compiled.request.digest, *plan.layout)
+        assert key.digest == spec.bound.compiled.request.digest
+        assert key.split_fingerprint == split_layout_fingerprint(
+            [(s.start, s.end) for s in plan.splits]
+        )
+    records = ProfileStore(tmp_path).load()
+    assert [r["split_fingerprint"] for r in records] == [
+        "4d7179c4c8eef880", "5ce92ac82b23ef37",
+    ]
+    assert [r["num_splits"] for r in records] == [2, 35]
 
 
 def _context(engine, spec, data) -> RunContext:
@@ -191,41 +224,33 @@ def _context(engine, spec, data) -> RunContext:
     )
 
 
-def test_whole_object_commits_into_a_colored_lane_are_serialized(tmp_path):
+def test_whole_object_commits_into_a_colored_lane_are_serialized():
     """A colored lane's target is a view of the shared copy, so a commit not
-    restricted to the split's proven groups read-modify-writes cells other
-    lanes own.  Only observed runs commit that way, and the plan serializes
-    them: one split at a time, or the profile tier's commit lock."""
-    sorted_hist = _histogram(data=np.repeat(np.arange(64.0), 50))
+    restricted to the split's proven groups would read-modify-write cells
+    other lanes own.  No colored run commits that way: it is direct, or its
+    fault policy restricts every commit to the split's proven groups."""
+    sorted_hist = _histogram(data=SORTED_HIST_DATA)
     seen = Counter()
-    for name, (spec, data) in (
-        ("windowed", _windowed()), ("histogram", _histogram()), ("sorted", sorted_hist)
-    ):
+    for spec, data in (_windowed(), _histogram(), sorted_hist):
         for request in ("colored", "auto"):
             for faults in ({}, {"fault_policy": FaultPolicy()}):
-                store = tmp_path / f"{name}-{request}-{len(faults)}"
-                for turn in ("cold", "warm"):
-                    with FreerideEngine(
-                        num_threads=2, executor="threads", technique=request,
-                        profile_store=store, **faults,
-                    ) as engine:
-                        ctx = _context(engine, spec, data)
-                        engine.run(spec, data)
-                    if ctx.plan.technique is not SharedMemTechnique.COLORED:
-                        continue
-                    width = ctx.plan.coloring.max_wave_width
-                    if ctx.direct:
-                        kind = "direct"  # no commits: lanes update their views
-                    elif ctx.observation is None:
-                        kind = "restricted"
-                        assert set(ctx.commit_groups) == {s.split_id for s in ctx.splits}
-                    else:
-                        kind = "observed"
-                        assert width < 2 or ctx.observation.commit_lock is not None
-                    seen[kind, width >= 2] += 1
+                with FreerideEngine(
+                    num_threads=2, executor="threads", technique=request, **faults,
+                ) as engine:
+                    ctx = _context(engine, spec, data)
+                    engine.run(spec, data)
+                if ctx.plan.technique is not SharedMemTechnique.COLORED:
+                    continue
+                width = ctx.plan.coloring.max_wave_width
+                if ctx.direct:
+                    kind = "direct"  # no commits: lanes update their views
+                else:
+                    kind = "restricted"
+                    assert set(ctx.commit_groups) == {s.split_id for s in ctx.splits}
+                seen[kind, width >= 2] += 1
     # every way a colored run commits was planned, wide and serial
-    assert {kind for kind, _ in seen} == {"direct", "restricted", "observed"}
-    assert seen["observed", True] and seen["observed", False]
+    assert {kind for kind, _ in seen} == {"direct", "restricted"}
+    assert seen["restricted", True] and seen["restricted", False]
 
 
 # -- (b) planning happens once ------------------------------------------------------
@@ -257,9 +282,9 @@ def test_each_coloring_tier_and_the_profile_key_are_computed_once(tmp_path):
     ) as engine:
         calls = _repro_calls(engine, spec, data)
         assert sum(engine.run(spec, data).stats.splits_per_thread) == 33
-    # one static tier, one profiled tier (the parent resolved and colored 3)
-    assert 1 <= calls["resolve_group_sets"] <= 2
-    assert 1 <= calls["color_splits"] <= 2
+    # one static tier, whatever the store holds
+    assert calls["resolve_group_sets"] == 1
+    assert calls["color_splits"] == 1
     assert calls["split_layout_fingerprint"] == 1
 
 
@@ -275,14 +300,15 @@ def test_a_run_without_a_store_does_no_store_work():
 
 #: calls into ``repro/freeride/`` of a warm one-split serial native run,
 #: as measured once ``run`` became one straight path (one plan, one context)
-GLUE_CEILING = {"full_replication": 50, "auto": 67}
+#: and ``auto`` read only the run's own inputs
+GLUE_CEILING = {"full_replication": 50, "auto": 65}
 
 
 @needs_cc
 @pytest.mark.parametrize("technique,before", [("full_replication", 58), ("auto", 72)])
 def test_fixed_glue_of_a_one_split_run(technique, before):
     """Calls into ``repro/freeride/`` of a warm one-split serial run over a
-    native kernel stay within :data:`GLUE_CEILING`: 50 plain and 67 with
+    native kernel stay within :data:`GLUE_CEILING`: 50 plain and 65 with
     ``auto``.  ``before`` is the ceiling while the layout was a list of
     ``Split`` objects (59 and 78 before this module's planner)."""
     spec, data = _histogram(backend="native")
@@ -313,20 +339,31 @@ GLUE_PER_RUN = 2
 
 
 @needs_cc
-@pytest.mark.parametrize("executor", ["serial", "threads"])
-@pytest.mark.parametrize("n,chunk_size", [(3300, 3), (33_000, 30)])
-def test_glue_does_not_grow_with_splits(executor, n, chunk_size, split_objects_built):
+@pytest.mark.parametrize("executor,n,chunk_size,store", [
+    pytest.param(
+        executor, n, chunk_size, store,
+        id=f"{n}-{chunk_size}-{executor}" + ("-store" if store else ""),
+    )
+    for store in (False, True)
+    for executor in ("serial", "threads")
+    for n, chunk_size in ((3300, 3), (33_000, 30))
+])
+def test_glue_does_not_grow_with_splits(
+    executor, n, chunk_size, store, split_objects_built, tmp_path
+):
     """A warm batched run over 1,100 splits makes the calls into
     ``repro/freeride/`` its one-split twin makes, plus at most
-    ``GLUE_PER_RUN``, and builds no ``Split`` at all.  At 3,300 elements a
-    threaded wave runs inline; at 33,000 it goes to the pool, whose threads
-    the profiler does not see — but the ``Split`` count covers them."""
+    ``GLUE_PER_RUN``, and builds no ``Split`` at all — with a profile store
+    attached too, whose record reads the layout arrays.  At 3,300 elements
+    a threaded wave runs inline; at 33,000 it goes to the pool, whose
+    threads the profiler does not see — but the ``Split`` count covers
+    them."""
     spec, data = _histogram(backend="native", data=np.resize(HIST_DATA, n))
     calls = {}
     for chunk in (None, chunk_size):
         with FreerideEngine(
             executor=executor, num_threads=2, chunk_size=chunk,
-            technique="full_replication",
+            technique="full_replication", profile_store=tmp_path if store else None,
         ) as engine:
             calls[chunk] = _repro_calls(engine, spec, data, under="repro/freeride/")
             stats = engine.run(spec, data).stats
@@ -334,6 +371,8 @@ def test_glue_does_not_grow_with_splits(executor, n, chunk_size, split_objects_b
             assert sum(stats.splits_per_thread) == 1100
     assert sum(calls[chunk_size].values()) <= sum(calls[None].values()) + GLUE_PER_RUN
     assert split_objects_built["splits"] == 0
+    if store:
+        assert ProfileStore(tmp_path).load()[-1]["num_splits"] == 1100
 
 
 # -- (d) one session shape -----------------------------------------------------------

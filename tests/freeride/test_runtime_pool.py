@@ -304,13 +304,12 @@ class TestPositionsAndSplitsReportTheSame:
             assert 0 in per_split  # a lane whose only split is empty
 
     @pytest.mark.parametrize("mode", [
-        "fault_policy", "observed", "traced", "locking", "process",
+        "fault_policy", "traced", "locking", "process",
     ])
-    def test_per_split_runs_see_the_same_splits(self, mode, tmp_path, layouts_built):
+    def test_per_split_runs_see_the_same_splits(self, mode, layouts_built):
         spec, idx = _histogram_wave(3300)
         options = {
             "fault_policy": {"fault_policy": FaultPolicy()},
-            "observed": {"profile_store": tmp_path},
             "traced": {"tracer": Tracer()},
             "locking": {"technique": "cache_sensitive_locking"},
             "process": {"executor": "process"},

@@ -14,8 +14,8 @@ def _record(store: ProfileStore, wall: float, **kw) -> None:
         technique_requested="auto",
         technique_effective="colored",
         wall_seconds=wall,
-        decision={"chosen": "colored", "reason": "x", "source": "profiled"},
-        coloring={"max_wave_width": 4, "source": "profile"},
+        decision={"chosen": "colored", "reason": "x"},
+        coloring={"max_wave_width": 4, "source": "compiler"},
     )
     base.update(kw)
     store.append(RunProfile(**base))
@@ -31,7 +31,6 @@ class TestReport:
         assert "records: 2" in out
         assert "f" * 12 in out
         assert "colored" in out
-        assert "profiled" in out
 
     def test_report_empty_store_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == DIFF_INVALID

@@ -1,4 +1,6 @@
-"""Profile-store unit tests: round trips, concurrency, corruption, gc."""
+"""Profile-store tests: round trips, concurrency, corruption, gc, and the
+records engine runs append — which never change what a run plans or
+computes."""
 
 import json
 import multiprocessing
@@ -6,8 +8,11 @@ import os
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.apps.histogram import HistogramRunner
+from repro.obs import tracing
 from repro.obs.profilestore import (
     PROFILE_SCHEMA_VERSION,
     ProfileStore,
@@ -76,8 +81,6 @@ class TestRoundTrip:
         assert len(store.load(digest="b" * 64)) == 2
         assert len(store.load(digest="b" * 64, shape="n64/t1")) == 1
         assert len(store.load(last=1)) == 1
-        assert store.history("a" * 64, "n4096/t4") != []
-        assert store.history(None, "n4096/t4") == []
 
     def test_env_override_selects_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_STORE", str(tmp_path / "custom"))
@@ -86,24 +89,6 @@ class TestRoundTrip:
         store.append(_profile())
         assert (tmp_path / "custom").is_dir()
         assert len(ProfileStore(tmp_path / "custom").load()) == 1
-
-    def test_latest_footprints_requires_exact_layout(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        store.append(
-            _profile(footprints=[[0, 10, [0, 1]], [10, 20, [2]]])
-        )
-        fps = store.latest_footprints("d" * 64, "abcd")
-        assert fps == {(0, 10): frozenset({0, 1}), (10, 20): frozenset({2})}
-        assert store.latest_footprints("d" * 64, "other") is None
-        assert store.latest_footprints(None, "abcd") is None
-
-    def test_latest_footprints_prefers_newest(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        store.append(_profile(ts=1.0, footprints=[[0, 10, [0]]]))
-        store.append(_profile(ts=2.0, footprints=[[0, 10, [5]]]))
-        assert store.latest_footprints("d" * 64, "abcd") == {
-            (0, 10): frozenset({5})
-        }
 
 
 class TestResolveStore:
@@ -229,10 +214,10 @@ class TestGc:
 
 class TestProfileLine:
     def test_to_line_is_one_json_object(self):
-        line = _profile(footprints=[[0, 4, [1, 2]]]).to_line()
+        line = _profile(phase_seconds={"local": 0.25}).to_line()
         assert line.endswith("\n") and line.count("\n") == 1
         rec = json.loads(line)
-        assert rec["footprints"] == [[0, 4, [1, 2]]]
+        assert rec["phase_seconds"] == {"local": 0.25}
         assert rec["schema"] == 1
 
 
@@ -241,7 +226,8 @@ class TestOlderRecords:
     readers are schema-blind, so the schema version does not move."""
 
     #: a schema-1 record as written while the engine still stamped
-    #: ``num_nodes`` (one line of a segment file, keys in writer order)
+    #: ``num_nodes``, observed footprints and a decision source (one line
+    #: of a segment file, keys in writer order)
     OLD_RECORD = {
         "schema": 1, "ts": 1700000000.0, "digest": "e" * 64,
         "spec_name": "histogram-opt-2", "shape_class": "n4096/t2",
@@ -259,18 +245,136 @@ class TestOlderRecords:
 
     def test_a_num_nodes_record_still_loads_and_reports(self, tmp_path, capsys):
         assert PROFILE_SCHEMA_VERSION == 1
-        assert "num_nodes" not in RunProfile.__dataclass_fields__
+        gone = {"num_nodes", "footprints"}
+        assert not gone & set(RunProfile.__dataclass_fields__)
         (tmp_path / "segment-old-1.jsonl").write_text(
             json.dumps(self.OLD_RECORD, separators=(",", ":")) + "\n"
         )
         store = ProfileStore(tmp_path)
-        (rec,) = store.history("e" * 64, "n4096/t2")
+        (rec,) = store.load(digest="e" * 64, shape="n4096/t2")
         assert rec["num_nodes"] == 1 and rec["technique_effective"] == "colored"
-        assert store.latest_footprints("e" * 64, "abcd") == {
-            (0, 2000): frozenset({0, 1}),
-            (2000, 4000): frozenset({2}),
-        }
+        assert rec["footprints"] == self.OLD_RECORD["footprints"]
+        assert rec["decision"]["source"] == "profile"
         assert store.skipped_lines == 0
         assert profile_main(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "records: 1" in out and "e" * 12 in out
+
+
+# -- what engine runs record ---------------------------------------------------
+
+BINS = 64
+N = 4096
+
+
+def _sorted_data() -> np.ndarray:
+    # sorted integer-valued doubles: contiguous splits hit disjoint bin
+    # ranges, and every sum is exact in float64
+    return np.sort(((np.arange(N) * 7919) % 256).astype(np.float64))
+
+
+def _runner(store, technique="auto", threads=4, executor="threads", **kw):
+    return HistogramRunner(
+        bins=BINS, lo=0.0, hi=256.0, num_threads=threads,
+        executor=executor, technique=technique, profile_store=store, **kw
+    )
+
+
+class TestDisabledStoreIsInert:
+    def test_no_store_means_no_directory_and_static_decision(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "never-created"
+        monkeypatch.setenv("REPRO_PROFILE_STORE", str(root))
+        data = _sorted_data()
+        r = _runner(None)
+        r.run(data)
+        assert not root.exists()
+        decision = r.last_run_stats.technique_decision
+        assert list(decision) == ["requested", "chosen", "reason", "inputs"]
+        assert r.engine.profile_store is None
+
+    def test_disabled_matches_enabled_results(self, tmp_path):
+        data = _sorted_data()
+        plain = _runner(None).run(data)
+        profiled = _runner(tmp_path).run(data)
+        np.testing.assert_array_equal(plain.counts, profiled.counts)
+        np.testing.assert_array_equal(plain.sums, profiled.sums)
+
+
+class TestProcessExecutorAttribution:
+    def test_one_record_per_run_with_worker_durations(self, tmp_path):
+        data = _sorted_data()
+        r = _runner(tmp_path, technique="full_replication",
+                    threads=2, executor="process")
+        try:
+            r.run(data)
+            r.run(data)
+        finally:
+            r.engine.close()
+        recs = ProfileStore(tmp_path).load()
+        assert len(recs) == 2  # one per engine run, never per worker
+        for rec in recs:
+            assert rec["executor"] == "process"
+            assert rec["workers"] == 2
+            assert rec["split_seconds"]["count"] >= 2
+            assert "footprints" not in rec
+
+
+class TestTracedDecisions:
+    def test_decision_event_is_the_storeless_one(self, tmp_path):
+        data = _sorted_data()
+        _runner(tmp_path).run(data)
+        args = {}
+        for store in (tmp_path, None):
+            with tracing() as t:
+                _runner(store).run(data)
+            decisions = [e for e in t.events() if e.name == "technique.decision"]
+            assert decisions
+            args[store] = decisions[-1].args
+        assert args[tmp_path] == args[None]
+        assert not {"source", "profile_key"} & set(args[tmp_path])
+
+    def test_engine_run_span_carries_digest(self, tmp_path):
+        data = _sorted_data()
+        with tracing() as t:
+            _runner(tmp_path).run(data)
+        run_spans = [s for s in t.spans() if s.name == "engine.run"]
+        assert run_spans and run_spans[-1].args["digest"]
+
+
+class TestRunProfileContents:
+    def test_record_captures_configuration(self, tmp_path):
+        data = _sorted_data()
+        r = _runner(tmp_path)
+        r.run(data)
+        (rec,) = ProfileStore(tmp_path).load()
+        assert rec["spec_name"].startswith("histogram")
+        assert rec["opt_level"] is not None
+        assert rec["backend"] == "scalar"
+        assert rec["effective_backend"] == "scalar"
+        assert rec["executor"] == "threads"
+        assert rec["workers"] == 4
+        assert rec["n_elements"] == N
+        assert rec["num_splits"] >= 4
+        assert rec["split_fingerprint"]
+        assert rec["technique_requested"] == "auto"
+        assert rec["wall_seconds"] > 0
+        assert "local" in rec["phase_seconds"]
+        assert rec["decision"] == {
+            "chosen": "full_replication",
+            "reason": r.last_run_stats.technique_decision["reason"],
+        }
+
+    def test_append_failure_warns_not_raises(self, tmp_path, monkeypatch):
+        # an unwritable store warns instead of failing the computation
+        data = _sorted_data()
+
+        def broken_append(self, profile):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ProfileStore, "append", broken_append)
+        r = _runner(tmp_path)
+        with pytest.warns(RuntimeWarning, match="append failed"):
+            out = r.run(data)
+        assert out.counts.sum() == N

@@ -21,6 +21,7 @@ FAST_EXAMPLES = [
     "data_mining_suite.py",
     "cluster_scaling.py",
     "lint_reductions.py",
+    "profile_smoke.py",
 ]
 
 
