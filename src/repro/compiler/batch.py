@@ -51,7 +51,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.chapel import ast as A
-from repro.compiler.codegen import PythonCodegen, _Cost
+from repro.compiler.codegen import PythonCodegen, _Cost, uses_elem_idx
 from repro.compiler.lower import LoweredReduction, AccessSite
 from repro.compiler.passes import CompilationPlan
 
@@ -358,20 +358,6 @@ class _Taint:
             self._walk_block(stmt, ctx)
 
 
-def uses_elem_idx(body: A.Block) -> bool:
-    """Whether any expression under ``body`` calls the elemIdx() intrinsic.
-
-    The translator gates position-dependent optimizations (e.g. gathered
-    delta retraction) on this.
-    """
-    return any(
-        isinstance(e, A.Call) and e.name == "elemIdx"
-        for stmt in A.walk_stmts(body)
-        for top in A.stmt_exprs(stmt)
-        for e in A.walk_exprs(top)
-    )
-
-
 # ------------------------------------------------------------------ generator
 
 
@@ -579,7 +565,7 @@ class BatchCodegen(PythonCodegen):
             # buffer and supplies their true global indices via the env
             self._w('_ev = _env.get("_elem_indices")')
             self._w("if _ev is None:")
-            self._w("    _ev = _np.arange(_start, _end)")
+            self._w('    _ev = _np.arange(_start, _end) + _env.get("_elem_base", 0)')
         self._w("_C.elements_processed += _n0")
         self._w("with _errstate():")
         self.indent += 1

@@ -19,12 +19,14 @@ the class docstring); it never walks the IR itself:
   machine prices those measurements.  Calling convention::
 
       def _kernel(_start, _end, _ro, _env, _C):
-          # processes global elements [_start, _end) of the linearized dataset
+          # processes elements [_start, _end) of the dataset segment in _env
 
   ``_env`` carries the linearized buffers, per-site readers and mapping
   infos (installed by :mod:`repro.compiler.translate` at bind time from the
-  plan's :class:`~repro.compiler.passes.SiteResource` table); ``_ro`` is the
-  thread's reduction-object accessor; ``_C`` the counter ledger.
+  plan's :class:`~repro.compiler.passes.SiteResource` table) and, for a
+  segment that does not start at element 0, its first global position as
+  ``_elem_base`` (``elemIdx()`` adds it); ``_ro`` is the thread's
+  reduction-object accessor; ``_C`` the counter ledger.
 * :class:`~repro.compiler.batch.BatchCodegen` — the split-level NumPy kernel
   (a ``PythonCodegen`` whose values are lane arrays).
 * :class:`~repro.compiler.native.NativeCodegen` — the C kernel the JIT tier
@@ -45,7 +47,9 @@ from repro.compiler.lower import AccessSite, LoweredReduction
 from repro.compiler.passes import CompilationPlan, LoopHoist, SitePlan, site_key
 from repro.util.errors import CodegenError
 
-__all__ = ["KernelEmitter", "PythonCodegen", "CLikeCodegen", "site_key"]
+__all__ = [
+    "KernelEmitter", "PythonCodegen", "CLikeCodegen", "site_key", "uses_elem_idx",
+]
 
 _PY_LOGICAL = {"&&": "and", "||": "or"}
 
@@ -69,6 +73,20 @@ class _Cost:
 
     def bump(self, name: str, by: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + by
+
+
+def uses_elem_idx(body: A.Block) -> bool:
+    """Whether any expression under ``body`` calls the elemIdx() intrinsic.
+
+    The translator gates position-dependent optimizations (e.g. gathered
+    delta retraction) on this.
+    """
+    return any(
+        isinstance(e, A.Call) and e.name == "elemIdx"
+        for stmt in A.walk_stmts(body)
+        for top in A.stmt_exprs(stmt)
+        for e in A.walk_exprs(top)
+    )
 
 
 class KernelEmitter:
@@ -389,7 +407,7 @@ class PythonCodegen(KernelEmitter):
         return f"{_MATH_BUILTINS[name]}({', '.join(args)})"
 
     def elem_idx(self) -> str:
-        return "_e"
+        return "(_e + _eb)"
 
     # -- access sites ---------------------------------------------------------------
 
@@ -489,6 +507,8 @@ class PythonCodegen(KernelEmitter):
                 self._w(f'_tv_{kid} = _env["view_{kid}"]')
             if "nested" in res.modes:
                 self._w(f'_v_{res.root} = _env["val_{res.root}"]')
+        if uses_elem_idx(self.low.body):
+            self._w('_eb = _env.get("_elem_base", 0)')
         self._w("for _e in range(_start, _end):")
         self.indent += 1
         self._w("_C.elements_processed += 1")

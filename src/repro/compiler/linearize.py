@@ -98,10 +98,8 @@ class LinearizedBuffer:
     def __post_init__(self) -> None:
         if self.raw.dtype != np.uint8:
             raise LinearizationError("LinearizedBuffer requires a uint8 backing array")
-        # capacity-doubled backing storage; allocated lazily on first grow()
-        # so the zero-copy numpy fast path stays zero-copy until appends
-        # actually happen.  When present, ``raw`` is always a prefix view
-        # of it.
+        # capacity-doubled backing storage, allocated by the first grow();
+        # when present, ``raw`` is always a prefix view of it
         self._backing: np.ndarray | None = None
 
     @property
@@ -119,9 +117,7 @@ class LinearizedBuffer:
         Within capacity this is O(1) — ``raw`` just becomes a longer view
         of the backing array, so the unchanged prefix is never copied or
         re-walked.  Past capacity the backing doubles (amortized O(1) per
-        appended byte); the one-time prefix copy also migrates buffers
-        whose ``raw`` aliased caller-owned memory (the zero-copy fast
-        path) into storage this buffer owns.
+        appended byte), and the bytes so far are copied into it.
 
         The grown bytes are *not* initialised: the backing is allocated
         uninitialised, and after a :meth:`shrink` they hold whatever the

@@ -31,7 +31,10 @@ The exported C function takes a *list* of ``[start, end)`` ranges and
 loops the per-split body over it, so one cffi call — GIL released for
 all of it, in cffi's ABI mode — covers a whole batch of splits: threads
 scale, and the interpreter's share of a pass no longer grows with the
-split count.  A single split is a list of one.  Element-dependent
+split count.  A single split is a list of one.  The ranges are positions
+in one dataset segment, whose first global position comes as ``_e0``:
+``elemIdx()`` is ``_e + _e0``, and data offsets stay segment-local.
+Element-dependent
 branches and bounded gathers that force the batch backend whole-kernel
 scalar compile to ordinary C control flow.
 
@@ -118,7 +121,7 @@ _log = get_logger("compiler.native")
 
 #: Bump on any change to the generated C's calling convention or layout —
 #: part of every on-disk cache key, so stale artifacts are never dlopen'd.
-NATIVE_FORMAT_VERSION = 4
+NATIVE_FORMAT_VERSION = 5
 
 #: Everything ``cc`` is told besides the input and output paths.  The same
 #: tuple is part of the on-disk cache key, so a change here can never attach
@@ -397,7 +400,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         return self._mangle(name), self.local_types.get(name, "i")
 
     def elem_idx(self) -> tuple[str, str]:
-        return "_e", "i"
+        return "(_e + _e0)", "i"
 
     def as_index(self, value: tuple[str, str]) -> str:
         code, t = value
@@ -686,7 +689,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
             "    long long _proven, _Bool *_touched, double *_C)"
         )
         self._w(f"static long long {_SYMBOL_SENTINEL}_split(")
-        self._w("    long long _start, long long _end,")
+        self._w("    long long _start, long long _end, long long _e0,")
         self._w(target)
         self._w("{")
         self.indent += 1
@@ -707,7 +710,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
             if hoist.incremental is not None:
                 self._w(f"long long _b_{hoist.hoist_id} = 0;")
         prologue = len(self.lines)  # where the counter locals get declared
-        self._w("(void)_bufs; (void)_acc; (void)_ro_off; (void)_ro_n;")
+        self._w("(void)_e0; (void)_bufs; (void)_acc; (void)_ro_off; (void)_ro_n;")
         self._w("(void)_ro_op; (void)_ro_groups; (void)_proven; (void)_touched;")
         self._w("for (long long _e = _start; _e < _end; _e++) {")
         self.indent += 1
@@ -734,11 +737,12 @@ class NativeCodegen(_CBraces, KernelEmitter):
         # stopping at the first split that fails.
         self._w(f"long long {_SYMBOL_SENTINEL}(")
         self._w("    long long _n, const long long *_starts, const long long *_ends,")
+        self._w("    long long _e0,")
         self._w(target)
         self._w("{")
         self._w("    for (long long _i = 0; _i < _n; _i++) {")
         self._w(f"        long long _rc = {_SYMBOL_SENTINEL}_split(")
-        self._w("            _starts[_i], _ends[_i], _bufs, _acc, _ro_off, _ro_n,")
+        self._w("            _starts[_i], _ends[_i], _e0, _bufs, _acc, _ro_off, _ro_n,")
         self._w("            _ro_op, _ro_groups, _proven, _touched, _C);")
         self._w("        if (_rc != 0) return _rc;")
         self._w("    }")
@@ -860,7 +864,7 @@ def _dlopen(so_path: Path, symbol: str) -> tuple[Any, Any]:
     ffi = cffi.FFI()
     ffi.cdef(
         f"long long {symbol}(long long, const long long *, const long long *, "
-        "const unsigned char **, double *, const long long *, "
+        "long long, const unsigned char **, double *, const long long *, "
         "const long long *, const long long *, long long, long long, _Bool *, "
         "double *);"
     )
@@ -1258,6 +1262,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             len(_starts),
             ffi.from_buffer("long long[]", _starts),
             ffi.from_buffer("long long[]", _ends),
+            _env.get("_elem_base", 0),
             c_bufs, c_elems, c_off, c_n, c_op, groups, proven, c_touched,
             c_counters,
         )

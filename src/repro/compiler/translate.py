@@ -515,7 +515,16 @@ class CompiledReduction:
 
 @dataclass
 class BoundReduction:
-    """A compiled kernel bound to concrete data — runnable on the engine."""
+    """A compiled kernel bound to concrete data — runnable on the engine.
+
+    The dataset is at most two segments.  The *prefix* is the buffer
+    ``bind`` made — on the numpy path the caller's own array — and is never
+    grown or copied.  The *tail* (:attr:`tail_buf`) is one owned buffer,
+    made by the first :meth:`append_elements`, that every append lands in.
+    No kernel call spans the two: ranges are cut at :attr:`n_prefix`, and a
+    tail range runs at tail-local positions with ``_elem_base`` =
+    :attr:`n_prefix` in its env, so ``elemIdx()`` stays global.
+    """
 
     compiled: CompiledReduction
     env: dict[str, Any]
@@ -532,6 +541,13 @@ class BoundReduction:
     #: (one segment per distinct buffer); ``run_baseline`` sets a delta
     #: session's, so each delta ships only its tail into one growable segment
     shm_session: str | None = None
+    #: elements in the prefix segment (:attr:`data_buf`)
+    n_prefix: int = field(init=False)
+    #: the appended elements, once there are any
+    tail_buf: LinearizedBuffer | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.n_prefix = self.n_elements
 
     def update_extras(self, extras: dict[str, Any]) -> None:
         """(Re)bind extra values — e.g. new centroids each k-means iteration.
@@ -569,55 +585,101 @@ class BoundReduction:
             comp._install(self.env, res, buffers[root].raw)
         self.extras_epoch += 1
 
+    # -- the two segments ---------------------------------------------------------------
+
+    def segments(self) -> tuple[np.ndarray, ...]:
+        """The dataset's bytes, in position order: the prefix, then the tail
+        once there is one."""
+        if self.tail_buf is None:
+            return (self.data_buf.raw,)
+        esz = self.compiled.lowered.element_type.sizeof
+        return self.data_buf.raw[: self.n_prefix * esz], self.tail_buf.raw
+
+    def dataset_raw(self) -> np.ndarray:
+        """The whole dataset as one byte array — a copy once there is a
+        tail (tests)."""
+        parts = self.segments()
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    @property
+    def dataset_type(self) -> ChapelType:
+        """The array type of the whole dataset, both segments."""
+        if self.tail_buf is None:
+            return self.data_buf.typ
+        return ArrayType(Domain(self.n_elements), self.compiled.lowered.element_type)
+
     # -- direct execution (tests) -----------------------------------------------------
 
     def run_serial(self, ro: Any) -> None:
         """Run the kernel over all elements with a bare accessor (tests)."""
-        self.compiled.effective_kernel(0, self.n_elements, ro, self.env, self.counters)
+        self.reduce_ranges(
+            np.zeros(1, dtype=np.int64), np.full(1, self.n_elements, dtype=np.int64), ro
+        )
 
     def reduce_ranges(self, starts: np.ndarray, ends: np.ndarray, ro: Any) -> None:
         """The kernel over ``[starts[i], ends[i])`` in order, into ``ro``.
 
-        ``ReductionSpec.reduce_ranges`` for every tier: a native kernel
-        takes the two arrays into one C call; the scalar kernel is called
-        once per range; the batch kernel too, unless the runs are short —
-        each dispatch costs about what :data:`GATHER_RUN_THRESHOLD`
-        vectorized elements do — and then it runs once over a gathered
-        copy (:meth:`run_gathered`).
+        ``ReductionSpec.reduce_ranges`` for every tier, and the one path
+        every kernel call over the dataset takes (:meth:`run_serial` and the
+        spec's per-split ``reduction`` come here with a list of one).  A
+        native kernel takes the two arrays into one C call per segment; the
+        scalar kernel is called once per range; the batch kernel too,
+        unless the runs are short — each dispatch costs about what
+        :data:`GATHER_RUN_THRESHOLD` vectorized elements do — and then it
+        runs once over a gathered copy (:meth:`run_gathered`).
+
+        The ranges are ascending, as every caller's are, and are cut at
+        :attr:`n_prefix`: a tail range runs at tail-local positions over a
+        per-call env that reads the tail, with ``_elem_base`` =
+        :attr:`n_prefix` so ``elemIdx()`` stays global.
         """
-        kernel = self.compiled.effective_kernel
+        comp = self.compiled
+        kernel = comp.effective_kernel
         ranges = getattr(kernel, "ranges", None)
-        if ranges is not None:
-            ranges(starts, ends, ro, self.env, self.counters)
-            return
-        lengths = ends - starts
-        total = int(lengths.sum())
-        if (
-            self.compiled.effective_backend == "batch"
-            and len(starts) > 1
-            and total < len(starts) * GATHER_RUN_THRESHOLD
-        ):
-            # positions of run i follow starts[i]; `before` is what earlier
-            # runs already placed
-            before = np.cumsum(lengths) - lengths
-            self.run_gathered(
-                np.repeat(starts - before, lengths) + np.arange(total), ro
-            )
-            return
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            if start < end:
-                kernel(start, end, ro, self.env, self.counters)
+        if ranges is None and len(starts) > 1 and comp.effective_backend == "batch":
+            lengths = ends - starts
+            total = int(lengths.sum())
+            if total < len(starts) * GATHER_RUN_THRESHOLD:
+                # positions of run i follow starts[i]; `before` is what
+                # earlier runs already placed
+                before = np.cumsum(lengths) - lengths
+                self.run_gathered(
+                    np.repeat(starts - before, lengths) + np.arange(total), ro
+                )
+                return
+        n0 = self.n_prefix
+        pieces = [(starts, ends, self.env)]
+        if self.tail_buf is not None and len(ends) and ends[-1] > n0:
+            tail_env = dict(self.env)
+            comp._install_site_resources(tail_env, self.tail_buf)
+            tail_env["_elem_base"] = n0
+            if starts[0] >= n0:
+                pieces = [(starts - n0, ends - n0, tail_env)]
+            else:
+                k = int(np.searchsorted(starts, n0))  # ranges that start in the prefix
+                j = int(np.searchsorted(ends, n0, side="right"))  # ... and end there
+                pieces = [
+                    (starts[:k], np.minimum(ends[:k], n0), self.env),
+                    (np.maximum(starts[j:], n0) - n0, ends[j:] - n0, tail_env),
+                ]
+        for starts, ends, env in pieces:
+            if ranges is not None:
+                ranges(starts, ends, ro, env, self.counters)
+                continue
+            for start, end in zip(starts.tolist(), ends.tolist()):
+                if start < end:
+                    kernel(start, end, ro, env, self.counters)
 
     def run_gathered(self, indices: np.ndarray, ro: Any) -> int:
         """Run the batch kernel once over a gathered copy of scattered elements.
 
-        The elements are copied into a temporary contiguous buffer that is
-        installed into a per-call copy of the env (the kernel reads its
-        data buffers out of the env at call time), and their true global
-        indices ride along as ``_elem_indices`` so ``elemIdx()`` sees
-        original positions, not positions in the copy.  Only the batch
-        kernel reads that entry: other tiers are refused.  Returns the
-        element count.
+        The elements — from either segment — are copied into a temporary
+        contiguous buffer that is installed into a per-call copy of the env
+        (the kernel reads its data buffers out of the env at call time),
+        and their true global indices ride along as ``_elem_indices`` so
+        ``elemIdx()`` sees original positions, not positions in the copy.
+        Only the batch kernel reads that entry: other tiers are refused.
+        Returns the element count.
         """
         comp = self.compiled
         if comp.effective_backend != "batch":
@@ -631,11 +693,16 @@ class BoundReduction:
             return 0
         elem_t = comp.lowered.element_type
         esz = elem_t.sizeof
-        rows = self.data_buf.raw[: self.n_elements * esz].reshape(
-            self.n_elements, esz
-        )
-        gathered = np.ascontiguousarray(rows[idx]).reshape(-1)
-        shim = LinearizedBuffer(typ=ArrayType(Domain(k), elem_t), raw=gathered)
+        n0 = self.n_prefix
+        rows = self.data_buf.raw[: n0 * esz].reshape(n0, esz)
+        if self.tail_buf is None:
+            gathered = np.ascontiguousarray(rows[idx])
+        else:
+            gathered = np.empty((k, esz), dtype=np.uint8)
+            head = idx < n0
+            gathered[head] = rows[idx[head]]
+            gathered[~head] = self.tail_buf.raw.reshape(-1, esz)[idx[~head] - n0]
+        shim = LinearizedBuffer(typ=ArrayType(Domain(k), elem_t), raw=gathered.reshape(-1))
         env = dict(self.env)
         comp._install_site_resources(env, shim)
         env["_elem_indices"] = idx.astype(np.int64, copy=False)
@@ -645,14 +712,13 @@ class BoundReduction:
     # -- delta execution ---------------------------------------------------------------
 
     def append_elements(self, data: "ChapelArray | np.ndarray") -> int:
-        """Extend the bound dataset with new elements, in place.
+        """Extend the bound dataset with new elements.
 
         The delta-execution append path: only the new elements are
-        linearized (the existing prefix is never re-walked — see
-        :func:`~repro.compiler.linearize.linearize_append`), and the env's
-        site readers/viewers are re-installed because growth past capacity
-        reallocates the backing storage they view.  Returns the new
-        element count.
+        linearized, into the tail (made on the first append, grown by
+        :meth:`~repro.compiler.linearize.LinearizedBuffer.grow`); the
+        prefix is never copied or re-walked.  Returns the new element
+        count; a refused batch leaves the dataset as it was.
         """
         comp = self.compiled
         elem_t = comp.lowered.element_type
@@ -665,11 +731,12 @@ class BoundReduction:
                     f"element {elem_t}"
                 )
             raw = arr.reshape(-1).view(np.uint8)
-            old_bytes = self.data_buf.raw.size
-            self.data_buf.grow(old_bytes + raw.size)
-            self.data_buf.raw[old_bytes:] = raw
-            new_n = self.n_elements + int(arr.shape[0])
-            self.data_buf.typ = ArrayType(Domain(new_n), elem_t)
+            tail = self.tail_buf if self.tail_buf is not None else self._new_tail()
+            old_bytes = tail.raw.size
+            tail.grow(old_bytes + raw.size)
+            tail.raw[old_bytes:] = raw
+            n_tail = self.n_elements - self.n_prefix + int(arr.shape[0])
+            tail.typ = ArrayType(Domain(n_tail), elem_t)
             self.counters.bytes_linearized += int(raw.size)
         elif isinstance(data, ChapelArray):
             if data.type.elt != elem_t:
@@ -677,24 +744,34 @@ class BoundReduction:
                     f"appended elements are {data.type.elt}, kernel "
                     f"expects {elem_t}"
                 )
-            new_n = linearize_append(self.data_buf, data, self.counters)
+            tail = self.tail_buf if self.tail_buf is not None else self._new_tail()
+            n_tail = linearize_append(tail, data, self.counters)
         else:
             raise CompilerError(f"cannot append data of type {type(data)}")
-        self.n_elements = new_n
-        comp._install_site_resources(self.env, self.data_buf)
-        return new_n
+        self.n_elements = self.n_prefix + n_tail
+        return self.n_elements
+
+    def _new_tail(self) -> LinearizedBuffer:
+        elem_t = self.compiled.lowered.element_type
+        self.tail_buf = LinearizedBuffer(
+            typ=ArrayType(Domain(0), elem_t), raw=np.empty(0, dtype=np.uint8)
+        )
+        return self.tail_buf
 
     def truncate_elements(self, n_elements: int) -> None:
-        """Roll the dataset back to ``n_elements`` (failed append batch)."""
-        if not 0 <= n_elements <= self.n_elements:
+        """Roll the appended elements back to ``n_elements`` (failed append
+        batch); the prefix is never cut."""
+        if not self.n_prefix <= n_elements <= self.n_elements:
             raise CompilerError(
-                f"cannot truncate to {n_elements} of {self.n_elements} elements"
+                f"cannot truncate to {n_elements} of {self.n_elements} elements "
+                f"({self.n_prefix} bound)"
             )
-        elem_t = self.compiled.lowered.element_type
-        self.data_buf.shrink(n_elements * elem_t.sizeof)
-        self.data_buf.typ = ArrayType(Domain(n_elements), elem_t)
+        if self.tail_buf is not None:
+            elem_t = self.compiled.lowered.element_type
+            n_tail = n_elements - self.n_prefix
+            self.tail_buf.shrink(n_tail * elem_t.sizeof)
+            self.tail_buf.typ = ArrayType(Domain(n_tail), elem_t)
         self.n_elements = n_elements
-        self.compiled._install_site_resources(self.env, self.data_buf)
 
     # -- FREERIDE integration ------------------------------------------------------------
 
@@ -709,7 +786,8 @@ class BoundReduction:
         the engine dispatches the batch kernel per split (under both the
         serial and threaded executors) whenever the batch backend compiled,
         and the scalar kernel otherwise.  Lists of ranges — a lane's batch of
-        splits, a delta epoch's runs — enter through :meth:`reduce_ranges`.
+        splits, a delta epoch's runs — enter through :meth:`reduce_ranges`,
+        and so does a split that reaches past the prefix.
         """
         kernel = self.compiled.effective_kernel
         env = self.env
@@ -727,7 +805,15 @@ class BoundReduction:
             indices = args.data
             if len(indices) == 0:
                 return
-            kernel(indices[0], indices[-1] + 1, args.ro, env, counters)
+            start, end = indices[0], indices[-1] + 1
+            if end <= self.n_prefix:
+                kernel(start, end, args.ro, env, counters)
+            else:
+                self.reduce_ranges(
+                    np.array([start], dtype=np.int64),
+                    np.array([end], dtype=np.int64),
+                    args.ro,
+                )
 
         spec = ReductionSpec(
             name=f"{self.compiled.name}-{self.compiled.version_name}",

@@ -338,7 +338,8 @@ class DeltaSession:
     ro: ReductionObject
     #: the dataset the deltas grow and shrink: a
     #: :class:`~repro.compiler.translate.BoundReduction` (the data lives in
-    #: its linearized buffer) or a :class:`ManualDataset` — anything with
+    #: two segments: the caller's array as bound, then one owned tail the
+    #: appends land in) or a :class:`ManualDataset` — anything with
     #: ``make_spec(layout, finalize)``, ``append_elements``,
     #: ``truncate_elements`` and ``n_elements``
     source: Any
@@ -348,8 +349,9 @@ class DeltaSession:
     finalize: Any = None
     #: total logical positions, including tombstoned (retracted) ones
     n_elements: int = field(init=False)
-    #: liveness bitmap over ``[0, n_elements)`` — a view of a
-    #: capacity-doubled backing that epochs flip in place
+    #: liveness bitmap over ``[0, n_elements)`` — a view of a backing
+    #: with 2× headroom from the start, doubled when appends outgrow it,
+    #: that epochs flip in place
     #: (:meth:`advance_liveness` / :meth:`rewind_liveness`)
     live: np.ndarray = field(init=False)
     #: delta epochs applied so far (0 = baseline only)
@@ -375,7 +377,10 @@ class DeltaSession:
 
     def __post_init__(self) -> None:
         self.n_elements = self.live_count = int(self.source.n_elements)
-        self.live = self._live = np.ones(self.n_elements, dtype=bool)
+        # headroom for the appends to come, so no early epoch copies the mask
+        self._live = np.empty(max(2 * self.n_elements, 64), dtype=bool)
+        self.live = self._live[: self.n_elements]
+        self.live[:] = True
         invertible = [OP_CODES[op] for op in INVERTIBLE_ACCUMULATE_OPS]
         opcodes = self.ro.direct_store().opcodes
         self.noninvertible_mask = ~np.isin(opcodes, invertible)

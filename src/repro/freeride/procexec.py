@@ -129,22 +129,23 @@ def task_payload(
             "the spec with BoundReduction.make_spec (a hand-written "
             "ReductionSpec closure cannot be shipped to worker processes)"
         )
-    # the binding as it is now, not as it was when the spec was made
-    data_raw, n_elements = bound.data_buf.raw, bound.n_elements
+    # the binding as it is now, not as it was when the spec was made; a
+    # worker reads both segments as one buffer
+    parts = bound.segments()
     if bound.shm_session is not None:
         # delta sessions publish into one growable session segment — a
         # pass ships only the bytes appended since the last publish.  Only
         # a full pass publishes, never an epoch in flight, so every
         # published byte belongs to a committed prefix and stays valid.
-        name, nbytes = segments.publish_session(bound.shm_session, data_raw)
+        name, nbytes = segments.publish_session(bound.shm_session, *parts)
     else:
-        name, nbytes = segments.publish(data_raw)
+        name, nbytes = segments.publish(*parts)
     return {
         "request": bound.compiled.request,
         "data_shm": name,
         "data_nbytes": nbytes,
-        "dataset_type": bound.data_buf.typ,
-        "n_elements": n_elements,
+        "dataset_type": bound.dataset_type,
+        "n_elements": bound.n_elements,
         "extras": bound.extras_values,
         "extras_epoch": bound.extras_epoch,
         "ro_layout": list(ro_layout),

@@ -462,6 +462,34 @@ def close_shm_segment(shm: mp_shm.SharedMemory, unlink: bool = False) -> None:
         pass
 
 
+def _flat_parts(parts: "tuple[np.ndarray, ...]") -> list[np.ndarray]:
+    """Each part as a flat byte view; a strided part is refused."""
+    flats = []
+    for arr in parts:
+        arr = np.asarray(arr)
+        if not arr.flags["C_CONTIGUOUS"]:
+            raise FreerideError("can only publish C-contiguous buffers")
+        flats.append(arr.reshape(-1).view(np.uint8))
+    return flats
+
+
+def _copy_parts(
+    shm: mp_shm.SharedMemory, flats: list[np.ndarray], start: int, stop: int
+) -> None:
+    """Copy bytes ``[start, stop)`` of the parts' concatenation into ``shm``
+    at the same offsets."""
+    if start >= stop:
+        return
+    dst = np.ndarray((stop,), dtype=np.uint8, buffer=shm.buf)
+    pos = 0
+    for flat in flats:
+        lo, hi = max(start, pos), min(stop, pos + flat.size)
+        if lo < hi:
+            dst[lo:hi] = flat[lo - pos : hi - pos]
+        pos += flat.size
+    del dst
+
+
 class SharedBufferCache:
     """Publishes read-only numpy buffers into shared memory, once per content.
 
@@ -491,72 +519,55 @@ class SharedBufferCache:
         self.session_full_bytes = 0
         self._lock = threading.Lock()
 
-    def publish_session(self, key: str, arr: np.ndarray) -> tuple[str, int]:
+    def publish_session(self, key: str, *parts: np.ndarray) -> tuple[str, int]:
         """Publish a *growable* buffer under a caller-chosen session key.
 
-        Unlike :meth:`publish` (content-addressed, one immutable segment
-        per distinct byte string), a session segment is updated in place:
-        when ``arr`` extends the previously published bytes, only the new
-        tail is copied — O(|Δ|) per delta run instead of O(n).  The
-        segment is over-allocated 2× so repeated appends amortize; past
-        capacity a larger segment replaces it (workers re-attach by the
-        new name; the old segment is unlinked but stays mapped wherever
-        it is still open).
+        The buffer is the concatenation of ``parts`` (a delta session's
+        prefix and tail).  Unlike :meth:`publish` (content-addressed, one
+        immutable segment per distinct byte string), a session segment is
+        updated in place: when the parts extend the previously published
+        bytes, only the new bytes are copied — O(|Δ|) per delta run instead
+        of O(n).  The segment is over-allocated 2× so repeated appends
+        amortize; past capacity a larger segment replaces it (workers
+        re-attach by the new name; the old segment is unlinked but stays
+        mapped wherever it is still open).
         """
-        arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            raise FreerideError("can only publish C-contiguous buffers")
-        flat = arr.reshape(-1).view(np.uint8)
-        nbytes = int(flat.size)
+        flats = _flat_parts(parts)
+        nbytes = sum(int(flat.size) for flat in flats)
         with self._lock:
             entry = self._sessions.get(key)
             if entry is not None:
                 shm, written = entry
                 written = min(written, nbytes)
                 if shm.size >= nbytes:
-                    if nbytes > written:
-                        dst = np.ndarray((nbytes,), dtype=np.uint8, buffer=shm.buf)
-                        dst[written:nbytes] = flat[written:nbytes]
-                        del dst
-                        self.session_tail_bytes += nbytes - written
+                    _copy_parts(shm, flats, written, nbytes)
+                    self.session_tail_bytes += nbytes - written
                     self._sessions[key] = (shm, nbytes)
                     return shm.name, nbytes
                 # outgrew capacity: migrate to a doubled segment (full copy)
-                new = create_shm_segment(max(2 * nbytes, 1))
-                if nbytes:
-                    dst = np.ndarray((nbytes,), dtype=np.uint8, buffer=new.buf)
-                    dst[:] = flat
-                    del dst
-                self.session_full_bytes += nbytes
                 close_shm_segment(shm, unlink=True)
-                self._sessions[key] = (new, nbytes)
-                return new.name, nbytes
             shm = create_shm_segment(max(2 * nbytes, 1))
-            if nbytes:
-                dst = np.ndarray((nbytes,), dtype=np.uint8, buffer=shm.buf)
-                dst[:] = flat
-                del dst
+            _copy_parts(shm, flats, 0, nbytes)
             self.session_full_bytes += nbytes
             self._sessions[key] = (shm, nbytes)
             return shm.name, nbytes
 
-    def publish(self, arr: np.ndarray) -> tuple[str, int]:
-        """Copy ``arr`` into a shared segment (once); returns ``(name, nbytes)``."""
-        arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            raise FreerideError("can only publish C-contiguous buffers")
-        flat = arr.reshape(-1).view(np.uint8)
-        key = hashlib.sha256(flat).hexdigest()
+    def publish(self, *parts: np.ndarray) -> tuple[str, int]:
+        """Copy the concatenation of ``parts`` into a shared segment (once);
+        returns ``(name, nbytes)``."""
+        flats = _flat_parts(parts)
+        digest = hashlib.sha256()
+        for flat in flats:
+            digest.update(flat)
+        key = digest.hexdigest()
+        nbytes = sum(int(flat.size) for flat in flats)
         with self._lock:
             shm = self._entries.get(key)
             if shm is None:
-                shm = create_shm_segment(arr.nbytes)
-                if arr.nbytes:
-                    dst = np.ndarray((arr.nbytes,), dtype=np.uint8, buffer=shm.buf)
-                    dst[:] = flat
-                    del dst
+                shm = create_shm_segment(nbytes)
+                _copy_parts(shm, flats, 0, nbytes)
                 self._entries[key] = shm
-            return shm.name, arr.nbytes
+            return shm.name, nbytes
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,10 +1,11 @@
 """The ``elemIdx()`` intrinsic: dataset position inside ``accumulate``.
 
-The element index flows through four surfaces — the lowering validator,
-the reference interpreter, the scalar per-element kernel and the batch
-lane array — and all four must agree on the same 0-based global
-position (split-local offsets would silently shear every window-style
-reduction).
+The element index flows through five surfaces — the lowering validator,
+the reference interpreter, the scalar per-element kernel, the batch
+lane array and the native loop — and all must agree on the same 0-based
+global position (split-local offsets would silently shear every
+window-style reduction), also for a dataset segment that starts at an
+element base.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from repro.chapel.parser import parse_program
 from repro.compiler.interp import interpret_accumulate
 from repro.compiler.lower import lower_reduction
+from repro.compiler.native import probe_toolchain
 from repro.compiler.translate import compile_reduction
 from repro.freeride.reduction_object import ReductionObject
 from repro.util.errors import CompilerError
@@ -107,3 +109,29 @@ def test_split_offsets_stay_global(backend):
     comp.effective_kernel(8, 16, ro, bound.env, bound.counters)
     counts = [ro.get(g, 0) for g in range(4)]
     assert counts == [0.0, 0.0, 4.0, 4.0]
+
+
+needs_cc = pytest.mark.skipif(
+    not probe_toolchain()["ok"],
+    reason=f"no usable C toolchain: {probe_toolchain()['reason']}",
+)
+
+
+@pytest.mark.parametrize("backend", ["scalar", "batch", pytest.param("native", marks=needs_cc)])
+def test_an_element_base_shifts_the_index_on_every_tier(backend):
+    """A delta session's tail runs at segment-local positions with its first
+    global position as ``_elem_base``: local elements 0..7 of a segment
+    based at 8 are global elements 8..15, windows 2 and 3."""
+    comp = compile_reduction(SOURCE, CONSTS, opt_level=2, backend=backend)
+    assert comp.effective_backend == backend
+    data = np.arange(8, dtype=np.float64) + 1.0
+    bound = comp.bind(data)
+    env = dict(bound.env, _elem_base=8)
+    ro = _fresh_ro()
+    comp.effective_kernel(0, 8, ro, env, bound.counters)
+    assert [ro.get(g, 0) for g in range(4)] == [0.0, 0.0, 4.0, 4.0]
+    assert [ro.get(g, 1) for g in range(4)] == [0.0, 0.0, 10.0, 26.0]
+    # past the last window: the clamp sees the global index too
+    ro = _fresh_ro()
+    comp.effective_kernel(0, 8, ro, dict(bound.env, _elem_base=100), bound.counters)
+    assert [ro.get(g, 0) for g in range(4)] == [0.0, 0.0, 0.0, 8.0]

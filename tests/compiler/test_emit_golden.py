@@ -13,7 +13,10 @@ the commit that added the op argument to ``_ro.accumulate`` — the one line
 per RO update by which the scalar text differs from that tree's.  The
 native-C digests of the kernels with proof sites moved again when the
 default build dropped its ``_proven`` bit test (the checked twin keeps it
-and is not pinned here).
+and is not pinned here).  Every native-C digest moved once more, and the
+windowed kernel's scalar and batch ones, when ``elemIdx()`` gained the
+element base a dataset segment starts at (the C entry's ``_e0`` argument,
+``_elem_base`` in the Python tiers' env).
 
 To re-record after an intended change, run this file as a script with
 ``PYTHONPATH=src:.`` and paste its output over ``GOLDEN``.
@@ -72,7 +75,7 @@ GOLDEN = {
         'scalar': '7a687dc7972b441b',
         'c_like': '38e7870de92cc674',
         'batch': '1f272c81502479d2',
-        'native': '3a8792f7daae5c5d',
+        'native': '7208e1a89ca607bd',
     },
     ('em', 0): {
         'scalar': '40a35e62b74a907c',
@@ -90,25 +93,25 @@ GOLDEN = {
         'scalar': '444a0a593ecaf17f',
         'c_like': 'fca8c66641a40136',
         'batch': '6c852499d79c22ed',
-        'native': '83d18a662f8c7757',
+        'native': '33a8c81dbc863ac7',
     },
     ('histogram', 0): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '92bd8ddc0329c0d5',
         'batch': '60b264c6a5cbfaf6',
-        'native': 'dbd4659e6a39f881',
+        'native': '7d296fb49a2a3816',
     },
     ('histogram', 1): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '77a04571ce4fe216',
         'batch': '60b264c6a5cbfaf6',
-        'native': '216524df94fa64ed',
+        'native': '75a9d16c4a6f7742',
     },
     ('histogram', 2): {
         'scalar': '0e09601f9c5680b3',
         'c_like': 'b2aea37411dd9ba4',
         'batch': '60b264c6a5cbfaf6',
-        'native': '8eae2c418e2790de',
+        'native': '05023ab23c09d880',
     },
     ('kmeans', 0): {
         'scalar': '01b67249503b2beb',
@@ -126,7 +129,7 @@ GOLDEN = {
         'scalar': '86aa7e9c85db481a',
         'c_like': 'cb308bc4be971dd9',
         'batch': '897b919735c7bee1',
-        'native': '937103ea7eafba96',
+        'native': '7f711503229e8241',
     },
     ('pca_cov', 0): {
         'scalar': '2acef880d96b2679',
@@ -144,43 +147,43 @@ GOLDEN = {
         'scalar': '0cb9a4bb05e6ee0e',
         'c_like': '15447a5ff327ef43',
         'batch': '51b7e853fac9b4c3',
-        'native': 'beecdf87385a3615',
+        'native': 'ecd1192a15bd29b3',
     },
     ('pca_mean', 0): {
         'scalar': 'b22fa849b10e1ace',
         'c_like': '308965df939bdaaa',
         'batch': '50f3666c2724b7fe',
-        'native': 'b679eb42ac76f323',
+        'native': '1e4ecc9949b16857',
     },
     ('pca_mean', 1): {
         'scalar': '953c8eaa69981582',
         'c_like': 'c8e0185aec4c916d',
         'batch': '31b595ced95e17ca',
-        'native': '4bee8cb9330e0f5f',
+        'native': '5e67b355b7017390',
     },
     ('pca_mean', 2): {
         'scalar': '953c8eaa69981582',
         'c_like': '96c15041353e6ba1',
         'batch': '31b595ced95e17ca',
-        'native': 'fd687af0ce3518bf',
+        'native': '375f2f4f3a2342af',
     },
     ('windowed', 0): {
-        'scalar': '359462e9dd32ac22',
+        'scalar': 'c01d338f1d282413',
         'c_like': '73ed1ed77f39e4a7',
         'batch': "refused: index (b + 1) of extra access scale[(b + 1)] is element-dependent (gather not vectorized): site planned as 'nested'; a gather needs a linearized (non-hoisted) extra access",
         'native': 'refused: nested access scale[(b + 1)] (un-linearized extra at opt level 0); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
     },
     ('windowed', 1): {
-        'scalar': '359462e9dd32ac22',
+        'scalar': 'c01d338f1d282413',
         'c_like': '66ac915b3d41d2b7',
         'batch': "refused: index (b + 1) of extra access scale[(b + 1)] is element-dependent (gather not vectorized): site planned as 'nested'; a gather needs a linearized (non-hoisted) extra access",
         'native': 'refused: nested access scale[(b + 1)] (un-linearized extra at opt level 1); native backend needs linear/hoisted sites — use opt-2 or the batch/scalar path',
     },
     ('windowed', 2): {
-        'scalar': '4468ce78e37e63cd',
+        'scalar': 'ed798e0b1e9c0603',
         'c_like': '19444ab15b5843b6',
-        'batch': 'f013941bf11e9e02',
-        'native': '49f11104fb9be315',
+        'batch': '99d12fac38311b0d',
+        'native': 'a1715a4bf472c6c5',
     },
 }
 

@@ -247,12 +247,12 @@ class pointSum : ReduceScanOp {
 """
         bound = compile_reduction(source, {}, 2).bind(np.ones((4, 2)), {})
         bound.append_elements(np.full((3, 2), 2.0))
-        buf = bound.data_buf
-        before = (buf.raw.tobytes(), buf.nbytes, buf.capacity, bound.n_elements)
+        buf = bound.tail_buf
+        before = (bound.dataset_raw().tobytes(), buf.nbytes, buf.capacity, bound.n_elements)
         for bad in (np.zeros((2, 3)), np.zeros(4)):
             with pytest.raises(CompilerError, match="does not match element"):
                 bound.append_elements(bad)
-        assert (buf.raw.tobytes(), buf.nbytes, buf.capacity, bound.n_elements) == before
+        assert (bound.dataset_raw().tobytes(), buf.nbytes, buf.capacity, bound.n_elements) == before
 
     def test_views_stop_at_raw_size(self):
         buf = self._grown()

@@ -394,7 +394,7 @@ def test_failed_commit_leaves_the_in_place_state_untouched(backend):
         eng.fault_injector = injector
         before = (
             sess.live.tobytes(), sess.live_count, sess.n_elements, sess.epoch,
-            bound.n_elements, bound.data_buf.raw.size,
+            bound.n_elements, bound.dataset_raw().size,
             sess.ro.snapshot().tobytes(), sess.ro.update_count,
             sorted(sess.ro.touched_groups()),
         )
@@ -404,7 +404,7 @@ def test_failed_commit_leaves_the_in_place_state_untouched(backend):
             eng.run_delta(sess, append=tail, retract=retract)
         after = (
             sess.live.tobytes(), sess.live_count, sess.n_elements, sess.epoch,
-            bound.n_elements, bound.data_buf.raw.size,
+            bound.n_elements, bound.dataset_raw().size,
             sess.ro.snapshot().tobytes(), sess.ro.update_count,
             sorted(sess.ro.touched_groups()),
         )
@@ -493,7 +493,7 @@ def test_a_fault_policy_cannot_drop_tail_elements():
             sess, append=_positive(rng, INLINE_WAVE_ELEMENTS), retract=[5, 6]
         ).stats
         assert stats.failed_splits == 0 and stats.failures == []
-    values = bound.data_buf.raw.view(np.float64)
+    values = bound.dataset_raw().view(np.float64)
     live = np.ones(values.size, dtype=bool)
     live[[5, 6]] = False
     expected, updates = _histogram_oracle(values, live)
@@ -546,7 +546,7 @@ def test_a_session_driven_by_two_process_engines_publishes_committed_bytes():
         a.run_delta(sess, append=_positive(rng, 50))
         full_a = a.run(*bound.make_spec(HISTOGRAM_LAYOUT)).ro
         tail_bytes = a._res.segments.session_tail_bytes
-    values = bound.data_buf.raw.view(np.float64)
+    values = bound.dataset_raw().view(np.float64)
     assert values.size == 350 and (values[200:300] == 0.125).all()
     expected, updates = _histogram_oracle(values, np.ones(350, dtype=bool))
     assert np.array_equal(sess.ro.snapshot(), expected)

@@ -512,7 +512,7 @@ class TestAFoldedTailIsOneUnitWithItsEpoch:
             good = np.array([0.5, 0.25, 0.875, 0.125])
             stats = engine.run_delta(session, append=good, retract=[3, 4]).stats
             assert (session.epoch, stats.delta_appended) == (1, 4)
-            values = np.concatenate([bound.data_buf.raw.view(np.float64)[:200], good])
+            values = np.concatenate([bound.dataset_raw().view(np.float64)[:200], good])
             live = np.ones(204, dtype=bool)
             live[[3, 4]] = False
             bins = (values[live] / 0.25).astype(int)
