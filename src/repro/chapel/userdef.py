@@ -18,7 +18,6 @@ Supported method shapes (exactly Figure 2's):
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from repro.chapel import ast as A
@@ -27,33 +26,6 @@ from repro.chapel.reduce_op import ReduceScanOp
 from repro.util.errors import ChapelError, CompilerError
 
 __all__ = ["reduce_op_from_source"]
-
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: bool(a) and bool(b),
-    "||": lambda a, b: bool(a) or bool(b),
-}
-
-_MATH = {
-    "abs": abs,
-    "sqrt": math.sqrt,
-    "min": min,
-    "max": max,
-    "floor": math.floor,
-    "toInt": int,
-    "exp": math.exp,
-    "log": math.log,
-}
 
 
 class _Return(Exception):
@@ -106,7 +78,7 @@ class _MethodInterp:
                 raise ChapelError("only scalar names are assignable here")
             value = self.eval(stmt.value)
             if stmt.op is not None:
-                value = _BINOPS[stmt.op](self.lookup(stmt.target.name), value)
+                value = A.BINOPS[stmt.op](self.lookup(stmt.target.name), value)
             self.assign(stmt.target.name, value)
         elif isinstance(stmt, A.ForStmt):
             lo, hi = self.eval(stmt.range.lo), self.eval(stmt.range.hi)
@@ -135,7 +107,7 @@ class _MethodInterp:
         if isinstance(expr, A.Ident):
             return self.lookup(expr.name)
         if isinstance(expr, A.BinOp):
-            return _BINOPS[expr.op](self.eval(expr.left), self.eval(expr.right))
+            return A.BINOPS[expr.op](self.eval(expr.left), self.eval(expr.right))
         if isinstance(expr, A.UnaryOp):
             v = self.eval(expr.operand)
             return -v if expr.op == "-" else (not v)
@@ -149,7 +121,7 @@ class _MethodInterp:
             idx = tuple(self.eval(i) for i in expr.indices)
             return base[idx if len(idx) > 1 else idx[0]]
         if isinstance(expr, A.Call):
-            fn = _MATH.get(expr.name)
+            fn = A.MATH.get(expr.name)
             if fn is None:
                 raise ChapelError(f"unknown function {expr.name!r}")
             return fn(*(self.eval(a) for a in expr.args))

@@ -395,7 +395,8 @@ class PythonCodegen(KernelEmitter):
     # -- expressions -------------------------------------------------------------
 
     def literal(self, value: Any) -> str:
-        return repr(value)
+        text = repr(value)  # a non-finite real's repr is no Python name
+        return f"float({text!r})" if text in ("nan", "inf", "-inf") else text
 
     def binop(self, op: str, left: str, right: str) -> str:
         return f"({left} {_PY_LOGICAL.get(op, op)} {right})"

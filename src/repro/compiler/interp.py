@@ -11,7 +11,6 @@ catch it here.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -23,35 +22,6 @@ from repro.freeride.reduction_object import ReductionObject
 from repro.util.errors import CompilerError
 
 __all__ = ["interpret_accumulate", "interpret_over"]
-
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: bool(a) and bool(b),
-    "||": lambda a, b: bool(a) or bool(b),
-}
-
-_MATH = {
-    "abs": abs,
-    "sqrt": math.sqrt,
-    "min": min,
-    "max": max,
-    "floor": math.floor,
-    "toInt": int,
-    "exp": math.exp,
-    "log": math.log,
-}
-
-_RO_METHODS = {"roAdd": "add", "roMin": "min", "roMax": "max"}
 
 
 class _Interp:
@@ -102,7 +72,7 @@ class _Interp:
             assert isinstance(stmt.target, A.Ident)
             value = self.eval(stmt.value)
             if stmt.op is not None:
-                value = _BINOPS[stmt.op](self.lookup(stmt.target.name), value)
+                value = A.BINOPS[stmt.op](self.lookup(stmt.target.name), value)
             self.assign(stmt.target.name, value)
         elif isinstance(stmt, A.ForStmt):
             lo = self.eval(stmt.range.lo)
@@ -119,9 +89,9 @@ class _Interp:
                 self.exec_block(stmt.orelse)
         elif isinstance(stmt, A.ExprStmt):
             expr = stmt.expr
-            if isinstance(expr, A.Call) and expr.name in _RO_METHODS:
+            if isinstance(expr, A.Call) and expr.name in A.RO_INTRINSICS:
                 g, e, v = (self.eval(a) for a in expr.args)
-                self.ro.accumulate(int(g), int(e), float(v), _RO_METHODS[expr.name])
+                self.ro.accumulate(int(g), int(e), float(v), A.RO_INTRINSICS[expr.name])
             else:
                 self.eval(expr)
         else:  # pragma: no cover
@@ -137,7 +107,7 @@ class _Interp:
         if isinstance(expr, A.Ident):
             return self.lookup(expr.name)
         if isinstance(expr, A.BinOp):
-            return _BINOPS[expr.op](self.eval(expr.left), self.eval(expr.right))
+            return A.BINOPS[expr.op](self.eval(expr.left), self.eval(expr.right))
         if isinstance(expr, A.UnaryOp):
             v = self.eval(expr.operand)
             return -v if expr.op == "-" else (not v)
@@ -151,11 +121,11 @@ class _Interp:
         if isinstance(expr, A.Member):
             return getattr(self.eval(expr.base), expr.name)
         if isinstance(expr, A.Call):
-            if expr.name in _RO_METHODS:
+            if expr.name in A.RO_INTRINSICS:
                 raise CompilerError(f"{expr.name} is only valid as a statement")
             if expr.name == "elemIdx":
                 return self.elem_index
-            fn = _MATH[expr.name]
+            fn = A.MATH[expr.name]
             return fn(*(self.eval(a) for a in expr.args))
         raise CompilerError(f"interpreter: unsupported expression {expr!r}")
 

@@ -18,19 +18,40 @@ windowed kernel's scalar and batch ones, when ``elemIdx()`` gained the
 element base a dataset segment starts at (the C entry's ``_e0`` argument,
 ``_elem_base`` in the Python tiers' env).
 
+The two kernels of ``op reduce expr`` (:mod:`repro.compiler.exprreduce`)
+are pinned at opt-2 in the three tiers that run: ``min reduce A+B``, and
+the minloc pass that finds the index of the best value.
+
 To re-record after an intended change, run this file as a script with
-``PYTHONPATH=src:.`` and paste its output over ``GOLDEN``.
+``PYTHONPATH=src:.`` and paste its output over ``GOLDEN`` and ``EXPR_GOLDEN``.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from repro.compiler import compile_reduction
+from repro.chapel.expr import ArrayRef
+from repro.compiler import compile_reduce_expr, compile_reduction
 from repro.compiler.batch import BatchCodegen, BatchUnsupported
 from repro.compiler.native import NativeCodegen, NativeUnsupported
 
 from tests.compiler.test_native import APP_KERNELS
+
+
+def _expr_kernels():
+    job = compile_reduce_expr("minloc", ArrayRef(np.zeros(2)) + ArrayRef(np.zeros(2)))
+    return {
+        "min_reduce_a_plus_b": job.bound.compiled.request,
+        "minloc_index": job.loc_bound.compiled.request,
+    }
+
+
+KERNELS = {
+    **APP_KERNELS,
+    **{name: (r.source, r.constants) for name, r in _expr_kernels().items()},
+}
+EXPR_TIERS = ("scalar", "batch", "native")
 
 
 def _digest(text):
@@ -39,7 +60,7 @@ def _digest(text):
 
 def emitted(app, opt_level):
     """tier -> digest of its text, or the reason the tier refuses the kernel."""
-    source, constants = APP_KERNELS[app]
+    source, constants = KERNELS[app]
     compiled = compile_reduction(source, dict(constants), opt_level=opt_level)
     lowered, plan = compiled.lowered, compiled.plan
     summary = compiled.group_bounds.summary
@@ -187,11 +208,30 @@ GOLDEN = {
     },
 }
 
+EXPR_GOLDEN = {
+    'min_reduce_a_plus_b': {
+        'scalar': '898cbc32cb9e161e',
+        'batch': '963d36c5729c1699',
+        'native': '11c947b6a9379cf5',
+    },
+    'minloc_index': {
+        'scalar': 'c45e1b4cbf9af330',
+        'batch': '906a68c6c52d8dc1',
+        'native': '2d43a828ca0aa5d4',
+    },
+}
+
 
 @pytest.mark.parametrize("opt_level", [0, 1, 2])
 @pytest.mark.parametrize("app", sorted(APP_KERNELS))
 def test_texts_are_the_recorded_ones(app, opt_level):
     assert emitted(app, opt_level) == GOLDEN[app, opt_level]
+
+
+@pytest.mark.parametrize("kernel", sorted(EXPR_GOLDEN))
+def test_expr_reduce_texts_are_the_recorded_ones(kernel):
+    out = emitted(kernel, 2)
+    assert {tier: out[tier] for tier in EXPR_TIERS} == EXPR_GOLDEN[kernel]
 
 
 @pytest.mark.parametrize("app", sorted(APP_KERNELS))
@@ -213,4 +253,13 @@ if __name__ == "__main__":
             for tier, value in emitted(app, opt_level).items():
                 print(f"        {tier!r}: {value!r},")
             print("    },")
+    print("}")
+    print()
+    print("EXPR_GOLDEN = {")
+    for kernel in sorted(set(KERNELS) - set(APP_KERNELS)):
+        out = emitted(kernel, 2)
+        print(f"    {kernel!r}: {{")
+        for tier in EXPR_TIERS:
+            print(f"        {tier!r}: {out[tier]!r},")
+        print("    },")
     print("}")

@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chapel.expr import ArrayRef
+from repro.chapel.expr import ArrayRef, BinOpExpr
 from repro.chapel.forall import reduce_expr
 from repro.chapel.types import REAL, array_of
 from repro.chapel.values import ChapelArray
 from repro.compiler.exprreduce import compile_reduce_expr
+from repro.compiler.native import probe_toolchain
 from repro.freeride.runtime import FreerideEngine
 from repro.util.errors import CompilerError
+
+needs_cc = pytest.mark.skipif(
+    not probe_toolchain()["ok"],
+    reason=f"no usable C toolchain: {probe_toolchain()['reason']}",
+)
+#: every tier, native only where a C toolchain is usable
+BACKENDS = ["scalar", "batch", pytest.param("native", marks=needs_cc)]
+AVAILABLE = ["scalar", "batch"] + (["native"] if probe_toolchain()["ok"] else [])
+ALL_OPS = ["+", "min", "max", "minloc", "maxloc"]
 
 
 def chapel(vals):
@@ -21,11 +31,12 @@ def chapel(vals):
 class TestPaperExample:
     """`min reduce A+B`: the paper's own example of a general reduction."""
 
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
-    def test_min_reduce_a_plus_b(self, strategy):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_min_reduce_a_plus_b(self, backend):
         A = ArrayRef(chapel([3.0, 1.0, 5.0, 2.0]))
         B = ArrayRef(chapel([2.0, 9.0, 0.0, 2.5]))
-        job = compile_reduce_expr("min", A + B, strategy=strategy)
+        job = compile_reduce_expr("min", A + B, backend=backend)
+        assert job.effective_backend == backend
         assert job.result_value() == 4.5  # sums: 5, 10, 5, 4.5
         # and it agrees with the pure-Chapel semantics
         A2 = ArrayRef(chapel([3.0, 1.0, 5.0, 2.0]))
@@ -35,24 +46,52 @@ class TestPaperExample:
 
 class TestStrategiesAndThreads:
     @pytest.mark.parametrize("op,ref", [("+", np.sum), ("min", np.min), ("max", np.max)])
-    @pytest.mark.parametrize("strategy", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_ops_match_numpy(self, op, ref, strategy, threads):
+    def test_ops_match_numpy(self, op, ref, backend, threads):
         rng = np.random.default_rng(5)
         a = rng.uniform(-10, 10, 257)
         b = rng.uniform(-10, 10, 257)
         expr = ArrayRef(a) * 2.0 - ArrayRef(b)
-        job = compile_reduce_expr(op, expr, strategy=strategy)
+        job = compile_reduce_expr(op, expr, backend=backend)
         got = job.result_value(FreerideEngine(num_threads=threads))
         assert got == pytest.approx(float(ref(a * 2.0 - b)))
 
     def test_scalar_and_vectorized_agree(self):
+        """Every tier gives the scalar tier's bits on one thread: the batch
+        (vectorized) and native tiers run the same compiled class."""
         rng = np.random.default_rng(6)
-        a, b = rng.uniform(0, 1, 100), rng.uniform(0, 1, 100)
-        expr = lambda: -(ArrayRef(a) + ArrayRef(b)) * 3.0  # noqa: E731
-        s = compile_reduce_expr("max", expr(), strategy="scalar").result_value()
-        v = compile_reduce_expr("max", expr(), strategy="vectorized").result_value()
-        assert s == pytest.approx(v)
+        a, b = rng.standard_normal(100_000), rng.standard_normal(100_000)
+        engine = FreerideEngine(num_threads=1, chunk_size=4096)
+        for op in ALL_OPS:
+            got = {
+                backend: compile_reduce_expr(
+                    op, -(ArrayRef(a) + ArrayRef(b)) * 3.0, backend=backend
+                ).result_value(engine)
+                for backend in AVAILABLE
+            }
+            assert len(set(got.values())) == 1, (op, got)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nan_elements_are_skipped(self, backend):
+        """`min`/`minloc` ignore NaN elements on every tier, as the scalar
+        tier's `value < best` does."""
+        a = np.array([3.0, np.nan, 1.0, np.nan])
+        for threads in (1, 3):
+            engine = FreerideEngine(num_threads=threads, chunk_size=1)
+            assert compile_reduce_expr("min", a, backend).result_value(engine) == 1.0
+            assert compile_reduce_expr("minloc", a, backend).result_value(engine) == (1.0, 2)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("op,want", [("+", 0.0), ("min", np.inf), ("minloc", (np.inf, 0))])
+    def test_empty_input_gives_identity(self, op, want, backend):
+        assert compile_reduce_expr(op, np.zeros(0), backend).result_value() == want
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_non_finite_constants(self, backend):
+        a = ArrayRef(np.arange(4.0))
+        assert np.isnan(compile_reduce_expr("+", a + float("nan"), backend).result_value())
+        assert compile_reduce_expr("min", a - float("inf"), backend).result_value() == -np.inf
 
     def test_bare_arrays_accepted(self):
         a = np.arange(10, dtype=np.float64)
@@ -65,6 +104,11 @@ class TestStrategiesAndThreads:
         job = compile_reduce_expr("+", ArrayRef(a) + ArrayRef(b))
         assert job.result_value() == float((a + b).sum())
 
+    def test_one_kernel_serves_every_length(self):
+        short = compile_reduce_expr("max", ArrayRef(np.ones(3)) + 2.0)
+        long = compile_reduce_expr("max", ArrayRef(np.zeros(300)) + 2.0)
+        assert short.bound.compiled is long.bound.compiled
+
 
 class TestCounters:
     def test_linearization_charged_per_leaf(self):
@@ -72,19 +116,16 @@ class TestCounters:
         job = compile_reduce_expr("+", ArrayRef(a) + ArrayRef(b))
         assert job.counters.bytes_linearized == 2 * 50 * 8
 
-    def test_scalar_strategy_counts_per_element_reads(self):
+    def test_counters_equal_across_backends(self):
         a = np.zeros(40)
-        job = compile_reduce_expr("+", ArrayRef(a), strategy="scalar")
-        job.run()
-        assert job.counters.linear_reads == 40
-        assert job.counters.index_calls == 40
-        assert job.counters.ro_updates == 40
-
-    def test_vectorized_strategy_folds_per_chunk(self):
-        a = np.zeros(40)
-        job = compile_reduce_expr("+", ArrayRef(a), strategy="vectorized")
-        job.run(FreerideEngine(num_threads=4))
-        assert job.counters.ro_updates <= 4  # one fold per split
+        counters = []
+        for backend in AVAILABLE:
+            job = compile_reduce_expr("+", ArrayRef(a), backend=backend)
+            job.run(FreerideEngine(num_threads=4))
+            counters.append(job.counters.as_dict())
+        assert counters[0]["linear_reads"] == 40
+        assert counters[0]["ro_updates"] == 40
+        assert all(c == counters[0] for c in counters)
 
 
 class TestValidation:
@@ -92,13 +133,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             compile_reduce_expr("xor", np.zeros(3))
 
-    def test_unknown_strategy(self):
+    def test_unknown_backend(self):
         with pytest.raises(ValueError):
-            compile_reduce_expr("+", np.zeros(3), strategy="gpu")
+            compile_reduce_expr("+", np.zeros(3), backend="gpu")
 
     def test_unreducible(self):
         with pytest.raises(CompilerError):
             compile_reduce_expr("+", {"not": "an array"})
+
+    def test_power_is_not_mini_chapel(self):
+        a = ArrayRef(np.ones(3))
+        with pytest.raises(CompilerError, match=r"\*\*"):
+            compile_reduce_expr("+", BinOpExpr("**", a, a))
 
     def test_composite_element_arrays_rejected(self):
         from repro.chapel.domains import Domain
@@ -158,6 +204,16 @@ class TestLocReductions:
         _, loc = compile_reduce_expr("minloc", a).result_value()
         assert loc == 1  # numpy argmin tie-break: first occurrence
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("op", ["minloc", "maxloc"])
+    def test_lowest_tied_index_wins_on_every_lane_layout(self, op, backend):
+        a = np.tile([2.0, 0.0, 1.0, 0.0, 2.0], 40)
+        want = (0.0, 1) if op == "minloc" else (2.0, 0)
+        job = compile_reduce_expr(op, a, backend=backend)
+        for threads, chunk in ((1, None), (3, 7), (4, 1)):
+            engine = FreerideEngine(num_threads=threads, chunk_size=chunk)
+            assert job.result_value(engine) == want
+
     def test_chunked_runs_agree(self):
         rng = np.random.default_rng(19)
         a = rng.uniform(-5, 5, 200)
@@ -167,13 +223,14 @@ class TestLocReductions:
         )
         assert chunked == ref
 
-    def test_locking_technique_rejected(self):
-        from repro.util.errors import CompilerError
-
-        job = compile_reduce_expr("minloc", np.arange(10, dtype=np.float64))
-        engine = FreerideEngine(num_threads=2, technique="full_locking")
-        with pytest.raises(CompilerError):
-            job.run(engine)
+    def test_locking_matches_replication(self):
+        """No value/index pair has to update atomically any more: each pass
+        is one `roMin`, which every technique serves."""
+        a = np.random.default_rng(20).standard_normal(500)
+        job = compile_reduce_expr("minloc", a)
+        want = job.result_value(FreerideEngine(num_threads=2, technique="full_replication"))
+        got = job.result_value(FreerideEngine(num_threads=2, technique="full_locking"))
+        assert got == want == (float(a.min()), int(np.argmin(a)))
 
     def test_matches_chapel_minloc_semantics(self):
         from repro.chapel.forall import reduce_expr as chapel_reduce
