@@ -656,8 +656,8 @@ class BoundReduction:
             if starts[0] >= n0:
                 pieces = [(starts - n0, ends - n0, tail_env)]
             else:
-                k = int(np.searchsorted(starts, n0))  # ranges that start in the prefix
-                j = int(np.searchsorted(ends, n0, side="right"))  # ... and end there
+                k = int(starts.searchsorted(n0))  # ranges that start in the prefix
+                j = int(ends.searchsorted(n0, side="right"))  # ... and end there
                 pieces = [
                     (starts[:k], np.minimum(ends[:k], n0), self.env),
                     (np.maximum(starts[j:], n0) - n0, ends[j:] - n0, tail_env),

@@ -86,6 +86,13 @@ CHECKPOINT_RING_DEPTH = 8
 
 _NO_GROUPS = np.empty(0, dtype=np.int64)
 
+# A warm epoch makes no call into NumPy's Python layer: ``np.any`` and the
+# ``.any()``/``.all()``/``.sum()`` methods all run a Python function in
+# ``numpy/_core`` before the ufunc reduction these call directly.
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
+_sum = np.add.reduce
+
 
 def contiguous_runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse a sorted, unique index array into ``[starts[i], ends[i])`` runs.
@@ -96,18 +103,21 @@ def contiguous_runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return indices, indices.copy()
-    breaks = np.flatnonzero(np.diff(indices) != 1) + 1
-    starts = indices[np.concatenate(([0], breaks))]
-    ends = indices[np.concatenate((breaks - 1, [indices.size - 1]))] + 1
-    return starts, ends
+    first = np.empty(indices.size, dtype=bool)  # does a run start here?
+    first[0] = True
+    np.not_equal(indices[1:], indices[:-1] + 1, out=first[1:])
+    last = np.empty(indices.size, dtype=bool)  # ... or end here?
+    last[:-1] = first[1:]
+    last[-1] = True
+    return indices[first], indices[last] + 1
 
 
 def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximal ``[starts[i], ends[i])`` runs of True in a boolean mask."""
     padded = np.zeros(mask.size + 2, dtype=np.int8)
     padded[1:-1] = mask
-    edges = np.diff(padded)
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    edges = padded[1:] - padded[:-1]
+    return (edges == 1).nonzero()[0], (edges == -1).nonzero()[0]
 
 
 @dataclass
@@ -280,10 +290,15 @@ class ManualDataset:
     :class:`~repro.compiler.translate.BoundReduction` has, so the epoch
     walk is written once: an appended tail, a retraction and a replay all
     enter through the spec's ``reduce_ranges``, on either kind of source.
+    The first append copies the caller's data once, into an owned backing
+    the appends land in: an array with room to grow, doubled when an append
+    outgrows it (``data`` is a view of it), or a list extended in place.
     """
 
     spec: ReductionSpec
     data: Any
+    #: the owned storage, made by the first append
+    _backing: Any = field(default=None, init=False, repr=False)
 
     @property
     def n_elements(self) -> int:
@@ -298,16 +313,32 @@ class ManualDataset:
         return replace(self.spec, reduce_ranges=ranges), self.data
 
     def append_elements(self, batch: Any) -> int:
-        if isinstance(self.data, np.ndarray):
-            self.data = np.concatenate(
-                [self.data, np.asarray(batch, dtype=self.data.dtype)]
+        if not isinstance(self.data, np.ndarray):
+            if self._backing is None:
+                self._backing = self.data = list(self.data)
+            self.data.extend(batch)
+            return len(self.data)
+        n = len(self.data)
+        rows = np.asarray(batch, dtype=self.data.dtype)
+        if rows.ndim != self.data.ndim or rows.shape[1:] != self.data.shape[1:]:
+            raise FreerideError(
+                f"appended shape {rows.shape} does not match the dataset's "
+                f"elements {self.data.shape[1:]}"
             )
-        else:
-            self.data = list(self.data) + list(batch)
-        return len(self.data)
+        end = n + len(rows)
+        if self._backing is None or len(self._backing) < end:
+            grown = np.empty((max(end, 2 * n), *self.data.shape[1:]), self.data.dtype)
+            grown[:n] = self.data
+            self._backing = grown
+        self._backing[n:end] = rows
+        self.data = self._backing[:end]
+        return end
 
     def truncate_elements(self, n_elements: int) -> None:
-        self.data = self.data[:n_elements]
+        if self.data is self._backing:  # the owned list
+            del self.data[n_elements:]
+        else:
+            self.data = self.data[:n_elements]
 
 
 @dataclass(frozen=True)
@@ -374,6 +405,8 @@ class DeltaSession:
     #: here and emptied after every epoch, committed or rolled back, so a
     #: kernel's prepared pointers outlive the epoch.
     scratch: dict[str, ReductionObject] = field(init=False, repr=False)
+    #: the spec :meth:`make_spec` holds over a compiled source
+    _spec: ReductionSpec | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.n_elements = self.live_count = int(self.source.n_elements)
@@ -401,10 +434,19 @@ class DeltaSession:
         into ``scratch["tail"]``, never run by the engine."""
         return not isinstance(self.source, ManualDataset)
 
-    def make_spec(self) -> tuple[ReductionSpec, Any]:
-        """``(spec, data)`` over the dataset as it is now, with no finalize:
-        the session's own runs once, on the committed object."""
-        return self.source.make_spec(self.ro.layout(), finalize=None)
+    def make_spec(self) -> ReductionSpec:
+        """The spec an epoch's ranges go to, with no finalize (the session's
+        own runs once, on the committed object).
+
+        Over a compiled source it is built once and held: its
+        ``reduce_ranges`` reads the bound env and the dataset's segments
+        when called, so an ``update_extras`` or an append between epochs
+        is seen.  A :class:`ManualDataset`'s hook closes over the data an
+        append replaces, so it is re-bound each epoch.
+        """
+        if self._spec is None or not self.compiled:
+            self._spec, _ = self.source.make_spec(self.ro.layout(), finalize=None)
+        return self._spec
 
     def apply(
         self,
@@ -457,7 +499,7 @@ class DeltaSession:
                 # two arrays, *global* positions intact, so position-dependent
                 # reductions see the coordinates a full run would and a
                 # native kernel walks them all in one call
-                spec_full, _ = self.make_spec()
+                spec_full = self.make_spec()
                 if appended:
                     delta_ro = scratch["tail"]
                     used.append(delta_ro)
@@ -509,7 +551,7 @@ class DeltaSession:
                     planner_probes = getattr(bounds, "evaluations", 0) - probes0
                     starts, ends = self.live_runs(blocks)
                     replay_runs = int(starts.size)
-                    replay_elements = int((ends - starts).sum())
+                    replay_elements = int(_sum(ends - starts))
                     scratch_p = scratch["replay"]
                     used.append(scratch_p)
                     spec_full.reduce_ranges(starts, ends, scratch_p)
@@ -589,13 +631,22 @@ class DeltaSession:
         — only the runs inside them, cut at block boundaries, in work
         proportional to the blocks' sizes.
         """
-        starts = [np.empty(0, dtype=np.int64)]
-        ends = [np.empty(0, dtype=np.int64)]
-        for start, end in [(0, self.live.size)] if blocks is None else blocks:
-            first, last = mask_runs(self.live[start:end])
-            starts.append(first + start)
-            ends.append(last + start)
-        return np.concatenate(starts), np.concatenate(ends)
+        if blocks is None:
+            return mask_runs(self.live)
+        # the blocks' liveness end to end, each followed by a dead separator
+        # so that no run crosses a block boundary: one mask_runs for all
+        width = sum(end - start for start, end in blocks) + len(blocks)
+        joined = np.zeros(width, dtype=bool)
+        at = np.empty(len(blocks), dtype=np.int64)  # where each block begins in it
+        shift = np.empty(len(blocks), dtype=np.int64)  # its position minus that
+        pos = 0
+        for b, (start, end) in enumerate(blocks):
+            joined[pos : pos + end - start] = self.live[start:end]
+            at[b], shift[b] = pos, start - pos
+            pos += end - start + 1
+        first, last = mask_runs(joined)
+        moved = shift[at.searchsorted(first, side="right") - 1]
+        return first + moved, last + moved
 
     def advance_liveness(self, new_n: int, retract_idx: np.ndarray) -> None:
         """Extend :attr:`live` to ``new_n`` positions and tombstone
@@ -635,9 +686,7 @@ class DeltaSession:
         if retract is None:
             return np.empty(0, dtype=np.int64)
         idx = np.asarray(retract)
-        if idx.ndim != 1 or (
-            idx.size and not np.issubdtype(idx.dtype, np.integer)
-        ):
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise FreerideError(
                 "retract= takes a 1-D sequence of integer element positions "
                 f"(np.flatnonzero(mask) for a boolean mask), got dtype "
@@ -646,17 +695,17 @@ class DeltaSession:
         idx = idx.astype(np.int64, copy=False)
         if idx.size == 0:
             return idx
-        if np.any(idx[1:] <= idx[:-1]):
+        if _any(idx[1:] <= idx[:-1]):
             idx = np.unique(idx)
         if idx[0] < 0 or idx[-1] >= self.n_elements:
             raise FreerideError(
                 f"retract index out of range [0, {self.n_elements})"
             )
-        dead = ~self.live[idx]
-        if np.any(dead):
+        alive = self.live[idx]
+        if not _all(alive):
             raise FreerideError(
                 f"retract of already-retracted element(s) "
-                f"{idx[dead][:5].tolist()}"
+                f"{idx[~alive][:5].tolist()}"
             )
         return idx
 

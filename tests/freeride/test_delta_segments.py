@@ -11,6 +11,8 @@ original positions (dyadic data: float addition is exact).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.freeride.delta import mask_runs
 from repro.freeride.faults import FaultInjector, InjectedFault
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine
+from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.util.errors import CompilerError
 
 needs_cc = pytest.mark.skipif(
@@ -265,3 +268,74 @@ def test_truncation_never_cuts_the_prefix():
     with pytest.raises(CompilerError, match="cannot truncate to 9 of 11 elements"):
         bound.truncate_elements(9)
     assert bound.dataset_raw().view(np.float64).tolist() == [1.0] * 10 + [0.5]
+
+
+# -- a manual session's dataset ------------------------------------------------------
+
+
+def _manual_histogram() -> ReductionSpec:
+    """A hand-written histogram of the same data as ``HISTOGRAM``."""
+
+    def setup(ro):
+        ro.alloc_many(HISTOGRAM_LAYOUT)
+
+    def reduction(args: ReductionArgs) -> None:
+        for x in args.data:
+            b = min(int(x / 0.25), 7)
+            args.ro.accumulate(b, 0, 1.0)
+            args.ro.accumulate(b, 1, float(x))
+
+    return ReductionSpec(name="manual-histogram", setup_reduction_object=setup,
+                         reduction=reduction)
+
+
+@pytest.mark.parametrize("kind", ["array", "list"])
+def test_a_manual_session_copies_the_callers_data_once(kind):
+    """The first append copies the caller's data into an owned backing with
+    room to grow; the next seven land in it, so none of them allocates a
+    buffer the size of the dataset.  A rolled-back append restores the
+    length, and the result is a cold run's over the survivors."""
+    rng = np.random.default_rng(41)
+    n = 40_000
+    caller = _positive(rng, n)
+    pristine = caller.tobytes()
+    data = caller if kind == "array" else caller.tolist()
+    tails = [_positive(rng, 30) for _ in range(8)]
+    retracts = [[7 * k + 1, n + 30 * k - 2] if k else [1] for k in range(8)]
+    injector = FaultInjector(fail_split_ids={DELTA_COMMIT_SPLIT_ID}, fail_attempts=1)
+    with FreerideEngine(executor="serial") as eng:
+        _, sess = eng.run_baseline(_manual_histogram(), data)
+        views = []
+        for k, (tail, retract) in enumerate(zip(tails, retracts)):
+            batch = tail if kind == "array" else tail.tolist()
+            if k == 4:  # one epoch fails mid-commit and is retried
+                eng.fault_injector = injector
+                with pytest.raises(InjectedFault):
+                    eng.run_delta(sess, append=batch, retract=retract)
+                assert sess.source.n_elements == sess.n_elements == n + 30 * k
+                eng.fault_injector = None
+            tracemalloc.start()
+            try:
+                eng.run_delta(sess, append=batch, retract=retract)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if k:
+                assert peak < caller.nbytes / 8, f"append {k + 1} allocated {peak} bytes"
+            views.append(sess.source.data)
+        cold = eng.run(_manual_histogram(), _survivors(caller, tails, retracts)).ro
+    assert sess.rollbacks == 1
+    assert caller.tobytes() == pristine and len(data) == n
+    if kind == "array":
+        assert all(np.shares_memory(views[0], view) for view in views[1:])
+    else:
+        assert all(view is views[0] for view in views) and views[0] is not data
+    assert np.array_equal(sess.ro.snapshot(), cold.snapshot())
+    assert sess.ro.update_count == cold.update_count
+
+
+def _survivors(caller, tails, retracts):
+    values = np.concatenate([caller, *tails])
+    live = np.ones(values.size, dtype=bool)
+    live[np.concatenate(retracts)] = False
+    return values[live]
