@@ -31,7 +31,10 @@ The exported C function takes a *list* of ``[start, end)`` ranges and
 loops the per-split body over it, so one cffi call — GIL released for
 all of it, in cffi's ABI mode — covers a whole batch of splits: threads
 scale, and the interpreter's share of a pass no longer grows with the
-split count.  A single split is a list of one.  The ranges are positions
+split count.  A single split is a list of one.  A threaded wave calls the
+entry from C: the lanes of a :class:`LaneTeam`, threads parked in a small
+runtime of their own, claim batches of splits and pass each to it through
+its function pointer.  The ranges are positions
 in one dataset segment, whose first global position comes as ``_e0``:
 ``elemIdx()`` is ``_e + _e0``, and data offsets stay segment-local.
 The loop already holds the whole list before it reads a row, so it
@@ -84,6 +87,7 @@ import hashlib
 import math
 import os
 import subprocess
+import sys
 import tempfile
 import threading
 import weakref
@@ -106,6 +110,7 @@ from repro.util.logging import get_logger
 
 __all__ = [
     "CC_FLAGS",
+    "LaneTeam",
     "NATIVE_FORMAT_VERSION",
     "NativeBuild",
     "NativeCodegen",
@@ -114,6 +119,7 @@ __all__ = [
     "PREFETCH_DISTANCE",
     "compile_native",
     "kernel_cache_dir",
+    "lane_team",
     "make_native_kernel",
     "probe_toolchain",
     "proof_mask",
@@ -990,10 +996,14 @@ def _after_fork_in_parent() -> None:
 
 
 def _after_fork_in_child() -> None:
-    global _build_pool
+    global _build_pool, _team_lock
     _build_pool = None  # its threads did not survive the fork
     _inflight.clear()
     _build_lock.release()
+    # nor did any lane team's: the child makes its own on first use
+    _team_lock = threading.Lock()
+    for team in list(_teams):
+        team.alive = False
 
 
 if hasattr(os, "register_at_fork"):
@@ -1029,6 +1039,9 @@ def submit_native(
     :attr:`NativeKernel.twin`: emitted, keyed and built the same way, by
     the same compiler, but only when a layout first needs it.
 
+    The process's first call also submits the :class:`LaneTeam` runtime's
+    build, so a threaded wave never waits for ``cc``.
+
     Raises :class:`NativeUnsupported` for the two failures known at once: an
     unusable toolchain and a kernel the emitter refuses.  A ``cc`` failure
     is raised by :attr:`NativeBuild.kernel`'s result, as is an ``OSError``
@@ -1037,7 +1050,9 @@ def submit_native(
     probe = probe_toolchain()
     if not probe["ok"]:
         raise NativeUnsupported(probe["reason"], toolchain=True)
-    return _submit_emitted(NativeCodegen(lowered, plan, summary=summary), probe)
+    build = _submit_emitted(NativeCodegen(lowered, plan, summary=summary), probe)
+    _submit_team_runtime(probe)  # beside the process's first native build
+    return build
 
 
 def _on_first_call(submit: Callable[[], NativeBuild]) -> Callable[[], NativeKernel]:
@@ -1110,40 +1125,48 @@ def _submit_emitted(gen: NativeCodegen, probe: dict[str, Any]) -> NativeBuild:
                 verdict("hit", path=str(so_path))
             else:
                 verdict("miss")
-                cache_dir.mkdir(parents=True, exist_ok=True)
-                c_path = cache_dir / f"{symbol}.c"
                 with tracer.span(
                     "native_compile", cat="compiler",
                     reduction=lowered.name, opt_level=plan.opt_level, cc=cc,
                 ):
-                    tmp_c = cache_dir / f".{symbol}.{os.getpid()}.c"
-                    tmp_so = cache_dir / f".{symbol}.{os.getpid()}.so"
-                    try:
-                        tmp_c.write_text(source)
-                        run = subprocess.run(
-                            [cc, str(tmp_c), *flags, "-o", str(tmp_so)],
-                            capture_output=True, text=True, timeout=120,
-                        )
-                        if run.returncode != 0 or not tmp_so.exists():
-                            raise NativeUnsupported(
-                                "C compilation failed: "
-                                + (run.stderr.strip()[:500] or "unknown error")
-                            )
-                        # Atomic publish: concurrent processes race benignly.
-                        os.replace(tmp_c, c_path)
-                        os.replace(tmp_so, so_path)
-                        compiled = True
-                    except (OSError, subprocess.SubprocessError) as exc:
-                        raise NativeUnsupported(f"C compilation failed: {exc}")
-                    finally:
-                        for leftover in (tmp_c, tmp_so):
-                            try:
-                                leftover.unlink()
-                            except OSError:
-                                pass
+                    _cc_publish(cc, flags, source, symbol, so_path)
+                compiled = True
             return attach(compiled)
 
     return NativeBuild(source, symbol, _submit(so_path, build))
+
+
+def _cc_publish(
+    cc: str, flags: tuple[str, ...], source: str, symbol: str, so_path: Path
+) -> None:
+    """Compile ``source`` into ``so_path`` (its ``.c`` beside it), published
+    atomically: concurrent processes race benignly.  The caller holds the
+    symbol's compile lock.  Raises :class:`NativeUnsupported`."""
+    cache_dir = so_path.parent
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    tmp_c = cache_dir / f".{symbol}.{os.getpid()}.c"
+    tmp_so = cache_dir / f".{symbol}.{os.getpid()}.so"
+    try:
+        tmp_c.write_text(source)
+        run = subprocess.run(
+            [cc, str(tmp_c), *flags, "-o", str(tmp_so)],
+            capture_output=True, text=True, timeout=120,
+        )
+        if run.returncode != 0 or not tmp_so.exists():
+            raise NativeUnsupported(
+                "C compilation failed: "
+                + (run.stderr.strip()[:500] or "unknown error")
+            )
+        os.replace(tmp_c, cache_dir / f"{symbol}.c")
+        os.replace(tmp_so, so_path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise NativeUnsupported(f"C compilation failed: {exc}")
+    finally:
+        for leftover in (tmp_c, tmp_so):
+            try:
+                leftover.unlink()
+            except OSError:
+                pass
 
 
 def compile_native(
@@ -1157,6 +1180,358 @@ def compile_native(
     Raises :class:`NativeUnsupported` (caller records the fallback).
     """
     return submit_native(lowered, plan, summary).kernel.result()
+
+
+# ---------------------------------------------------------------- lane team
+#
+# FREERIDE runs a reduction on daemon threads, one per CPU, that take splits
+# themselves (the paper's Fig 4).  A :class:`LaneTeam` is that for a batched
+# native wave: ``W`` persistent threads, each parked for its whole life inside
+# one cffi call into the runtime below — GIL released — and woken per wave
+# through a futex.  A lane claims ``ceil(pending / (2 W))`` split positions at
+# a time by compare-and-swap, long batches while the wave is long and single
+# splits at its tail, and passes each claim to the kernel's exported ranges
+# entry, through its function pointer, into its own target.  The caller
+# publishes the wave and futex-waits for the last lane; it runs no lane.
+#
+# The runtime is one small translation unit, keyed, built and cached like a
+# kernel; its build is submitted beside the process's first native build.
+
+#: The team and its lanes, shared verbatim by the C source and the cdef.  A
+#: lane's targets are addresses (the kernel's function and its store's
+#: buffers come from another cffi instance).  A wave is positions ``[0, n)``
+#: of ``starts``/``ends``: the first ``cut`` in segment 0, the rest in
+#: segment 1, each with its own buffers and element base; position
+#: ``joined`` (-1: none) is the second half of a range cut at the boundary,
+#: so it does not count as a split of its own.
+_TEAM_TYPES = """
+struct repro_lane {
+    unsigned long long fn, acc, ro_off, ro_n, ro_op, touched, counters;
+    long long groups, proven;
+    long long rc, splits, elements;
+    unsigned int wake;
+};
+struct repro_team {
+    long long lanes, n, cut, joined, next;
+    const long long *starts, *ends;
+    const unsigned char **bufs[2];
+    long long e0[2];
+    unsigned int busy, poisoned, stop;
+    struct repro_lane *lane;
+};
+"""
+
+_TEAM_SOURCE = (
+    "/* the lane team runtime: lanes parked on futexes claim split positions */\n"
+    "#include <linux/futex.h>\n#include <sys/syscall.h>\n"
+    "long syscall(long, ...);\n"
+    + _TEAM_TYPES
+    + r"""
+#define _ADDR(type, a) ((type)(__UINTPTR_TYPE__)(a))
+typedef long long (*_ranges_fn)(
+    long long, const long long *, const long long *, long long,
+    const unsigned char **, double *, const long long *, const long long *,
+    const long long *, long long, long long, _Bool *, double *);
+
+static void _park(unsigned int *word, unsigned int seen) {
+    syscall(SYS_futex, word, FUTEX_WAIT_PRIVATE, seen, 0, 0, 0);
+}
+
+static void _unpark(unsigned int *word) {
+    syscall(SYS_futex, word, FUTEX_WAKE_PRIVATE, 1, 0, 0, 0);
+}
+
+/* claim batches until the wave is drained or a lane has failed */
+static void _claim(struct repro_team *t, struct repro_lane *l) {
+    _ranges_fn fn = _ADDR(_ranges_fn, l->fn);
+    long long per = 2 * t->lanes, first, take, end, lo, hi, rc, i;
+    int s;
+    for (;;) {
+        first = __atomic_load_n(&t->next, __ATOMIC_RELAXED);
+        do {
+            if (__atomic_load_n(&t->poisoned, __ATOMIC_RELAXED) || first >= t->n)
+                return;
+            take = (t->n - first + per - 1) / per;
+        } while (!__atomic_compare_exchange_n(&t->next, &first, first + take, 1,
+                                              __ATOMIC_RELAXED, __ATOMIC_RELAXED));
+        end = first + take;
+        for (s = 0; s < 2; s++) { /* the claim's part in each segment */
+            lo = s == 0 ? first : (first > t->cut ? first : t->cut);
+            hi = s == 0 ? (end < t->cut ? end : t->cut) : end;
+            if (lo >= hi) continue;
+            rc = fn(hi - lo, t->starts + lo, t->ends + lo, t->e0[s], t->bufs[s],
+                    _ADDR(double *, l->acc), _ADDR(const long long *, l->ro_off),
+                    _ADDR(const long long *, l->ro_n), _ADDR(const long long *, l->ro_op),
+                    l->groups, l->proven, _ADDR(_Bool *, l->touched),
+                    _ADDR(double *, l->counters));
+            if (rc != 0) {
+                l->rc = rc;
+                __atomic_store_n(&t->poisoned, 1, __ATOMIC_RELAXED);
+                return;
+            }
+        }
+        l->splits += take - (t->joined >= first && t->joined < end);
+        for (i = first; i < end; i++) l->elements += t->ends[i] - t->starts[i];
+    }
+}
+
+/* a lane thread's whole life: park, run each wave it is woken for, leave on stop */
+void __NATIVE_SYMBOL___lane(struct repro_team *t, long long k) {
+    struct repro_lane *l = &t->lane[k];
+    unsigned int seen = 0, now;
+    for (;;) {
+        while ((now = __atomic_load_n(&l->wake, __ATOMIC_ACQUIRE)) == seen)
+            _park(&l->wake, seen);
+        seen = now;
+        if (__atomic_load_n(&t->stop, __ATOMIC_ACQUIRE)) return;
+        _claim(t, l);
+        if (__atomic_sub_fetch(&t->busy, 1, __ATOMIC_ACQ_REL) == 0) _unpark(&t->busy);
+    }
+}
+
+/* publish the wave to lanes [0, active) and wait until every one has left it */
+void __NATIVE_SYMBOL___run(struct repro_team *t, long long active) {
+    unsigned int busy;
+    long long k;
+    t->next = 0;
+    t->poisoned = 0;
+    __atomic_store_n(&t->busy, (unsigned int)active, __ATOMIC_RELAXED);
+    for (k = 0; k < active; k++) {
+        struct repro_lane *l = &t->lane[k];
+        l->rc = l->splits = l->elements = 0;
+        __atomic_add_fetch(&l->wake, 1, __ATOMIC_RELEASE);
+        _unpark(&l->wake);
+    }
+    while ((busy = __atomic_load_n(&t->busy, __ATOMIC_ACQUIRE)) != 0) _park(&t->busy, busy);
+}
+
+void __NATIVE_SYMBOL___stop(struct repro_team *t) {
+    long long k;
+    __atomic_store_n(&t->stop, 1, __ATOMIC_RELEASE);
+    for (k = 0; k < t->lanes; k++) {
+        __atomic_add_fetch(&t->lane[k].wake, 1, __ATOMIC_RELEASE);
+        _unpark(&t->lane[k].wake);
+    }
+}
+"""
+)
+
+#: A lane's counter row, in float64s: whole cache lines, so no two lanes'
+#: per-range counter stores share one.
+_TEAM_COUNTER_STRIDE = -(-len(_COUNTER_FIELDS) // 8) * 8
+
+
+class _TeamRuntime(NamedTuple):
+    ffi: Any
+    lib: Any  # the dlopen'd library, alive as long as its functions are used
+    lane: Any
+    run: Any
+    stop: Any
+
+
+_team_lock = threading.Lock()
+#: the runtime's build, submitted once per process (a ``Future``)
+_team_build: Future | None = None
+#: every team alive in this process, for the fork handler
+_teams: "weakref.WeakSet[LaneTeam]" = weakref.WeakSet()
+_team_warned = False
+
+
+def _submit_team_runtime(probe: dict[str, Any]) -> Future:
+    """The team runtime's build, submitted by the first call in a process."""
+    global _team_build
+    with _team_lock:
+        if _team_build is None:
+            _team_build = _build_team_runtime(probe)
+        return _team_build
+
+
+def _build_team_runtime(probe: dict[str, Any]) -> Future:
+    if not sys.platform.startswith("linux"):
+        absent: Future = Future()
+        absent.set_exception(NativeUnsupported(
+            f"lane teams park on futexes, which {sys.platform} does not have"
+        ))
+        return absent
+    cc, flags = probe["cc"], CC_FLAGS
+    digest = hashlib.sha256(
+        f"team|{probe['fingerprint']}|{' '.join(flags)}|{_TEAM_SOURCE}".encode()
+    ).hexdigest()
+    symbol = f"repro_team_{digest[:16]}"
+    so_path = kernel_cache_dir() / f"{symbol}.so"
+
+    def attach() -> _TeamRuntime:
+        import cffi
+
+        ffi = cffi.FFI()
+        ffi.cdef(
+            _TEAM_TYPES
+            + f"void {symbol}_lane(struct repro_team *, long long);\n"
+            f"void {symbol}_run(struct repro_team *, long long);\n"
+            f"void {symbol}_stop(struct repro_team *);\n"
+        )
+        try:
+            lib = ffi.dlopen(str(so_path))
+        except OSError as exc:
+            raise NativeUnsupported(f"cannot load the lane team runtime: {exc}")
+        return _TeamRuntime(
+            ffi, lib, *(getattr(lib, f"{symbol}_{fn}") for fn in ("lane", "run", "stop"))
+        )
+
+    def build() -> _TeamRuntime:
+        with _compile_lock_for(symbol):
+            if not so_path.exists():
+                _cc_publish(
+                    cc, flags, _TEAM_SOURCE.replace(_SYMBOL_SENTINEL, symbol),
+                    symbol, so_path,
+                )
+        return attach()  # a disk hit is attached here too, off the caller
+
+    return _submit(so_path, build)
+
+
+def _retire_team(pid: int, lock: threading.Lock, rt: _TeamRuntime, team: Any,
+                 threads: tuple[threading.Thread, ...], *keep: Any) -> None:
+    """Stop and join a team's lanes; ``keep`` is the memory they use.  In a
+    forked child there are no lanes to stop (and a parent thread may have
+    held ``lock`` at the fork)."""
+    if os.getpid() != pid:
+        return
+    with lock:
+        rt.stop(team)
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+
+
+class LaneTeam:
+    """``lanes`` persistent threads, named ``freeride_<k>``, that run batched
+    native waves (see the section comment above).
+
+    :meth:`run` is one wave, one at a time per team; :meth:`close` stops and
+    joins the lanes (also when the team is garbage collected).  Raises
+    :class:`NativeUnsupported` when no team can exist here: no futex on the
+    platform, a failed runtime build, a thread that cannot start.
+    """
+
+    def __init__(self, lanes: int) -> None:
+        probe = probe_toolchain()
+        if not probe["ok"]:
+            raise NativeUnsupported(probe["reason"], toolchain=True)
+        rt = _submit_team_runtime(probe).result()
+        ffi = rt.ffi
+        self.lanes = lanes
+        self._rt = rt
+        self._team = team = ffi.new("struct repro_team *")
+        self._lane = lane = ffi.new("struct repro_lane[]", lanes)
+        team.lanes, team.lane = lanes, lane
+        self.counters = aligned_empty(lanes * _TEAM_COUNTER_STRIDE, np.float64).reshape(
+            lanes, _TEAM_COUNTER_STRIDE
+        )
+        for k in range(lanes):
+            lane[k].counters = self.counters[k].ctypes.data
+        self._wave_lock = threading.Lock()
+        #: False once closed, or in a forked child (which has no lanes)
+        self.alive = True
+        #: the lane threads, lane ``k`` at ``k``
+        self.threads = threads = tuple(
+            threading.Thread(
+                target=rt.lane, args=(team, k), name=f"freeride_{k}", daemon=True
+            )
+            for k in range(lanes)
+        )
+        self._retire = weakref.finalize(
+            self, _retire_team, os.getpid(), self._wave_lock, rt, team, threads,
+            lane, self.counters,
+        )
+        try:
+            for thread in threads:
+                thread.start()
+        except RuntimeError as exc:  # the OS refused a thread
+            self._retire()
+            raise NativeUnsupported(f"cannot start a lane thread: {exc}")
+        _teams.add(self)
+
+    def close(self) -> None:
+        """Stop and join the lanes.  Idempotent."""
+        self.alive = False
+        self._retire()
+
+    def run(
+        self,
+        segments: "list[tuple[np.ndarray, np.ndarray, int, list[np.ndarray]]]",
+        joined: int,
+        targets: "list[tuple[int, ...]]",
+    ) -> "list[tuple[int, int, int, list[float]]]":
+        """One wave over one or two ``(starts, ends, element base, data
+        buffers)`` segments, lane ``k`` storing through ``targets[k]`` (the
+        eight values of its :data:`_TEAM_TYPES` fields ``fn`` to ``proven``).
+
+        Returns ``(rc, splits, elements, counters)`` per lane that took part:
+        the first ``min(lanes, positions)``.
+        """
+        ffi, team, lane = self._rt.ffi, self._team, self._lane
+        if len(segments) == 1:
+            starts, ends = segments[0][0], segments[0][1]
+        else:
+            starts = np.concatenate([seg[0] for seg in segments])
+            ends = np.concatenate([seg[1] for seg in segments])
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        ends = np.ascontiguousarray(ends, dtype=np.int64)
+        c_starts = ffi.from_buffer("long long[]", starts)
+        c_ends = ffi.from_buffer("long long[]", ends)
+        c_bufs = []
+        for _, _, _, buffers in segments:
+            c_bufs.append(ffi.new("const unsigned char *[]", max(1, len(buffers))))
+            for i, buf in enumerate(buffers):
+                c_bufs[-1][i] = ffi.from_buffer("const unsigned char[]", buf)
+        n = len(starts)
+        active = min(self.lanes, n)
+        with self._wave_lock:
+            if not self.alive:
+                raise RuntimeError("the lane team is closed")
+            team.n, team.joined = n, joined
+            team.cut = len(segments[0][0])
+            team.starts, team.ends = c_starts, c_ends
+            team.bufs[0], team.bufs[1] = c_bufs[0], c_bufs[-1]
+            team.e0[0], team.e0[1] = segments[0][2], segments[-1][2]
+            for k in range(active):
+                t = lane[k]
+                (t.fn, t.acc, t.ro_off, t.ro_n, t.ro_op, t.touched,
+                 t.groups, t.proven) = targets[k]
+            counters = self.counters[:active]
+            counters.fill(0.0)
+            self._rt.run(team, active)
+            counts = counters[:, : len(_COUNTER_FIELDS)].tolist()
+            return [
+                (lane[k].rc, lane[k].splits, lane[k].elements, counts[k])
+                for k in range(active)
+            ]
+
+
+def lane_team(owner: Any, lanes: int) -> "LaneTeam | None":
+    """``owner.team``, made on first use (and again in a forked child).
+
+    ``None`` when no team can exist here: the wave's lanes then run inline,
+    recorded by a ``native_team`` trace event (each time) and one logged
+    warning per process.
+    """
+    global _team_warned
+    team = owner.team
+    if team is not None and team.alive:
+        return team
+    try:
+        team = owner.team = LaneTeam(lanes)
+    except NativeUnsupported as exc:
+        get_tracer().event("native_team", cat="compiler", lanes=lanes, reason=str(exc))
+        with _team_lock:
+            warn, _team_warned = not _team_warned, True
+        if warn:
+            _log.warning(
+                "native lane team unavailable, threaded waves run inline: %s", exc
+            )
+        return None
+    return team
 
 
 # ------------------------------------------------------------ Python wrapper
@@ -1208,6 +1583,16 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     default build on a full verdict, the checked twin on any other (built
     the first time such a layout arrives, and reported by a
     ``native_checked`` trace event per layout).
+
+    Its ``wave`` attribute, ``wave(owner, pieces, joined, lanes, _C)``, is
+    ``ranges`` for a threaded wave: the ``(starts, ends, env)`` pieces (one
+    per dataset segment; position ``joined`` of their concatenation, or -1,
+    continues the range before it) are claimed by the lanes of
+    ``owner.team`` (:func:`lane_team`), lane ``k`` into ``lanes[k]``.  Once
+    every lane has left the wave, each lane's counters and updates are
+    settled as one call's would be; then the lowest failing lane's error is
+    raised.  Returns ``(elements, splits)`` per lane, or ``None`` when no
+    team can exist here.
     """
     ffi = native.ffi
     buf_names = [f"buf_{kid}" for kid in native.buf_order]
@@ -1251,15 +1636,24 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         if verdict is None:
             verdict = verdicts[store.layout] = _verdict(store)
         proven, fn = verdict
+        addresses = (
+            store.elements.ctypes.data, store.offsets.ctypes.data,
+            store.nelems.ctypes.data, store.opcodes.ctypes.data,
+        )
+        touched = store.touched.ctypes.data
+        c_elems, c_off, c_n, c_op = (
+            ffi.cast(ctype, address)
+            for ctype, address in zip(
+                ("double *", "const long long *", "const long long *", "const long long *"),
+                addresses,
+            )
+        )
         return (
-            fn,
-            ffi.cast("double *", store.elements.ctypes.data),
-            ffi.cast("const long long *", store.offsets.ctypes.data),
-            ffi.cast("const long long *", store.nelems.ctypes.data),
-            ffi.cast("const long long *", store.opcodes.ctypes.data),
-            len(store.offsets),
-            proven,
-            ffi.cast("_Bool *", store.touched.ctypes.data),
+            fn, c_elems, c_off, c_n, c_op, len(store.offsets), proven,
+            ffi.cast("_Bool *", touched),
+            # the same, as a team lane's target fields
+            (int(ffi.cast("uintptr_t", fn)), *addresses, touched,
+             len(store.offsets), proven),
         )
 
     def _native_ranges(_starts, _ends, _ro, _env, _C):
@@ -1276,7 +1670,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         prepared = targets.get(store)
         if prepared is None:
             prepared = targets[store] = _prepare(store)
-        fn, c_elems, c_off, c_n, c_op, groups, proven, c_touched = prepared
+        fn, c_elems, c_off, c_n, c_op, groups, proven, c_touched, _ = prepared
         # the env owns the data buffers (and may swap them between calls)
         for i, buf_name in enumerate(buf_names):
             c_bufs[i] = ffi.from_buffer("const unsigned char[]", _env[buf_name])
@@ -1301,10 +1695,48 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         unstored, rc = divmod(rc, _RC_UNSTORED)
         _ro.note_updates(int(counts[_IDX_RO_UPDATES]) - unstored)
         if rc != 0:
-            exc_type, msg = _RC_MESSAGES.get(
-                rc, (RuntimeError, f"native kernel error {rc}")
-            )
-            raise exc_type(f"native kernel {name}: {msg}")
+            _raise(rc)
+
+    def _raise(rc: int) -> None:
+        exc_type, msg = _RC_MESSAGES.get(rc, (RuntimeError, f"native kernel error {rc}"))
+        raise exc_type(f"native kernel {name}: {msg}")
+
+    def _native_wave(owner, pieces, joined, lanes, _C):
+        # ``ranges`` over a wave's ranges on the owner's lane team: lane k
+        # claims positions into lanes[k].  ``pieces`` are (starts, ends, env)
+        # per dataset segment.  None when no team can exist here.
+        team = lane_team(owner, len(lanes))
+        if team is None:
+            return None
+        targets = _thread_state()[2]
+        lane_targets = []
+        for ro in lanes[: min(len(lanes), sum(len(p[0]) for p in pieces))]:
+            store = ro.direct_store()
+            prepared = targets.get(store)
+            if prepared is None:
+                prepared = targets[store] = _prepare(store)
+            lane_targets.append(prepared[-1])
+        segments = [
+            (starts, ends, env.get("_elem_base", 0), [env[b] for b in buf_names])
+            for starts, ends, env in pieces
+        ]
+        # every lane that took part settles as one call would, before the
+        # lowest failing one raises
+        per_lane, failed = [(0, 0)] * len(lanes), 0
+        results = team.run(segments, joined, lane_targets)
+        with ledger_lock:
+            for counts in (result[3] for result in results):
+                for field, value in zip(_COUNTER_FIELDS, counts):
+                    if value:
+                        setattr(_C, field, getattr(_C, field) + value)
+        for k, (rc, splits, elements, counts) in enumerate(results):
+            unstored, rc = divmod(rc, _RC_UNSTORED)
+            lanes[k].note_updates(int(counts[_IDX_RO_UPDATES]) - unstored)
+            failed = failed or rc
+            per_lane[k] = (elements, splits)
+        if failed:
+            _raise(failed)
+        return per_lane
 
     def _native_kernel(_start, _end, _ro, _env, _C):
         _native_ranges(
@@ -1314,4 +1746,5 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
 
     _native_kernel.native = native  # type: ignore[attr-defined]
     _native_kernel.ranges = _native_ranges  # type: ignore[attr-defined]
+    _native_kernel.wave = _native_wave  # type: ignore[attr-defined]
     return _native_kernel

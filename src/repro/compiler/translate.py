@@ -647,21 +647,10 @@ class BoundReduction:
                     np.repeat(starts - before, lengths) + np.arange(total), ro
                 )
                 return
-        n0 = self.n_prefix
-        pieces = [(starts, ends, self.env)]
-        if self.tail_buf is not None and len(ends) and ends[-1] > n0:
-            tail_env = dict(self.env)
-            comp._install_site_resources(tail_env, self.tail_buf)
-            tail_env["_elem_base"] = n0
-            if starts[0] >= n0:
-                pieces = [(starts - n0, ends - n0, tail_env)]
-            else:
-                k = int(starts.searchsorted(n0))  # ranges that start in the prefix
-                j = int(ends.searchsorted(n0, side="right"))  # ... and end there
-                pieces = [
-                    (starts[:k], np.minimum(ends[:k], n0), self.env),
-                    (np.maximum(starts[j:], n0) - n0, ends[j:] - n0, tail_env),
-                ]
+        if self.tail_buf is None or not len(ends) or ends[-1] <= self.n_prefix:
+            pieces = [(starts, ends, self.env)]  # the prefix alone: no call
+        else:
+            pieces = self._pieces(starts, ends)[0]
         for starts, ends, env in pieces:
             if ranges is not None:
                 ranges(starts, ends, ro, env, self.counters)
@@ -669,6 +658,42 @@ class BoundReduction:
             for start, end in zip(starts.tolist(), ends.tolist()):
                 if start < end:
                     kernel(start, end, ro, env, self.counters)
+
+    def _pieces(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray, dict[str, Any]]], int]:
+        """Ascending ranges cut at :attr:`n_prefix`: ``(starts, ends, env)``
+        per segment they reach, and the position in the pieces'
+        concatenation of the second half of a range cut in two (-1: none)."""
+        n0 = self.n_prefix
+        if self.tail_buf is None or not len(ends) or ends[-1] <= n0:
+            return [(starts, ends, self.env)], -1
+        tail_env = dict(self.env)
+        for res in self.compiled.plan.resources.values():  # the tail's data sites
+            if res.kind == "data" and res.linearized:
+                self.compiled._install(tail_env, res, self.tail_buf.raw)
+        tail_env["_elem_base"] = n0
+        if starts[0] >= n0:
+            return [(starts - n0, ends - n0, tail_env)], -1
+        k = int(starts.searchsorted(n0))  # ranges that start in the prefix
+        j = int(ends.searchsorted(n0, side="right"))  # ... and end there
+        pieces = [
+            (starts[:k], np.minimum(ends[:k], n0), self.env),
+            (np.maximum(starts[j:], n0) - n0, ends[j:] - n0, tail_env),
+        ]
+        return pieces, (k if k > j else -1)
+
+    def lane_wave(
+        self, owner: Any, starts: np.ndarray, ends: np.ndarray, lanes: list[Any]
+    ) -> list[tuple[int, int]] | None:
+        """``ReductionSpec.lane_wave`` of a native kernel: the ranges
+        ``[starts[i], ends[i])``, ascending, claimed by the lanes of
+        ``owner.team`` — lane ``k`` into ``lanes[k]`` — cut at
+        :attr:`n_prefix` as :meth:`reduce_ranges` cuts them."""
+        pieces, joined = self._pieces(starts, ends)
+        return self.compiled.effective_kernel.wave(
+            owner, pieces, joined, lanes, self.counters
+        )
 
     def run_gathered(self, indices: np.ndarray, ro: Any) -> int:
         """Run the batch kernel once over a gathered copy of scattered elements.
@@ -823,7 +848,7 @@ class BoundReduction:
             bound=self,
             group_bounds=self.compiled.group_bounds,
             reduce_ranges=self.reduce_ranges,
-            ranges_in_one_call=hasattr(kernel, "ranges"),
+            lane_wave=self.lane_wave if hasattr(kernel, "wave") else None,
         )
         return spec, range(self.n_elements)
 

@@ -22,18 +22,20 @@ and fault configuration:
 :func:`drive`
     the loop over waves × lanes.  The executors differ only in how a
     lane's work is shipped: inline on the calling thread (``"serial"``),
-    pool threads draining the wave's :class:`SplitQueue` (``"threads"``),
-    or tasks on the worker-process pool (``"process"``).
+    the lane team or pool threads draining the wave's :class:`SplitQueue`
+    (``"threads"``), or tasks on the worker-process pool (``"process"``).
 
 *Direct* runs — those without a fault policy — skip the scratch object:
 the attempt accumulates straight into the lane's accessor, there is
 nothing to settle, and with tracing disabled no per-split instrumentation
 is installed at all.  When, on top of that, the kernel can walk a list of
-ranges by itself (``ReductionSpec.ranges_in_one_call``) and the lanes
+ranges by itself (``ReductionSpec.lane_wave`` is set) and the lanes
 commute (the plan's technique gives each lane a target of its own), a
 lane does not loop over splits either: it passes whole batches of
 split positions — slices of the plan's ``starts``/``ends`` arrays, with no
-``Split`` object built — to one ``reduce_ranges`` call.
+``Split`` object built — to one ``reduce_ranges`` call.  A threaded wave of
+those is one hand-off to the spec's ``lane_wave``: the engine's lane team,
+whose lanes claim the batches in C.  The pool serves per-split lanes only.
 """
 
 from __future__ import annotations
@@ -87,12 +89,15 @@ __all__ = [
 _LANE_EXCLUSIVE = (SharedMemTechnique.FULL_REPLICATION, SharedMemTechnique.COLORED)
 
 #: a batched wave whose splits span fewer elements runs inline, whatever the
-#: executor: below it a pool hand-off costs more than a second thread can
-#: win back.  Measured on a 2-vCPU box, a two-split native wave cost 0.13 ms
-#: more on the pool than inline when the pool had just been busy, 0.17 ms
-#: after 0.5 ms idle and 0.25 ms after 2 ms idle (a delta epoch's tail finds
-#: it idle); k-means, the slowest suite kernel, runs 25-33 ns per element.
-#: Hand-off × W ÷ ns per element = 0.2 ms × 2 ÷ 25 ns ≈ 16,000 elements.
+#: executor: below it the lane team's hand-off costs more than a second
+#: thread can win back.  Measured on a 2-vCPU box (medians of three sets, a
+#: warm two-split native wave, threaded minus inline run), the team cost
+#: 0.09 ms more than inline when it had just been busy, 0.12 ms after 0.5 ms
+#: idle and 0.22 ms after 2 ms idle, most of it waking a parked vCPU; the
+#: pool it replaced read 0.35-0.67, 0.53-0.76 and 0.67-0.82 ms in the same
+#: sets.  k-means, the slowest suite kernel, runs 25-33 ns per element.
+#: Hand-off × W ÷ ns per element = 0.17 ms × 2 ÷ 25 ns ≈ 14,000 elements,
+#: rounded to a power of two.
 INLINE_WAVE_ELEMENTS = 16_384
 
 #: what an attempt hands back: ``(scratch, None)`` or ``(None, error)``
@@ -409,39 +414,6 @@ def _lane(
         raise
 
 
-class BatchCursor:
-    """A wave's live split positions, claimed by pool lanes in guided batches.
-
-    Each claim takes the next ``ceil(pending / (2 * lanes))`` positions, in
-    order: long batches while the wave is long, single splits at its tail,
-    so the interpreter's share of the wave is a handful of calls per lane
-    while the last batches still balance the lanes.  A raising lane poisons
-    the cursor, and its peers stop after the batch they hold.
-    """
-
-    def __init__(self, positions: np.ndarray, lanes: int) -> None:
-        self._positions = positions
-        self._lanes = lanes
-        self._next = 0
-        self._poisoned = False
-        self._lock = threading.Lock()
-
-    def claim(self) -> "np.ndarray | None":
-        """The next batch of positions; ``None`` once drained or poisoned."""
-        with self._lock:
-            first = self._next
-            pending = len(self._positions) - first
-            if self._poisoned or not pending:
-                return None
-            self._next += -(-pending // (2 * self._lanes))
-            return self._positions[first : self._next]
-
-    def poison(self) -> None:
-        """Stop handing out positions: every later claim returns ``None``."""
-        with self._lock:
-            self._poisoned = True
-
-
 def _reduce_positions(ctx: RunContext, lane: int, positions: np.ndarray) -> None:
     """One kernel call over the splits at ``positions``, in order, into
     ``lane``'s accessor.
@@ -458,24 +430,15 @@ def _reduce_positions(ctx: RunContext, lane: int, positions: np.ndarray) -> None
     ctx.nsplits[lane] += len(positions)
 
 
-def _lane_positions(ctx: RunContext, cursor: BatchCursor, lane: int) -> None:
-    """Claim batches from ``cursor`` until the wave is drained, one kernel
-    call per batch; an error poisons the cursor on the way out."""
-    try:
-        while (batch := cursor.claim()) is not None:
-            _reduce_positions(ctx, lane, batch)
-    except BaseException:
-        cursor.poison()
-        raise
-
-
 def _batched_wave(ctx: RunContext, engine: "FreerideEngine", wave: Any) -> None:
     """One wave of a batched run, on split positions alone.
 
     Inline, lane ``l`` makes one call over ``live[live % W == l]`` — an
     uncolored run's ``splits[l::W]``, the sequence its replica sees split
-    by split; on the pool, lanes claim guided batches from a
-    :class:`BatchCursor`.
+    by split.  A threaded wave of at least :data:`INLINE_WAVE_ELEMENTS`
+    goes to the spec's ``lane_wave`` instead: the engine's lane team, whose
+    lanes claim guided batches of positions below the interpreter.  A
+    wave no team can run (none can exist here) runs inline.
     """
     starts, ends = ctx.plan.starts, ctx.plan.ends
     if isinstance(wave, range):  # an uncolored run's one wave: every split
@@ -490,20 +453,23 @@ def _batched_wave(ctx: RunContext, engine: "FreerideEngine", wave: Any) -> None:
     # bounds it from above otherwise
     span = int(ends[live[-1]]) - int(starts[live[0]])
     width = ctx.num_threads
-    if ctx.executor == "serial" or live.size == 1 or span < INLINE_WAVE_ELEMENTS:
-        if width == 1:  # one lane takes every live split
-            _reduce_positions(ctx, 0, live)
+    if not (ctx.executor == "serial" or live.size == 1 or span < INLINE_WAVE_ELEMENTS):
+        per_lane = ctx.spec.lane_wave(
+            engine._res, starts[live], ends[live], ctx.accessors
+        )
+        if per_lane is not None:
+            for lane, (elements, splits) in enumerate(per_lane):
+                ctx.elems[lane] += elements
+                ctx.nsplits[lane] += splits
             return
-        lanes = live % width
-        for lane in range(width):
-            mine = live[lanes == lane]
-            if mine.size:
-                _reduce_positions(ctx, lane, mine)
+    if width == 1:  # one lane takes every live split
+        _reduce_positions(ctx, 0, live)
         return
-    cursor = BatchCursor(live, width)
-    _on_pool(engine, [
-        partial(_lane_positions, ctx, cursor, t) for t in range(min(width, live.size))
-    ])
+    lanes = live % width
+    for lane in range(width):
+        mine = live[lanes == lane]
+        if mine.size:
+            _reduce_positions(ctx, lane, mine)
 
 
 def _on_pool(engine: "FreerideEngine", lanes: "list[Callable[[], None]]") -> None:
@@ -627,9 +593,9 @@ def _attempt_remote(
 def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     """Run every wave of the context's schedule to completion.
 
-    ``engine`` supplies the persistent pools (and, for the process
-    executor, the shared-memory segment cache).  Serial execution — and
-    any wave with a single live split — runs inline, lane = split position
+    ``engine`` supplies its resources: the lane team, the persistent pools
+    and, for the process executor, the shared-memory segment cache.  Serial
+    execution — and any wave with a single live split — runs inline, lane = split position
     mod ``num_threads`` with retried splits served first, so the commit
     order is the split order.  One error policy for every run: a raising
     lane poisons the wave's queue, every lane is joined, then the error
@@ -641,7 +607,8 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     batch, so a shared reduction object still commits in split order.  A
     batched wave whose splits span fewer than :data:`INLINE_WAVE_ELEMENTS`
     elements runs inline under every executor: the same lanes into the same
-    replicas, without the pool hand-off it could not win back.
+    replicas, without the team hand-off it could not win back.  A lane team
+    error is raised once every lane has left the wave.
     """
     attempt_fn = _attempt_traced if ctx.tracer.enabled else _attempt_in_process
     payload = None
@@ -657,7 +624,7 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     batched = (
         ctx.direct
         and not ctx.tracer.enabled
-        and ctx.spec.ranges_in_one_call
+        and ctx.spec.lane_wave is not None
         and ctx.plan.technique in _LANE_EXCLUSIVE
         and ctx.plan.starts is not None
     )

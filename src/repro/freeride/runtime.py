@@ -202,15 +202,21 @@ class _EngineResources:
     ``shutdown(wait=True)`` is still possible there).
     """
 
-    __slots__ = ("thread_pool", "process_pool", "segments")
+    __slots__ = ("team", "thread_pool", "process_pool", "segments")
 
     def __init__(self) -> None:
+        #: the lane team of batched native waves (``ReductionSpec.lane_wave``
+        #: makes it on the first; it needs the compiler, this module may not)
+        self.team: Any = None
         self.thread_pool: ThreadPoolExecutor | None = None
         self.process_pool: ProcessPoolExecutor | None = None
         #: shared-memory copies of published datasets (process executor)
         self.segments = SharedBufferCache()
 
     def release(self) -> None:
+        if self.team is not None:
+            self.team.close()
+            self.team = None
         if self.thread_pool is not None:
             self.thread_pool.shutdown(wait=True)
             self.thread_pool = None

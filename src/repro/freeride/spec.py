@@ -101,11 +101,20 @@ class ReductionSpec:
         enters a kernel.  ``BoundReduction.make_spec`` sets it for every
         tier, over engine data that is the index range itself; a
         hand-written spec gets one over its data from :meth:`slice_ranges`.
-    ``ranges_in_one_call``
-        True when ``reduce_ranges`` walks its ranges without the
-        interpreter (a native kernel: one GIL-released C call).  Direct,
-        untraced lanes that own their target (replicas, colored cells) then
-        pass whole batches of splits through it instead of looping over them.
+    ``lane_wave``
+        set when ``reduce_ranges`` walks its ranges without the interpreter
+        (a native kernel: one GIL-released C call; ``make_spec`` sets it for
+        those, ``None`` elsewhere).  Direct, untraced lanes that own their
+        target (replicas, colored cells) then pass whole batches of splits
+        through ``reduce_ranges`` instead of looping over them, and a
+        threaded wave of them goes here: ``lane_wave(owner, starts, ends,
+        lanes)`` runs the wave's ranges (ascending, as ``reduce_ranges``
+        takes them) on a lane team — ``len(lanes)`` threads that claim
+        batches of them without the interpreter, lane ``k`` into
+        ``lanes[k]``.  ``owner.team`` keeps the team between waves (``None``
+        before the first) and ``close()`` stops it.  Returns ``(elements,
+        splits)`` per lane, or ``None`` when no team can exist here and the
+        caller must run the lanes itself.
     """
 
     name: str
@@ -117,7 +126,9 @@ class ReductionSpec:
     bound: Any = None
     group_bounds: Any = None
     reduce_ranges: Callable[[np.ndarray, np.ndarray, ROAccessor], None] | None = None
-    ranges_in_one_call: bool = False
+    lane_wave: Callable[
+        [Any, np.ndarray, np.ndarray, list[ROAccessor]], list[tuple[int, int]] | None
+    ] | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.setup_reduction_object):

@@ -355,9 +355,10 @@ def test_glue_does_not_grow_with_splits(
     ``repro/freeride/`` its one-split twin makes, plus at most
     ``GLUE_PER_RUN``, and builds no ``Split`` at all — with a profile store
     attached too, whose record reads the layout arrays.  At 3,300 elements
-    a threaded wave runs inline; at 33,000 it goes to the pool, whose
-    threads the profiler does not see — but the ``Split`` count covers
-    them."""
+    a threaded wave runs inline; at 33,000 it goes to the lane team, whose
+    lanes run no Python at all: the hand-off and the per-lane settling are
+    on the calling thread, where the profiler counts them, and the same
+    for two splits as for 1,100."""
     spec, data = _histogram(backend="native", data=np.resize(HIST_DATA, n))
     calls = {}
     for chunk in (None, chunk_size):

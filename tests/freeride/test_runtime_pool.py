@@ -174,7 +174,7 @@ def _serial_twin(spec, idx):
 @pytest.mark.skipif(not probe_toolchain()["ok"], reason="no usable C toolchain")
 class TestSmallWavesRunInline:
     """A batched wave under ``INLINE_WAVE_ELEMENTS`` live elements costs
-    less on the calling thread than the pool hand-off; over it, the pool."""
+    less on the calling thread than the team hand-off; over it, the team."""
 
     def test_a_wave_under_the_constant_never_reaches_the_pool(self, monkeypatch):
         spec, idx = _histogram_wave(INLINE_WAVE_ELEMENTS - 2)
@@ -185,30 +185,32 @@ class TestSmallWavesRunInline:
         with FreerideEngine(num_threads=2, executor="threads") as engine:
             monkeypatch.setattr(engine, "_get_pool", no_pool)
             got = _what_a_run_reports(engine.run(spec, idx))
-            assert engine._pool is None
+            assert engine._pool is None and engine._res.team is None
         assert got == _serial_twin(spec, idx)
         assert got[1] == [1, 1]
 
-    def test_a_wave_over_it_runs_one_lane_per_pool_thread(self, monkeypatch):
+    def test_a_wave_over_it_runs_on_the_team(self, monkeypatch):
         spec, idx = _histogram_wave(INLINE_WAVE_ELEMENTS + 2)
-        # each lane holds its first batch until the other has taken one, so
-        # the two splits land one per lane, as they do inline
-        ready = threading.Barrier(2, timeout=30)
-        threads = set()
-        reduce_positions = execute._reduce_positions
 
-        def rendezvous(ctx, lane, positions):
-            threads.add(threading.current_thread().name)
-            ready.wait()
-            reduce_positions(ctx, lane, positions)
+        def no_pool():
+            raise AssertionError("a batched native wave was handed to the pool")
 
-        monkeypatch.setattr(execute, "_reduce_positions", rendezvous)
+        def no_inline_lane(*args):
+            raise AssertionError("a team wave ran a lane on the calling thread")
+
         with FreerideEngine(num_threads=2, executor="threads") as engine:
+            monkeypatch.setattr(engine, "_get_pool", no_pool)
+            monkeypatch.setattr(execute, "_reduce_positions", no_inline_lane)
             got = _what_a_run_reports(engine.run(spec, idx))
-        assert len(threads) == 2
-        assert all(name.startswith("freeride") for name in threads)
+            lanes = [t.name for t in engine._res.team.threads if t.is_alive()]
+            assert engine._pool is None
+        assert lanes == ["freeride_0", "freeride_1"]
         monkeypatch.undo()
-        assert got == _serial_twin(spec, idx)
+        # which lane claims which split is the team's business: the totals
+        # and the bits are the inline lanes'
+        twin = _serial_twin(spec, idx)
+        assert (got[0], got[3]) == (twin[0], twin[3])
+        assert (sum(got[1]), sum(got[2])) == (sum(twin[1]), sum(twin[2]))
 
 
 def _windowed_wave(n, window=512):
@@ -241,7 +243,7 @@ def layouts_built(monkeypatch):
 
 #: name -> (the run's spec and data, engine options); the 20,000- and
 #: 40,960-element waves span more than INLINE_WAVE_ELEMENTS, so threaded
-#: runs of them reach the pool
+#: runs of them reach the lane team
 LAYOUTS = {
     "chunked": (lambda: _histogram_wave(20_000), {"chunk_size": 97}),
     "default": (lambda: _histogram_wave(20_000), {}),
@@ -291,8 +293,8 @@ class TestPositionsAndSplitsReportTheSame:
         if executor == "serial":
             assert (per_split, per_elem) == (traced[1], traced[2])
         else:
-            # pool lanes claim work as they come free, on both paths: only
-            # the totals are fixed
+            # team lanes (batched) and pool lanes (traced) claim work as they
+            # come free: only the totals are fixed
             assert (sum(per_split), sum(per_elem)) == (sum(traced[1]), sum(traced[2]))
         (plain_layouts, plain_splits), (traced_layouts, traced_splits) = built
         assert traced_layouts == 1 and traced_splits > 0  # at most once per run

@@ -1,6 +1,5 @@
 """Unit tests for the FREERIDE splitters."""
 
-import sys
 import threading
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.freeride.execute import BatchCursor
 from repro.freeride.splitter import (
     Split,
     SplitQueue,
@@ -255,64 +253,6 @@ class TestSplitQueue:
             t.start()
         for t in threads:
             t.join()
-        assert sorted(taken) == list(range(1000))
-
-
-class TestBatchCursor:
-    """A pool lane's claims: ceil(pending / (2 * lanes)) positions each."""
-
-    def make_cursor(self, n, lanes):
-        return BatchCursor(np.arange(n, dtype=np.int64), lanes)
-
-    def test_batches_partition_the_wave_in_order(self):
-        for n in (1, 2, 7, 100, 1025):
-            for lanes in (1, 2, 3, 8):
-                cursor = self.make_cursor(n, lanes)
-                seen = []
-                while (batch := cursor.claim()) is not None:
-                    seen.extend(batch.tolist())
-                assert seen == list(range(n)), (n, lanes)
-
-    def test_batch_sizes_follow_the_guided_rule(self):
-        cursor = self.make_cursor(100, 2)
-        sizes = []
-        while (batch := cursor.claim()) is not None:
-            sizes.append(len(batch))
-        pending, expected = 100, []
-        while pending:
-            expected.append(-(-pending // 4))
-            pending -= expected[-1]
-        assert sizes == expected
-        assert sizes[0] == 25 and sizes[-1] == 1
-        assert all(sizes)  # never an empty batch before the wave is drained
-
-    def test_empty_after_poison(self):
-        cursor = self.make_cursor(10, 2)
-        assert len(cursor.claim()) == 3
-        cursor.poison()
-        assert cursor.claim() is None
-
-    def test_concurrent_batches_no_duplicates(self):
-        cursor = self.make_cursor(1000, 8)
-        taken: list[int] = []
-        lock = threading.Lock()
-
-        def worker():
-            while (batch := cursor.claim()) is not None:
-                with lock:
-                    taken.extend(batch.tolist())
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
         assert sorted(taken) == list(range(1000))
 
 
