@@ -14,12 +14,23 @@ nested structures.  Linearization bridges them:
   round-trip tests and by applications that need results back in Chapel
   form.
 
-Algorithm 2 is visited level by level, not value by value (:func:`_pack`):
-the type is known before the data, and in the packed layout all instances of
-one type node lie a fixed stride apart, so they are the rows of one byte
-view.  A member is a column slice of it, an array's elements split its last
-axis, and a leaf column is one typed numpy assignment.  Every scalar lands at
-the offset the depth-first walk gives it; only the order of the writes differs.
+Algorithm 2 runs first as one C call: the linearizer walker
+(:func:`repro.compiler.native.linearizer`) walks the value depth first
+against a plan of its type (:func:`_walk_plan`, built once per type
+object), checks each nested value as :func:`_pack` would and writes each
+scalar at its offset in the same pass.  It packs only what ``_pack`` packs to the same
+bytes: ``real`` and ``int`` leaves held as an exact ``float`` / ``int``, and
+primitive backings whose buffer has the element dtype's own format.
+Whatever it refuses, a type with another leaf, and a process without a
+walker go to ``_pack`` from scratch — the oracle the walker is tested
+against, and the path that raises the errors.
+
+``_pack`` visits Algorithm 2 level by level, not value by value: the type is
+known before the data, and in the packed layout all instances of one type
+node lie a fixed stride apart, so they are the rows of one byte view.  A
+member is a column slice of it, an array's elements split its last axis, and
+a leaf column is one typed numpy assignment.  Every scalar lands at the
+offset the depth-first walk gives it; only the order of the writes differs.
 
 Copy work is charged to an :class:`~repro.machine.counters.OpCounters`
 ledger (``bytes_linearized``), because sequential linearization is the
@@ -29,7 +40,7 @@ scalability limit the paper observes for the opt-2 version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -94,6 +105,9 @@ class LinearizedBuffer:
 
     typ: ChapelType
     raw: np.ndarray  # uint8
+    #: how :func:`linearize_it` packed it: ``"c"``, or why ``_pack`` did
+    #: (see there); None for a buffer it did not make
+    walk: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.raw.dtype != np.uint8:
@@ -177,15 +191,82 @@ def linearize_it(
 ) -> LinearizedBuffer:
     """Algorithm 2: copy a nested value into a fresh dense buffer.
 
+    The C walker packs it in one call where it can; otherwise :func:`_pack`
+    does, and ``buf.walk`` says why: ``"unsupported_type"`` (a leaf only
+    ``_pack`` converts), ``"building"`` or ``"unavailable"`` (no walker in
+    this process, :func:`repro.compiler.native.linearizer`) or
+    ``"refused"`` (a nested value the walker does not take as it is).
     Charges ``bytes_linearized`` to ``counters`` when given.  Raises
     :class:`LinearizationError`, naming the path, for the first nested
     value that is not an instance of its declared type.
     """
     buf = LinearizedBuffer(typ=typ, raw=np.zeros(typ.sizeof, dtype=np.uint8))
-    _pack([value], typ, buf.raw.reshape(1, typ.sizeof), ())
+    buf.walk = _walk(value, typ, buf.raw)
+    if buf.walk != "c":
+        _pack([value], typ, buf.raw.reshape(1, typ.sizeof), ())
     if counters is not None:
         counters.bytes_linearized += typ.sizeof
     return buf
+
+
+#: The walker's plan node kinds, in the order of its C ``enum``.
+_W_REAL, _W_INT, _W_PRIMS, _W_ARRAY, _W_RECORD, _W_TUPLE = range(6)
+#: the scalar leaves it packs itself: an exact float, an exact non-bool int
+_W_LEAVES = {np.dtype(np.float64): _W_REAL, np.dtype(np.int64): _W_INT}
+
+
+def _walk(value: Any, typ: ChapelType, raw: np.ndarray) -> str:
+    """Pack ``value`` into ``raw`` with the C walker: ``"c"``, or why
+    :func:`_pack` must (after a refusal ``raw`` is zeroed again)."""
+    from repro.compiler import native  # on first use, as translate.py imports it
+
+    plan = _walk_plan(typ)
+    if plan is None:
+        return "unsupported_type"
+    walk, why = native.linearizer()
+    if walk is None:
+        return why
+    if walk(plan, value, raw):
+        return "c"
+    raw.fill(0)
+    return "refused"
+
+
+def _walk_plan(typ: ChapelType) -> tuple | None:
+    """The walker's plan of ``typ``: nested tuples laid out as
+    ``native._WALK_SOURCE`` reads them.  None when a leaf is one only
+    :func:`_pack` converts — an enum, a string, or a scalar other than
+    ``real`` and ``int`` outside an array's backing.
+
+    Kept on ``typ`` itself, as ``cached_property`` keeps a value: the plan's
+    type slots are the very objects the caller declared, so a value built
+    against them passes the walker's ``is`` check, never a type ``__eq__``.
+    """
+    try:
+        return typ.__dict__["_walk_plan"]
+    except KeyError:
+        plan = _plan_of(typ)
+        object.__setattr__(typ, "_walk_plan", plan)  # the types are frozen
+        return plan
+
+
+def _plan_of(typ: ChapelType) -> tuple | None:
+    if typ.is_primitive:
+        kind = _W_LEAVES.get(typ.dtype) if isinstance(typ, PrimitiveType) else None
+        return None if kind is None else (kind, typ.sizeof)
+    if type(typ) not in _HOLDS:
+        return None
+    cls, attr = _HOLDS[type(typ)]
+    head = (typ.sizeof, typ, cls, attr)
+    if isinstance(typ, ArrayType):
+        if isinstance(typ.elt, PrimitiveType):  # the backing's own buffer format
+            return (_W_PRIMS, *head, memoryview(np.empty(0, typ.elt.dtype)).format.encode())
+        elt = _walk_plan(typ.elt)
+        return None if elt is None else (_W_ARRAY, *head, typ.domain.size, typ.elt.sizeof, elt)
+    members = tuple((key, off, _walk_plan(t)) for key, _, t, off in _members(typ))
+    if any(node is None for _, _, node in members):
+        return None
+    return (_W_RECORD if isinstance(typ, RecordType) else _W_TUPLE, *head, members)
 
 
 def _where(path: _Path, k: int | None) -> str:

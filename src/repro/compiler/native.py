@@ -52,7 +52,9 @@ toolchain, and a cold build runs ``cc`` on a build thread beside its caller
 (:func:`submit_native`).  The C compiler is probed once per process
 (override with ``REPRO_CC``); a missing or broken toolchain downgrades
 every native request to the batch/scalar path with a single warning and a
-single ``native_fallback`` trace event.
+single ``native_fallback`` trace event.  The same cache and build threads
+serve the linearizer walker (:func:`linearizer`): Algorithm 2 over a nested
+value as one call into a small CPython extension.
 
 Semantics notes (all chosen to match the *scalar* Python kernel):
 
@@ -84,15 +86,18 @@ Semantics notes (all chosen to match the *scalar* Python kernel):
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields as dc_fields
+from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -120,6 +125,7 @@ __all__ = [
     "compile_native",
     "kernel_cache_dir",
     "lane_team",
+    "linearizer",
     "make_native_kernel",
     "probe_toolchain",
     "proof_mask",
@@ -964,20 +970,26 @@ def _mark_build_thread() -> None:
     _on_build_thread.active = True
 
 
+def _pool() -> ThreadPoolExecutor:
+    """The build threads, made by the first build of a process.  The caller
+    holds ``_build_lock``."""
+    global _build_pool
+    if _build_pool is None:
+        _build_pool = ThreadPoolExecutor(
+            _build_width(), thread_name_prefix="repro-cc",
+            initializer=_mark_build_thread,
+        )
+    return _build_pool
+
+
 def _submit(so_path: Path, build: Callable[[], NativeKernel]) -> Future:
     """Run ``build`` on a build thread, unless one for ``so_path`` is in flight."""
-    global _build_pool
     with _build_lock:
         for path in [p for p, f in _inflight.items() if f.done()]:
             del _inflight[path]
         future = _inflight.get(so_path)
         if future is None:
-            if _build_pool is None:
-                _build_pool = ThreadPoolExecutor(
-                    _build_width(), thread_name_prefix="repro-cc",
-                    initializer=_mark_build_thread,
-                )
-            future = _inflight[so_path] = _build_pool.submit(build)
+            future = _inflight[so_path] = _pool().submit(build)
         return future
 
 
@@ -985,7 +997,9 @@ def _before_fork() -> None:
     # Held until the fork is done: no build starts meanwhile.  Waiting lets
     # every build in flight release its per-symbol lock and ``_dlopen_lock``
     # and publish, so the child inherits finished builds only.  Builds never
-    # take ``_build_lock``, and a build thread never waits for itself.
+    # take ``_build_lock``, and a build thread never waits for itself.  The
+    # linearizer walker's build is not waited for: the child re-makes the
+    # probe lock it may hold and submits its own.
     _build_lock.acquire()
     if not getattr(_on_build_thread, "active", False):
         wait(list(_inflight.values()))
@@ -996,7 +1010,7 @@ def _after_fork_in_parent() -> None:
 
 
 def _after_fork_in_child() -> None:
-    global _build_pool, _team_lock
+    global _build_pool, _team_lock, _probe_lock
     _build_pool = None  # its threads did not survive the fork
     _inflight.clear()
     _build_lock.release()
@@ -1004,6 +1018,9 @@ def _after_fork_in_child() -> None:
     _team_lock = threading.Lock()
     for team in list(_teams):
         team.alive = False
+    # the walker's build, or another thread, may have been mid-probe: the
+    # child probes again if the parent's result was not yet set
+    _probe_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -1532,6 +1549,268 @@ def lane_team(owner: Any, lanes: int) -> "LaneTeam | None":
             )
         return None
     return team
+
+
+# ------------------------------------------------------- linearizer walker
+#
+# Algorithm 2 over a whole nested value in one C call: a depth-first walk of
+# the value against a *plan* of its type (``linearize._walk_plan``) that
+# accepts each nested value only where ``linearize._pack`` would and writes
+# every scalar at its offset as it goes.  A value it refuses is packed again,
+# from scratch, by ``_pack``, which writes the same bytes or raises the
+# path-named error.  The walk reads Python objects, so it holds the GIL for
+# the whole call: the walker is a CPython extension module, loaded with
+# ``ExtensionFileLoader``, never a cffi library (an ABI-mode call releases
+# the GIL).  It is keyed and cached like the team runtime and built once per
+# process, on a build thread, submitted by the first linearization of a
+# type it can walk; no linearization waits for it.  Nor does a fork: a child
+# whose parent's build was in flight re-makes the probe lock that build may
+# hold (``_after_fork_in_child``) and submits its own.
+
+_WALK_SOURCE = (
+    "/* the linearizer walker: Algorithm 2 in one call, under the GIL */\n"
+    "#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n#include <string.h>\n"
+    + r"""
+/* Plan nodes, as linearize._walk_plan builds them: a leaf is (kind, sizeof),
+   a composite (kind, sizeof, type, value class, attribute, ...) plus
+     W_PRIMS   the backing's buffer format (bytes);
+     W_ARRAY   extent, element sizeof, element node;
+     W_RECORD, W_TUPLE   ((member key, byte offset, node), ...). */
+enum { W_REAL, W_INT, W_PRIMS, W_ARRAY, W_RECORD, W_TUPLE };
+#define AT(t, i) PyTuple_GET_ITEM(t, i)
+#define SIZE(o) PyLong_AsSsize_t(o)
+
+static PyObject *s_type;
+
+/* A refusal: 0, clearing an Exception (_pack meets it again); -1 leaves
+   anything else (KeyboardInterrupt) raised. */
+static int refused(void) {
+    if (PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_Exception)) return -1;
+        PyErr_Clear();
+    }
+    return 0;
+}
+
+static int walk(PyObject *node, PyObject *v, char *out);
+
+/* a borrowed part, held while it is walked (a type's __eq__ is Python) */
+static int walk_part(PyObject *node, PyObject *v, char *out) {
+    int rc;
+    Py_INCREF(v);
+    rc = walk(node, v, out);
+    Py_DECREF(v);
+    return rc;
+}
+
+static int walk_parts(long kind, PyObject *node, PyObject *parts, char *out) {
+    Py_ssize_t k, n;
+    int rc = 1;
+    if (kind == W_PRIMS) {
+        Py_buffer b;
+        if (PyObject_GetBuffer(parts, &b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+            return refused();
+        rc = b.len == SIZE(AT(node, 1)) && b.format != NULL
+             && strcmp(b.format, PyBytes_AS_STRING(AT(node, 5))) == 0;
+        if (rc) memcpy(out, b.buf, (size_t)b.len);
+        PyBuffer_Release(&b);
+        return rc;
+    }
+    if (kind == W_ARRAY) {
+        Py_ssize_t esz = SIZE(AT(node, 6));
+        n = SIZE(AT(node, 5));
+        if (!PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n) return 0;
+        for (k = 0; k < n && rc == 1; k++) {
+            if (PyList_GET_SIZE(parts) != n) return 0;
+            rc = walk_part(AT(node, 7), PyList_GET_ITEM(parts, k), out + k * esz);
+        }
+        return rc;
+    }
+    n = PyTuple_GET_SIZE(AT(node, 5));
+    if (kind == W_RECORD ? !PyDict_CheckExact(parts)
+                         : !PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n)
+        return 0;
+    for (k = 0; k < n && rc == 1; k++) {
+        PyObject *m = AT(AT(node, 5), k), *x;
+        if (kind == W_RECORD) {
+            x = PyDict_GetItemWithError(parts, AT(m, 0));
+            if (x == NULL) return refused();
+        } else {
+            if (PyList_GET_SIZE(parts) != n) return 0;
+            x = PyList_GET_ITEM(parts, k);
+        }
+        rc = walk_part(AT(m, 2), x, out + SIZE(AT(m, 1)));
+    }
+    return rc;
+}
+
+/* 1: the value is written at out; 0: refused; -1: an error is raised */
+static int walk(PyObject *node, PyObject *v, char *out) {
+    long kind = PyLong_AsLong(AT(node, 0));
+    PyObject *vt, *parts;
+    int rc;
+    if (kind == W_REAL) {
+        double d;
+        if (!PyFloat_CheckExact(v)) return 0;
+        d = PyFloat_AS_DOUBLE(v);
+        memcpy(out, &d, sizeof d);
+        return 1;
+    }
+    if (kind == W_INT) {
+        int overflow;
+        long long x;
+        if (!PyLong_CheckExact(v)) return 0;
+        x = PyLong_AsLongLongAndOverflow(v, &overflow);
+        if (overflow || (x == -1 && PyErr_Occurred())) return refused();
+        memcpy(out, &x, sizeof x);
+        return 1;
+    }
+    /* a value of the node's class whose .type is the node's type, or equal
+       to it; slots are read past the class's __getattr__ */
+    if (!PyObject_TypeCheck(v, (PyTypeObject *)AT(node, 3))) return 0;
+    vt = PyObject_GenericGetAttr(v, s_type);
+    if (vt == NULL) return refused();
+    rc = vt == AT(node, 2) ? 1 : PyObject_RichCompareBool(vt, AT(node, 2), Py_EQ);
+    Py_DECREF(vt);
+    if (rc != 1) return rc < 0 ? refused() : 0;
+    parts = PyObject_GenericGetAttr(v, AT(node, 4));
+    if (parts == NULL) return refused();
+    rc = walk_parts(kind, node, parts, out);
+    Py_DECREF(parts);
+    return rc;
+}
+
+static PyObject *py_walk(PyObject *self, PyObject *args) {
+    PyObject *plan, *value, *target;
+    Py_buffer out;
+    int rc;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "O!OO:walk", &PyTuple_Type, &plan, &value, &target))
+        return NULL;
+    if (PyObject_GetBuffer(target, &out, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
+        return NULL;
+    if (out.len != SIZE(AT(plan, 1))) {
+        PyBuffer_Release(&out);
+        PyErr_SetString(PyExc_ValueError, "walk: the buffer is not the plan's size");
+        return NULL;
+    }
+    rc = walk(plan, value, (char *)out.buf);
+    PyBuffer_Release(&out);
+    return rc < 0 ? NULL : PyBool_FromLong(rc);
+}
+
+static PyMethodDef walk_methods[] = {
+    {"walk", py_walk, METH_VARARGS,
+     "walk(plan, value, out) -> bool: pack value into out, or refuse it"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef walk_module = {
+    PyModuleDef_HEAD_INIT, "__NATIVE_SYMBOL__", NULL, -1, walk_methods,
+};
+
+PyMODINIT_FUNC PyInit___NATIVE_SYMBOL__(void) {
+    s_type = PyUnicode_InternFromString("type");
+    return s_type == NULL ? NULL : PyModule_Create(&walk_module);
+}
+"""
+)
+
+#: the walker's ``walk``, once its build landed in this process
+_walker: Callable[..., bool] | None = None
+#: why no walker can exist in this process (None: it can, or may yet)
+_walk_missing: str | None = None
+#: the process that submitted the build (a forked child finds its parent's)
+_walk_pid: int | None = None
+#: that build (``linearizer(wait=True)`` waits for it)
+_walk_build: Future | None = None
+
+
+def linearizer(wait: bool = False) -> tuple[Callable[..., bool] | None, str]:
+    """The walker's ``walk(plan, value, out)`` and ``"c"``; ``(None,
+    "building")`` until its build lands, ``(None, "unavailable")`` where it
+    cannot exist (no ``cc``, no ``Python.h``, a failed build).
+
+    The process's first call submits the build and returns at once;
+    ``wait=True`` waits for it.  Every ``"unavailable"`` answer emits a
+    ``linearize_walk`` trace event.  A failed build logs one warning per
+    process, a failed toolchain probe its own; a forked child whose
+    parent's build was in flight logs one and emits the event as it submits
+    its own.
+    """
+    global _walk_pid, _walk_build
+    if _walker is not None:
+        return _walker, "c"
+    pid = os.getpid()
+    if _walk_missing is None and _walk_pid != pid:
+        with _build_lock:
+            if _walk_pid != pid:
+                orphaned = _walk_pid is not None
+                _walk_build = _pool().submit(_build_walker, kernel_cache_dir())
+                _walk_pid = pid
+                if orphaned:
+                    reason = "the parent's walker build was in flight at the fork"
+                    get_tracer().event(
+                        "linearize_walk", cat="linearize", walk="building", reason=reason
+                    )
+                    _log.warning(
+                        "%s: this process builds its own, and Algorithm 2 runs on "
+                        "linearize._pack until it lands", reason,
+                    )
+    if wait and _walk_pid == pid:
+        _walk_build.result()
+    if _walker is not None:
+        return _walker, "c"
+    if _walk_missing is not None:
+        get_tracer().event(
+            "linearize_walk", cat="linearize", walk="unavailable", reason=_walk_missing
+        )
+        return None, "unavailable"
+    return None, "building"
+
+
+def _build_walker(cache_dir: Path) -> None:
+    """The walker's build, on a build thread: probe, key, ``cc`` on a disk
+    miss, load.  Sets ``_walker``, or ``_walk_missing`` and warns."""
+    global _walker, _walk_missing
+    probe = probe_toolchain()
+    try:
+        if not probe["ok"]:
+            raise NativeUnsupported(probe["reason"], toolchain=True)
+        _walker = _load_walker(probe, cache_dir)
+    except Exception as exc:  # the build thread's boundary: report, never raise
+        _walk_missing = str(exc) or type(exc).__name__
+        if not getattr(exc, "toolchain", False):  # a failed probe has warned
+            _log.warning(
+                "linearizer walker unavailable, Algorithm 2 runs on "
+                "linearize._pack: %s", exc,
+                exc_info=not isinstance(exc, (NativeUnsupported, ImportError, OSError)),
+            )
+
+
+def _load_walker(probe: dict[str, Any], cache_dir: Path) -> Callable[..., bool]:
+    """Key the walker, ``cc`` it on a disk miss, load it; its ``walk``."""
+    paths = sysconfig.get_paths()
+    if not Path(paths["include"], "Python.h").exists():
+        raise NativeUnsupported(f"no Python.h in {paths['include']}")
+    flags = CC_FLAGS + tuple(
+        f"-I{d}" for d in dict.fromkeys((paths["include"], paths["platinclude"]))
+    )
+    digest = hashlib.sha256(
+        f"walk|{probe['fingerprint']}|{' '.join(flags)}|"
+        f"{sysconfig.get_config_var('EXT_SUFFIX')}|{_WALK_SOURCE}".encode()
+    ).hexdigest()
+    symbol = f"repro_walk_{digest[:16]}"
+    so_path = cache_dir / f"{symbol}.so"
+    if not so_path.exists():  # one build per process: no compile lock to take
+        _cc_publish(
+            probe["cc"], flags, _WALK_SOURCE.replace(_SYMBOL_SENTINEL, symbol),
+            symbol, so_path,
+        )
+    loader = ExtensionFileLoader(symbol, str(so_path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(symbol, loader))
+    loader.exec_module(module)
+    return module.walk
 
 
 # ------------------------------------------------------------ Python wrapper

@@ -413,6 +413,8 @@ class CompiledReduction:
         ) as span:
             data_buf, n = self._linearize_data(data, elem_t, counters, n_elements)
             span.set(n_elements=n, bytes=data_buf.nbytes)
+            if isinstance(data, ChapelArray):  # Algorithm 2 ran
+                span.set(walk=data_buf.walk)
 
         env: dict[str, Any] = {
             "compute_index": compute_index,
@@ -581,7 +583,7 @@ class BoundReduction:
                     buffers[root] = linearize_it(
                         extras[root], comp.lowered.extra_types[root], self.counters
                     )
-                    span.set(bytes=buffers[root].nbytes)
+                    span.set(bytes=buffers[root].nbytes, walk=buffers[root].walk)
             comp._install(self.env, res, buffers[root].raw)
         self.extras_epoch += 1
 

@@ -4,6 +4,7 @@ Includes the paper's Figure 6/7 structure as a golden case and
 hypothesis-driven round-trip properties over random nested types.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.chapel.values import (
     set_path,
     to_python,
 )
+from repro.compiler import native
 from repro.compiler.linearize import (
     LinearizedBuffer,
     compute_linearize_size,
@@ -291,11 +293,41 @@ def _via_linearize_append(bad):
         assert (buf.nbytes, buf.typ, buf.raw.tobytes()) == before
 
 
+@contextlib.contextmanager
+def _walker_refuses(monkeypatch):
+    """Route every linearization through the C walker, settled first, and
+    check on teardown that it refused a value itself; where no walker can
+    exist, ``_pack`` alone runs."""
+    walk, _ = native.linearizer(wait=True)
+    if walk is None:
+        yield
+        return
+    verdicts = []
+
+    def spy(plan, value, out):
+        verdicts.append(walk(plan, value, out))
+        return verdicts[-1]
+
+    monkeypatch.setattr(native, "linearizer", lambda wait=False: (spy, "c"))
+    yield
+    assert False in verdicts, "the walker took every value"
+
+
+def _pack_alone(monkeypatch):
+    monkeypatch.setattr(native, "linearizer", lambda wait=False: (None, "unavailable"))
+
+
 @pytest.mark.parametrize("entry", [_via_linearize_it, _via_linearize_append])
 class TestRefusesMisshapedValues:
     """``ChapelRecord.__setattr__`` and composite ``ChapelArray.__setitem__`` do
     not check composites, so a value can disagree with its declared type; the
-    native kernels index the buffer by the declared layout."""
+    native kernels index the buffer by the declared layout.  The C walker
+    refuses each value first; ``_pack`` then raises the error."""
+
+    @pytest.fixture(autouse=True)
+    def walk_path(self, monkeypatch):
+        with _walker_refuses(monkeypatch):
+            yield
 
     def test_short_extent(self, entry):
         _, data = _points()
@@ -346,12 +378,30 @@ class TestRefusesMisshapedValues:
             entry(data)
 
 
-def test_refuses_element_list_shorter_than_its_type():
+class TestRefusesMisshapedValuesOnPack(TestRefusesMisshapedValues):
+    """The same refusals, error for error, with no walker: ``_pack`` alone."""
+
+    @pytest.fixture(autouse=True)
+    def walk_path(self, monkeypatch):
+        _pack_alone(monkeypatch)
+
+
+def _refuse_element_list_shorter_than_its_type():
     point_t, _ = _points()
     bad = default_value(array_of(array_of(point_t, 2), 2))
     bad[2] = ChapelArray(array_of(point_t, 2), [default_value(point_t)])
     with pytest.raises(LinearizationError, match=r"data\[1\]: .* stores 1 elements"):
         linearize_it(bad, bad.type)
+
+
+def test_refuses_element_list_shorter_than_its_type(monkeypatch):
+    with _walker_refuses(monkeypatch):
+        _refuse_element_list_shorter_than_its_type()
+
+
+def test_refuses_element_list_shorter_than_its_type_on_pack(monkeypatch):
+    _pack_alone(monkeypatch)
+    _refuse_element_list_shorter_than_its_type()
 
 
 # ---- property-based round trips ---------------------------------------------
