@@ -10,6 +10,7 @@ indices and 0-based dense positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.util.errors import DomainError
@@ -107,7 +108,7 @@ class Domain:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.ranges)
 
-    @property
+    @cached_property
     def size(self) -> int:
         n = 1
         for r in self.ranges:

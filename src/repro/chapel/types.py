@@ -14,9 +14,9 @@ exactly a packed layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class ChapelType:
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         return self.__class__.__name__
 
+    def __getstate__(self) -> dict[str, Any]:
+        # a type pickles as its fields: what is cached on it (sizes, offsets,
+        # the linearizer's plan) is rebuilt where it is unpickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class PrimitiveType(ChapelType):
@@ -85,7 +90,14 @@ class PrimitiveType(ChapelType):
 
     def __init__(self, name: str, dtype: str | np.dtype) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dtype", np.dtype(dtype))
+        dtype = np.dtype(dtype)
+        own = np.dtype(dtype.str)  # NumPy's own object for a builtin dtype
+        object.__setattr__(self, "dtype", own if own == dtype else dtype)
+
+    def __reduce__(self) -> tuple:
+        # through __init__: a pickled dtype comes back as a fresh, equal
+        # object, and the type holds NumPy's own again
+        return PrimitiveType, (self.name, self.dtype)
 
     @property
     def sizeof(self) -> int:
@@ -210,7 +222,7 @@ class ArrayType(ChapelType):
     domain: Domain
     elt: ChapelType
 
-    @property
+    @cached_property
     def sizeof(self) -> int:
         return self.domain.size * self.elt.sizeof
 
@@ -248,7 +260,7 @@ class RecordType(ChapelType):
         if not self.fields:
             raise ChapelTypeError(f"record {name} needs at least one field")
 
-    @property
+    @cached_property
     def sizeof(self) -> int:
         return sum(t.sizeof for _, t in self.fields)
 
@@ -307,7 +319,7 @@ class TupleType(ChapelType):
             if not isinstance(t, ChapelType):
                 raise ChapelTypeError(f"non-Chapel tuple component {t!r}")
 
-    @property
+    @cached_property
     def sizeof(self) -> int:
         return sum(t.sizeof for t in self.elts)
 

@@ -138,6 +138,20 @@ class ChapelArray:
     def __repr__(self) -> str:
         return f"ChapelArray({self.type}, n={len(self)})"
 
+    def __reduce__(self) -> tuple:
+        return _unpickle_array, (self.type, self._storage)
+
+
+def _unpickle_array(typ: ArrayType, storage: Any) -> ChapelArray:
+    """A pickled array: its backing comes back with a fresh dtype object equal
+    to its element type's, and is viewed as that type's own again (the
+    linearizer walker accepts a backing only by dtype identity)."""
+    elt = typ.elt
+    if isinstance(elt, PrimitiveType) and isinstance(storage, np.ndarray):
+        if storage.dtype == elt.dtype:
+            storage = storage.view(elt.dtype)
+    return ChapelArray(typ, storage)
+
 
 class ChapelRecord:
     """A Chapel record value: typed named members, attribute access."""

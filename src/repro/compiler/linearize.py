@@ -18,12 +18,14 @@ Algorithm 2 runs first as one C call: the linearizer walker
 (:func:`repro.compiler.native.linearizer`) walks the value depth first
 against a plan of its type (:func:`_walk_plan`, built once per type
 object), checks each nested value as :func:`_pack` would and writes each
-scalar at its offset in the same pass.  It packs only what ``_pack`` packs to the same
-bytes: ``real`` and ``int`` leaves held as an exact ``float`` / ``int``, and
-primitive backings whose buffer has the element dtype's own format.
-Whatever it refuses, a type with another leaf, and a process without a
-walker go to ``_pack`` from scratch — the oracle the walker is tested
-against, and the path that raises the errors.
+scalar at its offset in the same pass.  It packs only what ``_pack`` packs
+to the same bytes, read in place: instances of exactly the node's value
+class, ``real`` and ``int`` leaves held as an exact ``float`` / ``int``, and
+primitive backings that are exact 1-D, C-contiguous, aligned
+``numpy.ndarray`` objects of the right length holding the element type's
+own dtype object.  Whatever it refuses, a type with another leaf, and a
+process without a walker go to ``_pack`` from scratch — the oracle the
+walker is tested against, and the path that raises the errors.
 
 ``_pack`` visits Algorithm 2 level by level, not value by value: the type is
 known before the data, and in the packed layout all instances of one type
@@ -241,6 +243,9 @@ def _walk_plan(typ: ChapelType) -> tuple | None:
     Kept on ``typ`` itself, as ``cached_property`` keeps a value: the plan's
     type slots are the very objects the caller declared, so a value built
     against them passes the walker's ``is`` check, never a type ``__eq__``.
+    A primitive backing must hold the element type's dtype object itself,
+    which is NumPy's own for a builtin dtype; a type pickles without its
+    plan (``ChapelType.__getstate__``), so an unpickled one plans afresh.
     """
     try:
         return typ.__dict__["_walk_plan"]
@@ -259,10 +264,10 @@ def _plan_of(typ: ChapelType) -> tuple | None:
     cls, attr = _HOLDS[type(typ)]
     head = (typ.sizeof, typ, cls, attr)
     if isinstance(typ, ArrayType):
-        if isinstance(typ.elt, PrimitiveType):  # the backing's own buffer format
-            return (_W_PRIMS, *head, memoryview(np.empty(0, typ.elt.dtype)).format.encode())
+        if isinstance(typ.elt, PrimitiveType):  # a backing holds this very dtype object
+            return (_W_PRIMS, *head, typ.domain.size, typ.elt.dtype)
         elt = _walk_plan(typ.elt)
-        return None if elt is None else (_W_ARRAY, *head, typ.domain.size, typ.elt.sizeof, elt)
+        return None if elt is None else (_W_ARRAY, *head, typ.domain.size, elt)
     members = tuple((key, off, _walk_plan(t)) for key, _, t, off in _members(typ))
     if any(node is None for _, _, node in members):
         return None

@@ -1555,32 +1555,66 @@ def lane_team(owner: Any, lanes: int) -> "LaneTeam | None":
 #
 # Algorithm 2 over a whole nested value in one C call: a depth-first walk of
 # the value against a *plan* of its type (``linearize._walk_plan``) that
-# accepts each nested value only where ``linearize._pack`` would and writes
-# every scalar at its offset as it goes.  A value it refuses is packed again,
-# from scratch, by ``_pack``, which writes the same bytes or raises the
-# path-named error.  The walk reads Python objects, so it holds the GIL for
-# the whole call: the walker is a CPython extension module, loaded with
-# ``ExtensionFileLoader``, never a cffi library (an ABI-mode call releases
-# the GIL).  It is keyed and cached like the team runtime and built once per
-# process, on a build thread, submitted by the first linearization of a
-# type it can walk; no linearization waits for it.  Nor does a fork: a child
-# whose parent's build was in flight re-makes the probe lock that build may
-# hold (``_after_fork_in_child``) and submits its own.
+# accepts each nested value only where ``linearize._pack`` would pack it to
+# the same bytes and writes every scalar at its offset as it goes.  A value
+# it refuses is packed again, from scratch, by ``_pack``, which writes the
+# same bytes or raises the path-named error.  Each call first decodes its
+# plan into C nodes (one per distinct type node); the walk then reads every
+# value in place and knows one path per node kind:
+#   * a composite is an instance of exactly its node's value class, its
+#     ``.type`` and parts slots read at the offsets of the object member
+#     descriptors the class resolves (an unset slot, or a class whose
+#     attribute is any other descriptor, is a refusal);
+#   * a primitive backing is an exact ``numpy.ndarray``, 1-D, C-contiguous,
+#     aligned and ``extent`` long whose dtype is the plan's very object, and
+#     is copied from its data pointer, read through NumPy's
+#     ``PyArrayObject_fields`` (no NumPy C-API call, no ``import_array``);
+#   * a leaf is an exact ``float``, or an exact ``int`` that fits int64.
+# The walk reads Python objects, so it holds the GIL for the whole call: the
+# walker is a CPython extension module, loaded with ``ExtensionFileLoader``,
+# never a cffi library (an ABI-mode call releases the GIL).  It is built
+# against ``Python.h`` and NumPy's headers, keyed (NumPy's version included)
+# and cached like the team runtime, and built once per process, on a build
+# thread, submitted by the first linearization of a type it can walk; no
+# linearization waits for it.  Nor does a fork: a child whose parent's build
+# was in flight re-makes the probe lock that build may hold
+# (``_after_fork_in_child``) and submits its own.
 
 _WALK_SOURCE = (
     "/* the linearizer walker: Algorithm 2 in one call, under the GIL */\n"
-    "#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n#include <string.h>\n"
+    "#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n#include <structmember.h>\n"
+    "#include <string.h>\n"
+    "#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION\n"
+    "#include <numpy/ndarraytypes.h>\n"
     + r"""
 /* Plan nodes, as linearize._walk_plan builds them: a leaf is (kind, sizeof),
-   a composite (kind, sizeof, type, value class, attribute, ...) plus
-     W_PRIMS   the backing's buffer format (bytes);
-     W_ARRAY   extent, element sizeof, element node;
+   a composite (kind, sizeof, type, value class, parts slot name, ...) plus
+     W_PRIMS   extent, the backing's dtype;
+     W_ARRAY   extent, element node;
      W_RECORD, W_TUPLE   ((member key, byte offset, node), ...). */
 enum { W_REAL, W_INT, W_PRIMS, W_ARRAY, W_RECORD, W_TUPLE };
 #define AT(t, i) PyTuple_GET_ITEM(t, i)
-#define SIZE(o) PyLong_AsSsize_t(o)
+#define SLOT(v, off) (*(PyObject **)((char *)(v) + (off)))
+#define BACKING (NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_ALIGNED)
+
+typedef struct node node;
+typedef struct { PyObject *key; Py_ssize_t off; node *node; } member;
+
+/* a plan node, decoded; every object is borrowed from the plan */
+struct node {
+    node *next;              /* the call's decoded nodes, for reuse and free */
+    PyObject *plan;
+    long kind;
+    Py_ssize_t size, n;      /* sizeof; extent, or member count */
+    PyObject *type, *dtype;
+    PyTypeObject *cls;       /* NULL: the class's slots are not object members */
+    Py_ssize_t type_off, parts_off;
+    node *elt;
+    member *members;
+};
 
 static PyObject *s_type;
+static PyTypeObject *s_ndarray;
 
 /* A refusal: 0, clearing an Exception (_pack meets it again); -1 leaves
    anything else (KeyboardInterrupt) raised. */
@@ -1592,71 +1626,146 @@ static int refused(void) {
     return 0;
 }
 
-static int walk(PyObject *node, PyObject *v, char *out);
+static node *bad_plan(void) {
+    PyErr_SetString(PyExc_TypeError, "walk: not a linearizer plan");
+    return NULL;
+}
+
+/* the offset of the object slot `name` resolves to on `cls`; -1 for any
+   other attribute */
+static Py_ssize_t slot_offset(PyTypeObject *cls, PyObject *name) {
+    PyObject *d = _PyType_Lookup(cls, name);
+    PyMemberDef *m;
+    if (d == NULL || !Py_IS_TYPE(d, &PyMemberDescr_Type)) return -1;
+    m = ((PyMemberDescrObject *)d)->d_member;
+    return m->type == T_OBJECT_EX ? m->offset : -1;
+}
+
+static void free_nodes(node *all) {
+    while (all != NULL) {
+        node *next = all->next;
+        PyMem_Free(all->members);
+        PyMem_Free(all);
+        all = next;
+    }
+}
+
+/* `plan` as a C node, prepended to `*all`; a node met again is reused */
+static node *decode(PyObject *plan, node **all) {
+    node *n;
+    Py_ssize_t k, len;
+    for (n = *all; n != NULL; n = n->next)
+        if (n->plan == plan) return n;
+    if (!PyTuple_CheckExact(plan) || (len = PyTuple_GET_SIZE(plan)) < 2) return bad_plan();
+    n = PyMem_Calloc(1, sizeof *n);
+    if (n == NULL) return (node *)PyErr_NoMemory();
+    n->next = *all;
+    *all = n;
+    n->plan = plan;
+    n->kind = PyLong_AsLong(AT(plan, 0));
+    n->size = PyLong_AsSsize_t(AT(plan, 1));
+    if (PyErr_Occurred()) return NULL;
+    if (n->kind == W_REAL || n->kind == W_INT)
+        return len == 2 && n->size == 8 ? n : bad_plan();
+    if (len != (n->kind == W_RECORD || n->kind == W_TUPLE ? 6 : 7)
+        || !PyType_Check(AT(plan, 3)) || !PyUnicode_CheckExact(AT(plan, 4)))
+        return bad_plan();
+    n->type = AT(plan, 2);
+    n->cls = (PyTypeObject *)AT(plan, 3);
+    n->type_off = slot_offset(n->cls, s_type);
+    n->parts_off = slot_offset(n->cls, AT(plan, 4));
+    if (n->type_off < 0 || n->parts_off < 0) n->cls = NULL;
+    if (n->kind == W_PRIMS || n->kind == W_ARRAY) {
+        n->n = PyLong_AsSsize_t(AT(plan, 5));
+        if (n->n < 0) return PyErr_Occurred() ? NULL : bad_plan();
+        if (n->kind == W_PRIMS) {  /* sizeof is extent x the dtype's itemsize:
+                                      only its identity is ever read */
+            n->dtype = AT(plan, 6);
+            return n;
+        }
+        n->elt = decode(AT(plan, 6), all);
+        if (n->elt == NULL) return NULL;
+        return n->n * n->elt->size == n->size ? n : bad_plan();
+    }
+    if ((n->kind != W_RECORD && n->kind != W_TUPLE) || !PyTuple_CheckExact(AT(plan, 5)))
+        return bad_plan();
+    n->n = PyTuple_GET_SIZE(AT(plan, 5));
+    n->members = PyMem_Calloc((size_t)n->n + 1, sizeof(member));
+    if (n->members == NULL) return (node *)PyErr_NoMemory();
+    for (k = 0; k < n->n; k++) {
+        PyObject *m = AT(AT(plan, 5), k);
+        member *p = &n->members[k];
+        if (!PyTuple_CheckExact(m) || PyTuple_GET_SIZE(m) != 3) return bad_plan();
+        p->key = AT(m, 0);
+        p->off = PyLong_AsSsize_t(AT(m, 1));
+        if (p->off == -1 && PyErr_Occurred()) return NULL;
+        p->node = decode(AT(m, 2), all);
+        if (p->node == NULL) return NULL;
+        if (p->off < 0 || p->off + p->node->size > n->size) return bad_plan();
+    }
+    return n;
+}
+
+static int walk(const node *n, PyObject *v, char *out);
 
 /* a borrowed part, held while it is walked (a type's __eq__ is Python) */
-static int walk_part(PyObject *node, PyObject *v, char *out) {
+static int walk_part(const node *n, PyObject *v, char *out) {
     int rc;
     Py_INCREF(v);
-    rc = walk(node, v, out);
+    rc = walk(n, v, out);
     Py_DECREF(v);
     return rc;
 }
 
-static int walk_parts(long kind, PyObject *node, PyObject *parts, char *out) {
-    Py_ssize_t k, n;
+static int walk_parts(const node *n, PyObject *parts, char *out) {
+    Py_ssize_t k;
     int rc = 1;
-    if (kind == W_PRIMS) {
-        Py_buffer b;
-        if (PyObject_GetBuffer(parts, &b, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-            return refused();
-        rc = b.len == SIZE(AT(node, 1)) && b.format != NULL
-             && strcmp(b.format, PyBytes_AS_STRING(AT(node, 5))) == 0;
-        if (rc) memcpy(out, b.buf, (size_t)b.len);
-        PyBuffer_Release(&b);
-        return rc;
+    if (n->kind == W_PRIMS) {
+        PyArrayObject_fields *a = (PyArrayObject_fields *)parts;
+        if (Py_TYPE(parts) != s_ndarray || a->nd != 1 || a->dimensions[0] != n->n
+            || (PyObject *)a->descr != n->dtype || (a->flags & BACKING) != BACKING)
+            return 0;
+        memcpy(out, a->data, (size_t)n->size);
+        return 1;
     }
-    if (kind == W_ARRAY) {
-        Py_ssize_t esz = SIZE(AT(node, 6));
-        n = SIZE(AT(node, 5));
-        if (!PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n) return 0;
-        for (k = 0; k < n && rc == 1; k++) {
-            if (PyList_GET_SIZE(parts) != n) return 0;
-            rc = walk_part(AT(node, 7), PyList_GET_ITEM(parts, k), out + k * esz);
+    if (n->kind == W_ARRAY) {
+        if (!PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n->n) return 0;
+        for (k = 0; k < n->n && rc == 1; k++) {
+            if (PyList_GET_SIZE(parts) != n->n) return 0;
+            rc = walk_part(n->elt, PyList_GET_ITEM(parts, k), out + k * n->elt->size);
         }
         return rc;
     }
-    n = PyTuple_GET_SIZE(AT(node, 5));
-    if (kind == W_RECORD ? !PyDict_CheckExact(parts)
-                         : !PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n)
+    if (n->kind == W_RECORD ? !PyDict_CheckExact(parts)
+                            : !PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n->n)
         return 0;
-    for (k = 0; k < n && rc == 1; k++) {
-        PyObject *m = AT(AT(node, 5), k), *x;
-        if (kind == W_RECORD) {
-            x = PyDict_GetItemWithError(parts, AT(m, 0));
+    for (k = 0; k < n->n && rc == 1; k++) {
+        const member *m = &n->members[k];
+        PyObject *x;
+        if (n->kind == W_RECORD) {
+            x = PyDict_GetItemWithError(parts, m->key);
             if (x == NULL) return refused();
         } else {
-            if (PyList_GET_SIZE(parts) != n) return 0;
+            if (PyList_GET_SIZE(parts) != n->n) return 0;
             x = PyList_GET_ITEM(parts, k);
         }
-        rc = walk_part(AT(m, 2), x, out + SIZE(AT(m, 1)));
+        rc = walk_part(m->node, x, out + m->off);
     }
     return rc;
 }
 
 /* 1: the value is written at out; 0: refused; -1: an error is raised */
-static int walk(PyObject *node, PyObject *v, char *out) {
-    long kind = PyLong_AsLong(AT(node, 0));
+static int walk(const node *n, PyObject *v, char *out) {
     PyObject *vt, *parts;
     int rc;
-    if (kind == W_REAL) {
+    if (n->kind == W_REAL) {
         double d;
         if (!PyFloat_CheckExact(v)) return 0;
         d = PyFloat_AS_DOUBLE(v);
         memcpy(out, &d, sizeof d);
         return 1;
     }
-    if (kind == W_INT) {
+    if (n->kind == W_INT) {
         int overflow;
         long long x;
         if (!PyLong_CheckExact(v)) return 0;
@@ -1665,51 +1774,68 @@ static int walk(PyObject *node, PyObject *v, char *out) {
         memcpy(out, &x, sizeof x);
         return 1;
     }
-    /* a value of the node's class whose .type is the node's type, or equal
-       to it; slots are read past the class's __getattr__ */
-    if (!PyObject_TypeCheck(v, (PyTypeObject *)AT(node, 3))) return 0;
-    vt = PyObject_GenericGetAttr(v, s_type);
-    if (vt == NULL) return refused();
-    rc = vt == AT(node, 2) ? 1 : PyObject_RichCompareBool(vt, AT(node, 2), Py_EQ);
-    Py_DECREF(vt);
-    if (rc != 1) return rc < 0 ? refused() : 0;
-    parts = PyObject_GenericGetAttr(v, AT(node, 4));
-    if (parts == NULL) return refused();
-    rc = walk_parts(kind, node, parts, out);
+    /* a value of exactly the node's class whose .type is the node's type,
+       or equal to it */
+    if (Py_TYPE(v) != n->cls || (vt = SLOT(v, n->type_off)) == NULL) return 0;
+    if (vt != n->type) {
+        Py_INCREF(vt);
+        rc = PyObject_RichCompareBool(vt, n->type, Py_EQ);
+        Py_DECREF(vt);
+        if (rc != 1) return rc < 0 ? refused() : 0;
+    }
+    parts = SLOT(v, n->parts_off);  /* read after __eq__, which is Python */
+    if (parts == NULL) return 0;
+    Py_INCREF(parts);
+    rc = walk_parts(n, parts, out);
     Py_DECREF(parts);
     return rc;
 }
 
-static PyObject *py_walk(PyObject *self, PyObject *args) {
-    PyObject *plan, *value, *target;
+static PyObject *py_walk(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     Py_buffer out;
-    int rc;
+    node *all = NULL, *root;
+    int rc = -1;
     (void)self;
-    if (!PyArg_ParseTuple(args, "O!OO:walk", &PyTuple_Type, &plan, &value, &target))
-        return NULL;
-    if (PyObject_GetBuffer(target, &out, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
-        return NULL;
-    if (out.len != SIZE(AT(plan, 1))) {
-        PyBuffer_Release(&out);
-        PyErr_SetString(PyExc_ValueError, "walk: the buffer is not the plan's size");
+    if (nargs != 3 || !PyTuple_CheckExact(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "walk(plan, value, out) takes a plan tuple");
         return NULL;
     }
-    rc = walk(plan, value, (char *)out.buf);
+    if (PyObject_GetBuffer(args[2], &out, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS) < 0)
+        return NULL;
+    root = decode(args[0], &all);
+    if (root != NULL && out.len != root->size)
+        PyErr_SetString(PyExc_ValueError, "walk: the buffer is not the plan's size");
+    else if (root != NULL)
+        rc = walk(root, args[1], (char *)out.buf);
+    free_nodes(all);
     PyBuffer_Release(&out);
     return rc < 0 ? NULL : PyBool_FromLong(rc);
 }
 
 static PyMethodDef walk_methods[] = {
-    {"walk", py_walk, METH_VARARGS,
+    {"walk", (PyCFunction)(void (*)(void))py_walk, METH_FASTCALL,
      "walk(plan, value, out) -> bool: pack value into out, or refuse it"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef walk_module = {
-    PyModuleDef_HEAD_INIT, "__NATIVE_SYMBOL__", NULL, -1, walk_methods,
+    .m_base = PyModuleDef_HEAD_INIT, .m_name = "__NATIVE_SYMBOL__", .m_size = -1,
+    .m_methods = walk_methods,
 };
 
 PyMODINIT_FUNC PyInit___NATIVE_SYMBOL__(void) {
+    PyObject *numpy = PyImport_ImportModule("numpy"), *ndarray;
+    if (numpy == NULL) return NULL;
+    ndarray = PyObject_GetAttrString(numpy, "ndarray");
+    Py_DECREF(numpy);
+    if (ndarray == NULL) return NULL;
+    if (!PyType_Check(ndarray)
+        || ((PyTypeObject *)ndarray)->tp_basicsize < (Py_ssize_t)sizeof(PyArrayObject_fields)) {
+        Py_DECREF(ndarray);
+        PyErr_SetString(PyExc_ImportError, "numpy.ndarray does not match NumPy's headers");
+        return NULL;
+    }
+    s_ndarray = (PyTypeObject *)ndarray;  /* held for the process */
     s_type = PyUnicode_InternFromString("type");
     return s_type == NULL ? NULL : PyModule_Create(&walk_module);
 }
@@ -1788,16 +1914,23 @@ def _build_walker(cache_dir: Path) -> None:
             )
 
 
-def _load_walker(probe: dict[str, Any], cache_dir: Path) -> Callable[..., bool]:
-    """Key the walker, ``cc`` it on a disk miss, load it; its ``walk``."""
+def _walker_includes() -> tuple[str, ...]:
+    """The include directories the walker builds against: this interpreter's
+    and NumPy's.  Raises :class:`NativeUnsupported` when a header is missing."""
     paths = sysconfig.get_paths()
     if not Path(paths["include"], "Python.h").exists():
         raise NativeUnsupported(f"no Python.h in {paths['include']}")
-    flags = CC_FLAGS + tuple(
-        f"-I{d}" for d in dict.fromkeys((paths["include"], paths["platinclude"]))
-    )
+    numpy_include = np.get_include()
+    if not Path(numpy_include, "numpy", "ndarraytypes.h").exists():
+        raise NativeUnsupported(f"no numpy/ndarraytypes.h in {numpy_include}")
+    return tuple(dict.fromkeys((paths["include"], paths["platinclude"], numpy_include)))
+
+
+def _load_walker(probe: dict[str, Any], cache_dir: Path) -> Callable[..., bool]:
+    """Key the walker, ``cc`` it on a disk miss, load it; its ``walk``."""
+    flags = CC_FLAGS + tuple(f"-I{d}" for d in _walker_includes())
     digest = hashlib.sha256(
-        f"walk|{probe['fingerprint']}|{' '.join(flags)}|"
+        f"walk|{probe['fingerprint']}|{' '.join(flags)}|numpy {np.__version__}|"
         f"{sysconfig.get_config_var('EXT_SUFFIX')}|{_WALK_SOURCE}".encode()
     ).hexdigest()
     symbol = f"repro_walk_{digest[:16]}"

@@ -1,5 +1,7 @@
 """Unit tests for the mini-Chapel type system and packed layout."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.chapel.types import (
     UINT,
     ArrayType,
     EnumType,
+    PrimitiveType,
     RecordType,
     StringType,
     TupleType,
@@ -200,3 +203,45 @@ class TestScalarLayout:
         offs = [s.offset for s in scalar_layout(t)]
         assert offs == sorted(offs)
         assert len(set(offs)) == len(offs)
+
+
+def _figure6_type():
+    a = record("A", a1=array_of(REAL, 5), a2=INT)
+    return array_of(record("B", b1=array_of(a, 4), b2=INT), 3)
+
+
+class TestCachedSizes:
+    """``sizeof`` and ``Domain.size`` are computed once per (frozen) object."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _figure6_type,
+            lambda: TupleType((REAL, array_of(INT32, 2, 3), StringType(5))),
+            lambda: array_of(EnumType("E", ("a", "b")), (0, 9)),
+        ],
+        ids=["figure6", "tuple", "enum_array"],
+    )
+    def test_equality_hashing_and_pickle_are_unchanged(self, make):
+        cached, fresh = make(), make()
+        size = cached.sizeof
+        assert "sizeof" in cached.__dict__ and "sizeof" not in fresh.__dict__
+        assert cached == fresh and hash(cached) == hash(fresh)
+        back = pickle.loads(pickle.dumps(cached))
+        assert back == cached and hash(back) == hash(cached)
+        assert "sizeof" not in back.__dict__  # a type pickles as its fields
+        assert back.sizeof == size == fresh.sizeof
+
+    def test_a_cached_size_is_the_recomputed_one(self):
+        typ = _figure6_type()
+        assert typ.sizeof is typ.sizeof
+        assert typ.sizeof == 3 * (4 * (5 * 8 + 8) + 8)
+        assert typ.domain.size == 3 and "size" in typ.domain.__dict__
+        assert Domain(4, 5).size == 20 and Domain(4, 5) == Domain(4, 5)
+
+    def test_a_pickled_primitive_holds_numpys_own_dtype(self):
+        for prim in (REAL, INT, INT32, REAL32, UINT, BOOL):
+            back = pickle.loads(pickle.dumps(prim))
+            assert back == prim and back.dtype is prim.dtype
+        swapped = pickle.loads(pickle.dumps(PrimitiveType("be", ">f8")))
+        assert swapped.dtype == np.dtype(">f8")

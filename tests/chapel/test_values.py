@@ -1,5 +1,7 @@
 """Unit tests for Chapel runtime values (arrays, records, tuples)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,13 @@ class TestPaths:
     def test_set_empty_path_rejected(self):
         with pytest.raises(ChapelTypeError):
             set_path(3, (), 4)
+
+
+def test_a_pickled_backing_holds_its_element_types_own_dtype():
+    reals = from_python(array_of(REAL, 3), [1.0, 2.0, 3.0])
+    back = pickle.loads(pickle.dumps(reals))
+    assert back == reals and back.as_numpy().dtype is REAL.dtype
+    # a backing of another dtype is kept as it is, never reinterpreted
+    narrow = ChapelArray(array_of(INT, 2), np.array([7, 8], np.int32))
+    back = pickle.loads(pickle.dumps(narrow))
+    assert back.as_numpy().dtype == np.int32 and list(back) == [7, 8]

@@ -6,6 +6,7 @@ is, a process with no walker — ``_pack`` packs the value from scratch.
 Every case here compares the bytes with ``_pack``'s own.
 """
 
+import array
 import logging
 import os
 import pickle
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.chapel.types import INT, REAL, ArrayType, RecordType, array_of, record
-from repro.chapel.values import ChapelArray, from_python
-from repro.compiler import compile_reduction, native
-from repro.compiler.linearize import _pack, _walk_plan, linearize_it
+from repro.chapel.values import ChapelArray, ChapelRecord, from_python
+from repro.compiler import compile_reduction, linearize, native
+from repro.compiler.linearize import _pack, _walk_plan, linearize_append, linearize_it
 from repro.compiler.native import (
     CACHE_ENV,
     CC_ENV,
@@ -197,6 +198,159 @@ def test_an_int_leaf_past_int64_is_refused_and_pack_raises_as_before(walker, mon
     with pytest.raises(OverflowError) as packed:
         linearize_it(value, value.type)
     assert str(walked.value) == str(packed.value)
+
+
+# ---- the acceptance boundary: what the walker reads in place, and what it refuses --
+
+
+class _Backing(np.ndarray):
+    pass
+
+
+class _Record(ChapelRecord):
+    __slots__ = ()
+
+
+class _Array(ChapelArray):
+    __slots__ = ()
+
+
+def _unaligned(values):
+    raw = bytearray(8 * len(values) + 1)
+    backing = np.frombuffer(raw, np.float64, count=len(values), offset=1)
+    backing[...] = values
+    assert not backing.flags.aligned
+    return backing
+
+
+def _coord(storage):
+    """``[1..3] Point`` whose second ``coord`` is backed by ``storage``."""
+    _, value = _points(3)
+    value[2]._fields["coord"]._storage = storage
+    return value
+
+
+def _second(make):
+    """``[1..3] Point`` whose second element is ``make(that element)``."""
+    _, value = _points(3)
+    value._storage[1] = make(value._storage[1])
+    return value
+
+
+def _record_subclass(rec):
+    return _Record.from_fields(rec.type, rec._fields)
+
+
+def _array_subclass(rec):
+    coord = rec._fields["coord"]
+    rec._fields["coord"] = _Array(coord.type, coord._storage)
+    return rec
+
+
+def _unset(cls, **slots):
+    bare = cls.__new__(cls)
+    for name, slot in slots.items():
+        object.__setattr__(bare, name, slot)
+    return bare
+
+
+def _unset_coord(rec):
+    rec._fields["coord"] = _unset(ChapelArray, type=rec._fields["coord"].type)
+    return rec
+
+
+BOUNDARY = {
+    "ndarray_subclass": lambda: _coord(np.array([1.0, 2.0, 3.0, 4.0]).view(_Backing)),
+    "two_d": lambda: _coord(np.array([[1.0, 2.0], [3.0, 4.0]])),
+    "strided": lambda: _coord(np.arange(8.0)[::2]),
+    "byte_swapped": lambda: _coord(np.array([1.0, 2.0, 3.0, 4.0], ">f8")),
+    "unaligned": lambda: _coord(_unaligned([1.0, 2.0, 3.0, 4.0])),
+    "bytearray": lambda: _coord(bytearray(np.arange(4.0).tobytes())),
+    "array_array": lambda: _coord(array.array("d", [1.0, 2.0, 3.0, 4.0])),
+    "wrong_length": lambda: _coord(np.arange(5.0)),
+    "record_subclass": lambda: _second(_record_subclass),
+    "array_subclass": lambda: _second(_array_subclass),
+    "unset_parts": lambda: _second(lambda rec: _unset(ChapelRecord, type=rec.type)),
+    "unset_type": lambda: _second(lambda rec: _unset(ChapelRecord, _fields=rec._fields)),
+    "unset_backing": lambda: _second(_unset_coord),
+}
+
+
+def _walks(monkeypatch):
+    """The ``walk`` verdict of every ``linearize_it`` from here on."""
+    walks, walk = [], linearize._walk
+    monkeypatch.setattr(linearize, "_walk", lambda *a: walks.append(walk(*a)) or walks[-1])
+    return walks
+
+
+def _outcome(value, typ):
+    """``linearize_it``'s bytes, or the type and text of what it raised."""
+    try:
+        return linearize_it(value, typ).raw.tobytes()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("make", BOUNDARY.values(), ids=BOUNDARY.keys())
+def test_a_value_outside_the_boundary_is_refused_then_packed_by_pack(
+    walker, monkeypatch, make
+):
+    value = make()
+    assert _walked(walker, value, value.type)[0] is False
+    walks = _walks(monkeypatch)
+    walked = _outcome(value, value.type)
+    assert walks == ["refused"]
+    monkeypatch.setattr(native, "linearizer", lambda wait=False: (None, "unavailable"))
+    assert walked == _outcome(value, value.type)  # _pack's bytes, or its error
+
+
+def test_the_backings_in_bounds_are_read_in_place(walker):
+    # a C-contiguous slice of a longer array, and a read-only backing
+    _, value = _points(3)
+    value[1]._fields["coord"]._storage = np.arange(10.0)[3:7]
+    frozen = np.array([9.0, 8.0, 7.0, 6.0])
+    frozen.flags.writeable = False
+    value[3]._fields["coord"]._storage = frozen
+    assert _walked(walker, value, value.type) == (True, _packed(value, value.type))
+
+
+def test_a_walked_type_pickles_and_its_extras_stay_on_the_walk(walker, kmeans_setup):
+    # a type and its values travel pickled with process-executor extras
+    s = kmeans_setup
+    centroids = s["centroids"]
+    assert linearize_it(centroids, centroids.type).walk == "c"
+    typ = pickle.loads(pickle.dumps(centroids.type))
+    assert typ == centroids.type and hash(typ) == hash(centroids.type)
+    assert typ is not centroids.type
+    compiled = compile_reduction(s["source"], s["constants"], opt_level=2)
+    tracer = Tracer()
+    with tracing(tracer):
+        bound = compiled.bind(s["data"], {"centroids": pickle.loads(pickle.dumps(centroids))})
+        bound.update_extras({"centroids": from_python(typ, [{"coord": [1.0, 2.0]}] * s["k"])})
+    spans = [sp for sp in tracer.spans() if sp.name == "linearize_extras"]
+    assert [sp.args["walk"] for sp in spans] == ["c", "c"]
+    assert linearize_it(centroids, typ).walk == "c"
+
+
+def test_a_thousand_append_batches_all_walk(walker, monkeypatch):
+    point_t = record("Point", coord=array_of(REAL, 4), w=REAL)
+
+    def batch(k):
+        rows = [{"coord": [k, k + 0.5, -k, 2.0], "w": 0.25 * k}, {"coord": [1.0] * 4, "w": k}]
+        return from_python(array_of(point_t, 2), rows)
+
+    buf = linearize_it(batch(-1), array_of(point_t, 2))
+    walks = _walks(monkeypatch)
+    batches = [batch(k) for k in range(1000)]
+    for value in batches:
+        linearize_append(buf, value)
+    assert walks == ["c"] * 1000
+    whole = from_python(
+        array_of(point_t, 2002), [{"coord": list(p.coord), "w": p.w}
+                                  for v in [batch(-1), *batches] for p in v]
+    )
+    assert buf.typ == whole.type
+    assert buf.raw.tobytes() == _packed(whole, whole.type)
 
 
 def test_a_buffer_of_another_size_is_an_error(walker):
