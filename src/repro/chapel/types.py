@@ -273,6 +273,11 @@ class RecordType(ChapelType):
         return tuple(n for n, _ in self.fields)
 
     @cached_property
+    def field_index(self) -> dict[str, int]:
+        """Each field's position in a record value's member list."""
+        return {n: i for i, (n, _) in enumerate(self.fields)}
+
+    @cached_property
     def field_offsets(self) -> dict[str, int]:
         """Byte offset of every field in the packed layout."""
         offsets: dict[str, int] = {}
@@ -297,8 +302,8 @@ class RecordType(ChapelType):
     def field_position(self, name: str) -> int:
         """0-based member position — the paper's ``position[][]`` entries."""
         try:
-            return self.field_names.index(name)
-        except ValueError:
+            return self.field_index[name]
+        except KeyError:
             raise ChapelTypeError(f"record {self.name} has no field {name!r}")
 
     def __str__(self) -> str:

@@ -3,8 +3,9 @@
 These model the *nested, pointer-rich* data structures the paper's
 linearization exists to eliminate: a ``ChapelArray`` of ``ChapelRecord``s of
 ``ChapelArray``s is a genuinely indirected object graph (Python lists of
-objects holding dicts), so accessing ``data[i].b1[j].a1[k]`` really does chase
-pointers — exactly the cost the opt-2 transformation removes.
+objects holding lists of members), so accessing ``data[i].b1[j].a1[k]``
+really does chase pointers — exactly the cost the opt-2 transformation
+removes.
 
 Arrays over primitive element types are backed by numpy for speed; arrays of
 composite elements are backed by Python object lists, preserving the
@@ -154,62 +155,71 @@ def _unpickle_array(typ: ArrayType, storage: Any) -> ChapelArray:
 
 
 class ChapelRecord:
-    """A Chapel record value: typed named members, attribute access."""
+    """A Chapel record value: typed named members, attribute access.
 
-    __slots__ = ("type", "_fields")
+    The members are a list in field-declaration order, as a tuple's
+    components are; a name is read through ``RecordType.field_index``.
+    """
+
+    __slots__ = ("type", "_values")
 
     def __init__(self, typ: RecordType, **values: Any) -> None:
         object.__setattr__(self, "type", typ)
-        fields = {name: default_value(ftype) for name, ftype in typ.fields}
-        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_values", [default_value(t) for _, t in typ.fields])
         for name, value in values.items():
             setattr(self, name, value)
 
     @classmethod
-    def from_fields(cls, typ: RecordType, fields: dict[str, Any]) -> "ChapelRecord":
-        """A record over already-converted member values: no defaults, no coercion."""
+    def from_values(cls, typ: RecordType, values: list[Any]) -> "ChapelRecord":
+        """A record over already-converted member values in field order: no
+        defaults, no coercion."""
         rec = cls.__new__(cls)
-        rec.__setstate__((typ, fields))
+        rec.__setstate__((typ, values))
         return rec
 
     def __getattr__(self, name: str) -> Any:
-        fields = object.__getattribute__(self, "_fields")
-        if name in fields:
-            return fields[name]
-        raise AttributeError(f"record {self.type.name} has no field {name!r}")
+        if name in _RECORD_SLOTS:  # an unset slot: never look it up again
+            raise AttributeError(f"record slot {name!r} is not set")
+        try:
+            return self._values[self.type.field_index[name]]
+        except KeyError:
+            raise AttributeError(f"record {self.type.name} has no field {name!r}") from None
 
     def __setattr__(self, name: str, value: Any) -> None:
-        if name not in self._fields:
-            raise AttributeError(f"record {self.type.name} has no field {name!r}")
-        ftype = self.type.field_type(name)
+        try:
+            index = self.type.field_index[name]
+        except KeyError:
+            raise AttributeError(f"record {self.type.name} has no field {name!r}") from None
+        ftype = self.type.fields[index][1]
         if isinstance(ftype, (PrimitiveType, StringType, EnumType)):
             value = ftype.coerce(value)
-        self._fields[name] = value
+        self._values[index] = value
 
     def field(self, name: str) -> Any:
         return getattr(self, name)
 
     # ``__slots__`` plus the guarded ``__setattr__`` breaks pickle's default
-    # slot-state restore (it setattrs before ``_fields`` exists); records
+    # slot-state restore (it setattrs before ``_values`` exists); records
     # must pickle cleanly because process-mode kernel extras carry them.
-    def __getstate__(self) -> tuple[Any, dict[str, Any]]:
-        return (self.type, object.__getattribute__(self, "_fields"))
+    def __getstate__(self) -> tuple[Any, list[Any]]:
+        return (self.type, self._values)
 
-    def __setstate__(self, state: tuple[Any, dict[str, Any]]) -> None:
-        typ, fields = state
+    def __setstate__(self, state: tuple[Any, list[Any]]) -> None:
+        typ, values = state
         object.__setattr__(self, "type", typ)
-        object.__setattr__(self, "_fields", fields)
+        object.__setattr__(self, "_values", values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChapelRecord):
             return NotImplemented
-        return self.type == other.type and all(
-            getattr(self, n) == getattr(other, n) for n in self.type.field_names
-        )
+        return self.type == other.type and self._values == other._values
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.type.field_names)
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self.type.field_names, self._values))
         return f"{self.type.name}({inner})"
+
+
+_RECORD_SLOTS = frozenset(ChapelRecord.__slots__)
 
 
 class ChapelTuple:
@@ -295,12 +305,12 @@ def from_python(typ: ChapelType, obj: Any) -> Any:
     if isinstance(typ, RecordType):
         if not isinstance(obj, dict):
             raise ChapelTypeError(f"record {typ.name} needs a dict, got {type(obj)}")
-        fields = {}
+        values = []
         for name, ftype in typ.fields:
             if name not in obj:
                 raise ChapelTypeError(f"missing field {name!r} for record {typ.name}")
-            fields[name] = from_python(ftype, obj[name])
-        return ChapelRecord.from_fields(typ, fields)
+            values.append(from_python(ftype, obj[name]))
+        return ChapelRecord.from_values(typ, values)
     if isinstance(typ, TupleType):
         seq = list(obj)
         return ChapelTuple(typ, [from_python(t, v) for t, v in zip(typ.elts, seq)])
@@ -345,7 +355,7 @@ def to_python(value: Any) -> Any:
         flat = [to_python(v) for v in value.elements()]
         return _reshape(flat, value.domain.shape)
     if isinstance(value, ChapelRecord):
-        return {n: to_python(getattr(value, n)) for n in value.type.field_names}
+        return {n: to_python(v) for n, v in zip(value.type.field_names, value._values)}
     if isinstance(value, ChapelTuple):
         return tuple(to_python(v) for v in value)
     return value

@@ -20,12 +20,14 @@ against a plan of its type (:func:`_walk_plan`, built once per type
 object), checks each nested value as :func:`_pack` would and writes each
 scalar at its offset in the same pass.  It packs only what ``_pack`` packs
 to the same bytes, read in place: instances of exactly the node's value
-class, ``real`` and ``int`` leaves held as an exact ``float`` / ``int``, and
-primitive backings that are exact 1-D, C-contiguous, aligned
-``numpy.ndarray`` objects of the right length holding the element type's
-own dtype object.  Whatever it refuses, a type with another leaf, and a
-process without a walker go to ``_pack`` from scratch — the oracle the
-walker is tested against, and the path that raises the errors.
+class, element and member lists that are an exact ``list`` of the node's
+length (a record's members by position, as a tuple's), ``real`` and ``int``
+leaves held as an exact ``float`` / ``int``, and primitive backings that
+are exact 1-D, C-contiguous, aligned ``numpy.ndarray`` objects of the right
+length holding the element type's own dtype object.  Whatever it refuses,
+a type with another leaf, and a process without a walker go to ``_pack``
+from scratch — the oracle the walker is tested against, and the path that
+raises the errors.
 
 ``_pack`` visits Algorithm 2 level by level, not value by value: the type is
 known before the data, and in the packed layout all instances of one type
@@ -69,10 +71,11 @@ __all__ = [
     "LinearizedBuffer",
 ]
 
-#: per composite type class: the value class and the attribute holding its parts
+#: per composite type class: the value class and the attribute holding its
+#: parts (a structure's is a list of its members, in declaration order)
 _HOLDS = {
     ArrayType: (ChapelArray, "_storage"),
-    RecordType: (ChapelRecord, "_fields"),
+    RecordType: (ChapelRecord, "_values"),
     TupleType: (ChapelTuple, "_elts"),
 }
 #: where a node sits in the type: a str is a member suffix, an int an array level's extent
@@ -212,7 +215,7 @@ def linearize_it(
 
 
 #: The walker's plan node kinds, in the order of its C ``enum``.
-_W_REAL, _W_INT, _W_PRIMS, _W_ARRAY, _W_RECORD, _W_TUPLE = range(6)
+_W_REAL, _W_INT, _W_PRIMS, _W_ARRAY, _W_STRUCT = range(5)
 #: the scalar leaves it packs itself: an exact float, an exact non-bool int
 _W_LEAVES = {np.dtype(np.float64): _W_REAL, np.dtype(np.int64): _W_INT}
 
@@ -268,10 +271,10 @@ def _plan_of(typ: ChapelType) -> tuple | None:
             return (_W_PRIMS, *head, typ.domain.size, typ.elt.dtype)
         elt = _walk_plan(typ.elt)
         return None if elt is None else (_W_ARRAY, *head, typ.domain.size, elt)
-    members = tuple((key, off, _walk_plan(t)) for key, _, t, off in _members(typ))
-    if any(node is None for _, _, node in members):
+    members = tuple((off, _walk_plan(t)) for _, _, t, off in _members(typ))
+    if any(node is None for _, node in members):
         return None
-    return (_W_RECORD if isinstance(typ, RecordType) else _W_TUPLE, *head, members)
+    return (_W_STRUCT, *head, members)
 
 
 def _where(path: _Path, k: int | None) -> str:
@@ -286,7 +289,8 @@ def _where(path: _Path, k: int | None) -> str:
 
 
 def _contents(values: list[Any], typ: ChapelType, path: _Path) -> list[Any]:
-    """Each instance's element storage or member container, once all are values of ``typ``."""
+    """Each instance's element storage or member list, once all are values of
+    ``typ`` and every member list is the type's length."""
     if type(typ) not in _HOLDS:
         raise LinearizationError(f"cannot linearize type {typ!r}")
     cls, attr = _HOLDS[type(typ)]
@@ -294,13 +298,21 @@ def _contents(values: list[Any], typ: ChapelType, path: _Path) -> list[Any]:
         if not isinstance(v, cls) or (v.type is not typ and v.type != typ):
             got = v.type if isinstance(v, cls) else type(v).__name__
             raise LinearizationError(f"{_where(path, k)}: expected {typ}, got {got}")
-    return [getattr(v, attr) for v in values]
+    parts = [getattr(v, attr) for v in values]
+    if not isinstance(typ, ArrayType):  # a structure
+        n = len(_members(typ))
+        for k, members in enumerate(parts):
+            if len(members) != n:
+                raise LinearizationError(
+                    f"{_where(path, k)}: {typ} holds {len(members)} of {n} members"
+                )
+    return parts
 
 
-def _members(typ: RecordType | TupleType) -> list[tuple[Any, str, ChapelType, int]]:
-    """``(key, path suffix, type, byte offset)`` of each member of a structure type."""
+def _members(typ: RecordType | TupleType) -> list[tuple[int, str, ChapelType, int]]:
+    """``(position, path suffix, type, byte offset)`` of each member of a structure type."""
     if isinstance(typ, RecordType):
-        return [(n, f".{n}", t, typ.field_offset(n)) for n, t in typ.fields]
+        return [(i, f".{n}", t, typ.field_offset(n)) for i, (n, t) in enumerate(typ.fields)]
     return [(i, f"({i})", t, typ.component_offset(i)) for i, t in enumerate(typ.elts)]
 
 
@@ -359,8 +371,7 @@ def _unpack(typ: ChapelType, out: np.ndarray) -> list[Any]:
     columns = [_unpack(t, out[..., off : off + t.sizeof]) for _, _, t, off in _members(typ)]
     if isinstance(typ, TupleType):
         return [ChapelTuple(typ, comps) for comps in zip(*columns)]
-    names = typ.field_names
-    return [ChapelRecord.from_fields(typ, dict(zip(names, row))) for row in zip(*columns)]
+    return [ChapelRecord.from_values(typ, list(row)) for row in zip(*columns)]
 
 
 def linearize_append(

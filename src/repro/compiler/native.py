@@ -1565,6 +1565,9 @@ def lane_team(owner: Any, lanes: int) -> "LaneTeam | None":
 #     ``.type`` and parts slots read at the offsets of the object member
 #     descriptors the class resolves (an unset slot, or a class whose
 #     attribute is any other descriptor, is a refusal);
+#   * an array's elements and a structure's members — a record's as a
+#     tuple's, in declaration order — are an exact ``list`` of the node's
+#     length, read by position (no dict lookup: one structure kind);
 #   * a primitive backing is an exact ``numpy.ndarray``, 1-D, C-contiguous,
 #     aligned and ``extent`` long whose dtype is the plan's very object, and
 #     is copied from its data pointer, read through NumPy's
@@ -1591,14 +1594,14 @@ _WALK_SOURCE = (
    a composite (kind, sizeof, type, value class, parts slot name, ...) plus
      W_PRIMS   extent, the backing's dtype;
      W_ARRAY   extent, element node;
-     W_RECORD, W_TUPLE   ((member key, byte offset, node), ...). */
-enum { W_REAL, W_INT, W_PRIMS, W_ARRAY, W_RECORD, W_TUPLE };
+     W_STRUCT  ((byte offset, node), ...), one per member in order. */
+enum { W_REAL, W_INT, W_PRIMS, W_ARRAY, W_STRUCT };
 #define AT(t, i) PyTuple_GET_ITEM(t, i)
 #define SLOT(v, off) (*(PyObject **)((char *)(v) + (off)))
 #define BACKING (NPY_ARRAY_C_CONTIGUOUS | NPY_ARRAY_ALIGNED)
 
 typedef struct node node;
-typedef struct { PyObject *key; Py_ssize_t off; node *node; } member;
+typedef struct { Py_ssize_t off; node *node; } member;
 
 /* a plan node, decoded; every object is borrowed from the plan */
 struct node {
@@ -1667,7 +1670,7 @@ static node *decode(PyObject *plan, node **all) {
     if (PyErr_Occurred()) return NULL;
     if (n->kind == W_REAL || n->kind == W_INT)
         return len == 2 && n->size == 8 ? n : bad_plan();
-    if (len != (n->kind == W_RECORD || n->kind == W_TUPLE ? 6 : 7)
+    if (len != (n->kind == W_STRUCT ? 6 : 7)
         || !PyType_Check(AT(plan, 3)) || !PyUnicode_CheckExact(AT(plan, 4)))
         return bad_plan();
     n->type = AT(plan, 2);
@@ -1687,19 +1690,17 @@ static node *decode(PyObject *plan, node **all) {
         if (n->elt == NULL) return NULL;
         return n->n * n->elt->size == n->size ? n : bad_plan();
     }
-    if ((n->kind != W_RECORD && n->kind != W_TUPLE) || !PyTuple_CheckExact(AT(plan, 5)))
-        return bad_plan();
+    if (n->kind != W_STRUCT || !PyTuple_CheckExact(AT(plan, 5))) return bad_plan();
     n->n = PyTuple_GET_SIZE(AT(plan, 5));
     n->members = PyMem_Calloc((size_t)n->n + 1, sizeof(member));
     if (n->members == NULL) return (node *)PyErr_NoMemory();
     for (k = 0; k < n->n; k++) {
         PyObject *m = AT(AT(plan, 5), k);
         member *p = &n->members[k];
-        if (!PyTuple_CheckExact(m) || PyTuple_GET_SIZE(m) != 3) return bad_plan();
-        p->key = AT(m, 0);
-        p->off = PyLong_AsSsize_t(AT(m, 1));
+        if (!PyTuple_CheckExact(m) || PyTuple_GET_SIZE(m) != 2) return bad_plan();
+        p->off = PyLong_AsSsize_t(AT(m, 0));
         if (p->off == -1 && PyErr_Occurred()) return NULL;
-        p->node = decode(AT(m, 2), all);
+        p->node = decode(AT(m, 1), all);
         if (p->node == NULL) return NULL;
         if (p->off < 0 || p->off + p->node->size > n->size) return bad_plan();
     }
@@ -1728,28 +1729,16 @@ static int walk_parts(const node *n, PyObject *parts, char *out) {
         memcpy(out, a->data, (size_t)n->size);
         return 1;
     }
-    if (n->kind == W_ARRAY) {
-        if (!PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n->n) return 0;
-        for (k = 0; k < n->n && rc == 1; k++) {
-            if (PyList_GET_SIZE(parts) != n->n) return 0;
-            rc = walk_part(n->elt, PyList_GET_ITEM(parts, k), out + k * n->elt->size);
-        }
-        return rc;
-    }
-    if (n->kind == W_RECORD ? !PyDict_CheckExact(parts)
-                            : !PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n->n)
-        return 0;
+    /* an array's elements and a structure's members: an exact list of the
+       node's length, read by position (and its length again after each
+       part, whose walk may have run a type's __eq__) */
+    if (!PyList_CheckExact(parts) || PyList_GET_SIZE(parts) != n->n) return 0;
     for (k = 0; k < n->n && rc == 1; k++) {
-        const member *m = &n->members[k];
         PyObject *x;
-        if (n->kind == W_RECORD) {
-            x = PyDict_GetItemWithError(parts, m->key);
-            if (x == NULL) return refused();
-        } else {
-            if (PyList_GET_SIZE(parts) != n->n) return 0;
-            x = PyList_GET_ITEM(parts, k);
-        }
-        rc = walk_part(m->node, x, out + m->off);
+        if (PyList_GET_SIZE(parts) != n->n) return 0;
+        x = PyList_GET_ITEM(parts, k);
+        rc = n->kind == W_ARRAY ? walk_part(n->elt, x, out + k * n->elt->size)
+                                : walk_part(n->members[k].node, x, out + n->members[k].off);
     }
     return rc;
 }

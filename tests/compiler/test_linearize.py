@@ -404,6 +404,31 @@ def test_refuses_element_list_shorter_than_its_type_on_pack(monkeypatch):
     _refuse_element_list_shorter_than_its_type()
 
 
+def _refuse_member_list_shorter_than_its_type(kind):
+    if kind == "record":
+        _, bad = _points()
+        del bad[2]._values[0]
+        match = r"data\[1\]: record Point holds 1 of 2 members"
+    else:
+        bad = from_python(array_of(TupleType((REAL, INT)), 3), [(1.0, 1), (2.0, 2), (3.0, 3)])
+        del bad[2]._elts[1]
+        match = r"data\[1\]: \(real, int\) holds 1 of 2 members"
+    with pytest.raises(LinearizationError, match=match):
+        linearize_it(bad, bad.type)
+
+
+@pytest.mark.parametrize("kind", ["record", "tuple"])
+def test_refuses_member_list_shorter_than_its_type(monkeypatch, kind):
+    with _walker_refuses(monkeypatch):
+        _refuse_member_list_shorter_than_its_type(kind)
+
+
+@pytest.mark.parametrize("kind", ["record", "tuple"])
+def test_refuses_member_list_shorter_than_its_type_on_pack(monkeypatch, kind):
+    _pack_alone(monkeypatch)
+    _refuse_member_list_shorter_than_its_type(kind)
+
+
 # ---- property-based round trips ---------------------------------------------
 
 _COLOR = EnumType("color", ("red", "green", "blue"))

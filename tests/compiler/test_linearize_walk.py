@@ -148,23 +148,28 @@ class _Real(float):
     pass
 
 
+def _plant(rec, name, value):
+    """Set member ``name`` of record ``rec`` to ``value``, past the coercion."""
+    rec._values[rec.type.field_index[name]] = value
+
+
 def _point_w(leaf):
     """``[1..3] Point`` whose second ``w`` is ``leaf``, set past the coercion."""
     _, value = _points(3)
-    value[2]._fields["w"] = leaf
+    _plant(value[2], "w", leaf)
     return value
 
 
 def _figure6_a2(leaf):
     _, value = figure6_value(t=2, n=2, m=3)
-    value[2].b1[1]._fields["a2"] = leaf
+    _plant(value[2].b1[1], "a2", leaf)
     return value
 
 
 def _int32_backing():
     typ = array_of(record("R", xs=array_of(INT, 4), y=INT), 2)
     value = from_python(typ, [{"xs": [1, 2, 3, 4], "y": 5}, {"xs": [-1, -2, -3, -4], "y": 6}])
-    value[2]._fields["xs"] = ChapelArray(array_of(INT, 4), np.array([7, 8, 9, 10], np.int32))
+    _plant(value[2], "xs", ChapelArray(array_of(INT, 4), np.array([7, 8, 9, 10], np.int32)))
     return value
 
 
@@ -190,7 +195,7 @@ def test_a_leaf_pack_converts_is_refused_then_packed_by_pack(walker, make):
 
 def test_an_int_leaf_past_int64_is_refused_and_pack_raises_as_before(walker, monkeypatch):
     _, value = figure6_value(t=2, n=2, m=3)
-    value[1]._fields["b2"] = 2**70
+    _plant(value[1], "b2", 2**70)
     assert _walked(walker, value, value.type)[0] is False
     with pytest.raises(OverflowError) as walked:
         linearize_it(value, value.type)
@@ -226,7 +231,7 @@ def _unaligned(values):
 def _coord(storage):
     """``[1..3] Point`` whose second ``coord`` is backed by ``storage``."""
     _, value = _points(3)
-    value[2]._fields["coord"]._storage = storage
+    value[2].coord._storage = storage
     return value
 
 
@@ -238,12 +243,11 @@ def _second(make):
 
 
 def _record_subclass(rec):
-    return _Record.from_fields(rec.type, rec._fields)
+    return _Record.from_values(rec.type, rec._values)
 
 
 def _array_subclass(rec):
-    coord = rec._fields["coord"]
-    rec._fields["coord"] = _Array(coord.type, coord._storage)
+    _plant(rec, "coord", _Array(rec.coord.type, rec.coord._storage))
     return rec
 
 
@@ -254,8 +258,20 @@ def _unset(cls, **slots):
     return bare
 
 
+class _Members(list):
+    pass
+
+
+def _values_as(convert):
+    """A record whose member list is ``convert(its members)``."""
+    def make(rec):
+        object.__setattr__(rec, "_values", convert(rec._values))
+        return rec
+    return lambda: _second(make)
+
+
 def _unset_coord(rec):
-    rec._fields["coord"] = _unset(ChapelArray, type=rec._fields["coord"].type)
+    _plant(rec, "coord", _unset(ChapelArray, type=rec.coord.type))
     return rec
 
 
@@ -271,8 +287,11 @@ BOUNDARY = {
     "record_subclass": lambda: _second(_record_subclass),
     "array_subclass": lambda: _second(_array_subclass),
     "unset_parts": lambda: _second(lambda rec: _unset(ChapelRecord, type=rec.type)),
-    "unset_type": lambda: _second(lambda rec: _unset(ChapelRecord, _fields=rec._fields)),
+    "unset_type": lambda: _second(lambda rec: _unset(ChapelRecord, _values=rec._values)),
     "unset_backing": lambda: _second(_unset_coord),
+    "parts_tuple": _values_as(tuple),
+    "parts_list_subclass": _values_as(_Members),
+    "parts_short": _values_as(lambda members: members[:-1]),
 }
 
 
@@ -304,13 +323,45 @@ def test_a_value_outside_the_boundary_is_refused_then_packed_by_pack(
     assert walked == _outcome(value, value.type)  # _pack's bytes, or its error
 
 
+@pytest.mark.parametrize(
+    "unset, slot", [("unset_parts", "_values"), ("unset_type", "type")], ids=["parts", "type"]
+)
+def test_an_unset_record_slot_is_an_attribute_error(walker, unset, slot):
+    # never a RecursionError: __getattr__ does not look an unset slot up again
+    value = BOUNDARY[unset]()
+    rec = value._storage[1]
+    reads = (
+        lambda: getattr(rec, slot),
+        lambda: rec.coord,
+        lambda: setattr(rec, "coord", None),
+        lambda: linearize_it(value, value.type),
+    )
+    for read in reads:
+        with pytest.raises(AttributeError):
+            read()
+
+
+def test_a_record_pickles_as_its_type_and_member_list(walker, kmeans_setup):
+    centroids = kmeans_setup["centroids"]
+    rec = centroids[1]
+    typ, members = rec.__getstate__()
+    assert typ is rec.type and type(members) is list and members is rec._values
+    assert members == [getattr(rec, name) for name in rec.type.field_names]
+    again = pickle.loads(pickle.dumps(rec))
+    assert again == rec and type(again._values) is list
+    shipped = pickle.loads(pickle.dumps(centroids))
+    assert shipped == centroids
+    assert linearize_it(shipped, shipped.type).walk == "c"
+    assert linearize_it(shipped, centroids.type).walk == "c"
+
+
 def test_the_backings_in_bounds_are_read_in_place(walker):
     # a C-contiguous slice of a longer array, and a read-only backing
     _, value = _points(3)
-    value[1]._fields["coord"]._storage = np.arange(10.0)[3:7]
+    value[1].coord._storage = np.arange(10.0)[3:7]
     frozen = np.array([9.0, 8.0, 7.0, 6.0])
     frozen.flags.writeable = False
-    value[3]._fields["coord"]._storage = frozen
+    value[3].coord._storage = frozen
     assert _walked(walker, value, value.type) == (True, _packed(value, value.type))
 
 
