@@ -239,7 +239,7 @@ def _walk(value: Any, typ: ChapelType, raw: np.ndarray) -> str:
 
 def _walk_plan(typ: ChapelType) -> tuple | None:
     """The walker's plan of ``typ``: nested tuples laid out as
-    ``native._WALK_SOURCE`` reads them.  None when a leaf is one only
+    ``native/walk.c`` reads them.  None when a leaf is one only
     :func:`_pack` converts — an enum, a string, or a scalar other than
     ``real`` and ``int`` outside an array's backing.
 

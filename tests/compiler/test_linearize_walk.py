@@ -417,14 +417,13 @@ def test_a_buffer_of_another_size_is_an_error(walker):
 def fresh_walker(monkeypatch, tmp_path):
     """This process as if it had never submitted the walker's build, with
     the kernel cache in ``tmp_path / "kernels"``."""
-    for name, value in (
-        ("_walker", None), ("_walk_missing", None), ("_walk_pid", None), ("_walk_build", None)
-    ):
-        monkeypatch.setattr(native, name, value)
+    runtime = native.walker.RUNTIME
+    for name in ("loaded", "build", "_pid", "_warned"):
+        monkeypatch.setattr(runtime, name, None)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "kernels"))
     yield tmp_path / "kernels"
-    if native._walk_build is not None:
-        native._walk_build.result()  # nothing lands after the state is restored
+    if runtime.build is not None:
+        runtime.build.exception()  # nothing lands after the state is restored
     reset_toolchain_probe()
 
 
@@ -435,7 +434,7 @@ def _no_cc(monkeypatch, tmp_path):
 
 def _no_python_h(monkeypatch, tmp_path):
     paths = {"include": str(tmp_path), "platinclude": str(tmp_path)}
-    monkeypatch.setattr(native.sysconfig, "get_paths", lambda: paths)
+    monkeypatch.setattr(native.walker.sysconfig, "get_paths", lambda: paths)
 
 
 @pytest.mark.parametrize("cause", [_no_cc, _no_python_h], ids=["no_cc", "no_python_h"])
@@ -453,7 +452,7 @@ def test_no_walker_packs_with_one_warning_and_an_event_per_bind(
     assert len([r for r in caplog.records if r.levelno >= logging.WARNING]) == 1
     events = [e for e in tracer.events() if e.name == "linearize_walk"]
     assert [e.args["walk"] for e in events] == ["unavailable", "unavailable"]
-    assert events[0].args["reason"] == native._walk_missing
+    assert events[0].args["reason"] == str(native.walker.RUNTIME.build.exception())
     spans = [sp for sp in tracer.spans() if sp.name == "linearize_data"]
     assert [sp.args["walk"] for sp in spans] == ["unavailable", "unavailable"]
     for b in bound:
@@ -509,7 +508,7 @@ def test_a_fork_during_the_build_falls_back_then_builds_its_own(
         logging.getLogger("repro").addHandler(logged)
         with tracing(tracer):
             first = linearize_it(value, value.type).walk
-        own = native._walk_pid == os.getpid()
+        own = native.walker.RUNTIME._pid == os.getpid()
         settled = native.linearizer(wait=True)[1]
         later = linearize_it(value, value.type)
         events = [e.args["walk"] for e in tracer.events() if e.name == "linearize_walk"]
@@ -541,12 +540,12 @@ def test_a_fork_while_the_walker_build_probes_does_not_hang_the_child(
     _, value = _points(10)
     assert linearize_it(value, value.type).walk == "building"
     deadline = time.monotonic() + 30
-    while not native._probe_lock.locked():
+    while not native.toolchain._probe_lock.locked():
         assert time.monotonic() < deadline, "the walker build never probed"
         time.sleep(0.005)
 
     def child():
-        mid_probe = native._probe_state is None
+        mid_probe = native.toolchain._probe_state is None
         first = linearize_it(value, value.type).walk
         settled = native.linearizer(wait=True)[1]
         later = linearize_it(value, value.type)

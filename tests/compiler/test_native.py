@@ -124,7 +124,7 @@ class TestNativeCodegen:
         assert "#define _FAIL(rc) { _rc = rc; goto _out; }" in head
         # counter bumps mirror the scalar kernel's static cost model, into
         # integer locals declared for exactly the slots the kernel uses ...
-        slots = [native_mod._CIDX[n] for n in (
+        slots = [native_mod.printer._CIDX[n] for n in (
             "flops", "linear_reads", "index_calls", "index_levels",
             "ro_updates", "elements_processed",
         )]
@@ -137,7 +137,7 @@ class TestNativeCodegen:
         assert exit_.startswith(f"    {flush}\n    return _rc;\n}}")
         # the element loop and its processed-elements accounting
         loop = "for (long long _e = _start; _e < _end; _e++) {"
-        bump = f"_c{native_mod._CIDX['elements_processed']} += 1;"
+        bump = f"_c{native_mod.printer._CIDX['elements_processed']} += 1;"
         assert re.search(re.escape(loop) + r"\s+" + re.escape(bump), src)
 
     @pytest.mark.parametrize("opt_level", [0, 1, 2])
@@ -785,7 +785,7 @@ class TestDiskCache:
             "-O1" if f.startswith("-O") else f for f in native_mod.CC_FLAGS
         )
         assert flags != native_mod.CC_FLAGS
-        monkeypatch.setattr(native_mod, "CC_FLAGS", flags)
+        monkeypatch.setattr(native_mod.toolchain, "CC_FLAGS", flags)
         rebuilt = Tracer()
         with tracing(rebuilt):
             second = _compile_hist().native_kernel.native
@@ -882,7 +882,7 @@ class TestColdBuildsRunBesideTheCaller:
         assert len(kernel_cc_runs(slow_cc)) == 1
 
     def test_two_cold_kernels_build_at_once(self, slow_cc):
-        if native_mod._build_width() < 2:
+        if native_mod.toolchain._build_width() < 2:
             pytest.skip("one CPU: one build thread, builds queue")
         one = _settle_time(_hist_with(3))
         both = _settle_time(_hist_with(4), _hist_with(5))

@@ -222,8 +222,8 @@ class TestNoTeam:
         def absent(lanes):
             raise NativeUnsupported("no futex on this platform")
 
-        monkeypatch.setattr(native_mod, "LaneTeam", absent)
-        monkeypatch.setattr(native_mod, "_team_warned", False)
+        monkeypatch.setattr(native_mod.team, "LaneTeam", absent)
+        monkeypatch.setattr(native_mod.team.RUNTIME, "_warned", None)
         spec, idx = LAYOUTS["chunked"][0]()
         with FreerideEngine(num_threads=2, executor="serial", chunk_size=97) as engine:
             want = engine.run(spec, idx)
