@@ -84,11 +84,14 @@ class GroupBounds:
 
     ``summary`` is the underlying effect summary; ``alignment`` is the
     combined element-period of the group forms (``None`` when no
-    element-dependent form exposes one).
+    element-dependent form exposes one); ``uniform`` says that no live
+    group form reads the element index, so every non-empty range has the
+    same footprint.
 
     Per-range footprints are memoized here, beside the immutable summary
     they are a pure function of — nothing can invalidate an answer, so the
     memo is only bounded (:data:`FOOTPRINT_MEMO_SIZE`, cleared when full).
+    A :attr:`uniform` footprint is computed once per ``num_groups``.
     ``evaluations`` counts the answers actually computed.
     """
 
@@ -98,6 +101,7 @@ class GroupBounds:
     sites: int
     reason: str | None = None
     alignment: int | None = None
+    uniform: bool = field(default=False, compare=False)
     summary: "EffectSummary | None" = field(
         default=None, compare=False, repr=False
     )
@@ -133,6 +137,8 @@ class GroupBounds:
         if self.summary is None:
             return self.groups(num_groups)
         memo = self._memo
+        if self.uniform and end > start:
+            start, end = 0, 1  # one footprint for every non-empty range
         key = (start, end, num_groups)
         out = memo.table.get(key)
         if out is None:
@@ -238,6 +244,7 @@ def analyze_group_bounds(lowered: LoweredReduction) -> GroupBounds:
         hi=_floor_int(total.hi),
         sites=len(sites),
         alignment=summary.alignment(),
+        uniform=not any(eff.group.depends_on_elem for eff in summary.live_accumulates),
         summary=summary,
     )
 

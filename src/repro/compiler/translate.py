@@ -622,13 +622,13 @@ class BoundReduction:
         """The kernel over ``[starts[i], ends[i])`` in order, into ``ro``.
 
         ``ReductionSpec.reduce_ranges`` for every tier, and the one path
-        every kernel call over the dataset takes (:meth:`run_serial` and the
-        spec's per-split ``reduction`` come here with a list of one).  A
-        native kernel takes the two arrays into one C call per segment; the
-        scalar kernel is called once per range; the batch kernel too,
-        unless the runs are short — each dispatch costs about what
-        :data:`GATHER_RUN_THRESHOLD` vectorized elements do — and then it
-        runs once over a gathered copy (:meth:`run_gathered`).
+        every kernel call over the dataset takes (:meth:`run_serial`, one
+        split's attempt and the spec's ``reduction`` adapter come here with
+        a list of one).  A native kernel takes the two arrays into one C
+        call per segment; the scalar kernel is called once per range; the
+        batch kernel too, unless the runs are short — each dispatch costs
+        about what :data:`GATHER_RUN_THRESHOLD` vectorized elements do — and
+        then it runs once over a gathered copy (:meth:`run_gathered`).
 
         The ranges are ascending, as every caller's are, and are cut at
         :attr:`n_prefix`: a tail range runs at tail-local positions over a
@@ -809,36 +809,27 @@ class BoundReduction:
     ) -> tuple[ReductionSpec, range]:
         """Build a FREERIDE spec; the engine data is the element index range.
 
-        The spec closes over :attr:`CompiledReduction.effective_kernel`, so
-        the engine dispatches the batch kernel per split (under both the
-        serial and threaded executors) whenever the batch backend compiled,
-        and the scalar kernel otherwise.  Lists of ranges — a lane's batch of
-        splits, a delta epoch's runs — enter through :meth:`reduce_ranges`,
-        and so does a split that reaches past the prefix.
+        Every kernel call the engine makes — one split's attempt, a lane's
+        batch of splits, a delta epoch's runs — enters through
+        :meth:`reduce_ranges`, which runs
+        :attr:`CompiledReduction.effective_kernel`.  The spec's
+        ``reduction`` is a one-range adapter over it, kept for callers of
+        the per-split API; the engine does not call it.
         """
         kernel = self.compiled.effective_kernel
-        env = self.env
-        counters = self.counters
         layout = list(ro_layout)
 
         def setup(ro: ReductionObject) -> None:
             ro.alloc_many(layout)
 
         def reduction(args: ReductionArgs) -> None:
-            # args.data is a contiguous slice of the element index range;
-            # use its VALUES (not split-local positions) so the kernel
-            # addresses the right elements when the run's data is a
-            # sub-range that does not start at 0.
+            # args.data is a contiguous slice of the element index range:
+            # its VALUES are the element positions
             indices = args.data
-            if len(indices) == 0:
-                return
-            start, end = indices[0], indices[-1] + 1
-            if end <= self.n_prefix:
-                kernel(start, end, args.ro, env, counters)
-            else:
+            if len(indices):
                 self.reduce_ranges(
-                    np.array([start], dtype=np.int64),
-                    np.array([end], dtype=np.int64),
+                    np.array([indices[0]], dtype=np.int64),
+                    np.array([indices[-1] + 1], dtype=np.int64),
                     args.ro,
                 )
 

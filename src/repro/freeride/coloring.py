@@ -40,7 +40,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.freeride.splitter import Split
+from repro.freeride.splitter import Layout, Split, layout_splits
 
 __all__ = ["SplitColoring", "resolve_group_sets", "color_splits"]
 
@@ -49,7 +49,7 @@ __all__ = ["SplitColoring", "resolve_group_sets", "color_splits"]
 class SplitColoring:
     """The wave schedule produced by :func:`color_splits`.
 
-    ``waves[w]`` holds the indices (into the run's split list) of the splits
+    ``waves[w]`` holds the positions (into the run's layout) of the splits
     executing in wave ``w``; ``group_sets[i]`` is split ``i``'s proven group
     footprint, used to restrict fault-tolerant scratch commits.
     """
@@ -83,38 +83,41 @@ class SplitColoring:
 
 
 def resolve_group_sets(
-    spec, splits: Sequence[Split], num_groups: int
+    spec,
+    data,
+    layout: Layout,
+    num_groups: int,
+    splits: "Sequence[Split] | None" = None,
 ) -> tuple[list[frozenset[int]] | None, str | None]:
     """Determine each split's group footprint, or ``None`` if inexact.
+
+    The compiler's bounds are asked per position of ``layout`` (the run's
+    split positions into ``data``).  A callable hook is asked per
+    :class:`Split`: ``splits`` when the run has its own (a custom
+    splitter's list), else the layout's, built here.
 
     Returns ``(group_sets, source)``; ``source`` names which mechanism
     supplied the sets (for stats/trace) and is ``None`` on failure.
     """
     hook = getattr(spec, "group_bounds", None)
+    sets: list[frozenset[int]] = []
     if callable(hook):
-        sets: list[frozenset[int]] = []
-        for split in splits:
+        for split in splits if splits is not None else layout_splits(data, *layout):
             groups = hook(split, num_groups)
             if groups is None:
-                sets = []
-                break
+                return None, None
             gs = frozenset(int(g) for g in groups)
             if gs and (min(gs) < 0 or max(gs) >= num_groups):
-                sets = []
-                break
+                return None, None
             sets.append(gs)
-        else:
-            return sets, "spec_hook"
-    elif hasattr(hook, "groups_for_range"):
-        sets = []
-        for split in splits:
-            groups = hook.groups_for_range(split.start, split.end, num_groups)
+        return sets, "spec_hook"
+    if hasattr(hook, "groups_for_range"):
+        for start, end in zip(layout[0].tolist(), layout[1].tolist()):
+            groups = hook.groups_for_range(start, end, num_groups)
             if groups is None:
-                sets = []
-                break
+                return None, None
             sets.append(groups)
-        else:
-            return sets, "compiler"
+        return sets, "compiler"
     return None, None
 
 
@@ -123,23 +126,27 @@ def color_splits(
 ) -> SplitColoring:
     """Greedy deterministic coloring of the split-conflict graph.
 
-    Splits are processed in index order; each takes the smallest color not
-    already used by a conflicting split.  Conflict is group-set
-    intersection, tracked per color as the union of its members' sets, so
-    assignment is O(splits x colors) instead of building the quadratic
-    edge list.
+    Splits are processed in position order; each takes the smallest color
+    not already used by a conflicting split.  Conflict is group-set
+    intersection, tracked per group as a bitmask of the colors whose splits
+    touch it: a split's forbidden colors are the OR of its groups' masks,
+    so assigning it costs one pass over its own groups, however many colors
+    exist.
     """
-    color_groups: list[set[int]] = []  # union of group sets per color
+    used_by: dict[int, int] = {}  # group -> bitmask of colors touching it
     waves: list[list[int]] = []
     for idx, gs in enumerate(group_sets):
-        for color, used in enumerate(color_groups):
-            if not (used & gs):
-                used |= gs
-                waves[color].append(idx)
-                break
-        else:
-            color_groups.append(set(gs))
-            waves.append([idx])
+        forbidden = 0
+        for g in gs:
+            forbidden |= used_by.get(g, 0)
+        # the lowest clear bit of `forbidden`
+        color = (~forbidden & (forbidden + 1)).bit_length() - 1
+        if color == len(waves):
+            waves.append([])
+        waves[color].append(idx)
+        bit = 1 << color
+        for g in gs:
+            used_by[g] = used_by.get(g, 0) | bit
     return SplitColoring(
         waves=tuple(tuple(w) for w in waves),
         group_sets=tuple(frozenset(gs) for gs in group_sets),

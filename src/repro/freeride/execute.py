@@ -32,8 +32,8 @@ is installed at all.  When, on top of that, the kernel can walk a list of
 ranges by itself (``ReductionSpec.lane_wave`` is set) and the lanes
 commute (the plan's technique gives each lane a target of its own), a
 lane does not loop over splits either: it passes whole batches of
-split positions — slices of the plan's ``starts``/``ends`` arrays, with no
-``Split`` object built — to one ``reduce_ranges`` call.  A threaded wave of
+split positions — slices of the plan's ``starts``/``ends`` arrays — to one
+``reduce_ranges`` call.  A threaded wave of
 those is one hand-off to the spec's ``lane_wave``: the engine's lane team,
 whose lanes claim the batches in C.  The pool serves per-split lanes only.
 """
@@ -44,7 +44,7 @@ import threading
 import time
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -65,9 +65,9 @@ from repro.freeride.sharedmem import (
     create_shm_segment,
 )
 from repro.freeride.spec import ReductionArgs, ReductionSpec
-from repro.freeride.splitter import Split, SplitQueue, split_descriptors
+from repro.freeride.splitter import SplitQueue
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
-from repro.util.errors import FaultToleranceError
+from repro.util.errors import FaultToleranceError, SplitterError
 
 if TYPE_CHECKING:
     from repro.freeride.plan import ExecutionPlan
@@ -131,10 +131,6 @@ class RunContext:
     worker_durations: "list[float] | None" = None
     #: split positions per wave, each wave run to completion before the next
     waves: Any = field(init=False)
-    #: colored fault-tolerant runs commit each scratch restricted to the
-    #: split's proven group set, so concurrent commits within a wave never
-    #: read-modify-write a cell both left untouched
-    commit_groups: "dict[int, frozenset[int]] | None" = field(init=False, default=None)
     #: no policy: attempts accumulate straight into the lane's accessor,
     #: with no scratch object and nothing to settle
     direct: bool = field(init=False)
@@ -145,23 +141,18 @@ class RunContext:
     def __post_init__(self) -> None:
         plan = self.plan
         if self.policy is not None:
-            splits = plan.splits
+            given = plan.given
             if self.spec.combination is not None:
                 raise FaultToleranceError(
                     "fault tolerance requires the middleware default combination: "
                     "a custom combination_t implies reduction-object state the "
                     "engine cannot merge from a per-split scratch copy"
                 )
-            if len({s.split_id for s in splits}) != len(splits):
+            if given is not None and len({s.split_id for s in given}) != len(given):
                 raise FaultToleranceError(
                     "fault tolerance requires unique split ids (retry and "
                     "commit tracking is keyed by split id)"
                 )
-            if plan.coloring is not None:
-                self.commit_groups = {
-                    s.split_id: plan.coloring.group_sets[i]
-                    for i, s in enumerate(splits)
-                }
         self.direct = self.policy is None
         self.waves = (
             [range(plan.num_splits)] if plan.coloring is None else plan.coloring.waves
@@ -169,10 +160,11 @@ class RunContext:
         self.elems = [0] * self.num_threads
         self.nsplits = [0] * self.num_threads
 
-    @property
-    def splits(self) -> "list[Split]":
-        """The plan's splits, built on first read: per-split paths only."""
-        return self.plan.splits
+    @cached_property
+    def lengths(self) -> "list[int]":
+        """Elements per split position: what per-split lanes read."""
+        starts, ends = self.plan.layout
+        return (ends - starts).tolist()
 
 
 # -- the attempt ---------------------------------------------------------------
@@ -242,9 +234,18 @@ def traced_attempt(
 
 
 def _reduce(
-    ctx: RunContext, lane: int, split: Split, attempt: int,
+    ctx: RunContext, lane: int, pos: int, attempt: int,
     target: "ROAccessor | ReductionObject",
 ) -> None:
+    """The local reduction of the split at ``pos`` into ``target``: one
+    ``reduce_ranges`` call for a compiled spec over its index range, else the
+    spec's ``reduction`` on a :class:`~repro.freeride.splitter.Split` built
+    for the attempt."""
+    plan = ctx.plan
+    if ctx.spec.bound is not None and plan.starts is not None:
+        ctx.spec.reduce_ranges(plan.starts[pos : pos + 1], plan.ends[pos : pos + 1], target)
+        return
+    split = plan.split_at(pos)
     ctx.spec.reduction(
         ReductionArgs(
             data=split.data, split=split, thread_id=lane, ro=target,
@@ -253,26 +254,26 @@ def _reduce(
     )
 
 
-def _attempt_in_process(ctx: RunContext, lane: int, split: Split, attempt: int) -> Attempt:
+def _attempt_in_process(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attempt:
     if ctx.direct:
-        _reduce(ctx, lane, split, attempt, ctx.accessors[lane])
+        _reduce(ctx, lane, pos, attempt, ctx.accessors[lane])
         return None, None
     return attempt_split(
-        partial(_reduce, ctx, lane, split, attempt),
-        split.split_id, attempt, ctx.base_ro.clone_empty(), ctx.injector,
+        partial(_reduce, ctx, lane, pos, attempt),
+        ctx.plan.split_id(pos), attempt, ctx.base_ro.clone_empty(), ctx.injector,
         ctx.policy.split_timeout,
     )
 
 
-def _attempt_traced(ctx: RunContext, lane: int, split: Split, attempt: int) -> Attempt:
+def _attempt_traced(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attempt:
     """The in-process attempt wrapped for an enabled tracer."""
     assert ctx.metrics is not None
     acc_stats = ctx.accessors[lane].stats
     locks_before = acc_stats.lock_acquisitions
     scratch, error, seconds = traced_attempt(
-        ctx.tracer, lane, split.split_id, len(split),
+        ctx.tracer, lane, ctx.plan.split_id(pos), ctx.lengths[pos],
         attempt if ctx.policy is not None else None,
-        lambda: _attempt_in_process(ctx, lane, split, attempt),
+        lambda: _attempt_in_process(ctx, lane, pos, attempt),
     )
     ctx.metrics.histogram("engine.split_seconds").observe(seconds)
     if ctx.policy is None:
@@ -287,10 +288,12 @@ def _attempt_traced(ctx: RunContext, lane: int, split: Split, attempt: int) -> A
 # -- settling an attempt -------------------------------------------------------
 
 
-def _commit(ctx: RunContext, lane: int, split: Split, scratch: ReductionObject) -> None:
-    groups = (
-        ctx.commit_groups.get(split.split_id) if ctx.commit_groups is not None else None
-    )
+def _commit(ctx: RunContext, lane: int, pos: int, scratch: ReductionObject) -> None:
+    # a colored commit is restricted to the split's proven group set, so
+    # concurrent commits within a wave never read-modify-write a cell both
+    # left untouched
+    coloring = ctx.plan.coloring
+    groups = coloring.group_sets[pos] if coloring is not None else None
     ctx.accessors[lane].merge_from_scratch(scratch, groups=groups)
 
 
@@ -298,13 +301,13 @@ def settle(
     ctx: RunContext,
     queue: SplitQueue,
     lane: int,
-    split: Split,
+    pos: int,
     attempt: int,
     speculative: bool,
     scratch: "ReductionObject | None",
     error: "BaseException | None",
 ) -> None:
-    """Decide what one finished attempt means for its split.
+    """Decide what one finished attempt means for the split at ``pos``.
 
     Success commits through the queue's exactly-once completion gate, so a
     speculative straggler duplicate (or the original it raced) is dropped
@@ -315,9 +318,9 @@ def settle(
     """
     if error is None:
         assert scratch is not None
-        if queue.complete(split):
-            _commit(ctx, lane, split, scratch)
-            ctx.elems[lane] += len(split)
+        if queue.complete(pos):
+            _commit(ctx, lane, pos, scratch)
+            ctx.elems[lane] += ctx.lengths[pos]
             ctx.nsplits[lane] += 1
         return
     stats, policy, tracer = ctx.stats, ctx.policy, ctx.tracer
@@ -330,18 +333,19 @@ def settle(
                 stats.timeouts += 1
     if speculative:
         return  # the original attempt is still in flight
+    split_id = ctx.plan.split_id(pos)
     if attempt < policy.max_attempts:
-        queue.requeue(split)
+        queue.requeue(pos)
         if tracer.enabled:
             tracer.event(
-                "split.requeue", cat="fault", split_id=split.split_id,
+                "split.requeue", cat="fault", split_id=split_id,
                 attempt=attempt, thread_id=lane,
             )
         return
-    queue.abandon(split)
+    queue.abandon(pos)
     if tracer.enabled:
         tracer.event(
-            "split.abandon", cat="fault", split_id=split.split_id,
+            "split.abandon", cat="fault", split_id=split_id,
             attempts=attempt, thread_id=lane, error=repr(error),
         )
     if policy.mode == FAIL_FAST:
@@ -351,10 +355,10 @@ def settle(
         stats.failed_splits += 1
         stats.failures.append(
             SplitFailureRecord(
-                split_id=split.split_id,
+                split_id=split_id,
                 attempts=attempt,
                 error=repr(error),
-                elements_lost=len(split),
+                elements_lost=ctx.lengths[pos],
             )
         )
 
@@ -365,8 +369,8 @@ def settle(
 def _lane(
     ctx: RunContext,
     queue: SplitQueue,
-    lane_of: "Callable[[Split], int]",
-    attempt_fn: "Callable[[RunContext, int, Split, int], Attempt]",
+    lane_of: "Callable[[int], int]",
+    attempt_fn: "Callable[[RunContext, int, int, int], Attempt]",
 ) -> None:
     """Drain one wave's queue on the calling thread: claim, attempt, settle.
 
@@ -376,10 +380,10 @@ def _lane(
     policy, tracer = ctx.policy, ctx.tracer
     try:
         if ctx.direct:
-            while (split := queue.take()) is not None:
-                lane = lane_of(split)
-                attempt_fn(ctx, lane, split, 1)
-                ctx.elems[lane] += len(split)
+            while (pos := queue.take()) is not None:
+                lane = lane_of(pos)
+                attempt_fn(ctx, lane, pos, 1)
+                ctx.elems[lane] += ctx.lengths[pos]
                 ctx.nsplits[lane] += 1
             return
         while True:
@@ -394,11 +398,11 @@ def _lane(
                     return
                 time.sleep(0.0005)  # a peer's in-flight attempt may requeue
                 continue
-            split, attempt = item
-            lane = lane_of(split)
+            pos, attempt = item
+            lane = lane_of(pos)
             if speculative and tracer.enabled:
                 tracer.event(
-                    "split.steal", cat="fault", split_id=split.split_id,
+                    "split.steal", cat="fault", split_id=ctx.plan.split_id(pos),
                     thread_id=lane,
                 )
             if attempt > 1:
@@ -407,8 +411,8 @@ def _lane(
                 backoff = policy.backoff_seconds(attempt - 1)
                 if backoff:
                     time.sleep(backoff)
-            scratch, error = attempt_fn(ctx, lane, split, attempt)
-            settle(ctx, queue, lane, split, attempt, speculative, scratch, error)
+            scratch, error = attempt_fn(ctx, lane, pos, attempt)
+            settle(ctx, queue, lane, pos, attempt, speculative, scratch, error)
     except BaseException:
         queue.poison()
         raise
@@ -418,10 +422,8 @@ def _reduce_positions(ctx: RunContext, lane: int, positions: np.ndarray) -> None
     """One kernel call over the splits at ``positions``, in order, into
     ``lane``'s accessor.
 
-    The plan's ``starts``/``ends`` are element values, not positions, as
-    the per-split ``reduction`` reads its split's slice of the element
-    index range: the two differ when the run's data is a ``range`` whose
-    start is not 0.
+    The plan's ``starts``/``ends`` are element values, which differ from
+    positions when the run's data is a ``range`` whose start is not 0.
     """
     assert ctx.spec.reduce_ranges is not None
     starts, ends = ctx.plan.starts[positions], ctx.plan.ends[positions]
@@ -513,17 +515,23 @@ def _ship_blocks(
 ) -> None:
     """Direct runs across processes: one block task per worker.
 
-    Worker ``w`` gets the wave's ``splits[w::W]`` — the exact round-robin
-    the inline lane walks — so the per-replica accumulation order (and
-    therefore every float result, bit for bit) matches serial execution.
-    Block granularity keeps pickling off the per-split path.  Workers
-    accumulate into their replica slot of one shared reduction-object
-    segment; the parent copies each slot into the matching accessor's
-    private copy and ``mgr.finish`` combines as usual.
+    Worker ``w`` gets the wave's positions ``[w::W]`` — the exact
+    round-robin the inline lane walks — so the per-replica accumulation
+    order (and therefore every float result, bit for bit) matches serial
+    execution.  A task carries them as slices of the plan's ``starts`` and
+    ``ends`` plus the splits' ids: a few integers per split are the whole
+    dispatch payload.  Workers accumulate into their replica slot of one
+    shared reduction-object segment; the parent copies each slot into the
+    matching accessor's private copy and ``mgr.finish`` combines as usual.
     """
     from repro.freeride import procexec
 
-    descriptors = split_descriptors([ctx.splits[i] for i in wave])
+    plan = ctx.plan
+    positions = np.asarray(wave, dtype=np.int64)
+    ids = positions if plan.given is None else np.array(
+        [plan.split_id(pos) for pos in positions.tolist()], dtype=np.int64
+    )
+    starts, ends = plan.starts[positions], plan.ends[positions]
     ro_floats = sum(n for n, _ in payload["ro_layout"])
     width = ctx.num_threads
     pool = engine._get_process_pool()
@@ -538,7 +546,9 @@ def _ship_blocks(
                     "slot": w,
                     "ro_floats": ro_floats,
                     "ro_shm": seg.name,
-                    "splits": descriptors[w::width],
+                    "ids": ids[w::width],
+                    "starts": starts[w::width],
+                    "ends": ends[w::width],
                 },
             )
             for w in range(width)
@@ -562,7 +572,7 @@ def _ship_blocks(
 
 def _attempt_remote(
     pool: Any, payload: "dict[str, Any]",
-    ctx: RunContext, lane: int, split: Split, attempt: int,
+    ctx: RunContext, lane: int, pos: int, attempt: int,
 ) -> Attempt:
     """One scratch attempt shipped to a worker process.
 
@@ -572,12 +582,15 @@ def _attempt_remote(
     from repro.freeride import procexec
 
     assert ctx.policy is not None
+    plan = ctx.plan
     res = pool.submit(
         procexec.run_split_task,
         {
             **payload,
             "lane": lane,
-            "split": split_descriptors([split])[0],
+            "split_id": plan.split_id(pos),
+            "starts": plan.starts[pos : pos + 1],
+            "ends": plan.ends[pos : pos + 1],
             "attempt": attempt,
             "injector": ctx.injector,
             "split_timeout": ctx.policy.split_timeout,
@@ -601,8 +614,8 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
     lane poisons the wave's queue, every lane is joined, then the error
     propagates.
 
-    Batched lanes (see the module docstring) work on the plan's ``starts``
-    and ``ends`` and never build a ``Split`` (:func:`_batched_wave`); they
+    Batched lanes (see the module docstring) pass whole batches of the
+    plan's ``starts`` and ``ends`` to one call (:func:`_batched_wave`); they
     keep that order where it matters, and lanes that share cells never
     batch, so a shared reduction object still commits in split order.  A
     batched wave whose splits span fewer than :data:`INLINE_WAVE_ELEMENTS`
@@ -619,6 +632,12 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
             ctx.spec, ctx.base_ro.layout(), engine._res.segments,
             ctx.tracer.epoch if ctx.tracer.enabled else None,
         )
+        if ctx.plan.starts is None:
+            raise SplitterError(
+                "process dispatch requires a run over a unit-step element "
+                "index range (compiled reductions); got data of type "
+                f"{type(ctx.plan.data).__name__}"
+            )
         attempt_fn = partial(_attempt_remote, engine._get_process_pool(), payload)
     width = ctx.num_threads
     batched = (
@@ -635,19 +654,21 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         if batched:
             _batched_wave(ctx, engine, wave)
             continue
-        splits = ctx.splits
-        live = [i for i in wave if splits[i].end > splits[i].start]
+        lengths = ctx.lengths
+        live = [pos for pos in wave if lengths[pos]]
         if not live:
             continue
-        queue = SplitQueue([splits[i] for i in live])
+        queue = SplitQueue(live)
         if ctx.executor == "serial" or len(live) == 1:
-            position = {id(splits[i]): i for i in live}
-            _lane(ctx, queue, lambda split: position[id(split)] % width, attempt_fn)
+            _lane(ctx, queue, lambda pos: pos % width, attempt_fn)
         else:
             _on_pool(engine, [
-                partial(_lane, ctx, queue, lambda _split, t=t: t, attempt_fn)
+                partial(_lane, ctx, queue, lambda _pos, t=t: t, attempt_fn)
                 for t in range(min(width, len(live)))
             ])
         if ctx.policy is not None:
             ctx.stats.requeues += queue.requeues
-            ctx.stats.split_attempts.update(queue.attempt_table())
+            split_id = ctx.plan.split_id
+            ctx.stats.split_attempts.update(
+                (split_id(pos), n) for pos, n in queue.attempt_table().items()
+            )

@@ -13,11 +13,11 @@ runs a split, touches a :class:`~repro.freeride.execute.RunContext` or
 emits a trace event; the engine stamps its stats and reports the decision
 from the plan, and ``execute`` builds its context from it.
 
-The layout is two int64 arrays; :class:`~repro.freeride.splitter.Split`
-objects are built from it once, and only when a consumer reads them
-(coloring and ``auto`` here; fault policies, tracing, locking techniques
-and the process executor in ``execute``).  A batched direct run never
-builds one.
+The layout is two int64 arrays of positions, and the run carries it as
+positions from here to the kernel.  A
+:class:`~repro.freeride.splitter.Split` is made only for a hand-written
+spec's per-split callback, per attempt (:meth:`ExecutionPlan.split_at`),
+and for a callable ``group_bounds`` hook.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.freeride.splitter import (
     aligned_layout,
     chunked_layout,
     default_layout,
-    layout_splits,
 )
 from repro.util.errors import SplitterError
 
@@ -73,8 +72,11 @@ class ExecutionPlan:
     layout: Layout
     #: how many splits the layout has, zero-length ones included
     num_splits: int
-    #: builds :attr:`splits`; returns the same list every call
-    build_splits: "Callable[[], list[Split]]" = field(repr=False)
+    #: the run's data, which a per-split callback's :class:`Split` views
+    data: Any = field(repr=False)
+    #: a custom ``splitter=``'s own list, as it was given; ``None`` for the
+    #: built-in layouts, whose split ids are their positions
+    given: "list[Split] | None" = field(repr=False)
     #: element alignment the default splitter snapped boundaries to
     #: (``GroupBounds.alignment``), ``None`` for unaligned splits
     split_alignment: "int | None"
@@ -86,13 +88,18 @@ class ExecutionPlan:
     #: the wave schedule of a colored run; ``None`` runs one wave
     coloring: "SplitColoring | None" = None
 
-    @property
-    def splits(self) -> "list[Split]":
-        """The layout as :class:`Split` objects, built on the first read —
-        on the reading thread — and kept.  Only consumers that need the
-        objects read it; a batched direct run works on :attr:`starts` and
-        :attr:`ends` alone."""
-        return self.build_splits()
+    def split_id(self, pos: int) -> int:
+        """The id of the split at ``pos`` — what spans, the injector and the
+        ledgers name it by: the position, or a custom splitter's own id."""
+        return pos if self.given is None else self.given[pos].split_id
+
+    def split_at(self, pos: int) -> Split:
+        """The split at ``pos`` as a per-split callback receives it: a custom
+        splitter's own object, else one built for this call."""
+        if self.given is not None:
+            return self.given[pos]
+        start, end = int(self.layout[0][pos]), int(self.layout[1][pos])
+        return Split(pos, start, end, self.data[start:end])
 
 
 def _validate_custom_splits(splits: "list[Split]", data: Any) -> Layout:
@@ -144,25 +151,23 @@ def plan_node(
     num_threads: int,
     chunk_size: "int | None" = None,
     splitter: "Callable[[Any, int], list[Split]] | None" = None,
-    fault_tolerant: bool = False,
 ) -> ExecutionPlan:
     """Plan one run's pass over ``data`` (see the module docstring).
 
-    ``technique`` is the engine's parsed request (``None`` for ``"auto"``),
-    ``ro`` the run's fresh reduction object (read for its size only) and
-    ``fault_tolerant`` whether a fault policy is in force.  A request the
-    engine refuses (a locking or colored technique on the process executor)
-    is not re-checked here.
+    ``technique`` is the engine's parsed request (``None`` for ``"auto"``)
+    and ``ro`` the run's fresh reduction object (read for its size only).
+    A request the engine refuses (a locking or colored technique on the
+    process executor) is not re-checked here.
     """
     auto = technique is None
     # can this request execute waves at all
     colorable = executor != "process" and (auto or technique is _COLORED)
 
     alignment = None
-    built: "list[Split] | None" = None
+    given: "list[Split] | None" = None
     if splitter is not None:
-        built = splitter(data, num_threads)
-        layout = _validate_custom_splits(built, data)
+        given = splitter(data, num_threads)
+        layout = _validate_custom_splits(given, data)
     else:
         n = _data_len(data)
         if chunk_size is not None:
@@ -175,13 +180,6 @@ def plan_node(
                 layout = aligned_layout(n, num_threads, alignment)
             else:
                 layout = default_layout(n, num_threads)
-
-    def splits_of() -> "list[Split]":
-        """The plan's one split list, built by its first reader."""
-        nonlocal built
-        if built is None:
-            built = layout_splits(data, *layout)
-        return built
 
     starts, ends = layout
     if not (isinstance(data, range) and data.step == 1):
@@ -196,7 +194,9 @@ def plan_node(
     if auto or technique is _COLORED:
         num_groups = ro.num_groups
         if colorable:
-            group_sets, source = resolve_group_sets(spec, splits_of(), num_groups)
+            group_sets, source = resolve_group_sets(
+                spec, data, layout, num_groups, given
+            )
             if group_sets is not None:
                 coloring = color_splits(group_sets, source=source)
         # every signal the choice reads, recorded verbatim so a decision
@@ -236,6 +236,6 @@ def plan_node(
 
     return ExecutionPlan(
         starts=starts, ends=ends, layout=layout, num_splits=num_splits,
-        build_splits=splits_of, split_alignment=alignment, technique=chosen,
+        data=data, given=given, split_alignment=alignment, technique=chosen,
         decision=decision, coloring=coloring if chosen is _COLORED else None,
     )

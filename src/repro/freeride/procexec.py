@@ -5,8 +5,8 @@ address spaces: the parent publishes the linearized dataset into a POSIX
 shared-memory segment once per engine, and every task shipped to a worker is
 just a compact picklable payload — the kernel's compile request
 (:class:`~repro.compiler.cache.CompileRequest`) plus ``(segment name,
-nbytes)`` and ``(split_id, start, stop)`` descriptors.  Nothing element-sized
-ever crosses the process boundary.
+nbytes)`` and slices of the plan's ``starts``/``ends`` arrays with the
+splits' ids.  Nothing element-sized ever crosses the process boundary.
 
 Workers keep two process-local caches:
 
@@ -23,10 +23,10 @@ ships a lane's work to this pool:
 
 :func:`run_block_task`
     direct runs.  One task per worker per run; the worker processes its
-    statically assigned splits (``splits[w::W]``, the same deterministic
-    round-robin the serial executor uses) and accumulates straight into
-    its replica slot of a parent-created shared-memory reduction-object
-    segment — the zero-copy transport of results.
+    statically assigned splits (positions ``[w::W]``, the same
+    deterministic round-robin the serial executor uses) and accumulates
+    straight into its replica slot of a parent-created shared-memory
+    reduction-object segment — the zero-copy transport of results.
 
 :func:`run_split_task`
     runs under a fault policy.  One task per split *attempt*: the worker
@@ -36,7 +36,9 @@ ships a lane's work to this pool:
     ``complete()`` gate, so speculative straggler duplicates are discarded
     there just as in thread mode.
 
-Both return per-task :class:`~repro.machine.counters.OpCounters` deltas and
+Both reduce each split with one ``bound.reduce_ranges`` call — the entry
+every in-process kernel call takes — into a per-task ledger, and return
+its :class:`~repro.machine.counters.OpCounters` deltas and
 (when tracing) :class:`~repro.obs.tracer.Span`/``Event`` records stamped with
 the worker pid, which the parent folds into the run's ledger and trace.
 :func:`task_payload` and :func:`split_task_outcome` are the parent-side
@@ -216,7 +218,8 @@ def _attached_raw(name: str, nbytes: int) -> np.ndarray:
 
 
 def _bound_for(task: dict[str, Any]):
-    """The task's kernel, bound against the shared dataset (cached)."""
+    """The task's kernel, bound against the shared dataset (cached), with a
+    fresh counter ledger for this task."""
     # Imported here, not at module top: the freeride package must stay
     # importable without pulling in the compiler (layering), and only
     # process-mode workers ever reach this path (the request in the task
@@ -239,6 +242,7 @@ def _bound_for(task: dict[str, Any]):
     elif entry[1] != task["extras_epoch"]:
         entry[0].update_extras(task["extras"])
         entry[1] = task["extras_epoch"]
+    entry[0].counters = OpCounters()
     return entry[0]
 
 
@@ -277,8 +281,6 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
     directly in slot ``task["slot"]`` — no result pickling, no copies.
     """
     bound = _bound_for(task)
-    kernel = bound.compiled.effective_kernel
-    env = bound.env
     slot = task["slot"]
     ro_floats = task["ro_floats"]
 
@@ -287,16 +289,18 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
         (ro_floats,), dtype=np.float64, buffer=ro_shm.buf, offset=slot * ro_floats * 8
     )
     ro = ReductionObject.from_layout(task["ro_layout"], buffer=view)
-    counters = OpCounters()
     tracer = _worker_tracer(task)
     elements = 0
     durations: list[float] = []
-    for sid, start, stop in task["splits"]:
+    starts, ends = task["starts"], task["ends"]
+    for i, (sid, start, stop) in enumerate(
+        zip(task["ids"].tolist(), starts.tolist(), ends.tolist())
+    ):
         if stop <= start:
             continue
 
         def direct() -> tuple[None, None]:
-            kernel(start, stop, ro, env, counters)
+            bound.reduce_ranges(starts[i : i + 1], ends[i : i + 1], ro)
             return None, None
 
         t0 = time.perf_counter()
@@ -311,7 +315,7 @@ def run_block_task(task: dict[str, Any]) -> dict[str, Any]:
         "elements": elements,
         "nsplits": len(durations),
         "update_count": ro.update_count,
-        "counters": counters,
+        "counters": bound.counters,
         "records": _worker_records(tracer),
         "durations": durations,
         "pid": os.getpid(),
@@ -332,16 +336,13 @@ def run_split_task(task: dict[str, Any]) -> dict[str, Any]:
     attempt's kernel work still hits the ledger.
     """
     bound = _bound_for(task)
-    kernel = bound.compiled.effective_kernel
-    env = bound.env
-    sid, start, stop = task["split"]
+    sid, starts, ends = task["split_id"], task["starts"], task["ends"]
     attempt = task["attempt"]
-    counters = OpCounters()
     tracer = _worker_tracer(task)
 
     def scratch_attempt():
         return attempt_split(
-            lambda scratch: kernel(start, stop, scratch, env, counters),
+            lambda scratch: bound.reduce_ranges(starts, ends, scratch),
             sid, attempt, ReductionObject.from_layout(task["ro_layout"]),
             task["injector"], task["split_timeout"],
         )
@@ -351,7 +352,7 @@ def run_split_task(task: dict[str, Any]) -> dict[str, Any]:
         scratch, error = scratch_attempt()
     else:
         scratch, error, _ = traced_attempt(
-            tracer, task["lane"], sid, stop - start, attempt,
+            tracer, task["lane"], sid, int(ends[0] - starts[0]), attempt,
             scratch_attempt,
         )
     duration = time.perf_counter() - t0
@@ -367,7 +368,7 @@ def run_split_task(task: dict[str, Any]) -> dict[str, Any]:
         "exception": exc_bytes,
         "buffer": scratch._buffer.tobytes() if scratch is not None else None,
         "update_count": scratch.update_count if scratch is not None else 0,
-        "counters": counters,
+        "counters": bound.counters,
         "records": _worker_records(tracer),
         "durations": [duration],
         "pid": os.getpid(),

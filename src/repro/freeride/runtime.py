@@ -437,7 +437,7 @@ class FreerideEngine:
                     spec, data, ro,
                     technique=self.technique, executor=self.executor,
                     num_threads=self.num_threads, chunk_size=self.chunk_size,
-                    splitter=self.splitter, fault_tolerant=policy is not None,
+                    splitter=self.splitter,
                 )
                 mgr = SharedMemManager(plan.technique)
                 ctx = RunContext(

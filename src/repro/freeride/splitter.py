@@ -14,8 +14,10 @@ Each built-in rule computes a *layout* first — two int64 arrays
 ``(starts, ends)`` of positions into the data, one entry per split — with
 NumPy (:func:`default_layout`, :func:`aligned_layout`,
 :func:`chunked_layout`); :func:`layout_splits` is the one function that
-turns a layout into :class:`Split` objects.  A batched engine lane reduces
-straight from the arrays and never builds a ``Split``.
+turns a layout into :class:`Split` objects.  A run carries its layout as
+positions from the plan to the kernel: the engine calls it only to hand a
+callable ``group_bounds`` hook its splits, and a hand-written spec's
+per-split callback gets a ``Split`` built for each attempt.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
     "aligned_layout",
     "chunked_layout",
     "layout_splits",
-    "split_descriptors",
     "SplitQueue",
 ]
 
@@ -152,28 +153,6 @@ def chunked_splitter(data: Any, chunk_size: int) -> list[Split]:
     return layout_splits(data, *chunked_layout(_data_len(data), chunk_size))
 
 
-def split_descriptors(splits: Sequence[Split]) -> list[tuple[int, int, int]]:
-    """Compact picklable ``(split_id, start, stop)`` descriptors.
-
-    The process executor ships these instead of :class:`Split` objects —
-    workers index the shared-memory dataset directly, so a few integers per
-    split are the entire dispatch payload.  Requires unit-step index-range
-    split data, which is what compiled reductions run over (their engine
-    data is the element index range).
-    """
-    out: list[tuple[int, int, int]] = []
-    for s in splits:
-        d = s.data
-        if not isinstance(d, range) or d.step != 1:
-            raise SplitterError(
-                "process dispatch requires splits over a unit-step element "
-                "index range (compiled reductions); got split data of type "
-                f"{type(d).__name__}"
-            )
-        out.append((s.split_id, d.start, d.stop))
-    return out
-
-
 def _check_partition(
     starts: np.ndarray,
     ends: np.ndarray,
@@ -199,23 +178,22 @@ def _check_partition(
 
 
 class SplitQueue:
-    """A thread-safe work queue of splits for dynamic scheduling.
+    """A thread-safe work queue of split positions for dynamic scheduling.
 
-    Beyond plain FIFO draining (:meth:`take`), the queue supports the
-    fault-tolerant executor's lifecycle: :meth:`claim` hands out splits with
-    attempt tracking, failed attempts are :meth:`requeue`-d for another
-    worker (retried splits are served before fresh ones), exhausted splits
-    are :meth:`abandon`-ed, and :meth:`steal_straggler` lets an idle worker
-    speculatively duplicate a long-in-flight split — the first finisher
-    commits, via the :meth:`complete` first-completion gate.
+    Items are positions into the run's layout (or any list the caller
+    indexes).  Beyond plain FIFO draining (:meth:`take`), the queue supports
+    the fault-tolerant executor's lifecycle: :meth:`claim` hands out
+    positions with attempt tracking, failed attempts are :meth:`requeue`-d
+    for another worker (retried positions are served before fresh ones),
+    exhausted ones are :meth:`abandon`-ed, and :meth:`steal_straggler` lets
+    an idle worker speculatively duplicate a long-in-flight split — the
+    first finisher commits, via the :meth:`complete` first-completion gate.
     """
 
-    def __init__(self, splits: Sequence[Split]) -> None:
-        self._splits = list(splits)
-        self._by_id = {s.split_id: s for s in self._splits}
-        self._pending: deque[Split] = deque(self._splits)
-        self._retry: deque[Split] = deque()
-        self._inflight: dict[int, float] = {}  # split_id -> attempt start
+    def __init__(self, positions: Iterable[int]) -> None:
+        self._pending: deque[int] = deque(positions)
+        self._retry: deque[int] = deque()
+        self._inflight: dict[int, float] = {}  # position -> attempt start
         self._attempts: dict[int, int] = {}
         self._done: set[int] = set()
         self._abandoned: list[int] = []
@@ -223,15 +201,15 @@ class SplitQueue:
         self.requeues = 0
         self._lock = threading.Lock()
 
-    def take(self) -> Split | None:
-        """Pop the next split, or None when the queue is drained.
+    def take(self) -> int | None:
+        """Pop the next position, or None when the queue is drained.
 
-        Retried splits, when present, are served before fresh ones.
+        Retried positions, when present, are served before fresh ones.
         """
         with self._lock:
             return self._pop()
 
-    def _pop(self) -> Split | None:
+    def _pop(self) -> int | None:
         if self._poisoned:
             return None
         if self._retry:
@@ -240,65 +218,57 @@ class SplitQueue:
             return self._pending.popleft()
         return None
 
-    def __len__(self) -> int:
-        return len(self._splits)
-
-    def drain(self) -> Iterator[Split]:
-        """Iterate remaining splits (single-threaded use)."""
-        while (s := self.take()) is not None:
-            yield s
-
     # -- fault-tolerant lifecycle ------------------------------------------------
 
-    def claim(self) -> "tuple[Split, int] | None":
-        """Pop the next split with attempt tracking: ``(split, attempt)``.
+    def claim(self) -> "tuple[int, int] | None":
+        """Pop the next position with attempt tracking: ``(pos, attempt)``.
 
-        Marks the split in flight.  Returns None when nothing is claimable
+        Marks it in flight.  Returns None when nothing is claimable
         *right now* — check :meth:`outstanding` to distinguish "drained"
         from "everything is in flight elsewhere".
         """
         with self._lock:
-            s = self._pop()
-            if s is None:
+            pos = self._pop()
+            if pos is None:
                 return None
-            attempt = self._attempts.get(s.split_id, 0) + 1
-            self._attempts[s.split_id] = attempt
-            self._inflight[s.split_id] = time.monotonic()
-            return s, attempt
+            attempt = self._attempts.get(pos, 0) + 1
+            self._attempts[pos] = attempt
+            self._inflight[pos] = time.monotonic()
+            return pos, attempt
 
-    def complete(self, split: Split) -> bool:
+    def complete(self, pos: int) -> bool:
         """Record a successful attempt; True only for the *first* completion.
 
         Speculative straggler duplicates call this too — exactly one caller
         sees True and commits its result, the rest discard theirs.
         """
         with self._lock:
-            self._inflight.pop(split.split_id, None)
-            if split.split_id in self._done:
+            self._inflight.pop(pos, None)
+            if pos in self._done:
                 return False
-            self._done.add(split.split_id)
+            self._done.add(pos)
             return True
 
-    def requeue(self, split: Split) -> None:
+    def requeue(self, pos: int) -> None:
         """Put a failed split back for another attempt (served first)."""
         with self._lock:
-            self._inflight.pop(split.split_id, None)
-            if split.split_id in self._done:
+            self._inflight.pop(pos, None)
+            if pos in self._done:
                 return  # a speculative duplicate already finished it
-            self._retry.append(split)
+            self._retry.append(pos)
             self.requeues += 1
 
-    def abandon(self, split: Split) -> None:
+    def abandon(self, pos: int) -> None:
         """Give up on a split: mark it terminally failed."""
         with self._lock:
-            self._inflight.pop(split.split_id, None)
-            if split.split_id not in self._done:
-                self._done.add(split.split_id)
-                self._abandoned.append(split.split_id)
+            self._inflight.pop(pos, None)
+            if pos not in self._done:
+                self._done.add(pos)
+                self._abandoned.append(pos)
 
-    def steal_straggler(self, threshold_seconds: float) -> "tuple[Split, int] | None":
+    def steal_straggler(self, threshold_seconds: float) -> "tuple[int, int] | None":
         """Speculatively re-dispatch the oldest split in flight for at least
-        ``threshold_seconds``; returns ``(split, attempt)`` or None.
+        ``threshold_seconds``; returns ``(pos, attempt)`` or None.
 
         The stolen split's in-flight clock is reset so the same straggler is
         not immediately re-stolen by every idle worker.
@@ -307,18 +277,18 @@ class SplitQueue:
         with self._lock:
             if self._poisoned:
                 return None
-            oldest_sid, oldest_start = None, now
-            for sid, start in self._inflight.items():
-                if sid in self._done:
+            oldest, oldest_start = None, now
+            for pos, start in self._inflight.items():
+                if pos in self._done:
                     continue
                 if now - start >= threshold_seconds and start < oldest_start:
-                    oldest_sid, oldest_start = sid, start
-            if oldest_sid is None:
+                    oldest, oldest_start = pos, start
+            if oldest is None:
                 return None
-            self._inflight[oldest_sid] = now
-            attempt = self._attempts.get(oldest_sid, 0) + 1
-            self._attempts[oldest_sid] = attempt
-            return self._by_id[oldest_sid], attempt
+            self._inflight[oldest] = now
+            attempt = self._attempts.get(oldest, 0) + 1
+            self._attempts[oldest] = attempt
+            return oldest, attempt
 
     def outstanding(self) -> bool:
         """Is any split still pending, queued for retry, or in flight?"""
@@ -335,18 +305,18 @@ class SplitQueue:
         with self._lock:
             return self._poisoned
 
-    def attempts(self, split_id: int) -> int:
-        """Attempts recorded for a split id (0 if never claimed)."""
+    def attempts(self, pos: int) -> int:
+        """Attempts recorded for a position (0 if never claimed)."""
         with self._lock:
-            return self._attempts.get(split_id, 0)
+            return self._attempts.get(pos, 0)
 
     def attempt_table(self) -> dict[int, int]:
-        """Attempts per claimed split id — the run's ``split_attempts`` ledger."""
+        """Attempts per claimed position, in first-claim order."""
         with self._lock:
             return dict(self._attempts)
 
     @property
     def abandoned(self) -> list[int]:
-        """Split ids given up on, in abandonment order."""
+        """Positions given up on, in abandonment order."""
         with self._lock:
             return list(self._abandoned)

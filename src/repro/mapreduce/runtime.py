@@ -133,12 +133,12 @@ class MapReduceEngine:
                     if len(split):
                         map_split(i % self.num_threads, split)
             else:
-                queue = SplitQueue(splits)
+                queue = SplitQueue(range(len(splits)))
 
                 def worker(thread_id: int) -> None:
-                    while (s := queue.take()) is not None:
-                        if len(s):
-                            map_split(thread_id, s)
+                    while (pos := queue.take()) is not None:
+                        if len(splits[pos]):
+                            map_split(thread_id, splits[pos])
 
                 with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
                     for f in [

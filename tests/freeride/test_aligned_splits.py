@@ -13,7 +13,12 @@ import pytest
 
 from repro.apps.windowed import WindowedRunner
 from repro.freeride.coloring import color_splits, resolve_group_sets
-from repro.freeride.splitter import aligned_layout, aligned_splits, default_splitter
+from repro.freeride.splitter import (
+    aligned_layout,
+    aligned_splits,
+    default_layout,
+    default_splitter,
+)
 from tests.freeride.test_splitter import (
     SIZES,
     assert_layout_is,
@@ -94,11 +99,11 @@ class TestCompilerGroupSets:
         )
         spec, idx = bound.make_spec(runner.ro_layout())
         runner.close()
-        return spec, aligned_splits(idx, workers, 64)
+        return spec, idx, aligned_layout(len(idx), workers, 64)
 
     def test_footprints_come_from_the_compiler(self):
-        spec, splits = self._spec_and_splits()
-        sets, source = resolve_group_sets(spec, splits, 8)
+        spec, idx, layout = self._spec_and_splits()
+        sets, source = resolve_group_sets(spec, idx, layout, 8)
         assert source == "compiler"
         assert sets == [
             frozenset({0, 1}), frozenset({2, 3}),
@@ -106,8 +111,8 @@ class TestCompilerGroupSets:
         ]
 
     def test_aligned_footprints_color_into_one_wave(self):
-        spec, splits = self._spec_and_splits()
-        sets, source = resolve_group_sets(spec, splits, 8)
+        spec, idx, layout = self._spec_and_splits()
+        sets, source = resolve_group_sets(spec, idx, layout, 8)
         coloring = color_splits(sets, source)
         assert coloring.max_wave_width == 4
         assert coloring.num_colors == 1
@@ -115,9 +120,8 @@ class TestCompilerGroupSets:
     def test_unaligned_splits_still_color_safely(self):
         # without alignment, neighbors share the straddled window and the
         # coloring must serialize them rather than corrupt the RO
-        spec, _ = self._spec_and_splits()
-        splits = default_splitter(range(500), 4)
-        sets, _ = resolve_group_sets(spec, splits, 8)
+        spec, _, _ = self._spec_and_splits()
+        sets, _ = resolve_group_sets(spec, range(500), default_layout(500, 4), 8)
         coloring = color_splits(sets)
         for wave in coloring.waves:
             seen: set[int] = set()

@@ -20,6 +20,7 @@ from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
+from repro.freeride.splitter import chunked_layout
 
 # -- color_splits ---------------------------------------------------------------
 
@@ -60,11 +61,51 @@ def test_fingerprint_tracks_wave_layout():
     assert b.as_dict()["max_wave_width"] == 1
 
 
+def _union_set_greedy(group_sets):
+    """The reference: the greedy as first written, each split tested against
+    every color's union of group sets in color order."""
+    color_groups, waves = [], []
+    for idx, gs in enumerate(group_sets):
+        for color, used in enumerate(color_groups):
+            if not (used & gs):
+                used |= gs
+                waves[color].append(idx)
+                break
+        else:
+            color_groups.append(set(gs))
+            waves.append([idx])
+    return tuple(tuple(w) for w in waves)
+
+
+def test_bitmask_greedy_is_the_union_set_greedy():
+    """Seeded random footprints, the all-conflicting layout and a chained
+    one: the per-group color masks pick every split's color as the union
+    sets did, so waves and fingerprints are unchanged."""
+    rng = np.random.default_rng(2024)
+    cases = [
+        [frozenset(range(8))] * 300,  # every split conflicts with every other
+        [frozenset({i // 2, i // 2 + 1}) for i in range(300)],
+        [],
+    ]
+    for _ in range(1500):
+        num_groups = int(rng.integers(1, 40))
+        width = int(rng.integers(0, num_groups + 1))
+        cases.append([
+            frozenset(rng.choice(num_groups, int(rng.integers(0, width + 1)),
+                                 replace=False).tolist())
+            for _ in range(int(rng.integers(0, 50)))
+        ])
+    for sets in cases:
+        coloring = color_splits(sets, source="compiler")
+        reference = _union_set_greedy(sets)
+        assert coloring.waves == reference
+        assert coloring.group_sets == tuple(sets)
+        assert coloring.fingerprint() == SplitColoring(
+            waves=reference, group_sets=tuple(sets), source="compiler"
+        ).fingerprint()
+
+
 # -- resolve_group_sets ---------------------------------------------------------
-
-
-class _Splits:
-    """Splits stand-ins are only inspected via the hook here."""
 
 
 def _spec_with_hook(hook):
@@ -74,15 +115,15 @@ def _spec_with_hook(hook):
     )
 
 
-def _dummy_splits(n):
-    from repro.freeride.splitter import Split
-
-    return [Split(split_id=i, start=i, end=i + 1, data=[0]) for i in range(n)]
+def _unit_layout(n):
+    """``n`` one-element splits over ``range(n)``: the hook sees split ``i``
+    with id ``i``."""
+    return range(n), chunked_layout(n, 1)
 
 
 def test_hook_supplies_per_split_sets():
     spec = _spec_with_hook(lambda split, n: {split.split_id % 2})
-    sets, source = resolve_group_sets(spec, _dummy_splits(4), 4)
+    sets, source = resolve_group_sets(spec, *_unit_layout(4), 4)
     assert source == "spec_hook"
     assert sets == [frozenset({0}), frozenset({1})] * 2
 
@@ -91,17 +132,17 @@ def test_hook_returning_none_fails_resolution():
     spec = _spec_with_hook(
         lambda split, n: None if split.split_id == 1 else {0}
     )
-    assert resolve_group_sets(spec, _dummy_splits(3), 4) == (None, None)
+    assert resolve_group_sets(spec, *_unit_layout(3), 4) == (None, None)
 
 
 def test_hook_out_of_range_group_fails_resolution():
     spec = _spec_with_hook(lambda split, n: {n})  # one past the end
-    assert resolve_group_sets(spec, _dummy_splits(2), 4) == (None, None)
+    assert resolve_group_sets(spec, *_unit_layout(2), 4) == (None, None)
 
 
 def test_no_source_fails_resolution():
     spec = _spec_with_hook(None)
-    assert resolve_group_sets(spec, _dummy_splits(2), 4) == (None, None)
+    assert resolve_group_sets(spec, *_unit_layout(2), 4) == (None, None)
 
 
 # -- engine-level colored execution ---------------------------------------------

@@ -23,6 +23,7 @@ from repro.apps.windowed import WindowedRunner
 from repro.chapel.values import from_python
 from repro.compiler.cache import compile_cached
 from repro.compiler.native import probe_toolchain
+from repro.compiler.translate import compile_reduction
 from repro.freeride.delta import DeltaSession
 from repro.freeride.execute import RunContext
 from repro.freeride.faults import FaultInjector, FaultPolicy, InjectedFault
@@ -31,7 +32,7 @@ from repro.freeride.runtime import DELTA_COMMIT_SPLIT_ID, FreerideEngine, RunSta
 from repro.freeride.sharedmem import SharedMemManager, SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.obs.profilestore import ProfileKey, ProfileStore, split_layout_fingerprint
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.errors import FreerideError
 
 needs_cc = pytest.mark.skipif(
@@ -71,9 +72,6 @@ def _plan(engine, spec, data) -> ExecutionPlan:
         technique=engine.technique, executor=engine.executor,
         num_threads=engine.num_threads,
         chunk_size=engine.chunk_size, splitter=engine.splitter,
-        fault_tolerant=(
-            engine.fault_policy is not None or engine.fault_injector is not None
-        ),
     )
 
 
@@ -105,7 +103,7 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
     assert (
         plan.coloring.as_dict() if plan.coloring is not None else None
     ) == stats.coloring
-    assert sum(len(s) for s in plan.splits) == stats.total_elements
+    assert int((plan.layout[1] - plan.layout[0]).sum()) == stats.total_elements
 
     in_process = executor != "process"
     if technique == "auto":
@@ -113,7 +111,7 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
         assert list(decision) == ["requested", "chosen", "reason", "inputs"]
         assert decision["requested"] == "auto"
         assert decision["inputs"]["executor"] == executor
-        assert decision["inputs"]["num_splits"] == len(plan.splits)
+        assert decision["inputs"]["num_splits"] == len(plan.layout[0])
         if not in_process:
             assert plan.technique is SharedMemTechnique.FULL_REPLICATION
             assert "coercing" in decision["reason"]
@@ -199,7 +197,7 @@ def test_profile_key_is_built_from_the_layout(tmp_path):
         key = ProfileKey.of(spec.bound.compiled.request.digest, *plan.layout)
         assert key.digest == spec.bound.compiled.request.digest
         assert key.split_fingerprint == split_layout_fingerprint(
-            [(s.start, s.end) for s in plan.splits]
+            zip(plan.layout[0].tolist(), plan.layout[1].tolist())
         )
     records = ProfileStore(tmp_path).load()
     assert [r["split_fingerprint"] for r in records] == [
@@ -245,8 +243,9 @@ def test_whole_object_commits_into_a_colored_lane_are_serialized():
                 if ctx.direct:
                     kind = "direct"  # no commits: lanes update their views
                 else:
+                    # each commit reads its position's proven group set
                     kind = "restricted"
-                    assert set(ctx.commit_groups) == {s.split_id for s in ctx.splits}
+                    assert len(ctx.plan.coloring.group_sets) == ctx.plan.num_splits
                 seen[kind, width >= 2] += 1
     # every way a colored run commits was planned, wide and serial
     assert {kind for kind, _ in seen} == {"direct", "restricted"}
@@ -374,6 +373,54 @@ def test_glue_does_not_grow_with_splits(
     assert split_objects_built["splits"] == 0
     if store:
         assert ProfileStore(tmp_path).load()[-1]["num_splits"] == 1100
+
+
+#: every combination the engine accepts: any technique in process, the
+#: process executor only with what replicates
+ACCEPTED = [
+    (executor, technique)
+    for executor in ("serial", "threads", "process")
+    for technique in TECHNIQUES
+    if executor != "process" or technique in ("auto", "full_replication")
+]
+
+
+@needs_cc
+@pytest.mark.parametrize("executor,technique", ACCEPTED)
+def test_a_compiled_run_builds_no_split(executor, technique, split_objects_built):
+    """A spec from ``make_spec`` runs as positions end to end: 1,100 splits
+    under any technique, executor, fault policy and tracer — the per-split
+    lanes included — build no ``Split``, and report what one range call
+    per split does."""
+    spec, data = _histogram(backend="native", data=np.resize(HIST_DATA, 33_000))
+    for faults in ({}, {"fault_policy": FaultPolicy()}):
+        for tracer in (None, Tracer()):
+            with FreerideEngine(
+                num_threads=2, executor=executor, technique=technique,
+                chunk_size=30, tracer=tracer, **faults,
+            ) as engine:
+                stats = engine.run(spec, data).stats
+            assert split_objects_built["splits"] == 0
+            assert sum(stats.splits_per_thread) == 1100
+            assert stats.total_elements == 33_000
+            if faults:
+                assert stats.split_attempts == dict.fromkeys(range(1100), 1)
+            if tracer is not None:
+                spans = [s for s in tracer.spans() if s.name == "split"]
+                assert sorted(s.args["split_id"] for s in spans) == list(range(1100))
+                assert {s.args["elements"] for s in spans} == {30}
+
+
+def test_element_independent_footprints_are_evaluated_once():
+    """The histogram's group is its bin, not its position: every non-empty
+    range has one footprint, so two plans of 1,100 splits — past the
+    memo's size — evaluate it once."""
+    compiled = compile_reduction(HISTOGRAM_CHAPEL_SOURCE, HIST_CONSTS, 2, backend="batch")
+    spec, data = compiled.bind(np.resize(HIST_DATA, 33_000)).make_spec(HIST_LAYOUT)
+    with FreerideEngine(executor="threads", technique="colored", chunk_size=30) as engine:
+        for _ in range(2):
+            assert _plan(engine, spec, data).coloring.num_colors == 1100
+    assert spec.group_bounds.evaluations == 1
 
 
 # -- (d) one session shape -----------------------------------------------------------

@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.freeride.plan as plan_module
 from repro.apps.windowed import WindowedRunner
 from repro.chapel.values import from_python
 from repro.compiler.native import probe_toolchain
@@ -227,20 +226,6 @@ def _windowed_wave(n, window=512):
         return bound.make_spec(runner.ro_layout())
 
 
-@pytest.fixture
-def layouts_built(monkeypatch):
-    """Every split list a plan builds from its layout, in order."""
-    built = []
-    real = plan_module.layout_splits
-
-    def keep(data, starts, ends):
-        built.append(real(data, starts, ends))
-        return built[-1]
-
-    monkeypatch.setattr(plan_module, "layout_splits", keep)
-    return built
-
-
 #: name -> (the run's spec and data, engine options); the 20,000- and
 #: 40,960-element waves span more than INLINE_WAVE_ELEMENTS, so threaded
 #: runs of them reach the lane team
@@ -259,23 +244,19 @@ LAYOUTS = {
 
 @needs_cc
 class TestPositionsAndSplitsReportTheSame:
-    """A batched lane reduces positions of the plan's arrays; a traced run
-    walks ``Split`` objects.  Same bits, same ledgers (per lane where lanes
-    are fixed: inline) — and the batched run builds a ``Split`` only where
-    planning needs one (coloring)."""
+    """A batched lane reduces batches of the plan's positions; a traced run
+    makes one range call per position.  Same bits, same ledgers (per lane
+    where lanes are fixed: inline) — and neither builds a ``Split``, the
+    colored plan's coloring included."""
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_same_bits_and_ledgers(
-        self, layout, threads, executor, split_objects_built, layouts_built
-    ):
+    def test_same_bits_and_ledgers(self, layout, threads, executor, split_objects_built):
         make, options = LAYOUTS[layout]
         spec, idx = make()
-        reports, built = [], []
+        reports = []
         for tracer in (None, Tracer()):
-            split_objects_built.clear()
-            layouts_built.clear()
             with FreerideEngine(
                 num_threads=threads, executor=executor, tracer=tracer, **options
             ) as engine:
@@ -286,7 +267,6 @@ class TestPositionsAndSplitsReportTheSame:
                 stats.elements_per_thread, stats.total_elements,
                 stats.technique_effective.value,
             ))
-            built.append((len(layouts_built), split_objects_built["splits"]))
         (bits, per_split, per_elem, total, tech), traced = reports
         assert (bits, total, tech) == (traced[0], traced[3], traced[4])
         assert total == len(idx)
@@ -296,35 +276,35 @@ class TestPositionsAndSplitsReportTheSame:
             # team lanes (batched) and pool lanes (traced) claim work as they
             # come free: only the totals are fixed
             assert (sum(per_split), sum(per_elem)) == (sum(traced[1]), sum(traced[2]))
-        (plain_layouts, plain_splits), (traced_layouts, traced_splits) = built
-        assert traced_layouts == 1 and traced_splits > 0  # at most once per run
-        if options.get("technique") == "colored":
-            assert (plain_layouts, plain_splits) == (1, traced_splits)
-        else:
-            assert (plain_layouts, plain_splits) == (0, 0)
+        assert split_objects_built["splits"] == 0
         if "zero-length" in layout and threads == 3 and executor == "serial":
             assert 0 in per_split  # a lane whose only split is empty
 
     @pytest.mark.parametrize("mode", [
         "fault_policy", "traced", "locking", "process",
     ])
-    def test_per_split_runs_see_the_same_splits(self, mode, layouts_built):
+    def test_per_split_runs_see_the_same_splits(self, mode, split_objects_built):
         spec, idx = _histogram_wave(3300)
+        want = [(s.split_id, len(s)) for s in loop_chunked(idx, 97)]
+        split_objects_built.clear()
+        tracer = Tracer()
         options = {
             "fault_policy": {"fault_policy": FaultPolicy()},
-            "traced": {"tracer": Tracer()},
+            "traced": {},
             "locking": {"technique": "cache_sensitive_locking"},
             "process": {"executor": "process"},
         }[mode]
         with FreerideEngine(
-            num_threads=2, chunk_size=97, **{"executor": "threads", **options}
+            num_threads=2, chunk_size=97, tracer=tracer,
+            **{"executor": "threads", **options},
         ) as engine:
             result = engine.run(spec, idx)
-        assert len(layouts_built) == 1  # once per run
-        assert layouts_built[0] == loop_chunked(idx, 97)
+        assert split_objects_built["splits"] == 0
+        spans = [s for s in tracer.spans() if s.name == "split"]
+        assert sorted((s.args["split_id"], s.args["elements"]) for s in spans) == want
         with FreerideEngine(num_threads=2, chunk_size=97) as engine:
             twin = engine.run(spec, idx)
         assert result.ro.snapshot().tobytes() == twin.ro.snapshot().tobytes()
         assert result.stats.total_elements == twin.stats.total_elements == 3300
         if mode == "fault_policy":
-            assert set(result.stats.split_attempts) == set(range(len(layouts_built[0])))
+            assert set(result.stats.split_attempts) == set(range(len(want)))

@@ -12,16 +12,11 @@ import threading
 import time
 from collections import Counter
 
-import numpy as np
-
-from repro.freeride.splitter import SplitQueue, default_splitter
-
-DATA = np.arange(400.0)
+from repro.freeride.splitter import SplitQueue
 
 
 def make_queue(num_splits=40):
-    splits = default_splitter(DATA, num_splits)
-    return SplitQueue(splits), splits
+    return SplitQueue(range(num_splits)), range(num_splits)
 
 
 class TestClaimRequeueContention:
@@ -40,15 +35,15 @@ class TestClaimRequeueContention:
                         return
                     time.sleep(0.0002)
                     continue
-                split, attempt = item
+                pos, attempt = item
                 with lock:
-                    attempts_seen[split.split_id] += 1
+                    attempts_seen[pos] += 1
                 if attempt == 1:
-                    queue.requeue(split)
+                    queue.requeue(pos)
                     continue
-                if queue.complete(split):
+                if queue.complete(pos):
                     with lock:
-                        commits[split.split_id] += 1
+                        commits[pos] += 1
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -57,7 +52,7 @@ class TestClaimRequeueContention:
             t.join(timeout=30)
             assert not t.is_alive()
 
-        ids = {s.split_id for s in splits}
+        ids = set(splits)
         assert set(commits) == ids
         assert all(c == 1 for c in commits.values())
         # one failed and one successful attempt per split
@@ -81,18 +76,18 @@ class TestClaimRequeueContention:
                         return
                     time.sleep(0.0002)
                     continue
-                split, attempt = item
+                pos, attempt = item
                 with lock:
-                    if split.split_id in holding:
-                        overlaps.append(split.split_id)
-                    holding.add(split.split_id)
+                    if pos in holding:
+                        overlaps.append(pos)
+                    holding.add(pos)
                 time.sleep(0.0005)  # widen the overlap window
                 with lock:
-                    holding.discard(split.split_id)
+                    holding.discard(pos)
                 if attempt < 3:
-                    queue.requeue(split)
+                    queue.requeue(pos)
                 else:
-                    queue.complete(split)
+                    queue.complete(pos)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -106,7 +101,7 @@ class TestClaimRequeueContention:
 class TestStragglerSteal:
     def test_speculative_duplicates_commit_once(self):
         """Everyone steals the same straggler; exactly one commit wins."""
-        queue, splits = make_queue(4)
+        queue, _ = make_queue(4)
         claimed = [queue.claim() for _ in range(4)]
         assert all(c is not None for c in claimed)
         time.sleep(0.02)
@@ -118,10 +113,10 @@ class TestStragglerSteal:
             item = queue.steal_straggler(0.0)
             if item is None:
                 return
-            split, _ = item
-            if queue.complete(split):
+            pos, _ = item
+            if queue.complete(pos):
                 with lock:
-                    wins[split.split_id] += 1
+                    wins[pos] += 1
 
         threads = [threading.Thread(target=thief) for _ in range(8)]
         for t in threads:
@@ -131,9 +126,9 @@ class TestStragglerSteal:
         # thieves may steal different stragglers, but each split commits once
         assert all(c == 1 for c in wins.values())
         # the original workers' completions of stolen splits are rejected
-        for split, _ in claimed:
-            if split.split_id in wins:
-                assert queue.complete(split) is False
+        for pos, _ in claimed:
+            if pos in wins:
+                assert queue.complete(pos) is False
 
     def test_steal_resets_inflight_clock(self):
         queue, _ = make_queue(2)
@@ -149,7 +144,7 @@ class TestStragglerSteal:
         done = []
         while (item := queue.claim()) is not None:
             queue.complete(item[0])
-            done.append(item[0].split_id)
+            done.append(item[0])
         assert len(done) == 3
         time.sleep(0.02)
         assert queue.steal_straggler(0.0) is None

@@ -232,21 +232,19 @@ class TestChunkedSplitter:
 
 class TestSplitQueue:
     def test_drain_order(self):
-        splits = chunked_splitter(list(range(6)), 2)
-        q = SplitQueue(splits)
-        assert [s.split_id for s in q.drain()] == [0, 1, 2]
+        q = SplitQueue(range(3))
+        assert [q.take() for _ in range(3)] == [0, 1, 2]
         assert q.take() is None
 
     def test_concurrent_take_no_duplicates(self):
-        splits = chunked_splitter(list(range(1000)), 1)
-        q = SplitQueue(splits)
+        q = SplitQueue(range(1000))
         taken: list[int] = []
         lock = threading.Lock()
 
         def worker():
-            while (s := q.take()) is not None:
+            while (pos := q.take()) is not None:
                 with lock:
-                    taken.append(s.split_id)
+                    taken.append(pos)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -257,44 +255,44 @@ class TestSplitQueue:
 
 
 class TestSplitQueueFaultAPI:
-    def make_queue(self, n=6, chunk=2):
-        return SplitQueue(chunked_splitter(list(range(n)), chunk))
+    def make_queue(self, n=3):
+        return SplitQueue(range(n))
 
     def test_claim_returns_split_and_attempt(self):
         q = self.make_queue()
-        split, attempt = q.claim()
-        assert split.split_id == 0
+        pos, attempt = q.claim()
+        assert pos == 0
         assert attempt == 1
 
     def test_complete_first_wins(self):
         q = self.make_queue()
-        split, _ = q.claim()
-        assert q.complete(split) is True
-        assert q.complete(split) is False  # duplicate commit rejected
+        pos, _ = q.claim()
+        assert q.complete(pos) is True
+        assert q.complete(pos) is False  # duplicate commit rejected
 
     def test_requeue_bumps_attempt(self):
         q = self.make_queue()
-        split, attempt = q.claim()
+        pos, attempt = q.claim()
         assert attempt == 1
-        q.requeue(split)
+        q.requeue(pos)
         assert q.requeues == 1
         again, attempt2 = q.claim()
-        assert again.split_id == split.split_id  # retries drain first
+        assert again == pos  # retries drain first
         assert attempt2 == 2
 
     def test_requeue_after_complete_is_ignored(self):
         q = self.make_queue()
-        split, _ = q.claim()
-        q.complete(split)
-        q.requeue(split)
+        pos, _ = q.claim()
+        q.complete(pos)
+        q.requeue(pos)
         assert q.requeues == 0
-        ids = []
+        claimed = []
         while (item := q.claim()) is not None:
-            ids.append(item[0].split_id)
-        assert split.split_id not in ids
+            claimed.append(item[0])
+        assert pos not in claimed
 
     def test_outstanding_tracks_lifecycle(self):
-        q = self.make_queue(n=4, chunk=2)  # 2 splits
+        q = self.make_queue(n=2)
         assert q.outstanding()
         a, _ = q.claim()
         b, _ = q.claim()
@@ -306,27 +304,27 @@ class TestSplitQueueFaultAPI:
 
     def test_abandon_recorded(self):
         q = self.make_queue()
-        split, _ = q.claim()
-        q.abandon(split)
-        assert q.abandoned == [split.split_id]
+        pos, _ = q.claim()
+        q.abandon(pos)
+        assert q.abandoned == [pos]
 
     def test_steal_straggler(self):
         import time
 
-        q = self.make_queue(n=2, chunk=2)  # 1 split
-        split, _ = q.claim()
+        q = self.make_queue(n=1)
+        pos, _ = q.claim()
         assert q.steal_straggler(10.0) is None  # not yet a straggler
         time.sleep(0.02)
         stolen = q.steal_straggler(0.01)
         assert stolen is not None
-        s2, attempt = stolen
-        assert s2.split_id == split.split_id
+        pos2, attempt = stolen
+        assert pos2 == pos
         assert attempt == 2
         # the steal reset the in-flight clock
         assert q.steal_straggler(0.01) is None
         # only the first completion commits
-        assert q.complete(split) is True
-        assert q.complete(s2) is False
+        assert q.complete(pos) is True
+        assert q.complete(pos2) is False
 
     def test_poison_stops_claims(self):
         q = self.make_queue()
@@ -337,8 +335,16 @@ class TestSplitQueueFaultAPI:
 
     def test_attempts_query(self):
         q = self.make_queue()
-        split, _ = q.claim()
-        assert q.attempts(split.split_id) == 1
-        q.requeue(split)
+        pos, _ = q.claim()
+        assert q.attempts(pos) == 1
+        q.requeue(pos)
         q.claim()
-        assert q.attempts(split.split_id) == 2
+        assert q.attempts(pos) == 2
+
+    def test_positions_are_any_subset_of_a_layout(self):
+        """A wave's queue holds the live positions it was given, in order,
+        and its ledger is keyed by them."""
+        q = SplitQueue([4, 9, 2])
+        while (item := q.claim()) is not None:
+            q.complete(item[0])
+        assert q.attempt_table() == {4: 1, 9: 1, 2: 1}
