@@ -68,12 +68,20 @@ class ChapelArray:
         return self.type.domain
 
     def _flat(self, index: object) -> int:
+        """Row-major position of a Chapel index — an ``int`` or a tuple of
+        ``int``s, one per dimension — checked and converted in one pass."""
         idx = index if isinstance(index, tuple) else (index,)
-        if idx not in self.domain and index not in self.domain:
-            raise DomainError(f"index {index!r} not in domain {self.domain}")
-        return self.domain.flat_position(
-            index if isinstance(index, (tuple, int)) else tuple(index)  # type: ignore[arg-type]
-        )
+        ranges = self.domain.ranges
+        if len(idx) == len(ranges):
+            pos = 0
+            for i, r in zip(idx, ranges):
+                if (not isinstance(i, int) or isinstance(i, bool)
+                        or not r.low <= i <= r.high or (i - r.low) % r.stride):
+                    break
+                pos = pos * len(r) + (i - r.low) // r.stride
+            else:
+                return pos
+        raise DomainError(f"index {index!r} not in domain {self.domain}")
 
     def __getitem__(self, index: object) -> Any:
         flat = self._flat(index)

@@ -55,12 +55,16 @@ Semantics notes (all chosen to match the *scalar* Python kernel):
 * an RO update whose indices the effect summary bounds is a *proof site*:
   its checks run only outside those bounds, on a layout whose verdict
   (``proof_mask``) is full; any other layout runs the kernel's *checked
-  twin*, where a clear ``_proven`` bit runs them as before (DESIGN.md §5).
+  twin*, where a clear ``_proven`` bit runs them as before (DESIGN.md §5);
+* updates to one group in a row form a *group run*
+  (:meth:`NativeCodegen.emit_block`): the group and its row are settled
+  once at the run's head, and its touched flag is stored once per run.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from dataclasses import fields as dc_fields
 from typing import Any
 
@@ -175,6 +179,40 @@ _LOADERS = {
 _CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
 
+def _update(stmt: A.Stmt) -> A.Call | None:
+    """The ``roAdd``/``roMin``/``roMax`` call a statement is, else None."""
+    if (isinstance(stmt, A.ExprStmt) and isinstance(stmt.expr, A.Call)
+            and stmt.expr.name in A.RO_INTRINSICS):
+        return stmt.expr
+    return None
+
+
+def _updates(stmt: A.Stmt) -> list[A.Call]:
+    """The updates of a group-run member, in walk order."""
+    if isinstance(stmt, A.ForStmt):
+        return [c for s in stmt.body.stmts if (c := _update(s)) is not None]
+    call = _update(stmt)
+    return [] if call is None else [call]
+
+
+@dataclass
+class _Run:
+    """The group run being printed (:meth:`NativeCodegen.emit_block`).
+
+    ``tmp`` names the run's group ``_rg<tmp>`` and row ``_rrow<tmp>`` on the
+    path where the head verified the group; it is None where the run only
+    stores its touched flag once.  ``marked``: on every path to the
+    statement being printed, a store of this run has set that flag.
+    ``loop``: where a member loop's hoisted flag store would go, until the
+    loop's first update decides whether it can.
+    """
+
+    tmp: int | None
+    marked: bool = False
+    loop: tuple[int, int, str] | None = None
+    marked_before_loop: bool = False
+
+
 def _join(a: str, b: str) -> str:
     """Numeric type join: double absorbs int."""
     return "d" if "d" in (a, b) else "i"
@@ -210,6 +248,10 @@ class NativeCodegen(_CBraces, KernelEmitter):
     summary) proves index bounds; proven levels skip their check.
     ``checked`` prints the checked twin: each proof site also tests its
     ``_proven`` bit, for layouts whose verdict is not full.
+
+    Updates to one group in a row are printed as a *group run*
+    (:meth:`emit_block`): the group, its row and its touched flag are
+    settled once for the run, not once per update.
     """
 
     def __init__(
@@ -233,6 +275,13 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._can_fail = False
         #: ``(glo, ghi, ehi, opcode)`` per proof site, in ``_proven`` bit order
         self.proofs: list[tuple[int, int, int, int]] = []
+        #: update call id -> its ``_proven`` bit, or None for no proof site
+        self._bits: dict[int, int | None] = {}
+        #: the group run being printed; ``_plain``: print without runs (a
+        #: run's slow path); ``_restore``: what a failing check runs first
+        self._run: _Run | None = None
+        self._plain = False
+        self._restore: str | None = None
 
     # -- small helpers ------------------------------------------------------
 
@@ -262,7 +311,8 @@ class NativeCodegen(_CBraces, KernelEmitter):
         reports ``_RC_UNSTORED`` on top: the update was counted, not stored.
         """
         self._can_fail = True
-        return f"_FAIL({rc + (_RC_UNSTORED if self.updating is not None else 0)})"
+        fail = f"_FAIL({rc + (_RC_UNSTORED if self.updating is not None else 0)})"
+        return fail if self._restore is None else f"{{ {self._restore} {fail} }}"
 
     # -- local type inference -----------------------------------------------
 
@@ -529,6 +579,11 @@ class NativeCodegen(_CBraces, KernelEmitter):
         tmp = self._next_tmp()
         self._w(f"{{ long long _lo{tmp} = {lo}; long long _hi{tmp} = {hi};")
         self.indent += 1
+        run = self._run
+        if run is not None:  # a run member: its touched flag may go here
+            run.marked_before_loop = run.marked
+            if run.tmp is not None and not run.marked:
+                run.loop = (len(self.lines), tmp, "    " * self.indent)
         self._w(
             f"for (long long _it{tmp} = _lo{tmp}; _it{tmp} <= _hi{tmp}; "
             f"_it{tmp}++) {{"
@@ -539,24 +594,38 @@ class NativeCodegen(_CBraces, KernelEmitter):
     def close_loop(self) -> None:
         self.close_brace()  # the for
         self.close_brace()  # the block holding its bounds
+        run = self._run
+        if run is not None:  # the loop may run no iteration
+            run.marked, run.loop = run.marked_before_loop, None
 
     def expr_stmt(self, value: tuple[str, str]) -> None:
         self._w(f"(void)({value[0]});")
 
-    def _proof(self, opcode: int) -> tuple[int, int, int, int] | None:
-        """The update being emitted as a proof site ``(glo, ghi, ehi,
-        opcode)``: the effect summary bounds its group index within
-        ``[glo, ghi]`` and its element index within ``[0, ehi]``, both
-        integral and non-negative.  None when it does not, or when every
-        ``_proven`` bit is taken."""
+    def _proof_bit(self, call: A.Call) -> int | None:
+        """``call``'s ``_proven`` bit, assigned the first time it is asked
+        for (in walk order, as the update sites are met); None when the
+        call is no proof site."""
+        key = id(call)
+        if key not in self._bits:
+            proof = self._proof(call)
+            self._bits[key] = None if proof is None else len(self.proofs)
+            if proof is not None:
+                self.proofs.append(proof)
+        return self._bits[key]
+
+    def _proof(self, call: A.Call) -> tuple[int, int, int, int] | None:
+        """The update ``call`` as a proof site ``(glo, ghi, ehi, opcode)``:
+        the effect summary bounds its group index within ``[glo, ghi]`` and
+        its element index within ``[0, ehi]``, both integral and
+        non-negative.  None when it does not, or when every ``_proven`` bit
+        is taken."""
         if self.summary is None or len(self.proofs) == _PROOF_BITS:
             return None
         from repro.analysis.effects import ELEM_RANGE
 
         # the analysis records each update site once
         eff = next(
-            (a for a in self.summary.accumulates if a.expr_id == id(self.updating)),
-            None,
+            (a for a in self.summary.accumulates if a.expr_id == id(call)), None
         )
         if eff is None or eff.dead or not (eff.group.is_int and eff.elem.is_int):
             return None
@@ -567,7 +636,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         glo, ghi = math.ceil(group.lo), math.floor(group.hi)
         if glo > ghi:
             return None
-        return glo, ghi, math.floor(elem.hi), opcode
+        return glo, ghi, math.floor(elem.hi), _OP_CODES[A.RO_INTRINSICS[call.name]]
 
     def ro_update(self, op: str, args: list[tuple[str, str]]) -> None:
         """``roAdd/roMin/roMax(group, elem, value)`` into the element buffer,
@@ -577,38 +646,200 @@ class NativeCodegen(_CBraces, KernelEmitter):
         bounds the verdict was decided for — two compares against constants,
         which the C compiler drops where its own range analysis agrees with
         the effect summary's — or, in the checked twin, when the site's
-        ``_proven`` bit is clear."""
-        g, e, v = self.as_index(args[0]), self.as_index(args[1]), args[2][0]
+        ``_proven`` bit is clear.  On a group run's fast path the head has
+        settled the group: a proof site compares its element only, and
+        every update stores into the run's row."""
+        bit = self._proof_bit(self.updating)  # type: ignore[arg-type]
+        proof = None if bit is None else self.proofs[bit]
         opcode = _OP_CODES[op]
+        run = self._run
         tmp = self._next_tmp()
-        self._w(f"{{ long long _g{tmp} = {g}; long long _el{tmp} = {e}; "
-                f"double _v{tmp} = (double)({v});")
+        e, v = self.as_index(args[1]), args[2][0]
+        if run is not None and run.tmp is not None:  # the head settled the group
+            g, row = f"_rg{run.tmp}", f"_rrow{run.tmp}"
+            self._w(f"{{ long long _el{tmp} = {e}; double _v{tmp} = (double)({v});")
+        else:
+            g, row = f"_g{tmp}", None
+            self._w(f"{{ long long {g} = {self.as_index(args[0])}; "
+                    f"long long _el{tmp} = {e}; double _v{tmp} = (double)({v});")
         self.indent += 1
-        proof = self._proof(opcode)
-        if proof is not None:
-            glo, ghi, ehi, _ = proof
-            bit = len(self.proofs)
-            self.proofs.append(proof)
-            g_off = f"(unsigned long long)_g{tmp}" + (f" - {glo}ULL" if glo else "")
-            unproven = f"!((_proven >> {bit}) & 1) || " if self.checked else ""
-            self._w(f"if ({unproven}{g_off} > {ghi - glo}ULL"
-                    f" || (unsigned long long)_el{tmp} > {ehi}ULL) {{")
-            self.indent += 1
-        self._w(f"if (_g{tmp} < 0 || _g{tmp} >= _ro_groups) "
-                + self._fail(_RC_RO_GROUP))
-        self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[_g{tmp}]) "
-                + self._fail(_RC_RO_ELEM))
-        self._w(f"if (_ro_op[_g{tmp}] != {opcode}) " + self._fail(_RC_RO_OP))
-        if proof is not None:
-            self.close_brace()
-        self._w(f"{{ double *_cell = _acc + _ro_off[_g{tmp}] + _el{tmp};")
+        if run is not None and run.loop is not None:
+            self._hoist_touched(run, run.loop, g)
+        if row is not None and proof is not None:
+            self._w(f"if ((unsigned long long)_el{tmp} > {proof[2]}ULL) {{")
+            self._w(f"    if (_el{tmp} < 0 || _el{tmp} >= _ro_n[{g}]) "
+                    + self._fail(_RC_RO_ELEM))
+            self._w("}")
+        else:
+            if proof is not None:
+                glo, ghi, ehi, _ = proof
+                g_off = f"(unsigned long long){g}" + (f" - {glo}ULL" if glo else "")
+                unproven = f"!((_proven >> {bit}) & 1) || " if self.checked else ""
+                self._w(f"if ({unproven}{g_off} > {ghi - glo}ULL"
+                        f" || (unsigned long long)_el{tmp} > {ehi}ULL) {{")
+                self.indent += 1
+            self._w(f"if ({g} < 0 || {g} >= _ro_groups) " + self._fail(_RC_RO_GROUP))
+            self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[{g}]) "
+                    + self._fail(_RC_RO_ELEM))
+            self._w(f"if (_ro_op[{g}] != {opcode}) " + self._fail(_RC_RO_OP))
+            if proof is not None:
+                self.close_brace()
+        self._restore = None
+        self._w(f"{{ double *_cell = {row or f'_acc + _ro_off[{g}]'} + _el{tmp};")
         if op == "add":
             self._w(f"  *_cell += _v{tmp}; }}")
         elif op == "min":
             self._w(f"  if (_v{tmp} < *_cell) *_cell = _v{tmp}; }}")
         else:
             self._w(f"  if (_v{tmp} > *_cell) *_cell = _v{tmp}; }}")
-        self._w(f"_touched[_g{tmp}] = 1;")
+        if run is None or not run.marked:
+            self._w(f"_touched[{g}] = 1;")
+            if run is not None:
+                run.marked = True
+        self.close_brace()
+
+    def _hoist_touched(self, run: _Run, at_loop: tuple[int, int, str], g: str) -> None:
+        """At a member loop's first update: store the run's touched flag
+        once, before the loop, when nothing the loop prints ahead of this
+        update can fail.  A failing check of this update on the first
+        iteration then puts back the flag the run found."""
+        at, loop, pad = at_loop
+        run.loop = None
+        if any("_FAIL(" in line for line in self.lines[at:]):
+            return
+        self.lines.insert(at, f"{pad}_Bool _rt{loop} = _touched[{g}]; "
+                              f"if (_lo{loop} <= _hi{loop}) _touched[{g}] = 1;")
+        self._restore = f"if (_it{loop} == _lo{loop}) _touched[{g}] = _rt{loop};"
+        run.marked = True
+
+    # -- group runs ---------------------------------------------------------
+
+    def emit_block(self, block: A.Block) -> None:
+        """The walker's block, with its group runs printed as runs.
+
+        A *group run* is a stretch of statements whose updates all name one
+        group expression ``G`` — no access site in it, so it prints no
+        check — and none of which assigns a variable ``G`` reads; a ``for``
+        belongs to it when its variable is not in ``G`` and its body holds
+        only such updates and other statements of that kind.  A run of two
+        or more updates, or of any inside a loop, is printed by
+        :meth:`_emit_run`; everything else as the walker prints it.
+        """
+        if self._run is not None or self._plain:
+            super().emit_block(block)
+            return
+        if not block.stmts:
+            self.empty_block()
+        stmts, i = block.stmts, 0
+        while i < len(stmts):
+            found = self._group_run(stmts, i)
+            if found is None:
+                self.emit_stmt(stmts[i])
+                i += 1
+            else:
+                group, end = found
+                self._emit_run(group, stmts[i:end])
+                i = end
+
+    def _group_run(self, stmts: tuple[A.Stmt, ...], i: int) -> tuple[A.Expr, int] | None:
+        """``(G, end)`` when ``stmts[i:end]`` is a run worth printing as one."""
+        first = _updates(stmts[i])
+        if not first:
+            return None
+        group = first[0].args[0]
+        if any(id(e) in self.low.sites for e in A.walk_exprs(group)):
+            return None
+        reads = {e.name for e in A.walk_exprs(group) if isinstance(e, A.Ident)}
+        end, sites, looped = i, 0, False
+        for j in range(i, len(stmts)):
+            n = self._run_member(stmts[j], group, reads)
+            if n is None:
+                break
+            if n:
+                end, sites = j + 1, sites + n
+                looped = looped or isinstance(stmts[j], A.ForStmt)
+        return (group, end) if sites >= 2 or looped else None
+
+    def _run_member(self, stmt: A.Stmt, group: A.Expr, reads: set[str]) -> int | None:
+        """How many updates ``stmt`` makes to ``group`` when it may sit in
+        that group's run; None when it ends the run."""
+        if isinstance(stmt, A.ForStmt):
+            if stmt.var in reads:
+                return None
+            total = 0
+            for inner in stmt.body.stmts:
+                n = None if isinstance(inner, A.ForStmt) else self._run_member(
+                    inner, group, reads
+                )
+                if n is None:
+                    return None
+                total += n
+            return total
+        call = _update(stmt)
+        if call is not None:
+            return 1 if call.args[0] == group else None
+        if isinstance(stmt, A.VarDeclStmt):
+            return None if stmt.decl.name in reads else 0
+        if isinstance(stmt, A.Assign):
+            return None if stmt.target.name in reads else 0
+        return 0 if isinstance(stmt, A.ExprStmt) else None
+
+    def _emit_run(self, group: A.Expr, stmts: tuple[A.Stmt, ...]) -> None:
+        """One group run: ``G`` and its row settled once at the head.
+
+        The head tests ``G`` against the bounds every proof site of the run
+        was proven within (and, in the checked twin, their ``_proven``
+        bits); when the test passes the run takes its fast path, where a
+        proof site compares its element only.  Otherwise the run executes as
+        the walker prints it.  A literal ``G`` gets no test: in the default
+        build it lies within its proof bounds, which the verdict settled
+        for the layout; in the checked twin, and for a run with no proof
+        site, there is no fast path.  Either way the run stores its group's
+        touched flag once, after its first store (:meth:`_hoist_touched`
+        for a loop).
+        """
+        bits = [self._proof_bit(c) for s in stmts for c in _updates(s)]
+        spans = [self.proofs[b] for b in bits if b is not None]
+        glo = max((p[0] for p in spans), default=0)
+        ghi = min((p[1] for p in spans), default=-1)
+        literal = None
+        if isinstance(group, A.IntLit):
+            literal = group.value
+        elif isinstance(group, A.Ident) and type(self.low.constants.get(group.name)) is int:
+            literal = self.low.constants[group.name]
+        if literal is None:
+            fast = glo <= ghi
+        else:
+            fast = not self.checked and glo <= literal <= ghi
+        if not fast:
+            self._run = _Run(None)
+            for stmt in stmts:
+                self.emit_stmt(stmt)
+            self._run = None
+            return
+        tmp = self._next_tmp()
+        g = f"_rg{tmp}"
+        self._w(f"{{ long long {g} = {self.as_index(self.emit_expr(group, _Cost()))};")
+        self.indent += 1
+        if literal is None:
+            test = f"(unsigned long long){g}" + (f" - {glo}ULL" if glo else "")
+            test = f"{test} <= {ghi - glo}ULL"
+            if self.checked:
+                mask = sum(1 << b for b in bits if b is not None)
+                test = f"(_proven & {mask}LL) == {mask}LL && {test}"
+            self.open_if((test, "i"))
+        self._w(f"double *_rrow{tmp} = _acc + _ro_off[{g}];")
+        self._run = _Run(tmp)
+        for stmt in stmts:
+            self.emit_stmt(stmt)
+        self._run = None
+        if literal is None:
+            self.open_else()
+            self._plain = True
+            for stmt in stmts:
+                self.emit_stmt(stmt)
+            self._plain = False
+            self.close_brace()
         self.close_brace()
 
     # -- whole kernel -------------------------------------------------------
@@ -623,7 +854,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self.indent = 0
         self._tmp = 0
         self._helpers, self._slots, self._can_fail = set(), set(), False
-        self.proofs = []
+        self.proofs, self._bits = [], {}
         self._w(f"/* {self.low.name}: native FREERIDE kernel, "
                 f"opt level {self.plan.opt_level}"
                 f"{', checked twin' if self.checked else ''} */")

@@ -61,6 +61,26 @@ class TestChapelArray:
         with pytest.raises(DomainError):
             a[5]
 
+    def test_strided_and_empty_ranges(self):
+        a = ChapelArray(ArrayType(Domain(Range(1, 7, 3), Range(-2, 2)), INT))
+        a[4, -2] = 9
+        assert a.as_numpy()[1, 0] == 9
+        with pytest.raises(DomainError):
+            a[2, 0]  # between two strides
+        empty = ChapelArray(ArrayType(Domain(Range(2, 1)), INT))
+        with pytest.raises(DomainError):
+            empty[2]
+
+    @pytest.mark.parametrize(
+        "index", [True, 2.0, np.int64(2), "2", None, [1, 2], (1,), (1, 2, 1), (True, 1),
+                  (1, 2.0)],
+    )
+    def test_an_index_is_an_int_or_a_tuple_of_ints_of_the_domain_s_rank(self, index):
+        m = ChapelArray(array_of(INT, 2, 3))
+        with pytest.raises(DomainError, match=r"^index .* not in domain \{1\.\.2, 1\.\.3\}$"):
+            m[index]
+        assert ChapelArray(array_of(INT, 3))[(2,)] == 0  # a 1-tuple on rank 1
+
     def test_elements_row_major(self):
         m = ChapelArray(array_of(INT, 2, 2))
         m[1, 1], m[1, 2], m[2, 1], m[2, 2] = 1, 2, 3, 4

@@ -19,6 +19,11 @@ element base a dataset segment starts at (the C entry's ``_e0`` argument,
 ``_elem_base`` in the Python tiers' env).  Every native-C digest moved
 again when the C entry began prefetching the first data row of the range
 ``PREFETCH_DISTANCE`` ahead; the refused ones are messages and stood.
+The native-C digests of the kernels with a group run of two or more
+updates, or of one inside a loop (EM, histogram, k-means, both PCA kernels,
+windowed), moved when a run's group, row and touched flag began to be
+settled once per run; apriori's single update and the two ``op reduce
+expr`` kernels print no run and stood.
 
 The two kernels of ``op reduce expr`` (:mod:`repro.compiler.exprreduce`)
 are pinned at opt-2 in the three tiers that run: ``min reduce A+B``, and
@@ -116,25 +121,25 @@ GOLDEN = {
         'scalar': '444a0a593ecaf17f',
         'c_like': 'fca8c66641a40136',
         'batch': '6c852499d79c22ed',
-        'native': '8eef4a27836695b1',
+        'native': '59f9475632f758d9',
     },
     ('histogram', 0): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '92bd8ddc0329c0d5',
         'batch': '60b264c6a5cbfaf6',
-        'native': 'ad4d67a676870314',
+        'native': '96e5f5e2b9d17e37',
     },
     ('histogram', 1): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '77a04571ce4fe216',
         'batch': '60b264c6a5cbfaf6',
-        'native': '4f8b3133cf882757',
+        'native': '29dbb7677eefe6f0',
     },
     ('histogram', 2): {
         'scalar': '0e09601f9c5680b3',
         'c_like': 'b2aea37411dd9ba4',
         'batch': '60b264c6a5cbfaf6',
-        'native': 'a50530829feaef10',
+        'native': 'c7a3790eb92cfd6a',
     },
     ('kmeans', 0): {
         'scalar': '01b67249503b2beb',
@@ -152,7 +157,7 @@ GOLDEN = {
         'scalar': '86aa7e9c85db481a',
         'c_like': 'cb308bc4be971dd9',
         'batch': '897b919735c7bee1',
-        'native': '51467386eb0754cf',
+        'native': 'e6f5cb10855b2b98',
     },
     ('pca_cov', 0): {
         'scalar': '2acef880d96b2679',
@@ -170,25 +175,25 @@ GOLDEN = {
         'scalar': '0cb9a4bb05e6ee0e',
         'c_like': '15447a5ff327ef43',
         'batch': '51b7e853fac9b4c3',
-        'native': 'b6f9f6cc7adda730',
+        'native': '1d6350b580588606',
     },
     ('pca_mean', 0): {
         'scalar': 'b22fa849b10e1ace',
         'c_like': '308965df939bdaaa',
         'batch': '50f3666c2724b7fe',
-        'native': '3a742e69ea0c24f6',
+        'native': 'c11a9323ac09d091',
     },
     ('pca_mean', 1): {
         'scalar': '953c8eaa69981582',
         'c_like': 'c8e0185aec4c916d',
         'batch': '31b595ced95e17ca',
-        'native': '23e372af2b8110bc',
+        'native': '673ebd872c027932',
     },
     ('pca_mean', 2): {
         'scalar': '953c8eaa69981582',
         'c_like': '96c15041353e6ba1',
         'batch': '31b595ced95e17ca',
-        'native': '93af8faa6ff5b370',
+        'native': '688a34bf2a696fad',
     },
     ('windowed', 0): {
         'scalar': 'c01d338f1d282413',
@@ -206,7 +211,7 @@ GOLDEN = {
         'scalar': 'ed798e0b1e9c0603',
         'c_like': '19444ab15b5843b6',
         'batch': '99d12fac38311b0d',
-        'native': '3c09621a8683d296',
+        'native': '283305f3e6c76742',
     },
 }
 
