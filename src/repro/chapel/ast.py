@@ -58,9 +58,9 @@ __all__ = [
 #: Intrinsic reduction-object update functions and their accumulate ops.
 RO_INTRINSICS = {"roAdd": "add", "roMin": "min", "roMax": "max"}
 
-#: What each binary operator and math builtin computes on Python values:
-#: the one table both interpreters (the compiler's oracle and ``userdef``)
-#: evaluate through.
+#: What each binary operator and math builtin computes on Python values: the
+#: tables the one evaluator (:mod:`repro.chapel.evaluator`) reads, and
+#: ``MATH``'s keys are the builtins lowering accepts.
 BINOPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,

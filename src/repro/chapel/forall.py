@@ -6,9 +6,11 @@ Chapel data structures*: the input is split among tasks, each task applies
 the per-task states are merged with ``combine`` (the global reduction) before
 ``generate`` produces the result.
 
-This module is the semantic oracle for the whole reproduction: every
-compiled/optimized/FREERIDE-executed version must produce the same result as
-:func:`reduce_expr` on the same data.
+:func:`reduce_expr` is the oracle of what ``op reduce data`` means: a
+compiled/optimized/FREERIDE-executed run must finalize to its result on the
+same data.  What a lowered ``accumulate`` body writes into the reduction
+object is :mod:`repro.compiler.interp`'s question, and which bits batch and
+native produce is the serial scalar tier's (DESIGN §6).
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ Submodules map to the paper's §IV:
 * :mod:`repro.compiler.cache` — process-wide compiled-kernel memoization;
 * :mod:`repro.compiler.translate` / :mod:`repro.compiler.pipeline` — the
   end-to-end driver producing FREERIDE-runnable specs;
-* :mod:`repro.compiler.interp` — the reference interpreter (semantic oracle).
+* :mod:`repro.compiler.interp` — the oracle of what a lowered ``accumulate``
+  body writes into the reduction object.
 """
 
 from repro.compiler.access import AccessPath, FieldStep, IndexStep

@@ -324,8 +324,6 @@ class _BodyAnalyzer:
         else:  # pragma: no cover
             raise CompilerError(f"unsupported statement {stmt!r}")
 
-    _MATH_BUILTINS = {"abs", "sqrt", "min", "max", "floor", "toInt", "exp", "log"}
-
     def analyze_expr(self, expr: A.Expr) -> None:
         if isinstance(expr, (A.IntLit, A.RealLit, A.BoolLit)):
             return
@@ -341,7 +339,7 @@ class _BodyAnalyzer:
                     raise CompilerError(
                         f"elemIdx takes no arguments; got {len(expr.args)}"
                     )
-            elif expr.name not in self._MATH_BUILTINS:
+            elif expr.name not in A.MATH:
                 raise CompilerError(f"unknown function {expr.name!r}")
             for a in expr.args:
                 self.analyze_expr(a)

@@ -205,3 +205,65 @@ class TestEquivalenceWithBuiltins:
             assert got == pytest.approx(want, rel=1e-12)
 
         check()
+
+
+class TestEdgeSemantics:
+    """Edges where user-defined ops follow the one evaluator's rules."""
+
+    def test_early_return_ends_accumulate(self):
+        src = """
+        class PositiveSum : ReduceScanOp {
+          var value: real = 0.0;
+          def accumulate(x: real) {
+            if (x < 0.0) { return; }
+            value = value + x;
+          }
+          def combine(o: PositiveSum) { value = value + o.value; }
+          def generate() { return value; }
+        }
+        """
+        Op = reduce_op_from_source(src)
+        assert reduce_expr(Op, [1.0, -5.0, 2.0, -0.5, 4.0], num_tasks=2) == 7.0
+
+    def test_numpy_rows_index_one_based(self):
+        import numpy as np
+
+        from repro.chapel.domains import Domain
+        from repro.chapel.types import REAL, ArrayType, array_of
+        from repro.chapel.values import from_python
+
+        src = """
+        class FirstSum : ReduceScanOp {
+          var value: real = 0.0;
+          def accumulate(x: [1..3] real) { value = value + x[1]; }
+          def combine(o: FirstSum) { value = value + o.value; }
+          def generate() { return value; }
+        }
+        """
+        Op = reduce_op_from_source(src)
+        rows = [[10.0, 20.0, 30.0], [1.0, 2.0, 3.0]]
+        chapel = from_python(ArrayType(Domain(2), array_of(REAL, 3)), rows)
+        assert reduce_expr(Op, np.array(rows)) == 11.0
+        assert reduce_expr(Op, chapel) == 11.0
+
+    @pytest.mark.parametrize(
+        "decl, body",
+        [
+            ("var xs: [1..2] real;", "value = value + x * xs[1];"),
+            ("var xs: Point;", "value = value + x * xs.a;"),
+            ("", "var xs: [1..2] real; value = value + x * xs[1];"),
+        ],
+        ids=["array_field", "record_field", "array_local"],
+    )
+    def test_non_scalar_without_initializer_refused(self, decl, body):
+        src = f"""
+        record Point {{ var a: real; }}
+        class Weighted : ReduceScanOp {{
+          var value: real = 0.0;
+          {decl}
+          def accumulate(x: real) {{ {body} }}
+          def combine(o: Weighted) {{ value = value + o.value; }}
+        }}
+        """
+        with pytest.raises(CompilerError, match="'xs'"):
+            reduce_op_from_source(src)

@@ -144,19 +144,19 @@ class TestErrors:
         )
         # sabotage: evaluate an expression with an unbound name manually
         from repro.chapel import ast as A
-        from repro.compiler.interp import _Interp
+        from repro.compiler.interp import _oracle
 
-        interp = _Interp(low, 1.0, {}, fresh_ro([(1, "add")]))
+        interp = _oracle(low, 1.0, {}, fresh_ro([(1, "add")]))
         with pytest.raises(CompilerError):
             interp.eval(A.Ident(name="ghost"))
 
     def test_ro_intrinsic_not_an_expression(self):
         from repro.chapel import ast as A
-        from repro.compiler.interp import _Interp
+        from repro.compiler.interp import _oracle
 
         low = lowered(
             "class C : R { def accumulate(x: real) { roAdd(0, 0, x); } }"
         )
-        interp = _Interp(low, 1.0, {}, fresh_ro([(1, "add")]))
+        interp = _oracle(low, 1.0, {}, fresh_ro([(1, "add")]))
         with pytest.raises(CompilerError):
             interp.eval(A.Call(name="roAdd", args=(A.IntLit(0),) * 3))
