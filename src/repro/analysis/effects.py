@@ -70,6 +70,7 @@ from repro.analysis.affine import (
 )
 from repro.analysis.diagnostics import Diagnostic, diag
 from repro.chapel import ast as A
+from repro.chapel.builtins import lookup
 from repro.chapel.types import PrimitiveType
 from repro.compiler.lower import LoweredReduction
 
@@ -89,6 +90,17 @@ ELEM_RANGE = Bounds(0, None, exact=True)
 _MAX_LOOP_ITERATIONS = 8
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+
+#: A builtin row's abstract transfer (``repro.chapel.builtins``): ``f_<effect>``
+#: of the affine domain, or an opaque form — a boolean, a non-negative real,
+#: any real.
+_TRANSFER = {
+    **{f.__name__[2:]: f for f in (f_add, f_sub, f_mul, f_div, f_mod, f_neg,
+                                    f_min, f_max, f_toint, f_floor, f_abs)},
+    "bool": lambda *_: unknown(Bounds(0, 1), int_typed=True),
+    "nonneg": lambda *_: unknown(Bounds(0, None), int_typed=False),
+    "real": lambda *_: unknown(int_typed=False),
+}
 
 
 def _is_int_scalar(ctype: object) -> bool:
@@ -289,56 +301,16 @@ class _Analyzer:
                 return const(self.constants[expr.name])
             etype = self.low.extra_types.get(expr.name)
             return unknown(TOP, int_typed=_is_int_scalar(etype))
-        if isinstance(expr, A.BinOp):
-            if expr.op in _CMP_OPS or expr.op in ("&&", "||"):
-                # Conditions are handled by _truth/narrowing; as a value
-                # a comparison is just a boolean.
-                self.eval(expr.left, env)
-                self.eval(expr.right, env)
-                return unknown(Bounds(0, 1), int_typed=True)
-            left = self.eval(expr.left, env)
-            right = self.eval(expr.right, env)
-            if expr.op == "+":
-                return f_add(left, right)
-            if expr.op == "-":
-                return f_sub(left, right)
-            if expr.op == "*":
-                return f_mul(left, right)
-            if expr.op == "/":
-                return f_div(left, right)
-            if expr.op == "%":
-                return f_mod(left, right)
-            return unknown()
-        if isinstance(expr, A.UnaryOp):
-            operand = self.eval(expr.operand, env)
-            if expr.op == "-":
-                return f_neg(operand)
-            return unknown(Bounds(0, 1), int_typed=True)  # logical not
+        found = lookup(expr)
+        if found is not None:
+            row, operands = found
+            return row.apply(_TRANSFER[row.effect], [self.eval(a, env) for a in operands])
         if isinstance(expr, A.Call):
-            return self._call(expr, env)
+            if expr.name == "elemIdx":
+                return ELEM
+            for a in expr.args:  # an RO intrinsic's: their index forms are recorded
+                self.eval(a, env)
         return unknown()
-
-    def _call(self, expr: A.Call, env: _Env) -> Form:
-        name = expr.name
-        if name == "elemIdx":
-            return ELEM
-        args = [self.eval(a, env) for a in expr.args]
-        if name in A.RO_INTRINSICS:
-            return unknown()
-        if name in ("min", "max") and len(args) == 2:
-            return (f_min if name == "min" else f_max)(args[0], args[1])
-        if name == "toInt" and len(args) == 1:
-            return f_toint(args[0])
-        if name == "floor" and len(args) == 1:
-            return f_floor(args[0])
-        if name == "abs" and len(args) == 1:
-            return f_abs(args[0])
-        if name == "sqrt" and args:
-            # sqrt is monotone and non-negative on its domain
-            return unknown(Bounds(0, None), int_typed=False)
-        if name == "exp" and args:
-            return unknown(Bounds(0, None), int_typed=False)
-        return unknown(int_typed=False)
 
     # -- conditions ----------------------------------------------------------
 

@@ -14,7 +14,6 @@ deliberate deviation from real Chapel syntax and is documented in DESIGN.md.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "ClassDecl",
     "Program",
     "RO_INTRINSICS",
-    "BINOPS",
-    "MATH",
     "walk_stmts",
     "walk_exprs",
     "stmt_exprs",
@@ -57,36 +54,6 @@ __all__ = [
 
 #: Intrinsic reduction-object update functions and their accumulate ops.
 RO_INTRINSICS = {"roAdd": "add", "roMin": "min", "roMax": "max"}
-
-#: What each binary operator and math builtin computes on Python values: the
-#: tables the one evaluator (:mod:`repro.chapel.evaluator`) reads, and
-#: ``MATH``'s keys are the builtins lowering accepts.
-BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: bool(a) and bool(b),
-    "||": lambda a, b: bool(a) or bool(b),
-}
-
-MATH = {
-    "abs": abs,
-    "sqrt": math.sqrt,
-    "min": min,
-    "max": max,
-    "floor": math.floor,
-    "toInt": int,
-    "exp": math.exp,
-    "log": math.log,
-}
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 classes (:mod:`repro.chapel.userdef`) and the compiler's oracle of lowered
 ``accumulate`` bodies (:mod:`repro.compiler.interp`) both run through
 :class:`Evaluator`.  A caller chooses how names resolve (the bottom of the
-scope stack), where a ``roAdd``/``roMin``/``roMax`` lands, and the calls on
-offer; the statements and expressions mean the same for both."""
+scope stack), where a ``roAdd``/``roMin``/``roMax`` lands, and the calls it
+offers beside the builtins of :mod:`repro.chapel.builtins`; the statements
+and expressions mean the same for both."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import BINARY, CALLS, UNARY
 
 __all__ = ["Evaluator"]
 
@@ -23,11 +25,12 @@ class Evaluator:
     """Executes mini-Chapel over ``scopes``, dicts read and written in place:
     a name resolves in the innermost scope (the last) that holds it.  Every
     refusal raises ``error``; ``update(group, elem, value, op)`` takes each
-    reduction-object update, which is refused when it is not given."""
+    reduction-object update, which is refused when it is not given; ``calls``
+    are functions offered beside the table's builtins."""
 
     def __init__(self, scopes: list[dict[str, Any]], error: type[Exception],
                  update: Callable[[int, int, float, str], None] | None = None,
-                 calls: Mapping[str, Callable[..., Any]] = A.MATH) -> None:
+                 calls: Mapping[str, Callable[..., Any]] = {}) -> None:
         self.scopes = scopes
         self.error = error
         self.calls = calls
@@ -68,7 +71,7 @@ class Evaluator:
             value = self.eval(stmt.value)
             scope = self._scope_of(name, "assignment to undeclared")
             if stmt.op is not None:
-                value = A.BINOPS[stmt.op](scope[name], value)
+                value = BINARY[stmt.op].py(scope[name], value)
             scope[name] = value
         elif isinstance(stmt, A.ForStmt):
             lo, hi = self.eval(stmt.range.lo), self.eval(stmt.range.hi)
@@ -100,10 +103,9 @@ class Evaluator:
         if isinstance(expr, A.Ident):
             return self._scope_of(expr.name, "unknown name")[expr.name]
         if isinstance(expr, A.BinOp):
-            return A.BINOPS[expr.op](self.eval(expr.left), self.eval(expr.right))
+            return BINARY[expr.op].py(self.eval(expr.left), self.eval(expr.right))
         if isinstance(expr, A.UnaryOp):
-            v = self.eval(expr.operand)
-            return -v if expr.op == "-" else (not v)
+            return UNARY[expr.op].py(self.eval(expr.operand))
         if isinstance(expr, A.Index):
             base = self.eval(expr.base)
             idx = tuple(self.eval(i) for i in expr.indices)
@@ -115,8 +117,11 @@ class Evaluator:
         if isinstance(expr, A.Call):
             if expr.name in A.RO_INTRINSICS:
                 raise self.error(f"{expr.name} is only valid as a statement")
-            fn = self.calls.get(expr.name)
-            if fn is None:
+            row = CALLS.get(expr.name)
+            if row is not None:
+                row.check(len(expr.args), self.error)
+                fn = row.py
+            elif (fn := self.calls.get(expr.name)) is None:
                 raise self.error(f"unknown function {expr.name!r}")
             return fn(*(self.eval(a) for a in expr.args))
         raise self.error(f"unsupported expression {expr!r}")  # pragma: no cover

@@ -15,24 +15,22 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
+from repro.chapel.builtins import BINARY, CALLS, UNARY
 from repro.chapel.domains import Domain
 from repro.chapel.values import ChapelArray
 from repro.util.errors import ChapelTypeError
 
 __all__ = ["IterExpr", "ArrayRef", "BinOpExpr", "UnaryOpExpr", "as_expr"]
 
+#: The elementwise operators: the builtin table's meanings, and ``**``, which
+#: is no mini-Chapel operator and stays this module's own.
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "%": operator.mod,
+    **{op: BINARY[op].py for op in ("+", "-", "*", "/", "%")},
     "**": operator.pow,
 }
 
 _UNOPS: dict[str, Callable[[Any], Any]] = {
-    "-": operator.neg,
-    "abs": abs,
+    op: {**UNARY, **CALLS}[op].py for op in ("-", "abs")
 }
 
 
@@ -181,8 +179,7 @@ class UnaryOpExpr(IterExpr):
         return _UNOPS[self.op](self.operand.at(index))
 
     def evaluate(self) -> np.ndarray:
-        result = self.operand.evaluate()
-        return -result if self.op == "-" else np.abs(result)
+        return _UNOPS[self.op](self.operand.evaluate())
 
 
 def as_expr(value: Any, like: IterExpr | None = None) -> IterExpr:

@@ -44,13 +44,12 @@ parity above).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from typing import TYPE_CHECKING
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import ROWS, Builtin
 from repro.compiler.codegen import PythonCodegen, _Cost, uses_elem_idx
 from repro.compiler.lower import LoweredReduction, AccessSite
 from repro.compiler.passes import CompilationPlan
@@ -67,55 +66,8 @@ class BatchUnsupported(Exception):
 
 # ---------------------------------------------------------------- runtime lib
 # Helpers injected into the namespace the batch kernel source is exec'd in.
-# They accept scalars and lane arrays alike, so element-invariant
-# subexpressions stay cheap Python scalars.
-
-
-def _land(a, b):
-    return np.logical_and(a, b)
-
-
-def _lor(a, b):
-    return np.logical_or(a, b)
-
-
-def _lnot(a):
-    return np.logical_not(a)
-
-
-def _vmin(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
-
-
-def _vmax(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-def _toint(x):
-    # np.int64 truncates toward zero, matching Python's int().
-    if isinstance(x, np.ndarray):
-        return x.astype(np.int64)
-    return int(x)
-
-
-def _vfloor(x):
-    return np.floor(x) if isinstance(x, np.ndarray) else math.floor(x)
-
-
-def _vsqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _vexp(x):
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
-
-
-def _vlog(x):
-    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+# A builtin's function takes scalars and lane arrays alike (its row's
+# ``lift``), so element-invariant subexpressions stay cheap Python scalars.
 
 
 def _msel(mask, new, old):
@@ -144,31 +96,11 @@ def _errstate():
 #: Exec namespace for generated batch kernels.
 BATCH_NAMESPACE = {
     "_np": np,
-    "_land": _land,
-    "_lor": _lor,
-    "_lnot": _lnot,
-    "_vmin": _vmin,
-    "_vmax": _vmax,
-    "_toint": _toint,
-    "_vfloor": _vfloor,
-    "_vsqrt": _vsqrt,
-    "_vexp": _vexp,
-    "_vlog": _vlog,
     "_msel": _msel,
     "_mand": _mand,
     "_mcount": _mcount,
     "_errstate": _errstate,
-}
-
-_BATCH_BUILTINS = {
-    "abs": "abs",
-    "sqrt": "_vsqrt",
-    "min": "_vmin",
-    "max": "_vmax",
-    "floor": "_vfloor",
-    "toInt": "_toint",
-    "exp": "_vexp",
-    "log": "_vlog",
+    **{r.batch.partition("(")[0]: r.lift() for r in ROWS if r.lane is not None},
 }
 
 
@@ -396,18 +328,8 @@ class BatchCodegen(PythonCodegen):
 
     # -- expressions ----------------------------------------------------------
 
-    def binop(self, op: str, left: str, right: str) -> str:
-        if op == "&&":
-            return f"_land({left}, {right})"
-        if op == "||":
-            return f"_lor({left}, {right})"
-        return super().binop(op, left, right)
-
-    def unop(self, op: str, inner: str) -> str:
-        return f"(-{inner})" if op == "-" else f"_lnot({inner})"
-
-    def call(self, name: str, args: list[str]) -> str:
-        return f"{_BATCH_BUILTINS[name]}({', '.join(args)})"
+    def spell(self, row: Builtin, args: list[str]) -> str:
+        return row.spell(row.batch or row.scalar, args)
 
     def elem_idx(self) -> str:
         return "_ev"

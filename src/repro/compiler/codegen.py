@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import CALLS, SCALAR_ENV, Builtin, lookup
 from repro.compiler.access import FieldStep, IndexStep
 from repro.compiler.lower import AccessSite, LoweredReduction
 from repro.compiler.passes import CompilationPlan, LoopHoist, SitePlan, site_key
@@ -50,20 +51,6 @@ from repro.util.errors import CodegenError
 __all__ = [
     "KernelEmitter", "PythonCodegen", "CLikeCodegen", "site_key", "uses_elem_idx",
 ]
-
-_PY_LOGICAL = {"&&": "and", "||": "or"}
-
-_MATH_BUILTINS = {
-    "abs": "abs",
-    "sqrt": "_sqrt",
-    "min": "min",
-    "max": "max",
-    "floor": "_floor",
-    "toInt": "int",
-    "exp": "_exp",
-    "log": "_log",
-}
-
 
 @dataclass
 class _Cost:
@@ -101,8 +88,10 @@ class KernelEmitter:
 
     ========================================  =================================
     ``literal(value)`` ``local(name)``        constants and user locals
-    ``binop(op, l, r)`` ``unop(op, x)``       operators
-    ``call(name, args)`` ``elem_idx()``       math builtins, ``elemIdx()``
+    ``spell(row, args)``                      an operator or math builtin:
+                                              its :mod:`repro.chapel.builtins`
+                                              row over its arguments' values
+    ``elem_idx()``                            ``elemIdx()``
     ``as_index(value)``                       a value as integer index text
     ``nested_root(site)``                     head of a nested Chapel chain
     ``compute_index(site, dense)``            byte offset from dense positions
@@ -163,15 +152,6 @@ class KernelEmitter:
             if expr.name in self.low.constants:
                 return self.literal(self.low.constants[expr.name])
             return self.local(expr.name)
-        if isinstance(expr, A.BinOp):
-            left = self.emit_expr(expr.left, cost)
-            right = self.emit_expr(expr.right, cost)
-            cost.bump("flops")
-            return self.binop(expr.op, left, right)
-        if isinstance(expr, A.UnaryOp):
-            inner = self.emit_expr(expr.operand, cost)
-            cost.bump("flops")
-            return self.unop(expr.op, inner)
         if isinstance(expr, A.Call):
             if expr.name in A.RO_INTRINSICS:
                 raise CodegenError(
@@ -179,9 +159,12 @@ class KernelEmitter:
                 )
             if expr.name == "elemIdx":
                 return self.elem_idx()
-            args = [self.emit_expr(a, cost) for a in expr.args]
+        found = lookup(expr)
+        if found is not None:
+            row, operands = found
+            args = [self.emit_expr(a, cost) for a in operands]
             cost.bump("flops")
-            return self.call(expr.name, args)
+            return self.spell(row, args)
         raise CodegenError(f"cannot emit expression {expr!r}")  # pragma: no cover
 
     # -- access sites ---------------------------------------------------------------
@@ -398,14 +381,8 @@ class PythonCodegen(KernelEmitter):
         text = repr(value)  # a non-finite real's repr is no Python name
         return f"float({text!r})" if text in ("nan", "inf", "-inf") else text
 
-    def binop(self, op: str, left: str, right: str) -> str:
-        return f"({left} {_PY_LOGICAL.get(op, op)} {right})"
-
-    def unop(self, op: str, inner: str) -> str:
-        return f"(-{inner})" if op == "-" else f"(not {inner})"
-
-    def call(self, name: str, args: list[str]) -> str:
-        return f"{_MATH_BUILTINS[name]}({', '.join(args)})"
+    def spell(self, row: Builtin, args: list[str]) -> str:
+        return row.spell(row.scalar, args)
 
     def elem_idx(self) -> str:
         return "(_e + _eb)"
@@ -498,8 +475,9 @@ class PythonCodegen(KernelEmitter):
         self.indent += 1
         self._w('_ci = _env["compute_index"]')
         self._w('_esz = _env["elem_sizeof"]')
-        self._w('_sqrt = _env["sqrt"]; _floor = _env["floor"]')
-        self._w('_exp = _env["exp"]; _log = _env["log"]')
+        names = list(SCALAR_ENV)
+        for i in range(0, len(names), 2):  # two to a line, as the pinned texts have them
+            self._w("; ".join(f'_{n} = _env["{n}"]' for n in names[i:i + 2]))
         for res in self.plan.resources.values():
             kid = res.kid
             if res.linearized:
@@ -550,14 +528,12 @@ class CLikeCodegen(_CBraces, KernelEmitter):
             return "1" if value else "0"
         return repr(value)
 
-    def binop(self, op: str, left: str, right: str) -> str:
-        return f"({left} {op} {right})"
-
-    def unop(self, op: str, inner: str) -> str:
-        return f"({op}{inner})"
-
-    def call(self, name: str, args: list[str]) -> str:
-        return f"{name}({', '.join(args)})"
+    def spell(self, row: Builtin, args: list[str]) -> str:
+        if CALLS.get(row.name) is row:
+            return f"{row.name}({', '.join(args)})"
+        if len(args) == 1:
+            return f"({row.name}{args[0]})"
+        return f"({args[0]} {row.name} {args[1]})"
 
     def elem_idx(self) -> str:
         return "e"

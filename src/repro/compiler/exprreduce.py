@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import UNARY
 from repro.chapel.expr import ArrayRef, BinOpExpr, IterExpr, ScalarExpr, UnaryOpExpr
 from repro.chapel.values import ChapelArray, from_python
 from repro.compiler.cache import compile_cached
@@ -83,7 +84,7 @@ def _lower(expr: IterExpr) -> tuple[str, dict[str, float], np.ndarray]:
             return f"({walk(node.left)} {node.op} {walk(node.right)})"
         if isinstance(node, UnaryOpExpr):
             inner = walk(node.operand)
-            return f"(-{inner})" if node.op == "-" else f"abs({inner})"
+            return f"({node.op}{inner})" if node.op in UNARY else f"{node.op}({inner})"
         raise CompilerError(f"cannot compile expression node {type(node)}")
 
     text = walk(expr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.chapel import ast as A
 from repro.chapel.evaluator import Evaluator
 from repro.chapel.values import ChapelArray
 from repro.compiler.lower import LoweredReduction
@@ -28,8 +27,7 @@ def _oracle(lowered: LoweredReduction, element: Any, extras: dict[str, Any],
     """One element's evaluator: its names are the element, the extras and
     the constants, and its updates land in ``ro``."""
     scope = {lowered.param_name: element, **extras, **lowered.constants}
-    calls = {**A.MATH, "elemIdx": lambda: elem_index}
-    return Evaluator([scope], CompilerError, ro.accumulate, calls)
+    return Evaluator([scope], CompilerError, ro.accumulate, {"elemIdx": lambda: elem_index})
 
 
 def interpret_accumulate(

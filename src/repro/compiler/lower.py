@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import CALLS
 from repro.chapel.domains import Domain, Range
 from repro.chapel.types import (
     BOOL,
@@ -339,7 +340,9 @@ class _BodyAnalyzer:
                     raise CompilerError(
                         f"elemIdx takes no arguments; got {len(expr.args)}"
                     )
-            elif expr.name not in A.MATH:
+            elif expr.name in CALLS:
+                CALLS[expr.name].check(len(expr.args), CompilerError)
+            else:
                 raise CompilerError(f"unknown function {expr.name!r}")
             for a in expr.args:
                 self.analyze_expr(a)

@@ -71,6 +71,7 @@ from typing import Any
 import numpy as np
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import BINARY, C_HELPERS, C_LIBM, Builtin, c_helpers, lookup
 from repro.compiler.codegen import KernelEmitter, _CBraces, _Cost
 from repro.compiler.lower import AccessSite, LoweredReduction
 from repro.compiler.native.artifact import _SYMBOL_SENTINEL
@@ -124,18 +125,15 @@ PREFETCH_DISTANCE = 16
 
 # --------------------------------------------------------------- C helpers
 
-#: Everything the emitted statements can call, by the name they call it.  A
+#: Everything the emitted statements can call, by the name they call it: the
+#: builtin table's libm declarations and helpers, and the loaders.  A
 #: translation unit opens with the entries its kernel names
 #: (:meth:`NativeCodegen._use`), in this order, and with nothing else: no
-#: ``#include`` (the libm functions are declared here, the loaders copy with
-#: the builtin), so ``cc`` parses a few lines per kernel, not two system
+#: ``#include`` (the libm functions are declared, the loaders copy with the
+#: builtin), so ``cc`` parses a few lines per kernel, not two system
 #: headers, and an unused helper is neither compiled nor warned about.
 _C_HELPERS: dict[str, str] = {
-    "sqrt": "double sqrt(double);",
-    "exp": "double exp(double);",
-    "log": "double log(double);",
-    "floor": "double floor(double);",
-    "fabs": "double fabs(double);",
+    **C_LIBM,
     "_ld_f64": "static double _ld_f64(const unsigned char *p) "
                "{ double v; __builtin_memcpy(&v, p, 8); return v; }",
     "_ld_f32": "static double _ld_f32(const unsigned char *p) "
@@ -147,20 +145,7 @@ _C_HELPERS: dict[str, str] = {
     "_ld_u64": "static long long _ld_u64(const unsigned char *p) "
                "{ unsigned long long v; __builtin_memcpy(&v, p, 8); return (long long)v; }",
     "_ld_u8": "static long long _ld_u8(const unsigned char *p) { return (long long)*p; }",
-    "_imod": """static long long _imod(long long a, long long b) {
-    long long r; if (b == 0) return 0; r = a % b;
-    if (r != 0 && ((r < 0) != (b < 0))) r += b; return r;
-}""",
-    "_fmodpy": """double fmod(double, double);
-static double _fmodpy(double a, double b) {
-    double r = fmod(a, b);
-    if (r != 0.0 && ((r < 0.0) != (b < 0.0))) r += b; return r;
-}""",
-    "_minll": "static long long _minll(long long a, long long b) { return a < b ? a : b; }",
-    "_maxll": "static long long _maxll(long long a, long long b) { return a > b ? a : b; }",
-    "_mind": "static double _mind(double a, double b) { return a < b ? a : b; }",
-    "_maxd": "static double _maxd(double a, double b) { return a > b ? a : b; }",
-    "_absll": "static long long _absll(long long a) { return a < 0 ? -a : a; }",
+    **C_HELPERS,
 }
 
 #: How a failing check leaves the split body (defined only when one can).
@@ -175,8 +160,6 @@ _LOADERS = {
     ("u", 8): ("_ld_u64", "i"),
     ("u", 1): ("_ld_u8", "i"),
 }
-
-_CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
 
 def _update(stmt: A.Stmt) -> A.Call | None:
@@ -216,6 +199,13 @@ class _Run:
 def _join(a: str, b: str) -> str:
     """Numeric type join: double absorbs int."""
     return "d" if "d" in (a, b) else "i"
+
+
+def _typed(row: Builtin, types: list[str]) -> tuple[str, str]:
+    """The join of a row's argument types, which picks its C spelling, and
+    its result type."""
+    joined = "d" if "d" in types else "i"
+    return joined, {"real": "d", "int": "i"}.get(row.result, joined)
 
 
 def _c_literal(value: Any) -> tuple[str, str]:
@@ -319,24 +309,24 @@ class NativeCodegen(_CBraces, KernelEmitter):
     def _infer_local_types(self) -> None:
         """Fixpoint: a local is ``long long`` unless any binding is real."""
         types: dict[str, str] = {name: "i" for name in self.low.locals}
-        bindings: list[tuple[str, A.Expr | None, bool]] = []
+        bindings: list[tuple[str, A.Expr | None]] = []
         for stmt in A.walk_stmts(self.low.body):
             if isinstance(stmt, A.VarDeclStmt):
                 d = stmt.decl
                 if isinstance(d.type, A.NamedTypeExpr) and d.type.name == "real":
                     types[d.name] = "d"
-                bindings.append((d.name, d.init, False))
+                bindings.append((d.name, d.init))
             elif isinstance(stmt, A.Assign):
-                # lower guarantees an Ident target; ``/=`` is true division
-                bindings.append((stmt.target.name, stmt.value, stmt.op == "/"))
+                # lower guarantees an Ident target; ``x op= v`` binds ``x op v``
+                value = stmt.value
+                if stmt.op is not None:
+                    value = A.BinOp(stmt.op, stmt.target, value)
+                bindings.append((stmt.target.name, value))
         changed = True
         while changed:
             changed = False
-            for name, value, real in bindings:
-                if real:
-                    t = "d"
-                else:
-                    t = "i" if value is None else self._type_of(value, types)
+            for name, value in bindings:
+                t = "i" if value is None else self._type_of(value, types)
                 joined = _join(types.get(name, "i"), t)
                 if joined != types.get(name):
                     types[name] = joined
@@ -358,32 +348,10 @@ class NativeCodegen(_CBraces, KernelEmitter):
                 v = self.low.constants[expr.name]
                 return "d" if isinstance(v, float) else "i"
             return types.get(expr.name, "i")
-        if isinstance(expr, A.BinOp):
-            if expr.op in _CMP_OPS or expr.op in ("&&", "||"):
-                return "i"
-            if expr.op == "/":
-                return "d"
-            return _join(
-                self._type_of(expr.left, types), self._type_of(expr.right, types)
-            )
-        if isinstance(expr, A.UnaryOp):
-            if expr.op == "-":
-                return self._type_of(expr.operand, types)
-            return "i"
-        if isinstance(expr, A.Call):
-            if expr.name == "elemIdx":
-                return "i"
-            if expr.name in ("sqrt", "exp", "log"):
-                return "d"
-            if expr.name in ("floor", "toInt"):
-                return "i"
-            if expr.name == "abs":
-                return self._type_of(expr.args[0], types)
-            if expr.name in ("min", "max"):
-                t = "i"
-                for a in expr.args:
-                    t = _join(t, self._type_of(a, types))
-                return t
+        found = lookup(expr)
+        if found is not None:
+            row, operands = found
+            return _typed(row, [self._type_of(a, types) for a in operands])[1]
         return "i"
 
     # -- expressions --------------------------------------------------------
@@ -401,58 +369,11 @@ class NativeCodegen(_CBraces, KernelEmitter):
         code, t = value
         return f"((long long)({code}))" if t == "d" else code
 
-    def binop(self, op: str, lhs: tuple[str, str], rhs: tuple[str, str]) -> tuple[str, str]:
-        (left, lt), (right, rt) = lhs, rhs
-        if op == "/":
-            return f"((double)({left}) / (double)({right}))", "d"
-        if op == "%":
-            if _join(lt, rt) == "i":
-                return f"{self._use('_imod')}({left}, {right})", "i"
-            return (
-                f"{self._use('_fmodpy')}((double)({left}), (double)({right}))",
-                "d",
-            )
-        if op in _CMP_OPS or op in ("&&", "||"):
-            return f"({left} {op} {right})", "i"
-        return f"({left} {op} {right})", _join(lt, rt)
-
-    def unop(self, op: str, operand: tuple[str, str]) -> tuple[str, str]:
-        inner, it = operand
-        if op == "-":
-            return f"(-({inner}))", it
-        return f"(!({inner}))", "i"
-
-    def call(self, name: str, args: list[tuple[str, str]]) -> tuple[str, str]:
-        if name in ("sqrt", "exp", "log"):
-            code, _ = args[0]
-            return f"{self._use(name)}((double)({code}))", "d"
-        if name == "floor":
-            code, t = args[0]
-            if t == "i":  # math.floor of an int is the int itself
-                return f"({code})", "i"
-            return f"((long long){self._use('floor')}({code}))", "i"
-        if name == "toInt":
-            code, t = args[0]
-            if t == "i":
-                return f"({code})", "i"
-            return f"((long long)({code}))", "i"  # C cast truncates like int()
-        if name == "abs":
-            code, t = args[0]
-            if t == "d":
-                return f"{self._use('fabs')}({code})", "d"
-            return f"{self._use('_absll')}({code})", "i"
-        if name in ("min", "max"):
-            t = "i"
-            for _, at in args:
-                t = _join(t, at)
-            fn = self._use({"min": {"i": "_minll", "d": "_mind"},
-                            "max": {"i": "_maxll", "d": "_maxd"}}[name][t])
-            cast = "(double)" if t == "d" else ""
-            out = f"{cast}({args[0][0]})"
-            for code, _ in args[1:]:
-                out = f"{fn}({out}, {cast}({code}))"
-            return out, t
-        raise NativeUnsupported(f"unsupported builtin {name!r} in native backend")
+    def spell(self, row: Builtin, args: list[tuple[str, str]]) -> tuple[str, str]:
+        joined, result = _typed(row, [t for _, t in args])
+        template = row.c if isinstance(row.c, str) else row.c[joined == "d"]
+        helpers = {h: self._use(h) for h in c_helpers(template)}
+        return row.spell(template, [code for code, _ in args], **helpers), result
 
     # -- access sites -------------------------------------------------------
 
@@ -563,11 +484,9 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._w(f"{self._mangle(decl.name)} = {'0' if init is None else init[0]};")
 
     def assign(self, name: str, op: str | None, value: tuple[str, str]) -> None:
-        target = self._mangle(name)
-        if op == "/":  # true division even for int targets
-            self._w(f"{target} = (double)({target}) / (double)({value[0]});")
-        else:
-            self._w(f"{target} {op or ''}= {value[0]};")
+        if op is not None:  # ``x op= v`` is ``x = x op v``, spelled as the operator is
+            value = self.spell(BINARY[op], [self.local(name), value])
+        self._w(f"{self._mangle(name)} = {value[0]};")
 
     def open_if(self, cond: tuple[str, str]) -> None:
         super().open_if(cond[0])

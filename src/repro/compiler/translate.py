@@ -20,7 +20,6 @@ iteration cost the paper describes for opt-2.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 import numpy as np
 
 from repro.chapel import ast as A
+from repro.chapel.builtins import SCALAR_ENV
 from repro.chapel.domains import Domain
 from repro.chapel.parser import parse_program
 from repro.chapel.types import ArrayType, ChapelType, PrimitiveType
@@ -419,10 +419,7 @@ class CompiledReduction:
         env: dict[str, Any] = {
             "compute_index": compute_index,
             "elem_sizeof": elem_t.sizeof,
-            "sqrt": math.sqrt,
-            "floor": math.floor,
-            "exp": math.exp,
-            "log": math.log,
+            **SCALAR_ENV,
         }
         bound = BoundReduction(
             compiled=self, env=env, counters=counters, n_elements=n, data_buf=data_buf
