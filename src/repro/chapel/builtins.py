@@ -132,9 +132,9 @@ BINARY: dict[str, Builtin] = {r.name: r for r in (
     _infix("<=", operator.le, "int", "bool"),
     _infix(">", operator.gt, "int", "bool"),
     _infix(">=", operator.ge, "int", "bool"),
-    Builtin("&&", 2, lambda a, b: bool(a) and bool(b), "int", "({0} and {1})",
+    Builtin("&&", 2, lambda a, b: bool(a) and bool(b), "int", "(bool({0}) and bool({1}))",
             "({0} && {1})", "bool", "_land({0}, {1})", np.logical_and),
-    Builtin("||", 2, lambda a, b: bool(a) or bool(b), "int", "({0} or {1})",
+    Builtin("||", 2, lambda a, b: bool(a) or bool(b), "int", "(bool({0}) or bool({1}))",
             "({0} || {1})", "bool", "_lor({0}, {1})", np.logical_or),
 )}
 

@@ -369,29 +369,47 @@ def scalar_layout(typ: ChapelType, base: int = 0) -> Iterator[ScalarSlot]:
     """Yield every primitive slot of ``typ`` in packed layout order.
 
     This is the declarative specification of what Algorithms 1 and 2 compute
-    operationally; tests use it as the oracle for the linearizer.
+    operationally; tests use it as the oracle for the linearizer.  Each
+    type's slots are computed once, at offset 0, and shifted by ``base``.
     """
+    slots = _slots_of(typ)
+    if not base:
+        return iter(slots)
+    return (ScalarSlot(s.path, s.prim, s.offset + base) for s in slots)
+
+
+def _slots_of(typ: ChapelType) -> "tuple[ScalarSlot, ...]":
+    """``typ``'s slots at offset 0, kept on the type (which pickles as its
+    fields alone, so the copy is rebuilt wherever it is needed)."""
+    slots = typ.__dict__.get("_scalar_slots")
+    if slots is not None:
+        return slots
     if typ.is_primitive:
-        yield ScalarSlot((), typ, base)  # type: ignore[arg-type]
+        slots = (ScalarSlot((), typ, 0),)  # type: ignore[arg-type]
     elif isinstance(typ, ArrayType):
-        off = base
-        for idx in typ.domain:
-            for slot in scalar_layout(typ.elt, off):
-                yield ScalarSlot((("index", idx),) + slot.path, slot.prim, slot.offset)
-            off += typ.elt.sizeof
+        inner, size = _slots_of(typ.elt), typ.elt.sizeof
+        slots = tuple(
+            ScalarSlot((("index", idx),) + s.path, s.prim, s.offset + k * size)
+            for k, idx in enumerate(typ.domain)
+            for s in inner
+        )
     elif isinstance(typ, RecordType):
-        for fname, ftype in typ.fields:
-            foff = base + typ.field_offset(fname)
-            for slot in scalar_layout(ftype, foff):
-                yield ScalarSlot(
-                    (("field", fname),) + slot.path, slot.prim, slot.offset
-                )
+        slots = tuple(
+            ScalarSlot(
+                (("field", fname),) + s.path, s.prim, s.offset + typ.field_offset(fname)
+            )
+            for fname, ftype in typ.fields
+            for s in _slots_of(ftype)
+        )
     elif isinstance(typ, TupleType):
-        for i, ctype in enumerate(typ.elts):
-            coff = base + typ.component_offset(i)
-            for slot in scalar_layout(ctype, coff):
-                yield ScalarSlot(
-                    (("component", i),) + slot.path, slot.prim, slot.offset
-                )
+        slots = tuple(
+            ScalarSlot(
+                (("component", i),) + s.path, s.prim, s.offset + typ.component_offset(i)
+            )
+            for i, ctype in enumerate(typ.elts)
+            for s in _slots_of(ctype)
+        )
     else:  # pragma: no cover - unreachable for well-formed types
         raise ChapelTypeError(f"cannot lay out type {typ!r}")
+    typ.__dict__["_scalar_slots"] = slots
+    return slots

@@ -57,6 +57,7 @@ from repro.freeride.faults import (
     SplitFailureRecord,
     SplitTimeout,
 )
+from repro.freeride.plan import deal_wave
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
     ROAccessor,
@@ -418,60 +419,53 @@ def _lane(
         raise
 
 
-def _reduce_positions(ctx: RunContext, lane: int, positions: np.ndarray) -> None:
-    """One kernel call over the splits at ``positions``, in order, into
-    ``lane``'s accessor.
-
-    The plan's ``starts``/``ends`` are element values, which differ from
-    positions when the run's data is a ``range`` whose start is not 0.
-    """
+def _reduce_positions(
+    ctx: RunContext, lane: int, starts: np.ndarray, ends: np.ndarray, elements: int
+) -> None:
+    """One kernel call over the ranges of ``lane``'s batch of splits, in
+    order, into the lane's target: the object its accessor owns (a batched
+    lane's accessor only passes updates through to it)."""
     assert ctx.spec.reduce_ranges is not None
-    starts, ends = ctx.plan.starts[positions], ctx.plan.ends[positions]
-    ctx.spec.reduce_ranges(starts, ends, ctx.accessors[lane])
-    ctx.elems[lane] += int((ends - starts).sum())
-    ctx.nsplits[lane] += len(positions)
+    ctx.spec.reduce_ranges(starts, ends, ctx.accessors[lane].ro)
+    ctx.elems[lane] += elements
+    ctx.nsplits[lane] += len(starts)
 
 
 def _batched_wave(ctx: RunContext, engine: "FreerideEngine", wave: Any) -> None:
     """One wave of a batched run, on split positions alone.
 
-    Inline, lane ``l`` makes one call over ``live[live % W == l]`` — an
-    uncolored run's ``splits[l::W]``, the sequence its replica sees split
-    by split.  A threaded wave of at least :data:`INLINE_WAVE_ELEMENTS`
-    goes to the spec's ``lane_wave`` instead: the engine's lane team, whose
-    lanes claim guided batches of positions below the interpreter.  A
-    wave no team can run (none can exist here) runs inline.
+    The wave's live splits are dealt to the lanes (:func:`deal_wave`; an
+    uncolored run's one wave was dealt when it was planned), and inline,
+    each lane makes one call over its batch.  A threaded wave of at least
+    :data:`INLINE_WAVE_ELEMENTS` goes to the spec's ``lane_wave`` instead:
+    the engine's lane team, whose lanes claim guided batches of positions
+    below the interpreter.  A wave no team can run (none can exist here)
+    runs inline.
     """
-    starts, ends = ctx.plan.starts, ctx.plan.ends
-    if isinstance(wave, range):  # an uncolored run's one wave: every split
-        live = (ends > starts).nonzero()[0]
-    else:
-        w = np.array(wave, dtype=np.int64)
-        live = w[ends[w] > starts[w]]
-    if not live.size:
+    plan = ctx.plan
+    batches = plan.batches
+    if batches is None:  # a colored wave
+        batches = deal_wave(
+            plan.starts, plan.ends, np.array(wave, dtype=np.int64), ctx.num_threads
+        )
+    if not batches.lanes:
         return
-    # the splits partition the data in order: a wave's span is its live
-    # element count when its splits are consecutive (an uncolored run), and
-    # bounds it from above otherwise
-    span = int(ends[live[-1]]) - int(starts[live[0]])
-    width = ctx.num_threads
-    if not (ctx.executor == "serial" or live.size == 1 or span < INLINE_WAVE_ELEMENTS):
+    if not (
+        ctx.executor == "serial"
+        or len(batches.starts) == 1
+        or batches.span < INLINE_WAVE_ELEMENTS
+    ):
         per_lane = ctx.spec.lane_wave(
-            engine._res, starts[live], ends[live], ctx.accessors
+            engine._res, batches.starts, batches.ends,
+            [acc.ro for acc in ctx.accessors],
         )
         if per_lane is not None:
             for lane, (elements, splits) in enumerate(per_lane):
                 ctx.elems[lane] += elements
                 ctx.nsplits[lane] += splits
             return
-    if width == 1:  # one lane takes every live split
-        _reduce_positions(ctx, 0, live)
-        return
-    lanes = live % width
-    for lane in range(width):
-        mine = live[lanes == lane]
-        if mine.size:
-            _reduce_positions(ctx, lane, mine)
+    for lane, starts, ends, elements in batches.lanes:
+        _reduce_positions(ctx, lane, starts, ends, elements)
 
 
 def _on_pool(engine: "FreerideEngine", lanes: "list[Callable[[], None]]") -> None:

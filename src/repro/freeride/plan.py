@@ -3,12 +3,15 @@
 FREERIDE's loop combines locally "depending on the shared memory technique
 chosen by the application developer" (§III-A); with ``technique="auto"``
 and colored waves, *choosing* became a computation of its own.
-:func:`plan_node` is that computation, once per run, and a pure function
-of the run's own inputs — the engine's request, the spec, the run's data
-and the fresh reduction object; nothing carried over from earlier runs.
-It returns an immutable :class:`ExecutionPlan`: the split layout, then the
-static coloring at most once, then the technique (the order and its
-reasons: ``docs/PERFORMANCE.md``, "Choosing a technique").  Nothing here
+:func:`plan_node` is that computation, and a pure function of the run's
+own inputs — the engine's request, the spec, the run's data and the fresh
+reduction object; nothing carried over from earlier runs.  It returns an
+immutable :class:`ExecutionPlan`: the split layout, then the static
+coloring at most once, then the technique (the order and its reasons:
+``docs/PERFORMANCE.md``, "Choosing a technique"), then the lanes' share of
+an uncolored wave.  Because it is pure, an engine's :class:`PlanCache`
+serves a compiled run the plan an earlier run with the same inputs got,
+and plans only what it has not seen.  Nothing here
 runs a split, touches a :class:`~repro.freeride.execute.RunContext` or
 emits a trace event; the engine stamps its stats and reports the decision
 from the plan, and ``execute`` builds its context from it.
@@ -22,8 +25,9 @@ and for a callable ``group_bounds`` hook.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,10 @@ from repro.util.errors import SplitterError
 
 __all__ = [
     "ExecutionPlan",
+    "WaveBatches",
+    "deal_wave",
+    "PlanCache",
+    "PLAN_CACHE_SIZE",
     "plan_node",
     "REPLICATION_BUDGET_BYTES",
 ]
@@ -87,6 +95,9 @@ class ExecutionPlan:
     decision: "dict[str, Any] | None"
     #: the wave schedule of a colored run; ``None`` runs one wave
     coloring: "SplitColoring | None" = None
+    #: an uncolored run's one wave dealt to its lanes (:func:`deal_wave`),
+    #: set when ``starts`` is; a colored wave is dealt when it runs
+    batches: "WaveBatches | None" = None
 
     def split_id(self, pos: int) -> int:
         """The id of the split at ``pos`` — what spans, the injector and the
@@ -100,6 +111,42 @@ class ExecutionPlan:
             return self.given[pos]
         start, end = int(self.layout[0][pos]), int(self.layout[1][pos])
         return Split(pos, start, end, self.data[start:end])
+
+
+class WaveBatches(NamedTuple):
+    """A wave's live splits (those holding elements) and what each lane
+    reduces of them, in position order: lane ``l`` takes the splits whose
+    position is ``l`` mod the lane count — an uncolored run's
+    ``splits[l::W]``, the sequence its replica sees split by split."""
+
+    #: every live split's element range, for lanes that claim their own
+    starts: np.ndarray
+    ends: np.ndarray
+    #: elements from the first live split's start to the last one's end:
+    #: the live element count when the splits are consecutive (an uncolored
+    #: run), an upper bound otherwise
+    span: int
+    #: ``(lane, starts, ends, elements)`` of every lane given a split
+    lanes: "list[tuple[int, np.ndarray, np.ndarray, int]]"
+
+
+def deal_wave(
+    starts: np.ndarray, ends: np.ndarray, positions: np.ndarray, width: int
+) -> WaveBatches:
+    """The wave of split ``positions`` (ascending) dealt to ``width`` lanes."""
+    live = positions[ends[positions] > starts[positions]]
+    if not live.size:
+        return WaveBatches(live, live, 0, [])
+    span = int(ends[live[-1]]) - int(starts[live[0]])
+    lanes = []
+    owner = live % width
+    for lane in range(width):
+        mine = live[owner == lane]
+        if mine.size:
+            mine_starts, mine_ends = starts[mine], ends[mine]
+            elements = int((mine_ends - mine_starts).sum())
+            lanes.append((lane, mine_starts, mine_ends, elements))
+    return WaveBatches(starts[live], ends[live], span, lanes)
 
 
 def _validate_custom_splits(splits: "list[Split]", data: Any) -> Layout:
@@ -139,6 +186,82 @@ def _choose_auto(inputs: "dict[str, Any]") -> "tuple[SharedMemTechnique, str]":
         f"{inputs['num_threads']} threads) exceeds the "
         f"{REPLICATION_BUDGET_BYTES}-byte budget"
     )
+
+
+#: plans a :class:`PlanCache` keeps, the least recently used dropped first
+PLAN_CACHE_SIZE = 8
+
+
+class PlanCache:
+    """One engine's recent plans, by everything :func:`plan_node` reads.
+
+    A spec from ``make_spec`` over its unit-step index range, run without a
+    custom splitter, is planned from inputs that fit one key: its kernel's
+    ``request.key`` (its group bounds are a pure function of the kernel,
+    whatever data or extras are bound), the range, the interned layout of
+    the run's reduction object (its size and group count), the engine's
+    technique request, executor, thread count and chunk size, and
+    :data:`REPLICATION_BUDGET_BYTES`.  Such a plan is made once per key,
+    as the inspector of an inspector–executor pair is; any other run — a
+    hand-written spec, whose hooks may read anything, or a custom splitter
+    — is planned afresh every time.  Safe to share between threads.
+    """
+
+    def __init__(self) -> None:
+        self._plans: "dict[tuple, ExecutionPlan]" = {}
+        self._lock = threading.Lock()
+
+    def plan(
+        self,
+        spec: ReductionSpec,
+        data: Any,
+        ro: ReductionObject,
+        layout: Any,
+        *,
+        technique: "SharedMemTechnique | None",
+        executor: str,
+        num_threads: int,
+        chunk_size: "int | None",
+        splitter: "Callable[[Any, int], list[Split]] | None",
+    ) -> "ExecutionPlan":
+        """:func:`plan_node` of the run, served from the cache when its key
+        is there; ``layout`` is ``ro``'s interned layout
+        (:meth:`~repro.freeride.reduction_object.ReductionObject.freeze_layout`)."""
+        bound = spec.bound
+        key = None
+        if (
+            bound is not None
+            and splitter is None
+            and type(data) is range
+            and data.step == 1
+            and spec.group_bounds is bound.compiled.group_bounds
+        ):
+            key = (
+                bound.compiled.request.key, data, layout, technique, executor,
+                num_threads, chunk_size, REPLICATION_BUDGET_BYTES,
+            )
+            with self._lock:
+                plan = self._plans.pop(key, None)
+                if plan is not None:
+                    self._plans[key] = plan  # now the newest
+                    return plan
+        plan = plan_node(
+            spec, data, ro, technique=technique, executor=executor,
+            num_threads=num_threads, chunk_size=chunk_size, splitter=splitter,
+        )
+        if key is not None:
+            with self._lock:
+                self._plans[key] = plan
+                while len(self._plans) > PLAN_CACHE_SIZE:
+                    del self._plans[next(iter(self._plans))]
+        return plan
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
 
 
 def plan_node(
@@ -234,8 +357,12 @@ def plan_node(
             "inputs": inputs,
         }
 
+    coloring = coloring if chosen is _COLORED else None
+    batches = None
+    if starts is not None and coloring is None:
+        batches = deal_wave(starts, ends, np.arange(num_splits), num_threads)
     return ExecutionPlan(
         starts=starts, ends=ends, layout=layout, num_splits=num_splits,
         data=data, given=given, split_alignment=alignment, technique=chosen,
-        decision=decision, coloring=coloring if chosen is _COLORED else None,
+        decision=decision, coloring=coloring, batches=batches,
     )

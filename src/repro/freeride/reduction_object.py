@@ -304,15 +304,16 @@ class ReductionObject:
         check_positive_int(num_groups, "num_groups")
         return self.alloc_many([(num_elems, op)] * num_groups)
 
-    def freeze_layout(self) -> None:
+    def freeze_layout(self) -> _Layout:
         """Freeze the layout: replicas must share it, so no more allocs.
 
         Everything that depends on the layout alone — the layout tuple, the
         identity vector, the dense group tables, the same-op merge runs — is
-        fixed from here on (see :class:`_Layout`).
+        fixed from here on (see :class:`_Layout`); returns those interned
+        tables, which identify the layout.
         """
         self._finalized_layout = True
-        self._tables()
+        return self._tables()
 
     def _tables(self) -> _Layout:
         if self._layout is None:
@@ -626,8 +627,7 @@ class ReductionObject:
         Merging is group-wise with each group's op ufunc, so it is a handful
         of vectorized operations regardless of object size.
         """
-        self._check_same_layout(other, "merge")
-        for op, elems in self._tables().runs:
+        for op, elems in self._check_same_layout(other, "merge").runs:
             mine = self._buffer[elems]
             _MERGE_UFUNC[op](mine, other._buffer[elems], out=mine)
         self._touched |= other._touched
@@ -709,11 +709,14 @@ class ReductionObject:
         meta, cells = self._span(group)
         return [(meta.op, meta.group_id, cells)]
 
-    def _check_same_layout(self, other: "ReductionObject", verb: str) -> None:
-        if not self.same_layout(other):
+    def _check_same_layout(self, other: "ReductionObject", verb: str) -> _Layout:
+        """The layout ``self`` and ``other`` share; refused if they do not."""
+        tables = self._tables()
+        if other._tables() is not tables:
             raise ReductionObjectError(
                 f"cannot {verb} reduction objects with different layouts"
             )
+        return tables
 
     def merge_groups_from(
         self, groups: "np.ndarray | Sequence[int]", other: "ReductionObject"
@@ -728,8 +731,7 @@ class ReductionObject:
         self._merge(self._selection(groups), other)
 
     def _merge(self, selection: list, other: "ReductionObject") -> None:
-        self._check_same_layout(other, "merge")
-        tables = self._tables()
+        tables = self._check_same_layout(other, "merge")
         for op, groups, cells in selection:
             theirs = other._buffer[cells]
             self._buffer[cells] = _MERGE_UFUNC[op](self._buffer[cells], theirs)

@@ -67,9 +67,10 @@ from repro.freeride.delta import (
 )
 from repro.freeride.execute import RunContext, drive
 from repro.freeride.faults import FaultInjector, FaultPolicy, SplitFailureRecord
-from repro.freeride.plan import REPLICATION_BUDGET_BYTES, plan_node
+from repro.freeride.plan import REPLICATION_BUDGET_BYTES, PlanCache
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
+    ReplicaPool,
     SharedBufferCache,
     SharedMemManager,
     SharedMemStats,
@@ -94,6 +95,9 @@ __all__ = [
 
 #: distinct shared-memory session keys for delta sessions of one process
 _DELTA_SESSION_IDS = itertools.count()
+
+#: one manager per technique: a manager holds nothing but its technique
+_MANAGERS = {t: SharedMemManager(t) for t in SharedMemTechnique}
 
 
 def _check_process_technique(technique: "SharedMemTechnique | None") -> None:
@@ -202,7 +206,7 @@ class _EngineResources:
     ``shutdown(wait=True)`` is still possible there).
     """
 
-    __slots__ = ("team", "thread_pool", "process_pool", "segments")
+    __slots__ = ("team", "thread_pool", "process_pool", "segments", "replicas")
 
     def __init__(self) -> None:
         #: the lane team of batched native waves (``ReductionSpec.lane_wave``
@@ -212,6 +216,8 @@ class _EngineResources:
         self.process_pool: ProcessPoolExecutor | None = None
         #: shared-memory copies of published datasets (process executor)
         self.segments = SharedBufferCache()
+        #: emptied full-replication replicas, for the next run of a layout
+        self.replicas = ReplicaPool()
 
     def release(self) -> None:
         if self.team is not None:
@@ -224,6 +230,7 @@ class _EngineResources:
             self.process_pool.shutdown(wait=True)
             self.process_pool = None
         self.segments.close()
+        self.replicas.clear()
 
 
 class FreerideEngine:
@@ -339,6 +346,8 @@ class FreerideEngine:
             self, _EngineResources.release, self._res
         )
         self._closed = False
+        #: the plans of compiled runs, by what planning them reads
+        self._plans = PlanCache()
 
     # -- worker-pool lifecycle -------------------------------------------------
 
@@ -381,9 +390,11 @@ class FreerideEngine:
         return self._res.process_pool
 
     def close(self) -> None:
-        """Release the worker pools and shared-memory segments.  Idempotent."""
+        """Release the worker pools, shared-memory segments, pooled replicas
+        and cached plans.  Idempotent."""
         self._closed = True
         self._finalizer()
+        self._plans.clear()
 
     def __enter__(self) -> "FreerideEngine":
         return self
@@ -409,7 +420,14 @@ class FreerideEngine:
 
     def run(self, spec: ReductionSpec, data: Any) -> ReductionResult:
         """Execute one reduction pass over ``data``: plan → drive → local
-        combination → finalize."""
+        combination → finalize.
+
+        A warm run reuses what an earlier run of the engine made: the plan
+        of a compiled spec (:class:`~repro.freeride.plan.PlanCache`), and
+        emptied full-replication replicas of the same layout
+        (:class:`~repro.freeride.sharedmem.ReplicaPool`).  The reduction
+        object it returns is always its own.
+        """
         self._check_open()
         if self.executor == "process":
             _check_process_technique(self.technique)
@@ -433,16 +451,17 @@ class FreerideEngine:
         ) as run_span:
             with timer.phase("local"), tracer.span("local", cat="phase"):
                 ro = spec.build_reduction_object()
-                plan = plan_node(
-                    spec, data, ro,
+                layout = ro.freeze_layout()
+                plan = self._plans.plan(
+                    spec, data, ro, layout,
                     technique=self.technique, executor=self.executor,
                     num_threads=self.num_threads, chunk_size=self.chunk_size,
                     splitter=self.splitter,
                 )
-                mgr = SharedMemManager(plan.technique)
+                mgr = _MANAGERS[plan.technique]
                 ctx = RunContext(
                     spec=spec, plan=plan, base_ro=ro,
-                    accessors=mgr.setup(ro, self.num_threads),
+                    accessors=mgr.setup(ro, self.num_threads, self._res.replicas),
                     stats=stats, tracer=tracer, metrics=metrics,
                     executor=self.executor, num_threads=self.num_threads,
                     policy=policy, injector=self.fault_injector,
@@ -450,6 +469,8 @@ class FreerideEngine:
                 )
                 decision = plan.decision
                 stats.technique = stats.technique_effective = plan.technique
+                if decision is not None:  # the caller's copy, not the plan's
+                    decision = {**decision, "inputs": dict(decision["inputs"])}
                 stats.technique_decision = decision
                 stats.coloring = (
                     plan.coloring.as_dict() if plan.coloring is not None else None
@@ -471,7 +492,7 @@ class FreerideEngine:
                     technique=plan.technique.value,
                 ) as span:
                     _, stats.sharedmem, lc_stats = mgr.finish(
-                        ro, ctx.accessors, combination=spec.combination
+                        ro, ctx.accessors, spec.combination, self._res.replicas
                     )
                     span.set(
                         strategy=lc_stats.strategy,
@@ -485,7 +506,7 @@ class FreerideEngine:
                 stats.splits_per_thread = ctx.nsplits
 
             stats.ro_updates = ro.update_count
-            stats.ro_size = ro.size
+            stats.ro_size = layout.size
 
             with timer.phase("finalize"), tracer.span("finalize", cat="phase"):
                 value: Any = spec.finalize(ro) if spec.finalize is not None else ro

@@ -38,7 +38,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory as mp_shm
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "ReplicatedAccessor",
     "LockingAccessor",
     "SharedMemManager",
+    "ReplicaPool",
     "SharedBufferCache",
     "create_shm_segment",
     "attach_shm_segment",
@@ -306,6 +307,70 @@ class LockingAccessor(ROAccessor):
             scratch.update_count = 0
 
 
+#: layouts a :class:`ReplicaPool` keeps emptied replicas of, the least
+#: recently used dropped first
+REPLICA_POOL_LAYOUTS = 4
+
+
+class ReplicaPool:
+    """Emptied full-replication lanes, kept per interned layout.
+
+    An engine runs the same pass again and again (the outer loop of the
+    paper's Figure 4), and each run needs one private copy per lane.  A
+    lane that comes back from a run has its copy emptied with
+    :meth:`ReductionObject.reset_touched` — the state of a fresh
+    :meth:`~ReductionObject.clone_empty` — and serves a later run of the
+    same layout, keeping its buffers and with them its
+    :class:`~repro.freeride.reduction_object.DirectStore`, on which a native
+    kernel keys the pointers it prepared.  (A replicated lane's stats never
+    change: it takes no locks.)  A lane is out of the pool while a run
+    holds it, so two concurrent runs never share one.  Safe to share
+    between threads.
+    """
+
+    def __init__(self) -> None:
+        self._free: "dict[Any, list[ROAccessor]]" = {}
+        self._lock = threading.Lock()
+
+    def take(
+        self, base_ro: ReductionObject, layout: Any, count: int
+    ) -> list[ROAccessor]:
+        """``count`` lanes over empty copies of ``base_ro``, whose interned
+        layout is ``layout``: pooled ones first, then fresh ones."""
+        with self._lock:
+            free = self._free.pop(layout, [])
+            keep = max(0, len(free) - count)
+            taken, self._free[layout] = free[keep:], free[:keep]  # now the newest
+        while len(taken) < count:
+            taken.append(
+                ReplicatedAccessor(
+                    base_ro.clone_empty(),
+                    SharedMemStats(
+                        SharedMemTechnique.FULL_REPLICATION,
+                        private_copies=1,
+                        ro_memory_bytes=base_ro.nbytes,
+                    ),
+                )
+            )
+        return taken
+
+    def give(self, layout: Any, lanes: list[ROAccessor], keep: int) -> None:
+        """Empty the copies of ``lanes`` (of interned layout ``layout``) and
+        pool up to ``keep`` lanes of that layout."""
+        for lane in lanes:
+            lane.ro.reset_touched()
+        with self._lock:
+            free = self._free.pop(layout, [])
+            free += lanes[: max(0, keep - len(free))]
+            self._free[layout] = free
+            while len(self._free) > REPLICA_POOL_LAYOUTS:
+                del self._free[next(iter(self._free))]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._free.clear()
+
+
 class SharedMemManager:
     """Creates per-thread accessors and finishes the local combination.
 
@@ -315,25 +380,27 @@ class SharedMemManager:
         accessors = mgr.setup(base_ro, num_threads)
         ... each thread t updates accessors[t] ...
         ro, sm_stats, lc_stats = mgr.finish(base_ro, accessors)
+
+    Given a :class:`ReplicaPool`, full replication takes its lanes from the
+    pool in :meth:`setup`, and :meth:`finish` gives them back emptied once
+    they are combined.
     """
 
     def __init__(self, technique: SharedMemTechnique | str) -> None:
         self.technique = SharedMemTechnique.parse(technique)
 
-    def setup(self, base_ro: ReductionObject, num_threads: int) -> list[ROAccessor]:
+    def setup(
+        self,
+        base_ro: ReductionObject,
+        num_threads: int,
+        pool: "ReplicaPool | None" = None,
+    ) -> list[ROAccessor]:
         if num_threads <= 0:
             raise FreerideError("num_threads must be positive")
-        base_ro.freeze_layout()
+        layout = base_ro.freeze_layout()
         if self.technique is SharedMemTechnique.FULL_REPLICATION:
-            return [
-                ReplicatedAccessor(
-                    base_ro.clone_empty(),
-                    SharedMemStats(
-                        self.technique, private_copies=1, ro_memory_bytes=base_ro.nbytes
-                    ),
-                )
-                for _ in range(num_threads)
-            ]
+            # no pool: every lane is a fresh clone
+            return (pool or ReplicaPool()).take(base_ro, layout, num_threads)
         if self.technique is SharedMemTechnique.COLORED:
             # One shared copy, zero locks — safe only under a wave schedule
             # (the engine guarantees concurrently-running splits touch
@@ -354,6 +421,7 @@ class SharedMemManager:
         base_ro: ReductionObject,
         accessors: list[ROAccessor],
         combination: "Callable[[list[ReductionObject]], ReductionObject] | None" = None,
+        pool: "ReplicaPool | None" = None,
     ) -> tuple[ReductionObject, SharedMemStats, CombinationStats]:
         """Run the local combination phase.
 
@@ -366,14 +434,15 @@ class SharedMemManager:
         application's custom ``combination_t``: it receives the per-thread
         copies and must return a :class:`ReductionObject`, which is then
         merged into ``base_ro``.  The per-thread copies are never mutated
-        by the default combination.
+        by the default combination, which gives their lanes to ``pool`` once
+        they are merged; copies a custom combination saw are not pooled.
         """
         total = SharedMemStats(technique=self.technique)
         for acc in accessors:
             total.add(acc.stats)
         # Accessors of a locking technique share one lock table; report the
         # table size, not the per-accessor sum.
-        total.num_locks = max((acc.stats.num_locks for acc in accessors), default=0)
+        total.num_locks = accessors[0].stats.num_locks if accessors else 0
         if self.technique is SharedMemTechnique.COLORED:
             # Fold in the flags and update counts the lanes' views kept off
             # the shared object.
@@ -399,6 +468,9 @@ class SharedMemManager:
             )
         else:
             _, lc_stats = combine(copies, target=base_ro)
+            if pool is not None:
+                # setup froze base_ro, so its interned layout is set
+                pool.give(base_ro._layout, accessors, len(accessors))
         total.merge_elements += lc_stats.elements_merged
         return base_ro, total, lc_stats
 

@@ -59,15 +59,9 @@ class PhaseTimer:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.phases[name] = self.phases.get(name, 0.0) + elapsed
+    def phase(self, name: str) -> "_Phase":
+        """A ``with`` block whose wall time is added to phase ``name``."""
+        return _Phase(self, name)
 
     @property
     def total(self) -> float:
@@ -77,6 +71,25 @@ class PhaseTimer:
     def as_dict(self) -> dict[str, float]:
         with self._lock:
             return dict(self.phases)
+
+
+class _Phase:
+    """One :meth:`PhaseTimer.phase` block (a class: a generator-based
+    context manager costs several times the clock reads it wraps)."""
+
+    __slots__ = ("timer", "name", "start")
+
+    def __init__(self, timer: PhaseTimer, name: str) -> None:
+        self.timer, self.name = timer, name
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc: object) -> None:
+        elapsed = time.perf_counter() - self.start
+        timer = self.timer
+        with timer._lock:
+            timer.phases[self.name] = timer.phases.get(self.name, 0.0) + elapsed
 
 
 @contextmanager

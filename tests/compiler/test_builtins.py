@@ -204,3 +204,37 @@ def test_min_and_max_of_three_or_more_give_the_same_bits_on_every_tier():
     ]
     for tier, values in got.items():
         assert values.tolist() == expected, tier
+
+
+# ------------------------------------------- logical rows on numeric operands
+
+#: ``&&``, ``||`` and ``!`` over reals: each is a truth value, 1 or 0,
+#: whatever the operands' magnitude (Python's ``and``/``or`` would return an
+#: operand instead).
+NUMERIC_LOGIC = [
+    ("x[1] && x[2]", [1.0, 0.0, 0.0, 1.0]),
+    ("x[1] || x[2]", [1.0, 1.0, 1.0, 1.0]),
+    ("!x[1]", [0.0, 1.0, 0.0, 0.0]),
+    ("(x[1] && x[2]) * 3.0 + (x[2] || x[1])", [4.0, 1.0, 1.0, 4.0]),
+]
+
+
+@pytest.mark.parametrize("expr,expected", NUMERIC_LOGIC, ids=[e for e, _ in NUMERIC_LOGIC])
+def test_logical_rows_over_numbers_give_truth_values_on_every_tier(expr, expected):
+    data = np.array([[2.5, 3.0], [0.0, -1.5], [-2.0, 0.0], [-0.5, 7.0]])
+    source = (
+        "class numericLogic : ReduceScanOp {\n"
+        f"  def accumulate(x: [1..2] real) {{ roAdd(elemIdx(), 0, {expr}); }}\n}}\n"
+    )
+    layout = [(1, "add")] * len(data)
+    got = {}
+    for backend in TIERS:
+        compiled = compile_reduction(source, {}, 2, backend=backend)
+        assert compiled.effective_backend == backend
+        ro = ReductionObject()
+        ro.alloc_many(layout)
+        compiled.bind(data).run_serial(ro)
+        got[backend] = ro.snapshot()
+    got["oracle"] = interpret_over(compiled.lowered, data, {}, layout).snapshot()
+    for tier, values in got.items():
+        assert values.tolist() == expected, tier

@@ -255,8 +255,8 @@ def test_whole_object_commits_into_a_colored_lane_are_serialized():
 # -- (b) planning happens once ------------------------------------------------------
 
 
-def _repro_calls(engine, spec, data, under="repro/"):
-    """Python-level calls of one warm run, by function name, in files
+def _calls(work, under="repro/"):
+    """Python-level calls ``work()`` makes, by function name, in files
     whose path contains ``under``."""
     calls: Counter = Counter()
 
@@ -264,27 +264,34 @@ def _repro_calls(engine, spec, data, under="repro/"):
         if event == "call" and under in frame.f_code.co_filename:
             calls[frame.f_code.co_name] += 1
 
-    engine.run(spec, data)
-    engine.run(spec, data)
     sys.setprofile(profiler)
     try:
-        engine.run(spec, data)
+        work()
     finally:
         sys.setprofile(None)
     return calls
 
 
+def _repro_calls(engine, spec, data, under="repro/"):
+    """:func:`_calls` of one warm run: the engine's third."""
+    engine.run(spec, data)
+    engine.run(spec, data)
+    return _calls(lambda: engine.run(spec, data), under)
+
+
 def test_each_coloring_tier_and_the_profile_key_are_computed_once(tmp_path):
+    """Three runs of one compiled spec plan once: one static coloring tier,
+    whatever the store holds; each run's record hashes its layout once."""
     spec, data = _histogram()
     with FreerideEngine(
         executor="serial", technique="auto", chunk_size=100, profile_store=tmp_path
     ) as engine:
-        calls = _repro_calls(engine, spec, data)
+        calls = _calls(lambda: [engine.run(spec, data) for _ in range(3)])
         assert sum(engine.run(spec, data).stats.splits_per_thread) == 33
-    # one static tier, whatever the store holds
+    assert calls["plan_node"] == 1
     assert calls["resolve_group_sets"] == 1
     assert calls["color_splits"] == 1
-    assert calls["split_layout_fingerprint"] == 1
+    assert calls["split_layout_fingerprint"] == 3
 
 
 def test_a_run_without_a_store_does_no_store_work():
@@ -298,22 +305,25 @@ def test_a_run_without_a_store_does_no_store_work():
 
 
 #: calls into ``repro/freeride/`` of a warm one-split serial native run,
-#: as measured once ``run`` became one straight path (one plan, one context)
-#: and ``auto`` read only the run's own inputs
-GLUE_CEILING = {"full_replication": 50, "auto": 65}
+#: as measured once a warm run reused its plan and its replicas
+GLUE_CEILING = {"full_replication": 35, "auto": 35}
 
 
 @needs_cc
-@pytest.mark.parametrize("technique,before", [("full_replication", 58), ("auto", 72)])
+@pytest.mark.parametrize("technique,before", [("full_replication", 50), ("auto", 65)])
 def test_fixed_glue_of_a_one_split_run(technique, before):
     """Calls into ``repro/freeride/`` of a warm one-split serial run over a
-    native kernel stay within :data:`GLUE_CEILING`: 50 plain and 65 with
-    ``auto``.  ``before`` is the ceiling while the layout was a list of
-    ``Split`` objects (59 and 78 before this module's planner)."""
+    native kernel stay within :data:`GLUE_CEILING`, 35 plain and with
+    ``auto``, and plan nothing: the engine planned its one key once, on
+    the cold run.  ``before`` is the ceiling while every run planned and
+    cloned its replicas (58 and 72 while the layout was a list of
+    ``Split`` objects, 59 and 78 before this module's planner)."""
     spec, data = _histogram(backend="native")
     with FreerideEngine(executor="serial", technique=technique) as engine:
+        cold = _calls(lambda: engine.run(spec, data), "repro/freeride/")
         calls = _repro_calls(engine, spec, data, under="repro/freeride/")
-    assert calls["plan_node"] == 1
+    assert cold["plan_node"] == 1
+    assert calls["plan_node"] == 0
     assert sum(calls.values()) <= GLUE_CEILING[technique] < before
 
 

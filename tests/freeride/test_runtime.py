@@ -462,26 +462,32 @@ class TestStatsRegressions:
 
     def test_thread_copies_not_mutated_by_combination(self):
         # Regression: all_to_one_combine folded copies[1:] into copies[0]
-        # in place, corrupting thread 0's private copy.
-        from repro.freeride import runtime as rt
+        # in place, corrupting thread 0's private copy.  The copies are
+        # read around the combination itself: after it, the engine empties
+        # them for its next run.
+        from repro.freeride import sharedmem
 
-        captured = []
-        original_setup = rt.SharedMemManager.setup
+        seen = []
+        original_combine = sharedmem.combine
 
-        def capturing_setup(self, ro, num_threads):
-            accessors = original_setup(self, ro, num_threads)
-            captured.extend(accessors)
-            return accessors
+        def recording_combine(ros, *args, **kwargs):
+            before = [ro.snapshot() for ro in ros]
+            out = original_combine(ros, *args, **kwargs)
+            seen.append((before, [ro.snapshot() for ro in ros]))
+            return out
 
         data = np.arange(100, dtype=np.float64)
         try:
-            rt.SharedMemManager.setup = capturing_setup
+            sharedmem.combine = recording_combine
             result = FreerideEngine(num_threads=4).run(sum_spec(), data)
         finally:
-            rt.SharedMemManager.setup = original_setup
+            sharedmem.combine = original_combine
 
-        assert len(captured) == 4
-        per_thread = np.sum([a.ro.snapshot() for a in captured], axis=0)
+        [(before, after)] = seen
+        assert len(before) == 4
+        for copy_before, copy_after in zip(before, after):
+            assert np.array_equal(copy_before, copy_after)
+        per_thread = np.sum(before, axis=0)
         # if any private copy had absorbed its peers, this sum would
         # double-count and exceed the combined result
         assert np.array_equal(per_thread, result.ro.snapshot())
