@@ -9,6 +9,7 @@ same step builds :mod:`.team`'s and :mod:`.walker`'s C runtimes.
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from concurrent.futures import Future
@@ -210,6 +211,50 @@ def proof_mask(proofs: tuple[tuple[int, int, int, int], ...], store: Any) -> int
     return mask
 
 
+class _CTypes(NamedTuple):
+    """The cffi types a kernel call names, resolved once per process: cffi
+    interns its types, so one parse serves every kernel's FFI."""
+
+    double_p: Any
+    const_ll_p: Any
+    bool_p: Any
+    uintptr: Any
+    bufs: Any
+    bytes: Any
+    bytes_p: Any
+    ll_array: Any
+
+
+@functools.cache
+def _ctypes() -> _CTypes:
+    import cffi
+
+    ffi = cffi.FFI()
+    return _CTypes(*map(ffi.typeof, (
+        "double *", "const long long *", "_Bool *", "uintptr_t",
+        "const unsigned char *[]", "const unsigned char[]",
+        "const unsigned char *", "long long[]",
+    )))
+
+
+#: data buffers a thread's call state remembers the pointers of
+_HELD_BUFFERS = 8
+
+
+class _ThreadState(NamedTuple):
+    """One thread's call state of one kernel."""
+
+    counters: np.ndarray
+    c_counters: Any
+    #: store -> prepared call arguments
+    targets: weakref.WeakKeyDictionary
+    #: the data buffers' pointers, one slot per buffer the kernel reads
+    c_bufs: Any
+    #: ``id(buffer) -> (weak reference to it, its pointer)`` of the data
+    #: buffers seen lately (a dataset's prefix and its tail, an extra)
+    held: dict
+
+
 def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     """The ``_kernel(_start, _end, _ro, _env, _C)`` twin of the C function.
 
@@ -224,8 +269,9 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     failure too, so what a failing call stored before it failed is
     accounted for like any other update.  What depends only on the store
     — the layout tables' and buffers' C pointers — is prepared once per
-    (thread, store), and the proof verdict once per layout; nothing per
-    call walks the groups.  The verdict also picks the C function: the
+    (thread, store), a data buffer's pointer once per (thread, buffer
+    object the env holds), and the proof verdict once per layout; nothing
+    per call walks the groups.  The verdict also picks the C function: the
     default build on a full verdict, the checked twin on any other (built
     the first time such a layout arrives, and reported by a
     ``native_checked`` trace event per layout).
@@ -241,6 +287,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     team can exist here.
     """
     ffi = native.ffi
+    ctypes = _ctypes()
     buf_names = [f"buf_{kid}" for kid in native.buf_order]
     tls = threading.local()
     ledger_lock = threading.Lock()  # lanes of one run share the ledger
@@ -248,18 +295,16 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     #: interned layout -> (its proof_mask, the C function that runs it)
     verdicts: dict[Any, tuple[int, Any]] = {}
 
-    def _thread_state() -> tuple:
-        try:
-            return tls.state
-        except AttributeError:
-            counters = aligned_empty(len(_COUNTER_FIELDS), np.float64)
-            tls.state = state = (
-                counters,
-                ffi.cast("double *", counters.ctypes.data),
-                weakref.WeakKeyDictionary(),  # store -> prepared call arguments
-                ffi.new("const unsigned char *[]", max(1, len(buf_names))),
-            )
-            return state
+    def _thread_state() -> _ThreadState:
+        counters = aligned_empty(len(_COUNTER_FIELDS), np.float64)
+        tls.state = state = _ThreadState(
+            counters,
+            ffi.cast(ctypes.double_p, counters.ctypes.data),
+            weakref.WeakKeyDictionary(),
+            ffi.new(ctypes.bufs, max(1, len(buf_names))),
+            {},
+        )
+        return state
 
     def _verdict(store: Any) -> tuple[int, Any]:
         proven = proof_mask(native.proofs, store)
@@ -287,18 +332,16 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             store.nelems.ctypes.data, store.opcodes.ctypes.data,
         )
         touched = store.touched.ctypes.data
-        c_elems, c_off, c_n, c_op = (
-            ffi.cast(ctype, address)
-            for ctype, address in zip(
-                ("double *", "const long long *", "const long long *", "const long long *"),
-                addresses,
-            )
-        )
         return (
-            fn, c_elems, c_off, c_n, c_op, len(store.offsets), proven,
-            ffi.cast("_Bool *", touched),
+            fn,
+            ffi.cast(ctypes.double_p, addresses[0]),
+            ffi.cast(ctypes.const_ll_p, addresses[1]),
+            ffi.cast(ctypes.const_ll_p, addresses[2]),
+            ffi.cast(ctypes.const_ll_p, addresses[3]),
+            len(store.offsets), proven,
+            ffi.cast(ctypes.bool_p, touched),
             # the same, as a team lane's target fields
-            (int(ffi.cast("uintptr_t", fn)), *addresses, touched,
+            (int(ffi.cast(ctypes.uintptr, fn)), *addresses, touched,
              len(store.offsets), proven),
         )
 
@@ -311,21 +354,35 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
                 f"native kernel {name}: ranges need two 1-D arrays of one "
                 f"length, got shapes {_starts.shape} and {_ends.shape}"
             )
-        counters, c_counters, targets, c_bufs = _thread_state()
+        try:
+            counters, c_counters, targets, c_bufs, held = tls.state
+        except AttributeError:
+            counters, c_counters, targets, c_bufs, held = _thread_state()
         store = _ro.direct_store()
         prepared = targets.get(store)
         if prepared is None:
             prepared = targets[store] = _prepare(store)
         fn, c_elems, c_off, c_n, c_op, groups, proven, c_touched, _ = prepared
-        # the env owns the data buffers (and may swap them between calls)
+        # the env owns the data buffers and may swap them between calls: a
+        # buffer's pointer is taken once per buffer object (its weak
+        # reference alive and naming it means the same memory)
         for i, buf_name in enumerate(buf_names):
-            c_bufs[i] = ffi.from_buffer("const unsigned char[]", _env[buf_name])
+            buf = _env[buf_name]
+            known = held.get(id(buf))
+            if known is None or known[0]() is not buf:
+                if len(held) >= _HELD_BUFFERS:
+                    held.clear()
+                known = held[id(buf)] = (
+                    weakref.ref(buf),
+                    ffi.cast(ctypes.bytes_p, ffi.from_buffer(ctypes.bytes, buf)),
+                )
+            c_bufs[i] = known[1]
         counters[:] = 0.0
 
         rc = fn(
             len(_starts),
-            ffi.from_buffer("long long[]", _starts),
-            ffi.from_buffer("long long[]", _ends),
+            ffi.from_buffer(ctypes.ll_array, _starts),
+            ffi.from_buffer(ctypes.ll_array, _ends),
             _env.get("_elem_base", 0),
             c_bufs, c_elems, c_off, c_n, c_op, groups, proven, c_touched,
             c_counters,
@@ -354,7 +411,10 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         team = lane_team(owner, len(lanes))
         if team is None:
             return None
-        targets = _thread_state()[2]
+        try:
+            targets = tls.state.targets
+        except AttributeError:
+            targets = _thread_state().targets
         lane_targets = []
         for ro in lanes[: min(len(lanes), sum(len(p[0]) for p in pieces))]:
             store = ro.direct_store()

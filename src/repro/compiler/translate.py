@@ -41,7 +41,7 @@ from repro.compiler.batch import (
 )
 from repro.compiler.codegen import CLikeCodegen, PythonCodegen
 from repro.compiler.groupbounds import analyze_group_bounds
-from repro.compiler.linearize import LinearizedBuffer, linearize_append, linearize_it
+from repro.compiler.linearize import LinearizedBuffer, linearize_it
 from repro.compiler.lower import LoweredReduction, lower_reduction
 from repro.compiler.mapping import compute_index
 from repro.compiler.passes import (
@@ -50,7 +50,7 @@ from repro.compiler.passes import (
     SiteResource,
     plan_compilation,
 )
-from repro.freeride.reduction_object import ReductionObject
+from repro.freeride.reduction_object import ReductionObject, intern_layout
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.machine.counters import OpCounters
 from repro.obs.tracer import get_tracer
@@ -450,7 +450,7 @@ class CompiledReduction:
             return buf, len(data)
         if isinstance(data, np.ndarray):
             # Fast path: flat arrays of one primitive element type.
-            expected = self._numpy_element_shape(elem_t)
+            expected = self._numpy_row
             arr = np.ascontiguousarray(data, dtype=expected[1])
             if arr.ndim >= 1 and arr.shape[1:] == expected[0]:
                 raw = arr.reshape(-1).view(np.uint8)
@@ -462,8 +462,11 @@ class CompiledReduction:
             )
         raise CompilerError(f"cannot bind data of type {type(data)}")
 
-    @staticmethod
-    def _numpy_element_shape(elem_t: ChapelType) -> tuple[tuple[int, ...], np.dtype]:
+    @cached_property
+    def _numpy_row(self) -> tuple[tuple[int, ...], np.dtype]:
+        """``(shape, dtype)`` of one element as a NumPy row: the fast path
+        of ``bind`` and ``append_elements`` (flat primitive elements only)."""
+        elem_t = self.lowered.element_type
         if isinstance(elem_t, PrimitiveType):
             return (), np.dtype(elem_t.dtype)
         if isinstance(elem_t, ArrayType) and isinstance(elem_t.elt, PrimitiveType):
@@ -472,19 +475,26 @@ class CompiledReduction:
             f"numpy fast path supports flat primitive elements, not {elem_t}"
         )
 
-    def _install(self, env: dict[str, Any], res: SiteResource, raw: np.ndarray) -> None:
+    def _install(
+        self, env: dict[str, Any], res: SiteResource, raw: np.ndarray,
+        readers: bool = True,
+    ) -> None:
         """Point one linearized site resource's env entries at ``raw``.
 
         The one author of the env contract the emitted kernels read:
         ``info_k``/``read_k``/``view_k`` (scalar, batch), ``buf_k`` (native)
         and, for the dataset of a request that can end on the batch tier
         (batch or native requested), ``lanes_k``/``rows_k`` — decided from
-        the request, so binding never waits for a native build.
+        the request, so binding never waits for a native build.  With
+        ``readers=False`` only ``info_k`` and ``buf_k``: all a native
+        kernel reads, for an env only a settled native kernel runs over.
         """
         kid, info = res.kid, res.info
         assert info is not None
         env[f"info_{kid}"] = info
         env[f"buf_{kid}"] = raw
+        if not readers:
+            return
         env[f"read_{kid}"] = _make_reader(raw, info.inner_dtype)
         env[f"view_{kid}"] = _make_viewer(raw, info.inner_dtype, info.inner_extent)
         if res.kind == "data" and self.backend != "scalar":
@@ -542,8 +552,15 @@ class BoundReduction:
     shm_session: str | None = None
     #: elements in the prefix segment (:attr:`data_buf`)
     n_prefix: int = field(init=False)
-    #: the appended elements, once there are any
+    #: the appended elements, once there are any: element after element,
+    #: its ``typ`` the element type (no array type is built per append;
+    #: :attr:`dataset_type` is the whole dataset's)
     tail_buf: LinearizedBuffer | None = field(default=None, init=False)
+    #: the env a tail range runs over, and the tail backing it reads: kept
+    #: until an append reallocates the backing or ``update_extras`` rebinds
+    _tail_env: tuple[np.ndarray, dict[str, Any]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.n_prefix = self.n_elements
@@ -583,6 +600,7 @@ class BoundReduction:
                     span.set(bytes=buffers[root].nbytes, walk=buffers[root].walk)
             comp._install(self.env, res, buffers[root].raw)
         self.extras_epoch += 1
+        self._tail_env = None
 
     # -- the two segments ---------------------------------------------------------------
 
@@ -633,9 +651,10 @@ class BoundReduction:
         :attr:`n_prefix` so ``elemIdx()`` stays global.
         """
         comp = self.compiled
-        kernel = comp.effective_kernel
+        tiers = comp._tiers if comp._tiers is not None else comp._settled()
+        kernel = tiers.effective_kernel
         ranges = getattr(kernel, "ranges", None)
-        if ranges is None and len(starts) > 1 and comp.effective_backend == "batch":
+        if ranges is None and len(starts) > 1 and tiers.effective_backend == "batch":
             lengths = ends - starts
             total = int(lengths.sum())
             if total < len(starts) * GATHER_RUN_THRESHOLD:
@@ -667,11 +686,19 @@ class BoundReduction:
         n0 = self.n_prefix
         if self.tail_buf is None or not len(ends) or ends[-1] <= n0:
             return [(starts, ends, self.env)], -1
-        tail_env = dict(self.env)
-        for res in self.compiled.plan.resources.values():  # the tail's data sites
-            if res.kind == "data" and res.linearized:
-                self.compiled._install(tail_env, res, self.tail_buf.raw)
-        tail_env["_elem_base"] = n0
+        # the tail's data sites read its backing: an append within capacity
+        # leaves it, and every range stops at n_elements
+        backing = self.tail_buf.raw.base
+        if self._tail_env is None or self._tail_env[0] is not backing:
+            comp = self.compiled
+            readers = comp.effective_backend != "native"
+            tail_env = dict(self.env)
+            for res in comp.plan.resources.values():
+                if res.kind == "data" and res.linearized:
+                    comp._install(tail_env, res, backing, readers)
+            tail_env["_elem_base"] = n0
+            self._tail_env = backing, tail_env
+        tail_env = self._tail_env[1]
         if starts[0] >= n0:
             return [(starts - n0, ends - n0, tail_env)], -1
         k = int(starts.searchsorted(n0))  # ranges that start in the prefix
@@ -747,40 +774,36 @@ class BoundReduction:
         comp = self.compiled
         elem_t = comp.lowered.element_type
         if isinstance(data, np.ndarray):
-            expected = comp._numpy_element_shape(elem_t)
-            arr = np.ascontiguousarray(data, dtype=expected[1])
-            if not (arr.ndim >= 1 and arr.shape[1:] == expected[0]):
+            shape, dtype = comp._numpy_row
+            arr = np.ascontiguousarray(data, dtype=dtype)
+            if not (arr.ndim >= 1 and arr.shape[1:] == shape):
                 raise CompilerError(
                     f"appended numpy shape {arr.shape} does not match "
                     f"element {elem_t}"
                 )
             raw = arr.reshape(-1).view(np.uint8)
-            tail = self.tail_buf if self.tail_buf is not None else self._new_tail()
-            old_bytes = tail.raw.size
-            tail.grow(old_bytes + raw.size)
-            tail.raw[old_bytes:] = raw
-            n_tail = self.n_elements - self.n_prefix + int(arr.shape[0])
-            tail.typ = ArrayType(Domain(n_tail), elem_t)
-            self.counters.bytes_linearized += int(raw.size)
+            self.counters.bytes_linearized += raw.size
+            added = arr.shape[0]
         elif isinstance(data, ChapelArray):
             if data.type.elt != elem_t:
                 raise CompilerError(
                     f"appended elements are {data.type.elt}, kernel "
                     f"expects {elem_t}"
                 )
-            tail = self.tail_buf if self.tail_buf is not None else self._new_tail()
-            n_tail = linearize_append(tail, data, self.counters)
+            raw = linearize_it(data, data.type, self.counters).raw
+            added = data.type.domain.size
         else:
             raise CompilerError(f"cannot append data of type {type(data)}")
-        self.n_elements = self.n_prefix + n_tail
+        tail = self.tail_buf
+        if tail is None:
+            tail = self.tail_buf = LinearizedBuffer(
+                typ=elem_t, raw=np.empty(0, dtype=np.uint8)
+            )
+        end = tail.raw.size
+        tail.grow(end + raw.size)
+        tail.raw[end:] = raw
+        self.n_elements += added
         return self.n_elements
-
-    def _new_tail(self) -> LinearizedBuffer:
-        elem_t = self.compiled.lowered.element_type
-        self.tail_buf = LinearizedBuffer(
-            typ=ArrayType(Domain(0), elem_t), raw=np.empty(0, dtype=np.uint8)
-        )
-        return self.tail_buf
 
     def truncate_elements(self, n_elements: int) -> None:
         """Roll the appended elements back to ``n_elements`` (failed append
@@ -791,10 +814,8 @@ class BoundReduction:
                 f"({self.n_prefix} bound)"
             )
         if self.tail_buf is not None:
-            elem_t = self.compiled.lowered.element_type
-            n_tail = n_elements - self.n_prefix
-            self.tail_buf.shrink(n_tail * elem_t.sizeof)
-            self.tail_buf.typ = ArrayType(Domain(n_tail), elem_t)
+            esz = self.compiled.lowered.element_type.sizeof
+            self.tail_buf.shrink((n_elements - self.n_prefix) * esz)
         self.n_elements = n_elements
 
     # -- FREERIDE integration ------------------------------------------------------------
@@ -814,7 +835,7 @@ class BoundReduction:
         the per-split API; the engine does not call it.
         """
         kernel = self.compiled.effective_kernel
-        layout = list(ro_layout)
+        layout = intern_layout(ro_layout)  # once, not per run's setup
 
         def setup(ro: ReductionObject) -> None:
             ro.alloc_many(layout)

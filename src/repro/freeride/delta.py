@@ -45,15 +45,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.freeride.reduction_object import (
-    INVERTIBLE_ACCUMULATE_OPS,
-    OP_CODES,
-    ReductionObject,
-)
+from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.spec import ReductionSpec
 from repro.util.errors import FreerideError
 from repro.util.validation import check_positive_int
@@ -135,6 +132,8 @@ class _EpochRecord:
     update_count: int = 0
     n_elements: int = 0
     live_count: int = 0
+    #: the checkpoint's ``(saves, hits)`` when the epoch began
+    counters: tuple[int, int] = (0, 0)
 
     def write_back(self, ro: ReductionObject) -> None:
         """Put every saved pre-image back into ``ro``."""
@@ -160,7 +159,8 @@ class ROCheckpoint:
         self.capacity = capacity
         self._ring: deque[_EpochRecord] = deque()
         self._open: _EpochRecord | None = None
-        #: pre-image copies actually taken (one per (epoch, group))
+        #: pre-image copies taken (one per (epoch, group)) by the epochs
+        #: committed so far — a rolled-back epoch's are taken back
         self.saves = 0
         #: groups a save named whose pre-image was already taken (COW dedup)
         self.hits = 0
@@ -181,6 +181,7 @@ class ROCheckpoint:
             update_count=ro.update_count,
             n_elements=n_elements,
             live_count=live_count,
+            counters=(self.saves, self.hits),
         )
 
     def save_groups(self, ro: ReductionObject, *groups: np.ndarray) -> None:
@@ -203,21 +204,36 @@ class ROCheckpoint:
             except IndexError:
                 raise FreerideError(f"groups {ids.tolist()} outside the layout") from None
             count += ids.size
-        fresh = (named & ~rec.saved).nonzero()[0]
-        self.hits += count - fresh.size
-        self.saves += fresh.size
-        if fresh.size:
-            rec.saved[fresh] = True
-            rec.images.append((fresh, *ro.gather_groups(fresh)))
+        fresh = named & ~rec.saved
+        values, touched = ro.gather_groups(fresh.nonzero()[0])
+        self.save(fresh, values, touched, count - int(_sum(fresh)))
+
+    def save(
+        self, groups: np.ndarray, values: np.ndarray, touched: np.ndarray, hits: int = 0
+    ) -> None:
+        """Record a pre-image the caller gathered: ``groups`` is a bool mask
+        of groups not saved yet this epoch, ``values`` their elements (group
+        after group) and ``touched`` their touched bits, as
+        :meth:`~repro.freeride.reduction_object.ReductionObject.gather_groups`
+        returns them; ``hits`` counts groups named again."""
+        rec = self._require_open()
+        ids = groups.nonzero()[0]
+        self.saves += ids.size
+        self.hits += hits
+        if ids.size:
+            rec.saved |= groups
+            rec.images.append((ids, values, touched))
 
     def rollback(self, ro: ReductionObject) -> tuple[int, int, int]:
         """Undo the open epoch; returns ``(groups_restored, n_elements, live)``.
 
         O(groups touched): only saved pre-images are written back.  The
-        record is discarded — the failed epoch never enters the ring.
+        record is discarded — the failed epoch never enters the ring, and
+        its saves and hits leave the counters.
         """
         rec = self._require_open()
         rec.write_back(ro)
+        self.saves, self.hits = rec.counters
         self._open = None
         return int(rec.saved.sum()), rec.n_elements, rec.live_count
 
@@ -397,8 +413,8 @@ class DeltaSession:
     #: surviving elements, maintained by the liveness updates
     live_count: int = field(init=False)
     #: one bit per group whose op has no inverse (min/max): a retraction
-    #: that touches one replays it.  Fixed by the layout, so read once per
-    #: session from the interned opcode table.
+    #: that touches one replays it.  Fixed by the layout: the interned
+    #: layout's own table.
     noninvertible_mask: np.ndarray = field(init=False)
     #: the scratch objects an epoch reduces into, one per role — retracted
     #: elements, replayed elements and the appended tail.  Cloned once
@@ -407,6 +423,8 @@ class DeltaSession:
     scratch: dict[str, ReductionObject] = field(init=False, repr=False)
     #: the spec :meth:`make_spec` holds over a compiled source
     _spec: ReductionSpec | None = field(init=False, default=None, repr=False)
+    #: the ``hit`` of an epoch that retracts nothing: no group (never written)
+    _no_hits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.n_elements = self.live_count = int(self.source.n_elements)
@@ -414,9 +432,8 @@ class DeltaSession:
         self._live = np.empty(max(2 * self.n_elements, 64), dtype=bool)
         self.live = self._live[: self.n_elements]
         self.live[:] = True
-        invertible = [OP_CODES[op] for op in INVERTIBLE_ACCUMULATE_OPS]
-        opcodes = self.ro.direct_store().opcodes
-        self.noninvertible_mask = ~np.isin(opcodes, invertible)
+        self.noninvertible_mask = self.ro.freeze_layout().noninvertible
+        self._no_hits = np.zeros(self.ro.num_groups, dtype=bool)
         self.scratch = {
             role: self.ro.clone_empty() for role in ("retract", "replay", "tail")
         }
@@ -438,15 +455,19 @@ class DeltaSession:
         """The spec an epoch's ranges go to, with no finalize (the session's
         own runs once, on the committed object).
 
-        Over a compiled source it is built once and held: its
-        ``reduce_ranges`` reads the bound env and the dataset's segments
-        when called, so an ``update_extras`` or an append between epochs
-        is seen.  A :class:`ManualDataset`'s hook closes over the data an
-        append replaces, so it is re-bound each epoch.
+        Over a compiled source it is built once and held (an epoch reads
+        the held one without calling this): its ``reduce_ranges`` reads the
+        bound env and the dataset's segments when called, so an
+        ``update_extras`` or an append between epochs is seen.  A
+        :class:`ManualDataset`'s hook closes over the data an append
+        replaces, so it is re-bound each epoch and never held.
         """
-        if self._spec is None or not self.compiled:
-            self._spec, _ = self.source.make_spec(self.ro.layout(), finalize=None)
-        return self._spec
+        if self._spec is not None:
+            return self._spec
+        spec, _ = self.source.make_spec(self.ro.layout(), finalize=None)
+        if self.compiled:
+            self._spec = spec
+        return spec
 
     def apply(
         self,
@@ -471,18 +492,14 @@ class DeltaSession:
         """
         source, ro, cp, scratch = self.source, self.ro, self.checkpoints, self.scratch
         epoch = self.epoch + 1
-        n_old, old_live, old_updates = self.n_elements, self.live_count, ro.update_count
+        n_old, old_live = self.n_elements, self.live_count
         saves0, hits0 = cp.saves, cp.hits
+        retracted = int(retract_idx.size)
         new_n = n_old
         appended = 0
-        delta_ro: ReductionObject | None = None
         refused = True  # until the batch is accepted a failure is no rollback
-        used: list[ReductionObject] = []  # scratch objects to empty afterwards
         with tracer.span(
-            "delta.apply",
-            cat="delta",
-            epoch=epoch,
-            retracted=int(retract_idx.size),
+            "delta.apply", cat="delta", epoch=epoch, retracted=retracted,
             executor=executor,
         ) as span:
             try:
@@ -495,90 +512,73 @@ class DeltaSession:
                             "alone for pure retraction)"
                         )
                 refused = False
+                # tombstoned right after normalize_retract read the same
+                # positions of the mask, while they are still in cache
+                self.advance_liveness(new_n, retract_idx)
                 # every range below goes to this spec's reduce_ranges hook as
                 # two arrays, *global* positions intact, so position-dependent
                 # reductions see the coordinates a full run would and a
                 # native kernel walks them all in one call
-                spec_full = self.make_spec()
-                if appended:
-                    delta_ro = scratch["tail"]
-                    used.append(delta_ro)
-                    spec_full.reduce_ranges(
-                        np.array([n_old], dtype=np.int64),
-                        np.array([new_n], dtype=np.int64),
-                        delta_ro,
-                    )
-                kernel_calls = int(appended > 0)
-                merged = (
-                    delta_ro.touched_mask().nonzero()[0]
-                    if delta_ro is not None
-                    else _NO_GROUPS
-                )
+                spec = self._spec if self._spec is not None else self.make_spec()
+                tail = retract = replay = None
+                hit, replayed = self._no_hits, _NO_GROUPS
+                retract_runs = replay_runs = replay_elements = planner_probes = 0
+                try:
+                    if appended:
+                        tail = scratch["tail"]
+                        spec.reduce_ranges(
+                            np.array([n_old], dtype=np.int64),
+                            np.array([new_n], dtype=np.int64),
+                            tail,
+                        )
+                    # -- retract compute (never mutates the committed object)
+                    if retracted:
+                        starts, ends = contiguous_runs(retract_idx)
+                        retract_runs = len(starts)
+                        retract = scratch["retract"]
+                        spec.reduce_ranges(starts, ends, retract)
+                        hit = retract.touched_mask()
+                        replayed = (hit & self.noninvertible_mask).nonzero()[0]
+                    # -- replay compute: re-reduce only the survivors inside
+                    # the blocks whose effect-summary footprint can reach a
+                    # replayed group
+                    if replayed.size:
+                        # a hand-written spec's hook answers no range
+                        # question: every survivor is replayed
+                        bounds = spec.group_bounds
+                        reaching = getattr(bounds, "blocks_reaching", None)
+                        probes0 = getattr(bounds, "evaluations", 0)
+                        blocks = (
+                            reaching(frozenset(replayed.tolist()), new_n, ro.num_groups)
+                            if reaching is not None
+                            else [(0, new_n)]
+                        )
+                        planner_probes = getattr(bounds, "evaluations", 0) - probes0
+                        starts, ends = self.live_runs(blocks)
+                        replay_runs = len(starts)
+                        replay_elements = int(_sum(ends - starts))
+                        replay = scratch["replay"]
+                        spec.reduce_ranges(starts, ends, replay)
+                except BaseException:
+                    # a kernel that raised may have half-filled its scratch
+                    for dirty in scratch.values():
+                        dirty.reset_touched()
+                    raise
 
-                # -- retract compute (never mutates the committed object) ------
-                noninv = self.noninvertible_mask
-                scratch_r: ReductionObject | None = None
-                retracted = replayed = _NO_GROUPS
-                retract_runs = 0
-                if retract_idx.size:
-                    starts, ends = contiguous_runs(retract_idx)
-                    retract_runs = int(starts.size)
-                    scratch_r = scratch["retract"]
-                    used.append(scratch_r)
-                    spec_full.reduce_ranges(starts, ends, scratch_r)
-                    kernel_calls += 1
-                    hit = scratch_r.touched_mask()
-                    retracted = (hit & ~noninv).nonzero()[0]
-                    replayed = (hit & noninv).nonzero()[0]
-
-                # -- replay compute: re-reduce only the survivors inside the
-                # blocks whose effect-summary footprint can reach a replayed
-                # group ---------------------------------------------------------
-                self.advance_liveness(new_n, retract_idx)
-                scratch_p: ReductionObject | None = None
-                replay_elements = replay_runs = planner_probes = 0
-                if replayed.size:
-                    # a hand-written spec's hook answers no range question:
-                    # every survivor is replayed
-                    bounds = spec_full.group_bounds
-                    reaching = getattr(bounds, "blocks_reaching", None)
-                    probes0 = getattr(bounds, "evaluations", 0)
-                    blocks = (
-                        reaching(frozenset(replayed.tolist()), new_n, ro.num_groups)
-                        if reaching is not None
-                        else [(0, new_n)]
-                    )
-                    planner_probes = getattr(bounds, "evaluations", 0) - probes0
-                    starts, ends = self.live_runs(blocks)
-                    replay_runs = int(starts.size)
-                    replay_elements = int(_sum(ends - starts))
-                    scratch_p = scratch["replay"]
-                    used.append(scratch_p)
-                    spec_full.reduce_ranges(starts, ends, scratch_p)
-                    kernel_calls += 1
-
-                # -- checkpointed commit: one call per step, over its groups ---
+                # -- checkpointed commit: one pass over the epoch's groups,
+                # which also empties the scratch objects
                 cp.begin(epoch, ro, n_elements=n_old, live_count=old_live)
                 attempt = self.commit_attempts.get(epoch, 0) + 1
                 self.commit_attempts[epoch] = attempt
                 try:
-                    # every pre-image the commit needs, in one gather
-                    cp.save_groups(ro, merged, retracted, replayed)
-                    if delta_ro is not None:
-                        ro.merge_groups_from(merged, delta_ro)
-                    if injector is not None:
-                        # mid-commit seam: appended groups are already merged,
-                        # retracts are not — a fault here must roll back
-                        injector.inject(DELTA_COMMIT_SPLIT_ID, attempt)
-                    if scratch_r is not None:
-                        ro.retract_groups(retracted, scratch_r)
-                    if scratch_p is not None:
-                        ro.reset_groups(replayed)
-                        ro.merge_groups_from(replayed, scratch_p)
-                    ro.update_count = (
-                        old_updates
-                        + (delta_ro.update_count if delta_ro is not None else 0)
-                        - (scratch_r.update_count if scratch_r is not None else 0)
+                    ro.commit_delta(
+                        tail, retract, hit, replay, cp.save,
+                        # mid-commit seam: appended groups are already
+                        # merged, retracts are not — a fault here must roll
+                        # back
+                        partial(injector.inject, DELTA_COMMIT_SPLIT_ID, attempt)
+                        if injector is not None
+                        else None,
                     )
                     cp.commit()
                 except BaseException:
@@ -592,34 +592,27 @@ class DeltaSession:
                 if new_n != n_old:
                     source.truncate_elements(n_old)
                 raise
-            finally:
-                for dirty in used:
-                    dirty.reset_touched()
 
             self.n_elements = new_n
             self.epoch = epoch
             self.commit_attempts.pop(epoch, None)
             report = EpochReport(
-                epoch=epoch,
-                appended=appended,
-                retracted=int(retract_idx.size),
-                groups_replayed=int(replayed.size),
-                replay_elements=replay_elements,
-                checkpoint_saves=cp.saves - saves0,
-                checkpoint_hits=cp.hits - hits0,
+                epoch, appended, retracted, int(replayed.size), replay_elements,
+                cp.saves - saves0, cp.hits - hits0,
             )
-            span.set(
-                appended=appended,
-                groups_replayed=report.groups_replayed,
-                replay_elements=replay_elements,
-                checkpoint_saves=report.checkpoint_saves,
-                checkpoint_hits=report.checkpoint_hits,
-                epochs_retained=len(cp.epochs()),
-                retract_runs=retract_runs,
-                replay_runs=replay_runs,
-                kernel_calls=kernel_calls,
-                planner_probes=planner_probes,
-            )
+            if tracer.enabled:
+                span.set(
+                    appended=appended,
+                    groups_replayed=report.groups_replayed,
+                    replay_elements=replay_elements,
+                    checkpoint_saves=report.checkpoint_saves,
+                    checkpoint_hits=report.checkpoint_hits,
+                    epochs_retained=len(cp._ring),
+                    retract_runs=retract_runs,
+                    replay_runs=replay_runs,
+                    kernel_calls=sum(s is not None for s in (tail, retract, replay)),
+                    planner_probes=planner_probes,
+                )
         return report
 
     def live_runs(
@@ -635,7 +628,9 @@ class DeltaSession:
             return mask_runs(self.live)
         # the blocks' liveness end to end, each followed by a dead separator
         # so that no run crosses a block boundary: one mask_runs for all
-        width = sum(end - start for start, end in blocks) + len(blocks)
+        width = len(blocks)
+        for start, end in blocks:
+            width += end - start
         joined = np.zeros(width, dtype=bool)
         at = np.empty(len(blocks), dtype=np.int64)  # where each block begins in it
         shift = np.empty(len(blocks), dtype=np.int64)  # its position minus that

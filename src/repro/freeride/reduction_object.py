@@ -35,6 +35,7 @@ __all__ = [
     "aligned_empty",
     "DirectStore",
     "ReductionObject",
+    "intern_layout",
 ]
 
 #: Element-update operations. Each must be associative and commutative so the
@@ -131,7 +132,7 @@ def _check_entry(num_elems: int, op: AccumulateOp) -> None:
 class _Layout:
     """Everything that depends on a layout alone, computed once per layout.
 
-    Interned by :func:`_layout_for`, so two reduction objects have the same
+    Interned by :func:`intern_layout`, so two reduction objects have the same
     layout exactly when they hold the same instance, and per-call work
     (merging, cloning, a native kernel's tables) never walks the groups.
     """
@@ -149,6 +150,10 @@ class _Layout:
         self.nelems = np.array([m.num_elems for m in self.metas], dtype=np.int64)
         self.offsets = np.array([m.offset for m in self.metas], dtype=np.int64)
         self.opcodes = np.array([OP_CODES[op] for op in self.ops], dtype=np.int64)
+        #: one bit per group whose op has no inverse (min/max)
+        self.noninvertible = np.array(
+            [op not in INVERTIBLE_ACCUMULATE_OPS for op in self.ops], dtype=bool
+        )
         self.identity = np.repeat(
             np.array([_IDENTITY[op] for op in self.ops], dtype=np.float64),
             self.nelems,
@@ -157,6 +162,10 @@ class _Layout:
         self.kinds = sorted(set(self.ops), key=OP_CODES.__getitem__)
         #: the group each element belongs to
         self.cell_group = np.repeat(np.arange(len(self.metas)), self.nelems)
+        #: per distinct op, one bit per element: is its group's op this one?
+        self.op_cells = {
+            op: self.opcodes[self.cell_group] == OP_CODES[op] for op in self.kinds
+        }
         #: maximal runs of consecutive same-op groups as ``(op, element
         #: slice)`` — one ufunc call merges a whole run
         self.runs: list[tuple[AccumulateOp, slice]] = []
@@ -174,19 +183,30 @@ class _Layout:
 
     def __reduce__(self) -> tuple:
         # copies and unpickled objects re-intern, keeping identity meaningful
-        return _layout_for, (self.key,)
+        return intern_layout, (self.key,)
 
 
 _LAYOUTS: dict[tuple, _Layout] = {}
 
 
-def _layout_for(layout: "Sequence[tuple[int, AccumulateOp]]") -> _Layout:
-    """The interned tables of ``layout`` (validated the first time it is seen)."""
+def intern_layout(layout: "Sequence[tuple[int, AccumulateOp]]") -> _Layout:
+    """The interned tables of ``layout`` (validated the first time it is seen).
+
+    Building the key walks and hashes the whole layout, so a caller that
+    allocates one layout run after run interns it once and hands
+    :meth:`ReductionObject.alloc_many` the result.
+    """
     key = tuple(map(tuple, layout))
     tables = _LAYOUTS.get(key)
     if tables is None:
         tables = _LAYOUTS.setdefault(key, _Layout(key))
     return tables
+
+
+def _written(ro: "ReductionObject", tables: _Layout) -> np.ndarray:
+    """:meth:`ReductionObject.touched_mask` of ``ro``, whose layout is ``tables``."""
+    filled = np.logical_or.reduceat(ro._buffer != tables.identity, tables.offsets)
+    return ro._touched | filled
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,13 +281,14 @@ class ReductionObject:
         return gid
 
     def alloc_many(
-        self, layout: "Sequence[tuple[int, AccumulateOp]]"
+        self, layout: "Sequence[tuple[int, AccumulateOp]] | _Layout"
     ) -> list[int]:
         """Allocate a whole layout of groups with one buffer reallocation.
 
         Equivalent to calling :meth:`alloc` per entry, but O(total
         elements) instead of quadratic in the group count — the setup path
-        for wide layouts (e.g. one group per window).
+        for wide layouts (e.g. one group per window).  ``layout`` may be
+        what :func:`intern_layout` returned for it.
         """
         if self._finalized_layout:
             raise ReductionObjectError(
@@ -276,12 +297,14 @@ class ReductionObject:
         if not self._groups:
             # the whole layout at once: its interned tables already hold
             # the metas and the identity vector
-            tables = _layout_for(layout)
+            tables = layout if isinstance(layout, _Layout) else intern_layout(layout)
             self._groups = list(tables.metas)
             self._buffer = tables.identity.copy()
             self._touched = np.zeros(len(self._groups), dtype=bool)
             self._layout, self._store = tables, None
             return list(range(len(self._groups)))
+        if isinstance(layout, _Layout):
+            layout = layout.key
         gids: list[int] = []
         segments = [self._buffer]
         offset = int(self._buffer.size)
@@ -317,7 +340,7 @@ class ReductionObject:
 
     def _tables(self) -> _Layout:
         if self._layout is None:
-            self._layout = _layout_for([(m.num_elems, m.op) for m in self._groups])
+            self._layout = intern_layout([(m.num_elems, m.op) for m in self._groups])
         return self._layout
 
     @property
@@ -530,7 +553,7 @@ class ReductionObject:
         worker-filled shared segment without clobbering it); a freshly
         allocated object is always initialized to the ops' identities.
         """
-        tables = _layout_for(layout)
+        tables = intern_layout(layout)
         if not tables.metas:
             raise ReductionObjectError("layout must allocate at least one group")
         return cls._of(tables, buffer, initialize)
@@ -653,11 +676,7 @@ class ReductionObject:
         """
         if not self._groups:
             return np.zeros(0, dtype=bool)
-        tables = self._tables()
-        filled = np.logical_or.reduceat(
-            self._buffer != tables.identity, tables.offsets
-        )
-        return self._touched | filled
+        return _written(self, self._tables())
 
     def touched_groups(self) -> frozenset[int]:
         """The groups :meth:`touched_mask` sets."""
@@ -788,6 +807,89 @@ class ReductionObject:
         self._buffer[written] = identity[written]
         self._touched.fill(False)
         self.update_count = 0
+
+    def commit_delta(
+        self,
+        tail: "ReductionObject | None",
+        retract: "ReductionObject | None",
+        hit: np.ndarray,
+        replay: "ReductionObject | None",
+        save: Callable[[np.ndarray, np.ndarray, np.ndarray, int], None],
+        seam: Callable[[], None] | None = None,
+    ) -> None:
+        """One delta epoch's checkpointed commit, in one pass.
+
+        ``tail`` holds the appended elements' contributions and ``retract``
+        the retracted elements' (``hit`` is its :meth:`touched_mask`, all
+        False without one); ``replay`` holds the surviving elements
+        re-reduced for ``hit``'s non-invertible groups.  Each is a
+        same-layout scratch object, or None.  In order:
+
+        1. ``save(groups, values, touched, hits)`` gets the pre-image of
+           every group the commit writes — the union of the tail's groups
+           and ``hit`` as a bool mask, their elements (group after group)
+           and touched bits — and ``hits``, the groups both name;
+        2. the tail's groups merge in, one ufunc per accumulate op;
+        3. ``seam()`` runs (a fault raised there must be rolled back);
+        4. ``hit``'s invertible groups subtract ``retract``'s, one ufunc
+           per op, and its non-invertible ones become ``replay``'s (the op
+           applied to the identity, as a reset then a merge would);
+        5. the update count gains the tail's and loses ``retract``'s.
+
+        Whatever happens, each scratch object is then emptied over the
+        groups it holds (flagged, or holding a value other than the
+        identity): the state of a fresh :meth:`clone_empty`.
+        """
+        tables = self._tables()
+        cell_group, identity, kinds = tables.cell_group, tables.identity, tables.kinds
+        one_op = len(kinds) == 1
+        buf, touched = self._buffer, self._touched
+        merged = rebuilt = None
+        held = []  # (scratch object, the cells it holds)
+        if tail is not None:
+            merged = _written(tail, tables)
+            appended = merged[cell_group]
+            held.append((tail, appended))
+        if retract is not None:
+            retracted = hit[cell_group]
+            held.append((retract, retracted))
+        if replay is not None:
+            rebuilt = _written(replay, tables)
+            held.append((replay, rebuilt[cell_group]))
+        try:
+            union = hit if merged is None else merged | hit
+            save(
+                union, buf[union[cell_group]], touched[union],
+                0 if merged is None else len((merged & hit).nonzero()[0]),
+            )
+            if tail is not None:
+                for op in kinds:
+                    sel = appended if one_op else appended & tables.op_cells[op]
+                    _MERGE_UFUNC[op](buf, tail._buffer, out=buf, where=sel)
+                touched |= merged
+            if seam is not None:
+                seam()
+            if retract is not None:
+                for op in kinds:
+                    if op in INVERTIBLE_ACCUMULATE_OPS:
+                        sel = retracted if one_op else retracted & tables.op_cells[op]
+                        _RETRACT_UFUNC[op](buf, retract._buffer, out=buf, where=sel)
+            if replay is not None:
+                replayed = hit & tables.noninvertible
+                cells = replayed[cell_group]
+                for op in kinds:
+                    if op not in INVERTIBLE_ACCUMULATE_OPS:
+                        sel = cells if one_op else cells & tables.op_cells[op]
+                        _MERGE_UFUNC[op](identity, replay._buffer, out=buf, where=sel)
+                touched[replayed] = rebuilt[replayed]
+            self.update_count += (tail.update_count if tail is not None else 0) - (
+                retract.update_count if retract is not None else 0
+            )
+        finally:
+            for scratch, cells in held:
+                scratch._buffer[cells] = identity[cells]
+                scratch._touched.fill(False)
+                scratch.update_count = 0
 
     def gather_groups(
         self, groups: "np.ndarray | Sequence[int]"

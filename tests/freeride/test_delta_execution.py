@@ -422,6 +422,69 @@ def test_failed_commit_leaves_the_in_place_state_untouched(backend):
         assert (sess.live_count, sess.epoch) == (int(live.sum()), 2)
 
 
+@pytest.mark.parametrize("backend", ["batch", pytest.param("native", marks=needs_cc)])
+def test_a_failed_fused_commit_restores_every_group_it_wrote(backend):
+    """One epoch appends into all three groups of an add/min/max layout and
+    retracts the current minimum and maximum: its commit merges the tail
+    into every group, subtracts from the add group and rebuilds the min and
+    max groups.  A fault at the seam, after the merge, must give back all
+    of it — bits, touched flags, update count, liveness, dataset length,
+    the ring's earlier epochs and the checkpoint's counters."""
+    rng = np.random.default_rng(17)
+    base = _dyadic(rng, 200)
+    comp = compile_reduction(MIXED_SOURCE, {}, 2, backend=backend)
+    assert comp.effective_backend == backend
+    bound = comp.bind(base.copy(), {})
+    injector = FaultInjector(fail_split_ids={DELTA_COMMIT_SPLIT_ID}, fail_attempts=1)
+    with FreerideEngine(executor="serial") as eng:
+        _, sess = eng.run_baseline(bound=bound, ro_layout=MIXED_LAYOUT)
+        first_tail = _dyadic(rng, 12)
+        eng.run_delta(sess, append=first_tail, retract=[10, 11])
+        eng.run_delta(sess, retract=[20])
+        cp = sess.checkpoints
+
+        def state():
+            return (
+                sess.ro.snapshot().tobytes(),
+                [sess.ro.is_touched(g) for g in range(3)],
+                sess.ro.update_count,
+                sess.live.tobytes(), sess.live_count, sess.n_elements, sess.epoch,
+                bound.n_elements, bound.dataset_raw().tobytes(),
+                cp.saves, cp.hits, cp.epochs(),
+                [sess.ro_at(e).snapshot().tobytes() for e in (0, 1, 2)],
+            )
+
+        before = state()
+        values = np.concatenate([base, first_tail])
+        live = np.ones(values.size, dtype=bool)
+        live[[10, 11, 20]] = False
+        # the current extremes: retracting them replays the min and max
+        # groups, and the tail's values reach all three
+        retract = sorted(
+            {int(np.flatnonzero(live)[np.argmin(values[live])]),
+             int(np.flatnonzero(live)[np.argmax(values[live])])}
+        )
+        tail = np.array([values[live].min() + 0.5, values[live].max() - 0.5, 0.125])
+        eng.fault_injector = injector
+        with pytest.raises(InjectedFault):
+            eng.run_delta(sess, append=tail, retract=retract)
+        assert state() == before
+        assert sess.rollbacks == 1
+
+        stats = eng.run_delta(sess, append=tail, retract=retract).stats
+        values = np.concatenate([values, tail])
+        live = np.concatenate([live, np.ones(3, dtype=bool)])
+        live[retract] = False
+        expected, updates = _mixed_oracle(values, live)
+        assert np.array_equal(sess.ro.snapshot(), expected)
+        assert sess.ro.update_count == updates
+        # every group saved once, though both the tail and the retraction
+        # name it: three hits
+        assert (stats.delta_groups_replayed, stats.delta_checkpoint_saves) == (2, 3)
+        assert stats.delta_checkpoint_hits == 3
+        assert (cp.saves - before[9], cp.hits - before[10]) == (3, 3)
+
+
 # -- where an appended tail is reduced ------------------------------------------
 
 

@@ -557,11 +557,22 @@ def _window_min_case(rng, n):
     return WINDOW_MIN, consts, _dyadic(rng, n), {}, [(1, "min")] * (n // WIN)
 
 
-def _warm_epoch_calls(make_case, executor, under):
+def _scattered(epoch):
+    """30 sorted retractions 200 apart (from 30 windows of window-min)."""
+    return np.arange(epoch, 6_000, 200)
+
+
+def _three_windows(epoch):
+    """21 retractions clustered in three windows of window-min, as the
+    benchmark's window-min churn is."""
+    return (np.array([5, 37, 71])[:, None] * WIN + 3 * np.arange(7) + epoch).reshape(-1)
+
+
+def _warm_epoch_calls(make_case, executor, under, retract=_scattered):
     """Python calls into files under ``under`` of a warm native epoch that
-    appends 40 elements and retracts 30 sorted, scattered ones (from 30
-    windows of window-min, so it replays them): the third epoch of a
-    two-lane session, the first two warming it."""
+    appends 40 elements and retracts ``retract(epoch)`` (sorted; window-min
+    replays the windows they fall in): the third epoch of a two-lane
+    session, the first two warming it."""
     rng = np.random.default_rng(13)
     source, consts, data, extras, layout = make_case(rng, 6_400)
     comp = compile_reduction(source, consts, 2, backend="native")
@@ -573,7 +584,7 @@ def _warm_epoch_calls(make_case, executor, under):
             tail = _dyadic(rng, (40, *data.shape[1:]))
             if epoch == 2:
                 calls.arm(engine)
-            engine.run_delta(session, append=tail, retract=np.arange(epoch, 6_000, 200))
+            engine.run_delta(session, append=tail, retract=retract(epoch))
         calls.disarm()
     return calls
 
@@ -594,6 +605,44 @@ class TestAWarmEpochStaysOffNumpysPythonLayer:
         calls = _warm_epoch_calls(make_case, executor, "/numpy/")
         assert calls.here == Counter()
         assert calls.elsewhere == Counter()
+
+
+#: Python calls into ``src/repro`` a warm native epoch makes, at most: the
+#: engine's glue around its two or three kernel calls (at the parent of the
+#: fused commit: 85, 88 and 148).  The window-min epoch also walks the replay
+#: planner's tree, one memo lookup per node.
+EPOCH_CALL_CEILINGS = {"histogram": 50, "kmeans": 50, "window_min": 110}
+
+
+class TestAWarmEpochIsLeanGlue:
+    """Around its kernel calls a warm epoch runs a fixed, small amount of
+    Python: the checkpointed commit is one pass, an append rebuilds no
+    array type and no reader, and the kernel wrapper resolves nothing it
+    resolved on an earlier call.  The same calls on every executor, all on
+    the calling thread."""
+
+    @pytest.mark.parametrize(
+        "make_case,retract",
+        [
+            (_histogram_case, _scattered),
+            (_kmeans_case, _scattered),
+            (_window_min_case, _three_windows),
+        ],
+        ids=["histogram", "kmeans", "window_min"],
+    )
+    def test_calls_into_repro_stay_under_the_ceiling(self, make_case, retract, request):
+        name = request.node.callspec.id
+        calls = {
+            executor: _warm_epoch_calls(make_case, executor, "/repro/", retract)
+            for executor in ("serial", "threads", "process")
+        }
+        here = {executor: c.here for executor, c in calls.items()}
+        assert here["serial"] == here["threads"] == here["process"]
+        assert sum(here["serial"].values()) <= EPOCH_CALL_CEILINGS[name]
+        assert not any(c.elsewhere for c in calls.values())
+        # the commit reads the layout tables once and makes one pass
+        assert here["serial"]["commit_delta"] == 1
+        assert here["serial"]["_tables"] <= 2
 
 
 class TestACompiledSessionHoldsItsSpec:

@@ -385,3 +385,83 @@ class TestAlignedAllocator:
                 last = (buf.ctypes.data + buf.nbytes - 1) // CACHE_LINE_BYTES
                 lines.extend(range(first, last + 1))
         assert len(lines) == len(set(lines))
+
+
+class TestCommitDelta:
+    """The fused delta commit against the per-step commit it replaced —
+    checkpoint save, merge, retract, reset and merge — on a mixed layout
+    with groups filled out of band: the same bits, touched flags, update
+    count, checkpoint counters and pre-images, and every scratch object
+    left as a fresh clone."""
+
+    LAYOUT = TestGroupArrays.LAYOUT
+
+    @staticmethod
+    def state(ro):
+        return TestGroupArrays.state(ro)
+
+    def filled(self, rng, groups):
+        ro = ReductionObject.from_layout(self.LAYOUT)
+        for g in groups:
+            n = self.LAYOUT[g][0]
+            ro.accumulate_group(g, np.round(rng.uniform(-4, 4, n) * 8) / 8)
+        return ro
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_step_by_step_commit(self, seed):
+        from repro.freeride.delta import ROCheckpoint
+
+        rng = np.random.default_rng(seed)
+        pick = lambda: sorted(rng.choice(6, rng.integers(0, 7), replace=False).tolist())
+        committed = self.filled(rng, range(6))
+        tail, retract = self.filled(rng, pick()), self.filled(rng, pick())
+        tail.group_view(2)[0] = 0.25  # out of band: a value, no flag
+        hit = retract.touched_mask()
+        noninvertible = np.array([op != "add" for _, op in self.LAYOUT])
+        replayed = (hit & noninvertible).nonzero()[0]
+        replay = self.filled(rng, sorted({*replayed.tolist(), *pick()})) if replayed.size else None
+        merged = tail.touched_mask().nonzero()[0]
+        retracted = (hit & ~noninvertible).nonzero()[0]
+
+        ref, ref_cp = committed.copy(), ROCheckpoint()
+        ref_cp.begin(1, ref, n_elements=0, live_count=0)
+        ref_cp.save_groups(ref, merged, retracted, replayed)
+        ref.merge_groups_from(merged, tail)
+        ref.retract_groups(retracted, retract)
+        if replay is not None:
+            ref.reset_groups(replayed)
+            ref.merge_groups_from(replayed, replay)
+        ref.update_count += tail.update_count - retract.update_count
+
+        fused, cp = committed.copy(), ROCheckpoint()
+        scratch = [tail.copy(), retract.copy(), replay.copy() if replay is not None else None]
+        cp.begin(1, fused, n_elements=0, live_count=0)
+        fused.commit_delta(scratch[0], scratch[1], hit, scratch[2], cp.save)
+
+        assert self.state(fused) == self.state(ref)
+        assert (cp.saves, cp.hits) == (ref_cp.saves, ref_cp.hits)
+        empty = self.state(ReductionObject.from_layout(self.LAYOUT))
+        assert all(self.state(s) == empty for s in scratch if s is not None)
+        for ro, checkpoint in ((fused, cp), (ref, ref_cp)):
+            checkpoint.rollback(ro)
+            assert self.state(ro) == self.state(committed)
+            assert (checkpoint.saves, checkpoint.hits) == (0, 0)
+
+    def test_a_raising_seam_still_empties_the_scratch(self):
+        rng = np.random.default_rng(4)
+        committed = self.filled(rng, range(6))
+        tail, retract = self.filled(rng, [0, 3]), self.filled(rng, [1, 2])
+        saved = []
+
+        def seam():
+            raise RuntimeError("seam")
+
+        with pytest.raises(RuntimeError, match="seam"):
+            committed.commit_delta(
+                tail, retract, retract.touched_mask(), None,
+                lambda *image: saved.append(image), seam,
+            )
+        groups, values, touched, hits = saved[0]
+        assert groups.nonzero()[0].tolist() == [0, 1, 2, 3] and hits == 0
+        empty = self.state(ReductionObject.from_layout(self.LAYOUT))
+        assert self.state(tail) == self.state(retract) == empty

@@ -426,3 +426,28 @@ def test_a_pooled_replica_keeps_its_prepared_pointers():
             finally:
                 sys.setprofile(None)
             assert prepared[executor] == 0
+
+
+def test_a_warm_run_interns_no_layout():
+    """``make_spec`` interns its layout once and hands the result to every
+    run's setup: a warm run walks no layout, and its reduction object holds
+    the interned tables themselves."""
+    from repro.freeride import reduction_object
+
+    spec, data = _histogram()
+    interned = reduction_object.intern_layout(HIST_LAYOUT)
+    with FreerideEngine(num_threads=2, executor="threads") as engine:
+        engine.run(spec, data)
+        interned_calls = Counter()
+
+        def profiler(frame, event, arg):
+            if event == "call" and frame.f_code is reduction_object.intern_layout.__code__:
+                interned_calls["intern_layout"] += 1
+
+        sys.setprofile(profiler)
+        try:
+            result = engine.run(spec, data)
+        finally:
+            sys.setprofile(None)
+    assert interned_calls["intern_layout"] == 0
+    assert result.ro.freeze_layout() is interned
