@@ -9,7 +9,6 @@ same step builds :mod:`.team`'s and :mod:`.walker`'s C runtimes.
 
 from __future__ import annotations
 
-import functools
 import threading
 import weakref
 from concurrent.futures import Future
@@ -25,7 +24,6 @@ from repro.compiler.native.printer import (
     _COUNTER_FIELDS,
     _IDX_RO_UPDATES,
     _RC_MESSAGES,
-    _RC_UNSTORED,
     PREFETCH_DISTANCE,
     NativeCodegen,
 )
@@ -67,18 +65,20 @@ __all__ = [
 
 #: Bump on any change to the generated C's calling convention or layout —
 #: part of every on-disk cache key, so stale artifacts are never dlopen'd.
-NATIVE_FORMAT_VERSION = 5
+NATIVE_FORMAT_VERSION = 6
 
 
 @dataclass
 class NativeKernel:
     """A compiled-to-machine-code kernel plus everything to invoke it."""
 
+    #: the C ``cc`` compiled (``freeride.h`` inlined), as its ``.c`` beside
+    #: ``so_path`` holds it
     source: str
     symbol: str
     so_path: Path
     buf_order: tuple[int, ...]
-    ffi: Any
+    lib: Any  # the dlopen'd library, alive as long as ``fn`` is used
     fn: Any
     #: True when this process ran the C compiler (False = disk-cache hit)
     compiled: bool
@@ -95,6 +95,7 @@ class NativeKernel:
 class NativeBuild(NamedTuple):
     """A native compile as :func:`submit_native` returns it."""
 
+    #: the printed C, symbol substituted; it includes ``freeride.h`` by name
     source: str
     symbol: str
     #: resolves to the :class:`NativeKernel` (already resolved on a disk hit);
@@ -166,21 +167,13 @@ def _submit_emitted(gen: NativeCodegen, probe: dict[str, Any]) -> NativeBuild:
     else:
         future = Future()
         future.set_result(kernel(loaded, False))
-    return NativeBuild(art.source, art.symbol, future)
+    return NativeBuild(template.replace(artifact._SYMBOL_SENTINEL, art.symbol), art.symbol, future)
 
 
 def _load(so_path: Path, symbol: str) -> tuple[Any, Any]:
-    """The kernel's ``(ffi, fn)``."""
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(
-        f"long long {symbol}(long long, const long long *, const long long *, "
-        "long long, const unsigned char **, double *, const long long *, "
-        "const long long *, const long long *, long long, long long, _Bool *, "
-        "double *);"
-    )
-    return ffi, getattr(ffi.dlopen(str(so_path)), symbol)
+    """The kernel's ``(lib, fn)``."""
+    lib = artifact.dlopen(so_path, f"freeride_ranges {symbol};")
+    return lib, getattr(lib, symbol)
 
 
 def compile_native(
@@ -209,32 +202,6 @@ def proof_mask(proofs: tuple[tuple[int, int, int, int], ...], store: Any) -> int
         ):
             mask |= 1 << bit
     return mask
-
-
-class _CTypes(NamedTuple):
-    """The cffi types a kernel call names, resolved once per process: cffi
-    interns its types, so one parse serves every kernel's FFI."""
-
-    double_p: Any
-    const_ll_p: Any
-    bool_p: Any
-    uintptr: Any
-    bufs: Any
-    bytes: Any
-    bytes_p: Any
-    ll_array: Any
-
-
-@functools.cache
-def _ctypes() -> _CTypes:
-    import cffi
-
-    ffi = cffi.FFI()
-    return _CTypes(*map(ffi.typeof, (
-        "double *", "const long long *", "_Bool *", "uintptr_t",
-        "const unsigned char *[]", "const unsigned char[]",
-        "const unsigned char *", "long long[]",
-    )))
 
 
 #: data buffers a thread's call state remembers the pointers of
@@ -286,8 +253,16 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     raised.  Returns ``(elements, splits)`` per lane, or ``None`` when no
     team can exist here.
     """
-    ffi = native.ffi
-    ctypes = _ctypes()
+    # the contract's types, parsed once per process (cffi caches them)
+    ffi = artifact.contract_ffi()
+    double_p, const_ll_p, bool_p, ro_p, bufs_t, bytes_t, bytes_p, ll_array = map(
+        ffi.typeof, ("double *", "const long long *", "_Bool *", "struct freeride_ro *",
+                     "const unsigned char *[]", "const unsigned char[]",
+                     "const unsigned char *", "long long[]"),
+    )
+    codes = ffi.typeof("enum freeride_rc").relements
+    unstored_rc = codes["FREERIDE_UNSTORED"]
+    raises = {codes[rc]: raised for rc, raised in _RC_MESSAGES.items()}
     buf_names = [f"buf_{kid}" for kid in native.buf_order]
     tls = threading.local()
     ledger_lock = threading.Lock()  # lanes of one run share the ledger
@@ -299,9 +274,9 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         counters = aligned_empty(len(_COUNTER_FIELDS), np.float64)
         tls.state = state = _ThreadState(
             counters,
-            ffi.cast(ctypes.double_p, counters.ctypes.data),
+            ffi.cast(double_p, counters.ctypes.data),
             weakref.WeakKeyDictionary(),
-            ffi.new(ctypes.bufs, max(1, len(buf_names))),
+            ffi.new(bufs_t, max(1, len(buf_names))),
             {},
         )
         return state
@@ -319,7 +294,8 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         )
         return proven, twin.fn
 
-    def _prepare(store: Any) -> tuple:
+    def _prepare(store: Any) -> tuple[Any, Any]:
+        # ``(fn, its struct freeride_ro)``, a team lane's target as it is.
         # The entry must not reference its (weak) key; the buffers behind
         # the pointers live as long as the key does.  A racing thread may
         # decide a new layout's verdict twice, to the same mask.
@@ -327,23 +303,15 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         if verdict is None:
             verdict = verdicts[store.layout] = _verdict(store)
         proven, fn = verdict
-        addresses = (
-            store.elements.ctypes.data, store.offsets.ctypes.data,
-            store.nelems.ctypes.data, store.opcodes.ctypes.data,
+        ro = ffi.new(ro_p)
+        ro.acc = ffi.cast(double_p, store.elements.ctypes.data)
+        ro.off, ro.n, ro.op = (
+            ffi.cast(const_ll_p, table.ctypes.data)
+            for table in (store.offsets, store.nelems, store.opcodes)
         )
-        touched = store.touched.ctypes.data
-        return (
-            fn,
-            ffi.cast(ctypes.double_p, addresses[0]),
-            ffi.cast(ctypes.const_ll_p, addresses[1]),
-            ffi.cast(ctypes.const_ll_p, addresses[2]),
-            ffi.cast(ctypes.const_ll_p, addresses[3]),
-            len(store.offsets), proven,
-            ffi.cast(ctypes.bool_p, touched),
-            # the same, as a team lane's target fields
-            (int(ffi.cast(ctypes.uintptr, fn)), *addresses, touched,
-             len(store.offsets), proven),
-        )
+        ro.groups, ro.proven = len(store.offsets), proven
+        ro.touched = ffi.cast(bool_p, store.touched.ctypes.data)
+        return fn, ro
 
     def _native_ranges(_starts, _ends, _ro, _env, _C):
         # what C dereferences: two C-contiguous int64 arrays of one length
@@ -362,7 +330,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
         prepared = targets.get(store)
         if prepared is None:
             prepared = targets[store] = _prepare(store)
-        fn, c_elems, c_off, c_n, c_op, groups, proven, c_touched, _ = prepared
+        fn, c_ro = prepared
         # the env owns the data buffers and may swap them between calls: a
         # buffer's pointer is taken once per buffer object (its weak
         # reference alive and naming it means the same memory)
@@ -374,18 +342,16 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
                     held.clear()
                 known = held[id(buf)] = (
                     weakref.ref(buf),
-                    ffi.cast(ctypes.bytes_p, ffi.from_buffer(ctypes.bytes, buf)),
+                    ffi.cast(bytes_p, ffi.from_buffer(bytes_t, buf)),
                 )
             c_bufs[i] = known[1]
         counters[:] = 0.0
 
         rc = fn(
             len(_starts),
-            ffi.from_buffer(ctypes.ll_array, _starts),
-            ffi.from_buffer(ctypes.ll_array, _ends),
-            _env.get("_elem_base", 0),
-            c_bufs, c_elems, c_off, c_n, c_op, groups, proven, c_touched,
-            c_counters,
+            ffi.from_buffer(ll_array, _starts),
+            ffi.from_buffer(ll_array, _ends),
+            _env.get("_elem_base", 0), c_bufs, c_ro, c_counters,
         )
 
         # A failing call counts like the scalar kernel: everything up to the
@@ -395,13 +361,13 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             for field, value in zip(_COUNTER_FIELDS, counts):
                 if value:
                     setattr(_C, field, getattr(_C, field) + value)
-        unstored, rc = divmod(rc, _RC_UNSTORED)
+        unstored, rc = divmod(rc, unstored_rc)
         _ro.note_updates(int(counts[_IDX_RO_UPDATES]) - unstored)
         if rc != 0:
             _raise(rc)
 
     def _raise(rc: int) -> None:
-        exc_type, msg = _RC_MESSAGES.get(rc, (RuntimeError, f"native kernel error {rc}"))
+        exc_type, msg = raises.get(rc, (RuntimeError, f"native kernel error {rc}"))
         raise exc_type(f"native kernel {name}: {msg}")
 
     def _native_wave(owner, pieces, joined, lanes, _C):
@@ -421,7 +387,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
             prepared = targets.get(store)
             if prepared is None:
                 prepared = targets[store] = _prepare(store)
-            lane_targets.append(prepared[-1])
+            lane_targets.append(prepared)
         segments = [
             (starts, ends, env.get("_elem_base", 0), [env[b] for b in buf_names])
             for starts, ends, env in pieces
@@ -436,7 +402,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
                     if value:
                         setattr(_C, field, getattr(_C, field) + value)
         for k, (rc, splits, elements, counts) in enumerate(results):
-            unstored, rc = divmod(rc, _RC_UNSTORED)
+            unstored, rc = divmod(rc, unstored_rc)
             lanes[k].note_updates(int(counts[_IDX_RO_UPDATES]) - unstored)
             failed = failed or rc
             per_lane[k] = (elements, splits)

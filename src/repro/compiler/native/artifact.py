@@ -8,6 +8,10 @@ hit; no file, or a torn or foreign one that will not load, is a miss, which
 ``cc`` rebuilds and republishes atomically.  Only a second load failure is
 :class:`NativeUnsupported`, which each kind turns into its own fallback.
 Each runtime is loaded once per process by its :class:`Runtime` holder.
+
+``freeride.h`` is the native contract: a source's ``#include "freeride.h"``
+line is replaced by the header's text before it is keyed and compiled, and
+:func:`dlopen` loads a library whose functions are declared by its typedefs.
 """
 
 from __future__ import annotations
@@ -27,6 +31,42 @@ from repro.obs.tracer import get_tracer
 #: The exported symbols' name in a C source until it is keyed.
 _SYMBOL_SENTINEL = "__NATIVE_SYMBOL__"
 
+#: The line of a C source that stands for the contract.
+_INCLUDE = '#include "freeride.h"\n'
+_HEADER = (Path(__file__).parent / "freeride.h").read_text()
+#: :func:`contract_ffi`'s one FFI, once made
+_contract: list[Any] = []
+
+
+def contract_ffi() -> Any:
+    """``freeride.h`` parsed by cffi, once per process: every library
+    :func:`dlopen` loads shares its struct and function types, which a
+    second parse would not.  Racing first calls (build threads loading
+    kernels) wait for one parse under the probe's lock, which a forked child
+    re-makes."""
+    if not _contract:
+        with toolchain._probe_lock:
+            if not _contract:
+                import cffi
+
+                ffi = cffi.FFI()
+                ffi.cdef("\n".join(
+                    line for line in _HEADER.splitlines() if not line.lstrip().startswith("#")
+                ))
+                _contract.append(ffi)
+    return _contract[0]
+
+
+def dlopen(so_path: Path, declarations: str) -> Any:
+    """The cffi library at ``so_path``, whose ``declarations`` name its
+    functions by ``freeride.h``'s typedefs (``freeride_ranges f;``)."""
+    import cffi
+
+    ffi = cffi.FFI()
+    ffi.include(contract_ffi())
+    ffi.cdef(declarations)
+    return ffi.dlopen(str(so_path))
+
 #: What loading a torn or foreign shared library raises (cffi, importlib).
 _LOAD_ERRORS = (OSError, ImportError)
 
@@ -35,7 +75,8 @@ class Artifact:
     """One C source as a shared library in the kernel cache, keyed for the
     probed toolchain.  The flags (default :data:`CC_FLAGS`), cache directory
     and tracer are read here, so no later change of process state can split
-    a build from its key."""
+    a build from its key.  :attr:`source` is the source ``cc`` compiles: the
+    header inlined, the symbol substituted."""
 
     def __init__(
         self, kind: str, parts: tuple[str, ...], template: str, probe: dict[str, Any],
@@ -43,6 +84,7 @@ class Artifact:
         cache_dir: Path | None = None, trace: dict[str, Any] | None = None,
     ) -> None:
         self.cc, self.flags = probe["cc"], toolchain.CC_FLAGS if flags is None else flags
+        template = template.replace(_INCLUDE, _HEADER)
         self.digest = hashlib.sha256(
             "|".join((*parts, probe["fingerprint"], " ".join(self.flags), template)).encode()
         ).hexdigest()

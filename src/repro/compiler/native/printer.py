@@ -22,13 +22,16 @@ kernel version, mirroring the instrumented Python kernel *exactly*:
   synchronization a store still owes afterwards, is the target's business
   (:mod:`repro.freeride.sharedmem`), not this module's.
 
-The exported C function takes a *list* of ``[start, end)`` ranges and
-loops the per-split body over it, so one cffi call — GIL released for
-all of it, in cffi's ABI mode — covers a whole batch of splits: threads
-scale, and the interpreter's share of a pass no longer grows with the
-split count.  A single split is a list of one (a team lane's claim is
-another).  The ranges are positions in one dataset segment, whose first global position comes as ``_e0``:
-``elemIdx()`` is ``_e + _e0``, and data offsets stay segment-local.
+The exported C function is a ``freeride_ranges`` (``freeride.h``, the
+contract the team runtime and the cffi side read too).  It takes a *list*
+of ``[start, end)`` ranges and the reduction object as one ``struct
+freeride_ro``, and loops the per-split body over the list, so one cffi
+call — GIL released for all of it, in cffi's ABI mode — covers a whole
+batch of splits: threads scale, and the interpreter's share of a pass no
+longer grows with the split count.  A single split is a list of one (a
+team lane's claim is another).  The ranges are positions in one dataset
+segment, whose first global position comes as ``_e0``: ``elemIdx()`` is
+``_e + _e0``, and data offsets stay segment-local.
 The loop already holds the whole list before it reads a row, so it
 prefetches the first data row of the range :data:`PREFETCH_DISTANCE`
 ahead: a scattered list (a retraction) is a gather that otherwise waits on
@@ -74,7 +77,7 @@ from repro.chapel import ast as A
 from repro.chapel.builtins import BINARY, C_HELPERS, C_LIBM, Builtin, c_helpers, lookup
 from repro.compiler.codegen import KernelEmitter, _CBraces, _Cost
 from repro.compiler.lower import AccessSite, LoweredReduction
-from repro.compiler.native.artifact import _SYMBOL_SENTINEL
+from repro.compiler.native.artifact import _INCLUDE, _SYMBOL_SENTINEL
 from repro.compiler.native.toolchain import NativeUnsupported
 from repro.compiler.passes import CompilationPlan, LoopHoist
 from repro.freeride.reduction_object import OP_CODES as _OP_CODES
@@ -86,23 +89,17 @@ _COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in dc_fields(OpCounters))
 _CIDX = {name: i for i, name in enumerate(_COUNTER_FIELDS)}
 _IDX_RO_UPDATES = _CIDX["ro_updates"]
 
-#: Kernel return codes (0 = success).
-_RC_MAP_OOB = 10  # computeIndex level position out of range
-_RC_ROW_OOB = 11  # hoisted row index out of range
-_RC_RO_GROUP = 20  # RO group id out of range
-_RC_RO_ELEM = 21  # RO element id out of range for its group
-_RC_RO_OP = 22  # RO update op does not match the group's declared op
-#: Added to the code when the failing statement is an RO update: its
-#: ``ro_updates`` bump is in the ledger (counts precede their statement, as in
-#: the scalar kernel) but no store happened, so ``update_count`` is one less.
-_RC_UNSTORED = 100
-#: What each code raises: the exception type the scalar kernel raises.
+#: What each failing check's return code raises, by its ``enum freeride_rc``
+#: name: the exception type the scalar kernel raises.  A code with
+#: ``FREERIDE_UNSTORED`` added failed inside an RO update: its ``ro_updates``
+#: bump is in the ledger (counts precede their statement, as in the scalar
+#: kernel) but no store happened, so ``update_count`` is one less.
 _RC_MESSAGES = {
-    _RC_MAP_OOB: (MappingError, "computeIndex position out of range"),
-    _RC_ROW_OOB: (IndexError, "hoisted row index out of bounds"),  # a NumPy row view's
-    _RC_RO_GROUP: (ReductionObjectError, "group not allocated"),
-    _RC_RO_ELEM: (ReductionObjectError, "element out of range for its group"),
-    _RC_RO_OP: (ReductionObjectError, "update op does not match the group's op"),
+    "FREERIDE_MAP_OOB": (MappingError, "computeIndex position out of range"),
+    "FREERIDE_ROW_OOB": (IndexError, "hoisted row index out of bounds"),  # a NumPy row view's
+    "FREERIDE_RO_GROUP": (ReductionObjectError, "group not allocated"),
+    "FREERIDE_RO_ELEM": (ReductionObjectError, "element out of range for its group"),
+    "FREERIDE_RO_OP": (ReductionObjectError, "update op does not match the group's op"),
 }
 
 #: Proof sites per kernel: one bit each of the ``long long _proven`` mask,
@@ -127,10 +124,10 @@ PREFETCH_DISTANCE = 16
 
 #: Everything the emitted statements can call, by the name they call it: the
 #: builtin table's libm declarations and helpers, and the loaders.  A
-#: translation unit opens with the entries its kernel names
-#: (:meth:`NativeCodegen._use`), in this order, and with nothing else: no
-#: ``#include`` (the libm functions are declared, the loaders copy with the
-#: builtin), so ``cc`` parses a few lines per kernel, not two system
+#: translation unit opens with ``freeride.h`` and the entries its kernel
+#: names (:meth:`NativeCodegen._use`), in this order, and with nothing else:
+#: no system ``#include`` (the libm functions are declared, the loaders copy
+#: with the builtin), so ``cc`` parses a few lines per kernel, not two system
 #: headers, and an unused helper is neither compiled nor warned about.
 _C_HELPERS: dict[str, str] = {
     **C_LIBM,
@@ -294,14 +291,16 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._helpers.add(helper)
         return helper
 
-    def _fail(self, rc: int) -> str:
-        """Leave the split body with ``rc`` through its single exit.
+    def _fail(self, rc: str) -> str:
+        """Leave the split body with the code named ``rc`` through its single
+        exit.
 
         A check that fails inside an RO update (its arguments included)
-        reports ``_RC_UNSTORED`` on top: the update was counted, not stored.
+        reports ``FREERIDE_UNSTORED`` on top: the update was counted, not stored.
         """
         self._can_fail = True
-        fail = f"_FAIL({rc + (_RC_UNSTORED if self.updating is not None else 0)})"
+        unstored = "FREERIDE_UNSTORED + " if self.updating is not None else ""
+        fail = f"_FAIL({unstored}{rc})"
         return fail if self._restore is None else f"{{ {self._restore} {fail} }}"
 
     # -- local type inference -----------------------------------------------
@@ -432,7 +431,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
             if code != "0" and (gi is None or not self._group_proven(site, gi)):
                 size = info.domains[i].size
                 stmts.append(
-                    f"if ({var} < 0 || {var} >= {size}) {self._fail(_RC_MAP_OOB)}"
+                    f"if ({var} < 0 || {var} >= {size}) {self._fail('FREERIDE_MAP_OOB')}"
                 )
             if info.unit_size[i] == 1:
                 terms.append(var)
@@ -464,7 +463,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         return (
             f"({{ long long _h{tmp} = {idx}; "
             f"if (_h{tmp} < 0) _h{tmp} += {extent}; "
-            f"if (_h{tmp} < 0 || _h{tmp} >= {extent}) {self._fail(_RC_ROW_OOB)} "
+            f"if (_h{tmp} < 0 || _h{tmp} >= {extent}) {self._fail('FREERIDE_ROW_OOB')} "
             f"{loader}(_row_{hoist_id} + _h{tmp} * {itemsize}); }})"
         ), vtype
 
@@ -587,7 +586,7 @@ class NativeCodegen(_CBraces, KernelEmitter):
         if row is not None and proof is not None:
             self._w(f"if ((unsigned long long)_el{tmp} > {proof[2]}ULL) {{")
             self._w(f"    if (_el{tmp} < 0 || _el{tmp} >= _ro_n[{g}]) "
-                    + self._fail(_RC_RO_ELEM))
+                    + self._fail("FREERIDE_RO_ELEM"))
             self._w("}")
         else:
             if proof is not None:
@@ -597,10 +596,10 @@ class NativeCodegen(_CBraces, KernelEmitter):
                 self._w(f"if ({unproven}{g_off} > {ghi - glo}ULL"
                         f" || (unsigned long long)_el{tmp} > {ehi}ULL) {{")
                 self.indent += 1
-            self._w(f"if ({g} < 0 || {g} >= _ro_groups) " + self._fail(_RC_RO_GROUP))
+            self._w(f"if ({g} < 0 || {g} >= _ro_groups) " + self._fail("FREERIDE_RO_GROUP"))
             self._w(f"if (_el{tmp} < 0 || _el{tmp} >= _ro_n[{g}]) "
-                    + self._fail(_RC_RO_ELEM))
-            self._w(f"if (_ro_op[{g}] != {opcode}) " + self._fail(_RC_RO_OP))
+                    + self._fail("FREERIDE_RO_ELEM"))
+            self._w(f"if (_ro_op[{g}] != {opcode}) " + self._fail("FREERIDE_RO_OP"))
             if proof is not None:
                 self.close_brace()
         self._restore = None
@@ -777,17 +776,15 @@ class NativeCodegen(_CBraces, KernelEmitter):
         self._w(f"/* {self.low.name}: native FREERIDE kernel, "
                 f"opt level {self.plan.opt_level}"
                 f"{', checked twin' if self.checked else ''} */")
-        target = (
-            "    const unsigned char **_bufs, double *_acc,\n"
-            "    const long long *_ro_off, const long long *_ro_n,\n"
-            "    const long long *_ro_op, long long _ro_groups,\n"
-            "    long long _proven, _Bool *_touched, double *_C)"
-        )
         self._w(f"static long long {_SYMBOL_SENTINEL}_split(")
         self._w("    long long _start, long long _end, long long _e0,")
-        self._w(target)
+        self._w("    const unsigned char **_bufs, const struct freeride_ro *_ro, double *_C)")
         self._w("{")
         self.indent += 1
+        self._w("double *_acc = _ro->acc; const long long *_ro_off = _ro->off;")
+        self._w("const long long *_ro_n = _ro->n, *_ro_op = _ro->op;")
+        self._w("long long _ro_groups = _ro->groups, _proven = _ro->proven;")
+        self._w("_Bool *_touched = _ro->touched;")
         for kid in self.buf_order:
             self._w(f"const unsigned char *_buf_{kid} = _bufs[{buf_pos[kid]}];")
         for name in sorted(self.low.locals):
@@ -838,8 +835,8 @@ class NativeCodegen(_CBraces, KernelEmitter):
         )
         self._w(f"long long {_SYMBOL_SENTINEL}(")
         self._w("    long long _n, const long long *_starts, const long long *_ends,")
-        self._w("    long long _e0,")
-        self._w(target)
+        self._w("    long long _e0, const unsigned char **_bufs,")
+        self._w("    const struct freeride_ro *_ro, double *_C)")
         self._w("{")
         self._w("    for (long long _i = 0; _i < _n; _i++) {")
         if data_kid is not None:
@@ -847,13 +844,15 @@ class NativeCodegen(_CBraces, KernelEmitter):
             self._w(f"        if (_i + {d} < _n) __builtin_prefetch("
                     f"_bufs[{buf_pos[data_kid]}] + _starts[_i + {d}] * {esz});")
         self._w(f"        long long _rc = {_SYMBOL_SENTINEL}_split(")
-        self._w("            _starts[_i], _ends[_i], _e0, _bufs, _acc, _ro_off, _ro_n,")
-        self._w("            _ro_op, _ro_groups, _proven, _touched, _C);")
+        self._w("            _starts[_i], _ends[_i], _e0, _bufs, _ro, _C);")
         self._w("        if (_rc != 0) return _rc;")
         self._w("    }")
         self._w("    return 0;")
         self._w("}")
-        prelude = [text for name, text in _C_HELPERS.items() if name in self._helpers]
+        # the contract, and the entry declared by its type: cc checks the
+        # definition against freeride.h
+        prelude = [_INCLUDE + f"freeride_ranges {_SYMBOL_SENTINEL};"]
+        prelude += [text for name, text in _C_HELPERS.items() if name in self._helpers]
         if self._can_fail:
             prelude.append(_C_FAIL_MACRO)
         return "\n".join(prelude + [""] + self.lines) + "\n"

@@ -2,12 +2,11 @@
 #include <linux/futex.h>
 #include <sys/syscall.h>
 long syscall(long, ...);
-#include "team.h"
-#define _ADDR(type, a) ((type)(__UINTPTR_TYPE__)(a))
-typedef long long (*_ranges_fn)(
-    long long, const long long *, const long long *, long long,
-    const unsigned char **, double *, const long long *, const long long *,
-    const long long *, long long, long long, _Bool *, double *);
+#include "freeride.h"
+
+freeride_lane_main __NATIVE_SYMBOL___lane;
+freeride_wave __NATIVE_SYMBOL___run;
+freeride_stop __NATIVE_SYMBOL___stop;
 
 static void _park(unsigned int *word, unsigned int seen) {
     syscall(SYS_futex, word, FUTEX_WAIT_PRIVATE, seen, 0, 0, 0);
@@ -18,8 +17,7 @@ static void _unpark(unsigned int *word) {
 }
 
 /* claim batches until the wave is drained or a lane has failed */
-static void _claim(struct repro_team *t, struct repro_lane *l) {
-    _ranges_fn fn = _ADDR(_ranges_fn, l->fn);
+static void _claim(struct freeride_team *t, struct freeride_lane *l) {
     long long per = 2 * t->lanes, first, take, end, lo, hi, rc, i;
     int s;
     for (;;) {
@@ -35,11 +33,8 @@ static void _claim(struct repro_team *t, struct repro_lane *l) {
             lo = s == 0 ? first : (first > t->cut ? first : t->cut);
             hi = s == 0 ? (end < t->cut ? end : t->cut) : end;
             if (lo >= hi) continue;
-            rc = fn(hi - lo, t->starts + lo, t->ends + lo, t->e0[s], t->bufs[s],
-                    _ADDR(double *, l->acc), _ADDR(const long long *, l->ro_off),
-                    _ADDR(const long long *, l->ro_n), _ADDR(const long long *, l->ro_op),
-                    l->groups, l->proven, _ADDR(_Bool *, l->touched),
-                    _ADDR(double *, l->counters));
+            rc = l->fn(hi - lo, t->starts + lo, t->ends + lo, t->e0[s], t->bufs[s],
+                       l->ro, l->counters);
             if (rc != 0) {
                 l->rc = rc;
                 __atomic_store_n(&t->poisoned, 1, __ATOMIC_RELAXED);
@@ -52,8 +47,8 @@ static void _claim(struct repro_team *t, struct repro_lane *l) {
 }
 
 /* a lane thread's whole life: park, run each wave it is woken for, leave on stop */
-void __NATIVE_SYMBOL___lane(struct repro_team *t, long long k) {
-    struct repro_lane *l = &t->lane[k];
+void __NATIVE_SYMBOL___lane(struct freeride_team *t, long long k) {
+    struct freeride_lane *l = &t->lane[k];
     unsigned int seen = 0, now;
     for (;;) {
         while ((now = __atomic_load_n(&l->wake, __ATOMIC_ACQUIRE)) == seen)
@@ -66,14 +61,14 @@ void __NATIVE_SYMBOL___lane(struct repro_team *t, long long k) {
 }
 
 /* publish the wave to lanes [0, active) and wait until every one has left it */
-void __NATIVE_SYMBOL___run(struct repro_team *t, long long active) {
+void __NATIVE_SYMBOL___run(struct freeride_team *t, long long active) {
     unsigned int busy;
     long long k;
     t->next = 0;
     t->poisoned = 0;
     __atomic_store_n(&t->busy, (unsigned int)active, __ATOMIC_RELAXED);
     for (k = 0; k < active; k++) {
-        struct repro_lane *l = &t->lane[k];
+        struct freeride_lane *l = &t->lane[k];
         l->rc = l->splits = l->elements = 0;
         __atomic_add_fetch(&l->wake, 1, __ATOMIC_RELEASE);
         _unpark(&l->wake);
@@ -81,7 +76,7 @@ void __NATIVE_SYMBOL___run(struct repro_team *t, long long active) {
     while ((busy = __atomic_load_n(&t->busy, __ATOMIC_ACQUIRE)) != 0) _park(&t->busy, busy);
 }
 
-void __NATIVE_SYMBOL___stop(struct repro_team *t) {
+void __NATIVE_SYMBOL___stop(struct freeride_team *t) {
     long long k;
     __atomic_store_n(&t->stop, 1, __ATOMIC_RELEASE);
     for (k = 0; k < t->lanes; k++) {

@@ -3,12 +3,11 @@
 A :class:`LaneTeam` is ``W`` threads, each parked for its whole life inside
 one cffi call into ``team.c`` — GIL released — and woken per wave through a
 futex.  A lane claims ``ceil(pending / (2 W))`` split positions at a time by
-compare-and-swap and passes each claim to the kernel's exported ranges
-entry, through its function pointer, into its own target.  ``team.h`` holds
-the structs for the C and the cdef alike: a lane's targets are addresses (the
-kernel is another cffi instance's), and a wave is positions ``[0, n)``, the
-first ``cut`` in segment 0; position ``joined`` (-1: none) continues the
-range before it, so it is no split of its own.
+compare-and-swap and passes each claim to the kernel's ``freeride_ranges``
+entry, through its function pointer, with its own ``struct freeride_ro``.
+``freeride.h`` holds the structs for the C and the cffi side alike; a wave is
+positions ``[0, n)``, the first ``cut`` in segment 0; position ``joined``
+(-1: none) continues the range before it, so it is no split of its own.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ from repro.compiler.native.printer import _COUNTER_FIELDS
 from repro.compiler.native.toolchain import NativeUnsupported, probe_toolchain
 from repro.freeride.reduction_object import aligned_empty
 
-_DIR = Path(__file__).parent
-_TYPES = (_DIR / "team.h").read_text()
-_SOURCE = (_DIR / "team.c").read_text().replace('#include "team.h"\n', _TYPES)
+_SOURCE = (Path(__file__).parent / "team.c").read_text()
 
 #: A lane's counter row, in float64s: whole cache lines, so no two lanes'
 #: per-range counter stores share one.
@@ -38,7 +35,6 @@ _TEAM_COUNTER_STRIDE = -(-len(_COUNTER_FIELDS) // 8) * 8
 
 
 class _TeamRuntime(NamedTuple):
-    ffi: Any
     lib: Any  # the dlopen'd library, alive as long as its functions are used
     lane: Any
     run: Any
@@ -46,19 +42,9 @@ class _TeamRuntime(NamedTuple):
 
 
 def _load(so_path: Path, symbol: str) -> _TeamRuntime:
-    import cffi
-
-    ffi = cffi.FFI()
-    ffi.cdef(
-        _TYPES
-        + f"void {symbol}_lane(struct repro_team *, long long);\n"
-        f"void {symbol}_run(struct repro_team *, long long);\n"
-        f"void {symbol}_stop(struct repro_team *);\n"
-    )
-    lib = ffi.dlopen(str(so_path))
-    return _TeamRuntime(
-        ffi, lib, *(getattr(lib, f"{symbol}_{fn}") for fn in ("lane", "run", "stop"))
-    )
+    lib = artifact.dlopen(so_path, f"freeride_lane_main {symbol}_lane; "
+                          f"freeride_wave {symbol}_run; freeride_stop {symbol}_stop;")
+    return _TeamRuntime(lib, *(getattr(lib, f"{symbol}_{fn}") for fn in ("lane", "run", "stop")))
 
 
 def _start() -> Future:
@@ -106,17 +92,17 @@ class LaneTeam:
 
     def __init__(self, lanes: int) -> None:
         rt = RUNTIME.get(wait=True)
-        ffi = rt.ffi
+        self._ffi = ffi = artifact.contract_ffi()
         self.lanes = lanes
         self._rt = rt
-        self._team = team = ffi.new("struct repro_team *")
-        self._lane = lane = ffi.new("struct repro_lane[]", lanes)
+        self._team = team = ffi.new("struct freeride_team *")
+        self._lane = lane = ffi.new("struct freeride_lane[]", lanes)
         team.lanes, team.lane = lanes, lane
         self.counters = aligned_empty(lanes * _TEAM_COUNTER_STRIDE, np.float64).reshape(
             lanes, _TEAM_COUNTER_STRIDE
         )
         for k in range(lanes):
-            lane[k].counters = self.counters[k].ctypes.data
+            lane[k].counters = ffi.cast("double *", self.counters[k].ctypes.data)
         self._wave_lock = threading.Lock()
         self._pid: int | None = os.getpid()
         #: the lane threads, lane ``k`` at ``k``
@@ -151,16 +137,17 @@ class LaneTeam:
         self,
         segments: "list[tuple[np.ndarray, np.ndarray, int, list[np.ndarray]]]",
         joined: int,
-        targets: "list[tuple[int, ...]]",
+        targets: "list[tuple[Any, Any]]",
     ) -> "list[tuple[int, int, int, list[float]]]":
         """One wave over one or two ``(starts, ends, element base, data
-        buffers)`` segments, lane ``k`` storing through ``targets[k]`` (the
-        eight values of its ``team.h`` fields ``fn`` to ``proven``).
+        buffers)`` segments, lane ``k`` running ``targets[k]``: a
+        ``freeride_ranges *`` and the ``struct freeride_ro *`` it stores
+        through, which the caller keeps alive.
 
         Returns ``(rc, splits, elements, counters)`` per lane that took part:
         the first ``min(lanes, positions)``.
         """
-        ffi, team, lane = self._rt.ffi, self._team, self._lane
+        ffi, team, lane = self._ffi, self._team, self._lane
         if len(segments) == 1:
             starts, ends = segments[0][0], segments[0][1]
         else:
@@ -186,9 +173,7 @@ class LaneTeam:
             team.bufs[0], team.bufs[1] = c_bufs[0], c_bufs[-1]
             team.e0[0], team.e0[1] = segments[0][2], segments[-1][2]
             for k in range(active):
-                t = lane[k]
-                (t.fn, t.acc, t.ro_off, t.ro_n, t.ro_op, t.touched,
-                 t.groups, t.proven) = targets[k]
+                lane[k].fn, lane[k].ro = targets[k]
             counters = self.counters[:active]
             counters.fill(0.0)
             self._rt.run(team, active)

@@ -23,7 +23,10 @@ The native-C digests of the kernels with a group run of two or more
 updates, or of one inside a loop (EM, histogram, k-means, both PCA kernels,
 windowed), moved when a run's group, row and touched flag began to be
 settled once per run; apriori's single update and the two ``op reduce
-expr`` kernels print no run and stood.
+expr`` kernels print no run and stood.  Every native-C digest moved once
+more when the text began with ``#include "freeride.h"`` and its entry's
+declaration by the contract's type, took the reduction object as one
+``struct freeride_ro``, and spelled its failure codes by their enum names.
 
 The two kernels of ``op reduce expr`` (:mod:`repro.compiler.exprreduce`)
 are pinned at opt-2 in the three tiers that run: ``min reduce A+B``, and
@@ -103,7 +106,7 @@ GOLDEN = {
         'scalar': '7a687dc7972b441b',
         'c_like': '38e7870de92cc674',
         'batch': '1f272c81502479d2',
-        'native': '2cd893189cf8aaf9',
+        'native': 'b82123ca3220311b',
     },
     ('em', 0): {
         'scalar': '40a35e62b74a907c',
@@ -121,25 +124,25 @@ GOLDEN = {
         'scalar': '444a0a593ecaf17f',
         'c_like': 'fca8c66641a40136',
         'batch': '6c852499d79c22ed',
-        'native': '59f9475632f758d9',
+        'native': '09cbddc9c4e4c735',
     },
     ('histogram', 0): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '92bd8ddc0329c0d5',
         'batch': '60b264c6a5cbfaf6',
-        'native': '96e5f5e2b9d17e37',
+        'native': 'fde7506db985c573',
     },
     ('histogram', 1): {
         'scalar': '0e09601f9c5680b3',
         'c_like': '77a04571ce4fe216',
         'batch': '60b264c6a5cbfaf6',
-        'native': '29dbb7677eefe6f0',
+        'native': 'b9200a0b00342dec',
     },
     ('histogram', 2): {
         'scalar': '0e09601f9c5680b3',
         'c_like': 'b2aea37411dd9ba4',
         'batch': '60b264c6a5cbfaf6',
-        'native': 'c7a3790eb92cfd6a',
+        'native': '99fe805fac1ccf7b',
     },
     ('kmeans', 0): {
         'scalar': '01b67249503b2beb',
@@ -157,7 +160,7 @@ GOLDEN = {
         'scalar': '86aa7e9c85db481a',
         'c_like': 'cb308bc4be971dd9',
         'batch': '897b919735c7bee1',
-        'native': 'e6f5cb10855b2b98',
+        'native': 'ca9f3b9db440ac31',
     },
     ('pca_cov', 0): {
         'scalar': '2acef880d96b2679',
@@ -175,25 +178,25 @@ GOLDEN = {
         'scalar': '0cb9a4bb05e6ee0e',
         'c_like': '15447a5ff327ef43',
         'batch': '51b7e853fac9b4c3',
-        'native': '1d6350b580588606',
+        'native': 'ec92d2cd8238f5b8',
     },
     ('pca_mean', 0): {
         'scalar': 'b22fa849b10e1ace',
         'c_like': '308965df939bdaaa',
         'batch': '50f3666c2724b7fe',
-        'native': 'c11a9323ac09d091',
+        'native': 'b1dec5b92fdbfd39',
     },
     ('pca_mean', 1): {
         'scalar': '953c8eaa69981582',
         'c_like': 'c8e0185aec4c916d',
         'batch': '31b595ced95e17ca',
-        'native': '673ebd872c027932',
+        'native': 'ca289710cd572da9',
     },
     ('pca_mean', 2): {
         'scalar': '953c8eaa69981582',
         'c_like': '96c15041353e6ba1',
         'batch': '31b595ced95e17ca',
-        'native': '688a34bf2a696fad',
+        'native': '14c61d419ecc343e',
     },
     ('windowed', 0): {
         'scalar': 'c01d338f1d282413',
@@ -211,7 +214,7 @@ GOLDEN = {
         'scalar': 'ed798e0b1e9c0603',
         'c_like': '19444ab15b5843b6',
         'batch': '99d12fac38311b0d',
-        'native': '283305f3e6c76742',
+        'native': '31123e8069dd45c9',
     },
 }
 
@@ -219,12 +222,12 @@ EXPR_GOLDEN = {
     'min_reduce_a_plus_b': {
         'scalar': '898cbc32cb9e161e',
         'batch': '963d36c5729c1699',
-        'native': 'c937ace7f8fd3760',
+        'native': 'da180e76974a4f2f',
     },
     'minloc_index': {
         'scalar': 'c45e1b4cbf9af330',
         'batch': '906a68c6c52d8dc1',
-        'native': 'e1c5a42629dde81e',
+        'native': '5e3a417dc7af97c3',
     },
 }
 

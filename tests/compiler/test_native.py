@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,9 +116,10 @@ class TestNativeCodegen:
         # self-contained C translation unit with the hashed entry point
         assert f"long long {nk.symbol}(" in src
         assert nk.symbol.startswith("repro_native_")
-        # no headers: the unit opens with the helpers this kernel calls —
-        # for the histogram one loader — and the failing-check macro
-        assert "#include" not in src
+        # no system headers: the unit opens with the contract, then the
+        # helpers this kernel calls — for the histogram one loader — and the
+        # failing-check macro
+        assert src.startswith('#include "freeride.h"\n') and src.count("#include") == 1
         head = src[: src.index("/*")]
         assert head.count("static ") == 1 and "_ld_f64" in head
         assert "__builtin_memcpy" in head
@@ -189,7 +191,7 @@ class TestNativeCodegen:
             c_file.write_text(text)
             run = subprocess.run(
                 [probe_toolchain()["cc"], str(c_file), *native_mod.CC_FLAGS,
-                 "-Wunused-label", "-Wunused-variable", "-Wunused-function",
+                 f"-I{Path(native_mod.__file__).parent}", "-Wunused-label", "-Wunused-variable", "-Wunused-function",
                  "-Werror", "-o", str(tmp_path / f"{stem}.so")],
                 capture_output=True, text=True,
             )
@@ -227,6 +229,11 @@ class TestNativeCodegen:
 
 def _real_vector(values):
     return from_python(ArrayType(Domain(len(values)), REAL), [float(v) for v in values])
+
+
+def rc_name(rc):
+    """A return code's ``enum freeride_rc`` name, as the printed text spells it."""
+    return native_mod.artifact.contract_ffi().typeof("enum freeride_rc").elements[rc]
 
 
 #: Every update statement follows one that succeeds on the same element, so a
@@ -308,7 +315,7 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
             statement, bad, "native"
         )
         # the kernel really has this check, inside an update statement
-        assert f"_FAIL({native_mod._RC_UNSTORED + rc})" in compiled.native_source
+        assert f"_FAIL(FREERIDE_UNSTORED + {rc_name(rc)})" in compiled.native_source
         _, scalar_exc, scalar_ro, scalar_ledger = self._run(statement, bad, "scalar")
 
         assert type(native_exc) is type(scalar_exc) is exc_type
@@ -356,7 +363,7 @@ class TestFailingCallLeavesWhatTheScalarKernelLeaves:
         compiled, native_exc, native_ro, native_ledger = self._run(
             statement, 9.0, "native"
         )
-        assert "_FAIL(10)" in compiled.native_source
+        assert f"_FAIL({rc_name(10)})" in compiled.native_source
         _, scalar_exc, scalar_ro, scalar_ledger = self._run(statement, 9.0, "scalar")
         assert type(native_exc) is type(scalar_exc) is MappingError
         assert self._left_behind(native_ro, native_ledger) == self._left_behind(
@@ -503,7 +510,7 @@ class TestProofSites:
         assert left(native_ro, native_ledger) == left(scalar_ro, scalar_ledger)
         # part of the data was reduced before the failing update
         assert 0 < scalar_ro.update_count < scalar_ledger.ro_updates
-        assert f"_FAIL({native_mod._RC_UNSTORED + rc})" in compiled.native_source
+        assert f"_FAIL(FREERIDE_UNSTORED + {rc_name(rc)})" in compiled.native_source
 
     def test_an_index_outside_the_proven_bounds_runs_the_checks(self):
         # The effect analysis reasons in Python's semantics: y is clamped to

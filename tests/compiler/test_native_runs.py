@@ -33,6 +33,7 @@ from tests.compiler.test_native import (
     TestFailingCallLeavesWhatTheScalarKernelLeaves as FailingCalls,
     _real_vector,
     needs_cc,
+    rc_name,
 )
 from tests.integration.test_compiler_fuzz import run_direct
 
@@ -105,7 +106,7 @@ class TestRunsLeaveWhatTheScalarKernelLeaves:
         _, scalar_exc, scalar_ro, scalar_ledger = calls._run(statement, 7.0, "scalar")
         src = compiled.native_source
         assert src.count("_touched[_rg") == 1, "one flag store for the run"
-        assert f"_FAIL({native_mod._RC_UNSTORED + 21})" in src
+        assert f"_FAIL(FREERIDE_UNSTORED + {rc_name(21)})" in src
         assert type(native_exc) is type(scalar_exc) is ReductionObjectError
         assert calls._left_behind(native_ro, native_ledger) == calls._left_behind(
             scalar_ro, scalar_ledger
