@@ -2,7 +2,7 @@
 
 With no ids, runs every report: Figures 9-13 at the paper's dataset scales,
 then the Figure 4 structure table, Figure 11's linearization share and
-ablations A-D, printing each table (a figure's table ends with its shape
+ablations A-C, printing each table (a figure's table ends with its shape
 checks) and, last, how many checks passed.  ``--scale`` shrinks the
 figures' element counts for a quick look; ``--threads`` changes their sweep;
 ``--out DIR`` also writes each report to ``DIR/<id>.txt``.  Exits 1 when a

@@ -3,8 +3,9 @@
 Builds the phase sequence one version executes (sequential linearization,
 dynamic chunked local reduction per iteration, per-iteration extras
 linearization for opt-2, replication combination) and prices it on the
-simulated machine.  The phase structure is exactly the FREERIDE execution
-the engine performs; only the *costs* come from the model.
+simulated machine.  Each phase name stands for the engine spans in
+``ENGINE_SPANS``; only the *costs* come from the model, except where
+``model_only`` says the engine runs nothing like the priced schedule.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from repro.freeride.sharedmem import SharedMemTechnique
 from repro.machine.costmodel import XEON_E5345, CostModel
 from repro.machine.counters import OpCounters
 from repro.machine.simmachine import (
-    ClusterCombinePhase,
     CombinePhase,
-    NetworkModel,
     OverlapPhase,
     ParallelPhase,
     Phase,
@@ -30,7 +29,35 @@ from repro.machine.simmachine import (
 from repro.util.errors import BenchmarkError
 from repro.util.validation import check_positive_int
 
-__all__ = ["SimulationConfig", "simulate_profile", "sweep_threads", "ThreadSweep"]
+__all__ = [
+    "SimulationConfig",
+    "ENGINE_SPANS",
+    "model_only",
+    "model_phases",
+    "simulate_profile",
+    "sweep_threads",
+    "ThreadSweep",
+]
+
+#: The engine spans each phase the harness emits prices: a traced engine run
+#: names the work behind a modeled phase by these spans.  This is the one
+#: place the model's phase names meet the engine's.
+ENGINE_SPANS: dict[str, tuple[str, ...]] = {
+    "linearization": ("linearize_data", "linearize_extras"),
+    "local reduction": ("local",),
+    "combination": ("local_combination",),
+}
+
+
+def model_only(phase: Phase) -> str | None:
+    """Why no engine run does what ``phase`` prices, or None if one does."""
+    if isinstance(phase, ParallelPhase) and phase.name == "linearization":
+        return "the engine linearizes on one thread (Ablation B's parallel mode)"
+    if isinstance(phase, OverlapPhase):
+        return "the engine linearizes before it reduces; no run overlaps the two"
+    if isinstance(phase, CombinePhase) and phase.resolved_strategy() == "parallel_merge":
+        return "the engine merges all-to-one on one thread; no run merges as a tree"
+    return None
 
 
 @dataclass(frozen=True)
@@ -54,11 +81,6 @@ class SimulationConfig:
     #: linearization with processing of data" / the "pipelining strategy"):
     #: one thread streams the copy while the others start reducing.
     linearization_mode: str = "sequential"
-    #: cluster width: each node runs the local pipeline on its block of the
-    #: data (threads are per node), then the global combination merges the
-    #: per-node reduction objects over the network
-    num_nodes: int = 1
-    network: "NetworkModel" = None  # type: ignore[assignment]
 
 
 def _chunk_sizes(n: int, num_chunks: int) -> list[int]:
@@ -66,27 +88,19 @@ def _chunk_sizes(n: int, num_chunks: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(num_chunks)]
 
 
-def simulate_profile(
+def model_phases(
     profile: WorkloadProfile,
     n_elements: int,
     iterations: int,
     num_threads: int,
     config: SimulationConfig = SimulationConfig(),
-) -> SimReport:
-    """Price one version at one thread count."""
+) -> list[Phase]:
+    """The phases one version runs at one thread count, unpriced."""
     check_positive_int(n_elements, "n_elements")
     check_positive_int(iterations, "iterations")
     check_positive_int(num_threads, "num_threads")
-    check_positive_int(config.num_nodes, "num_nodes")
     cm = config.cost_model
     phases: list[Phase] = []
-
-    # Nodes run identical local pipelines concurrently on blocks of the
-    # data; we simulate the widest node's share and add the cross-node
-    # combination explicitly.
-    if config.num_nodes > 1:
-        n_elements = -(-n_elements // config.num_nodes)  # ceil division
-    network = config.network or NetworkModel()
 
     if config.linearization_mode not in ("sequential", "parallel", "overlap"):
         raise BenchmarkError(
@@ -171,19 +185,19 @@ def simulate_profile(
                     cycles_per_element=cm.cycles_per_merge_element,
                 )
             )
-            if config.num_nodes > 1:
-                phases.append(
-                    ClusterCombinePhase(
-                        "global combination",
-                        num_nodes=config.num_nodes,
-                        ro_elements=pw.ro_elements,
-                        ro_bytes=pw.ro_elements * 8,
-                        cycles_per_element=cm.cycles_per_merge_element,
-                        network=network,
-                    )
-                )
+    return phases
 
-    machine = SimMachine(cm, num_threads, scheduling=config.scheduling)
+
+def simulate_profile(
+    profile: WorkloadProfile,
+    n_elements: int,
+    iterations: int,
+    num_threads: int,
+    config: SimulationConfig = SimulationConfig(),
+) -> SimReport:
+    """Price one version at one thread count."""
+    phases = model_phases(profile, n_elements, iterations, num_threads, config)
+    machine = SimMachine(config.cost_model, num_threads, scheduling=config.scheduling)
     return machine.run(phases)
 
 

@@ -2,7 +2,7 @@
 
 Figures 9-13 are ``FIGURES`` (``run_figure`` / ``full_report`` /
 ``shape_checks``).  The other tables — the Figure 4 structure comparison,
-Figure 11's linearization share and ablations A-D — are ``REPORTS`` entries
+Figure 11's linearization share and ablations A-C — are ``REPORTS`` entries
 of the same shape: ``run`` computes a result, ``text`` prints the table and
 ``checks`` evaluates the claims it supports as named booleans.  Report ids
 are the stems of the ``benchmarks/results/*.txt`` files.
@@ -16,18 +16,13 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.bench.figures import FIGURES, THREADS, run_figure, shape_checks
-from repro.bench.harness import SimulationConfig, simulate_profile, sweep_threads
+from repro.bench.harness import SimulationConfig, sweep_threads
 from repro.bench.profiles import WorkloadProfile, measure_kmeans_profiles
 from repro.bench.report import full_report
 from repro.data.datasets import KMEANS_LARGE_K100_I1, KMEANS_SMALL, KmeansConfig
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.machine.costmodel import CostModel
-from repro.machine.simmachine import (
-    ClusterCombinePhase,
-    NetworkModel,
-    ParallelPhase,
-    SimMachine,
-)
+from repro.machine.simmachine import ParallelPhase, SimMachine
 from repro.mapreduce import GeneralizedReduction, compare_structures
 from repro.util.errors import BenchmarkError
 
@@ -263,89 +258,6 @@ def _run_dynamic_vs_static() -> tuple[float, float]:
     )
 
 
-# ------------------------------------- Ablation D: cluster scaling and combine
-
-NODE_COUNTS = (1, 2, 4, 8)
-
-
-def _run_cluster() -> dict[int, float]:
-    cfg = KMEANS_SMALL
-    profile = _kmeans_profile(cfg, "manual")
-    return {
-        nodes: simulate_profile(
-            profile,
-            cfg.n_points,
-            cfg.iterations,
-            num_threads=4,
-            config=SimulationConfig(num_nodes=nodes),
-        ).total_seconds
-        for nodes in NODE_COUNTS
-    }
-
-
-def _text_cluster(results) -> str:
-    lines = ["ABLATION D — cluster scaling (k-means 12 MB, manual FR, 4 threads/node)"]
-    lines.append(f"{'nodes':>6}  {'seconds':>10}  {'speedup':>8}")
-    for nodes, secs in results.items():
-        lines.append(f"{nodes:>6}  {secs:>10.3f}  {results[1] / secs:>7.2f}x")
-    return "\n".join(lines)
-
-
-def _checks_cluster(results) -> dict[str, bool]:
-    return {
-        # compute dominates k-means: near-linear node scaling
-        "near_linear_to_8_nodes": results[1] / results[8] > 6.0,
-        "each_doubling_faster": all(
-            results[b] < results[a] for a, b in zip(NODE_COUNTS, NODE_COUNTS[1:])
-        ),
-    }
-
-
-COMBINE_CASES = (("small RO (k-means)", 500), ("large RO (PCA cov)", 1_000_000))
-COMBINE_STRATEGIES = ("all_to_one", "parallel_merge")
-
-
-def _combine_phase(elements: int, strategy: str = "auto") -> ClusterCombinePhase:
-    return ClusterCombinePhase(
-        "g",
-        num_nodes=16,
-        ro_elements=elements,
-        ro_bytes=elements * 8,
-        cycles_per_element=2.0,
-        strategy=strategy,
-        network=NetworkModel(),
-    )
-
-
-def _run_global_combine() -> dict[tuple[str, str], float]:
-    clock_hz = 2.33e9
-    return {
-        (label, strategy): _combine_phase(elements, strategy).critical_path_seconds(clock_hz)
-        for label, elements in COMBINE_CASES
-        for strategy in COMBINE_STRATEGIES
-    }
-
-
-def _text_global_combine(results) -> str:
-    lines = ["ABLATION D2 — global combination strategies (16 nodes)"]
-    for (label, strategy), secs in results.items():
-        lines.append(f"  {label:<20} {strategy:<15} {secs * 1000:>10.3f} ms")
-    return "\n".join(lines)
-
-
-def _checks_global_combine(results) -> dict[str, bool]:
-    (_, small_elements), (large, _) = COMBINE_CASES
-    tree = results[(large, "parallel_merge")]
-    sequential = results[(large, "all_to_one")]
-    auto = _combine_phase(small_elements).resolved_strategy()
-    return {
-        # the tree's log2(16) = 4 rounds beat 15 sequential merges
-        "tree_merge_wins_on_large_ro": tree < sequential / 3,
-        # latency dominates a small object; auto keeps the simple reduce
-        "auto_picks_all_to_one_for_small_ro": auto == "all_to_one",
-    }
-
-
 REPORTS: dict[str, Report] = {
     "fig4_structure": Report(_run_fig4, _text_fig4, _checks_fig4),
     "fig11_linearization_share": Report(
@@ -365,10 +277,6 @@ REPORTS: dict[str, Report] = {
         _run_dynamic_vs_static,
         lambda r: f"skewed chunks, 8 threads: dynamic {r[0]:.6f}s vs static {r[1]:.6f}s",
         lambda r: {"dynamic_no_slower_than_static": r[0] <= r[1]},
-    ),
-    "ablation_cluster": Report(_run_cluster, _text_cluster, _checks_cluster),
-    "ablation_global_combine": Report(
-        _run_global_combine, _text_global_combine, _checks_global_combine
     ),
 }
 

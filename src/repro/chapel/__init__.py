@@ -48,7 +48,6 @@ from repro.chapel.types import (
     record,
     scalar_layout,
 )
-from repro.chapel.localview import Comm, Locale, LocalViewReduction, Message
 from repro.chapel.userdef import reduce_op_from_source
 from repro.chapel.values import (
     ChapelArray,
@@ -120,9 +119,4 @@ __all__ = [
     "scan_expr",
     "forall",
     "split_evenly",
-    # local-view abstraction
-    "LocalViewReduction",
-    "Locale",
-    "Comm",
-    "Message",
 ]

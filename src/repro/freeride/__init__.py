@@ -5,7 +5,8 @@ Implementation of Datamining Engines) multicore API the paper targets
 (Jiang, Ravi & Agrawal, CCGRID 2010 — the Phoenix-based implementation):
 an explicit, dense *reduction object*; fused process+reduce over splits of
 the input (no intermediate key/value pairs); per-technique shared-memory
-combination; and all-to-one / parallel-merge global combination.
+combination; and the all-to-one combination that folds the per-thread
+copies into the run's reduction object.
 """
 
 from repro.freeride.api import FreerideContext
@@ -19,7 +20,6 @@ from repro.freeride.faults import (
     SplitTimeout,
 )
 from repro.freeride.combination import (
-    PARALLEL_MERGE_THRESHOLD_BYTES,
     CombinationStats,
     all_to_one_combine,
     combine,
@@ -70,5 +70,4 @@ __all__ = [
     "combine",
     "all_to_one_combine",
     "parallel_merge_combine",
-    "PARALLEL_MERGE_THRESHOLD_BYTES",
 ]

@@ -1,18 +1,20 @@
-"""Combination phases: all-to-one reduce and parallel (tree) merge.
+"""Combination: fold per-thread reduction-object copies into one.
 
 Paper §III-A: "The global combination phase can be achieved by a simple
 all-to-one reduce algorithm.  If the size of the reduction object is large,
 both local and global combination phases perform a parallel merge to speed up
 the process."
 
-Both strategies produce the same combined reduction object; they differ in
-the *critical-path* number of merge rounds, which the simulated machine
-prices (all-to-one: p-1 sequential merges; tree: ceil(log2 p) rounds).
+The engine runs one node, and its local combination is :func:`combine`: an
+all-to-one fold into the run's reduction object, on one thread, whatever the
+object's size.  :func:`parallel_merge_combine` is the tree schedule the
+paper describes for large objects.  It produces the same combined object with
+``ceil(log2 p)`` critical-path rounds instead of ``p - 1``; no engine run
+takes it, and the cost model prices it (``machine.CombinePhase``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,12 +26,7 @@ __all__ = [
     "all_to_one_combine",
     "parallel_merge_combine",
     "combine",
-    "PARALLEL_MERGE_THRESHOLD_BYTES",
 ]
-
-#: Reduction objects at least this large use the parallel merge
-#: ("if the size of the reduction object is large").
-PARALLEL_MERGE_THRESHOLD_BYTES = 64 * 1024
 
 
 @dataclass
@@ -115,28 +112,14 @@ def parallel_merge_combine(
 
 def combine(
     ros: Sequence[ReductionObject],
-    threshold_bytes: int = PARALLEL_MERGE_THRESHOLD_BYTES,
     target: ReductionObject | None = None,
 ) -> tuple[ReductionObject, CombinationStats]:
-    """Pick the strategy by reduction-object size, like the middleware does.
+    """The engine's combination: all-to-one, for a reduction object of any size.
 
     ``target``, when given, receives the combined result (the local
     combination merges per-thread copies straight into the run's base
     reduction object this way); the input copies are left untouched.
     """
-    if not ros:
-        raise FreerideError("nothing to combine")
     if len(ros) == 1 and target is None:
         return ros[0], CombinationStats(strategy="trivial")
-    if ros[0].nbytes >= threshold_bytes:
-        return parallel_merge_combine(ros, target)
     return all_to_one_combine(ros, target)
-
-
-def expected_rounds(num_copies: int, strategy: str) -> int:
-    """Critical-path merge rounds for a strategy (used by the cost model)."""
-    if num_copies <= 1:
-        return 0
-    if strategy == "parallel_merge":
-        return math.ceil(math.log2(num_copies))
-    return num_copies - 1

@@ -18,9 +18,7 @@ One :meth:`FreerideEngine.run` call executes one pass of the reduction loop:
 split the input, run the local reduction on every split across threads
 (map and reduce fused — each element is processed *and* reduced before the
 next), perform the local combination (per shared-memory technique), and
-finalize.  The engine runs one node, as the paper measures; the global
-combination across a cluster's nodes is priced by the cost model
-(:class:`repro.machine.ClusterCombinePhase`).
+finalize.  The engine runs one node, as the paper measures.
 
 Three executors are provided: ``"serial"`` (deterministic round-robin split
 assignment — the mode the simulated machine models), ``"threads"`` (a real

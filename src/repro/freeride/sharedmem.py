@@ -480,8 +480,8 @@ class SharedMemManager:
 # The ``"process"`` executor extends full replication across address spaces:
 # the parent publishes the linearized dataset into a POSIX shared-memory
 # segment once, workers attach it zero-copy, and per-worker reduction-object
-# replicas live in a second segment the parent wraps (and merges through the
-# ordinary ``combine()`` tree) after the workers return.
+# replicas live in a second segment the parent wraps (and merges all-to-one
+# through the ordinary ``combine()``) after the workers return.
 
 
 def create_shm_segment(nbytes: int) -> mp_shm.SharedMemory:

@@ -10,9 +10,7 @@ work over threads to produce deterministic wall-clock estimates whose
 from repro.machine.costmodel import XEON_E5345, CostModel
 from repro.machine.counters import OpCounters
 from repro.machine.simmachine import (
-    ClusterCombinePhase,
     CombinePhase,
-    NetworkModel,
     OverlapPhase,
     ParallelPhase,
     Phase,
@@ -35,7 +33,5 @@ __all__ = [
     "SequentialPhase",
     "CombinePhase",
     "OverlapPhase",
-    "NetworkModel",
-    "ClusterCombinePhase",
     "lock_contention_factor",
 ]

@@ -34,8 +34,6 @@ __all__ = [
     "SequentialPhase",
     "CombinePhase",
     "OverlapPhase",
-    "NetworkModel",
-    "ClusterCombinePhase",
     "Phase",
     "PhaseResult",
     "SimReport",
@@ -160,80 +158,7 @@ class OverlapPhase:
         return seq + remaining / num_threads
 
 
-@dataclass(frozen=True)
-class NetworkModel:
-    """Cluster interconnect: per-message latency plus bandwidth.
-
-    Defaults model the gigabit Ethernet of the paper's era.
-    """
-
-    latency_s: float = 50e-6
-    bandwidth_bytes_per_s: float = 125e6  # 1 Gb/s
-
-    def __post_init__(self) -> None:
-        if self.latency_s < 0 or self.bandwidth_bytes_per_s <= 0:
-            raise MachineError("invalid network parameters")
-
-    def transfer_seconds(self, nbytes: float) -> float:
-        return self.latency_s + nbytes / self.bandwidth_bytes_per_s
-
-
-@dataclass(frozen=True)
-class ClusterCombinePhase:
-    """Global combination across nodes (paper §III-A).
-
-    "The global combination phase can be achieved by a simple all-to-one
-    reduce algorithm.  If the size of the reduction object is large, both
-    local and global combination phases perform a parallel merge."
-
-    Each merge step ships one reduction-object copy over the network and
-    folds it in; ``all_to_one`` serializes ``n - 1`` steps at the root,
-    ``parallel_merge`` pipelines them over ``ceil(log2 n)`` tree rounds.
-    """
-
-    name: str
-    num_nodes: int
-    ro_elements: int
-    ro_bytes: int
-    cycles_per_element: float
-    strategy: str = "auto"
-    network: NetworkModel = NetworkModel()
-    auto_threshold_bytes: int = 64 * 1024
-
-    def __post_init__(self) -> None:
-        check_one_of(self.strategy, ("auto", "all_to_one", "parallel_merge"), "strategy")
-        if self.num_nodes < 1 or self.ro_elements < 0 or self.ro_bytes < 0:
-            raise MachineError(f"phase {self.name}: invalid configuration")
-
-    def resolved_strategy(self) -> str:
-        if self.strategy != "auto":
-            return self.strategy
-        return (
-            "parallel_merge"
-            if self.ro_bytes >= self.auto_threshold_bytes
-            else "all_to_one"
-        )
-
-    def critical_path_seconds(self, clock_hz: float) -> float:
-        if self.num_nodes <= 1:
-            return 0.0
-        step = (
-            self.network.transfer_seconds(self.ro_bytes)
-            + self.ro_elements * self.cycles_per_element / clock_hz
-        )
-        if self.resolved_strategy() == "all_to_one":
-            return (self.num_nodes - 1) * step
-        rounds = math.ceil(math.log2(self.num_nodes))
-        return rounds * step
-
-
-Phase = (
-    ParallelPhase
-    | SequentialPhase
-    | CombinePhase
-    | OverlapPhase
-    | ClusterCombinePhase
-)
+Phase = ParallelPhase | SequentialPhase | CombinePhase | OverlapPhase
 
 
 @dataclass
@@ -350,14 +275,6 @@ class SimMachine:
                 results.append(
                     PhaseResult(
                         name=phase.name, seconds=cycles / hz, kind="overlap"
-                    )
-                )
-            elif isinstance(phase, ClusterCombinePhase):
-                results.append(
-                    PhaseResult(
-                        name=phase.name,
-                        seconds=phase.critical_path_seconds(hz),
-                        kind="cluster_combine",
                     )
                 )
             else:

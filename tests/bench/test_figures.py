@@ -196,13 +196,13 @@ class TestCli:
             "ablation_dynamic_vs_static",
             dataclasses.replace(report, checks=lambda result: {"forced": False}),
         )
-        assert main(["ablation_dynamic_vs_static", "ablation_cluster"]) == 1
+        assert main(["ablation_dynamic_vs_static", "ablation_scheduling"]) == 1
         out, err = capsys.readouterr()
-        assert "ABLATION D " in out  # the reports after a failure still run
+        assert "ABLATION C " in out  # the reports after a failure still run
         assert "ablation_dynamic_vs_static: forced" in err
 
     def test_cli_exits_0_when_every_check_passes(self, tmp_path, capsys):
-        assert main(["ablation_global_combine", "--out", str(tmp_path)]) == 0
-        assert "2 of 2 checks pass" in capsys.readouterr().out
-        written = (tmp_path / "ablation_global_combine.txt").read_text()
-        assert written == (RESULTS / "ablation_global_combine.txt").read_text()
+        assert main(["ablation_scheduling", "--out", str(tmp_path)]) == 0
+        assert "3 of 3 checks pass" in capsys.readouterr().out
+        written = (tmp_path / "ablation_scheduling.txt").read_text()
+        assert written == (RESULTS / "ablation_scheduling.txt").read_text()

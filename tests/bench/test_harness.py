@@ -1,12 +1,30 @@
 """Tests for the simulation harness."""
 
+import functools
+
 import pytest
 
-from repro.bench.harness import SimulationConfig, simulate_profile, sweep_threads
-from repro.bench.profiles import PhaseWork, WorkloadProfile
+from repro.apps import KmeansRunner
+from repro.bench.figures import FIGURES, THREADS
+from repro.bench.harness import (
+    ENGINE_SPANS,
+    SimulationConfig,
+    model_only,
+    model_phases,
+    simulate_profile,
+    sweep_threads,
+)
+from repro.bench.profiles import (
+    PhaseWork,
+    WorkloadProfile,
+    measure_kmeans_profiles,
+    measure_pca_profiles,
+)
+from repro.data import initial_centroids, kmeans_points
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.machine.costmodel import CostModel
 from repro.machine.counters import OpCounters
+from repro.obs import tracing
 from repro.util.errors import BenchmarkError
 
 CM = CostModel(clock_hz=1.0e6)
@@ -143,27 +161,7 @@ class TestCombination:
         assert t8.phase_seconds("combination") > t2.phase_seconds("combination")
 
 
-class TestClusterSimulation:
-    def test_nodes_split_the_data(self):
-        one = simulate_profile(simple_profile(False), 8000, 1, 2, cfg())
-        four = simulate_profile(
-            simple_profile(False), 8000, 1, 2, cfg(num_nodes=4)
-        )
-        # each node reduces a quarter of the elements
-        assert four.phase_seconds("local reduction") == pytest.approx(
-            one.phase_seconds("local reduction") / 4
-        )
-
-    def test_global_combination_charged(self):
-        report = simulate_profile(
-            simple_profile(False), 8000, 1, 2, cfg(num_nodes=4)
-        )
-        assert report.phase_seconds("global combination") > 0
-
-    def test_single_node_has_no_global_phase(self):
-        report = simulate_profile(simple_profile(False), 8000, 1, 2, cfg())
-        assert report.phase_seconds("global combination") == 0.0
-
+class TestLinearizationModes:
     def test_overlap_mode_faster_than_sequential(self):
         seq = simulate_profile(simple_profile(True), 100_000, 1, 8, cfg())
         ovl = simulate_profile(
@@ -173,3 +171,53 @@ class TestClusterSimulation:
         assert ovl.total_seconds < seq.total_seconds
         # the overlapped run has no standalone linearization phase
         assert ovl.phase_seconds("linearization") == 0.0
+
+
+@functools.cache
+def _profiles(app, shape, versions):
+    """A figure's measured profiles; Figs 9 and 11 share k-means's k = 100."""
+    if app == "kmeans":
+        return measure_kmeans_profiles(*shape, versions=versions)
+    return measure_pca_profiles(*shape, versions=versions)
+
+
+class TestEngineSpans:
+    def test_each_figure_phase_prices_spans_a_traced_run_emits(self):
+        """Every phase Figs 9-13 price is one the engine runs, named by
+        ``ENGINE_SPANS``, or says why it is the model's alone; and every
+        span that map names appears in a traced opt-2 k-means run."""
+        model_only_at = {}
+        for fig_id, spec in FIGURES.items():
+            cfg_ = spec.config
+            shape = (cfg_.k, cfg_.dim) if spec.app == "kmeans" else (cfg_.rows,)
+            profiles = _profiles(spec.app, shape, spec.versions)
+            for version in spec.versions:
+                for p in THREADS:
+                    for phase in model_phases(
+                        profiles[version], spec.n_elements, spec.iterations,
+                        p, spec.sim,
+                    ):
+                        assert phase.name in ENGINE_SPANS, (fig_id, phase)
+                        if model_only(phase):
+                            model_only_at.setdefault(fig_id, set()).add(
+                                type(phase).__name__
+                            )
+        # PCA's 1,000,000-cell object is priced as a tree merge
+        assert model_only_at == {
+            "fig12": {"CombinePhase"}, "fig13": {"CombinePhase"},
+        }
+        # so are Ablation B's parallel and pipelined linearization
+        for mode in ("parallel", "overlap"):
+            phases = model_phases(
+                simple_profile(True), 1000, 1, 2, cfg(linearization_mode=mode)
+            )
+            assert any(model_only(phase) for phase in phases), mode
+
+        points = kmeans_points(400, 3, num_blobs=4, seed=1)
+        with tracing() as tracer:
+            KmeansRunner(4, 3, version="opt-2", num_threads=2).run(
+                points, initial_centroids(points, 4, seed=2), 2
+            )
+        spans = {s.name for s in tracer.spans()}
+        for names in ENGINE_SPANS.values():
+            assert set(names) <= spans, (names, spans)

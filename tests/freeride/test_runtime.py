@@ -126,22 +126,31 @@ class TestMultiNode:
         assert (ro.get(0, 0), ro.get(0, 1)) == (float(np.sum(data)), 200.0)
         assert stats.merges == nodes - 1
 
-    def test_large_ro_uses_parallel_merge_globally(self):
+    def test_large_ro_combines_all_to_one(self):
+        """One combine for every size: four copies of a 64 KiB-plus object
+        fold all-to-one into the cells NumPy's sum gives."""
+        cells = 10_000
+
         def setup(ro):
-            ro.alloc(20000, "add")
+            ro.alloc(cells, "add")
 
         def reduction(args):
-            args.ro.accumulate(0, 0, float(len(args.data)))
+            for x in args.data:
+                args.ro.accumulate_group(0, np.full(cells, float(x)) + np.arange(cells))
 
         def spec():
             return ReductionSpec(
                 name="big", setup_reduction_object=setup, reduction=reduction
             )
 
-        ros = self.node_results(spec, list(range(40)), 4, num_threads=1)
+        data = np.arange(40, dtype=np.float64)
+        ros = self.node_results(spec, data, 4, num_threads=1)
+        assert ros[0].nbytes >= 64 * 1024
         ro, stats = combine(ros)
-        assert stats.strategy == "parallel_merge"
-        assert ro.get(0, 0) == 40.0
+        assert stats.strategy == "all_to_one" and stats.merges == 3
+        want = np.sum([r.get_group(0) for r in ros], axis=0)
+        assert np.array_equal(ro.get_group(0), want)
+        assert np.array_equal(want, data.sum() + len(data) * np.arange(cells))
 
     def test_num_nodes_is_not_an_engine_option(self):
         with pytest.raises(TypeError, match="num_nodes"):

@@ -1,7 +1,5 @@
 """Unit tests for the simulated multicore machine."""
 
-import math
-
 import pytest
 
 from repro.machine.costmodel import CostModel
@@ -208,61 +206,3 @@ class TestOverlapPhase:
 
         with pytest.raises(MachineError):
             OverlapPhase("o", sequential_cycles=-1.0, chunk_costs=())
-
-
-class TestNetworkAndCluster:
-    def test_transfer_time(self):
-        from repro.machine.simmachine import NetworkModel
-
-        net = NetworkModel(latency_s=1e-3, bandwidth_bytes_per_s=1e6)
-        assert net.transfer_seconds(1e6) == pytest.approx(1.001)
-
-    def test_invalid_network(self):
-        from repro.machine.simmachine import NetworkModel
-
-        with pytest.raises(MachineError):
-            NetworkModel(latency_s=-1)
-        with pytest.raises(MachineError):
-            NetworkModel(bandwidth_bytes_per_s=0)
-
-    def test_single_node_free(self):
-        from repro.machine.simmachine import ClusterCombinePhase
-
-        phase = ClusterCombinePhase("g", 1, 100, 800, 1.0)
-        assert phase.critical_path_seconds(1e9) == 0.0
-
-    def test_all_to_one_scales_with_nodes(self):
-        from repro.machine.simmachine import ClusterCombinePhase
-
-        t4 = ClusterCombinePhase(
-            "g", 4, 100, 800, 1.0, strategy="all_to_one"
-        ).critical_path_seconds(1e9)
-        t8 = ClusterCombinePhase(
-            "g", 8, 100, 800, 1.0, strategy="all_to_one"
-        ).critical_path_seconds(1e9)
-        assert t8 == pytest.approx(t4 * 7 / 3)
-
-    def test_tree_beats_all_to_one_for_many_nodes(self):
-        from repro.machine.simmachine import ClusterCombinePhase
-
-        kw = dict(num_nodes=16, ro_elements=10_000, ro_bytes=80_000,
-                  cycles_per_element=2.0)
-        seq = ClusterCombinePhase("g", strategy="all_to_one", **kw)
-        tree = ClusterCombinePhase("g", strategy="parallel_merge", **kw)
-        assert tree.critical_path_seconds(1e9) < seq.critical_path_seconds(1e9)
-
-    def test_auto_strategy_by_size(self):
-        from repro.machine.simmachine import ClusterCombinePhase
-
-        small = ClusterCombinePhase("g", 4, 10, 80, 1.0)
-        large = ClusterCombinePhase("g", 4, 100_000, 800_000, 1.0)
-        assert small.resolved_strategy() == "all_to_one"
-        assert large.resolved_strategy() == "parallel_merge"
-
-    def test_in_machine_run(self):
-        from repro.machine.simmachine import ClusterCombinePhase
-
-        phase = ClusterCombinePhase("g", 4, 100, 800, 1.0, strategy="all_to_one")
-        report = SimMachine(CM, 2).run([phase])
-        assert report.phases[0].kind == "cluster_combine"
-        assert report.total_seconds > 0

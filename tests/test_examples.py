@@ -19,7 +19,6 @@ FAST_EXAMPLES = [
     "pca_analysis.py",
     "kmeans_clustering.py",
     "data_mining_suite.py",
-    "cluster_scaling.py",
     "lint_reductions.py",
     "profile_smoke.py",
 ]
