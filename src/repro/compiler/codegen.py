@@ -25,8 +25,9 @@ the class docstring); it never walks the IR itself:
   infos (installed by :mod:`repro.compiler.translate` at bind time from the
   plan's :class:`~repro.compiler.passes.SiteResource` table) and, for a
   segment that does not start at element 0, its first global position as
-  ``_elem_base`` (``elemIdx()`` adds it); ``_ro`` is the thread's
-  reduction-object accessor; ``_C`` the counter ledger.
+  ``_elem_base`` (``elemIdx()`` adds it); ``_ro`` is the thread's lane
+  (its reduction object, or a locking handle on the shared one); ``_C``
+  the counter ledger.
 * :class:`~repro.compiler.batch.BatchCodegen` — the split-level NumPy kernel
   (a ``PythonCodegen`` whose values are lane arrays).
 * :class:`~repro.compiler.native.NativeCodegen` — the C kernel the JIT tier
@@ -459,7 +460,7 @@ class PythonCodegen(KernelEmitter):
         self._w("pass")
 
     def ro_update(self, op: str, args: list[str]) -> None:
-        # the intrinsic's op rides along so the accessor can refuse an update
+        # the intrinsic's op rides along so the target can refuse an update
         # into a group declared with another op, as the compiled tiers do
         self._w(f"_ro.accumulate({args[0]}, {args[1]}, {args[2]}, {op!r})")
 

@@ -230,7 +230,7 @@ def make_native_kernel(native: NativeKernel, name: str) -> Callable:
     ranges ``[starts[i], ends[i])`` — two int64 arrays whose pointers go to
     C as they are — in a single C call (GIL released by cffi for all of
     it) and folds the counter array into the ledger once.
-    ``_ro`` — a reduction object or an accessor — decides where the
+    ``_ro`` — a reduction object or a locking lane — decides where the
     kernel stores: into the buffers its ``direct_store()`` names, the
     wrapper reporting the update count through ``note_updates`` — on
     failure too, so what a failing call stored before it failed is

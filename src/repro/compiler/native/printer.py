@@ -15,7 +15,7 @@ kernel version, mirroring the instrumented Python kernel *exactly*:
   statement for statement, on success and on failure alike;
 * reduction-object updates are *reduced in one step* (paper §III-A):
   the kernel accumulates straight into the element buffer its target —
-  a reduction object or a lane's accessor — hands out (``direct_store()``),
+  a reduction object or a locking lane — hands out (``direct_store()``),
   with the same group/element/op validation the scalar path performs,
   and sets the group's touched flag itself; the wrapper only reports the
   update count back (``note_updates``).  Which buffer that is, and what

@@ -628,7 +628,7 @@ class BoundReduction:
     # -- direct execution (tests) -----------------------------------------------------
 
     def run_serial(self, ro: Any) -> None:
-        """Run the kernel over all elements with a bare accessor (tests)."""
+        """Run the kernel over all elements into ``ro`` (tests)."""
         self.reduce_ranges(
             np.zeros(1, dtype=np.int64), np.full(1, self.n_elements, dtype=np.int64), ro
         )
@@ -891,7 +891,7 @@ def compile_reduction(
     trace event with the requested vs. effective backend when it settles,
     into the tracer active at compile.  The one kernel runs under every
     shared-memory technique: how updates are synchronized is the
-    accessor's business.
+    lane's business.
     """
     from repro.compiler.cache import CompileRequest  # cache.py imports this module
 

@@ -30,8 +30,6 @@ from repro.freeride.runtime import FreerideEngine, ReductionResult, RunStats
 from repro.freeride.sharedmem import (
     ELEMS_PER_CACHE_LINE,
     LockingAccessor,
-    ReplicatedAccessor,
-    ROAccessor,
     SharedMemManager,
     SharedMemStats,
     SharedMemTechnique,
@@ -55,8 +53,6 @@ __all__ = [
     "SharedMemTechnique",
     "SharedMemManager",
     "SharedMemStats",
-    "ROAccessor",
-    "ReplicatedAccessor",
     "LockingAccessor",
     "ELEMS_PER_CACHE_LINE",
     "FaultPolicy",

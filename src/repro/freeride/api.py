@@ -20,9 +20,10 @@ the C usage pattern:
     result = ctx.run(data)
     total = ctx.get_intermediate_result(g, 0)            # after the run
 
-``accumulate`` inside a reduction routes to the calling thread's
-reduction-object accessor through thread-local state, exactly as the
-C implementation routes through the per-thread handle.
+``accumulate`` inside a reduction routes to the calling thread's lane —
+its own reduction-object copy or view, or its locking handle on the shared
+copy — through thread-local state, exactly as the C implementation routes
+through the per-thread handle.
 """
 
 from __future__ import annotations
@@ -141,12 +142,12 @@ class FreerideContext:
         """Table I ``accumulate``: update the reduction object.
 
         Valid only inside a running reduction function; routes to the calling
-        thread's accessor.
+        thread's lane (``ReductionArgs.ro``).
         """
-        acc = getattr(self._tls, "accessor", None)
-        if acc is None:
+        lane = getattr(self._tls, "lane", None)
+        if lane is None:
             raise FreerideError("accumulate() is only valid inside a reduction")
-        acc.accumulate(group, elem, value)
+        lane.accumulate(group, elem, value)
 
     # -- run ---------------------------------------------------------------------
 
@@ -166,11 +167,11 @@ class FreerideContext:
         tls = self._tls
 
         def wrapped_reduction(args: ReductionArgs) -> None:
-            tls.accessor = args.ro
+            tls.lane = args.ro
             try:
                 user_reduction(args)
             finally:
-                tls.accessor = None
+                tls.lane = None
 
         spec = ReductionSpec(
             name="freeride-context",

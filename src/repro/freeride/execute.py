@@ -8,7 +8,7 @@ and fault configuration:
 :class:`RunContext`
     everything a run's pass over its splits needs, built once by
     ``FreerideEngine.run`` from the run's
-    :class:`~repro.freeride.plan.ExecutionPlan` and the accessors its
+    :class:`~repro.freeride.plan.ExecutionPlan` and the lanes its
     technique set up.  An uncolored run is a schedule of one wave.
 :func:`attempt_split`
     one processing attempt: injector → kernel into a scratch reduction
@@ -26,7 +26,7 @@ and fault configuration:
     (``"threads"``), or tasks on the worker-process pool (``"process"``).
 
 *Direct* runs — those without a fault policy — skip the scratch object:
-the attempt accumulates straight into the lane's accessor, there is
+the attempt accumulates straight into the lane, there is
 nothing to settle, and with tracing disabled no per-split instrumentation
 is installed at all.  When, on top of that, the kernel can walk a list of
 ranges by itself (``ReductionSpec.lane_wave`` is set) and the lanes
@@ -60,7 +60,8 @@ from repro.freeride.faults import (
 from repro.freeride.plan import deal_wave
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import (
-    ROAccessor,
+    Lane,
+    LockingAccessor,
     SharedMemTechnique,
     close_shm_segment,
     create_shm_segment,
@@ -68,7 +69,7 @@ from repro.freeride.sharedmem import (
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.freeride.splitter import SplitQueue
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
-from repro.util.errors import FaultToleranceError, SplitterError
+from repro.util.errors import FaultToleranceError, FreerideError, SplitterError
 
 if TYPE_CHECKING:
     from repro.freeride.plan import ExecutionPlan
@@ -109,7 +110,7 @@ Attempt = tuple[ReductionObject | None, BaseException | None]
 class RunContext:
     """One run's pass: what to run, where results go, what may go wrong.
 
-    Constructed complete from the run's plan and the accessors of the
+    Constructed complete from the run's plan and the lanes of the
     planned technique; everything below :attr:`worker_durations` is derived
     from those in ``__post_init__``.
     """
@@ -117,7 +118,7 @@ class RunContext:
     spec: ReductionSpec
     plan: "ExecutionPlan"
     base_ro: ReductionObject
-    accessors: "list[ROAccessor]"
+    lanes: "list[Lane]"
     #: the run's ledger; its fault counters are guarded by :attr:`lock`
     stats: "RunStats"
     tracer: "Tracer | NullTracer"
@@ -132,7 +133,7 @@ class RunContext:
     worker_durations: "list[float] | None" = None
     #: split positions per wave, each wave run to completion before the next
     waves: Any = field(init=False)
-    #: no policy: attempts accumulate straight into the lane's accessor,
+    #: no policy: attempts accumulate straight into the lane,
     #: with no scratch object and nothing to settle
     direct: bool = field(init=False)
     elems: "list[int]" = field(init=False)
@@ -154,6 +155,15 @@ class RunContext:
                     "fault tolerance requires unique split ids (retry and "
                     "commit tracking is keyed by split id)"
                 )
+        if (
+            self.spec.combination is not None
+            and plan.technique is not SharedMemTechnique.FULL_REPLICATION
+        ):
+            raise FreerideError(
+                "a custom combination_t combines per-thread copies, which only "
+                f"full replication keeps; {plan.technique.value} updates one "
+                "shared copy in place"
+            )
         self.direct = self.policy is None
         self.waves = (
             [range(plan.num_splits)] if plan.coloring is None else plan.coloring.waves
@@ -236,7 +246,7 @@ def traced_attempt(
 
 def _reduce(
     ctx: RunContext, lane: int, pos: int, attempt: int,
-    target: "ROAccessor | ReductionObject",
+    target: Lane,
 ) -> None:
     """The local reduction of the split at ``pos`` into ``target``: one
     ``reduce_ranges`` call for a compiled spec over its index range, else the
@@ -257,7 +267,7 @@ def _reduce(
 
 def _attempt_in_process(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attempt:
     if ctx.direct:
-        _reduce(ctx, lane, pos, attempt, ctx.accessors[lane])
+        _reduce(ctx, lane, pos, attempt, ctx.lanes[lane])
         return None, None
     return attempt_split(
         partial(_reduce, ctx, lane, pos, attempt),
@@ -269,8 +279,10 @@ def _attempt_in_process(ctx: RunContext, lane: int, pos: int, attempt: int) -> A
 def _attempt_traced(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attempt:
     """The in-process attempt wrapped for an enabled tracer."""
     assert ctx.metrics is not None
-    acc_stats = ctx.accessors[lane].stats
-    locks_before = acc_stats.lock_acquisitions
+    # only a locking lane takes locks; the others observe 0
+    target = ctx.lanes[lane]
+    locking = isinstance(target, LockingAccessor)
+    locks_before = target.stats.lock_acquisitions if locking else 0
     scratch, error, seconds = traced_attempt(
         ctx.tracer, lane, ctx.plan.split_id(pos), ctx.lengths[pos],
         attempt if ctx.policy is not None else None,
@@ -282,7 +294,7 @@ def _attempt_traced(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attem
         # taken by the commit, not the attempt, so nothing is recorded
         ctx.metrics.histogram(
             "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
-        ).observe(acc_stats.lock_acquisitions - locks_before)
+        ).observe(target.stats.lock_acquisitions - locks_before if locking else 0)
     return scratch, error
 
 
@@ -295,7 +307,7 @@ def _commit(ctx: RunContext, lane: int, pos: int, scratch: ReductionObject) -> N
     # left untouched
     coloring = ctx.plan.coloring
     groups = coloring.group_sets[pos] if coloring is not None else None
-    ctx.accessors[lane].merge_from_scratch(scratch, groups=groups)
+    ctx.lanes[lane].merge_from_scratch(scratch, groups=groups)
 
 
 def settle(
@@ -423,10 +435,9 @@ def _reduce_positions(
     ctx: RunContext, lane: int, starts: np.ndarray, ends: np.ndarray, elements: int
 ) -> None:
     """One kernel call over the ranges of ``lane``'s batch of splits, in
-    order, into the lane's target: the object its accessor owns (a batched
-    lane's accessor only passes updates through to it)."""
+    order, into the lane: the reduction object it owns."""
     assert ctx.spec.reduce_ranges is not None
-    ctx.spec.reduce_ranges(starts, ends, ctx.accessors[lane].ro)
+    ctx.spec.reduce_ranges(starts, ends, ctx.lanes[lane])
     ctx.elems[lane] += elements
     ctx.nsplits[lane] += len(starts)
 
@@ -456,8 +467,7 @@ def _batched_wave(ctx: RunContext, engine: "FreerideEngine", wave: Any) -> None:
         or batches.span < INLINE_WAVE_ELEMENTS
     ):
         per_lane = ctx.spec.lane_wave(
-            engine._res, batches.starts, batches.ends,
-            [acc.ro for acc in ctx.accessors],
+            engine._res, batches.starts, batches.ends, ctx.lanes
         )
         if per_lane is not None:
             for lane, (elements, splits) in enumerate(per_lane):
@@ -516,7 +526,7 @@ def _ship_blocks(
     ``ends`` plus the splits' ids: a few integers per split are the whole
     dispatch payload.  Workers accumulate into their replica slot of one
     shared reduction-object segment; the parent copies each slot into the
-    matching accessor's private copy and ``mgr.finish`` combines as usual.
+    matching lane's private copy and ``mgr.finish`` combines as usual.
     """
     from repro.freeride import procexec
 
@@ -552,7 +562,7 @@ def _ship_blocks(
         view = np.ndarray((width * ro_floats,), dtype=np.float64, buffer=seg.buf)
         for res in results:
             w = res["slot"]
-            replica = ctx.accessors[w].ro
+            replica = ctx.lanes[w]
             replica._buffer[:] = view[w * ro_floats : (w + 1) * ro_floats]
             replica.update_count = res["update_count"]
             ctx.elems[w] += res["elements"]

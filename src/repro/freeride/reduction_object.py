@@ -19,7 +19,7 @@ copies mergeable in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -655,6 +655,30 @@ class ReductionObject:
             _MERGE_UFUNC[op](mine, other._buffer[elems], out=mine)
         self._touched |= other._touched
         self.update_count += other.update_count
+
+    def merge_from_scratch(
+        self,
+        scratch: "ReductionObject",
+        groups: "Iterable[int] | None" = None,
+    ) -> None:
+        """Commit a per-split scratch reduction object in one atomic step.
+
+        The fault-tolerant engine processes each split attempt into a fresh
+        scratch object and calls this only on success, so a failed or
+        retried attempt never leaves partial accumulations behind.
+
+        ``groups``, when given, restricts the commit to those group ids —
+        the COLORED technique commits only the groups its coloring proved
+        the split can touch, so concurrent same-wave commits never
+        read-modify-write a group both left untouched.  An unrestricted
+        commit is one whole-object merge: right for a private replica, and
+        for a colored view only while commits are serialized.
+        """
+        if groups is None:
+            self.merge_from(scratch)
+            return
+        self.merge_groups_from(sorted(groups), scratch)
+        self.update_count += scratch.update_count
 
     def merge_group_from(self, group: int, other: "ReductionObject") -> None:
         """:meth:`merge_groups_from` of one group — the locking commit's

@@ -459,7 +459,7 @@ class FreerideEngine:
                 mgr = _MANAGERS[plan.technique]
                 ctx = RunContext(
                     spec=spec, plan=plan, base_ro=ro,
-                    accessors=mgr.setup(ro, self.num_threads, self._res.replicas),
+                    lanes=mgr.setup(ro, self.num_threads, self._res.replicas),
                     stats=stats, tracer=tracer, metrics=metrics,
                     executor=self.executor, num_threads=self.num_threads,
                     policy=policy, injector=self.fault_injector,
@@ -490,7 +490,7 @@ class FreerideEngine:
                     technique=plan.technique.value,
                 ) as span:
                     _, stats.sharedmem, lc_stats = mgr.finish(
-                        ro, ctx.accessors, spec.combination, self._res.replicas
+                        ro, ctx.lanes, spec.combination, self._res.replicas
                     )
                     span.set(
                         strategy=lc_stats.strategy,

@@ -29,6 +29,12 @@ defines the techniques we reproduce:
 
 All techniques produce identical reduction results; they differ in
 synchronization counts, memory footprint and (in the simulated machine) cost.
+
+A thread updates the reduction object through its *lane*
+(:meth:`SharedMemManager.setup`).  Under full replication and colored the
+lane owns its target, so it is that :class:`ReductionObject`: a private
+copy, or a view of the shared one.  Under the locking techniques it is a
+:class:`LockingAccessor`, which stores into the shared copy under locks.
 """
 
 from __future__ import annotations
@@ -49,9 +55,8 @@ from repro.util.errors import FreerideError
 __all__ = [
     "SharedMemTechnique",
     "SharedMemStats",
-    "ROAccessor",
-    "ReplicatedAccessor",
     "LockingAccessor",
+    "Lane",
     "SharedMemManager",
     "ReplicaPool",
     "SharedBufferCache",
@@ -100,90 +105,6 @@ class SharedMemStats:
     #: thread, the locking techniques share one copy (the classic tradeoff)
     ro_memory_bytes: int = 0
 
-    def add(self, other: "SharedMemStats") -> None:
-        self.lock_acquisitions += other.lock_acquisitions
-        self.private_copies += other.private_copies
-        self.merge_elements += other.merge_elements
-        self.num_locks += other.num_locks
-        self.ro_memory_bytes += other.ro_memory_bytes
-
-
-class ROAccessor:
-    """A thread's handle for updating the reduction object — and, as it
-    stands, *the lane that owns its target*.
-
-    ``ro`` is the lane's alone: a private replica (full replication,
-    :data:`ReplicatedAccessor`) or a :meth:`ReductionObject.view` of the
-    shared copy whose cells the wave schedule gives it exclusively
-    (colored).  Updates therefore go straight to the object, which
-    validates, stores, flags and counts them; nothing is synchronized.
-    """
-
-    def __init__(self, ro: ReductionObject, stats: SharedMemStats) -> None:
-        self.ro = ro
-        self.stats = stats
-
-    def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        self.ro.accumulate(group, elem, value, op)
-
-    def accumulate_group(self, group: int, values: np.ndarray) -> None:
-        self.ro.accumulate_group(group, values)
-
-    def accumulate_batch(
-        self,
-        groups,
-        elems,
-        values,
-        op: str = "add",
-        mask: np.ndarray | None = None,
-        lanes: int | None = None,
-    ) -> None:
-        """Vectorized per-lane updates (see
-        :meth:`ReductionObject.accumulate_batch`); used by batch kernels."""
-        self.ro.accumulate_batch(groups, elems, values, op, mask, lanes)
-
-    def merge_from_scratch(
-        self,
-        scratch: ReductionObject,
-        groups: "Iterable[int] | None" = None,
-    ) -> None:
-        """Commit a per-split scratch reduction object in one atomic step.
-
-        The fault-tolerant engine processes each split attempt into a fresh
-        scratch object and calls this only on success, so a failed or
-        retried attempt never leaves partial accumulations behind.
-
-        ``groups``, when given, restricts the commit to those group ids —
-        the COLORED technique commits only the groups its coloring proved
-        the split can touch, so concurrent same-wave commits never
-        read-modify-write a group both left untouched.  An unrestricted
-        commit is one whole-object merge: right for a private replica, and
-        for a colored view only while commits are serialized.
-        """
-        if groups is None:
-            self.ro.merge_from(scratch)
-            return
-        self.ro.merge_groups_from(sorted(groups), scratch)
-        self.ro.update_count += scratch.update_count
-
-    def direct_store(self) -> DirectStore:
-        """The buffers the calling lane's native kernel stores into.
-
-        The kernel reduces in one step — straight into these buffers, no
-        call per update — and reports the updates it made through
-        :meth:`note_updates`.  Here they are the lane's own reduction
-        object's; a :class:`LockingAccessor` hands out a scratch object's.
-        """
-        return self.ro.direct_store()
-
-    def note_updates(self, count: int) -> None:
-        """Account for ``count`` updates made through :meth:`direct_store`."""
-        self.ro.note_updates(count)
-
-
-#: a full-replication lane: an :class:`ROAccessor` over its private copy
-ReplicatedAccessor = ROAccessor
-
 
 class _LockTable:
     """Maps reduction-object cells to lock indices for a locking technique."""
@@ -206,11 +127,13 @@ class _LockTable:
         return range(first // per, (first + count - 1) // per + 1)
 
 
-class LockingAccessor(ROAccessor):
+class LockingAccessor:
     """*The lane that shares its target*: the locking techniques.
 
     ``ro`` is the one shared copy; every update validates its cells through
-    the object, then stores under the locks covering them.
+    the object, then stores under the locks covering them.  It offers the
+    update methods of a :class:`ReductionObject` — a lane that owns its
+    target (full replication, colored) is that object itself.
     """
 
     def __init__(
@@ -219,9 +142,8 @@ class LockingAccessor(ROAccessor):
         table: _LockTable,
         technique: SharedMemTechnique,
     ) -> None:
-        super().__init__(
-            shared_ro, SharedMemStats(technique=technique, num_locks=table.num_locks)
-        )
+        self.ro = shared_ro
+        self.stats = SharedMemStats(technique=technique, num_locks=table.num_locks)
         self._table = table
         #: what :meth:`direct_store` hands out; built on first use
         self._scratch: ReductionObject | None = None
@@ -273,8 +195,9 @@ class LockingAccessor(ROAccessor):
         )
 
     def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
-        # Group by group, each under its covering locks.  A group merge is
-        # one atomic unit: other threads observe it entirely or not at all.
+        """:meth:`ReductionObject.merge_from_scratch` into the shared copy,
+        group by group, each under its covering locks.  A group merge is one
+        atomic unit: other threads observe it entirely or not at all."""
         gids = range(self.ro.num_groups) if groups is None else sorted(groups)
         for g in gids:
             meta = self.ro._meta(g)
@@ -317,48 +240,38 @@ class ReplicaPool:
 
     An engine runs the same pass again and again (the outer loop of the
     paper's Figure 4), and each run needs one private copy per lane.  A
-    lane that comes back from a run has its copy emptied with
+    copy that comes back from a run is emptied with
     :meth:`ReductionObject.reset_touched` — the state of a fresh
     :meth:`~ReductionObject.clone_empty` — and serves a later run of the
     same layout, keeping its buffers and with them its
     :class:`~repro.freeride.reduction_object.DirectStore`, on which a native
-    kernel keys the pointers it prepared.  (A replicated lane's stats never
-    change: it takes no locks.)  A lane is out of the pool while a run
-    holds it, so two concurrent runs never share one.  Safe to share
+    kernel keys the pointers it prepared.  A copy is out of the pool while
+    a run holds it, so two concurrent runs never share one.  Safe to share
     between threads.
     """
 
     def __init__(self) -> None:
-        self._free: "dict[Any, list[ROAccessor]]" = {}
+        self._free: "dict[Any, list[ReductionObject]]" = {}
         self._lock = threading.Lock()
 
     def take(
         self, base_ro: ReductionObject, layout: Any, count: int
-    ) -> list[ROAccessor]:
-        """``count`` lanes over empty copies of ``base_ro``, whose interned
-        layout is ``layout``: pooled ones first, then fresh ones."""
+    ) -> list[ReductionObject]:
+        """``count`` empty copies of ``base_ro``, whose interned layout is
+        ``layout``: pooled ones first, then fresh ones."""
         with self._lock:
             free = self._free.pop(layout, [])
             keep = max(0, len(free) - count)
             taken, self._free[layout] = free[keep:], free[:keep]  # now the newest
         while len(taken) < count:
-            taken.append(
-                ReplicatedAccessor(
-                    base_ro.clone_empty(),
-                    SharedMemStats(
-                        SharedMemTechnique.FULL_REPLICATION,
-                        private_copies=1,
-                        ro_memory_bytes=base_ro.nbytes,
-                    ),
-                )
-            )
+            taken.append(base_ro.clone_empty())
         return taken
 
-    def give(self, layout: Any, lanes: list[ROAccessor], keep: int) -> None:
-        """Empty the copies of ``lanes`` (of interned layout ``layout``) and
-        pool up to ``keep`` lanes of that layout."""
+    def give(self, layout: Any, lanes: list[ReductionObject], keep: int) -> None:
+        """Empty ``lanes`` (copies of interned layout ``layout``) and pool up
+        to ``keep`` copies of that layout."""
         for lane in lanes:
-            lane.ro.reset_touched()
+            lane.reset_touched()
         with self._lock:
             free = self._free.pop(layout, [])
             free += lanes[: max(0, keep - len(free))]
@@ -371,19 +284,28 @@ class ReplicaPool:
             self._free.clear()
 
 
+#: what a thread updates the reduction object through: a copy or view of
+#: its own, or a lane sharing it under locks
+Lane = ReductionObject | LockingAccessor
+
+
 class SharedMemManager:
-    """Creates per-thread accessors and finishes the local combination.
+    """Creates per-thread lanes and finishes the local combination.
 
     Usage::
 
         mgr = SharedMemManager(technique)
-        accessors = mgr.setup(base_ro, num_threads)
-        ... each thread t updates accessors[t] ...
-        ro, sm_stats, lc_stats = mgr.finish(base_ro, accessors)
+        lanes = mgr.setup(base_ro, num_threads)
+        ... each thread t updates lanes[t] ...
+        ro, sm_stats, lc_stats = mgr.finish(base_ro, lanes)
 
-    Given a :class:`ReplicaPool`, full replication takes its lanes from the
-    pool in :meth:`setup`, and :meth:`finish` gives them back emptied once
-    they are combined.
+    A lane that owns its target is a :class:`ReductionObject`: a private
+    copy under full replication, a :meth:`~ReductionObject.view` of
+    ``base_ro`` under colored.  The locking techniques hand out
+    :class:`LockingAccessor` lanes over ``base_ro`` itself.  Given a
+    :class:`ReplicaPool`, full replication takes its copies from the pool in
+    :meth:`setup`, and :meth:`finish` gives them back emptied once they are
+    combined.
     """
 
     def __init__(self, technique: SharedMemTechnique | str) -> None:
@@ -394,7 +316,7 @@ class SharedMemManager:
         base_ro: ReductionObject,
         num_threads: int,
         pool: "ReplicaPool | None" = None,
-    ) -> list[ROAccessor]:
+    ) -> list[Lane]:
         if num_threads <= 0:
             raise FreerideError("num_threads must be positive")
         layout = base_ro.freeze_layout()
@@ -406,10 +328,7 @@ class SharedMemManager:
             # (the engine guarantees concurrently-running splits touch
             # disjoint group sets).  The flags and the update count, which
             # every update writes, stay per lane until finish().
-            return [
-                ROAccessor(base_ro.view(), SharedMemStats(self.technique))
-                for _ in range(num_threads)
-            ]
+            return [base_ro.view() for _ in range(num_threads)]
         table = _LockTable(base_ro, self.technique)
         return [
             LockingAccessor(base_ro, table, self.technique)
@@ -419,7 +338,7 @@ class SharedMemManager:
     def finish(
         self,
         base_ro: ReductionObject,
-        accessors: list[ROAccessor],
+        lanes: list[Lane],
         combination: "Callable[[list[ReductionObject]], ReductionObject] | None" = None,
         pool: "ReplicaPool | None" = None,
     ) -> tuple[ReductionObject, SharedMemStats, CombinationStats]:
@@ -434,43 +353,44 @@ class SharedMemManager:
         application's custom ``combination_t``: it receives the per-thread
         copies and must return a :class:`ReductionObject`, which is then
         merged into ``base_ro``.  The per-thread copies are never mutated
-        by the default combination, which gives their lanes to ``pool`` once
-        they are merged; copies a custom combination saw are not pooled.
+        by the default combination, which gives them to ``pool`` once they
+        are merged; copies a custom combination saw are not pooled.
         """
-        total = SharedMemStats(technique=self.technique)
-        for acc in accessors:
-            total.add(acc.stats)
-        # Accessors of a locking technique share one lock table; report the
-        # table size, not the per-accessor sum.
-        total.num_locks = accessors[0].stats.num_locks if accessors else 0
+        # Replication pays one copy per thread; the other techniques share
+        # base_ro, which they already updated in place.
+        total = SharedMemStats(self.technique, ro_memory_bytes=base_ro.nbytes)
         if self.technique is SharedMemTechnique.COLORED:
             # Fold in the flags and update counts the lanes' views kept off
             # the shared object.
-            for acc in accessors:
-                base_ro.update_count += acc.ro.update_count
-                base_ro._touched |= acc.ro._touched
+            for view in lanes:
+                base_ro.update_count += view.update_count
+                base_ro._touched |= view._touched
+            return base_ro, total, CombinationStats(strategy="in_place")
         if self.technique is not SharedMemTechnique.FULL_REPLICATION:
-            total.ro_memory_bytes = base_ro.nbytes  # one shared copy
-            # Locking and colored techniques already updated base_ro in place.
+            for lane in lanes:
+                total.lock_acquisitions += lane.stats.lock_acquisitions
+            # the lanes share one lock table: its size, not a per-lane sum
+            total.num_locks = lanes[0].stats.num_locks if lanes else 0
             return base_ro, total, CombinationStats(strategy="in_place")
 
-        copies = [acc.ro for acc in accessors]
+        total.private_copies = len(lanes)
+        total.ro_memory_bytes *= len(lanes)
         if combination is not None:
-            combined = combination(copies)
+            combined = combination(lanes)
             if not isinstance(combined, ReductionObject):
                 raise FreerideError("custom combination must return a ReductionObject")
             base_ro.merge_from(combined)
             lc_stats = CombinationStats(
                 strategy="custom",
-                merges=len(copies),
+                merges=len(lanes),
                 rounds=1,
-                elements_merged=base_ro.size * len(copies),
+                elements_merged=base_ro.size * len(lanes),
             )
         else:
-            _, lc_stats = combine(copies, target=base_ro)
+            _, lc_stats = combine(lanes, target=base_ro)
             if pool is not None:
                 # setup froze base_ro, so its interned layout is set
-                pool.give(base_ro._layout, accessors, len(accessors))
+                pool.give(base_ro._layout, lanes, len(lanes))
         total.merge_elements += lc_stats.elements_merged
         return base_ro, total, lc_stats
 

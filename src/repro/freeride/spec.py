@@ -19,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.sharedmem import ROAccessor
+from repro.freeride.sharedmem import Lane
 from repro.freeride.splitter import Split
 from repro.util.errors import FreerideError
 
@@ -31,12 +31,13 @@ class ReductionArgs:
     """Arguments handed to the local reduction function for one split.
 
     Mirrors FREERIDE's ``reduction_args_t``: the split's data, the thread id,
-    the reduction-object accessor (whose ``accumulate`` is Table I's
+    the reduction-object handle (whose ``accumulate`` is Table I's
     ``accumulate(int, int, void*)``), and application extras.
 
-    ``ro`` is the lane's :class:`~repro.freeride.sharedmem.ROAccessor` on a
-    direct run and a per-attempt scratch
-    :class:`~repro.freeride.reduction_object.ReductionObject` under a fault
+    ``ro`` is the lane itself on a direct run — its own
+    :class:`~repro.freeride.reduction_object.ReductionObject` copy or view,
+    or a :class:`~repro.freeride.sharedmem.LockingAccessor` on the shared
+    copy — and a per-attempt scratch ``ReductionObject`` under a fault
     policy: the same five update methods either way.
 
     ``attempt`` is 1 for normal execution; under a fault policy it counts
@@ -49,7 +50,7 @@ class ReductionArgs:
     data: Any
     split: Split
     thread_id: int
-    ro: ROAccessor | ReductionObject
+    ro: Lane
     extras: dict[str, Any] = field(default_factory=dict)
     attempt: int = 1
 
@@ -125,9 +126,9 @@ class ReductionSpec:
     extras: dict[str, Any] = field(default_factory=dict)
     bound: Any = None
     group_bounds: Any = None
-    reduce_ranges: Callable[[np.ndarray, np.ndarray, ROAccessor], None] | None = None
+    reduce_ranges: Callable[[np.ndarray, np.ndarray, Lane], None] | None = None
     lane_wave: Callable[
-        [Any, np.ndarray, np.ndarray, list[ROAccessor]], list[tuple[int, int]] | None
+        [Any, np.ndarray, np.ndarray, list[ReductionObject]], list[tuple[int, int]] | None
     ] | None = None
 
     def __post_init__(self) -> None:
@@ -142,11 +143,11 @@ class ReductionSpec:
 
     def slice_ranges(
         self, data: Any
-    ) -> Callable[[np.ndarray, np.ndarray, ROAccessor], None]:
+    ) -> Callable[[np.ndarray, np.ndarray, Lane], None]:
         """A ``reduce_ranges`` hook for this spec over sliceable ``data``:
         ``reduction`` on each range's slice and position-true split."""
 
-        def reduce_ranges(starts: np.ndarray, ends: np.ndarray, ro: ROAccessor) -> None:
+        def reduce_ranges(starts: np.ndarray, ends: np.ndarray, ro: Lane) -> None:
             for start, end in zip(starts.tolist(), ends.tolist()):
                 chunk = data[start:end]
                 self.reduction(

@@ -215,7 +215,7 @@ def _context(engine, spec, data) -> RunContext:
     )
     return RunContext(
         spec=spec, plan=plan, base_ro=ro,
-        accessors=SharedMemManager(plan.technique).setup(ro, engine.num_threads),
+        lanes=SharedMemManager(plan.technique).setup(ro, engine.num_threads),
         stats=RunStats(), tracer=NULL_TRACER, metrics=None,
         executor=engine.executor, num_threads=engine.num_threads,
         policy=policy, injector=engine.fault_injector,
@@ -306,14 +306,14 @@ def test_a_run_without_a_store_does_no_store_work():
 
 #: calls into ``repro/freeride/`` of a warm one-split serial native run,
 #: as measured once a warm run reused its plan and its replicas
-GLUE_CEILING = {"full_replication": 35, "auto": 35}
+GLUE_CEILING = {"full_replication": 32, "auto": 32}
 
 
 @needs_cc
 @pytest.mark.parametrize("technique,before", [("full_replication", 50), ("auto", 65)])
 def test_fixed_glue_of_a_one_split_run(technique, before):
     """Calls into ``repro/freeride/`` of a warm one-split serial run over a
-    native kernel stay within :data:`GLUE_CEILING`, 35 plain and with
+    native kernel stay within :data:`GLUE_CEILING`, 32 plain and with
     ``auto``, and plan nothing: the engine planned its one key once, on
     the cold run.  ``before`` is the ceiling while every run planned and
     cloned its replicas (58 and 72 while the layout was a list of

@@ -185,6 +185,47 @@ class TestCustomCombination:
         assert calls == [3]
         assert result.ro.get(0, 0) == 10.0
 
+    @pytest.mark.parametrize(
+        "technique", [t.value for t in SharedMemTechnique] + ["auto"]
+    )
+    def test_a_combination_is_called_or_the_run_refused(self, technique):
+        """A custom ``combination_t`` gets the per-thread copies only full
+        replication keeps; colored (no group bounds here) and ``auto`` fall
+        back to it.  A locking technique keeps no copies, so its run is
+        refused before any split runs instead of skipping the combination."""
+        calls, splits = [], []
+
+        def setup(ro):
+            ro.alloc(1, "add")
+
+        def reduction(args):
+            splits.append(args.split.split_id)
+            for x in args.data:
+                args.ro.accumulate(0, 0, float(x))
+
+        def doubled(copies):
+            calls.append(len(copies))
+            merged = copies[0].clone_empty()
+            for c in copies + copies:
+                merged.merge_from(c)
+            return merged
+
+        spec = ReductionSpec(
+            name="doubled",
+            setup_reduction_object=setup,
+            reduction=reduction,
+            combination=doubled,
+        )
+        with FreerideEngine(num_threads=2, technique=technique) as engine:
+            if "locking" in technique:
+                with pytest.raises(FreerideError, match="combination_t"):
+                    engine.run(spec, list(range(10)))
+                assert splits == [] and calls == []
+                return
+            result = engine.run(spec, list(range(10)))
+        assert result.ro.get(0, 0) == 90.0 and calls == [2]
+        assert result.stats.technique_effective is SharedMemTechnique.FULL_REPLICATION
+
     def test_custom_combination_bad_return(self):
         def setup(ro):
             ro.alloc(1, "add")

@@ -1,18 +1,23 @@
 """Unit tests for shared-memory techniques (replication and locking)."""
 
+import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
+from repro.compiler.cache import compile_cached
 from repro.freeride.reduction_object import DirectStore, ReductionObject
+from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import (
     ELEMS_PER_CACHE_LINE,
     LockingAccessor,
-    ReplicatedAccessor,
     SharedMemManager,
     SharedMemTechnique,
 )
+from repro.obs.tracer import Tracer
 from repro.util.errors import FreerideError, ReductionObjectError
 
 ALL_TECHNIQUES = list(SharedMemTechnique)
@@ -175,7 +180,7 @@ class TestSharedVsPrivate:
         accessors = SharedMemManager(SharedMemTechnique.FULL_REPLICATION).setup(ro, 2)
         accessors[0].accumulate(0, 0, 1.0)
         assert ro.get(0, 0) == 0.0, "replication defers to the combination phase"
-        assert accessors[1].ro.get(0, 0) == 0.0
+        assert accessors[1].get(0, 0) == 0.0
 
 
 class TestMemoryAccounting:
@@ -250,12 +255,15 @@ class TestOneRefusal:
         ro = make_ro(groups=3, elems=2)
         acc = SharedMemManager(technique).setup(ro, 2)[1]
         acc.accumulate(1, 1, 5.0)
+        # a locking lane updates the shared copy; any other lane is its target
+        locking = isinstance(acc, LockingAccessor)
+        target = acc.ro if locking else acc
 
         def state():
             return (
-                acc.ro.snapshot().tolist(), ro.snapshot().tolist(),
-                acc.ro.touched_groups(), acc.ro.update_count,
-                acc.stats.lock_acquisitions,
+                target.snapshot().tolist(), ro.snapshot().tolist(),
+                target.touched_groups(), target.update_count,
+                acc.stats.lock_acquisitions if locking else 0,
             )
 
         before = state()
@@ -274,9 +282,9 @@ class TestLaneTargets:
     @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
     def test_direct_store_is_total(self, technique):
         for acc in SharedMemManager(technique).setup(make_ro(), 2):
-            # two classes: the lane that shares its target, the lane that owns it
+            # the lane that shares its target, or the target a lane owns
             assert type(acc) is (
-                LockingAccessor if technique in LOCKING else ReplicatedAccessor
+                LockingAccessor if technique in LOCKING else ReductionObject
             )
             store = acc.direct_store()
             assert isinstance(store, DirectStore)
@@ -296,11 +304,11 @@ class TestLaneTargets:
         # an identity-valued update leaves only the flag and the count, and
         # those are the lane's until finish()
         lanes[0].accumulate(1, 2, 0.0)
-        assert lanes[0].ro.touched_groups() == {1} and lanes[0].ro.update_count == 1
-        assert lanes[1].ro.touched_groups() == frozenset()
+        assert lanes[0].touched_groups() == {1} and lanes[0].update_count == 1
+        assert lanes[1].touched_groups() == frozenset()
         assert ro.touched_groups() == frozenset() and ro.update_count == 0
         lanes[0].accumulate(1, 2, 4.0)
-        assert ro.get(1, 2) == lanes[1].ro.get(1, 2) == 4.0
+        assert ro.get(1, 2) == lanes[1].get(1, 2) == 4.0
 
     def test_colored_finish_folds_each_lane_once(self):
         ro = make_ro(groups=4, elems=2)
@@ -312,13 +320,13 @@ class TestLaneTargets:
         lanes[2].direct_store().elements[6] += 1.0  # what a C kernel does,
         lanes[2].direct_store().touched[3] = 1  # reported afterwards
         lanes[2].note_updates(1)
-        counts = [acc.ro.update_count for acc in lanes]
+        counts = [acc.update_count for acc in lanes]
         assert counts == [3, 3, 1]
         combined, stats, lc = mgr.finish(ro, lanes)
         assert combined is ro and lc.strategy == "in_place"
         assert ro.update_count == sum(counts)
         assert ro.touched_groups() == frozenset().union(
-            *(acc.ro.touched_groups() for acc in lanes)
+            *(acc.touched_groups() for acc in lanes)
         ) == {0, 1, 2, 3}
         assert ro.snapshot().tolist() == [1, 0, 1, 1, 1, 2, 1, 0]
         assert stats.lock_acquisitions == 0 and stats.ro_memory_bytes == ro.nbytes
@@ -353,3 +361,37 @@ class TestLaneTargets:
         acc.direct_store()
         acc.note_updates(0)
         assert acc.stats.lock_acquisitions == 0 and ro.update_count == 0
+
+
+class TestOneCallPerUpdate:
+    """A lane that owns its target is that reduction object, so a per-split
+    update is one call into ``repro/`` — no wrapper forwards it."""
+
+    @pytest.mark.parametrize("technique", ["full_replication", "colored"])
+    def test_a_scalar_update_is_one_call(self, technique):
+        compiled = compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE, {"bins": 8, "lo": 0.0, "width": 8.0}, 2,
+            backend="scalar",
+        )
+        data = (np.arange(3300, dtype=np.float64) * 7) % 64
+        spec, idx = compiled.bind(data).make_spec([(2, "add")] * 8)
+        calls = Counter()
+
+        def profiler(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "accumulate":
+                calls[code.co_filename] += "repro/" in code.co_filename
+
+        with FreerideEngine(
+            executor="serial", num_threads=2, technique=technique,
+            chunk_size=100, tracer=Tracer(),
+        ) as engine:
+            sys.setprofile(profiler)
+            try:
+                result = engine.run(spec, idx)
+            finally:
+                sys.setprofile(None)
+        assert compiled.effective_backend == "scalar"
+        assert result.stats.technique_effective.value == technique
+        assert result.stats.ro_updates == 2 * len(data)
+        assert sum(calls.values()) == result.stats.ro_updates

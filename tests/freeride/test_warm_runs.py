@@ -95,18 +95,18 @@ def _bits(ro):
 
 
 def _pooled(engine):
-    """Every lane the engine's replica pool holds."""
+    """Every replica the engine's pool holds."""
     return [lane for lanes in engine._res.replicas._free.values() for lane in lanes]
 
 
 def _assert_pool_is_empty_copies(engine):
     for lane in _pooled(engine):
-        fresh = lane.ro.clone_empty()
-        assert lane.ro.snapshot().view(np.uint64).tolist() == (
+        fresh = lane.clone_empty()
+        assert lane.snapshot().view(np.uint64).tolist() == (
             fresh.snapshot().view(np.uint64).tolist()
         )
-        assert lane.ro._touched.tolist() == fresh._touched.tolist()
-        assert lane.ro.update_count == fresh.update_count == 0
+        assert lane._touched.tolist() == fresh._touched.tolist()
+        assert lane.update_count == fresh.update_count == 0
 
 
 def _assert_next_run_is_fresh(engine, make, **config):
@@ -345,7 +345,7 @@ def test_the_callers_object_is_never_pooled():
         kept = [r.ro.snapshot() for r in results]
         for _ in range(3):
             engine.run(spec, data)
-        pooled = {id(lane.ro) for lane in _pooled(engine)}
+        pooled = {id(lane) for lane in _pooled(engine)}
     assert not pooled & {id(r.ro) for r in results}
     for result, snapshot in zip(results, kept):
         assert np.array_equal(result.ro.snapshot(), snapshot)
@@ -364,14 +364,14 @@ def test_concurrent_runs_never_share_a_replica(monkeypatch):
         def taking(*args):
             lanes = take(*args)
             with lock:
-                ids = {id(lane.ro) for lane in lanes}
+                ids = {id(lane) for lane in lanes}
                 overlaps.append(held & ids)
                 held.update(ids)
             return lanes
 
         def giving(layout, lanes, keep):
             with lock:
-                held.difference_update(id(lane.ro) for lane in lanes)
+                held.difference_update(id(lane) for lane in lanes)
             give(layout, lanes, keep)
 
         monkeypatch.setattr(pool, "take", taking)
