@@ -198,15 +198,6 @@ class EffectSummary:
             iv = iv.join(f.eval(elem))
         return iv
 
-    def index_form(
-        self, site_expr_id: int, group: int, dim: int
-    ) -> Form | None:
-        """The unique form of one index expression, if flow-independent."""
-        forms = self.index_forms.get((site_expr_id, group, dim))
-        if forms and len(forms) == 1:
-            return forms[0]
-        return None
-
     def alignment(self) -> int | None:
         """Combined element-period of the element-dependent group forms.
 

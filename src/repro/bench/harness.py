@@ -129,8 +129,8 @@ def model_phases(
 
     replication = config.technique is SharedMemTechnique.FULL_REPLICATION
     # colored waves update the shared RO lock-free (like replication) but
-    # keep a single copy (like the locking techniques), so the two gates
-    # below are deliberately distinct
+    # keep a single copy (like locking), so the two gates below are
+    # deliberately distinct
     lock_free = replication or config.technique is SharedMemTechnique.COLORED
 
     for _ in range(iterations):
@@ -149,10 +149,9 @@ def model_phases(
             per_elem = pw.per_element.copy()
             if not lock_free:
                 # every reduction-object update takes a (possibly contended)
-                # lock under the locking techniques
+                # cache-line lock
                 factor = lock_contention_factor(
-                    num_threads,
-                    _num_locks(pw.ro_elements, config.technique),
+                    num_threads, _num_locks(pw.ro_elements)
                 )
                 per_elem.lock_acquisitions = per_elem.ro_updates * factor
             cycles_per_element = cm.cycles(per_elem, config.technique)
@@ -201,12 +200,10 @@ def simulate_profile(
     return machine.run(phases)
 
 
-def _num_locks(ro_elements: int, technique: SharedMemTechnique) -> int:
+def _num_locks(ro_elements: int) -> int:
     from repro.freeride.sharedmem import ELEMS_PER_CACHE_LINE
 
-    if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
-        return max(1, ro_elements // ELEMS_PER_CACHE_LINE)
-    return max(1, ro_elements)
+    return max(1, ro_elements // ELEMS_PER_CACHE_LINE)
 
 
 @dataclass

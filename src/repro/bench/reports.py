@@ -104,11 +104,6 @@ def _run_fig11_share() -> float:
 # ------------------------------------- Ablation A: shared-memory techniques
 
 TECHNIQUES = tuple(SharedMemTechnique)
-LOCKING = (
-    SharedMemTechnique.FULL_LOCKING,
-    SharedMemTechnique.OPTIMIZED_FULL_LOCKING,
-    SharedMemTechnique.CACHE_SENSITIVE_LOCKING,
-)
 
 
 def _run_sharedmem() -> dict[SharedMemTechnique, dict[int, float]]:
@@ -143,15 +138,10 @@ def _text_sharedmem(results) -> str:
 
 def _checks_sharedmem(results) -> dict[str, bool]:
     repl = results[SharedMemTechnique.FULL_REPLICATION]
-    full, optimized, cache = (results[t][8] for t in LOCKING)
+    locking = results[SharedMemTechnique.CACHE_SENSITIVE_LOCKING]
     return {
         # with a small reduction object, no per-update synchronization wins
-        "replication_beats_locking": all(
-            results[t][p] > repl[p] for t in LOCKING for p in THREADS
-        ),
-        # the locking family is ordered by per-acquisition cost
-        "full_locking_slowest_at_8": full > optimized,
-        "cache_sensitive_no_slower_at_8": optimized >= cache,
+        "replication_beats_locking": all(locking[p] > repl[p] for p in THREADS),
     }
 
 

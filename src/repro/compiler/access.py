@@ -134,29 +134,6 @@ class AccessPath:
         """All loop variable names in order, flattened across levels."""
         return tuple(v for s in self.steps if isinstance(s, IndexStep) for v in s.vars)
 
-    def field_chains(self) -> list[tuple[str, ...]]:
-        """Field names between consecutive index steps.
-
-        Entry ``i`` (0-based) is the chain applied after index step ``i``;
-        there are ``levels`` entries, the last being the trailing chain after
-        the innermost index (usually empty).
-        """
-        chains: list[tuple[str, ...]] = []
-        current: list[str] = []
-        seen_first_index = False
-        for step in self.steps:
-            if isinstance(step, IndexStep):
-                if seen_first_index:
-                    chains.append(tuple(current))
-                    current = []
-                seen_first_index = True
-            else:
-                if not seen_first_index:  # pragma: no cover - blocked by init
-                    raise MappingError("field before first index")
-                current.append(step.name)
-        chains.append(tuple(current))
-        return chains
-
     # -- type walking -----------------------------------------------------------
 
     def walk_types(self, root: ChapelType) -> Iterator[tuple[AccessStep, ChapelType]]:

@@ -403,6 +403,14 @@ class ReductionObject:
         another op is refused before anything is stored or counted.
         """
         meta, idx = self._cell(group, elem, op)
+        # store_cell's body, inlined: the scalar tier pays one call per update
+        ACCUMULATE_OPS[meta.op](self._buffer, idx, value)
+        self._touched[meta.group_id] = True
+        self.update_count += 1
+
+    def store_cell(self, meta: _GroupMeta, idx: int, value: float) -> None:
+        """:meth:`accumulate` of a cell :meth:`_cell` already validated —
+        the locking lane's store, made under the cell's lock."""
         ACCUMULATE_OPS[meta.op](self._buffer, idx, value)
         self._touched[meta.group_id] = True
         self.update_count += 1

@@ -9,15 +9,12 @@ defines the techniques we reproduce:
     each thread updates a private copy of the reduction object; copies are
     merged after the local reduction ends.  No synchronization during
     processing; memory cost scales with the number of threads.
-``FULL_LOCKING``
-    one shared copy; every element update acquires that element's lock.
-``OPTIMIZED_FULL_LOCKING``
-    same locking granularity, but each lock is co-located with its element
-    (one cache miss instead of two).  Functionally identical to full locking;
-    the difference is priced by the cost model.
 ``CACHE_SENSITIVE_LOCKING``
-    one lock per cache block of elements (8 float64 elements per 64-byte
-    line), reducing the number of locks and false sharing.
+    one shared copy and one lock per cache block of elements (8 float64
+    elements per 64-byte line), reducing the number of locks and false
+    sharing.  SDM'02's per-element variants, full and optimized full
+    locking, are not kept: they differ from this one only in the lock
+    stride, and no run chooses them.
 ``COLORED``
     one shared copy with *neither* locks nor replicas: the engine colors the
     splits at plan time so that splits running concurrently are provably
@@ -33,7 +30,7 @@ synchronization counts, memory footprint and (in the simulated machine) cost.
 A thread updates the reduction object through its *lane*
 (:meth:`SharedMemManager.setup`).  Under full replication and colored the
 lane owns its target, so it is that :class:`ReductionObject`: a private
-copy, or a view of the shared one.  Under the locking techniques it is a
+copy, or a view of the shared one.  Under cache-sensitive locking it is a
 :class:`LockingAccessor`, which stores into the shared copy under locks.
 """
 
@@ -74,8 +71,6 @@ class SharedMemTechnique(enum.Enum):
     """Which shared-memory technique guards reduction-object updates."""
 
     FULL_REPLICATION = "full_replication"
-    FULL_LOCKING = "full_locking"
-    OPTIMIZED_FULL_LOCKING = "optimized_full_locking"
     CACHE_SENSITIVE_LOCKING = "cache_sensitive_locking"
     COLORED = "colored"
 
@@ -102,49 +97,41 @@ class SharedMemStats:
     merge_elements: int = 0  # elements merged during local combination
     num_locks: int = 0
     #: reduction-object memory footprint: replication pays one copy per
-    #: thread, the locking techniques share one copy (the classic tradeoff)
+    #: thread, locking shares one copy (the classic tradeoff)
     ro_memory_bytes: int = 0
 
 
-class _LockTable:
-    """Maps reduction-object cells to lock indices for a locking technique."""
-
-    def __init__(self, ro: ReductionObject, technique: SharedMemTechnique) -> None:
-        #: cells guarded by one lock: a cache line's worth, or one
-        self.cells_per_lock = (
-            ELEMS_PER_CACHE_LINE
-            if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING
-            else 1
-        )
-        self.num_locks = max(1, -(-ro.size // self.cells_per_lock))
-        self.locks = [threading.Lock() for _ in range(self.num_locks)]
-        #: guards non-element metadata (e.g. the shared update counter)
-        self.meta_lock = threading.Lock()
-
-    def covering(self, first: int, count: int) -> range:
-        """Lock indices covering the ``count`` flat cells from ``first``."""
-        per = self.cells_per_lock
-        return range(first // per, (first + count - 1) // per + 1)
+def _covering(first: int, count: int) -> range:
+    """Lock indices covering the ``count`` flat cells from ``first``."""
+    return range(
+        first // ELEMS_PER_CACHE_LINE,
+        (first + count - 1) // ELEMS_PER_CACHE_LINE + 1,
+    )
 
 
 class LockingAccessor:
-    """*The lane that shares its target*: the locking techniques.
+    """*The lane that shares its target*: cache-sensitive locking.
 
     ``ro`` is the one shared copy; every update validates its cells through
-    the object, then stores under the locks covering them.  It offers the
-    update methods of a :class:`ReductionObject` — a lane that owns its
-    target (full replication, colored) is that object itself.
+    the object, then stores under the locks covering them.  ``locks`` holds
+    one lock per cache line of ``ro`` and ``meta_lock`` guards its update
+    count; every lane of a run shares both.  It offers the update methods
+    of a :class:`ReductionObject` — a lane that owns its target (full
+    replication, colored) is that object itself.
     """
 
     def __init__(
         self,
         shared_ro: ReductionObject,
-        table: _LockTable,
-        technique: SharedMemTechnique,
+        locks: "list[threading.Lock]",
+        meta_lock: threading.Lock,
     ) -> None:
         self.ro = shared_ro
-        self.stats = SharedMemStats(technique=technique, num_locks=table.num_locks)
-        self._table = table
+        self.stats = SharedMemStats(
+            technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING, num_locks=len(locks)
+        )
+        self._locks = locks
+        self._meta_lock = meta_lock
         #: what :meth:`direct_store` hands out; built on first use
         self._scratch: ReductionObject | None = None
 
@@ -154,7 +141,7 @@ class LockingAccessor:
         reverse and counted on the way out.  (A call, not a ``with``: a
         generator context manager costs three times the hold itself, once
         per group of every commit.)"""
-        locks = self._table.locks
+        locks = self._locks
         acquired = []
         try:
             for i in indices:
@@ -167,18 +154,17 @@ class LockingAccessor:
             self.stats.lock_acquisitions += len(acquired)
 
     def accumulate(self, group: int, elem: int, value: float, op=None) -> None:
-        _, idx = self.ro._cell(group, elem, op)
-        with self._table.locks[idx // self._table.cells_per_lock]:
-            self.ro.accumulate(group, elem, value, op)
+        meta, idx = self.ro._cell(group, elem, op)
+        with self._locks[idx // ELEMS_PER_CACHE_LINE]:
+            self.ro.store_cell(meta, idx, value)
         self.stats.lock_acquisitions += 1
 
     def accumulate_group(self, group: int, values: np.ndarray) -> None:
-        # A vectorized group update under cache-sensitive locking takes
-        # ceil(n/8) locks; under full locking, n locks.
+        # a vectorized group update takes one lock per cache line it spans
         meta = self.ro._meta(group)
         values = meta.vector(values)
         self._holding(
-            self._table.covering(meta.offset, meta.num_elems),
+            _covering(meta.offset, meta.num_elems),
             self.ro.accumulate_group, group, values,
         )
 
@@ -190,7 +176,7 @@ class LockingAccessor:
             return
         # every touched cell's lock, then the whole batch at once
         self._holding(
-            np.unique(idx // self._table.cells_per_lock).tolist(),
+            np.unique(idx // ELEMS_PER_CACHE_LINE).tolist(),
             self.ro.apply_batch, idx, v, op,
         )
 
@@ -202,10 +188,10 @@ class LockingAccessor:
         for g in gids:
             meta = self.ro._meta(g)
             self._holding(
-                self._table.covering(meta.offset, meta.num_elems),
+                _covering(meta.offset, meta.num_elems),
                 self.ro.merge_group_from, g, scratch,
             )
-        with self._table.meta_lock:
+        with self._meta_lock:
             self.ro.update_count += scratch.update_count
 
     def direct_store(self) -> DirectStore:
@@ -301,7 +287,7 @@ class SharedMemManager:
 
     A lane that owns its target is a :class:`ReductionObject`: a private
     copy under full replication, a :meth:`~ReductionObject.view` of
-    ``base_ro`` under colored.  The locking techniques hand out
+    ``base_ro`` under colored.  Cache-sensitive locking hands out
     :class:`LockingAccessor` lanes over ``base_ro`` itself.  Given a
     :class:`ReplicaPool`, full replication takes its copies from the pool in
     :meth:`setup`, and :meth:`finish` gives them back emptied once they are
@@ -329,11 +315,13 @@ class SharedMemManager:
             # disjoint group sets).  The flags and the update count, which
             # every update writes, stay per lane until finish().
             return [base_ro.view() for _ in range(num_threads)]
-        table = _LockTable(base_ro, self.technique)
-        return [
-            LockingAccessor(base_ro, table, self.technique)
-            for _ in range(num_threads)
+        # cache-sensitive locking: one lock per cache line, shared by every lane
+        locks = [
+            threading.Lock()
+            for _ in range(max(1, -(-base_ro.size // ELEMS_PER_CACHE_LINE)))
         ]
+        meta_lock = threading.Lock()
+        return [LockingAccessor(base_ro, locks, meta_lock) for _ in range(num_threads)]
 
     def finish(
         self,
@@ -369,7 +357,7 @@ class SharedMemManager:
         if self.technique is not SharedMemTechnique.FULL_REPLICATION:
             for lane in lanes:
                 total.lock_acquisitions += lane.stats.lock_acquisitions
-            # the lanes share one lock table: its size, not a per-lane sum
+            # the lanes share one lock stripe: its size, not a per-lane sum
             total.num_locks = lanes[0].stats.num_locks if lanes else 0
             return base_ro, total, CombinationStats(strategy="in_place")
 

@@ -55,9 +55,7 @@ class CostModel:
     cycles_per_ro_update: float = 2.0
     cycles_per_byte_linearized: float = 6.25
     cycles_per_merge_element: float = 2.0
-    #: uncontended lock acquire+release cost, per technique
-    cycles_per_lock_full: float = 60.0
-    cycles_per_lock_optimized: float = 28.0
+    #: uncontended lock acquire+release cost under cache-sensitive locking
     cycles_per_lock_cache_sensitive: float = 24.0
 
     def __post_init__(self) -> None:
@@ -66,10 +64,6 @@ class CostModel:
 
     def lock_cost(self, technique: SharedMemTechnique) -> float:
         """Uncontended cycles per lock acquisition for a technique."""
-        if technique is SharedMemTechnique.FULL_LOCKING:
-            return self.cycles_per_lock_full
-        if technique is SharedMemTechnique.OPTIMIZED_FULL_LOCKING:
-            return self.cycles_per_lock_optimized
         if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
             return self.cycles_per_lock_cache_sensitive
         return 0.0  # full replication and colored waves take no locks

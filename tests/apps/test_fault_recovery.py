@@ -169,11 +169,8 @@ class TestAppsRecover:
         assert np.array_equal(got.sums, base.sums)
         assert_recovered(runner.engine)
 
-    @pytest.mark.parametrize(
-        "technique",
-        ["full_locking", "optimized_full_locking", "cache_sensitive_locking"],
-    )
-    def test_kmeans_locking_techniques(self, technique):
+    def test_kmeans_cache_sensitive_locking(self):
+        technique = "cache_sensitive_locking"
         rng = np.random.default_rng(9)
         points = rng.normal(size=(80, 2)).round(3)
         init = points[:3].copy()

@@ -51,7 +51,7 @@ class TestAllVersionsAgree:
 
     @pytest.mark.parametrize(
         "technique",
-        ["full_replication", "full_locking", "cache_sensitive_locking"],
+        ["full_replication", "cache_sensitive_locking"],
     )
     def test_techniques_agree(self, workload, technique):
         points, cents, expected, _ = workload

@@ -252,7 +252,8 @@ class TestNativeUnderTechniques:
     scratch object's touched groups under the covering locks."""
 
     @pytest.mark.parametrize(
-        "technique", ["full_replication", "full_locking", "colored", "auto"]
+        "technique",
+        ["full_replication", "cache_sensitive_locking", "colored", "auto"],
     )
     def test_windowed_techniques(self, technique):
         base = WindowedRunner(

@@ -130,14 +130,14 @@ class TestTechniques:
         repl = simulate_profile(simple_profile(False), 10_000, 1, 4, cfg())
         lock = simulate_profile(
             simple_profile(False), 10_000, 1, 4,
-            cfg(technique=SharedMemTechnique.FULL_LOCKING),
+            cfg(technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING),
         )
         assert lock.total_seconds > repl.total_seconds
 
     def test_locking_skips_replication_merge(self):
         lock = simulate_profile(
             simple_profile(False, ro_elements=1000), 1000, 1, 8,
-            cfg(technique=SharedMemTechnique.FULL_LOCKING),
+            cfg(technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING),
         )
         assert lock.phase_seconds("combination") == 0.0
 
@@ -145,7 +145,7 @@ class TestTechniques:
         def lock_time(p):
             r = simulate_profile(
                 simple_profile(False, ro_elements=2), 8_000, 1, p,
-                cfg(technique=SharedMemTechnique.FULL_LOCKING),
+                cfg(technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING),
             )
             # total lock work across threads (not wall-clock)
             return r.phase_seconds("local reduction") * p

@@ -35,7 +35,6 @@ class TestParse:
     def test_trailing_field(self):
         p = AccessPath.parse("[i].b2")
         assert p.levels == 1
-        assert p.field_chains() == [("b2",)]
 
     def test_garbage_rejected(self):
         with pytest.raises(MappingError):
@@ -55,14 +54,6 @@ class TestParse:
 
 
 class TestStructure:
-    def test_field_chains_per_level(self):
-        p = AccessPath.parse("[i].b1[j].a1[k]")
-        assert p.field_chains() == [("b1",), ("a1",), ()]
-
-    def test_chain_with_multiple_fields(self):
-        p = AccessPath.parse("[i].x.y[j]")
-        assert p.field_chains() == [("x", "y"), ()]
-
     def test_index_step_var_accessor(self):
         assert IndexStep("i").var == "i"
         with pytest.raises(MappingError):

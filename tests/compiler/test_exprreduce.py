@@ -229,7 +229,9 @@ class TestLocReductions:
         a = np.random.default_rng(20).standard_normal(500)
         job = compile_reduce_expr("minloc", a)
         want = job.result_value(FreerideEngine(num_threads=2, technique="full_replication"))
-        got = job.result_value(FreerideEngine(num_threads=2, technique="full_locking"))
+        got = job.result_value(
+            FreerideEngine(num_threads=2, technique="cache_sensitive_locking")
+        )
         assert got == want == (float(a.min()), int(np.argmin(a)))
 
     def test_matches_chapel_minloc_semantics(self):

@@ -217,7 +217,9 @@ class TestRunSerial:
         bound = comp.bind(data)
         ro = ReductionObject()
         ro.alloc(2, "add")
-        accessor = SharedMemManager(SharedMemTechnique.FULL_LOCKING).setup(ro, 1)[0]
+        accessor = SharedMemManager(SharedMemTechnique.CACHE_SENSITIVE_LOCKING).setup(
+            ro, 1
+        )[0]
         bound.run_serial(accessor)
         assert ro.get(0, 0) == float(data.sum())
         assert ro.get(0, 1) == 20.0

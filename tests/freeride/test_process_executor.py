@@ -138,7 +138,7 @@ class TestProcessDirect:
 class TestProcessValidation:
     def test_locking_technique_rejected(self):
         with pytest.raises(FreerideError, match="full_replication"):
-            FreerideEngine(executor="process", technique="full_locking")
+            FreerideEngine(executor="process", technique="cache_sensitive_locking")
 
     def test_manual_spec_rejected(self):
         spec = ReductionSpec(

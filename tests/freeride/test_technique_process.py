@@ -40,9 +40,7 @@ def _hist_spec():
 
 
 class TestProcessTechniqueHonesty:
-    @pytest.mark.parametrize(
-        "technique", ["full_locking", "cache_sensitive_locking", "colored"]
-    )
+    @pytest.mark.parametrize("technique", ["cache_sensitive_locking", "colored"])
     def test_explicit_conflicting_technique_raises_at_init(self, technique):
         with pytest.raises(FreerideError, match="full_replication"):
             FreerideEngine(executor="process", technique=technique)

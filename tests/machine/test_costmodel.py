@@ -53,19 +53,19 @@ class TestPricing:
 
 
 class TestLockCosts:
-    def test_technique_ordering(self):
+    def test_only_locking_pays_for_locks(self):
         cm = XEON_E5345
-        full = cm.lock_cost(SharedMemTechnique.FULL_LOCKING)
-        opt = cm.lock_cost(SharedMemTechnique.OPTIMIZED_FULL_LOCKING)
-        cache = cm.lock_cost(SharedMemTechnique.CACHE_SENSITIVE_LOCKING)
-        repl = cm.lock_cost(SharedMemTechnique.FULL_REPLICATION)
-        assert full > opt >= cache > repl == 0.0
+        assert cm.lock_cost(SharedMemTechnique.CACHE_SENSITIVE_LOCKING) > 0.0
+        assert cm.lock_cost(SharedMemTechnique.FULL_REPLICATION) == 0.0
+        assert cm.lock_cost(SharedMemTechnique.COLORED) == 0.0
 
     def test_lock_acquisitions_priced_by_technique(self):
         c = OpCounters(lock_acquisitions=10)
-        full = XEON_E5345.cycles(c, SharedMemTechnique.FULL_LOCKING)
+        lock = XEON_E5345.cycles(c, SharedMemTechnique.CACHE_SENSITIVE_LOCKING)
         repl = XEON_E5345.cycles(c, SharedMemTechnique.FULL_REPLICATION)
-        assert full == pytest.approx(10 * XEON_E5345.cycles_per_lock_full)
+        assert lock == pytest.approx(
+            10 * XEON_E5345.cycles_per_lock_cache_sensitive
+        )
         assert repl == 0.0
 
 

@@ -165,7 +165,7 @@ class TestRunMetrics:
         with tracing():
             result = FreerideEngine(
                 num_threads=2,
-                technique=SharedMemTechnique.FULL_LOCKING,
+                technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING,
                 chunk_size=10,
             ).run(sum_spec(), DATA)
         contention = result.stats.metrics["histograms"][
