@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -56,6 +57,27 @@ class TestFinalizerLifecycle:
         # a released executor refuses new work
         with pytest.raises(RuntimeError):
             pool.submit(lambda: None)
+
+    def test_garbage_collected_engine_joins_no_thread(self, monkeypatch):
+        """Collection may run the finalizer on a thread that holds
+        ``threading``'s own locks — a thread being started holds the one a
+        join takes — so releasing a collected engine's pool joins nothing;
+        the workers still stop."""
+        engine = FreerideEngine(num_threads=2, executor="threads")
+        engine.run(simple_spec(), np.arange(50.0))
+        workers = list(engine._pool._threads)
+        assert workers
+        joined = []
+        monkeypatch.setattr(
+            threading.Thread, "join", lambda thread, timeout=None: joined.append(thread)
+        )
+        del engine
+        gc.collect()
+        monkeypatch.undo()
+        assert joined == []
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
 
     def test_garbage_collected_engine_releases_segments(self):
         from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE

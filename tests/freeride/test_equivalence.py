@@ -14,7 +14,8 @@ from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 
-ALL_TECHNIQUES = list(SharedMemTechnique)
+#: every technique a run can request, the planner's ``auto`` included
+ALL_TECHNIQUES = ["auto", *SharedMemTechnique]
 # (name, engine kwargs) — the two middleware splitters
 SPLITTERS = [
     ("default", {}),

@@ -17,7 +17,8 @@ from repro.freeride.sharedmem import SharedMemTechnique
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.util.errors import FaultToleranceError
 
-ALL_TECHNIQUES = list(SharedMemTechnique)
+#: every technique a run can request, the planner's ``auto`` included
+ALL_TECHNIQUES = ["auto", *SharedMemTechnique]
 
 
 def sum_spec():

@@ -82,12 +82,15 @@ TECHNIQUES = ["auto"] + [t.value for t in SharedMemTechnique]
 
 @pytest.mark.parametrize("executor", ["serial", "threads", "process"])
 @pytest.mark.parametrize("technique", TECHNIQUES)
-@pytest.mark.parametrize("case", ["windowed", "histogram", "over_budget"])
+@pytest.mark.parametrize(
+    "case", ["windowed", "histogram", "over_budget", "windowed_over_budget"]
+)
 def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch):
-    if case == "over_budget":
-        # the histogram's 128-byte object, two replicas, a 64-byte budget
+    if case.endswith("over_budget"):
+        # either 128-byte object, two replicas, a 64-byte budget
         monkeypatch.setattr(plan_module, "REPLICATION_BUDGET_BYTES", 64)
-    spec, data = _windowed() if case == "windowed" else _histogram()
+    windowed = case.startswith("windowed")
+    spec, data = _windowed() if windowed else _histogram()
     if executor == "process" and technique not in ("auto", "full_replication"):
         with pytest.raises(FreerideError, match="full_replication"):
             FreerideEngine(num_threads=2, executor=executor, technique=technique)
@@ -115,7 +118,8 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
         if not in_process:
             assert plan.technique is SharedMemTechnique.FULL_REPLICATION
             assert "coercing" in decision["reason"]
-        elif case == "windowed":
+        elif windowed:
+            # parallel waves come before the budget: they replicate nothing
             assert plan.technique is SharedMemTechnique.COLORED
             assert plan.coloring.max_wave_width == 2
             assert decision["inputs"]["max_wave_width"] == 2
@@ -129,13 +133,13 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
         # compiler bounds are exact for both kernels: no fallback, no record
         assert plan.technique is SharedMemTechnique.COLORED and plan.decision is None
         assert plan.coloring.source == "compiler"
-        assert plan.coloring.max_wave_width == (2 if case == "windowed" else 1)
+        assert plan.coloring.max_wave_width == (2 if windowed else 1)
     else:
         assert plan.technique.value == technique
         assert plan.decision is None and plan.coloring is None
     # only a request that can execute waves snaps split boundaries
     wave_capable = in_process and technique in ("auto", "colored")
-    assert plan.split_alignment == (64 if case == "windowed" and wave_capable else None)
+    assert plan.split_alignment == (64 if windowed and wave_capable else None)
 
 
 def test_colored_without_group_sets_falls_back_with_one_record():

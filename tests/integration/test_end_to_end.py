@@ -43,7 +43,7 @@ class TestSumAgreesEverywhere:
         return float(self.DATA.sum())
 
     @pytest.mark.parametrize("opt_level", [0, 1, 2])
-    @pytest.mark.parametrize("technique", list(SharedMemTechnique))
+    @pytest.mark.parametrize("technique", ["auto", *SharedMemTechnique])
     @pytest.mark.parametrize("threads", [1, 4])
     def test_compiled_on_engine(self, opt_level, technique, threads):
         comp = compile_reduction(SUM_SOURCE, {}, opt_level=opt_level)
