@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.profiles import WorkloadProfile
-from repro.freeride.sharedmem import SharedMemTechnique
+from repro.freeride.sharedmem import SharedMemTechnique, num_locks
 from repro.machine.costmodel import XEON_E5345, CostModel
 from repro.machine.counters import OpCounters
 from repro.machine.simmachine import (
@@ -151,7 +151,7 @@ def model_phases(
                 # every reduction-object update takes a (possibly contended)
                 # cache-line lock
                 factor = lock_contention_factor(
-                    num_threads, _num_locks(pw.ro_elements)
+                    num_threads, num_locks(pw.ro_elements)
                 )
                 per_elem.lock_acquisitions = per_elem.ro_updates * factor
             cycles_per_element = cm.cycles(per_elem, config.technique)
@@ -198,12 +198,6 @@ def simulate_profile(
     phases = model_phases(profile, n_elements, iterations, num_threads, config)
     machine = SimMachine(config.cost_model, num_threads, scheduling=config.scheduling)
     return machine.run(phases)
-
-
-def _num_locks(ro_elements: int) -> int:
-    from repro.freeride.sharedmem import ELEMS_PER_CACHE_LINE
-
-    return max(1, ro_elements // ELEMS_PER_CACHE_LINE)
 
 
 @dataclass

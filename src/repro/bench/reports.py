@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.apps.kmeans import kmeans_ro_layout
 from repro.bench.figures import FIGURES, THREADS, run_figure, shape_checks
 from repro.bench.harness import SimulationConfig, sweep_threads
 from repro.bench.profiles import WorkloadProfile, measure_kmeans_profiles
@@ -127,8 +128,8 @@ def _text_sharedmem(results) -> str:
         lines.append(
             f"{p:>7}  " + "  ".join(f"{results[t][p]:>24.3f}" for t in TECHNIQUES)
         )
-    # the tradeoff's other axis: k groups x (dim + 1) elements x 8 B
-    ro_bytes = KMEANS_SMALL.k * (KMEANS_SMALL.dim + 1) * 8
+    # the tradeoff's other axis: the k-means object's float64 elements
+    ro_bytes = 8 * sum(n for n, _ in kmeans_ro_layout(KMEANS_SMALL.k, KMEANS_SMALL.dim))
     lines.append(
         f"reduction-object memory at 8 threads: replication "
         f"{8 * ro_bytes:,} B (8 private copies) vs locking {ro_bytes:,} B (shared)"

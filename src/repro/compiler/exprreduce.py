@@ -27,6 +27,7 @@ lowest index wins ties under any technique and thread count.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -100,8 +101,13 @@ def _compile(
     return compile_cached(source, constants, opt_level=2, backend=backend)
 
 
-def _run(bound: BoundReduction, ro_op: str, engine: FreerideEngine | None) -> ReductionResult:
-    return (engine or FreerideEngine()).run(*bound.make_spec([(1, ro_op)]))
+def _run(bound: BoundReduction, ro_op: str, engine: FreerideEngine) -> ReductionResult:
+    return engine.run(*bound.make_spec([(1, ro_op)]))
+
+
+def _engine(engine: FreerideEngine | None) -> "FreerideEngine | nullcontext[FreerideEngine]":
+    """``engine``, left open, or a fresh engine that ``with`` closes."""
+    return FreerideEngine() if engine is None else nullcontext(engine)
 
 
 class ReduceExprJob:
@@ -127,7 +133,8 @@ class ReduceExprJob:
         return self.bound.compiled.effective_backend
 
     def run(self, engine: FreerideEngine | None = None) -> ReductionResult:
-        return _run(self.bound, self._ro_op, engine)
+        with _engine(engine) as engine:
+            return _run(self.bound, self._ro_op, engine)
 
     def result_value(self, engine: FreerideEngine | None = None) -> float:
         return self.run(engine).ro.get(0, 0)
@@ -171,10 +178,10 @@ class LocReduceExprJob(ReduceExprJob):
     def run(self, engine: FreerideEngine | None = None) -> ReductionResult:
         """Both passes; sets :attr:`best` and returns the location pass's
         result, whose one cell holds the index."""
-        engine = engine or FreerideEngine()
-        self.best = super().run(engine).ro.get(0, 0)
-        self.loc_bound.update_extras({"best": from_python(self._best_t, [self.best])})
-        return _run(self.loc_bound, "min", engine)
+        with _engine(engine) as engine:
+            self.best = super().run(engine).ro.get(0, 0)
+            self.loc_bound.update_extras({"best": from_python(self._best_t, [self.best])})
+            return _run(self.loc_bound, "min", engine)
 
     def result_value(self, engine: FreerideEngine | None = None) -> tuple[float, int]:
         """(best value, 0-based element index) — Chapel's (value, loc)."""

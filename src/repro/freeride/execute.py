@@ -306,8 +306,8 @@ def _commit(ctx: RunContext, lane: int, pos: int, scratch: ReductionObject) -> N
     # concurrent commits within a wave never read-modify-write a cell both
     # left untouched
     coloring = ctx.plan.coloring
-    groups = coloring.group_sets[pos] if coloring is not None else None
-    ctx.lanes[lane].merge_from_scratch(scratch, groups=groups)
+    groups = sorted(coloring.group_sets[pos]) if coloring is not None else None
+    ctx.lanes[lane].merge_from(scratch, groups)
 
 
 def settle(

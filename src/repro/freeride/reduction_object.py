@@ -19,7 +19,7 @@ copies mergeable in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,20 +166,6 @@ class _Layout:
         self.op_cells = {
             op: self.opcodes[self.cell_group] == OP_CODES[op] for op in self.kinds
         }
-        #: maximal runs of consecutive same-op groups as ``(op, element
-        #: slice)`` — one ufunc call merges a whole run
-        self.runs: list[tuple[AccumulateOp, slice]] = []
-        first = 0
-        for g in range(1, len(self.metas) + 1):
-            if g == len(self.metas) or self.ops[g] != self.ops[first]:
-                end = self.metas[g - 1]
-                self.runs.append(
-                    (
-                        self.ops[first],
-                        slice(self.metas[first].offset, end.offset + end.num_elems),
-                    )
-                )
-                first = g
 
     def __reduce__(self) -> tuple:
         # copies and unpickled objects re-intern, keeping identity meaningful
@@ -331,7 +317,7 @@ class ReductionObject:
         """Freeze the layout: replicas must share it, so no more allocs.
 
         Everything that depends on the layout alone — the layout tuple, the
-        identity vector, the dense group tables, the same-op merge runs — is
+        identity vector, the dense group tables, the per-op element masks — is
         fixed from here on (see :class:`_Layout`); returns those interned
         tables, which identify the layout.
         """
@@ -652,46 +638,66 @@ class ReductionObject:
         """Account for ``count`` updates made through :meth:`direct_store`."""
         self.update_count += count
 
-    def merge_from(self, other: "ReductionObject") -> None:
-        """Combine another copy into this one (the *combine* of Figure 1).
+    def merge_from(
+        self, other: "ReductionObject", groups: "int | Sequence[int] | np.ndarray | None" = None
+    ) -> None:
+        """Fold another same-layout copy into this one: the *combine* of
+        Figure 1, and every commit of a lane, a scratch object or a delta
+        tail.
 
-        Merging is group-wise with each group's op ufunc, so it is a handful
-        of vectorized operations regardless of object size.
+        ``groups`` selects what is folded:
+
+        * ``None``: every group (the whole-object combine);
+        * one group id, over its slice alone (a locking lane's unit, made
+          under the group's locks);
+        * ascending, distinct ids (a colored split's proven group set, the
+          groups a kernel flagged) or a bool mask with one entry per group
+          (the delta tail's groups).
+
+        Every form but one id is one ufunc per accumulate op over the
+        buffer, masked to the selected groups' elements of that op.
+
+        Each selected group merges element by element with its op and is
+        marked touched by :meth:`touched_mask`'s merge rule.  Whatever the
+        selection, ``other.update_count`` is added once.
         """
-        for op, elems in self._check_same_layout(other, "merge").runs:
-            mine = self._buffer[elems]
-            _MERGE_UFUNC[op](mine, other._buffer[elems], out=mine)
-        self._touched |= other._touched
+        self._fold(other, self._check_same_layout(other, "merge"), groups)
         self.update_count += other.update_count
 
-    def merge_from_scratch(
-        self,
-        scratch: "ReductionObject",
-        groups: "Iterable[int] | None" = None,
+    def _fold(
+        self, other: "ReductionObject", tables: _Layout,
+        groups: "int | Sequence[int] | np.ndarray | None",
     ) -> None:
-        """Commit a per-split scratch reduction object in one atomic step.
-
-        The fault-tolerant engine processes each split attempt into a fresh
-        scratch object and calls this only on success, so a failed or
-        retried attempt never leaves partial accumulations behind.
-
-        ``groups``, when given, restricts the commit to those group ids —
-        the COLORED technique commits only the groups its coloring proved
-        the split can touch, so concurrent same-wave commits never
-        read-modify-write a group both left untouched.  An unrestricted
-        commit is one whole-object merge: right for a private replica, and
-        for a colored view only while commits are serialized.
-        """
-        if groups is None:
-            self.merge_from(scratch)
+        """:meth:`merge_from` without the update count, ``tables`` being the
+        layout both objects share: what a locking lane runs under each
+        group's locks, and :meth:`commit_delta`'s merge."""
+        buf, theirs, touched = self._buffer, other._buffer, self._touched
+        if isinstance(groups, (int, np.integer)):
+            # one group: its slice, and the touched rule over that slice
+            meta, cells = self._span(groups)
+            mine = buf[cells]
+            _MERGE_UFUNC[meta.op](mine, theirs[cells], out=mine)
+            if other._touched[groups] or (theirs[cells] != tables.identity[cells]).any():
+                touched[groups] = True
             return
-        self.merge_groups_from(sorted(groups), scratch)
-        self.update_count += scratch.update_count
-
-    def merge_group_from(self, group: int, other: "ReductionObject") -> None:
-        """:meth:`merge_groups_from` of one group — the locking commit's
-        unit, applied while holding exactly that group's covering locks."""
-        self._merge(self._one(group), other)
+        if groups is None:
+            cells = True  # a ufunc's ``where``: every element
+        else:
+            if not (isinstance(groups, np.ndarray) and groups.dtype == bool):
+                ids, groups = self._group_ids(groups), np.zeros_like(touched)
+                groups[ids] = True
+            elif groups.shape != touched.shape:
+                raise ReductionObjectError(
+                    f"group mask {groups.shape} for {touched.size} groups"
+                )
+            cells = groups[tables.cell_group]
+        for op in tables.kinds:
+            sel = cells if len(tables.kinds) == 1 else cells & tables.op_cells[op]
+            _MERGE_UFUNC[op](buf, theirs, out=buf, where=sel)
+        # other.touched_mask() over the selection, inline: no call per
+        # combine or epoch
+        touched |= other._touched if groups is None else other._touched & groups
+        touched[tables.cell_group[(theirs != tables.identity) & cells]] = True
 
     def touched_mask(self) -> np.ndarray:
         """One bool per group: did it receive at least one update?
@@ -705,10 +711,14 @@ class ReductionObject:
         for objects whose buffer was filled out-of-band: writable
         :meth:`group_view` slices and ``from_layout(initialize=False)``
         wraps of worker-filled shared segments bypass the bitmap.
+
+        This is also the one touched rule of a merge: :meth:`merge_from`
+        marks the selected groups that ``other.touched_mask()`` reports.
         """
         if not self._groups:
             return np.zeros(0, dtype=bool)
-        return _written(self, self._tables())
+        # a built layout is read without a call: an epoch asks this per commit
+        return _written(self, self._layout or self._tables())
 
     def touched_groups(self) -> frozenset[int]:
         """The groups :meth:`touched_mask` sets."""
@@ -720,8 +730,7 @@ class ReductionObject:
     # NumPy calls per accumulate op, however many groups it names.  A
     # selection is ``(op, groups, cells)`` per op: the op's groups and their
     # elements, as two slices when the groups are consecutive, else as the
-    # ids and a bool mask over the buffer — or, for the one-group forms,
-    # ``(op, group id, its slice)``.
+    # ids and a bool mask over the buffer.
 
     def _group_ids(self, groups: "np.ndarray | Sequence[int]") -> np.ndarray:
         ids = np.asarray(groups, dtype=np.int64).reshape(-1)
@@ -756,58 +765,28 @@ class ReductionObject:
         parts = [(op, ids[codes == OP_CODES[op]]) for op in tables.kinds]
         return [(op, *self._where(mine)) for op, mine in parts if mine.size]
 
-    def _one(self, group: int) -> list:
-        meta, cells = self._span(group)
-        return [(meta.op, meta.group_id, cells)]
-
     def _check_same_layout(self, other: "ReductionObject", verb: str) -> _Layout:
         """The layout ``self`` and ``other`` share; refused if they do not."""
         tables = self._tables()
-        if other._tables() is not tables:
+        # a built layout is compared without a call: a combine merges per run
+        if (other._layout or other._tables()) is not tables:
             raise ReductionObjectError(
                 f"cannot {verb} reduction objects with different layouts"
             )
         return tables
 
-    def merge_groups_from(
-        self, groups: "np.ndarray | Sequence[int]", other: "ReductionObject"
-    ) -> None:
-        """Merge the elements of ``groups`` from another same-layout copy.
-
-        Unlike :meth:`merge_from` this touches those groups only and does
-        *not* fold in ``other.update_count`` — the caller accounts for
-        updates once per whole-object commit.  A group becomes touched when
-        ``other`` flagged it or holds a non-identity value in it.
-        """
-        self._merge(self._selection(groups), other)
-
-    def _merge(self, selection: list, other: "ReductionObject") -> None:
-        tables = self._check_same_layout(other, "merge")
-        for op, groups, cells in selection:
-            theirs = other._buffer[cells]
-            self._buffer[cells] = _MERGE_UFUNC[op](self._buffer[cells], theirs)
-            if isinstance(groups, int):  # one group: its flag, else the scan
-                if other._touched[groups] or (theirs != tables.identity[cells]).any():
-                    self._touched[groups] = True
-                continue
-            filled = theirs != tables.identity[cells]
-            self._touched[groups] |= other._touched[groups]
-            self._touched[tables.cell_group[cells][filled]] = True
-
     def retract_groups(
         self, groups: "np.ndarray | Sequence[int]", other: "ReductionObject"
     ) -> None:
         """Undo the contributions ``other`` holds in ``groups`` (the inverse
-        of :meth:`merge_groups_from`).
+        of :meth:`merge_from` over ``groups``).
 
-        Like it, this does *not* fold ``other.update_count`` — the delta
-        commit accounts for updates once per epoch.  Refused, before
+        Unlike it, this does *not* take ``other.update_count`` back — the
+        delta commit accounts for updates once per epoch.  Refused, before
         anything is written, when a group's op has no inverse; the delta
         executor replays those groups instead.
         """
-        self._retract(self._selection(groups), other)
-
-    def _retract(self, selection: list, other: "ReductionObject") -> None:
+        selection = self._selection(groups)
         self._check_same_layout(other, "retract")
         for op, groups, _ in selection:
             if op not in INVERTIBLE_ACCUMULATE_OPS:
@@ -861,7 +840,8 @@ class ReductionObject:
            every group the commit writes — the union of the tail's groups
            and ``hit`` as a bool mask, their elements (group after group)
            and touched bits — and ``hits``, the groups both name;
-        2. the tail's groups merge in, one ufunc per accumulate op;
+        2. the tail's groups merge in (:meth:`merge_from`'s fold over
+           that mask, without the count);
         3. ``seam()`` runs (a fault raised there must be rolled back);
         4. ``hit``'s invertible groups subtract ``retract``'s, one ufunc
            per op, and its non-invertible ones become ``replay``'s (the op
@@ -880,8 +860,7 @@ class ReductionObject:
         held = []  # (scratch object, the cells it holds)
         if tail is not None:
             merged = _written(tail, tables)
-            appended = merged[cell_group]
-            held.append((tail, appended))
+            held.append((tail, merged[cell_group]))
         if retract is not None:
             retracted = hit[cell_group]
             held.append((retract, retracted))
@@ -895,10 +874,7 @@ class ReductionObject:
                 0 if merged is None else len((merged & hit).nonzero()[0]),
             )
             if tail is not None:
-                for op in kinds:
-                    sel = appended if one_op else appended & tables.op_cells[op]
-                    _MERGE_UFUNC[op](buf, tail._buffer, out=buf, where=sel)
-                touched |= merged
+                self._fold(tail, tables, merged)
             if seam is not None:
                 seam()
             if retract is not None:

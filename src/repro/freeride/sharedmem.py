@@ -61,10 +61,17 @@ __all__ = [
     "attach_shm_segment",
     "close_shm_segment",
     "ELEMS_PER_CACHE_LINE",
+    "num_locks",
 ]
 
 #: 64-byte cache line / 8-byte float64 elements.
 ELEMS_PER_CACHE_LINE = 8
+
+
+def num_locks(elements: int) -> int:
+    """Cache-sensitive locking's stripe: one lock per cache line of a
+    reduction object of ``elements`` float64 elements (at least one)."""
+    return max(1, -(-elements // ELEMS_PER_CACHE_LINE))
 
 
 class SharedMemTechnique(enum.Enum):
@@ -180,19 +187,20 @@ class LockingAccessor:
             self.ro.apply_batch, idx, v, op,
         )
 
-    def merge_from_scratch(self, scratch: ReductionObject, groups=None) -> None:
-        """:meth:`ReductionObject.merge_from_scratch` into the shared copy,
-        group by group, each under its covering locks.  A group merge is one
-        atomic unit: other threads observe it entirely or not at all."""
-        gids = range(self.ro.num_groups) if groups is None else sorted(groups)
-        for g in gids:
-            meta = self.ro._meta(g)
+    def merge_from(self, other: ReductionObject, groups=None) -> None:
+        """:meth:`ReductionObject.merge_from` into the shared copy, group by
+        group (every group, or ascending ids), each under its covering locks:
+        other threads observe a group's merge entirely or not at all.  The
+        update count is added once, under its own lock."""
+        ro = self.ro
+        tables = ro._check_same_layout(other, "merge")
+        for g in range(ro.num_groups) if groups is None else groups:
+            meta = ro._meta(g)
             self._holding(
-                _covering(meta.offset, meta.num_elems),
-                self.ro.merge_group_from, g, scratch,
+                _covering(meta.offset, meta.num_elems), ro._fold, other, tables, g
             )
         with self._meta_lock:
-            self.ro.update_count += scratch.update_count
+            ro.update_count += other.update_count
 
     def direct_store(self) -> DirectStore:
         """C takes no locks, so the kernel stores into a lane-private
@@ -210,7 +218,7 @@ class LockingAccessor:
         scratch.update_count = count
         try:
             if touched:
-                self.merge_from_scratch(scratch, groups=touched)
+                self.merge_from(scratch, touched)
         finally:
             scratch.reset_groups(touched)
             scratch.update_count = 0
@@ -316,10 +324,7 @@ class SharedMemManager:
             # every update writes, stay per lane until finish().
             return [base_ro.view() for _ in range(num_threads)]
         # cache-sensitive locking: one lock per cache line, shared by every lane
-        locks = [
-            threading.Lock()
-            for _ in range(max(1, -(-base_ro.size // ELEMS_PER_CACHE_LINE)))
-        ]
+        locks = [threading.Lock() for _ in range(num_locks(base_ro.size))]
         meta_lock = threading.Lock()
         return [LockingAccessor(base_ro, locks, meta_lock) for _ in range(num_threads)]
 

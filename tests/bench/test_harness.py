@@ -152,6 +152,22 @@ class TestTechniques:
 
         assert lock_time(8) > lock_time(1)
 
+    def test_a_500_element_object_is_priced_at_the_engines_63_locks(self, monkeypatch):
+        import repro.bench.harness as harness
+        from repro.freeride.reduction_object import ReductionObject
+        from repro.freeride.sharedmem import SharedMemManager
+
+        locking = SharedMemTechnique.CACHE_SENSITIVE_LOCKING
+        priced = []
+        factor = harness.lock_contention_factor
+        monkeypatch.setattr(
+            harness, "lock_contention_factor",
+            lambda threads, locks: priced.append(locks) or factor(threads, locks),
+        )
+        model_phases(simple_profile(False, ro_elements=500), 1000, 1, 4, cfg(technique=locking))
+        lanes = SharedMemManager(locking).setup(ReductionObject.from_layout([(500, "add")]), 2)
+        assert priced == [63] == [lanes[0].stats.num_locks]
+
 
 class TestCombination:
     def test_replication_merge_grows_with_threads(self):

@@ -243,3 +243,44 @@ class TestLocReductions:
             "minloc", list(zip(a, range(len(a))))
         )
         assert (value, loc) == (want_value, want_loc)
+
+
+class TestEngineOwnership:
+    """A job run without an engine opens one for the call and closes it; an
+    engine the caller passed stays open."""
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Engines the job module builds, and how many of them were closed."""
+        import repro.compiler.exprreduce as exprreduce
+
+        seen = {"opened": 0, "closed": 0}
+
+        class Counted(FreerideEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen["opened"] += 1
+
+            def close(self):
+                if not self._closed:
+                    seen["closed"] += 1
+                super().close()
+
+        monkeypatch.setattr(exprreduce, "FreerideEngine", Counted)
+        return seen
+
+    @pytest.mark.parametrize("op", ["min", "minloc"])
+    def test_an_engine_of_its_own_is_closed(self, op, engines):
+        a = np.array([4.0, -2.0, 7.0, -2.0])
+        job = compile_reduce_expr(op, a)
+        assert job.result_value() == (-2.0 if op == "min" else (-2.0, 1))
+        # one engine per call, for both passes of a location reduction
+        assert engines == {"opened": 1, "closed": 1}
+
+    @pytest.mark.parametrize("op", ["min", "minloc"])
+    def test_a_callers_engine_stays_open(self, op, engines):
+        job = compile_reduce_expr(op, np.array([4.0, -2.0, 7.0, -2.0]))
+        with FreerideEngine() as engine:
+            first = job.result_value(engine)
+            assert job.result_value(engine) == first  # a closed engine refuses
+        assert engines == {"opened": 0, "closed": 0}

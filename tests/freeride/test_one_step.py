@@ -169,7 +169,8 @@ class TestGlueIsConstantPerSplit:
         _, calls_many = _python_calls(1024, 100)
         for calls in (calls_one, calls_many):
             assert calls["from_layout"] == 0
-            assert calls["merge_from_scratch"] == 0
-            # the local combination folds the one replica into the result
+            # the local combination folds the one replica into the result:
+            # the run's one fold of a reduction object into another
             assert calls["merge_from"] == 1
+            assert calls["_fold"] == 1
             assert calls["_native_ranges"] == 1

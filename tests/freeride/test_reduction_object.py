@@ -284,34 +284,74 @@ class TestGroupArrays:
     def pair(self, rng):
         mine, theirs = (ReductionObject.from_layout(self.LAYOUT) for _ in range(2))
         for g, (n, _) in enumerate(self.LAYOUT):
-            if g != 4:
+            if g:
                 mine.accumulate_group(g, np.round(rng.uniform(-4, 4, n) * 8) / 8)
             if g % 3:
                 theirs.accumulate_group(g, np.round(rng.uniform(-4, 4, n) * 8) / 8)
-        theirs.group_view(0)[1] = 0.5  # filled out of band: no flag
+        # an add group neither flags: theirs holds it by value only
+        theirs.group_view(0)[1] = 0.5
         return mine, theirs
 
     @staticmethod
     def state(ro):
         return ro.snapshot().tobytes(), ro._touched.tobytes(), ro.update_count
 
-    SUBSETS = [[], [3], [0, 1, 2, 3, 4, 5], [1, 2, 3], [0, 2, 5], [0, 4]]
+    IDENTITY = {"add": 0.0, "min": np.inf, "max": -np.inf}
+    UFUNC = {"add": np.add, "min": np.fmin, "max": np.fmax}
 
-    @pytest.mark.parametrize("groups", SUBSETS)
+    #: every form of a merge's selection
+    SELECTIONS = {
+        "whole": None,
+        "one id": 3,
+        "no ids": [],
+        "ids, one": [3],
+        "ids, all": [0, 1, 2, 3, 4, 5],
+        "ids, consecutive": [1, 2, 3],
+        "ids, scattered": [0, 2, 5],
+        "ids, scattered, one op": np.array([0, 4], dtype=np.int64),
+        "mask": np.array([True, False, True, True, False, True]),
+    }
+
+    @pytest.mark.parametrize("groups", SELECTIONS.values(), ids=SELECTIONS.keys())
     def test_merge_and_reset(self, groups):
-        rng = np.random.default_rng(len(groups))
-        by_array, theirs = self.pair(rng)
-        by_group, _ = self.pair(np.random.default_rng(len(groups)))
-        by_array.merge_groups_from(np.array(groups, dtype=np.int64), theirs)
-        for g in groups:
-            by_group.merge_group_from(g, theirs)
-        assert self.state(by_array) == self.state(by_group)
-        by_array.reset_groups(groups)
-        for g in groups:
-            assert by_array.get_group(g).tolist() == [
-                {"add": 0.0, "min": np.inf, "max": -np.inf}[self.LAYOUT[g][1]]
+        picked = np.zeros(len(self.LAYOUT), dtype=bool)
+        picked[slice(None) if groups is None else groups] = True
+        ids = picked.nonzero()[0]
+        rng = np.random.default_rng(ids.size)
+        mine, theirs = self.pair(rng)
+        by_group, _ = self.pair(np.random.default_rng(ids.size))
+        # group by group: the selected ones fold with their op, and are
+        # touched where ``theirs`` flags them or holds a non-identity value
+        values, flags = mine.snapshot(), mine._touched.copy()
+        other = theirs.snapshot()
+        offset = 0
+        for g, (n, op) in enumerate(self.LAYOUT):
+            cells = slice(offset, offset + n)
+            offset += n
+            if picked[g]:
+                values[cells] = self.UFUNC[op](values[cells], other[cells])
+                flags[g] |= theirs._touched[g] or (other[cells] != self.IDENTITY[op]).any()
+        count = mine.update_count + theirs.update_count
+
+        mine.merge_from(theirs) if groups is None else mine.merge_from(theirs, groups)
+        assert mine.snapshot().tobytes() == values.tobytes()
+        assert mine._touched.tolist() == flags.tolist()
+        assert mine.update_count == count
+        assert mine.is_touched(0) == picked[0]  # held by value only
+        # the one-id form, group by group, folds the same bits and counts
+        # ``theirs`` once per merge
+        before = by_group.update_count
+        for g in ids:
+            by_group.merge_from(theirs, int(g))
+        assert self.state(by_group)[:2] == self.state(mine)[:2]
+        assert by_group.update_count == before + ids.size * theirs.update_count
+
+        mine.reset_groups(ids)
+        for g in ids:
+            assert mine.get_group(g).tolist() == [
+                self.IDENTITY[self.LAYOUT[g][1]]
             ] * self.LAYOUT[g][0]
-            assert not by_array.is_touched(g)
+            assert not mine.is_touched(g)
 
     @pytest.mark.parametrize("groups", [[], [0], [0, 2], [0, 2, 4]])
     def test_retract(self, groups):
@@ -351,12 +391,22 @@ class TestGroupArrays:
     def test_unallocated_groups_are_refused(self, groups):
         mine, theirs = self.pair(np.random.default_rng(1))
         for call in (
-            lambda: mine.merge_groups_from(groups, theirs),
+            lambda: mine.merge_from(theirs, groups),
             lambda: mine.reset_groups(groups),
             lambda: mine.gather_groups(groups),
         ):
             with pytest.raises(ReductionObjectError, match="not all allocated"):
                 call()
+
+    @pytest.mark.parametrize(
+        "groups", [6, -1, np.ones(5, dtype=bool)], ids=["id 6", "id -1", "short mask"]
+    )
+    def test_a_bad_selection_is_refused_before_writing(self, groups):
+        mine, theirs = self.pair(np.random.default_rng(1))
+        before = self.state(mine)
+        with pytest.raises(ReductionObjectError):
+            mine.merge_from(theirs, groups)
+        assert self.state(mine) == before
 
 
 class TestAlignedAllocator:
@@ -426,12 +476,16 @@ class TestCommitDelta:
         ref, ref_cp = committed.copy(), ROCheckpoint()
         ref_cp.begin(1, ref, n_elements=0, live_count=0)
         ref_cp.save_groups(ref, merged, retracted, replayed)
-        ref.merge_groups_from(merged, tail)
+        ref.merge_from(tail, merged)  # + tail.update_count
         ref.retract_groups(retracted, retract)
+        replayed_updates = 0
         if replay is not None:
             ref.reset_groups(replayed)
-            ref.merge_groups_from(replayed, replay)
-        ref.update_count += tail.update_count - retract.update_count
+            ref.merge_from(replay, replayed)  # + replay.update_count
+            replayed_updates = replay.update_count
+        # the commit gains the tail's updates and loses the retracted ones;
+        # a replay rebuilds groups and counts nothing
+        ref.update_count -= retract.update_count + replayed_updates
 
         fused, cp = committed.copy(), ROCheckpoint()
         scratch = [tail.copy(), retract.copy(), replay.copy() if replay is not None else None]
