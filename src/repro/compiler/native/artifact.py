@@ -210,6 +210,17 @@ class Runtime:
                 self.loaded = build.result()
         return self.loaded
 
+    def landed(self) -> Any:
+        """The runtime once this process has it, else None: while its build
+        is unsubmitted or in flight, and where it failed.  Starts, waits
+        for and raises nothing."""
+        if self.loaded is None:
+            build = self.build
+            if build is None or not build.done() or build.exception() is not None:
+                return None
+            self.loaded = build.result()
+        return self.loaded
+
     def report(self, exc: BaseException, **args: Any) -> None:
         """The runtime is missing: its trace event each time, and one warning
         per process (none for a failed probe, which has warned)."""

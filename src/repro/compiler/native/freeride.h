@@ -59,4 +59,65 @@ typedef void freeride_lane_main(struct freeride_team *t, long long k);
 typedef void freeride_wave(struct freeride_team *t, long long active);
 typedef void freeride_stop(struct freeride_team *t);
 
+/* the op codes of struct freeride_ro's op table */
+enum freeride_op { FREERIDE_ADD = 0, FREERIDE_MIN = 1, FREERIDE_MAX = 2 };
+
+/* the reduction objects of a delta epoch: the committed one and the three
+ * scratch objects that the appended tail, the retracted elements and the
+ * replayed elements are reduced into.  Bit 1 << role of a commit's `held`
+ * says that role's scratch object holds this epoch's elements. */
+enum freeride_role {
+    FREERIDE_COMMITTED = 0,
+    FREERIDE_TAIL = 1,
+    FREERIDE_RETRACT = 2,
+    FREERIDE_REPLAY = 3
+};
+
+/* what freeride_retract returns when it refuses a batch */
+enum freeride_retract_rc {
+    FREERIDE_UNSORTED = -1,  /* not strictly ascending: sort, dedup, retry */
+    FREERIDE_OUT_OF_RANGE = -2,
+    FREERIDE_RETRACTED = -3  /* a position is already tombstoned */
+};
+
+/* a delta session as its epoch loops see it: built once per session, one
+ * pointer replaced when the session replaces the buffer behind it */
+struct freeride_epoch {
+    /* the layout all four objects share (as in struct freeride_ro) and the
+     * identity of each element */
+    const long long *off, *n, *op;
+    const double *identity;
+    long long groups;
+    /* per role (enum freeride_role): elements and touched flags */
+    double *acc[4];
+    _Bool *touched[4];
+    _Bool *live;              /* one per element position */
+    long long *starts, *ends; /* the runs a loop cuts, room for cap */
+    long long cap;
+    /* per group, set by a commit's first half: the tail writes it, the
+     * retraction hit it, its pre-image is saved */
+    _Bool *merged, *hit, *saved;
+    /* the pre-images: elements (group after group) and touched flags of
+     * the saved groups, their counts, and the groups both tail and
+     * retraction name */
+    double *values;
+    _Bool *bits;
+    long long saved_groups, saved_cells, hits;
+};
+
+/* epoch.c's entries.  retract: check positions idx[0..m) strictly ascending,
+ * in [0, n) and live, and cut their runs; with tombstone set, also mark
+ * them dead.  Returns the run count, or a freeride_retract_rc having
+ * changed no liveness.  live_runs: the runs of live positions inside the
+ * blocks [blocks[2b], blocks[2b+1]), b < nblocks, clipped to [0, n); at most
+ * cap are stored, the count is returned.  commit_save: the commit up to
+ * the seam; commit_apply: the rest when apply is set, then the scratch
+ * objects that `held` names emptied either way. */
+typedef long long freeride_retract(struct freeride_epoch *e, const long long *idx,
+                                   long long m, long long n, long long tombstone);
+typedef long long freeride_live_runs(struct freeride_epoch *e, const long long *blocks,
+                                     long long nblocks, long long n);
+typedef void freeride_commit_save(struct freeride_epoch *e, long long held);
+typedef void freeride_commit_apply(struct freeride_epoch *e, long long held, long long apply);
+
 #endif

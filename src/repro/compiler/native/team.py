@@ -8,6 +8,10 @@ entry, through its function pointer, with its own ``struct freeride_ro``.
 ``freeride.h`` holds the structs for the C and the cffi side alike; a wave is
 positions ``[0, n)``, the first ``cut`` in segment 0; position ``joined``
 (-1: none) continues the range before it, so it is no split of its own.
+
+The same runtime carries ``epoch.c``, a delta epoch's bookkeeping loops,
+which :mod:`repro.freeride.delta` takes once the runtime has landed: one
+runtime ``cc`` per process.
 """
 
 from __future__ import annotations
@@ -25,9 +29,18 @@ import numpy as np
 from repro.compiler.native import artifact, toolchain
 from repro.compiler.native.printer import _COUNTER_FIELDS
 from repro.compiler.native.toolchain import NativeUnsupported, probe_toolchain
+from repro.freeride import delta
 from repro.freeride.reduction_object import aligned_empty
 
-_SOURCE = (Path(__file__).parent / "team.c").read_text()
+#: team.c then epoch.c, one translation unit
+_SOURCE = "".join((Path(__file__).parent / name).read_text() for name in ("team.c", "epoch.c"))
+#: the runtime's entries, as :class:`_TeamRuntime` names them, and their
+#: ``freeride.h`` types
+_ENTRIES = {
+    "lane": "freeride_lane_main", "run": "freeride_wave", "stop": "freeride_stop",
+    "retract": "freeride_retract", "live_runs": "freeride_live_runs",
+    "commit_save": "freeride_commit_save", "commit_apply": "freeride_commit_apply",
+}
 
 #: A lane's counter row, in float64s: whole cache lines, so no two lanes'
 #: per-range counter stores share one.
@@ -39,12 +52,21 @@ class _TeamRuntime(NamedTuple):
     lane: Any
     run: Any
     stop: Any
+    retract: Any
+    live_runs: Any
+    commit_save: Any
+    commit_apply: Any
+    #: the contract's FFI, whose types the functions take
+    ffi: Any
 
 
 def _load(so_path: Path, symbol: str) -> _TeamRuntime:
-    lib = artifact.dlopen(so_path, f"freeride_lane_main {symbol}_lane; "
-                          f"freeride_wave {symbol}_run; freeride_stop {symbol}_stop;")
-    return _TeamRuntime(lib, *(getattr(lib, f"{symbol}_{fn}") for fn in ("lane", "run", "stop")))
+    lib = artifact.dlopen(
+        so_path, " ".join(f"{typedef} {symbol}_{fn};" for fn, typedef in _ENTRIES.items())
+    )
+    return _TeamRuntime(
+        lib, *(getattr(lib, f"{symbol}_{fn}") for fn in _ENTRIES), artifact.contract_ffi()
+    )
 
 
 def _start() -> Future:
@@ -64,6 +86,10 @@ def _start() -> Future:
 RUNTIME = artifact.Runtime(
     "native lane team", _start, ("native_team", "compiler"), "threaded waves run inline"
 )
+
+# a delta session takes epoch.c's loops from the landed runtime; until it
+# lands, and where it cannot exist, epochs run the NumPy path
+delta.use_epoch_runtime(RUNTIME.landed)
 
 
 def _retire_team(pid: int, lock: threading.Lock, rt: _TeamRuntime, team: Any,

@@ -32,6 +32,12 @@ committed reduction object in work proportional to the change:
     sealed ring reconstructs the reduction object as of any retained epoch
     (windowed / streaming queries) without ever copying untouched groups.
 
+Where the native runtime exists, an epoch's bookkeeping — the retraction's
+checks, tombstones and runs, the replay's live runs and the checkpointed
+commit — runs in C (``compiler/native/epoch.c``), through the
+:class:`NativeEpoch` a session binds once; elsewhere the same steps run in
+NumPy, which is the C's reference, bit for bit.
+
 Invertibility decides the retract strategy per group (see
 :data:`~repro.freeride.reduction_object.INVERTIBLE_ACCUMULATE_OPS` and the
 RS034/RS035 diagnostics): ``add`` groups subtract the retracted
@@ -46,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -65,9 +71,11 @@ __all__ = [
     "DeltaSession",
     "EpochReport",
     "ManualDataset",
+    "NativeEpoch",
     "ROCheckpoint",
     "contiguous_runs",
     "mask_runs",
+    "use_epoch_runtime",
 ]
 
 #: pseudo split id the delta commit reports to a configured
@@ -89,6 +97,96 @@ _NO_GROUPS = np.empty(0, dtype=np.int64)
 _any = np.logical_or.reduce
 _all = np.logical_and.reduce
 _sum = np.add.reduce
+
+
+def _no_runtime() -> None:
+    return None
+
+
+#: ``() -> runtime | None``: where a session finds the native epoch loops
+_epoch_runtime: Callable[[], Any] = _no_runtime
+
+
+def use_epoch_runtime(landed: Callable[[], Any]) -> None:
+    """Take the epoch loops from ``landed()``: the process's native runtime
+    once it is there (its ``ffi`` and ``epoch.c``'s four entries), else
+    None.  The native tier installs its own when imported; until one is
+    installed and has landed, every epoch runs the NumPy path."""
+    global _epoch_runtime
+    _epoch_runtime = landed
+
+
+class NativeEpoch:
+    """One session's ``struct freeride_epoch`` (``freeride.h``) and the C
+    loops that take it: the retraction's checks, tombstones and runs, the
+    replay's live runs, and the commit's two halves around the seam.
+
+    Built once per session over its committed object, its three scratch
+    objects and its liveness backing; a buffer the session replaces (a
+    grown liveness backing, outgrown run arrays) is re-pointed by
+    :meth:`point_live` and :meth:`room`.  A call passes the struct and, at
+    most, one array of the caller's — nothing is marshalled per call.
+    """
+
+    def __init__(
+        self, rt: Any, ro: ReductionObject, scratch: dict[str, ReductionObject],
+        live: np.ndarray,
+    ) -> None:
+        ffi = rt.ffi
+        #: the library stays loaded while its functions are held here
+        self._rt = rt
+        self.retract, self.live_runs = rt.retract, rt.live_runs
+        self.commit_save, self.commit_apply = rt.commit_save, rt.commit_apply
+        self.from_buffer, self.ll = ffi.from_buffer, ffi.typeof("long long[]")
+        self._double, self._bool = ffi.typeof("double[]"), ffi.typeof("_Bool[]")
+        codes = ffi.typeof("enum freeride_retract_rc").relements
+        #: what :attr:`retract` returns for positions out of ascending order
+        self.unsorted = codes["FREERIDE_UNSORTED"]
+        roles = ffi.typeof("enum freeride_role").relements
+        #: per scratch role, its bit of the commit's ``held``
+        self.held = {role: 1 << roles[f"FREERIDE_{role.upper()}"] for role in scratch}
+        tables = ro.freeze_layout()
+        groups = len(tables.metas)
+        #: per group, written by the commit: merged, hit, saved
+        flags = np.zeros((3, groups), dtype=bool)
+        #: the groups whose pre-images :attr:`values` / :attr:`bits` hold
+        self.saved = flags[2]
+        self.values = np.empty(tables.size, dtype=np.float64)
+        self.bits = np.empty(groups, dtype=bool)
+        self.ep = ep = ffi.new("struct freeride_epoch *")
+        ep.off, ep.n, ep.op = (
+            self.from_buffer(self.ll, table)
+            for table in (tables.offsets, tables.nelems, tables.opcodes)
+        )
+        ep.identity = self.from_buffer(self._double, tables.identity)
+        ep.groups = groups
+        for role, obj in (("committed", ro), *scratch.items()):
+            store, at = obj.direct_store(), roles[f"FREERIDE_{role.upper()}"]
+            ep.acc[at] = self.from_buffer(self._double, store.elements)
+            ep.touched[at] = self.from_buffer(self._bool, store.touched)
+        ep.merged, ep.hit, ep.saved = (self.from_buffer(self._bool, row) for row in flags)
+        ep.values = self.from_buffer(self._double, self.values)
+        ep.bits = self.from_buffer(self._bool, self.bits)
+        self.point_live(live)
+        self.cap = 0
+        self.room(64)
+
+    def point_live(self, live: np.ndarray) -> None:
+        """The session's liveness is now ``live`` (a grown backing)."""
+        self._live = live
+        self.ep.live = self.from_buffer(self._bool, live)
+
+    def room(self, runs: int) -> None:
+        """Make room for ``runs`` runs in :attr:`starts` / :attr:`ends`."""
+        if runs <= self.cap:
+            return
+        self.cap = max(runs, 2 * self.cap)
+        both = np.empty((2, self.cap), dtype=np.int64)
+        #: where the loops cut their runs: a retraction's, then a replay's
+        self.starts, self.ends = both
+        ep = self.ep
+        ep.starts, ep.ends = (self.from_buffer(self.ll, side) for side in both)
+        ep.cap = self.cap
 
 
 def contiguous_runs(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,6 +523,11 @@ class DeltaSession:
     _spec: ReductionSpec | None = field(init=False, default=None, repr=False)
     #: the ``hit`` of an epoch that retracts nothing: no group (never written)
     _no_hits: np.ndarray = field(init=False, repr=False)
+    #: does the layout hold a group a retraction replays?
+    _replays: bool = field(init=False, repr=False)
+    #: the C loops an epoch runs, bound once the native runtime is there
+    #: (None: the NumPy path)
+    _native: NativeEpoch | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.n_elements = self.live_count = int(self.source.n_elements)
@@ -433,10 +536,20 @@ class DeltaSession:
         self.live = self._live[: self.n_elements]
         self.live[:] = True
         self.noninvertible_mask = self.ro.freeze_layout().noninvertible
+        self._replays = bool(_any(self.noninvertible_mask))
         self._no_hits = np.zeros(self.ro.num_groups, dtype=bool)
         self.scratch = {
             role: self.ro.clone_empty() for role in ("retract", "replay", "tail")
         }
+        self._bind()
+
+    def _bind(self) -> NativeEpoch | None:
+        """:attr:`_native`, bound here (when the session opens, else when an
+        epoch begins) the first time the runtime is there."""
+        rt = _epoch_runtime()
+        if rt is not None:
+            self._native = NativeEpoch(rt, self.ro, self.scratch, self._live)
+        return self._native
 
     @property
     def noninvertible(self) -> frozenset[int]:
@@ -498,6 +611,8 @@ class DeltaSession:
         new_n = n_old
         appended = 0
         refused = True  # until the batch is accepted a failure is no rollback
+        advanced = False  # are retract_idx tombstoned?
+        native = self._native if self._native is not None else self._bind()
         with tracer.span(
             "delta.apply", cat="delta", epoch=epoch, retracted=retracted,
             executor=executor,
@@ -514,7 +629,8 @@ class DeltaSession:
                 refused = False
                 # tombstoned right after normalize_retract read the same
                 # positions of the mask, while they are still in cache
-                self.advance_liveness(new_n, retract_idx)
+                retract_starts, retract_ends = self.advance_liveness(new_n, retract_idx)
+                advanced = True
                 # every range below goes to this spec's reduce_ranges hook as
                 # two arrays, *global* positions intact, so position-dependent
                 # reductions see the coordinates a full run would and a
@@ -533,12 +649,14 @@ class DeltaSession:
                         )
                     # -- retract compute (never mutates the committed object)
                     if retracted:
-                        starts, ends = contiguous_runs(retract_idx)
-                        retract_runs = len(starts)
+                        retract_runs = len(retract_starts)
                         retract = scratch["retract"]
-                        spec.reduce_ranges(starts, ends, retract)
-                        hit = retract.touched_mask()
-                        replayed = (hit & self.noninvertible_mask).nonzero()[0]
+                        spec.reduce_ranges(retract_starts, retract_ends, retract)
+                        # the C commit finds its own hit; only a replay
+                        # needs it here
+                        if native is None or self._replays:
+                            hit = retract.touched_mask()
+                            replayed = (hit & self.noninvertible_mask).nonzero()[0]
                     # -- replay compute: re-reduce only the survivors inside
                     # the blocks whose effect-summary footprint can reach a
                     # replayed group
@@ -579,6 +697,7 @@ class DeltaSession:
                         partial(injector.inject, DELTA_COMMIT_SPLIT_ID, attempt)
                         if injector is not None
                         else None,
+                        native,
                     )
                     cp.commit()
                 except BaseException:
@@ -588,7 +707,7 @@ class DeltaSession:
                 if not refused:
                     self.rollbacks += 1
                     span.set(rolled_back=True)
-                self.rewind_liveness(n_old, old_live, retract_idx)
+                self.rewind_liveness(n_old, old_live, retract_idx if advanced else _NO_GROUPS)
                 if new_n != n_old:
                     source.truncate_elements(n_old)
                 raise
@@ -622,8 +741,20 @@ class DeltaSession:
 
         With ``blocks`` — ordered, disjoint ``(start, end)`` position pairs
         — only the runs inside them, cut at block boundaries, in work
-        proportional to the blocks' sizes.
+        proportional to the blocks' sizes.  On the native path the two
+        arrays are views of the session's run buffers, which the next
+        epoch overwrites.
         """
+        native = self._native
+        if native is not None:
+            n = self.live.size
+            bounds = np.array((0, n) if blocks is None else blocks, dtype=np.int64)
+            c_bounds, count = native.from_buffer(native.ll, bounds), bounds.size // 2
+            runs = native.live_runs(native.ep, c_bounds, count, n)
+            if runs > native.cap:
+                native.room(runs)
+                native.live_runs(native.ep, c_bounds, count, n)
+            return native.starts[:runs], native.ends[:runs]
         if blocks is None:
             return mask_runs(self.live)
         # the blocks' liveness end to end, each followed by a dead separator
@@ -643,18 +774,44 @@ class DeltaSession:
         moved = shift[at.searchsorted(first, side="right") - 1]
         return first + moved, last + moved
 
-    def advance_liveness(self, new_n: int, retract_idx: np.ndarray) -> None:
+    def advance_liveness(
+        self, new_n: int, retract_idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Extend :attr:`live` to ``new_n`` positions and tombstone
-        ``retract_idx`` (validated by :meth:`normalize_retract`), in place."""
+        ``retract_idx`` (validated by :meth:`normalize_retract`), in place.
+
+        Returns the tombstoned positions' runs, as :func:`contiguous_runs`
+        does (on the native path, views of the session's run buffers).
+        """
         old_n = self.live.size
+        native = self._native
         if new_n > self._live.size:
             grown = np.empty(max(new_n, 2 * self._live.size), dtype=bool)
             grown[:old_n] = self.live
             self._live = grown
+            if native is not None:
+                native.point_live(grown)
         self.live = self._live[:new_n]
         self.live[old_n:] = True
-        self.live[retract_idx] = False
-        self.live_count += new_n - old_n - int(retract_idx.size)
+        retracted = int(retract_idx.size)
+        if not retracted:
+            self.live_count += new_n - old_n
+            return _NO_GROUPS, _NO_GROUPS
+        if native is None:
+            self.live[retract_idx] = False
+            runs = contiguous_runs(retract_idx)
+        else:
+            if retracted > native.cap:
+                native.room(retracted)
+            count = native.retract(
+                native.ep, native.from_buffer(native.ll, retract_idx), retracted, old_n, 1
+            )
+            if count < 0:  # refused, nothing tombstoned
+                self._refuse(retract_idx, old_n)
+                raise FreerideError("retract positions must be strictly increasing")
+            runs = native.starts[:count], native.ends[:count]
+        self.live_count += new_n - old_n - retracted
+        return runs
 
     def rewind_liveness(
         self, old_n: int, old_count: int, retract_idx: np.ndarray
@@ -687,22 +844,41 @@ class DeltaSession:
                 f"(np.flatnonzero(mask) for a boolean mask), got dtype "
                 f"{idx.dtype} with shape {idx.shape}"
             )
-        idx = idx.astype(np.int64, copy=False)
+        # contiguous: the native check reads it where it is
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
         if idx.size == 0:
             return idx
-        if _any(idx[1:] <= idx[:-1]):
+        native = self._native
+        if native is None:
+            if _any(idx[1:] <= idx[:-1]):
+                idx = np.unique(idx)
+            self._refuse(idx, self.n_elements)
+            return idx
+        if idx.size > native.cap:
+            native.room(idx.size)
+        checked = native.retract(
+            native.ep, native.from_buffer(native.ll, idx), idx.size, self.n_elements, 0
+        )
+        if checked == native.unsorted:
             idx = np.unique(idx)
-        if idx[0] < 0 or idx[-1] >= self.n_elements:
-            raise FreerideError(
-                f"retract index out of range [0, {self.n_elements})"
+            checked = native.retract(
+                native.ep, native.from_buffer(native.ll, idx), idx.size, self.n_elements, 0
             )
+        if checked < 0:
+            self._refuse(idx, self.n_elements)
+        return idx
+
+    def _refuse(self, idx: np.ndarray, n: int) -> None:
+        """Raise what is wrong with sorted, unique positions ``idx``: one
+        outside ``[0, n)``, or one already retracted; nothing if neither."""
+        if idx[0] < 0 or idx[-1] >= n:
+            raise FreerideError(f"retract index out of range [0, {n})")
         alive = self.live[idx]
         if not _all(alive):
             raise FreerideError(
                 f"retract of already-retracted element(s) "
                 f"{idx[~alive][:5].tolist()}"
             )
-        return idx
 
     def ro_at(self, epoch: int) -> ReductionObject:
         """The reduction object as of the end of ``epoch`` (ring-bounded)."""

@@ -304,10 +304,15 @@ def _attempt_traced(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attem
 def _commit(ctx: RunContext, lane: int, pos: int, scratch: ReductionObject) -> None:
     # a colored commit is restricted to the split's proven group set, so
     # concurrent commits within a wave never read-modify-write a cell both
-    # left untouched
+    # left untouched; a locking lane locks only the groups the scratch holds
     coloring = ctx.plan.coloring
-    groups = sorted(coloring.group_sets[pos]) if coloring is not None else None
-    ctx.lanes[lane].merge_from(scratch, groups)
+    target = ctx.lanes[lane]
+    groups = None
+    if coloring is not None:
+        groups = sorted(coloring.group_sets[pos])
+    elif isinstance(target, LockingAccessor):
+        groups = scratch.touched_mask().nonzero()[0].tolist()
+    target.merge_from(scratch, groups)
 
 
 def settle(

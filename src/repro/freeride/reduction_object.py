@@ -19,7 +19,7 @@ copies mergeable in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +68,28 @@ _IDENTITY: dict[str, float] = {"add": 0.0, "min": np.inf, "max": -np.inf}
 #: ``fmin``/``fmax``, not ``minimum``/``maximum``: a NaN value is ignored, as
 #: the scalar ops above (``value < buf[idx]`` is false) and the C kernel do
 _MERGE_UFUNC = {"add": np.add, "min": np.fmin, "max": np.fmax}
+
+#: what a fold takes from the other object where it is strictly better
+_BETTER = {"min": np.less, "max": np.greater}
+
+
+def _merge_into(
+    op: AccumulateOp, mine: np.ndarray, theirs: np.ndarray, where: "np.ndarray | bool" = True
+) -> None:
+    """``mine = op(mine, theirs)`` in place over ``where``: ``np.add``, or
+    ``fmin``/``fmax`` keeping ``mine`` on a tie of two zeros, as an in-order
+    kernel's strict compare keeps the earlier value (a NaN in ``mine`` gives
+    way to ``theirs``).  NumPy's own ``fmin``/``fmax`` settle a tie of two
+    zeros or two NaNs by the SIMD lane a cell falls in, which no other
+    implementation (``epoch.c``'s commit) could reproduce.  A caller on a
+    counted path folds ``add`` itself, with no call here."""
+    if op == "add":
+        np.add(mine, theirs, out=mine, where=where)
+        return
+    take = _BETTER[op](theirs, mine)
+    take |= mine != mine
+    take &= where
+    np.positive(theirs, out=mine, where=take)
 
 #: Ops with an element inverse: contributions can be *retracted* directly
 #: (``a + x - x == a``), so delta retractions cost O(|delta|).  min/max
@@ -675,8 +697,7 @@ class ReductionObject:
         if isinstance(groups, (int, np.integer)):
             # one group: its slice, and the touched rule over that slice
             meta, cells = self._span(groups)
-            mine = buf[cells]
-            _MERGE_UFUNC[meta.op](mine, theirs[cells], out=mine)
+            _merge_into(meta.op, buf[cells], theirs[cells])
             if other._touched[groups] or (theirs[cells] != tables.identity[cells]).any():
                 touched[groups] = True
             return
@@ -693,7 +714,10 @@ class ReductionObject:
             cells = groups[tables.cell_group]
         for op in tables.kinds:
             sel = cells if len(tables.kinds) == 1 else cells & tables.op_cells[op]
-            _MERGE_UFUNC[op](buf, theirs, out=buf, where=sel)
+            if op == "add":
+                np.add(buf, theirs, out=buf, where=sel)
+            else:
+                _merge_into(op, buf, theirs, sel)
         # other.touched_mask() over the selection, inline: no call per
         # combine or epoch
         touched |= other._touched if groups is None else other._touched & groups
@@ -827,6 +851,7 @@ class ReductionObject:
         replay: "ReductionObject | None",
         save: Callable[[np.ndarray, np.ndarray, np.ndarray, int], None],
         seam: Callable[[], None] | None = None,
+        native: Any = None,
     ) -> None:
         """One delta epoch's checkpointed commit, in one pass.
 
@@ -851,7 +876,14 @@ class ReductionObject:
         Whatever happens, each scratch object is then emptied over the
         groups it holds (flagged, or holding a value other than the
         identity): the state of a fresh :meth:`clone_empty`.
+
+        ``native``, a session's bound C loops
+        (:class:`~repro.freeride.delta.NativeEpoch` over this object and
+        these scratch objects), runs steps 1–2 and 4 in C, the same bits;
+        ``hit`` is then its own, from ``retract``.
         """
+        if native is not None:
+            return self._commit_native(native, tail, retract, replay, save, seam)
         tables = self._tables()
         cell_group, identity, kinds = tables.cell_group, tables.identity, tables.kinds
         one_op = len(kinds) == 1
@@ -898,6 +930,46 @@ class ReductionObject:
                 scratch._buffer[cells] = identity[cells]
                 scratch._touched.fill(False)
                 scratch.update_count = 0
+
+    def _commit_native(
+        self, native: Any, tail: "ReductionObject | None",
+        retract: "ReductionObject | None", replay: "ReductionObject | None",
+        save: Callable[[np.ndarray, np.ndarray, np.ndarray, int], None],
+        seam: Callable[[], None] | None,
+    ) -> None:
+        """:meth:`commit_delta` through ``native``'s two C halves, the seam
+        between them; the second half empties the scratch objects also
+        when the first step or the seam raised."""
+        bit = native.held
+        held = (
+            (bit["tail"] if tail is not None else 0)
+            | (bit["retract"] if retract is not None else 0)
+            | (bit["replay"] if replay is not None else 0)
+        )
+        gained = (tail.update_count if tail is not None else 0) - (
+            retract.update_count if retract is not None else 0
+        )
+        ep = native.ep
+        native.commit_save(ep, held)
+        values, bits = native.values[: ep.saved_cells], native.bits[: ep.saved_groups]
+        try:
+            try:
+                save(native.saved, values.copy(), bits.copy(), ep.hits)
+            except BaseException:
+                # no checkpoint holds this commit's pre-images: put them back
+                self.set_groups(native.saved.nonzero()[0], values, bits)
+                raise
+            if seam is not None:
+                seam()
+        except BaseException:
+            native.commit_apply(ep, held, 0)
+            raise
+        finally:
+            for scratch in (tail, retract, replay):
+                if scratch is not None:
+                    scratch.update_count = 0
+        native.commit_apply(ep, held, 1)
+        self.update_count += gained
 
     def gather_groups(
         self, groups: "np.ndarray | Sequence[int]"

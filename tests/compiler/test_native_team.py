@@ -112,6 +112,37 @@ class TestEveryPositionOnce:
         assert reports[1][1:4] == (30_000, 3, 30_000)
 
 
+class TestManyWaves:
+    def test_a_thousand_waves_on_replaced_engines_lose_and_double_none(self):
+        """1,050 threaded waves of eight sizes, three cut at an appended
+        tail segment, on 21 engines of two or three lanes and different
+        split sizes, each closed after 50 runs: every run reports the serial
+        engine's bits, splits, elements and updates (dyadic data: any fold
+        order is exact)."""
+        datasets = []
+        for k, n in enumerate((16_384, 17_000, 20_003, 24_576, 31_111, 40_000, 47_000, 60_001)):
+            values = (np.arange(n) % 16) / 8.0
+            bound, _, _ = _histogram(values[: n - 3_000 if k % 3 == 2 else n])
+            if k % 3 == 2:  # an owned tail: the wave is cut between segments
+                bound.append_elements(values[n - 3_000 :])
+            datasets.append(bound.make_spec([(2, "add")] * 16))
+        assert min(len(idx) for _, idx in datasets) >= execute.INLINE_WAVE_ELEMENTS
+        runs = 0
+        for engine_no in range(21):
+            options = {"num_threads": 2 + engine_no % 2, "chunk_size": 997 + 211 * engine_no}
+            with FreerideEngine(executor="serial", **options) as serial:
+                want = [_report(serial.run(spec, idx)) for spec, idx in datasets]
+            with FreerideEngine(executor="threads", **options) as engine:
+                for run in range(50):
+                    spec, idx = datasets[run % len(datasets)]
+                    assert _report(engine.run(spec, idx)) == want[run % len(datasets)], (
+                        engine_no, run,
+                    )
+                    runs += 1
+                assert engine._res.team is not None  # the waves ran on the team
+        assert runs == 1_050
+
+
 class TestALaneThatFails:
     """A kernel error on one lane poisons the wave and raises what the serial
     executor raises, after every lane's stores are accounted for."""

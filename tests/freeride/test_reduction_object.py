@@ -457,8 +457,29 @@ class TestCommitDelta:
             ro.accumulate_group(g, np.round(rng.uniform(-4, 4, n) * 8) / 8)
         return ro
 
+    @staticmethod
+    def bound(path, committed, scratch):
+        """``commit_delta``'s ``native`` on ``path``: the C loops bound over
+        these objects, or None (the NumPy path)."""
+        if path == "numpy":
+            return None
+        from repro.compiler.native import NativeUnsupported, probe_toolchain, team
+        from repro.freeride.delta import NativeEpoch
+
+        if not probe_toolchain()["ok"]:
+            pytest.skip("no usable C toolchain")
+        try:
+            rt = team.RUNTIME.get(wait=True)
+        except NativeUnsupported as exc:
+            pytest.skip(f"no native runtime: {exc}")
+        roles = dict(zip(("tail", "retract", "replay"), scratch))
+        if roles["replay"] is None:
+            roles["replay"] = committed.clone_empty()
+        return NativeEpoch(rt, committed, roles, np.ones(1, dtype=bool))
+
+    @pytest.mark.parametrize("path", ["numpy", "native"])
     @pytest.mark.parametrize("seed", range(8))
-    def test_equals_the_step_by_step_commit(self, seed):
+    def test_equals_the_step_by_step_commit(self, seed, path):
         from repro.freeride.delta import ROCheckpoint
 
         rng = np.random.default_rng(seed)
@@ -490,7 +511,10 @@ class TestCommitDelta:
         fused, cp = committed.copy(), ROCheckpoint()
         scratch = [tail.copy(), retract.copy(), replay.copy() if replay is not None else None]
         cp.begin(1, fused, n_elements=0, live_count=0)
-        fused.commit_delta(scratch[0], scratch[1], hit, scratch[2], cp.save)
+        fused.commit_delta(
+            scratch[0], scratch[1], hit, scratch[2], cp.save, None,
+            self.bound(path, fused, scratch),
+        )
 
         assert self.state(fused) == self.state(ref)
         assert (cp.saves, cp.hits) == (ref_cp.saves, ref_cp.hits)
@@ -501,7 +525,8 @@ class TestCommitDelta:
             assert self.state(ro) == self.state(committed)
             assert (checkpoint.saves, checkpoint.hits) == (0, 0)
 
-    def test_a_raising_seam_still_empties_the_scratch(self):
+    @pytest.mark.parametrize("path", ["numpy", "native"])
+    def test_a_raising_seam_still_empties_the_scratch(self, path):
         rng = np.random.default_rng(4)
         committed = self.filled(rng, range(6))
         tail, retract = self.filled(rng, [0, 3]), self.filled(rng, [1, 2])
@@ -514,6 +539,7 @@ class TestCommitDelta:
             committed.commit_delta(
                 tail, retract, retract.touched_mask(), None,
                 lambda *image: saved.append(image), seam,
+                self.bound(path, committed, [tail, retract, None]),
             )
         groups, values, touched, hits = saved[0]
         assert groups.nonzero()[0].tolist() == [0, 1, 2, 3] and hits == 0

@@ -10,6 +10,7 @@ import pytest
 from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.apps.kmeans import KmeansRunner
 from repro.compiler.cache import compile_cached
+from repro.freeride.faults import FaultInjector, FaultPolicy
 from repro.freeride.reduction_object import DirectStore, ReductionObject
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import (
@@ -501,6 +502,33 @@ class TestLaneTargets:
         assert acc.stats.lock_acquisitions == 2 * 3
         assert other.stats.lock_acquisitions == 0
         assert other.direct_store() is not acc.direct_store(), "lane-private"
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_a_retried_locking_commit_locks_what_its_scratch_holds(self, executor):
+        """Under a fault policy a locking lane's attempt reduces into a
+        scratch object the engine commits once the attempt succeeds.  The
+        commit locks the groups that scratch holds — over sorted data, one
+        of the 16 bins for each of the 32 splits — as the run without a
+        policy does, not every group of every split (512 locks)."""
+        spec, data = compile_cached(
+            HISTOGRAM_CHAPEL_SOURCE, {"bins": 16, "lo": 0.0, "width": 4.0}, 2,
+            backend="native",
+        ).bind(np.repeat(np.arange(64.0), 50)).make_spec([(2, "add")] * 16)
+        runs = []
+        for policy, injector in (
+            (None, None),
+            (FaultPolicy(max_retries=1), FaultInjector(fail_split_ids={0, 3}, fail_attempts=1)),
+        ):
+            with FreerideEngine(
+                num_threads=2, executor=executor, technique=LOCKING, chunk_size=100,
+                fault_policy=policy, fault_injector=injector,
+            ) as engine:
+                runs.append(engine.run(spec, data))
+        plain, retried = runs
+        assert retried.stats.retries == 2
+        assert retried.ro.snapshot().tobytes() == plain.ro.snapshot().tobytes()
+        locks = [run.stats.sharedmem.lock_acquisitions for run in runs]
+        assert locks[0] == locks[1] == 32
 
     def test_locking_lane_with_nothing_stored_takes_no_lock(self):
         ro = make_ro()
