@@ -5,15 +5,21 @@ dynamic chunked local reduction per iteration, per-iteration extras
 linearization for opt-2, replication combination) and prices it on the
 simulated machine.  Each phase name stands for the engine spans in
 ``ENGINE_SPANS``; only the *costs* come from the model, except where
-``model_only`` says the engine runs nothing like the priced schedule.
+``model_only`` says the engine runs nothing like the priced schedule.  The
+locks, copies and waves priced are the engine's own: :func:`model_shape`
+colors the priced chunk layout as the engine's planner does and reads
+:func:`repro.freeride.plan.run_shape`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.profiles import WorkloadProfile
-from repro.freeride.sharedmem import SharedMemTechnique, num_locks
+from repro.bench.profiles import PhaseWork, WorkloadProfile
+from repro.freeride.coloring import color_splits, resolve_group_sets
+from repro.freeride.plan import RunShape, run_shape
+from repro.freeride.sharedmem import SharedMemTechnique
+from repro.freeride.splitter import default_layout
 from repro.machine.costmodel import XEON_E5345, CostModel
 from repro.machine.counters import OpCounters
 from repro.machine.simmachine import (
@@ -33,6 +39,7 @@ __all__ = [
     "SimulationConfig",
     "ENGINE_SPANS",
     "model_only",
+    "model_shape",
     "model_phases",
     "simulate_profile",
     "sweep_threads",
@@ -60,20 +67,21 @@ def model_only(phase: Phase) -> str | None:
     return None
 
 
+#: chunks per thread for dynamic scheduling (k-means uses many small
+#: chunks; Phoenix-style work queues balance them well)
+CHUNKS_PER_THREAD = 4
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Knobs for one simulated run."""
 
     cost_model: CostModel = XEON_E5345
-    #: chunks per thread for dynamic scheduling (k-means uses many small
-    #: chunks; Phoenix-style work queues balance them well)
-    chunks_per_thread: int = 4
-    #: fixed total chunk count (overrides chunks_per_thread) — PCA's large
-    #: elements give it a small, fixed number of splits, which is the
+    #: fixed total chunk count (overrides :data:`CHUNKS_PER_THREAD`) — PCA's
+    #: large elements give it a small, fixed number of splits, which is the
     #: paper's "difficulty in achieving perfect load balance"
     num_chunks: int | None = None
     technique: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION
-    scheduling: str = "dynamic"
     #: "sequential" is what the paper's implementation does ("linearization
     #: is done sequentially"); "parallel" models the future work it proposes
     #: ("performing linearization in parallel"), splitting the copy across
@@ -83,9 +91,32 @@ class SimulationConfig:
     linearization_mode: str = "sequential"
 
 
-def _chunk_sizes(n: int, num_chunks: int) -> list[int]:
-    base, extra = divmod(n, num_chunks)
-    return [base + (1 if i < extra else 0) for i in range(num_chunks)]
+def _layout(n_elements: int, num_threads: int, config: SimulationConfig):
+    """The chunk layout the model prices: FREERIDE's default splitter."""
+    return default_layout(
+        n_elements, config.num_chunks or CHUNKS_PER_THREAD * num_threads
+    )
+
+
+def model_shape(
+    pw: PhaseWork,
+    n_elements: int,
+    num_threads: int,
+    config: SimulationConfig = SimulationConfig(),
+) -> RunShape:
+    """The shape the engine plans for one pass of ``pw`` over the priced
+    layout: a colored run's waves come from the kernel's bounds, colored
+    with the planner's own calls, and without bounds the run falls back to
+    full replication, as the planner does."""
+    layout = _layout(n_elements, num_threads, config)
+    technique, coloring = config.technique, None
+    if technique is SharedMemTechnique.COLORED:
+        sets, source = resolve_group_sets(pw.bounds, None, layout, pw.num_groups)
+        if sets is None:
+            technique = SharedMemTechnique.FULL_REPLICATION
+        else:
+            coloring = color_splits(sets, source)
+    return run_shape(technique, num_threads, pw.ro_elements, len(layout[0]), coloring)
 
 
 def model_phases(
@@ -111,79 +142,47 @@ def model_phases(
         bytes_ = n_elements * profile.elem_bytes
         cycles = cm.cycles(OpCounters(bytes_linearized=bytes_))
         if config.linearization_mode == "parallel":
-            per_thread = cycles / num_threads
-            phases.append(
-                ParallelPhase(
-                    "linearization", tuple([per_thread] * num_threads)
-                )
-            )
+            per_thread = (cycles / num_threads,) * num_threads
+            phases.append(ParallelPhase("linearization", per_thread))
         elif config.linearization_mode == "overlap":
             overlap_cycles = cycles  # fused into the first reduction phase
         else:
             phases.append(SequentialPhase("linearization", cycles))
 
-    num_chunks = config.num_chunks or config.chunks_per_thread * num_threads
-    if num_chunks < 1:
-        raise BenchmarkError("need at least one chunk")
-    sizes = _chunk_sizes(n_elements, num_chunks)
-
-    replication = config.technique is SharedMemTechnique.FULL_REPLICATION
-    # colored waves update the shared RO lock-free (like replication) but
-    # keep a single copy (like locking), so the two gates below are
-    # deliberately distinct
-    lock_free = replication or config.technique is SharedMemTechnique.COLORED
-
-    for _ in range(iterations):
-        if profile.extras_bytes_per_iteration:
-            phases.append(
-                SequentialPhase(
-                    "linearization",
-                    cm.cycles(
-                        OpCounters(
-                            bytes_linearized=profile.extras_bytes_per_iteration
-                        )
-                    ),
-                )
+    starts, ends = _layout(n_elements, num_threads, config)
+    sizes = (ends - starts).tolist()
+    # one iteration's phases, the same every iteration
+    passes: list[Phase] = []
+    if profile.extras_bytes_per_iteration:
+        extras = OpCounters(bytes_linearized=profile.extras_bytes_per_iteration)
+        passes.append(SequentialPhase("linearization", cm.cycles(extras)))
+    for pw in profile.phases:
+        shape = model_shape(pw, n_elements, num_threads, config)
+        per_elem = pw.per_element.copy()
+        if shape.num_locks:
+            # every reduction-object update takes a (possibly contended)
+            # cache-line lock
+            factor = lock_contention_factor(num_threads, shape.num_locks)
+            per_elem.lock_acquisitions = per_elem.ro_updates * factor
+        cycles_per_element = cm.cycles(per_elem)
+        # one phase per wave: a barrier separates the waves
+        passes += [
+            ParallelPhase(
+                "local reduction", tuple(sizes[i] * cycles_per_element for i in wave)
             )
-        for pw in profile.phases:
-            per_elem = pw.per_element.copy()
-            if not lock_free:
-                # every reduction-object update takes a (possibly contended)
-                # cache-line lock
-                factor = lock_contention_factor(
-                    num_threads, num_locks(pw.ro_elements)
-                )
-                per_elem.lock_acquisitions = per_elem.ro_updates * factor
-            cycles_per_element = cm.cycles(per_elem, config.technique)
-            chunk_costs = tuple(s * cycles_per_element for s in sizes)
-            if overlap_cycles > 0.0:
-                # pipeline the one-time linearization with the first pass
-                phases.append(
-                    OverlapPhase(
-                        "local reduction",
-                        sequential_cycles=overlap_cycles,
-                        chunk_costs=chunk_costs,
-                        scheduling=config.scheduling,
-                    )
-                )
-                overlap_cycles = 0.0
-            else:
-                phases.append(
-                    ParallelPhase(
-                        "local reduction",
-                        chunk_costs,
-                        scheduling=config.scheduling,
-                    )
-                )
-            copies = num_threads if replication else 1
-            phases.append(
-                CombinePhase(
-                    "combination",
-                    num_copies=copies,
-                    elements=pw.ro_elements,
-                    cycles_per_element=cm.cycles_per_merge_element,
-                )
+            for wave in shape.waves
+        ]
+        passes.append(
+            CombinePhase(
+                "combination", shape.private_copies, pw.ro_elements,
+                cm.cycles_per_merge_element,
             )
+        )
+    phases += passes * iterations
+    if overlap_cycles:
+        # pipeline the one-time linearization with the first reduction wave
+        i = next(i for i, p in enumerate(phases) if isinstance(p, ParallelPhase))
+        phases[i] = OverlapPhase("local reduction", overlap_cycles, phases[i].chunk_costs)
     return phases
 
 
@@ -196,7 +195,7 @@ def simulate_profile(
 ) -> SimReport:
     """Price one version at one thread count."""
     phases = model_phases(profile, n_elements, iterations, num_threads, config)
-    machine = SimMachine(config.cost_model, num_threads, scheduling=config.scheduling)
+    machine = SimMachine(config.cost_model, num_threads)
     return machine.run(phases)
 
 

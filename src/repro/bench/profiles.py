@@ -18,6 +18,7 @@ fourth measurement exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dc_fields
+from typing import Any
 
 import numpy as np
 
@@ -48,6 +49,10 @@ class PhaseWork:
     name: str
     per_element: OpCounters
     ro_elements: int
+    #: the object's group count, and the compiled kernel's ``GroupBounds``
+    #: that color its splits (``None``: a colored run replicates instead)
+    num_groups: int = 0
+    bounds: Any = None
 
 
 @dataclass
@@ -92,13 +97,14 @@ def measure_kmeans_profiles(
         runner = KmeansRunner(k, dim, version=version, num_threads=1)
         result = runner.run(points, cents, iterations=1)
         per_elem = _compute_only(result.counters, n)
+        bounds = runner.compiled.group_bounds if runner.compiled else None
         profiles[version] = WorkloadProfile(
             app="kmeans",
             version=version,
             elem_bytes=dim * 8,
             linearize_data=version != "manual",
             extras_bytes_per_iteration=(k * dim * 8 if version == "opt-2" else 0),
-            phases=[PhaseWork("local reduction", per_elem, ro_elements)],
+            phases=[PhaseWork("local reduction", per_elem, ro_elements, k, bounds)],
         )
     return profiles
 

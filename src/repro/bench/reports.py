@@ -10,14 +10,14 @@ are the stems of the ``benchmarks/results/*.txt`` files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.apps.kmeans import kmeans_ro_layout
 from repro.bench.figures import FIGURES, THREADS, run_figure, shape_checks
-from repro.bench.harness import SimulationConfig, sweep_threads
+from repro.bench.harness import SimulationConfig, model_shape, sweep_threads
 from repro.bench.profiles import WorkloadProfile, measure_kmeans_profiles
 from repro.bench.report import full_report
 from repro.data.datasets import KMEANS_LARGE_K100_I1, KMEANS_SMALL, KmeansConfig
@@ -107,42 +107,51 @@ def _run_fig11_share() -> float:
 TECHNIQUES = tuple(SharedMemTechnique)
 
 
-def _run_sharedmem() -> dict[SharedMemTechnique, dict[int, float]]:
+def _run_sharedmem():
+    """Each technique's seconds per thread count, and its shape at 8."""
     cfg = KMEANS_SMALL
     profile = _kmeans_profile(cfg, "opt-2")
-    return {
-        tech: sweep_threads(
-            profile,
-            cfg.n_points,
-            cfg.iterations,
-            config=SimulationConfig(technique=tech),
+    seconds, shapes = {}, {}
+    for tech in TECHNIQUES:
+        sim = SimulationConfig(technique=tech)
+        seconds[tech] = sweep_threads(
+            profile, cfg.n_points, cfg.iterations, config=sim
         ).seconds
-        for tech in TECHNIQUES
-    }
+        shapes[tech] = model_shape(profile.phases[0], cfg.n_points, 8, sim)
+    return seconds, shapes
 
 
-def _text_sharedmem(results) -> str:
+def _text_sharedmem(result) -> str:
+    results, shapes = result
     lines = ["ABLATION A — shared-memory techniques (k-means 12 MB, opt-2)"]
     lines.append(f"{'threads':>7}  " + "  ".join(f"{t.value:>24}" for t in TECHNIQUES))
     for p in THREADS:
         lines.append(
             f"{p:>7}  " + "  ".join(f"{results[t][p]:>24.3f}" for t in TECHNIQUES)
         )
-    # the tradeoff's other axis: the k-means object's float64 elements
-    ro_bytes = 8 * sum(n for n, _ in kmeans_ro_layout(KMEANS_SMALL.k, KMEANS_SMALL.dim))
+    # the tradeoff's other axis
+    repl = shapes[SharedMemTechnique.FULL_REPLICATION]
+    locking = shapes[SharedMemTechnique.CACHE_SENSITIVE_LOCKING]
     lines.append(
         f"reduction-object memory at 8 threads: replication "
-        f"{8 * ro_bytes:,} B (8 private copies) vs locking {ro_bytes:,} B (shared)"
+        f"{repl.ro_memory_bytes:,} B ({repl.private_copies} private copies) "
+        f"vs locking {locking.ro_memory_bytes:,} B (shared)"
     )
     return "\n".join(lines)
 
 
-def _checks_sharedmem(results) -> dict[str, bool]:
+def _checks_sharedmem(result) -> dict[str, bool]:
+    results, _ = result
     repl = results[SharedMemTechnique.FULL_REPLICATION]
     locking = results[SharedMemTechnique.CACHE_SENSITIVE_LOCKING]
+    colored = results[SharedMemTechnique.COLORED]
     return {
         # with a small reduction object, no per-update synchronization wins
         "replication_beats_locking": all(locking[p] > repl[p] for p in THREADS),
+        # every k-means split touches every centroid: one split per wave
+        "colored_kmeans_runs_one_split_at_a_time": all(
+            math.isclose(colored[p], colored[1]) for p in THREADS
+        ),
     }
 
 

@@ -83,7 +83,7 @@ class SplitColoring:
 
 
 def resolve_group_sets(
-    spec,
+    hook,
     data,
     layout: Layout,
     num_groups: int,
@@ -91,15 +91,14 @@ def resolve_group_sets(
 ) -> tuple[list[frozenset[int]] | None, str | None]:
     """Determine each split's group footprint, or ``None`` if inexact.
 
-    The compiler's bounds are asked per position of ``layout`` (the run's
-    split positions into ``data``).  A callable hook is asked per
-    :class:`Split`: ``splits`` when the run has its own (a custom
-    splitter's list), else the layout's, built here.
+    ``hook`` is a spec's ``group_bounds``: the compiler's bounds, asked per
+    position of ``layout`` (the run's split positions into ``data``), or a
+    callable asked per :class:`Split` — ``splits`` when the run has its own
+    (a custom splitter's list), else the layout's, built here.
 
     Returns ``(group_sets, source)``; ``source`` names which mechanism
     supplied the sets (for stats/trace) and is ``None`` on failure.
     """
-    hook = getattr(spec, "group_bounds", None)
     sets: list[frozenset[int]] = []
     if callable(hook):
         for split in splits if splits is not None else layout_splits(data, *layout):

@@ -131,8 +131,6 @@ class RunContext:
     #: split durations worker processes ship back, kept for the profile
     #: record; ``None`` when no profile store is attached
     worker_durations: "list[float] | None" = None
-    #: split positions per wave, each wave run to completion before the next
-    waves: Any = field(init=False)
     #: no policy: attempts accumulate straight into the lane,
     #: with no scratch object and nothing to settle
     direct: bool = field(init=False)
@@ -165,9 +163,6 @@ class RunContext:
                 "shared copy in place"
             )
         self.direct = self.policy is None
-        self.waves = (
-            [range(plan.num_splits)] if plan.coloring is None else plan.coloring.waves
-        )
         self.elems = [0] * self.num_threads
         self.nsplits = [0] * self.num_threads
 
@@ -656,7 +651,8 @@ def drive(ctx: RunContext, engine: "FreerideEngine") -> None:
         and ctx.plan.technique in _LANE_EXCLUSIVE
         and ctx.plan.starts is not None
     )
-    for wave in ctx.waves:
+    # each wave run to completion before the next
+    for wave in ctx.plan.shape.waves:
         if payload is not None and ctx.direct:
             _ship_blocks(ctx, engine, wave, payload)
             continue

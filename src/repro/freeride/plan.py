@@ -8,13 +8,14 @@ own inputs — the engine's request, the spec, the run's data and the fresh
 reduction object; nothing carried over from earlier runs.  It returns an
 immutable :class:`ExecutionPlan`: the split layout, then the static
 coloring at most once, then the technique (the order and its reasons:
-``docs/PERFORMANCE.md``, "Choosing a technique"), then the lanes' share of
-an uncolored wave.  Because it is pure, an engine's :class:`PlanCache`
-serves a compiled run the plan an earlier run with the same inputs got,
-and plans only what it has not seen.  Nothing here
-runs a split, touches a :class:`~repro.freeride.execute.RunContext` or
-emits a trace event; the engine stamps its stats and reports the decision
-from the plan, and ``execute`` builds its context from it.
+``docs/PERFORMANCE.md``, "Choosing a technique"), then the run's shape
+(:func:`run_shape`) and the lanes' share of an uncolored wave.  Because it
+is pure, an engine's :class:`PlanCache` serves a compiled run the plan an
+earlier run with the same inputs got, and plans only what it has not seen.
+Nothing here runs a split, touches a
+:class:`~repro.freeride.execute.RunContext` or emits a trace event; the
+engine stamps its stats and reports the decision from the plan, and
+``execute`` builds its context from it.
 
 The layout is two int64 arrays of positions, and the run carries it as
 positions from here to the kernel.  A
@@ -27,13 +28,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.freeride.coloring import SplitColoring, color_splits, resolve_group_sets
 from repro.freeride.reduction_object import ReductionObject
-from repro.freeride.sharedmem import SharedMemTechnique
+from repro.freeride.sharedmem import SharedMemTechnique, num_locks
 from repro.freeride.spec import ReductionSpec
 from repro.freeride.splitter import (
     Layout,
@@ -48,6 +49,8 @@ from repro.util.errors import SplitterError
 
 __all__ = [
     "ExecutionPlan",
+    "RunShape",
+    "run_shape",
     "WaveBatches",
     "deal_wave",
     "PlanCache",
@@ -63,6 +66,34 @@ REPLICATION_BUDGET_BYTES = 64 * 1024 * 1024
 
 _FR = SharedMemTechnique.FULL_REPLICATION
 _COLORED = SharedMemTechnique.COLORED
+_LOCKING = SharedMemTechnique.CACHE_SENSITIVE_LOCKING
+
+
+class RunShape(NamedTuple):
+    """What a run holds and runs (:func:`run_shape`), read alike by the
+    engine's ``SharedMemStats`` and the cost model (``repro.bench``)."""
+
+    num_locks: int  # the locking stripe, one lock per cache line; else 0
+    private_copies: int  # per-thread copies (full replication); else 0
+    ro_memory_bytes: int  # every private copy's bytes, or the shared copy's
+    #: the split positions of each wave, run in order with a barrier between:
+    #: a colored run's waves, else one wave of every split
+    waves: "tuple[Sequence[int], ...]"
+    wave_widths: tuple[int, ...]  # how many splits each wave runs
+
+
+def run_shape(
+    technique: SharedMemTechnique, num_threads: int, ro_size: int,
+    num_splits: int, coloring: "SplitColoring | None" = None,
+) -> RunShape:
+    """The shape of a run of ``technique`` on ``num_threads`` lanes, over a
+    reduction object of ``ro_size`` float64 elements cut into
+    ``num_splits`` splits; ``coloring`` is a colored run's wave schedule."""
+    copies = num_threads if technique is _FR else 0
+    locks = num_locks(ro_size) if technique is _LOCKING else 0
+    waves = coloring.waves if coloring is not None else (range(num_splits),)
+    bytes_ = 8 * ro_size * max(1, copies)
+    return RunShape(locks, copies, bytes_, waves, tuple(map(len, waves)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +129,8 @@ class ExecutionPlan:
     #: an uncolored run's one wave dealt to its lanes (:func:`deal_wave`),
     #: set when ``starts`` is; a colored wave is dealt when it runs
     batches: "WaveBatches | None" = None
+    #: the locks, copies, bytes and waves the run holds (:func:`run_shape`)
+    shape: "RunShape | None" = None
 
     def split_id(self, pos: int) -> int:
         """The id of the split at ``pos`` — what spans, the injector and the
@@ -318,7 +351,7 @@ def plan_node(
         num_groups = ro.num_groups
         if colorable:
             group_sets, source = resolve_group_sets(
-                spec, data, layout, num_groups, given
+                spec.group_bounds, data, layout, num_groups, given
             )
             if group_sets is not None:
                 coloring = color_splits(group_sets, source=source)
@@ -365,4 +398,5 @@ def plan_node(
         starts=starts, ends=ends, layout=layout, num_splits=num_splits,
         data=data, given=given, split_alignment=alignment, technique=chosen,
         decision=decision, coloring=coloring, batches=batches,
+        shape=run_shape(chosen, num_threads, ro.size, num_splits, coloring),
     )

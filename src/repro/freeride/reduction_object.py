@@ -430,7 +430,7 @@ class ReductionObject:
         vectorized kernels.  Counts as ``len(values)`` updates.
         """
         meta, sl = self._span(group)
-        self._buffer[sl] = _MERGE_UFUNC[meta.op](self._buffer[sl], meta.vector(values))
+        _merge_into(meta.op, self._buffer[sl], meta.vector(values))
         self._touched[meta.group_id] = True
         self.update_count += meta.num_elems
 

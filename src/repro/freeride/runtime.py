@@ -491,14 +491,14 @@ class FreerideEngine:
                 drive(ctx, self)
 
                 # Local combination — mgr.finish is the single accounting
-                # path, so num_locks / ro_memory_bytes / merge_elements are
-                # always reported.
+                # path: the plan's shape, plus what the lanes counted.
                 with tracer.span(
                     "local_combination", cat="combination",
                     technique=plan.technique.value,
                 ) as span:
                     _, stats.sharedmem, lc_stats = mgr.finish(
-                        ro, ctx.lanes, spec.combination, self._res.replicas
+                        ro, ctx.lanes, plan.shape, spec.combination,
+                        self._res.replicas,
                     )
                     span.set(
                         strategy=lc_stats.strategy,

@@ -41,13 +41,16 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory as mp_shm
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
 from repro.freeride.combination import CombinationStats, combine
 from repro.freeride.reduction_object import DirectStore, ReductionObject
 from repro.util.errors import FreerideError
+
+if TYPE_CHECKING:
+    from repro.freeride.plan import RunShape
 
 __all__ = [
     "SharedMemTechnique",
@@ -96,7 +99,8 @@ class SharedMemTechnique(enum.Enum):
 
 @dataclass
 class SharedMemStats:
-    """Synchronization accounting, consumed by the cost model."""
+    """Synchronization accounting: what the run counted, and the run's
+    shape (:class:`~repro.freeride.plan.RunShape`), the cost model's too."""
 
     technique: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION
     lock_acquisitions: int = 0
@@ -106,6 +110,8 @@ class SharedMemStats:
     #: reduction-object memory footprint: replication pays one copy per
     #: thread, locking shares one copy (the classic tradeoff)
     ro_memory_bytes: int = 0
+    #: how many splits each wave of the run ran
+    wave_widths: tuple[int, ...] = ()
 
 
 def _covering(first: int, count: int) -> range:
@@ -291,7 +297,7 @@ class SharedMemManager:
         mgr = SharedMemManager(technique)
         lanes = mgr.setup(base_ro, num_threads)
         ... each thread t updates lanes[t] ...
-        ro, sm_stats, lc_stats = mgr.finish(base_ro, lanes)
+        ro, sm_stats, lc_stats = mgr.finish(base_ro, lanes, plan.shape)
 
     A lane that owns its target is a :class:`ReductionObject`: a private
     copy under full replication, a :meth:`~ReductionObject.view` of
@@ -332,15 +338,16 @@ class SharedMemManager:
         self,
         base_ro: ReductionObject,
         lanes: list[Lane],
+        shape: "RunShape",
         combination: "Callable[[list[ReductionObject]], ReductionObject] | None" = None,
         pool: "ReplicaPool | None" = None,
     ) -> tuple[ReductionObject, SharedMemStats, CombinationStats]:
         """Run the local combination phase.
 
         Returns ``(combined RO, shared-memory stats, combination stats)``.
-        This is the single accounting path for local combination — the
-        engine calls it too, so ``num_locks``, ``ro_memory_bytes`` and
-        ``merge_elements`` are reported identically everywhere.
+        This is the single accounting path for local combination: the stats
+        copy ``shape``, the run's :class:`~repro.freeride.plan.RunShape`,
+        and add what the lanes counted, lock acquisitions and merges.
 
         ``combination``, when given (full replication only), is the
         application's custom ``combination_t``: it receives the per-thread
@@ -349,9 +356,13 @@ class SharedMemManager:
         by the default combination, which gives them to ``pool`` once they
         are merged; copies a custom combination saw are not pooled.
         """
-        # Replication pays one copy per thread; the other techniques share
+        total = SharedMemStats(
+            self.technique, private_copies=shape.private_copies,
+            num_locks=shape.num_locks, ro_memory_bytes=shape.ro_memory_bytes,
+            wave_widths=shape.wave_widths,
+        )
+        # Only replication combines copies; the other techniques share
         # base_ro, which they already updated in place.
-        total = SharedMemStats(self.technique, ro_memory_bytes=base_ro.nbytes)
         if self.technique is SharedMemTechnique.COLORED:
             # Fold in the flags and update counts the lanes' views kept off
             # the shared object.
@@ -362,12 +373,8 @@ class SharedMemManager:
         if self.technique is not SharedMemTechnique.FULL_REPLICATION:
             for lane in lanes:
                 total.lock_acquisitions += lane.stats.lock_acquisitions
-            # the lanes share one lock stripe: its size, not a per-lane sum
-            total.num_locks = lanes[0].stats.num_locks if lanes else 0
             return base_ro, total, CombinationStats(strategy="in_place")
 
-        total.private_copies = len(lanes)
-        total.ro_memory_bytes *= len(lanes)
         if combination is not None:
             combined = combination(lanes)
             if not isinstance(combined, ReductionObject):

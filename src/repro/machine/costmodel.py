@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.freeride.sharedmem import SharedMemTechnique
 from repro.machine.counters import OpCounters
 from repro.util.errors import MachineError
 
@@ -55,24 +54,15 @@ class CostModel:
     cycles_per_ro_update: float = 2.0
     cycles_per_byte_linearized: float = 6.25
     cycles_per_merge_element: float = 2.0
-    #: uncontended lock acquire+release cost under cache-sensitive locking
+    #: uncontended lock acquire+release cost under cache-sensitive locking,
+    #: the one technique whose runs take locks (``RunShape.num_locks``)
     cycles_per_lock_cache_sensitive: float = 24.0
 
     def __post_init__(self) -> None:
         if self.clock_hz <= 0:
             raise MachineError("clock_hz must be positive")
 
-    def lock_cost(self, technique: SharedMemTechnique) -> float:
-        """Uncontended cycles per lock acquisition for a technique."""
-        if technique is SharedMemTechnique.CACHE_SENSITIVE_LOCKING:
-            return self.cycles_per_lock_cache_sensitive
-        return 0.0  # full replication and colored waves take no locks
-
-    def cycles(
-        self,
-        counters: OpCounters,
-        technique: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION,
-    ) -> float:
+    def cycles(self, counters: OpCounters) -> float:
         """Price a counter ledger in cycles."""
         c = counters
         return (
@@ -88,16 +78,12 @@ class CostModel:
             + c.ro_updates * self.cycles_per_ro_update
             + c.bytes_linearized * self.cycles_per_byte_linearized
             + c.merge_elements * self.cycles_per_merge_element
-            + c.lock_acquisitions * self.lock_cost(technique)
+            + c.lock_acquisitions * self.cycles_per_lock_cache_sensitive
         )
 
-    def seconds(
-        self,
-        counters: OpCounters,
-        technique: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION,
-    ) -> float:
+    def seconds(self, counters: OpCounters) -> float:
         """Price a counter ledger in seconds on this machine's clock."""
-        return self.cycles(counters, technique) / self.clock_hz
+        return self.cycles(counters) / self.clock_hz
 
     def with_overrides(self, **kwargs: float) -> "CostModel":
         """A copy with some constants replaced (for ablation studies)."""

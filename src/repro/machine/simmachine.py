@@ -44,15 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParallelPhase:
-    """Chunked work scheduled across threads.
-
-    ``chunk_costs`` are cycles per chunk.  ``scheduling`` may override the
-    machine default for this phase.
-    """
+    """Chunked work scheduled across threads; ``chunk_costs`` are cycles
+    per chunk."""
 
     name: str
     chunk_costs: tuple[float, ...]
-    scheduling: str | None = None
 
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.chunk_costs):
@@ -73,7 +69,8 @@ class SequentialPhase:
 
 @dataclass(frozen=True)
 class CombinePhase:
-    """Merging ``num_copies`` reduction-object copies of ``elements`` cells.
+    """Merging ``num_copies`` reduction-object copies of ``elements`` cells
+    (none when the run shares one copy).
 
     ``strategy``: ``"all_to_one"``, ``"parallel_merge"``, or ``"auto"``
     (parallel merge when the object is at least ``auto_threshold_elements``).
@@ -88,7 +85,7 @@ class CombinePhase:
 
     def __post_init__(self) -> None:
         check_one_of(self.strategy, ("auto", "all_to_one", "parallel_merge"), "strategy")
-        if self.num_copies < 1 or self.elements < 0:
+        if self.num_copies < 0 or self.elements < 0:
             raise MachineError(f"phase {self.name}: invalid copies/elements")
 
     def resolved_strategy(self) -> str:
@@ -134,7 +131,6 @@ class OverlapPhase:
     name: str
     sequential_cycles: float
     chunk_costs: tuple[float, ...]
-    scheduling: str | None = None
 
     def __post_init__(self) -> None:
         if self.sequential_cycles < 0 or any(c < 0 for c in self.chunk_costs):
@@ -167,7 +163,7 @@ class PhaseResult:
 
     name: str
     seconds: float
-    kind: str
+    #: each thread's busy time in a parallel phase; empty for the others
     thread_busy_seconds: list[float] = field(default_factory=list)
 
     @property
@@ -193,35 +189,24 @@ class SimReport:
     def phase_seconds(self, name: str) -> float:
         return sum(p.seconds for p in self.phases if p.name == name)
 
-    def as_dict(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for p in self.phases:
-            out[p.name] = out.get(p.name, 0.0) + p.seconds
-        out["total"] = self.total_seconds
-        return out
-
 
 class SimMachine:
     """Prices phase lists into wall-clock seconds on the modeled machine."""
 
     def __init__(
-        self,
-        cost_model: CostModel,
-        num_threads: int = 1,
-        scheduling: str = "dynamic",
+        self, cost_model: CostModel, num_threads: int = 1, scheduling: str = "dynamic"
     ) -> None:
         self.cost_model = cost_model
         self.num_threads = check_positive_int(num_threads, "num_threads")
-        self.scheduling = check_one_of(
-            scheduling, ("dynamic", "static"), "scheduling"
-        )
+        #: one policy for every parallel phase of a run
+        self.scheduling = check_one_of(scheduling, ("dynamic", "static"), "scheduling")
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, costs: Sequence[float], scheduling: str) -> list[float]:
+    def _schedule(self, costs: Sequence[float]) -> list[float]:
         """Assign chunks to threads; returns per-thread busy cycles."""
         busy = [0.0] * self.num_threads
-        if scheduling == "static":
+        if self.scheduling == "static":
             for i, c in enumerate(costs):
                 busy[i % self.num_threads] += c
             return busy
@@ -242,43 +227,19 @@ class SimMachine:
         hz = self.cost_model.clock_hz
         results: list[PhaseResult] = []
         for phase in phases:
+            busy: list[float] = []
             if isinstance(phase, ParallelPhase):
-                scheduling = phase.scheduling or self.scheduling
-                check_one_of(scheduling, ("dynamic", "static"), "scheduling")
-                busy = self._schedule(phase.chunk_costs, scheduling)
-                seconds = max(busy) / hz if busy else 0.0
-                results.append(
-                    PhaseResult(
-                        name=phase.name,
-                        seconds=seconds,
-                        kind="parallel",
-                        thread_busy_seconds=[b / hz for b in busy],
-                    )
-                )
+                busy = self._schedule(phase.chunk_costs)
+                cycles = max(busy)
             elif isinstance(phase, SequentialPhase):
-                results.append(
-                    PhaseResult(
-                        name=phase.name,
-                        seconds=phase.cost_cycles / hz,
-                        kind="sequential",
-                    )
-                )
+                cycles = phase.cost_cycles
             elif isinstance(phase, CombinePhase):
                 cycles = phase.critical_path_cycles(self.num_threads)
-                results.append(
-                    PhaseResult(
-                        name=phase.name, seconds=cycles / hz, kind="combine"
-                    )
-                )
             elif isinstance(phase, OverlapPhase):
                 cycles = phase.makespan_cycles(self.num_threads)
-                results.append(
-                    PhaseResult(
-                        name=phase.name, seconds=cycles / hz, kind="overlap"
-                    )
-                )
             else:
                 raise MachineError(f"unknown phase type {type(phase)!r}")
+            results.append(PhaseResult(phase.name, cycles / hz, [b / hz for b in busy]))
         return SimReport(num_threads=self.num_threads, phases=results)
 
 

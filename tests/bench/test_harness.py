@@ -11,6 +11,7 @@ from repro.bench.harness import (
     SimulationConfig,
     model_only,
     model_phases,
+    model_shape,
     simulate_profile,
     sweep_threads,
 )
@@ -120,7 +121,7 @@ class TestChunking:
 
     def test_many_chunks_balance_well(self):
         report = simulate_profile(
-            simple_profile(False), 64_000, 1, 8, cfg(chunks_per_thread=8)
+            simple_profile(False), 64_000, 1, 8, cfg(num_chunks=64)
         )
         assert report.phases[0].utilization > 0.99
 
@@ -133,6 +134,19 @@ class TestTechniques:
             cfg(technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING),
         )
         assert lock.total_seconds > repl.total_seconds
+
+    def test_only_a_locking_run_pays_for_locks(self):
+        """A profile without bounds runs colored as full replication, as the
+        engine falls back; neither prices a lock."""
+        local = {
+            t: simulate_profile(
+                simple_profile(False), 10_000, 1, 1, cfg(technique=t)
+            ).phase_seconds("local reduction")
+            for t in SharedMemTechnique
+        }
+        locking = local.pop(SharedMemTechnique.CACHE_SENSITIVE_LOCKING)
+        assert set(local.values()) == {local[SharedMemTechnique.FULL_REPLICATION]}
+        assert locking > local[SharedMemTechnique.FULL_REPLICATION]
 
     def test_locking_skips_replication_merge(self):
         lock = simulate_profile(
@@ -237,3 +251,36 @@ class TestEngineSpans:
         spans = {s.name for s in tracer.spans()}
         for names in ENGINE_SPANS.values():
             assert set(names) <= spans, (names, spans)
+
+
+class TestTheModelPricesTheEnginesShape:
+    def test_every_cell_of_ablation_a(self):
+        """Each technique x thread count Ablation A prices is run by the
+        engine on opt-2 k-means (k = 100, dim = 4) over the model's own
+        layout, ``default_layout(n, 4W)``, which a chunk size of n / 4W
+        cuts when 32 divides n: the run's waves, copies, lock stripe and
+        bytes are the ones the model priced.  Every split touches every
+        centroid, so a colored run is one split per wave."""
+        k, dim, n = 100, 4, 256
+        pw = _profiles("kmeans", (k, dim), ("opt-2",))["opt-2"].phases[0]
+        points = kmeans_points(n, dim, seed=3)
+        cents = initial_centroids(points, k, seed=4)
+        for tech in SharedMemTechnique:
+            for w in THREADS:
+                shape = model_shape(pw, n, w, SimulationConfig(technique=tech))
+                with KmeansRunner(
+                    k, dim, technique=tech.value, num_threads=w,
+                    executor="threads", chunk_size=n // (4 * w), backend="batch",
+                ) as runner:
+                    runner.run(points, cents, 1)
+                    stats = runner.last_run_stats
+                sm = stats.sharedmem
+                assert stats.technique is tech and sum(stats.splits_per_thread) == 4 * w
+                assert (
+                    sm.wave_widths, sm.private_copies, sm.num_locks, sm.ro_memory_bytes
+                ) == (
+                    shape.wave_widths, shape.private_copies, shape.num_locks,
+                    shape.ro_memory_bytes,
+                ), (tech, w)
+                if tech is SharedMemTechnique.COLORED:
+                    assert shape.wave_widths == (1,) * 4 * w

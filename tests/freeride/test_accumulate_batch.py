@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.freeride.plan import run_shape
 from repro.freeride.reduction_object import ReductionObject
 from repro.freeride.sharedmem import SharedMemManager, SharedMemTechnique
 from repro.util.errors import ReductionObjectError
@@ -105,7 +106,7 @@ class TestAccessorBatch:
                 else:
                     for g, e in ((0, 0), (0, 2), (1, 1)):
                         acc.accumulate(g, e, float(tid + 1))
-            mgr.finish(ro, accessors)
+            mgr.finish(ro, accessors, run_shape(technique, 2, ro.size, 1))
             return ro
 
         ro_s = fill(make_ro(), batched=False)
@@ -125,7 +126,7 @@ class TestAccessorBatch:
             np.array([0, 0, 0, 0]), np.array([0, 1, 9, 1]), 1.0
         )
         assert acc.stats.lock_acquisitions == before + 2
-        mgr.finish(ro, accessors)
+        mgr.finish(ro, accessors, run_shape(mgr.technique, 1, ro.size, 1))
         assert ro.get(0, 0) == 1.0
         assert ro.get(0, 1) == 2.0
         assert ro.get(0, 9) == 1.0

@@ -103,7 +103,7 @@ class TestCompilerGroupSets:
 
     def test_footprints_come_from_the_compiler(self):
         spec, idx, layout = self._spec_and_splits()
-        sets, source = resolve_group_sets(spec, idx, layout, 8)
+        sets, source = resolve_group_sets(spec.group_bounds, idx, layout, 8)
         assert source == "compiler"
         assert sets == [
             frozenset({0, 1}), frozenset({2, 3}),
@@ -112,7 +112,7 @@ class TestCompilerGroupSets:
 
     def test_aligned_footprints_color_into_one_wave(self):
         spec, idx, layout = self._spec_and_splits()
-        sets, source = resolve_group_sets(spec, idx, layout, 8)
+        sets, source = resolve_group_sets(spec.group_bounds, idx, layout, 8)
         coloring = color_splits(sets, source)
         assert coloring.max_wave_width == 4
         assert coloring.num_colors == 1
@@ -121,7 +121,9 @@ class TestCompilerGroupSets:
         # without alignment, neighbors share the straddled window and the
         # coloring must serialize them rather than corrupt the RO
         spec, _, _ = self._spec_and_splits()
-        sets, _ = resolve_group_sets(spec, range(500), default_layout(500, 4), 8)
+        sets, _ = resolve_group_sets(
+            spec.group_bounds, range(500), default_layout(500, 4), 8
+        )
         coloring = color_splits(sets)
         for wave in coloring.waves:
             seen: set[int] = set()

@@ -123,7 +123,7 @@ def _unit_layout(n):
 
 def test_hook_supplies_per_split_sets():
     spec = _spec_with_hook(lambda split, n: {split.split_id % 2})
-    sets, source = resolve_group_sets(spec, *_unit_layout(4), 4)
+    sets, source = resolve_group_sets(spec.group_bounds, *_unit_layout(4), 4)
     assert source == "spec_hook"
     assert sets == [frozenset({0}), frozenset({1})] * 2
 
@@ -132,17 +132,17 @@ def test_hook_returning_none_fails_resolution():
     spec = _spec_with_hook(
         lambda split, n: None if split.split_id == 1 else {0}
     )
-    assert resolve_group_sets(spec, *_unit_layout(3), 4) == (None, None)
+    assert resolve_group_sets(spec.group_bounds, *_unit_layout(3), 4) == (None, None)
 
 
 def test_hook_out_of_range_group_fails_resolution():
     spec = _spec_with_hook(lambda split, n: {n})  # one past the end
-    assert resolve_group_sets(spec, *_unit_layout(2), 4) == (None, None)
+    assert resolve_group_sets(spec.group_bounds, *_unit_layout(2), 4) == (None, None)
 
 
 def test_no_source_fails_resolution():
     spec = _spec_with_hook(None)
-    assert resolve_group_sets(spec, *_unit_layout(2), 4) == (None, None)
+    assert resolve_group_sets(spec.group_bounds, *_unit_layout(2), 4) == (None, None)
 
 
 # -- engine-level colored execution ---------------------------------------------

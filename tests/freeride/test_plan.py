@@ -107,6 +107,13 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
         plan.coloring.as_dict() if plan.coloring is not None else None
     ) == stats.coloring
     assert int((plan.layout[1] - plan.layout[0]).sum()) == stats.total_elements
+    sm, shape = stats.sharedmem, plan.shape
+    assert (sm.num_locks, sm.private_copies, sm.ro_memory_bytes, sm.wave_widths) == (
+        shape.num_locks, shape.private_copies, shape.ro_memory_bytes, shape.wave_widths
+    )
+    assert len(shape.wave_widths) == (
+        plan.coloring.num_colors if plan.coloring is not None else 1
+    )
 
     in_process = executor != "process"
     if technique == "auto":

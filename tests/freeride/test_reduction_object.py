@@ -114,6 +114,43 @@ class TestAccumulate:
         ro.accumulate_group(g, np.array([4.0, 2.0]))
         assert list(ro.get_group(g)) == [3.0, 2.0]
 
+    @pytest.mark.parametrize("op", ["add", "min", "max"])
+    def test_accumulate_group_is_accumulate_per_element(self, op):
+        """``accumulate_group(g, v)`` leaves the bytes (a zero's sign and a
+        NaN's included), touched bits and update count ``accumulate(g, i,
+        v[i])`` leaves for every ``i``: on every group size 1-40, at every
+        offset of the group in a cache line, from states scalar updates
+        reach — held ±0.0 against incoming ∓0.0, and NaN on either side."""
+        rng = np.random.default_rng(58)
+        values = np.array([0.0, -0.0, np.nan, 1.0, -1.0, np.inf, -np.inf])
+        cases = [
+            (size, pad, held, incoming)
+            for size in range(1, 41)
+            for pad in range(8)
+            for held, incoming in [
+                (np.full(size, 0.0), np.full(size, -0.0)),
+                (np.full(size, -0.0), np.full(size, 0.0)),
+                (rng.choice(values, size), np.full(size, np.nan)),
+                (rng.choice(values, size), rng.choice(values, size)),
+            ]
+        ]
+        for size, pad, held, incoming in cases:
+            group, scalar = ReductionObject(), ReductionObject()
+            with np.errstate(invalid="ignore"):  # inf + -inf is a NaN here
+                for ro in (group, scalar):
+                    ro.alloc(pad + 1, op)
+                    g = ro.alloc(size, op)
+                    for i, v in enumerate(held):
+                        ro.accumulate(g, i, float(v))
+                group.accumulate_group(g, incoming)
+                for i, v in enumerate(incoming):
+                    scalar.accumulate(g, i, float(v))
+            assert group.snapshot().tobytes() == scalar.snapshot().tobytes(), (
+                size, pad, held, incoming
+            )
+            assert np.array_equal(group.touched_mask(), scalar.touched_mask())
+            assert group.update_count == scalar.update_count
+
     def test_group_view_is_writable(self):
         ro = ReductionObject()
         g = ro.alloc(2)

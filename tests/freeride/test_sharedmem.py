@@ -11,6 +11,7 @@ from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.apps.kmeans import KmeansRunner
 from repro.compiler.cache import compile_cached
 from repro.freeride.faults import FaultInjector, FaultPolicy
+from repro.freeride.plan import run_shape
 from repro.freeride.reduction_object import DirectStore, ReductionObject
 from repro.freeride.runtime import FreerideEngine
 from repro.freeride.sharedmem import (
@@ -30,6 +31,11 @@ def make_ro(groups=2, elems=3):
     ro = ReductionObject()
     ro.alloc_matrix(groups, elems)
     return ro
+
+
+def finish(mgr, ro, lanes):
+    """``mgr.finish`` with the shape the planner gives a one-split run."""
+    return mgr.finish(ro, lanes, run_shape(mgr.technique, len(lanes), ro.size, 1))
 
 
 class TestParse:
@@ -74,7 +80,7 @@ class TestAllTechniquesAgree:
         for t, acc in enumerate(accessors):
             for e in range(3):
                 acc.accumulate(t % 2, e, float(t + e))
-        combined, stats, _ = mgr.finish(ro, accessors)
+        combined, stats, _ = finish(mgr, ro, accessors)
         # thread 0 and 2 hit group 0, thread 1 hits group 1
         assert list(combined.get_group(0)) == [0 + 2, 1 + 3, 2 + 4]
         assert list(combined.get_group(1)) == [1, 2, 3]
@@ -87,7 +93,7 @@ class TestAllTechniquesAgree:
         accessors = mgr.setup(ro, 2)
         accessors[0].accumulate_group(0, np.array([1.0, 2.0, 3.0, 4.0]))
         accessors[1].accumulate_group(0, np.array([10.0, 10.0, 10.0, 10.0]))
-        combined, _, _ = mgr.finish(ro, accessors)
+        combined, _, _ = finish(mgr, ro, accessors)
         assert list(combined.get_group(0)) == [11.0, 12.0, 13.0, 14.0]
 
     @pytest.mark.parametrize("tier", ["scalar", "group", "batch"])
@@ -108,36 +114,46 @@ class TestAllTechniquesAgree:
                 acc.accumulate_group(g, np.zeros(2))
             else:
                 acc.accumulate_batch(np.array([g, g]), np.array([0, 1]), 0.0)
-        combined, _, _ = mgr.finish(ro, accessors)
+        combined, _, _ = finish(mgr, ro, accessors)
         assert not combined.snapshot().any()
         assert combined.touched_groups() == frozenset(range(4))
         assert combined.update_count == 8
 
     def test_concurrent_locking_correctness(self):
-        """Real threads hammering the shared copy must not lose updates, in
-        either cache line of the lock stripe."""
-        ro = make_ro(groups=2, elems=8)  # one cache line per group
-        mgr = SharedMemManager(LOCKING)
-        num_threads, per_thread = 8, 500
-        accessors = mgr.setup(ro, num_threads)
+        """An update stores only once it holds its cache line's lock, by
+        every update path: while the test holds line 1's lock, another
+        thread's update of the group on that line has stored nothing, and
+        line 0 stays free; once the lock is let go, the update lands."""
+        for path in ("scalar", "group", "batch", "commit"):
+            ro = make_ro(groups=2, elems=8)  # one cache line per group
+            mgr = SharedMemManager(LOCKING)
+            acc, other = mgr.setup(ro, 2)
+            values = np.arange(1.0, 9.0)
+            waiter = threading.Thread(
+                target=update_group, args=(other, path, 1, 8, values)
+            )
+            line = acc._locks[1]
+            line.acquire()
+            try:
+                waiter.start()
+                waiter.join(timeout=0.25)
+                assert waiter.is_alive(), f"{path}: finished without the lock"
+                assert not ro.get_group(1).any(), f"{path}: stored without the lock"
+                acc.accumulate(0, 0, 1.0)  # another line's lock is free
+            finally:
+                line.release()
+            waiter.join(timeout=60)
+            assert not waiter.is_alive()
+            combined, stats, _ = finish(mgr, ro, [acc, other])
+            assert combined.get_group(1).tolist() == values.tolist()
+            assert combined.get(0, 0) == 1.0 and stats.num_locks == 2
 
-        def work(acc):
-            for _ in range(per_thread):
-                acc.accumulate(0, 0, 1.0)
-                acc.accumulate(1, 7, 2.0)
-
-        run_threads(work, accessors)
-        combined, stats, _ = mgr.finish(ro, accessors)
-        assert combined.get(0, 0) == num_threads * per_thread
-        assert combined.get(1, 7) == 2.0 * num_threads * per_thread
-        assert stats.num_locks == 2
-        assert stats.lock_acquisitions == num_threads * per_thread * 2
-
-    @pytest.mark.parametrize("path", ["group", "batch", "commit"])
+    @pytest.mark.parametrize("path", ["group", "batch", "commit", "scalar"])
     def test_concurrent_multi_line_updates_lose_nothing(self, path):
         """Updates that hold several locks at once — a group straddling two
         cache lines, a batch over both — neither deadlock nor lose updates
-        when real threads run them in opposite orders."""
+        when real threads run them in opposite orders; nor do single-cell
+        updates, one acquisition each."""
         groups, elems = 3, 5  # group 1 spans cells 5..9: lines 0 and 1
         ro = make_ro(groups, elems)
         mgr = SharedMemManager(LOCKING)
@@ -148,7 +164,11 @@ class TestAllTechniquesAgree:
         def work(acc):
             for i in range(per_thread):
                 order = [2, 1, 0] if i % 2 else [0, 1, 2]
-                if path == "group":
+                if path == "scalar":
+                    for g in order:
+                        for e in range(elems):
+                            acc.accumulate(g, e, 1.0)
+                elif path == "group":
                     for g in order:
                         acc.accumulate_group(g, np.ones(elems))
                 elif path == "batch":
@@ -162,10 +182,12 @@ class TestAllTechniquesAgree:
                     acc.note_updates(cells)
 
         run_threads(work, accessors)
-        combined, stats, _ = mgr.finish(ro, accessors)
+        combined, stats, _ = finish(mgr, ro, accessors)
         assert combined.snapshot().tolist() == [num_threads * per_thread] * cells
         assert combined.update_count == num_threads * per_thread * cells
         assert stats.num_locks == 2
+        if path == "scalar":  # one acquisition per update
+            assert stats.lock_acquisitions == combined.update_count
 
 
 def run_threads(work, accessors):
@@ -189,7 +211,7 @@ class TestStats:
         ro = make_ro()
         mgr = SharedMemManager(SharedMemTechnique.FULL_REPLICATION)
         accessors = mgr.setup(ro, 4)
-        combined, stats, _ = mgr.finish(ro, accessors)
+        combined, stats, _ = finish(mgr, ro, accessors)
         assert stats.private_copies == 4
         assert stats.lock_acquisitions == 0
         assert stats.merge_elements == 4 * ro.size
@@ -211,7 +233,7 @@ class TestStats:
         mgr = SharedMemManager(LOCKING)
         lanes = mgr.setup(ro, 3)
         lanes[-1].accumulate(0, size - 1, 1.0)
-        _, stats, _ = mgr.finish(ro, lanes)
+        _, stats, _ = finish(mgr, ro, lanes)
         assert stats.num_locks == -(-size // ELEMS_PER_CACHE_LINE)
         assert {acc.stats.num_locks for acc in lanes} == {stats.num_locks}
         assert ro.get(0, size - 1) == 1.0 and stats.lock_acquisitions == 1
@@ -331,14 +353,14 @@ class TestMemoryAccounting:
         ro = make_ro(groups=4, elems=8)  # 32 elements = 256 bytes
         mgr = SharedMemManager(SharedMemTechnique.FULL_REPLICATION)
         accessors = mgr.setup(ro, 8)
-        _, stats, _ = mgr.finish(ro, accessors)
+        _, stats, _ = finish(mgr, ro, accessors)
         assert stats.ro_memory_bytes == 8 * 256
 
     def test_locking_shares_one_copy(self):
         ro = make_ro(groups=4, elems=8)
         mgr = SharedMemManager(LOCKING)
         accessors = mgr.setup(ro, 8)
-        _, stats, _ = mgr.finish(ro, accessors)
+        _, stats, _ = finish(mgr, ro, accessors)
         assert stats.ro_memory_bytes == 256
 
     def test_memory_tradeoff_visible(self):
@@ -347,7 +369,7 @@ class TestMemoryAccounting:
             ro = make_ro(groups=100, elems=10)
             mgr = SharedMemManager(technique)
             accessors = mgr.setup(ro, threads)
-            _, stats, _ = mgr.finish(ro, accessors)
+            _, stats, _ = finish(mgr, ro, accessors)
             return stats.ro_memory_bytes
 
         repl_8 = footprint(SharedMemTechnique.FULL_REPLICATION, 8)
@@ -473,7 +495,7 @@ class TestLaneTargets:
         lanes[2].note_updates(1)
         counts = [acc.update_count for acc in lanes]
         assert counts == [3, 3, 1]
-        combined, stats, lc = mgr.finish(ro, lanes)
+        combined, stats, lc = finish(mgr, ro, lanes)
         assert combined is ro and lc.strategy == "in_place"
         assert ro.update_count == sum(counts)
         assert ro.touched_groups() == frozenset().union(

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.freeride.sharedmem import SharedMemTechnique
 from repro.machine.costmodel import XEON_E5345, CostModel
 from repro.machine.counters import OpCounters
 from repro.util.errors import MachineError
@@ -53,20 +52,13 @@ class TestPricing:
 
 
 class TestLockCosts:
-    def test_only_locking_pays_for_locks(self):
-        cm = XEON_E5345
-        assert cm.lock_cost(SharedMemTechnique.CACHE_SENSITIVE_LOCKING) > 0.0
-        assert cm.lock_cost(SharedMemTechnique.FULL_REPLICATION) == 0.0
-        assert cm.lock_cost(SharedMemTechnique.COLORED) == 0.0
-
-    def test_lock_acquisitions_priced_by_technique(self):
+    def test_a_lock_acquisition_costs_a_cache_line_lock(self):
+        """Counted acquisitions are priced whoever counts them: only a
+        locking run's shape has locks to count (``RunShape.num_locks``)."""
         c = OpCounters(lock_acquisitions=10)
-        lock = XEON_E5345.cycles(c, SharedMemTechnique.CACHE_SENSITIVE_LOCKING)
-        repl = XEON_E5345.cycles(c, SharedMemTechnique.FULL_REPLICATION)
-        assert lock == pytest.approx(
+        assert XEON_E5345.cycles(c) == pytest.approx(
             10 * XEON_E5345.cycles_per_lock_cache_sensitive
         )
-        assert repl == 0.0
 
 
 class TestOverrides:
