@@ -2,7 +2,9 @@
 
 Runs k-means and histogram twice against a profile store:
 
-1. **Cold runs** populate the store: one record per engine run.
+1. **Cold runs** populate the store: one record per engine run.  The cold
+   k-means runs are traced, and their records must hold one split duration
+   per ``split`` span, with p50 and p95 set.
 2. A snapshot of the cold store is taken for later comparison.
 3. **Warm runs** repeat the same programs.  The store is a recorder, never
    an input, so the warm histogram run must plan exactly what the cold run
@@ -21,6 +23,7 @@ import json
 import shutil
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ import numpy as np
 from repro.apps.histogram import HistogramRunner
 from repro.apps.kmeans import KmeansRunner
 from repro.data import initial_centroids, kmeans_points
+from repro.obs import ProfileStore, Tracer, tracing
 from repro.profile import DIFF_OK, DIFF_REGRESSION
 from repro.profile import main as profile_cli
 
@@ -41,14 +45,17 @@ def _hist_data() -> np.ndarray:
     return np.sort(((np.arange(N_HIST) * 7919) % 256).astype(np.float64))
 
 
-def _run_suite(store: Path) -> "tuple[HistogramRunner, bytes]":
+def _run_suite(
+    store: Path, tracer: "Tracer | None" = None
+) -> "tuple[HistogramRunner, bytes]":
     points = kmeans_points(N_POINTS, DIM, num_blobs=K, seed=7)
     cents0 = initial_centroids(points, K, seed=8)
     km = KmeansRunner(
         K, DIM, version="opt-2", num_threads=4, executor="threads",
         profile_store=store,
     )
-    km.run(points, cents0, iterations=2)
+    with tracing(tracer) if tracer is not None else nullcontext():
+        km.run(points, cents0, iterations=2)
 
     hist = HistogramRunner(
         bins=BINS, lo=0.0, hi=256.0, version="opt-2", num_threads=4,
@@ -66,6 +73,27 @@ def _plan_of(hist: HistogramRunner) -> dict:
         "coloring": stats.coloring,
         "technique_decision": stats.technique_decision,
     }
+
+
+def _traced_records_ok(tracer: Tracer, store: Path) -> bool:
+    """Each traced run's record summarizes one duration per ``split`` span
+    of the run, with the percentiles only timed splits give."""
+    runs = [s for s in tracer.spans() if s.name == "engine.run"]
+    names = {s.args["spec"] for s in runs}
+    summaries = [
+        rec["split_seconds"] or {}
+        for rec in ProfileStore(store).load()
+        if rec["spec_name"] in names
+    ]
+    splits = sum(1 for s in tracer.spans() if s.name == "split")
+    print(f"traced k-means: {len(runs)} runs, {splits} split spans, "
+          f"recorded counts {[s.get('count') for s in summaries]}")
+    return (
+        len(summaries) == len(runs) > 0
+        and sum(s.get("count", 0) for s in summaries) == splits
+        and all(s.get("p50") is not None and s.get("p95") is not None
+                for s in summaries)
+    )
 
 
 def _inject_slowdown(src: Path, dst: Path, factor: float = 100.0) -> None:
@@ -86,7 +114,12 @@ def main(store_dir: str) -> int:
         shutil.rmtree(root)
 
     print(f"== cold runs (store: {root}) ==")
-    cold_hist, cold_bytes = _run_suite(root)
+    tracer = Tracer()
+    cold_hist, cold_bytes = _run_suite(root, tracer)
+    if not _traced_records_ok(tracer, root):
+        print("FAIL: the traced k-means records do not match its split spans",
+              file=sys.stderr)
+        return 1
     cold_plan = _plan_of(cold_hist)
     print(f"histogram cold: technique={cold_plan['technique_effective']}")
     snapshot = root.parent / (root.name + "-cold")

@@ -19,7 +19,7 @@ The package implements, from scratch:
   scales;
 * :mod:`repro.bench` — the figure-regeneration harness (Figures 9–13 and
   ablations);
-* :mod:`repro.obs` — end-to-end tracing and metrics: per-split spans,
+* :mod:`repro.obs` — end-to-end tracing: per-split spans,
   compiler-event stream, Chrome-trace export, and the
   ``python -m repro.trace`` report CLI (see ``docs/OBSERVABILITY.md``).
 

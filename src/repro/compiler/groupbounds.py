@@ -212,7 +212,12 @@ def analyze_group_bounds(lowered: LoweredReduction) -> GroupBounds:
     """Bound the group index of every RO intrinsic in ``lowered``'s body."""
     # Imported lazily: repro.analysis.effects pulls in the analysis package,
     # which this compiler-side module must not require at import time.
-    from repro.analysis.effects import ELEM_RANGE, analyze_effects
+    from repro.analysis.effects import (
+        ELEM_RANGE,
+        _ceil_int,
+        _floor_int,
+        analyze_effects,
+    )
 
     summary = analyze_effects(lowered)
     sites = summary.accumulates
@@ -247,13 +252,3 @@ def analyze_group_bounds(lowered: LoweredReduction) -> GroupBounds:
         uniform=not any(eff.group.depends_on_elem for eff in summary.live_accumulates),
         summary=summary,
     )
-
-
-def _ceil_int(v: float | int) -> int:
-    i = int(v)
-    return i if i >= v else i + 1
-
-
-def _floor_int(v: float | int) -> int:
-    i = int(v)
-    return i if i <= v else i - 1

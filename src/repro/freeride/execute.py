@@ -68,7 +68,6 @@ from repro.freeride.sharedmem import (
 )
 from repro.freeride.spec import ReductionArgs, ReductionSpec
 from repro.freeride.splitter import SplitQueue
-from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.util.errors import FaultToleranceError, FreerideError, SplitterError
 
 if TYPE_CHECKING:
@@ -111,7 +110,7 @@ class RunContext:
     """One run's pass: what to run, where results go, what may go wrong.
 
     Constructed complete from the run's plan and the lanes of the
-    planned technique; everything below :attr:`worker_durations` is derived
+    planned technique; everything below :attr:`split_durations` is derived
     from those in ``__post_init__``.
     """
 
@@ -122,15 +121,15 @@ class RunContext:
     #: the run's ledger; its fault counters are guarded by :attr:`lock`
     stats: "RunStats"
     tracer: "Tracer | NullTracer"
-    metrics: "MetricsRegistry | None"
     executor: str
     num_threads: int
     #: ``None`` means no fault machinery; an injector alone implies defaults
     policy: "FaultPolicy | None"
     injector: "FaultInjector | None"
-    #: split durations worker processes ship back, kept for the profile
-    #: record; ``None`` when no profile store is attached
-    worker_durations: "list[float] | None" = None
+    #: the run's split durations for the profile record: what worker
+    #: processes ship back, or each ``split`` span's seconds on a traced
+    #: in-process run; ``None`` when no profile store is attached
+    split_durations: "list[float] | None" = None
     #: no policy: attempts accumulate straight into the lane,
     #: with no scratch object and nothing to settle
     direct: bool = field(init=False)
@@ -273,23 +272,13 @@ def _attempt_in_process(ctx: RunContext, lane: int, pos: int, attempt: int) -> A
 
 def _attempt_traced(ctx: RunContext, lane: int, pos: int, attempt: int) -> Attempt:
     """The in-process attempt wrapped for an enabled tracer."""
-    assert ctx.metrics is not None
-    # only a locking lane takes locks; the others observe 0
-    target = ctx.lanes[lane]
-    locking = isinstance(target, LockingAccessor)
-    locks_before = target.stats.lock_acquisitions if locking else 0
     scratch, error, seconds = traced_attempt(
         ctx.tracer, lane, ctx.plan.split_id(pos), ctx.lengths[pos],
         attempt if ctx.policy is not None else None,
         lambda: _attempt_in_process(ctx, lane, pos, attempt),
     )
-    ctx.metrics.histogram("engine.split_seconds").observe(seconds)
-    if ctx.policy is None:
-        # the locks the attempt itself took; under a fault policy they are
-        # taken by the commit, not the attempt, so nothing is recorded
-        ctx.metrics.histogram(
-            "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
-        ).observe(target.stats.lock_acquisitions - locks_before if locking else 0)
+    if ctx.split_durations is not None:
+        ctx.split_durations.append(seconds)
     return scratch, error
 
 
@@ -497,21 +486,11 @@ def _absorb(ctx: RunContext, res: "dict[str, Any]") -> None:
     worker's trace records."""
     with ctx.lock:  # attempt lanes absorb concurrently
         ctx.spec.bound.counters.add(res["counters"])
-        if ctx.worker_durations is not None:
+        if ctx.split_durations is not None:
             # one RunProfile per engine run: every worker's durations fold in
-            ctx.worker_durations.extend(res["durations"])
+            ctx.split_durations.extend(res["durations"])
     if ctx.tracer.enabled:
-        assert ctx.metrics is not None
         ctx.tracer.ingest(res["records"])
-        split_seconds = ctx.metrics.histogram("engine.split_seconds")
-        for seconds in res["durations"]:
-            split_seconds.observe(seconds)
-        if ctx.policy is None:
-            contention = ctx.metrics.histogram(
-                "ro.lock_acquisitions_per_split", DEFAULT_COUNT_BUCKETS
-            )
-            for _ in res["durations"]:
-                contention.observe(0)  # replication: lock-free
 
 
 def _ship_blocks(

@@ -65,10 +65,6 @@ ACCUMULATE_OPS["max"] = _op_max
 
 _IDENTITY: dict[str, float] = {"add": 0.0, "min": np.inf, "max": -np.inf}
 
-#: ``fmin``/``fmax``, not ``minimum``/``maximum``: a NaN value is ignored, as
-#: the scalar ops above (``value < buf[idx]`` is false) and the C kernel do
-_MERGE_UFUNC = {"add": np.add, "min": np.fmin, "max": np.fmax}
-
 #: what a fold takes from the other object where it is strictly better
 _BETTER = {"min": np.less, "max": np.greater}
 
@@ -490,14 +486,29 @@ class ReductionObject:
         return offsets[g] + e, v
 
     def apply_batch(self, indices: np.ndarray, values: np.ndarray, op: AccumulateOp) -> None:
-        """Apply pre-validated flat-cell updates (see :meth:`batch_cells`).
+        """Apply pre-validated flat-cell updates (see :meth:`batch_cells`)
+        as the scalar ops would, lane by lane.
 
-        ``ufunc.at`` folds duplicate indices in lane order, so an additive
-        cell touched by many lanes matches the scalar element-order result.
+        ``np.add.at`` sums duplicate indices in lane order.  A min/max cell
+        takes its lanes' strictly best non-NaN value, the earliest lane's on
+        a tie, folded into the held value by :func:`_merge_into`: an in-order
+        kernel's strict compare keeps a held +0.0 against an incoming -0.0,
+        where ``np.fmin.at`` may take either.
         """
         if indices.size == 0:
             return
-        _MERGE_UFUNC[op].at(self._buffer, indices, values)
+        if op == "add":
+            np.add.at(self._buffer, indices, values)
+        else:
+            # by cell, best value first (NaN last), then lane: a stable sort
+            # puts the lane an in-order kernel keeps first in its cell's run
+            order = np.lexsort((values if op == "min" else -values, indices))
+            cells = indices[order]
+            first = np.flatnonzero(np.diff(cells, prepend=-1))
+            cells = cells[first]
+            held = self._buffer[cells]
+            _merge_into(op, held, values[order[first]])
+            self._buffer[cells] = held
         self._touched[self.groups_of(indices)] = True
         self.update_count += int(indices.size)
 
@@ -915,12 +926,10 @@ class ReductionObject:
                         sel = retracted if one_op else retracted & tables.op_cells[op]
                         _RETRACT_UFUNC[op](buf, retract._buffer, out=buf, where=sel)
             if replay is not None:
+                # a replayed group is its replay alone: the identity folded
+                # with a scratch that never holds NaN is the scratch's value
                 replayed = hit & tables.noninvertible
-                cells = replayed[cell_group]
-                for op in kinds:
-                    if op not in INVERTIBLE_ACCUMULATE_OPS:
-                        sel = cells if one_op else cells & tables.op_cells[op]
-                        _MERGE_UFUNC[op](identity, replay._buffer, out=buf, where=sel)
+                np.positive(replay._buffer, out=buf, where=replayed[cell_group])
                 touched[replayed] = rebuilt[replayed]
             self.update_count += (tail.update_count if tail is not None else 0) - (
                 retract.update_count if retract is not None else 0

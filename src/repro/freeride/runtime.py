@@ -76,7 +76,6 @@ from repro.freeride.sharedmem import (
 )
 from repro.freeride.spec import ReductionSpec
 from repro.freeride.splitter import Split
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profilestore import ProfileStore, record_run, resolve_store
 from repro.obs.tracer import NullTracer, Tracer, get_tracer
 from repro.util.errors import FaultToleranceError, FreerideError
@@ -118,13 +117,10 @@ class RunStats:
 
     num_threads: int = 1
     executor: str = "serial"
-    #: the technique the run actually executed (always effective, never the
-    #: request — a coerced or fallen-back run reports what really happened)
-    technique: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION
     #: what the caller asked for: a technique value or ``"auto"``
     technique_requested: str = SharedMemTechnique.FULL_REPLICATION.value
-    #: alias of :attr:`technique`, spelled out so a reader comparing request
-    #: vs. outcome never has to guess which one ``technique`` means
+    #: the technique the run actually executed (never the request — a
+    #: coerced or fallen-back run reports what really happened)
     technique_effective: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION
     #: why the effective technique differs from the request (``auto``
     #: selection or colored fallback): ``{requested, chosen, reason,
@@ -142,10 +138,6 @@ class RunStats:
     splits_per_thread: list[int] = field(default_factory=list)
     ro_updates: int = 0
     ro_size: int = 0
-    #: :meth:`repro.obs.MetricsRegistry.snapshot` of the run's metrics
-    #: (split-duration histograms, RO contention, ...); empty when tracing
-    #: is disabled — the metrics pipeline lives off the hot path
-    metrics: dict[str, Any] = field(default_factory=dict)
     sharedmem: SharedMemStats = field(default_factory=SharedMemStats)
     local_combination: CombinationStats = field(default_factory=CombinationStats)
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -412,17 +404,13 @@ class FreerideEngine:
 
     def _new_stats(self) -> RunStats:
         """A run's ledger, stamped with the request; the run's plan restamps
-        the technique fields with what the run really executes."""
-        initial = self.technique or SharedMemTechnique.FULL_REPLICATION
-        stats = RunStats(
+        the effective technique with what the run really executes."""
+        return RunStats(
             num_threads=self.num_threads,
             executor=self.executor,
-            technique=initial,
             technique_requested=self.technique_requested,
-            technique_effective=initial,
+            technique_effective=self.technique or SharedMemTechnique.FULL_REPLICATION,
         )
-        stats.sharedmem.technique = initial
-        return stats
 
     def run(self, spec: ReductionSpec, data: Any) -> ReductionResult:
         """Execute one reduction pass over ``data``: plan → drive → local
@@ -438,7 +426,6 @@ class FreerideEngine:
         if self.executor == "process":
             _check_process_technique(self.technique)
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        metrics = MetricsRegistry() if tracer.enabled else None
         timer = PhaseTimer()
         bound = spec.bound
         wall_start = time.perf_counter()
@@ -468,13 +455,13 @@ class FreerideEngine:
                 ctx = RunContext(
                     spec=spec, plan=plan, base_ro=ro,
                     lanes=mgr.setup(ro, self.num_threads, self._res.replicas),
-                    stats=stats, tracer=tracer, metrics=metrics,
+                    stats=stats, tracer=tracer,
                     executor=self.executor, num_threads=self.num_threads,
                     policy=policy, injector=self.fault_injector,
-                    worker_durations=[] if self.profile_store is not None else None,
+                    split_durations=[] if self.profile_store is not None else None,
                 )
                 decision = plan.decision
-                stats.technique = stats.technique_effective = plan.technique
+                stats.technique_effective = plan.technique
                 if decision is not None:  # the caller's copy, not the plan's
                     decision = {**decision, "inputs": dict(decision["inputs"])}
                 stats.technique_decision = decision
@@ -523,35 +510,12 @@ class FreerideEngine:
             )
 
         stats.phase_seconds = timer.as_dict()
-        if metrics is not None:
-            self._finish_metrics(metrics, stats)
         if self.profile_store is not None:
             record_run(
-                self.profile_store, spec, stats, plan, ctx.worker_durations,
+                self.profile_store, spec, stats, plan, ctx.split_durations,
                 time.perf_counter() - wall_start,
             )
         return ReductionResult(value=value, ro=ro, stats=stats)
-
-    def _finish_metrics(self, metrics: MetricsRegistry, stats: RunStats) -> None:
-        """Fold the run's aggregate counters into the registry and snapshot."""
-        metrics.gauge("engine.num_threads").set(stats.num_threads)
-        metrics.counter("engine.elements").inc(stats.total_elements)
-        metrics.counter("ro.updates").inc(stats.ro_updates)
-        metrics.counter("ro.lock_acquisitions").inc(
-            stats.sharedmem.lock_acquisitions
-        )
-        for name, value in (
-            ("faults.retries", stats.retries),
-            ("faults.failed_splits", stats.failed_splits),
-            ("faults.injected", stats.injected_faults),
-            ("faults.requeues", stats.requeues),
-            ("faults.timeouts", stats.timeouts),
-        ):
-            if value:
-                metrics.counter(name).inc(value)
-        for phase, seconds in stats.phase_seconds.items():
-            metrics.histogram("engine.phase_seconds." + phase).observe(seconds)
-        stats.metrics = metrics.snapshot()
 
     def run_iterative(
         self,

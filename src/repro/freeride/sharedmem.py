@@ -102,10 +102,8 @@ class SharedMemStats:
     """Synchronization accounting: what the run counted, and the run's
     shape (:class:`~repro.freeride.plan.RunShape`), the cost model's too."""
 
-    technique: SharedMemTechnique = SharedMemTechnique.FULL_REPLICATION
     lock_acquisitions: int = 0
     private_copies: int = 0
-    merge_elements: int = 0  # elements merged during local combination
     num_locks: int = 0
     #: reduction-object memory footprint: replication pays one copy per
     #: thread, locking shares one copy (the classic tradeoff)
@@ -140,9 +138,7 @@ class LockingAccessor:
         meta_lock: threading.Lock,
     ) -> None:
         self.ro = shared_ro
-        self.stats = SharedMemStats(
-            technique=SharedMemTechnique.CACHE_SENSITIVE_LOCKING, num_locks=len(locks)
-        )
+        self.stats = SharedMemStats(num_locks=len(locks))
         self._locks = locks
         self._meta_lock = meta_lock
         #: what :meth:`direct_store` hands out; built on first use
@@ -347,7 +343,7 @@ class SharedMemManager:
         Returns ``(combined RO, shared-memory stats, combination stats)``.
         This is the single accounting path for local combination: the stats
         copy ``shape``, the run's :class:`~repro.freeride.plan.RunShape`,
-        and add what the lanes counted, lock acquisitions and merges.
+        and add the lock acquisitions the lanes counted.
 
         ``combination``, when given (full replication only), is the
         application's custom ``combination_t``: it receives the per-thread
@@ -357,7 +353,7 @@ class SharedMemManager:
         are merged; copies a custom combination saw are not pooled.
         """
         total = SharedMemStats(
-            self.technique, private_copies=shape.private_copies,
+            private_copies=shape.private_copies,
             num_locks=shape.num_locks, ro_memory_bytes=shape.ro_memory_bytes,
             wave_widths=shape.wave_widths,
         )
@@ -391,7 +387,6 @@ class SharedMemManager:
             if pool is not None:
                 # setup froze base_ro, so its interned layout is set
                 pool.give(base_ro._layout, lanes, len(lanes))
-        total.merge_elements += lc_stats.elements_merged
         return base_ro, total, lc_stats
 
 

@@ -1,4 +1,4 @@
-"""repro.obs — end-to-end tracing and metrics for the reproduction.
+"""repro.obs — end-to-end tracing and run records for the reproduction.
 
 The observability layer the engine, compiler, apps and benchmarks share:
 
@@ -6,8 +6,6 @@ The observability layer the engine, compiler, apps and benchmarks share:
   :class:`Event`, with a no-op :data:`NULL_TRACER` fast path when
   disabled and a process-wide active tracer
   (:func:`get_tracer` / :func:`set_tracer` / :func:`tracing`);
-* :mod:`repro.obs.metrics` — thread-safe counters, gauges and
-  fixed-bucket histograms, snapshotted into ``RunStats.metrics`` per run;
 * :mod:`repro.obs.export` — JSONL event logs and Chrome ``trace_event``
   JSON (loadable in Perfetto / ``chrome://tracing``), plus a
   dependency-free schema validator;
@@ -42,14 +40,6 @@ from repro.obs.export import (
     validate_chrome_trace_file,
     write_chrome_trace,
     write_jsonl,
-)
-from repro.obs.metrics import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
 )
 from repro.obs.profilestore import (
     PROFILE_SCHEMA_VERSION,
@@ -89,12 +79,6 @@ __all__ = [
     "set_tracer",
     "tracing",
     "trace_to",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_COUNT_BUCKETS",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

@@ -165,7 +165,6 @@ class RunProfile:
     split_seconds: dict[str, float] | None = None
     # -- synchronization / caches / faults --------------------------------
     lock_acquisitions: int = 0
-    lock_contention_mean: float | None = None
     native_cache: dict[str, int] | None = None
     faults: dict[str, int] = field(default_factory=dict)
 
@@ -363,9 +362,11 @@ def record_run(
     ``spec``/``stats`` are the run's :class:`~repro.freeride.spec.ReductionSpec`
     and :class:`~repro.freeride.runtime.RunStats`, ``plan`` its
     :class:`~repro.freeride.plan.ExecutionPlan` (whose layout arrays name
-    the record) and ``durations`` the split durations worker processes
-    shipped back.  One record per run — process-executor runs fold their
-    workers' durations into it rather than appending per worker.  Store
+    the record) and ``durations`` the run's split durations: what worker
+    processes shipped back, or what a traced run's ``split`` spans timed
+    (an untraced in-process run times none).  One record per run —
+    process-executor runs fold their workers' durations into it rather than
+    appending per worker.  Store
     I/O failures degrade to a warning: profiling must never fail a
     computation that already succeeded.
     """
@@ -373,19 +374,6 @@ def record_run(
     key = ProfileKey.of(
         compiled.request.digest if compiled is not None else None, *plan.layout
     )
-    split_seconds = summarize_durations(durations) if durations else None
-    hists = stats.metrics.get("histograms", {}) if stats.metrics else {}
-    if split_seconds is None:
-        snap = hists.get("engine.split_seconds")
-        if snap and snap.get("count"):
-            split_seconds = {
-                "count": snap["count"],
-                "mean": snap["mean"],
-                "p50": None,
-                "p95": None,
-                "max": snap["max"],
-            }
-    contention = hists.get("ro.lock_acquisitions_per_split")
     decision = stats.technique_decision
     native_cache = None
     if compiled is not None and compiled.native_kernel is not None:
@@ -419,11 +407,8 @@ def record_run(
         coloring=stats.coloring,
         wall_seconds=wall_seconds,
         phase_seconds=dict(stats.phase_seconds),
-        split_seconds=split_seconds,
+        split_seconds=summarize_durations(durations) if durations else None,
         lock_acquisitions=stats.sharedmem.lock_acquisitions,
-        lock_contention_mean=(
-            contention["mean"] if contention and contention.get("count") else None
-        ),
         native_cache=native_cache,
         faults={
             name: value

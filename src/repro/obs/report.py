@@ -249,7 +249,6 @@ def format_report(report: TraceReport) -> str:
                     "max_wave_width",
                     "num_splits",
                     "replication_bytes",
-                    "lock_contention_mean",
                 )
                 if d.get(key) is not None
             ]

@@ -47,8 +47,6 @@ WINDOWED_DATA = (np.arange(WINDOW * NUM_WINDOWS, dtype=np.float64) // 3) % 8
 def check_stats(stats, technique, num_threads=2, min_wave_width=1):
     """Self-consistency of one run's RunStats for the requested technique."""
     assert stats is not None
-    assert stats.technique is stats.technique_effective
-    assert stats.sharedmem.technique is stats.technique_effective
     assert stats.technique_requested == technique
     eff = stats.technique_effective
     ro_bytes = stats.ro_size * 8

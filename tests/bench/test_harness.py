@@ -275,7 +275,7 @@ class TestTheModelPricesTheEnginesShape:
                     runner.run(points, cents, 1)
                     stats = runner.last_run_stats
                 sm = stats.sharedmem
-                assert stats.technique is tech and sum(stats.splits_per_thread) == 4 * w
+                assert stats.technique_effective is tech and sum(stats.splits_per_thread) == 4 * w
                 assert (
                     sm.wave_widths, sm.private_copies, sm.num_locks, sm.ro_memory_bytes
                 ) == (

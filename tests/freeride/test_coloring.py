@@ -216,7 +216,6 @@ def test_colored_falls_back_without_bounds_and_records_why():
     s = res.stats
     assert s.technique_requested == "colored"
     assert s.technique_effective is SharedMemTechnique.FULL_REPLICATION
-    assert s.technique is SharedMemTechnique.FULL_REPLICATION
     assert s.coloring is None
     assert s.technique_decision is not None
     assert "group set" in s.technique_decision["reason"]

@@ -100,7 +100,7 @@ def test_plan_equals_what_the_run_reports(case, technique, executor, monkeypatch
     ) as engine:
         plan = _plan(engine, spec, data)
         stats = engine.run(spec, data).stats
-    assert plan.technique is stats.technique_effective is stats.technique
+    assert plan.technique is stats.technique_effective
     assert plan.decision == stats.technique_decision
     assert plan.split_alignment == stats.split_alignment
     assert (
@@ -227,7 +227,7 @@ def _context(engine, spec, data) -> RunContext:
     return RunContext(
         spec=spec, plan=plan, base_ro=ro,
         lanes=SharedMemManager(plan.technique).setup(ro, engine.num_threads),
-        stats=RunStats(), tracer=NULL_TRACER, metrics=None,
+        stats=RunStats(), tracer=NULL_TRACER,
         executor=engine.executor, num_threads=engine.num_threads,
         policy=policy, injector=engine.fault_injector,
     )

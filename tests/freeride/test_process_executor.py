@@ -40,6 +40,7 @@ from repro.freeride.sharedmem import (
 )
 from repro.freeride.spec import ReductionSpec
 from repro.freeride.splitter import default_splitter
+from repro.obs.profilestore import ProfileStore
 from repro.obs.tracer import Tracer, tracing
 from repro.util.errors import FreerideError
 from tests.compiler.test_native import kernel_cc_runs, needs_cc, slow_cc  # noqa: F401
@@ -329,16 +330,15 @@ class TestProcessFaultTolerance:
 
 
 class TestProcessTracing:
-    def test_worker_spans_merged_into_parent_trace(self):
+    def test_worker_spans_merged_into_parent_trace(self, tmp_path):
         bound = make_bound()
         spec, idx = bound.make_spec(LAYOUT)
         tracer = Tracer()
-        engine = FreerideEngine(num_threads=2, executor="process")
-        try:
+        with FreerideEngine(
+            num_threads=2, executor="process", profile_store=tmp_path
+        ) as engine:
             with tracing(tracer):
                 result = engine.run(spec, idx)
-        finally:
-            engine.close()
         split_spans = [s for s in tracer.spans() if s.name == "split"]
         assert split_spans
         worker_pids = {s.args["worker_pid"] for s in split_spans}
@@ -347,8 +347,9 @@ class TestProcessTracing:
             assert s.tid == s.args["worker_pid"]
             assert s.args["outcome"] == "ok"
             assert 0 <= s.ts <= s.ts + s.dur
-        hists = result.stats.metrics["histograms"]
-        assert hists["engine.split_seconds"]["count"] == len(split_spans)
+        assert len(split_spans) == sum(result.stats.splits_per_thread)
+        (record,) = ProfileStore(tmp_path).load()
+        assert record["split_seconds"]["count"] == len(split_spans)
 
 
 class TestSpawnStartMethod:

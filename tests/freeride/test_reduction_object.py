@@ -114,16 +114,14 @@ class TestAccumulate:
         ro.accumulate_group(g, np.array([4.0, 2.0]))
         assert list(ro.get_group(g)) == [3.0, 2.0]
 
-    @pytest.mark.parametrize("op", ["add", "min", "max"])
-    def test_accumulate_group_is_accumulate_per_element(self, op):
-        """``accumulate_group(g, v)`` leaves the bytes (a zero's sign and a
-        NaN's included), touched bits and update count ``accumulate(g, i,
-        v[i])`` leaves for every ``i``: on every group size 1-40, at every
+    @staticmethod
+    def scalar_reachable_cases():
+        """``(size, pad, held, incoming)`` on every group size 1-40, at every
         offset of the group in a cache line, from states scalar updates
         reach — held ±0.0 against incoming ∓0.0, and NaN on either side."""
         rng = np.random.default_rng(58)
         values = np.array([0.0, -0.0, np.nan, 1.0, -1.0, np.inf, -np.inf])
-        cases = [
+        return [
             (size, pad, held, incoming)
             for size in range(1, 41)
             for pad in range(8)
@@ -134,22 +132,55 @@ class TestAccumulate:
                 (rng.choice(values, size), rng.choice(values, size)),
             ]
         ]
-        for size, pad, held, incoming in cases:
-            group, scalar = ReductionObject(), ReductionObject()
-            with np.errstate(invalid="ignore"):  # inf + -inf is a NaN here
-                for ro in (group, scalar):
-                    ro.alloc(pad + 1, op)
-                    g = ro.alloc(size, op)
-                    for i, v in enumerate(held):
-                        ro.accumulate(g, i, float(v))
+
+    @staticmethod
+    def held_pair(op, size, pad, held):
+        """Two objects whose group ``g`` holds ``held`` by scalar updates."""
+        pair = ReductionObject(), ReductionObject()
+        with np.errstate(invalid="ignore"):  # inf + -inf is a NaN here
+            for ro in pair:
+                ro.alloc(pad + 1, op)
+                g = ro.alloc(size, op)
+                for i, v in enumerate(held):
+                    ro.accumulate(g, i, float(v))
+        return (*pair, g)
+
+    @staticmethod
+    def assert_same(ro, scalar, case):
+        assert ro.snapshot().tobytes() == scalar.snapshot().tobytes(), case
+        assert np.array_equal(ro.touched_mask(), scalar.touched_mask())
+        assert ro.update_count == scalar.update_count
+
+    @pytest.mark.parametrize("op", ["add", "min", "max"])
+    def test_accumulate_group_is_accumulate_per_element(self, op):
+        """``accumulate_group(g, v)`` leaves the bytes (a zero's sign and a
+        NaN's included), touched bits and update count ``accumulate(g, i,
+        v[i])`` leaves for every ``i``, on every scalar-reachable case."""
+        for size, pad, held, incoming in self.scalar_reachable_cases():
+            group, scalar, g = self.held_pair(op, size, pad, held)
+            with np.errstate(invalid="ignore"):
                 group.accumulate_group(g, incoming)
                 for i, v in enumerate(incoming):
                     scalar.accumulate(g, i, float(v))
-            assert group.snapshot().tobytes() == scalar.snapshot().tobytes(), (
-                size, pad, held, incoming
-            )
-            assert np.array_equal(group.touched_mask(), scalar.touched_mask())
-            assert group.update_count == scalar.update_count
+            self.assert_same(group, scalar, (size, pad, held, incoming))
+
+    @pytest.mark.parametrize("op", ["add", "min", "max"])
+    def test_accumulate_batch_is_accumulate_in_lane_order(self, op):
+        """``accumulate_batch`` over lanes that hit every cell of a group
+        twice leaves what scalar ``accumulate`` lane by lane leaves: a held
+        zero survives an incoming zero of the other sign, and of two tied
+        lanes the earlier one's value stays."""
+        rng = np.random.default_rng(59)
+        for size, pad, held, incoming in self.scalar_reachable_cases():
+            batch, scalar, g = self.held_pair(op, size, pad, held)
+            again = rng.permutation(size)
+            elems = np.concatenate([np.arange(size), again])
+            lanes = np.concatenate([incoming, incoming[again]])
+            with np.errstate(invalid="ignore"):
+                batch.accumulate_batch(g, elems, lanes, op)
+                for e, v in zip(elems.tolist(), lanes.tolist()):
+                    scalar.accumulate(g, e, v)
+            self.assert_same(batch, scalar, (size, pad, held, incoming, again))
 
     def test_group_view_is_writable(self):
         ro = ReductionObject()

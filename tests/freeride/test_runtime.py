@@ -489,8 +489,8 @@ class TestStatsRegressions:
         result = FreerideEngine(num_threads=2, technique=technique).run(
             sum_spec(), np.arange(50, dtype=np.float64)
         )
+        assert result.stats.technique_effective is technique
         sm = result.stats.sharedmem
-        assert sm.technique == technique
         assert sm.num_locks > 0
         assert sm.ro_memory_bytes > 0
         assert sm.lock_acquisitions > 0
@@ -533,9 +533,8 @@ class TestStatsRegressions:
         result = FreerideEngine(num_threads=4).run(
             sum_spec(), np.arange(50, dtype=np.float64)
         )
-        sm = result.stats.sharedmem
-        assert sm.merge_elements == 4 * result.ro.size
-        assert sm.ro_memory_bytes == 4 * result.ro.nbytes
+        assert result.stats.local_combination.elements_merged == 4 * result.ro.size
+        assert result.stats.sharedmem.ro_memory_bytes == 4 * result.ro.nbytes
 
     def test_thread_copies_not_mutated_by_combination(self):
         # Regression: all_to_one_combine folded copies[1:] into copies[0]

@@ -84,7 +84,6 @@ class TestAllTechniquesAgree:
         # thread 0 and 2 hit group 0, thread 1 hits group 1
         assert list(combined.get_group(0)) == [0 + 2, 1 + 3, 2 + 4]
         assert list(combined.get_group(1)) == [1, 2, 3]
-        assert stats.technique is SharedMemTechnique.parse(technique)
 
     @pytest.mark.parametrize("technique", ALL_TECHNIQUES)
     def test_vectorized_group_updates(self, technique):
@@ -211,10 +210,10 @@ class TestStats:
         ro = make_ro()
         mgr = SharedMemManager(SharedMemTechnique.FULL_REPLICATION)
         accessors = mgr.setup(ro, 4)
-        combined, stats, _ = finish(mgr, ro, accessors)
+        combined, stats, lc_stats = finish(mgr, ro, accessors)
         assert stats.private_copies == 4
         assert stats.lock_acquisitions == 0
-        assert stats.merge_elements == 4 * ro.size
+        assert lc_stats.elements_merged == 4 * ro.size
 
     def test_cache_sensitive_fewer_locks(self):
         ro = make_ro(groups=2, elems=16)  # 32 elements -> 4 cache lines

@@ -47,7 +47,7 @@ class TestProcessTechniqueHonesty:
 
     def test_mutated_technique_raises_at_run_not_mislabeled(self):
         """The regression: a post-init mutation used to run full replication
-        while RunStats.technique claimed the mutated technique."""
+        while RunStats.technique_effective claimed the mutated technique."""
         engine = FreerideEngine(num_threads=2, executor="process")
         engine.technique = SharedMemTechnique.CACHE_SENSITIVE_LOCKING
         spec, idx = _hist_spec()
@@ -66,8 +66,6 @@ class TestProcessTechniqueHonesty:
         s = res.stats
         assert s.technique_requested == "auto"
         assert s.technique_effective is SharedMemTechnique.FULL_REPLICATION
-        assert s.technique is SharedMemTechnique.FULL_REPLICATION
-        assert s.sharedmem.technique is SharedMemTechnique.FULL_REPLICATION
         d = s.technique_decision
         assert d is not None
         assert d["chosen"] == "full_replication"

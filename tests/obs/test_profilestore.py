@@ -226,7 +226,8 @@ class TestOlderRecords:
     readers are schema-blind, so the schema version does not move."""
 
     #: a schema-1 record as written while the engine still stamped
-    #: ``num_nodes``, observed footprints and a decision source (one line
+    #: ``num_nodes``, observed footprints, a decision source and a
+    #: histogram's lock contention (one line
     #: of a segment file, keys in writer order)
     OLD_RECORD = {
         "schema": 1, "ts": 1700000000.0, "digest": "e" * 64,
@@ -245,7 +246,7 @@ class TestOlderRecords:
 
     def test_a_num_nodes_record_still_loads_and_reports(self, tmp_path, capsys):
         assert PROFILE_SCHEMA_VERSION == 1
-        gone = {"num_nodes", "footprints"}
+        gone = {"num_nodes", "footprints", "lock_contention_mean"}
         assert not gone & set(RunProfile.__dataclass_fields__)
         (tmp_path / "segment-old-1.jsonl").write_text(
             json.dumps(self.OLD_RECORD, separators=(",", ":")) + "\n"
@@ -314,10 +315,13 @@ class TestProcessExecutorAttribution:
             r.engine.close()
         recs = ProfileStore(tmp_path).load()
         assert len(recs) == 2  # one per engine run, never per worker
+        # untraced: the workers' own timings, one per split
+        splits = sum(r.last_run_stats.splits_per_thread)
         for rec in recs:
             assert rec["executor"] == "process"
             assert rec["workers"] == 2
-            assert rec["split_seconds"]["count"] >= 2
+            assert rec["split_seconds"]["count"] == splits >= 2
+            assert rec["split_seconds"]["p95"] is not None
             assert "footprints" not in rec
 
 
