@@ -11,10 +11,10 @@ evaluation, not a re-analysis.
 This is the single range engine behind three consumers that previously
 carried private, weaker analyses:
 
-* ``repro.compiler.groupbounds`` re-derives :class:`GroupBounds` from the
-  accumulate summaries (and per-split group sets from
-  ``groups_for_range``), so compiler-bounded apps color into genuinely
-  wide waves;
+* the engine asks the summary itself — a compiled spec's ``group_bounds``
+  — every footprint question: per-split group sets for the colored
+  technique and the delta replay planner, and the split alignment, so
+  compiler-bounded apps color into genuinely wide waves;
 * ``repro.compiler.batch`` upgrades its boolean taint to *bounded-gather
   proofs*: a lane-varying access index whose summary proves containment
   in the declared extent vectorizes via ``np.take`` instead of forcing a
@@ -46,6 +46,7 @@ Three diagnostics ride on the summaries:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.affine import (
@@ -76,6 +77,7 @@ from repro.compiler.lower import LoweredReduction
 
 __all__ = [
     "ELEM_RANGE",
+    "FOOTPRINT_MEMO_SIZE",
     "AccumulateEffect",
     "EffectSummary",
     "analyze_effects",
@@ -84,6 +86,10 @@ __all__ = [
 #: The element index ranges over ``[0, +inf)``; every index is achieved in
 #: some run, so the range is exact.
 ELEM_RANGE = Bounds(0, None, exact=True)
+
+#: per-range footprints one :class:`EffectSummary` keeps before starting
+#: over (a footprint is a frozenset as wide as the groups the range reaches)
+FOOTPRINT_MEMO_SIZE = 1024
 
 #: Fixpoint iteration cap for loop bodies; variables still changing after
 #: this many rounds are widened to unknown.
@@ -133,7 +139,11 @@ class AccumulateEffect:
 
 @dataclass(frozen=True)
 class EffectSummary:
-    """The per-reduction result of :func:`analyze_effects`."""
+    """The per-reduction result of :func:`analyze_effects`, and what a
+    compiled spec's ``group_bounds`` holds.  Footprints are memoized beside
+    the forms they are a pure function of, so the memo is only bounded
+    (:data:`FOOTPRINT_MEMO_SIZE`, cleared when full); when no live group
+    form reads the element index, every non-empty range shares one."""
 
     name: str
     accumulates: tuple[AccumulateEffect, ...]
@@ -143,6 +153,21 @@ class EffectSummary:
         default_factory=dict, compare=False, repr=False
     )
     diagnostics: tuple[Diagnostic, ...] = ()
+    #: the element period split boundaries snap to, so that no window
+    #: straddles two splits (:func:`_alignment`)
+    alignment: int | None = field(default=None, init=False, compare=False)
+    #: footprints computed so far (memo misses)
+    evaluations: int = field(default=0, init=False, compare=False)
+    _uniform: bool = field(default=False, init=False, compare=False, repr=False)
+    _footprints: dict[tuple[int, int, int], frozenset[int] | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        live = self.live_accumulates
+        object.__setattr__(self, "alignment", _alignment(live))
+        uniform = not any(eff.group.depends_on_elem for eff in live)
+        object.__setattr__(self, "_uniform", uniform)
 
     @property
     def live_accumulates(self) -> tuple[AccumulateEffect, ...]:
@@ -164,13 +189,26 @@ class EffectSummary:
     def groups_for_range(
         self, start: int, end: int, num_groups: int
     ) -> frozenset[int] | None:
-        """Group ids an element range ``[start, end)`` can touch.
+        """Group ids the element values ``[start, end)`` can touch, clipped
+        to ``num_groups``; ``None`` when a live accumulate is unbounded."""
+        if self._uniform and end > start:
+            start, end = 0, 1  # one footprint for every non-empty range
+        key = (start, end, num_groups)
+        memo = self._footprints
+        out = memo.get(key, memo)  # the memo itself marks a miss
+        if out is memo:
+            out = self._footprint(start, end, num_groups)
+            if len(memo) >= FOOTPRINT_MEMO_SIZE:
+                memo.clear()
+            memo[key] = out
+            object.__setattr__(self, "evaluations", self.evaluations + 1)
+        return out
 
-        Evaluates each accumulate form over the (exact) element interval
-        and unions the clipped integer ranges — the split-parametric
-        footprint the colored technique needs.  ``None`` when any live
-        accumulate is unbounded over the range.
-        """
+    def _footprint(
+        self, start: int, end: int, num_groups: int
+    ) -> frozenset[int] | None:
+        """:meth:`groups_for_range` computed: the union of each live
+        accumulate form's clipped interval over the range."""
         if end <= start:
             return frozenset()
         rng = Bounds(start, end - 1, exact=True)
@@ -198,26 +236,6 @@ class EffectSummary:
             iv = iv.join(f.eval(elem))
         return iv
 
-    def alignment(self) -> int | None:
-        """Combined element-period of the element-dependent group forms.
-
-        Split boundaries placed at multiples of this value keep per-split
-        group footprints from straddling a window (see
-        ``repro.freeride.splitter.aligned_splits``).  ``None`` when no
-        live group form exposes a period.
-        """
-        align = 1
-        found = False
-        for eff in self.live_accumulates:
-            if not eff.group.depends_on_elem:
-                continue
-            a = eff.group.alignment()
-            if a is None or a <= 0:
-                return None
-            align = _lcm(align, a)
-            found = True
-        return align if found else None
-
     def fingerprint(self) -> str:
         """Stable digest of the accumulate summaries."""
         text = ";".join(
@@ -237,10 +255,18 @@ def _floor_int(v: float | int) -> int:
     return i if i <= v else i - 1
 
 
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
+def _alignment(live: tuple[AccumulateEffect, ...]) -> int | None:
+    """The lcm of the element-dependent group forms' periods; ``None`` when
+    one has none, or none depends on the element."""
+    align = None
+    for eff in live:
+        if not eff.group.depends_on_elem:
+            continue
+        a = eff.group.alignment()
+        if a is None or a <= 0:
+            return None
+        align = a if align is None else math.lcm(align, a)
+    return align
 
 
 # ------------------------------------------------------------------ analyzer

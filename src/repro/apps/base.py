@@ -34,8 +34,13 @@ class ReductionApp:
     ``num_threads``, ``executor``, ``chunk_size``, ``technique``, ``tracer``
     and ``profile_store`` configure the :class:`FreerideEngine` the runner
     owns (public as ``engine``); ``backend`` is the compiler tier of the
-    compiled versions.  Release the engine's worker pools and shared-memory
-    segments with :meth:`close`, or use the runner as a context manager.
+    compiled versions.  The default, ``"scalar"``, is the interpreted
+    per-element oracle: a million-point k-means runs for minutes on it.
+    For speed pass ``backend="native"``, which falls back to ``"batch"``
+    and then ``"scalar"`` with a warning where it cannot build;
+    ``compiled.effective_backend`` reports the tier that ran.  Release the
+    engine's worker pools and shared-memory segments with :meth:`close`,
+    or use the runner as a context manager.
     """
 
     #: the versions a subclass exists in

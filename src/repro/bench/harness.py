@@ -111,7 +111,9 @@ def model_shape(
     layout = _layout(n_elements, num_threads, config)
     technique, coloring = config.technique, None
     if technique is SharedMemTechnique.COLORED:
-        sets, source = resolve_group_sets(pw.bounds, None, layout, pw.num_groups)
+        sets, source = resolve_group_sets(
+            pw.bounds, range(n_elements), layout, pw.num_groups
+        )
         if sets is None:
             technique = SharedMemTechnique.FULL_REPLICATION
         else:

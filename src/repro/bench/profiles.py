@@ -49,8 +49,8 @@ class PhaseWork:
     name: str
     per_element: OpCounters
     ro_elements: int
-    #: the object's group count, and the compiled kernel's ``GroupBounds``
-    #: that color its splits (``None``: a colored run replicates instead)
+    #: the object's group count, and the compiled kernel's effect summary
+    #: that colors its splits (``None``: a colored run replicates instead)
     num_groups: int = 0
     bounds: Any = None
 

@@ -173,9 +173,9 @@ class CompiledReduction:
     #: what this was compiled from: its identity in the kernel cache and the
     #: profile store, and what a worker process compiles to get the same kernel
     request: "CompileRequest"
-    #: flow-sensitive bounds on the group index of every RO update site
+    #: the effect summary bounding the group index of every RO update site
     #: (:func:`repro.compiler.groupbounds.analyze_group_bounds`); the
-    #: engine's split coloring consumes this via the spec
+    #: engine asks it every footprint question via the spec
     group_bounds: Any = field(default=None, repr=False)
     #: JIT native backend (``backend="native"``): the generated C source
     native_source: str | None = None
@@ -303,7 +303,7 @@ class CompiledReduction:
                 "batch_codegen", cat="compiler", reduction=name
             ) as batch_span:
                 batchgen = BatchCodegen(
-                    self.lowered, self.plan, summary=self.group_bounds.summary
+                    self.lowered, self.plan, summary=self.group_bounds
                 )
                 try:
                     batch_source = batchgen.generate()
@@ -928,9 +928,9 @@ def compile_request(request: "CompileRequest") -> CompiledReduction:
                 namespace,
             )
 
-        # One effect analysis drives the group-bounds hull (coloring), the
-        # batch emitter's bounded-gather proofs, and the native emitter's
-        # bounds-check elision.
+        # One effect analysis drives the engine's footprints (coloring and
+        # delta replay), the batch emitter's bounded-gather proofs, and the
+        # native emitter's bounds-check elision.
         group_bounds = analyze_group_bounds(lowered)
 
         native_source: str | None = None
@@ -943,7 +943,7 @@ def compile_request(request: "CompileRequest") -> CompiledReduction:
             ) as native_span:
                 try:
                     build = native_mod.submit_native(
-                        lowered, plan, summary=group_bounds.summary
+                        lowered, plan, summary=group_bounds
                     )
                 except native_mod.NativeUnsupported as exc:
                     native = exc

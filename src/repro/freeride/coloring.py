@@ -14,19 +14,17 @@ Group sets come from one of two sources, in priority order:
    ``(split, num_groups) -> iterable of group ids | None`` (``None`` means
    "unknown for this split").  This is the hook for reductions whose group
    footprint genuinely varies per split (e.g. pre-partitioned inputs).
-2. the compiler's symbolic effect analysis
-   (:func:`repro.compiler.groupbounds.analyze_group_bounds`), attached to
-   specs built from compiled reductions.  The attached
-   :class:`~repro.compiler.groupbounds.GroupBounds` carries the
-   split-parametric effect summary, so each split's footprint is evaluated
-   over just its own element range
-   (:meth:`~repro.compiler.groupbounds.GroupBounds.groups_for_range`):
-   reductions whose group index is a function of the element index (e.g.
-   ``elemIdx() / window``) get genuinely disjoint per-split sets and color
-   into wide waves.  When every group form is element-independent the
-   footprints coincide and the coloring degenerates to one split per wave,
-   which still delivers the technique's memory/lock-freedom guarantees (a
-   single shared RO, zero lock acquisitions) at replication-free cost.
+2. the compiler's symbolic effect analysis: the
+   :class:`~repro.analysis.effects.EffectSummary` that specs built from
+   compiled reductions carry as ``group_bounds``.  Each split's footprint
+   is the summary evaluated over just the element values the split reduces
+   (for a ``range(a, b)`` run, ``a`` plus its positions): reductions whose
+   group index is a function of the element index (e.g. ``elemIdx() /
+   window``) get genuinely disjoint per-split sets and color into wide
+   waves.  When every group form is element-independent the footprints
+   coincide and the coloring degenerates to one split per wave, which
+   still delivers the technique's memory/lock-freedom guarantees (a single
+   shared RO, zero lock acquisitions) at replication-free cost.
    A data-dependent group index (the histogram's bin) is bounded this way
    too: every split may touch every group.
 
@@ -40,7 +38,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.freeride.splitter import Layout, Split, layout_splits
+from repro.freeride.splitter import Layout, Split, element_ranges, layout_splits
 
 __all__ = ["SplitColoring", "resolve_group_sets", "color_splits"]
 
@@ -91,10 +89,12 @@ def resolve_group_sets(
 ) -> tuple[list[frozenset[int]] | None, str | None]:
     """Determine each split's group footprint, or ``None`` if inexact.
 
-    ``hook`` is a spec's ``group_bounds``: the compiler's bounds, asked per
-    position of ``layout`` (the run's split positions into ``data``), or a
-    callable asked per :class:`Split` — ``splits`` when the run has its own
-    (a custom splitter's list), else the layout's, built here.
+    ``hook`` is a spec's ``group_bounds``: the compiler's effect summary,
+    asked per split of ``layout`` (the run's split positions into ``data``)
+    at the element values it reduces (:func:`element_ranges`: only over a
+    unit-step ``range``), or a callable asked per :class:`Split` —
+    ``splits`` when the run has its own (a custom splitter's list), else
+    the layout's, built here.
 
     Returns ``(group_sets, source)``; ``source`` names which mechanism
     supplied the sets (for stats/trace) and is ``None`` on failure.
@@ -111,7 +111,10 @@ def resolve_group_sets(
             sets.append(gs)
         return sets, "spec_hook"
     if hasattr(hook, "groups_for_range"):
-        for start, end in zip(layout[0].tolist(), layout[1].tolist()):
+        starts, ends = element_ranges(data, layout)
+        if starts is None:
+            return None, None
+        for start, end in zip(starts.tolist(), ends.tolist()):
             groups = hook.groups_for_range(start, end, num_groups)
             if groups is None:
                 return None, None

@@ -42,9 +42,9 @@ Invertibility decides the retract strategy per group (see
 :data:`~repro.freeride.reduction_object.INVERTIBLE_ACCUMULATE_OPS` and the
 RS034/RS035 diagnostics): ``add`` groups subtract the retracted
 contributions directly; min/max groups re-reduce from the surviving
-elements, restricted to the groups the effect summary
-(:meth:`~repro.compiler.groupbounds.GroupBounds.groups_for_range`) proves
-a retracted range can touch.
+elements — only the blocks :func:`blocks_reaching` finds, by asking the
+spec's ``group_bounds`` (a compiled spec's effect summary) which groups
+each block of positions can touch.
 """
 
 from __future__ import annotations
@@ -68,11 +68,13 @@ if TYPE_CHECKING:
 __all__ = [
     "CHECKPOINT_RING_DEPTH",
     "DELTA_COMMIT_SPLIT_ID",
+    "REPLAY_PROBE_LEAF",
     "DeltaSession",
     "EpochReport",
     "ManualDataset",
     "NativeEpoch",
     "ROCheckpoint",
+    "blocks_reaching",
     "contiguous_runs",
     "mask_runs",
     "use_epoch_runtime",
@@ -88,6 +90,11 @@ DELTA_COMMIT_SPLIT_ID = -1
 
 #: epochs a session's checkpoint ring retains (``ro_at`` reaches this far back)
 CHECKPOINT_RING_DEPTH = 8
+
+#: smallest block :func:`blocks_reaching` asks about when the bounds carry
+#: no alignment hint — below this, asking costs more than just re-reducing
+#: the elements
+REPLAY_PROBE_LEAF = 16
 
 _NO_GROUPS = np.empty(0, dtype=np.int64)
 
@@ -213,6 +220,47 @@ def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded[1:-1] = mask
     edges = padded[1:] - padded[:-1]
     return (edges == 1).nonzero()[0], (edges == -1).nonzero()[0]
+
+
+def blocks_reaching(
+    bounds: Any, targets: frozenset[int], n: int, num_groups: int
+) -> list[tuple[int, int]]:
+    """The blocks of positions ``[0, n)`` whose elements can touch ``targets``.
+
+    The delta replay planner, over any ``bounds`` with ``groups_for_range``
+    and optionally ``alignment`` (a compiled spec's effect summary): walks
+    one binary tree over the positions asking each node's footprint — a
+    node disjoint from ``targets`` is skipped, one inside them (or a leaf)
+    taken whole, a mixed one descends.  Nodes are whole leaves
+    (``alignment`` elements, else :data:`REPLAY_PROBE_LEAF`) under a root
+    of a power of two of them, asked about unclipped (a sound superset):
+    the questions depend on neither ``n`` nor liveness, so every epoch
+    repeats them and the summary's memo answers.  Blocks come back in
+    position order, adjacent ones merged.
+    """
+    leaf = getattr(bounds, "alignment", None) or REPLAY_PROBE_LEAF
+    span = leaf
+    while span < n:
+        span *= 2
+    blocks: list[tuple[int, int]] = []
+    stack = [(0, span)]
+    while stack:
+        start, size = stack.pop()
+        if start >= n:
+            continue
+        footprint = bounds.groups_for_range(start, start + size, num_groups)
+        if footprint is not None and footprint.isdisjoint(targets):
+            continue
+        if footprint is None or size == leaf or footprint <= targets:
+            end = min(start + size, n)
+            if blocks and blocks[-1][1] == start:
+                blocks[-1] = (blocks[-1][0], end)
+            else:
+                blocks.append((start, end))
+        else:
+            half = size // 2
+            stack += [(start + half, half), (start, half)]
+    return blocks
 
 
 @dataclass
@@ -664,11 +712,11 @@ class DeltaSession:
                         # a hand-written spec's hook answers no range
                         # question: every survivor is replayed
                         bounds = spec.group_bounds
-                        reaching = getattr(bounds, "blocks_reaching", None)
                         probes0 = getattr(bounds, "evaluations", 0)
+                        targets = frozenset(replayed.tolist())
                         blocks = (
-                            reaching(frozenset(replayed.tolist()), new_n, ro.num_groups)
-                            if reaching is not None
+                            blocks_reaching(bounds, targets, new_n, ro.num_groups)
+                            if hasattr(bounds, "groups_for_range")
                             else [(0, new_n)]
                         )
                         planner_probes = getattr(bounds, "evaluations", 0) - probes0

@@ -44,6 +44,7 @@ from repro.freeride.splitter import (
     aligned_layout,
     chunked_layout,
     default_layout,
+    element_ranges,
 )
 from repro.util.errors import SplitterError
 
@@ -116,8 +117,8 @@ class ExecutionPlan:
     #: a custom ``splitter=``'s own list, as it was given; ``None`` for the
     #: built-in layouts, whose split ids are their positions
     given: "list[Split] | None" = field(repr=False)
-    #: element alignment the default splitter snapped boundaries to
-    #: (``GroupBounds.alignment``), ``None`` for unaligned splits
+    #: element alignment the default splitter snapped boundaries to (the
+    #: effect summary's ``alignment``), ``None`` for unaligned splits
     split_alignment: "int | None"
     #: the technique the run executes (never the request)
     technique: SharedMemTechnique
@@ -337,11 +338,7 @@ def plan_node(
             else:
                 layout = default_layout(n, num_threads)
 
-    starts, ends = layout
-    if not (isinstance(data, range) and data.step == 1):
-        starts = ends = None
-    elif data.start:
-        starts, ends = starts + data.start, ends + data.start
+    starts, ends = element_ranges(data, layout)
     num_splits = len(layout[0])
 
     chosen, reason = technique, None

@@ -130,8 +130,8 @@ class RunStats:
     #: (:meth:`repro.freeride.coloring.SplitColoring.as_dict`), else ``None``
     coloring: dict[str, Any] | None = None
     #: element alignment the default splitter snapped split boundaries to
-    #: (the effect analysis' ``GroupBounds.alignment`` wave hint); ``None``
-    #: when the run used unaligned splits
+    #: (the effect summary's ``alignment`` wave hint); ``None`` when the run
+    #: used unaligned splits
     split_alignment: int | None = None
     total_elements: int = 0
     elements_per_thread: list[int] = field(default_factory=list)

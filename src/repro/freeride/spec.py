@@ -90,11 +90,13 @@ class ReductionSpec:
         split's updates can touch.  Either a callable hook
         ``(split, num_groups) -> iterable of group ids | None`` for
         reductions whose footprint varies per split, or an object with
-        ``groups_for_range(start, end, num_groups) -> frozenset | None``
-        and optionally ``alignment`` (split-boundary hint) and
-        ``blocks_reaching``/``evaluations`` (delta replay planner) — the
-        compiler's ``GroupBounds``, which ``make_spec`` attaches.  ``None``
-        means unknown — the engine then falls back from colored.
+        ``groups_for_range(start, end, num_groups) -> frozenset | None``,
+        asked at element values, and optionally ``alignment`` (an ``int``
+        split-boundary hint) and ``evaluations`` (footprints computed, for
+        the delta replay planner's probe count) — the compiler's
+        :class:`~repro.analysis.effects.EffectSummary`, which ``make_spec``
+        attaches.  ``None`` means unknown — the engine then falls back from
+        colored.
     ``reduce_ranges``
         ``reduce_ranges(starts, ends, ro)`` is the local reduction over the
         element ranges ``[starts[i], ends[i])`` (two int64 arrays of global

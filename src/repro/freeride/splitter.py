@@ -42,6 +42,7 @@ __all__ = [
     "aligned_layout",
     "chunked_layout",
     "layout_splits",
+    "element_ranges",
     "SplitQueue",
 ]
 
@@ -94,7 +95,7 @@ def aligned_layout(n: int, req_units: int, alignment: int) -> Layout:
     """Balanced blocks with their boundaries snapped to ``alignment``.
 
     The effect analysis exposes the element-period of ``elemIdx()``-derived
-    group forms as :attr:`~repro.compiler.groupbounds.GroupBounds.alignment`
+    group forms as :attr:`~repro.analysis.effects.EffectSummary.alignment`
     (``e // k`` changes group only at multiples of ``k``).  Snapping each
     boundary to the nearest multiple keeps any one alignment window inside a
     single split, so per-split group footprints stay disjoint and the
@@ -132,6 +133,20 @@ def layout_splits(data: Any, starts: np.ndarray, ends: np.ndarray) -> list[Split
         Split(i, a, b, data[a:b])
         for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))
     ]
+
+
+def element_ranges(
+    data: Any, layout: Layout
+) -> "tuple[np.ndarray, np.ndarray] | tuple[None, None]":
+    """The element values each split of ``layout`` reduces when ``data`` is
+    a unit-step ``range`` (what every compiled spec runs over): its
+    ``start`` plus each position.  ``(None, None)`` for other data."""
+    if not (isinstance(data, range) and data.step == 1):
+        return None, None
+    starts, ends = layout
+    if data.start:
+        return starts + data.start, ends + data.start
+    return starts, ends
 
 
 def default_splitter(data: Any, req_units: int) -> list[Split]:

@@ -47,11 +47,11 @@ class TestSummary:
         assert iv.contained_in(0, 7)
 
     def test_windowed_alignment_is_the_window(self, windowed):
-        assert windowed.alignment() == 64
+        assert windowed.alignment == 64
 
     def test_histogram_has_no_alignment(self, histogram):
         # the bin is data-dependent, not a function of the element index
-        assert histogram.alignment() is None
+        assert histogram.alignment is None
 
     def test_split_parametric_footprints_are_disjoint(self, windowed):
         a = windowed.groups_for_range(0, 64, 8)

@@ -54,7 +54,7 @@ def snapshot(source: str, constants: dict) -> str:
             f"{' DEAD' if eff.dead else ''}"
         )
     iv = summary.group_interval(ELEM_RANGE)
-    lines.append(f"  interval={iv} alignment={summary.alignment()}")
+    lines.append(f"  interval={iv} alignment={summary.alignment}")
     lines.append("analyzer --effects:")
     diags = analyze_source(source, constants=constants, effects=True)
     lines.append(render_diagnostics(diags))

@@ -43,8 +43,7 @@ class unboundedGather : ReduceScanOp {
 def _gather_codegen(source: str, constants: dict, level: int = 2):
     lowered = lower_reduction(parse_program(source), constants)
     plan = plan_compilation(lowered, level)
-    gb = analyze_group_bounds(lowered)
-    gen = BatchCodegen(lowered, plan, summary=gb.summary)
+    gen = BatchCodegen(lowered, plan, summary=analyze_group_bounds(lowered))
     return lowered, gen
 
 

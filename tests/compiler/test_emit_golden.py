@@ -73,7 +73,7 @@ def emitted(app, opt_level):
     source, constants = KERNELS[app]
     compiled = compile_reduction(source, dict(constants), opt_level=opt_level)
     lowered, plan = compiled.lowered, compiled.plan
-    summary = compiled.group_bounds.summary
+    summary = compiled.group_bounds
     out = {
         "scalar": _digest(compiled.python_source),
         "c_like": _digest(compiled.c_source),
@@ -250,7 +250,7 @@ def test_a_printer_can_be_run_twice(app):
     source, constants = APP_KERNELS[app]
     compiled = compile_reduction(source, dict(constants), opt_level=2)
     gen = NativeCodegen(
-        compiled.lowered, compiled.plan, summary=compiled.group_bounds.summary
+        compiled.lowered, compiled.plan, summary=compiled.group_bounds
     )
     assert gen.generate() == gen.generate()
 

@@ -1,26 +1,29 @@
-"""The plan-time group-bounds analysis behind the COLORED technique.
+"""The plan-time group bounds behind the COLORED technique.
 
-Every paper app's kernel must analyze *bounded* (that is what lets the
-engine run them colored), and anything the interval analysis cannot prove
-must come back *unbounded* — a too-narrow bound would let two conflicting
-splits run in the same wave and silently corrupt the shared reduction
-object, so these tests pin the conservative direction hard.
+``analyze_group_bounds`` hands the engine the effect summary of a lowered
+reduction, and the summary answers its footprint questions.  Every paper
+app's kernel must analyze *bounded* (that is what lets the engine run them
+colored), and anything the analysis cannot prove must come back
+*unbounded* — a too-narrow bound would let two conflicting splits run in
+the same wave and silently corrupt the shared reduction object, so these
+tests pin the conservative direction hard.
 """
 
 import pytest
 
+from repro.analysis.effects import EffectSummary
 from repro.apps.apriori import APRIORI_CHAPEL_SOURCE
 from repro.apps.em import EM_CHAPEL_SOURCE
 from repro.apps.histogram import HISTOGRAM_CHAPEL_SOURCE
 from repro.apps.kmeans import KMEANS_CHAPEL_SOURCE
 from repro.apps.pca import PCA_COV_SOURCE, PCA_MEAN_SOURCE
 from repro.chapel.parser import parse_program
-from repro.compiler.groupbounds import GroupBounds, analyze_group_bounds
+from repro.compiler.groupbounds import analyze_group_bounds
 from repro.compiler.lower import lower_reduction
 from repro.compiler.translate import compile_reduction
 
 
-def bounds_of(source: str, constants: dict) -> GroupBounds:
+def bounds_of(source: str, constants: dict) -> EffectSummary:
     return analyze_group_bounds(
         lower_reduction(parse_program(source), constants)
     )
@@ -43,9 +46,10 @@ APP_CASES = [
 )
 def test_all_app_kernels_are_bounded(name, source, constants, lo, hi):
     gb = bounds_of(source, constants)
-    assert gb.bounded, gb.reason
-    assert (gb.lo, gb.hi) == (lo, hi)
-    assert gb.sites > 0
+    hull = gb.group_interval()
+    assert hull.bounded
+    assert (hull.lo, hull.hi) == (lo, hi)
+    assert gb.accumulates
 
 
 def test_histogram_clamp_narrowing_tracks_bins():
@@ -55,14 +59,15 @@ def test_histogram_clamp_narrowing_tracks_bins():
         gb = bounds_of(
             HISTOGRAM_CHAPEL_SOURCE, {"bins": bins, "lo": 0.0, "width": 1.0}
         )
-        assert gb.bounded and (gb.lo, gb.hi) == (0, bins - 1)
+        hull = gb.group_interval()
+        assert hull.bounded and (hull.lo, hull.hi) == (0, bins - 1)
 
 
 def test_kmeans_loop_fixpoint_bounds_min_index():
     """minIdx is reassigned inside the distance loop; the fixpoint must
     stabilize it to the loop variable's range rather than widening."""
-    gb = bounds_of(KMEANS_CHAPEL_SOURCE, {"k": 7, "dim": 2})
-    assert gb.bounded and (gb.lo, gb.hi) == (0, 6)
+    hull = bounds_of(KMEANS_CHAPEL_SOURCE, {"k": 7, "dim": 2}).group_interval()
+    assert hull.bounded and (hull.lo, hull.hi) == (0, 6)
 
 
 def test_unclamped_data_dependent_group_is_unbounded():
@@ -75,9 +80,8 @@ class unclamped : ReduceScanOp {
 }
 """
     gb = bounds_of(source, {})
-    assert not gb.bounded
-    assert gb.reason
-    assert gb.groups(16) is None
+    assert not gb.group_interval().bounded
+    assert gb.groups_for_range(0, 16, 16) is None
 
 
 def test_one_sided_clamp_stays_unbounded():
@@ -92,16 +96,18 @@ class halfclamped : ReduceScanOp {
   }
 }
 """
-    assert not bounds_of(source, {}).bounded
+    gb = bounds_of(source, {})
+    assert not gb.group_interval().bounded
+    assert gb.groups_for_range(0, 16, 16) is None
 
 
 def test_groups_materializes_and_clips_to_layout():
     gb = bounds_of(
         HISTOGRAM_CHAPEL_SOURCE, {"bins": 16, "lo": 0.0, "width": 4.0}
     )
-    assert gb.groups(16) == frozenset(range(16))
+    assert gb.groups_for_range(0, 100, 16) == frozenset(range(16))
     # a smaller reduction object clips the proven interval to its layout
-    assert gb.groups(8) == frozenset(range(8))
+    assert gb.groups_for_range(0, 100, 8) == frozenset(range(8))
 
 
 def test_fingerprint_tracks_the_interval():
@@ -117,8 +123,8 @@ def test_compile_reduction_attaches_bounds():
         HISTOGRAM_CHAPEL_SOURCE, {"bins": 16, "lo": 0.0, "width": 4.0},
         opt_level=2,
     )
-    assert isinstance(comp.group_bounds, GroupBounds)
-    assert comp.group_bounds.bounded
+    assert isinstance(comp.group_bounds, EffectSummary)
+    assert comp.group_bounds.groups_for_range(0, 8, 16) == frozenset(range(16))
     spec, _ = comp.bind(
         __import__("numpy").arange(8, dtype=float)
     ).make_spec([(2, "add")] * 16)

@@ -184,7 +184,7 @@ class TestNativeCodegen:
         if native.twin is not None:  # its checked twin too, emitted not built
             texts["twin"] = NativeCodegen(
                 compiled.lowered, compiled.plan,
-                summary=compiled.group_bounds.summary, checked=True,
+                summary=compiled.group_bounds, checked=True,
             ).generate()
         for stem, text in texts.items():
             c_file = tmp_path / f"{stem}.c"

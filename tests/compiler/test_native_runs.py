@@ -262,7 +262,7 @@ def _native_text(app, checked=False):
     source, constants = APP_KERNELS[app]
     compiled = compile_cached(source, dict(constants), opt_level=2)
     return NativeCodegen(
-        compiled.lowered, compiled.plan, summary=compiled.group_bounds.summary,
+        compiled.lowered, compiled.plan, summary=compiled.group_bounds,
         checked=checked,
     ).generate()
 

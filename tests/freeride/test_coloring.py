@@ -265,3 +265,57 @@ def test_auto_on_uncolorable_spec_picks_a_valid_technique():
     s = res.stats
     assert s.technique_effective is SharedMemTechnique.FULL_REPLICATION
     assert s.technique_decision["inputs"]["colorable"] is False
+
+
+# -- compiled footprints over a sub-range -----------------------------------------
+
+WIN, NUM_WIN = 64, 16
+WINDOW_ADD = """
+class windowAdd : ReduceScanOp {
+  def accumulate(x: real) {
+    var w: int = toInt(elemIdx() / win);
+    if (w > numWin - 1) { w = numWin - 1; }
+    roAdd(w, 0, 1.0);
+  }
+}
+"""
+#: the element values 32..287: split boundaries are not window boundaries
+SUB_RANGE = range(32, 288)
+
+
+@pytest.fixture(scope="module")
+def window_spec():
+    from repro.compiler.translate import compile_reduction
+
+    compiled = compile_reduction(WINDOW_ADD, {"win": WIN, "numWin": NUM_WIN}, 2, backend="batch")
+    spec, _ = compiled.bind(np.zeros(320)).make_spec([(1, "add")] * NUM_WIN)
+    return spec
+
+
+def _run_window(spec, technique, executor, policy=None):
+    with FreerideEngine(
+        num_threads=2, executor=executor, technique=technique, chunk_size=64,
+        fault_policy=policy,
+    ) as eng:
+        return eng.run(spec, SUB_RANGE)
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+@pytest.mark.parametrize("policy", [None, FaultPolicy()], ids=["direct", "policy"])
+@pytest.mark.parametrize("technique", ["colored", "auto"])
+def test_compiled_footprints_are_asked_at_element_values(
+    window_spec, technique, executor, policy
+):
+    """A compiled kernel runs split ``i`` at the element values
+    ``data.start + position``; its footprints must be asked there too, or
+    splits that share a window run in one wave and a fault-tolerant
+    scratch commit drops the groups it was not told about."""
+    serial = _run_window(window_spec, "full_replication", "serial")
+    counts = [serial.ro.get(g, 0) for g in range(5)]
+    assert counts == [32.0, 64.0, 64.0, 64.0, 32.0]
+    res = _run_window(window_spec, technique, executor, policy)
+    assert np.array_equal(res.ro._buffer, serial.ro._buffer)
+    s = res.stats
+    assert s.technique_effective is SharedMemTechnique.COLORED
+    # the splits [32, 96) .. [224, 288) reach two windows each
+    assert s.coloring["num_waves"] == 2 and s.coloring["max_wave_width"] == 2

@@ -350,13 +350,14 @@ class _Session:
 
         monkeypatch.setattr(comp.native_kernel, "ranges", counted)
         self.evaluated = []
-        evaluate = EffectSummary.groups_for_range
+        # the summary's memo misses: the footprints it computes
+        evaluate = EffectSummary._footprint
 
         def counting(summary, start, end, num_groups):
             self.evaluated.append((start, end))
             return evaluate(summary, start, end, num_groups)
 
-        monkeypatch.setattr(EffectSummary, "groups_for_range", counting)
+        monkeypatch.setattr(EffectSummary, "_footprint", counting)
         self.engine = FreerideEngine(executor=executor, num_threads=threads)
         _, self.session = self.engine.run_baseline(
             bound=self.bound, ro_layout=[(1, "min")] * WINDOWS

@@ -13,14 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler.groupbounds import (
-    FOOTPRINT_MEMO_SIZE,
-    REPLAY_PROBE_LEAF,
-    GroupBounds,
-)
+from repro.analysis.effects import FOOTPRINT_MEMO_SIZE, EffectSummary
 from repro.compiler.translate import compile_reduction
 from repro.freeride.delta import (
+    REPLAY_PROBE_LEAF,
     ROCheckpoint,
+    blocks_reaching,
     contiguous_runs,
     mask_runs,
 )
@@ -302,64 +300,99 @@ def test_noninvertible_groups_come_from_the_layout():
 # -- the replay planner ----------------------------------------------------------
 
 
+WINDOW_MIN = """
+class windowMin : ReduceScanOp {
+  def accumulate(x: real) {
+    var w: int = toInt(elemIdx() / win);
+    if (w > numWin - 1) { w = numWin - 1; }
+    roMin(w, 0, x);
+  }
+}
+"""
+
+
+@pytest.fixture
+def window_bounds(monkeypatch):
+    """Makes fresh window-min summaries — element e touches group
+    min(e // 8, 15), alignment 8 — each with the list of ranges it computes
+    footprints for (its memo misses)."""
+    asked: dict[int, list] = {}
+    evaluate = EffectSummary._footprint
+
+    def recording(summary, start, end, num_groups):
+        asked.setdefault(id(summary), []).append((start, end))
+        return evaluate(summary, start, end, num_groups)
+
+    monkeypatch.setattr(EffectSummary, "_footprint", recording)
+
+    def make():
+        bounds = compile_reduction(WINDOW_MIN, {"win": 8, "numWin": 16}, 2).group_bounds
+        return bounds, asked.setdefault(id(bounds), [])
+
+    return make
+
+
+def test_replay_blocks_stay_inside_the_groups_footprint(window_bounds):
+    bounds, asked = window_bounds()
+    n = 8 * 16
+    assert blocks_reaching(bounds, frozenset({3}), n, 16) == [(24, 32)]
+    # adjacent blocks merge; position order
+    assert blocks_reaching(bounds, frozenset({9, 3, 4}), n, 16) == [
+        (24, 40), (72, 80)
+    ]
+    # the clamped tail belongs to the last window, whatever n grows to
+    assert blocks_reaching(bounds, frozenset({15}), n + 5, 16) == [(120, n + 5)]
+    # O(log(n / leaf)) questions for one fresh window, none for a repeat
+    del asked[:]
+    blocks_reaching(bounds, frozenset({6}), n, 16)
+    assert 0 < len(asked) <= 2 * 4
+    del asked[:]
+    blocks_reaching(bounds, frozenset({6}), n, 16)
+    assert asked == []
+
+
+def test_replay_blocks_ask_the_same_questions_whatever_n(window_bounds):
+    first_bounds, first = window_bounds()
+    blocks_reaching(first_bounds, frozenset({2}), 100, 16)
+    second_bounds, second = window_bounds()
+    blocks_reaching(second_bounds, frozenset({2}), 128, 16)  # same root span
+    assert first == second
+    assert all(s % 8 == 0 and e % 8 == 0 for s, e in first)
+
+
 class _Windows:
-    """A summary stand-in: element e touches group min(e // win, last)."""
+    """Any object with ``groups_for_range`` and ``alignment`` plans replays:
+    element e touches group min(e // win, last), with no alignment hint."""
+
+    alignment = None
 
     def __init__(self, win, num_groups):
         self.win, self.last = win, num_groups - 1
-        self.asked = []
 
     def groups_for_range(self, start, end, num_groups):
-        self.asked.append((start, end))
         lo = min(start // self.win, self.last)
         hi = min((end - 1) // self.win, self.last)
         return frozenset(range(lo, hi + 1))
 
 
-def _window_bounds(alignment=8):
-    summary = _Windows(win=8, num_groups=16)
-    bounds = GroupBounds(
-        bounded=True, lo=0, hi=15, sites=1, alignment=alignment, summary=summary
-    )
-    return bounds, summary.asked
-
-
-def test_replay_blocks_stay_inside_the_groups_footprint():
-    bounds, asked = _window_bounds()
-    n = 8 * 16
-    assert bounds.blocks_reaching(frozenset({3}), n, 16) == [(24, 32)]
-    # adjacent blocks merge; position order
-    assert bounds.blocks_reaching(frozenset({9, 3, 4}), n, 16) == [
-        (24, 40), (72, 80)
-    ]
-    # the clamped tail belongs to the last window, whatever n grows to
-    assert bounds.blocks_reaching(frozenset({15}), n + 5, 16) == [(120, n + 5)]
-    # O(log(n / leaf)) questions for one fresh window, none for a repeat
-    del asked[:]
-    bounds.blocks_reaching(frozenset({6}), n, 16)
-    assert 0 < len(asked) <= 2 * 4
-    del asked[:]
-    bounds.blocks_reaching(frozenset({6}), n, 16)
-    assert asked == []
-
-
-def test_replay_blocks_ask_the_same_questions_whatever_n():
-    first_bounds, first = _window_bounds()
-    first_bounds.blocks_reaching(frozenset({2}), 100, 16)
-    second_bounds, second = _window_bounds()
-    second_bounds.blocks_reaching(frozenset({2}), 128, 16)  # same root span
-    assert first == second
-    assert all(s % 8 == 0 and e % 8 == 0 for s, e in first)
-
-
 def test_replay_blocks_without_alignment_or_bounds():
     # no alignment hint: leaves of REPLAY_PROBE_LEAF elements
-    bounds, _ = _window_bounds(alignment=None)
     assert REPLAY_PROBE_LEAF == 16
-    assert bounds.blocks_reaching(frozenset({3}), 128, 16) == [(16, 32)]
+    windows = _Windows(win=8, num_groups=16)
+    assert blocks_reaching(windows, frozenset({3}), 128, 16) == [(16, 32)]
     # an unbounded summary answers nothing: every position may reach
-    unbounded = GroupBounds(bounded=False, lo=None, hi=None, sites=1)
-    assert unbounded.blocks_reaching(frozenset({3}), 50, 16) == [(0, 50)]
+    unbounded = compile_reduction(
+        """
+class dataMin : ReduceScanOp {
+  def accumulate(x: real) {
+    roMin(toInt(x), 0, x);
+  }
+}
+""",
+        {}, 2,
+    ).group_bounds
+    assert unbounded.groups_for_range(0, 50, 16) is None
+    assert blocks_reaching(unbounded, frozenset({3}), 50, 16) == [(0, 50)]
 
 
 def test_manual_spec_replays_every_survivor_of_a_min_group():
@@ -385,18 +418,7 @@ def test_manual_spec_replays_every_survivor_of_a_min_group():
 
 
 def test_group_bounds_memoizes_range_footprints():
-    comp = compile_reduction(
-        """
-class windowMin : ReduceScanOp {
-  def accumulate(x: real) {
-    var w: int = toInt(elemIdx() / win);
-    if (w > numWin - 1) { w = numWin - 1; }
-    roMin(w, 0, x);
-  }
-}
-""",
-        {"win": 8, "numWin": 16}, 2,
-    )
+    comp = compile_reduction(WINDOW_MIN, {"win": 8, "numWin": 16}, 2)
     bounds = comp.group_bounds
     assert bounds.alignment == 8 and bounds.evaluations == 0
     assert bounds.groups_for_range(16, 32, 16) == frozenset({2, 3})
@@ -407,7 +429,7 @@ class windowMin : ReduceScanOp {
     # bounded: a full memo starts over instead of growing
     for start in range(FOOTPRINT_MEMO_SIZE + 5):
         bounds.groups_for_range(start, start + 1, 16)
-    assert len(bounds._memo.table) <= FOOTPRINT_MEMO_SIZE
+    assert len(bounds._footprints) <= FOOTPRINT_MEMO_SIZE
     assert bounds.groups_for_range(16, 32, 16) == frozenset({2, 3})
 
 
